@@ -16,7 +16,7 @@
 //! half is local.
 
 use fx_core::Cx;
-use fx_darray::{assign2, copy_remap2, exchange_col_halo, DArray2, Dist};
+use fx_darray::{assign2, exchange_col_halo, remap2, DArray2, Dist, Remap};
 use fx_kernels::image::{
     box_sum_cols_with_halo, box_sum_rows_with_halo, ssd_flops, window_flops,
     window_sum_reference,
@@ -97,6 +97,12 @@ pub fn reference_depth(cfg: &StereoConfig, d: usize) -> Vec<u16> {
     depth
 }
 
+/// The disparity shift `shifted[r][c] = img[r][min(c + by, cols − 1)]`:
+/// a structured remap along the baseline, clamped at the image edge.
+fn shift_cols(cx: &mut Cx, shifted: &mut DArray2<f32>, img: &DArray2<f32>, by: usize) {
+    remap2(cx, shifted, img, Remap::Identity, Remap::ClampShift(by as isize));
+}
+
 /// Process the given data sets data-parallel on the current group.
 /// Returns, per dataset, this processor's local depth columns as
 /// `(dataset, local_depth)` (row-major `rows x local_cols`).
@@ -134,7 +140,7 @@ pub fn stereo_stream(cx: &mut Cx, cfg: &StereoConfig, sets: &[usize]) -> Vec<(us
             }
             for (mi, img) in matches.iter().enumerate() {
                 let m = mi + 1;
-                copy_remap2(cx, &mut shifted, img, |r, c| (r, (c + m * disp).min(cols - 1)));
+                shift_cols(cx, &mut shifted, img, m * disp);
                 let refl = reference.local();
                 let shl = shifted.local();
                 for (dv, (rv, sv)) in diff.local_mut().iter_mut().zip(refl.iter().zip(shl)) {
@@ -235,9 +241,7 @@ pub fn stereo_pipeline(
                     }
                     for (mi, img) in matches.iter().enumerate() {
                         let m = mi + 1;
-                        copy_remap2(cx, &mut shifted, img, |r, c| {
-                            (r, (c + m * disp).min(cols - 1))
-                        });
+                        shift_cols(cx, &mut shifted, img, m * disp);
                         let refl = reference.local();
                         let shl = shifted.local();
                         for (dv, (rv, sv)) in
@@ -384,6 +388,17 @@ mod tests {
                 assert_eq!(got, expect, "p={p} d={d}");
             }
         }
+    }
+
+    #[test]
+    fn paper_size_matches_reference() {
+        // The 256 x 240 images of Table 1, one set: 16-column blocks, so
+        // the larger disparity shifts reach past the neighbouring block.
+        let cfg = StereoConfig { datasets: 1, ..StereoConfig::paper() };
+        let machine = Machine::simulated(16, fx_core::MachineModel::paragon());
+        let rep = spmd(&machine, move |cx| stereo_dp(cx, &cfg));
+        let got = depth_for(&rep.results, 0, cfg.rows, cfg.cols);
+        assert_eq!(got, reference_depth(&cfg, 0));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! cache removes) from transport cost. Wall-clock host time, not the
 //! simulator's virtual time.
 //!
+//! A last `remap` row times a whole statement instead: Stereo's clamped
+//! disparity shift on a paper-size image at P=64, through the closure
+//! fallback (`copy_remap2`, per-element enumeration on every call) and
+//! through the structured plan (`remap2`), on the simulated machine.
+//!
 //! Emits `BENCH_redist.json` in the working directory and a table on
 //! stdout. Run with:
 //! `cargo run --release -p fx-bench --bin redist_microbench`
@@ -15,12 +20,11 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use fx_core::GroupHandle;
-use fx_core::Machine;
+use fx_core::{spmd, GroupHandle, Machine, MachineModel};
 use fx_darray::plan::{
     copy_seg_runs, pack_seg_runs, unpack_seg_runs, CommSets1, Plan1, Side1,
 };
-use fx_darray::{DimMap, Dist};
+use fx_darray::{copy_remap2, remap2, DArray2, DimMap, Dist, Remap};
 
 /// One redistribution executed through the legacy per-element sets:
 /// enumerate, bucket, gather per element, scatter per element.
@@ -28,7 +32,7 @@ fn legacy_iter(p: usize, s: &Side1, d: &Side1, n: usize, srcs: &[Vec<f64>], dsts
     let mut mail: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
     let mut sets: Vec<CommSets1> = Vec::with_capacity(p);
     for me in 0..p {
-        let cs = CommSets1::legacy(me, s, d, 0..n, 0);
+        let cs = CommSets1::legacy(me, s, d, 0..n, Remap::Identity);
         for (peer, slots) in &cs.sends {
             let buf: Vec<f64> = slots.iter().map(|&sl| srcs[me][sl]).collect();
             mail.insert((me, *peer), buf);
@@ -121,6 +125,68 @@ fn bench_case(dir: &'static str, sdist: Dist, ddist: Dist, n: usize, p: usize) -
     Row { dir, n, p, legacy_ns, build_ns, replay_ns }
 }
 
+/// Shape of the `remap` row: a paper-size Stereo image on 64 processors.
+const REMAP_ROWS: usize = 240;
+const REMAP_COLS: usize = 256;
+const REMAP_P: usize = 64;
+
+/// The `remap` row: closure vs structured clamped column shift.
+struct RemapRow {
+    executor: String,
+    stmts: usize,
+    closure_ns: f64,
+    structured_ns: f64,
+}
+
+/// Stereo's disparity shifts (`shifted[r][c] = img[r][min(c + δ, cols-1)]`,
+/// δ cycling through the eight disparities) on a 240-row × 256-column
+/// `(*, BLOCK)` `f32` image at P=64, `ROUNDS` times over: host ns per
+/// statement, all ranks, spawn included on both legs.
+fn bench_remap() -> RemapRow {
+    const ROUNDS: usize = 8;
+    const DISPARITIES: usize = 8;
+    let (rows, cols) = (REMAP_ROWS, REMAP_COLS);
+    let machine = Machine::simulated(REMAP_P, MachineModel::paragon());
+    let run = |structured: bool| {
+        let t = Instant::now();
+        let rep = spmd(&machine, move |cx| {
+            let g = cx.group();
+            let dist = (Dist::Star, Dist::Block);
+            let mut img = DArray2::new(cx, &g, [rows, cols], dist, 0f32);
+            img.for_each_owned(|r, c, v| *v = (r * cols + c) as f32);
+            let mut shifted = DArray2::new(cx, &g, [rows, cols], dist, 0f32);
+            let mut sum = 0f64;
+            for _ in 0..ROUNDS {
+                for by in 0..DISPARITIES {
+                    if structured {
+                        remap2(cx, &mut shifted, &img, Remap::Identity, Remap::ClampShift(by as isize));
+                    } else {
+                        copy_remap2(cx, &mut shifted, &img, |r, c| (r, (c + by).min(cols - 1)));
+                    }
+                    sum += shifted.local().iter().map(|&v| v as f64).sum::<f64>();
+                }
+            }
+            sum
+        });
+        (t.elapsed().as_nanos() as f64 / (ROUNDS * DISPARITIES) as f64, rep)
+    };
+    let (closure_ns, by_closure) = run(false);
+    let (structured_ns, by_plan) = run(true);
+    assert_eq!(by_closure.results, by_plan.results, "closure and structured remap moved different data");
+    assert_eq!(
+        by_closure.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+        by_plan.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+        "closure and structured remap finished at different virtual times"
+    );
+    assert_eq!(by_closure.traffic, by_plan.traffic, "closure and structured remap sent different traffic");
+    RemapRow {
+        executor: machine.executor.to_string(),
+        stmts: ROUNDS * DISPARITIES,
+        closure_ns,
+        structured_ns,
+    }
+}
+
 fn main() {
     let mut rows = Vec::new();
     println!(
@@ -188,7 +254,26 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ]\n}\n");
+    let r = bench_remap();
+    println!(
+        "\nremap {REMAP_ROWS}x{REMAP_COLS} f32 p={REMAP_P} ClampShift ({} stmts, {}): \
+         closure {:.0} ns/stmt, structured {:.0} ns/stmt, {:.1}x",
+        r.stmts,
+        r.executor,
+        r.closure_ns,
+        r.structured_ns,
+        r.closure_ns / r.structured_ns
+    );
+    json.push_str(&format!(
+        "  ],\n  \"remap\": {{\"map\": \"ClampShift\", \"rows\": {REMAP_ROWS}, \"cols\": {REMAP_COLS}, \
+         \"elem\": \"f32\", \"p\": {REMAP_P}, \"executor\": \"{}\", \"unit\": \"ns_per_statement_all_ranks\", \"stmts\": {}, \
+         \"closure_ns\": {:.0}, \"structured_ns\": {:.0}, \"structured_speedup\": {:.2}}}\n}}\n",
+        r.executor,
+        r.stmts,
+        r.closure_ns,
+        r.structured_ns,
+        r.closure_ns / r.structured_ns
+    ));
     std::fs::write("BENCH_redist.json", &json).expect("write BENCH_redist.json");
     println!("\nwrote BENCH_redist.json ({} cases)", rows.len());
 }

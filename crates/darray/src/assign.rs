@@ -15,15 +15,29 @@
 //!   communication sets from distribution metadata, so a message is
 //!   exchanged only between processors that actually share elements.
 //!
-//! The general entry points are `copy_remap*`: `dst[i] = src[f(i)]`
-//! (and the 2-D analogue), which subsume plain assignment, transposition,
-//! shifts, and sub-range merges.
+//! Three tiers of statement, from most to least planned:
+//!
+//! * `assign*`, [`transpose2`], [`copy_shift1_range`]: cached interval
+//!   plans, recorded as *covered* writes (their receives order the data,
+//!   so the next statement's barrier can be elided).
+//! * [`remap1`] / [`remap2`]: **structured remaps** — separable statements
+//!   `dst[r][c] = src[fr(r)][fc(c)]` whose per-dimension maps are
+//!   [`Remap`] descriptors (identity, shift, clamped shift, cyclic shift).
+//!   Planned, cached and replayed like the first tier, but keeping the
+//!   closure statements' protocol: never a sync point, write recorded
+//!   opaque.
+//! * `copy_remap*`: `dst[i] = src[f(i)]` for an arbitrary closure `f` (and
+//!   the 2-D analogue). The **fallback** for maps no descriptor expresses,
+//!   and the oracle the structured path is tested against: it enumerates
+//!   every destination index on every member, on every call.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fx_core::Cx;
+use fx_runtime::Chunk;
 
 use crate::array1::{DArray1, Dist1, Elem};
 use crate::array2::DArray2;
@@ -31,7 +45,7 @@ use crate::dataflow::sync_edge;
 use crate::dist::DimMap;
 use crate::plan::{
     copy_seg_runs, pack2, pack2_into, pack_seg_runs_into, unpack2, unpack2_chunk,
-    unpack_seg_runs_chunk, Key1, Key2, Plan1, Plan2, Side1, Side2, WriteKind,
+    unpack_seg_runs_chunk, Key1, Key2, KeyRemap1, Plan1, Plan2, Remap, Side1, Side2, WriteKind,
 };
 
 /// Which processors take part in a parent-scope array statement.
@@ -144,11 +158,16 @@ pub fn copy_shift1_range<T: Elem>(
         cx.plan_cached(key, move || Plan1::build(me, &s, &d, range, shift))
     };
 
-    // Same observable schedule as the legacy path: local leg, memory
-    // charge, sends ascending by destination, then receives ascending by
-    // source. Pack/unpack host time is reported out-of-band. Messages ride
-    // the chunk fast path: pooled buffers, no boxing, bytes copied once on
-    // each side — virtual-time charges are those of an equal-sized Vec.
+    replay1(cx, tag, &plan, dst, src);
+}
+
+/// Execute a 1-D plan. Same observable schedule as the per-element
+/// enumeration: local leg, memory charge, sends ascending by destination,
+/// then receives ascending by source. Pack/unpack host time is reported
+/// out-of-band. Messages ride the chunk fast path: pooled buffers, no
+/// boxing, bytes copied once on each side — virtual-time charges are
+/// those of an equal-sized Vec.
+fn replay1<T: Elem>(cx: &mut Cx, tag: u64, plan: &Plan1, dst: &mut DArray1<T>, src: &DArray1<T>) {
     let mut pack_ns = 0u64;
     let t0 = Instant::now();
     copy_seg_runs(src.local(), &plan.local_src, dst.local_mut(), &plan.local_dst);
@@ -163,13 +182,50 @@ pub fn copy_shift1_range<T: Elem>(
     }
     for pr in &plan.recvs {
         let chunk = cx.recv_chunk_phys(pr.peer, tag);
-        debug_assert_eq!(chunk.elems(), pr.total, "communication set mismatch");
+        assert_eq!(chunk.elems(), pr.total, "communication set mismatch from {}", pr.peer);
         let t = Instant::now();
         unpack_seg_runs_chunk(dst.local_mut(), &pr.runs, &chunk);
         pack_ns += t.elapsed().as_nanos() as u64;
         cx.release_chunk(chunk);
     }
     cx.note_pack_ns(pack_ns);
+}
+
+/// Structured 1-D remap `dst[i] = src[remap(i)]` over the whole
+/// destination: the plan-cached counterpart of [`copy_remap1`] for the
+/// maps [`Remap`] expresses, with the closure statement's exact protocol
+/// (same op tag, skip rule, message schedule, virtual charges and opaque
+/// write). Replicated arrays take the closure fallback.
+///
+/// Panics — in every build profile, when the plan is first built — if
+/// the map sends a destination index outside the source extent.
+pub fn remap1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, remap: Remap) {
+    if matches!(src.dist(), Dist1::Replicated) || matches!(dst.dist(), Dist1::Replicated) {
+        // An image outside the source becomes `n`, which the fallback's
+        // own bounds assert rejects.
+        let n = src.n();
+        return copy_remap1(cx, dst, src, |i| remap.apply(i, n).unwrap_or(n));
+    }
+    let tag = cx.next_op_tag();
+    src.versions().borrow_mut().record_read(0..src.n());
+    dst.versions().borrow_mut().record_write(0..dst.n(), WriteKind::Opaque);
+    let me = cx.phys_rank();
+    if !src.is_member() && !dst.is_member() {
+        return; // minimal-subset skip
+    }
+    let key = KeyRemap1 {
+        sgid: src.group().gid(),
+        smap: *src.map(),
+        dgid: dst.group().gid(),
+        dmap: *dst.map(),
+        remap,
+    };
+    let plan = {
+        let s = Side1 { group: src.group().clone(), map: key.smap, replicated: false };
+        let d = Side1 { group: dst.group().clone(), map: key.dmap, replicated: false };
+        cx.plan_cached(key, move || Plan1::build_remap(me, &s, &d, remap))
+    };
+    replay1(cx, tag, &plan, dst, src);
 }
 
 /// Immutable placement descriptor extracted from a 1-D array so that
@@ -214,7 +270,31 @@ impl Desc1 {
     }
 }
 
-/// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation.
+/// The exchange half of the closure fallback: ship the per-peer chunks
+/// ascending by destination, then receive ascending by source and scatter
+/// each message into its `slots` of `local`, in message order.
+fn exchange_slots<T: Elem>(
+    cx: &mut Cx,
+    tag: u64,
+    sends: BTreeMap<usize, Chunk>,
+    recvs: BTreeMap<usize, Vec<usize>>,
+    local: &mut [T],
+) {
+    for (dp, chunk) in sends {
+        cx.send_chunk_phys(dp, tag, chunk);
+    }
+    for (sp, slots) in recvs {
+        let chunk = cx.recv_chunk_phys(sp, tag);
+        assert_eq!(chunk.elems(), slots.len(), "communication set mismatch from {sp}");
+        for (k, slot) in slots.into_iter().enumerate() {
+            chunk.read_into(k, &mut local[slot..slot + 1]);
+        }
+        cx.release_chunk(chunk);
+    }
+}
+
+/// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation —
+/// the general fallback for maps [`remap1`] cannot express.
 ///
 /// Must be called by **every** member of the current group (SPMD), even
 /// those that will skip — the operation tag is allocated collectively.
@@ -245,7 +325,10 @@ pub fn copy_remap1_range<T: Elem>(
     let d = Desc1::of(dst);
     let src_n = src.n();
 
-    let mut sends: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+    // Per-peer send buffers are pooled chunks (grown on demand: a peer's
+    // share is unknown until the enumeration ends), so the payloads ride
+    // the chunk path like every planned statement's.
+    let mut sends: BTreeMap<usize, Chunk> = BTreeMap::new();
     let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut local_bytes = 0usize;
 
@@ -253,7 +336,7 @@ pub fn copy_remap1_range<T: Elem>(
     let mut dsts: Vec<usize> = Vec::with_capacity(if d.replicated { d.group.len() } else { 1 });
     for gi in range {
         let sgi = f(gi);
-        debug_assert!(sgi < src_n, "remap sends {gi} to {sgi}, outside src extent {src_n}");
+        assert!(sgi < src_n, "copy_remap1: map sends {gi} to {sgi}, outside src extent {src_n}");
         dsts.clear();
         if d.replicated {
             dsts.extend_from_slice(d.group.members());
@@ -269,7 +352,7 @@ pub fn copy_remap1_range<T: Elem>(
                     dst.local_mut()[slot] = v;
                     local_bytes += std::mem::size_of::<T>();
                 } else {
-                    sends.entry(dp).or_default().push(v);
+                    sends.entry(dp).or_insert_with(|| cx.chunk_for::<T>(0)).push_slice(&[v]);
                 }
             } else if dp == me {
                 recvs.entry(sp).or_default().push(d.slot(gi));
@@ -278,17 +361,7 @@ pub fn copy_remap1_range<T: Elem>(
     }
 
     cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    for (dp, buf) in sends {
-        cx.send_phys(dp, tag, buf);
-    }
-    for (sp, slots) in recvs {
-        let buf: Vec<T> = cx.recv_phys(sp, tag);
-        debug_assert_eq!(buf.len(), slots.len(), "communication set mismatch");
-        let local = dst.local_mut();
-        for (slot, v) in slots.into_iter().zip(buf) {
-            local[slot] = v;
-        }
-    }
+    exchange_slots(cx, tag, sends, recvs, dst.local_mut());
 }
 
 /// `dst[r][c] = src[f(r, c)]` for the whole destination.
@@ -329,8 +402,7 @@ pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) 
 }
 
 /// Plan-cached 2-D copy: `dst[r][c] = src[r][c]` (or `src[c][r]` when
-/// `transposed`). The structured counterpart of `copy_remap2_with` for the
-/// two remap functions that cover every kernel in the paper's suite.
+/// `transposed`), a sync edge recorded as a covered write.
 fn plan_copy2<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray2<T>,
@@ -354,36 +426,73 @@ fn plan_copy2<T: Elem>(
     }
     src.versions().borrow_mut().record_read(s_range);
     dst.versions().borrow_mut().record_write(d_range, WriteKind::Covered);
-    let me = cx.phys_rank();
     if !src.is_member() && !dst.is_member() {
         return; // minimal-subset skip
     }
+    let plan = plan2_for(cx, dst, src, transposed, (Remap::Identity, Remap::Identity));
+    replay2(cx, tag, &plan, dst, src);
+}
 
-    let key = {
-        let (s_rmap, s_cmap) = {
-            let m = src.maps();
-            (*m.0, *m.1)
-        };
-        let (d_rmap, d_cmap) = {
-            let m = dst.maps();
-            (*m.0, *m.1)
-        };
-        Key2 {
-            sgid: src.group().gid(),
-            s_rmap,
-            s_cmap,
-            dgid: dst.group().gid(),
-            d_rmap,
-            d_cmap,
-            transposed,
-        }
-    };
-    let plan = {
-        let s = Side2 { group: src.group().clone(), rmap: key.s_rmap, cmap: key.s_cmap };
-        let d = Side2 { group: dst.group().clone(), rmap: key.d_rmap, cmap: key.d_cmap };
-        cx.plan_cached(key, move || Plan2::build(me, &s, &d, transposed))
-    };
+/// Structured 2-D remap `dst[r][c] = src[rows(r)][cols(c)]`: the
+/// plan-cached counterpart of [`copy_remap2`] for separable maps
+/// [`Remap`] expresses (Stereo's disparity shift is
+/// `(Identity, ClampShift(δ))`). The statement keeps the closure
+/// statement's exact protocol — same op tag, skip rule, message schedule
+/// and virtual charges; never a sync point; write recorded opaque — so
+/// swapping one for the other moves no virtual time.
+///
+/// Panics — in every build profile, when the plan is first built — if a
+/// map sends a destination index outside the source extent.
+pub fn remap2<T: Elem>(
+    cx: &mut Cx,
+    dst: &mut DArray2<T>,
+    src: &DArray2<T>,
+    rows: Remap,
+    cols: Remap,
+) {
+    let tag = cx.next_op_tag();
+    // Opaque write (see copy_remap1_range): taint source, never sync.
+    src.versions().borrow_mut().record_read(0..src.rows() * src.cols());
+    dst.versions().borrow_mut().record_write(0..dst.rows() * dst.cols(), WriteKind::Opaque);
+    if !src.is_member() && !dst.is_member() {
+        return; // minimal-subset skip
+    }
+    let plan = plan2_for(cx, dst, src, false, (rows, cols));
+    replay2(cx, tag, &plan, dst, src);
+}
 
+/// This processor's cached plan for `dst[r][c] = src[rows(r)][cols(c)]`
+/// (through the transposed view of `src` when `transposed`).
+fn plan2_for<T: Elem>(
+    cx: &mut Cx,
+    dst: &DArray2<T>,
+    src: &DArray2<T>,
+    transposed: bool,
+    (row, col): (Remap, Remap),
+) -> Arc<Plan2> {
+    let me = cx.phys_rank();
+    let (s_rmap, s_cmap) = src.maps();
+    let (d_rmap, d_cmap) = dst.maps();
+    let key = Key2 {
+        sgid: src.group().gid(),
+        s_rmap: *s_rmap,
+        s_cmap: *s_cmap,
+        dgid: dst.group().gid(),
+        d_rmap: *d_rmap,
+        d_cmap: *d_cmap,
+        transposed,
+        row,
+        col,
+    };
+    let s = Side2 { group: src.group().clone(), rmap: key.s_rmap, cmap: key.s_cmap };
+    let d = Side2 { group: dst.group().clone(), rmap: key.d_rmap, cmap: key.d_cmap };
+    cx.plan_cached(key, move || Plan2::build(me, &s, &d, transposed, (row, col)))
+}
+
+/// Execute a 2-D plan: local leg, memory charge, sends ascending by
+/// destination, receives ascending by source (see [`replay1`]).
+fn replay2<T: Elem>(cx: &mut Cx, tag: u64, plan: &Plan2, dst: &mut DArray2<T>, src: &DArray2<T>) {
+    let transposed = plan.transposed;
     let mut pack_ns = 0u64;
     let t0 = Instant::now();
     let mut local_total = 0usize;
@@ -403,7 +512,7 @@ fn plan_copy2<T: Elem>(
     }
     for p in &plan.recvs {
         let chunk = cx.recv_chunk_phys(p.peer, tag);
-        debug_assert_eq!(chunk.elems(), p.total, "communication set mismatch");
+        assert_eq!(chunk.elems(), p.total, "communication set mismatch from {}", p.peer);
         let t = Instant::now();
         unpack2_chunk(dst.local_mut(), plan.dst_pitch, &p.outer, &p.inner, &chunk);
         pack_ns += t.elapsed().as_nanos() as u64;
@@ -412,7 +521,8 @@ fn plan_copy2<T: Elem>(
     cx.note_pack_ns(pack_ns);
 }
 
-/// `dst[r][c] = src[f(r, c)]` with explicit participation mode.
+/// `dst[r][c] = src[f(r, c)]` with explicit participation mode — the
+/// general fallback for maps [`remap2`] cannot express.
 pub fn copy_remap2_with<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray2<T>,
@@ -447,14 +557,19 @@ pub fn copy_remap2_with<T: Elem>(
     let s_local_cols = src.local_dims().1;
     let d_local_cols = dst.local_dims().1;
 
-    let mut sends: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+    let mut sends: BTreeMap<usize, Chunk> = BTreeMap::new();
     let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut local_bytes = 0usize;
 
     for r in 0..dst.rows() {
         for c in 0..dst.cols() {
             let (sr, sc) = f(r, c);
-            debug_assert!(sr < src.rows() && sc < src.cols(), "remap out of src bounds");
+            assert!(
+                sr < src.rows() && sc < src.cols(),
+                "copy_remap2: map sends ({r}, {c}) to ({sr}, {sc}), outside src shape {}x{}",
+                src.rows(),
+                src.cols()
+            );
             let sp = s_group.phys(s_rmap.owner(sr) * s_grid_cols + s_cmap.owner(sc));
             let dp = d_group.phys(d_rmap.owner(r) * d_grid_cols + d_cmap.owner(c));
             if sp == me {
@@ -464,7 +579,7 @@ pub fn copy_remap2_with<T: Elem>(
                     dst.local_mut()[slot] = v;
                     local_bytes += std::mem::size_of::<T>();
                 } else {
-                    sends.entry(dp).or_default().push(v);
+                    sends.entry(dp).or_insert_with(|| cx.chunk_for::<T>(0)).push_slice(&[v]);
                 }
             } else if dp == me {
                 let slot = d_rmap.local_of(r) * d_local_cols + d_cmap.local_of(c);
@@ -474,17 +589,7 @@ pub fn copy_remap2_with<T: Elem>(
     }
 
     cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    for (dp, buf) in sends {
-        cx.send_phys(dp, tag, buf);
-    }
-    for (sp, slots) in recvs {
-        let buf: Vec<T> = cx.recv_phys(sp, tag);
-        debug_assert_eq!(buf.len(), slots.len(), "communication set mismatch");
-        let local = dst.local_mut();
-        for (slot, v) in slots.into_iter().zip(buf) {
-            local[slot] = v;
-        }
-    }
+    exchange_slots(cx, tag, sends, recvs, dst.local_mut());
 }
 
 #[cfg(test)]

@@ -100,6 +100,19 @@ impl DimMap {
         }
     }
 
+    /// One past the last global index of the ownership block containing
+    /// `i`: the indices `i..block_end(i)` share `i`'s owner and are
+    /// contiguous in its local storage.
+    #[inline]
+    pub fn block_end(&self, i: usize) -> usize {
+        debug_assert!(i < self.n);
+        if self.q == 1 {
+            return self.n;
+        }
+        let b = self.block();
+        ((i / b + 1) * b).min(self.n)
+    }
+
     /// Number of elements grid coordinate `c` owns.
     pub fn local_len(&self, c: usize) -> usize {
         debug_assert!(c < self.q);
@@ -154,6 +167,12 @@ mod tests {
             let li = m.local_of(i);
             assert!(li < m.local_len(c), "local {li} >= len {} (i={i})", m.local_len(c));
             assert_eq!(m.global_of(c, li), i, "roundtrip failed for i={i}");
+            // The rest of i's ownership block is contiguous on the owner.
+            let e = m.block_end(i);
+            assert!(i < e && e <= m.n, "block_end({i}) = {e}");
+            for j in i..e {
+                assert_eq!((m.owner(j), m.local_of(j)), (c, li + j - i), "block of {i} at {j}");
+            }
         }
         // Lengths sum to n.
         let total: usize = (0..m.q).map(|c| m.local_len(c)).sum();

@@ -9,20 +9,20 @@ use fx_core::Cx;
 
 use crate::array1::{DArray1, Elem};
 use crate::array2::DArray2;
-use crate::assign::{copy_remap1, copy_shift1_range, Participation};
+use crate::assign::{copy_shift1_range, remap1, Participation};
 use crate::dist::Dist;
+use crate::plan::Remap;
 use crate::Dist1;
 
 /// HPF `CSHIFT`: `dst[i] = src[(i + shift) mod n]` (circular shift).
 pub fn cshift1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, shift: isize) {
     assert_eq!(dst.n(), src.n(), "cshift shape mismatch");
-    let n = dst.n() as isize;
-    if n == 0 {
+    if dst.n() == 0 {
         // Still allocate the op tag for SPMD consistency.
         let _ = cx.next_op_tag();
         return;
     }
-    copy_remap1(cx, dst, src, move |i| (((i as isize + shift) % n + n) % n) as usize);
+    remap1(cx, dst, src, Remap::Cyclic(shift));
 }
 
 /// HPF `EOSHIFT`: `dst[i] = src[i + shift]` where defined, `fill`

@@ -12,10 +12,14 @@
 //!
 //! Key operations:
 //!
-//! * [`assign1`] / [`assign2`] / [`copy_remap1`] / [`copy_remap2`] — the
-//!   parent-scope array assignment `A2 = A1` between arbitrary
-//!   distributions and (sub)groups, with the paper's minimal-processor-
-//!   subset participation (see [`Participation`]);
+//! * [`assign1`] / [`assign2`] — the parent-scope array assignment
+//!   `A2 = A1` between arbitrary distributions and (sub)groups, with the
+//!   paper's minimal-processor-subset participation (see
+//!   [`Participation`]);
+//! * [`remap1`] / [`remap2`] — separable shifted assignments
+//!   `dst[r][c] = src[fr(r)][fc(c)]` planned from [`Remap`] descriptors;
+//!   [`copy_remap1`] / [`copy_remap2`] are the closure fallback for maps
+//!   no descriptor expresses;
 //! * [`transpose2`] — the distributed corner turn;
 //! * [`exchange_row_halo`] — ghost rows for window/stencil kernels;
 //! * [`repartition_by`] / [`count_matching`] — predicate splits onto
@@ -42,11 +46,11 @@ pub use array2::{DArray2, Dist2};
 pub use array3::{assign3, exchange_plane_halo, DArray3, Dist3, PlaneHalo};
 pub use assign::{
     assign1, assign2, assign2_with, copy_remap1, copy_remap1_range, copy_remap2,
-    copy_remap2_with, copy_shift1_range, transpose2, Participation,
+    copy_remap2_with, copy_shift1_range, remap1, remap2, transpose2, Participation,
 };
 pub use dist::{DimMap, Dist};
 pub use halo::{exchange_col_halo, exchange_row_halo, ColHalo, RowHalo};
 pub use intrinsics::{cshift1, eoshift1, max1, min1, sum1, sum2, sum_along_cols, sum_along_rows};
 pub use pack::{count_matching, repartition_by};
-pub use plan::{IntervalVer, VersionVec, WriteKind};
+pub use plan::{IntervalVer, Remap, VersionVec, WriteKind};
 pub use rootio::{gather_to_root1, gather_to_root2, scatter_from_root1};

@@ -12,8 +12,13 @@
 //! index lists into strided runs ([`Seg`]) so packing is `extend_from_slice`
 //! rather than a per-element push.
 //!
+//! Separable remap statements (`dst[r][c] = src[fr(r)][fc(c)]`) are
+//! planned the same way from [`Remap`] descriptors: each dimension's map
+//! is cut into affine/constant pieces, one 1-D routine turns a dimension
+//! into per-peer runs, and a 2-D plan is the product of two dimensions.
+//!
 //! Plans depend only on static descriptors (distributions, group ids,
-//! ranges, shifts), so they are cached per processor in
+//! ranges, shifts, index maps), so they are cached per processor in
 //! [`fx_core::PlanCache`] (via `Cx::plan_cached`) and replayed: an
 //! m-iteration pipeline pays the planning cost once.
 //!
@@ -140,24 +145,15 @@ pub fn copy_seg_runs<T: Copy>(src: &[T], s_runs: &[Seg], dst: &mut [T], d_runs: 
     debug_assert!(sp.is_none() && dp.is_none(), "local run length mismatch");
 }
 
-/// Compress an ascending list of contiguous `(start, len)` runs into
-/// strided [`Seg`]s: adjacent runs merge, then equal-length runs at a
-/// constant stride fold into one `Seg`.
-fn compress(runs: &[(usize, usize)]) -> Vec<Seg> {
-    // Pass 1: merge adjacent contiguous runs.
-    let mut merged: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
-    for &(s, l) in runs {
-        if l == 0 {
-            continue;
-        }
-        match merged.last_mut() {
-            Some((ps, pl)) if *ps + *pl == s => *pl += l,
-            _ => merged.push((s, l)),
-        }
-    }
-    // Pass 2: fold constant-stride sequences of equal-length runs.
-    let mut out: Vec<Seg> = Vec::new();
-    for (s, l) in merged {
+/// Compress a list of contiguous `(start, len)` runs into strided
+/// [`Seg`]s: adjacent runs merge, then equal-length runs at a constant
+/// stride fold into one `Seg`. List order is kept, so the list need not
+/// ascend: a run that steps backwards starts a new `Seg`, and a run
+/// repeated in place folds at stride 0.
+fn compress(runs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Seg> {
+    // Fold one merged run into the output: equal-length runs at a
+    // constant stride extend the last `Seg`.
+    fn fold(out: &mut Vec<Seg>, (s, l): (usize, usize)) {
         match out.last_mut() {
             Some(seg)
                 if seg.len == l
@@ -171,6 +167,25 @@ fn compress(runs: &[(usize, usize)]) -> Vec<Seg> {
             }
             _ => out.push(Seg { start: s, len: l, stride: 0, count: 1 }),
         }
+    }
+    let mut out: Vec<Seg> = Vec::new();
+    // The run being grown by adjacent pieces, not yet folded.
+    let mut pending: Option<(usize, usize)> = None;
+    for (s, l) in runs {
+        if l == 0 {
+            continue;
+        }
+        match &mut pending {
+            Some((ps, pl)) if *ps + *pl == s => *pl += l,
+            _ => {
+                if let Some(run) = pending.replace((s, l)) {
+                    fold(&mut out, run);
+                }
+            }
+        }
+    }
+    if let Some(run) = pending {
+        fold(&mut out, run);
     }
     out
 }
@@ -265,11 +280,167 @@ fn intersect_segs(a: &[(usize, usize)], b: &[(usize, usize)], out: &mut Vec<(usi
 /// Convert ascending global segments (each within one ownership block of
 /// `map` after shifting by `delta`) to compressed local runs.
 pub fn local_runs(map: &DimMap, delta: isize, segs: &[(usize, usize)]) -> Vec<Seg> {
-    let runs: Vec<(usize, usize)> = segs
-        .iter()
-        .map(|&(s, l)| (map.local_of((s as isize + delta) as usize), l))
-        .collect();
-    compress(&runs)
+    compress(segs.iter().map(|&(s, l)| (map.local_of((s as isize + delta) as usize), l)))
+}
+
+// ---------------------------------------------------------------------------
+// Structured per-dimension index maps
+// ---------------------------------------------------------------------------
+
+/// The index map of one dimension of a separable remap statement
+/// `dst[i] = src[f(i)]`: a small hashable value, so the statement's
+/// communication sets can be planned from metadata and cached like any
+/// other plan's. `n` below is the source extent of the dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Remap {
+    /// `f(i) = i`.
+    Identity,
+    /// `f(i) = i + δ`; every image must lie inside the source extent.
+    Shift(isize),
+    /// `f(i) = clamp(i + δ, 0, n − 1)`: a shift whose overhang repeats
+    /// the edge element (Stereo's disparity shift `min(c + δ, n − 1)`).
+    ClampShift(isize),
+    /// `f(i) = (i + δ) mod n` (HPF `CSHIFT`).
+    Cyclic(isize),
+}
+
+impl Remap {
+    /// Source index of destination index `i` over a source extent `n`;
+    /// `None` when it falls outside `0..n`.
+    pub fn apply(self, i: usize, n: usize) -> Option<usize> {
+        let (i, n) = (isize::try_from(i).ok()?, isize::try_from(n).ok()?);
+        if n == 0 {
+            return None;
+        }
+        let s = match self {
+            Remap::Identity => i,
+            Remap::Shift(d) => i.checked_add(d)?,
+            Remap::ClampShift(d) => i.checked_add(d)?.clamp(0, n - 1),
+            Remap::Cyclic(d) => i.checked_add(d)?.rem_euclid(n),
+        };
+        (0..n).contains(&s).then_some(s as usize)
+    }
+
+    /// Validate the map over destination extent `dn` / source extent `sn`
+    /// and cut it into maximal [`Piece`]s, ascending by destination
+    /// index. The one O(extent) step of a structured plan build, and where
+    /// an out-of-range map is rejected — in every build profile.
+    fn cut(self, dn: usize, sn: usize, stmt: &str, dim: &str) -> Vec<Piece> {
+        let mut out: Vec<Piece> = Vec::new();
+        for i in 0..dn {
+            let Some(s) = self.apply(i, sn) else {
+                panic!(
+                    "{stmt}: {dim} map {self:?} sends destination index {i} outside \
+                     the source extent {sn}"
+                );
+            };
+            match out.last_mut() {
+                Some(p) if p.len == 1 && (s == p.src || s == p.src + 1) => {
+                    p.step = s - p.src;
+                    p.len = 2;
+                }
+                Some(p) if p.len > 1 && s == p.src + p.len * p.step => p.len += 1,
+                _ => out.push(Piece { dst: i, len: 1, src: s, step: 1 }),
+            }
+        }
+        out
+    }
+}
+
+/// Destination indices `dst..dst+len` of one dimension whose source
+/// indices are `src, src+step, …`: `step` 1 is an affine stretch, `step`
+/// 0 one source index read `len` times (the clamped tail of
+/// [`Remap::ClampShift`] — a many-to-one map).
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    dst: usize,
+    len: usize,
+    src: usize,
+    step: usize,
+}
+
+/// Which side of the statement the planning processor stands on.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// It owns source indices; peers are destination grid coordinates and
+    /// the runs index its source storage.
+    Send,
+    /// It owns destination indices; peers are source grid coordinates and
+    /// the runs index its destination storage.
+    Recv,
+}
+
+/// One dimension of a structured remap, seen from grid coordinate `coord`
+/// of the `role` side: for every peer coordinate it shares indices with,
+/// `(peer coordinate, index count, local runs)`, ascending by peer. Runs
+/// follow ascending *destination* index, so a source run may step
+/// backwards (a cyclic wrap) or repeat an index (a clamped tail).
+///
+/// My own indices come from the FALLS segments of my map and are split at
+/// the peer map's block boundaries: O(extent/q + runs), no per-element
+/// owner arithmetic.
+fn dim_runs(
+    cut: &[Piece],
+    src: &DimMap,
+    dst: &DimMap,
+    role: Role,
+    coord: usize,
+) -> Vec<(usize, usize, Vec<Seg>)> {
+    // `(peer coordinate, local start, len)` in ascending destination order.
+    let mut shares: Vec<(usize, usize, usize)> = Vec::new();
+    let mut mine: Vec<(usize, usize)> = Vec::new();
+    for p in cut {
+        let (lo, hi) = (p.dst, p.dst + p.len);
+        let src_at = |i: usize| p.src + (i - p.dst) * p.step;
+        mine.clear();
+        match role {
+            Role::Send => {
+                // Destination indices whose source index I own ...
+                if p.step == 1 {
+                    owned_segments(src, coord, p.src as isize - p.dst as isize, lo, hi, &mut mine);
+                } else if src.owner(p.src) == coord {
+                    mine.push((lo, p.len));
+                }
+                // ... split where the destination's owner changes.
+                for &(s, l) in &mine {
+                    let mut i = s;
+                    while i < s + l {
+                        let e = dst.block_end(i).min(s + l);
+                        let (peer, slot) = (dst.owner(i), src.local_of(src_at(i)));
+                        if p.step == 1 {
+                            shares.push((peer, slot, e - i));
+                        } else {
+                            shares.extend(std::iter::repeat_n((peer, slot, 1), e - i));
+                        }
+                        i = e;
+                    }
+                }
+            }
+            Role::Recv => {
+                // Destination indices I own, split where the source's
+                // owner changes (never, inside a constant piece).
+                owned_segments(dst, coord, 0, lo, hi, &mut mine);
+                for &(s, l) in &mine {
+                    let mut i = s;
+                    while i < s + l {
+                        let same_block = if p.step == 1 { src.block_end(src_at(i)) - src_at(i) } else { l };
+                        let e = (i + same_block).min(s + l);
+                        shares.push((src.owner(src_at(i)), dst.local_of(i), e - i));
+                        i = e;
+                    }
+                }
+            }
+        }
+    }
+    // Group by peer; the stable sort keeps each peer's destination order.
+    shares.sort_by_key(|&(peer, ..)| peer);
+    shares
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|g| {
+            let runs = compress(g.iter().map(|&(_, s, l)| (s, l)));
+            (g[0].0, g.iter().map(|&(.., l)| l).sum(), runs)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -448,12 +619,75 @@ impl Plan1 {
 
         #[cfg(debug_assertions)]
         {
-            let reference = CommSets1::legacy(me, s, d, lo..hi, delta);
+            let reference = CommSets1::legacy(me, s, d, lo..hi, Remap::Shift(delta));
             let got = CommSets1::of_plan(&plan);
             debug_assert_eq!(got, reference, "plan1 disagrees with legacy enumeration");
         }
         plan
     }
+
+    /// Build the plan of the whole-array structured remap
+    /// `dst[i] = src[remap(i)]` for processor `me`. Neither side may be
+    /// replicated (such statements take the closure fallback). Panics if
+    /// the map leaves the source extent.
+    pub fn build_remap(me: usize, s: &Side1, d: &Side1, remap: Remap) -> Plan1 {
+        assert!(!s.replicated && !d.replicated, "structured remaps plan distributed arrays only");
+        let cut = remap.cut(d.map.n, s.map.n, "remap1", "index");
+        let mut plan = Plan1 {
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            local_src: Vec::new(),
+            local_dst: Vec::new(),
+            local_total: 0,
+        };
+        if let Some(sc) = s.group.vrank_of_phys(me) {
+            for (dc, total, runs) in dim_runs(&cut, &s.map, &d.map, Role::Send, sc) {
+                let peer = d.group.phys(dc);
+                if peer == me {
+                    plan.local_src = runs;
+                    plan.local_total = total;
+                } else {
+                    plan.sends.push(PeerRuns { peer, total, runs });
+                }
+            }
+            plan.sends.sort_by_key(|p| p.peer);
+        }
+        if let Some(dc) = d.group.vrank_of_phys(me) {
+            for (sc, total, runs) in dim_runs(&cut, &s.map, &d.map, Role::Recv, dc) {
+                let peer = s.group.phys(sc);
+                if peer == me {
+                    plan.local_dst = runs;
+                } else {
+                    plan.recvs.push(PeerRuns { peer, total, runs });
+                }
+            }
+            plan.recvs.sort_by_key(|p| p.peer);
+        }
+
+        #[cfg(debug_assertions)]
+        {
+            let reference = CommSets1::legacy(me, s, d, 0..d.map.n, remap);
+            let got = CommSets1::of_plan(&plan);
+            debug_assert_eq!(got, reference, "remap plan disagrees with legacy enumeration");
+        }
+        plan
+    }
+}
+
+/// Cache key for a 1-D structured remap plan (`dst[i] = src[remap(i)]`
+/// over the whole destination).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KeyRemap1 {
+    /// Source group id.
+    pub sgid: u64,
+    /// Source index map.
+    pub smap: DimMap,
+    /// Destination group id.
+    pub dgid: u64,
+    /// Destination index map.
+    pub dmap: DimMap,
+    /// The index map of the statement.
+    pub remap: Remap,
 }
 
 // ---------------------------------------------------------------------------
@@ -476,8 +710,8 @@ pub struct CommSets1 {
 impl CommSets1 {
     /// The legacy per-element enumeration: walk every global index of the
     /// range, resolve owners through the distribution metadata, bucket by
-    /// peer — exactly the loop `copy_remap1_range` runs.
-    pub fn legacy(me: usize, s: &Side1, d: &Side1, range: Range<usize>, delta: isize) -> CommSets1 {
+    /// peer — exactly the loop `copy_remap1_range` runs with `f = remap`.
+    pub fn legacy(me: usize, s: &Side1, d: &Side1, range: Range<usize>, remap: Remap) -> CommSets1 {
         use std::collections::BTreeMap;
         let mut sends: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -489,11 +723,8 @@ impl CommSets1 {
             if side.replicated { gi } else { side.map.local_of(gi) }
         };
         for gi in range {
-            let sgi = gi as isize + delta;
-            if sgi < 0 || sgi >= s.map.n as isize {
-                continue;
-            }
-            let sgi = sgi as usize;
+            // Indices whose image leaves the source extent move nothing.
+            let Some(sgi) = remap.apply(gi, s.map.n) else { continue };
             let dsts: Vec<usize> = if d.replicated {
                 d.group.members().to_vec()
             } else {
@@ -620,9 +851,15 @@ pub struct Key2 {
     pub d_cmap: DimMap,
     /// Transposition (`dst[r][c] = src[c][r]`) instead of assignment?
     pub transposed: bool,
+    /// Index map of the destination's row dimension.
+    pub row: Remap,
+    /// Index map of the destination's column dimension.
+    pub col: Remap,
 }
 
-/// A 2-D communication plan (`dst = src` or `dst = transpose(src)`).
+/// A 2-D communication plan: `dst[r][c] = src[row(r)][col(c)]`, read
+/// through the transposed view of `src` when `transposed` (plain
+/// assignment and transposition are the identity maps).
 ///
 /// For sends of a transposed plan, `outer` runs index the source's
 /// *column* dimension and `inner` runs its *row* dimension, so packing
@@ -744,12 +981,12 @@ pub fn unpack2_chunk<T: Copy + Send + 'static>(
 }
 
 impl Plan2 {
-    /// Build the 2-D plan for processor `me`. Shapes are implied by the
-    /// maps (`d_rmap.n x d_cmap.n` destination elements). Debug builds
-    /// verify against the legacy per-element enumeration.
-    pub fn build(me: usize, s: &Side2, d: &Side2, transposed: bool) -> Plan2 {
-        let rows = d.rmap.n;
-        let cols = d.cmap.n;
+    /// Build the 2-D plan for processor `me`: the product of the two
+    /// per-dimension results of [`dim_runs`]. Shapes are implied by the
+    /// maps (`d_rmap.n x d_cmap.n` destination elements). Panics if an
+    /// index map leaves the source extent; debug builds verify against
+    /// the legacy per-element enumeration.
+    pub fn build(me: usize, s: &Side2, d: &Side2, transposed: bool, (row, col): (Remap, Remap)) -> Plan2 {
         let my_s = s.coord_of(me);
         let my_d = d.coord_of(me);
         let mut plan = Plan2 {
@@ -765,51 +1002,30 @@ impl Plan2 {
         // rows of dst come from src rows (identity) or src cols
         // (transposed), and symmetrically for columns.
         let (srow_map, scol_map) = if transposed { (&s.cmap, &s.rmap) } else { (&s.rmap, &s.cmap) };
-        // My src coordinate along those axes.
-        let s_axis_coords = my_s.map(|(a, b)| if transposed { (b, a) } else { (a, b) });
-
-        let mut seg_r: Vec<(usize, usize)> = Vec::new();
-        let mut seg_c: Vec<(usize, usize)> = Vec::new();
-        let mut ir: Vec<(usize, usize)> = Vec::new();
-        let mut ic: Vec<(usize, usize)> = Vec::new();
+        let row_cut = row.cut(d.rmap.n, srow_map.n, "remap2", "row");
+        let col_cut = col.cut(d.cmap.n, scol_map.n, "remap2", "column");
+        // One peer's share: the product of a row result and a column result.
+        type Dim = (usize, usize, Vec<Seg>);
+        let product = |peer, (_, nr, outer): &Dim, (_, nc, inner): &Dim| Peer2 {
+            peer,
+            total: nr * nc,
+            outer: outer.clone(),
+            inner: inner.clone(),
+        };
+        let (mut s_local, mut d_local) = (None, None);
 
         // --- Sender role -------------------------------------------------
-        if let Some((ra, ca)) = s_axis_coords {
-            let mut my_r: Vec<(usize, usize)> = Vec::new();
-            let mut my_c: Vec<(usize, usize)> = Vec::new();
-            owned_segments(srow_map, ra, 0, 0, rows, &mut my_r);
-            owned_segments(scol_map, ca, 0, 0, cols, &mut my_c);
-            for dr in 0..d.rmap.q {
-                seg_r.clear();
-                owned_segments(&d.rmap, dr, 0, 0, rows, &mut seg_r);
-                ir.clear();
-                intersect_segs(&my_r, &seg_r, &mut ir);
-                if ir.is_empty() {
-                    continue;
-                }
-                for dc in 0..d.cmap.q {
-                    seg_c.clear();
-                    owned_segments(&d.cmap, dc, 0, 0, cols, &mut seg_c);
-                    ic.clear();
-                    intersect_segs(&my_c, &seg_c, &mut ic);
-                    if ic.is_empty() {
-                        continue;
-                    }
-                    let dp = d.phys(dr, dc);
-                    let nr: usize = ir.iter().map(|&(_, l)| l).sum();
-                    let nc: usize = ic.iter().map(|&(_, l)| l).sum();
-                    let outer = local_runs(srow_map, 0, &ir);
-                    let inner = local_runs(scol_map, 0, &ic);
-                    if dp == me {
-                        plan.local = Some(Local2 {
-                            s_outer: outer,
-                            s_inner: inner,
-                            d_outer: local_runs(&d.rmap, 0, &ir),
-                            d_inner: local_runs(&d.cmap, 0, &ic),
-                            total: nr * nc,
-                        });
+        // My src coordinate along the destination's axes.
+        if let Some((ra, ca)) = my_s.map(|(a, b)| if transposed { (b, a) } else { (a, b) }) {
+            let rows = dim_runs(&row_cut, srow_map, &d.rmap, Role::Send, ra);
+            let cols = dim_runs(&col_cut, scol_map, &d.cmap, Role::Send, ca);
+            for r in &rows {
+                for c in &cols {
+                    let p = product(d.phys(r.0, c.0), r, c);
+                    if p.peer == me {
+                        s_local = Some(p);
                     } else {
-                        plan.sends.push(Peer2 { peer: dp, total: nr * nc, outer, inner });
+                        plan.sends.push(p);
                     }
                 }
             }
@@ -818,48 +1034,38 @@ impl Plan2 {
 
         // --- Receiver role -----------------------------------------------
         if let Some((dr, dc)) = my_d {
-            let mut my_r: Vec<(usize, usize)> = Vec::new();
-            let mut my_c: Vec<(usize, usize)> = Vec::new();
-            owned_segments(&d.rmap, dr, 0, 0, rows, &mut my_r);
-            owned_segments(&d.cmap, dc, 0, 0, cols, &mut my_c);
-            for sa in 0..srow_map.q {
-                seg_r.clear();
-                owned_segments(srow_map, sa, 0, 0, rows, &mut seg_r);
-                ir.clear();
-                intersect_segs(&my_r, &seg_r, &mut ir);
-                if ir.is_empty() {
-                    continue;
-                }
-                for sb in 0..scol_map.q {
+            let rows = dim_runs(&row_cut, srow_map, &d.rmap, Role::Recv, dr);
+            let cols = dim_runs(&col_cut, scol_map, &d.cmap, Role::Recv, dc);
+            for r in &rows {
+                for c in &cols {
                     // Translate axis coords back to the src grid layout.
-                    let (ga, gb) = if transposed { (sb, sa) } else { (sa, sb) };
-                    let sp = s.phys(ga, gb);
-                    if sp == me {
-                        continue; // local leg handled by the sender role
+                    let (ga, gb) = if transposed { (c.0, r.0) } else { (r.0, c.0) };
+                    let p = product(s.phys(ga, gb), r, c);
+                    if p.peer == me {
+                        d_local = Some(p);
+                    } else {
+                        plan.recvs.push(p);
                     }
-                    seg_c.clear();
-                    owned_segments(scol_map, sb, 0, 0, cols, &mut seg_c);
-                    ic.clear();
-                    intersect_segs(&my_c, &seg_c, &mut ic);
-                    if ic.is_empty() {
-                        continue;
-                    }
-                    let nr: usize = ir.iter().map(|&(_, l)| l).sum();
-                    let nc: usize = ic.iter().map(|&(_, l)| l).sum();
-                    plan.recvs.push(Peer2 {
-                        peer: sp,
-                        total: nr * nc,
-                        outer: local_runs(&d.rmap, 0, &ir),
-                        inner: local_runs(&d.cmap, 0, &ic),
-                    });
                 }
             }
             plan.recvs.sort_by_key(|p| p.peer);
         }
 
+        // Both roles see the local leg; each contributes its own side's runs.
+        if let (Some(sl), Some(dl)) = (s_local, d_local) {
+            debug_assert_eq!(sl.total, dl.total, "local leg sides disagree");
+            plan.local = Some(Local2 {
+                s_outer: sl.outer,
+                s_inner: sl.inner,
+                d_outer: dl.outer,
+                d_inner: dl.inner,
+                total: sl.total,
+            });
+        }
+
         #[cfg(debug_assertions)]
         {
-            let reference = CommSets1::legacy2(me, s, d, transposed);
+            let reference = CommSets1::legacy2(me, s, d, transposed, (row, col));
             let got = CommSets1::of_plan2(&plan);
             debug_assert_eq!(got, reference, "plan2 disagrees with legacy enumeration");
         }
@@ -869,8 +1075,15 @@ impl Plan2 {
 
 impl CommSets1 {
     /// Legacy per-element enumeration for the 2-D case (the
-    /// `copy_remap2_with` loop with `f = identity` or `f = swap`).
-    pub fn legacy2(me: usize, s: &Side2, d: &Side2, transposed: bool) -> CommSets1 {
+    /// `copy_remap2_with` loop with `f = (row, col)`, through the
+    /// transposed view of `src` when `transposed`).
+    pub fn legacy2(
+        me: usize,
+        s: &Side2,
+        d: &Side2,
+        transposed: bool,
+        (row, col): (Remap, Remap),
+    ) -> CommSets1 {
         use std::collections::BTreeMap;
         let mut sends: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -886,7 +1099,11 @@ impl CommSets1 {
             .map_or(0, |(_, dc)| d.cmap.local_len(dc));
         for r in 0..d.rmap.n {
             for c in 0..d.cmap.n {
-                let (sr, sc) = if transposed { (c, r) } else { (r, c) };
+                let (srow_n, scol_n) = if transposed { (s.cmap.n, s.rmap.n) } else { (s.rmap.n, s.cmap.n) };
+                let (Some(fr), Some(fc)) = (row.apply(r, srow_n), col.apply(c, scol_n)) else {
+                    panic!("remap ({row:?}, {col:?}) sends ({r}, {c}) outside the source");
+                };
+                let (sr, sc) = if transposed { (fc, fr) } else { (fr, fc) };
                 let sp = s.phys(s.rmap.owner(sr), s.cmap.owner(sc));
                 let dp = d.phys(d.rmap.owner(r), d.cmap.owner(c));
                 let s_slot = || s.rmap.local_of(sr) * s_pitch + s.cmap.local_of(sc);
@@ -1426,17 +1643,17 @@ mod tests {
     fn compress_merges_and_strides() {
         // Adjacent runs merge.
         assert_eq!(
-            compress(&[(0, 2), (2, 3)]),
+            compress([(0, 2), (2, 3)]),
             vec![Seg { start: 0, len: 5, stride: 0, count: 1 }]
         );
         // Equal-length runs at constant stride fold.
         assert_eq!(
-            compress(&[(0, 1), (4, 1), (8, 1), (12, 1)]),
+            compress([(0, 1), (4, 1), (8, 1), (12, 1)]),
             vec![Seg { start: 0, len: 1, stride: 4, count: 4 }]
         );
         // Mixed: a fold followed by an adjacent-merged irregular run.
         assert_eq!(
-            compress(&[(0, 2), (6, 2), (12, 2), (14, 3)]),
+            compress([(0, 2), (6, 2), (12, 2), (14, 3)]),
             vec![
                 Seg { start: 0, len: 2, stride: 6, count: 2 },
                 Seg { start: 12, len: 5, stride: 0, count: 1 },
@@ -1481,6 +1698,46 @@ mod tests {
         intersect_segs(&a, &b, &mut out);
         let got: Vec<usize> = out.iter().flat_map(|&(s, l)| s..s + l).collect();
         assert_eq!(got, vec![2, 5, 6, 11]);
+    }
+
+    #[test]
+    fn remap_cuts_at_clamps_and_wraps() {
+        let shape = |r: Remap, dn, sn| -> Vec<(usize, usize, usize, usize)> {
+            r.cut(dn, sn, "test", "index").iter().map(|p| (p.dst, p.len, p.src, p.step)).collect()
+        };
+        assert_eq!(shape(Remap::Identity, 5, 7), vec![(0, 5, 0, 1)]);
+        assert_eq!(shape(Remap::Shift(2), 5, 7), vec![(0, 5, 2, 1)]);
+        // Both clamped ends read one edge element repeatedly.
+        assert_eq!(shape(Remap::ClampShift(2), 6, 6), vec![(0, 4, 2, 1), (4, 2, 5, 0)]);
+        assert_eq!(shape(Remap::ClampShift(-3), 6, 6), vec![(0, 4, 0, 0), (4, 2, 1, 1)]);
+        assert_eq!(shape(Remap::ClampShift(9), 3, 6), vec![(0, 3, 5, 0)]);
+        // A cyclic shift wraps once per source extent.
+        assert_eq!(shape(Remap::Cyclic(-2), 5, 5), vec![(0, 2, 3, 1), (2, 3, 0, 1)]);
+        assert_eq!(shape(Remap::Cyclic(1), 7, 3), vec![(0, 2, 1, 1), (2, 3, 0, 1), (5, 2, 0, 1)]);
+        assert_eq!(Remap::Shift(-1).apply(0, 4), None);
+        assert_eq!(Remap::Cyclic(3).apply(0, 0), None, "nothing to read from an empty source");
+    }
+
+    #[test]
+    fn dim_runs_repeat_the_clamped_edge() {
+        // dst[i] = src[min(i + 3, 7)] between two BLOCK maps over 2 coords:
+        // sources 3 4 5 6 7 7 7 7.
+        let map = DimMap::new(8, 2, Dist::Block);
+        let cut = Remap::ClampShift(3).cut(8, 8, "test", "index");
+        let one = |start, len| Seg { start, len, stride: 0, count: 1 };
+        assert_eq!(
+            dim_runs(&cut, &map, &map, Role::Send, 0),
+            vec![(0, 1, vec![one(3, 1)])]
+        );
+        assert_eq!(
+            dim_runs(&cut, &map, &map, Role::Send, 1),
+            vec![(0, 3, vec![one(0, 3)]), (1, 4, vec![Seg { start: 3, len: 1, stride: 0, count: 4 }])]
+        );
+        assert_eq!(
+            dim_runs(&cut, &map, &map, Role::Recv, 0),
+            vec![(0, 1, vec![one(0, 1)]), (1, 3, vec![one(1, 3)])]
+        );
+        assert_eq!(dim_runs(&cut, &map, &map, Role::Recv, 1), vec![(1, 4, vec![one(0, 4)])]);
     }
 
     // Plan1::build self-verifies against the legacy enumeration in debug
@@ -1565,12 +1822,12 @@ mod tests {
                     let s = mk(1, sd0, sd1, rows, cols);
                     let d = mk(2, dd0, dd1, rows, cols);
                     for me in 0..4 {
-                        Plan2::build(me, &s, &d, false);
+                        Plan2::build(me, &s, &d, false, (Remap::Identity, Remap::Identity));
                     }
                     // Transpose: dst shape is swapped.
                     let dt = mk(3, dd0, dd1, cols, rows);
                     for me in 0..4 {
-                        Plan2::build(me, &s, &dt, true);
+                        Plan2::build(me, &s, &dt, true, (Remap::Identity, Remap::Identity));
                     }
                 }
             }

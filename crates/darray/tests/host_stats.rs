@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use fx_core::{spmd, Machine};
-use fx_darray::{assign1, DArray1, Dist1};
+use fx_darray::{assign1, remap2, DArray1, DArray2, Dist, Dist1, Remap};
 use fx_runtime::Telemetry;
 
 /// Run a symmetric block→cyclic→block round trip for `iters` iterations
@@ -44,6 +44,45 @@ fn steady_state_redistribution_makes_zero_transport_allocations() {
         assert_eq!(s.1, l.1, "proc {p}: pool misses grew with iteration count");
         // The extra iterations are served entirely from the pool.
         assert!(l.0 > s.0, "proc {p}: longer run must add pool hits");
+    }
+}
+
+/// A structured remap statement is planned once: its second and later
+/// executions are plan-cache hits, ride the chunk path, and — in a
+/// symmetric there-and-back shift, where every buffer shipped out comes
+/// home — make zero transport allocations.
+#[test]
+fn repeated_structured_remap_hits_the_plan_cache_and_the_pool() {
+    let run = |iters: u64| {
+        spmd(&Machine::real(4), move |cx| {
+            let g = cx.group();
+            let data: Vec<u32> = (0..6 * 16).collect();
+            let dist = (Dist::Star, Dist::Block);
+            let src = DArray2::from_global(cx, &g, [6, 16], dist, &data);
+            let mut out = DArray2::new(cx, &g, [6, 16], dist, 0u32);
+            let mut back = DArray2::new(cx, &g, [6, 16], dist, 0u32);
+            for _ in 0..iters {
+                remap2(cx, &mut out, &src, Remap::Identity, Remap::Cyclic(3));
+                remap2(cx, &mut back, &out, Remap::Identity, Remap::Cyclic(-3));
+            }
+            back.to_global(cx)
+        })
+    };
+    let (short, long) = (run(3), run(30));
+    for rep in [&short, &long] {
+        for r in &rep.results {
+            assert_eq!(*r, (0..6 * 16u32).collect::<Vec<_>>(), "shift there and back");
+        }
+    }
+    for p in 0..4 {
+        // Two statements, two plans; every later execution replays them.
+        assert_eq!(long.plan_stats[p].plan_misses, 2, "proc {p}: each statement plans exactly once");
+        assert_eq!(long.plan_stats[p].plan_hits, 2 * 29, "proc {p}");
+        // Each statement ships one chunk to one neighbour.
+        assert_eq!(long.host_stats[p].chunk_msgs, 2 * 30, "proc {p}: remap payloads ride chunks");
+        let (s, l) = (&short.host_stats[p], &long.host_stats[p]);
+        assert_eq!(s.pool_misses, l.pool_misses, "proc {p}: pool misses grew with iteration count");
+        assert!(l.pool_hits > s.pool_hits, "proc {p}: longer run must add pool hits");
     }
 }
 

@@ -6,7 +6,7 @@
 
 use fx_core::GroupHandle;
 use fx_darray::plan::{CommSets1, Plan1, Plan2, Plan3, Side1, Side2, Side3};
-use fx_darray::{DimMap, Dist};
+use fx_darray::{DimMap, Dist, Remap};
 use proptest::prelude::*;
 
 fn arb_dist() -> impl Strategy<Value = Dist> {
@@ -14,6 +14,15 @@ fn arb_dist() -> impl Strategy<Value = Dist> {
         Just(Dist::Block),
         Just(Dist::Cyclic),
         (1usize..5).prop_map(Dist::BlockCyclic),
+    ]
+}
+
+/// Index maps that are in range for any equal-extent dimension pair.
+fn arb_remap() -> impl Strategy<Value = Remap> {
+    prop_oneof![
+        Just(Remap::Identity),
+        (-14isize..15).prop_map(Remap::ClampShift),
+        (-14isize..15).prop_map(Remap::Cyclic),
     ]
 }
 
@@ -54,13 +63,14 @@ proptest! {
         for me in 0..(soff + sq).max(doff + dq) + 1 {
             let plan = Plan1::build(me, &s, &d, lo..hi, shift);
             let got = CommSets1::of_plan(&plan);
-            let want = CommSets1::legacy(me, &s, &d, lo..hi, shift);
+            let want = CommSets1::legacy(me, &s, &d, lo..hi, Remap::Shift(shift));
             prop_assert_eq!(&got, &want, "rank {}", me);
             check_no_empty(&got);
         }
     }
 
-    /// 2-D copies and transpositions over random axis splits.
+    /// 2-D copies, transpositions and per-dimension remaps (many-to-one
+    /// clamped tails, cyclic wraps) over random axis splits.
     #[test]
     fn plan2_equals_legacy(
         rows in 1usize..12,
@@ -72,6 +82,7 @@ proptest! {
         sd in arb_dist(),
         dd in arb_dist(),
         transposed in any::<bool>(),
+        remap in (arb_remap(), arb_remap()),
     ) {
         let star = |n: usize| DimMap::new(n, 1, Dist::Star);
         let (srows, scols) = if transposed { (cols, rows) } else { (rows, cols) };
@@ -96,9 +107,9 @@ proptest! {
             cmap: d_cmap,
         };
         for me in 0..sp.max(dp + 1) + 1 {
-            let plan = Plan2::build(me, &s, &d, transposed);
+            let plan = Plan2::build(me, &s, &d, transposed, remap);
             let got = CommSets1::of_plan2(&plan);
-            let want = CommSets1::legacy2(me, &s, &d, transposed);
+            let want = CommSets1::legacy2(me, &s, &d, transposed, remap);
             prop_assert_eq!(&got, &want, "rank {}", me);
             check_no_empty(&got);
         }

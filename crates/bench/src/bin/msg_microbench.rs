@@ -14,6 +14,13 @@
 //! allocation-free). Wall-clock host time at the receiver, after a
 //! warm-up window, divided into bytes delivered.
 //!
+//! Every case above runs on two fixed tags. The `fresh_tag` row reruns
+//! the smallest one (P=8, fan-in 7, 128-byte messages, boxed leg) with
+//! each round's data and acknowledgement on a tag of their own — what
+//! collectives and darray statements do — so a per-tag cost in the
+//! mailbox (a map insert, a queue allocation) shows as a ratio above 1;
+//! the bin asserts it stays under 2.
+//!
 //! Emits `BENCH_msg.json` in the working directory and a table on
 //! stdout. Run with:
 //! `cargo run --release -p fx-bench --bin msg_microbench [-- --smoke]`
@@ -32,6 +39,12 @@ fn window_for(fan_in: usize, elems: usize) -> usize {
 const TAG_DATA: u64 = 1;
 const TAG_ACK: u64 = 2;
 
+/// The tags of `round`: the two fixed ones, or a pair of its own.
+fn tags(fresh_tag: bool, round: usize) -> (u64, u64) {
+    let base = if fresh_tag { 2 * round as u64 } else { 0 };
+    (TAG_DATA + base, TAG_ACK + base)
+}
+
 /// Message sizes cycle x1/2, x1, x2 around the nominal size, the way a
 /// pipeline's statements vary (different halo widths, different
 /// iteration extents). The pool's power-of-two size classes absorb
@@ -41,8 +54,9 @@ fn size_cycle(elems: usize, round: usize) -> usize {
 }
 
 /// One fan-in run; returns the receiver's nanoseconds over the measured
-/// rounds. `chunked` selects the transport leg.
-fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool) -> f64 {
+/// rounds. `chunked` selects the transport leg, `fresh_tag` a tag pair per
+/// round instead of one for the run.
+fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool, fresh_tag: bool) -> f64 {
     assert!(fan_in < p);
     let window = window_for(fan_in, elems);
     let warmup = 2 * window; // fills every pool and faults in every lane
@@ -61,18 +75,19 @@ fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool
                     t = Instant::now(); // pools warm, lanes faulted in
                 }
                 let sz = size_cycle(elems, round);
+                let (data_tag, ack_tag) = tags(fresh_tag, round);
                 for src in 1..=fan_in {
                     if chunked {
-                        let chunk = cx.recv_chunk(src, TAG_DATA);
+                        let chunk = cx.recv_chunk(src, data_tag);
                         chunk.read_into(0, &mut ends[..1]);
                         chunk.read_into(sz - 1, &mut ends[1..]);
                         // The spent buffer is the credit: hand it back so
                         // the sender's next acquire is a pool hit.
-                        cx.send_chunk(src, TAG_ACK, chunk);
+                        cx.send_chunk(src, ack_tag, chunk);
                     } else {
-                        let v: Vec<f64> = cx.recv(src, TAG_DATA);
+                        let v: Vec<f64> = cx.recv(src, data_tag);
                         ends = [v[0], v[sz - 1]];
-                        cx.send(src, TAG_ACK, vec![0u8]);
+                        cx.send(src, ack_tag, vec![0u8]);
                     }
                     assert_eq!(ends[0], (src * elems) as f64, "first element corrupt");
                     sink += ends[1];
@@ -83,35 +98,34 @@ fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool
             ns
         } else if me <= fan_in {
             let data: Vec<f64> = (0..2 * elems).map(|i| (me * elems + i) as f64).collect();
-            let mut in_flight = 0usize;
+            // Acknowledgements come back in round order, one per message.
+            let mut acked = 0usize;
+            let take_ack = |cx: &mut fx_runtime::ProcCtx, acked: &mut usize| {
+                let (_, ack_tag) = tags(fresh_tag, *acked);
+                if chunked {
+                    let c = cx.recv_chunk(0, ack_tag);
+                    cx.release_chunk(c);
+                } else {
+                    let _: Vec<u8> = cx.recv(0, ack_tag);
+                }
+                *acked += 1;
+            };
             for round in 0..warmup + rounds {
-                if in_flight == window {
-                    if chunked {
-                        let c = cx.recv_chunk(0, TAG_ACK);
-                        cx.release_chunk(c);
-                    } else {
-                        let _: Vec<u8> = cx.recv(0, TAG_ACK);
-                    }
-                    in_flight -= 1;
+                if round - acked == window {
+                    take_ack(cx, &mut acked);
                 }
                 let sz = size_cycle(elems, round);
+                let (data_tag, _) = tags(fresh_tag, round);
                 if chunked {
                     let mut c = cx.chunk_for::<f64>(sz);
                     c.push_slice(&data[..sz]);
-                    cx.send_chunk(0, TAG_DATA, c);
+                    cx.send_chunk(0, data_tag, c);
                 } else {
-                    cx.send(0, TAG_DATA, data[..sz].to_vec());
+                    cx.send(0, data_tag, data[..sz].to_vec());
                 }
-                in_flight += 1;
             }
-            while in_flight > 0 {
-                if chunked {
-                    let c = cx.recv_chunk(0, TAG_ACK);
-                    cx.release_chunk(c);
-                } else {
-                    let _: Vec<u8> = cx.recv(0, TAG_ACK);
-                }
-                in_flight -= 1;
+            while acked < warmup + rounds {
+                take_ack(cx, &mut acked);
             }
             0.0
         } else {
@@ -119,6 +133,12 @@ fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool
         }
     });
     rep.results[0]
+}
+
+/// Best of `reps` runs: the minimum is the least scheduler-noisy
+/// observation of the same deterministic work.
+fn best_of(reps: usize, run: impl Fn() -> f64) -> f64 {
+    (0..reps).map(|_| run()).fold(f64::INFINITY, f64::min)
 }
 
 struct Row {
@@ -174,14 +194,8 @@ fn main() {
         // Bound bytes moved per case so the full sweep stays quick.
         let budget = if smoke { 1usize << 20 } else { 1usize << 25 };
         let rounds = (budget / (fan_in * elems * 8)).clamp(24, 4096);
-        // Best-of-N per leg: the minimum is the least scheduler-noisy
-        // observation of the same deterministic work.
         let reps = if smoke { 1 } else { 3 };
-        let best = |chunked: bool| {
-            (0..reps)
-                .map(|_| fan_in_ns(p, fan_in, elems, rounds, chunked))
-                .fold(f64::INFINITY, f64::min)
-        };
+        let best = |chunked: bool| best_of(reps, || fan_in_ns(p, fan_in, elems, rounds, chunked, false));
         let boxed_ns = best(false);
         let chunk_ns = best(true);
         let r = Row { p, fan_in, elems, rounds, boxed_ns, chunk_ns };
@@ -217,14 +231,35 @@ fn main() {
         );
     }
 
-    // The executor every run above resolved to (real-mode default, or
-    // the FX_EXECUTOR/FX_WORKERS override), recorded so host-time
-    // numbers are never compared across executors by accident.
+    // The executor every run resolves to (real-mode default, or the
+    // FX_EXECUTOR/FX_WORKERS override), recorded so host-time numbers
+    // are never compared across executors by accident.
+    let executor = Machine::real(2).executor.to_string();
+    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+
+    // The per-tag cost, kept visible: the smallest case again, one tag
+    // pair per round against one for the run. Best of 3 in smoke mode
+    // too — the in-process bound must not hang on one noisy run.
+    let (p, fan_in, elems) = (8, 7, 16);
+    let rounds = if smoke { 1024 } else { 4096 };
+    let best = |fresh_tag: bool| best_of(3, || fan_in_ns(p, fan_in, elems, rounds, false, fresh_tag));
+    let (one_tag_ns, fresh_tag_ns) = (best(false), best(true));
+    let ratio = fresh_tag_ns / one_tag_ns;
+    println!(
+        "\nfresh tags (P={p}, fan_in={fan_in}, {} B msgs, boxed, {rounds} rounds, {executor}): \
+         one tag {one_tag_ns:.0} ns, a tag per round {fresh_tag_ns:.0} ns, {ratio:.2}x",
+        elems * 8
+    );
+    assert!(ratio <= 2.0, "a fresh tag per round costs {ratio:.2}x the one-tag run (bound 2x)");
+
     let mut json = format!(
         "{{\n  \"bench\": \"msg_host_time\",\n  \"pattern\": \"credit_windowed_fan_in\",\n  \
-         \"executor\": \"{}\",\n  \
-         \"unit\": \"ns_receiver_measured_rounds\",\n  \"results\": [\n",
-        Machine::real(2).executor
+         \"executor\": \"{executor}\",\n  \"host_cores\": {host_cores},\n  \
+         \"unit\": \"ns_receiver_measured_rounds\",\n  \
+         \"fresh_tag\": {{\"p\": {p}, \"fan_in\": {fan_in}, \"msg_bytes\": {}, \"rounds\": {rounds}, \
+         \"leg\": \"boxed\", \"executor\": \"{executor}\", \"one_tag_ns\": {one_tag_ns:.0}, \
+         \"fresh_tag_ns\": {fresh_tag_ns:.0}, \"fresh_over_one\": {ratio:.2}}},\n  \"results\": [\n",
+        elems * 8
     );
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

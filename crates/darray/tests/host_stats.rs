@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use fx_core::{spmd, Machine};
-use fx_darray::{assign1, remap2, DArray1, DArray2, Dist, Dist1, Remap};
+use fx_darray::{assign1, assign2, remap2, DArray1, DArray2, Dist, Dist1, Remap};
 use fx_runtime::Telemetry;
 
 /// Run a symmetric block→cyclic→block round trip for `iters` iterations
@@ -44,6 +44,35 @@ fn steady_state_redistribution_makes_zero_transport_allocations() {
         assert_eq!(s.1, l.1, "proc {p}: pool misses grew with iteration count");
         // The extra iterations are served entirely from the pool.
         assert!(l.0 > s.0, "proc {p}: longer run must add pool hits");
+    }
+}
+
+/// The pool keeps an all-to-all's worth of buffers, not a fixed sixteen:
+/// in a 64-processor (\*,BLOCK)→(BLOCK,\*) `assign2` every processor ships
+/// 63 chunks and gets 63 back, so the first statement allocates them and
+/// every later one is served from the pool.
+#[test]
+fn p64_all_to_all_allocates_in_its_first_iteration_only() {
+    const P: usize = 64;
+    let run = |iters: usize| {
+        spmd(&Machine::real(P), move |cx| {
+            let g = cx.group();
+            let data: Vec<u64> = (0..(2 * P * 2 * P) as u64).collect();
+            let cols = DArray2::from_global(cx, &g, [2 * P, 2 * P], (Dist::Star, Dist::Block), &data);
+            let mut rows = DArray2::new(cx, &g, [2 * P, 2 * P], (Dist::Block, Dist::Star), 0u64);
+            for _ in 0..iters {
+                assign2(cx, &mut rows, &cols);
+            }
+            rows.to_global(cx) == data
+        })
+    };
+    let (one, many) = (run(1), run(6));
+    for p in 0..P {
+        assert!(one.results[p] && many.results[p], "proc {p}: data survived the redistribution");
+        let (o, m) = (&one.host_stats[p], &many.host_stats[p]);
+        assert_eq!(m.chunk_msgs - o.chunk_msgs, 5 * (P as u64 - 1), "proc {p}: one chunk per peer per statement");
+        assert_eq!(o.pool_misses, m.pool_misses, "proc {p}: pool misses grew after the first iteration");
+        assert_eq!(m.pool_hits - o.pool_hits, 5 * (P as u64 - 1), "proc {p}: every later chunk is a pool hit");
     }
 }
 

@@ -7,13 +7,23 @@
 //! which — together with the absence of a wildcard source — makes virtual
 //! time fully deterministic.
 //!
-//! The mailbox is **sharded by sender**: one lane (mutex + tag-keyed
-//! queues) per source rank, so concurrent senders depositing into the
-//! same receiver never contend on a shared lock. The receiver always
-//! knows which source it is waiting on (there is no wildcard receive),
-//! so it waits on exactly that lane. Sharding is a host-side throughput
-//! optimization only: message matching, FIFO order per `(src, tag)`, and
-//! the deadlock watchdog are unchanged.
+//! The mailbox is **sharded by sender**: one lane (a mutex around one
+//! queue) per source rank, so concurrent senders depositing into the same
+//! receiver never contend on a shared lock, and the receiver — there is no
+//! wildcard receive — waits on exactly the lane it matches.
+//!
+//! * **One FIFO per lane, scanned by tag.** A lane holds its source's
+//!   undelivered messages in deposit order. Deposits are serialised by the
+//!   lane lock, so the first envelope carrying `tag` *is* the oldest of
+//!   channel `(src, tag)`: first match = FIFO per channel. Nearly every
+//!   statement and collective draws a fresh tag and depth is typically
+//!   0–2, so a take is a `pop_front`: no hashing, no per-tag allocation,
+//!   and the ring buffer is reused for the life of the lane, so a delivered
+//!   message leaves nothing behind. Accepted worst case: draining a lane in
+//!   reverse deposit order is O(depth) per take (no program here does it).
+//! * **Lanes on first use.** A mailbox holds a 16-byte slot per possible
+//!   sender; the lane is built by the first deposit from, or wait on, that
+//!   source. `probe` and the observers read an absent lane as empty.
 //!
 //! ## Dual wakeup protocol
 //!
@@ -25,8 +35,7 @@
 //!   `deposit` does `notify_one` after releasing the lane lock (each
 //!   mailbox has exactly one consumer, so one notify suffices); `poison`
 //!   locks each lane and `notify_all`s so the flag is seen no matter
-//!   which lane the receiver is parked on. This path is the original
-//!   seed behaviour, unchanged.
+//!   which lane the receiver is parked on.
 //!
 //! * **Pooled** ([`Mailbox::new_pooled`]): no condvars exist at all —
 //!   the owning processor is a coroutine, and parking a worker thread on
@@ -44,10 +53,16 @@
 //!   watchdog thread latches a `timed_out` flag and wakes the processor,
 //!   which re-checks its lane and raises the *same* deadlock diagnostic
 //!   as the threaded path.
+//!
+//! `poison` is the cold path and *materialises* each lane before bumping
+//! its lock. A receiver only ever waits on a lane it has fetched, and a
+//! slot is initialised once, so whichever side built the lane `poison`
+//! locks the very mutex the receiver checked the flag under: both
+//! arguments above hold for a lane that did not exist at the panic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -114,8 +129,8 @@ pub(crate) type DepthSnapshot = Vec<LaneDepth>;
 
 #[derive(Default)]
 struct LaneState {
-    /// FIFO queues keyed by tag; the source is fixed per lane.
-    queues: HashMap<u64, VecDeque<Envelope>>,
+    /// Every undelivered message of this lane's source, in deposit order.
+    queue: VecDeque<Envelope>,
     /// Payload bytes deposited on this lane so far (host observability).
     bytes: u64,
     /// Pooled mode only: the tag the owning processor is suspended on
@@ -126,21 +141,23 @@ struct LaneState {
     waiting_tag: Option<u64>,
 }
 
+impl LaneState {
+    /// Take the oldest queued message carrying `tag` (usually the front).
+    fn pop_tag(&mut self, tag: u64) -> Option<Envelope> {
+        if self.queue.front()?.tag == tag {
+            return self.queue.pop_front();
+        }
+        let at = self.queue.iter().position(|e| e.tag == tag)?;
+        self.queue.remove(at)
+    }
+}
+
 /// One sender's shard of a mailbox.
 struct Lane {
     state: Mutex<LaneState>,
     /// `Some` in threaded mode only. Pooled mailboxes allocate no condvar
     /// and never notify one: lane wakeups go through the scheduler.
     cvar: Option<Condvar>,
-}
-
-impl Lane {
-    fn new(threaded: bool) -> Self {
-        Lane {
-            state: Mutex::new(LaneState::default()),
-            cvar: threaded.then(Condvar::new),
-        }
-    }
 }
 
 /// How deposits into this mailbox wake its (single) waiting consumer.
@@ -151,9 +168,9 @@ enum WakePolicy {
     Pool { pool: Arc<Pool>, owner: usize },
 }
 
-/// Mailbox of one physical processor: one lane per possible sender.
+/// Mailbox of one physical processor: one lane slot per possible sender.
 pub(crate) struct Mailbox {
-    lanes: Vec<Lane>,
+    lanes: Vec<OnceLock<Box<Lane>>>,
     wake: WakePolicy,
     /// Set when some processor panicked: everyone blocked here must unwind
     /// too so the whole run fails instead of hanging.
@@ -164,31 +181,38 @@ impl Mailbox {
     /// A mailbox able to receive from `nprocs` senders (including self),
     /// for the threaded executor: per-lane condvar wakeups.
     pub fn new(nprocs: usize) -> Self {
-        Mailbox {
-            lanes: (0..nprocs).map(|_| Lane::new(true)).collect(),
-            wake: WakePolicy::Condvar,
-            poisoned: AtomicBool::new(false),
-        }
+        Self::with_wake(nprocs, WakePolicy::Condvar)
     }
 
     /// A mailbox owned by pooled processor `owner`: no condvars; deposits
     /// wake the owner through `pool`'s scheduler.
     pub fn new_pooled(nprocs: usize, owner: usize, pool: Arc<Pool>) -> Self {
-        Mailbox {
-            lanes: (0..nprocs).map(|_| Lane::new(false)).collect(),
-            wake: WakePolicy::Pool { pool, owner },
-            poisoned: AtomicBool::new(false),
-        }
+        Self::with_wake(nprocs, WakePolicy::Pool { pool, owner })
+    }
+
+    fn with_wake(nprocs: usize, wake: WakePolicy) -> Self {
+        let lanes = (0..nprocs).map(|_| OnceLock::new()).collect();
+        Mailbox { lanes, wake, poisoned: AtomicBool::new(false) }
+    }
+
+    /// The lane of sender `src`, built on first use.
+    fn lane(&self, src: usize) -> &Lane {
+        self.lanes[src].get_or_init(|| {
+            let cvar = matches!(self.wake, WakePolicy::Condvar).then(Condvar::new);
+            Box::new(Lane { state: Mutex::default(), cvar })
+        })
+    }
+
+    /// The lanes built so far, each with its sender rank.
+    fn live_lanes(&self) -> impl Iterator<Item = (usize, &Lane)> {
+        self.lanes.iter().enumerate().filter_map(|(src, l)| Some((src, &**l.get()?)))
     }
 
     /// Deposit a message (called by the *sender*). Only the sender's own
     /// lane is locked, so concurrent senders never serialize on each other.
     ///
-    /// Wakes at most one waiter: each mailbox belongs to exactly one
-    /// simulated processor, and only that processor's host thread ever
-    /// blocks in [`Mailbox::take`] (sends are deposit-only and never
-    /// wait). With a single consumer, `notify_one` is sufficient and
-    /// avoids a thundering herd when many senders deposit back-to-back.
+    /// Wakes at most one waiter: only the owning processor ever blocks in
+    /// [`Mailbox::take`] (sends never wait), so `notify_one` suffices.
     /// `poison`, by contrast, notifies every lane — it is the one event
     /// that must reach the waiter no matter which lane it blocks on.
     ///
@@ -198,30 +222,24 @@ impl Mailbox {
     /// `try_lock` succeeding *is* the uncontended lock fast path — so the
     /// telemetry lane-contention counter is free when nobody reads it.
     pub fn deposit(&self, env: Envelope) -> bool {
-        let lane = &self.lanes[env.src];
+        let lane = self.lane(env.src);
         let (mut st, contended) = match lane.state.try_lock() {
             Some(st) => (st, false),
             None => (lane.state.lock(), true),
         };
         let tag = env.tag;
         st.bytes += env.nbytes as u64;
-        st.queues.entry(tag).or_default().push_back(env);
+        st.queue.push_back(env);
         // Pooled mode: consume a matching wait registration under the
         // lane lock, then wake the owner through the scheduler.
-        let wake_owner = st.waiting_tag == Some(tag) && {
-            st.waiting_tag = None;
-            true
-        };
+        let wake_owner = st.waiting_tag.take_if(|t| *t == tag).is_some();
         drop(st);
         match &self.wake {
             WakePolicy::Condvar => {
                 lane.cvar.as_ref().expect("threaded lane has a condvar").notify_one();
             }
-            WakePolicy::Pool { pool, owner } => {
-                if wake_owner {
-                    pool.wake(*owner);
-                }
-            }
+            WakePolicy::Pool { pool, owner } if wake_owner => pool.wake(*owner),
+            WakePolicy::Pool { .. } => {}
         }
         contended
     }
@@ -241,31 +259,34 @@ impl Mailbox {
     /// expiry, so a processor that leaves idle state re-arms the watchdog
     /// within one timeout period.
     pub fn take(&self, src: usize, tag: u64, me: usize, timeout: Duration, idle: &AtomicBool) -> Envelope {
-        let lane = &self.lanes[src];
+        let lane = self.lane(src);
         let cvar = lane.cvar.as_ref().expect("Mailbox::take on a pooled mailbox");
         let mut st = lane.state.lock();
         loop {
             if self.poisoned.load(Ordering::Acquire) {
                 panic!("processor {me}: aborting recv, another processor panicked");
             }
-            if let Some(q) = st.queues.get_mut(&tag) {
-                if let Some(env) = q.pop_front() {
-                    return env;
-                }
+            if let Some(env) = st.pop_tag(tag) {
+                return env;
             }
             if cvar.wait_for(&mut st, timeout).timed_out() {
                 if idle.load(Ordering::Acquire) {
                     continue; // declared idle: quiescence is legitimate, keep waiting
                 }
                 drop(st);
-                let pending = self.depth_snapshot();
-                panic!(
-                    "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
-                     {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
-                     and oldest-message age: {pending:?}"
-                );
+                self.deadlock(src, tag, me, timeout);
             }
         }
+    }
+
+    /// The watchdog's verdict, shared by both executors.
+    fn deadlock(&self, src: usize, tag: u64, me: usize, timeout: Duration) -> ! {
+        let pending = self.depth_snapshot();
+        panic!(
+            "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
+             {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
+             and oldest-message age: {pending:?}"
+        );
     }
 
     /// Pooled-executor counterpart of [`Mailbox::take`]: same matching,
@@ -285,21 +306,19 @@ impl Mailbox {
         yielder: &Yielder,
         idle: &AtomicBool,
     ) -> Envelope {
-        let lane = &self.lanes[src];
+        let lane = self.lane(src);
         loop {
             {
                 let mut st = lane.state.lock();
                 if self.poisoned.load(Ordering::Acquire) {
                     panic!("processor {me}: aborting recv, another processor panicked");
                 }
-                if let Some(q) = st.queues.get_mut(&tag) {
-                    if let Some(env) = q.pop_front() {
-                        st.waiting_tag = None;
-                        drop(st);
-                        // Drop any stale watchdog latch: the message won.
-                        pool.clear_timeout(proc);
-                        return env;
-                    }
+                if let Some(env) = st.pop_tag(tag) {
+                    st.waiting_tag = None;
+                    drop(st);
+                    // Drop any stale watchdog latch: the message won.
+                    pool.clear_timeout(proc);
+                    return env;
                 }
                 // Register the wait under the lane lock, so a concurrent
                 // deposit either sees it (and wakes us) or already
@@ -315,20 +334,14 @@ impl Mailbox {
                 && !self.probe(src, tag)
                 && !self.poisoned.load(Ordering::Acquire)
             {
-                let pending = self.depth_snapshot();
-                panic!(
-                    "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
-                     {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
-                     and oldest-message age: {pending:?}"
-                );
+                self.deadlock(src, tag, me, timeout);
             }
         }
     }
 
     /// Non-blocking probe: is a message from `src` with `tag` waiting?
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        let st = self.lanes[src].state.lock();
-        st.queues.get(&tag).is_some_and(|q| !q.is_empty())
+        self.lanes[src].get().is_some_and(|l| l.state.lock().queue.iter().any(|e| e.tag == tag))
     }
 
     /// True once some processor panicked and poisoned this mailbox.
@@ -343,37 +356,30 @@ impl Mailbox {
     /// Locking each lane before notifying closes the race with a receiver
     /// that checked the flag and is about to wait: it is either still
     /// pre-check (and will see the flag) or already parked (and will be
-    /// notified).
+    /// notified) — on any lane, since each is materialised first.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        match &self.wake {
-            WakePolicy::Condvar => {
-                for lane in &self.lanes {
-                    drop(lane.state.lock());
-                    lane.cvar.as_ref().expect("threaded lane has a condvar").notify_all();
-                }
+        for src in 0..self.lanes.len() {
+            let lane = self.lane(src);
+            drop(lane.state.lock());
+            if let Some(cvar) = &lane.cvar {
+                cvar.notify_all();
             }
-            WakePolicy::Pool { pool, owner } => {
-                // Bump every lane lock: a receiver inside take_pooled is
-                // then either past its flag check holding the lock (and
-                // will suspend → our wake reaches it, or its park aborts
-                // on the latched NOTIFY) or will re-check and see the
-                // flag. Then wake the single owner unconditionally.
-                for lane in &self.lanes {
-                    drop(lane.state.lock());
-                }
-                pool.wake(*owner);
-            }
+        }
+        // Pooled: with every lane lock bumped, a receiver inside take_pooled
+        // is either past its flag check holding the lock (and will suspend
+        // → our wake reaches it, or its park aborts on the latched NOTIFY)
+        // or will re-check and see the flag. Wake the single owner
+        // unconditionally.
+        if let WakePolicy::Pool { pool, owner } = &self.wake {
+            pool.wake(*owner);
         }
     }
 
     /// Number of undelivered messages (used by the run harness to detect
     /// programs that exit leaving messages unreceived).
     pub fn undelivered(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.state.lock().queues.values().map(VecDeque::len).sum::<usize>())
-            .sum()
+        self.live_lanes().map(|(_, l)| l.state.lock().queue.len()).sum()
     }
 
     /// Depths of every non-empty `(src, tag)` queue, ascending by source
@@ -381,22 +387,15 @@ impl Mailbox {
     /// deadlock diagnostic and debugging view.
     pub fn depth_snapshot(&self) -> DepthSnapshot {
         let mut out: DepthSnapshot = Vec::new();
-        for (src, lane) in self.lanes.iter().enumerate() {
-            let st = lane.state.lock();
-            let mut tags: Vec<(u64, usize, Duration)> = st
-                .queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(&t, q)| {
-                    // FIFO per channel: the front message is the oldest.
-                    let oldest = q.front().map(|e| e.enqueued.elapsed()).unwrap_or_default();
-                    (t, q.len(), oldest)
-                })
-                .collect();
-            tags.sort_unstable_by_key(|&(t, ..)| t);
+        for (src, lane) in self.live_lanes() {
+            let mut tags: BTreeMap<u64, (usize, Duration)> = BTreeMap::new();
+            for e in &lane.state.lock().queue {
+                // Deposit order: the first message met per tag is its oldest.
+                tags.entry(e.tag).or_insert_with(|| (0, e.enqueued.elapsed())).0 += 1;
+            }
             out.extend(
                 tags.into_iter()
-                    .map(|(tag, count, oldest_wait)| LaneDepth { src, tag, count, oldest_wait }),
+                    .map(|(tag, (count, oldest_wait))| LaneDepth { src, tag, count, oldest_wait }),
             );
         }
         out
@@ -404,7 +403,7 @@ impl Mailbox {
 
     /// Payload bytes deposited per source lane since the run began.
     pub fn lane_bytes(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.state.lock().bytes).collect()
+        self.lanes.iter().map(|l| l.get().map_or(0, |l| l.state.lock().bytes)).collect()
     }
 }
 
@@ -427,6 +426,19 @@ mod tests {
     }
 
     static NOT_IDLE: AtomicBool = AtomicBool::new(false);
+
+    impl Mailbox {
+        /// Lanes built so far (at most one per sender that deposited or
+        /// was waited on).
+        fn materialised_lanes(&self) -> usize {
+            self.live_lanes().count()
+        }
+
+        /// Envelope slots held by all queues, full or empty.
+        fn retained_slots(&self) -> usize {
+            self.live_lanes().map(|(_, l)| l.state.lock().queue.capacity()).sum()
+        }
+    }
 
     fn take_u32(mb: &Mailbox, src: usize, tag: u64) -> u32 {
         let e = mb.take(src, tag, 0, Duration::from_secs(1), &NOT_IDLE);
@@ -537,5 +549,117 @@ mod tests {
         mb.deposit(env(1, 8, 20)); // 4 bytes
         mb.deposit(env(2, 7, 30)); // 4 bytes
         assert_eq!(mb.lane_bytes(), vec![0, 8, 4]);
+    }
+
+    #[test]
+    fn interleaved_tags_report_their_own_first_deposit() {
+        let mb = Mailbox::new(2);
+        mb.deposit(env(1, 0xa, 1));
+        std::thread::sleep(Duration::from_millis(40));
+        mb.deposit(env(1, 0xb, 2));
+        mb.deposit(env(1, 0xa, 3));
+        let snap = mb.depth_snapshot();
+        assert_eq!(snap.iter().map(|d| (d.src, d.tag, d.count)).collect::<Vec<_>>(), [(1, 0xa, 2), (1, 0xb, 1)]);
+        assert!(snap[0].oldest_wait >= snap[1].oldest_wait + Duration::from_millis(40));
+        // A younger tag is taken past an older one; each channel stays FIFO.
+        assert_eq!(take_u32(&mb, 1, 0xb), 2);
+        assert_eq!(take_u32(&mb, 1, 0xa), 1);
+        assert_eq!(take_u32(&mb, 1, 0xa), 3);
+        assert_eq!(mb.undelivered(), 0);
+    }
+
+    #[test]
+    fn fresh_tags_retain_nothing_and_build_one_lane() {
+        let mb = Mailbox::new(1024);
+        assert_eq!((mb.materialised_lanes(), mb.lane_bytes().len()), (0, 1024));
+        for tag in 0..10_000u64 {
+            mb.deposit(env(7, tag, tag as u32));
+            assert_eq!(take_u32(&mb, 7, tag), tag as u32);
+        }
+        assert!(mb.retained_slots() <= 8, "retained {} slots", mb.retained_slots());
+        assert_eq!(mb.materialised_lanes(), 1);
+        // Observers do not build lanes either.
+        assert!(!mb.probe(9, 0));
+        assert_eq!((mb.undelivered(), mb.depth_snapshot().len(), mb.materialised_lanes()), (0, 0, 1));
+    }
+
+    /// The accepted worst case: every take scans the whole queue.
+    #[test]
+    fn reverse_drain_of_4096_tags_returns_each_value_once() {
+        const N: u64 = 4096;
+        let mb = Mailbox::new(2);
+        for tag in 0..N {
+            mb.deposit(env(1, tag, tag as u32));
+        }
+        let t0 = Instant::now();
+        for tag in (0..N).rev() {
+            assert!(mb.probe(1, tag));
+            assert_eq!(take_u32(&mb, 1, tag), tag as u32);
+            assert!(!mb.probe(1, tag));
+        }
+        eprintln!("reverse drain of {N} tags: {:?}", t0.elapsed());
+        assert_eq!(mb.undelivered(), 0);
+    }
+
+    #[test]
+    fn poison_reaches_lanes_built_after_it() {
+        let mb = Mailbox::new(4);
+        mb.poison();
+        assert!(mb.is_poisoned());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mb.take(3, 1, 0, Duration::from_secs(10), &NOT_IDLE);
+        }))
+        .expect_err("a poisoned mailbox must not wait");
+        assert!(err.downcast_ref::<String>().is_some_and(|m| m.contains("another processor panicked")));
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        const SRCS: usize = 4;
+        const TAGS: u64 = 6;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The scanned lane against the structure it replaced, one
+            /// FIFO per `(src, tag)` in a hash map: same value taken, same
+            /// probe answer and same observer views after every step.
+            #[test]
+            fn scanned_lanes_match_the_map_of_queues(
+                ops in proptest::collection::vec((0..3u8, 0..SRCS, 0..TAGS, any::<u32>()), 0..200)
+            ) {
+                let mb = Mailbox::new(SRCS);
+                let mut model: HashMap<(usize, u64), VecDeque<u32>> = HashMap::new();
+                let mut bytes = vec![0u64; SRCS];
+                for (op, src, tag, v) in ops {
+                    let queued = model.get(&(src, tag)).is_some_and(|q| !q.is_empty());
+                    prop_assert_eq!(mb.probe(src, tag), queued);
+                    match op {
+                        0 => {
+                            mb.deposit(env(src, tag, v));
+                            model.entry((src, tag)).or_default().push_back(v);
+                            bytes[src] += 4;
+                        }
+                        // A take only when the model holds one (it would
+                        // block otherwise) — often past older other tags.
+                        1 if queued => {
+                            let want = model.get_mut(&(src, tag)).and_then(VecDeque::pop_front);
+                            prop_assert_eq!(Some(take_u32(&mb, src, tag)), want);
+                        }
+                        _ => {}
+                    }
+                    let mut depths: Vec<(usize, u64, usize)> =
+                        model.iter().filter(|(_, q)| !q.is_empty()).map(|(&(s, t), q)| (s, t, q.len())).collect();
+                    depths.sort_unstable();
+                    let snap: Vec<_> = mb.depth_snapshot().iter().map(|d| (d.src, d.tag, d.count)).collect();
+                    prop_assert_eq!(snap, depths);
+                    prop_assert_eq!(mb.undelivered(), model.values().map(VecDeque::len).sum::<usize>());
+                    prop_assert_eq!(mb.lane_bytes(), bytes.clone());
+                }
+            }
+        }
     }
 }

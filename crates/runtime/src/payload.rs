@@ -280,8 +280,9 @@ pub(crate) struct BufferPool {
 const MIN_CLASS: usize = 6;
 /// Largest pooled class: 2^31 = 2 GiB per buffer.
 const MAX_CLASS: usize = 31;
-/// Idle buffers retained per class; extras are dropped to bound footprint.
-const MAX_DEPTH: usize = 16;
+/// Idle bytes retained per class (and 16 buffers of any size), so that an
+/// all-to-all's P−1 chunks all come back; extras are dropped to bound footprint.
+const CLASS_BYTES: usize = 1 << 20;
 
 impl BufferPool {
     /// A buffer with capacity ≥ `nbytes`, recycled if possible.
@@ -310,7 +311,7 @@ impl BufferPool {
         if self.classes.len() <= c {
             self.classes.resize_with(c + 1, Vec::new);
         }
-        if self.classes[c].len() < MAX_DEPTH {
+        if self.classes[c].len() < (CLASS_BYTES >> c).max(16) {
             self.classes[c].push(bytes);
         }
     }
@@ -418,15 +419,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_depth_is_bounded() {
+    fn pool_depth_is_bounded_by_bytes() {
+        // (buffer size, buffers retained): 1 MiB per class for small
+        // buffers, never fewer than 16 for large ones.
+        for (size, depth) in [(256usize, 4096u64), (1 << 16, 16), (1 << 20, 16)] {
+            let mut p = BufferPool::default();
+            for _ in 0..depth + 4 {
+                p.release(Vec::with_capacity(size));
+            }
+            for _ in 0..depth + 4 {
+                p.acquire(size);
+            }
+            assert_eq!((p.hits, p.misses), (depth, 4), "size {size}");
+        }
+    }
+
+    #[test]
+    fn pool_keeps_every_chunk_of_a_64_way_all_to_all() {
         let mut p = BufferPool::default();
-        for _ in 0..(MAX_DEPTH + 4) {
-            p.release(Vec::with_capacity(256));
+        for round in 0..3 {
+            let held: Vec<_> = (0..63).map(|_| p.acquire(256)).collect();
+            held.into_iter().for_each(|b| p.release(b));
+            assert_eq!(p.misses, 63, "round {round}: only the first round allocates");
         }
-        for _ in 0..(MAX_DEPTH + 4) {
-            p.acquire(256);
-        }
-        assert_eq!(p.hits, MAX_DEPTH as u64);
     }
 
     #[test]

@@ -476,3 +476,111 @@ fn idle_gating_holds_under_pooled_executor() {
     let msg = panic_message(err);
     assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
 }
+
+// ---------------------------------------------------------------------
+// Lanes on first use. A mailbox builds the lane of a source on the first
+// deposit from it or the first wait on it; poison and the deadlock dump
+// must treat a lane that only the waiting receiver has ever touched
+// exactly like one that carried traffic. Both executors, same diagnostics.
+// ---------------------------------------------------------------------
+
+fn both_executors() -> [fx::runtime::Executor; 2] {
+    use fx::runtime::Executor;
+    [Executor::Threaded, Executor::Pooled { workers: 1 }]
+}
+
+/// Processor 2 blocks in `recv` on processor 1, which never sends it
+/// anything: the lane exists only because of the wait. A panic on
+/// processor 0 must still release it — by poison ("another processor
+/// panicked"), long before the recv timeout would.
+#[test]
+fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
+    use std::sync::Mutex;
+    use std::time::Instant;
+
+    const TIMEOUT: Duration = Duration::from_secs(20);
+    for executor in both_executors() {
+        let machine = Machine::real(3).with_timeout(TIMEOUT).with_executor(executor);
+        let released: Mutex<Option<(String, Duration)>> = Mutex::new(None);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
+                0 => {
+                    // Wait until 2 is about to block, give it time to.
+                    let _: u8 = cx.recv(2, 1);
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("injected failure on processor zero");
+                }
+                1 => {
+                    let _: u8 = cx.recv(0, 9); // alive, silent towards 2
+                }
+                _ => {
+                    cx.send(0, 1, 0u8);
+                    let t0 = Instant::now();
+                    let err = catch_unwind(AssertUnwindSafe(|| {
+                        let _: u64 = cx.recv(1, 42);
+                    }))
+                    .expect_err("nothing is ever sent on (1, 42)");
+                    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                    *released.lock().unwrap() = Some((msg, t0.elapsed()));
+                    std::panic::resume_unwind(err);
+                }
+            })
+        }))
+        .expect_err("peer panic must propagate");
+        let msg = panic_message(err);
+        assert!(msg.contains("injected failure"), "{executor:?}: got: {msg}");
+        let (msg, waited) = released.into_inner().unwrap().expect("processor 2 must have been released");
+        assert!(msg.contains("processor 2: aborting recv, another processor panicked"), "{executor:?}: got: {msg}");
+        assert!(waited < TIMEOUT / 2, "{executor:?}: released by the watchdog ({waited:?}), not by poison");
+    }
+}
+
+/// `oldest=` of the `(src, tag)` entry of a deadlock dump, in seconds.
+fn oldest_secs(dump: &str, src: usize, tag: u64, n: usize) -> f64 {
+    let key = format!("(src={src}, tag={tag:#x}, n={n}, oldest=");
+    let at = dump.find(&key).unwrap_or_else(|| panic!("dump lacks {key}..): {dump}")) + key.len();
+    let age = &dump[at..at + dump[at..].find(')').expect("closing paren")];
+    let digits = age.trim_end_matches(|c: char| c.is_alphabetic() || c == 'µ');
+    let scale = match &age[digits.len()..] {
+        "s" => 1.0,
+        "ms" => 1e-3,
+        "µs" => 1e-6,
+        "ns" => 1e-9,
+        unit => panic!("unknown duration unit {unit:?} in {age:?}"),
+    };
+    digits.parse::<f64>().expect("duration digits") * scale
+}
+
+/// The same receiver without a panic gets the unchanged deadlock dump.
+/// Processor 0 has queued two tags interleaved on one lane; each tag's
+/// depth and age must be those of *its* messages, the age that of its
+/// first-deposited one.
+#[test]
+fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
+    const GAP: Duration = Duration::from_millis(150);
+    for executor in both_executors() {
+        let machine = Machine::real(3).with_timeout(Duration::from_millis(300)).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
+                0 => {
+                    cx.send(2, 0xa, 1u64);
+                    std::thread::sleep(GAP);
+                    cx.send(2, 0xb, 2u64);
+                    cx.send(2, 0xa, 3u64);
+                    cx.send(2, 1, 0u8);
+                }
+                1 => {}
+                _ => {
+                    let _: u8 = cx.recv(0, 1); // all three are queued behind us
+                    let _: u64 = cx.recv(1, 42); // never sent
+                }
+            })
+        }))
+        .expect_err("deadlock must panic");
+        let msg = panic_message(err);
+        assert!(msg.contains("processor 2: recv(src=1, tag=0x2a) timed out"), "{executor:?}: got: {msg}");
+        let (a, b) = (oldest_secs(&msg, 0, 0xa, 2), oldest_secs(&msg, 0, 0xb, 1));
+        assert!(b >= 0.25, "{executor:?}: tag 0xb waited a whole timeout, dump says {b}s: {msg}");
+        assert!(a >= b + 0.1, "{executor:?}: tag 0xa is {GAP:?} older than 0xb, dump says {a}s vs {b}s: {msg}");
+    }
+}

@@ -5,48 +5,55 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fx_core::{spmd, GroupHandle, Machine};
-use fx_darray::plan::{Plan1, Side1};
-use fx_darray::{assign1, DArray1, DimMap, Dist, Dist1};
+use fx_darray::plan::{copy_local, pack_into, unpack_chunk, Plan, Side, Stmt};
+use fx_darray::{assign1, DArray1, DimMap, Dist, Dist1, Remap};
+use fx_runtime::Chunk;
 
 const N: usize = 1 << 16;
 const P: usize = 16;
 
-fn sides() -> (Side1, Side1) {
+fn sides() -> (Side<1>, Side<1>) {
     let group = GroupHandle::synthetic(1, (0..P).collect());
-    let s = Side1 { group: group.clone(), map: DimMap::new(N, P, Dist::Block), replicated: false };
-    let d = Side1 { group, map: DimMap::new(N, P, Dist::Cyclic), replicated: false };
+    let s = Side { group: group.clone(), maps: [DimMap::new(N, P, Dist::Block)], replicated: false };
+    let d = Side { group, maps: [DimMap::new(N, P, Dist::Cyclic)], replicated: false };
     (s, d)
+}
+
+/// Every rank's plan for the whole-array assignment `d = s`.
+fn build_plans(s: &Side<1>, d: &Side<1>) -> Vec<Plan<1>> {
+    let stmt = Stmt::whole(&d.maps, [Remap::Identity]);
+    (0..P).map(|me| Plan::build(me, s, d, &stmt)).collect()
 }
 
 fn bench_plan_build(c: &mut Criterion) {
     let (s, d) = sides();
     c.bench_function("plan1_build_block_to_cyclic_64k_16p", |b| {
-        b.iter(|| {
-            (0..P).map(|me| Plan1::build(me, &s, &d, 0..N, 0).sends.len()).sum::<usize>()
-        })
+        b.iter(|| build_plans(&s, &d).iter().map(|pl| pl.sends.len()).sum::<usize>())
     });
 }
 
 fn bench_plan_replay(c: &mut Criterion) {
-    use fx_darray::plan::{copy_seg_runs, pack_seg_runs, unpack_seg_runs};
     let (s, d) = sides();
-    let plans: Vec<Plan1> = (0..P).map(|me| Plan1::build(me, &s, &d, 0..N, 0)).collect();
-    let srcs: Vec<Vec<f64>> =
-        (0..P).map(|c| vec![1.0; s.map.local_len(c)]).collect();
-    let mut dsts: Vec<Vec<f64>> = (0..P).map(|c| vec![0.0; d.map.local_len(c)]).collect();
+    let plans = build_plans(&s, &d);
+    let srcs: Vec<Vec<f64>> = (0..P).map(|c| vec![1.0; s.maps[0].local_len(c)]).collect();
+    let mut dsts: Vec<Vec<f64>> = (0..P).map(|c| vec![0.0; d.maps[0].local_len(c)]).collect();
     c.bench_function("plan1_replay_block_to_cyclic_64k_16p", |b| {
         b.iter(|| {
             let mut mail = std::collections::HashMap::new();
             for (me, pl) in plans.iter().enumerate() {
-                copy_seg_runs(&srcs[me], &pl.local_src, &mut dsts[me], &pl.local_dst);
+                if let Some((sl, dl)) = &pl.local {
+                    copy_local(&srcs[me], &pl.src_strides, &sl.dims, &mut dsts[me], &pl.dst_strides, &dl.dims);
+                }
                 for sp in &pl.sends {
-                    mail.insert((me, sp.peer), pack_seg_runs(&srcs[me], &sp.runs, sp.total));
+                    let mut chunk = Chunk::with_capacity::<f64>(sp.total);
+                    pack_into(&srcs[me], &pl.src_strides, &sp.dims, &mut chunk);
+                    mail.insert((me, sp.peer), chunk);
                 }
             }
             for (me, pl) in plans.iter().enumerate() {
                 for rp in &pl.recvs {
-                    let buf: Vec<f64> = mail.remove(&(rp.peer, me)).unwrap();
-                    unpack_seg_runs(&mut dsts[me], &rp.runs, &buf);
+                    let chunk: Chunk = mail.remove(&(rp.peer, me)).unwrap();
+                    unpack_chunk(&mut dsts[me], &pl.dst_strides, &rp.dims, &chunk);
                 }
             }
         })

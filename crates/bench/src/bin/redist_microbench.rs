@@ -1,6 +1,8 @@
-//! Host-time microbenchmark of the redistribution engine: the legacy
-//! per-element enumeration vs plan *build* (first iteration of a
-//! pipeline) vs plan *replay* (every later iteration, schedule cached).
+//! Host-time microbenchmark of the redistribution engine: the reference
+//! per-element enumeration ("legacy": the plan module's oracle, which is
+//! what every statement ran before plans) vs plan *build* (first iteration
+//! of a pipeline) vs plan *replay* (every later iteration, schedule
+//! cached).
 //!
 //! All three legs run thread-less: every rank's work is executed in a
 //! loop on the host, with messages passed through an in-process mailbox,
@@ -21,18 +23,18 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use fx_core::{spmd, GroupHandle, Machine, MachineModel};
-use fx_darray::plan::{
-    copy_seg_runs, pack_seg_runs, unpack_seg_runs, CommSets1, Plan1, Side1,
-};
+use fx_darray::plan::{copy_local, pack_into, unpack_chunk, CommSets, Plan, Side, Stmt};
 use fx_darray::{copy_remap2, remap2, DArray2, DimMap, Dist, Remap};
+use fx_runtime::Chunk;
 
 /// One redistribution executed through the legacy per-element sets:
 /// enumerate, bucket, gather per element, scatter per element.
-fn legacy_iter(p: usize, s: &Side1, d: &Side1, n: usize, srcs: &[Vec<f64>], dsts: &mut [Vec<f64>]) {
+fn legacy_iter(p: usize, s: &Side<1>, d: &Side<1>, srcs: &[Vec<f64>], dsts: &mut [Vec<f64>]) {
+    let stmt = Stmt::whole(&d.maps, [Remap::Identity]);
     let mut mail: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
-    let mut sets: Vec<CommSets1> = Vec::with_capacity(p);
+    let mut sets: Vec<CommSets> = Vec::with_capacity(p);
     for me in 0..p {
-        let cs = CommSets1::legacy(me, s, d, 0..n, Remap::Identity);
+        let cs = CommSets::enumerate(me, s, d, &stmt);
         for (peer, slots) in &cs.sends {
             let buf: Vec<f64> = slots.iter().map(|&sl| srcs[me][sl]).collect();
             mail.insert((me, *peer), buf);
@@ -54,21 +56,31 @@ fn legacy_iter(p: usize, s: &Side1, d: &Side1, n: usize, srcs: &[Vec<f64>], dsts
 
 /// One redistribution executed through prebuilt plans: run-at-a-time
 /// pack, copy, unpack.
-fn plan_exec(p: usize, plans: &[Plan1], srcs: &[Vec<f64>], dsts: &mut [Vec<f64>]) {
-    let mut mail: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
+fn plan_exec(p: usize, plans: &[Plan<1>], srcs: &[Vec<f64>], dsts: &mut [Vec<f64>]) {
+    let mut mail: HashMap<(usize, usize), Chunk> = HashMap::new();
     for me in 0..p {
         let pl = &plans[me];
-        copy_seg_runs(&srcs[me], &pl.local_src, &mut dsts[me], &pl.local_dst);
+        if let Some((sl, dl)) = &pl.local {
+            copy_local(&srcs[me], &pl.src_strides, &sl.dims, &mut dsts[me], &pl.dst_strides, &dl.dims);
+        }
         for sp in &pl.sends {
-            mail.insert((me, sp.peer), pack_seg_runs(&srcs[me], &sp.runs, sp.total));
+            let mut chunk = Chunk::with_capacity::<f64>(sp.total);
+            pack_into(&srcs[me], &pl.src_strides, &sp.dims, &mut chunk);
+            mail.insert((me, sp.peer), chunk);
         }
     }
     for (me, pl) in plans.iter().enumerate() {
         for rp in &pl.recvs {
-            let buf = mail.remove(&(rp.peer, me)).expect("matching send");
-            unpack_seg_runs(&mut dsts[me], &rp.runs, &buf);
+            let chunk = mail.remove(&(rp.peer, me)).expect("matching send");
+            unpack_chunk(&mut dsts[me], &pl.dst_strides, &rp.dims, &chunk);
         }
     }
+}
+
+/// Every rank's plan for the whole-array assignment `d = s`.
+fn build_plans(p: usize, s: &Side<1>, d: &Side<1>) -> Vec<Plan<1>> {
+    let stmt = Stmt::whole(&d.maps, [Remap::Identity]);
+    (0..p).map(|me| Plan::build(me, s, d, &stmt)).collect()
 }
 
 struct Row {
@@ -82,36 +94,34 @@ struct Row {
 
 fn bench_case(dir: &'static str, sdist: Dist, ddist: Dist, n: usize, p: usize) -> Row {
     let group = GroupHandle::synthetic(1, (0..p).collect());
-    let s = Side1 { group: group.clone(), map: DimMap::new(n, p, sdist), replicated: false };
-    let d = Side1 { group, map: DimMap::new(n, p, ddist), replicated: false };
+    let s = Side { group: group.clone(), maps: [DimMap::new(n, p, sdist)], replicated: false };
+    let d = Side { group, maps: [DimMap::new(n, p, ddist)], replicated: false };
 
     let srcs: Vec<Vec<f64>> =
-        (0..p).map(|c| (0..s.map.local_len(c)).map(|i| i as f64).collect()).collect();
-    let mut dsts: Vec<Vec<f64>> = (0..p).map(|c| vec![0.0; d.map.local_len(c)]).collect();
+        (0..p).map(|c| (0..s.maps[0].local_len(c)).map(|i| i as f64).collect()).collect();
+    let mut dsts: Vec<Vec<f64>> = (0..p).map(|c| vec![0.0; d.maps[0].local_len(c)]).collect();
 
     let iters = ((1usize << 22) / n.max(1)).clamp(3, 200);
 
     // Correctness cross-check once, outside the timers.
-    let plans: Vec<Plan1> =
-        (0..p).map(|me| Plan1::build(me, &s, &d, 0..n, 0)).collect();
+    let plans = build_plans(p, &s, &d);
     plan_exec(p, &plans, &srcs, &mut dsts);
     let via_plan = dsts.clone();
     for b in dsts.iter_mut() {
         b.iter_mut().for_each(|v| *v = 0.0);
     }
-    legacy_iter(p, &s, &d, n, &srcs, &mut dsts);
+    legacy_iter(p, &s, &d, &srcs, &mut dsts);
     assert_eq!(via_plan, dsts, "plan and legacy moved different data ({dir}, n={n}, p={p})");
 
     let t = Instant::now();
     for _ in 0..iters {
-        legacy_iter(p, &s, &d, n, &srcs, &mut dsts);
+        legacy_iter(p, &s, &d, &srcs, &mut dsts);
     }
     let legacy_ns = t.elapsed().as_nanos() as f64 / iters as f64;
 
     let t = Instant::now();
     for _ in 0..iters {
-        let plans: Vec<Plan1> =
-            (0..p).map(|me| Plan1::build(me, &s, &d, 0..n, 0)).collect();
+        let plans = build_plans(p, &s, &d);
         plan_exec(p, &plans, &srcs, &mut dsts);
     }
     let build_ns = t.elapsed().as_nanos() as f64 / iters as f64;
@@ -233,8 +243,10 @@ fn main() {
     // resolves to (FX_EXECUTOR/FX_WORKERS aware) so its host-time rows
     // carry the same provenance field as every other BENCH_*.json and
     // are never compared across configurations by accident.
+    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut json = format!(
         "{{\n  \"bench\": \"redist_host_time\",\n  \"executor\": \"{}\",\n  \
+         \"host_cores\": {host_cores},\n  \
          \"unit\": \"ns_per_iteration_all_ranks\",\n  \"results\": [\n",
         Machine::real(2).executor
     );

@@ -1,11 +1,13 @@
 //! One-dimensional distributed arrays.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use fx_core::{Cx, GroupHandle};
 
+use crate::assign::Operand;
 use crate::dist::{DimMap, Dist};
-use crate::plan::VersionVec;
+use crate::plan::{Side, VersionVec};
 
 /// Element types storable in distributed arrays. `Sync` lets collectives
 /// share one broadcast payload across processor threads.
@@ -124,6 +126,25 @@ impl<T: Elem> DArray1<T> {
 
     pub(crate) fn map(&self) -> &DimMap {
         &self.map
+    }
+
+    /// The placement descriptor communication plans are built from.
+    pub(crate) fn side(&self) -> Side<1> {
+        Side {
+            group: self.group.clone(),
+            maps: [self.map],
+            replicated: matches!(self.dist, Dist1::Replicated),
+        }
+    }
+
+    /// The array as a statement operand touching `footprint`.
+    pub(crate) fn operand(&self, footprint: Range<usize>) -> Operand<'_> {
+        Operand {
+            group: &self.group,
+            versions: &self.versions,
+            footprint,
+            member: self.is_member(),
+        }
     }
 
     /// The array's read/write version vector (replicated metadata; the

@@ -15,37 +15,38 @@
 //!   communication sets from distribution metadata, so a message is
 //!   exchanged only between processors that actually share elements.
 //!
-//! Three tiers of statement, from most to least planned:
+//! Three tiers of statement, from most to least planned. The first two
+//! share everything but the kind of write they record: one prologue
+//! (`enter`), one cached rank-generic [`Plan`], one `replay`.
 //!
-//! * `assign*`, [`transpose2`], [`copy_shift1_range`]: cached interval
-//!   plans, recorded as *covered* writes (their receives order the data,
-//!   so the next statement's barrier can be elided).
+//! * `assign*`, [`transpose2`], [`copy_shift1_range`]: recorded as
+//!   *covered* writes (their receives order the data, so the next
+//!   statement's barrier can be elided).
 //! * [`remap1`] / [`remap2`]: **structured remaps** — separable statements
 //!   `dst[r][c] = src[fr(r)][fc(c)]` whose per-dimension maps are
 //!   [`Remap`] descriptors (identity, shift, clamped shift, cyclic shift).
-//!   Planned, cached and replayed like the first tier, but keeping the
-//!   closure statements' protocol: never a sync point, write recorded
-//!   opaque.
+//!   They keep the closure statements' protocol: never a sync point, write
+//!   recorded opaque.
 //! * `copy_remap*`: `dst[i] = src[f(i)]` for an arbitrary closure `f` (and
 //!   the 2-D analogue). The **fallback** for maps no descriptor expresses,
 //!   and the oracle the structured path is tested against: it enumerates
 //!   every destination index on every member, on every call.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fx_core::Cx;
+use fx_core::{Cx, GroupHandle};
 use fx_runtime::Chunk;
 
-use crate::array1::{DArray1, Dist1, Elem};
-use crate::array2::DArray2;
+use crate::array::{DArray, DArray2, DArray3};
+use crate::array1::{DArray1, Elem};
 use crate::dataflow::sync_edge;
-use crate::dist::DimMap;
+use crate::dist::for_each_index;
 use crate::plan::{
-    copy_seg_runs, pack2, pack2_into, pack_seg_runs_into, unpack2, unpack2_chunk,
-    unpack_seg_runs_chunk, Key1, Key2, KeyRemap1, Plan1, Plan2, Remap, Side1, Side2, WriteKind,
+    copy_local, pack_into, unpack_chunk, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind,
 };
 
 /// Which processors take part in a parent-scope array statement.
@@ -60,16 +61,143 @@ pub enum Participation {
     WholeGroup,
 }
 
-/// `dst[i] = src[f(i)]` for all `i` — whole-array remapped copy.
-pub fn copy_remap1<T: Elem>(
+// ---------------------------------------------------------------------------
+// What every statement shares: prologue, plan lookup, replay
+// ---------------------------------------------------------------------------
+
+/// One array operand of a statement, as the dataflow prologue sees it.
+pub(crate) struct Operand<'a> {
+    pub(crate) group: &'a GroupHandle,
+    pub(crate) versions: &'a RefCell<VersionVec>,
+    /// Flattened global index range the statement touches.
+    pub(crate) footprint: Range<usize>,
+    /// Does the calling processor hold elements of the array?
+    pub(crate) member: bool,
+}
+
+/// The prologue of every array statement. It runs on every caller —
+/// members and skippers alike — so the replicated version vectors stay in
+/// step. A *covered* statement is a sync edge: its owners barrier only if
+/// an opaque write taints either footprint, and the kept barrier clears
+/// that taint. An *opaque* statement (remaps, closures: a pattern the
+/// planner does not vouch for) is never a sync point itself; it taints its
+/// destination so the next covered statement keeps its barrier.
+/// `WholeGroup` synchronizes the whole current group instead. Returns
+/// whether this processor takes part — everyone else skips past the
+/// statement (the minimal-subset rule).
+fn enter(
+    cx: &mut Cx,
+    tag: u64,
+    src: &Operand,
+    dst: &Operand,
+    write: WriteKind,
+    mode: Participation,
+) -> bool {
+    let covered = write == WriteKind::Covered;
+    let tainted = covered
+        && (src.versions.borrow().tainted(src.footprint.clone())
+            || dst.versions.borrow().tainted(dst.footprint.clone()));
+    if mode == Participation::WholeGroup {
+        cx.barrier();
+    } else if covered {
+        sync_edge(cx, tag, src.group, dst.group, tainted);
+    }
+    if tainted {
+        src.versions.borrow_mut().clear_taint(src.footprint.clone());
+        dst.versions.borrow_mut().clear_taint(dst.footprint.clone());
+    }
+    src.versions.borrow_mut().record_read(src.footprint.clone());
+    dst.versions.borrow_mut().record_write(dst.footprint.clone(), write);
+    src.member || dst.member
+}
+
+/// This processor's cached plan for `stmt` between placements `s` and `d`.
+fn plan_for<const N: usize>(cx: &mut Cx, s: &Side<N>, d: &Side<N>, stmt: Stmt<N>) -> Arc<Plan<N>> {
+    let me = cx.phys_rank();
+    cx.plan_cached(Key::new(s, d, stmt), || Plan::build(me, s, d, &stmt))
+}
+
+/// Execute a plan. Same observable schedule as the per-element
+/// enumeration: local leg, memory charge, sends ascending by destination,
+/// then receives ascending by source. Pack/unpack host time is reported
+/// out-of-band. Messages ride the chunk fast path: pooled buffers, no
+/// boxing, bytes copied once on each side — virtual-time charges are
+/// those of an equal-sized Vec. The local leg copies tile to tile and
+/// borrows no chunk, so the pool counters see messages only.
+fn replay<T: Elem, const N: usize>(
+    cx: &mut Cx,
+    tag: u64,
+    plan: &Plan<N>,
+    dst: &mut [T],
+    src: &[T],
+) {
+    let mut pack_ns = 0u64;
+    let t0 = Instant::now();
+    let mut local_total = 0usize;
+    if let Some((sl, dl)) = &plan.local {
+        copy_local(src, &plan.src_strides, &sl.dims, dst, &plan.dst_strides, &dl.dims);
+        local_total = sl.total;
+    }
+    pack_ns += t0.elapsed().as_nanos() as u64;
+    cx.charge_mem_bytes(2.0 * (local_total * std::mem::size_of::<T>()) as f64);
+    for p in &plan.sends {
+        let t = Instant::now();
+        let mut chunk = cx.chunk_for::<T>(p.total);
+        pack_into(src, &plan.src_strides, &p.dims, &mut chunk);
+        pack_ns += t.elapsed().as_nanos() as u64;
+        cx.send_chunk_phys(p.peer, tag, chunk);
+    }
+    for p in &plan.recvs {
+        let chunk = cx.recv_chunk_phys(p.peer, tag);
+        assert_eq!(chunk.elems(), p.total, "communication set mismatch from {}", p.peer);
+        let t = Instant::now();
+        unpack_chunk(dst, &plan.dst_strides, &p.dims, &chunk);
+        pack_ns += t.elapsed().as_nanos() as u64;
+        cx.release_chunk(chunk);
+    }
+    cx.note_pack_ns(pack_ns);
+}
+
+/// One planned statement between two 1-D arrays over the given
+/// footprints.
+fn planned1<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray1<T>,
     src: &DArray1<T>,
-    f: impl Fn(usize) -> usize,
+    s_range: Range<usize>,
+    stmt: Stmt<1>,
+    write: WriteKind,
+    mode: Participation,
 ) {
-    let n = dst.n();
-    copy_remap1_range(cx, dst, 0..n, src, f, Participation::Minimal);
+    let tag = cx.next_op_tag();
+    let (lo, hi) = stmt.range[0];
+    if !enter(cx, tag, &src.operand(s_range), &dst.operand(lo..hi), write, mode) {
+        return;
+    }
+    let plan = plan_for(cx, &src.side(), &dst.side(), stmt);
+    replay(cx, tag, &plan, dst.local_mut(), src.local());
 }
+
+/// One planned whole-array statement between two rank-`N` arrays.
+fn planned<T: Elem, const N: usize>(
+    cx: &mut Cx,
+    dst: &mut DArray<T, N>,
+    src: &DArray<T, N>,
+    stmt: Stmt<N>,
+    write: WriteKind,
+    mode: Participation,
+) {
+    let tag = cx.next_op_tag();
+    if !enter(cx, tag, &src.operand(), &dst.operand(), write, mode) {
+        return;
+    }
+    let plan = plan_for(cx, src.side(), dst.side(), stmt);
+    replay(cx, tag, &plan, dst.local_mut(), src.local());
+}
+
+// ---------------------------------------------------------------------------
+// Planned statements
+// ---------------------------------------------------------------------------
 
 /// Plain distributed assignment `dst = src` (shapes must match).
 ///
@@ -95,8 +223,9 @@ pub fn assign1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>) {
 /// of [`copy_remap1_range`] (plain assignment, sub-range merges, end-off
 /// shifts), executed through a cached interval-based communication plan.
 ///
-/// The shifted range must lie within the source extent. Must be called by
-/// **every** member of the current group (SPMD), even those that skip.
+/// The shifted range must lie within the source extent (checked in every
+/// build profile). Must be called by **every** member of the current
+/// group (SPMD), even those that skip.
 pub fn copy_shift1_range<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray1<T>,
@@ -106,272 +235,33 @@ pub fn copy_shift1_range<T: Elem>(
     mode: Participation,
 ) {
     assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
-    if !range.is_empty() {
-        let lo = range.start as isize + shift;
-        let hi = (range.end - 1) as isize + shift;
-        debug_assert!(
-            lo >= 0 && (hi as usize) < src.n(),
-            "shifted range {range:?}{shift:+} outside src extent {}",
-            src.n()
-        );
-    }
-    let tag = cx.next_op_tag();
-    // Dataflow classification runs on every caller — members and
-    // skippers alike — so the replicated version vectors stay in step.
     let s_range = if range.is_empty() {
         0..0
     } else {
-        let lo = (range.start as isize + shift) as usize;
-        lo..lo + range.len()
+        let lo = range.start as isize + shift;
+        assert!(
+            lo >= 0 && lo as usize + range.len() <= src.n(),
+            "copy_shift1_range: shift {shift:+} sends destination range {range:?} outside \
+             the source extent {}",
+            src.n()
+        );
+        lo as usize..lo as usize + range.len()
     };
-    let tainted = src.versions().borrow().tainted(s_range.clone())
-        || dst.versions().borrow().tainted(range.clone());
-    if mode == Participation::WholeGroup {
-        cx.barrier();
-    } else {
-        sync_edge(cx, tag, src.group(), dst.group(), tainted);
-    }
-    if tainted {
-        src.versions().borrow_mut().clear_taint(s_range.clone());
-        dst.versions().borrow_mut().clear_taint(range.clone());
-    }
-    src.versions().borrow_mut().record_read(s_range);
-    dst.versions().borrow_mut().record_write(range.clone(), WriteKind::Covered);
-    let me = cx.phys_rank();
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-
-    let key = Key1 {
-        sgid: src.group().gid(),
-        smap: *src.map(),
-        srep: matches!(src.dist(), Dist1::Replicated),
-        dgid: dst.group().gid(),
-        dmap: *dst.map(),
-        drep: matches!(dst.dist(), Dist1::Replicated),
-        range: (range.start, range.end),
-        delta: shift,
-    };
-    let plan = {
-        let s = Side1 { group: src.group().clone(), map: key.smap, replicated: key.srep };
-        let d = Side1 { group: dst.group().clone(), map: key.dmap, replicated: key.drep };
-        cx.plan_cached(key, move || Plan1::build(me, &s, &d, range, shift))
-    };
-
-    replay1(cx, tag, &plan, dst, src);
-}
-
-/// Execute a 1-D plan. Same observable schedule as the per-element
-/// enumeration: local leg, memory charge, sends ascending by destination,
-/// then receives ascending by source. Pack/unpack host time is reported
-/// out-of-band. Messages ride the chunk fast path: pooled buffers, no
-/// boxing, bytes copied once on each side — virtual-time charges are
-/// those of an equal-sized Vec.
-fn replay1<T: Elem>(cx: &mut Cx, tag: u64, plan: &Plan1, dst: &mut DArray1<T>, src: &DArray1<T>) {
-    let mut pack_ns = 0u64;
-    let t0 = Instant::now();
-    copy_seg_runs(src.local(), &plan.local_src, dst.local_mut(), &plan.local_dst);
-    pack_ns += t0.elapsed().as_nanos() as u64;
-    cx.charge_mem_bytes(2.0 * (plan.local_total * std::mem::size_of::<T>()) as f64);
-    for pr in &plan.sends {
-        let t = Instant::now();
-        let mut chunk = cx.chunk_for::<T>(pr.total);
-        pack_seg_runs_into(src.local(), &pr.runs, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_phys(pr.peer, tag, chunk);
-    }
-    for pr in &plan.recvs {
-        let chunk = cx.recv_chunk_phys(pr.peer, tag);
-        assert_eq!(chunk.elems(), pr.total, "communication set mismatch from {}", pr.peer);
-        let t = Instant::now();
-        unpack_seg_runs_chunk(dst.local_mut(), &pr.runs, &chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.release_chunk(chunk);
-    }
-    cx.note_pack_ns(pack_ns);
+    let stmt = Stmt { remap: [Remap::Shift(shift)], range: [(range.start, range.end)], axes: [0] };
+    planned1(cx, dst, src, s_range, stmt, WriteKind::Covered, mode);
 }
 
 /// Structured 1-D remap `dst[i] = src[remap(i)]` over the whole
 /// destination: the plan-cached counterpart of [`copy_remap1`] for the
 /// maps [`Remap`] expresses, with the closure statement's exact protocol
 /// (same op tag, skip rule, message schedule, virtual charges and opaque
-/// write). Replicated arrays take the closure fallback.
+/// write).
 ///
 /// Panics — in every build profile, when the plan is first built — if
 /// the map sends a destination index outside the source extent.
 pub fn remap1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, remap: Remap) {
-    if matches!(src.dist(), Dist1::Replicated) || matches!(dst.dist(), Dist1::Replicated) {
-        // An image outside the source becomes `n`, which the fallback's
-        // own bounds assert rejects.
-        let n = src.n();
-        return copy_remap1(cx, dst, src, |i| remap.apply(i, n).unwrap_or(n));
-    }
-    let tag = cx.next_op_tag();
-    src.versions().borrow_mut().record_read(0..src.n());
-    dst.versions().borrow_mut().record_write(0..dst.n(), WriteKind::Opaque);
-    let me = cx.phys_rank();
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-    let key = KeyRemap1 {
-        sgid: src.group().gid(),
-        smap: *src.map(),
-        dgid: dst.group().gid(),
-        dmap: *dst.map(),
-        remap,
-    };
-    let plan = {
-        let s = Side1 { group: src.group().clone(), map: key.smap, replicated: false };
-        let d = Side1 { group: dst.group().clone(), map: key.dmap, replicated: false };
-        cx.plan_cached(key, move || Plan1::build_remap(me, &s, &d, remap))
-    };
-    replay1(cx, tag, &plan, dst, src);
-}
-
-/// Immutable placement descriptor extracted from a 1-D array so that
-/// communication planning never aliases the storage borrows.
-struct Desc1 {
-    group: fx_core::GroupHandle,
-    map: DimMap,
-    replicated: bool,
-}
-
-impl Desc1 {
-    fn of<T: Elem>(a: &DArray1<T>) -> Self {
-        Desc1 {
-            group: a.group().clone(),
-            map: *a.map(),
-            replicated: matches!(a.dist(), Dist1::Replicated),
-        }
-    }
-
-    /// Local slot of global index `gi` on its owner.
-    #[inline]
-    fn slot(&self, gi: usize) -> usize {
-        if self.replicated {
-            gi
-        } else {
-            self.map.local_of(gi)
-        }
-    }
-
-    /// Physical owner serving `gi` to destination processor `dp`.
-    #[inline]
-    fn src_owner(&self, gi: usize, dp: usize) -> usize {
-        if self.replicated {
-            if self.group.contains_phys(dp) {
-                dp
-            } else {
-                self.group.phys(dp % self.group.len())
-            }
-        } else {
-            self.group.phys(self.map.owner(gi))
-        }
-    }
-}
-
-/// The exchange half of the closure fallback: ship the per-peer chunks
-/// ascending by destination, then receive ascending by source and scatter
-/// each message into its `slots` of `local`, in message order.
-fn exchange_slots<T: Elem>(
-    cx: &mut Cx,
-    tag: u64,
-    sends: BTreeMap<usize, Chunk>,
-    recvs: BTreeMap<usize, Vec<usize>>,
-    local: &mut [T],
-) {
-    for (dp, chunk) in sends {
-        cx.send_chunk_phys(dp, tag, chunk);
-    }
-    for (sp, slots) in recvs {
-        let chunk = cx.recv_chunk_phys(sp, tag);
-        assert_eq!(chunk.elems(), slots.len(), "communication set mismatch from {sp}");
-        for (k, slot) in slots.into_iter().enumerate() {
-            chunk.read_into(k, &mut local[slot..slot + 1]);
-        }
-        cx.release_chunk(chunk);
-    }
-}
-
-/// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation —
-/// the general fallback for maps [`remap1`] cannot express.
-///
-/// Must be called by **every** member of the current group (SPMD), even
-/// those that will skip — the operation tag is allocated collectively.
-pub fn copy_remap1_range<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray1<T>,
-    range: Range<usize>,
-    src: &DArray1<T>,
-    f: impl Fn(usize) -> usize,
-    mode: Participation,
-) {
-    assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
-    let tag = cx.next_op_tag();
-    if mode == Participation::WholeGroup {
-        cx.barrier();
-    }
-    // The remap closure's communication pattern is opaque to the planner:
-    // taint the destination footprint so the next plan statement reading
-    // it keeps its barrier. Never a sync point itself, in any mode.
-    src.versions().borrow_mut().record_read(0..src.n());
-    dst.versions().borrow_mut().record_write(range.clone(), WriteKind::Opaque);
-    let me = cx.phys_rank();
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-
-    let s = Desc1::of(src);
-    let d = Desc1::of(dst);
-    let src_n = src.n();
-
-    // Per-peer send buffers are pooled chunks (grown on demand: a peer's
-    // share is unknown until the enumeration ends), so the payloads ride
-    // the chunk path like every planned statement's.
-    let mut sends: BTreeMap<usize, Chunk> = BTreeMap::new();
-    let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut local_bytes = 0usize;
-
-    // Small reusable buffer for the destination owners of one element.
-    let mut dsts: Vec<usize> = Vec::with_capacity(if d.replicated { d.group.len() } else { 1 });
-    for gi in range {
-        let sgi = f(gi);
-        assert!(sgi < src_n, "copy_remap1: map sends {gi} to {sgi}, outside src extent {src_n}");
-        dsts.clear();
-        if d.replicated {
-            dsts.extend_from_slice(d.group.members());
-        } else {
-            dsts.push(d.group.phys(d.map.owner(gi)));
-        }
-        for &dp in &dsts {
-            let sp = s.src_owner(sgi, dp);
-            if sp == me {
-                let v = src.local()[s.slot(sgi)];
-                if dp == me {
-                    let slot = d.slot(gi);
-                    dst.local_mut()[slot] = v;
-                    local_bytes += std::mem::size_of::<T>();
-                } else {
-                    sends.entry(dp).or_insert_with(|| cx.chunk_for::<T>(0)).push_slice(&[v]);
-                }
-            } else if dp == me {
-                recvs.entry(sp).or_default().push(d.slot(gi));
-            }
-        }
-    }
-
-    cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    exchange_slots(cx, tag, sends, recvs, dst.local_mut());
-}
-
-/// `dst[r][c] = src[f(r, c)]` for the whole destination.
-pub fn copy_remap2<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray2<T>,
-    src: &DArray2<T>,
-    f: impl Fn(usize, usize) -> (usize, usize),
-) {
-    copy_remap2_with(cx, dst, src, f, Participation::Minimal);
+    let stmt = Stmt::whole(&[*dst.map()], [remap]);
+    planned1(cx, dst, src, 0..src.n(), stmt, WriteKind::Opaque, Participation::Minimal);
 }
 
 /// Plain distributed assignment `dst = src` for matrices (the statement
@@ -390,7 +280,8 @@ pub fn assign2_with<T: Elem>(
 ) {
     assert_eq!(dst.rows(), src.rows(), "assign2 row mismatch");
     assert_eq!(dst.cols(), src.cols(), "assign2 col mismatch");
-    cx.scoped("assign2", |cx| plan_copy2(cx, dst, src, false, mode));
+    let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 2]);
+    cx.scoped("assign2", |cx| planned(cx, dst, src, stmt, WriteKind::Covered, mode));
 }
 
 /// Distributed transposition `dst[r][c] = src[c][r]` (the radar corner
@@ -398,39 +289,21 @@ pub fn assign2_with<T: Elem>(
 pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) {
     assert_eq!(dst.rows(), src.cols(), "transpose2 shape mismatch");
     assert_eq!(dst.cols(), src.rows(), "transpose2 shape mismatch");
-    cx.scoped("transpose2", |cx| plan_copy2(cx, dst, src, true, Participation::Minimal));
+    let stmt = Stmt { axes: [1, 0], ..Stmt::whole(dst.maps(), [Remap::Identity; 2]) };
+    cx.scoped("transpose2", |cx| {
+        planned(cx, dst, src, stmt, WriteKind::Covered, Participation::Minimal)
+    });
 }
 
-/// Plan-cached 2-D copy: `dst[r][c] = src[r][c]` (or `src[c][r]` when
-/// `transposed`), a sync edge recorded as a covered write.
-fn plan_copy2<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray2<T>,
-    src: &DArray2<T>,
-    transposed: bool,
-    mode: Participation,
-) {
-    let tag = cx.next_op_tag();
-    let s_range = 0..src.rows() * src.cols();
-    let d_range = 0..dst.rows() * dst.cols();
-    let tainted = src.versions().borrow().tainted(s_range.clone())
-        || dst.versions().borrow().tainted(d_range.clone());
-    if mode == Participation::WholeGroup {
-        cx.barrier();
-    } else {
-        sync_edge(cx, tag, src.group(), dst.group(), tainted);
-    }
-    if tainted {
-        src.versions().borrow_mut().clear_taint(s_range.clone());
-        dst.versions().borrow_mut().clear_taint(d_range.clone());
-    }
-    src.versions().borrow_mut().record_read(s_range);
-    dst.versions().borrow_mut().record_write(d_range, WriteKind::Covered);
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-    let plan = plan2_for(cx, dst, src, transposed, (Remap::Identity, Remap::Identity));
-    replay2(cx, tag, &plan, dst, src);
+/// Distributed assignment `dst = src` between 3-D arrays of the same
+/// shape (any distributions/groups) — the 3-D analogue of [`assign2`],
+/// with the same minimal-processor-subset skipping.
+pub fn assign3<T: Elem>(cx: &mut Cx, dst: &mut DArray3<T>, src: &DArray3<T>) {
+    assert_eq!(dst.shape(), src.shape(), "assign3 shape mismatch");
+    let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 3]);
+    cx.scoped("assign3", |cx| {
+        planned(cx, dst, src, stmt, WriteKind::Covered, Participation::Minimal)
+    });
 }
 
 /// Structured 2-D remap `dst[r][c] = src[rows(r)][cols(c)]`: the
@@ -450,75 +323,62 @@ pub fn remap2<T: Elem>(
     rows: Remap,
     cols: Remap,
 ) {
-    let tag = cx.next_op_tag();
-    // Opaque write (see copy_remap1_range): taint source, never sync.
-    src.versions().borrow_mut().record_read(0..src.rows() * src.cols());
-    dst.versions().borrow_mut().record_write(0..dst.rows() * dst.cols(), WriteKind::Opaque);
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-    let plan = plan2_for(cx, dst, src, false, (rows, cols));
-    replay2(cx, tag, &plan, dst, src);
+    let stmt = Stmt::whole(dst.maps(), [rows, cols]);
+    planned(cx, dst, src, stmt, WriteKind::Opaque, Participation::Minimal);
 }
 
-/// This processor's cached plan for `dst[r][c] = src[rows(r)][cols(c)]`
-/// (through the transposed view of `src` when `transposed`).
-fn plan2_for<T: Elem>(
+// ---------------------------------------------------------------------------
+// Closure fallbacks
+// ---------------------------------------------------------------------------
+
+/// `dst[i] = src[f(i)]` for all `i` — whole-array remapped copy.
+pub fn copy_remap1<T: Elem>(
     cx: &mut Cx,
-    dst: &DArray2<T>,
-    src: &DArray2<T>,
-    transposed: bool,
-    (row, col): (Remap, Remap),
-) -> Arc<Plan2> {
-    let me = cx.phys_rank();
-    let (s_rmap, s_cmap) = src.maps();
-    let (d_rmap, d_cmap) = dst.maps();
-    let key = Key2 {
-        sgid: src.group().gid(),
-        s_rmap: *s_rmap,
-        s_cmap: *s_cmap,
-        dgid: dst.group().gid(),
-        d_rmap: *d_rmap,
-        d_cmap: *d_cmap,
-        transposed,
-        row,
-        col,
-    };
-    let s = Side2 { group: src.group().clone(), rmap: key.s_rmap, cmap: key.s_cmap };
-    let d = Side2 { group: dst.group().clone(), rmap: key.d_rmap, cmap: key.d_cmap };
-    cx.plan_cached(key, move || Plan2::build(me, &s, &d, transposed, (row, col)))
+    dst: &mut DArray1<T>,
+    src: &DArray1<T>,
+    f: impl Fn(usize) -> usize,
+) {
+    let n = dst.n();
+    copy_remap1_range(cx, dst, 0..n, src, f, Participation::Minimal);
 }
 
-/// Execute a 2-D plan: local leg, memory charge, sends ascending by
-/// destination, receives ascending by source (see [`replay1`]).
-fn replay2<T: Elem>(cx: &mut Cx, tag: u64, plan: &Plan2, dst: &mut DArray2<T>, src: &DArray2<T>) {
-    let transposed = plan.transposed;
-    let mut pack_ns = 0u64;
-    let t0 = Instant::now();
-    let mut local_total = 0usize;
-    if let Some(l) = &plan.local {
-        let tmp = pack2(src.local(), plan.src_pitch, &l.s_outer, &l.s_inner, l.total, transposed);
-        unpack2(dst.local_mut(), plan.dst_pitch, &l.d_outer, &l.d_inner, &tmp);
-        local_total = l.total;
+/// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation —
+/// the general fallback for maps [`remap1`] cannot express.
+///
+/// Must be called by **every** member of the current group (SPMD), even
+/// those that will skip — the operation tag is allocated collectively.
+pub fn copy_remap1_range<T: Elem>(
+    cx: &mut Cx,
+    dst: &mut DArray1<T>,
+    range: Range<usize>,
+    src: &DArray1<T>,
+    f: impl Fn(usize) -> usize,
+    mode: Participation,
+) {
+    assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
+    let tag = cx.next_op_tag();
+    let (s_op, d_op) = (src.operand(0..src.n()), dst.operand(range.clone()));
+    if !enter(cx, tag, &s_op, &d_op, WriteKind::Opaque, mode) {
+        return;
     }
-    pack_ns += t0.elapsed().as_nanos() as u64;
-    cx.charge_mem_bytes(2.0 * (local_total * std::mem::size_of::<T>()) as f64);
-    for p in &plan.sends {
-        let t = Instant::now();
-        let mut chunk = cx.chunk_for::<T>(p.total);
-        pack2_into(src.local(), plan.src_pitch, &p.outer, &p.inner, transposed, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_phys(p.peer, tag, chunk);
-    }
-    for p in &plan.recvs {
-        let chunk = cx.recv_chunk_phys(p.peer, tag);
-        assert_eq!(chunk.elems(), p.total, "communication set mismatch from {}", p.peer);
-        let t = Instant::now();
-        unpack2_chunk(dst.local_mut(), plan.dst_pitch, &p.outer, &p.inner, &chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.release_chunk(chunk);
-    }
-    cx.note_pack_ns(pack_ns);
+    let src_n = src.n();
+    let map = |[gi]: [usize; 1]| {
+        let sgi = f(gi);
+        assert!(sgi < src_n, "copy_remap1: map sends {gi} to {sgi}, outside src extent {src_n}");
+        [sgi]
+    };
+    let (s, d) = (src.side(), dst.side());
+    enumerate_copy(cx, tag, (&s, src.local()), (&d, dst.local_mut()), [(range.start, range.end)], map);
+}
+
+/// `dst[r][c] = src[f(r, c)]` for the whole destination.
+pub fn copy_remap2<T: Elem>(
+    cx: &mut Cx,
+    dst: &mut DArray2<T>,
+    src: &DArray2<T>,
+    f: impl Fn(usize, usize) -> (usize, usize),
+) {
+    copy_remap2_with(cx, dst, src, f, Participation::Minimal);
 }
 
 /// `dst[r][c] = src[f(r, c)]` with explicit participation mode — the
@@ -531,70 +391,90 @@ pub fn copy_remap2_with<T: Elem>(
     mode: Participation,
 ) {
     let tag = cx.next_op_tag();
-    if mode == Participation::WholeGroup {
-        cx.barrier();
+    if !enter(cx, tag, &src.operand(), &dst.operand(), WriteKind::Opaque, mode) {
+        return;
     }
-    // Opaque write (see copy_remap1_range): taint source, never sync.
-    src.versions().borrow_mut().record_read(0..src.rows() * src.cols());
-    dst.versions().borrow_mut().record_write(0..dst.rows() * dst.cols(), WriteKind::Opaque);
+    let (rows, cols) = (src.rows(), src.cols());
+    let map = |[r, c]: [usize; 2]| {
+        let (sr, sc) = f(r, c);
+        assert!(
+            sr < rows && sc < cols,
+            "copy_remap2: map sends ({r}, {c}) to ({sr}, {sc}), outside src shape {rows}x{cols}"
+        );
+        [sr, sc]
+    };
+    let (s, d) = (src.side(), dst.side().clone());
+    let whole = dst.shape().map(|n| (0, n));
+    enumerate_copy(cx, tag, (s, src.local()), (&d, dst.local_mut()), whole, map);
+}
+
+/// The closure statements' engine, and the protocol every planned
+/// statement reproduces: walk every destination index of `range` in
+/// row-major order, ask the distribution metadata who owns it and who
+/// owns its image under `f`, copy what is local, bucket the rest by peer;
+/// then charge the local bytes, ship the per-peer chunks ascending by
+/// destination, receive ascending by source and scatter each message
+/// into its slots in message order.
+fn enumerate_copy<T: Elem, const N: usize>(
+    cx: &mut Cx,
+    tag: u64,
+    (s, src): (&Side<N>, &[T]),
+    (d, dst): (&Side<N>, &mut [T]),
+    range: [(usize, usize); N],
+    f: impl Fn([usize; N]) -> [usize; N],
+) {
     let me = cx.phys_rank();
-    if !src.is_member() && !dst.is_member() {
-        return; // minimal-subset skip
-    }
-
-    let (s_rmap, s_cmap) = {
-        let m = src.maps();
-        (*m.0, *m.1)
-    };
-    let (d_rmap, d_cmap) = {
-        let m = dst.maps();
-        (*m.0, *m.1)
-    };
-    let s_group = src.group().clone();
-    let d_group = dst.group().clone();
-    let s_grid_cols = src.grid().1;
-    let d_grid_cols = dst.grid().1;
-    let s_local_cols = src.local_dims().1;
-    let d_local_cols = dst.local_dims().1;
-
+    let (s_strides, d_strides) = (s.strides(me), d.strides(me));
+    // Per-peer send buffers are pooled chunks (grown on demand: a peer's
+    // share is unknown until the enumeration ends), so the payloads ride
+    // the chunk path like every planned statement's.
     let mut sends: BTreeMap<usize, Chunk> = BTreeMap::new();
     let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut local_bytes = 0usize;
-
-    for r in 0..dst.rows() {
-        for c in 0..dst.cols() {
-            let (sr, sc) = f(r, c);
-            assert!(
-                sr < src.rows() && sc < src.cols(),
-                "copy_remap2: map sends ({r}, {c}) to ({sr}, {sc}), outside src shape {}x{}",
-                src.rows(),
-                src.cols()
-            );
-            let sp = s_group.phys(s_rmap.owner(sr) * s_grid_cols + s_cmap.owner(sc));
-            let dp = d_group.phys(d_rmap.owner(r) * d_grid_cols + d_cmap.owner(c));
+    for_each_index(range.map(|(lo, hi)| hi.saturating_sub(lo)), |off| {
+        let di: [usize; N] = std::array::from_fn(|k| range[k].0 + off[k]);
+        let si = f(di);
+        let one;
+        let targets = if d.replicated {
+            d.group.members()
+        } else {
+            one = [d.owner(di, me)];
+            &one[..]
+        };
+        for &dp in targets {
+            let sp = s.owner(si, dp);
             if sp == me {
-                let v = src.local()[s_rmap.local_of(sr) * s_local_cols + s_cmap.local_of(sc)];
+                let v = src[s.slot(si, &s_strides)];
                 if dp == me {
-                    let slot = d_rmap.local_of(r) * d_local_cols + d_cmap.local_of(c);
-                    dst.local_mut()[slot] = v;
+                    dst[d.slot(di, &d_strides)] = v;
                     local_bytes += std::mem::size_of::<T>();
                 } else {
                     sends.entry(dp).or_insert_with(|| cx.chunk_for::<T>(0)).push_slice(&[v]);
                 }
             } else if dp == me {
-                let slot = d_rmap.local_of(r) * d_local_cols + d_cmap.local_of(c);
-                recvs.entry(sp).or_default().push(slot);
+                recvs.entry(sp).or_default().push(d.slot(di, &d_strides));
             }
         }
-    }
+    });
 
     cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    exchange_slots(cx, tag, sends, recvs, dst.local_mut());
+    for (dp, chunk) in sends {
+        cx.send_chunk_phys(dp, tag, chunk);
+    }
+    for (sp, slots) in recvs {
+        let chunk = cx.recv_chunk_phys(sp, tag);
+        assert_eq!(chunk.elems(), slots.len(), "communication set mismatch from {sp}");
+        for (k, slot) in slots.into_iter().enumerate() {
+            chunk.read_into(k, &mut dst[slot..slot + 1]);
+        }
+        cx.release_chunk(chunk);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array1::Dist1;
     use crate::dist::Dist;
     use fx_core::{spmd, Machine, Size};
 
@@ -786,5 +666,72 @@ mod tests {
             cx.now()
         });
         assert!(rep.results[2] >= 5.0, "g3 must stall in WholeGroup mode, got {}", rep.results[2]);
+    }
+
+    #[test]
+    fn assign3_across_groups() {
+        let rep = spmd(&Machine::real(5), |cx| {
+            let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
+            let ga = part.group("a");
+            let gb = part.group("b");
+            let mut src = DArray3::new(cx, &ga, [2, 6, 3], (Dist::Star, Dist::Block, Dist::Star), 0u64);
+            src.for_each_owned(|i0, i1, i2, v| *v = (i0 * 36 + i1 * 6 + i2) as u64);
+            let mut dst = DArray3::new(cx, &gb, [2, 6, 3], (Dist::Star, Dist::Block, Dist::Star), 0u64);
+            assign3(cx, &mut dst, &src);
+            dst.fold_owned(true, |ok, i0, i1, i2, v| ok && v == (i0 * 36 + i1 * 6 + i2) as u64)
+        });
+        assert!(rep.results.iter().all(|&ok| ok));
+    }
+
+    #[test]
+    fn assign3_dim0_redistribution() {
+        // (BLOCK, *, *) → (*, BLOCK, *): a genuine all-to-all in 3-D.
+        let rep = spmd(&Machine::real(2), |cx| {
+            let g = cx.group();
+            let mut src = DArray3::new(cx, &g, [4, 4, 2], (Dist::Block, Dist::Star, Dist::Star), 0i32);
+            src.for_each_owned(|a, b, c, v| *v = (a * 8 + b * 2 + c) as i32);
+            let mut dst = DArray3::new(cx, &g, [4, 4, 2], (Dist::Star, Dist::Block, Dist::Star), 0i32);
+            assign3(cx, &mut dst, &src);
+            dst.to_global(cx)
+        });
+        let expect: Vec<i32> = (0..32).collect();
+        assert_eq!(rep.results[0], expect);
+    }
+
+    /// In release builds the old `debug_assert!` compiled out and the
+    /// planner clipped the range instead: the last three elements stayed
+    /// stale with no diagnostic.
+    #[test]
+    #[should_panic(expected = "copy_shift1_range: shift +3 sends destination range 0..10 outside the source extent 10")]
+    fn shift_past_the_source_panics_in_every_profile() {
+        spmd(&Machine::real(2), |cx| {
+            let g = cx.group();
+            let src = DArray1::new(cx, &g, 10, Dist1::Block, 1u8);
+            let mut dst = DArray1::new(cx, &g, 10, Dist1::Cyclic, 0u8);
+            copy_shift1_range(cx, &mut dst, 0..10, &src, 3, Participation::Minimal);
+        });
+    }
+
+    /// A message shorter than the plan says is refused at every rank, in
+    /// release builds too (the 3-D replay used to `debug_assert!` this).
+    #[test]
+    #[should_panic(expected = "communication set mismatch from 0")]
+    fn short_message_is_refused_in_every_profile() {
+        use crate::plan::{Peer, Seg};
+        let machine = Machine::real(2).with_timeout(std::time::Duration::from_secs(10));
+        spmd(&machine, |cx| {
+            let tag = cx.next_op_tag();
+            let whole = |len| vec![Seg { start: 0, len, stride: 0, count: 1 }];
+            // Processor 0 ships 2x2x1 elements; processor 1 expects 2x2x2.
+            let dims = |last| [whole(2), whole(2), whole(last)];
+            let share = |peer, last| Peer { peer, total: 4 * last, dims: dims(last) };
+            let mut plan = Plan { sends: vec![], recvs: vec![], local: None, src_strides: [4, 2, 1], dst_strides: [4, 2, 1] };
+            if cx.phys_rank() == 0 {
+                plan.sends.push(share(1, 1));
+            } else {
+                plan.recvs.push(share(0, 2));
+            }
+            replay(cx, tag, &plan, &mut [0u16; 8], &[7u16; 8]);
+        });
     }
 }

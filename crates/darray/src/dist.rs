@@ -155,6 +155,47 @@ impl DimMap {
     }
 }
 
+/// Call `f` with every index vector of a box of extents `lens`, in
+/// row-major order (last dimension fastest) — the one N-d loop nest the
+/// rank-generic arrays and plans are written over.
+pub(crate) fn for_each_index<const N: usize>(lens: [usize; N], mut f: impl FnMut([usize; N])) {
+    if lens.contains(&0) {
+        return;
+    }
+    let mut idx = [0; N];
+    loop {
+        f(idx);
+        // Odometer step: bump the last dimension, carrying leftwards.
+        let mut k = N;
+        loop {
+            if k == 0 {
+                return;
+            }
+            k -= 1;
+            idx[k] += 1;
+            if idx[k] < lens[k] {
+                break;
+            }
+            idx[k] = 0;
+        }
+    }
+}
+
+/// Row-major position of index vector `idx` in a box of extents `lens`.
+pub(crate) fn ravel<const N: usize>(idx: [usize; N], lens: [usize; N]) -> usize {
+    (0..N).fold(0, |v, k| v * lens[k] + idx[k])
+}
+
+/// Index vector at row-major position `v` of a box of extents `lens`.
+pub(crate) fn unravel<const N: usize>(mut v: usize, lens: [usize; N]) -> [usize; N] {
+    let mut idx = [0; N];
+    for k in (0..N).rev() {
+        idx[k] = v % lens[k];
+        v /= lens[k];
+    }
+    idx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +224,18 @@ mod tests {
                 assert_eq!(m.owner(g), c);
             }
         }
+    }
+
+    #[test]
+    fn index_walk_is_row_major_and_ravel_inverts_unravel() {
+        let lens = [2, 1, 3];
+        let mut seen = Vec::new();
+        for_each_index(lens, |i| seen.push(i));
+        assert_eq!(seen, [[0, 0, 0], [0, 0, 1], [0, 0, 2], [1, 0, 0], [1, 0, 1], [1, 0, 2]]);
+        for (v, &i) in seen.iter().enumerate() {
+            assert_eq!((ravel(i, lens), unravel(v, lens)), (v, i));
+        }
+        for_each_index([4, 0, 2], |_| panic!("an empty box has no index"));
     }
 
     #[test]

@@ -1,49 +1,131 @@
-//! Halo (ghost-region) exchange for row-blocked matrices.
+//! Halo (ghost-region) exchange along the block-distributed dimension.
 //!
 //! Window-sum and stencil kernels (the multibaseline-stereo error images,
-//! the Airshed transport step) need a few rows owned by the neighbouring
-//! processor. This is the standard nearest-neighbour exchange, scoped —
-//! like all communication — to the array's group.
+//! the Airshed transport step) need a few rows, columns or planes owned
+//! by the neighbouring processor. This is the standard nearest-neighbour
+//! exchange, scoped — like all communication — to the array's group, and
+//! written once over the rank: [`exchange_row_halo`],
+//! [`exchange_col_halo`] and [`exchange_plane_halo`] name the axis.
+
+use std::time::Instant;
 
 use fx_core::Cx;
 
+use crate::array::{DArray, DArray2, DArray3};
 use crate::array1::Elem;
-use crate::array2::DArray2;
+use crate::dataflow::sync_edge;
 use crate::dist::{DimMap, Dist};
-#[cfg(debug_assertions)]
-use crate::plan::segs_total;
-use crate::plan::{pack_seg_runs_into, Seg};
+use crate::plan::{pack_into, Peer, Seg};
 
-/// Dataflow sync for a halo: barrier the array's group if its footprint
-/// is tainted by an opaque write. Halos run inside the owning subgroup,
-/// which outside replica holders skip, so they only *test* taint — never
-/// clear it (clearing would desync the outsiders' version vectors).
-fn sync_halo<T: Elem>(cx: &mut Cx, tag: u64, a: &DArray2<T>) {
-    let tainted = a.versions().borrow().tainted(0..a.rows() * a.cols());
-    crate::dataflow::sync_edge(cx, tag, a.group(), a.group(), tainted);
-}
-
-/// Cache key for a halo pack plan: the array placement plus the halo
-/// width. `axis` distinguishes row from column exchange.
+/// Cache key of a halo schedule: the array placement, the axis and the
+/// halo width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct HaloKey {
+struct SlabKey<const N: usize> {
     gid: u64,
-    rmap: DimMap,
-    cmap: DimMap,
+    maps: [DimMap; N],
+    axis: usize,
     width: usize,
-    axis: u8,
 }
 
-/// The per-processor halo schedule: which neighbours exist and the local
-/// index runs to pack for each. Built once per (placement, width), then
-/// replayed every exchange.
-struct HaloPlan {
-    /// Runs to send to the lower-index neighbour (up/left), if any.
-    lead: Option<Vec<Seg>>,
-    /// Runs to send to the higher-index neighbour (down/right), if any.
-    trail: Option<Vec<Seg>>,
-    /// Elements per message.
-    total: usize,
+/// The per-processor halo schedule: the slabs of my tile to pack for the
+/// neighbours that exist. Each is a [`Peer`] (its `peer` the neighbour's
+/// *virtual* rank) whose `axis` runs are the first or last `width`
+/// indices and whose other dimensions are whole. Built once per
+/// (placement, axis, width), then replayed every exchange.
+struct SlabPlan<const N: usize> {
+    /// For the lower-index neighbour (up/left/before), if any.
+    lead: Option<Peer<N>>,
+    /// For the higher-index neighbour (down/right/after), if any.
+    trail: Option<Peer<N>>,
+    /// Row-major strides of my tile.
+    strides: [usize; N],
+}
+
+/// Exchange `width` ghost indices of dimension `axis` between grid
+/// neighbours of an array that is `BLOCK` along `axis` and `*` elsewhere.
+/// Returns the slabs received from the lower and the higher neighbour,
+/// each in the tile's own row-major order (its `axis` extent `width`),
+/// empty at the array's edges.
+///
+/// Collective over the array's group; the caller's current group must be
+/// that group (call it inside the owning `ON SUBGROUP` block). Every
+/// member that owns any index of `axis` must own at least `width`.
+fn exchange_halo<T: Elem, const N: usize>(
+    cx: &mut Cx,
+    a: &DArray<T, N>,
+    axis: usize,
+    width: usize,
+) -> (Vec<T>, Vec<T>) {
+    assert_eq!(
+        cx.group().gid(),
+        a.group().gid(),
+        "halo exchange is a collective over the array's group"
+    );
+    let needs: [Dist; N] = std::array::from_fn(|k| if k == axis { Dist::Block } else { Dist::Star });
+    assert_eq!(a.dist(), needs, "a halo along dimension {axis} needs BLOCK there and * elsewhere");
+    let tag = cx.next_op_tag();
+    // Halos run inside the owning subgroup, which outside replica holders
+    // skip, so they only *test* taint (an opaque write must still be
+    // ordered before its boundary values are read) — never clear it:
+    // clearing here would desync the outsiders' version vectors.
+    let op = a.operand();
+    let tainted = op.versions.borrow().tainted(op.footprint);
+    sync_edge(cx, tag, a.group(), a.group(), tainted);
+    // BLOCK along `axis` and `*` elsewhere puts virtual rank `me` at
+    // coordinate `me` of `axis`, so the grid neighbours are `me ± 1`.
+    let (me, phys) = (cx.id(), cx.phys_rank());
+    let lens = a.local_extents();
+    let owned = lens[axis];
+    // Members owning nothing (more processors than blocks) sit out; with a
+    // BLOCK distribution they are always at the high end, so adjacency
+    // below is well-defined without them.
+    assert!(
+        owned == 0 || owned >= width,
+        "processor {me} owns {owned} indices of dimension {axis}, fewer than the halo width {width}"
+    );
+    if owned == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    let key = SlabKey { gid: a.group().gid(), maps: *a.maps(), axis, width };
+    let plan = cx.plan_cached(key, || {
+        let slab = |peer: usize, start: usize| Peer {
+            peer,
+            total: lens.iter().product::<usize>() / owned * width,
+            dims: std::array::from_fn(|k| {
+                let (start, len) = if k == axis { (start, width) } else { (0, lens[k]) };
+                vec![Seg { start, len, stride: 0, count: 1 }]
+            }),
+        };
+        let map = key.maps[axis];
+        SlabPlan {
+            lead: (map.global_of(me, 0) > 0).then(|| slab(me - 1, 0)),
+            trail: (map.global_of(me, owned - 1) + 1 < map.n).then(|| slab(me + 1, owned - width)),
+            strides: a.side().strides(phys),
+        }
+    });
+
+    // Deposit sends first (non-blocking), then receive. Ghost slabs ride
+    // the pooled chunk fast path; the halo API still hands out Vecs.
+    let mut pack_ns = 0u64;
+    for slab in plan.lead.iter().chain(&plan.trail) {
+        let t = Instant::now();
+        let mut chunk = cx.chunk_for::<T>(slab.total);
+        pack_into(a.local(), &plan.strides, &slab.dims, &mut chunk);
+        pack_ns += t.elapsed().as_nanos() as u64;
+        cx.send_chunk_v(slab.peer, tag, chunk);
+    }
+    let mut recv = |cx: &mut Cx, slab: &Option<Peer<N>>| {
+        let Some(slab) = slab else { return Vec::new() };
+        let chunk = cx.recv_chunk_v(slab.peer, tag);
+        let t = Instant::now();
+        let v = chunk.to_vec::<T>();
+        pack_ns += t.elapsed().as_nanos() as u64;
+        cx.release_chunk(chunk);
+        v
+    };
+    let halo = (recv(cx, &plan.lead), recv(cx, &plan.trail));
+    cx.note_pack_ns(pack_ns);
+    halo
 }
 
 /// Ghost rows received from the neighbours above and below this
@@ -64,90 +146,7 @@ pub struct RowHalo<T> {
 /// that group (call it inside the owning `ON SUBGROUP` block). Every
 /// member must own at least `width` rows.
 pub fn exchange_row_halo<T: Elem>(cx: &mut Cx, a: &DArray2<T>, width: usize) -> RowHalo<T> {
-    cx.scoped("row_halo", |cx| exchange_row_halo_inner(cx, a, width))
-}
-
-fn exchange_row_halo_inner<T: Elem>(cx: &mut Cx, a: &DArray2<T>, width: usize) -> RowHalo<T> {
-    assert_eq!(
-        cx.group().gid(),
-        a.group().gid(),
-        "halo exchange is a collective over the array's group"
-    );
-    assert_eq!(a.dist().0, Dist::Block, "row halo needs a (BLOCK, *) distribution");
-    assert_eq!(a.dist().1, Dist::Star, "row halo needs a (BLOCK, *) distribution");
-    let tag = cx.next_op_tag();
-    sync_halo(cx, tag, a);
-    let me = cx.id();
-    let lr = a.local_dims().0;
-    // Members owning no rows (more processors than row blocks) sit out;
-    // with a BLOCK distribution they are always at the bottom, so row
-    // adjacency below is well-defined without them.
-    assert!(
-        lr == 0 || lr >= width,
-        "processor {me} owns {lr} rows, fewer than the halo width {width}"
-    );
-    if lr == 0 {
-        return RowHalo { top: Vec::new(), bottom: Vec::new() };
-    }
-    let key = {
-        let m = a.maps();
-        HaloKey { gid: a.group().gid(), rmap: *m.0, cmap: *m.1, width, axis: 0 }
-    };
-    // The whole schedule is a function of (placement, width, my rank): a
-    // (BLOCK, *) grid puts virtual rank `me` at row coordinate `me`.
-    let plan = cx.plan_cached(key, move || {
-        let lr = key.rmap.local_len(me);
-        let lc = key.cmap.n;
-        let first = key.rmap.global_of(me, 0);
-        let last = key.rmap.global_of(me, lr - 1);
-        HaloPlan {
-            lead: (first > 0)
-                .then(|| vec![Seg { start: 0, len: width * lc, stride: 0, count: 1 }]),
-            trail: (last + 1 < key.rmap.n).then(|| {
-                vec![Seg { start: (lr - width) * lc, len: width * lc, stride: 0, count: 1 }]
-            }),
-            total: width * lc,
-        }
-    });
-    #[cfg(debug_assertions)]
-    {
-        let lc = a.local_dims().1;
-        debug_assert_eq!(plan.lead.is_some(), a.global_of_local(0, 0).0 > 0);
-        debug_assert_eq!(plan.trail.is_some(), a.global_of_local(lr - 1, 0).0 + 1 < a.rows());
-        debug_assert_eq!(plan.total, width * lc);
-        for runs in plan.lead.iter().chain(plan.trail.iter()) {
-            debug_assert_eq!(segs_total(runs), plan.total);
-        }
-    }
-
-    // Deposit sends first (non-blocking), then receive. Ghost rows ride
-    // the pooled chunk fast path; the halo API still hands out Vecs.
-    let mut pack_ns = 0u64;
-    if let Some(runs) = &plan.lead {
-        let t = std::time::Instant::now();
-        let mut chunk = cx.chunk_for::<T>(plan.total);
-        pack_seg_runs_into(a.local(), runs, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_v(me - 1, tag, chunk);
-    }
-    if let Some(runs) = &plan.trail {
-        let t = std::time::Instant::now();
-        let mut chunk = cx.chunk_for::<T>(plan.total);
-        pack_seg_runs_into(a.local(), runs, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_v(me + 1, tag, chunk);
-    }
-    let mut unpack = |cx: &mut Cx, src_v: usize| {
-        let chunk = cx.recv_chunk_v(src_v, tag);
-        let t = std::time::Instant::now();
-        let v = chunk.to_vec::<T>();
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.release_chunk(chunk);
-        v
-    };
-    let top = if plan.lead.is_some() { unpack(cx, me - 1) } else { Vec::new() };
-    let bottom = if plan.trail.is_some() { unpack(cx, me + 1) } else { Vec::new() };
-    cx.note_pack_ns(pack_ns);
+    let (top, bottom) = cx.scoped("row_halo", |cx| exchange_halo(cx, a, 0, width));
     RowHalo { top, bottom }
 }
 
@@ -166,173 +165,146 @@ pub struct ColHalo<T> {
 /// `(*, BLOCK)`-distributed matrix — the transposed twin of
 /// [`exchange_row_halo`].
 pub fn exchange_col_halo<T: Elem>(cx: &mut Cx, a: &DArray2<T>, width: usize) -> ColHalo<T> {
-    cx.scoped("col_halo", |cx| exchange_col_halo_inner(cx, a, width))
+    let (left, right) = cx.scoped("col_halo", |cx| exchange_halo(cx, a, 1, width));
+    ColHalo { left, right }
 }
 
-fn exchange_col_halo_inner<T: Elem>(cx: &mut Cx, a: &DArray2<T>, width: usize) -> ColHalo<T> {
-    assert_eq!(
-        cx.group().gid(),
-        a.group().gid(),
-        "halo exchange is a collective over the array's group"
-    );
-    assert_eq!(a.dist().0, Dist::Star, "col halo needs a (*, BLOCK) distribution");
-    assert_eq!(a.dist().1, Dist::Block, "col halo needs a (*, BLOCK) distribution");
-    let tag = cx.next_op_tag();
-    sync_halo(cx, tag, a);
-    let me = cx.id();
-    let lc = a.local_dims().1;
-    assert!(
-        lc == 0 || lc >= width,
-        "processor {me} owns {lc} columns, fewer than the halo width {width}"
-    );
-    if lc == 0 {
-        return ColHalo { left: Vec::new(), right: Vec::new() };
-    }
-    let key = {
-        let m = a.maps();
-        HaloKey { gid: a.group().gid(), rmap: *m.0, cmap: *m.1, width, axis: 1 }
-    };
-    // A (*, BLOCK) grid puts virtual rank `me` at column coordinate `me`.
-    let plan = cx.plan_cached(key, move || {
-        let lr = key.rmap.n;
-        let lc = key.cmap.local_len(me);
-        let first = key.cmap.global_of(me, 0);
-        let last = key.cmap.global_of(me, lc - 1);
-        HaloPlan {
-            lead: (first > 0)
-                .then(|| vec![Seg { start: 0, len: width, stride: lc, count: lr }]),
-            trail: (last + 1 < key.cmap.n)
-                .then(|| vec![Seg { start: lc - width, len: width, stride: lc, count: lr }]),
-            total: lr * width,
-        }
-    });
-    #[cfg(debug_assertions)]
-    {
-        let lr = a.local_dims().0;
-        debug_assert_eq!(plan.lead.is_some(), a.global_of_local(0, 0).1 > 0);
-        debug_assert_eq!(plan.trail.is_some(), a.global_of_local(0, lc - 1).1 + 1 < a.cols());
-        debug_assert_eq!(plan.total, lr * width);
-        for runs in plan.lead.iter().chain(plan.trail.iter()) {
-            debug_assert_eq!(segs_total(runs), plan.total);
-        }
-    }
+/// Ghost planes along dimension 1 (the distributed dimension of a
+/// `(*, BLOCK, *)` array): `before`/`after` each hold `width` planes of
+/// `l0 x l2` values, row-major `l0 x width x l2`; empty at the edges.
+#[derive(Debug, Clone)]
+pub struct PlaneHalo<T> {
+    /// Ghost planes from the lower-index neighbour (empty at the edge).
+    pub before: Vec<T>,
+    /// Ghost planes from the higher-index neighbour (empty at the edge).
+    pub after: Vec<T>,
+}
 
-    let mut pack_ns = 0u64;
-    if let Some(runs) = &plan.lead {
-        let t = std::time::Instant::now();
-        let mut chunk = cx.chunk_for::<T>(plan.total);
-        pack_seg_runs_into(a.local(), runs, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_v(me - 1, tag, chunk);
-    }
-    if let Some(runs) = &plan.trail {
-        let t = std::time::Instant::now();
-        let mut chunk = cx.chunk_for::<T>(plan.total);
-        pack_seg_runs_into(a.local(), runs, &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.send_chunk_v(me + 1, tag, chunk);
-    }
-    let mut unpack = |cx: &mut Cx, src_v: usize| {
-        let chunk = cx.recv_chunk_v(src_v, tag);
-        let t = std::time::Instant::now();
-        let v = chunk.to_vec::<T>();
-        pack_ns += t.elapsed().as_nanos() as u64;
-        cx.release_chunk(chunk);
-        v
-    };
-    let left = if plan.lead.is_some() { unpack(cx, me - 1) } else { Vec::new() };
-    let right = if plan.trail.is_some() { unpack(cx, me + 1) } else { Vec::new() };
-    cx.note_pack_ns(pack_ns);
-    ColHalo { left, right }
+/// Exchange `width` ghost planes between neighbours along dimension 1 of
+/// a `(*, BLOCK, *)`-distributed array. Collective over the array's
+/// group.
+pub fn exchange_plane_halo<T: Elem>(cx: &mut Cx, a: &DArray3<T>, width: usize) -> PlaneHalo<T> {
+    let (before, after) = cx.scoped("plane_halo", |cx| exchange_halo(cx, a, 1, width));
+    PlaneHalo { before, after }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array2::DArray2;
+    use crate::dist::{for_each_index, ravel};
     use fx_core::{spmd, Machine};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn halo_rows_match_neighbours() {
-        let rep = spmd(&Machine::real(3), |cx| {
-            let g = cx.group();
-            let data: Vec<u32> = (0..36).collect(); // 9x4, 3 rows each
-            let a = DArray2::from_global(cx, &g, [9, 4], (Dist::Block, Dist::Star), &data);
-            let h = exchange_row_halo(cx, &a, 1);
-            (h.top, h.bottom)
+    /// What one member sees of an exchange: `(lower slab, higher slab,
+    /// the whole array)`.
+    type Seen = (Vec<u32>, Vec<u32>, Vec<u32>);
+
+    /// One public exchange on an array whose halo axis has extent `n`
+    /// (elements numbered row-major): `(name, exchange(cx, n, width),
+    /// halo axis, shape(n) padded to rank 3)`.
+    type Case = (&'static str, fn(&mut Cx, usize, usize) -> Seen, usize, fn(usize) -> [usize; 3]);
+
+    fn rows(cx: &mut Cx, n: usize, width: usize) -> Seen {
+        let data: Vec<u32> = (0..(n * 4) as u32).collect();
+        let a = DArray2::from_global(cx, &cx.group(), [n, 4], (Dist::Block, Dist::Star), &data);
+        let h = exchange_row_halo(cx, &a, width);
+        (h.top, h.bottom, a.to_global(cx))
+    }
+
+    fn cols(cx: &mut Cx, n: usize, width: usize) -> Seen {
+        let data: Vec<u32> = (0..(3 * n) as u32).collect();
+        let a = DArray2::from_global(cx, &cx.group(), [3, n], (Dist::Star, Dist::Block), &data);
+        let h = exchange_col_halo(cx, &a, width);
+        (h.left, h.right, a.to_global(cx))
+    }
+
+    fn planes(cx: &mut Cx, n: usize, width: usize) -> Seen {
+        let data: Vec<u32> = (0..(2 * n * 3) as u32).collect();
+        let dist = (Dist::Star, Dist::Block, Dist::Star);
+        let a = DArray3::from_global(cx, &cx.group(), [2, n, 3], dist, &data);
+        let h = exchange_plane_halo(cx, &a, width);
+        (h.before, h.after, a.to_global(cx))
+    }
+
+    const CASES: [Case; 3] = [
+        ("rows", rows, 0, |n| [n, 4, 1]),
+        ("cols", cols, 1, |n| [3, n, 1]),
+        ("planes", planes, 1, |n| [2, n, 3]),
+    ];
+
+    /// Indices `lo..hi` of `axis`, whole in every other dimension, out of
+    /// the row-major `global` array — in row-major order.
+    fn slab(global: &[u32], shape: [usize; 3], axis: usize, lo: usize, hi: usize) -> Vec<u32> {
+        let mut lens = shape;
+        lens[axis] = hi - lo;
+        let mut out = Vec::new();
+        for_each_index(lens, |mut i| {
+            i[axis] += lo;
+            out.push(global[ravel(i, shape)]);
         });
-        // Proc 0: rows 0-2. Top empty; bottom = row 3.
-        assert_eq!(rep.results[0].0, Vec::<u32>::new());
-        assert_eq!(rep.results[0].1, vec![12, 13, 14, 15]);
-        // Proc 1: rows 3-5. Top = row 2, bottom = row 6.
-        assert_eq!(rep.results[1].0, vec![8, 9, 10, 11]);
-        assert_eq!(rep.results[1].1, vec![24, 25, 26, 27]);
-        // Proc 2: rows 6-8. Top = row 5; bottom empty.
-        assert_eq!(rep.results[2].0, vec![20, 21, 22, 23]);
-        assert_eq!(rep.results[2].1, Vec::<u32>::new());
+        out
     }
 
     #[test]
-    fn halo_width_two() {
-        let rep = spmd(&Machine::real(2), |cx| {
-            let g = cx.group();
-            let data: Vec<u16> = (0..16).collect(); // 8x2, 4 rows each
-            let a = DArray2::from_global(cx, &g, [8, 2], (Dist::Block, Dist::Star), &data);
-            let h = exchange_row_halo(cx, &a, 2);
-            (h.top, h.bottom)
-        });
-        assert_eq!(rep.results[0].1, vec![8, 9, 10, 11]); // rows 4,5
-        assert_eq!(rep.results[1].0, vec![4, 5, 6, 7]); // rows 2,3
+    fn every_axis_matches_its_neighbours_slabs() {
+        const P: usize = 3;
+        // BLOCK of 8 over 3 members: blocks of 3, 3 and 2.
+        let n = 8;
+        for (name, exchange, axis, shape) in CASES {
+            for width in [1, 2] {
+                let rep = spmd(&Machine::real(P), move |cx| exchange(cx, n, width));
+                for (v, (lead, trail, global)) in rep.results.iter().enumerate() {
+                    let (lo, hi) = (3 * v, (3 * v + 3).min(n));
+                    let slab = |lo, hi| slab(global, shape(n), axis, lo, hi);
+                    let want_lead = if v == 0 { Vec::new() } else { slab(lo - width, lo) };
+                    let want_trail = if v == P - 1 { Vec::new() } else { slab(hi, hi + width) };
+                    assert_eq!(*lead, want_lead, "{name} width {width} proc {v}: lower slab");
+                    assert_eq!(*trail, want_trail, "{name} width {width} proc {v}: higher slab");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn more_processors_than_blocks_sit_out() {
+        // Two indices over four members: blocks of one on members 0 and 1,
+        // nothing on 2 and 3, which neither send nor receive.
+        for (name, exchange, axis, shape) in CASES {
+            let rep = spmd(&Machine::real(4), move |cx| exchange(cx, 2, 1));
+            let global = &rep.results[0].2;
+            assert_eq!(rep.results[0].0, Vec::<u32>::new(), "{name}");
+            assert_eq!(rep.results[0].1, slab(global, shape(2), axis, 1, 2), "{name}");
+            assert_eq!(rep.results[1].0, slab(global, shape(2), axis, 0, 1), "{name}");
+            assert_eq!(rep.results[1].1, Vec::<u32>::new(), "{name}: member 2 owns nothing");
+            for v in [2, 3] {
+                assert!(rep.results[v].0.is_empty() && rep.results[v].1.is_empty(), "{name} proc {v}");
+            }
+        }
     }
 
     #[test]
     fn single_proc_halo_is_empty() {
-        let rep = spmd(&Machine::real(1), |cx| {
-            let g = cx.group();
-            let a = DArray2::new(cx, &g, [4, 4], (Dist::Block, Dist::Star), 0u8);
-            let h = exchange_row_halo(cx, &a, 1);
-            (h.top.len(), h.bottom.len())
-        });
-        assert_eq!(rep.results[0], (0, 0));
+        for (name, exchange, ..) in CASES {
+            let rep = spmd(&Machine::real(1), move |cx| exchange(cx, 4, 1));
+            assert!(rep.results[0].0.is_empty() && rep.results[0].1.is_empty(), "{name}");
+        }
     }
 
     #[test]
-    fn col_halo_matches_neighbours() {
-        let rep = spmd(&Machine::real(3), |cx| {
-            let g = cx.group();
-            let data: Vec<u32> = (0..18).collect(); // 2x9, 3 cols each
-            let a = DArray2::from_global(cx, &g, [2, 9], (Dist::Star, Dist::Block), &data);
-            let h = exchange_col_halo(cx, &a, 1);
-            (h.left, h.right)
-        });
-        // Proc 1 owns cols 3-5; left halo = col 2, right halo = col 6.
-        assert_eq!(rep.results[1].0, vec![2, 11]);
-        assert_eq!(rep.results[1].1, vec![6, 15]);
-        assert_eq!(rep.results[0].0, Vec::<u32>::new());
-        assert_eq!(rep.results[2].1, Vec::<u32>::new());
-    }
-
-    #[test]
-    fn col_halo_width_two() {
-        let rep = spmd(&Machine::real(2), |cx| {
-            let g = cx.group();
-            let data: Vec<u16> = (0..16).collect(); // 2x8, 4 cols each
-            let a = DArray2::from_global(cx, &g, [2, 8], (Dist::Star, Dist::Block), &data);
-            let h = exchange_col_halo(cx, &a, 2);
-            (h.left, h.right)
-        });
-        // Proc 0 right halo: cols 4,5 of rows 0,1 → [4,5,12,13].
-        assert_eq!(rep.results[0].1, vec![4, 5, 12, 13]);
-        assert_eq!(rep.results[1].0, vec![2, 3, 10, 11]);
-    }
-
-    #[test]
-    #[should_panic(expected = "fewer than the halo width")]
-    fn too_wide_halo_panics() {
-        spmd(&Machine::real(4), |cx| {
-            let g = cx.group();
-            let a = DArray2::new(cx, &g, [4, 4], (Dist::Block, Dist::Star), 0u8);
-            exchange_row_halo(cx, &a, 2);
-        });
+    fn owning_fewer_than_the_width_panics_on_every_axis() {
+        for (name, exchange, ..) in CASES {
+            let machine = Machine::real(4).with_timeout(std::time::Duration::from_secs(10));
+            let err = catch_unwind(AssertUnwindSafe(|| spmd(&machine, move |cx| exchange(cx, 4, 2))))
+                .expect_err("one index each is thinner than a halo of two");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("fewer than the halo width 2") || msg.contains("another processor panicked"),
+                "{name}: {msg}"
+            );
+        }
     }
 }

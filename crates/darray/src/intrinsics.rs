@@ -8,7 +8,7 @@
 use fx_core::Cx;
 
 use crate::array1::{DArray1, Elem};
-use crate::array2::DArray2;
+use crate::array::DArray2;
 use crate::assign::{copy_shift1_range, remap1, Participation};
 use crate::dist::Dist;
 use crate::plan::Remap;
@@ -83,7 +83,7 @@ pub fn sum2<T: Elem + Into<f64>>(cx: &mut Cx, a: &DArray2<T>) -> f64 {
 /// as a `BLOCK` 1-D array aligned with the matrix rows (fully local —
 /// rows are whole on their owners).
 pub fn sum_along_rows(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
-    assert_eq!(a.dist(), (Dist::Block, Dist::Star), "sum_along_rows needs (BLOCK, *)");
+    assert_eq!(a.dist(), [Dist::Block, Dist::Star], "sum_along_rows needs (BLOCK, *)");
     let mut out = DArray1::new(cx, a.group(), a.rows(), Dist1::Block, 0.0f64);
     let (lr, lc) = a.local_dims();
     debug_assert_eq!(out.local().len(), lr, "row alignment broke");
@@ -98,7 +98,7 @@ pub fn sum_along_rows(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
 /// HPF `SUM(a, DIM=1)` for a `(*, BLOCK)` matrix: per-column sums as a
 /// `BLOCK` 1-D array aligned with the matrix columns (fully local).
 pub fn sum_along_cols(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
-    assert_eq!(a.dist(), (Dist::Star, Dist::Block), "sum_along_cols needs (*, BLOCK)");
+    assert_eq!(a.dist(), [Dist::Star, Dist::Block], "sum_along_cols needs (*, BLOCK)");
     let mut out = DArray1::new(cx, a.group(), a.cols(), Dist1::Block, 0.0f64);
     let (lr, lc) = a.local_dims();
     debug_assert_eq!(out.local().len(), lc, "column alignment broke");

@@ -10,46 +10,55 @@
 //! group members hold elements, which is what lets parent-scope statements
 //! plan communication while everyone else skips.
 //!
+//! Arrays: [`DArray1`] (the only rank that replicates) and the
+//! rank-generic [`DArray`], with [`DArray2`] / [`DArray3`] as its matrix
+//! and 3-D instantiations.
+//!
 //! Key operations:
 //!
-//! * [`assign1`] / [`assign2`] — the parent-scope array assignment
-//!   `A2 = A1` between arbitrary distributions and (sub)groups, with the
-//!   paper's minimal-processor-subset participation (see
+//! * [`assign1`] / [`assign2`] / [`assign3`] — the parent-scope array
+//!   assignment `A2 = A1` between arbitrary distributions and (sub)groups,
+//!   with the paper's minimal-processor-subset participation (see
 //!   [`Participation`]);
+//! * [`transpose2`] — the distributed corner turn;
 //! * [`remap1`] / [`remap2`] — separable shifted assignments
 //!   `dst[r][c] = src[fr(r)][fc(c)]` planned from [`Remap`] descriptors;
 //!   [`copy_remap1`] / [`copy_remap2`] are the closure fallback for maps
 //!   no descriptor expresses;
-//! * [`transpose2`] — the distributed corner turn;
-//! * [`exchange_row_halo`] — ghost rows for window/stencil kernels;
+//! * [`exchange_row_halo`] / [`exchange_col_halo`] /
+//!   [`exchange_plane_halo`] — ghost regions for window/stencil kernels;
 //! * [`repartition_by`] / [`count_matching`] — predicate splits onto
 //!   subgroups (quicksort, Barnes-Hut);
 //! * owner-computes iteration (`for_each_owned`) and reassembly
 //!   (`to_global`) on the array types themselves.
+//!
+//! Every assignment, transposition and remap is one statement shape to
+//! the [`plan`] module: a cached rank-generic communication plan, built by
+//! one builder, replayed by one loop and checked against one per-element
+//! oracle.
 
+mod array;
 mod array1;
-mod array2;
-mod array3;
 mod assign;
 mod dataflow;
 mod dist;
 mod halo;
 mod intrinsics;
 mod pack;
-/// Cached interval-based communication plans (public so benchmarks and
-/// property tests can drive planning directly).
+// Public so benchmarks and property tests can drive planning directly.
 pub mod plan;
 mod rootio;
 
+pub use array::{DArray, DArray2, DArray3};
 pub use array1::{DArray1, Dist1, Elem, OwnerSet};
-pub use array2::{DArray2, Dist2};
-pub use array3::{assign3, exchange_plane_halo, DArray3, Dist3, PlaneHalo};
 pub use assign::{
-    assign1, assign2, assign2_with, copy_remap1, copy_remap1_range, copy_remap2,
+    assign1, assign2, assign2_with, assign3, copy_remap1, copy_remap1_range, copy_remap2,
     copy_remap2_with, copy_shift1_range, remap1, remap2, transpose2, Participation,
 };
 pub use dist::{DimMap, Dist};
-pub use halo::{exchange_col_halo, exchange_row_halo, ColHalo, RowHalo};
+pub use halo::{
+    exchange_col_halo, exchange_plane_halo, exchange_row_halo, ColHalo, PlaneHalo, RowHalo,
+};
 pub use intrinsics::{cshift1, eoshift1, max1, min1, sum1, sum2, sum_along_cols, sum_along_rows};
 pub use pack::{count_matching, repartition_by};
 pub use plan::{IntervalVer, Remap, VersionVec, WriteKind};

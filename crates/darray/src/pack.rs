@@ -12,7 +12,7 @@
 use fx_core::Cx;
 
 use crate::array1::{DArray1, Dist1, Elem};
-use crate::plan::{local_runs, owned_segments, unpack_seg_runs, unpack_seg_runs_chunk};
+use crate::plan::{local_runs, owned_segments, unpack_chunk};
 
 /// Split `src` into `dst_true` (elements satisfying `pred`) and
 /// `dst_false` (the rest). The destination extents must equal the global
@@ -103,12 +103,12 @@ fn scatter_side<T: Elem>(
         let total: usize = segs.iter().map(|&(_, l)| l).sum();
         let dp = d_group.phys(c);
         if dp == me {
-            let mut buf = Vec::with_capacity(total);
+            // Each segment lies within one ownership block, so its local
+            // image is contiguous.
             for &(s, l) in &segs {
-                buf.extend_from_slice(&vals[s - lo..s - lo + l]);
+                let at = d_map.local_of(s);
+                dst.local_mut()[at..at + l].copy_from_slice(&vals[s - lo..s - lo + l]);
             }
-            let runs = local_runs(&d_map, 0, &segs);
-            unpack_seg_runs(dst.local_mut(), &runs, &buf);
         } else {
             // Remote legs ride pooled chunks; packing straight into the
             // message buffer keeps the single-copy discipline.
@@ -145,8 +145,8 @@ fn scatter_side<T: Elem>(
             let runs = local_runs(&d_map, 0, &segs);
             let total: usize = segs.iter().map(|&(_, l)| l).sum();
             let chunk = cx.recv_chunk_phys(sp, tag);
-            debug_assert_eq!(chunk.elems(), total, "repartition set mismatch");
-            unpack_seg_runs_chunk(dst.local_mut(), &runs, &chunk);
+            assert_eq!(chunk.elems(), total, "repartition set mismatch from {sp}");
+            unpack_chunk(dst.local_mut(), &[1], &[runs], &chunk);
             cx.release_chunk(chunk);
         }
     }

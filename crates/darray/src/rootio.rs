@@ -10,7 +10,7 @@
 use fx_core::Cx;
 
 use crate::array1::{DArray1, Dist1, Elem};
-use crate::array2::DArray2;
+use crate::array::DArray2;
 use crate::plan::WriteKind;
 
 /// Gather a distributed 1-D array into a global vector on virtual rank
@@ -108,20 +108,8 @@ pub fn gather_to_root2<T: Elem + Default>(
         "gather_to_root2 is a collective over the array's group"
     );
     a.versions().borrow_mut().record_read(0..a.rows() * a.cols());
-    let mine = a.local().to_vec();
-    let parts = cx.gather(root, mine)?;
-    let cols = a.cols();
-    let mut out = vec![T::default(); a.rows() * cols];
-    for (vr, part) in parts.iter().enumerate() {
-        let (lr, lc) = a.local_dims_of(vr);
-        for lrow in 0..lr {
-            for lcol in 0..lc {
-                let (r, c) = a.map_global2(vr, lrow, lcol);
-                out[r * cols + c] = part[lrow * lc + lcol];
-            }
-        }
-    }
-    Some(out)
+    let parts = cx.gather(root, a.local().to_vec())?;
+    Some(a.assemble(&parts))
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@ fn hundred_iteration_pipeline_builds_each_plan_once() {
         let mut m1 = DArray2::new(cx, &g, [8, 8], (Dist::Block, Dist::Star), 1u64);
         let mut m2 = DArray2::new(cx, &g, [8, 8], (Dist::Star, Dist::Block), 0u64);
         for _ in 0..ITERS {
-            assign1(cx, &mut mid, &src); // statement 1: a Plan1
-            transpose2(cx, &mut m2, &m1); // statement 2: a Plan2
+            assign1(cx, &mut mid, &src); // statement 1: a rank-1 plan
+            transpose2(cx, &mut m2, &m1); // statement 2: a rank-2 plan
         }
         let _ = &mut m1;
         mid.to_global(cx)
@@ -55,7 +55,7 @@ fn halo_and_3d_assignment_plans_are_cached_too() {
         let mut acc = 0u64;
         for _ in 0..ITERS {
             let h = exchange_row_halo(cx, &a, 1); // statement 1: halo plan
-            assign3(cx, &mut d3, &s3); // statement 2: a Plan3
+            assign3(cx, &mut d3, &s3); // statement 2: a rank-3 plan
             acc += h.top.len() as u64 + h.bottom.len() as u64;
         }
         acc

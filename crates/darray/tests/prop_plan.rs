@@ -1,13 +1,27 @@
-//! Property tests for the communication-plan engine: for random
-//! placements, the interval-based plan expands to *exactly* the legacy
-//! per-element communication sets (same peers, same element order, no
-//! empty messages) — on every rank, in release builds too (debug builds
-//! additionally self-verify inside `Plan*::build`).
+//! Property tests for the communication-plan engine, written once over
+//! the rank and instantiated at 1, 2 and 3: for random distributions,
+//! explicit grids, group placements, index maps, sub-ranges and axis
+//! permutations, the interval-based plan expands to *exactly* the
+//! per-element enumeration (same peers, same element order, no empty
+//! message, peers ascending), and packing / unpacking / the local copy
+//! along its runs move exactly the enumerated slots — on every rank, in
+//! release builds too (debug builds additionally self-verify inside
+//! `Plan::build`).
 
 use fx_core::GroupHandle;
-use fx_darray::plan::{CommSets1, Plan1, Plan2, Plan3, Side1, Side2, Side3};
+use fx_darray::plan::{copy_local, pack_into, unpack_chunk, CommSets, Plan, Side, Stmt};
 use fx_darray::{DimMap, Dist, Remap};
+use fx_runtime::Chunk;
+use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// `N` independent draws of `s`, as an array.
+fn arr<S: Strategy, const N: usize>(s: S) -> impl Strategy<Value = [S::Value; N]>
+where
+    S::Value: std::fmt::Debug,
+{
+    vec(s, N).prop_map(|v| <[S::Value; N]>::try_from(v).expect("vec of length N"))
+}
 
 fn arb_dist() -> impl Strategy<Value = Dist> {
     prop_oneof![
@@ -17,140 +31,207 @@ fn arb_dist() -> impl Strategy<Value = Dist> {
     ]
 }
 
-/// Index maps that are in range for any equal-extent dimension pair.
-fn arb_remap() -> impl Strategy<Value = Remap> {
-    prop_oneof![
-        Just(Remap::Identity),
-        (-14isize..15).prop_map(Remap::ClampShift),
-        (-14isize..15).prop_map(Remap::Cyclic),
-    ]
+/// One destination dimension of a statement: its extent, the source
+/// extent it reads, the sub-range written and an index map that stays
+/// inside the source over that sub-range.
+#[derive(Debug, Clone, Copy)]
+struct Dim {
+    remap: Remap,
+    dn: usize,
+    sn: usize,
+    range: (usize, usize),
 }
 
-fn check_no_empty(cs: &CommSets1) {
-    for (_, slots) in cs.sends.iter().chain(cs.recvs.iter()) {
-        assert!(!slots.is_empty(), "empty message in plan");
+/// All four maps over extents below `max`; half the dimensions are
+/// written whole, the rest over a random (possibly empty) sub-range. The
+/// source grows until the map fits, and a shift is clamped to the shifts
+/// that are in range — which includes the negative ones a sub-range
+/// leaves room for.
+fn arb_dim(max: usize) -> impl Strategy<Value = Dim> {
+    let raw = (0..max, 0..max + 2, 0..max + 1, 0..max + 1, any::<bool>(), 0usize..4, -14isize..15);
+    raw.prop_map(|(dn, sn, a, b, whole, kind, by)| {
+        let (lo, hi) = if whole { (0, dn) } else { (a.min(b).min(dn), a.max(b).min(dn)) };
+        let (remap, sn) = match kind {
+            0 => (Remap::Identity, sn.max(hi)),
+            1 => {
+                let sn = sn.max(hi - lo);
+                (Remap::Shift(by.clamp(-(lo as isize), sn as isize - hi as isize)), sn)
+            }
+            2 => (Remap::ClampShift(by), sn.max(1)),
+            _ => (Remap::Cyclic(by), sn.max(1)),
+        };
+        Dim { remap, dn, sn, range: (lo, hi) }
+    })
+}
+
+/// Where one side lives: `p` processors from physical rank `off`, an
+/// explicit grid (`picks` choose among the divisors, so two and three
+/// distributed dimensions occur), a distribution per dimension, `*` on
+/// some undivided dimensions, or — rank 1 only — replication.
+#[derive(Debug, Clone, Copy)]
+struct Place<const N: usize> {
+    p: usize,
+    off: usize,
+    picks: [usize; N],
+    dists: [Dist; N],
+    star: [bool; N],
+    replicated: bool,
+}
+
+fn arb_place<const N: usize>() -> impl Strategy<Value = Place<N>> {
+    (1usize..9, 0usize..3, arr(0usize..8), arr(arb_dist()), arr(any::<bool>()), 0usize..4).prop_map(
+        |(p, off, picks, dists, star, rep)| Place { p, off, picks, dists, star, replicated: N == 1 && rep == 0 },
+    )
+}
+
+impl<const N: usize> Place<N> {
+    fn side(&self, gid: u64, extents: [usize; N]) -> Side<N> {
+        let group = GroupHandle::synthetic(gid, (self.off..self.off + self.p).collect());
+        if self.replicated {
+            let maps = extents.map(|n| DimMap::new(n, 1, Dist::Star));
+            return Side { group, maps, replicated: true };
+        }
+        let mut left = self.p;
+        let maps = std::array::from_fn(|k| {
+            let divisors: Vec<usize> = (1..=left).filter(|q| left.is_multiple_of(*q)).collect();
+            let q = if k == N - 1 { left } else { divisors[self.picks[k] % divisors.len()] };
+            left /= q;
+            let dist = if q == 1 && self.star[k] { Dist::Star } else { self.dists[k] };
+            DimMap::new(extents[k], q, dist)
+        });
+        Side { group, maps, replicated: false }
     }
+}
+
+/// The `pick`-th permutation of `0..N`.
+fn permutation<const N: usize>(mut pick: usize) -> [usize; N] {
+    let mut rest: Vec<usize> = (0..N).collect();
+    std::array::from_fn(|k| {
+        let at = pick % (N - k);
+        pick /= N - k;
+        rest.remove(at)
+    })
+}
+
+/// A statement between two placements, and how many ranks to check it on
+/// (every member of either group, plus one outsider).
+type Case<const N: usize> = (Side<N>, Side<N>, Stmt<N>, usize);
+
+fn arb_case<const N: usize>() -> impl Strategy<Value = Case<N>> {
+    // Long vectors (several block-cyclic periods), small cubes.
+    let max = [70, 20, 10][N - 1];
+    (arr::<_, N>(arb_dim(max)), arb_place::<N>(), arb_place::<N>(), 0usize..6).prop_map(
+        |(dims, sp, dp, pick)| {
+            let axes = permutation::<N>(pick);
+            let mut s_extents = [0; N];
+            for k in 0..N {
+                s_extents[axes[k]] = dims[k].sn;
+            }
+            let stmt = Stmt { remap: dims.map(|d| d.remap), range: dims.map(|d| d.range), axes };
+            let ranks = (sp.off + sp.p).max(dp.off + dp.p) + 1;
+            (sp.side(1, s_extents), dp.side(2, dims.map(|d| d.dn)), stmt, ranks)
+        },
+    )
+}
+
+/// On every rank: plan expansion == per-element oracle, no empty message,
+/// sends and receives ascending by peer.
+fn plan_equals_enumeration<const N: usize>((s, d, stmt, ranks): Case<N>) -> Result<(), TestCaseError> {
+    for me in 0..ranks {
+        let plan = Plan::build(me, &s, &d, &stmt);
+        let want = CommSets::enumerate(me, &s, &d, &stmt);
+        prop_assert_eq!(&CommSets::of_plan(&plan), &want, "rank {}", me);
+        for side in [&plan.sends, &plan.recvs] {
+            prop_assert!(side.iter().all(|p| p.total > 0), "rank {}: empty message planned", me);
+            prop_assert!(side.windows(2).all(|w| w[0].peer < w[1].peer), "rank {}: peers not ascending", me);
+        }
+        for (_, slots) in want.sends.iter().chain(&want.recvs) {
+            prop_assert!(!slots.is_empty(), "rank {}: empty message enumerated", me);
+        }
+    }
+    Ok(())
+}
+
+/// On every rank: `pack_into` reads exactly the enumerated send slots in
+/// order, `unpack_chunk` writes message element `j` to the `j`-th
+/// enumerated receive slot, `copy_local` moves the enumerated pairs.
+fn runs_move_the_enumerated_slots<const N: usize>((s, d, stmt, ranks): Case<N>) -> Result<(), TestCaseError> {
+    for me in 0..ranks {
+        let plan = Plan::build(me, &s, &d, &stmt);
+        let want = CommSets::enumerate(me, &s, &d, &stmt);
+        // A source tile that holds its own slot numbers and a destination
+        // tile length, both long enough for every slot the statement names.
+        let s_slots = want.sends.iter().flat_map(|(_, v)| v.iter().copied());
+        let d_slots = want.recvs.iter().flat_map(|(_, v)| v.iter().copied());
+        let s_len = s_slots.chain(want.local.iter().map(|p| p.0)).max().map_or(0, |m| m + 1);
+        let d_len = d_slots.chain(want.local.iter().map(|p| p.1)).max().map_or(0, |m| m + 1);
+        let src: Vec<u32> = (0..s_len as u32).collect();
+
+        for (p, (_, slots)) in plan.sends.iter().zip(&want.sends) {
+            let mut chunk = Chunk::with_capacity::<u32>(p.total);
+            pack_into(&src, &plan.src_strides, &p.dims, &mut chunk);
+            let want: Vec<u32> = slots.iter().map(|&slot| slot as u32).collect();
+            prop_assert_eq!(chunk.to_vec::<u32>(), want, "rank {} pack for {}", me, p.peer);
+        }
+        for (p, (_, slots)) in plan.recvs.iter().zip(&want.recvs) {
+            let mut chunk = Chunk::with_capacity::<u32>(p.total);
+            chunk.push_slice(&(0..p.total as u32).collect::<Vec<_>>());
+            let mut dst = vec![u32::MAX; d_len];
+            unpack_chunk(&mut dst, &plan.dst_strides, &p.dims, &chunk);
+            let mut expect = vec![u32::MAX; d_len];
+            for (j, &slot) in slots.iter().enumerate() {
+                expect[slot] = j as u32;
+            }
+            prop_assert_eq!(dst, expect, "rank {} unpack from {}", me, p.peer);
+        }
+        if let Some((sl, dl)) = &plan.local {
+            let mut dst = vec![u32::MAX; d_len];
+            copy_local(&src, &plan.src_strides, &sl.dims, &mut dst, &plan.dst_strides, &dl.dims);
+            let mut expect = vec![u32::MAX; d_len];
+            for &(from, to) in &want.local {
+                expect[to] = from as u32;
+            }
+            prop_assert_eq!(dst, expect, "rank {} local leg", me);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// 1-D shifted range copies between arbitrary distributions, group
-    /// overlaps, and replicated endpoints.
+    /// Rank 1: shifted sub-range copies, remaps and replicated endpoints.
     #[test]
-    fn plan1_equals_legacy(
-        n in 0usize..70,
-        sq in 1usize..7,
-        dq in 1usize..7,
-        sd in arb_dist(),
-        dd in arb_dist(),
-        srep in any::<bool>(),
-        drep in any::<bool>(),
-        shift in -5isize..6,
-        lo in 0usize..40,
-        span in 0usize..70,
-        soff in 0usize..3,
-        doff in 0usize..3,
-    ) {
-        let sgroup = GroupHandle::synthetic(1, (soff..soff + sq).collect());
-        let dgroup = GroupHandle::synthetic(2, (doff..doff + dq).collect());
-        let smap = if srep { DimMap::new(n, 1, Dist::Star) } else { DimMap::new(n, sq, sd) };
-        let dmap = if drep { DimMap::new(n, 1, Dist::Star) } else { DimMap::new(n, dq, dd) };
-        let s = Side1 { group: sgroup, map: smap, replicated: srep };
-        let d = Side1 { group: dgroup, map: dmap, replicated: drep };
-        let lo = lo.min(n);
-        let hi = (lo + span).min(n);
-        for me in 0..(soff + sq).max(doff + dq) + 1 {
-            let plan = Plan1::build(me, &s, &d, lo..hi, shift);
-            let got = CommSets1::of_plan(&plan);
-            let want = CommSets1::legacy(me, &s, &d, lo..hi, Remap::Shift(shift));
-            prop_assert_eq!(&got, &want, "rank {}", me);
-            check_no_empty(&got);
-        }
+    fn plan1_equals_enumeration(case in arb_case::<1>()) {
+        plan_equals_enumeration(case)?;
     }
 
-    /// 2-D copies, transpositions and per-dimension remaps (many-to-one
-    /// clamped tails, cyclic wraps) over random axis splits.
+    /// Rank 2: copies, transpositions and per-dimension remaps (many-to-one
+    /// clamped tails, cyclic wraps) over random grids.
     #[test]
-    fn plan2_equals_legacy(
-        rows in 1usize..12,
-        cols in 1usize..12,
-        sp in 1usize..5,
-        dp in 1usize..5,
-        s_on_rows in any::<bool>(),
-        d_on_rows in any::<bool>(),
-        sd in arb_dist(),
-        dd in arb_dist(),
-        transposed in any::<bool>(),
-        remap in (arb_remap(), arb_remap()),
-    ) {
-        let star = |n: usize| DimMap::new(n, 1, Dist::Star);
-        let (srows, scols) = if transposed { (cols, rows) } else { (rows, cols) };
-        let (s_rmap, s_cmap) = if s_on_rows {
-            (DimMap::new(srows, sp, sd), star(scols))
-        } else {
-            (star(srows), DimMap::new(scols, sp, sd))
-        };
-        let (d_rmap, d_cmap) = if d_on_rows {
-            (DimMap::new(rows, dp, dd), star(cols))
-        } else {
-            (star(rows), DimMap::new(cols, dp, dd))
-        };
-        let s = Side2 {
-            group: GroupHandle::synthetic(1, (0..sp).collect()),
-            rmap: s_rmap,
-            cmap: s_cmap,
-        };
-        let d = Side2 {
-            group: GroupHandle::synthetic(2, (1..dp + 1).collect()),
-            rmap: d_rmap,
-            cmap: d_cmap,
-        };
-        for me in 0..sp.max(dp + 1) + 1 {
-            let plan = Plan2::build(me, &s, &d, transposed, remap);
-            let got = CommSets1::of_plan2(&plan);
-            let want = CommSets1::legacy2(me, &s, &d, transposed, remap);
-            prop_assert_eq!(&got, &want, "rank {}", me);
-            check_no_empty(&got);
-        }
+    fn plan2_equals_enumeration(case in arb_case::<2>()) {
+        plan_equals_enumeration(case)?;
     }
 
-    /// 3-D assignments with one distributed dimension per side.
+    /// Rank 3: one, two and three distributed dimensions per side, all six
+    /// axis permutations.
     #[test]
-    fn plan3_equals_legacy(
-        d0 in 1usize..6,
-        d1 in 1usize..6,
-        d2 in 1usize..6,
-        p in 1usize..5,
-        s_axis in 0usize..3,
-        d_axis in 0usize..3,
-        sd in arb_dist(),
-        dd in arb_dist(),
-    ) {
-        let maps_for = |axis: usize, dist: Dist| -> [DimMap; 3] {
-            let dims = [d0, d1, d2];
-            [0, 1, 2].map(|k| {
-                if k == axis {
-                    DimMap::new(dims[k], p, dist)
-                } else {
-                    DimMap::new(dims[k], 1, Dist::Star)
-                }
-            })
-        };
-        let s = Side3 {
-            group: GroupHandle::synthetic(1, (0..p).collect()),
-            maps: maps_for(s_axis, sd),
-        };
-        let d = Side3 {
-            group: GroupHandle::synthetic(2, (0..p).collect()),
-            maps: maps_for(d_axis, dd),
-        };
-        for me in 0..p + 1 {
-            let plan = Plan3::build(me, &s, &d);
-            let got = CommSets1::of_plan3(&plan);
-            let want = CommSets1::legacy3(me, &s, &d);
-            prop_assert_eq!(&got, &want, "rank {}", me);
-            check_no_empty(&got);
-        }
+    fn plan3_equals_enumeration(case in arb_case::<3>()) {
+        plan_equals_enumeration(case)?;
+    }
+
+    #[test]
+    fn runs1_move_the_enumerated_slots(case in arb_case::<1>()) {
+        runs_move_the_enumerated_slots(case)?;
+    }
+
+    #[test]
+    fn runs2_move_the_enumerated_slots(case in arb_case::<2>()) {
+        runs_move_the_enumerated_slots(case)?;
+    }
+
+    #[test]
+    fn runs3_move_the_enumerated_slots(case in arb_case::<3>()) {
+        runs_move_the_enumerated_slots(case)?;
     }
 }

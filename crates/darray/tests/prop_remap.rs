@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fx_core::{spmd, Cx, GroupHandle, Machine, MachineModel, Size};
-use fx_darray::plan::{Plan1, Plan2, Side1, Side2};
+use fx_darray::plan::{Plan, Side, Stmt};
 use fx_darray::{
     copy_remap1, copy_remap2, remap1, remap2, DArray1, DArray2, DimMap, Dist, Dist1, Remap,
 };
@@ -188,7 +188,7 @@ proptest! {
             (_, Dist::BlockCyclic(b)) => Dist1::BlockCyclic(b),
             _ => Dist1::Block,
         };
-        // One replicated endpoint in four: those statements take the fallback.
+        // One replicated endpoint in four: planned like the rest.
         let (sd, dd) = (dist1(sd, replicated.0 && replicated.1), dist1(dd, replicated.0 && !replicated.1));
         let run = |structured: bool, executor: Executor| {
             spmd(&machine(p, executor), move |cx| {
@@ -243,13 +243,14 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn out_of_range_shift_panics_at_plan_build() {
     let g = GroupHandle::synthetic(1, vec![0, 1]);
-    let side = |rows, cols| Side2 {
+    let side = |rows, cols| Side {
         group: g.clone(),
-        rmap: DimMap::new(rows, 1, Dist::Star),
-        cmap: DimMap::new(cols, 2, Dist::Block),
+        maps: [DimMap::new(rows, 1, Dist::Star), DimMap::new(cols, 2, Dist::Block)],
+        replicated: false,
     };
     let err = catch_unwind(AssertUnwindSafe(|| {
-        Plan2::build(0, &side(4, 8), &side(4, 8), false, (Remap::Identity, Remap::Shift(3)))
+        let stmt = Stmt::whole(&side(4, 8).maps, [Remap::Identity, Remap::Shift(3)]);
+        Plan::build(0, &side(4, 8), &side(4, 8), &stmt)
     }))
     .expect_err("columns 5.. shift past the source");
     let msg = panic_message(err);
@@ -258,9 +259,11 @@ fn out_of_range_shift_panics_at_plan_build() {
         "got: {msg}"
     );
 
-    let side1 = |n| Side1 { group: g.clone(), map: DimMap::new(n, 2, Dist::Cyclic), replicated: false };
-    let err = catch_unwind(AssertUnwindSafe(|| Plan1::build_remap(1, &side1(6), &side1(6), Remap::Shift(-1))))
-        .expect_err("index 0 shifts below the source");
+    let side1 = |n| Side { group: g.clone(), maps: [DimMap::new(n, 2, Dist::Cyclic)], replicated: false };
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        Plan::build(1, &side1(6), &side1(6), &Stmt::whole(&side1(6).maps, [Remap::Shift(-1)]))
+    }))
+    .expect_err("index 0 shifts below the source");
     let msg = panic_message(err);
     assert!(
         msg.contains("remap1: index map Shift(-1) sends destination index 0 outside the source extent 6"),

@@ -61,18 +61,18 @@ fn plan_exec(p: usize, plans: &[Plan<1>], srcs: &[Vec<f64>], dsts: &mut [Vec<f64
     for me in 0..p {
         let pl = &plans[me];
         if let Some((sl, dl)) = &pl.local {
-            copy_local(&srcs[me], &pl.src_strides, &sl.dims, &mut dsts[me], &pl.dst_strides, &dl.dims);
+            copy_local(&srcs[me], &pl.src_strides, sl.dims(&pl.runs), &mut dsts[me], &pl.dst_strides, dl.dims(&pl.runs));
         }
         for sp in &pl.sends {
             let mut chunk = Chunk::with_capacity::<f64>(sp.total);
-            pack_into(&srcs[me], &pl.src_strides, &sp.dims, &mut chunk);
+            pack_into(&srcs[me], &pl.src_strides, sp.dims(&pl.runs), &mut chunk);
             mail.insert((me, sp.peer), chunk);
         }
     }
     for (me, pl) in plans.iter().enumerate() {
         for rp in &pl.recvs {
             let chunk = mail.remove(&(rp.peer, me)).expect("matching send");
-            unpack_chunk(&mut dsts[me], &pl.dst_strides, &rp.dims, &chunk);
+            unpack_chunk(&mut dsts[me], &pl.dst_strides, rp.dims(&pl.runs), &chunk);
         }
     }
 }

@@ -335,7 +335,7 @@ impl<'a> Cx<'a> {
     /// time).
     ///
     /// Keys are compared by exact equality; the data-parallel layer encodes
-    /// everything a plan depends on (distributions, group ids, array
+    /// everything a plan depends on (distributions, group member lists, array
     /// extents, ranges, shifts) into its key types.
     pub fn plan_cached<K, P, F>(&mut self, key: K, build: F) -> Arc<P>
     where

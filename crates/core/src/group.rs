@@ -11,7 +11,10 @@
 //! region pops it — exactly the stack of virtual-to-physical processor
 //! mappings the Fx implementation maintains.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+use crate::hash::mix2;
 
 /// An immutable, shareable description of a processor group.
 ///
@@ -22,17 +25,28 @@ use std::sync::Arc;
 pub struct GroupHandle {
     pub(crate) gid: u64,
     pub(crate) members: Arc<Vec<usize>>,
+    /// Hash of the member list, computed once here.
+    fingerprint: u64,
 }
 
 impl GroupHandle {
     pub(crate) fn new(gid: u64, members: Arc<Vec<usize>>) -> Self {
         assert!(!members.is_empty(), "a processor group cannot be empty");
-        GroupHandle { gid, members }
+        let fingerprint = members.iter().fold(members.len() as u64, |h, &m| mix2(h, m as u64));
+        GroupHandle { gid, members, fingerprint }
     }
 
     /// Stable identifier of the group (derives message tags).
     pub fn gid(&self) -> u64 {
         self.gid
+    }
+
+    /// The member list as a cache key. What is planned for a group — who
+    /// owns which index, who talks to whom — depends on the group only
+    /// through its members, not through the `gid` a partition mints afresh
+    /// on every call.
+    pub fn membership(&self) -> Membership {
+        Membership { fingerprint: self.fingerprint, members: Arc::clone(&self.members) }
     }
 
     /// Construct a handle directly, outside a running machine — for
@@ -81,6 +95,29 @@ impl PartialEq for GroupHandle {
 }
 impl Eq for GroupHandle {}
 
+/// A group's ordered member list, as a hashable value: hashes by the
+/// fingerprint its [`GroupHandle`] computed once, equal when the lists are
+/// (handles cloned from one another share the list and compare by pointer).
+#[derive(Clone, Debug)]
+pub struct Membership {
+    fingerprint: u64,
+    members: Arc<Vec<usize>>,
+}
+
+impl PartialEq for Membership {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.members, &other.members)
+            || (self.fingerprint == other.fingerprint && self.members == other.members)
+    }
+}
+impl Eq for Membership {}
+
+impl Hash for Membership {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
 /// One entry of a processor's mapping stack: a group plus this processor's
 /// virtual rank in it and the group-local operation sequence counter used
 /// to derive collective tags. The counter advances identically on all
@@ -125,6 +162,15 @@ mod tests {
         let c = group(8, &[0, 1]);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn membership_is_by_member_list() {
+        let a = group(7, &[0, 1]);
+        assert_eq!(a.membership(), a.clone().membership(), "shared list");
+        assert_eq!(a.membership(), group(8, &[0, 1]).membership(), "a fresh gid, the same members");
+        assert_ne!(a.membership(), group(7, &[1, 0]).membership(), "order is part of the list");
+        assert_ne!(a.membership(), group(7, &[0, 1, 2]).membership());
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod region;
 pub use coll::format_phys_ranges;
 pub use cx::{spmd, Cx};
 pub use plancache::PlanCache;
-pub use group::GroupHandle;
+pub use group::{GroupHandle, Membership};
 pub use partition::{
     donation_split, promotion_assignment, proportional_split, Size, Subgroup, TaskPartition,
 };

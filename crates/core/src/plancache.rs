@@ -3,7 +3,7 @@
 //! The data-parallel layer (fx-darray) computes interval-based
 //! communication plans for redistribution, halo exchange, and
 //! repartitioning. A plan depends only on static descriptors — array
-//! distributions, group identities, ranges and shifts — so an m-iteration
+//! distributions, group memberships, ranges and shifts — so an m-iteration
 //! pipeline re-executing the same assignment can build the plan once and
 //! replay it m−1 times. This module provides the cache those plans live
 //! in, hung off [`crate::Cx`] (one per processor, like everything else in
@@ -12,13 +12,13 @@
 //! The cache is type-erased: fx-core cannot name fx-darray's plan or key
 //! types, so keys are stored as `Box<dyn Any>` compared via downcast, and
 //! values as `Arc<dyn Any + Send + Sync>`. Lookup is by *exact* key
-//! equality (the 64-bit hash only selects a bucket), so two distinct
-//! descriptors can never alias to the same plan.
+//! equality (the stored 64-bit hash only skips the entries that cannot
+//! match), so two distinct descriptors can never alias to the same plan.
 //!
 //! Eviction is LRU by a monotone use tick, bounded by a fixed capacity —
 //! enough for every distinct statement of the paper's applications while
-//! keeping a runaway program (e.g. one redistributing through a fresh
-//! group each iteration) from growing without bound.
+//! keeping a runaway program (e.g. one redistributing arrays of a fresh
+//! extent each iteration) from growing without bound.
 //!
 //! A cached plan is also what makes a statement *analyzable* for
 //! dataflow barrier elision (DESIGN.md §5): plan-based statements move
@@ -32,7 +32,6 @@
 
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -52,6 +51,7 @@ impl<K: Eq + Send + 'static> DynKey for K {
 }
 
 struct Entry {
+    hash: u64,
     key: Box<dyn DynKey>,
     value: Arc<dyn Any + Send + Sync>,
     last_used: u64,
@@ -60,11 +60,11 @@ struct Entry {
 /// An exact-key, LRU-bounded map from plan descriptors to cached plans.
 #[derive(Default)]
 pub struct PlanCache {
-    /// Hash buckets; collisions are resolved by exact key equality.
-    buckets: HashMap<u64, Vec<Entry>>,
+    /// At most [`PLAN_CACHE_CAP`] entries, in no particular order: a lookup
+    /// scans the hashes, a miss on a full cache overwrites the LRU slot.
+    entries: Vec<Entry>,
     /// Monotone use counter driving LRU eviction.
     tick: u64,
-    len: usize,
 }
 
 impl PlanCache {
@@ -84,62 +84,35 @@ impl PlanCache {
         let mut hasher = DefaultHasher::new();
         TypeId::of::<K>().hash(&mut hasher);
         key.hash(&mut hasher);
-        let h = hasher.finish();
+        let hash = hasher.finish();
 
-        if let Some(bucket) = self.buckets.get_mut(&h) {
-            for e in bucket.iter_mut() {
-                if e.key.eq_key(&key) {
-                    e.last_used = tick;
-                    let value = Arc::clone(&e.value)
-                        .downcast::<P>()
-                        .expect("PlanCache: equal keys must cache equal plan types");
-                    return (value, true);
-                }
-            }
+        if let Some(e) = self.entries.iter_mut().find(|e| e.hash == hash && e.key.eq_key(&key)) {
+            e.last_used = tick;
+            let value = Arc::clone(&e.value)
+                .downcast::<P>()
+                .expect("PlanCache: equal keys must cache equal plan types");
+            return (value, true);
         }
 
         let value = Arc::new(build());
-        let erased: Arc<dyn Any + Send + Sync> = Arc::clone(&value) as _;
-        self.buckets.entry(h).or_default().push(Entry {
-            key: Box::new(key),
-            value: erased,
-            last_used: tick,
-        });
-        self.len += 1;
-        if self.len > PLAN_CACHE_CAP {
-            self.evict_lru();
+        let entry = Entry { hash, key: Box::new(key), value: Arc::clone(&value) as _, last_used: tick };
+        if self.entries.len() < PLAN_CACHE_CAP {
+            self.entries.push(entry);
+        } else {
+            let lru = self.entries.iter_mut().min_by_key(|e| e.last_used).expect("capacity is not zero");
+            *lru = entry;
         }
         (value, false)
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Remove the least-recently-used entry.
-    fn evict_lru(&mut self) {
-        let mut victim: Option<(u64, u64)> = None; // (last_used, bucket hash)
-        for (&h, bucket) in &self.buckets {
-            for e in bucket {
-                if victim.is_none_or(|(t, _)| e.last_used < t) {
-                    victim = Some((e.last_used, h));
-                }
-            }
-        }
-        if let Some((t, h)) = victim {
-            let bucket = self.buckets.get_mut(&h).expect("victim bucket exists");
-            bucket.retain(|e| e.last_used != t);
-            if bucket.is_empty() {
-                self.buckets.remove(&h);
-            }
-            self.len -= 1;
-        }
+        self.entries.is_empty()
     }
 }
 

@@ -135,7 +135,7 @@ fn replay<T: Elem, const N: usize>(
     let t0 = Instant::now();
     let mut local_total = 0usize;
     if let Some((sl, dl)) = &plan.local {
-        copy_local(src, &plan.src_strides, &sl.dims, dst, &plan.dst_strides, &dl.dims);
+        copy_local(src, &plan.src_strides, sl.dims(&plan.runs), dst, &plan.dst_strides, dl.dims(&plan.runs));
         local_total = sl.total;
     }
     pack_ns += t0.elapsed().as_nanos() as u64;
@@ -143,7 +143,7 @@ fn replay<T: Elem, const N: usize>(
     for p in &plan.sends {
         let t = Instant::now();
         let mut chunk = cx.chunk_for::<T>(p.total);
-        pack_into(src, &plan.src_strides, &p.dims, &mut chunk);
+        pack_into(src, &plan.src_strides, p.dims(&plan.runs), &mut chunk);
         pack_ns += t.elapsed().as_nanos() as u64;
         cx.send_chunk_phys(p.peer, tag, chunk);
     }
@@ -151,7 +151,7 @@ fn replay<T: Elem, const N: usize>(
         let chunk = cx.recv_chunk_phys(p.peer, tag);
         assert_eq!(chunk.elems(), p.total, "communication set mismatch from {}", p.peer);
         let t = Instant::now();
-        unpack_chunk(dst, &plan.dst_strides, &p.dims, &chunk);
+        unpack_chunk(dst, &plan.dst_strides, p.dims(&plan.runs), &chunk);
         pack_ns += t.elapsed().as_nanos() as u64;
         cx.release_chunk(chunk);
     }
@@ -721,11 +721,11 @@ mod tests {
         let machine = Machine::real(2).with_timeout(std::time::Duration::from_secs(10));
         spmd(&machine, |cx| {
             let tag = cx.next_op_tag();
-            let whole = |len| vec![Seg { start: 0, len, stride: 0, count: 1 }];
-            // Processor 0 ships 2x2x1 elements; processor 1 expects 2x2x2.
-            let dims = |last| [whole(2), whole(2), whole(last)];
-            let share = |peer, last| Peer { peer, total: 4 * last, dims: dims(last) };
-            let mut plan = Plan { sends: vec![], recvs: vec![], local: None, src_strides: [4, 2, 1], dst_strides: [4, 2, 1] };
+            // Processor 0 ships 2x2x1 elements; processor 1 expects 2x2x2:
+            // arena entry `len - 1` is the whole of a dimension of `len`.
+            let runs = [1, 2].map(|len| Seg { start: 0, len, stride: 0, count: 1 }).to_vec();
+            let share = |peer, last| Peer { peer, total: 4 * last, spans: [1..2, 1..2, last - 1..last] };
+            let mut plan = Plan { runs, sends: vec![], recvs: vec![], local: None, src_strides: [4, 2, 1], dst_strides: [4, 2, 1] };
             if cx.phys_rank() == 0 {
                 plan.sends.push(share(1, 1));
             } else {

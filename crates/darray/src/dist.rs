@@ -55,7 +55,7 @@ impl DimMap {
 
     /// HPF block size for `Block` (`ceil(n/q)`), or the parameter for
     /// `BlockCyclic`.
-    fn block(&self) -> usize {
+    pub(crate) fn block(&self) -> usize {
         match self.dist {
             Dist::Block => self.n.div_ceil(self.q).max(1),
             Dist::BlockCyclic(b) => b,

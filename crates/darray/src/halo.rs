@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use fx_core::Cx;
+use fx_core::{Cx, Membership};
 
 use crate::array::{DArray, DArray2, DArray3};
 use crate::array1::Elem;
@@ -19,9 +19,9 @@ use crate::plan::{pack_into, Peer, Seg};
 
 /// Cache key of a halo schedule: the array placement, the axis and the
 /// halo width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SlabKey<const N: usize> {
-    gid: u64,
+    group: Membership,
     maps: [DimMap; N],
     axis: usize,
     width: usize,
@@ -33,6 +33,9 @@ struct SlabKey<const N: usize> {
 /// indices and whose other dimensions are whole. Built once per
 /// (placement, axis, width), then replayed every exchange.
 struct SlabPlan<const N: usize> {
+    /// The arena both slabs' spans index: every dimension whole, then the
+    /// two `axis` runs.
+    runs: Vec<Seg>,
     /// For the lower-index neighbour (up/left/before), if any.
     lead: Option<Peer<N>>,
     /// For the higher-index neighbour (down/right/after), if any.
@@ -86,20 +89,21 @@ fn exchange_halo<T: Elem, const N: usize>(
     if owned == 0 {
         return (Vec::new(), Vec::new());
     }
-    let key = SlabKey { gid: a.group().gid(), maps: *a.maps(), axis, width };
+    let key = SlabKey { group: a.group().membership(), maps: *a.maps(), axis, width };
     let plan = cx.plan_cached(key, || {
-        let slab = |peer: usize, start: usize| Peer {
+        let run = |start, len| Seg { start, len, stride: 0, count: 1 };
+        let ends = [run(0, width), run(owned - width, width)];
+        // The slab whose `axis` run is `ends[end]`.
+        let slab = |peer: usize, end: usize| Peer {
             peer,
             total: lens.iter().product::<usize>() / owned * width,
-            dims: std::array::from_fn(|k| {
-                let (start, len) = if k == axis { (start, width) } else { (0, lens[k]) };
-                vec![Seg { start, len, stride: 0, count: 1 }]
-            }),
+            spans: std::array::from_fn(|k| if k == axis { N + end..N + end + 1 } else { k..k + 1 }),
         };
-        let map = key.maps[axis];
+        let map = a.maps()[axis];
         SlabPlan {
+            runs: lens.iter().map(|&len| run(0, len)).chain(ends).collect(),
             lead: (map.global_of(me, 0) > 0).then(|| slab(me - 1, 0)),
-            trail: (map.global_of(me, owned - 1) + 1 < map.n).then(|| slab(me + 1, owned - width)),
+            trail: (map.global_of(me, owned - 1) + 1 < map.n).then(|| slab(me + 1, 1)),
             strides: a.side().strides(phys),
         }
     });
@@ -110,7 +114,7 @@ fn exchange_halo<T: Elem, const N: usize>(
     for slab in plan.lead.iter().chain(&plan.trail) {
         let t = Instant::now();
         let mut chunk = cx.chunk_for::<T>(slab.total);
-        pack_into(a.local(), &plan.strides, &slab.dims, &mut chunk);
+        pack_into(a.local(), &plan.strides, slab.dims(&plan.runs), &mut chunk);
         pack_ns += t.elapsed().as_nanos() as u64;
         cx.send_chunk_v(slab.peer, tag, chunk);
     }

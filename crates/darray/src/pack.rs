@@ -12,7 +12,7 @@
 use fx_core::Cx;
 
 use crate::array1::{DArray1, Dist1, Elem};
-use crate::plan::{local_runs, owned_segments, unpack_chunk};
+use crate::plan::{owned_runs, owned_segments, unpack_chunk};
 
 /// Split `src` into `dst_true` (elements satisfying `pred`) and
 /// `dst_false` (the rest). The destination extents must equal the global
@@ -96,7 +96,7 @@ fn scatter_side<T: Elem>(
     let mut sends: Vec<(usize, fx_runtime::Chunk)> = Vec::new();
     for c in 0..d_map.q {
         segs.clear();
-        owned_segments(&d_map, c, 0, lo, hi, &mut segs);
+        owned_segments(&d_map, c, 0, lo, hi, &mut |s, l| segs.push((s, l)));
         if segs.is_empty() {
             continue;
         }
@@ -125,8 +125,10 @@ fn scatter_side<T: Elem>(
     }
 
     // Receive: walk every sender's range in virtual-rank order, keeping
-    // only the slots I own — as local runs rather than slot lists.
+    // only the slots I own — as local runs rather than slot lists, every
+    // sender's in the one `runs`.
     if dst.is_member() {
+        let mut runs = Vec::new();
         let my_c = d_group.vrank_of_phys(me).expect("member has a coordinate");
         let cur_group = cx.group();
         let mut start = 0usize;
@@ -137,16 +139,13 @@ fn scatter_side<T: Elem>(
             if sp == me || cnt == 0 {
                 continue;
             }
-            segs.clear();
-            owned_segments(&d_map, my_c, 0, range.0, range.1, &mut segs);
-            if segs.is_empty() {
+            let total = owned_runs(&d_map, my_c, range.0, range.1, &mut runs);
+            if total == 0 {
                 continue; // no empty messages — both sides know this
             }
-            let runs = local_runs(&d_map, 0, &segs);
-            let total: usize = segs.iter().map(|&(_, l)| l).sum();
             let chunk = cx.recv_chunk_phys(sp, tag);
             assert_eq!(chunk.elems(), total, "repartition set mismatch from {sp}");
-            unpack_chunk(dst.local_mut(), &[1], &[runs], &chunk);
+            unpack_chunk(dst.local_mut(), &[1], [&runs], &chunk);
             cx.release_chunk(chunk);
         }
     }

@@ -11,12 +11,19 @@
 //!   and the destination sub-range it writes, plus an axis permutation
 //!   (destination dimension `k` reads source dimension `axes[k]`;
 //!   transposition is `[1, 0]`). [`Plan::build`] cuts each dimension's map
-//!   into affine/constant pieces, turns each dimension into per-peer
-//!   **contiguous index runs** with one 1-D routine (`dim_runs`: the
-//!   FALLS-style segments a [`DimMap`] owns, split at the other side's
-//!   block boundaries and compressed into strided [`Seg`]s), and takes the
-//!   `N`-fold product: a peer's element set is the cross product of its
-//!   per-dimension runs, visited in the destination's row-major order.
+//!   into affine/constant pieces in closed form ([`Remap::cut`]), turns
+//!   each dimension into per-peer **contiguous index runs** with one 1-D
+//!   routine (`View::walk`: the FALLS-style segments a [`DimMap`] owns,
+//!   split at the other side's block boundaries and compressed into
+//!   strided [`Seg`]s), and takes the `N`-fold product: a peer's element
+//!   set is the cross product of its per-dimension runs, visited in the
+//!   destination's row-major order.
+//! * **One arena.** A build costs what the plan's description costs, not
+//!   what its data costs: time proportional to the runs, and a handful of
+//!   allocations whatever the extents or the number of processors. Every
+//!   `Seg` of a plan lives in its `runs` vector; a dimension's share for a
+//!   peer coordinate is stored there once, and each [`Peer`] of the
+//!   product holds `N` spans into it.
 //! * **Replication** (rank 1 only) is a peer-enumeration rule on top of
 //!   the same runs: a replicated side stands at coordinate 0 of a `Star`
 //!   map, every member of a replicated destination receives the share,
@@ -31,11 +38,11 @@
 //!   implementation: it walks every destination index, asks the
 //!   distribution metadata for the owners and buckets slots by peer —
 //!   O(elements), what the `copy_remap*` closure statements do on every
-//!   call. Debug builds check every freshly built plan against it, the
-//!   property tests do so in release builds too, and
-//!   `redist_microbench` times it as the "legacy" leg.
+//!   call. Debug builds check freshly built plans against it (up to
+//!   `ORACLE_MAX_ELEMS` elements), the property tests do so in release
+//!   builds too, and `redist_microbench` times it as the "legacy" leg.
 //!
-//! Plans depend only on static descriptors (distributions, group ids,
+//! Plans depend only on static descriptors (distributions, member lists,
 //! ranges, index maps, permutation), so they are cached per processor in
 //! [`fx_core::PlanCache`] (via `Cx::plan_cached`, keyed by [`Key`]) and
 //! replayed: an m-iteration pipeline pays the planning cost once. The
@@ -45,7 +52,7 @@
 
 use std::ops::Range;
 
-use fx_core::GroupHandle;
+use fx_core::{GroupHandle, Membership};
 use fx_runtime::Chunk;
 
 use crate::dist::{for_each_index, ravel, unravel, DimMap, Dist};
@@ -60,7 +67,7 @@ use crate::dist::{for_each_index, ravel, unravel, DimMap, Dist};
 /// One `Seg` describes e.g. "every q-th element" (len 1, stride q) or a
 /// whole contiguous range (count 1) — the two shapes block/cyclic
 /// redistributions produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Seg {
     /// First index of the first run.
     pub start: usize,
@@ -78,66 +85,85 @@ fn pieces(segs: &[Seg]) -> impl Iterator<Item = (usize, usize)> + '_ {
         .flat_map(|s| (0..s.count).map(move |k| (s.start + k * s.stride, s.len)))
 }
 
-/// Compress a list of contiguous `(start, len)` runs into strided
+/// Streaming compression of contiguous `(start, len)` runs into strided
 /// [`Seg`]s: adjacent runs merge, then equal-length runs at a constant
-/// stride fold into one `Seg`. List order is kept, so the list need not
+/// stride fold into one `Seg`. Feed order is kept, so the runs need not
 /// ascend: a run that steps backwards starts a new `Seg`, and a run
-/// repeated in place folds at stride 0.
-fn compress(runs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Seg> {
-    // Fold one merged run into the output: equal-length runs at a
-    // constant stride extend the last `Seg`.
-    fn fold(out: &mut Vec<Seg>, (s, l): (usize, usize)) {
-        match out.last_mut() {
-            Some(seg)
-                if seg.len == l
-                    && ((seg.count == 1 && s > seg.start)
-                        || s == seg.start + seg.count * seg.stride) =>
-            {
-                if seg.count == 1 {
-                    seg.stride = s - seg.start;
-                }
-                seg.count += 1;
+/// repeated in place folds at stride 0. A finished `Seg` goes to the
+/// caller's `put` with its position, so one pass can count a share's
+/// `Seg`s and the next write them at their place in an arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fold {
+    /// Indices fed so far.
+    total: usize,
+    /// The run being grown by adjacent pieces (none while its length is 0).
+    pending: (usize, usize),
+    /// The `Seg` being grown by equal runs (none while its `count` is 0).
+    open: Seg,
+    /// Position of the first `Seg` put, and of the next one.
+    from: usize,
+    at: usize,
+}
+
+impl Fold {
+    /// Feed the next run.
+    fn feed(&mut self, s: usize, l: usize, put: &mut impl FnMut(usize, Seg)) {
+        self.total += l;
+        if self.pending.1 > 0 && self.pending.0 + self.pending.1 == s {
+            self.pending.1 += l;
+        } else if l > 0 {
+            let run = std::mem::replace(&mut self.pending, (s, l));
+            self.fold(run, put);
+        }
+    }
+
+    /// Fold one merged run into the open `Seg`: an equal-length run at a
+    /// constant stride extends it, any other finishes it.
+    fn fold(&mut self, (s, l): (usize, usize), put: &mut impl FnMut(usize, Seg)) {
+        let seg = &mut self.open;
+        let extends = (seg.count == 1 && s > seg.start) || s == seg.start + seg.count * seg.stride;
+        if l > 0 && seg.len == l && extends {
+            if seg.count == 1 {
+                seg.stride = s - seg.start;
             }
-            _ => out.push(Seg { start: s, len: l, stride: 0, count: 1 }),
+            seg.count += 1;
+        } else if l > 0 {
+            self.put_open(put);
+            self.open = Seg { start: s, len: l, stride: 0, count: 1 };
         }
     }
-    let mut out: Vec<Seg> = Vec::new();
-    // The run being grown by adjacent pieces, not yet folded.
-    let mut pending: Option<(usize, usize)> = None;
-    for (s, l) in runs {
-        if l == 0 {
-            continue;
-        }
-        match &mut pending {
-            Some((ps, pl)) if *ps + *pl == s => *pl += l,
-            _ => {
-                if let Some(run) = pending.replace((s, l)) {
-                    fold(&mut out, run);
-                }
-            }
+
+    fn put_open(&mut self, put: &mut impl FnMut(usize, Seg)) {
+        if self.open.count > 0 {
+            put(self.at, std::mem::take(&mut self.open));
+            self.at += 1;
         }
     }
-    if let Some(run) = pending {
-        fold(&mut out, run);
+
+    /// No more runs: put what is still open.
+    fn finish(&mut self, put: &mut impl FnMut(usize, Seg)) {
+        let run = std::mem::take(&mut self.pending);
+        self.fold(run, put);
+        self.put_open(put);
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
 // FALLS-style ownership segments
 // ---------------------------------------------------------------------------
 
-/// Append the ascending segments of `{ g in [lo, hi) : 0 <= g+delta < n
-/// and map.owner(g+delta) == c }` — the global indices whose *shifted*
-/// image lives on grid coordinate `c`. Each emitted segment lies within a
-/// single ownership block of `map`, so its local image is contiguous.
+/// Call `out(start, len)` with the ascending segments of `{ g in [lo, hi) :
+/// 0 <= g+delta < n and map.owner(g+delta) == c }` — the global indices
+/// whose *shifted* image lives on grid coordinate `c`. Each segment lies
+/// within a single ownership block of `map`, so its local image is
+/// contiguous.
 pub(crate) fn owned_segments(
     map: &DimMap,
     c: usize,
     delta: isize,
     lo: usize,
     hi: usize,
-    out: &mut Vec<(usize, usize)>,
+    out: &mut impl FnMut(usize, usize),
 ) {
     if lo >= hi || map.n == 0 {
         return;
@@ -148,12 +174,12 @@ pub(crate) fn owned_segments(
         let a = a.max(lo_i);
         let e = e.min(hi_i);
         if e > a {
-            out.push((a as usize, (e - a) as usize));
+            out(a as usize, (e - a) as usize);
         }
     };
     // (base, blen, per): first block [base, base+blen), repeating at +per.
     let (base, blen, per) = match map.dist {
-        Dist::Star => {
+        _ if map.q == 1 || map.dist == Dist::Star => {
             push_clipped(-delta, n - delta);
             return;
         }
@@ -163,14 +189,7 @@ pub(crate) fn owned_segments(
             push_clipped(start - delta, (start + b).min(n) - delta);
             return;
         }
-        Dist::Cyclic if map.q == 1 => {
-            push_clipped(-delta, n - delta);
-            return;
-        }
-        Dist::BlockCyclic(_) if map.q == 1 => {
-            push_clipped(-delta, n - delta);
-            return;
-        }
+        Dist::Star => unreachable!("taken by the arm above"),
         Dist::Cyclic => (c as isize, 1isize, map.q as isize),
         Dist::BlockCyclic(b) => {
             (c as isize * b as isize, b as isize, (b * map.q) as isize)
@@ -190,10 +209,14 @@ pub(crate) fn owned_segments(
     }
 }
 
-/// Convert ascending global segments (each within one ownership block of
-/// `map` after shifting by `delta`) to compressed local runs.
-pub(crate) fn local_runs(map: &DimMap, delta: isize, segs: &[(usize, usize)]) -> Vec<Seg> {
-    compress(segs.iter().map(|&(s, l)| (map.local_of((s as isize + delta) as usize), l)))
+/// Replace `out` with the compressed local runs of the indices of
+/// `lo..hi` that coordinate `c` of `map` owns; returns their number.
+pub(crate) fn owned_runs(map: &DimMap, c: usize, lo: usize, hi: usize, out: &mut Vec<Seg>) -> usize {
+    out.clear();
+    let (mut fold, mut put) = (Fold::default(), |_, seg| out.push(seg));
+    owned_segments(map, c, 0, lo, hi, &mut |s, l| fold.feed(map.local_of(s), l, &mut put));
+    fold.finish(&mut put);
+    fold.total
 }
 
 // ---------------------------------------------------------------------------
@@ -236,34 +259,93 @@ impl Remap {
 
     /// Validate the map over destination indices `lo..hi` / source extent
     /// `sn` and cut it into maximal [`Piece`]s, ascending by destination
-    /// index. The one O(extent) step of a plan build, and where an
-    /// out-of-range map is rejected — in every build profile — naming the
-    /// statement by its `rank` and the dimension `dim`.
-    fn cut(self, (lo, hi): (usize, usize), sn: usize, rank: usize, dim: usize) -> Vec<Piece> {
+    /// index — in closed form: at most three pieces for the shifts, one
+    /// per wrap for [`Remap::Cyclic`], whatever the extent. An out-of-range
+    /// map is rejected here — in every build profile — naming the statement
+    /// by its `rank`, the dimension `dim` and the first offending index.
+    pub fn cut(self, (lo, hi): (usize, usize), sn: usize, rank: usize, dim: usize) -> Vec<Piece> {
         let mut out: Vec<Piece> = Vec::new();
-        for i in lo..hi {
-            let Some(s) = self.apply(i, sn) else {
-                let dim = match (rank, dim) {
-                    (1, _) => "index".to_string(),
-                    (2, 0) => "row".to_string(),
-                    (2, 1) => "column".to_string(),
-                    _ => format!("dimension {dim}"),
-                };
-                panic!(
-                    "remap{rank}: {dim} map {self:?} sends destination index {i} outside \
-                     the source extent {sn}"
-                );
-            };
-            match out.last_mut() {
-                Some(p) if p.len == 1 && (s == p.src || s == p.src + 1) => {
-                    p.step = s - p.src;
-                    p.len = 2;
+        if lo >= hi {
+            return out;
+        }
+        // The indices a map accepts form an interval, so checking its two
+        // ends checks the range; a failing range is bisected for the first
+        // index outside.
+        let ok = |i: usize| self.apply(i, sn).is_some();
+        if !(ok(lo) && ok(hi - 1)) {
+            let (mut good, mut bad) = (lo, if ok(lo) { hi - 1 } else { lo });
+            while bad - good > 1 {
+                let mid = good + (bad - good) / 2;
+                if ok(mid) {
+                    good = mid;
+                } else {
+                    bad = mid;
                 }
-                Some(p) if p.len > 1 && s == p.src + p.len * p.step => p.len += 1,
-                _ => out.push(Piece { dst: i, len: 1, src: s, step: 1 }),
+            }
+            let dim = match (rank, dim) {
+                (1, _) => "index".to_string(),
+                (2, 0) => "row".to_string(),
+                (2, 1) => "column".to_string(),
+                _ => format!("dimension {dim}"),
+            };
+            panic!(
+                "remap{rank}: {dim} map {self:?} sends destination index {bad} outside \
+                 the source extent {sn}"
+            );
+        }
+        let src_of = |i: usize| self.apply(i, sn).expect("checked above");
+        let mut stretch = |from: usize, to: usize, step: usize| {
+            if from < to {
+                push_piece(&mut out, Piece { dst: from, len: to - from, src: src_of(from), step });
+            }
+        };
+        match self {
+            Remap::Identity | Remap::Shift(_) => stretch(lo, hi, 1),
+            Remap::ClampShift(d) => {
+                // `lo..below` reads index 0, `above..hi` index `sn - 1`.
+                let edge = |at: i128| (at - d as i128).clamp(lo as i128, hi as i128) as usize;
+                let (below, above) = (edge(0), edge(sn as i128));
+                stretch(lo, below, 0);
+                stretch(below, above, 1);
+                stretch(above, hi, 0);
+            }
+            Remap::Cyclic(_) => {
+                let mut i = lo;
+                while i < hi {
+                    let e = hi.min(i + (sn - src_of(i)));
+                    stretch(i, e, 1);
+                    i = e;
+                }
             }
         }
         out
+    }
+}
+
+/// Append destination index `i`, reading source index `s`, to a cut: it
+/// extends the last piece where it continues it (a piece of one index
+/// takes its step from the second), and starts a piece otherwise.
+fn push_index(out: &mut Vec<Piece>, i: usize, s: usize) {
+    match out.last_mut() {
+        Some(p) if p.len == 1 && (s == p.src || s == p.src + 1) => {
+            p.step = s - p.src;
+            p.len = 2;
+        }
+        Some(p) if p.len > 1 && s == p.src + p.len * p.step => p.len += 1,
+        _ => out.push(Piece { dst: i, len: 1, src: s, step: 1 }),
+    }
+}
+
+/// Append a whole stretch, with the result of [`push_index`] on each of
+/// its indices in turn: after three of them the last piece holds at least
+/// two of the stretch and so has its step, and the rest only lengthen it.
+fn push_piece(out: &mut Vec<Piece>, r: Piece) {
+    let single = r.len.min(3);
+    for j in 0..single {
+        push_index(out, r.dst + j, r.src + j * r.step);
+    }
+    if let Some(p) = out.last_mut() {
+        p.len += r.len - single;
     }
 }
 
@@ -271,100 +353,137 @@ impl Remap {
 /// indices are `src, src+step, …`: `step` 1 is an affine stretch, `step`
 /// 0 one source index read `len` times (the clamped tail of
 /// [`Remap::ClampShift`] — a many-to-one map).
-#[derive(Debug, Clone, Copy)]
-struct Piece {
-    dst: usize,
-    len: usize,
-    src: usize,
-    step: usize,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Piece {
+    /// First destination index.
+    pub dst: usize,
+    /// Number of destination indices.
+    pub len: usize,
+    /// Source index of the first.
+    pub src: usize,
+    /// Source step per destination index: 1 or 0.
+    pub step: usize,
 }
 
-/// Which side of the statement the planning processor stands on.
-#[derive(Debug, Clone, Copy)]
-enum Role {
-    /// It owns source indices; peers are destination grid coordinates and
-    /// the runs index its source storage.
-    Send,
-    /// It owns destination indices; peers are source grid coordinates and
-    /// the runs index its destination storage.
-    Recv,
-}
-
-/// One peer coordinate's share of one dimension: `(peer coordinate, index
-/// count, local runs)`.
-type DimShare = (usize, usize, Vec<Seg>);
+/// Which side of the statement the planning processor stands on. A sender
+/// owns source indices: its peers are destination grid coordinates and its
+/// runs index its source storage. A receiver, the reverse.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Role { Send, Recv }
 
 /// One dimension of a statement, seen from grid coordinate `coord` of the
-/// `role` side: a [`DimShare`] for every peer coordinate it shares
-/// indices with, ascending by peer. Runs
-/// follow ascending *destination* index, so a source run may step
-/// backwards (a cyclic wrap) or repeat an index (a clamped tail).
-///
-/// My own indices come from the FALLS segments of my map and are split at
-/// the peer map's block boundaries: O(extent/q + runs), no per-element
-/// owner arithmetic.
-fn dim_runs(
-    cut: &[Piece],
-    src: &DimMap,
-    dst: &DimMap,
+/// `role` side.
+struct View<'a> {
+    cut: &'a [Piece],
+    src: &'a DimMap,
+    dst: &'a DimMap,
     role: Role,
     coord: usize,
-) -> Vec<DimShare> {
-    // `(peer coordinate, local start, len)` in ascending destination order.
-    let mut shares: Vec<(usize, usize, usize)> = Vec::new();
-    let mut mine: Vec<(usize, usize)> = Vec::new();
-    for p in cut {
-        let (lo, hi) = (p.dst, p.dst + p.len);
-        let src_at = |i: usize| p.src + (i - p.dst) * p.step;
-        mine.clear();
-        match role {
-            Role::Send => {
-                // Destination indices whose source index I own ...
-                if p.step == 1 {
-                    owned_segments(src, coord, p.src as isize - p.dst as isize, lo, hi, &mut mine);
-                } else if src.owner(p.src) == coord {
-                    mine.push((lo, p.len));
-                }
-                // ... split where the destination's owner changes.
-                for &(s, l) in &mine {
-                    let mut i = s;
-                    while i < s + l {
-                        let e = dst.block_end(i).min(s + l);
-                        let (peer, slot) = (dst.owner(i), src.local_of(src_at(i)));
-                        if p.step == 1 {
-                            shares.push((peer, slot, e - i));
-                        } else {
-                            shares.extend(std::iter::repeat_n((peer, slot, 1), e - i));
-                        }
-                        i = e;
+}
+
+impl View<'_> {
+    /// Number of peer coordinates along this dimension.
+    fn peers(&self) -> usize {
+        match self.role {
+            Role::Send => self.dst.q,
+            Role::Recv => self.src.q,
+        }
+    }
+
+    /// Call `f(peer coordinate, local start, len)` with every run of my
+    /// indices that one peer shares, in ascending *destination* order — so
+    /// a peer's source runs may step backwards (a cyclic wrap) or repeat an
+    /// index (a clamped tail).
+    ///
+    /// My own indices come from the FALLS segments of my map and are split
+    /// at the peer map's block boundaries: O(runs), no per-element owner
+    /// arithmetic and nothing proportional to the extent.
+    fn walk(&self, f: &mut impl FnMut(usize, usize, usize)) {
+        let (src, dst, send) = (self.src, self.dst, self.role == Role::Send);
+        for p in self.cut {
+            let src_at = |i: usize| p.src + (i - p.dst) * p.step;
+            // Destination indices `s..s + l` are mine and contiguous in my
+            // storage: split them where the peer map's owner changes,
+            // stepping through its blocks (one block, reading a constant).
+            let mut split = |s: usize, l: usize| {
+                let (theirs, t, slot) =
+                    if send { (dst, s, src.local_of(src_at(s))) } else { (src, src_at(s), dst.local_of(s)) };
+                let (mut peer, mut left, block) = (theirs.owner(t), theirs.block_end(t) - t, theirs.block());
+                let mut i = 0;
+                while i < l {
+                    let e = if send || p.step == 1 { (i + left).min(l) } else { l };
+                    if send && p.step == 0 {
+                        (i..e).for_each(|_| f(peer, slot, 1));
+                    } else {
+                        f(peer, slot + i, e - i);
                     }
+                    (i, left) = (e, block);
+                    peer = if peer + 1 == theirs.q { 0 } else { peer + 1 };
                 }
-            }
-            Role::Recv => {
-                // Destination indices I own, split where the source's
-                // owner changes (never, inside a constant piece).
-                owned_segments(dst, coord, 0, lo, hi, &mut mine);
-                for &(s, l) in &mine {
-                    let mut i = s;
-                    while i < s + l {
-                        let same_block = if p.step == 1 { src.block_end(src_at(i)) - src_at(i) } else { l };
-                        let e = (i + same_block).min(s + l);
-                        shares.push((src.owner(src_at(i)), dst.local_of(i), e - i));
-                        i = e;
-                    }
-                }
+            };
+            // A sender owns the destination indices whose source it owns.
+            let (lo, hi, delta) = (p.dst, p.dst + p.len, p.src as isize - p.dst as isize);
+            match (send, p.step) {
+                (true, 0) => if src.owner(p.src) == self.coord { split(lo, p.len) },
+                (true, _) => owned_segments(src, self.coord, delta, lo, hi, &mut split),
+                (false, _) => owned_segments(dst, self.coord, 0, lo, hi, &mut split),
             }
         }
     }
-    // Group by peer; the stable sort keeps each peer's destination order.
-    shares.sort_by_key(|&(peer, ..)| peer);
-    shares
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|g| {
-            let runs = compress(g.iter().map(|&(_, s, l)| (s, l)));
-            (g[0].0, g.iter().map(|&(.., l)| l).sum(), runs)
-        })
-        .collect()
+}
+
+/// Plan one role of a statement for processor `me`: its messages ascending
+/// by peer, and its side of the local leg. `folds[c][k]` compresses what
+/// [`View::walk`] gives peer coordinate `c` of dimension `k` onto the end
+/// of the arena `runs` — grouped by a counting placement, a coordinate
+/// being a small integer: the first pass counts each share's `Seg`s, the
+/// second writes them where the counts put them. The peers are every
+/// combination of one non-empty share per dimension; `ranks_at(peer
+/// coordinates, visit)` names the processors (at most `fan`) there.
+fn plan_role<const N: usize>(
+    views: [View; N],
+    (me, fan): (usize, usize),
+    folds: &mut Vec<[Fold; N]>,
+    runs: &mut Vec<Seg>,
+    ranks_at: impl Fn([usize; N], &mut dyn FnMut(usize)),
+) -> (Vec<Peer<N>>, Option<Peer<N>>) {
+    let grid = views.each_ref().map(View::peers);
+    folds.clear();
+    folds.resize(grid.into_iter().max().unwrap_or(0), [Fold::default(); N]);
+    for pass in 0..2 {
+        let mut put = |at: usize, seg| if pass == 1 { runs[at] = seg };
+        for (k, v) in views.iter().enumerate() {
+            v.walk(&mut |peer, s, l| folds[peer][k].feed(s, l, &mut put));
+        }
+        folds.iter_mut().flatten().for_each(|f| f.finish(&mut put));
+        if pass == 0 {
+            let mut at = runs.len();
+            for f in folds.iter_mut().flatten() {
+                let segs = std::mem::take(f).at;
+                (f.from, f.at) = (at, at);
+                at += segs;
+            }
+            runs.resize(at, Seg::default());
+        }
+    }
+    let shared = |k: usize| folds.iter().filter(|f| f[k].total > 0).count();
+    let (mut out, mut local) = (Vec::with_capacity((0..N).map(shared).product::<usize>() * fan), None);
+    for_each_index(grid, |c| {
+        let shares: [&Fold; N] = std::array::from_fn(|k| &folds[c[k]][k]);
+        let total: usize = shares.iter().map(|f| f.total).product();
+        if total > 0 {
+            ranks_at(c, &mut |peer| {
+                let share = Peer { peer, total, spans: shares.map(|f| f.from..f.at) };
+                if peer == me {
+                    local = Some(share);
+                } else {
+                    out.push(share);
+                }
+            });
+        }
+    });
+    out.sort_unstable_by_key(|p| p.peer);
+    (out, local)
 }
 
 // ---------------------------------------------------------------------------
@@ -465,15 +584,16 @@ impl<const N: usize> Stmt<N> {
     }
 }
 
-/// Cache key of a plan: group ids pin the member lists, the maps pin the
-/// index sets, the statement pins what moves; together they determine the
-/// plan for a given processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Cache key of a plan: the member lists (not the group ids — a partition
+/// mints those afresh on every call, and a plan does not depend on them),
+/// the maps that pin the index sets and the statement that pins what
+/// moves; together they determine the plan for a given processor.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Key<const N: usize> {
-    sgid: u64,
+    sgroup: Membership,
     smaps: [DimMap; N],
     srep: bool,
-    dgid: u64,
+    dgroup: Membership,
     dmaps: [DimMap; N],
     drep: bool,
     stmt: Stmt<N>,
@@ -483,10 +603,10 @@ impl<const N: usize> Key<N> {
     /// The key of `stmt` between placements `s` and `d`.
     pub fn new(s: &Side<N>, d: &Side<N>, stmt: Stmt<N>) -> Self {
         Key {
-            sgid: s.group.gid(),
+            sgroup: s.group.membership(),
             smaps: s.maps,
             srep: s.replicated,
-            dgid: d.group.gid(),
+            dgroup: d.group.membership(),
             dmaps: d.maps,
             drep: d.replicated,
             stmt,
@@ -504,15 +624,27 @@ pub struct Peer<const N: usize> {
     pub peer: usize,
     /// Total element count (product of the per-dimension counts).
     pub total: usize,
-    /// Local-index runs of each *destination* dimension (into source
-    /// storage for sends, destination storage for receives).
-    pub dims: [Vec<Seg>; N],
+    /// Where the local-index runs of each *destination* dimension (into
+    /// source storage for sends, destination storage for receives) lie in
+    /// the plan's arena. A dimension's share is stored once there, however
+    /// many peers of the product it is part of.
+    pub spans: [Range<usize>; N],
+}
+
+impl<const N: usize> Peer<N> {
+    /// Each destination dimension's runs, out of the plan's arena `runs`.
+    pub fn dims<'a>(&self, runs: &'a [Seg]) -> [&'a [Seg]; N] {
+        std::array::from_fn(|k| &runs[self.spans[k].clone()])
+    }
 }
 
 /// The communication plan of one statement for one processor: who to send
 /// to and receive from, as strided local runs, plus the purely local leg.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan<const N: usize> {
+    /// The arena every share's runs live in: per role, per dimension, per
+    /// peer coordinate, one contiguous span of `Seg`s.
+    pub runs: Vec<Seg>,
     /// Outgoing messages, ascending by destination physical rank.
     pub sends: Vec<Peer<N>>,
     /// Incoming messages, ascending by source physical rank.
@@ -529,12 +661,17 @@ pub struct Plan<const N: usize> {
     pub dst_strides: [usize; N],
 }
 
+/// Debug builds check a fresh plan against [`CommSets::enumerate`] up to
+/// this many elements: the enumeration costs what the data costs.
+const ORACLE_MAX_ELEMS: usize = 1 << 22;
+
 impl<const N: usize> Plan<N> {
     /// Build the plan of `stmt` between placements `s` and `d` for
-    /// processor `me`: the `N`-fold product of the per-dimension results
-    /// of `dim_runs`. Panics — in every build profile — if an index map
-    /// leaves the source extent; debug builds verify the result against
-    /// [`CommSets::enumerate`].
+    /// processor `me`: the `N`-fold product of the per-dimension shares
+    /// ([`fold_views`]), in time and space proportional to the runs it
+    /// describes and a fixed number of allocations. Panics — in every
+    /// build profile — if an index map leaves the source extent; debug
+    /// builds verify the result against [`CommSets::enumerate`].
     pub fn build(me: usize, s: &Side<N>, d: &Side<N>, stmt: &Stmt<N>) -> Plan<N> {
         assert!(N == 1 || !(s.replicated || d.replicated), "only rank-1 arrays replicate");
         let ax = stmt.axes;
@@ -543,83 +680,51 @@ impl<const N: usize> Plan<N> {
         let smaps: [DimMap; N] = std::array::from_fn(|k| s.maps[ax[k]]);
         let cuts: [Vec<Piece>; N] =
             std::array::from_fn(|k| stmt.remap[k].cut(stmt.range[k], smaps[k].n, N, k));
-        let s_strides = s.strides(me);
-        let mut plan = Plan {
-            sends: Vec::new(),
-            recvs: Vec::new(),
-            local: None,
-            src_strides: std::array::from_fn(|k| s_strides[ax[k]]),
-            dst_strides: d.strides(me),
-        };
-        // One peer's share: the product of one result per dimension.
-        let share = |peer: usize, runs: &[Vec<DimShare>; N], i: [usize; N]| Peer {
-            peer,
-            total: (0..N).map(|k| runs[k][i[k]].1).product(),
-            dims: std::array::from_fn(|k| runs[k][i[k]].2.clone()),
-        };
-        let (mut s_local, mut d_local) = (None, None);
-
-        // --- Sender role -------------------------------------------------
+        let view = |role, k: usize, coord| View { cut: &cuts[k], src: &smaps[k], dst: &d.maps[k], role, coord };
+        let (mut runs, mut folds) = (Vec::new(), Vec::new());
+        let (mut sends, mut recvs, mut s_local, mut d_local) = (Vec::new(), Vec::new(), None, None);
         if let Some(c) = s.coord_of(me) {
             // My source coordinate along the destination's axes.
-            let runs: [Vec<DimShare>; N] = std::array::from_fn(|k| {
-                dim_runs(&cuts[k], &smaps[k], &d.maps[k], Role::Send, c[ax[k]])
-            });
-            for_each_index::<N>(std::array::from_fn(|k| runs[k].len()), |i| {
+            let views = std::array::from_fn(|k| view(Role::Send, k, c[ax[k]]));
+            let fan = if d.replicated { d.group.len() } else { 1 };
+            (sends, s_local) = plan_role(views, (me, fan), &mut folds, &mut runs, |dc, visit| {
                 // Every member of a replicated destination gets the share;
                 // of a replicated source, only the serving member sends it.
-                let one;
-                let targets = if d.replicated {
-                    d.group.members()
-                } else {
-                    one = [d.phys(std::array::from_fn(|k| runs[k][i[k]].0))];
-                    &one[..]
-                };
-                for &dp in targets {
-                    if s.replicated && s.serve(dp) != me {
-                        continue;
-                    }
-                    if dp == me {
-                        s_local = Some(share(me, &runs, i));
-                    } else {
-                        plan.sends.push(share(dp, &runs, i));
-                    }
-                }
+                let one = [d.phys(dc)];
+                let targets = if d.replicated { d.group.members() } else { &one[..] };
+                targets.iter().filter(|&&dp| !s.replicated || s.serve(dp) == me).for_each(|&dp| visit(dp));
             });
-            plan.sends.sort_by_key(|p| p.peer);
         }
-
-        // --- Receiver role -----------------------------------------------
         if let Some(c) = d.coord_of(me) {
-            let runs: [Vec<DimShare>; N] = std::array::from_fn(|k| {
-                dim_runs(&cuts[k], &smaps[k], &d.maps[k], Role::Recv, c[k])
-            });
-            for_each_index::<N>(std::array::from_fn(|k| runs[k].len()), |i| {
+            let views = std::array::from_fn(|k| view(Role::Recv, k, c[k]));
+            (recvs, d_local) = plan_role(views, (me, 1), &mut folds, &mut runs, |c, visit| {
                 // Translate the per-axis coordinates back to the source
                 // grid's own layout.
                 let mut sc = [0; N];
                 for k in 0..N {
-                    sc[ax[k]] = runs[k][i[k]].0;
+                    sc[ax[k]] = c[k];
                 }
-                let sp = if s.replicated { s.serve(me) } else { s.phys(sc) };
-                if sp == me {
-                    d_local = Some(share(me, &runs, i));
-                } else {
-                    plan.recvs.push(share(sp, &runs, i));
-                }
+                visit(if s.replicated { s.serve(me) } else { s.phys(sc) });
             });
-            plan.recvs.sort_by_key(|p| p.peer);
         }
-
-        // Both roles see the local leg; each contributes its own side's runs.
-        plan.local = s_local.zip(d_local);
+        let s_strides = s.strides(me);
+        let plan = Plan {
+            runs,
+            sends,
+            recvs,
+            // Both roles see the local leg; each contributes its own side's runs.
+            local: s_local.zip(d_local),
+            src_strides: std::array::from_fn(|k| s_strides[ax[k]]),
+            dst_strides: d.strides(me),
+        };
         debug_assert!(
             plan.local.as_ref().is_none_or(|(sl, dl)| sl.total == dl.total),
             "local leg sides disagree"
         );
-        debug_assert_eq!(
-            CommSets::of_plan(&plan),
-            CommSets::enumerate(me, s, d, stmt),
+        let elems = || stmt.range.iter().try_fold(1usize, |n, &(lo, hi)| n.checked_mul(hi.saturating_sub(lo)));
+        debug_assert!(
+            elems().is_none_or(|n| n > ORACLE_MAX_ELEMS)
+                || CommSets::of_plan(&plan) == CommSets::enumerate(me, s, d, stmt),
             "plan disagrees with the per-element enumeration"
         );
         plan
@@ -634,7 +739,7 @@ impl<const N: usize> Plan<N> {
 /// the (outer) dimensions `dims`, in row-major order. The last of them is
 /// walked in place rather than by one more call per index: its indices
 /// are the rows of a matrix statement, often only a few elements long.
-fn for_each_outer(dims: &[Vec<Seg>], strides: &[usize], base: usize, f: &mut impl FnMut(usize)) {
+fn for_each_outer(dims: &[&[Seg]], strides: &[usize], base: usize, f: &mut impl FnMut(usize)) {
     let Some((runs, rest)) = dims.split_first() else { return f(base) };
     for (start, len) in pieces(runs) {
         for i in start..start + len {
@@ -654,10 +759,10 @@ fn for_each_outer(dims: &[Vec<Seg>], strides: &[usize], base: usize, f: &mut imp
 pub fn pack_into<T: Copy + Send + 'static, const N: usize>(
     src: &[T],
     strides: &[usize; N],
-    dims: &[Vec<Seg>; N],
+    dims: [&[Seg]; N],
     chunk: &mut Chunk,
 ) {
-    let (inner, step) = (&dims[N - 1], strides[N - 1]);
+    let (inner, step) = (dims[N - 1], strides[N - 1]);
     for_each_outer(&dims[..N - 1], &strides[..N - 1], 0, &mut |base| {
         for (start, len) in pieces(inner) {
             if step == 1 {
@@ -676,10 +781,10 @@ pub fn pack_into<T: Copy + Send + 'static, const N: usize>(
 pub fn unpack_chunk<T: Copy + Send + 'static, const N: usize>(
     dst: &mut [T],
     strides: &[usize; N],
-    dims: &[Vec<Seg>; N],
+    dims: [&[Seg]; N],
     chunk: &Chunk,
 ) {
-    let (inner, step) = (&dims[N - 1], strides[N - 1]);
+    let (inner, step) = (dims[N - 1], strides[N - 1]);
     let mut off = 0;
     for_each_outer(&dims[..N - 1], &strides[..N - 1], 0, &mut |base| {
         for (start, len) in pieces(inner) {
@@ -705,13 +810,13 @@ pub fn unpack_chunk<T: Copy + Send + 'static, const N: usize>(
 pub fn copy_local<T: Copy, const N: usize>(
     src: &[T],
     s_strides: &[usize; N],
-    s_dims: &[Vec<Seg>; N],
+    s_dims: [&[Seg]; N],
     dst: &mut [T],
     d_strides: &[usize; N],
-    d_dims: &[Vec<Seg>; N],
+    d_dims: [&[Seg]; N],
 ) {
     debug_assert_eq!(d_strides[N - 1], 1, "destination tiles are row-major");
-    copy_dims(src, s_strides, s_dims, dst, d_strides, d_dims);
+    copy_dims(src, s_strides, &s_dims, dst, d_strides, &d_dims);
 }
 
 /// [`copy_local`] from dimension `N - dims.len()` inwards, `src` and `dst`
@@ -719,16 +824,16 @@ pub fn copy_local<T: Copy, const N: usize>(
 fn copy_dims<T: Copy>(
     src: &[T],
     s_strides: &[usize],
-    s_dims: &[Vec<Seg>],
+    s_dims: &[&[Seg]],
     dst: &mut [T],
     d_strides: &[usize],
-    d_dims: &[Vec<Seg>],
+    d_dims: &[&[Seg]],
 ) {
     if let ([s_runs], [d_runs]) = (s_dims, d_dims) {
         return copy_seg_runs(src, s_strides[0], s_runs, dst, d_runs);
     }
     let indices = |runs| pieces(runs).flat_map(|(start, len)| start..start + len);
-    for (i, j) in indices(&s_dims[0]).zip(indices(&d_dims[0])) {
+    for (i, j) in indices(s_dims[0]).zip(indices(d_dims[0])) {
         let (src, dst) = (&src[i * s_strides[0]..], &mut dst[j * d_strides[0]..]);
         copy_dims(src, &s_strides[1..], &s_dims[1..], dst, &d_strides[1..], &d_dims[1..]);
     }
@@ -842,7 +947,8 @@ impl CommSets {
     /// Expand a plan's strided runs back to per-element flat-slot sets.
     pub fn of_plan<const N: usize>(plan: &Plan<N>) -> CommSets {
         let slots = |p: &Peer<N>, strides: &[usize; N]| -> Vec<usize> {
-            let per_dim: [Vec<usize>; N] = std::array::from_fn(|k| expand_runs(&p.dims[k]));
+            let per_dim: [Vec<usize>; N] =
+                p.dims(&plan.runs).map(|r| pieces(r).flat_map(|(s, l)| s..s + l).collect());
             let mut out = Vec::with_capacity(p.total);
             for_each_index::<N>(std::array::from_fn(|k| per_dim[k].len()), |i| {
                 out.push((0..N).map(|k| per_dim[k][i[k]] * strides[k]).sum());
@@ -858,11 +964,6 @@ impl CommSets {
             }),
         }
     }
-}
-
-/// Expand a run list to individual indices.
-fn expand_runs(runs: &[Seg]) -> Vec<usize> {
-    pieces(runs).flat_map(|(s, l)| s..s + l).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,6 +1102,19 @@ impl VersionVec {
 mod tests {
     use super::*;
 
+    /// [`Fold`] a whole run list.
+    fn compress(runs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Seg> {
+        let (mut fold, mut out) = (Fold::default(), Vec::new());
+        let mut put = |at, seg| {
+            assert_eq!(at, out.len(), "positions count up from the fold's start");
+            out.push(seg)
+        };
+        runs.into_iter().for_each(|(s, l)| fold.feed(s, l, &mut put));
+        fold.finish(&mut put);
+        assert_eq!((fold.from, fold.at), (0, out.len()));
+        out
+    }
+
     #[test]
     fn compress_merges_and_strides() {
         // Adjacent runs merge.
@@ -1034,7 +1148,7 @@ mod tests {
                         for (lo, hi) in [(0usize, n), (2, n.saturating_sub(1)), (0, 3.min(n))] {
                             for c in 0..q {
                                 let mut segs = Vec::new();
-                                owned_segments(&map, c, delta, lo, hi, &mut segs);
+                                owned_segments(&map, c, delta, lo, hi, &mut |s, l| segs.push((s, l)));
                                 let got: Vec<usize> =
                                     segs.iter().flat_map(|&(s, l)| s..s + l).collect();
                                 let want: Vec<usize> = (lo..hi)
@@ -1070,6 +1184,19 @@ mod tests {
         assert_eq!(Remap::Cyclic(3).apply(0, 0), None, "nothing to read from an empty source");
     }
 
+    /// One view's shares `(peer coordinate, index count, runs)`, planned
+    /// onto a non-empty arena so spans are seen to start where it ended.
+    fn dim_runs(cut: &[Piece], src: &DimMap, dst: &DimMap, role: Role, coord: usize) -> Vec<(usize, usize, Vec<Seg>)> {
+        let (mut folds, mut runs) = (Vec::new(), vec![Seg::default(); 3]);
+        let views = [View { cut, src, dst, role, coord }];
+        let (peers, local) = plan_role(views, (usize::MAX, 1), &mut folds, &mut runs, |[c], visit| visit(c));
+        assert!(local.is_none(), "no coordinate is `me`");
+        assert_eq!(peers.capacity(), peers.len(), "reserved exactly");
+        let out: Vec<_> = peers.iter().map(|p| (p.peer, p.total, p.dims(&runs)[0].to_vec())).collect();
+        assert_eq!(runs.len(), 3 + out.iter().map(|s| s.2.len()).sum::<usize>(), "no gap, no spare");
+        out
+    }
+
     #[test]
     fn dim_runs_repeat_the_clamped_edge() {
         // dst[i] = src[min(i + 3, 7)] between two BLOCK maps over 2 coords:
@@ -1093,27 +1220,46 @@ mod tests {
     }
 
     #[test]
+    fn shares_interleaved_in_destination_order_land_grouped_by_peer() {
+        // CYCLIC(2) -> CYCLIC(3) over 2 coordinates each: coordinate 0 owns
+        // sources 0 1 4 5 8 9, whose destination owners alternate.
+        let (src, dst) = (DimMap::new(10, 2, Dist::BlockCyclic(2)), DimMap::new(10, 2, Dist::BlockCyclic(3)));
+        let cut = Remap::Identity.cut((0, 10), 10, 1, 0);
+        let seg = |start, len, stride, count| Seg { start, len, stride, count };
+        // Destination owners 0 0 1 1 0 1 of its slots 0..6.
+        assert_eq!(
+            dim_runs(&cut, &src, &dst, Role::Send, 0),
+            vec![(0, 3, vec![seg(0, 2, 0, 1), seg(4, 1, 0, 1)]), (1, 3, vec![seg(2, 2, 0, 1), seg(5, 1, 0, 1)])]
+        );
+        // Coordinate 1 owns destinations 3 4 5 9, read from 1 0 0 0.
+        assert_eq!(
+            dim_runs(&cut, &src, &dst, Role::Recv, 1),
+            vec![(0, 3, vec![seg(1, 3, 0, 1)]), (1, 1, vec![seg(0, 1, 0, 1)])]
+        );
+    }
+
+    #[test]
     fn pack_unpack_roundtrip() {
         let src: Vec<u32> = (0..40).collect();
-        let runs = [vec![
+        let runs = [&[
             Seg { start: 1, len: 2, stride: 10, count: 3 },
             Seg { start: 35, len: 4, stride: 0, count: 1 },
-        ]];
+        ][..]];
         let mut chunk = Chunk::with_capacity::<u32>(10);
-        pack_into(&src, &[1], &runs, &mut chunk);
+        pack_into(&src, &[1], runs, &mut chunk);
         let buf = chunk.to_vec::<u32>();
         assert_eq!(buf, vec![1, 2, 11, 12, 21, 22, 35, 36, 37, 38]);
         let mut dst = vec![0u32; 40];
-        unpack_chunk(&mut dst, &[1], &runs, &chunk);
+        unpack_chunk(&mut dst, &[1], runs, &chunk);
         for (i, &v) in dst.iter().enumerate() {
             let expected = if buf.contains(&(i as u32)) { i as u32 } else { 0 };
             assert_eq!(v, expected);
         }
         // copy with differing piece boundaries
-        let s_runs = [vec![Seg { start: 0, len: 6, stride: 0, count: 1 }]];
-        let d_runs = [vec![Seg { start: 10, len: 2, stride: 3, count: 3 }]];
+        let s_runs = [&[Seg { start: 0, len: 6, stride: 0, count: 1 }][..]];
+        let d_runs = [&[Seg { start: 10, len: 2, stride: 3, count: 3 }][..]];
         let mut dst2 = vec![0u32; 20];
-        copy_local(&src, &[1], &s_runs, &mut dst2, &[1], &d_runs);
+        copy_local(&src, &[1], s_runs, &mut dst2, &[1], d_runs);
         assert_eq!(&dst2[10..12], &[0, 1]);
         assert_eq!(&dst2[13..15], &[2, 3]);
         assert_eq!(&dst2[16..18], &[4, 5]);

@@ -169,7 +169,7 @@ fn runs_move_the_enumerated_slots<const N: usize>((s, d, stmt, ranks): Case<N>) 
 
         for (p, (_, slots)) in plan.sends.iter().zip(&want.sends) {
             let mut chunk = Chunk::with_capacity::<u32>(p.total);
-            pack_into(&src, &plan.src_strides, &p.dims, &mut chunk);
+            pack_into(&src, &plan.src_strides, p.dims(&plan.runs), &mut chunk);
             let want: Vec<u32> = slots.iter().map(|&slot| slot as u32).collect();
             prop_assert_eq!(chunk.to_vec::<u32>(), want, "rank {} pack for {}", me, p.peer);
         }
@@ -177,7 +177,7 @@ fn runs_move_the_enumerated_slots<const N: usize>((s, d, stmt, ranks): Case<N>) 
             let mut chunk = Chunk::with_capacity::<u32>(p.total);
             chunk.push_slice(&(0..p.total as u32).collect::<Vec<_>>());
             let mut dst = vec![u32::MAX; d_len];
-            unpack_chunk(&mut dst, &plan.dst_strides, &p.dims, &chunk);
+            unpack_chunk(&mut dst, &plan.dst_strides, p.dims(&plan.runs), &chunk);
             let mut expect = vec![u32::MAX; d_len];
             for (j, &slot) in slots.iter().enumerate() {
                 expect[slot] = j as u32;
@@ -186,7 +186,7 @@ fn runs_move_the_enumerated_slots<const N: usize>((s, d, stmt, ranks): Case<N>) 
         }
         if let Some((sl, dl)) = &plan.local {
             let mut dst = vec![u32::MAX; d_len];
-            copy_local(&src, &plan.src_strides, &sl.dims, &mut dst, &plan.dst_strides, &dl.dims);
+            copy_local(&src, &plan.src_strides, sl.dims(&plan.runs), &mut dst, &plan.dst_strides, dl.dims(&plan.runs));
             let mut expect = vec![u32::MAX; d_len];
             for &(from, to) in &want.local {
                 expect[to] = from as u32;

@@ -5,11 +5,14 @@
 //! finish times on every processor, same message and byte counts — under
 //! both executors. The observable protocol (op tag, skip rule, message
 //! schedule, charges) is shared; only the host work differs.
+//!
+//! Below them, the closed-form `Remap::cut` against its per-index
+//! definition, and a plan over an extent no per-index step could finish.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fx_core::{spmd, Cx, GroupHandle, Machine, MachineModel, Size};
-use fx_darray::plan::{Plan, Side, Stmt};
+use fx_darray::plan::{Peer, Piece, Plan, Seg, Side, Stmt};
 use fx_darray::{
     copy_remap1, copy_remap2, remap1, remap2, DArray1, DArray2, DimMap, Dist, Dist1, Remap,
 };
@@ -226,6 +229,144 @@ proptest! {
                 prop_assert_eq!(&rep.traffic, &oracle.traffic, "msgs/bytes ({}, {})", structured, executor);
             }
         }
+    }
+}
+
+/// How a statement of rank `rank` names its dimension `dim` when it
+/// rejects a map.
+fn dim_name(rank: usize, dim: usize) -> String {
+    match (rank, dim) {
+        (1, _) => "index".to_string(),
+        (2, 0) => "row".to_string(),
+        (2, 1) => "column".to_string(),
+        _ => format!("dimension {dim}"),
+    }
+}
+
+/// What `Remap::cut` is defined to return: walk the destination indices
+/// one by one; an index extends the last piece where it continues it (a
+/// piece of one index takes its step, 0 or 1, from the second), and
+/// starts a piece otherwise. `Err` is the first index the map sends
+/// outside the source.
+fn cut_by_index(remap: Remap, (lo, hi): (usize, usize), sn: usize) -> Result<Vec<Piece>, usize> {
+    let mut out: Vec<Piece> = Vec::new();
+    for i in lo..hi {
+        let s = remap.apply(i, sn).ok_or(i)?;
+        match out.last_mut() {
+            Some(p) if p.len == 1 && (s == p.src || s == p.src + 1) => {
+                p.step = s - p.src;
+                p.len = 2;
+            }
+            Some(p) if p.len > 1 && s == p.src + p.len * p.step => p.len += 1,
+            _ => out.push(Piece { dst: i, len: 1, src: s, step: 1 }),
+        }
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// All four maps; shifts from far below to far above the extents (fully
+    /// clamped ranges, shifts that leave the source at either end); source
+    /// extents from 0 and 1 up; ranges that are empty, inverted, or several
+    /// sources long (a `Cyclic` wraps many times).
+    #[test]
+    fn cut_equals_its_per_index_definition(
+        kind in 0usize..4,
+        by in -70isize..71,
+        sn in 0usize..14,
+        range in (0usize..70, 0usize..70),
+        rank in 1usize..4,
+        dim in 0usize..3,
+    ) {
+        let remap = [Remap::Identity, Remap::Shift(by), Remap::ClampShift(by), Remap::Cyclic(by)][kind];
+        let dim = dim % rank;
+        let got = catch_unwind(|| remap.cut(range, sn, rank, dim));
+        match cut_by_index(remap, range, sn) {
+            Ok(want) => prop_assert_eq!(got.ok(), Some(want), "{:?} over {:?} of {}", remap, range, sn),
+            Err(i) => {
+                let msg = panic_message(got.expect_err("an index leaves the source"));
+                let want = format!(
+                    "remap{rank}: {} map {remap:?} sends destination index {i} outside the source extent {sn}",
+                    dim_name(rank, dim)
+                );
+                prop_assert_eq!(msg, want);
+            }
+        }
+    }
+}
+
+/// `big` is `small` with dimension `k` stretched `by[k]`-fold: same peers,
+/// every run and stride scaled — BLOCK and `*` shares are single runs, so
+/// the factor applies to starts and lengths alike.
+fn assert_scaled<const N: usize>(big: &Plan<N>, small: &Plan<N>, by: [usize; N]) {
+    let peer = |b: &Peer<N>, s: &Peer<N>| {
+        assert_eq!((b.peer, b.total), (s.peer, s.total * by.iter().product::<usize>()));
+        for (k, &f) in by.iter().enumerate() {
+            let want: Vec<Seg> = s.dims(&small.runs)[k]
+                .iter()
+                .map(|r| Seg { start: r.start * f, len: r.len * f, stride: r.stride * f, count: r.count })
+                .collect();
+            assert_eq!(b.dims(&big.runs)[k], want, "peer {} dimension {k}", b.peer);
+        }
+    };
+    for (b, s) in [(&big.sends, &small.sends), (&big.recvs, &small.recvs)] {
+        assert_eq!(b.len(), s.len());
+        b.iter().zip(s).for_each(|(b, s)| peer(b, s));
+    }
+    assert_eq!(big.local.is_some(), small.local.is_some());
+    for ((bs, bd), (ss, sd)) in big.local.iter().zip(&small.local) {
+        peer(bs, ss);
+        peer(bd, sd);
+    }
+    for k in 0..N {
+        let inner: usize = by[k + 1..].iter().product();
+        assert_eq!(big.src_strides[k], small.src_strides[k] * inner);
+        assert_eq!(big.dst_strides[k], small.dst_strides[k] * inner);
+    }
+}
+
+/// The functional proof that a build has no step proportional to the
+/// extent: 2⁴⁰ indices per dimension at P=64 plan at once — on every rank,
+/// debug builds included — and give the 2¹⁰ plan, scaled.
+#[test]
+fn block_plan_over_a_huge_extent_builds() {
+    const P: usize = 64;
+    let all = GroupHandle::synthetic(1, (0..P).collect());
+    // BLOCK over the 64 onto BLOCK over 16 of them, in reverse order: four
+    // source blocks per destination block.
+    let few = GroupHandle::synthetic(2, (0..16).rev().map(|v| 3 * v + 1).collect());
+    let vector = |n| {
+        let s = Side { group: all.clone(), maps: [DimMap::new(n, P, Dist::Block)], replicated: false };
+        let d = Side { group: few.clone(), maps: [DimMap::new(n, 16, Dist::Block)], replicated: false };
+        (s, d)
+    };
+    // (*, BLOCK) onto (BLOCK, *): an all-to-all.
+    let matrix = |[rows, cols]: [usize; 2]| {
+        let side = |q: [usize; 2], dists: [Dist; 2]| Side {
+            group: all.clone(),
+            maps: [DimMap::new(rows, q[0], dists[0]), DimMap::new(cols, q[1], dists[1])],
+            replicated: false,
+        };
+        (side([1, P], [Dist::Star, Dist::Block]), side([P, 1], [Dist::Block, Dist::Star]))
+    };
+    for me in 0..P {
+        let plan1 = |n| {
+            let (s, d) = vector(n);
+            Plan::build(me, &s, &d, &Stmt::whole(&d.maps, [Remap::Identity]))
+        };
+        let big = plan1(1 << 40);
+        assert_eq!(big.sends.len() + big.local.iter().len(), 1, "rank {me}'s block has one owner");
+        assert_scaled(&big, &plan1(1 << 10), [1 << 30]);
+
+        let plan2 = |shape| {
+            let (s, d) = matrix(shape);
+            Plan::build(me, &s, &d, &Stmt::whole(&d.maps, [Remap::Identity; 2]))
+        };
+        let big = plan2([1 << 40, 1 << 20]);
+        assert_eq!((big.sends.len(), big.recvs.len()), (P - 1, P - 1));
+        assert_scaled(&big, &plan2([1 << 10, 1 << 6]), [1 << 30, 1 << 14]);
     }
 }
 

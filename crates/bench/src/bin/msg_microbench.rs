@@ -21,13 +21,27 @@
 //! mailbox (a map insert, a queue allocation) shows as a ratio above 1;
 //! the bin asserts it stays under 2.
 //!
+//! In none of those does a receive find its lane empty for long, and the
+//! benchmark's `ring` wavefront never blocks at all. The `blocked_recv`
+//! rows time the path they leave out — deposit, wake of a parked
+//! processor, park, resume, take — as host ns per message of group
+//! barriers (reduce + broadcast, 2(P-1) messages, nearly every receive
+//! blocked) at P = 64 and P = 1024 simulated processors on one pooled
+//! worker, once unobserved and once with a telemetry registry attached.
+//! Unobserved, that path makes no system call and reads no host clock;
+//! the registry buys its durations back with clock reads, so within one
+//! process `unobserved_ns_per_msg < observed_ns_per_msg` whatever the
+//! host's speed (CI's bench-smoke gate).
+//!
 //! Emits `BENCH_msg.json` in the working directory and a table on
 //! stdout. Run with:
 //! `cargo run --release -p fx-bench --bin msg_microbench [-- --smoke]`
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use fx_runtime::{run, Machine};
+use fx_core::spmd;
+use fx_runtime::{run, Executor, Machine, MachineModel, Telemetry, TelemetryConfig};
 
 /// Pick the per-sender credit window: deep for small messages (so the
 /// single-core context-switch cost amortizes over many messages) and
@@ -133,6 +147,26 @@ fn fan_in_ns(p: usize, fan_in: usize, elems: usize, rounds: usize, chunked: bool
         }
     });
     rep.results[0]
+}
+
+/// Host ns per message over `rounds` group barriers of `machine`, timed by
+/// rank 0 from the end of a warm-up barrier (lanes built, every coroutine
+/// started) to the end of the last: with one worker that is all the host
+/// work of the measured rounds.
+fn barrier_ns_per_msg(machine: &Machine, rounds: usize) -> f64 {
+    const WARMUP: usize = 2;
+    let rep = spmd(machine, move |cx| {
+        for _ in 0..WARMUP {
+            cx.barrier();
+        }
+        let t = Instant::now();
+        for _ in 0..rounds {
+            cx.barrier();
+        }
+        t.elapsed().as_nanos() as f64
+    });
+    let msgs: u64 = rep.traffic.iter().map(|t| t.0).sum();
+    rep.results[0] / (msgs as f64 * rounds as f64 / (WARMUP + rounds) as f64)
 }
 
 /// Best of `reps` runs: the minimum is the least scheduler-noisy
@@ -252,14 +286,42 @@ fn main() {
     );
     assert!(ratio <= 2.0, "a fresh tag per round costs {ratio:.2}x the one-tag run (bound 2x)");
 
+    // The blocked-receive path, unobserved and observed, same process.
+    let blocked_executor = Executor::Pooled { workers: 1 };
+    let blocked_json: Vec<String> = [(64usize, 2000usize), (1024, 100)]
+        .into_iter()
+        .map(|(p, rounds)| {
+            let rounds = if smoke { rounds / 10 } else { rounds };
+            let msgs = 2 * (p - 1) * rounds;
+            let machine = Machine::simulated(p, MachineModel::paragon()).with_executor(blocked_executor);
+            let observed = machine.clone().with_telemetry(Arc::new(Telemetry::with_config(TelemetryConfig {
+                stall: false,
+                ..TelemetryConfig::default()
+            })));
+            let unobserved_ns = best_of(3, || barrier_ns_per_msg(&machine, rounds));
+            let observed_ns = best_of(3, || barrier_ns_per_msg(&observed, rounds));
+            println!(
+                "blocked recv (P={p}, {rounds} barriers, {msgs} msgs, {blocked_executor}): \
+                 {unobserved_ns:.0} ns/msg unobserved, {observed_ns:.0} ns/msg with a registry"
+            );
+            format!(
+                "    {{\"p\": {p}, \"op\": \"barrier\", \"rounds\": {rounds}, \"msgs\": {msgs}, \
+                 \"executor\": \"{blocked_executor}\", \"unobserved_ns_per_msg\": {unobserved_ns:.0}, \
+                 \"observed_ns_per_msg\": {observed_ns:.0}}}"
+            )
+        })
+        .collect();
+
     let mut json = format!(
         "{{\n  \"bench\": \"msg_host_time\",\n  \"pattern\": \"credit_windowed_fan_in\",\n  \
          \"executor\": \"{executor}\",\n  \"host_cores\": {host_cores},\n  \
          \"unit\": \"ns_receiver_measured_rounds\",\n  \
          \"fresh_tag\": {{\"p\": {p}, \"fan_in\": {fan_in}, \"msg_bytes\": {}, \"rounds\": {rounds}, \
          \"leg\": \"boxed\", \"executor\": \"{executor}\", \"one_tag_ns\": {one_tag_ns:.0}, \
-         \"fresh_tag_ns\": {fresh_tag_ns:.0}, \"fresh_over_one\": {ratio:.2}}},\n  \"results\": [\n",
-        elems * 8
+         \"fresh_tag_ns\": {fresh_tag_ns:.0}, \"fresh_over_one\": {ratio:.2}}},\n  \
+         \"blocked_recv\": [\n{}\n  ],\n  \"results\": [\n",
+        elems * 8,
+        blocked_json.join(",\n")
     );
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

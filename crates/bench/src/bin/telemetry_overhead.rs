@@ -1,12 +1,22 @@
 //! Host-time overhead of the live telemetry layer, on the same
 //! credit-windowed fan-in pattern as `msg_microbench`.
 //!
-//! Telemetry must be cheap enough to leave on in deployment: the budget
-//! is **< 5% throughput loss** on the message microbenchmark at P=64.
-//! This bin runs the chunk-path fan-in with telemetry off and on
+//! Telemetry must be cheap enough to leave on in deployment. This bin
+//! runs the chunk-path fan-in at P=64 with telemetry off and on
 //! (interleaved, best-of-N per leg so scheduler noise cancels), prints
-//! the delta, asserts the budget (skipped under `--smoke`), and emits
+//! the delta, asserts the budgets (skipped under `--smoke`), and emits
 //! `BENCH_telemetry.json`.
+//!
+//! The budget is **absolute**: what an observer costs per message,
+//! `(on_ns - off_ns) / msgs`, and what an observed message costs,
+//! `on_ns / msgs`. It used to be relative (< 5 % of the off leg), with
+//! both legs reading the host clock four times a message, so the ratio
+//! measured the registry's bookkeeping alone: 103 ns on a 2 252 ns
+//! message. An unobserved run no longer reads the clock, so the off leg
+//! is cheaper, the same observer is a larger share of it, and the ratio
+//! would fail for a reason that is no regression. `overhead_frac` is
+//! still recorded; winning the 5 % back is the single-event-stream
+//! work's to do (ROADMAP item 2), by making the observed path cheaper.
 //!
 //! Run with:
 //! `cargo run --release -p fx-bench --bin telemetry_overhead [-- --smoke]`
@@ -18,6 +28,19 @@ use fx_runtime::{run, Machine, Telemetry, TelemetryConfig};
 
 const TAG_DATA: u64 = 1;
 const TAG_ACK: u64 = 2;
+
+/// Observer budget, host ns per message: the 103 ns of registry
+/// bookkeeping last recorded with the clocks on both legs
+/// (`BENCH_telemetry.json` before this budget: on 74 766 785 - off
+/// 71 503 273 ns over 31 744 messages), the four clock reads per message
+/// (two in the send, two in the receive, ~36 ns each) that only an
+/// observed run still makes, and 100 ns of headroom for a threaded P=64
+/// run on a two-core host.
+const OBSERVER_BUDGET_NS_PER_MSG: f64 = 103.0 + 4.0 * 36.0 + 100.0;
+
+/// An observed message must cost no more than it did in that recording
+/// (74 766 785 ns / 31 744 messages): observing got no slower.
+const OBSERVED_BUDGET_NS_PER_MSG: f64 = 2355.0;
 
 /// One chunk-path fan-in run; returns the receiver's nanoseconds over
 /// the measured rounds (identical pattern to `msg_microbench`).
@@ -92,7 +115,7 @@ fn main() {
     // where per-message overhead (what telemetry adds to) matters most.
     let (p, fan_in, elems) = if smoke { (8, 7, 256) } else { (64, 31, 1024) };
     let rounds = if smoke { 64 } else { 512 };
-    let reps = if smoke { 2 } else { 7 };
+    let reps = if smoke { 2 } else { 15 };
 
     let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
         // Stall sampling off for the measured legs: the budget is about
@@ -117,6 +140,9 @@ fn main() {
     let bytes = (rounds * fan_in * elems * 8) as f64;
     let gibs = |ns: f64| bytes / ns * 1e9 / (1u64 << 30) as f64;
     let overhead = on_ns / off_ns - 1.0;
+    // One data chunk and one acknowledgement per sender per round.
+    let msgs = (2 * rounds * fan_in) as f64;
+    let (observer_ns, observed_ns) = ((on_ns - off_ns) / msgs, on_ns / msgs);
     // Tracing rides on top of telemetry in deployment, so its budget is
     // measured against the telemetry-on leg: what does stamping,
     // piggybacking and adopting a trace context per message add?
@@ -129,7 +155,9 @@ fn main() {
     println!("  telemetry off: {off_ns:>12.0} ns  {:.3} GiB/s", gibs(off_ns));
     println!("  telemetry on : {on_ns:>12.0} ns  {:.3} GiB/s", gibs(on_ns));
     println!("  + tracing    : {trace_ns:>12.0} ns  {:.3} GiB/s", gibs(trace_ns));
-    println!("  overhead     : {:+.2}% (budget < 5%)", overhead * 100.0);
+    println!("  observer     : {observer_ns:.0} ns/msg (budget < {OBSERVER_BUDGET_NS_PER_MSG:.0})");
+    println!("  observed msg : {observed_ns:.0} ns/msg (budget <= {OBSERVED_BUDGET_NS_PER_MSG:.0})");
+    println!("  overhead     : {:+.2}% of the off leg (recorded, not a budget)", overhead * 100.0);
     println!("  trace ovhd   : {:+.2}% over telemetry (budget < 5%)", trace_overhead * 100.0);
     let total = telemetry.total();
     println!(
@@ -144,8 +172,12 @@ fn main() {
          \"reps\": {reps},\n  \"off_ns\": {off_ns:.0},\n  \"on_ns\": {on_ns:.0},\n  \
          \"trace_ns\": {trace_ns:.0},\n  \
          \"off_gib_s\": {:.3},\n  \"on_gib_s\": {:.3},\n  \"overhead_frac\": {overhead:.4},\n  \
+         \"observer_ns_per_msg\": {observer_ns:.0},\n  \
+         \"observer_budget_ns_per_msg\": {OBSERVER_BUDGET_NS_PER_MSG:.0},\n  \
+         \"observed_ns_per_msg\": {observed_ns:.0},\n  \
+         \"observed_budget_ns_per_msg\": {OBSERVED_BUDGET_NS_PER_MSG:.0},\n  \
          \"trace_overhead_frac\": {trace_overhead:.4},\n  \
-         \"budget_frac\": 0.05\n}}\n",
+         \"trace_budget_frac\": 0.05\n}}\n",
         off.executor,
         off.dataflow,
         off.heartbeat,
@@ -158,9 +190,12 @@ fn main() {
 
     if !smoke {
         assert!(
-            overhead < 0.05,
-            "telemetry-on throughput must stay within 5% of off: measured {:+.2}%",
-            overhead * 100.0
+            observer_ns < OBSERVER_BUDGET_NS_PER_MSG,
+            "an attached registry must cost under {OBSERVER_BUDGET_NS_PER_MSG:.0} ns/msg: measured {observer_ns:.0}"
+        );
+        assert!(
+            observed_ns <= OBSERVED_BUDGET_NS_PER_MSG,
+            "an observed message must cost at most {OBSERVED_BUDGET_NS_PER_MSG:.0} ns: measured {observed_ns:.0}"
         );
         assert!(
             trace_overhead < 0.05,

@@ -359,6 +359,14 @@ impl<'a> Cx<'a> {
         self.rt.add_pack_ns(ns);
     }
 
+    /// A stopwatch for such a duration: it runs only when a telemetry
+    /// registry is attached and reads 0 otherwise (see
+    /// [`fx_runtime::ProcCtx::host_timer`]).
+    #[inline]
+    pub fn host_timer(&self) -> fx_runtime::HostTimer {
+        self.rt.host_timer()
+    }
+
     #[inline]
     pub(crate) fn top(&self) -> &Frame {
         self.stack.last().expect("group stack is never empty")

@@ -7,7 +7,6 @@
 //! written once over the rank: [`exchange_row_halo`],
 //! [`exchange_col_halo`] and [`exchange_plane_halo`] name the axis.
 
-use std::time::Instant;
 
 use fx_core::{Cx, Membership};
 
@@ -112,18 +111,18 @@ fn exchange_halo<T: Elem, const N: usize>(
     // the pooled chunk fast path; the halo API still hands out Vecs.
     let mut pack_ns = 0u64;
     for slab in plan.lead.iter().chain(&plan.trail) {
-        let t = Instant::now();
+        let t = cx.host_timer();
         let mut chunk = cx.chunk_for::<T>(slab.total);
         pack_into(a.local(), &plan.strides, slab.dims(&plan.runs), &mut chunk);
-        pack_ns += t.elapsed().as_nanos() as u64;
+        pack_ns += t.elapsed_ns();
         cx.send_chunk_v(slab.peer, tag, chunk);
     }
     let mut recv = |cx: &mut Cx, slab: &Option<Peer<N>>| {
         let Some(slab) = slab else { return Vec::new() };
         let chunk = cx.recv_chunk_v(slab.peer, tag);
-        let t = Instant::now();
+        let t = cx.host_timer();
         let v = chunk.to_vec::<T>();
-        pack_ns += t.elapsed().as_nanos() as u64;
+        pack_ns += t.elapsed_ns();
         cx.release_chunk(chunk);
         v
     };

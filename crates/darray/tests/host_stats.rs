@@ -154,19 +154,28 @@ fn telemetry_registry_reconciles_over_plan_driven_redistribution() {
 
 #[test]
 fn chunk_traffic_is_accounted_in_host_stats() {
-    let rep = spmd(&Machine::real(4), |cx| {
-        let g = cx.group();
-        let data: Vec<u64> = (0..64).collect();
-        let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
-        let mut cyc = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
-        assign1(cx, &mut cyc, &src);
-        cyc.to_global(cx)
-    });
-    for h in &rep.host_stats {
-        // Every remote redistribution leg rides the chunk path.
-        assert!(h.chunk_msgs > 0, "redistribution should use chunk transport");
-        assert_eq!(h.chunk_bytes % 8, 0, "u64 payloads are whole elements");
-        // Wall-clock counters tick (real-time mode, actual threads).
-        assert!(h.send_ns > 0);
+    // Host durations have one reader, the telemetry registry: they are
+    // measured with one attached and read 0 (no clock reads) without.
+    for observed in [false, true] {
+        let machine = match observed {
+            true => Machine::real(4).with_telemetry(Arc::new(Telemetry::new())),
+            false => Machine::real(4),
+        };
+        let rep = spmd(&machine, |cx| {
+            let g = cx.group();
+            let data: Vec<u64> = (0..64).collect();
+            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let mut cyc = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
+            assign1(cx, &mut cyc, &src);
+            cyc.to_global(cx)
+        });
+        for h in &rep.host_stats {
+            // Every remote redistribution leg rides the chunk path.
+            assert!(h.chunk_msgs > 0, "redistribution should use chunk transport");
+            assert_eq!(h.chunk_bytes % 8, 0, "u64 payloads are whole elements");
+            // Wall-clock counters tick (real-time mode, actual threads).
+            assert_eq!(h.send_ns > 0, observed, "send_ns {} with observed = {observed}", h.send_ns);
+            assert_eq!(h.plan.pack_ns > 0, observed, "pack_ns {} with observed = {observed}", h.plan.pack_ns);
+        }
     }
 }

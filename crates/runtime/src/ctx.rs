@@ -6,9 +6,11 @@
 //! endpoints for direct-deposit messaging.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::clock::{host_now, ns_since, CoarseClock, HostTimer};
 use crate::coro::{YieldKind, Yielder};
 use crate::heartbeat::{HeartbeatBoard, HeartbeatMode, PromoteStats};
 use crate::mailbox::{Envelope, Mailbox};
@@ -25,6 +27,11 @@ pub(crate) struct World {
     pub nprocs: usize,
     pub mode: TimeMode,
     pub mailboxes: Vec<Mailbox>,
+    /// Set by the first processor to panic, which poisons every mailbox;
+    /// later (secondary) panickers find it set and skip the walk.
+    pub poisoned: AtomicBool,
+    /// The run's coarse clock: stamps every deposit (see [`crate::clock`]).
+    pub clock: Arc<CoarseClock>,
     pub recv_timeout: Duration,
     /// Record duration spans (see [`crate::Span`]) during the run.
     pub profile: bool,
@@ -49,7 +56,25 @@ pub(crate) struct World {
     /// processor that reads true is legitimately quiescent — waiting for
     /// work to arrive, not deadlocked — so recv timeouts are forgiven and
     /// the stall sampler skips it.
-    pub idle: Vec<std::sync::atomic::AtomicBool>,
+    pub idle: Vec<AtomicBool>,
+}
+
+impl World {
+    /// A processor panicked: unblock everyone else, once per run.
+    ///
+    /// One [`Mailbox::poison`] walks P lanes and the world has P
+    /// mailboxes, so the walk is O(P²) lock bumps. Every processor it
+    /// releases panics in turn ("another processor panicked") and lands
+    /// here again; without the guard a P-wide cascade repeats the walk P
+    /// times. The winner of the swap is running (it is the caller), so it
+    /// finishes the walk no matter what the skippers go on to do.
+    pub fn poison_all(&self) {
+        if !self.poisoned.swap(true, Ordering::SeqCst) {
+            for mb in &self.mailboxes {
+                mb.poison();
+            }
+        }
+    }
 }
 
 /// How this processor's blocking points are implemented: by parking the
@@ -203,7 +228,7 @@ impl ProcCtx {
     #[inline]
     pub fn now(&self) -> f64 {
         match self.world.mode {
-            TimeMode::Real => self.start.elapsed().as_secs_f64(),
+            TimeMode::Real => host_now().duration_since(self.start).as_secs_f64(),
             TimeMode::Simulated(_) => self.clock,
         }
     }
@@ -298,7 +323,7 @@ impl ProcCtx {
     /// the sender is only charged its CPU overhead plus the per-byte gap.
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u64, value: T) {
         assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
-        let t0 = Instant::now();
+        let t0 = self.host_timer();
         let (payload, nbytes) = erase(value);
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
@@ -310,17 +335,32 @@ impl ProcCtx {
             tag,
             arrival,
             nbytes,
-            enqueued: t0,
+            enqueued: self.world.clock.now_ns(),
             trace: self.outgoing_trace(),
             payload: MsgBody::Boxed(payload),
         });
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.host.send_ns += ns;
-        if let Some(sh) = &self.tl {
-            // Same `ns` as HostStats, so the two reconcile exactly; the
-            // wall timestamp reuses `t0` (no extra clock syscall).
+        self.observe_send(t0, nbytes, false, contended, dst, tag);
+    }
+
+    /// A stopwatch for a host duration that is reported through
+    /// [`HostStats`] or [`PlanStats`]: it runs — two reads of the host
+    /// clock — only when a telemetry registry is attached to the run, the
+    /// one reader of those durations, and reads 0 otherwise.
+    #[inline]
+    pub fn host_timer(&self) -> HostTimer {
+        HostTimer(self.tl.as_ref().map(|_| host_now()))
+    }
+
+    /// Host-time accounting of one send, when someone is looking.
+    #[inline]
+    fn observe_send(&mut self, t0: HostTimer, nbytes: usize, chunk: bool, contended: bool, dst: usize, tag: u64) {
+        if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
+            // The same `ns` goes to HostStats and the registry, so the
+            // two reconcile exactly; the wall stamp reuses `t0`.
+            let ns = ns_since(t0);
+            self.host.send_ns += ns;
             let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, false, ns, wall, self.vbits(), dst, tag);
+            sh.on_send(nbytes as u64, chunk, ns, wall, self.vbits(), dst, tag);
             if contended {
                 sh.on_lane_contention();
             }
@@ -368,7 +408,7 @@ impl ProcCtx {
     /// pooled buffer itself moves into the receiver's mailbox.
     pub fn send_chunk(&mut self, dst: usize, tag: u64, chunk: Chunk) {
         assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
-        let t0 = Instant::now();
+        let t0 = self.host_timer();
         let nbytes = chunk.nbytes();
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
@@ -382,19 +422,11 @@ impl ProcCtx {
             tag,
             arrival,
             nbytes,
-            enqueued: t0,
+            enqueued: self.world.clock.now_ns(),
             trace: self.outgoing_trace(),
             payload: MsgBody::Chunk(chunk),
         });
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.host.send_ns += ns;
-        if let Some(sh) = &self.tl {
-            let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, true, ns, wall, self.vbits(), dst, tag);
-            if contended {
-                sh.on_lane_contention();
-            }
-        }
+        self.observe_send(t0, nbytes, true, contended, dst, tag);
     }
 
     /// Receive a [`Chunk`] from processor `src` on channel `tag`. After
@@ -437,11 +469,12 @@ impl ProcCtx {
         self.release_chunk(chunk);
     }
 
-    /// Blocking mailbox take with receive-side clock update and host
-    /// wait-time accounting (common to `recv` and `recv_chunk`).
+    /// Blocking mailbox take with receive-side clock update and, when a
+    /// registry is attached, host wait-time accounting (common to `recv`
+    /// and `recv_chunk`).
     fn take_env(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.world.nprocs, "recv from nonexistent processor {src}");
-        let t0 = Instant::now();
+        let t0 = self.host_timer();
         if let Some(sh) = &self.tl {
             // Published before blocking so the stall sampler can name the
             // (src, tag) this processor is parked on; cleared by on_recv.
@@ -465,9 +498,9 @@ impl ProcCtx {
                 idle,
             ),
         };
-        let waited = t0.elapsed().as_nanos() as u64;
-        self.host.recv_wait_ns += waited;
-        if let Some(sh) = &self.tl {
+        if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
+            let waited = ns_since(t0);
+            self.host.recv_wait_ns += waited;
             let wall = t0.duration_since(self.start).as_nanos() as u64 + waited;
             sh.on_recv(env.nbytes as u64, waited, wall, self.vbits(), src, tag);
         }
@@ -594,12 +627,8 @@ impl ProcCtx {
         }
         if let Some(len) = self.scope_stack.pop() {
             if let (Some(sh), Some(id)) = (&self.tl, self.scope_id_stack.pop()) {
-                let wall = self.start.elapsed().as_nanos() as u64;
-                let vbits = match self.world.mode {
-                    TimeMode::Real => 0,
-                    TimeMode::Simulated(_) => self.clock.to_bits(),
-                };
-                sh.on_region_exit(id, wall, vbits);
+                let wall = ns_since(self.start);
+                sh.on_region_exit(id, wall, self.vbits());
             }
             self.scope_path.truncate(len);
             self.scope_arc = None;
@@ -620,7 +649,7 @@ impl ProcCtx {
             }
         };
         self.scope_id_stack.push(id);
-        let wall = self.start.elapsed().as_nanos() as u64;
+        let wall = ns_since(self.start);
         let vbits = self.vbits();
         if let Some(sh) = &self.tl {
             sh.on_region_enter(id, wall, vbits);
@@ -733,12 +762,8 @@ impl ProcCtx {
     #[inline]
     pub fn note_barrier(&mut self) {
         if let Some(sh) = &self.tl {
-            let wall = self.start.elapsed().as_nanos() as u64;
-            let vbits = match self.world.mode {
-                TimeMode::Real => 0,
-                TimeMode::Simulated(_) => self.clock.to_bits(),
-            };
-            sh.on_barrier(wall, vbits);
+            let wall = ns_since(self.start);
+            sh.on_barrier(wall, self.vbits());
         }
     }
 

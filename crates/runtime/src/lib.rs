@@ -27,6 +27,7 @@
 //! subgroups, task regions and group collectives; `fx-darray` adds
 //! HPF-style distributed arrays.
 
+mod clock;
 mod coro;
 mod critical;
 mod ctx;
@@ -44,6 +45,9 @@ mod stall;
 mod telemetry;
 mod trace;
 
+#[doc(hidden)]
+pub use clock::debug_counters;
+pub use clock::HostTimer;
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
 pub use flight::{FlightEvent, FlightKind};

@@ -33,9 +33,10 @@
 //! * **Threaded** ([`Mailbox::new`]): each lane carries a condvar. `take`
 //!   parks the receiver's dedicated OS thread on the lane it matches;
 //!   `deposit` does `notify_one` after releasing the lane lock (each
-//!   mailbox has exactly one consumer, so one notify suffices); `poison`
-//!   locks each lane and `notify_all`s so the flag is seen no matter
-//!   which lane the receiver is parked on.
+//!   mailbox has exactly one consumer, so one notify suffices, and the
+//!   condvar counts its waiters, so a deposit nobody is blocked on makes
+//!   no system call); `poison` locks each lane and `notify_all`s so the
+//!   flag is seen no matter which lane the receiver is parked on.
 //!
 //! * **Pooled** ([`Mailbox::new_pooled`]): no condvars exist at all —
 //!   the owning processor is a coroutine, and parking a worker thread on
@@ -49,24 +50,36 @@
 //!   re-check finds the message). `poison` sets the flag, bumps each
 //!   lane's lock (so a registering receiver is past its flag check or
 //!   not yet suspended-committed), and wakes the owner unconditionally.
-//!   Recv timeouts cannot use `Condvar::wait_for` here; the pool's
-//!   watchdog thread latches a `timed_out` flag and wakes the processor,
-//!   which re-checks its lane and raises the *same* deadlock diagnostic
-//!   as the threaded path.
+//!   [`Pool::wake`] is a queue push; it reaches the kernel only when a
+//!   worker thread is asleep (the pool's sleeper gate). Recv timeouts
+//!   cannot use `Condvar::wait_for` here; the run's tick thread latches a
+//!   `timed_out` flag and wakes the processor, which re-checks its lane
+//!   and raises the *same* deadlock diagnostic as the threaded path.
 //!
 //! `poison` is the cold path and *materialises* each lane before bumping
 //! its lock. A receiver only ever waits on a lane it has fetched, and a
 //! slot is initialised once, so whichever side built the lane `poison`
 //! locks the very mutex the receiver checked the flag under: both
 //! arguments above hold for a lane that did not exist at the panic.
+//!
+//! ## Message ages
+//!
+//! A deposit is stamped from the run's coarse clock
+//! ([`crate::clock::CoarseClock`]: one relaxed load, advanced once per
+//! watchdog period), not from the host clock. The only reader is the
+//! depth snapshot behind the deadlock dump, the stall report and the
+//! `fx_oldest_queued_seconds` gauge, which refreshes the clock first: an
+//! age is the true one plus at most one period (`recv_timeout / 8`,
+//! 5–250 ms), ample for telling "being drained" from "queued long ago".
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::clock::CoarseClock;
 use crate::coro::{YieldKind, Yielder};
 use crate::payload::MsgBody;
 use crate::pool::Pool;
@@ -83,9 +96,9 @@ pub(crate) struct Envelope {
     pub arrival: f64,
     /// Wire size used for receiver-side cost accounting.
     pub nbytes: usize,
-    /// Wall-clock deposit time, so diagnostics can report how long the
-    /// message has been waiting unreceived.
-    pub enqueued: Instant,
+    /// Coarse-clock nanoseconds at the deposit, so diagnostics can report
+    /// how long the message has been waiting unreceived.
+    pub enqueued: u64,
     /// Causal trace context piggybacked by the sender (`id == 0` =
     /// untraced). The receiver adopts a non-zero trace on take, which is
     /// how a logical operation's identity crosses processor boundaries —
@@ -172,6 +185,8 @@ enum WakePolicy {
 pub(crate) struct Mailbox {
     lanes: Vec<OnceLock<Box<Lane>>>,
     wake: WakePolicy,
+    /// The run's coarse clock, which stamped every queued envelope.
+    clock: Arc<CoarseClock>,
     /// Set when some processor panicked: everyone blocked here must unwind
     /// too so the whole run fails instead of hanging.
     poisoned: AtomicBool,
@@ -180,19 +195,20 @@ pub(crate) struct Mailbox {
 impl Mailbox {
     /// A mailbox able to receive from `nprocs` senders (including self),
     /// for the threaded executor: per-lane condvar wakeups.
-    pub fn new(nprocs: usize) -> Self {
-        Self::with_wake(nprocs, WakePolicy::Condvar)
+    pub fn new(nprocs: usize, clock: Arc<CoarseClock>) -> Self {
+        Self::with_wake(nprocs, WakePolicy::Condvar, clock)
     }
 
     /// A mailbox owned by pooled processor `owner`: no condvars; deposits
     /// wake the owner through `pool`'s scheduler.
     pub fn new_pooled(nprocs: usize, owner: usize, pool: Arc<Pool>) -> Self {
-        Self::with_wake(nprocs, WakePolicy::Pool { pool, owner })
+        let clock = Arc::clone(pool.clock());
+        Self::with_wake(nprocs, WakePolicy::Pool { pool, owner }, clock)
     }
 
-    fn with_wake(nprocs: usize, wake: WakePolicy) -> Self {
+    fn with_wake(nprocs: usize, wake: WakePolicy, clock: Arc<CoarseClock>) -> Self {
         let lanes = (0..nprocs).map(|_| OnceLock::new()).collect();
-        Mailbox { lanes, wake, poisoned: AtomicBool::new(false) }
+        Mailbox { lanes, wake, clock, poisoned: AtomicBool::new(false) }
     }
 
     /// The lane of sender `src`, built on first use.
@@ -386,12 +402,14 @@ impl Mailbox {
     /// then tag, each with the age of its oldest queued message — the
     /// deadlock diagnostic and debugging view.
     pub fn depth_snapshot(&self) -> DepthSnapshot {
+        let now = self.clock.refresh();
         let mut out: DepthSnapshot = Vec::new();
         for (src, lane) in self.live_lanes() {
             let mut tags: BTreeMap<u64, (usize, Duration)> = BTreeMap::new();
             for e in &lane.state.lock().queue {
                 // Deposit order: the first message met per tag is its oldest.
-                tags.entry(e.tag).or_insert_with(|| (0, e.enqueued.elapsed())).0 += 1;
+                let age = Duration::from_nanos(now.saturating_sub(e.enqueued));
+                tags.entry(e.tag).or_insert((0, age)).0 += 1;
             }
             out.extend(
                 tags.into_iter()
@@ -412,17 +430,24 @@ mod tests {
     use super::*;
     use crate::payload::erase;
 
-    fn env(src: usize, tag: u64, v: u32) -> Envelope {
+    /// A threaded-mode mailbox on a clock of its own. No tick thread
+    /// runs here: a test that sleeps plays the tick with `clock.refresh()`.
+    fn mailbox(nprocs: usize) -> Mailbox {
+        Mailbox::new(nprocs, Arc::new(CoarseClock::new()))
+    }
+
+    /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.
+    fn put(mb: &Mailbox, src: usize, tag: u64, v: u32) {
         let (payload, nbytes) = erase(v);
-        Envelope {
+        mb.deposit(Envelope {
             src,
             tag,
             arrival: 0.0,
             nbytes,
-            enqueued: Instant::now(),
+            enqueued: mb.clock.now_ns(),
             trace: TraceCtx::NONE,
             payload: MsgBody::Boxed(payload),
-        }
+        });
     }
 
     static NOT_IDLE: AtomicBool = AtomicBool::new(false);
@@ -450,18 +475,18 @@ mod tests {
 
     #[test]
     fn fifo_per_channel() {
-        let mb = Mailbox::new(4);
-        mb.deposit(env(1, 7, 10));
-        mb.deposit(env(1, 7, 20));
+        let mb = mailbox(4);
+        put(&mb, 1, 7, 10);
+        put(&mb, 1, 7, 20);
         assert_eq!(take_u32(&mb, 1, 7), 10);
         assert_eq!(take_u32(&mb, 1, 7), 20);
     }
 
     #[test]
     fn channels_are_independent() {
-        let mb = Mailbox::new(4);
-        mb.deposit(env(1, 7, 10));
-        mb.deposit(env(2, 7, 20));
+        let mb = mailbox(4);
+        put(&mb, 1, 7, 10);
+        put(&mb, 2, 7, 20);
         assert_eq!(take_u32(&mb, 2, 7), 20);
         assert!(mb.probe(1, 7));
         assert!(!mb.probe(2, 7));
@@ -471,18 +496,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "timed out")]
     fn take_times_out_with_diagnostic() {
-        let mb = Mailbox::new(4);
-        mb.deposit(env(3, 9, 1));
+        let mb = mailbox(4);
+        put(&mb, 3, 9, 1);
         mb.take(1, 7, 0, Duration::from_millis(20), &NOT_IDLE);
     }
 
     #[test]
     fn timeout_diagnostic_reports_lane_depths_and_oldest_age() {
-        let mb = Mailbox::new(4);
-        mb.deposit(env(3, 9, 1));
+        let mb = mailbox(4);
+        put(&mb, 3, 9, 1);
         std::thread::sleep(Duration::from_millis(30));
-        mb.deposit(env(3, 9, 2));
-        mb.deposit(env(2, 5, 7));
+        put(&mb, 3, 9, 2);
+        put(&mb, 2, 5, 7);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             mb.take(1, 7, 0, Duration::from_millis(20), &NOT_IDLE);
         }))
@@ -495,10 +520,11 @@ mod tests {
 
     #[test]
     fn depth_snapshot_tracks_oldest_message_age() {
-        let mb = Mailbox::new(4);
-        mb.deposit(env(3, 9, 1));
+        let mb = mailbox(4);
+        put(&mb, 3, 9, 1);
         std::thread::sleep(Duration::from_millis(40));
-        mb.deposit(env(3, 9, 2)); // newer message must not reset the age
+        mb.clock.refresh();
+        put(&mb, 3, 9, 2); // newer message must not reset the age
         let snap = mb.depth_snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!((snap[0].src, snap[0].tag, snap[0].count), (3, 9, 2));
@@ -517,7 +543,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "another processor panicked")]
     fn poison_unblocks_with_panic() {
-        let mb = std::sync::Arc::new(Mailbox::new(4));
+        let mb = std::sync::Arc::new(mailbox(4));
         let mb2 = mb.clone();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
@@ -528,10 +554,10 @@ mod tests {
 
     #[test]
     fn cross_thread_delivery() {
-        let mb = std::sync::Arc::new(Mailbox::new(8));
+        let mb = std::sync::Arc::new(mailbox(8));
         let mb2 = mb.clone();
         let h = std::thread::spawn(move || {
-            mb2.deposit(env(5, 1, 42));
+            put(&mb2, 5, 1, 42);
         });
         let e = mb.take(5, 1, 0, Duration::from_secs(5), &NOT_IDLE);
         h.join().unwrap();
@@ -544,20 +570,21 @@ mod tests {
 
     #[test]
     fn lane_bytes_accumulate_per_source() {
-        let mb = Mailbox::new(3);
-        mb.deposit(env(1, 7, 10)); // 4 bytes
-        mb.deposit(env(1, 8, 20)); // 4 bytes
-        mb.deposit(env(2, 7, 30)); // 4 bytes
+        let mb = mailbox(3);
+        put(&mb, 1, 7, 10); // 4 bytes
+        put(&mb, 1, 8, 20); // 4 bytes
+        put(&mb, 2, 7, 30); // 4 bytes
         assert_eq!(mb.lane_bytes(), vec![0, 8, 4]);
     }
 
     #[test]
     fn interleaved_tags_report_their_own_first_deposit() {
-        let mb = Mailbox::new(2);
-        mb.deposit(env(1, 0xa, 1));
+        let mb = mailbox(2);
+        put(&mb, 1, 0xa, 1);
         std::thread::sleep(Duration::from_millis(40));
-        mb.deposit(env(1, 0xb, 2));
-        mb.deposit(env(1, 0xa, 3));
+        mb.clock.refresh();
+        put(&mb, 1, 0xb, 2);
+        put(&mb, 1, 0xa, 3);
         let snap = mb.depth_snapshot();
         assert_eq!(snap.iter().map(|d| (d.src, d.tag, d.count)).collect::<Vec<_>>(), [(1, 0xa, 2), (1, 0xb, 1)]);
         assert!(snap[0].oldest_wait >= snap[1].oldest_wait + Duration::from_millis(40));
@@ -570,10 +597,10 @@ mod tests {
 
     #[test]
     fn fresh_tags_retain_nothing_and_build_one_lane() {
-        let mb = Mailbox::new(1024);
+        let mb = mailbox(1024);
         assert_eq!((mb.materialised_lanes(), mb.lane_bytes().len()), (0, 1024));
         for tag in 0..10_000u64 {
-            mb.deposit(env(7, tag, tag as u32));
+            put(&mb, 7, tag, tag as u32);
             assert_eq!(take_u32(&mb, 7, tag), tag as u32);
         }
         assert!(mb.retained_slots() <= 8, "retained {} slots", mb.retained_slots());
@@ -587,11 +614,11 @@ mod tests {
     #[test]
     fn reverse_drain_of_4096_tags_returns_each_value_once() {
         const N: u64 = 4096;
-        let mb = Mailbox::new(2);
+        let mb = mailbox(2);
         for tag in 0..N {
-            mb.deposit(env(1, tag, tag as u32));
+            put(&mb, 1, tag, tag as u32);
         }
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         for tag in (0..N).rev() {
             assert!(mb.probe(1, tag));
             assert_eq!(take_u32(&mb, 1, tag), tag as u32);
@@ -603,7 +630,7 @@ mod tests {
 
     #[test]
     fn poison_reaches_lanes_built_after_it() {
-        let mb = Mailbox::new(4);
+        let mb = mailbox(4);
         mb.poison();
         assert!(mb.is_poisoned());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -631,7 +658,7 @@ mod tests {
             fn scanned_lanes_match_the_map_of_queues(
                 ops in proptest::collection::vec((0..3u8, 0..SRCS, 0..TAGS, any::<u32>()), 0..200)
             ) {
-                let mb = Mailbox::new(SRCS);
+                let mb = mailbox(SRCS);
                 let mut model: HashMap<(usize, u64), VecDeque<u32>> = HashMap::new();
                 let mut bytes = vec![0u64; SRCS];
                 for (op, src, tag, v) in ops {
@@ -639,7 +666,7 @@ mod tests {
                     prop_assert_eq!(mb.probe(src, tag), queued);
                     match op {
                         0 => {
-                            mb.deposit(env(src, tag, v));
+                            put(&mb, src, tag, v);
                             model.entry((src, tag)).or_default().push_back(v);
                             bytes[src] += 4;
                         }

@@ -28,16 +28,34 @@
 //! inert data. That ordering plus the latched `NOTIFIED` state makes lost
 //! wakeups impossible without any per-lane condvar.
 //!
+//! ## The sleeper gate
+//!
+//! Making a processor runnable is a queue push. It becomes a system call
+//! only when a worker is actually asleep: `sleepers` counts the workers
+//! inside [`Pool::park`], and an enqueue touches `idle_lock`/`idle_cv`
+//! only when the count is non-zero. The worker raises the count *before*
+//! it re-checks the queues and the enqueuer pushes *before* it loads the
+//! count (SeqCst on both sides, and the queue mutex orders the push
+//! against the re-check), so one of the two always sees the other: either
+//! the parking worker finds the push, or the enqueuer finds the sleeper
+//! and takes the condvar path, which `idle_lock` makes race-free as
+//! before. In the steady state of a busy run — every worker running or
+//! draining its queue — a wake never enters the kernel.
+//!
 //! ## Deadlock watchdog
 //!
 //! Threaded mode gets recv timeouts for free from `Condvar::wait_for`. A
-//! parked coroutine has no thread to time out on, so the pool runs one
-//! dedicated watchdog thread (within the "num_cpus + constant" budget)
-//! that periodically scans parked processors' park timestamps. On
-//! expiry it latches a `timed_out` flag and wakes the processor; the
-//! processor itself re-checks its lane (progress wins over timeout) and
-//! otherwise panics with the same diagnostic text as the threaded path,
-//! so existing tooling and tests match either executor.
+//! parked coroutine has no thread to time out on, so the run's tick
+//! thread ([`crate::clock::spawn_ticker`], within the "num_cpus +
+//! constant" budget) scans parked processors' park stamps once per tick
+//! ([`Pool::expire_parked`]). Stamp and comparison both use the run's
+//! coarse clock, so parking reads no host clock; the tick's slack term
+//! keeps the coarse stamp from ever firing a timeout early, and bounds it
+//! to two tick periods late. On expiry the scan latches a `timed_out`
+//! flag and wakes the processor; the processor itself re-checks its lane
+//! (progress wins over timeout) and otherwise panics with the same
+//! diagnostic text as the threaded path, so existing tooling and tests
+//! match either executor.
 //!
 //! ## Determinism
 //!
@@ -58,6 +76,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::clock::{debug_counters, CoarseClock};
 use crate::coro::{stack_bytes_from_env, Coro, YieldKind, Yielder};
 use crate::ctx::{ExecCtx, ProcCtx, World};
 use crate::run::{flight_text, ProcOutcome, RawOutcomes};
@@ -86,7 +105,7 @@ struct ProcSched {
     state: AtomicU8,
     /// Latched by the watchdog when a park outlives the recv timeout.
     timed_out: AtomicBool,
-    /// Nanoseconds since `Pool::epoch` when the park was committed
+    /// Coarse-clock nanoseconds when the park was committed
     /// (`NOT_BLOCKED` while runnable). Watchdog bookkeeping, keyed by
     /// processor id — not by thread identity, which is meaningless here.
     blocked_at_ns: AtomicU64,
@@ -104,18 +123,23 @@ pub(crate) struct Pool {
     /// Workers park here when every queue is empty.
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
+    /// Workers inside [`Pool::park`] (see "The sleeper gate").
+    sleepers: AtomicUsize,
     /// Processors that have not finished yet; 0 triggers shutdown.
     live: AtomicUsize,
     shutdown: AtomicBool,
-    /// Watchdog park/wake (so run teardown does not wait out a scan period).
-    wd_lock: Mutex<()>,
-    wd_cv: Condvar,
     recv_timeout: Duration,
-    epoch: Instant,
+    /// The run's coarse clock: park stamps come from it.
+    clock: Arc<CoarseClock>,
 }
 
 impl Pool {
-    pub(crate) fn new(nprocs: usize, workers: usize, recv_timeout: Duration) -> Arc<Pool> {
+    pub(crate) fn new(
+        nprocs: usize,
+        workers: usize,
+        recv_timeout: Duration,
+        clock: Arc<CoarseClock>,
+    ) -> Arc<Pool> {
         assert!(workers >= 1, "pooled executor needs at least one worker");
         Arc::new(Pool {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -129,13 +153,17 @@ impl Pool {
                 .collect(),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             live: AtomicUsize::new(nprocs),
             shutdown: AtomicBool::new(false),
-            wd_lock: Mutex::new(()),
-            wd_cv: Condvar::new(),
             recv_timeout,
-            epoch: Instant::now(),
+            clock,
         })
+    }
+
+    /// The run's coarse clock (shared with this pool's mailboxes).
+    pub(crate) fn clock(&self) -> &Arc<CoarseClock> {
+        &self.clock
     }
 
     /// Make `proc` runnable (called by senders on deposit, by `poison`,
@@ -168,9 +196,11 @@ impl Pool {
         }
     }
 
-    /// Consume the watchdog's timeout latch for `proc`.
+    /// Consume the watchdog's timeout latch for `proc`. Nearly every
+    /// resume finds it clear, so look before paying for the locked swap.
     pub(crate) fn take_timed_out(&self, proc: usize) -> bool {
-        self.procs[proc].timed_out.swap(false, Ordering::AcqRel)
+        let latch = &self.procs[proc].timed_out;
+        latch.load(Ordering::Acquire) && latch.swap(false, Ordering::AcqRel)
     }
 
     /// Drop a stale timeout latch (a message arrived after all).
@@ -190,10 +220,15 @@ impl Pool {
         self.notify_one_worker();
     }
 
-    /// Wake one parked worker. Taking `idle_lock` first closes the race
-    /// with a worker that re-checked the queues and is about to wait: it
-    /// is either pre-check (sees our push) or parked (gets the notify).
+    /// Wake one parked worker, if there is one (call after the push; see
+    /// "The sleeper gate"). Taking `idle_lock` first closes the race with
+    /// a worker that re-checked the queues and is about to wait: it is
+    /// either pre-check (sees our push) or parked (gets the notify).
     fn notify_one_worker(&self) {
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        debug_counters::bump(&debug_counters::WORKER_NOTIFIES);
         drop(self.idle_lock.lock());
         self.idle_cv.notify_one();
     }
@@ -223,47 +258,46 @@ impl Pool {
         self.queues.iter().any(|q| !q.lock().is_empty())
     }
 
-    /// Park this worker until new work is enqueued. The timeout is a
-    /// belt-and-braces backstop; wakes normally arrive via the condvar.
+    /// Park this worker until new work is enqueued. The count goes up
+    /// before the re-check (see "The sleeper gate"). The timeout is a
+    /// belt-and-braces backstop; wakes normally arrive via the condvar,
+    /// and debug builds count an expiry that finds work waiting — an
+    /// enqueue that woke nobody.
     fn park(&self) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut g = self.idle_lock.lock();
-        if self.shutdown.load(Ordering::Acquire) || self.has_work() {
-            return;
+        if !self.shutdown.load(Ordering::Acquire) && !self.has_work() {
+            let expired = self.idle_cv.wait_for(&mut g, Duration::from_millis(50)).timed_out();
+            if cfg!(debug_assertions) && expired && self.has_work() {
+                debug_counters::bump(&debug_counters::BACKSTOP_FOUND_WORK);
+            }
         }
-        self.idle_cv.wait_for(&mut g, Duration::from_millis(50));
+        drop(g);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Last processor finished (or a worker is unwinding): release every
-    /// parked worker and the watchdog.
+    /// parked worker.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         drop(self.idle_lock.lock());
         self.idle_cv.notify_all();
-        drop(self.wd_lock.lock());
-        self.wd_cv.notify_all();
     }
 
-    /// Watchdog body (runs on its own scoped thread): scan parked
-    /// processors every fraction of the recv timeout; on expiry, latch
-    /// `timed_out` and wake the processor so *it* raises the deadlock
-    /// panic from its own context (where the diagnostic belongs).
-    fn watchdog_loop(&self) {
-        let period = (self.recv_timeout / 8)
-            .clamp(Duration::from_millis(5), Duration::from_millis(250));
-        let lim = self.recv_timeout.as_nanos() as u64;
-        let mut g = self.wd_lock.lock();
-        while !self.shutdown.load(Ordering::Acquire) {
-            self.wd_cv.wait_for(&mut g, period);
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let now = self.epoch.elapsed().as_nanos() as u64;
-            for (i, ps) in self.procs.iter().enumerate() {
-                let b = ps.blocked_at_ns.load(Ordering::Relaxed);
-                if b != NOT_BLOCKED && now.saturating_sub(b) >= lim {
-                    ps.timed_out.store(true, Ordering::Release);
-                    self.wake(i);
-                }
+    /// Watchdog scan, once per tick of the run's tick thread: latch
+    /// `timed_out` on every processor parked for the recv timeout and
+    /// wake it, so *it* raises the deadlock panic from its own context
+    /// (where the diagnostic belongs). Park stamps are coarse — up to
+    /// `slack` behind the host time they were taken at — so a park only
+    /// expires once `slack` more than the timeout has passed since its
+    /// stamp (see [`crate::clock::spawn_ticker`]).
+    pub(crate) fn expire_parked(&self, now: u64, slack: u64) {
+        let lim = u64::try_from(self.recv_timeout.as_nanos()).unwrap_or(u64::MAX).saturating_add(slack);
+        for (i, ps) in self.procs.iter().enumerate() {
+            let b = ps.blocked_at_ns.load(Ordering::Relaxed);
+            if b != NOT_BLOCKED && now.saturating_sub(b) >= lim {
+                ps.timed_out.store(true, Ordering::Release);
+                self.wake(i);
             }
         }
     }
@@ -301,8 +335,7 @@ fn worker_loop(pool: &Pool, coros: &[Mutex<Option<Coro>>], widx: usize) {
                 // observes BLOCKED can immediately hand it to any worker.
                 *coros[p].lock() = Some(coro);
                 let ps = &pool.procs[p];
-                ps.blocked_at_ns
-                    .store(pool.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                ps.blocked_at_ns.store(pool.clock.now_ns(), Ordering::Relaxed);
                 if ps
                     .state
                     .compare_exchange(IDLE, BLOCKED, Ordering::AcqRel, Ordering::Acquire)
@@ -364,9 +397,7 @@ where
                     }
                     Err(payload) => {
                         // Unblock everyone else before reporting.
-                        for mb in &world.mailboxes {
-                            mb.poison();
-                        }
+                        world.poison_all();
                         if let Some(t) = &telemetry {
                             let secondary = payload
                                 .downcast_ref::<String>()
@@ -410,8 +441,6 @@ where
                 worker_loop(&pool, coros, w);
             });
         }
-        let pool = Arc::clone(pool);
-        scope.spawn(move || pool.watchdog_loop());
     });
     slots.into_iter().map(|m| m.into_inner()).collect()
 }

@@ -5,6 +5,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::clock::{self, CoarseClock};
 use crate::coro;
 use crate::ctx::{ProcCtx, World};
 use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode, PromoteStats};
@@ -147,7 +148,10 @@ pub struct Machine {
     pub nprocs: usize,
     /// Real or simulated time.
     pub mode: TimeMode,
-    /// Deadlock watchdog: a blocked receive panics after this long.
+    /// Deadlock watchdog: a blocked receive panics after this long. Under
+    /// the pooled executor parked receives are checked once per watchdog
+    /// period (an eighth of this, within 5–250 ms): never earlier than
+    /// configured, up to two periods later.
     pub recv_timeout: Duration,
     /// Record duration spans (see [`crate::SpanLog`]). Host-side only:
     /// enabling it never changes virtual times. Only effective under
@@ -465,6 +469,7 @@ where
 {
     assert!(machine.nprocs >= 1, "machine needs at least one processor");
     debug_assert!(machine.dataflow != DataflowMode::Validate, "validate resolves before launch");
+    let coarse = Arc::new(CoarseClock::new());
     // Resolve the effective executor: auto worker counts become concrete,
     // and targets without a coroutine backend fall back to threads.
     let pool = match machine.executor {
@@ -475,7 +480,7 @@ where
                 workers
             };
             let workers = workers.clamp(1, machine.nprocs);
-            Some(Pool::new(machine.nprocs, workers, machine.recv_timeout))
+            Some(Pool::new(machine.nprocs, workers, machine.recv_timeout, Arc::clone(&coarse)))
         }
         _ => None,
     };
@@ -486,9 +491,11 @@ where
         mailboxes: (0..machine.nprocs)
             .map(|rank| match &pool {
                 Some(p) => Mailbox::new_pooled(machine.nprocs, rank, Arc::clone(p)),
-                None => Mailbox::new(machine.nprocs),
+                None => Mailbox::new(machine.nprocs, Arc::clone(&coarse)),
             })
             .collect(),
+        poisoned: std::sync::atomic::AtomicBool::new(false),
+        clock: Arc::clone(&coarse),
         recv_timeout: machine.recv_timeout,
         profile: machine.profile,
         tracing: machine.tracing,
@@ -499,10 +506,21 @@ where
         hb_board: HeartbeatBoard::new(machine.nprocs),
         idle: (0..machine.nprocs).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
     });
-    let start = Instant::now();
+    let start = clock::host_now();
     if let Some(t) = &telemetry {
         t.begin_run(machine.nprocs, start, &world);
     }
+    // The run's one service thread, under either executor: it advances
+    // the coarse clock and, for a pool, expires parked receives. Like the
+    // stall sampler below it lives exactly as long as the execution.
+    let ticker = {
+        let pool = pool.clone();
+        clock::spawn_ticker(coarse, clock::tick_period(machine.recv_timeout), move |now, slack| {
+            if let Some(p) = &pool {
+                p.expire_parked(now, slack);
+            }
+        })
+    };
     // The stall sampler lives exactly as long as the execution: the guard
     // joins it on drop even when the propagated panic unwinds past us.
     let stall_guard = telemetry
@@ -515,8 +533,9 @@ where
         None => run_threaded(machine.nprocs, &world, &telemetry, start, &f),
     };
 
-    // Tear down the stall sampler before (possibly) re-raising a panic.
+    // Tear down the service threads before (possibly) re-raising a panic.
     drop(stall_guard);
+    drop(ticker);
 
     // Prefer reporting the root-cause panic over the poison-induced
     // secondary ones, scanning in rank order like the threaded join loop
@@ -703,9 +722,7 @@ where
                     }
                     Err(payload) => {
                         // Unblock everyone else before reporting.
-                        for mb in &world.mailboxes {
-                            mb.poison();
-                        }
+                        world.poison_all();
                         // Black-box readout: dump this processor's flight
                         // ring, unless it is a secondary poison panic (the
                         // root cause already dumped its own).

@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::clock::host_now;
 use crate::ctx::World;
 use crate::telemetry::{Telemetry, NO_WAIT};
 
@@ -96,7 +97,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
     let window = telemetry.config().stall_window;
     let every = telemetry.config().stall_sample_every;
     let mut last_progress: Vec<u64> = shards.iter().map(|s| s.progress.load(Ordering::Relaxed)).collect();
-    let mut last_moved: Vec<Instant> = vec![Instant::now(); shards.len()];
+    let mut last_moved: Vec<Instant> = vec![host_now(); shards.len()];
     // The (proc, src, tag) set already reported, to avoid re-reporting an
     // unchanged stall every sample.
     let mut reported: Vec<(usize, usize, u64)> = Vec::new();
@@ -106,7 +107,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
         if stop.load(Ordering::Acquire) {
             break;
         }
-        let now = Instant::now();
+        let now = host_now();
         let mut stalled = Vec::new();
         for (p, shard) in shards.iter().enumerate() {
             let prog = shard.progress.load(Ordering::Relaxed);
@@ -142,7 +143,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
         }
         reported = key;
         let diagnosis = diagnose(&stalled, &world);
-        telemetry.push_stall_report(StallReport { at: start.elapsed(), stalled, diagnosis });
+        telemetry.push_stall_report(StallReport { at: host_now().duration_since(start), stalled, diagnosis });
     }
 }
 

@@ -27,7 +27,9 @@ pub struct PlanStats {
     /// Plan-cache misses (a plan was built from scratch).
     pub plan_misses: u64,
     /// Host nanoseconds spent packing send buffers and unpacking receive
-    /// buffers along plan runs.
+    /// buffers along plan runs. 0 unless a telemetry registry is attached
+    /// ([`crate::Machine::with_telemetry`]): the registry is this
+    /// duration's one reader, and an unobserved replay reads no clock.
     pub pack_ns: u64,
 }
 
@@ -99,9 +101,12 @@ impl std::fmt::Display for DataflowStats {
 /// virtual clock, so simulated results stay bit-identical.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct HostStats {
-    /// Host nanoseconds spent inside `send`/`send_chunk` calls.
+    /// Host nanoseconds spent inside `send`/`send_chunk` calls. 0 unless a
+    /// telemetry registry is attached ([`crate::Machine::with_telemetry`]):
+    /// an unobserved send reads no host clock.
     pub send_ns: u64,
-    /// Host nanoseconds spent blocked waiting for messages to arrive.
+    /// Host nanoseconds spent blocked waiting for messages to arrive. 0
+    /// unless a telemetry registry is attached, like `send_ns`.
     pub recv_wait_ns: u64,
     /// Buffer-pool hits (a pooled buffer was recycled).
     pub pool_hits: u64,

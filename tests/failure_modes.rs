@@ -342,6 +342,39 @@ fn stall_detector_diagnoses_deadlocked_exchange_pooled() {
     assert!(all.contains("[cycle]"), "mutual wait must be flagged as a cycle, got:\n{all}");
 }
 
+/// A panic poisons the world once. Every processor the poison releases
+/// panics in turn, and each used to repeat the whole walk — P mailboxes
+/// of P lanes, P times over: O(P³) lock bumps, 4.2 s of teardown at
+/// P = 512 in a debug build against 0.3 s now. The first panicker does
+/// the walk; the cascade finds the world already poisoned and only
+/// unwinds.
+#[test]
+fn panic_at_p512_tears_down_in_bounded_time_with_the_root_cause() {
+    use fx::runtime::Executor;
+    use std::time::Instant;
+
+    const P: usize = 512;
+    let machine = Machine::simulated(P, MachineModel::paragon())
+        .with_timeout(Duration::from_secs(120))
+        .with_executor(Executor::Pooled { workers: 2 });
+    let t0 = Instant::now();
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        spmd(&machine, |cx| {
+            if cx.id() == 0 {
+                panic!("injected failure on processor zero");
+            }
+            // The other 511 block in a collective rank 0 never joins.
+            cx.barrier();
+        })
+    }))
+    .expect_err("peer panic must propagate");
+    let took = t0.elapsed();
+    let msg = panic_message(err);
+    assert!(msg.contains("injected failure"), "got: {msg}");
+    eprintln!("P={P}: panic to propagated in {took:?}");
+    assert!(took < Duration::from_millis(2500), "teardown of a P={P} run took {took:?}");
+}
+
 // --- Declared-idle gating of the watchdog (serving loops). ---
 //
 // A serving loop legitimately quiesces between request arrivals: its

@@ -1,0 +1,165 @@
+//! The unobserved message path makes no system call and reads no host
+//! clock per message, and what replaced the per-message clock reads — the
+//! coarse clock, the sleeper gate — loses neither a wakeup nor a timeout.
+//!
+//! The first three tests read the runtime's debug-build counters, which
+//! are process-wide: every test here holds `SERIAL`, and the file is its
+//! own test binary.
+#![cfg(debug_assertions)]
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use fx::prelude::*;
+use fx::runtime::debug_counters::{BACKSTOP_FOUND_WORK, CLOCK_READS, WORKER_NOTIFIES};
+use fx::runtime::{Executor, ProcCtx, RunReport, Telemetry, TelemetryConfig};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+const P: usize = 64;
+
+/// Every blocking shape of the message path at P = 64: ring rounds
+/// (boxed send, blocked receive), barriers, and plan replays of an
+/// all-to-all `assign2` and a `transpose2` (chunk send, pack, unpack).
+fn ring_barrier_replay(cx: &mut Cx) -> u64 {
+    let (me, p) = (cx.id(), cx.nprocs());
+    let mut token = me as u64;
+    for _ in 0..20 {
+        cx.send_v((me + 1) % p, 1, token);
+        token = cx.recv_v((me + p - 1) % p, 1);
+        cx.barrier();
+    }
+    let g = cx.group();
+    let data: Vec<u64> = (0..(2 * P * 2 * P) as u64).collect();
+    let cols = DArray2::from_global(cx, &g, [2 * P, 2 * P], (Dist::Star, Dist::Block), &data);
+    let mut rows = DArray2::new(cx, &g, [2 * P, 2 * P], (Dist::Block, Dist::Star), 0u64);
+    let mut turned = DArray2::new(cx, &g, [2 * P, 2 * P], (Dist::Block, Dist::Star), 0u64);
+    for _ in 0..2 {
+        assign2(cx, &mut rows, &cols);
+        transpose2(cx, &mut turned, &cols);
+    }
+    token + rows.local()[0] + turned.local()[0]
+}
+
+fn one_worker() -> Machine {
+    Machine::simulated(P, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 })
+}
+
+fn msgs<R>(rep: &RunReport<R>) -> u64 {
+    rep.traffic.iter().map(|t| t.0).sum()
+}
+
+/// (a) Unobserved: O(1) clock reads for the whole run — the run's own
+/// start-up and one per tick — and, with one worker, which is never
+/// asleep while a processor it is running sends, not one worker notify.
+#[test]
+fn unobserved_run_reads_no_clock_and_notifies_no_worker_per_message() {
+    let _serial = serial();
+    let (reads0, notifies0) = (CLOCK_READS.load(Ordering::Relaxed), WORKER_NOTIFIES.load(Ordering::Relaxed));
+    let rep = spmd(&one_worker(), ring_barrier_replay);
+    let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
+    let notifies = WORKER_NOTIFIES.load(Ordering::Relaxed) - notifies0;
+    let msgs = msgs(&rep);
+    eprintln!("unobserved: {msgs} messages, {reads} clock reads, {notifies} worker notifies");
+    assert!(msgs >= 10_000, "the program sends {msgs} messages");
+    assert!(reads * 100 < msgs, "{reads} clock reads over {msgs} messages");
+    assert_eq!(notifies, 0, "one worker: nobody to wake");
+    let (host, plan) = (rep.host_stats_total(), rep.plan_stats_total());
+    assert_eq!((host.send_ns, host.recv_wait_ns, plan.pack_ns), (0, 0, 0), "durations have no reader");
+    assert!(host.chunk_msgs > 0 && plan.plan_hits > 0, "counters still count");
+}
+
+/// (b) Observed: the same program with a registry attached measures the
+/// durations again (at least two reads a message), and `HostStats`,
+/// `PlanStats` and the registry still agree to the nanosecond.
+#[test]
+fn observed_run_measures_durations_and_reconciles_exactly() {
+    let _serial = serial();
+    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
+    let reads0 = CLOCK_READS.load(Ordering::Relaxed);
+    let rep = spmd(&one_worker().with_telemetry(Arc::clone(&telemetry)), ring_barrier_replay);
+    let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
+    assert!(reads >= 2 * msgs(&rep), "{reads} clock reads over {} messages", msgs(&rep));
+    let total = rep.telemetry.as_ref().expect("snapshot present").total();
+    let (host, plan) = (rep.host_stats_total(), rep.plan_stats_total());
+    assert!(host.send_ns > 0 && host.recv_wait_ns > 0 && plan.pack_ns > 0, "{host}");
+    assert_eq!(total.send_ns, host.send_ns);
+    assert_eq!(total.recv_wait_ns, host.recv_wait_ns);
+    assert_eq!(total.pack_ns, plan.pack_ns);
+    assert_eq!(total.sends, msgs(&rep));
+}
+
+/// (c) Two workers, so one is often asleep when the other makes a
+/// processor runnable: a barrier storm, 100 runs. A push that missed a
+/// sleeping worker would be picked up by the 50 ms park backstop and go
+/// unnoticed but for this counter; a push that missed *every* worker
+/// would end in the (short) recv timeout.
+#[test]
+fn sleeper_gate_loses_no_wakeup_under_a_two_worker_barrier_storm() {
+    let _serial = serial();
+    let machine = Machine::simulated(P, MachineModel::paragon())
+        .with_executor(Executor::Pooled { workers: 2 })
+        .with_timeout(Duration::from_secs(5));
+    let missed0 = BACKSTOP_FOUND_WORK.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        let rep = spmd(&machine, |cx| {
+            for _ in 0..10 {
+                cx.barrier();
+            }
+            cx.allreduce(cx.id() as u64, u64::wrapping_add)
+        });
+        assert!(rep.results.iter().all(|&s| s == (P * (P - 1) / 2) as u64));
+    }
+    assert_eq!(BACKSTOP_FOUND_WORK.load(Ordering::Relaxed) - missed0, 0, "a park backstop expired with work waiting");
+}
+
+/// (d) A coarse park stamp must not shorten the recv timeout: the pooled
+/// deadlock panic comes no earlier than the 200 ms configured and within
+/// two 25 ms watchdog periods after (plus what the host scheduler adds),
+/// with the usual text and a believable age for the message that *is*
+/// queued.
+#[test]
+fn pooled_recv_timeout_is_never_early_and_at_most_two_periods_late() {
+    let _serial = serial();
+    const TIMEOUT: Duration = Duration::from_millis(200);
+    let machine = Machine::real(2).with_timeout(TIMEOUT).with_executor(Executor::Pooled { workers: 1 });
+    let seen: Mutex<Option<(String, Duration)>> = Mutex::new(None);
+    catch_unwind(AssertUnwindSafe(|| {
+        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+            if cx.rank() == 0 {
+                cx.send(1, 5, 1u64); // queued, never received
+            } else {
+                let t0 = Instant::now();
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    let _: u64 = cx.recv(0, 9); // never sent
+                }))
+                .expect_err("nothing is ever sent on (0, 9)");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                *seen.lock().unwrap() = Some((msg, t0.elapsed()));
+                std::panic::resume_unwind(err);
+            }
+        })
+    }))
+    .expect_err("deadlock must panic");
+    let (msg, waited) = seen.into_inner().unwrap().expect("processor 1 timed out");
+    assert!(
+        msg.starts_with(
+            "processor 1: recv(src=0, tag=0x9) timed out after 200ms — likely deadlock. \
+             Pending per (src, tag) with depth and oldest-message age: [(src=0, tag=0x5, n=1, oldest="
+        ),
+        "got: {msg}"
+    );
+    eprintln!("a {TIMEOUT:?} recv timeout fired after {waited:?}");
+    assert!(waited >= TIMEOUT, "timed out after {waited:?}, configured {TIMEOUT:?}");
+    let allowance = Duration::from_millis(250);
+    assert!(waited < TIMEOUT + 2 * TIMEOUT / 8 + allowance, "timed out only after {waited:?}");
+    let age = &msg[msg.find("oldest=").expect("age") + 7..];
+    let ms: f64 = age[..age.find("ms").expect("an age in ms")].parse().expect("digits");
+    assert!((200.0..1000.0).contains(&ms), "the queued message is as old as the wait, dump says {ms} ms");
+}

@@ -72,7 +72,7 @@ fn run_ffthist(p: usize, depth: usize, n: usize, mode: DataflowMode) -> (f64, f6
         fft_hist_pipeline_sets(cx, &cfg, stage_procs(p), &sets)
     });
     let wait = rep.critical_path().barrier_wait();
-    let elided = rep.dataflow_total().barriers_elided;
+    let elided = rep.total().barriers_elided;
     (rep.makespan(), wait, elided, rep.results)
 }
 
@@ -84,7 +84,7 @@ fn run_airshed(p: usize, hours: usize, mode: DataflowMode) -> (f64, f64, u64, Ve
         airshed_tp(cx, &cfg)
     });
     let wait = rep.critical_path().barrier_wait();
-    let elided = rep.dataflow_total().barriers_elided;
+    let elided = rep.total().barriers_elided;
     (rep.makespan(), wait, elided, rep.results)
 }
 

@@ -98,12 +98,12 @@ fn fan_in_ns(machine: &Machine, fan_in: usize, elems: usize, rounds: usize) -> f
         }
     });
     // Exercise the merged-totals path on every telemetry run so the bench
-    // doubles as a smoke test for HostStats::merge / the final snapshot.
+    // doubles as a smoke test for the final snapshot: every message here
+    // is a chunk, and the snapshot reads the report's own counter blocks.
     if let Some(snap) = &rep.telemetry {
         let total = snap.total();
-        let host = rep.host_stats_total();
-        assert_eq!(total.sends, host.chunk_msgs, "registry vs HostStats chunk messages");
-        assert_eq!(total.chunk_bytes, host.chunk_bytes, "registry vs HostStats chunk bytes");
+        assert_eq!(total.sends, total.chunk_msgs, "every message rides the chunk path");
+        assert_eq!(snap.per_proc, rep.counters, "registry vs report rows");
     }
     rep.results[0]
 }
@@ -161,8 +161,8 @@ fn main() {
     println!("  trace ovhd   : {:+.2}% over telemetry (budget < 5%)", trace_overhead * 100.0);
     let total = telemetry.total();
     println!(
-        "  final registry: {} sends, {} recvs, {} flight events recorded",
-        total.sends, total.recvs, total.flight_recorded
+        "  final registry: {} sends, {} recvs, {} chunk bytes",
+        total.sends, total.recvs, total.chunk_bytes
     );
 
     let json = format!(

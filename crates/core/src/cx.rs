@@ -329,8 +329,8 @@ impl<'a> Cx<'a> {
     // ----- communication-plan cache ---------------------------------------
 
     /// Look up a communication plan by `key`, building it with `build` on a
-    /// miss. Hits and misses are counted on the runtime's
-    /// [`fx_runtime::PlanStats`] (host-side instrumentation only — the
+    /// miss. Hits and misses are counted in the processor's
+    /// [`fx_runtime::ProcTotals`] row (host-side instrumentation only — the
     /// virtual clock is untouched, so caching cannot change simulated
     /// time).
     ///
@@ -353,7 +353,7 @@ impl<'a> Cx<'a> {
     }
 
     /// Report host nanoseconds spent packing/unpacking along plan runs
-    /// (aggregated into [`fx_runtime::PlanStats`]).
+    /// (the `pack_ns` counter of [`fx_runtime::ProcTotals`]).
     #[inline]
     pub fn note_pack_ns(&mut self, ns: u64) {
         self.rt.add_pack_ns(ns);

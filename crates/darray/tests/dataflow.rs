@@ -60,7 +60,7 @@ fn covered_pipeline_elides_every_barrier() {
     let on = go(DataflowMode::On);
     // Same program, same results — barriers never move data.
     assert_eq!(off.results, on.results);
-    let (doff, don) = (off.dataflow_total(), on.dataflow_total());
+    let (doff, don) = (off.total(), on.total());
     assert_eq!(doff.barriers_elided, 0, "Off never elides");
     assert!(doff.barriers_kept > 0, "Off keeps a barrier per edge");
     assert_eq!(don.barriers_kept, 0, "all pipeline edges are covered");
@@ -102,7 +102,7 @@ fn opaque_writes_keep_their_barrier_until_ordered() {
     for r in &rep.results {
         assert_eq!(*r, (0..12).rev().collect::<Vec<u64>>());
     }
-    let d = rep.dataflow_total();
+    let d = rep.total();
     assert_eq!(d.barriers_kept, p as u64, "one kept barrier per member");
     assert_eq!(d.barriers_elided, p as u64, "one elided barrier per member");
 }
@@ -128,7 +128,7 @@ fn halos_test_taint_but_never_clear_it() {
     assert_eq!(rep.results[0].0, vec![8, 9, 10, 11]);
     assert_eq!(rep.results[0].1, vec![8, 9, 10, 11]);
     assert_eq!(rep.results[0].2, vec![8, 9, 10, 11]);
-    let d = rep.dataflow_total();
+    let d = rep.total();
     assert_eq!(d.barriers_elided, p as u64);
     assert_eq!(d.barriers_kept, 2 * p as u64);
 }
@@ -140,7 +140,7 @@ fn validate_mode_passes_with_covered_and_tainted_edges() {
         &Machine::simulated(4, MachineModel::paragon()).with_dataflow(DataflowMode::Validate),
         |cx| pipeline(cx, 3, 32),
     );
-    assert!(rep.dataflow_total().barriers_elided > 0);
+    assert!(rep.total().barriers_elided > 0);
 
     // Mixed taint: kept and elided barriers in one program.
     let rep = spmd(
@@ -177,8 +177,8 @@ fn validate_is_bit_exact_when_nothing_elides() {
             dst.to_global(cx)
         },
     );
-    assert_eq!(rep.dataflow_total().barriers_elided, 0);
-    assert_eq!(rep.dataflow_total().barriers_kept, 0);
+    assert_eq!(rep.total().barriers_elided, 0);
+    assert_eq!(rep.total().barriers_kept, 0);
     for r in &rep.results {
         assert_eq!(*r, (0..9).collect::<Vec<u64>>());
     }
@@ -327,7 +327,7 @@ proptest! {
         let off = go(DataflowMode::Off, ops);
         let on = go(DataflowMode::On, ops2);
         prop_assert_eq!(&off.results, &on.results, "contents diverged");
-        let elided = on.dataflow_total().barriers_elided;
+        let elided = on.total().barriers_elided;
         for (t_off, t_on) in off.times.iter().zip(&on.times) {
             if elided == 0 {
                 prop_assert_eq!(t_off.to_bits(), t_on.to_bits(), "exact run moved a clock");

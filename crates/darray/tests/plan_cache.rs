@@ -29,7 +29,7 @@ fn hundred_iteration_pipeline_builds_each_plan_once() {
     }
     // Two distinct statements per processor: each misses once and then
     // hits on every later iteration.
-    for (p, ps) in rep.plan_stats.iter().enumerate() {
+    for (p, ps) in rep.counters.iter().enumerate() {
         assert_eq!(ps.plan_misses, 2, "proc {p}: each statement plans exactly once");
         assert_eq!(ps.plan_hits, 2 * (ITERS - 1), "proc {p}");
     }
@@ -60,7 +60,7 @@ fn halo_and_3d_assignment_plans_are_cached_too() {
         }
         acc
     });
-    for ps in &rep.plan_stats {
+    for ps in &rep.counters {
         assert_eq!(ps.plan_misses, 2, "halo + assign3 plan exactly once each");
         assert_eq!(ps.plan_hits, 2 * (ITERS - 1));
     }
@@ -97,7 +97,7 @@ fn changing_the_statement_shape_changes_the_plan() {
     for r in &rep.results {
         assert_eq!(*r, (0..16i64).collect::<Vec<_>>());
     }
-    for ps in &rep.plan_stats {
+    for ps in &rep.counters {
         assert_eq!(ps.plan_misses, 2, "two ranges, two plans");
         assert_eq!(ps.plan_hits, 2 * 3);
     }

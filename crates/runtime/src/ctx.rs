@@ -3,7 +3,10 @@
 //! Every physical processor of the simulated multicomputer runs the same
 //! SPMD closure with its own [`ProcCtx`]. The context carries the
 //! processor's identity, its (virtual) clock, its event log, and the
-//! endpoints for direct-deposit messaging.
+//! endpoints for direct-deposit messaging. It is also the one writer of
+//! the processor's counter block ([`crate::counters`], owned by the
+//! [`World`]): every `note_*` is one bump of that block, whether or not
+//! anyone observes the run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,21 +15,27 @@ use std::time::{Duration, Instant};
 
 use crate::clock::{host_now, ns_since, CoarseClock, HostTimer};
 use crate::coro::{YieldKind, Yielder};
-use crate::heartbeat::{HeartbeatBoard, HeartbeatMode, PromoteStats};
+use crate::counters::{bump, Counters};
+use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
 use crate::pool::Pool;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
-use crate::run::DataflowMode;
+use crate::run::{DataflowMode, ProcOutcome};
 use crate::span::{span_ref, Span, SpanKind, SpanLog, TraceCtx};
 use crate::telemetry::{ProcShard, Telemetry};
-use crate::trace::{DataflowStats, EventLog, HostStats, PlanStats};
+use crate::trace::EventLog;
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
     pub nprocs: usize,
     pub mode: TimeMode,
     pub mailboxes: Vec<Mailbox>,
+    /// Every processor's counter block (see [`crate::counters`]): always
+    /// there, written only by the owning [`ProcCtx`], read by the report
+    /// and — through its own handles on the same allocations — by the
+    /// telemetry registry, during the run and after it.
+    pub counters: Vec<Arc<Counters>>,
     /// Set by the first processor to panic, which poisons every mailbox;
     /// later (secondary) panickers find it set and skip the walk.
     pub poisoned: AtomicBool,
@@ -105,17 +114,9 @@ pub struct ProcCtx {
     /// Wall-clock start, for real-time mode.
     start: Instant,
     events: EventLog,
-    /// Counts messages/bytes for reporting.
-    sent_msgs: u64,
-    sent_bytes: u64,
-    /// Communication-plan instrumentation (host-side only; never affects
-    /// the virtual clock).
-    plan_stats: PlanStats,
-    /// Dataflow barrier-elision counters (always counted; the data-parallel
-    /// layer's classifier reports each sync-point decision here).
-    dataflow_stats: DataflowStats,
-    /// Transport instrumentation (host-side only).
-    host: HostStats,
+    /// This processor's counter block (the world's, shared with whoever
+    /// reads it). The context is its only writer.
+    counters: Arc<Counters>,
     /// Recycled message-buffer storage for the chunk fast path.
     pool: BufferPool,
     /// True when the machine profiles and time is simulated: duration
@@ -149,24 +150,14 @@ pub struct ProcCtx {
     /// Pure accumulation alongside the clock: it never feeds back into
     /// any charge, so arming the heartbeat cannot move virtual time.
     hb_acc: f64,
-    /// Promotion counters (see [`PromoteStats`]).
-    promote: PromoteStats,
 }
 
 impl ProcCtx {
-    pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant) -> Self {
-        Self::new_with_exec(rank, world, start, ExecCtx::Thread)
-    }
-
-    pub(crate) fn new_with_exec(
-        rank: usize,
-        world: Arc<World>,
-        start: Instant,
-        exec: ExecCtx,
-    ) -> Self {
+    pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant, exec: ExecCtx) -> Self {
         let profile = world.profile && world.mode.is_simulated();
         let tracing = world.tracing;
         let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
+        let counters = Arc::clone(&world.counters[rank]);
         ProcCtx {
             rank,
             world,
@@ -174,11 +165,7 @@ impl ProcCtx {
             clock: 0.0,
             start,
             events: EventLog::default(),
-            sent_msgs: 0,
-            sent_bytes: 0,
-            plan_stats: PlanStats::default(),
-            dataflow_stats: DataflowStats::default(),
-            host: HostStats::default(),
+            counters,
             pool: BufferPool::default(),
             profile,
             tracing,
@@ -191,7 +178,6 @@ impl ProcCtx {
             scope_ids: HashMap::new(),
             scope_id_stack: Vec::new(),
             hb_acc: 0.0,
-            promote: PromoteStats::default(),
         }
     }
 
@@ -322,14 +308,30 @@ impl ProcCtx {
     /// Direct deposit: the call enqueues into `dst`'s mailbox and returns;
     /// the sender is only charged its CPU overhead plus the per-byte gap.
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u64, value: T) {
-        assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
         let t0 = self.host_timer();
         let (payload, nbytes) = erase(value);
+        self.post(t0, dst, tag, nbytes, MsgBody::Boxed(payload));
+    }
+
+    /// A stopwatch for a host duration that a counter reports (`send_ns`,
+    /// `recv_wait_ns`, `pack_ns`): it runs — two reads of the host clock —
+    /// only when a telemetry registry is attached to the run, the one
+    /// reader of those durations, and reads 0 otherwise.
+    #[inline]
+    pub fn host_timer(&self) -> HostTimer {
+        HostTimer(self.tl.as_ref().map(|_| host_now()))
+    }
+
+    /// The one post routine behind [`ProcCtx::send`] and
+    /// [`ProcCtx::send_chunk`]: same virtual-time charge, span, counters
+    /// and deposit for either payload path; a chunk additionally counts
+    /// as chunk traffic.
+    fn post(&mut self, t0: HostTimer, dst: usize, tag: u64, nbytes: usize, payload: MsgBody) {
+        assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
+        let chunk = matches!(payload, MsgBody::Chunk(_));
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
         self.span_send(v0, dst, tag, arrival);
-        self.sent_msgs += 1;
-        self.sent_bytes += nbytes as u64;
         let contended = self.world.mailboxes[dst].deposit(Envelope {
             src: self.rank,
             tag,
@@ -337,33 +339,24 @@ impl ProcCtx {
             nbytes,
             enqueued: self.world.clock.now_ns(),
             trace: self.outgoing_trace(),
-            payload: MsgBody::Boxed(payload),
+            payload,
         });
-        self.observe_send(t0, nbytes, false, contended, dst, tag);
-    }
-
-    /// A stopwatch for a host duration that is reported through
-    /// [`HostStats`] or [`PlanStats`]: it runs — two reads of the host
-    /// clock — only when a telemetry registry is attached to the run, the
-    /// one reader of those durations, and reads 0 otherwise.
-    #[inline]
-    pub fn host_timer(&self) -> HostTimer {
-        HostTimer(self.tl.as_ref().map(|_| host_now()))
-    }
-
-    /// Host-time accounting of one send, when someone is looking.
-    #[inline]
-    fn observe_send(&mut self, t0: HostTimer, nbytes: usize, chunk: bool, contended: bool, dst: usize, tag: u64) {
+        let c = &self.counters;
+        bump(&c.sends, 1);
+        bump(&c.send_bytes, nbytes as u64);
+        if chunk {
+            bump(&c.chunk_msgs, 1);
+            bump(&c.chunk_bytes, nbytes as u64);
+        }
+        if contended {
+            bump(&c.lane_contention, 1);
+        }
+        // Host-time accounting, when someone is looking; the wall stamp
+        // reuses `t0`.
         if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
-            // The same `ns` goes to HostStats and the registry, so the
-            // two reconcile exactly; the wall stamp reuses `t0`.
-            let ns = ns_since(t0);
-            self.host.send_ns += ns;
+            bump(&c.send_ns, ns_since(t0));
             let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, chunk, ns, wall, self.vbits(), dst, tag);
-            if contended {
-                sh.on_lane_contention();
-            }
+            sh.on_send(nbytes as u64, chunk, wall, self.vbits(), dst, tag);
         }
     }
 
@@ -384,13 +377,9 @@ impl ProcCtx {
     /// An empty chunk for `elems` elements of type `T`, drawn from this
     /// processor's buffer pool (no allocation once the pool is warm).
     pub fn chunk_for<T: Copy + Send + 'static>(&mut self, elems: usize) -> Chunk {
-        let bytes = self.pool.acquire(elems * std::mem::size_of::<T>());
-        if let Some(sh) = &self.tl {
-            // Absolute stores (this thread is the only writer), mirroring
-            // the pool's own counters so HostStats and the registry agree.
-            sh.pool_hits.store(self.pool.hits, std::sync::atomic::Ordering::Relaxed);
-            sh.pool_misses.store(self.pool.misses, std::sync::atomic::Ordering::Relaxed);
-        }
+        let (bytes, hit) = self.pool.acquire(elems * std::mem::size_of::<T>());
+        let c = &self.counters;
+        bump(if hit { &c.pool_hits } else { &c.pool_misses }, 1);
         Chunk::from_bytes::<T>(bytes)
     }
 
@@ -407,26 +396,8 @@ impl ProcCtx {
     /// of an equal-sized `Vec<T>`, but no `Box<dyn Any>` allocation — the
     /// pooled buffer itself moves into the receiver's mailbox.
     pub fn send_chunk(&mut self, dst: usize, tag: u64, chunk: Chunk) {
-        assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
         let t0 = self.host_timer();
-        let nbytes = chunk.nbytes();
-        let v0 = self.clock;
-        let arrival = self.charge_send(nbytes);
-        self.span_send(v0, dst, tag, arrival);
-        self.sent_msgs += 1;
-        self.sent_bytes += nbytes as u64;
-        self.host.chunk_msgs += 1;
-        self.host.chunk_bytes += nbytes as u64;
-        let contended = self.world.mailboxes[dst].deposit(Envelope {
-            src: self.rank,
-            tag,
-            arrival,
-            nbytes,
-            enqueued: self.world.clock.now_ns(),
-            trace: self.outgoing_trace(),
-            payload: MsgBody::Chunk(chunk),
-        });
-        self.observe_send(t0, nbytes, true, contended, dst, tag);
+        self.post(t0, dst, tag, chunk.nbytes(), MsgBody::Chunk(chunk));
     }
 
     /// Receive a [`Chunk`] from processor `src` on channel `tag`. After
@@ -498,9 +469,12 @@ impl ProcCtx {
                 idle,
             ),
         };
+        let c = &self.counters;
+        bump(&c.recvs, 1);
+        bump(&c.recv_bytes, env.nbytes as u64);
         if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
             let waited = ns_since(t0);
-            self.host.recv_wait_ns += waited;
+            bump(&c.recv_wait_ns, waited);
             let wall = t0.duration_since(self.start).as_nanos() as u64 + waited;
             sh.on_recv(env.nbytes as u64, waited, wall, self.vbits(), src, tag);
         }
@@ -601,9 +575,10 @@ impl ProcCtx {
 
     /// Push a component onto the span scope path (`"G1"`, `"assign2"`,
     /// …). Subsequent spans are tagged `parent/…/name` until the matching
-    /// [`ProcCtx::pop_scope`]. No-op when neither profiling nor telemetry
-    /// is active.
+    /// [`ProcCtx::pop_scope`]. Counts one region entry; the path itself is
+    /// maintained only when profiling or telemetry is active.
     pub fn push_scope(&mut self, name: &str) {
+        bump(&self.counters.region_enters, 1);
         if !self.profile && self.tl.is_none() {
             return;
         }
@@ -722,45 +697,31 @@ impl ProcCtx {
 
     /// Number of messages this processor has sent so far.
     pub fn sent_msgs(&self) -> u64 {
-        self.sent_msgs
-    }
-
-    /// Number of payload bytes this processor has sent so far.
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
+        self.counters.sends.load(Ordering::Relaxed)
     }
 
     /// Count one communication-plan cache hit (plan replayed).
     #[inline]
     pub fn note_plan_hit(&mut self) {
-        self.plan_stats.plan_hits += 1;
-        if let Some(sh) = &self.tl {
-            sh.plan_hits.store(self.plan_stats.plan_hits, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.plan_hits, 1);
     }
 
     /// Count one communication-plan cache miss (plan built).
     #[inline]
     pub fn note_plan_miss(&mut self) {
-        self.plan_stats.plan_misses += 1;
-        if let Some(sh) = &self.tl {
-            sh.plan_misses.store(self.plan_stats.plan_misses, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.plan_misses, 1);
     }
 
     /// Accumulate host nanoseconds spent packing/unpacking along plan runs.
     #[inline]
     pub fn add_pack_ns(&mut self, ns: u64) {
-        self.plan_stats.pack_ns += ns;
-        if let Some(sh) = &self.tl {
-            sh.pack_ns.store(self.plan_stats.pack_ns, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.pack_ns, ns);
     }
 
-    /// Count one group-barrier entry (telemetry only; called by the
-    /// collectives layer). No-op when telemetry is off.
+    /// Count one group-barrier entry (called by the collectives layer).
     #[inline]
     pub fn note_barrier(&mut self) {
+        bump(&self.counters.barriers, 1);
         if let Some(sh) = &self.tl {
             let wall = ns_since(self.start);
             sh.on_barrier(wall, self.vbits());
@@ -787,26 +748,13 @@ impl ProcCtx {
     /// Count one sync point classified interval-covered (barrier elided).
     #[inline]
     pub fn note_barrier_elided(&mut self) {
-        self.dataflow_stats.barriers_elided += 1;
-        if let Some(sh) = &self.tl {
-            sh.barriers_elided
-                .store(self.dataflow_stats.barriers_elided, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.barriers_elided, 1);
     }
 
     /// Count one sync point where the subset barrier actually ran.
     #[inline]
     pub fn note_barrier_kept(&mut self) {
-        self.dataflow_stats.barriers_kept += 1;
-        if let Some(sh) = &self.tl {
-            sh.barriers_kept
-                .store(self.dataflow_stats.barriers_kept, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// This processor's dataflow counters so far.
-    pub fn dataflow_stats(&self) -> DataflowStats {
-        self.dataflow_stats
+        bump(&self.counters.barriers_kept, 1);
     }
 
     // ----- heartbeat promotion --------------------------------------------
@@ -884,84 +832,32 @@ impl ProcCtx {
     /// Count one heartbeat that published an announcement.
     #[inline]
     pub fn note_promotion_attempted(&mut self) {
-        self.promote.attempted += 1;
-        if let Some(sh) = &self.tl {
-            sh.promotions_attempted
-                .store(self.promote.attempted, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.promotions_attempted, 1);
     }
 
     /// Count `n` grants written by one heartbeat (one per victim).
     #[inline]
     pub fn note_promotions_taken(&mut self, n: u64) {
-        self.promote.taken += n;
-        if let Some(sh) = &self.tl {
-            sh.promotions_taken
-                .store(self.promote.taken, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.promotions_taken, n);
     }
 
     /// Count one heartbeat that donated nothing (no eligible victim, or
     /// the remaining range failed the profitability bound).
     #[inline]
     pub fn note_promotion_declined(&mut self) {
-        self.promote.declined += 1;
-        if let Some(sh) = &self.tl {
-            sh.promotions_declined
-                .store(self.promote.declined, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// This processor's promotion counters so far.
-    pub fn promote_stats(&self) -> PromoteStats {
-        self.promote
+        bump(&self.counters.promotions_declined, 1);
     }
 
     /// Count one skipped task region (this processor was not a member of
-    /// the region's subgroup). No-op when telemetry is off.
+    /// the region's subgroup).
     #[inline]
     pub fn note_region_skip(&mut self) {
-        if let Some(sh) = &self.tl {
-            sh.note_region_skip();
-        }
+        bump(&self.counters.region_skips, 1);
     }
 
-    /// This processor's plan counters so far.
-    pub fn plan_stats(&self) -> PlanStats {
-        self.plan_stats
-    }
-
-    /// Snapshot of this processor's transport counters so far. The
-    /// `lane_bytes` view is only filled in by the run harness (in the
-    /// [`crate::RunReport`]); mid-run it is empty.
-    pub fn host_stats(&self) -> HostStats {
-        let mut h = self.host.clone();
-        h.pool_hits = self.pool.hits;
-        h.pool_misses = self.pool.misses;
-        h.plan = self.plan_stats;
-        h
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (f64, EventLog, u64, u64, PlanStats, HostStats, SpanLog, DataflowStats, PromoteStats)
-    {
-        let t = self.now();
-        let mut host = self.host;
-        host.pool_hits = self.pool.hits;
-        host.pool_misses = self.pool.misses;
-        host.plan = self.plan_stats;
-        (
-            t,
-            self.events,
-            self.sent_msgs,
-            self.sent_bytes,
-            self.plan_stats,
-            host,
-            self.spans,
-            self.dataflow_stats,
-            self.promote,
-        )
+    /// The processor is done: what it hands back besides its counters,
+    /// which stay in the world's block.
+    pub(crate) fn finish<R>(self, value: R) -> ProcOutcome<R> {
+        ProcOutcome { value, time: self.now(), events: self.events, spans: self.spans }
     }
 }

@@ -29,6 +29,7 @@
 
 mod clock;
 mod coro;
+mod counters;
 mod critical;
 mod ctx;
 mod flight;
@@ -48,10 +49,11 @@ mod trace;
 #[doc(hidden)]
 pub use clock::debug_counters;
 pub use clock::HostTimer;
+pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
 pub use flight::{FlightEvent, FlightKind};
-pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView, PromoteStats};
+pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView};
 #[cfg(feature = "telemetry-http")]
 pub use http::TelemetryServer;
 pub use model::{MachineModel, TimeMode};
@@ -63,10 +65,9 @@ pub use span::{
 };
 pub use stall::{StallReport, StalledProc};
 pub use telemetry::{
-    ExemplarTrace, Histogram, HistogramSnapshot, ProcTotals, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TenantStats, TenantTotals,
+    ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TenantStats, TenantTotals,
 };
 pub use trace::{
-    chrome_trace_full_json, chrome_trace_json, chrome_trace_request_json, DataflowStats, Event,
-    EventLog, HostStats, PlanStats,
+    chrome_trace_full_json, chrome_trace_json, chrome_trace_request_json, Event, EventLog,
 };

@@ -419,9 +419,11 @@ impl Mailbox {
         out
     }
 
-    /// Payload bytes deposited per source lane since the run began.
-    pub fn lane_bytes(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.get().map_or(0, |l| l.state.lock().bytes)).collect()
+    /// `(sender rank, payload bytes deposited since the run began)` of
+    /// every lane built so far, ascending by sender. A lane nobody built
+    /// received nothing; reporting it would make the run report O(P²).
+    pub fn lane_bytes(&self) -> Vec<(usize, u64)> {
+        self.live_lanes().map(|(src, l)| (src, l.state.lock().bytes)).collect()
     }
 }
 
@@ -574,7 +576,7 @@ mod tests {
         put(&mb, 1, 7, 10); // 4 bytes
         put(&mb, 1, 8, 20); // 4 bytes
         put(&mb, 2, 7, 30); // 4 bytes
-        assert_eq!(mb.lane_bytes(), vec![0, 8, 4]);
+        assert_eq!(mb.lane_bytes(), vec![(1, 8), (2, 4)]);
     }
 
     #[test]
@@ -598,7 +600,7 @@ mod tests {
     #[test]
     fn fresh_tags_retain_nothing_and_build_one_lane() {
         let mb = mailbox(1024);
-        assert_eq!((mb.materialised_lanes(), mb.lane_bytes().len()), (0, 1024));
+        assert_eq!((mb.materialised_lanes(), mb.lane_bytes().len()), (0, 0));
         for tag in 0..10_000u64 {
             put(&mb, 7, tag, tag as u32);
             assert_eq!(take_u32(&mb, 7, tag), tag as u32);
@@ -660,7 +662,7 @@ mod tests {
             ) {
                 let mb = mailbox(SRCS);
                 let mut model: HashMap<(usize, u64), VecDeque<u32>> = HashMap::new();
-                let mut bytes = vec![0u64; SRCS];
+                let mut bytes = [0u64; SRCS];
                 for (op, src, tag, v) in ops {
                     let queued = model.get(&(src, tag)).is_some_and(|q| !q.is_empty());
                     prop_assert_eq!(mb.probe(src, tag), queued);
@@ -684,7 +686,9 @@ mod tests {
                     let snap: Vec<_> = mb.depth_snapshot().iter().map(|d| (d.src, d.tag, d.count)).collect();
                     prop_assert_eq!(snap, depths);
                     prop_assert_eq!(mb.undelivered(), model.values().map(VecDeque::len).sum::<usize>());
-                    prop_assert_eq!(mb.lane_bytes(), bytes.clone());
+                    // Only a deposit builds a lane here, and each adds bytes.
+                    let live: Vec<(usize, u64)> = bytes.iter().copied().enumerate().filter(|&(_, b)| b > 0).collect();
+                    prop_assert_eq!(mb.lane_bytes(), live);
                 }
             }
         }

@@ -271,8 +271,6 @@ impl Chunk {
 pub(crate) struct BufferPool {
     /// `classes[c]` holds idle buffers with capacity ≥ 2^c bytes.
     classes: Vec<Vec<Vec<u8>>>,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 /// Smallest pooled class: 2^6 = 64 bytes (sub-cacheline buffers are not
@@ -285,15 +283,13 @@ const MAX_CLASS: usize = 31;
 const CLASS_BYTES: usize = 1 << 20;
 
 impl BufferPool {
-    /// A buffer with capacity ≥ `nbytes`, recycled if possible.
-    pub fn acquire(&mut self, nbytes: usize) -> Vec<u8> {
+    /// A buffer with capacity ≥ `nbytes`, and whether it was recycled (a
+    /// pool hit) or freshly allocated (a miss) — the caller counts.
+    pub fn acquire(&mut self, nbytes: usize) -> (Vec<u8>, bool) {
         let c = Self::class_ceil(nbytes);
-        if let Some(b) = self.classes.get_mut(c).and_then(Vec::pop) {
-            self.hits += 1;
-            b
-        } else {
-            self.misses += 1;
-            Vec::with_capacity(1usize << c)
+        match self.classes.get_mut(c).and_then(Vec::pop) {
+            Some(b) => (b, true),
+            None => (Vec::with_capacity(1usize << c), false),
         }
     }
 
@@ -407,15 +403,13 @@ mod tests {
     #[test]
     fn pool_recycles_by_size_class() {
         let mut p = BufferPool::default();
-        let b = p.acquire(1000); // class 10 (1024)
-        assert_eq!(p.misses, 1);
-        assert!(b.capacity() >= 1000);
+        let (b, hit) = p.acquire(1000); // class 10 (1024)
+        assert!(!hit && b.capacity() >= 1000);
         p.release(b);
-        let b2 = p.acquire(700); // still class 10
-        assert_eq!(p.hits, 1);
-        assert!(b2.capacity() >= 1024);
-        let _b3 = p.acquire(2000); // class 11: fresh allocation
-        assert_eq!(p.misses, 2);
+        let (b2, hit) = p.acquire(700); // still class 10
+        assert!(hit && b2.capacity() >= 1024);
+        let (_b3, hit) = p.acquire(2000); // class 11: fresh allocation
+        assert!(!hit);
     }
 
     #[test]
@@ -427,10 +421,8 @@ mod tests {
             for _ in 0..depth + 4 {
                 p.release(Vec::with_capacity(size));
             }
-            for _ in 0..depth + 4 {
-                p.acquire(size);
-            }
-            assert_eq!((p.hits, p.misses), (depth, 4), "size {size}");
+            let hits = (0..depth + 4).filter(|_| p.acquire(size).1).count();
+            assert_eq!(hits as u64, depth, "size {size}: the other 4 acquires allocate");
         }
     }
 
@@ -439,8 +431,9 @@ mod tests {
         let mut p = BufferPool::default();
         for round in 0..3 {
             let held: Vec<_> = (0..63).map(|_| p.acquire(256)).collect();
-            held.into_iter().for_each(|b| p.release(b));
-            assert_eq!(p.misses, 63, "round {round}: only the first round allocates");
+            let hits = held.iter().filter(|(_, hit)| *hit).count();
+            assert_eq!(hits, if round == 0 { 0 } else { 63 }, "round {round}: only the first round allocates");
+            held.into_iter().for_each(|(b, _)| p.release(b));
         }
     }
 
@@ -448,8 +441,6 @@ mod tests {
     fn pool_ignores_tiny_buffers() {
         let mut p = BufferPool::default();
         p.release(Vec::with_capacity(8));
-        p.acquire(8);
-        assert_eq!(p.hits, 0);
-        assert_eq!(p.misses, 1);
+        assert!(!p.acquire(8).1);
     }
 }

@@ -69,7 +69,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,8 +78,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::clock::{debug_counters, CoarseClock};
 use crate::coro::{stack_bytes_from_env, Coro, YieldKind, Yielder};
 use crate::ctx::{ExecCtx, ProcCtx, World};
-use crate::run::{flight_text, ProcOutcome, RawOutcomes};
-use crate::telemetry::Telemetry;
+use crate::run::{run_proc, ProcOutcome, RawOutcomes};
 
 /// Running (on a worker) or waiting in a run queue.
 const IDLE: u8 = 0;
@@ -353,14 +351,13 @@ fn worker_loop(pool: &Pool, coros: &[Mutex<Option<Coro>>], widx: usize) {
     }
 }
 
-/// Run the SPMD closure over all processors of `world` on this pool.
-/// Mirrors the threaded executor's per-processor harness (catch panics,
-/// poison mailboxes, dump the flight recorder) and returns the same
-/// per-rank outcomes for the shared report-assembly code in `run`.
+/// Run the SPMD closure over all processors of `world` on this pool:
+/// each coroutine runs the per-processor harness the threaded executor's
+/// threads run ([`run_proc`]) and the same per-rank outcomes come back
+/// for the shared report-assembly code in `run`.
 pub(crate) fn execute<R, F>(
     pool: &Arc<Pool>,
     world: &Arc<World>,
-    telemetry: &Option<Arc<Telemetry>>,
     start: Instant,
     f: &F,
 ) -> RawOutcomes<R>
@@ -378,41 +375,11 @@ where
     let slots: Vec<Slot<R>> = (0..nprocs).map(|_| Mutex::new(None)).collect();
     let coros: Vec<Mutex<Option<Coro>>> = (0..nprocs)
         .map(|rank| {
-            let world = Arc::clone(world);
-            let telemetry = telemetry.clone();
             let pool = Arc::clone(pool);
             let slot = &slots[rank];
             let entry = Box::new(move |y: &Yielder| {
-                let exec = ExecCtx::Pooled { pool: Arc::clone(&pool), proc: rank, yielder: *y };
-                let mut cx = ProcCtx::new_with_exec(rank, Arc::clone(&world), start, exec);
-                let r = catch_unwind(AssertUnwindSafe(|| f(&mut cx)));
-                let out = match r {
-                    Ok(value) => {
-                        let (time, events, msgs, bytes, plans, host, spans, dataflow, promote) =
-                            cx.into_parts();
-                        Ok(ProcOutcome {
-                            value, time, events, msgs, bytes, plans, host, spans, dataflow,
-                            promote,
-                        })
-                    }
-                    Err(payload) => {
-                        // Unblock everyone else before reporting.
-                        world.poison_all();
-                        if let Some(t) = &telemetry {
-                            let secondary = payload
-                                .downcast_ref::<String>()
-                                .is_some_and(|s| s.contains("another processor panicked"));
-                            if !secondary {
-                                eprintln!(
-                                    "[fx-telemetry] processor {rank} panicked; flight recorder:\n{}",
-                                    flight_text(t, rank)
-                                );
-                            }
-                        }
-                        Err(payload)
-                    }
-                };
-                *slot.lock() = Some(out);
+                let exec = ExecCtx::Pooled { pool, proc: rank, yielder: *y };
+                *slot.lock() = Some(run_proc(rank, world, exec, start, f));
             });
             Mutex::new(Some(unsafe { Coro::new_scoped(stack_bytes, entry) }))
         })

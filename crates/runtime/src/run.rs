@@ -7,15 +7,16 @@ use std::time::{Duration, Instant};
 
 use crate::clock::{self, CoarseClock};
 use crate::coro;
-use crate::ctx::{ProcCtx, World};
-use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode, PromoteStats};
+use crate::counters::{ProcTotals, PromoteStats};
+use crate::ctx::{ExecCtx, ProcCtx, World};
+use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
 use crate::pool::{self, Pool};
 use crate::span::SpanLog;
 use crate::stall;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::trace::{DataflowStats, EventLog, HostStats, PlanStats};
+use crate::trace::EventLog;
 
 /// How simulated processors are mapped onto OS threads.
 ///
@@ -295,26 +296,26 @@ pub struct RunReport<R> {
     pub times: Vec<f64>,
     /// Per-processor event logs.
     pub events: Vec<EventLog>,
-    /// Per-processor (messages, bytes) sent.
+    /// Per-processor (messages, bytes) sent: `sends` and `send_bytes` of
+    /// `counters`, copied out at assembly.
     pub traffic: Vec<(u64, u64)>,
-    /// Per-processor communication-plan counters (cache hits/misses and
-    /// host-side pack time). All-zero for programs that never use plans.
-    pub plan_stats: Vec<PlanStats>,
-    /// Per-processor host-side transport counters (send/recv wall time,
-    /// buffer-pool hit rate, chunk traffic, bytes received per mailbox
-    /// lane). Host observability only; never affects virtual time.
-    pub host_stats: Vec<HostStats>,
+    /// Per-processor counter rows, indexed by physical rank: messages and
+    /// bytes both ways, chunk traffic, buffer-pool and plan-cache hit
+    /// rates, barriers run and elided, promotions, region entries, and —
+    /// only when a telemetry registry is attached, 0 otherwise — host
+    /// nanoseconds in sends, receives and pack loops. A read of the same
+    /// per-processor block `telemetry.per_proc` reads, so the two are
+    /// equal. Host observability only; never affects virtual time. For a
+    /// `Validate` run these are the counters of the `On` pass.
+    pub counters: Vec<ProcTotals>,
+    /// Per-processor `(sender rank, payload bytes)` of every lane of the
+    /// processor's mailbox that was ever deposited into or waited on,
+    /// ascending by sender; a sender that never appears sent nothing.
+    pub lane_bytes: Vec<Vec<(usize, u64)>>,
     /// Per-processor duration spans (empty unless the machine was built
     /// with `with_profiling(true)` under simulated time). Feed these to
     /// [`crate::critical_path`] or [`crate::chrome_trace_full_json`].
     pub spans: Vec<SpanLog>,
-    /// Per-processor dataflow barrier-elision counters (all-zero for
-    /// programs that never execute distributed-array statements). For a
-    /// `Validate` run these are the counters of the `On` pass.
-    pub dataflow: Vec<DataflowStats>,
-    /// Per-processor heartbeat-promotion counters (all-zero for programs
-    /// that never run a promotable loop, or with `FX_HEARTBEAT=off`).
-    pub promote: Vec<PromoteStats>,
     /// Final telemetry snapshot (`None` unless the machine was built with
     /// [`Machine::with_telemetry`]).
     pub telemetry: Option<TelemetrySnapshot>,
@@ -328,44 +329,40 @@ impl<R> RunReport<R> {
         self.times.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Machine-wide transport counters: every processor's
-    /// [`HostStats`] merged into one (lane bytes summed element-wise).
-    pub fn host_stats_total(&self) -> HostStats {
-        let mut total = HostStats::default();
-        for h in &self.host_stats {
-            total.merge(h);
+    /// Machine-wide counters: every processor's row merged into one.
+    pub fn total(&self) -> ProcTotals {
+        let mut total = ProcTotals::default();
+        for row in &self.counters {
+            total.merge(row);
         }
         total
     }
 
-    /// Machine-wide communication-plan counters: every processor's
-    /// [`PlanStats`] merged into one.
-    pub fn plan_stats_total(&self) -> PlanStats {
-        let mut total = PlanStats::default();
-        for p in &self.plan_stats {
-            total.merge(p);
-        }
-        total
+    /// [`RunReport::total`] under the name the transport counters
+    /// (`send_ns`, `recv_wait_ns`, `pool_*`, `chunk_*`) used to be read by.
+    #[doc(hidden)]
+    pub fn host_stats_total(&self) -> ProcTotals {
+        self.total()
     }
 
-    /// Machine-wide dataflow counters: every processor's
-    /// [`DataflowStats`] merged into one.
-    pub fn dataflow_total(&self) -> DataflowStats {
-        let mut total = DataflowStats::default();
-        for d in &self.dataflow {
-            total.merge(d);
-        }
-        total
+    /// [`RunReport::total`] under the name the plan counters
+    /// (`plan_hits`, `plan_misses`, `pack_ns`) used to be read by.
+    #[doc(hidden)]
+    pub fn plan_stats_total(&self) -> ProcTotals {
+        self.total()
     }
 
-    /// Machine-wide promotion counters: every processor's
-    /// [`PromoteStats`] merged into one.
+    /// [`RunReport::total`] under the name the elision counters
+    /// (`barriers_elided`, `barriers_kept`) used to be read by.
+    #[doc(hidden)]
+    pub fn dataflow_total(&self) -> ProcTotals {
+        self.total()
+    }
+
+    /// Machine-wide promotion counters, projected out of
+    /// [`RunReport::total`] on call.
     pub fn promote_total(&self) -> PromoteStats {
-        let mut total = PromoteStats::default();
-        for p in &self.promote {
-            total.merge(p);
-        }
-        total
+        self.total().promote()
     }
 
     /// All events with the given label across processors, as
@@ -494,6 +491,7 @@ where
                 None => Mailbox::new(machine.nprocs, Arc::clone(&coarse)),
             })
             .collect(),
+        counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         poisoned: std::sync::atomic::AtomicBool::new(false),
         clock: Arc::clone(&coarse),
         recv_timeout: machine.recv_timeout,
@@ -508,7 +506,7 @@ where
     });
     let start = clock::host_now();
     if let Some(t) = &telemetry {
-        t.begin_run(machine.nprocs, start, &world);
+        t.begin_run(start, &world);
     }
     // The run's one service thread, under either executor: it advances
     // the coarse clock and, for a pool, expires parked receives. Like the
@@ -529,8 +527,8 @@ where
         .map(|t| stall::spawn(Arc::clone(t), Arc::clone(&world), start));
 
     let raw = match &pool {
-        Some(p) => pool::execute(p, &world, &telemetry, start, &f),
-        None => run_threaded(machine.nprocs, &world, &telemetry, start, &f),
+        Some(p) => pool::execute(p, &world, start, &f),
+        None => run_threaded(&world, start, &f),
     };
 
     // Tear down the service threads before (possibly) re-raising a panic.
@@ -548,10 +546,7 @@ where
             Ok(out) => outcomes.push(Some(out)),
             Err(p) => {
                 outcomes.push(None);
-                let is_secondary = p
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains("another processor panicked"));
-                if is_secondary {
+                if is_secondary(&*p) {
                     poison_panic.get_or_insert(p);
                 } else if first_panic.is_none() {
                     first_panic = Some(p);
@@ -567,38 +562,24 @@ where
     let mut results = Vec::with_capacity(machine.nprocs);
     let mut times = Vec::with_capacity(machine.nprocs);
     let mut events = Vec::with_capacity(machine.nprocs);
-    let mut traffic = Vec::with_capacity(machine.nprocs);
-    let mut plan_stats = Vec::with_capacity(machine.nprocs);
-    let mut host_stats = Vec::with_capacity(machine.nprocs);
     let mut spans = Vec::with_capacity(machine.nprocs);
-    let mut dataflow = Vec::with_capacity(machine.nprocs);
-    let mut promote = Vec::with_capacity(machine.nprocs);
-    for (rank, out) in outcomes.into_iter().enumerate() {
+    for out in outcomes {
         let out = out.expect("missing processor outcome despite no panic");
         results.push(out.value);
         times.push(out.time);
         events.push(out.events);
-        traffic.push((out.msgs, out.bytes));
-        plan_stats.push(out.plans);
-        let mut host = out.host;
-        host.lane_bytes = world.mailboxes[rank].lane_bytes();
-        host_stats.push(host);
         spans.push(out.spans);
-        dataflow.push(out.dataflow);
-        promote.push(out.promote);
     }
-    let telemetry_snapshot = telemetry.as_ref().map(|t| t.snapshot());
+    let counters: Vec<ProcTotals> = world.counters.iter().map(|c| c.row()).collect();
     RunReport {
         results,
         times,
         events,
-        traffic,
-        plan_stats,
-        host_stats,
+        traffic: counters.iter().map(|c| (c.sends, c.send_bytes)).collect(),
+        counters,
+        lane_bytes: world.mailboxes.iter().map(Mailbox::lane_bytes).collect(),
         spans,
-        dataflow,
-        promote,
-        telemetry: telemetry_snapshot,
+        telemetry: telemetry.as_ref().map(|t| t.snapshot()),
         undelivered,
     }
 }
@@ -616,7 +597,7 @@ where
 /// * When nothing was elided the runs executed identical message
 ///   schedules, so times and traffic must be bit-identical.
 fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
-    let elided = on.dataflow_total().barriers_elided;
+    let elided = on.total().barriers_elided;
     let exact = elided == 0;
     assert_eq!(off.results.len(), on.results.len(), "FX_DATAFLOW=validate: nprocs changed");
     for p in 0..on.results.len() {
@@ -689,59 +670,17 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
 }
 
 /// The reference executor: one dedicated OS thread per simulated
-/// processor. Each thread runs the same harness the pooled executor's
-/// coroutines run (catch panics, poison mailboxes, dump the flight
-/// recorder) and its result is collected in rank order.
-fn run_threaded<R, F>(
-    nprocs: usize,
-    world: &Arc<World>,
-    telemetry: &Option<Arc<Telemetry>>,
-    start: Instant,
-    f: &F,
-) -> RawOutcomes<R>
+/// processor, each running [`run_proc`]; results are collected in rank
+/// order.
+fn run_threaded<R, F>(world: &Arc<World>, start: Instant, f: &F) -> RawOutcomes<R>
 where
     R: Send,
     F: Fn(&mut ProcCtx) -> R + Send + Sync,
 {
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for rank in 0..nprocs {
-            let world = Arc::clone(world);
-            let telemetry = telemetry.clone();
-            handles.push(scope.spawn(move || {
-                let mut cx = ProcCtx::new(rank, Arc::clone(&world), start);
-                let r = catch_unwind(AssertUnwindSafe(|| f(&mut cx)));
-                match r {
-                    Ok(value) => {
-                        let (time, events, msgs, bytes, plans, host, spans, dataflow, promote) =
-                            cx.into_parts();
-                        Ok(ProcOutcome {
-                            value, time, events, msgs, bytes, plans, host, spans, dataflow,
-                            promote,
-                        })
-                    }
-                    Err(payload) => {
-                        // Unblock everyone else before reporting.
-                        world.poison_all();
-                        // Black-box readout: dump this processor's flight
-                        // ring, unless it is a secondary poison panic (the
-                        // root cause already dumped its own).
-                        if let Some(t) = &telemetry {
-                            let secondary = payload
-                                .downcast_ref::<String>()
-                                .is_some_and(|s| s.contains("another processor panicked"));
-                            if !secondary {
-                                eprintln!(
-                                    "[fx-telemetry] processor {rank} panicked; flight recorder:\n{}",
-                                    flight_text(t, rank)
-                                );
-                            }
-                        }
-                        Err(payload)
-                    }
-                }
-            }));
-        }
+        let handles: Vec<_> = (0..world.nprocs)
+            .map(|rank| scope.spawn(move || run_proc(rank, world, ExecCtx::Thread, start, f)))
+            .collect();
         handles
             .into_iter()
             .map(|h| Some(h.join().expect("SPMD worker thread died outside catch_unwind")))
@@ -749,9 +688,46 @@ where
     })
 }
 
+/// One processor's life under either executor: build its context, run
+/// the SPMD closure, and hand back what it produced — or, if it
+/// panicked, unblock everyone else, dump its flight recorder (when a
+/// registry is attached, and unless this is a secondary poison panic:
+/// the root cause already dumped its own) and hand back the payload.
+pub(crate) fn run_proc<R, F>(
+    rank: usize,
+    world: &Arc<World>,
+    exec: ExecCtx,
+    start: Instant,
+    f: &F,
+) -> Result<ProcOutcome<R>, Box<dyn Any + Send>>
+where
+    F: Fn(&mut ProcCtx) -> R,
+{
+    let mut cx = ProcCtx::new(rank, Arc::clone(world), start, exec);
+    match catch_unwind(AssertUnwindSafe(|| f(&mut cx))) {
+        Ok(value) => Ok(cx.finish(value)),
+        Err(payload) => {
+            world.poison_all();
+            if let Some(t) = world.telemetry.as_ref().filter(|_| !is_secondary(&*payload)) {
+                eprintln!(
+                    "[fx-telemetry] processor {rank} panicked; flight recorder:\n{}",
+                    flight_text(t, rank)
+                );
+            }
+            Err(payload)
+        }
+    }
+}
+
+/// True for the panic a processor raises because *another* processor
+/// panicked and poisoned its mailbox.
+fn is_secondary(payload: &(dyn Any + Send)) -> bool {
+    payload.downcast_ref::<String>().is_some_and(|s| s.contains("another processor panicked"))
+}
+
 /// One processor's flight-recorder readout with its blocked-receive state,
 /// for the on-panic stderr dump.
-pub(crate) fn flight_text(t: &Telemetry, rank: usize) -> String {
+fn flight_text(t: &Telemetry, rank: usize) -> String {
     let events = t.flight_events(rank);
     if events.is_empty() {
         return "  (no events recorded)\n".to_string();
@@ -768,19 +744,13 @@ pub(crate) fn flight_text(t: &Telemetry, rank: usize) -> String {
 /// that are about to re-raise a panic anyway.
 pub(crate) type RawOutcomes<R> = Vec<Option<Result<ProcOutcome<R>, Box<dyn Any + Send>>>>;
 
-/// Everything one processor's harness hands back to the run for report
-/// assembly, whichever executor ran it.
+/// What one processor hands back to the run for report assembly besides
+/// its counters, which stay in the world's block.
 pub(crate) struct ProcOutcome<R> {
     pub(crate) value: R,
     pub(crate) time: f64,
     pub(crate) events: EventLog,
-    pub(crate) msgs: u64,
-    pub(crate) bytes: u64,
-    pub(crate) plans: PlanStats,
-    pub(crate) host: HostStats,
     pub(crate) spans: SpanLog,
-    pub(crate) dataflow: DataflowStats,
-    pub(crate) promote: PromoteStats,
 }
 
 #[cfg(test)]

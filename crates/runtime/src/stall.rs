@@ -4,8 +4,8 @@
 //! The deadlock watchdog in `mailbox.rs` only fires after the full
 //! receive timeout (default 60 s) and kills the run; the stall detector
 //! is its early-warning sibling. Every `stall_sample_every` it reads each
-//! processor's monotone progress counter (bumped on every send, receive,
-//! barrier, and scope transition). A processor whose counter has not
+//! processor's monotone progress count (the sum of its send, receive,
+//! barrier and region-entry counters). A processor whose count has not
 //! moved within `stall_window` *and* which is parked in a blocking
 //! receive is reported as stalled, together with the `(src, tag)` it is
 //! waiting on, whether that source is itself stalled (a cycle — the
@@ -18,7 +18,7 @@
 //!
 //! All diagnostics here are keyed by **processor id**, never by thread
 //! identity: progress counters, wait edges and queue snapshots live in
-//! per-processor shards indexed by rank. That is what keeps
+//! per-processor blocks and shards indexed by rank. That is what keeps
 //! who-blocks-on-whom dumps correct under the pooled executor, where
 //! many processors share (and migrate between) a few worker threads and
 //! a thread id means nothing.
@@ -93,10 +93,10 @@ pub(crate) fn spawn(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant
 }
 
 fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, stop: Arc<AtomicBool>) {
-    let shards = telemetry.shards();
+    let (counters, shards) = (telemetry.counters(), telemetry.shards());
     let window = telemetry.config().stall_window;
     let every = telemetry.config().stall_sample_every;
-    let mut last_progress: Vec<u64> = shards.iter().map(|s| s.progress.load(Ordering::Relaxed)).collect();
+    let mut last_progress: Vec<u64> = counters.iter().map(|c| c.progress()).collect();
     let mut last_moved: Vec<Instant> = vec![host_now(); shards.len()];
     // The (proc, src, tag) set already reported, to avoid re-reporting an
     // unchanged stall every sample.
@@ -110,7 +110,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
         let now = host_now();
         let mut stalled = Vec::new();
         for (p, shard) in shards.iter().enumerate() {
-            let prog = shard.progress.load(Ordering::Relaxed);
+            let prog = counters[p].progress();
             if prog != last_progress[p] {
                 last_progress[p] = prog;
                 last_moved[p] = now;

@@ -3,13 +3,19 @@
 //!
 //! A [`Telemetry`] handle is created by the harness, attached to a machine
 //! with [`crate::Machine::with_telemetry`], and shared (it is always used
-//! behind an `Arc`). Each run shards the registry per processor: every
-//! simulated processor owns one [`ProcShard`] of relaxed atomic counters
-//! and log-bucketed histograms, so the hot send/receive paths touch only
-//! their own cache lines and never take a lock. Cross-processor state is
-//! limited to a label-interning table (hit once per new region path per
-//! processor, then cached locally); even the chunk-bytes-in-flight gauge
-//! is sharded per processor and only summed at read time.
+//! behind an `Arc`). The registry keeps no counters of its own: every run
+//! hands it the per-processor counter blocks the run's world owns anyway
+//! (see [`crate::counters`] — one block, two readers: the report and the
+//! registry), and it reads them with relaxed loads, live or after the
+//! run, even one that ended in a panic. What it adds per processor is the
+//! [`ProcShard`] of things only an observer wants: log-bucketed
+//! histograms, the flight-recorder ring, the blocked-receive edge, the
+//! in-flight gauge and region-path counts. Shards are single-writer like
+//! the blocks, so the hot send/receive paths touch only their own cache
+//! lines and never take a lock. Cross-processor state is limited to a
+//! label-interning table (hit once per new region path per processor,
+//! then cached locally); even the chunk-bytes-in-flight gauge is sharded
+//! per processor and only summed at read time.
 //!
 //! Reading is always safe concurrently with a run: exporters and the
 //! stall sampler read the same atomics with relaxed loads, and queue
@@ -18,8 +24,9 @@
 //!
 //! Telemetry never touches the virtual clock. Simulated times are
 //! bit-identical with telemetry on, off, or absent; the only cost of
-//! enabling it is host wall-time (a handful of relaxed atomic increments
-//! and one flight-ring slot write per event).
+//! enabling it is host wall-time (the host-clock reads behind the three
+//! `*_ns` counters, two histogram records and one flight-ring slot write
+//! per event).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -28,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::counters::{bump, Counters, ProcTotals};
 use crate::ctx::World;
 use crate::flight::{FlightEvent, FlightKind, FlightRing, RawEvent, K_BARRIER, K_ENTER, K_EXIT, K_RECV, K_SEND};
 use crate::stall::StallReport;
@@ -56,22 +64,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)), sum: AtomicU64::new(0) }
     }
-}
-
-/// Single-writer counter increment: a relaxed load+store pair instead of
-/// a locked read-modify-write. Every hot-path counter in a [`ProcShard`]
-/// is written only by its owning *processor* — an invariant about the
-/// simulated processor, not about OS-thread identity. Under the threaded
-/// executor the two coincide; under the pooled executor the processor
-/// may migrate between worker threads, but only at suspension points,
-/// and the scheduler's run-queue locks establish happens-before between
-/// the worker that wrote last and the worker that resumes next — so
-/// writes never race and the unlocked form stays exact. It is roughly 3×
-/// cheaper than `fetch_add` on x86, which is what keeps telemetry-on
-/// inside the <5% overhead budget.
-#[inline]
-fn bump(a: &AtomicU64, v: u64) {
-    a.store(a.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
 }
 
 /// Bucket index for a recorded value (shared by both record paths).
@@ -215,45 +207,21 @@ impl HistogramSnapshot {
     }
 }
 
-/// One processor's shard of the registry: plain relaxed atomics, written
-/// only by the owning simulated processor (whichever worker thread is
-/// currently running it — see [`bump`] for why migration is safe), read
-/// by exporters and the stall sampler. Counter semantics mirror
-/// [`crate::HostStats`] exactly so the two reconcile after a run.
-/// Cache-line aligned so neighbouring shards (separate allocations, but
-/// allocator-adjacent) never false-share.
+/// One processor's shard of the registry — what only an observer wants,
+/// beside the counter block every run has ([`crate::counters`]): plain
+/// relaxed atomics and single-writer histograms, written only by the
+/// owning simulated processor (whichever worker thread is currently
+/// running it — see [`bump`] for why migration is safe), read by
+/// exporters and the stall sampler. Cache-line aligned so neighbouring
+/// shards (separate allocations, but allocator-adjacent) never
+/// false-share.
 #[repr(align(64))]
 pub(crate) struct ProcShard {
-    pub sends: AtomicU64,
-    pub send_bytes: AtomicU64,
-    pub chunk_msgs: AtomicU64,
-    pub chunk_bytes: AtomicU64,
-    pub send_ns: AtomicU64,
-    pub recvs: AtomicU64,
-    pub recv_bytes: AtomicU64,
-    pub recv_wait_ns: AtomicU64,
-    pub barriers: AtomicU64,
-    pub barriers_elided: AtomicU64,
-    pub barriers_kept: AtomicU64,
-    pub promotions_attempted: AtomicU64,
-    pub promotions_taken: AtomicU64,
-    pub promotions_declined: AtomicU64,
-    pub region_enters: AtomicU64,
-    pub region_skips: AtomicU64,
-    pub pool_hits: AtomicU64,
-    pub pool_misses: AtomicU64,
-    pub plan_hits: AtomicU64,
-    pub plan_misses: AtomicU64,
-    pub pack_ns: AtomicU64,
-    pub lane_contention: AtomicU64,
     /// This processor's contribution to the chunk-bytes-in-flight gauge:
     /// +bytes when it sends a chunk, -bytes when it receives one. The
     /// machine-wide gauge is the sum over shards (each shard stays
     /// single-writer; no shared cache line on the hot path).
     pub chunk_flight: AtomicI64,
-    /// Monotone event counter (sends + recvs + barriers + scope
-    /// transitions); the stall sampler watches it for forward progress.
-    pub progress: AtomicU64,
     /// Source rank this processor is currently blocked receiving from
     /// ([`NO_WAIT`] when not blocked).
     pub wait_src: AtomicUsize,
@@ -274,30 +242,7 @@ pub(crate) struct ProcShard {
 impl ProcShard {
     fn new(flight_capacity: usize) -> Self {
         ProcShard {
-            sends: AtomicU64::new(0),
-            send_bytes: AtomicU64::new(0),
-            chunk_msgs: AtomicU64::new(0),
-            chunk_bytes: AtomicU64::new(0),
-            send_ns: AtomicU64::new(0),
-            recvs: AtomicU64::new(0),
-            recv_bytes: AtomicU64::new(0),
-            recv_wait_ns: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            barriers_elided: AtomicU64::new(0),
-            barriers_kept: AtomicU64::new(0),
-            promotions_attempted: AtomicU64::new(0),
-            promotions_taken: AtomicU64::new(0),
-            promotions_declined: AtomicU64::new(0),
-            region_enters: AtomicU64::new(0),
-            region_skips: AtomicU64::new(0),
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            pack_ns: AtomicU64::new(0),
-            lane_contention: AtomicU64::new(0),
             chunk_flight: AtomicI64::new(0),
-            progress: AtomicU64::new(0),
             wait_src: AtomicUsize::new(NO_WAIT),
             wait_tag: AtomicU64::new(0),
             msg_bytes_hist: Histogram::default(),
@@ -307,16 +252,15 @@ impl ProcShard {
         }
     }
 
-    /// All counters for one send (either payload path).
+    /// One flight-ring slot (`packed` = [`RawEvent::pack`] of kind, label, peer).
+    fn record(&self, packed: u64, tag: u64, bytes: u64, wall_ns: u64, vbits: u64) {
+        self.flight.push(RawEvent { packed, tag, bytes, wall_ns, vtime_bits: vbits });
+    }
+
+    /// The observer's half of one send (either payload path).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_send(&self, bytes: u64, chunk: bool, ns: u64, wall_ns: u64, vbits: u64, dst: usize, tag: u64) {
-        bump(&self.sends, 1);
-        bump(&self.send_bytes, bytes);
-        bump(&self.send_ns, ns);
+    pub fn on_send(&self, bytes: u64, chunk: bool, wall_ns: u64, vbits: u64, dst: usize, tag: u64) {
         if chunk {
-            bump(&self.chunk_msgs, 1);
-            bump(&self.chunk_bytes, bytes);
             // The in-flight gauge is sharded too: the sender credits its
             // own shard, the receiver debits its own; the sum over shards
             // is the machine-wide gauge. Keeps the hot path off any
@@ -325,32 +269,15 @@ impl ProcShard {
             self.chunk_flight.store(f + bytes as i64, Ordering::Relaxed);
         }
         self.msg_bytes_hist.record(bytes);
-        bump(&self.progress, 1);
-        self.flight.push(RawEvent {
-            packed: RawEvent::pack(K_SEND, 0, dst as u32),
-            tag,
-            bytes,
-            wall_ns,
-            vtime_bits: vbits,
-        });
+        self.record(RawEvent::pack(K_SEND, 0, dst as u32), tag, bytes, wall_ns, vbits);
     }
 
-    /// All counters for one completed receive.
+    /// The observer's half of one completed receive.
     #[inline]
     pub fn on_recv(&self, bytes: u64, waited_ns: u64, wall_ns: u64, vbits: u64, src: usize, tag: u64) {
-        bump(&self.recvs, 1);
-        bump(&self.recv_bytes, bytes);
-        bump(&self.recv_wait_ns, waited_ns);
         self.recv_wait_hist.record(waited_ns);
-        bump(&self.progress, 1);
         self.wait_src.store(NO_WAIT, Ordering::Relaxed);
-        self.flight.push(RawEvent {
-            packed: RawEvent::pack(K_RECV, 0, src as u32),
-            tag,
-            bytes,
-            wall_ns,
-            vtime_bits: vbits,
-        });
+        self.record(RawEvent::pack(K_RECV, 0, src as u32), tag, bytes, wall_ns, vbits);
     }
 
     /// Mark this processor as parked in a blocking receive on `(src, tag)`
@@ -368,52 +295,17 @@ impl ProcShard {
         self.chunk_flight.store(f - bytes as i64, Ordering::Relaxed);
     }
 
-    /// Count a deposit that found the destination lane lock held.
-    #[inline]
-    pub fn on_lane_contention(&self) {
-        bump(&self.lane_contention, 1);
-    }
-
-    /// Count one skipped task region.
-    #[inline]
-    pub fn note_region_skip(&self) {
-        bump(&self.region_skips, 1);
-    }
-
     pub fn on_barrier(&self, wall_ns: u64, vbits: u64) {
-        bump(&self.barriers, 1);
-        bump(&self.progress, 1);
-        self.flight.push(RawEvent {
-            packed: RawEvent::pack(K_BARRIER, 0, 0),
-            tag: 0,
-            bytes: 0,
-            wall_ns,
-            vtime_bits: vbits,
-        });
+        self.record(RawEvent::pack(K_BARRIER, 0, 0), 0, 0, wall_ns, vbits);
     }
 
     pub fn on_region_enter(&self, label: u32, wall_ns: u64, vbits: u64) {
-        bump(&self.region_enters, 1);
-        bump(&self.progress, 1);
         *self.scope_counts.lock().entry(label).or_insert(0) += 1;
-        self.flight.push(RawEvent {
-            packed: RawEvent::pack(K_ENTER, label, 0),
-            tag: 0,
-            bytes: 0,
-            wall_ns,
-            vtime_bits: vbits,
-        });
+        self.record(RawEvent::pack(K_ENTER, label, 0), 0, 0, wall_ns, vbits);
     }
 
     pub fn on_region_exit(&self, label: u32, wall_ns: u64, vbits: u64) {
-        bump(&self.progress, 1);
-        self.flight.push(RawEvent {
-            packed: RawEvent::pack(K_EXIT, label, 0),
-            tag: 0,
-            bytes: 0,
-            wall_ns,
-            vtime_bits: vbits,
-        });
+        self.record(RawEvent::pack(K_EXIT, label, 0), 0, 0, wall_ns, vbits);
     }
 }
 
@@ -461,6 +353,9 @@ pub struct ExemplarTrace {
 
 /// Per-run registry state, swapped wholesale by [`Telemetry::begin_run`].
 struct Inner {
+    /// The current (or last) run's counter blocks: the allocations the
+    /// run's world owns, kept alive here past the run.
+    counters: Vec<Arc<Counters>>,
     shards: Vec<Arc<ProcShard>>,
     /// Interned region-path labels, id = index. Append-only across runs so
     /// cached ids stay valid.
@@ -629,6 +524,7 @@ impl Telemetry {
         Telemetry {
             config,
             inner: Mutex::new(Inner {
+                counters: Vec::new(),
                 shards: Vec::new(),
                 names: Vec::new(),
                 ids: HashMap::new(),
@@ -646,11 +542,13 @@ impl Telemetry {
         &self.config
     }
 
-    /// Reset counters and attach to a new run. Called by [`crate::run`];
-    /// a handle reused across runs reports only the latest run.
-    pub(crate) fn begin_run(&self, nprocs: usize, start: Instant, world: &Arc<World>) {
+    /// Attach to a new run: adopt the world's counter blocks and start
+    /// fresh shards. Called by [`crate::run`]; a handle reused across runs
+    /// reports only the latest run.
+    pub(crate) fn begin_run(&self, start: Instant, world: &Arc<World>) {
         let mut inner = self.inner.lock();
-        inner.shards = (0..nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
+        inner.counters = world.counters.clone();
+        inner.shards = (0..world.nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
         inner.start = Some(start);
         inner.world = Arc::downgrade(world);
         drop(inner);
@@ -663,6 +561,10 @@ impl Telemetry {
 
     pub(crate) fn shards(&self) -> Vec<Arc<ProcShard>> {
         self.inner.lock().shards.clone()
+    }
+
+    pub(crate) fn counters(&self) -> Vec<Arc<Counters>> {
+        self.inner.lock().counters.clone()
     }
 
     pub(crate) fn world(&self) -> Option<Arc<World>> {
@@ -735,6 +637,25 @@ impl Telemetry {
             ring.swap_remove(min_i);
         }
         ring.push(ExemplarTrace { trace_id, latency_ns, json: render() });
+    }
+
+    /// Offer a whole batch of completions, `(trace id, latency ns)` each.
+    /// Offers go slowest first and stop after the ring's capacity — no
+    /// later one could enter — so at most `exemplar_trace_capacity`
+    /// requests are rendered however many completed. (Offered one by one
+    /// in completion order, an overloaded session — latency rising —
+    /// evicts and renders on every offer, and a render scans every span
+    /// of the run.)
+    pub fn offer_exemplar_traces(
+        &self,
+        completions: impl IntoIterator<Item = (u64, u64)>,
+        render: impl Fn(u64) -> String,
+    ) {
+        let mut slowest: Vec<(u64, u64)> = completions.into_iter().filter(|&(id, _)| id != 0).collect();
+        slowest.sort_by_key(|&(_, latency_ns)| std::cmp::Reverse(latency_ns));
+        for &(trace_id, latency_ns) in slowest.iter().take(self.config.exemplar_trace_capacity) {
+            self.offer_exemplar_trace(trace_id, latency_ns, || render(trace_id));
+        }
     }
 
     /// Look up a retained exemplar trace by its trace id.
@@ -834,11 +755,11 @@ impl Telemetry {
     /// A consistent-enough point-in-time copy of every counter (relaxed
     /// reads; exact once the run has finished).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (shards, names, tenants) = {
+        let (counters, shards, names, tenants) = {
             let inner = self.inner.lock();
-            (inner.shards.clone(), inner.names.clone(), inner.tenants.clone())
+            (inner.counters.clone(), inner.shards.clone(), inner.names.clone(), inner.tenants.clone())
         };
-        let per_proc: Vec<ProcTotals> = shards.iter().map(|s| ProcTotals::from_shard(s)).collect();
+        let per_proc: Vec<ProcTotals> = counters.iter().map(|c| c.row()).collect();
         let mut regions: Vec<(String, u64)> = Vec::new();
         let mut region_map: HashMap<u32, u64> = HashMap::new();
         for s in &shards {
@@ -877,48 +798,19 @@ impl Telemetry {
         let snap = self.snapshot();
         let mut out = String::with_capacity(4096);
 
-        let counter = |out: &mut String, name: &str, help: &str, rows: &dyn Fn(&mut String)| {
-            out.push_str(&format!("# TYPE {name} counter\n# HELP {name} {help}\n"));
-            rows(out);
-        };
-        macro_rules! per_proc_counter {
-            ($name:literal, $help:literal, $field:ident) => {
-                counter(&mut out, $name, $help, &|out: &mut String| {
-                    for (p, t) in snap.per_proc.iter().enumerate() {
-                        out.push_str(&format!(concat!($name, "_total{{proc=\"{}\"}} {}\n"), p, t.$field));
-                    }
-                });
-            };
-        }
-        per_proc_counter!("fx_sends", "Messages sent (both payload paths).", sends);
-        per_proc_counter!("fx_send_bytes", "Payload bytes sent.", send_bytes);
-        per_proc_counter!("fx_recvs", "Messages received.", recvs);
-        per_proc_counter!("fx_recv_bytes", "Payload bytes received.", recv_bytes);
-        per_proc_counter!("fx_send_ns", "Host nanoseconds inside send calls.", send_ns);
-        per_proc_counter!("fx_recv_wait_ns", "Host nanoseconds blocked in receives.", recv_wait_ns);
-        per_proc_counter!("fx_chunk_msgs", "Messages sent via the chunk fast path.", chunk_msgs);
-        per_proc_counter!("fx_chunk_bytes", "Payload bytes sent via the chunk fast path.", chunk_bytes);
-        per_proc_counter!("fx_barriers", "Group barriers entered.", barriers);
-        per_proc_counter!("fx_barriers_elided", "Statement sync points whose subset barrier was elided (interval-covered edge).", barriers_elided);
-        per_proc_counter!("fx_barriers_kept", "Statement sync points whose subset barrier ran.", barriers_kept);
-        per_proc_counter!("fx_promotions_attempted", "Heartbeats that published a promotion announcement.", promotions_attempted);
-        per_proc_counter!("fx_promotions_taken", "Loop-tail grants donated to idle subgroup peers.", promotions_taken);
-        per_proc_counter!("fx_promotions_declined", "Heartbeats that donated nothing (no victim or unprofitable).", promotions_declined);
-        per_proc_counter!("fx_region_enters", "Task-region scopes entered.", region_enters);
-        per_proc_counter!("fx_region_skips", "Task regions skipped (processor not a member).", region_skips);
-        per_proc_counter!("fx_pool_hits", "Buffer-pool hits (buffer recycled).", pool_hits);
-        per_proc_counter!("fx_pool_misses", "Buffer-pool misses (allocator invoked).", pool_misses);
-        per_proc_counter!("fx_plan_hits", "Communication-plan cache hits.", plan_hits);
-        per_proc_counter!("fx_plan_misses", "Communication-plan cache misses.", plan_misses);
-        per_proc_counter!("fx_plan_pack_ns", "Host nanoseconds packing/unpacking plan buffers.", pack_ns);
-        per_proc_counter!("fx_lane_contention", "Mailbox lane deposits that found the lane lock held.", lane_contention);
-        per_proc_counter!("fx_progress", "Monotone per-processor progress events.", progress);
-
-        counter(&mut out, "fx_region_path_enters", "Region entries by subgroup path.", &|out| {
-            for (path, n) in &snap.regions {
-                out.push_str(&format!("fx_region_path_enters_total{{path=\"{}\"}} {n}\n", escape_label(path)));
+        // One counter family per declared counter, one sample per processor.
+        let rows: Vec<_> = snap.per_proc.iter().map(ProcTotals::values).collect();
+        for (i, c) in ProcTotals::COUNTERS.iter().enumerate() {
+            out.push_str(&format!("# TYPE {0} counter\n# HELP {0} {1}\n", c.family, c.help));
+            for (p, row) in rows.iter().enumerate() {
+                out.push_str(&format!("{}_total{{proc=\"{p}\"}} {}\n", c.family, row[i]));
             }
-        });
+        }
+
+        out.push_str("# TYPE fx_region_path_enters counter\n# HELP fx_region_path_enters Region entries by subgroup path.\n");
+        for (path, n) in &snap.regions {
+            out.push_str(&format!("fx_region_path_enters_total{{path=\"{}\"}} {n}\n", escape_label(path)));
+        }
 
         out.push_str("# TYPE fx_chunk_bytes_in_flight gauge\n");
         out.push_str("# HELP fx_chunk_bytes_in_flight Chunk payload bytes currently deposited in mailboxes.\n");
@@ -1091,160 +983,6 @@ fn escape_label(s: &str) -> String {
         }
     }
     out
-}
-
-/// Final counter values of one processor (or machine-wide totals via
-/// [`TelemetrySnapshot::total`]). Field semantics mirror
-/// [`crate::HostStats`]; the registry and `HostStats` reconcile exactly
-/// after a run.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ProcTotals {
-    /// Messages sent (both payload paths).
-    pub sends: u64,
-    /// Payload bytes sent.
-    pub send_bytes: u64,
-    /// Messages sent via the chunk fast path.
-    pub chunk_msgs: u64,
-    /// Payload bytes sent via the chunk fast path.
-    pub chunk_bytes: u64,
-    /// Host nanoseconds inside send calls.
-    pub send_ns: u64,
-    /// Messages received.
-    pub recvs: u64,
-    /// Payload bytes received.
-    pub recv_bytes: u64,
-    /// Host nanoseconds blocked in receives.
-    pub recv_wait_ns: u64,
-    /// Group barriers entered.
-    pub barriers: u64,
-    /// Statement sync points whose subset barrier was elided because the
-    /// dependence classifier proved the edge interval-covered.
-    pub barriers_elided: u64,
-    /// Statement sync points whose subset barrier actually ran (edge was
-    /// barrier-required: tainted by aliasing writes or root I/O).
-    pub barriers_kept: u64,
-    /// Heartbeats that published a promotion announcement.
-    pub promotions_attempted: u64,
-    /// Loop-tail grants donated to idle subgroup peers.
-    pub promotions_taken: u64,
-    /// Heartbeats that donated nothing (no victim or unprofitable).
-    pub promotions_declined: u64,
-    /// Task-region scopes entered.
-    pub region_enters: u64,
-    /// Task regions skipped because the processor was not a member.
-    pub region_skips: u64,
-    /// Buffer-pool hits.
-    pub pool_hits: u64,
-    /// Buffer-pool misses.
-    pub pool_misses: u64,
-    /// Communication-plan cache hits.
-    pub plan_hits: u64,
-    /// Communication-plan cache misses.
-    pub plan_misses: u64,
-    /// Host nanoseconds packing/unpacking plan buffers.
-    pub pack_ns: u64,
-    /// Mailbox deposits that found the destination lane lock held.
-    pub lane_contention: u64,
-    /// Monotone progress events (sends + recvs + barriers + scopes).
-    pub progress: u64,
-    /// Flight-recorder events recorded over the run (≥ retained).
-    pub flight_recorded: u64,
-}
-
-impl ProcTotals {
-    fn from_shard(s: &ProcShard) -> Self {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ProcTotals {
-            sends: ld(&s.sends),
-            send_bytes: ld(&s.send_bytes),
-            chunk_msgs: ld(&s.chunk_msgs),
-            chunk_bytes: ld(&s.chunk_bytes),
-            send_ns: ld(&s.send_ns),
-            recvs: ld(&s.recvs),
-            recv_bytes: ld(&s.recv_bytes),
-            recv_wait_ns: ld(&s.recv_wait_ns),
-            barriers: ld(&s.barriers),
-            barriers_elided: ld(&s.barriers_elided),
-            barriers_kept: ld(&s.barriers_kept),
-            promotions_attempted: ld(&s.promotions_attempted),
-            promotions_taken: ld(&s.promotions_taken),
-            promotions_declined: ld(&s.promotions_declined),
-            region_enters: ld(&s.region_enters),
-            region_skips: ld(&s.region_skips),
-            pool_hits: ld(&s.pool_hits),
-            pool_misses: ld(&s.pool_misses),
-            plan_hits: ld(&s.plan_hits),
-            plan_misses: ld(&s.plan_misses),
-            pack_ns: ld(&s.pack_ns),
-            lane_contention: ld(&s.lane_contention),
-            progress: ld(&s.progress),
-            flight_recorded: s.flight.pushed(),
-        }
-    }
-
-    /// Accumulate another row into this one.
-    pub fn merge(&mut self, other: &ProcTotals) {
-        self.sends += other.sends;
-        self.send_bytes += other.send_bytes;
-        self.chunk_msgs += other.chunk_msgs;
-        self.chunk_bytes += other.chunk_bytes;
-        self.send_ns += other.send_ns;
-        self.recvs += other.recvs;
-        self.recv_bytes += other.recv_bytes;
-        self.recv_wait_ns += other.recv_wait_ns;
-        self.barriers += other.barriers;
-        self.barriers_elided += other.barriers_elided;
-        self.barriers_kept += other.barriers_kept;
-        self.promotions_attempted += other.promotions_attempted;
-        self.promotions_taken += other.promotions_taken;
-        self.promotions_declined += other.promotions_declined;
-        self.region_enters += other.region_enters;
-        self.region_skips += other.region_skips;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
-        self.pack_ns += other.pack_ns;
-        self.lane_contention += other.lane_contention;
-        self.progress += other.progress;
-        self.flight_recorded += other.flight_recorded;
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"sends\":{},\"send_bytes\":{},\"chunk_msgs\":{},\"chunk_bytes\":{},\"send_ns\":{},\
-             \"recvs\":{},\"recv_bytes\":{},\"recv_wait_ns\":{},\"barriers\":{},\
-             \"barriers_elided\":{},\"barriers_kept\":{},\
-             \"promotions_attempted\":{},\"promotions_taken\":{},\"promotions_declined\":{},\
-             \"region_enters\":{},\"region_skips\":{},\"pool_hits\":{},\"pool_misses\":{},\
-             \"plan_hits\":{},\"plan_misses\":{},\"pack_ns\":{},\"lane_contention\":{},\
-             \"progress\":{},\"flight_recorded\":{}}}",
-            self.sends,
-            self.send_bytes,
-            self.chunk_msgs,
-            self.chunk_bytes,
-            self.send_ns,
-            self.recvs,
-            self.recv_bytes,
-            self.recv_wait_ns,
-            self.barriers,
-            self.barriers_elided,
-            self.barriers_kept,
-            self.promotions_attempted,
-            self.promotions_taken,
-            self.promotions_declined,
-            self.region_enters,
-            self.region_skips,
-            self.pool_hits,
-            self.pool_misses,
-            self.plan_hits,
-            self.plan_misses,
-            self.pack_ns,
-            self.lane_contention,
-            self.progress,
-            self.flight_recorded
-        )
-    }
 }
 
 /// Point-in-time copy of the whole registry, as stored in

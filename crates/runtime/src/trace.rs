@@ -1,4 +1,5 @@
-//! Event tracing.
+//! Event tracing: instant marks and their Chrome-trace export. (Counters
+//! live in [`crate::counters`], duration spans in [`crate::span`].)
 //!
 //! Applications mark interesting instants (`dataset done`, `hour output`,
 //! …) on their processor's virtual clock; the run report aggregates them so
@@ -8,162 +9,6 @@
 
 use crate::critical::match_recvs_to_sends;
 use crate::span::{SpanKind, SpanLog};
-
-/// Per-processor communication-plan counters.
-///
-/// Higher layers (fx-darray's cached interval plans) report cache hits,
-/// misses, and the host time spent packing/unpacking message buffers
-/// through [`crate::ProcCtx`]; the run report aggregates one of these per
-/// processor so harnesses and regression tests can verify that an
-/// m-iteration pipeline builds each plan once and replays it m-1 times.
-///
-/// The counters are host-side instrumentation only: they never touch the
-/// virtual clock, so enabling or reading them cannot perturb simulated
-/// time.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Plan-cache hits (a cached plan was replayed).
-    pub plan_hits: u64,
-    /// Plan-cache misses (a plan was built from scratch).
-    pub plan_misses: u64,
-    /// Host nanoseconds spent packing send buffers and unpacking receive
-    /// buffers along plan runs. 0 unless a telemetry registry is attached
-    /// ([`crate::Machine::with_telemetry`]): the registry is this
-    /// duration's one reader, and an unobserved replay reads no clock.
-    pub pack_ns: u64,
-}
-
-impl PlanStats {
-    /// Accumulate another processor's counters into this one. Harnesses
-    /// fold per-processor stats into machine totals with this instead of
-    /// summing fields by hand (see [`crate::RunReport::plan_stats_total`]).
-    pub fn merge(&mut self, other: &PlanStats) {
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
-        self.pack_ns += other.pack_ns;
-    }
-}
-
-impl std::fmt::Display for PlanStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "plans: {} hits / {} misses, pack {:.3} ms",
-            self.plan_hits,
-            self.plan_misses,
-            self.pack_ns as f64 / 1e6
-        )
-    }
-}
-
-/// Per-processor dataflow-elision counters.
-///
-/// The data-parallel layer classifies every synchronization point of a
-/// distributed-array statement as *interval-covered* (the statement's own
-/// receives already order the consumer behind its producers, so the subset
-/// barrier is elided) or *barrier-required* (an opaque predecessor — index
-/// remap, root I/O — tainted an operand, so the barrier is kept). One of
-/// these per processor lands in [`crate::RunReport::dataflow`].
-///
-/// Counting is always on (plain integers on the hot path); like
-/// [`PlanStats`] it never touches the virtual clock.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DataflowStats {
-    /// Sync points classified interval-covered: the barrier was skipped.
-    pub barriers_elided: u64,
-    /// Sync points where a subset barrier actually ran (always, under
-    /// `FX_DATAFLOW=off`; only on tainted operands under `on`).
-    pub barriers_kept: u64,
-}
-
-impl DataflowStats {
-    /// Accumulate another processor's counters into this one (see
-    /// [`crate::RunReport::dataflow_total`]).
-    pub fn merge(&mut self, other: &DataflowStats) {
-        self.barriers_elided += other.barriers_elided;
-        self.barriers_kept += other.barriers_kept;
-    }
-}
-
-impl std::fmt::Display for DataflowStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "dataflow: {} barriers elided / {} kept", self.barriers_elided, self.barriers_kept)
-    }
-}
-
-/// Per-processor host-side transport counters.
-///
-/// Where [`PlanStats`] measures plan construction and pack loops, this
-/// block measures the transport itself: wall-clock nanoseconds spent in
-/// sends and blocked in receives, buffer-pool effectiveness, chunk-path
-/// traffic, and bytes deposited per mailbox lane. Like `PlanStats`, it is
-/// host observability only — reading or enabling it never moves the
-/// virtual clock, so simulated results stay bit-identical.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct HostStats {
-    /// Host nanoseconds spent inside `send`/`send_chunk` calls. 0 unless a
-    /// telemetry registry is attached ([`crate::Machine::with_telemetry`]):
-    /// an unobserved send reads no host clock.
-    pub send_ns: u64,
-    /// Host nanoseconds spent blocked waiting for messages to arrive. 0
-    /// unless a telemetry registry is attached, like `send_ns`.
-    pub recv_wait_ns: u64,
-    /// Buffer-pool hits (a pooled buffer was recycled).
-    pub pool_hits: u64,
-    /// Buffer-pool misses (the allocator was invoked).
-    pub pool_misses: u64,
-    /// Messages sent via the chunk fast path.
-    pub chunk_msgs: u64,
-    /// Payload bytes sent via the chunk fast path.
-    pub chunk_bytes: u64,
-    /// Payload bytes deposited into each source lane of this processor's
-    /// mailbox (index = sender rank). Filled in by the run harness.
-    pub lane_bytes: Vec<u64>,
-    /// The processor's communication-plan counters, for one-stop reading.
-    pub plan: PlanStats,
-}
-
-impl HostStats {
-    /// Accumulate another processor's counters into this one: scalar
-    /// counters sum, `lane_bytes` sums element-wise (growing to the longer
-    /// of the two), and the embedded [`PlanStats`] merge. Harnesses fold
-    /// per-processor stats into machine totals with this instead of
-    /// summing fields by hand (see [`crate::RunReport::host_stats_total`]).
-    pub fn merge(&mut self, other: &HostStats) {
-        self.send_ns += other.send_ns;
-        self.recv_wait_ns += other.recv_wait_ns;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.chunk_msgs += other.chunk_msgs;
-        self.chunk_bytes += other.chunk_bytes;
-        if self.lane_bytes.len() < other.lane_bytes.len() {
-            self.lane_bytes.resize(other.lane_bytes.len(), 0);
-        }
-        for (a, b) in self.lane_bytes.iter_mut().zip(&other.lane_bytes) {
-            *a += b;
-        }
-        self.plan.merge(&other.plan);
-    }
-}
-
-impl std::fmt::Display for HostStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let lane_total: u64 = self.lane_bytes.iter().sum();
-        write!(
-            f,
-            "send {:.3} ms, recv-wait {:.3} ms, pool {} hits / {} misses, \
-             chunks {} msgs ({} B), lanes {} B; {}",
-            self.send_ns as f64 / 1e6,
-            self.recv_wait_ns as f64 / 1e6,
-            self.pool_hits,
-            self.pool_misses,
-            self.chunk_msgs,
-            self.chunk_bytes,
-            lane_total,
-            self.plan
-        )
-    }
-}
 
 /// One timestamped mark on a processor's clock.
 #[derive(Debug, Clone, PartialEq)]

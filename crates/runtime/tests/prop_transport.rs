@@ -151,11 +151,12 @@ fn many_senders_one_receiver_preserves_fifo_per_source() {
         .sum();
     assert_eq!(rep.results[0], expect);
     // Per-lane accounting: rank 0 received bytes from every sender and
-    // none from itself.
-    let lanes = &rep.host_stats[0].lane_bytes;
-    assert_eq!(lanes.len(), P);
-    assert_eq!(lanes[0], 0);
-    for (src, &b) in lanes.iter().enumerate().skip(1) {
-        assert!(b > 0, "lane {src} saw no traffic");
+    // built no lane for itself; the senders, who received nothing, built
+    // none at all.
+    let lanes = &rep.lane_bytes[0];
+    assert_eq!(lanes.iter().map(|&(src, _)| src).collect::<Vec<_>>(), (1..P).collect::<Vec<_>>());
+    for &(src, b) in lanes {
+        assert_eq!(b, rep.counters[src].send_bytes, "lane {src} holds what {src} sent");
     }
+    assert!(rep.lane_bytes[1..].iter().all(Vec::is_empty));
 }

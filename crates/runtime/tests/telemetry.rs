@@ -1,11 +1,11 @@
-//! Integration tests for the live telemetry layer: registry/HostStats
-//! reconciliation, flight-recorder retention, exporter formats, and the
-//! zero-cost-when-off guarantees.
+//! Integration tests for the live telemetry layer: the in-flight gauge and
+//! region-path counts, flight-recorder retention, exporter formats (every
+//! declared counter, exactly once), and the zero-cost-when-off guarantees.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use fx_runtime::{run, Machine, MachineModel, ProcCtx, Telemetry, TelemetryConfig};
+use fx_runtime::{run, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig};
 
 fn telemetry_machine(p: usize, t: &Arc<Telemetry>) -> Machine {
     Machine::real(p)
@@ -38,47 +38,27 @@ fn mixed_workload(cx: &mut ProcCtx, rounds: usize, elems: usize) {
     cx.pop_scope();
 }
 
-/// The registry's final totals must reconcile exactly with the
-/// `HostStats` the runtime already keeps: same message counts, same
-/// bytes, same nanosecond sums — they observe the same events.
+/// What only the registry knows about a finished run: the sharded
+/// in-flight gauge is back at zero, region entries are counted under
+/// their path, and the snapshot's rows are the report's.
 #[test]
-fn registry_reconciles_with_host_stats() {
+fn gauge_drains_and_region_paths_are_counted() {
     let telemetry = Arc::new(Telemetry::new());
     let rep = run(&telemetry_machine(4, &telemetry), |cx| mixed_workload(cx, 8, 256));
 
     let snap = rep.telemetry.as_ref().expect("telemetry snapshot in report");
+    assert_eq!(snap.per_proc, rep.counters);
     let total = snap.total();
-    let host = rep.host_stats_total();
-
-    // Message and byte counts: registry vs the transport's own counters.
-    let (msgs, bytes) = rep.traffic.iter().fold((0u64, 0u64), |(m, b), t| (m + t.0, b + t.1));
-    assert_eq!(total.sends, msgs, "sends vs transport msgs");
-    assert_eq!(total.send_bytes, bytes, "send bytes vs transport bytes");
-    assert_eq!(total.recvs, total.sends, "every message was received");
-    assert_eq!(total.recv_bytes, total.send_bytes);
-
-    // Chunk fast path and pool: identical to HostStats (same increments).
-    assert_eq!(total.chunk_msgs, host.chunk_msgs);
-    assert_eq!(total.chunk_bytes, host.chunk_bytes);
-    assert_eq!(total.pool_hits, host.pool_hits);
-    assert_eq!(total.pool_misses, host.pool_misses);
-
-    // Nanosecond sums reuse the *same measured values* as HostStats.
-    assert_eq!(total.send_ns, host.send_ns);
-    assert_eq!(total.recv_wait_ns, host.recv_wait_ns);
-
-    // Per-proc rows merge to the same place the snapshot's total() gives.
-    let mut merged = fx_runtime::ProcTotals::default();
-    for row in &snap.per_proc {
-        merged.merge(row);
-    }
-    assert_eq!(merged, total);
+    assert_eq!(total, rep.total(), "per-proc rows merge to the same place either way");
+    assert_eq!((total.recvs, total.recv_bytes), (total.sends, total.send_bytes), "every message was received");
+    assert_eq!(total.chunk_msgs * 2, total.sends, "one chunk per boxed message");
 
     // All chunks were received: the sharded in-flight gauge sums to zero.
     assert_eq!(snap.chunk_bytes_in_flight, 0);
     assert_eq!(telemetry.chunk_bytes_in_flight(), 0);
 
     // Region scopes were counted under their path label.
+    assert_eq!(total.region_enters, 4);
     assert!(
         snap.regions.iter().any(|(path, n)| path.ends_with("mixed") && *n == 4),
         "got regions {:?}",
@@ -121,10 +101,10 @@ fn flight_ring_wraps_keeping_newest() {
             other => panic!("expected only sends on rank 0, got {other:?}"),
         }
     }
-    // The recorded-total still counts everything that went through.
-    assert_eq!(rep.telemetry.unwrap().per_proc[0].flight_recorded, rounds as u64);
+    assert_eq!(rep.counters[0].sends, rounds as u64);
 
-    // The human dump mentions the ring bound.
+    // The human dump mentions the ring bound, and the recorded total
+    // still counts everything that went through.
     let dump = telemetry.flight_dump();
     assert!(dump.contains("processor 0: 8 retained of 40 recorded"), "got:\n{dump}");
 }
@@ -140,6 +120,26 @@ fn no_telemetry_means_no_snapshot() {
         }
     });
     assert!(rep.telemetry.is_none());
+}
+
+/// The handle keeps the run's counter blocks alive: after a run that
+/// panicked — no report — it still reads what was counted.
+#[test]
+fn handle_reads_final_counters_after_a_panicked_run() {
+    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
+    let died = std::panic::catch_unwind(|| {
+        run(&telemetry_machine(2, &telemetry), |cx| {
+            if cx.rank() == 0 {
+                (0..3u64).for_each(|v| cx.send(1, 1, v));
+            } else {
+                (0..3).for_each(|_| drop(cx.recv::<u64>(0, 1)));
+                panic!("injected after the third receive");
+            }
+        })
+    });
+    assert!(died.is_err());
+    let total = telemetry.total();
+    assert_eq!((total.sends, total.recvs, total.send_bytes), (3, 3, 24));
 }
 
 /// Telemetry must never touch the virtual clock: simulated completion
@@ -188,9 +188,6 @@ fn exporters_render_expected_shapes() {
     let text = telemetry.render_openmetrics();
     assert!(text.ends_with("# EOF\n"));
     for needle in [
-        "# TYPE fx_sends counter",
-        "fx_sends_total{proc=\"0\"} ",
-        "fx_sends_total{proc=\"1\"} ",
         "# TYPE fx_chunk_bytes_in_flight gauge",
         "fx_chunk_bytes_in_flight 0",
         "# TYPE fx_queue_depth gauge",
@@ -216,4 +213,25 @@ fn exporters_render_expected_shapes() {
     for needle in ["\"procs\":[", "\"total\":", "\"regions\":{", "\"chunk_bytes_in_flight\":0"] {
         assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
     }
+}
+
+/// The exporters cannot drift from the counter declaration: every
+/// declared counter is one OpenMetrics `counter` family with its HELP
+/// and one `_total` sample per processor, and one key of every JSON row.
+#[test]
+fn every_declared_counter_is_exported_exactly_once() {
+    const P: usize = 3;
+    let telemetry = Arc::new(Telemetry::new());
+    run(&telemetry_machine(P, &telemetry), |cx| mixed_workload(cx, 2, 64));
+    let (text, json) = (telemetry.render_openmetrics(), telemetry.render_json());
+    let count = |hay: &str, needle: &str| hay.matches(needle).count();
+    assert!(ProcTotals::COUNTERS.len() >= 22);
+    for c in ProcTotals::COUNTERS {
+        assert_eq!(count(&text, &format!("# TYPE {} counter\n# HELP {} {}\n", c.family, c.family, c.help)), 1, "{c:?}");
+        assert_eq!(count(&text, &format!("\n{}_total{{proc=\"", c.family)), P, "{c:?}");
+        // P rows and the total.
+        assert_eq!(count(&json, &format!("\"{}\":", c.name)), P + 1, "{c:?}");
+    }
+    let rows = json.split_once("\"regions\"").expect("rows come first").0;
+    assert_eq!(count(rows, "\":"), 2 + (P + 1) * ProcTotals::COUNTERS.len(), "no undeclared key in a row");
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fx_core::{request_trace_id, spmd, Cx, Machine};
-use fx_runtime::{Telemetry, TenantStats};
+use fx_runtime::{Telemetry, TelemetryConfig, TenantStats};
 
 use crate::report::{assemble, RequestTrace, ServeReport};
 use crate::{Servable, ServeConfig, ServeRequest, ShedPolicy};
@@ -73,8 +73,10 @@ impl<S: Servable> Server<S> {
             assert!(i == 0 || trace[i - 1].arrival <= r.arrival, "trace must be arrival-sorted");
         }
 
-        let telemetry =
-            self.machine.telemetry.clone().unwrap_or_else(|| Arc::new(Telemetry::new()));
+        // Nobody could read the stall reports of a registry built here: no sampler.
+        let telemetry = self.machine.telemetry.clone().unwrap_or_else(|| {
+            Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }))
+        });
         let tenants = telemetry.begin_tenants(tenant_names);
         let mut machine = self.machine.clone().with_telemetry(telemetry.clone());
         let sim = machine.mode.is_simulated();
@@ -99,12 +101,9 @@ impl<S: Servable> Server<S> {
         // Retain the slowest requests' per-request Chrome traces in the
         // telemetry exemplar ring (served by `/trace/<id>`). Rendering
         // is lazy: only ring entrants pay for JSON serialization.
-        for t in &report.request_traces {
-            let lat_ns = (t.latency().max(0.0) * 1e9).round() as u64;
-            telemetry.offer_exemplar_trace(t.trace_id, lat_ns, || {
-                fx_runtime::chrome_trace_request_json(&report.spans, t.trace_id)
-            });
-        }
+        let lat_ns = |t: &RequestTrace| (t.latency().max(0.0) * 1e9).round() as u64;
+        let done = report.request_traces.iter().map(|t| (t.trace_id, lat_ns(t)));
+        telemetry.offer_exemplar_traces(done, |id| fx_runtime::chrome_trace_request_json(&report.spans, id));
         report
     }
 }

@@ -305,3 +305,44 @@ fn exporters_render_per_tenant_serve_metrics() {
     assert!(json.contains("\"tenants\":["), "JSON exporter lists tenants: {json}");
     assert!(json.contains("\"latency_p99_ns\""), "JSON exporter carries SLO quantiles");
 }
+
+/// An 800-request traced overload run (latency rising with arrival):
+/// retention renders once per ring slot, not once per request, and keeps
+/// the requests that offering every completion one by one in trace order
+/// — what `serve` used to do, quadratic in the trace — would have kept.
+#[test]
+fn overload_renders_only_the_retained_exemplars() {
+    use fx_runtime::{Telemetry, TelemetryConfig};
+    const CAP: usize = 8;
+    let registry = || {
+        let cfg = TelemetryConfig { stall: false, exemplar_trace_capacity: CAP, ..TelemetryConfig::default() };
+        let t = std::sync::Arc::new(Telemetry::with_config(cfg));
+        t.begin_tenants(&["burst"]);
+        t
+    };
+    let trace = poisson_trace(&[TenantSpec::new("burst", 4000.0, 800)], 5);
+    let served = registry();
+    let servable = FftHistServable { cfg: FftHistConfig::new(16, 1), mapping: FftHistMapping::DataParallel };
+    let rep = Server::new(paragon(4).with_tracing(true).with_telemetry(served.clone()), servable)
+        .with_config(ServeConfig { queue_cap: 1024, batch_max: 2, shed: ShedPolicy::DropNewest })
+        .serve(&trace, &["burst"]);
+    assert_eq!(rep.request_traces.len(), 800);
+    assert!(
+        rep.request_traces[799].latency() > 10.0 * rep.request_traces[0].latency(),
+        "overload: the queue grows for the whole trace"
+    );
+
+    let lat_ns = |t: &fx_serve::RequestTrace| (t.latency().max(0.0) * 1e9).round() as u64;
+    let ids = |t: &Telemetry| t.exemplar_traces().iter().map(|e| e.trace_id).collect::<Vec<_>>();
+    let (renders, batch, one_by_one) = (std::cell::Cell::new(0usize), registry(), registry());
+    batch.offer_exemplar_traces(rep.request_traces.iter().map(|t| (t.trace_id, lat_ns(t))), |id| {
+        renders.set(renders.get() + 1);
+        id.to_string()
+    });
+    assert_eq!(renders.get(), CAP);
+    for t in &rep.request_traces {
+        one_by_one.offer_exemplar_trace(t.trace_id, lat_ns(t), String::new);
+    }
+    assert_eq!(ids(&batch), ids(&one_by_one));
+    assert_eq!(ids(&served), ids(&one_by_one), "and the run itself retained them");
+}

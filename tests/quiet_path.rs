@@ -70,29 +70,23 @@ fn unobserved_run_reads_no_clock_and_notifies_no_worker_per_message() {
     assert!(msgs >= 10_000, "the program sends {msgs} messages");
     assert!(reads * 100 < msgs, "{reads} clock reads over {msgs} messages");
     assert_eq!(notifies, 0, "one worker: nobody to wake");
-    let (host, plan) = (rep.host_stats_total(), rep.plan_stats_total());
-    assert_eq!((host.send_ns, host.recv_wait_ns, plan.pack_ns), (0, 0, 0), "durations have no reader");
-    assert!(host.chunk_msgs > 0 && plan.plan_hits > 0, "counters still count");
+    let t = rep.total();
+    assert_eq!((t.send_ns, t.recv_wait_ns, t.pack_ns), (0, 0, 0), "durations have no reader");
+    assert!(t.chunk_msgs > 0 && t.plan_hits > 0, "counters still count");
 }
 
 /// (b) Observed: the same program with a registry attached measures the
-/// durations again (at least two reads a message), and `HostStats`,
-/// `PlanStats` and the registry still agree to the nanosecond.
+/// durations again, at least two clock reads a message.
 #[test]
-fn observed_run_measures_durations_and_reconciles_exactly() {
+fn observed_run_reads_the_clock_and_measures_durations() {
     let _serial = serial();
     let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
     let reads0 = CLOCK_READS.load(Ordering::Relaxed);
     let rep = spmd(&one_worker().with_telemetry(Arc::clone(&telemetry)), ring_barrier_replay);
     let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
     assert!(reads >= 2 * msgs(&rep), "{reads} clock reads over {} messages", msgs(&rep));
-    let total = rep.telemetry.as_ref().expect("snapshot present").total();
-    let (host, plan) = (rep.host_stats_total(), rep.plan_stats_total());
-    assert!(host.send_ns > 0 && host.recv_wait_ns > 0 && plan.pack_ns > 0, "{host}");
-    assert_eq!(total.send_ns, host.send_ns);
-    assert_eq!(total.recv_wait_ns, host.recv_wait_ns);
-    assert_eq!(total.pack_ns, plan.pack_ns);
-    assert_eq!(total.sends, msgs(&rep));
+    let t = rep.total();
+    assert!(t.send_ns > 0 && t.recv_wait_ns > 0 && t.pack_ns > 0, "{t}");
 }
 
 /// (c) Two workers, so one is often asleep when the other makes a

@@ -261,7 +261,7 @@ impl Cx<'_> {
         {
             let t_idle = self.now();
             self.runtime().heartbeat_board().register_idle(my_phys, epoch, t_idle);
-            let mut deadline = std::time::Instant::now() + self.runtime().recv_timeout();
+            let mut deadline = self.runtime().watchdog_deadline();
             loop {
                 if let Some(g) = self.runtime().heartbeat_board().take_grant(my_phys) {
                     let donor_vr = group
@@ -301,7 +301,7 @@ impl Cx<'_> {
                     }
                     let t_idle = self.now();
                     self.runtime().heartbeat_board().register_idle(my_phys, epoch, t_idle);
-                    deadline = std::time::Instant::now() + self.runtime().recv_timeout();
+                    deadline = self.runtime().watchdog_deadline();
                     continue;
                 }
                 let all_parked = (0..p).all(|vr| {
@@ -315,7 +315,7 @@ impl Cx<'_> {
                 if self.runtime().is_poisoned() {
                     panic!("promotable loop '{label}': another processor panicked");
                 }
-                if std::time::Instant::now() > deadline {
+                if self.runtime().watchdog_expired(deadline) {
                     panic!(
                         "promotable loop '{label}': processor {me} wedged in the victim \
                          loop (no grant, no completion)"
@@ -377,7 +377,7 @@ impl Cx<'_> {
         let p = self.nprocs();
         let me = self.id();
         let group = self.group();
-        let deadline = std::time::Instant::now() + self.runtime().recv_timeout();
+        let deadline = self.runtime().watchdog_deadline();
         loop {
             let mut unresolved = None;
             for vr in 0..p {
@@ -400,7 +400,7 @@ impl Cx<'_> {
                      promotion rendezvous"
                 );
             }
-            if std::time::Instant::now() > deadline {
+            if self.runtime().watchdog_expired(deadline) {
                 panic!(
                     "promotable loop '{label}': heartbeat at t={t} stuck waiting for \
                      virtual processor {stuck} to resolve"

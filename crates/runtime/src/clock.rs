@@ -7,10 +7,11 @@
 //! * **The coarse clock** ([`CoarseClock`]): one `AtomicU64` of
 //!   nanoseconds since the run began, advanced by the run's tick thread
 //!   ([`spawn_ticker`]) once per watchdog period and read with a relaxed
-//!   load. It serves the three uses that only ever needed watchdog
-//!   resolution: the deposit stamp behind the deadlock dump's
-//!   oldest-message ages, the park stamp of a pooled processor, and the
-//!   pooled watchdog's comparison against it. A stamp is never ahead of
+//!   load. It serves the uses that only ever needed watchdog resolution:
+//!   the deposit stamp behind the deadlock dump's oldest-message ages,
+//!   the park stamp of a blocked processor and the watchdog's comparison
+//!   against it ([`crate::parker`]), the board poll-waits' deadlines, and
+//!   the stall sampler's windows. A stamp is never ahead of
 //!   the host clock and at most one tick interval behind; cold readers
 //!   (a dump, the tick itself) [`CoarseClock::refresh`] first, so an age
 //!   errs only towards older, by less than one period —
@@ -109,13 +110,13 @@ impl CoarseClock {
     }
 }
 
-/// How often the coarse clock advances (and the pooled watchdog scans)
-/// under `recv_timeout`.
+/// How often the coarse clock advances (and the watchdog scans) under
+/// `recv_timeout`.
 pub(crate) fn tick_period(recv_timeout: Duration) -> Duration {
     (recv_timeout / 8).clamp(Duration::from_millis(5), Duration::from_millis(250))
 }
 
-/// Stops and joins the tick thread on drop.
+/// Stops and joins a [`spawn_ticker`] thread on drop.
 pub(crate) struct TickGuard {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,
@@ -126,16 +127,17 @@ impl Drop for TickGuard {
         *self.stop.0.lock() = true;
         self.stop.1.notify_all();
         if let Some(h) = self.handle.take() {
-            // The tick body only loads and stores atomics and wakes
-            // processors; if it did panic, the run's own outcome is the
-            // one to report, and `drop` must not panic over it.
+            // If a tick body did panic, the run's own outcome is the one
+            // to report, and `drop` must not panic over it.
             let _ = h.join();
         }
     }
 }
 
-/// Start the run's one service thread: every `period` it advances `clock`
-/// and calls `on_tick(now, slack)`, until the guard drops.
+/// Start a periodic service thread called `name` (the run's watchdog
+/// tick, the stall sampler): every `period` it advances `clock` and calls
+/// `on_tick(now, slack)`, until the guard drops — which interrupts the
+/// wait, so stopping never sleeps out a period.
 ///
 /// `slack` is the longest interval between two ticks so far. A stamp `s`
 /// taken from the coarse clock was published by some tick and replaced by
@@ -144,14 +146,15 @@ impl Drop for TickGuard {
 /// passed. With punctual ticks that fires between `limit` and
 /// `limit + 2 * period` after the stamp was taken — never early.
 pub(crate) fn spawn_ticker(
+    name: &str,
     clock: Arc<CoarseClock>,
     period: Duration,
-    on_tick: impl Fn(u64, u64) + Send + 'static,
+    mut on_tick: impl FnMut(u64, u64) + Send + 'static,
 ) -> TickGuard {
     let stop = Arc::new((Mutex::new(false), Condvar::new()));
     let stop2 = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
-        .name("fx-tick".into())
+        .name(name.into())
         .spawn(move || {
             let (lock, cvar) = &*stop2;
             // Stamps taken before the first tick read 0, the epoch.
@@ -168,7 +171,7 @@ pub(crate) fn spawn_ticker(
                 on_tick(now, slack);
             }
         })
-        .expect("spawn tick thread");
+        .expect("spawn service thread");
     TickGuard { stop, handle: Some(handle) }
 }
 
@@ -192,7 +195,7 @@ mod tests {
         let clock = Arc::new(CoarseClock::new());
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
-        let guard = spawn_ticker(Arc::clone(&clock), Duration::from_millis(5), move |now, slack| {
+        let guard = spawn_ticker("fx-tick", Arc::clone(&clock), Duration::from_millis(5), move |now, slack| {
             seen2.lock().push((now, slack));
         });
         while seen.lock().len() < 3 {

@@ -424,16 +424,6 @@ impl Drop for Stack {
     }
 }
 
-/// Per-processor coroutine stack size: `FX_STACK_KB` KiB, default 1 MiB.
-/// Read once per run by the pooled executor.
-pub(crate) fn stack_bytes_from_env() -> usize {
-    std::env::var("FX_STACK_KB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .map(|kb| kb.max(64) * 1024)
-        .unwrap_or(1024 * 1024)
-}
-
 #[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod tests {
     use super::*;

@@ -11,15 +11,15 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::clock::{host_now, ns_since, CoarseClock, HostTimer};
+use crate::clock::{host_now, ns_since, tick_period, HostTimer};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
 use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
-use crate::pool::Pool;
+use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
 use crate::run::{DataflowMode, ProcOutcome};
 use crate::span::{span_ref, Span, SpanKind, SpanLog, TraceCtx};
@@ -31,6 +31,10 @@ pub(crate) struct World {
     pub nprocs: usize,
     pub mode: TimeMode,
     pub mailboxes: Vec<Mailbox>,
+    /// Every processor's park latch, the recv timeout that expires a
+    /// park, and the run's coarse clock, which also stamps every deposit
+    /// (see [`crate::parker`], [`crate::clock`]).
+    pub parkers: Arc<Parkers>,
     /// Every processor's counter block (see [`crate::counters`]): always
     /// there, written only by the owning [`ProcCtx`], read by the report
     /// and — through its own handles on the same allocations — by the
@@ -39,9 +43,6 @@ pub(crate) struct World {
     /// Set by the first processor to panic, which poisons every mailbox;
     /// later (secondary) panickers find it set and skip the walk.
     pub poisoned: AtomicBool,
-    /// The run's coarse clock: stamps every deposit (see [`crate::clock`]).
-    pub clock: Arc<CoarseClock>,
-    pub recv_timeout: Duration,
     /// Record duration spans (see [`crate::Span`]) during the run.
     pub profile: bool,
     /// Propagate causal trace contexts (see [`crate::TraceCtx`]) on
@@ -89,18 +90,14 @@ impl World {
 /// How this processor's blocking points are implemented: by parking the
 /// dedicated OS thread (threaded executor) or by suspending the
 /// processor's coroutine back into the worker-pool scheduler (pooled
-/// executor). Everything above the blocking points — matching, FIFO
-/// order, virtual-time accounting — is shared, which is what makes the
-/// two executors bit-identical in virtual time.
+/// executor). Everything else — registration, wakeup, the watchdog,
+/// matching, FIFO order, virtual-time accounting — is shared, which is
+/// what makes the two executors bit-identical in virtual time.
 pub(crate) enum ExecCtx {
-    /// One dedicated OS thread; blocking parks on the lane condvar.
+    /// One dedicated OS thread; blocking parks it.
     Thread,
     /// Coroutine multiplexed on the worker pool; blocking suspends.
-    Pooled {
-        pool: Arc<Pool>,
-        proc: usize,
-        yielder: Yielder,
-    },
+    Pooled(Yielder),
 }
 
 /// Execution context of one physical processor (one per SPMD thread).
@@ -337,7 +334,7 @@ impl ProcCtx {
             tag,
             arrival,
             nbytes,
-            enqueued: self.world.clock.now_ns(),
+            enqueued: self.world.parkers.clock.now_ns(),
             trace: self.outgoing_trace(),
             payload,
         });
@@ -453,22 +450,11 @@ impl ProcCtx {
             // post-mortem flight dump wants to show.
             sh.begin_wait(src, tag);
         }
-        let idle = &self.world.idle[self.rank];
-        let env = match &self.exec {
-            ExecCtx::Thread => {
-                self.world.mailboxes[self.rank].take(src, tag, self.rank, self.world.recv_timeout, idle)
-            }
-            ExecCtx::Pooled { pool, proc, yielder } => self.world.mailboxes[self.rank].take_pooled(
-                src,
-                tag,
-                self.rank,
-                self.world.recv_timeout,
-                pool,
-                *proc,
-                yielder,
-                idle,
-            ),
-        };
+        let world = &self.world;
+        let env = world.mailboxes[self.rank].take(src, tag, &world.idle[self.rank], || match &self.exec {
+            ExecCtx::Thread => world.parkers.park_thread(self.rank),
+            ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Blocked),
+        });
         let c = &self.counters;
         bump(&c.recvs, 1);
         bump(&c.recv_bytes, env.nbytes as u64);
@@ -537,7 +523,7 @@ impl ProcCtx {
     pub fn probe(&self, src: usize, tag: u64) -> bool {
         let found = self.world.mailboxes[self.rank].probe(src, tag);
         if !found {
-            if let ExecCtx::Pooled { yielder, .. } = &self.exec {
+            if let ExecCtx::Pooled(yielder) = &self.exec {
                 yielder.suspend(YieldKind::Yielded);
             }
         }
@@ -553,7 +539,7 @@ impl ProcCtx {
     pub fn yield_now(&self) {
         match &self.exec {
             ExecCtx::Thread => std::thread::yield_now(),
-            ExecCtx::Pooled { yielder, .. } => yielder.suspend(YieldKind::Yielded),
+            ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Yielded),
         }
     }
 
@@ -803,12 +789,25 @@ impl ProcCtx {
         self.world.mailboxes[self.rank].is_poisoned()
     }
 
-    /// The machine's deadlock-watchdog timeout, reused by board
-    /// spin-waits so a wedged promotion rendezvous dies with a
-    /// diagnostic instead of hanging the run.
+    /// Arm a watchdog for a poll-wait that starts now (the heartbeat
+    /// board's spin-waits, so a wedged promotion rendezvous dies with a
+    /// diagnostic instead of hanging the run): the coarse-clock time past
+    /// which [`ProcCtx::watchdog_expired`] reads true. That is the
+    /// machine's recv timeout plus one tick, since the coarse clock may be
+    /// a tick behind now: like every other watchdog it reads no host
+    /// clock and is never early.
     #[inline]
-    pub fn recv_timeout(&self) -> std::time::Duration {
-        self.world.recv_timeout
+    pub fn watchdog_deadline(&self) -> u64 {
+        let timeout = self.world.parkers.recv_timeout;
+        let ns = timeout.saturating_add(tick_period(timeout)).as_nanos();
+        self.world.parkers.clock.now_ns().saturating_add(u64::try_from(ns).unwrap_or(u64::MAX))
+    }
+
+    /// Whether a poll-wait armed with [`ProcCtx::watchdog_deadline`] has
+    /// outlived the recv timeout.
+    #[inline]
+    pub fn watchdog_expired(&self, deadline: u64) -> bool {
+        self.world.parkers.clock.now_ns() > deadline
     }
 
     /// Declare this processor idle (`true`) or active (`false`).

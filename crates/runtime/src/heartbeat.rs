@@ -73,18 +73,6 @@ pub enum HeartbeatMode {
     On,
 }
 
-impl HeartbeatMode {
-    /// Apply the `FX_HEARTBEAT` (`off`/`on`) environment override on top
-    /// of a mode-specific default.
-    pub(crate) fn from_env(default: HeartbeatMode) -> HeartbeatMode {
-        match std::env::var("FX_HEARTBEAT").as_deref() {
-            Ok("off") => HeartbeatMode::Off,
-            Ok("on") => HeartbeatMode::On,
-            _ => default,
-        }
-    }
-}
-
 impl std::fmt::Display for HeartbeatMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -92,19 +80,6 @@ impl std::fmt::Display for HeartbeatMode {
             HeartbeatMode::On => write!(f, "on"),
         }
     }
-}
-
-/// Heartbeat period in virtual seconds: `FX_HEARTBEAT_US` if set, else
-/// 1000 us. At the Paragon parameters a promotion costs ~1.3 ms of
-/// messaging overhead, so a 1 ms pulse re-examines the idle set about
-/// once per potential promotion without spamming the board.
-pub(crate) fn default_heartbeat_period() -> f64 {
-    std::env::var("FX_HEARTBEAT_US")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|us| *us > 0.0)
-        .map(|us| us * 1e-6)
-        .unwrap_or(1000e-6)
 }
 
 /// A donated range: `lo..hi` global iterations of the announcing loop,
@@ -341,12 +316,5 @@ mod tests {
         // evidence a tied co-claimant needs.
         let v = b.read_peer(1);
         assert!(v.announced_at(4.25) && v.announced_at(9.5));
-    }
-
-    #[test]
-    fn default_period_is_one_millisecond() {
-        // Parsed from FX_HEARTBEAT_US when set; the fallback is 1000 us.
-        assert!((default_heartbeat_period() - 1000e-6).abs() < 1e-12
-            || std::env::var("FX_HEARTBEAT_US").is_ok());
     }
 }

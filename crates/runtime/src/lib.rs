@@ -32,12 +32,14 @@ mod coro;
 mod counters;
 mod critical;
 mod ctx;
+pub mod env;
 mod flight;
 mod heartbeat;
 #[cfg(feature = "telemetry-http")]
 mod http;
 mod mailbox;
 mod model;
+mod parker;
 mod payload;
 mod pool;
 mod run;

@@ -25,42 +25,38 @@
 //!   sender; the lane is built by the first deposit from, or wait on, that
 //!   source. `probe` and the observers read an absent lane as empty.
 //!
-//! ## Dual wakeup protocol
+//! ## The wakeup protocol
 //!
-//! How a waiting receiver learns that a deposit (or poison) landed
-//! depends on the executor that owns the mailbox:
+//! One protocol, whichever executor owns the mailbox. A receiver that
+//! finds no match *registers* the tag it needs in the lane
+//! (`waiting_tag`, written under the lane lock) and parks through the
+//! `park` closure its executor supplies; a deposit that matches the
+//! registered tag clears it and wakes the owning processor
+//! ([`Parkers::wake`]). Registration-under-lock closes the race with a
+//! concurrent deposit: the depositor either sees the registration (and
+//! wakes) or deposited before it (and the wake is not needed: the
+//! receiver's next look at the lane finds the message). A wake that
+//! arrives before the park commits is latched, so the park aborts — see
+//! [`crate::parker`] for the latch, for what parking and waking mean
+//! under each executor, and for the watchdog, which latches a
+//! `timed_out` flag and wakes the processor; it re-checks its lane and
+//! raises the deadlock diagnostic from its own context. A deposit nobody
+//! is registered for wakes nobody: no system call, and nothing shared is
+//! written but the lane.
 //!
-//! * **Threaded** ([`Mailbox::new`]): each lane carries a condvar. `take`
-//!   parks the receiver's dedicated OS thread on the lane it matches;
-//!   `deposit` does `notify_one` after releasing the lane lock (each
-//!   mailbox has exactly one consumer, so one notify suffices, and the
-//!   condvar counts its waiters, so a deposit nobody is blocked on makes
-//!   no system call); `poison` locks each lane and `notify_all`s so the
-//!   flag is seen no matter which lane the receiver is parked on.
-//!
-//! * **Pooled** ([`Mailbox::new_pooled`]): no condvars exist at all —
-//!   the owning processor is a coroutine, and parking a worker thread on
-//!   its behalf would defeat the pool. Instead the receiver *registers*
-//!   the tag it needs in the lane (`waiting_tag`, written under the lane
-//!   lock) and suspends into the scheduler; a deposit that matches the
-//!   registered tag clears it and wakes the owning processor through
-//!   [`Pool::wake`]. Registration-under-lock closes the race with a
-//!   concurrent deposit: the depositor either sees the registration (and
-//!   wakes) or deposited before it (and the receiver's pre-suspend
-//!   re-check finds the message). `poison` sets the flag, bumps each
-//!   lane's lock (so a registering receiver is past its flag check or
-//!   not yet suspended-committed), and wakes the owner unconditionally.
-//!   [`Pool::wake`] is a queue push; it reaches the kernel only when a
-//!   worker thread is asleep (the pool's sleeper gate). Recv timeouts
-//!   cannot use `Condvar::wait_for` here; the run's tick thread latches a
-//!   `timed_out` flag and wakes the processor, which re-checks its lane
-//!   and raises the *same* deadlock diagnostic as the threaded path.
-//!
-//! `poison` is the cold path and *materialises* each lane before bumping
-//! its lock. A receiver only ever waits on a lane it has fetched, and a
-//! slot is initialised once, so whichever side built the lane `poison`
-//! locks the very mutex the receiver checked the flag under: both
-//! arguments above hold for a lane that did not exist at the panic.
+//! `poison` sets the flag, then *materialises* each lane and bumps its
+//! lock, then wakes the owner unconditionally. The wake alone is not
+//! enough: a receiver may consume a stale latched `NOTIFIED` — one left
+//! by an earlier wake, not the poisoner's — and so run without having
+//! synchronised with the poisoner at all. The lock bump is what orders
+//! the flag against that receiver: it is either past its flag check
+//! holding the lane lock (and will park → the poisoner's wake, which
+//! comes after the bump, reaches it or aborts its park) or takes the lock
+//! after the bump (and sees the flag). A receiver only ever waits on a
+//! lane it has fetched, and a slot is initialised once, so whichever side
+//! built the lane `poison` locks the very mutex the receiver checked the
+//! flag under: the argument holds for a lane that did not exist at the
+//! panic.
 //!
 //! ## Message ages
 //!
@@ -77,12 +73,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::clock::CoarseClock;
-use crate::coro::{YieldKind, Yielder};
+use crate::parker::Parkers;
 use crate::payload::MsgBody;
-use crate::pool::Pool;
 use crate::span::TraceCtx;
 
 /// A message at rest in a mailbox.
@@ -146,11 +140,10 @@ struct LaneState {
     queue: VecDeque<Envelope>,
     /// Payload bytes deposited on this lane so far (host observability).
     bytes: u64,
-    /// Pooled mode only: the tag the owning processor is suspended on
-    /// (`None` when it is not waiting on this lane). Written by the
-    /// receiver under the lane lock before suspending; cleared by the
-    /// matching deposit (which then wakes the owner) or by the receiver
-    /// itself on a successful pop. Always `None` in threaded mode.
+    /// The tag the owning processor is parked on (`None` when it is not
+    /// waiting on this lane). Written by the receiver under the lane lock
+    /// before parking; cleared by the matching deposit (which then wakes
+    /// the owner) or by the receiver itself on a successful pop.
     waiting_tag: Option<u64>,
 }
 
@@ -166,57 +159,32 @@ impl LaneState {
 }
 
 /// One sender's shard of a mailbox.
-struct Lane {
-    state: Mutex<LaneState>,
-    /// `Some` in threaded mode only. Pooled mailboxes allocate no condvar
-    /// and never notify one: lane wakeups go through the scheduler.
-    cvar: Option<Condvar>,
-}
-
-/// How deposits into this mailbox wake its (single) waiting consumer.
-enum WakePolicy {
-    /// Threaded executor: notify the lane condvar.
-    Condvar,
-    /// Pooled executor: wake the owning processor through the scheduler.
-    Pool { pool: Arc<Pool>, owner: usize },
-}
+type Lane = Mutex<LaneState>;
 
 /// Mailbox of one physical processor: one lane slot per possible sender.
 pub(crate) struct Mailbox {
     lanes: Vec<OnceLock<Box<Lane>>>,
-    wake: WakePolicy,
-    /// The run's coarse clock, which stamped every queued envelope.
-    clock: Arc<CoarseClock>,
+    /// Physical rank of the one processor that receives here.
+    owner: usize,
+    /// The run's park latches (to wake `owner`), recv timeout, and the
+    /// coarse clock that stamped every queued envelope.
+    parkers: Arc<Parkers>,
     /// Set when some processor panicked: everyone blocked here must unwind
     /// too so the whole run fails instead of hanging.
     poisoned: AtomicBool,
 }
 
 impl Mailbox {
-    /// A mailbox able to receive from `nprocs` senders (including self),
-    /// for the threaded executor: per-lane condvar wakeups.
-    pub fn new(nprocs: usize, clock: Arc<CoarseClock>) -> Self {
-        Self::with_wake(nprocs, WakePolicy::Condvar, clock)
-    }
-
-    /// A mailbox owned by pooled processor `owner`: no condvars; deposits
-    /// wake the owner through `pool`'s scheduler.
-    pub fn new_pooled(nprocs: usize, owner: usize, pool: Arc<Pool>) -> Self {
-        let clock = Arc::clone(pool.clock());
-        Self::with_wake(nprocs, WakePolicy::Pool { pool, owner }, clock)
-    }
-
-    fn with_wake(nprocs: usize, wake: WakePolicy, clock: Arc<CoarseClock>) -> Self {
+    /// The mailbox of processor `owner`, able to receive from `nprocs`
+    /// senders (including itself).
+    pub fn new(nprocs: usize, owner: usize, parkers: Arc<Parkers>) -> Self {
         let lanes = (0..nprocs).map(|_| OnceLock::new()).collect();
-        Mailbox { lanes, wake, clock, poisoned: AtomicBool::new(false) }
+        Mailbox { lanes, owner, parkers, poisoned: AtomicBool::new(false) }
     }
 
     /// The lane of sender `src`, built on first use.
     fn lane(&self, src: usize) -> &Lane {
-        self.lanes[src].get_or_init(|| {
-            let cvar = matches!(self.wake, WakePolicy::Condvar).then(Condvar::new);
-            Box::new(Lane { state: Mutex::default(), cvar })
-        })
+        self.lanes[src].get_or_init(Box::default)
     }
 
     /// The lanes built so far, each with its sender rank.
@@ -227,10 +195,9 @@ impl Mailbox {
     /// Deposit a message (called by the *sender*). Only the sender's own
     /// lane is locked, so concurrent senders never serialize on each other.
     ///
-    /// Wakes at most one waiter: only the owning processor ever blocks in
-    /// [`Mailbox::take`] (sends never wait), so `notify_one` suffices.
-    /// `poison`, by contrast, notifies every lane — it is the one event
-    /// that must reach the waiter no matter which lane it blocks on.
+    /// Wakes the owner only when it is registered on this lane for this
+    /// tag: only the owning processor ever blocks in [`Mailbox::take`]
+    /// (sends never wait), and it waits on exactly one `(src, tag)`.
     ///
     /// Returns whether the lane lock was already held when the deposit
     /// arrived (the receiver draining, or a same-source deposit racing
@@ -239,33 +206,32 @@ impl Mailbox {
     /// telemetry lane-contention counter is free when nobody reads it.
     pub fn deposit(&self, env: Envelope) -> bool {
         let lane = self.lane(env.src);
-        let (mut st, contended) = match lane.state.try_lock() {
+        let (mut st, contended) = match lane.try_lock() {
             Some(st) => (st, false),
-            None => (lane.state.lock(), true),
+            None => (lane.lock(), true),
         };
         let tag = env.tag;
         st.bytes += env.nbytes as u64;
         st.queue.push_back(env);
-        // Pooled mode: consume a matching wait registration under the
-        // lane lock, then wake the owner through the scheduler.
+        // Consume a matching wait registration under the lane lock, then
+        // wake the owner.
         let wake_owner = st.waiting_tag.take_if(|t| *t == tag).is_some();
         drop(st);
-        match &self.wake {
-            WakePolicy::Condvar => {
-                lane.cvar.as_ref().expect("threaded lane has a condvar").notify_one();
-            }
-            WakePolicy::Pool { pool, owner } if wake_owner => pool.wake(*owner),
-            WakePolicy::Pool { .. } => {}
+        if wake_owner {
+            self.parkers.wake(self.owner);
         }
         contended
     }
 
-    /// Block until a message from `src` with `tag` is available and take it.
+    /// Block until a message from `src` with `tag` is available and take
+    /// it. `park` is the executor's way to block the owning processor
+    /// until its next wake (see the module header for the protocol).
     ///
-    /// `timeout` bounds the wait; exceeding it indicates a deadlock in the
-    /// SPMD program (mismatched send/recv or collective) and panics with a
-    /// per-`(src, tag)` queue-depth snapshot of every lane, so a stuck
-    /// pipeline shows at a glance what *is* pending and from whom.
+    /// The run's recv timeout bounds the wait; exceeding it indicates a
+    /// deadlock in the SPMD program (mismatched send/recv or collective)
+    /// and panics with a per-`(src, tag)` queue-depth snapshot of every
+    /// lane, so a stuck pipeline shows at a glance what *is* pending and
+    /// from whom.
     ///
     /// `idle` is the receiving processor's declared-idle flag (see
     /// [`crate::ProcCtx::set_idle`]): while it reads true the timeout is
@@ -274,58 +240,11 @@ impl Mailbox {
     /// be diagnosed as a deadlock. The flag is re-read on every timeout
     /// expiry, so a processor that leaves idle state re-arms the watchdog
     /// within one timeout period.
-    pub fn take(&self, src: usize, tag: u64, me: usize, timeout: Duration, idle: &AtomicBool) -> Envelope {
-        let lane = self.lane(src);
-        let cvar = lane.cvar.as_ref().expect("Mailbox::take on a pooled mailbox");
-        let mut st = lane.state.lock();
-        loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                panic!("processor {me}: aborting recv, another processor panicked");
-            }
-            if let Some(env) = st.pop_tag(tag) {
-                return env;
-            }
-            if cvar.wait_for(&mut st, timeout).timed_out() {
-                if idle.load(Ordering::Acquire) {
-                    continue; // declared idle: quiescence is legitimate, keep waiting
-                }
-                drop(st);
-                self.deadlock(src, tag, me, timeout);
-            }
-        }
-    }
-
-    /// The watchdog's verdict, shared by both executors.
-    fn deadlock(&self, src: usize, tag: u64, me: usize, timeout: Duration) -> ! {
-        let pending = self.depth_snapshot();
-        panic!(
-            "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
-             {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
-             and oldest-message age: {pending:?}"
-        );
-    }
-
-    /// Pooled-executor counterpart of [`Mailbox::take`]: same matching,
-    /// FIFO order, poison check, timeout diagnostic, and declared-idle
-    /// forgiveness, but blocking suspends the calling coroutine into
-    /// `pool`'s scheduler instead of parking an OS thread (see the module
-    /// header for the protocol).
-    #[allow(clippy::too_many_arguments)]
-    pub fn take_pooled(
-        &self,
-        src: usize,
-        tag: u64,
-        me: usize,
-        timeout: Duration,
-        pool: &Pool,
-        proc: usize,
-        yielder: &Yielder,
-        idle: &AtomicBool,
-    ) -> Envelope {
-        let lane = self.lane(src);
+    pub fn take(&self, src: usize, tag: u64, idle: &AtomicBool, mut park: impl FnMut()) -> Envelope {
+        let (lane, me) = (self.lane(src), self.owner);
         loop {
             {
-                let mut st = lane.state.lock();
+                let mut st = lane.lock();
                 if self.poisoned.load(Ordering::Acquire) {
                     panic!("processor {me}: aborting recv, another processor panicked");
                 }
@@ -333,7 +252,7 @@ impl Mailbox {
                     st.waiting_tag = None;
                     drop(st);
                     // Drop any stale watchdog latch: the message won.
-                    pool.clear_timeout(proc);
+                    self.parkers.clear_timeout(me);
                     return env;
                 }
                 // Register the wait under the lane lock, so a concurrent
@@ -341,23 +260,28 @@ impl Mailbox {
                 // enqueued (and the next loop iteration pops it).
                 st.waiting_tag = Some(tag);
             }
-            yielder.suspend(YieldKind::Blocked);
+            park();
             // Woken: matching deposit, poison, or the watchdog. The loop
             // re-checks the lane first — progress wins over a timeout that
             // raced a late delivery.
-            if pool.take_timed_out(proc)
+            if self.parkers.take_timed_out(me)
                 && !idle.load(Ordering::Acquire)
                 && !self.probe(src, tag)
                 && !self.poisoned.load(Ordering::Acquire)
             {
-                self.deadlock(src, tag, me, timeout);
+                let (timeout, pending) = (self.parkers.recv_timeout, self.depth_snapshot());
+                panic!(
+                    "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
+                     {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
+                     and oldest-message age: {pending:?}"
+                );
             }
         }
     }
 
     /// Non-blocking probe: is a message from `src` with `tag` waiting?
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        self.lanes[src].get().is_some_and(|l| l.state.lock().queue.iter().any(|e| e.tag == tag))
+        self.lanes[src].get().is_some_and(|l| l.lock().queue.iter().any(|e| e.tag == tag))
     }
 
     /// True once some processor panicked and poisoned this mailbox.
@@ -367,46 +291,32 @@ impl Mailbox {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Wake all waiters with a poison flag after a panic elsewhere.
-    ///
-    /// Locking each lane before notifying closes the race with a receiver
-    /// that checked the flag and is about to wait: it is either still
-    /// pre-check (and will see the flag) or already parked (and will be
-    /// notified) — on any lane, since each is materialised first.
+    /// Release the owner with a poison flag after a panic elsewhere: set
+    /// the flag, bump every lane's lock, wake the owner (see the module
+    /// header for why all three).
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
         for src in 0..self.lanes.len() {
-            let lane = self.lane(src);
-            drop(lane.state.lock());
-            if let Some(cvar) = &lane.cvar {
-                cvar.notify_all();
-            }
+            drop(self.lane(src).lock());
         }
-        // Pooled: with every lane lock bumped, a receiver inside take_pooled
-        // is either past its flag check holding the lock (and will suspend
-        // → our wake reaches it, or its park aborts on the latched NOTIFY)
-        // or will re-check and see the flag. Wake the single owner
-        // unconditionally.
-        if let WakePolicy::Pool { pool, owner } = &self.wake {
-            pool.wake(*owner);
-        }
+        self.parkers.wake(self.owner);
     }
 
     /// Number of undelivered messages (used by the run harness to detect
     /// programs that exit leaving messages unreceived).
     pub fn undelivered(&self) -> usize {
-        self.live_lanes().map(|(_, l)| l.state.lock().queue.len()).sum()
+        self.live_lanes().map(|(_, l)| l.lock().queue.len()).sum()
     }
 
     /// Depths of every non-empty `(src, tag)` queue, ascending by source
     /// then tag, each with the age of its oldest queued message — the
     /// deadlock diagnostic and debugging view.
     pub fn depth_snapshot(&self) -> DepthSnapshot {
-        let now = self.clock.refresh();
+        let now = self.parkers.clock.refresh();
         let mut out: DepthSnapshot = Vec::new();
         for (src, lane) in self.live_lanes() {
             let mut tags: BTreeMap<u64, (usize, Duration)> = BTreeMap::new();
-            for e in &lane.state.lock().queue {
+            for e in &lane.lock().queue {
                 // Deposit order: the first message met per tag is its oldest.
                 let age = Duration::from_nanos(now.saturating_sub(e.enqueued));
                 tags.entry(e.tag).or_insert((0, age)).0 += 1;
@@ -423,19 +333,46 @@ impl Mailbox {
     /// every lane built so far, ascending by sender. A lane nobody built
     /// received nothing; reporting it would make the run report O(P²).
     pub fn lane_bytes(&self) -> Vec<(usize, u64)> {
-        self.live_lanes().map(|(src, l)| (src, l.state.lock().bytes)).collect()
+        self.live_lanes().map(|(src, l)| (src, l.lock().bytes)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{spawn_ticker, tick_period, CoarseClock, TickGuard};
     use crate::payload::erase;
 
-    /// A threaded-mode mailbox on a clock of its own. No tick thread
-    /// runs here: a test that sleeps plays the tick with `clock.refresh()`.
-    fn mailbox(nprocs: usize) -> Mailbox {
-        Mailbox::new(nprocs, Arc::new(CoarseClock::new()))
+    /// The mailbox of processor 0 of a one-processor threaded run: its
+    /// park latch, a coarse clock of its own, and a ticker playing the
+    /// run's watchdog for as long as the harness lives.
+    struct Harness {
+        mb: Arc<Mailbox>,
+        _watchdog: TickGuard,
+    }
+
+    impl std::ops::Deref for Harness {
+        type Target = Mailbox;
+        fn deref(&self) -> &Mailbox {
+            &self.mb
+        }
+    }
+
+    fn harness(nprocs: usize, timeout: Duration) -> Harness {
+        let clock = Arc::new(CoarseClock::new());
+        let parkers = Parkers::new(1, None, timeout, Arc::clone(&clock));
+        let mb = Arc::new(Mailbox::new(nprocs, 0, Arc::clone(&parkers)));
+        let expire = move |now, slack| parkers.expire_parked(now, slack);
+        Harness { mb, _watchdog: spawn_ticker("fx-tick", clock, tick_period(timeout), expire) }
+    }
+
+    fn mailbox(nprocs: usize) -> Harness {
+        harness(nprocs, Duration::from_secs(10))
+    }
+
+    /// Processor 0 (the calling thread) receives, not declared idle.
+    fn take(mb: &Mailbox, src: usize, tag: u64) -> Envelope {
+        mb.take(src, tag, &AtomicBool::new(false), || mb.parkers.park_thread(0))
     }
 
     /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.
@@ -446,13 +383,11 @@ mod tests {
             tag,
             arrival: 0.0,
             nbytes,
-            enqueued: mb.clock.now_ns(),
+            enqueued: mb.parkers.clock.now_ns(),
             trace: TraceCtx::NONE,
             payload: MsgBody::Boxed(payload),
         });
     }
-
-    static NOT_IDLE: AtomicBool = AtomicBool::new(false);
 
     impl Mailbox {
         /// Lanes built so far (at most one per sender that deposited or
@@ -463,12 +398,12 @@ mod tests {
 
         /// Envelope slots held by all queues, full or empty.
         fn retained_slots(&self) -> usize {
-            self.live_lanes().map(|(_, l)| l.state.lock().queue.capacity()).sum()
+            self.live_lanes().map(|(_, l)| l.lock().queue.capacity()).sum()
         }
     }
 
     fn take_u32(mb: &Mailbox, src: usize, tag: u64) -> u32 {
-        let e = mb.take(src, tag, 0, Duration::from_secs(1), &NOT_IDLE);
+        let e = take(mb, src, tag);
         match e.payload {
             MsgBody::Boxed(b) => crate::payload::unerase(b, src, tag),
             MsgBody::Chunk(_) => panic!("expected boxed payload"),
@@ -498,20 +433,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "timed out")]
     fn take_times_out_with_diagnostic() {
-        let mb = mailbox(4);
+        let mb = harness(4, Duration::from_millis(20));
         put(&mb, 3, 9, 1);
-        mb.take(1, 7, 0, Duration::from_millis(20), &NOT_IDLE);
+        take(&mb, 1, 7);
     }
 
     #[test]
     fn timeout_diagnostic_reports_lane_depths_and_oldest_age() {
-        let mb = mailbox(4);
+        let mb = harness(4, Duration::from_millis(20));
         put(&mb, 3, 9, 1);
         std::thread::sleep(Duration::from_millis(30));
         put(&mb, 3, 9, 2);
         put(&mb, 2, 5, 7);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mb.take(1, 7, 0, Duration::from_millis(20), &NOT_IDLE);
+            take(&mb, 1, 7);
         }))
         .expect_err("must time out");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -525,7 +460,7 @@ mod tests {
         let mb = mailbox(4);
         put(&mb, 3, 9, 1);
         std::thread::sleep(Duration::from_millis(40));
-        mb.clock.refresh();
+        mb.parkers.clock.refresh();
         put(&mb, 3, 9, 2); // newer message must not reset the age
         let snap = mb.depth_snapshot();
         assert_eq!(snap.len(), 1);
@@ -536,7 +471,7 @@ mod tests {
             snap[0].oldest_wait
         );
         // Draining the oldest message shrinks the reported age.
-        let _ = mb.take(3, 9, 0, Duration::from_millis(50), &NOT_IDLE);
+        let _ = take(&mb, 3, 9);
         let snap = mb.depth_snapshot();
         assert_eq!(snap[0].count, 1);
         assert!(snap[0].oldest_wait < Duration::from_millis(40));
@@ -545,23 +480,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "another processor panicked")]
     fn poison_unblocks_with_panic() {
-        let mb = std::sync::Arc::new(mailbox(4));
-        let mb2 = mb.clone();
+        let mb = mailbox(4);
+        let mb2 = Arc::clone(&mb.mb);
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             mb2.poison();
         });
-        mb.take(0, 0, 1, Duration::from_secs(10), &NOT_IDLE);
+        take(&mb, 0, 0);
     }
 
     #[test]
     fn cross_thread_delivery() {
-        let mb = std::sync::Arc::new(mailbox(8));
-        let mb2 = mb.clone();
+        let mb = mailbox(8);
+        let mb2 = Arc::clone(&mb.mb);
         let h = std::thread::spawn(move || {
             put(&mb2, 5, 1, 42);
         });
-        let e = mb.take(5, 1, 0, Duration::from_secs(5), &NOT_IDLE);
+        let e = take(&mb, 5, 1);
         h.join().unwrap();
         let v: u32 = match e.payload {
             MsgBody::Boxed(b) => crate::payload::unerase(b, 5, 1),
@@ -584,7 +519,7 @@ mod tests {
         let mb = mailbox(2);
         put(&mb, 1, 0xa, 1);
         std::thread::sleep(Duration::from_millis(40));
-        mb.clock.refresh();
+        mb.parkers.clock.refresh();
         put(&mb, 1, 0xb, 2);
         put(&mb, 1, 0xa, 3);
         let snap = mb.depth_snapshot();
@@ -636,7 +571,7 @@ mod tests {
         mb.poison();
         assert!(mb.is_poisoned());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mb.take(3, 1, 0, Duration::from_secs(10), &NOT_IDLE);
+            take(&mb, 3, 1);
         }))
         .expect_err("a poisoned mailbox must not wait");
         assert!(err.downcast_ref::<String>().is_some_and(|m| m.contains("another processor panicked")));

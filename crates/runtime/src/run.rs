@@ -9,9 +9,11 @@ use crate::clock::{self, CoarseClock};
 use crate::coro;
 use crate::counters::{ProcTotals, PromoteStats};
 use crate::ctx::{ExecCtx, ProcCtx, World};
-use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode};
+use crate::env;
+use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
+use crate::parker::Parkers;
 use crate::pool::{self, Pool};
 use crate::span::SpanLog;
 use crate::stall;
@@ -48,22 +50,6 @@ impl Executor {
     pub fn pooled() -> Self {
         Executor::Pooled { workers: 0 }
     }
-
-    /// Apply the `FX_EXECUTOR` (`threaded`/`pooled`) and `FX_WORKERS`
-    /// environment overrides on top of a mode-specific default.
-    fn from_env(default: Executor) -> Executor {
-        let env_workers = std::env::var("FX_WORKERS").ok().and_then(|s| s.parse::<usize>().ok());
-        match std::env::var("FX_EXECUTOR").as_deref() {
-            Ok("threaded") => Executor::Threaded,
-            Ok("pooled") => Executor::Pooled { workers: env_workers.unwrap_or(0) },
-            _ => match default {
-                Executor::Pooled { workers } => {
-                    Executor::Pooled { workers: env_workers.unwrap_or(workers) }
-                }
-                Executor::Threaded => Executor::Threaded,
-            },
-        }
-    }
 }
 
 impl std::fmt::Display for Executor {
@@ -98,19 +84,6 @@ pub enum DataflowMode {
     Validate,
 }
 
-impl DataflowMode {
-    /// Apply the `FX_DATAFLOW` (`off`/`on`/`validate`) environment
-    /// override on top of a default.
-    fn from_env(default: DataflowMode) -> DataflowMode {
-        match std::env::var("FX_DATAFLOW").as_deref() {
-            Ok("off") => DataflowMode::Off,
-            Ok("on") => DataflowMode::On,
-            Ok("validate") => DataflowMode::Validate,
-            _ => default,
-        }
-    }
-}
-
 impl std::fmt::Display for DataflowMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -121,27 +94,6 @@ impl std::fmt::Display for DataflowMode {
     }
 }
 
-/// Causal-tracing default: `FX_TRACE` (`1`/`on` to enable, `0`/`off` to
-/// disable) on top of a mode default of off. An explicit
-/// [`Machine::with_tracing`] always wins.
-fn tracing_from_env(default: bool) -> bool {
-    match std::env::var("FX_TRACE").as_deref() {
-        Ok("1") | Ok("on") | Ok("true") => true,
-        Ok("0") | Ok("off") | Ok("false") => false,
-        _ => default,
-    }
-}
-
-/// Deadlock-watchdog default: `FX_RECV_TIMEOUT_MS` if set, else 60 s.
-/// An explicit [`Machine::with_timeout`] always wins.
-fn default_recv_timeout() -> Duration {
-    std::env::var("FX_RECV_TIMEOUT_MS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_secs(60))
-}
-
 /// Configuration of one machine instance.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -149,10 +101,10 @@ pub struct Machine {
     pub nprocs: usize,
     /// Real or simulated time.
     pub mode: TimeMode,
-    /// Deadlock watchdog: a blocked receive panics after this long. Under
-    /// the pooled executor parked receives are checked once per watchdog
-    /// period (an eighth of this, within 5–250 ms): never earlier than
-    /// configured, up to two periods later.
+    /// Deadlock watchdog: a blocked receive panics after this long
+    /// (`FX_RECV_TIMEOUT_MS`; default 60 s). Parked receives are checked
+    /// once per watchdog period (an eighth of this, within 5–250 ms):
+    /// never earlier than configured, up to two periods later.
     pub recv_timeout: Duration,
     /// Record duration spans (see [`crate::SpanLog`]). Host-side only:
     /// enabling it never changes virtual times. Only effective under
@@ -177,7 +129,10 @@ pub struct Machine {
     /// promotable loop — arming it cannot change their virtual times.
     pub heartbeat: HeartbeatMode,
     /// Virtual seconds of charged compute between heartbeats
-    /// (`FX_HEARTBEAT_US` microseconds; default 1000 us).
+    /// (`FX_HEARTBEAT_US` microseconds; default 1000 us: at the Paragon
+    /// parameters a promotion costs ~1.3 ms of messaging overhead, so a
+    /// 1 ms pulse re-examines the idle set about once per potential
+    /// promotion without spamming the board).
     pub heartbeat_period: f64,
     /// Piggyback causal trace contexts on every message and adopt them on
     /// receive (see [`crate::TraceCtx`]; default off, `FX_TRACE`
@@ -185,38 +140,61 @@ pub struct Machine {
     /// overrides everything). Host-side observability only: virtual
     /// times are bit-identical with tracing on or off.
     pub tracing: bool,
+    /// Stack of each pooled processor's coroutine (`FX_STACK_KB`).
+    pub(crate) stack_bytes: usize,
 }
 
 impl Machine {
     /// A machine with `nprocs` processors under deterministic virtual time.
     pub fn simulated(nprocs: usize, model: MachineModel) -> Self {
-        Machine {
-            nprocs,
-            mode: TimeMode::Simulated(model),
-            recv_timeout: default_recv_timeout(),
-            profile: false,
-            telemetry: None,
-            executor: Executor::from_env(Executor::pooled()),
-            dataflow: DataflowMode::from_env(DataflowMode::On),
-            heartbeat: HeartbeatMode::from_env(HeartbeatMode::On),
-            heartbeat_period: default_heartbeat_period(),
-            tracing: tracing_from_env(false),
-        }
+        Machine::from_env(nprocs, TimeMode::Simulated(model))
     }
 
     /// A machine with `nprocs` processors running in real (wall-clock) time.
     pub fn real(nprocs: usize) -> Self {
+        Machine::from_env(nprocs, TimeMode::Real)
+    }
+
+    /// The mode's defaults under the `FX_*` environment (see
+    /// [`crate::env`]), read once per construction.
+    fn from_env(nprocs: usize, mode: TimeMode) -> Self {
+        let simulated = mode.is_simulated();
+        let on_off = |s: &str| match s {
+            "on" => Some(true),
+            "off" => Some(false),
+            _ => None,
+        };
+        let workers = env::read("FX_WORKERS", |s| s.parse().ok()).unwrap_or(0);
+        let pooled = env::read("FX_EXECUTOR", |s| match s {
+            "pooled" => Some(true),
+            "threaded" => Some(false),
+            _ => None,
+        });
+        let dataflow = env::read("FX_DATAFLOW", |s| match s {
+            "validate" => Some(DataflowMode::Validate),
+            _ => on_off(s).map(|on| if on { DataflowMode::On } else { DataflowMode::Off }),
+        });
+        let heartbeat = env::read("FX_HEARTBEAT", on_off).unwrap_or(simulated);
+        let heartbeat_us = env::read("FX_HEARTBEAT_US", |s| s.parse::<f64>().ok().filter(|us| *us > 0.0));
+        let tracing = env::read("FX_TRACE", |s| match s {
+            "1" | "true" => Some(true),
+            "0" | "false" => Some(false),
+            _ => on_off(s),
+        });
+        let timeout_ms = env::read("FX_RECV_TIMEOUT_MS", |s| s.parse().ok());
+        let stack_kb = env::read("FX_STACK_KB", |s| s.parse::<usize>().ok());
         Machine {
             nprocs,
-            mode: TimeMode::Real,
-            recv_timeout: default_recv_timeout(),
+            mode,
+            recv_timeout: timeout_ms.map_or(Duration::from_secs(60), Duration::from_millis),
             profile: false,
             telemetry: None,
-            executor: Executor::from_env(Executor::Threaded),
-            dataflow: DataflowMode::from_env(DataflowMode::On),
-            heartbeat: HeartbeatMode::from_env(HeartbeatMode::Off),
-            heartbeat_period: default_heartbeat_period(),
-            tracing: tracing_from_env(false),
+            executor: if pooled.unwrap_or(simulated) { Executor::Pooled { workers } } else { Executor::Threaded },
+            dataflow: dataflow.unwrap_or(DataflowMode::On),
+            heartbeat: if heartbeat { HeartbeatMode::On } else { HeartbeatMode::Off },
+            heartbeat_period: heartbeat_us.unwrap_or(1000.0) * 1e-6,
+            tracing: tracing.unwrap_or(false),
+            stack_bytes: stack_kb.unwrap_or(1024).max(64) * 1024,
         }
     }
 
@@ -476,25 +454,21 @@ where
             } else {
                 workers
             };
-            let workers = workers.clamp(1, machine.nprocs);
-            Some(Pool::new(machine.nprocs, workers, machine.recv_timeout, Arc::clone(&coarse)))
+            Some(Pool::new(machine.nprocs, workers.clamp(1, machine.nprocs)))
         }
         _ => None,
     };
+    let parkers = Parkers::new(machine.nprocs, pool.clone(), machine.recv_timeout, Arc::clone(&coarse));
     let telemetry = machine.telemetry.clone();
     let world = Arc::new(World {
         nprocs: machine.nprocs,
         mode: machine.mode,
         mailboxes: (0..machine.nprocs)
-            .map(|rank| match &pool {
-                Some(p) => Mailbox::new_pooled(machine.nprocs, rank, Arc::clone(p)),
-                None => Mailbox::new(machine.nprocs, Arc::clone(&coarse)),
-            })
+            .map(|rank| Mailbox::new(machine.nprocs, rank, Arc::clone(&parkers)))
             .collect(),
+        parkers: Arc::clone(&parkers),
         counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         poisoned: std::sync::atomic::AtomicBool::new(false),
-        clock: Arc::clone(&coarse),
-        recv_timeout: machine.recv_timeout,
         profile: machine.profile,
         tracing: machine.tracing,
         telemetry: telemetry.clone(),
@@ -508,31 +482,22 @@ where
     if let Some(t) = &telemetry {
         t.begin_run(start, &world);
     }
-    // The run's one service thread, under either executor: it advances
-    // the coarse clock and, for a pool, expires parked receives. Like the
-    // stall sampler below it lives exactly as long as the execution.
-    let ticker = {
-        let pool = pool.clone();
-        clock::spawn_ticker(coarse, clock::tick_period(machine.recv_timeout), move |now, slack| {
-            if let Some(p) = &pool {
-                p.expire_parked(now, slack);
-            }
-        })
-    };
-    // The stall sampler lives exactly as long as the execution: the guard
-    // joins it on drop even when the propagated panic unwinds past us.
-    let stall_guard = telemetry
-        .as_ref()
-        .filter(|t| t.config().stall)
-        .map(|t| stall::spawn(Arc::clone(t), Arc::clone(&world), start));
+    // The run's watchdog tick, under either executor: it advances the
+    // coarse clock and expires parked receives. Like the stall sampler
+    // below it lives exactly as long as the execution: the guard stops
+    // and joins it on drop, even when a propagated panic unwinds past us.
+    let period = clock::tick_period(machine.recv_timeout);
+    let ticker = clock::spawn_ticker("fx-tick", coarse, period, move |now, slack| parkers.expire_parked(now, slack));
+    let stall_sampler =
+        telemetry.as_ref().filter(|t| t.config().stall).map(|t| stall::spawn(Arc::clone(t), Arc::clone(&world)));
 
     let raw = match &pool {
-        Some(p) => pool::execute(p, &world, start, &f),
+        Some(p) => pool::execute(p, &world, machine.stack_bytes, start, &f),
         None => run_threaded(&world, start, &f),
     };
 
     // Tear down the service threads before (possibly) re-raising a panic.
-    drop(stall_guard);
+    drop(stall_sampler);
     drop(ticker);
 
     // Prefer reporting the root-cause panic over the poison-induced

@@ -1,7 +1,7 @@
 //! The stall detector: a sampler thread that watches per-processor
 //! progress counters during a run and diagnoses who is blocked on whom.
 //!
-//! The deadlock watchdog in `mailbox.rs` only fires after the full
+//! The deadlock watchdog ([`crate::parker`]) only fires after the full
 //! receive timeout (default 60 s) and kills the run; the stall detector
 //! is its early-warning sibling. Every `stall_sample_every` it reads each
 //! processor's monotone progress count (the sum of its send, receive,
@@ -23,11 +23,11 @@
 //! many processors share (and migrate between) a few worker threads and
 //! a thread id means nothing.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::clock::host_now;
+use crate::clock::{spawn_ticker, TickGuard};
 use crate::ctx::World;
 use crate::telemetry::{Telemetry, NO_WAIT};
 
@@ -64,50 +64,22 @@ impl std::fmt::Display for StallReport {
     }
 }
 
-/// Joins the sampler thread on drop, so a panicking run (watchdog
-/// timeout, poison) still tears the thread down before `run` returns.
-pub(crate) struct StallGuard {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for StallGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Spawn the sampler for one run. The guard must be dropped before the
-/// run harness reads final mailbox state.
-pub(crate) fn spawn(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant) -> StallGuard {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("fx-stall-detector".into())
-        .spawn(move || sample_loop(telemetry, world, start, stop2))
-        .expect("spawn stall-detector thread");
-    StallGuard { stop, handle: Some(handle) }
-}
-
-fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, stop: Arc<AtomicBool>) {
+/// Start the sampler for one run: a periodic service thread on the
+/// run's coarse clock, whose windows and report times are therefore
+/// nanoseconds since the run began. The guard must be dropped before the
+/// run harness reads final mailbox state; dropping it interrupts the
+/// sampler's wait, so an observed run never sleeps out a sample period.
+pub(crate) fn spawn(telemetry: Arc<Telemetry>, world: Arc<World>) -> TickGuard {
     let (counters, shards) = (telemetry.counters(), telemetry.shards());
     let window = telemetry.config().stall_window;
     let every = telemetry.config().stall_sample_every;
     let mut last_progress: Vec<u64> = counters.iter().map(|c| c.progress()).collect();
-    let mut last_moved: Vec<Instant> = vec![host_now(); shards.len()];
+    let mut last_moved: Vec<u64> = vec![world.parkers.clock.refresh(); shards.len()];
     // The (proc, src, tag) set already reported, to avoid re-reporting an
     // unchanged stall every sample.
     let mut reported: Vec<(usize, usize, u64)> = Vec::new();
 
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(every);
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let now = host_now();
+    spawn_ticker("fx-stall-detector", Arc::clone(&world.parkers.clock), every, move |now, _slack| {
         let mut stalled = Vec::new();
         for (p, shard) in shards.iter().enumerate() {
             let prog = counters[p].progress();
@@ -127,7 +99,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
                 last_moved[p] = now;
                 continue;
             }
-            let stalled_for = now.duration_since(last_moved[p]);
+            let stalled_for = Duration::from_nanos(now - last_moved[p]);
             if stalled_for >= window {
                 let tag = shard.wait_tag.load(Ordering::Relaxed);
                 stalled.push(StalledProc { proc: p, src, tag, stalled_for });
@@ -136,15 +108,15 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
         let key: Vec<(usize, usize, u64)> = stalled.iter().map(|s| (s.proc, s.src, s.tag)).collect();
         if stalled.is_empty() {
             reported.clear();
-            continue;
+            return;
         }
         if key == reported {
-            continue; // same stall as last reported; don't spam
+            return; // same stall as last reported; don't spam
         }
         reported = key;
         let diagnosis = diagnose(&stalled, &world);
-        telemetry.push_stall_report(StallReport { at: host_now().duration_since(start), stalled, diagnosis });
-    }
+        telemetry.push_stall_report(StallReport { at: Duration::from_nanos(now), stalled, diagnosis });
+    })
 }
 
 /// Build the who-is-blocked-on-whom story, reusing the watchdog's

@@ -1,19 +1,11 @@
-//! The pooled coroutine executor: correctness under P ≫ workers,
-//! determinism against the threaded reference, and failure modes.
+//! The pooled coroutine executor: correctness under P ≫ workers and
+//! determinism against the threaded reference. (Its failure modes run in
+//! `tests/failure_modes.rs`, in one loop with the threaded executor's.)
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use fx_runtime::{run, Executor, Machine, MachineModel, ProcCtx};
-
-fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
-    err.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| err.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic>".into())
-}
 
 /// A ring exchange with per-rank compute: every processor's virtual
 /// finish time depends on messages crossing the whole ring.
@@ -173,63 +165,6 @@ fn pooled_yield_now_is_cooperative() {
 }
 
 #[test]
-fn pooled_panic_propagates_original_message() {
-    let machine = Machine::real(3)
-        .with_timeout(Duration::from_secs(30))
-        .with_executor(Executor::Pooled { workers: 2 });
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                panic!("injected pooled failure");
-            }
-            // Peers block on a message that never comes; the poison must
-            // wake their suspended coroutines.
-            let _: u8 = cx.recv(0, 7);
-        })
-    }))
-    .expect_err("panic must propagate");
-    assert!(panic_message(err).contains("injected pooled failure"));
-}
-
-#[test]
-fn pooled_deadlock_watchdog_fires_with_diagnostic() {
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(200))
-        .with_executor(Executor::Pooled { workers: 1 });
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                let _: u64 = cx.recv(1, 42); // never sent
-            }
-        })
-    }))
-    .expect_err("deadlock must panic");
-    let msg = panic_message(err);
-    assert!(
-        msg.contains("timed out") || msg.contains("another processor panicked"),
-        "got: {msg}"
-    );
-    // The root-cause diagnostic carries the wait edge when it wins the
-    // propagation race.
-    if msg.contains("timed out") {
-        assert!(msg.contains("recv(src=1, tag=0x2a)"), "got: {msg}");
-    }
-}
-
-#[test]
-fn pooled_timeout_env_override_applies() {
-    // FX_RECV_TIMEOUT_MS configures the default watchdog timeout.
-    // Setting env vars is process-global, so keep this self-contained:
-    // an explicit with_timeout must still win over the env default.
-    std::env::set_var("FX_RECV_TIMEOUT_MS", "150");
-    let m = Machine::real(2);
-    assert_eq!(m.recv_timeout, Duration::from_millis(150));
-    let m = Machine::real(2).with_timeout(Duration::from_secs(9));
-    assert_eq!(m.recv_timeout, Duration::from_secs(9));
-    std::env::remove_var("FX_RECV_TIMEOUT_MS");
-}
-
-#[test]
 fn pooled_profiled_runs_are_bit_identical_too() {
     let m = MachineModel::fast_network();
     let base = Machine::simulated(8, m);
@@ -245,35 +180,4 @@ fn pooled_profiled_runs_are_bit_identical_too() {
     for (sp, st) in pooled.spans.iter().zip(&threaded.spans) {
         assert_eq!(sp.len(), st.len());
     }
-}
-
-#[test]
-fn executor_env_override_selects_threaded() {
-    // FX_EXECUTOR=threaded forces the reference executor even where
-    // pooled is the default; with_executor overrides the env again.
-    std::env::set_var("FX_EXECUTOR", "threaded");
-    let m = Machine::simulated(2, MachineModel::paragon());
-    assert_eq!(m.executor, Executor::Threaded);
-    let m = m.with_executor(Executor::pooled());
-    assert_eq!(m.executor, Executor::Pooled { workers: 0 });
-    std::env::remove_var("FX_EXECUTOR");
-    let m = Machine::simulated(2, MachineModel::paragon());
-    assert_eq!(m.executor, Executor::Pooled { workers: 0 });
-}
-
-#[test]
-fn small_stack_env_is_clamped_to_safe_minimum() {
-    // FX_STACK_KB below the floor is clamped, not honoured into a crash.
-    std::env::set_var("FX_STACK_KB", "1");
-    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
-    let rep = run(&machine, |cx: &mut ProcCtx| {
-        if cx.rank() == 0 {
-            cx.send(1, 1, vec![1u8; 4096]);
-            0
-        } else {
-            cx.recv::<Vec<u8>>(0, 1).len()
-        }
-    });
-    std::env::remove_var("FX_STACK_KB");
-    assert_eq!(rep.results[1], 4096);
 }

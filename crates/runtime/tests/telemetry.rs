@@ -235,3 +235,18 @@ fn every_declared_counter_is_exported_exactly_once() {
     let rows = json.split_once("\"regions\"").expect("rows come first").0;
     assert_eq!(count(rows, "\":"), 2 + (P + 1) * ProcTotals::COUNTERS.len(), "no undeclared key in a row");
 }
+
+/// The default registry runs the stall sampler; stopping it must
+/// interrupt its wait, not sleep out `stall_sample_every` (50 ms): twenty
+/// observed runs of an empty program used to take a second.
+#[test]
+fn observed_runs_do_not_sleep_out_the_stall_sampler() {
+    let t0 = std::time::Instant::now();
+    for _ in 0..20 {
+        let telemetry = Arc::new(Telemetry::new());
+        assert!(telemetry.config().stall);
+        let rep = run(&Machine::simulated(4, MachineModel::paragon()).with_telemetry(telemetry), |_cx| ());
+        assert!(rep.telemetry.is_some());
+    }
+    assert!(t0.elapsed() < Duration::from_millis(200), "20 observed empty runs took {:?}", t0.elapsed());
+}

@@ -51,6 +51,8 @@ pub use servable::{AirshedServable, FftHistServable, Servable};
 pub use server::{ProcServe, Server};
 pub use trace::{poisson_trace, ServeRequest, TenantSpec};
 
+use fx_runtime::env;
+
 /// What to drop when a request arrives and the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedPolicy {
@@ -83,28 +85,24 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Defaults overridden by `FX_SERVE_QUEUE`, `FX_SERVE_BATCH` and
-    /// `FX_SERVE_SHED` (`newest` | `oldest`). Unparsable values fall
-    /// back to the defaults; capacities are clamped to at least 1.
+    /// `FX_SERVE_SHED` (`newest` | `oldest`; see [`fx_runtime::env`]).
+    /// Capacities are clamped to at least 1.
+    ///
+    /// # Panics
+    /// When one of them is set to a value it does not accept.
     pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Ok(v) = std::env::var("FX_SERVE_QUEUE") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.queue_cap = n.max(1);
-            }
+        let dflt = ServeConfig::default();
+        let count = |s: &str| Some(s.trim().parse::<usize>().ok()?.max(1));
+        ServeConfig {
+            queue_cap: env::read("FX_SERVE_QUEUE", count).unwrap_or(dflt.queue_cap),
+            batch_max: env::read("FX_SERVE_BATCH", count).unwrap_or(dflt.batch_max),
+            shed: env::read("FX_SERVE_SHED", |s| match s.trim().to_ascii_lowercase().as_str() {
+                "oldest" | "drop-oldest" | "dropoldest" => Some(ShedPolicy::DropOldest),
+                "newest" | "drop-newest" | "dropnewest" => Some(ShedPolicy::DropNewest),
+                _ => None,
+            })
+            .unwrap_or(dflt.shed),
         }
-        if let Ok(v) = std::env::var("FX_SERVE_BATCH") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.batch_max = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("FX_SERVE_SHED") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "oldest" | "drop-oldest" | "dropoldest" => cfg.shed = ShedPolicy::DropOldest,
-                "newest" | "drop-newest" | "dropnewest" => cfg.shed = ShedPolicy::DropNewest,
-                _ => {}
-            }
-        }
-        cfg
     }
 }
 

@@ -1,0 +1,142 @@
+//! The eleven `FX_*` knobs, one table: every accepted spelling resolves
+//! to its value, every malformed value panics naming the variable, and an
+//! explicit `with_*` still wins. The environment is process-wide, so this
+//! is one test in a binary of its own.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+use fx_runtime::env::{self, Knob};
+use fx_runtime::{DataflowMode, Executor, HeartbeatMode, Machine, MachineModel};
+use fx_serve::ServeConfig;
+
+/// What a knob resolved to, as text: the `Debug` of the machine (or serve
+/// config) field it sets.
+fn resolved(knob: &Knob, real: bool) -> String {
+    let m = if real { Machine::real(2) } else { Machine::simulated(2, MachineModel::paragon()) };
+    let s = ServeConfig::from_env();
+    match knob.name {
+        "FX_EXECUTOR" | "FX_WORKERS" => format!("{:?}", m.executor),
+        "FX_DATAFLOW" => format!("{:?}", m.dataflow),
+        "FX_HEARTBEAT" => format!("{:?}", m.heartbeat),
+        "FX_HEARTBEAT_US" => format!("{:?}", m.heartbeat_period),
+        "FX_TRACE" => format!("{:?}", m.tracing),
+        "FX_RECV_TIMEOUT_MS" => format!("{:?}", m.recv_timeout),
+        // Not a public field: read it off the machine's `Debug`.
+        "FX_STACK_KB" => {
+            let dbg = format!("{m:?}");
+            let at = dbg.find("stack_bytes: ").expect("Machine's Debug shows stack_bytes") + 13;
+            dbg[at..].chars().take_while(char::is_ascii_digit).collect()
+        }
+        "FX_SERVE_QUEUE" => format!("{:?}", s.queue_cap),
+        "FX_SERVE_BATCH" => format!("{:?}", s.batch_max),
+        "FX_SERVE_SHED" => format!("{:?}", s.shed),
+        other => panic!("no resolver for {other}"),
+    }
+}
+
+#[test]
+fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
+    // (knob, unset on a simulated machine, unset on a real one, accepted
+    // spelling → value, malformed values)
+    type Row = (&'static str, &'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
+    let table: [Row; 11] = [
+        (
+            "FX_EXECUTOR",
+            "Pooled { workers: 0 }",
+            "Threaded",
+            &[("threaded", "Threaded"), ("pooled", "Pooled { workers: 0 }")],
+            &["pooledd", "Threaded", " pooled", ""],
+        ),
+        ("FX_WORKERS", "Pooled { workers: 0 }", "Threaded", &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }")], &["two", "-1", "1.5"]),
+        ("FX_DATAFLOW", "On", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
+        ("FX_HEARTBEAT", "On", "Off", &[("on", "On"), ("off", "Off")], &["1", "true", "validate"]),
+        ("FX_HEARTBEAT_US", "0.001", "0.001", &[("500", "0.0005"), ("2000", "0.002")], &["0", "-3", "fast", "1ms"]),
+        (
+            "FX_TRACE",
+            "false",
+            "false",
+            &[("1", "true"), ("on", "true"), ("true", "true"), ("0", "false"), ("off", "false"), ("false", "false")],
+            &["yes", "2", "ON"],
+        ),
+        ("FX_RECV_TIMEOUT_MS", "60s", "60s", &[("150", "150ms"), ("2000", "2s")], &["1s", "-5", "1.5"]),
+        ("FX_STACK_KB", "1048576", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
+        ("FX_SERVE_QUEUE", "16", "16", &[("8", "8"), (" 8 ", "8"), ("0", "1")], &["many", "-1"]),
+        ("FX_SERVE_BATCH", "4", "4", &[("2", "2"), ("0", "1")], &["all", "2.0"]),
+        (
+            "FX_SERVE_SHED",
+            "DropNewest",
+            "DropNewest",
+            &[
+                ("newest", "DropNewest"),
+                ("drop-newest", "DropNewest"),
+                ("dropnewest", "DropNewest"),
+                ("oldest", "DropOldest"),
+                ("Drop-Oldest", "DropOldest"),
+                (" DROPOLDEST ", "DropOldest"),
+            ],
+            &["random", "old"],
+        ),
+    ];
+    assert_eq!(table.map(|row| row.0), env::KNOBS.map(|k| k.name), "one row per knob of the table");
+    // CI legs export knobs (`FX_EXECUTOR=threaded cargo test`); this
+    // process's environment is the test's own.
+    for k in &env::KNOBS {
+        std::env::remove_var(k.name);
+    }
+
+    for (knob, (_, unset_sim, unset_real, accepted, malformed)) in env::KNOBS.iter().zip(table) {
+        assert_eq!((resolved(knob, false).as_str(), resolved(knob, true).as_str()), (unset_sim, unset_real), "{} unset", knob.name);
+        // FX_WORKERS only shows on a pooled machine; every other knob
+        // resolves the same way in both modes once it is set.
+        for &(spelling, value) in accepted {
+            std::env::set_var(knob.name, spelling);
+            assert_eq!(resolved(knob, false), value, "{}={spelling:?}", knob.name);
+            if knob.name != "FX_WORKERS" {
+                assert_eq!(resolved(knob, true), value, "{}={spelling:?} (real)", knob.name);
+            }
+        }
+        for &bad in malformed {
+            std::env::set_var(knob.name, bad);
+            let err = catch_unwind(AssertUnwindSafe(|| resolved(knob, false))).expect_err("a malformed value must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(knob.name) && msg.contains(knob.accepts), "{}={bad:?} panicked with: {msg}", knob.name);
+        }
+        std::env::remove_var(knob.name);
+    }
+
+    // An explicit `with_*` wins over the environment.
+    let set = [("FX_EXECUTOR", "threaded"), ("FX_DATAFLOW", "off"), ("FX_HEARTBEAT", "off")];
+    for (name, value) in set.into_iter().chain([("FX_HEARTBEAT_US", "500"), ("FX_TRACE", "0"), ("FX_RECV_TIMEOUT_MS", "150")]) {
+        std::env::set_var(name, value);
+    }
+    let m = Machine::simulated(2, MachineModel::paragon());
+    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Threaded, DataflowMode::Off, HeartbeatMode::Off));
+    let m = m
+        .with_executor(Executor::pooled())
+        .with_dataflow(DataflowMode::On)
+        .with_heartbeat(true)
+        .with_heartbeat_period(2e-3)
+        .with_tracing(true)
+        .with_timeout(Duration::from_secs(9));
+    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::pooled(), DataflowMode::On, HeartbeatMode::On));
+    assert_eq!((m.heartbeat_period, m.tracing, m.recv_timeout), (2e-3, true, Duration::from_secs(9)));
+    for k in &env::KNOBS {
+        std::env::remove_var(k.name);
+    }
+
+    // The stack is sized when the machine is built, not when it runs, and
+    // a request below the floor is clamped, not honoured into a crash.
+    std::env::set_var("FX_STACK_KB", "1");
+    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
+    std::env::remove_var("FX_STACK_KB");
+    let rep = fx_runtime::run(&machine, |cx| {
+        if cx.rank() == 0 {
+            cx.send(1, 1, vec![1u8; 4096]);
+            0
+        } else {
+            cx.recv::<Vec<u8>>(0, 1).len()
+        }
+    });
+    assert_eq!(rep.results[1], 4096);
+}

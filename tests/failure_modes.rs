@@ -14,21 +14,35 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
+fn both_executors() -> [fx::runtime::Executor; 2] {
+    use fx::runtime::Executor;
+    [Executor::Threaded, Executor::Pooled { workers: 1 }]
+}
+
 /// A receive with no matching send trips the deadlock watchdog with a
-/// diagnostic, instead of hanging forever.
+/// diagnostic, instead of hanging forever — also when the receiver is a
+/// suspended coroutine and the only worker thread must run the
+/// watchdog's victim again for its post-wake recheck.
 #[test]
 fn deadlock_watchdog_fires() {
-    let machine = Machine::real(2).with_timeout(Duration::from_millis(200));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                let _: u64 = cx.recv(1, 42); // never sent
-            }
-        })
-    }))
-    .expect_err("deadlock must panic");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
+    for executor in both_executors() {
+        let machine = Machine::real(2).with_timeout(Duration::from_millis(200)).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+                if cx.rank() == 0 {
+                    let _: u64 = cx.recv(1, 42); // never sent
+                }
+            })
+        }))
+        .expect_err("deadlock must panic");
+        let msg = panic_message(err);
+        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
+        // The root-cause diagnostic carries the wait edge when it wins the
+        // propagation race.
+        if msg.contains("timed out") {
+            assert!(msg.contains("recv(src=1, tag=0x2a)"), "{executor:?}: got: {msg}");
+        }
+    }
 }
 
 /// Mismatched message types panic with the expected type's name.
@@ -50,22 +64,25 @@ fn type_mismatch_is_loud() {
 }
 
 /// A panic on one processor propagates: the whole run fails with the
-/// original message, and blocked peers are unwedged.
+/// original message, and blocked peers — parked threads or suspended
+/// coroutines — are unwedged.
 #[test]
 fn peer_panic_unblocks_waiters() {
-    let machine = Machine::real(3).with_timeout(Duration::from_secs(30));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        spmd(&machine, |cx| {
-            if cx.id() == 0 {
-                panic!("injected failure on processor zero");
-            }
-            // Everyone else waits on a collective that can never complete.
-            cx.barrier();
-        })
-    }))
-    .expect_err("peer panic must propagate");
-    let msg = panic_message(err);
-    assert!(msg.contains("injected failure"), "got: {msg}");
+    for executor in both_executors() {
+        let machine = Machine::real(3).with_timeout(Duration::from_secs(30)).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            spmd(&machine, |cx| {
+                if cx.id() == 0 {
+                    panic!("injected failure on processor zero");
+                }
+                // Everyone else waits on a collective that can never complete.
+                cx.barrier();
+            })
+        }))
+        .expect_err("peer panic must propagate");
+        let msg = panic_message(err);
+        assert!(msg.contains("injected failure"), "{executor:?}: got: {msg}");
+    }
 }
 
 /// A panic raised *inside* an `ON SUBGROUP` block propagates with its
@@ -195,45 +212,50 @@ fn darray_misuse_panics() {
 /// The stall detector names who is blocked on whom: in a deadlocked
 /// two-processor exchange (each waiting on a message the other never
 /// sends), reports must appear before the watchdog kills the run and
-/// must carry both processors' `(src, tag)` wait edges.
+/// must carry both processors' `(src, tag)` wait edges. The diagnosis is
+/// keyed by processor id, so it names the same edges when both
+/// processors are coroutines sharing one worker thread.
 #[test]
 fn stall_detector_diagnoses_deadlocked_exchange() {
     use fx::runtime::{Telemetry, TelemetryConfig};
     use std::sync::Arc;
 
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        stall_window: Duration::from_millis(250),
-        stall_sample_every: Duration::from_millis(25),
-        ..TelemetryConfig::default()
-    }));
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_secs(2))
-        .with_telemetry(Arc::clone(&telemetry));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                let _: u64 = cx.recv(1, 7); // 1 never sends tag 7
-            } else {
-                let _: u64 = cx.recv(0, 9); // 0 never sends tag 9
-            }
-        })
-    }))
-    .expect_err("the deadlock watchdog must eventually kill the run");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
+    for executor in both_executors() {
+        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
+            stall_window: Duration::from_millis(250),
+            stall_sample_every: Duration::from_millis(25),
+            ..TelemetryConfig::default()
+        }));
+        let machine = Machine::real(2)
+            .with_timeout(Duration::from_secs(2))
+            .with_executor(executor)
+            .with_telemetry(Arc::clone(&telemetry));
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+                if cx.rank() == 0 {
+                    let _: u64 = cx.recv(1, 7); // 1 never sends tag 7
+                } else {
+                    let _: u64 = cx.recv(0, 9); // 0 never sends tag 9
+                }
+            })
+        }))
+        .expect_err("the deadlock watchdog must eventually kill the run");
+        let msg = panic_message(err);
+        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
 
-    let reports = telemetry.stall_reports();
-    assert!(!reports.is_empty(), "stall detector fired before the watchdog");
-    let all: String = reports.iter().map(|r| r.to_string()).collect();
-    assert!(
-        all.contains("recv(src=1, tag=0x7)"),
-        "report must name processor 0's wait edge, got:\n{all}"
-    );
-    assert!(
-        all.contains("recv(src=0, tag=0x9)"),
-        "report must name processor 1's wait edge, got:\n{all}"
-    );
-    assert!(all.contains("[cycle]"), "mutual wait must be flagged as a cycle, got:\n{all}");
+        let reports = telemetry.stall_reports();
+        assert!(!reports.is_empty(), "{executor:?}: stall detector fired before the watchdog");
+        let all: String = reports.iter().map(|r| r.to_string()).collect();
+        assert!(
+            all.contains("recv(src=1, tag=0x7)"),
+            "{executor:?}: report must name processor 0's wait edge, got:\n{all}"
+        );
+        assert!(
+            all.contains("recv(src=0, tag=0x9)"),
+            "{executor:?}: report must name processor 1's wait edge, got:\n{all}"
+        );
+        assert!(all.contains("[cycle]"), "{executor:?}: mutual wait must be flagged as a cycle, got:\n{all}");
+    }
 }
 
 /// The report counts undelivered messages so leaks are visible.
@@ -245,101 +267,6 @@ fn undelivered_messages_are_reported() {
         }
     });
     assert_eq!(rep.undelivered, 1);
-}
-
-// --- The same failure modes under the pooled coroutine executor. ---
-//
-// Blocked processors here are suspended coroutines, not parked OS
-// threads, so poison and watchdog wakeups travel through the pool
-// scheduler instead of condvars. The observable behaviour must not
-// change: same panics, same messages, same diagnostics keyed by
-// processor id.
-
-/// The watchdog kills a deadlocked run when the receiver is a suspended
-/// coroutine and the only worker thread is free to run the watchdog's
-/// victim again for its post-wake recheck.
-#[test]
-fn deadlock_watchdog_fires_pooled() {
-    use fx::runtime::Executor;
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(200))
-        .with_executor(Executor::Pooled { workers: 1 });
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                let _: u64 = cx.recv(1, 42); // never sent
-            }
-        })
-    }))
-    .expect_err("deadlock must panic");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
-}
-
-/// Poison unwedges peers whose coroutines are suspended in a collective,
-/// and the original panic message still wins the propagation race.
-#[test]
-fn peer_panic_unblocks_waiters_pooled() {
-    use fx::runtime::Executor;
-    let machine = Machine::real(3)
-        .with_timeout(Duration::from_secs(30))
-        .with_executor(Executor::Pooled { workers: 1 });
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        spmd(&machine, |cx| {
-            if cx.id() == 0 {
-                panic!("injected failure on processor zero");
-            }
-            // Everyone else waits on a collective that can never complete.
-            cx.barrier();
-        })
-    }))
-    .expect_err("peer panic must propagate");
-    let msg = panic_message(err);
-    assert!(msg.contains("injected failure"), "got: {msg}");
-}
-
-/// The stall detector's who-blocks-on-whom diagnosis is keyed by
-/// processor id, so it names the same wait edges when both deadlocked
-/// processors are coroutines sharing one worker thread.
-#[test]
-fn stall_detector_diagnoses_deadlocked_exchange_pooled() {
-    use fx::runtime::{Executor, Telemetry, TelemetryConfig};
-    use std::sync::Arc;
-
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        stall_window: Duration::from_millis(250),
-        stall_sample_every: Duration::from_millis(25),
-        ..TelemetryConfig::default()
-    }));
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_secs(2))
-        .with_executor(Executor::Pooled { workers: 1 })
-        .with_telemetry(Arc::clone(&telemetry));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                let _: u64 = cx.recv(1, 7); // 1 never sends tag 7
-            } else {
-                let _: u64 = cx.recv(0, 9); // 0 never sends tag 9
-            }
-        })
-    }))
-    .expect_err("the deadlock watchdog must eventually kill the run");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
-
-    let reports = telemetry.stall_reports();
-    assert!(!reports.is_empty(), "stall detector fired before the watchdog");
-    let all: String = reports.iter().map(|r| r.to_string()).collect();
-    assert!(
-        all.contains("recv(src=1, tag=0x7)"),
-        "report must name processor 0's wait edge, got:\n{all}"
-    );
-    assert!(
-        all.contains("recv(src=0, tag=0x9)"),
-        "report must name processor 1's wait edge, got:\n{all}"
-    );
-    assert!(all.contains("[cycle]"), "mutual wait must be flagged as a cycle, got:\n{all}");
 }
 
 /// A panic poisons the world once. Every processor the poison releases
@@ -386,6 +313,14 @@ fn panic_at_p512_tears_down_in_bounded_time_with_the_root_cause() {
 // longer than the timeout, while a genuine deadlock *inside* request
 // processing (idle cleared) still dies with the full diagnostic.
 
+/// The idle tests' executors: two workers, so the sleeping "arrival
+/// generator" coroutine does not hold the only worker while the server
+/// parks beside it.
+fn threaded_and_two_workers() -> [fx::runtime::Executor; 2] {
+    use fx::runtime::Executor;
+    [Executor::Threaded, Executor::Pooled { workers: 2 }]
+}
+
 /// An idle server outlives several recv-timeout windows of quiescence,
 /// then serves the late request normally; the stall sampler stays quiet.
 #[test]
@@ -393,35 +328,38 @@ fn idle_server_survives_recv_timeout_quiescence() {
     use fx::runtime::{Telemetry, TelemetryConfig};
     use std::sync::Arc;
 
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        stall_window: Duration::from_millis(100),
-        stall_sample_every: Duration::from_millis(20),
-        ..TelemetryConfig::default()
-    }));
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(100))
-        .with_telemetry(Arc::clone(&telemetry));
-    let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-        if cx.rank() == 0 {
-            // The "arrival generator": quiescent for several timeout
-            // windows before the request shows up.
-            std::thread::sleep(Duration::from_millis(450));
-            cx.send(1, 1, 7u64);
-            0
-        } else {
-            // The "server": declared idle while waiting for work.
-            cx.set_idle(true);
-            let req: u64 = cx.recv(0, 1);
-            cx.set_idle(false);
-            req
-        }
-    });
-    assert_eq!(rep.results[1], 7, "the late request must still be served");
-    assert!(
-        telemetry.stall_reports().is_empty(),
-        "declared idleness must not be reported as a stall: {:?}",
-        telemetry.stall_reports()
-    );
+    for executor in threaded_and_two_workers() {
+        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
+            stall_window: Duration::from_millis(100),
+            stall_sample_every: Duration::from_millis(20),
+            ..TelemetryConfig::default()
+        }));
+        let machine = Machine::real(2)
+            .with_timeout(Duration::from_millis(100))
+            .with_executor(executor)
+            .with_telemetry(Arc::clone(&telemetry));
+        let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+            if cx.rank() == 0 {
+                // The "arrival generator": quiescent for several timeout
+                // windows before the request shows up.
+                std::thread::sleep(Duration::from_millis(450));
+                cx.send(1, 1, 7u64);
+                0
+            } else {
+                // The "server": declared idle while waiting for work.
+                cx.set_idle(true);
+                let req: u64 = cx.recv(0, 1);
+                cx.set_idle(false);
+                req
+            }
+        });
+        assert_eq!(rep.results[1], 7, "{executor:?}: the late request must still be served");
+        assert!(
+            telemetry.stall_reports().is_empty(),
+            "{executor:?}: declared idleness must not be reported as a stall: {:?}",
+            telemetry.stall_reports()
+        );
+    }
 }
 
 /// A deadlock while *processing* a request (idle cleared) still trips
@@ -432,82 +370,39 @@ fn deadlocked_request_still_triggers_dump_after_idle_phase() {
     use fx::runtime::{Telemetry, TelemetryConfig};
     use std::sync::Arc;
 
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        stall_window: Duration::from_millis(100),
-        stall_sample_every: Duration::from_millis(20),
-        ..TelemetryConfig::default()
-    }));
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(300))
-        .with_telemetry(Arc::clone(&telemetry));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                std::thread::sleep(Duration::from_millis(50));
-                cx.send(1, 1, 7u64);
-            } else {
-                cx.set_idle(true);
-                let _req: u64 = cx.recv(0, 1); // served fine
-                cx.set_idle(false);
-                // "Processing" deadlocks: waits on a reply that never
-                // comes, with idleness no longer declared.
-                let _: u64 = cx.recv(0, 2);
-            }
-        })
-    }))
-    .expect_err("a deadlock outside the idle phase must still be killed");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
-    let reports = telemetry.stall_reports();
-    assert!(!reports.is_empty(), "the stall sampler must still diagnose a real deadlock");
-    let all: String = reports.iter().map(|r| r.to_string()).collect();
-    assert!(all.contains("recv(src=0, tag=0x2)"), "report must name the stuck wait edge, got:\n{all}");
-}
-
-/// The same idle contract under the pooled executor, where the timeout
-/// is a watchdog-thread latch rather than a condvar deadline: declared
-/// idleness swallows the latch, clearing it re-arms the kill.
-#[test]
-fn idle_gating_holds_under_pooled_executor() {
-    use fx::runtime::Executor;
-
-    // Survives quiescence...
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(100))
-        .with_executor(Executor::Pooled { workers: 2 });
-    let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-        if cx.rank() == 0 {
-            std::thread::sleep(Duration::from_millis(450));
-            cx.send(1, 1, 7u64);
-            0
-        } else {
-            cx.set_idle(true);
-            let req: u64 = cx.recv(0, 1);
-            cx.set_idle(false);
-            req
-        }
-    });
-    assert_eq!(rep.results[1], 7);
-
-    // ...while a genuine deadlock after the idle phase still dies.
-    let machine = Machine::real(2)
-        .with_timeout(Duration::from_millis(300))
-        .with_executor(Executor::Pooled { workers: 2 });
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                cx.send(1, 1, 7u64);
-            } else {
-                cx.set_idle(true);
-                let _req: u64 = cx.recv(0, 1);
-                cx.set_idle(false);
-                let _: u64 = cx.recv(0, 2); // never sent
-            }
-        })
-    }))
-    .expect_err("deadlock must panic under the pooled executor too");
-    let msg = panic_message(err);
-    assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "got: {msg}");
+    for executor in threaded_and_two_workers() {
+        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
+            stall_window: Duration::from_millis(100),
+            stall_sample_every: Duration::from_millis(20),
+            ..TelemetryConfig::default()
+        }));
+        let machine = Machine::real(2)
+            .with_timeout(Duration::from_millis(300))
+            .with_executor(executor)
+            .with_telemetry(Arc::clone(&telemetry));
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+                if cx.rank() == 0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    cx.send(1, 1, 7u64);
+                } else {
+                    cx.set_idle(true);
+                    let _req: u64 = cx.recv(0, 1); // served fine
+                    cx.set_idle(false);
+                    // "Processing" deadlocks: waits on a reply that never
+                    // comes, with idleness no longer declared.
+                    let _: u64 = cx.recv(0, 2);
+                }
+            })
+        }))
+        .expect_err("a deadlock outside the idle phase must still be killed");
+        let msg = panic_message(err);
+        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
+        let reports = telemetry.stall_reports();
+        assert!(!reports.is_empty(), "{executor:?}: the stall sampler must still diagnose a real deadlock");
+        let all: String = reports.iter().map(|r| r.to_string()).collect();
+        assert!(all.contains("recv(src=0, tag=0x2)"), "{executor:?}: report must name the stuck wait edge, got:\n{all}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -516,11 +411,6 @@ fn idle_gating_holds_under_pooled_executor() {
 // must treat a lane that only the waiting receiver has ever touched
 // exactly like one that carried traffic. Both executors, same diagnostics.
 // ---------------------------------------------------------------------
-
-fn both_executors() -> [fx::runtime::Executor; 2] {
-    use fx::runtime::Executor;
-    [Executor::Threaded, Executor::Pooled { workers: 1 }]
-}
 
 /// Processor 2 blocks in `recv` on processor 1, which never sends it
 /// anything: the lane exists only because of the wait. A panic on

@@ -2,7 +2,7 @@
 //! clock per message, and what replaced the per-message clock reads — the
 //! coarse clock, the sleeper gate — loses neither a wakeup nor a timeout.
 //!
-//! The first three tests read the runtime's debug-build counters, which
+//! Tests (a)–(c) and (e) read the runtime's debug-build counters, which
 //! are process-wide: every test here holds `SERIAL`, and the file is its
 //! own test binary.
 #![cfg(debug_assertions)]
@@ -113,47 +113,87 @@ fn sleeper_gate_loses_no_wakeup_under_a_two_worker_barrier_storm() {
     assert_eq!(BACKSTOP_FOUND_WORK.load(Ordering::Relaxed) - missed0, 0, "a park backstop expired with work waiting");
 }
 
-/// (d) A coarse park stamp must not shorten the recv timeout: the pooled
-/// deadlock panic comes no earlier than the 200 ms configured and within
-/// two 25 ms watchdog periods after (plus what the host scheduler adds),
-/// with the usual text and a believable age for the message that *is*
-/// queued.
+/// (d) A coarse park stamp must not shorten the recv timeout, whichever
+/// executor parks the receiver: the deadlock panic comes no earlier than
+/// the 200 ms configured and within two 25 ms watchdog periods after
+/// (plus what the host scheduler adds), with the usual text and a
+/// believable age for the message that *is* queued.
 #[test]
-fn pooled_recv_timeout_is_never_early_and_at_most_two_periods_late() {
+fn recv_timeout_is_never_early_and_at_most_two_periods_late() {
     let _serial = serial();
     const TIMEOUT: Duration = Duration::from_millis(200);
-    let machine = Machine::real(2).with_timeout(TIMEOUT).with_executor(Executor::Pooled { workers: 1 });
-    let seen: Mutex<Option<(String, Duration)>> = Mutex::new(None);
-    catch_unwind(AssertUnwindSafe(|| {
-        fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                cx.send(1, 5, 1u64); // queued, never received
-            } else {
-                let t0 = Instant::now();
-                let err = catch_unwind(AssertUnwindSafe(|| {
-                    let _: u64 = cx.recv(0, 9); // never sent
-                }))
-                .expect_err("nothing is ever sent on (0, 9)");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                *seen.lock().unwrap() = Some((msg, t0.elapsed()));
-                std::panic::resume_unwind(err);
-            }
-        })
-    }))
-    .expect_err("deadlock must panic");
-    let (msg, waited) = seen.into_inner().unwrap().expect("processor 1 timed out");
-    assert!(
-        msg.starts_with(
-            "processor 1: recv(src=0, tag=0x9) timed out after 200ms — likely deadlock. \
-             Pending per (src, tag) with depth and oldest-message age: [(src=0, tag=0x5, n=1, oldest="
-        ),
-        "got: {msg}"
-    );
-    eprintln!("a {TIMEOUT:?} recv timeout fired after {waited:?}");
-    assert!(waited >= TIMEOUT, "timed out after {waited:?}, configured {TIMEOUT:?}");
-    let allowance = Duration::from_millis(250);
-    assert!(waited < TIMEOUT + 2 * TIMEOUT / 8 + allowance, "timed out only after {waited:?}");
-    let age = &msg[msg.find("oldest=").expect("age") + 7..];
-    let ms: f64 = age[..age.find("ms").expect("an age in ms")].parse().expect("digits");
-    assert!((200.0..1000.0).contains(&ms), "the queued message is as old as the wait, dump says {ms} ms");
+    for executor in [Executor::Threaded, Executor::Pooled { workers: 1 }] {
+        let machine = Machine::real(2).with_timeout(TIMEOUT).with_executor(executor);
+        let seen: Mutex<Option<(String, Duration)>> = Mutex::new(None);
+        catch_unwind(AssertUnwindSafe(|| {
+            fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+                if cx.rank() == 0 {
+                    cx.send(1, 5, 1u64); // queued, never received
+                } else {
+                    let t0 = Instant::now();
+                    let err = catch_unwind(AssertUnwindSafe(|| {
+                        let _: u64 = cx.recv(0, 9); // never sent
+                    }))
+                    .expect_err("nothing is ever sent on (0, 9)");
+                    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                    *seen.lock().unwrap() = Some((msg, t0.elapsed()));
+                    std::panic::resume_unwind(err);
+                }
+            })
+        }))
+        .expect_err("deadlock must panic");
+        let (msg, waited) = seen.into_inner().unwrap().expect("processor 1 timed out");
+        assert!(
+            msg.starts_with(
+                "processor 1: recv(src=0, tag=0x9) timed out after 200ms — likely deadlock. \
+                 Pending per (src, tag) with depth and oldest-message age: [(src=0, tag=0x5, n=1, oldest="
+            ),
+            "{executor:?}: got: {msg}"
+        );
+        eprintln!("{executor:?}: a {TIMEOUT:?} recv timeout fired after {waited:?}");
+        assert!(waited >= TIMEOUT, "{executor:?}: timed out after {waited:?}, configured {TIMEOUT:?}");
+        let allowance = Duration::from_millis(250);
+        assert!(waited < TIMEOUT + 2 * TIMEOUT / 8 + allowance, "{executor:?}: timed out only after {waited:?}");
+        let age = &msg[msg.find("oldest=").expect("age") + 7..];
+        let ms: f64 = age[..age.find("ms").expect("an age in ms")].parse().expect("digits");
+        assert!((200.0..1000.0).contains(&ms), "{executor:?}: the queued message is as old as the wait, dump says {ms} ms");
+    }
+}
+
+/// (e) The heartbeat board's poll-waits (victims waiting for grants,
+/// donors waiting for the resolution frontier) arm and check their
+/// watchdog on the coarse clock: a promoted loop reads the host clock no
+/// more often when it runs ten times the iterations.
+#[test]
+fn promoted_loop_reads_the_clock_independent_of_its_iteration_count() {
+    let _serial = serial();
+    let machine = Machine::simulated(8, MachineModel::paragon())
+        .with_executor(Executor::Pooled { workers: 1 })
+        .with_heartbeat(true);
+    let reads_of = |n: usize| {
+        let reads0 = CLOCK_READS.load(Ordering::Relaxed);
+        let t0 = Instant::now();
+        let rep = spmd(&machine, move |cx| {
+            let mut acc = 0u64;
+            cx.pdo_promote(
+                "skew",
+                0..n,
+                |_cx, i| vec![i as u32],
+                |cx, i, ins| {
+                    cx.charge_flops(2000.0 + 800.0 * i as f64); // the tail's owner is the straggler
+                    vec![u64::from(ins[0]) + i as u64]
+                },
+                |_cx, _i, outs: Vec<u64>| acc += outs[0],
+            );
+            acc
+        });
+        let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
+        let taken = rep.promote_total().taken;
+        eprintln!("promoted loop of {n}: {taken} grants, {reads} clock reads in {:?}", t0.elapsed());
+        assert!(taken > 0, "the skewed loop of {n} donated nothing: no poll-wait ran");
+        // The run's start-up, and one read per 250 ms tick.
+        assert!(reads <= 4 + t0.elapsed().as_millis() as u64 / 250, "{reads} clock reads for {n} iterations");
+    };
+    reads_of(600);
+    reads_of(6000);
 }

@@ -19,7 +19,7 @@
 
 use fx_core::{Cx, Size};
 use fx_darray::{assign2, assign2_with, DArray2, Dist, Participation};
-use fx_kernels::fft::{fft2d_reference, fft_flops, fft_in_place};
+use fx_kernels::fft::{fft2d_reference, fft_cols_in_place, fft_flops, fft_in_place};
 use fx_kernels::hist::{hist_flops, histogram_magnitudes};
 use fx_kernels::Complex;
 
@@ -79,17 +79,7 @@ pub fn cffts_local(cx: &mut Cx, a: &mut DArray2<Complex>) {
     if lc == 0 || rows == 0 {
         return;
     }
-    let mut col = vec![Complex::ZERO; rows];
-    for c in 0..lc {
-        let local = a.local_mut();
-        for r in 0..rows {
-            col[r] = local[r * lc + c];
-        }
-        fft_in_place(&mut col, false);
-        for r in 0..rows {
-            local[r * lc + c] = col[r];
-        }
-    }
+    fft_cols_in_place(a.local_mut(), rows, lc, false);
     cx.charge_flops(fft_flops(rows) * lc as f64);
     cx.charge_mem_bytes((2 * rows * lc * std::mem::size_of::<Complex>()) as f64);
 }
@@ -536,6 +526,22 @@ mod tests {
                 for (d, h) in proc_results.iter().enumerate() {
                     assert_eq!(h, &reference_histogram(&cfg, d), "p={p} dataset {d}");
                 }
+            }
+        }
+    }
+
+    /// `cffts` transforms a processor's columns together; the oracle
+    /// transforms all 64. Same bits either way, whatever the block shape:
+    /// 22/21 local columns at P = 3, 4 at P = 16, and at P = 48 blocks of
+    /// 2 with the last 16 processors owning nothing.
+    #[test]
+    fn dp_matches_reference_on_uneven_and_empty_column_blocks() {
+        let cfg = FftHistConfig::new(64, 2);
+        let expect: Vec<Vec<u64>> = (0..cfg.datasets).map(|d| reference_histogram(&cfg, d)).collect();
+        for p in [3usize, 16, 48] {
+            let rep = spmd(&Machine::real(p), move |cx| fft_hist_dp(cx, &cfg));
+            for proc_results in &rep.results {
+                assert_eq!(proc_results, &expect, "p={p}");
             }
         }
     }

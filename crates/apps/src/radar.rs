@@ -17,7 +17,7 @@
 
 use fx_core::{Cx, Size};
 use fx_darray::{assign2, transpose2, DArray2, Dist};
-use fx_kernels::fft::{fft_any, fft_any_flops};
+use fx_kernels::fft::{fft_any_flops, fft_any_in_place};
 use fx_kernels::signal::{scale_flops, threshold_flops};
 use fx_kernels::Complex;
 
@@ -58,10 +58,10 @@ pub fn reference_detections(cfg: &RadarConfig, d: usize) -> u64 {
         }
     }
     let mut count = 0u64;
+    let mut scratch = Vec::new();
     for rg in 0..r {
         let row = &mut work[rg * p..(rg + 1) * p];
-        let transformed = fft_any(row, false);
-        row.copy_from_slice(&transformed);
+        fft_any_in_place(row, false, &mut scratch);
         for z in row.iter_mut() {
             *z = z.scale(cfg.gain);
         }
@@ -82,6 +82,7 @@ pub fn radar_stream(cx: &mut Cx, cfg: &RadarConfig, sets: &[usize]) -> Vec<(usiz
     let mut input = DArray2::new(cx, &g, [p, r], (Dist::Block, Dist::Star), Complex::ZERO);
     let mut work = DArray2::new(cx, &g, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
     let mut out = Vec::with_capacity(sets.len());
+    let mut scratch = Vec::new();
     for &d in sets {
         if cx.id() == 0 {
             cx.record(SET_START);
@@ -96,8 +97,7 @@ pub fn radar_stream(cx: &mut Cx, cfg: &RadarConfig, sets: &[usize]) -> Vec<(usiz
         let mut local_count = 0u64;
         for row in 0..lr {
             let slice = work.local_row_mut(row);
-            let transformed = fft_any(slice, false);
-            slice.copy_from_slice(&transformed);
+            fft_any_in_place(slice, false, &mut scratch);
             for z in slice.iter_mut() {
                 *z = z.scale(cfg.gain);
             }
@@ -174,6 +174,7 @@ pub fn radar_pipeline(
     let mut work = DArray2::new(cx, &g2, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
     let mut staged = DArray2::new(cx, &g3, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
     let mut out = Vec::new();
+    let mut scratch = Vec::new();
 
     cx.task_region(&part, |cx, tr| {
         for &d in sets {
@@ -192,8 +193,7 @@ pub fn radar_pipeline(
                 let (lr, _) = work.local_dims();
                 for row in 0..lr {
                     let slice = work.local_row_mut(row);
-                    let transformed = fft_any(slice, false);
-                    slice.copy_from_slice(&transformed);
+                    fft_any_in_place(slice, false, &mut scratch);
                     for z in slice.iter_mut() {
                         *z = z.scale(cfg.gain);
                     }

@@ -30,7 +30,8 @@ impl Complex {
     /// `e^{i theta}` — the FFT twiddle factor.
     #[inline]
     pub fn cis(theta: f64) -> Self {
-        Complex { re: theta.cos(), im: theta.sin() }
+        let (im, re) = theta.sin_cos();
+        Complex { re, im }
     }
 
     /// Complex conjugate.

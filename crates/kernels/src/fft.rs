@@ -1,49 +1,190 @@
 //! One-dimensional fast Fourier transforms.
 //!
-//! Radix-2 iterative Cooley–Tukey, plus an O(n²) direct DFT used as the
-//! test oracle. The FFT-Hist, radar and stereo applications call these on
-//! the rows/columns they own; [`fft_flops`] is the standard operation
-//! count the simulator charges for one transform.
+//! Radix-2 iterative Cooley–Tukey run from a **plan per length**: the
+//! first transform of a power-of-two length builds that length's
+//! bit-reversal swap list and its `n − 4` stage-contiguous twiddles (each
+//! straight from `cis`, so the error does not grow along a product
+//! chain), and every later transform of that length — on any thread —
+//! reads them. The `len = 2` and `len = 4` stages are one fused pass with
+//! no multiplication (`w ∈ {1, ∓i}` exactly); the later stages are
+//! slice-zip loops with no loop-carried dependency.
+//!
+//! [`fft_cols_in_place`] runs the same schedule over whole rows of a
+//! row-major block, so every column advances together; each element sees
+//! exactly the operations [`fft_in_place`] would apply to its column,
+//! which is what keeps the sequential oracle ([`fft2d_reference`]) and the
+//! distributed `cffts` bit-equal. [`fft_any`] (Bluestein) keeps its chirp
+//! and transformed kernel per `(n, direction)` in the same process-wide
+//! cache. [`dft_reference`] is the O(n²) test oracle and [`fft_flops`] the
+//! standard operation count the simulator charges for one transform.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::complex::Complex;
 
-/// In-place radix-2 FFT. `data.len()` must be a power of two.
-/// `inverse` computes the unscaled inverse transform; callers divide by
-/// `n` themselves if they need the unitary roundtrip.
+/// What every transform of one power-of-two length `n ≥ 4` shares.
+struct Plan {
+    /// The pairs `(i, j)`, `i < j = bitrev(i)`, of the bit-reversal
+    /// permutation.
+    swaps: Vec<(u32, u32)>,
+    /// Forward twiddles `e^{-2πik/2h}`, `k < h`, of the stage with half
+    /// length `h`, for `h = 4, 8, …, n/2` back to back: stage `h` starts
+    /// at `h − 4`. Real and imaginary parts apart, because that is how
+    /// the vectorised butterfly loop wants consecutive twiddles and it
+    /// saves shuffling them there. The inverse transform conjugates on
+    /// load.
+    twiddle_re: Vec<f64>,
+    twiddle_im: Vec<f64>,
+}
+
+impl Plan {
+    fn build(n: usize) -> Plan {
+        let bits = n.trailing_zeros();
+        let last = u32::try_from(n - 1).expect("FFT plans index rows with u32");
+        let swaps = (0..=last)
+            .map(|i| (i, i.reverse_bits() >> (32 - bits)))
+            .filter(|(i, j)| i < j)
+            .collect();
+        let stages = std::iter::successors(Some(4), |h| Some(2 * h)).take_while(|&h| h < n);
+        let (twiddle_re, twiddle_im) = stages
+            .flat_map(|h| (0..h).map(move |k| -std::f64::consts::PI * k as f64 / h as f64))
+            .map(Complex::cis)
+            .map(|w| (w.re, w.im))
+            .unzip();
+        Plan { swaps, twiddle_re, twiddle_im }
+    }
+
+    /// The `h` twiddles of the stage with half length `h ≥ 4`, as their
+    /// real parts and their imaginary parts.
+    fn stage(&self, h: usize) -> (&[f64], &[f64]) {
+        let of_stage = h - 4..2 * h - 4;
+        (&self.twiddle_re[of_stage.clone()], &self.twiddle_im[of_stage])
+    }
+}
+
+/// The plan of length `n` (a power of two), built by whoever asks first.
+/// Read-only afterwards, so it does not matter which worker a coroutine
+/// runs on.
+fn plan(n: usize) -> &'static Plan {
+    static PLANS: [OnceLock<Plan>; usize::BITS as usize] =
+        [const { OnceLock::new() }; usize::BITS as usize];
+    PLANS[n.trailing_zeros() as usize].get_or_init(|| Plan::build(n))
+}
+
+/// `(u, v) ← (u + v, u − v)`: the `w = 1` butterfly.
+#[inline(always)]
+fn butterfly_one(u: &mut Complex, v: &mut Complex) {
+    let (a, b) = (*u, *v);
+    *u = a + b;
+    *v = a - b;
+}
+
+/// `(u, v) ← (u + wv, u − wv)` with `w` a forward twiddle.
+#[inline(always)]
+fn butterfly<const INV: bool>(u: &mut Complex, v: &mut Complex, w: Complex) {
+    let t = *v * if INV { w.conj() } else { w };
+    let a = *u;
+    *u = a + t;
+    *v = a - t;
+}
+
+/// The `len = 2` and `len = 4` stages on four bit-reversed neighbours.
+/// Their twiddles are `1` and `∓i`, so there is nothing to multiply.
+#[inline(always)]
+fn first_pass<const INV: bool>(
+    a: &mut Complex,
+    b: &mut Complex,
+    c: &mut Complex,
+    d: &mut Complex,
+) {
+    butterfly_one(a, b);
+    butterfly_one(c, d);
+    butterfly_one(a, c);
+    // d · (∓i)
+    *d = if INV { Complex::new(-d.im, d.re) } else { Complex::new(d.im, -d.re) };
+    butterfly_one(b, d);
+}
+
+/// The transform of every column of a `rows x cols` block, `rows ≥ 2`:
+/// the radix-2 schedule with a row of `cols` elements wherever a single
+/// transform has one element. Inlined into its two callers so that
+/// [`fft_in_place`] gets a copy with `cols = 1` folded in — one element
+/// per row, rows adjacent — and the two can never disagree by a bit.
+#[inline(always)]
+fn transform<const INV: bool>(data: &mut [Complex], rows: usize, cols: usize) {
+    if rows == 2 {
+        let (r0, r1) = data.split_at_mut(cols);
+        return r0.iter_mut().zip(r1).for_each(|(a, b)| butterfly_one(a, b));
+    }
+    let plan = plan(rows);
+    for &(i, j) in &plan.swaps {
+        let (head, tail) = data.split_at_mut(j as usize * cols);
+        head[i as usize * cols..][..cols].swap_with_slice(&mut tail[..cols]);
+    }
+    for quad in data.chunks_exact_mut(4 * cols) {
+        let (r01, r23) = quad.split_at_mut(2 * cols);
+        let (r0, r1) = r01.split_at_mut(cols);
+        let (r2, r3) = r23.split_at_mut(cols);
+        for (((a, b), c), d) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
+            first_pass::<INV>(a, b, c, d);
+        }
+    }
+    let mut h = 4;
+    while h < rows {
+        let (w_re, w_im) = plan.stage(h);
+        for block in data.chunks_exact_mut(2 * h * cols) {
+            let (lo, hi) = block.split_at_mut(h * cols);
+            let row_pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
+            for ((lo_row, hi_row), (&re, &im)) in row_pairs.zip(w_re.iter().zip(w_im)) {
+                let w = Complex::new(re, im);
+                for (u, v) in lo_row.iter_mut().zip(hi_row) {
+                    butterfly::<INV>(u, v, w);
+                }
+            }
+        }
+        h *= 2;
+    }
+}
+
+/// In-place radix-2 FFT. `data.len()` must be a power of two (it panics
+/// otherwise). `inverse` computes the unscaled inverse transform; callers
+/// divide by `n` themselves if they need the unitary roundtrip.
+///
+/// The first call for a length builds that length's O(n) table of
+/// twiddles and bit-reversal swaps; it stays cached for the life of the
+/// process.
 pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "radix-2 FFT needs a power-of-two length, got {n}");
     if n <= 1 {
         return;
     }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
+    if inverse {
+        transform::<true>(data, n, 1)
+    } else {
+        transform::<false>(data, n, 1)
     }
+}
 
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
+/// In-place FFT of every column of a row-major `rows x cols` block;
+/// `rows` must be a power of two. Bit-for-bit what gathering each column,
+/// running [`fft_in_place`] on it and scattering it back would leave, but
+/// all columns advance together: a twiddle loads once per row pair and
+/// the inner loop runs along contiguous memory.
+pub fn fft_cols_in_place(data: &mut [Complex], rows: usize, cols: usize, inverse: bool) {
+    assert_eq!(data.len(), rows * cols);
+    assert!(rows.is_power_of_two(), "radix-2 FFT needs a power-of-two length, got {rows}");
+    if rows <= 1 || cols == 0 {
+        return;
+    }
+    if cols == 1 {
+        return fft_in_place(data, inverse);
+    }
+    if inverse {
+        transform::<true>(data, rows, cols)
+    } else {
+        transform::<false>(data, rows, cols)
     }
 }
 
@@ -65,51 +206,90 @@ pub fn ifft(data: &[Complex]) -> Vec<Complex> {
     v
 }
 
-/// FFT of **any** length via Bluestein's chirp-z algorithm (arbitrary-n
-/// DFT as a convolution evaluated with power-of-two FFTs). Lets the
-/// radar pipeline use the paper's exact 40-pulse (10 dwells × 4
+/// What every Bluestein transform of one length and direction shares.
+struct Bluestein {
+    /// `w_k = e^{∓iπk²/n}`, `k < n`.
+    chirp: Vec<Complex>,
+    /// The forward FFT, at the padded length `m`, of the wrapped
+    /// conjugate chirp the input is convolved with.
+    kernel: Vec<Complex>,
+}
+
+impl Bluestein {
+    fn build(n: usize, inverse: bool) -> Bluestein {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let chirp: Vec<Complex> = (0..n)
+            .map(|k| {
+                // k^2 mod 2n avoids precision loss for large k.
+                let k2 = (k * k) % (2 * n);
+                Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        let mut kernel = vec![Complex::ZERO; m];
+        for (k, w) in chirp.iter().enumerate() {
+            kernel[k] = w.conj();
+            if k != 0 {
+                kernel[m - k] = w.conj();
+            }
+        }
+        fft_in_place(&mut kernel, false);
+        Bluestein { chirp, kernel }
+    }
+}
+
+/// The Bluestein state for `(n, inverse)`, cached beside the
+/// power-of-two plans. Racing first callers build identical tables and
+/// the first insert wins.
+fn bluestein(n: usize, inverse: bool) -> Arc<Bluestein> {
+    static CACHE: RwLock<BTreeMap<(usize, bool), Arc<Bluestein>>> = RwLock::new(BTreeMap::new());
+    const POISONED: &str = "a thread panicked inserting a Bluestein plan";
+    if let Some(hit) = CACHE.read().expect(POISONED).get(&(n, inverse)) {
+        return Arc::clone(hit);
+    }
+    let built = Arc::new(Bluestein::build(n, inverse));
+    Arc::clone(CACHE.write().expect(POISONED).entry((n, inverse)).or_insert(built))
+}
+
+/// In-place FFT of **any** length via Bluestein's chirp-z algorithm
+/// (arbitrary-n DFT as a convolution evaluated with power-of-two FFTs).
+/// Lets the radar pipeline use the paper's exact 40-pulse (10 dwells × 4
 /// channels) Doppler transform instead of padding to a power of two.
-pub fn fft_any(data: &[Complex], inverse: bool) -> Vec<Complex> {
+/// Unscaled in both directions, like [`fft_in_place`].
+///
+/// `scratch` holds the padded convolution; pass the same vector to every
+/// call of a loop and only the first one allocates. Chirp and kernel come
+/// from the per-`(n, inverse)` cache, so a call costs two power-of-two
+/// FFTs and no trigonometry.
+pub fn fft_any_in_place(data: &mut [Complex], inverse: bool, scratch: &mut Vec<Complex>) {
     let n = data.len();
     if n <= 1 {
-        return data.to_vec();
+        return;
     }
     if n.is_power_of_two() {
-        let mut v = data.to_vec();
-        fft_in_place(&mut v, inverse);
-        return v;
+        return fft_in_place(data, inverse);
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    // Chirp w_k = e^{sign * i * pi * k^2 / n}; X_k = conj-chirped
-    // convolution of (x_k * chirp_k) with conj(chirp).
-    let chirp: Vec<Complex> = (0..n)
-        .map(|k| {
-            // k^2 mod 2n avoids precision loss for large k.
-            let k2 = (k * k) % (2 * n);
-            Complex::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
-        })
-        .collect();
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![Complex::ZERO; m];
-    for k in 0..n {
-        a[k] = data[k] * chirp[k];
+    let shared = bluestein(n, inverse);
+    let m = shared.kernel.len();
+    scratch.clear();
+    scratch.extend(data.iter().zip(&shared.chirp).map(|(&x, &w)| x * w));
+    scratch.resize(m, Complex::ZERO);
+    fft_in_place(scratch, false);
+    for (x, &y) in scratch.iter_mut().zip(&shared.kernel) {
+        *x *= y;
     }
-    let mut b = vec![Complex::ZERO; m];
-    for k in 0..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        if k != 0 {
-            b[m - k] = c;
-        }
-    }
-    fft_in_place(&mut a, false);
-    fft_in_place(&mut b, false);
-    for (x, y) in a.iter_mut().zip(&b) {
-        *x *= *y;
-    }
-    fft_in_place(&mut a, true);
+    fft_in_place(scratch, true);
     let scale = 1.0 / m as f64;
-    (0..n).map(|k| (a[k] * chirp[k]).scale(scale)).collect()
+    for ((out, &x), &w) in data.iter_mut().zip(scratch.iter()).zip(&shared.chirp) {
+        *out = (x * w).scale(scale);
+    }
+}
+
+/// [`fft_any_in_place`] returning a new vector.
+pub fn fft_any(data: &[Complex], inverse: bool) -> Vec<Complex> {
+    let mut v = data.to_vec();
+    fft_any_in_place(&mut v, inverse, &mut Vec::new());
+    v
 }
 
 /// Flop count for an arbitrary-length FFT: three power-of-two FFTs of
@@ -133,7 +313,9 @@ pub fn dft_reference(data: &[Complex], inverse: bool) -> Vec<Complex> {
         .map(|k| {
             let mut acc = Complex::ZERO;
             for (j, &x) in data.iter().enumerate() {
-                let ang = sign * 2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
+                // k·j mod n: an angle of up to 2πn would carry n times the
+                // rounding error, more than the transforms this judges.
+                let ang = sign * 2.0 * std::f64::consts::PI * ((k * j) % n) as f64 / n as f64;
                 acc += x * Complex::cis(ang);
             }
             acc
@@ -156,17 +338,7 @@ pub fn fft_flops(n: usize) -> f64 {
 pub fn fft2d_reference(data: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
     assert_eq!(data.len(), rows * cols);
     let mut m = data.to_vec();
-    // Column FFTs.
-    let mut col = vec![Complex::ZERO; rows];
-    for c in 0..cols {
-        for r in 0..rows {
-            col[r] = m[r * cols + c];
-        }
-        fft_in_place(&mut col, false);
-        for r in 0..rows {
-            m[r * cols + c] = col[r];
-        }
-    }
+    fft_cols_in_place(&mut m, rows, cols, false);
     // Row FFTs.
     for r in 0..rows {
         fft_in_place(&mut m[r * cols..(r + 1) * cols], false);
@@ -266,6 +438,32 @@ mod tests {
             fft_any(&y, true).into_iter().map(|z| z.scale(1.0 / n as f64)).collect();
         for (a, b) in x.iter().zip(&back) {
             assert!(a.approx_eq(*b, 1e-8), "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn racing_first_transforms_share_one_plan() {
+        // A length no other test in this binary transforms, so the eight
+        // threads really do race the build.
+        let n = 1 << 13;
+        let x: Vec<Complex> =
+            (0..n).map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.3).cos())).collect();
+        let gate = std::sync::Barrier::new(8);
+        let runs: Vec<(Vec<Complex>, &Plan)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        (fft(&x), plan(n))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().expect("racer panicked")).collect()
+        });
+        let (first, table) = &runs[0];
+        for (y, t) in &runs[1..] {
+            assert!(std::ptr::eq(*t, *table), "two tables for one length");
+            assert_eq!(y, first);
         }
     }
 

@@ -12,10 +12,11 @@
 //! just enough protocol for `curl` and a Prometheus scraper. Dropping the
 //! server stops the thread.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::telemetry::Telemetry;
 
@@ -67,36 +68,65 @@ fn accept_loop(listener: TcpListener, telemetry: Arc<Telemetry>, stop: Arc<Atomi
     }
 }
 
-/// Upper bound on bytes read while looking for the request line's CRLF.
-/// Generous for any `GET <path> HTTP/1.1` a scraper sends; a client that
-/// exceeds it is answered from whatever arrived (which yields a 404).
-const MAX_REQUEST_LINE: usize = 8192;
+/// Upper bound on bytes read while looking for the end of the request's
+/// header block. Generous for any `GET <path> HTTP/1.1` plus headers a
+/// scraper sends; a client that exceeds it is answered from whatever
+/// arrived.
+const MAX_REQUEST_HEAD: usize = 8192;
 
-/// Read from `stream` until the request line's terminating `\r\n` has
-/// arrived, then return the line. A request line may arrive split across
-/// several TCP segments (small MSS, Nagle-off byte-at-a-time writers), so
-/// a single `read()` is not enough: the old single-read parse misparsed
-/// the path whenever the first segment ended mid-line (and served the
-/// wrong route on a 0-byte first read). Bounded by [`MAX_REQUEST_LINE`];
-/// stops early on EOF.
+/// How long a client may stay silent before the server stops waiting for
+/// it — while reading the request, and again while draining after the
+/// response.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read from `stream` until the blank line that ends the header block
+/// (`\r\n\r\n`) has arrived, then return the request line. The head may
+/// arrive split across any number of TCP segments (small MSS, Nagle-off
+/// byte-at-a-time writers), so a single `read()` is not enough. Bounded
+/// by [`MAX_REQUEST_HEAD`]; EOF or a silent client ends it early and the
+/// route is taken from what arrived.
+///
+/// Stopping at the request line's own CRLF would be enough to route, but
+/// leaves the headers unread: closing a socket with unread bytes makes
+/// the kernel send RST instead of FIN, and the client loses the response.
 fn read_request_line(stream: &mut TcpStream) -> std::io::Result<String> {
+    const END: &[u8] = b"\r\n\r\n";
     let mut buf = Vec::with_capacity(256);
     let mut chunk = [0u8; 1024];
-    while !buf.windows(2).any(|w| w == b"\r\n") && buf.len() < MAX_REQUEST_LINE {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break; // EOF before CRLF: parse what we have.
-        }
+    let mut scanned = 0;
+    while buf.len() < MAX_REQUEST_HEAD {
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => return Err(e),
+        };
         buf.extend_from_slice(&chunk[..n]);
+        if buf[scanned..].windows(END.len()).any(|w| w == END) {
+            break;
+        }
+        scanned = buf.len().saturating_sub(END.len() - 1);
     }
     let line_end = buf.windows(2).position(|w| w == b"\r\n").unwrap_or(buf.len());
     Ok(String::from_utf8_lossy(&buf[..line_end]).into_owned())
 }
 
+/// Half-close, then read until the client has closed too (or gone
+/// silent): whatever it was still sending — headers past
+/// [`MAX_REQUEST_HEAD`], a body — is consumed, so dropping the socket
+/// sends FIN and the response survives.
+fn finish(stream: &mut TcpStream) -> std::io::Result<()> {
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + CLIENT_TIMEOUT;
+    let mut sink = [0u8; 1024];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    Ok(())
+}
+
 fn serve_one(stream: &mut TcpStream, telemetry: &Telemetry) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-    // Read the full request line (however many segments it takes); ignore
-    // headers and body.
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+    // The route is the request line's; headers and body are read and
+    // ignored.
     let request = read_request_line(stream)?;
     let path = request.split_whitespace().nth(1).unwrap_or("/");
 
@@ -127,7 +157,8 @@ fn serve_one(stream: &mut TcpStream, telemetry: &Telemetry) -> std::io::Result<(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes())
+    stream.write_all(response.as_bytes())?;
+    finish(stream)
 }
 
 /// The `/trace` index: one line per retained exemplar trace, slowest
@@ -156,12 +187,22 @@ fn lookup_trace(telemetry: &Telemetry, id: &str) -> Option<String> {
 mod tests {
     use super::*;
 
-    fn get(addr: SocketAddr, path: &str) -> String {
+    /// One client connection: `send` writes the request however it likes,
+    /// the response is read to EOF, and the socket closes on return — a
+    /// client that lingers holds the one accept thread in its drain.
+    fn exchange(addr: SocketAddr, send: impl FnOnce(&mut TcpStream)) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes()).unwrap();
+        s.set_nodelay(true).unwrap();
+        send(&mut s);
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
         out
+    }
+
+    fn get(addr: SocketAddr, path: &str) -> String {
+        exchange(addr, |s| {
+            s.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes()).unwrap()
+        })
     }
 
     #[test]
@@ -241,25 +282,22 @@ mod tests {
         // and delay makes the server's first read() return only the
         // prefix, which the old single-read parser turned into the path
         // "/met" (a 404).
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_nodelay(true).unwrap();
-        s.write_all(b"GET /met").unwrap();
-        s.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        s.write_all(b"rics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
+        let out = exchange(addr, |s| {
+            s.write_all(b"GET /met").unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            s.write_all(b"rics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        });
         assert!(out.starts_with("HTTP/1.1 200 OK"), "split request line must still route: {out}");
         assert!(out.contains("application/openmetrics-text"), "{out}");
 
-        // Byte-at-a-time writer: the degenerate many-segment case.
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_nodelay(true).unwrap();
-        for b in b"GET /metrics.json HTTP/1.1\r\n\r\n" {
-            s.write_all(&[*b]).unwrap();
-        }
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
+        // Byte-at-a-time writer: the degenerate many-segment case. The
+        // server must not answer and close while bytes are still coming.
+        let out = exchange(addr, |s| {
+            for b in b"GET /metrics.json HTTP/1.1\r\n\r\n" {
+                s.write_all(&[*b]).unwrap();
+            }
+        });
         assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
         assert!(out.contains("application/json"), "{out}");
 
@@ -267,15 +305,38 @@ mod tests {
         // multi-segment path: a split inside the id must not truncate it
         // into a different (or invalid) trace id.
         telemetry.offer_exemplar_trace(0xFEED, 1_000, || "{\"traceEvents\":[]}".to_string());
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_nodelay(true).unwrap();
-        s.write_all(b"GET /trace/00000000").unwrap();
-        s.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        s.write_all(b"0000feed HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
+        let out = exchange(addr, |s| {
+            s.write_all(b"GET /trace/00000000").unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            s.write_all(b"0000feed HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        });
         assert!(out.starts_with("HTTP/1.1 200 OK"), "split trace id must still route: {out}");
         assert!(out.contains("{\"traceEvents\":[]}"), "{out}");
+    }
+
+    #[test]
+    fn headers_are_read_before_the_response_so_the_close_is_not_a_reset() {
+        let telemetry = Arc::new(Telemetry::new());
+        let server = TelemetryServer::serve(Arc::clone(&telemetry), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+
+        // A scraper's worth of headers: 4 KiB after the request line.
+        // Answering at the first CRLF and closing with these unread makes
+        // the kernel send RST, and the client's read fails.
+        let padding = "x".repeat(4096);
+        let head = format!("GET /flight HTTP/1.1\r\nHost: x\r\nX-Pad: {padding}\r\n\r\n");
+        for _ in 0..20 {
+            let out = exchange(addr, |s| s.write_all(head.as_bytes()).unwrap());
+            assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+            assert!(out.contains("text/plain"), "{out}");
+        }
+
+        // Past the bound the route still comes from the first line, and
+        // the excess is drained, not left to reset the connection.
+        let head = format!("GET /metrics.json HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "x".repeat(20_000));
+        let out = exchange(addr, |s| s.write_all(head.as_bytes()).unwrap());
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        assert!(out.contains("application/json"), "{out}");
     }
 }

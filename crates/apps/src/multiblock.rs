@@ -115,10 +115,10 @@ pub fn multiblock_tp(cx: &mut Cx, cfg: &MultiblockConfig) -> (f64, f64) {
     let mut b = DArray2::new(cx, &gb, [cfg.rows, cfg.cols_b], dist, 0.0);
     // Interface staging: the boundary column of each block, mapped to the
     // *owner's* subgroup, shipped to the other side in parent scope.
-    let mut a_edge = DArray1::new(cx, &ga, cfg.rows, Dist1::Replicated, cfg.left_bc);
-    let mut b_edge = DArray1::new(cx, &gb, cfg.rows, Dist1::Replicated, cfg.right_bc);
-    let mut a_ghost = DArray1::new(cx, &ga, cfg.rows, Dist1::Replicated, cfg.right_bc);
-    let mut b_ghost = DArray1::new(cx, &gb, cfg.rows, Dist1::Replicated, cfg.left_bc);
+    let mut a_edge = DArray1::new(cx, &ga, cfg.rows, Dist1::Star, cfg.left_bc);
+    let mut b_edge = DArray1::new(cx, &gb, cfg.rows, Dist1::Star, cfg.right_bc);
+    let mut a_ghost = DArray1::new(cx, &ga, cfg.rows, Dist1::Star, cfg.right_bc);
+    let mut b_ghost = DArray1::new(cx, &gb, cfg.rows, Dist1::Star, cfg.left_bc);
     let left_bc = vec![cfg.left_bc; cfg.rows];
     let right_bc = vec![cfg.right_bc; cfg.rows];
 

@@ -239,7 +239,7 @@ fn merge_result_high(
 /// group, returning the sorted result on every member.
 pub fn qsort_global(cx: &mut Cx, keys: &[i64]) -> Vec<i64> {
     let g = cx.group();
-    let mut a = DArray1::from_global(cx, &g, Dist1::Block, keys);
+    let mut a = DArray1::from_global(cx, &g, keys.len(), Dist1::Block, keys);
     qsort(cx, &mut a);
     a.to_global(cx)
 }
@@ -248,7 +248,7 @@ pub fn qsort_global(cx: &mut Cx, keys: &[i64]) -> Vec<i64> {
 /// processors (see [`qsort_with_leaf`]).
 pub fn qsort_global_promoted(cx: &mut Cx, keys: &[i64], leaf_group: usize) -> Vec<i64> {
     let g = cx.group();
-    let mut a = DArray1::from_global(cx, &g, Dist1::Block, keys);
+    let mut a = DArray1::from_global(cx, &g, keys.len(), Dist1::Block, keys);
     qsort_with_leaf(cx, &mut a, leaf_group);
     a.to_global(cx)
 }

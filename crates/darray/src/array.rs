@@ -1,26 +1,78 @@
-//! Distributed arrays of rank two and up over a processor grid.
+//! Distributed arrays over a processor grid.
 //!
 //! One type, [`DArray`], generic over the rank: construction, ownership
 //! queries, owner-computes iteration and reassembly are written once over
-//! an N-d index walk. [`DArray2`] (matrices) and [`DArray3`] (the Airshed
-//! concentration array `layers x gridpoints x species`, paper §5.2) are
-//! its instantiations, each with thin `(r, c)` / `(i0, i1, i2)` accessors
-//! on top. Rank-1 arrays keep their own type, [`crate::DArray1`]:
-//! replication exists only there and special-cases every accessor.
+//! an N-d index walk. [`DArray1`] (vectors), [`DArray2`] (matrices) and
+//! [`DArray3`] (the Airshed concentration array `layers x gridpoints x
+//! species`, paper §5.2) are its instantiations, each with thin `i` /
+//! `(r, c)` / `(i0, i1, i2)` accessors on top.
+//!
+//! Replication is a placement, not a type: a rank-1 array distributed `*`
+//! (the paper's `a(*)`, "not distributed") has every member of its group
+//! at coordinate 0 of a one-position map, so every member holds the whole
+//! extent. That is [`Side::replicated`], and the one place it is decided
+//! is the constructor.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use fx_core::{Cx, GroupHandle};
 
-use crate::array1::Elem;
 use crate::assign::Operand;
 use crate::dist::{for_each_index, ravel, unravel, DimMap, Dist};
 use crate::plan::{Side, VersionVec};
 
+/// Element types storable in distributed arrays. `Sync` lets collectives
+/// share one broadcast payload across processor threads.
+pub trait Elem: Copy + Send + Sync + 'static {}
+impl<T: Copy + Send + Sync + 'static> Elem for T {}
+
+/// One value per dimension, as the constructors take extents,
+/// distributions and grids: the array `[X; N]`, the matching tuple, or —
+/// at rank 1 — the bare scalar (`DArray1::new(cx, &g, n, Dist::Block, 0)`).
+pub trait PerDim<X, const N: usize> {
+    /// The values as an array, dimension 0 first.
+    fn per_dim(self) -> [X; N];
+}
+
+impl<X, const N: usize> PerDim<X, N> for [X; N] {
+    fn per_dim(self) -> [X; N] {
+        self
+    }
+}
+
+impl<X> PerDim<X, 2> for (X, X) {
+    fn per_dim(self) -> [X; 2] {
+        self.into()
+    }
+}
+
+impl<X> PerDim<X, 3> for (X, X, X) {
+    fn per_dim(self) -> [X; 3] {
+        self.into()
+    }
+}
+
+impl PerDim<usize, 1> for usize {
+    fn per_dim(self) -> [usize; 1] {
+        [self]
+    }
+}
+
+impl PerDim<Dist, 1> for Dist {
+    fn per_dim(self) -> [Dist; 1] {
+        [self]
+    }
+}
+
 /// An `N`-dimensional array mapped onto a processor group arranged as an
-/// `N`-dimensional grid: one [`Dist`] per dimension (`DISTRIBUTE a(BLOCK,
-/// *)` etc.), virtual rank `v` at row-major grid position `v`, each
-/// member's tile stored row-major.
+/// `N`-dimensional grid (`SUBGROUP(g) :: a` + `DISTRIBUTE a(BLOCK, *)` in
+/// the paper's notation): one [`Dist`] per dimension, virtual rank `v` at
+/// row-major grid position `v`, each member's tile stored row-major.
+///
+/// Every processor in the *enclosing scope* may hold the descriptor — the
+/// metadata is replicated, which is what lets parent-scope statements
+/// compute communication sets — but only group members store elements.
 ///
 /// The grid shape defaults to putting all processors on the one
 /// distributed dimension: `(*, BLOCK)` → `1 x p`, `(BLOCK, *)` → `p x 1`.
@@ -35,11 +87,17 @@ pub struct DArray<T, const N: usize> {
     my_coord: Option<[usize; N]>,
     /// Row-major local tile (empty on non-members).
     local: Vec<T>,
-    /// Replicated read/write version vector (dataflow classification).
-    /// Statements on these arrays record whole-array footprints over the
-    /// flattened extent.
+    /// Replicated read/write version vector (dataflow classification)
+    /// over the flattened extent.
     versions: RefCell<VersionVec>,
 }
+
+/// A vector of extent `n` over `p` grid positions — or, distributed `*`,
+/// replicated on every member.
+pub type DArray1<T> = DArray<T, 1>;
+
+/// The distribution of a [`DArray1`]'s one dimension.
+pub type Dist1 = Dist;
 
 /// A matrix: `rows x cols` over a `pr x pc` grid.
 pub type DArray2<T> = DArray<T, 2>;
@@ -51,7 +109,8 @@ fn default_grid<const N: usize>(dist: [Dist; N], p: usize) -> [usize; N] {
     let spread: Vec<usize> = (0..N).filter(|&k| dist[k] != Dist::Star).collect();
     let mut grid = [1; N];
     match spread[..] {
-        [] => assert_eq!(p, 1, "a fully '*' (serial) array needs a single-processor group"),
+        // `a(*)` at rank 1 is replication: any group size, one position.
+        [] => assert!(N == 1 || p == 1, "a fully '*' (serial) array needs a single-processor group"),
         [k] => grid[k] = p,
         [a, b] if N == 2 => {
             // Near-square factorization: largest divisor ≤ sqrt(p).
@@ -87,15 +146,28 @@ fn walk_tile<const N: usize>(
 
 impl<T: Elem, const N: usize> DArray<T, N> {
     /// Create an array of extents `shape` filled with `fill`, using the
-    /// default grid for `dist` (a `[Dist; N]` or the matching tuple).
+    /// default grid for `dist`. No communication; every caller builds its
+    /// view.
+    ///
+    /// ```
+    /// use fx_core::{spmd, Machine};
+    /// use fx_darray::{DArray1, Dist1};
+    ///
+    /// spmd(&Machine::real(2), |cx| {
+    ///     let g = cx.group();
+    ///     let mut a = DArray1::new(cx, &g, 6, Dist1::Block, 0.0f64);
+    ///     a.for_each_owned(|gi, v| *v = gi as f64); // owner computes
+    ///     assert_eq!(a.local().len(), 3);
+    /// });
+    /// ```
     pub fn new(
         cx: &Cx,
         group: &GroupHandle,
-        shape: [usize; N],
-        dist: impl Into<[Dist; N]>,
+        shape: impl PerDim<usize, N>,
+        dist: impl PerDim<Dist, N>,
         fill: T,
     ) -> Self {
-        let dist = dist.into();
+        let dist = dist.per_dim();
         Self::with_grid(cx, group, shape, dist, default_grid(dist, group.len()), fill)
     }
 
@@ -104,45 +176,57 @@ impl<T: Elem, const N: usize> DArray<T, N> {
     pub fn with_grid(
         cx: &Cx,
         group: &GroupHandle,
-        shape: [usize; N],
-        dist: impl Into<[Dist; N]>,
-        grid: impl Into<[usize; N]>,
+        shape: impl PerDim<usize, N>,
+        dist: impl PerDim<Dist, N>,
+        grid: impl PerDim<usize, N>,
         fill: T,
     ) -> Self {
-        let (dist, grid) = (dist.into(), grid.into());
-        assert_eq!(
-            grid.iter().product::<usize>(),
-            group.len(),
-            "grid {grid:?} does not match group size {}",
-            group.len()
-        );
-        let maps: [DimMap; N] = std::array::from_fn(|k| DimMap::new(shape[k], grid[k], dist[k]));
-        let my_coord = group.vrank_of_phys(cx.phys_rank()).map(|v| unravel(v, grid));
-        let mut a = DArray {
-            side: Side { group: group.clone(), maps, replicated: false },
-            my_coord,
-            local: Vec::new(),
-            versions: RefCell::new(VersionVec::new(shape.iter().product())),
-        };
+        let mut a = Self::placed(cx, group, shape.per_dim(), dist.per_dim(), grid.per_dim());
         a.local = vec![fill; a.local_extents().iter().product()];
         a
     }
 
-    /// Create from globally known row-major contents; each member
-    /// extracts its part. No communication.
-    pub fn from_global(
+    /// The descriptor of an array placed on `grid`, its tile still empty.
+    fn placed(
         cx: &Cx,
         group: &GroupHandle,
         shape: [usize; N],
-        dist: impl Into<[Dist; N]>,
+        dist: [Dist; N],
+        grid: [usize; N],
+    ) -> Self {
+        let maps: [DimMap; N] = std::array::from_fn(|k| DimMap::new(shape[k], grid[k], dist[k]));
+        let replicated = N == 1 && dist[0] == Dist::Star;
+        assert!(
+            replicated || grid.iter().product::<usize>() == group.len(),
+            "grid {grid:?} does not match group size {}",
+            group.len()
+        );
+        let side = Side { group: group.clone(), maps, replicated };
+        DArray {
+            my_coord: side.coord_of(cx.phys_rank()),
+            side,
+            local: Vec::new(),
+            versions: RefCell::new(VersionVec::new(shape.iter().product())),
+        }
+    }
+
+    /// Create from globally known row-major contents: each member
+    /// extracts its part. No communication — use this when every member
+    /// can generate or already knows the data (workload setup, replicated
+    /// inputs).
+    pub fn from_global(
+        cx: &Cx,
+        group: &GroupHandle,
+        shape: impl PerDim<usize, N>,
+        dist: impl PerDim<Dist, N>,
         data: &[T],
-    ) -> Self
-    where
-        T: Default,
-    {
+    ) -> Self {
+        let (shape, dist) = (shape.per_dim(), dist.per_dim());
         assert_eq!(data.len(), shape.iter().product::<usize>());
-        let mut a = Self::new(cx, group, shape, dist, T::default());
-        a.each_owned(|g, v| *v = data[ravel(g, shape)]);
+        let mut a = Self::placed(cx, group, shape, dist, default_grid(dist, group.len()));
+        if let Some(c) = a.my_coord {
+            walk_tile(&a.side.maps, c, |g, _| a.local.push(data[ravel(g, shape)]));
+        }
         a
     }
 
@@ -195,7 +279,8 @@ impl<T: Elem, const N: usize> DArray<T, N> {
     }
 
     /// Collect the whole array (row-major) on every member — a collective
-    /// over the array's group. For validation and output stages.
+    /// over the array's group. For validation and output stages, not
+    /// inner loops.
     pub fn to_global(&self, cx: &mut Cx) -> Vec<T>
     where
         T: Default,
@@ -205,40 +290,44 @@ impl<T: Elem, const N: usize> DArray<T, N> {
             self.side.group.gid(),
             "to_global is a collective over the array's group"
         );
+        if self.side.replicated {
+            return self.local.clone(); // every member already holds it all
+        }
         let parts: Vec<Vec<T>> = cx.allgather_vecs(self.local.clone());
-        self.assemble(&parts)
-    }
-
-    /// The global row-major array whose per-member tiles are `parts`,
-    /// indexed by virtual rank.
-    pub(crate) fn assemble(&self, parts: &[Vec<T>]) -> Vec<T>
-    where
-        T: Default,
-    {
-        let shape = self.shape();
-        let mut out = vec![T::default(); shape.iter().product()];
+        let mut out = vec![T::default(); self.whole().end];
         for (v, part) in parts.iter().enumerate() {
-            walk_tile(&self.side.maps, unravel(v, self.grid()), |g, slot| {
-                out[ravel(g, shape)] = part[slot];
-            });
+            self.walk_member(v, |at, slot| out[at] = part[slot]);
         }
         out
+    }
+
+    /// Visit the tile of virtual rank `v` in its local row-major order as
+    /// `(row-major global position, flat local slot)`.
+    pub(crate) fn walk_member(&self, v: usize, mut f: impl FnMut(usize, usize)) {
+        let shape = self.shape();
+        walk_tile(&self.side.maps, unravel(v, self.grid()), |g, slot| f(ravel(g, shape), slot));
     }
 
     pub(crate) fn maps(&self) -> &[DimMap; N] {
         &self.side.maps
     }
 
+    /// The placement descriptor communication plans are built from.
     pub(crate) fn side(&self) -> &Side<N> {
         &self.side
     }
 
-    /// The array as a statement operand: its whole flattened footprint.
-    pub(crate) fn operand(&self) -> Operand<'_> {
+    /// The whole flattened extent, as a statement footprint.
+    pub(crate) fn whole(&self) -> Range<usize> {
+        0..self.shape().iter().product()
+    }
+
+    /// The array as a statement operand touching `footprint`.
+    pub(crate) fn operand(&self, footprint: Range<usize>) -> Operand<'_> {
         Operand {
             group: &self.side.group,
             versions: &self.versions,
-            footprint: 0..self.shape().iter().product(),
+            footprint,
             member: self.is_member(),
         }
     }
@@ -249,7 +338,7 @@ impl<T: Elem, const N: usize> DArray<T, N> {
     }
 
     /// Tile extents of the member at virtual rank `vrank`.
-    fn extents_of(&self, vrank: usize) -> [usize; N] {
+    pub(crate) fn extents_of(&self, vrank: usize) -> [usize; N] {
         self.tile_extents(unravel(vrank, self.grid()))
     }
 
@@ -271,7 +360,7 @@ impl<T: Elem, const N: usize> DArray<T, N> {
 
     /// Apply `f(global index vector, &mut element)` to every owned
     /// element in local row-major order.
-    fn each_owned(&mut self, mut f: impl FnMut([usize; N], &mut T)) {
+    pub(crate) fn each_owned(&mut self, mut f: impl FnMut([usize; N], &mut T)) {
         let Some(c) = self.my_coord else { return };
         let local = &mut self.local;
         walk_tile(&self.side.maps, c, |g, slot| f(g, &mut local[slot]));
@@ -284,6 +373,78 @@ impl<T: Elem, const N: usize> DArray<T, N> {
             walk_tile(&self.side.maps, c, |g, slot| acc = acc.take().map(|a| f(a, g, self.local[slot])));
         }
         acc.expect("the fold puts its accumulator back after every element")
+    }
+}
+
+/// The vector view: scalar-index signatures over the generic core.
+impl<T: Elem> DArray<T, 1> {
+    /// Global extent.
+    pub fn n(&self) -> usize {
+        self.side.maps[0].n
+    }
+
+    /// Global index of local element `li` on this processor.
+    pub fn global_of_local(&self, li: usize) -> usize {
+        self.global_of([li])[0]
+    }
+
+    /// Apply `f(global_index, &mut element)` to every owned element, in
+    /// ascending global order (the "owner computes" loop). Non-members do
+    /// nothing.
+    pub fn for_each_owned(&mut self, mut f: impl FnMut(usize, &mut T)) {
+        self.each_owned(|[i], v| f(i, v));
+    }
+
+    /// Fold over owned elements as `(global_index, element)` pairs.
+    pub fn fold_owned<A>(&self, init: A, mut f: impl FnMut(A, usize, T) -> A) -> A {
+        self.fold_each(init, |acc, [i], v| f(acc, i, v))
+    }
+
+    /// Promotable owner-computes map: `dst[i] = f(cx, i, self[i])` for
+    /// every global index, each element computed by its block owner by
+    /// default but donatable to idle group peers on a virtual-time
+    /// heartbeat (see `fx_core::Cx::pdo_promote`). Donated intervals ship
+    /// the donor-owned source elements over the chunk transport and the
+    /// results ride back the same way, so `f` may be arbitrarily skewed
+    /// per element without stranding the subgroup behind one owner.
+    ///
+    /// `f` must be compute-only (`charge_*`, no communication) and a pure
+    /// function of `(i, element)`; results are bit-identical with the
+    /// heartbeat on or off. Both arrays must be `Block` over the current
+    /// group, which every member must enter (this is a collective).
+    pub fn promote_map<U: Elem>(
+        &self,
+        cx: &mut Cx,
+        label: &str,
+        dst: &mut DArray1<U>,
+        f: impl Fn(&mut Cx, usize, T) -> U,
+    ) {
+        let group = &self.side.group;
+        assert_eq!(
+            cx.group().gid(),
+            group.gid(),
+            "promote_map is a collective over the array's group"
+        );
+        assert_eq!(self.dist(), [Dist::Block], "promote_map requires a Block source");
+        assert_eq!(dst.dist(), [Dist::Block], "promote_map requires a Block destination");
+        assert_eq!(dst.n(), self.n(), "promote_map arrays must share their extent");
+        assert_eq!(dst.group().gid(), group.gid(), "promote_map arrays must share a group");
+        let me = cx.id();
+        // The promotable loop's block split is exactly the HPF Block
+        // ownership map, so iteration `i` lands on `i`'s owner and local
+        // indices are `i - base`.
+        let my_block = fx_core::block_range(0..self.n(), cx.nprocs(), me);
+        debug_assert_eq!(my_block.len(), self.local.len());
+        let base = my_block.start;
+        let src_local = &self.local;
+        let dst_local = dst.local.as_mut_slice();
+        cx.pdo_promote(
+            label,
+            0..self.n(),
+            |_cx, i| vec![src_local[i - base]],
+            |cx, i, ins| vec![f(cx, i, ins[0])],
+            |_cx, i, outs: Vec<U>| dst_local[i - base] = outs[0],
+        );
     }
 }
 
@@ -397,6 +558,65 @@ mod tests {
         assert_eq!(default_grid([Dist::Cyclic, Dist::Block], 7), [1, 7]);
         assert_eq!(default_grid([Dist::Star, Dist::Star], 1), [1, 1]);
         assert_eq!(default_grid([Dist::Star, Dist::Cyclic, Dist::Star], 5), [1, 5, 1]);
+        assert_eq!(default_grid([Dist::Star], 5), [1], "a(*) replicates over any group size");
+    }
+
+    #[test]
+    fn star_vector_is_replicated_on_members_only() {
+        let rep = spmd(&Machine::real(4), |cx| {
+            let part = cx.task_partition(&[("a", Size::Procs(3)), ("b", Size::Rest)]);
+            let a = DArray1::from_global(cx, &part.group("a"), 3, Dist::Star, &[5u8, 6, 7]);
+            let twin = DArray1::aligned_with(cx, &a, 0u8);
+            (a.is_member(), a.local().to_vec(), twin.local().len(), a.n())
+        });
+        for (v, r) in rep.results.iter().enumerate() {
+            let expect = if v < 3 { (true, vec![5, 6, 7], 3, 3) } else { (false, vec![], 0, 3) };
+            assert_eq!(*r, expect, "processor {v}");
+        }
+    }
+
+    #[test]
+    fn promote_map_matches_sequential_and_donates_on_skew() {
+        use fx_core::{MachineModel, PromoteStats};
+        let n = 512usize;
+        let run = |hb: bool| {
+            let m = Machine::simulated(6, MachineModel::paragon()).with_heartbeat(hb);
+            spmd(&m, move |cx| {
+                let g = cx.group();
+                let data: Vec<u64> = (0..n as u64).collect();
+                let src = DArray1::from_global(cx, &g, n, Dist::Block, &data);
+                let mut dst = DArray1::aligned_with(cx, &src, 0u64);
+                src.promote_map(cx, "square", &mut dst, |cx, i, v| {
+                    // Skewed: the last owner's elements cost the most.
+                    cx.charge_flops(50.0 + (i as f64) * 30.0);
+                    v * v + 1
+                });
+                dst.to_global(cx)
+            })
+        };
+        let off = run(false);
+        let on = run(true);
+        assert_eq!(off.results, on.results, "promotion changed promote_map results");
+        for r in &on.results {
+            for (i, v) in r.iter().enumerate() {
+                assert_eq!(*v, (i as u64) * (i as u64) + 1);
+            }
+        }
+        let total: PromoteStats = on.promote_total();
+        assert!(total.taken > 0, "skewed promote_map never donated");
+        assert!(on.makespan() < off.makespan(), "donation did not improve the makespan");
+    }
+
+    #[test]
+    fn zero_length_array_is_fine() {
+        let rep = spmd(&Machine::real(2), |cx| {
+            let g = cx.group();
+            let mut a = DArray1::new(cx, &g, 0, Dist::Block, 0u8);
+            let mut hits = 0;
+            a.for_each_owned(|_, _| hits += 1);
+            (a.local().len(), hits, a.to_global(cx).len())
+        });
+        assert_eq!(rep.results[0], (0, 0, 0));
     }
 
     #[test]

@@ -40,8 +40,7 @@ use std::sync::Arc;
 use fx_core::{Cx, GroupHandle};
 use fx_runtime::Chunk;
 
-use crate::array::{DArray, DArray2, DArray3};
-use crate::array1::{DArray1, Elem};
+use crate::array::{DArray, DArray1, DArray2, DArray3, Elem};
 use crate::dataflow::sync_edge;
 use crate::dist::for_each_index;
 use crate::plan::{
@@ -158,37 +157,19 @@ fn replay<T: Elem, const N: usize>(
     cx.note_pack_ns(pack_ns);
 }
 
-/// One planned statement between two 1-D arrays over the given
-/// footprints.
-fn planned1<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray1<T>,
-    src: &DArray1<T>,
-    s_range: Range<usize>,
-    stmt: Stmt<1>,
-    write: WriteKind,
-    mode: Participation,
-) {
-    let tag = cx.next_op_tag();
-    let (lo, hi) = stmt.range[0];
-    if !enter(cx, tag, &src.operand(s_range), &dst.operand(lo..hi), write, mode) {
-        return;
-    }
-    let plan = plan_for(cx, &src.side(), &dst.side(), stmt);
-    replay(cx, tag, &plan, dst.local_mut(), src.local());
-}
-
-/// One planned whole-array statement between two rank-`N` arrays.
+/// One planned statement between two rank-`N` arrays, reading footprint
+/// `s_fp` of `src` and writing `d_fp` of `dst` (flattened ranges).
 fn planned<T: Elem, const N: usize>(
     cx: &mut Cx,
     dst: &mut DArray<T, N>,
     src: &DArray<T, N>,
+    (s_fp, d_fp): (Range<usize>, Range<usize>),
     stmt: Stmt<N>,
     write: WriteKind,
     mode: Participation,
 ) {
     let tag = cx.next_op_tag();
-    if !enter(cx, tag, &src.operand(), &dst.operand(), write, mode) {
+    if !enter(cx, tag, &src.operand(s_fp), &dst.operand(d_fp), write, mode) {
         return;
     }
     let plan = plan_for(cx, src.side(), dst.side(), stmt);
@@ -207,7 +188,7 @@ fn planned<T: Elem, const N: usize>(
 ///
 /// spmd(&Machine::real(3), |cx| {
 ///     let g = cx.group();
-///     let src = DArray1::from_global(cx, &g, Dist1::Block, &[1u64, 2, 3, 4, 5]);
+///     let src = DArray1::from_global(cx, &g, 5, Dist1::Block, &[1u64, 2, 3, 4, 5]);
 ///     let mut dst = DArray1::new(cx, &g, 5, Dist1::Cyclic, 0u64);
 ///     assign1(cx, &mut dst, &src); // BLOCK -> CYCLIC redistribution
 ///     assert_eq!(dst.to_global(cx), vec![1, 2, 3, 4, 5]);
@@ -248,7 +229,7 @@ pub fn copy_shift1_range<T: Elem>(
         lo as usize..lo as usize + range.len()
     };
     let stmt = Stmt { remap: [Remap::Shift(shift)], range: [(range.start, range.end)], axes: [0] };
-    planned1(cx, dst, src, s_range, stmt, WriteKind::Covered, mode);
+    planned(cx, dst, src, (s_range, range), stmt, WriteKind::Covered, mode);
 }
 
 /// Structured 1-D remap `dst[i] = src[remap(i)]` over the whole
@@ -260,8 +241,8 @@ pub fn copy_shift1_range<T: Elem>(
 /// Panics — in every build profile, when the plan is first built — if
 /// the map sends a destination index outside the source extent.
 pub fn remap1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, remap: Remap) {
-    let stmt = Stmt::whole(&[*dst.map()], [remap]);
-    planned1(cx, dst, src, 0..src.n(), stmt, WriteKind::Opaque, Participation::Minimal);
+    let stmt = Stmt::whole(dst.maps(), [remap]);
+    planned(cx, dst, src, (src.whole(), dst.whole()), stmt, WriteKind::Opaque, Participation::Minimal);
 }
 
 /// Plain distributed assignment `dst = src` for matrices (the statement
@@ -281,7 +262,8 @@ pub fn assign2_with<T: Elem>(
     assert_eq!(dst.rows(), src.rows(), "assign2 row mismatch");
     assert_eq!(dst.cols(), src.cols(), "assign2 col mismatch");
     let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 2]);
-    cx.scoped("assign2", |cx| planned(cx, dst, src, stmt, WriteKind::Covered, mode));
+    let whole = (src.whole(), dst.whole());
+    cx.scoped("assign2", |cx| planned(cx, dst, src, whole, stmt, WriteKind::Covered, mode));
 }
 
 /// Distributed transposition `dst[r][c] = src[c][r]` (the radar corner
@@ -290,8 +272,9 @@ pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) 
     assert_eq!(dst.rows(), src.cols(), "transpose2 shape mismatch");
     assert_eq!(dst.cols(), src.rows(), "transpose2 shape mismatch");
     let stmt = Stmt { axes: [1, 0], ..Stmt::whole(dst.maps(), [Remap::Identity; 2]) };
+    let whole = (src.whole(), dst.whole());
     cx.scoped("transpose2", |cx| {
-        planned(cx, dst, src, stmt, WriteKind::Covered, Participation::Minimal)
+        planned(cx, dst, src, whole, stmt, WriteKind::Covered, Participation::Minimal)
     });
 }
 
@@ -301,8 +284,9 @@ pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) 
 pub fn assign3<T: Elem>(cx: &mut Cx, dst: &mut DArray3<T>, src: &DArray3<T>) {
     assert_eq!(dst.shape(), src.shape(), "assign3 shape mismatch");
     let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 3]);
+    let whole = (src.whole(), dst.whole());
     cx.scoped("assign3", |cx| {
-        planned(cx, dst, src, stmt, WriteKind::Covered, Participation::Minimal)
+        planned(cx, dst, src, whole, stmt, WriteKind::Covered, Participation::Minimal)
     });
 }
 
@@ -324,7 +308,7 @@ pub fn remap2<T: Elem>(
     cols: Remap,
 ) {
     let stmt = Stmt::whole(dst.maps(), [rows, cols]);
-    planned(cx, dst, src, stmt, WriteKind::Opaque, Participation::Minimal);
+    planned(cx, dst, src, (src.whole(), dst.whole()), stmt, WriteKind::Opaque, Participation::Minimal);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +341,7 @@ pub fn copy_remap1_range<T: Elem>(
 ) {
     assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
     let tag = cx.next_op_tag();
-    let (s_op, d_op) = (src.operand(0..src.n()), dst.operand(range.clone()));
+    let (s_op, d_op) = (src.operand(src.whole()), dst.operand(range.clone()));
     if !enter(cx, tag, &s_op, &d_op, WriteKind::Opaque, mode) {
         return;
     }
@@ -367,8 +351,8 @@ pub fn copy_remap1_range<T: Elem>(
         assert!(sgi < src_n, "copy_remap1: map sends {gi} to {sgi}, outside src extent {src_n}");
         [sgi]
     };
-    let (s, d) = (src.side(), dst.side());
-    enumerate_copy(cx, tag, (&s, src.local()), (&d, dst.local_mut()), [(range.start, range.end)], map);
+    let d = dst.side().clone();
+    enumerate_copy(cx, tag, (src.side(), src.local()), (&d, dst.local_mut()), [(range.start, range.end)], map);
 }
 
 /// `dst[r][c] = src[f(r, c)]` for the whole destination.
@@ -391,7 +375,7 @@ pub fn copy_remap2_with<T: Elem>(
     mode: Participation,
 ) {
     let tag = cx.next_op_tag();
-    if !enter(cx, tag, &src.operand(), &dst.operand(), WriteKind::Opaque, mode) {
+    if !enter(cx, tag, &src.operand(src.whole()), &dst.operand(dst.whole()), WriteKind::Opaque, mode) {
         return;
     }
     let (rows, cols) = (src.rows(), src.cols());
@@ -474,7 +458,7 @@ fn enumerate_copy<T: Elem, const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array1::Dist1;
+    use crate::array::Dist1;
     use crate::dist::Dist;
     use fx_core::{spmd, Machine, Size};
 
@@ -490,7 +474,7 @@ mod tests {
             let rep = spmd(&Machine::real(4), move |cx| {
                 let g = cx.group();
                 let data: Vec<u64> = (0..23).map(|i| i * 7).collect();
-                let src = DArray1::from_global(cx, &g, sd, &data);
+                let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
                 let mut dst = DArray1::new(cx, &g, 23, dd, 0u64);
                 assign1(cx, &mut dst, &src);
                 dst.to_global(cx)
@@ -509,7 +493,7 @@ mod tests {
             let g1 = part.group("g1");
             let g2 = part.group("g2");
             let data: Vec<i64> = (0..17).map(|i| 1000 - i).collect();
-            let src = DArray1::from_global(cx, &g1, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g1, data.len(), Dist1::Block, &data);
             let mut dst = DArray1::new(cx, &g2, 17, Dist1::Block, 0i64);
             assign1(cx, &mut dst, &src);
             if dst.is_member() {
@@ -531,11 +515,11 @@ mod tests {
         let rep = spmd(&Machine::real(3), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..11).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Replicated, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Star, &data);
             let mut mid = DArray1::new(cx, &g, 11, Dist1::Block, 0u32);
             assign1(cx, &mut mid, &src);
             mid.for_each_owned(|_gi, v| *v += 100);
-            let mut back = DArray1::new(cx, &g, 11, Dist1::Replicated, 0u32);
+            let mut back = DArray1::new(cx, &g, 11, Dist1::Star, 0u32);
             assign1(cx, &mut back, &mid);
             back.local().to_vec()
         });
@@ -550,7 +534,7 @@ mod tests {
         let rep = spmd(&Machine::real(4), |cx| {
             let g = cx.group();
             let data: Vec<u16> = (0..9).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u16);
             copy_remap1(cx, &mut dst, &src, |i| 8 - i);
             dst.to_global(cx)
@@ -567,8 +551,8 @@ mod tests {
             let ghi = part.group("hi");
             let less: Vec<i32> = vec![1, 2, 3];
             let geq: Vec<i32> = vec![7, 8, 9, 10];
-            let a_less = DArray1::from_global(cx, &glo, Dist1::Block, &less);
-            let a_geq = DArray1::from_global(cx, &ghi, Dist1::Block, &geq);
+            let a_less = DArray1::from_global(cx, &glo, less.len(), Dist1::Block, &less);
+            let a_geq = DArray1::from_global(cx, &ghi, geq.len(), Dist1::Block, &geq);
             let g = cx.group();
             let mut a = DArray1::new(cx, &g, 7, Dist1::Block, 0i32);
             copy_remap1_range(cx, &mut a, 0..3, &a_less, |i| i, Participation::Minimal);
@@ -634,7 +618,7 @@ mod tests {
             cx.task_region(&part, |cx, tr| {
                 tr.on(cx, "g1", |cx| cx.charge_seconds(5.0));
                 let data = vec![1u8; 100];
-                let src = DArray1::from_global(cx, &g1, Dist1::Block, &data);
+                let src = DArray1::from_global(cx, &g1, data.len(), Dist1::Block, &data);
                 let mut dst = DArray1::new(cx, &g2, 100, Dist1::Block, 0u8);
                 copy_remap1_range(cx, &mut dst, 0..100, &src, |i| i, Participation::Minimal);
             });
@@ -659,7 +643,7 @@ mod tests {
             cx.task_region(&part, |cx, tr| {
                 tr.on(cx, "g1", |cx| cx.charge_seconds(5.0));
                 let data = vec![1u8; 100];
-                let src = DArray1::from_global(cx, &g1, Dist1::Block, &data);
+                let src = DArray1::from_global(cx, &g1, data.len(), Dist1::Block, &data);
                 let mut dst = DArray1::new(cx, &g2, 100, Dist1::Block, 0u8);
                 copy_remap1_range(cx, &mut dst, 0..100, &src, |i| i, Participation::WholeGroup);
             });

@@ -11,7 +11,7 @@
 use fx_core::{Cx, Membership};
 
 use crate::array::{DArray, DArray2, DArray3};
-use crate::array1::Elem;
+use crate::array::Elem;
 use crate::dataflow::sync_edge;
 use crate::dist::{DimMap, Dist};
 use crate::plan::{pack_into, Peer, Seg};
@@ -70,7 +70,7 @@ fn exchange_halo<T: Elem, const N: usize>(
     // skip, so they only *test* taint (an opaque write must still be
     // ordered before its boundary values are read) — never clear it:
     // clearing here would desync the outsiders' version vectors.
-    let op = a.operand();
+    let op = a.operand(a.whole());
     let tainted = op.versions.borrow().tainted(op.footprint);
     sync_edge(cx, tag, a.group(), a.group(), tainted);
     // BLOCK along `axis` and `*` elsewhere puts virtual rank `me` at

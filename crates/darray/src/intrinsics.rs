@@ -7,12 +7,10 @@
 
 use fx_core::Cx;
 
-use crate::array1::{DArray1, Elem};
-use crate::array::DArray2;
+use crate::array::{DArray1, DArray2, Elem};
 use crate::assign::{copy_shift1_range, remap1, Participation};
 use crate::dist::Dist;
 use crate::plan::Remap;
-use crate::Dist1;
 
 /// HPF `CSHIFT`: `dst[i] = src[(i + shift) mod n]` (circular shift).
 pub fn cshift1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, shift: isize) {
@@ -84,7 +82,7 @@ pub fn sum2<T: Elem + Into<f64>>(cx: &mut Cx, a: &DArray2<T>) -> f64 {
 /// rows are whole on their owners).
 pub fn sum_along_rows(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
     assert_eq!(a.dist(), [Dist::Block, Dist::Star], "sum_along_rows needs (BLOCK, *)");
-    let mut out = DArray1::new(cx, a.group(), a.rows(), Dist1::Block, 0.0f64);
+    let mut out = DArray1::new(cx, a.group(), a.rows(), Dist::Block, 0.0f64);
     let (lr, lc) = a.local_dims();
     debug_assert_eq!(out.local().len(), lr, "row alignment broke");
     for r in 0..lr {
@@ -99,7 +97,7 @@ pub fn sum_along_rows(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
 /// `BLOCK` 1-D array aligned with the matrix columns (fully local).
 pub fn sum_along_cols(cx: &mut Cx, a: &DArray2<f64>) -> DArray1<f64> {
     assert_eq!(a.dist(), [Dist::Star, Dist::Block], "sum_along_cols needs (*, BLOCK)");
-    let mut out = DArray1::new(cx, a.group(), a.cols(), Dist1::Block, 0.0f64);
+    let mut out = DArray1::new(cx, a.group(), a.cols(), Dist::Block, 0.0f64);
     let (lr, lc) = a.local_dims();
     debug_assert_eq!(out.local().len(), lc, "column alignment broke");
     for c in 0..lc {
@@ -124,6 +122,7 @@ fn assert_group(cx: &Cx, gid: u64, what: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dist1;
     use fx_core::{spmd, Machine};
 
     #[test]
@@ -132,7 +131,7 @@ mod tests {
             let rep = spmd(&Machine::real(3), move |cx| {
                 let g = cx.group();
                 let data: Vec<u32> = (0..9).collect();
-                let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+                let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
                 let mut dst = DArray1::new(cx, &g, 9, Dist1::Block, 0u32);
                 cshift1(cx, &mut dst, &src, shift);
                 dst.to_global(cx)
@@ -148,7 +147,7 @@ mod tests {
         let rep = spmd(&Machine::real(2), |cx| {
             let g = cx.group();
             let data: Vec<i32> = (1..=6).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut left = DArray1::new(cx, &g, 6, Dist1::Block, 0i32);
             let mut right = DArray1::new(cx, &g, 6, Dist1::Block, 0i32);
             eoshift1(cx, &mut left, &src, 2, -9);
@@ -163,7 +162,7 @@ mod tests {
     fn eoshift_larger_than_extent_is_all_fill() {
         let rep = spmd(&Machine::real(2), |cx| {
             let g = cx.group();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &[1i32, 2, 3]);
+            let src = DArray1::from_global(cx, &g, 3, Dist1::Block, &[1i32, 2, 3]);
             let mut dst = DArray1::new(cx, &g, 3, Dist1::Block, 0i32);
             eoshift1(cx, &mut dst, &src, 5, 7);
             dst.to_global(cx)
@@ -176,7 +175,7 @@ mod tests {
         let rep = spmd(&Machine::real(4), |cx| {
             let g = cx.group();
             let data: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-            let a = DArray1::from_global(cx, &g, Dist1::Cyclic, &data);
+            let a = DArray1::from_global(cx, &g, data.len(), Dist1::Cyclic, &data);
             (sum1(cx, &a), min1(cx, &a), max1(cx, &a))
         });
         for (s, lo, hi) in rep.results {

@@ -10,9 +10,10 @@
 //! group members hold elements, which is what lets parent-scope statements
 //! plan communication while everyone else skips.
 //!
-//! Arrays: [`DArray1`] (the only rank that replicates) and the
-//! rank-generic [`DArray`], with [`DArray2`] / [`DArray3`] as its matrix
-//! and 3-D instantiations.
+//! Arrays: one rank-generic type, [`DArray`], with [`DArray1`] /
+//! [`DArray2`] / [`DArray3`] as its vector, matrix and 3-D
+//! instantiations. A rank-1 array distributed `*` over a multi-member
+//! group is replicated: every member holds the whole extent.
 //!
 //! Key operations:
 //!
@@ -29,8 +30,10 @@
 //!   [`exchange_plane_halo`] — ghost regions for window/stencil kernels;
 //! * [`repartition_by`] / [`count_matching`] — predicate splits onto
 //!   subgroups (quicksort, Barnes-Hut);
+//! * [`gather_to_root`] / [`scatter_from_root`] — whole arrays to and from
+//!   a designated I/O processor;
 //! * owner-computes iteration (`for_each_owned`) and reassembly
-//!   (`to_global`) on the array types themselves.
+//!   (`to_global`) on the array type itself.
 //!
 //! Every assignment, transposition and remap is one statement shape to
 //! the [`plan`] module: a cached rank-generic communication plan, built by
@@ -38,7 +41,6 @@
 //! oracle.
 
 mod array;
-mod array1;
 mod assign;
 mod dataflow;
 mod dist;
@@ -49,8 +51,7 @@ mod pack;
 pub mod plan;
 mod rootio;
 
-pub use array::{DArray, DArray2, DArray3};
-pub use array1::{DArray1, Dist1, Elem, OwnerSet};
+pub use array::{DArray, DArray1, DArray2, DArray3, Dist1, Elem, PerDim};
 pub use assign::{
     assign1, assign2, assign2_with, assign3, copy_remap1, copy_remap1_range, copy_remap2,
     copy_remap2_with, copy_shift1_range, remap1, remap2, transpose2, Participation,
@@ -62,4 +63,4 @@ pub use halo::{
 pub use intrinsics::{cshift1, eoshift1, max1, min1, sum1, sum2, sum_along_cols, sum_along_rows};
 pub use pack::{count_matching, repartition_by};
 pub use plan::{IntervalVer, Remap, VersionVec, WriteKind};
-pub use rootio::{gather_to_root1, gather_to_root2, scatter_from_root1};
+pub use rootio::{gather_to_root, scatter_from_root};

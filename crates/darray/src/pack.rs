@@ -11,7 +11,7 @@
 
 use fx_core::Cx;
 
-use crate::array1::{DArray1, Dist1, Elem};
+use crate::array::{DArray1, Elem};
 use crate::plan::{owned_runs, owned_segments, unpack_chunk};
 
 /// Split `src` into `dst_true` (elements satisfying `pred`) and
@@ -30,9 +30,7 @@ pub fn repartition_by<T: Elem>(
     dst_false: &mut DArray1<T>,
 ) {
     assert!(
-        !matches!(src.dist(), Dist1::Replicated)
-            && !matches!(dst_true.dist(), Dist1::Replicated)
-            && !matches!(dst_false.dist(), Dist1::Replicated),
+        !(src.side().replicated || dst_true.side().replicated || dst_false.side().replicated),
         "repartition_by does not support replicated arrays"
     );
     cx.scoped("repartition", |cx| repartition_by_inner(cx, src, pred, dst_true, dst_false));
@@ -85,7 +83,7 @@ fn scatter_side<T: Elem>(
     let tag = cx.next_op_tag();
     let me = cx.phys_rank();
     let d_group = dst.group().clone();
-    let d_map = *dst.map();
+    let d_map = dst.maps()[0];
 
     // Send: my window [off, off+len) of the destination index space,
     // intersected with each owner's index set — contiguous slices of
@@ -154,6 +152,7 @@ fn scatter_side<T: Elem>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dist1;
     use fx_core::{spmd, Machine, Size};
 
     #[test]
@@ -161,7 +160,7 @@ mod tests {
         let rep = spmd(&Machine::real(4), |cx| {
             let g = cx.group();
             let data: Vec<i64> = vec![5, 1, 9, 3, 7, 2, 8, 4, 6, 0];
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let n_small = count_matching(cx, &src, |&v| v < 5);
             assert_eq!(n_small, 5);
             let mut small = DArray1::new(cx, &g, n_small, Dist1::Block, 0i64);
@@ -191,7 +190,7 @@ mod tests {
         let rep = spmd(&Machine::real(6), |cx| {
             let data: Vec<i64> = (0..30).rev().collect();
             let g = cx.group();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let n_small = count_matching(cx, &src, |&v| v < 10);
             let part = cx.task_partition(&[("lo", Size::Procs(2)), ("hi", Size::Rest)]);
             let glo = part.group("lo");
@@ -217,7 +216,7 @@ mod tests {
         let rep = spmd(&Machine::real(3), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..12).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut yes = DArray1::new(cx, &g, 12, Dist1::Block, 0u32);
             let mut no = DArray1::new(cx, &g, 0, Dist1::Block, 0u32);
             repartition_by(cx, &src, |_| true, &mut yes, &mut no);
@@ -232,7 +231,7 @@ mod tests {
         let rep = spmd(&Machine::real(5), |cx| {
             let g = cx.group();
             let data: Vec<i32> = (0..100).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Cyclic, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Cyclic, &data);
             count_matching(cx, &src, |&v| v % 3 == 0)
         });
         assert!(rep.results.iter().all(|&c| c == 34));

@@ -86,7 +86,7 @@ fn opaque_writes_keep_their_barrier_until_ordered() {
         |cx| {
             let g = cx.group();
             let data: Vec<u64> = (0..12).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut mid = DArray1::new(cx, &g, 12, Dist1::Cyclic, 0u64);
             // Opaque write: taints `mid`, itself never a sync point.
             copy_remap1(cx, &mut mid, &src, |i| 11 - i);
@@ -148,7 +148,7 @@ fn validate_mode_passes_with_covered_and_tainted_edges() {
         |cx| {
             let g = cx.group();
             let data: Vec<u64> = (0..10).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut mid = DArray1::new(cx, &g, 10, Dist1::Cyclic, 0u64);
             copy_remap1(cx, &mut mid, &src, |i| i);
             let mut dst = DArray1::new(cx, &g, 10, Dist1::Block, 0u64);
@@ -171,7 +171,7 @@ fn validate_is_bit_exact_when_nothing_elides() {
         |cx| {
             let g = cx.group();
             let data: Vec<u64> = (0..9).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u64);
             copy_remap1_range(cx, &mut dst, 0..9, &src, |i| i, Participation::WholeGroup);
             dst.to_global(cx)
@@ -291,7 +291,7 @@ proptest! {
                     let g = cx.group();
                     let init: Vec<u64> = (0..n as u64).map(|i| i * 13 + 5).collect();
                     let mut arrs = vec![
-                        DArray1::from_global(cx, &g, dists.0, &init),
+                        DArray1::from_global(cx, &g, init.len(), dists.0, &init),
                         DArray1::new(cx, &g, n, dists.1, 0u64),
                         DArray1::new(cx, &g, n, dists.2, 1u64),
                     ];

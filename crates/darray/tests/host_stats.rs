@@ -19,7 +19,7 @@ fn pool_counters(iters: usize) -> Vec<(u64, u64)> {
     let rep = spmd(&Machine::real(4), move |cx| {
         let g = cx.group();
         let data: Vec<u64> = (0..64).collect();
-        let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+        let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
         let mut cyc = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
         let mut back = DArray1::new(cx, &g, 64, Dist1::Block, 0u64);
         for _ in 0..iters {
@@ -127,7 +127,7 @@ fn chunk_traffic_is_counted_and_timed_only_for_a_reader() {
         let rep = spmd(&machine, |cx| {
             let g = cx.group();
             let data: Vec<u64> = (0..64).collect();
-            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut cyc = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
             assign1(cx, &mut cyc, &src);
             cyc.to_global(cx)

@@ -13,7 +13,7 @@ fn hundred_iteration_pipeline_builds_each_plan_once() {
     let rep = spmd(&Machine::real(4), |cx| {
         let g = cx.group();
         let data: Vec<u64> = (0..64).collect();
-        let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+        let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
         let mut mid = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
         let mut m1 = DArray2::new(cx, &g, [8, 8], (Dist::Block, Dist::Star), 1u64);
         let mut m2 = DArray2::new(cx, &g, [8, 8], (Dist::Star, Dist::Block), 0u64);
@@ -72,7 +72,7 @@ fn changing_the_statement_shape_changes_the_plan() {
     // own plan, but repeats of the same range hit the cache.
     let rep = spmd(&Machine::real(2), |cx| {
         let g = cx.group();
-        let src = DArray1::from_global(cx, &g, Dist1::Block, &(0..16i64).collect::<Vec<_>>());
+        let src = DArray1::from_global(cx, &g, 16, Dist1::Block, &(0..16i64).collect::<Vec<_>>());
         let mut dst = DArray1::new(cx, &g, 16, Dist1::Cyclic, 0i64);
         for _ in 0..4 {
             fx_darray::copy_shift1_range(

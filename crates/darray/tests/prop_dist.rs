@@ -1,23 +1,16 @@
 //! Property tests for distribution index maps and redistribution.
 
 use fx_core::{spmd, Machine};
-use fx_darray::{assign1, copy_remap1, DArray1, DimMap, Dist, Dist1};
+use fx_darray::{assign1, copy_remap1, DArray1, DimMap, Dist};
 use proptest::prelude::*;
 
+/// Every distribution of one dimension; `*` on a vector is replication.
 fn arb_dist() -> impl Strategy<Value = Dist> {
     prop_oneof![
         Just(Dist::Block),
         Just(Dist::Cyclic),
         (1usize..8).prop_map(Dist::BlockCyclic),
-    ]
-}
-
-fn arb_dist1() -> impl Strategy<Value = Dist1> {
-    prop_oneof![
-        Just(Dist1::Block),
-        Just(Dist1::Cyclic),
-        (1usize..8).prop_map(Dist1::BlockCyclic),
-        Just(Dist1::Replicated),
+        Just(Dist::Star),
     ]
 }
 
@@ -27,6 +20,8 @@ proptest! {
     /// Global↔local maps are a bijection and lengths sum to n.
     #[test]
     fn dimmap_is_a_bijection(n in 0usize..200, q in 1usize..12, dist in arb_dist()) {
+        // A `*` dimension is not spread: one grid position holds it all.
+        let q = if dist == Dist::Star { 1 } else { q };
         let m = DimMap::new(n, q, dist);
         let mut seen = vec![false; n];
         for c in 0..q {
@@ -48,15 +43,15 @@ proptest! {
     fn assign_preserves_contents(
         n in 0usize..60,
         p in 1usize..6,
-        sd in arb_dist1(),
-        dd in arb_dist1(),
+        sd in arb_dist(),
+        dd in arb_dist(),
         seed in 0u64..1000,
     ) {
         let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(seed + 1)).collect();
         let expect = data.clone();
         let rep = spmd(&Machine::real(p), move |cx| {
             let g = cx.group();
-            let src = DArray1::from_global(cx, &g, sd, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
             let mut dst = DArray1::new(cx, &g, n, dd, 0u64);
             assign1(cx, &mut dst, &src);
             dst.to_global(cx)
@@ -72,13 +67,13 @@ proptest! {
         n in 1usize..50,
         p in 1usize..5,
         shift in 0usize..10,
-        sd in arb_dist1(),
-        dd in arb_dist1(),
+        sd in arb_dist(),
+        dd in arb_dist(),
     ) {
         let data: Vec<u32> = (0..n as u32).collect();
         let rep = spmd(&Machine::real(p), move |cx| {
             let g = cx.group();
-            let src = DArray1::from_global(cx, &g, sd, &data);
+            let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
             let mut dst = DArray1::new(cx, &g, n, dd, 0u32);
             // Clamped shift: dst[i] = src[min(i + shift, n-1)].
             copy_remap1(cx, &mut dst, &src, |i| (i + shift).min(n - 1));

@@ -186,7 +186,7 @@ proptest! {
     ) {
         let (p, placement) = placed;
         let dist1 = |d: Dist, rep: bool| match (rep, d) {
-            (true, _) => Dist1::Replicated,
+            (true, _) => Dist1::Star,
             (_, Dist::Cyclic) => Dist1::Cyclic,
             (_, Dist::BlockCyclic(b)) => Dist1::BlockCyclic(b),
             _ => Dist1::Block,
@@ -197,7 +197,7 @@ proptest! {
             spmd(&machine(p, executor), move |cx| {
                 let (gs, gd) = groups(cx, placement);
                 let data: Vec<u32> = (0..dim.sn).map(|i| (i * 7 + 1) as u32).collect();
-                let src = DArray1::from_global(cx, &gs, sd, &data);
+                let src = DArray1::from_global(cx, &gs, data.len(), sd, &data);
                 let mut dst = DArray1::new(cx, &gd, dim.dn, dd, 0u32);
                 cx.charge_seconds(cx.phys_rank() as f64 * 1e-4);
                 for _ in 0..2 {

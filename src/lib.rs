@@ -68,7 +68,7 @@ mod tests {
     fn prelude_covers_the_basics() {
         let rep = spmd(&Machine::real(2), |cx| {
             let g = cx.group();
-            let a = DArray1::from_global(cx, &g, Dist1::Block, &[1u64, 2, 3, 4]);
+            let a = DArray1::from_global(cx, &g, 4, Dist1::Block, &[1u64, 2, 3, 4]);
             a.fold_owned(0, |acc, _g, v| acc + v)
         });
         assert_eq!(rep.results.iter().sum::<u64>(), 10);

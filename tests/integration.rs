@@ -149,7 +149,7 @@ fn redistribution_chain_preserves_content() {
         let data: Vec<u64> = (0..97).map(|i| i * i).collect();
         let world = cx.group();
         let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Procs(3)), ("c", Size::Rest)]);
-        let src = DArray1::from_global(cx, &world, Dist1::Block, &data);
+        let src = DArray1::from_global(cx, &world, data.len(), Dist1::Block, &data);
         let mut on_a = DArray1::new(cx, &part.group("a"), 97, Dist1::Cyclic, 0u64);
         let mut on_b = DArray1::new(cx, &part.group("b"), 97, Dist1::BlockCyclic(5), 0u64);
         let mut on_c = DArray1::new(cx, &part.group("c"), 97, Dist1::Block, 0u64);

@@ -249,16 +249,16 @@ fn rule_subgroup_variables_allocate_only_on_members() {
 /// gather/scatter collectives realize exactly that pattern.
 #[test]
 fn rule_designated_io_processor_pattern() {
-    use fx::darray::{gather_to_root1, scatter_from_root1};
+    use fx::darray::{gather_to_root, scatter_from_root};
     spmd(&Machine::real(4), |cx| {
         let g = cx.group();
         let mut a = DArray1::new(cx, &g, 12, Dist1::Block, 0u32);
         // "Read" on the I/O processor, scatter to the compute processors.
         let input = (cx.id() == 0).then(|| (0..12u32).map(|i| i * i).collect::<Vec<_>>());
-        scatter_from_root1(cx, &mut a, 0, input.as_deref());
+        scatter_from_root(cx, &mut a, 0, input.as_deref());
         a.for_each_owned(|_g, v| *v += 1);
         // Gather back for "writing".
-        let out = gather_to_root1(cx, &a, 0);
+        let out = gather_to_root(cx, &a, 0);
         if cx.id() == 0 {
             let expect: Vec<u32> = (0..12u32).map(|i| i * i + 1).collect();
             assert_eq!(out.unwrap(), expect);
@@ -279,7 +279,7 @@ fn rule_directives_preserve_sequential_semantics() {
         let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
         let ga = part.group("a");
         let gb = part.group("b");
-        let mut a = DArray1::from_global(cx, &ga, Dist1::Block, &[1.0f64, 2.0, 3.0, 4.0]);
+        let mut a = DArray1::from_global(cx, &ga, 4, Dist1::Block, &[1.0f64, 2.0, 3.0, 4.0]);
         let mut b = DArray1::new(cx, &gb, 4, Dist1::Block, 0.0f64);
         cx.task_region(&part, |cx, tr| {
             tr.on(cx, "a", |_| {

@@ -15,8 +15,7 @@ use fx_apps::ffthist::FftHistConfig;
 use fx_apps::radar::{radar_replicated, radar_stream, RadarConfig};
 use fx_apps::stereo::{stereo_replicated, stereo_stream, StereoConfig};
 use fx_bench::{
-    fft_hist_chain_model, measure_stream, print_row, run_fft_hist_dp, run_fft_hist_mapping,
-    StreamStats,
+    fft_hist_chain_model, measure_stream, run_fft_hist_dp, run_fft_hist_mapping, StreamStats,
 };
 use fx_core::Cx;
 use fx_mapping::best_mapping;
@@ -58,6 +57,16 @@ fn header() {
 }
 
 const WIDTHS: [usize; 10] = [10, 10, 9, 9, 10, 10, 10, 6, 6, 28];
+
+/// A printed table row, paper-style.
+fn print_row(cols: &[String], widths: &[usize]) {
+    let line: Vec<String> = cols
+        .iter()
+        .zip(widths)
+        .map(|(c, w)| format!("{c:>w$}", w = *w))
+        .collect();
+    println!("{}", line.join("  "));
+}
 
 #[allow(clippy::too_many_arguments)]
 fn emit(

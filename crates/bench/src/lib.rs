@@ -1,6 +1,8 @@
-//! # fx-bench — experiment harnesses
+//! # fx-bench — the paper's experiment harnesses
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §7):
+//! One binary per table/figure of the paper (see DESIGN.md §9), each
+//! printing the committed `results/<name>.txt` byte for byte
+//! (`tests/results_identity.rs`):
 //!
 //! * `table1`   — Table 1: data-parallel vs best task+data-parallel
 //!   throughput/latency on 64 simulated Paragon nodes;
@@ -8,7 +10,13 @@
 //!   increasing throughput constraints;
 //! * `fig6_airshed`  — Figure 6: Airshed speedup, DP vs task+data;
 //! * `ablations`     — §4 implementation claims (minimal processor
-//!   subsets, replicated scalars, exact communication sets).
+//!   subsets, replicated scalars, exact communication sets);
+//! * `tradeoff`, `scaling`, `machines` — the ref [22] frontier, the §5.3
+//!   nested applications and the machine-balance study.
+//!
+//! Host-time and serving numbers are not measured here: they are metrics
+//! of the `benchmark/` package, and every claim about them is a test in
+//! the crate that owns the code.
 //!
 //! This library holds the shared measurement plumbing: running a stream
 //! program on the simulated machine and extracting throughput/latency,
@@ -218,16 +226,6 @@ fn seg_of_stage(mapping: &Mapping) -> [usize; 3] {
 pub fn run_fft_hist_dp(cx: &mut Cx, cfg: &FftHistConfig) {
     let sets: Vec<usize> = (0..cfg.datasets).collect();
     fft_hist_dp_sets(cx, cfg, &sets);
-}
-
-/// A printed table row, paper-style.
-pub fn print_row(cols: &[String], widths: &[usize]) {
-    let line: Vec<String> = cols
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = *w))
-        .collect();
-    println!("{}", line.join("  "));
 }
 
 #[cfg(test)]

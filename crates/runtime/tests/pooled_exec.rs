@@ -39,13 +39,16 @@ fn pooled_ping_pong_real_mode() {
 #[test]
 fn pooled_matches_threaded_bitwise() {
     let m = MachineModel::paragon();
-    for &p in &[1, 2, 4, 8, 17] {
+    // The last input is the simulated machine outgrowing the host: three
+    // trips round a 256-processor ring on two workers.
+    for &(p, rounds) in &[(1, 1), (2, 1), (4, 1), (8, 1), (17, 1), (256, 3)] {
+        let laps = move |cx: &mut ProcCtx| (0..rounds).map(|_| ring(cx)).fold(0.0, f64::max);
         let pooled = run(
             &Machine::simulated(p, m).with_executor(Executor::Pooled { workers: 2 }),
-            ring,
+            laps,
         );
         let threaded =
-            run(&Machine::simulated(p, m).with_executor(Executor::Threaded), ring);
+            run(&Machine::simulated(p, m).with_executor(Executor::Threaded), laps);
         for rank in 0..p {
             assert_eq!(
                 pooled.times[rank].to_bits(),

@@ -177,13 +177,43 @@ fn simulated_times_bit_identical_with_telemetry() {
     assert_eq!(telemetry.total().sends, 3);
 }
 
-/// Exporters: the OpenMetrics rendering is well-formed line format with
-/// counters, labeled region paths, gauges, and cumulative histograms;
-/// the JSON rendering is a single object.
+/// One OpenMetrics sample line: `name[{k="v",…}] value`, a histogram
+/// bucket optionally followed by ` # {trace_id="<16 hex>"} value`.
+fn is_sample_line(line: &str) -> bool {
+    let ident = |s: &str, colon: bool| {
+        let ok = |c: char| c.is_ascii_alphanumeric() || c == '_' || (colon && c == ':');
+        s.chars().all(ok) && s.starts_with(|c: char| ok(c) && !c.is_ascii_digit())
+    };
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = |s: &str| s.split_once('.').map_or(digits(s), |(a, b)| digits(a) && digits(b));
+    let (sample, exemplar) = line.split_once(" # ").map_or((line, None), |(s, e)| (s, Some(e)));
+    let exemplar_ok = exemplar.is_none_or(|e| {
+        e.strip_prefix("{trace_id=\"").and_then(|e| e.split_once("\"} ")).is_some_and(|(id, v)| {
+            id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) && unsigned(v)
+        })
+    });
+    let Some((head, value)) = sample.rsplit_once(' ') else { return false };
+    let (name, labels) = head.split_once('{').map_or((head, None), |(n, l)| (n, Some(l)));
+    let labels_ok = labels.is_none_or(|l| {
+        l.strip_suffix("\"}").is_some_and(|l| {
+            l.split("\",").all(|kv| kv.split_once("=\"").is_some_and(|(k, v)| ident(k, false) && !v.contains('"')))
+        })
+    });
+    ident(name, true) && labels_ok && unsigned(value.strip_prefix('-').unwrap_or(value)) && exemplar_ok
+}
+
+/// Exporters: the OpenMetrics rendering — per-processor families, region
+/// paths, gauges, cumulative histograms, two tenants and a traced
+/// exemplar — is well-formed line by line and ends in `# EOF`; the JSON
+/// rendering is a single object.
 #[test]
 fn exporters_render_expected_shapes() {
     let telemetry = Arc::new(Telemetry::new());
     run(&telemetry_machine(2, &telemetry), |cx| mixed_workload(cx, 2, 64));
+    for tenant in telemetry.begin_tenants(&["gold", "bronze"]) {
+        tenant.arrived.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        tenant.on_complete_traced(1500, 0xfeed);
+    }
 
     let text = telemetry.render_openmetrics();
     assert!(text.ends_with("# EOF\n"));
@@ -194,9 +224,27 @@ fn exporters_render_expected_shapes() {
         "# TYPE fx_msg_size_bytes histogram",
         "fx_msg_size_bytes_bucket{le=\"+Inf\"} ",
         "fx_msg_size_bytes_count ",
+        "# TYPE fx_region_path_enters counter",
         "fx_region_path_enters_total{path=",
+        "# TYPE fx_serve_requests counter",
+        "# TYPE fx_serve_latency_ns histogram",
+        "fx_serve_latency_ns_bucket{tenant=\"gold\",le=\"2048\"} 1 # {trace_id=\"000000000000feed\"} 1500\n",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    }
+    for tenant in ["gold", "bronze"] {
+        for outcome in ["arrived", "admitted", "shed", "completed"] {
+            let sample = format!("\nfx_serve_requests_total{{tenant=\"{tenant}\",outcome=\"{outcome}\"}} ");
+            assert!(text.contains(&sample), "missing {sample:?}");
+        }
+    }
+    // The line grammar, on every line — and the checker is not vacuous.
+    for line in text.lines() {
+        let meta = line.starts_with("# TYPE ") || line.starts_with("# HELP ") || line == "# EOF";
+        assert!(meta || is_sample_line(line), "bad line: {line:?}");
+    }
+    for bad in ["fx_x{a=b} 1", "fx_x{a=\"b\"}", "9x 1", "fx_x 1e3", "fx_x 1 # {trace_id=\"FEED\"} 1", "fx_x{a=\"b\" 1"] {
+        assert!(!is_sample_line(bad), "accepted {bad:?}");
     }
     // Histogram buckets must be cumulative: +Inf equals _count.
     let grab = |marker: &str| -> u64 {

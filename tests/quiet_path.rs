@@ -76,17 +76,28 @@ fn unobserved_run_reads_no_clock_and_notifies_no_worker_per_message() {
 }
 
 /// (b) Observed: the same program with a registry attached measures the
-/// durations again, at least two clock reads a message.
+/// durations again, at least two clock reads a message — and an observer's
+/// cost stays what it is: at most eight reads a message here (two in a
+/// send, two in a receive, the pack, unpack and barrier timings; 7.1
+/// today), and causal tracing on top of the registry adds none.
 #[test]
 fn observed_run_reads_the_clock_and_measures_durations() {
     let _serial = serial();
     let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
-    let reads0 = CLOCK_READS.load(Ordering::Relaxed);
-    let rep = spmd(&one_worker().with_telemetry(Arc::clone(&telemetry)), ring_barrier_replay);
-    let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
-    assert!(reads >= 2 * msgs(&rep), "{reads} clock reads over {} messages", msgs(&rep));
+    let observed = one_worker().with_telemetry(Arc::clone(&telemetry));
+    let reads_of = |machine: &Machine| {
+        let reads0 = CLOCK_READS.load(Ordering::Relaxed);
+        let rep = spmd(machine, ring_barrier_replay);
+        (CLOCK_READS.load(Ordering::Relaxed) - reads0, rep)
+    };
+    let (reads, rep) = reads_of(&observed);
+    let msgs = msgs(&rep);
+    eprintln!("observed: {msgs} messages, {reads} clock reads");
+    assert!(reads >= 2 * msgs && reads <= 8 * msgs, "{reads} clock reads over {msgs} messages");
     let t = rep.total();
     assert!(t.send_ns > 0 && t.recv_wait_ns > 0 && t.pack_ns > 0, "{t}");
+    let (traced_reads, _) = reads_of(&observed.with_tracing(true));
+    assert!(traced_reads.abs_diff(reads) * 100 < msgs, "tracing: {traced_reads} clock reads, {reads} without");
 }
 
 /// (c) Two workers, so one is often asleep when the other makes a

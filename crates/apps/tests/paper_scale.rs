@@ -11,7 +11,7 @@ use fx_apps::ffthist::{fft_hist_pipeline_sets, FftHistConfig};
 use fx_apps::qsort::qsort_global_promoted;
 use fx_apps::util::{make_plummer_bodies, unit_hash};
 use fx_core::{spmd, Cx, DataflowMode, Machine, RunReport};
-use fx_runtime::{MachineModel, SpanKind};
+use fx_runtime::{EventKind, MachineModel};
 
 fn paragon(p: usize) -> Machine {
     Machine::simulated(p, MachineModel::paragon())
@@ -90,9 +90,9 @@ where
         assert_eq!(t_on.to_bits(), t_off.to_bits(), "{label}: no donation fired, yet the times differ");
     }
     let compute: Vec<f64> = off
-        .spans
+        .logs
         .iter()
-        .map(|log| log.spans().iter().filter(|s| s.kind == SpanKind::Compute).map(|s| s.end - s.start).sum())
+        .map(|log| log.spans().filter(|s| s.kind == EventKind::Compute).map(|s| s.end - s.start).sum())
         .collect();
     let imbalance = compute.iter().cloned().fold(0.0, f64::max) - compute.iter().sum::<f64>() / p as f64;
     eprintln!("{label}: {t_off:.6} -> {t_on:.6} s, imbalance {imbalance:.6} s, {taken} donations");

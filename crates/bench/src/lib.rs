@@ -129,11 +129,11 @@ fn fft_hist_boundaries(cfg: &FftHistConfig) -> Vec<Boundary> {
     ]
 }
 
-/// Span-based FFT-Hist profile extraction: the same probe runs as
-/// [`fft_hist_chain_model`], but measured with the runtime's span
-/// profiler instead of barrier-bracketed stopwatches. Each stage's body
+/// Log-based FFT-Hist profile extraction: the same probe runs as
+/// [`fft_hist_chain_model`], but measured from the profiled event
+/// logs instead of barrier-bracketed stopwatches. Each stage's body
 /// runs under a named scope; its `T_i(p)` sample is the widest
-/// per-processor elapsed window of spans recorded under that scope
+/// per-processor elapsed window of duration events made under that scope
 /// (compute charges plus any communication inside the stage, excluding
 /// the inter-stage barriers). Samples feed a [`ProfileTable`], so this is
 /// the measurement-fed path into the chain optimizer.
@@ -168,7 +168,7 @@ pub fn fft_hist_chain_model_measured(cfg: &FftHistConfig, p_values: &[usize]) ->
         });
         for stage in ["cffts", "rffts", "hist"] {
             let t = rep
-                .spans
+                .logs
                 .iter()
                 .filter_map(|log| log.window_under(stage))
                 .map(|(a, b)| b - a)

@@ -37,7 +37,7 @@ fn bits(ts: &[f64]) -> Vec<u64> {
 /// processor counts used here, so coroutines genuinely multiplex and
 /// migrate) and under the threaded reference, profiled and unprofiled,
 /// and require bit-identical per-processor virtual times plus identical
-/// traffic counters.
+/// traffic counters and equal event logs.
 fn assert_bitwise<R, F>(label: &str, base: &Machine, f: F)
 where
     R: Send,
@@ -60,11 +60,9 @@ where
             pooled.undelivered, threaded.undelivered,
             "{label}: undelivered-message count diverged (profiled={profiled})"
         );
-        if profiled {
-            let pl: Vec<usize> = pooled.spans.iter().map(|s| s.len()).collect();
-            let tl: Vec<usize> = threaded.spans.iter().map(|s| s.len()).collect();
-            assert_eq!(pl, tl, "{label}: span counts diverged under profiling");
-        }
+        // The log is a pure function of the program: the marks always,
+        // the duration events too under profiling.
+        assert!(pooled.logs == threaded.logs, "{label}: event logs diverged (profiled={profiled})");
     }
 }
 

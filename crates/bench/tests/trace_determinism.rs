@@ -21,7 +21,7 @@ use fx_bench::{fft_hist_chain_model, paragon, run_fft_hist_dp, run_fft_hist_mapp
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::Participation;
 use fx_mapping::{tradeoff_frontier, Mapping, Segment};
-use fx_runtime::Executor;
+use fx_runtime::{Event, Executor, Log};
 
 fn bits(ts: &[f64]) -> Vec<u64> {
     ts.iter().map(|t| t.to_bits()).collect()
@@ -29,9 +29,9 @@ fn bits(ts: &[f64]) -> Vec<u64> {
 
 /// Run `f` with tracing off and on — under both executors, profiled
 /// and unprofiled — and require bit-identical per-processor virtual
-/// times plus identical traffic counters. Under profiling the span
-/// counts must match too: tracing annotates spans, it never adds or
-/// merges them differently.
+/// times plus identical traffic counters. The event logs must match too,
+/// trace id aside: tracing annotates events, it never adds or merges
+/// them differently.
 fn assert_trace_free<R, F>(label: &str, base: &Machine, f: F)
 where
     R: Send,
@@ -51,14 +51,15 @@ where
                 off.traffic, on.traffic,
                 "{label}: tracing changed traffic (profiled={profiled}, {exec:?})"
             );
-            if profiled {
-                let lo: Vec<usize> = off.spans.iter().map(|s| s.len()).collect();
-                let ln: Vec<usize> = on.spans.iter().map(|s| s.len()).collect();
-                assert_eq!(
-                    lo, ln,
-                    "{label}: tracing changed span structure (profiled={profiled}, {exec:?})"
-                );
-            }
+            // Trace id aside, the logs are equal: the same events with the
+            // same boundaries and labels.
+            let untraced = |logs: &[Log]| -> Vec<Vec<Event>> {
+                logs.iter().map(|l| l.events().iter().map(|e| Event { trace: 0, ..*e }).collect()).collect()
+            };
+            assert!(
+                untraced(&off.logs) == untraced(&on.logs),
+                "{label}: tracing changed the event logs (profiled={profiled}, {exec:?})"
+            );
         }
     }
 }

@@ -102,8 +102,8 @@ impl<'a> Cx<'a> {
         self.rt.charge_seconds(s);
     }
 
-    /// Mark an event on this processor's trace.
-    pub fn record(&mut self, label: impl Into<String>) {
+    /// Mark an instant on this processor's log.
+    pub fn record(&mut self, label: impl AsRef<str>) {
         self.rt.record(label);
     }
 
@@ -112,9 +112,8 @@ impl<'a> Cx<'a> {
         self.rt.time_mode()
     }
 
-    /// True when the machine records duration spans
-    /// (`Machine::with_profiling(true)` under simulated time). Layers use
-    /// this to skip scope bookkeeping entirely on unprofiled runs.
+    /// True when the machine retains duration events
+    /// (`Machine::with_profiling(true)` under simulated time).
     #[inline]
     pub fn profiling(&self) -> bool {
         self.rt.profiling()
@@ -128,7 +127,7 @@ impl<'a> Cx<'a> {
     }
 
     /// Start (or switch) the causal trace this processor's work belongs
-    /// to; every subsequent span and outgoing message carries `id` until
+    /// to; every subsequent event and outgoing message carries `id` until
     /// [`Cx::clear_trace`]. No-op when tracing is off, so origin points
     /// can stamp unconditionally.
     #[inline]
@@ -148,9 +147,9 @@ impl<'a> Cx<'a> {
         self.rt.trace()
     }
 
-    /// Execute `f` with `name` pushed onto the span scope path, so every
-    /// span recorded inside (compute charges, send/recv busy halves) is
-    /// tagged `…/name`. No-op when not profiling. Task regions push their
+    /// Execute `f` with `name` pushed onto the scope path, so every event
+    /// made inside (compute charges, send/recv busy halves) is labelled
+    /// `…/name`. No-op when nobody observes the run. Task regions push their
     /// subgroup names automatically; use this for finer-grained stage
     /// labels (`cx.scoped("cffts", |cx| …)`).
     pub fn scoped<R>(&mut self, name: &str, f: impl FnOnce(&mut Cx) -> R) -> R {

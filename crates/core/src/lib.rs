@@ -60,5 +60,5 @@ pub use region::TaskRegion;
 // Re-export the runtime surface users need alongside the model.
 pub use fx_runtime::{
     request_trace_id, DataflowMode, Grant, HeartbeatMode, Machine, MachineModel, Payload, ProcCtx,
-    ProcTotals, PromoteStats, RunReport, TimeMode, TraceCtx, WindowBreakdown,
+    ProcTotals, PromoteStats, RunReport, TimeMode, WindowBreakdown,
 };

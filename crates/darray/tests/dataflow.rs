@@ -196,13 +196,11 @@ fn kept_barriers_carry_edge_labels_in_profiled_spans() {
     // with the physical ranks of the edge ("barrier[p0>p1]" under
     // "assign1"), so Chrome traces attribute waits to specific edges.
     let mut edge_labels: Vec<String> = rep
-        .spans
+        .logs
         .iter()
-        .flat_map(|log| log.spans())
-        .filter_map(|s| s.path.as_deref())
-        .flat_map(|p| p.split('/'))
+        .flat_map(|log| log.spans().map(|s| log.labels().get(s.label)))
+        .flat_map(|label| label.path().split('/').map(str::to_string).collect::<Vec<_>>())
         .filter(|c| c.starts_with("barrier[") && c.contains('>'))
-        .map(str::to_string)
         .collect();
     edge_labels.sort();
     edge_labels.dedup();

@@ -1,12 +1,12 @@
-//! Critical-path analysis over the span logs of one run.
+//! Critical-path analysis over the event logs of one run.
 //!
 //! The virtual-time execution of an SPMD program induces a dependency
 //! graph: per-processor program order plus one edge per message from its
 //! send to the receive it unblocked. The makespan of the run equals the
 //! length of the longest path through that graph; walking the path
 //! backwards from the last-finishing processor attributes every second of
-//! the makespan to compute, communication, or idle — and, through span
-//! paths, to the task-region/subgroup ("stage") it was spent in.
+//! the makespan to compute, communication, or idle — and, through event
+//! labels, to the task-region/subgroup ("stage") it was spent in.
 //!
 //! Virtual times are deterministic, ties are broken by lowest processor
 //! rank, and map lookups are keyed (never iterated), so the analysis is
@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::span::{SpanKind, SpanLog};
+use crate::event::{EventKind, Label, Log};
 
 /// What one segment of the critical path was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +58,8 @@ pub struct PathSegment {
     pub end: f64,
     /// What the interval was spent on.
     pub kind: PathKind,
-    /// Span path active during the interval (stage attribution).
-    pub path: Option<Arc<str>>,
+    /// Scope label active during the interval (stage attribution).
+    pub label: Arc<Label>,
 }
 
 impl PathSegment {
@@ -68,30 +68,17 @@ impl PathSegment {
         self.end - self.start
     }
 
-    /// First `/`-separated component of the span path, or `"<program>"`.
+    /// The stage of the interval's label, or `"<program>"` at top level.
     pub fn stage(&self) -> &str {
-        match &self.path {
-            Some(p) => p.split('/').next().unwrap_or("<program>"),
-            None => "<program>",
+        match self.label.stage() {
+            "" => "<program>",
+            stage => stage,
         }
     }
 
-    /// Subgroup label of the interval: the bracket contents of the
-    /// *deepest* path component carrying one — scope labels that involve
-    /// a processor subset embed its physical ranges in brackets, like
-    /// the dataflow barriers (`barrier[p0-1>p2-3]`) and the promotable
-    /// loops (`pdo[p0-3]`, `promote[12-40<p0]`). `""` when no enclosing
-    /// scope names a subset.
+    /// Subgroup of the interval's label (see [`Label::subgroup`]).
     pub fn subgroup(&self) -> &str {
-        let Some(p) = &self.path else { return "" };
-        for comp in p.rsplit('/') {
-            if let (Some(open), Some(close)) = (comp.find('['), comp.rfind(']')) {
-                if open < close {
-                    return &comp[open + 1..close];
-                }
-            }
-        }
-        ""
+        self.label.subgroup()
     }
 }
 
@@ -175,18 +162,15 @@ impl CriticalPathReport {
     }
 
     /// Critical-path seconds spent inside barrier scopes: every segment
-    /// whose span path has a `/`-component starting with `"barrier"`
-    /// (plain group barriers and the dataflow subset barriers, whose
-    /// labels carry member ranges like `barrier[p0-1>p2-3]`). This is the
-    /// time `FX_DATAFLOW=on` targets: elided barriers remove exactly
-    /// these segments from the path.
+    /// whose label is a barrier scope ([`Label::is_barrier`]: plain group
+    /// barriers and the dataflow subset barriers, whose labels carry
+    /// member ranges like `barrier[p0-1>p2-3]`). This is the time
+    /// `FX_DATAFLOW=on` targets: elided barriers remove exactly these
+    /// segments from the path.
     pub fn barrier_wait(&self) -> f64 {
         self.segments
             .iter()
-            .filter(|s| match &s.path {
-                Some(p) => p.split('/').any(|c| c.starts_with("barrier")),
-                None => false,
-            })
+            .filter(|s| s.label.is_barrier())
             .map(|s| s.dur())
             .sum::<f64>()
             // Zero-duration segments can carry an IEEE negative zero;
@@ -199,28 +183,26 @@ impl CriticalPathReport {
 /// exact per `(sender, receiver, wire tag)`.
 type StreamKey = (usize, u32, u64);
 
-/// FIFO matching of receive spans to the sends that produced their
+/// FIFO matching of receive events to the sends that produced their
 /// messages: the k-th receive of a `(sender, receiver, tag)` stream
 /// matches the k-th send of the same stream (the runtime has no wildcard
-/// receive, so this is exact). Returns `(recv proc, recv span index) →
-/// (send proc, send span index)`. Shared by the critical-path walk and
+/// receive, so this is exact). Returns `(recv proc, recv event index) →
+/// (send proc, send event index)`. Shared by the critical-path walk and
 /// the Chrome-trace flow events.
-pub(crate) fn match_recvs_to_sends(
-    spans: &[SpanLog],
-) -> HashMap<(usize, usize), (usize, usize)> {
+pub(crate) fn match_recvs_to_sends(logs: &[Log]) -> HashMap<(usize, usize), (usize, usize)> {
     let mut sends: HashMap<StreamKey, Vec<(usize, usize)>> = HashMap::new();
-    for (p, log) in spans.iter().enumerate() {
-        for (i, s) in log.spans().iter().enumerate() {
-            if s.kind == SpanKind::Send {
+    for (p, log) in logs.iter().enumerate() {
+        for (i, s) in log.events().iter().enumerate() {
+            if s.kind == EventKind::Send {
                 sends.entry((p, s.peer, s.tag)).or_default().push((p, i));
             }
         }
     }
     let mut recv_match: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
     let mut stream_pos: HashMap<StreamKey, usize> = HashMap::new();
-    for (p, log) in spans.iter().enumerate() {
-        for (i, s) in log.spans().iter().enumerate() {
-            if s.kind == SpanKind::Recv {
+    for (p, log) in logs.iter().enumerate() {
+        for (i, s) in log.events().iter().enumerate() {
+            if s.kind == EventKind::Recv {
                 let key: StreamKey = (s.peer as usize, p as u32, s.tag);
                 let pos = stream_pos.entry(key).or_insert(0);
                 if let Some(list) = sends.get(&key) {
@@ -238,13 +220,13 @@ pub(crate) fn match_recvs_to_sends(
 /// Walk the message dependency graph backwards from the last-finishing
 /// processor and return the critical path of the run.
 ///
-/// `spans` is [`crate::RunReport::spans`], `times` is
+/// `logs` is [`crate::RunReport::logs`], `times` is
 /// [`crate::RunReport::times`]; the run must have been executed with
-/// profiling enabled under simulated time (empty span logs yield a path
-/// that is all idle).
-pub fn critical_path(spans: &[SpanLog], times: &[f64]) -> CriticalPathReport {
-    assert_eq!(spans.len(), times.len(), "one span log per processor");
-    assert!(!spans.is_empty(), "critical path needs at least one processor");
+/// profiling enabled under simulated time (logs without duration events
+/// yield a path that is all idle).
+pub fn critical_path(logs: &[Log], times: &[f64]) -> CriticalPathReport {
+    assert_eq!(logs.len(), times.len(), "one log per processor");
+    assert!(!logs.is_empty(), "critical path needs at least one processor");
 
     // Last-finishing processor, lowest rank on ties.
     let mut end_proc = 0usize;
@@ -256,74 +238,73 @@ pub fn critical_path(spans: &[SpanLog], times: &[f64]) -> CriticalPathReport {
     let makespan = times[end_proc];
 
     // FIFO send/recv matching per (sender, receiver, tag): the k-th recv
-    // of a stream matches the k-th send. Maps a receiver-side span to the
-    // (sender proc, sender span index) that produced its message.
-    let recv_match = match_recvs_to_sends(spans);
+    // of a stream matches the k-th send. Maps a receiver-side event to the
+    // (sender proc, sender event index) that produced its message.
+    let recv_match = match_recvs_to_sends(logs);
 
-    // Backward walk. Cursor: processor, index of the next span to visit
-    // (the span whose end we are at), current time.
+    // Backward walk over the duration events. Cursor: processor, index of
+    // the next event to visit (the one whose end we are at), current time,
+    // and the label of whatever ran next on the path.
     let mut segments: Vec<PathSegment> = Vec::new();
     let mut proc = end_proc;
     let mut t = makespan;
-    let mut idx = spans[proc].len() as isize - 1;
-    let mut last_path: Option<Arc<str>> = None;
+    let mut idx = logs[proc].events().len() as isize - 1;
+    let mut next_label = logs[proc].labels().get(0);
     while t > 0.0 {
         if idx < 0 {
             // Startup: nothing before time zero; the rest is idle.
-            segments.push(PathSegment { proc, start: 0.0, end: t, kind: PathKind::Idle, path: last_path.clone() });
+            segments.push(PathSegment { proc, start: 0.0, end: t, kind: PathKind::Idle, label: next_label });
             break;
         }
-        let s = spans[proc].spans()[idx as usize].clone();
+        let s = logs[proc].events()[idx as usize];
+        if !s.is_span() {
+            idx -= 1;
+            continue;
+        }
         if s.end < t {
             // A gap the program order cannot explain locally: an
             // `advance_to` jump or trailing wait — idle on the path,
             // attributed to whatever ran next.
-            segments.push(PathSegment { proc, start: s.end, end: t, kind: PathKind::Idle, path: last_path.clone() });
+            segments.push(PathSegment { proc, start: s.end, end: t, kind: PathKind::Idle, label: Arc::clone(&next_label) });
             t = s.end;
             continue;
         }
-        debug_assert!(s.end == t, "spans of one processor are ordered and non-overlapping");
-        last_path = s.path.clone();
-        match s.kind {
-            SpanKind::Recv => {
-                segments.push(PathSegment { proc, start: s.start, end: s.end, kind: PathKind::Recv, path: s.path.clone() });
-                // Gated by the message iff its arrival set the receive's
-                // start (ready = max(clock, arrival)); on exact ties the
-                // sender side is chosen, deterministically.
-                let gated = s.arrival >= s.start;
-                let matched = recv_match.get(&(proc, idx as usize)).copied();
-                match (gated, matched) {
-                    (true, Some((sp, si))) => {
-                        let send_span = &spans[sp].spans()[si];
-                        if s.arrival > send_span.end {
-                            segments.push(PathSegment {
-                                proc: sp,
-                                start: send_span.end,
-                                end: s.arrival,
-                                kind: PathKind::Wire,
-                                path: send_span.path.clone(),
-                            });
-                        }
-                        proc = sp;
-                        idx = si as isize;
-                        t = send_span.end;
-                        last_path = send_span.path.clone();
-                    }
-                    _ => {
-                        // Locally bound (message was already waiting) or
-                        // unmatched: continue in program order.
-                        idx -= 1;
-                        t = s.start;
-                    }
+        debug_assert!(s.end == t, "duration events of one processor are ordered and non-overlapping");
+        let label = logs[proc].labels().get(s.label);
+        next_label = Arc::clone(&label);
+        let kind = match s.kind {
+            EventKind::Recv => PathKind::Recv,
+            EventKind::Send => PathKind::Send,
+            _ => PathKind::Compute,
+        };
+        segments.push(PathSegment { proc, start: s.start, end: s.end, kind, label });
+        // A receive is gated by its message iff the arrival set its start
+        // (ready = max(clock, arrival)); on exact ties the sender side is
+        // chosen, deterministically. Then the path jumps to the matched
+        // send; everything else — a send, compute, a receive whose message
+        // was already waiting or has no match — continues in program order.
+        let gate = (s.kind == EventKind::Recv && s.arrival >= s.start)
+            .then(|| recv_match.get(&(proc, idx as usize)).copied())
+            .flatten();
+        match gate {
+            Some((sp, si)) => {
+                let send = logs[sp].events()[si];
+                let send_label = logs[sp].labels().get(send.label);
+                if s.arrival > send.end {
+                    segments.push(PathSegment {
+                        proc: sp,
+                        start: send.end,
+                        end: s.arrival,
+                        kind: PathKind::Wire,
+                        label: Arc::clone(&send_label),
+                    });
                 }
+                proc = sp;
+                idx = si as isize;
+                t = send.end;
+                next_label = send_label;
             }
-            SpanKind::Send => {
-                segments.push(PathSegment { proc, start: s.start, end: s.end, kind: PathKind::Send, path: s.path.clone() });
-                idx -= 1;
-                t = s.start;
-            }
-            SpanKind::Compute => {
-                segments.push(PathSegment { proc, start: s.start, end: s.end, kind: PathKind::Compute, path: s.path.clone() });
+            None => {
                 idx -= 1;
                 t = s.start;
             }
@@ -350,7 +331,7 @@ mod tests {
         let rep = run(&profiled(1, MachineModel::zero_comm(1e-6)), |cx| {
             cx.charge_flops(1_000_000.0); // 1 s
         });
-        let cp = critical_path(&rep.spans, &rep.times);
+        let cp = critical_path(&rep.logs, &rep.times);
         assert!((cp.makespan - 1.0).abs() < 1e-9);
         let (compute, comm, idle) = cp.totals();
         assert!((compute - 1.0).abs() < 1e-9);
@@ -370,7 +351,7 @@ mod tests {
                 let _: Vec<u8> = cx.recv(0, 1); // blocked from t=0
             }
         });
-        let cp = critical_path(&rep.spans, &rep.times);
+        let cp = critical_path(&rep.logs, &rep.times);
         assert!((cp.makespan - rep.makespan()).abs() < 1e-15);
         // The path must route through processor 0's compute, not through
         // processor 1's wait.
@@ -399,7 +380,7 @@ mod tests {
                 let _: u8 = cx.recv(0, 1);
             }
         });
-        let cp = critical_path(&rep.spans, &rep.times);
+        let cp = critical_path(&rep.logs, &rep.times);
         // Proc 1's compute dominates; exactly zero hops back to proc 0.
         assert_eq!(cp.hops(), 0);
         let (compute, _, _) = cp.totals();
@@ -419,7 +400,7 @@ mod tests {
                     let _: u64 = cx.recv(left, 9);
                 }
             });
-            let cp = critical_path(&rep.spans, &rep.times);
+            let cp = critical_path(&rep.logs, &rep.times);
             (cp.totals(), cp.by_stage(), cp.segments)
         };
         let a = go();
@@ -436,7 +417,7 @@ mod tests {
             cx.advance_to(2.0); // 1.5 s idle jump
             cx.charge_flops(500_000.0); // 0.5 s
         });
-        let cp = critical_path(&rep.spans, &rep.times);
+        let cp = critical_path(&rep.logs, &rep.times);
         let (compute, comm, idle) = cp.totals();
         assert!((compute - 1.0).abs() < 1e-9);
         assert_eq!(comm, 0.0);

@@ -3,12 +3,12 @@
 //! Every physical processor of the simulated multicomputer runs the same
 //! SPMD closure with its own [`ProcCtx`]. The context carries the
 //! processor's identity, its (virtual) clock, its event log, and the
-//! endpoints for direct-deposit messaging. It is also the one writer of
-//! the processor's counter block ([`crate::counters`], owned by the
-//! [`World`]): every `note_*` is one bump of that block, whether or not
-//! anyone observes the run.
+//! endpoints for direct-deposit messaging. It is the one producer of the
+//! processor's events ([`crate::event`]: every instrumented site calls
+//! `emit`) and the one writer of its counter block ([`crate::counters`],
+//! owned by the [`World`]): every `note_*` is one bump of that block,
+//! whether or not anyone observes the run.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,15 +16,14 @@ use std::time::Instant;
 use crate::clock::{host_now, ns_since, tick_period, HostTimer};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
+use crate::event::{Event, EventKind, Labels, Log};
 use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
 use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
 use crate::run::{DataflowMode, ProcOutcome};
-use crate::span::{span_ref, Span, SpanKind, SpanLog, TraceCtx};
 use crate::telemetry::{ProcShard, Telemetry};
-use crate::trace::EventLog;
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
@@ -40,13 +39,19 @@ pub(crate) struct World {
     /// and — through its own handles on the same allocations — by the
     /// telemetry registry, during the run and after it.
     pub counters: Vec<Arc<Counters>>,
+    /// Every processor's label table (see [`crate::event`]): written only
+    /// by the owning [`ProcCtx`], read by the report's logs and — handed
+    /// over at `begin_run` like the counter blocks — by the telemetry
+    /// registry, which is what lets a post-mortem flight dump name scopes.
+    pub labels: Vec<Arc<Labels>>,
     /// Set by the first processor to panic, which poisons every mailbox;
     /// later (secondary) panickers find it set and skip the walk.
     pub poisoned: AtomicBool,
-    /// Record duration spans (see [`crate::Span`]) during the run.
+    /// Retain duration events (see [`crate::Event`]) in the processors'
+    /// logs.
     pub profile: bool,
-    /// Propagate causal trace contexts (see [`crate::TraceCtx`]) on
-    /// every message and adopt them on receive. Host-side only: tracing
+    /// Propagate causal trace ids (see [`crate::Event::trace`]) on every
+    /// message and adopt them on receive. Host-side only: tracing
     /// never moves the virtual clock.
     pub tracing: bool,
     /// Live telemetry registry (see [`crate::Telemetry`]); `None` keeps
@@ -110,39 +115,33 @@ pub struct ProcCtx {
     clock: f64,
     /// Wall-clock start, for real-time mode.
     start: Instant,
-    events: EventLog,
+    /// What this processor retains of its own events (see
+    /// [`ProcCtx::emit`]), with its label table.
+    log: Log,
     /// This processor's counter block (the world's, shared with whoever
     /// reads it). The context is its only writer.
     counters: Arc<Counters>,
     /// Recycled message-buffer storage for the chunk fast path.
     pool: BufferPool,
     /// True when the machine profiles and time is simulated: duration
-    /// spans are recorded on the virtual clock.
+    /// events are retained in the log.
     profile: bool,
-    /// True when trace contexts are piggybacked on sends and adopted on
+    /// True when someone reads more than marks: the machine profiles or a
+    /// telemetry registry is attached. The one check on every
+    /// instrumented path of a run nobody observes.
+    observed: bool,
+    /// True when trace ids are piggybacked on sends and adopted on
     /// receives (`Machine::with_tracing` / `FX_TRACE`).
     tracing: bool,
-    /// The causal trace context active on this processor (`NONE` when
-    /// untraced). Set at a trace origin via [`ProcCtx::set_trace`],
-    /// replaced by adoption whenever a traced message is received.
-    trace: TraceCtx,
-    /// Virtual-time duration spans (empty unless profiling).
-    spans: SpanLog,
-    /// Byte offsets into `scope_path` marking each open scope's start.
-    scope_stack: Vec<usize>,
-    /// `/`-joined task-region/subgroup nesting path for span tagging.
-    scope_path: String,
-    /// Cached shared copy of `scope_path`; invalidated on push/pop.
-    scope_arc: Option<Arc<str>>,
-    /// This processor's telemetry shard (`None` when telemetry is off —
-    /// the zero-cost check on every instrumented path).
+    /// The causal trace id active on this processor (`0` when untraced).
+    /// Set at a trace origin via [`ProcCtx::set_trace`], replaced by
+    /// adoption whenever a traced message is received.
+    trace: u64,
+    /// Label id of each open task-region/subgroup scope, innermost last
+    /// (maintained only when observed).
+    scopes: Vec<u32>,
+    /// This processor's telemetry shard (`None` when telemetry is off).
     tl: Option<Arc<ProcShard>>,
-    /// Local cache of interned scope-path label ids, so only the first
-    /// entry into a given region path touches the global intern table.
-    scope_ids: HashMap<String, u32>,
-    /// Interned label id of each open scope, parallel to `scope_stack`
-    /// (maintained only when telemetry is on).
-    scope_id_stack: Vec<u32>,
     /// Virtual seconds of charged compute since the last heartbeat reset.
     /// Pure accumulation alongside the clock: it never feeds back into
     /// any charge, so arming the heartbeat cannot move virtual time.
@@ -155,36 +154,71 @@ impl ProcCtx {
         let tracing = world.tracing;
         let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
         let counters = Arc::clone(&world.counters[rank]);
+        let log = Log::new(Vec::new(), Arc::clone(&world.labels[rank]));
         ProcCtx {
             rank,
             world,
             exec,
             clock: 0.0,
             start,
-            events: EventLog::default(),
+            log,
             counters,
             pool: BufferPool::default(),
             profile,
+            observed: profile || tl.is_some(),
             tracing,
-            trace: TraceCtx::NONE,
-            spans: SpanLog::default(),
-            scope_stack: Vec::new(),
-            scope_path: String::new(),
-            scope_arc: None,
+            trace: 0,
+            scopes: Vec::new(),
             tl,
-            scope_ids: HashMap::new(),
-            scope_id_stack: Vec::new(),
             hb_acc: 0.0,
         }
     }
 
-    /// Virtual time as stored bits for flight-recorder timestamps (0.0 in
-    /// real-time mode, where only the wall clock is meaningful).
-    #[inline]
-    fn vbits(&self) -> u64 {
-        match self.world.mode {
-            TimeMode::Real => 0,
-            TimeMode::Simulated(_) => self.clock.to_bits(),
+    /// An instant event here and now: the virtual clock (0.0 in real-time
+    /// mode, where it never moves), the innermost open scope, the active
+    /// trace. Every emitted event is this with its own fields filled in.
+    #[inline(always)]
+    fn here(&self, kind: EventKind) -> Event {
+        Event {
+            kind,
+            label: self.scopes.last().copied().unwrap_or(0),
+            peer: u32::MAX,
+            tag: 0,
+            bytes: 0,
+            start: self.clock,
+            end: self.clock,
+            arrival: 0.0,
+            trace: self.trace,
+        }
+    }
+
+    /// The one producer of this processor's events. Where a record goes
+    /// is what retains it: the processor's own log keeps marks always and
+    /// duration events when profiling; the registry's flight ring, when
+    /// one is attached, keeps the newest message, barrier and scope events
+    /// beside a wall stamp (nanoseconds since the run began) — `at` when
+    /// the caller already read the host clock for this event, one read
+    /// here otherwise. Compute intervals
+    /// and marks stay out of the ring: a charge merges into the previous
+    /// one in place, which a ring read from other threads cannot do, and
+    /// a stamp per charge would be a clock read per charge. Nobody
+    /// observing and not a mark: one branch.
+    #[inline(always)]
+    fn emit(&mut self, ev: Event, at: Option<u64>) {
+        if !self.observed && ev.kind != EventKind::Mark {
+            return;
+        }
+        if ev.kind == EventKind::Mark || (self.profile && ev.is_span()) {
+            self.log.push(ev);
+        }
+        if let Some(sh) = &self.tl {
+            if matches!(ev.kind, EventKind::Compute | EventKind::Mark) {
+                return;
+            }
+            if ev.kind == EventKind::Send {
+                sh.msg_bytes_hist.record(ev.bytes);
+            }
+            sh.flight.push(at.unwrap_or_else(|| ns_since(self.start)), &ev);
         }
     }
 
@@ -229,10 +263,7 @@ impl ProcCtx {
     #[inline]
     pub fn charge_flops(&mut self, n: f64) {
         if let TimeMode::Simulated(m) = self.world.mode {
-            let t0 = self.clock;
-            self.clock += m.flops(n);
-            self.hb_acc += self.clock - t0;
-            self.span_compute(t0);
+            self.charge(m.flops(n));
         }
     }
 
@@ -240,10 +271,7 @@ impl ProcCtx {
     #[inline]
     pub fn charge_mem_bytes(&mut self, n: f64) {
         if let TimeMode::Simulated(m) = self.world.mode {
-            let t0 = self.clock;
-            self.clock += m.mem_bytes(n);
-            self.hb_acc += self.clock - t0;
-            self.span_compute(t0);
+            self.charge(m.mem_bytes(n));
         }
     }
 
@@ -251,39 +279,17 @@ impl ProcCtx {
     #[inline]
     pub fn charge_seconds(&mut self, s: f64) {
         if self.world.mode.is_simulated() {
-            let t0 = self.clock;
-            self.clock += s;
-            self.hb_acc += self.clock - t0;
-            self.span_compute(t0);
+            self.charge(s);
         }
     }
 
-    /// Record `[t0, clock]` as a compute span when profiling.
+    /// Advance the virtual clock by `s` seconds of local compute.
     #[inline]
-    fn span_compute(&mut self, t0: f64) {
-        if self.profile {
-            let path = self.current_path();
-            let end = self.clock;
-            let trace = self.trace.id;
-            self.spans.push_compute(t0, end, path, trace);
-        }
-    }
-
-    /// The trace context to piggyback on an outgoing message: the active
-    /// context with `parent` pointing at the send span just recorded (or
-    /// the context as-is when spans are off). `NONE` when tracing is off
-    /// or no trace is active.
-    #[inline]
-    fn outgoing_trace(&self) -> TraceCtx {
-        if !self.tracing || self.trace.id == 0 {
-            return TraceCtx::NONE;
-        }
-        let parent = if self.profile && !self.spans.is_empty() {
-            span_ref(self.rank, self.spans.len() - 1)
-        } else {
-            self.trace.parent
-        };
-        TraceCtx { id: self.trace.id, parent }
+    fn charge(&mut self, s: f64) {
+        let t0 = self.clock;
+        self.clock += s;
+        self.hb_acc += self.clock - t0;
+        self.emit(Event { start: t0, ..self.here(EventKind::Compute) }, None);
     }
 
     /// Advance the clock for an outgoing message of `nbytes` and return
@@ -320,7 +326,7 @@ impl ProcCtx {
     }
 
     /// The one post routine behind [`ProcCtx::send`] and
-    /// [`ProcCtx::send_chunk`]: same virtual-time charge, span, counters
+    /// [`ProcCtx::send_chunk`]: same virtual-time charge, event, counters
     /// and deposit for either payload path; a chunk additionally counts
     /// as chunk traffic.
     fn post(&mut self, t0: HostTimer, dst: usize, tag: u64, nbytes: usize, payload: MsgBody) {
@@ -328,14 +334,13 @@ impl ProcCtx {
         let chunk = matches!(payload, MsgBody::Chunk(_));
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
-        self.span_send(v0, dst, tag, arrival);
         let contended = self.world.mailboxes[dst].deposit(Envelope {
             src: self.rank,
             tag,
             arrival,
             nbytes,
             enqueued: self.world.parkers.clock.now_ns(),
-            trace: self.outgoing_trace(),
+            trace: self.trace,
             payload,
         });
         let c = &self.counters;
@@ -348,13 +353,18 @@ impl ProcCtx {
         if contended {
             bump(&c.lane_contention, 1);
         }
-        // Host-time accounting, when someone is looking; the wall stamp
-        // reuses `t0`.
+        // Host-time accounting, when someone is looking; the event's wall
+        // stamp reuses `t0`.
+        let mut sent_at = None;
         if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
             bump(&c.send_ns, ns_since(t0));
-            let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, chunk, wall, self.vbits(), dst, tag);
+            if chunk {
+                sh.chunk_flight_add(nbytes as i64);
+            }
+            sent_at = Some(t0.duration_since(self.start).as_nanos() as u64);
         }
+        let send = Event { peer: dst as u32, tag, bytes: nbytes as u64, start: v0, arrival, ..self.here(EventKind::Send) };
+        self.emit(send, sent_at);
     }
 
     /// Receive a `T` from physical processor `src` on channel `tag`,
@@ -405,7 +415,7 @@ impl ProcCtx {
         match env.payload {
             MsgBody::Chunk(c) => {
                 if let Some(sh) = &self.tl {
-                    sh.on_recv_chunk_bytes(env.nbytes as u64);
+                    sh.chunk_flight_add(-(env.nbytes as i64));
                 }
                 c
             }
@@ -445,9 +455,7 @@ impl ProcCtx {
         let t0 = self.host_timer();
         if let Some(sh) = &self.tl {
             // Published before blocking so the stall sampler can name the
-            // (src, tag) this processor is parked on; cleared by on_recv.
-            // Left set on a watchdog panic, which is exactly what the
-            // post-mortem flight dump wants to show.
+            // (src, tag) this processor is parked on.
             sh.begin_wait(src, tag);
         }
         let world = &self.world;
@@ -458,60 +466,36 @@ impl ProcCtx {
         let c = &self.counters;
         bump(&c.recvs, 1);
         bump(&c.recv_bytes, env.nbytes as u64);
+        let mut taken_at = None;
         if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
             let waited = ns_since(t0);
             bump(&c.recv_wait_ns, waited);
-            let wall = t0.duration_since(self.start).as_nanos() as u64 + waited;
-            sh.on_recv(env.nbytes as u64, waited, wall, self.vbits(), src, tag);
+            sh.end_wait(waited);
+            taken_at = Some(t0.duration_since(self.start).as_nanos() as u64 + waited);
         }
-        // Adopt a piggybacked trace context *before* recording the recv
-        // span, so the busy half of the receive — the first local work
-        // done on behalf of the incoming operation — is already tagged
-        // with its trace. Untraced messages leave the context alone.
-        if self.tracing && env.trace.id != 0 {
+        // Adopt a piggybacked trace id *before* making the recv event, so
+        // the busy half of the receive — the first local work done on
+        // behalf of the incoming operation — is already tagged with its
+        // trace. Untraced messages leave the active id alone.
+        if self.tracing && env.trace != 0 {
             self.trace = env.trace;
         }
+        let mut recv = Event {
+            peer: src as u32,
+            tag,
+            bytes: env.nbytes as u64,
+            arrival: env.arrival,
+            ..self.here(EventKind::Recv)
+        };
         if let TimeMode::Simulated(m) = self.world.mode {
-            let ready = self.clock.max(env.arrival);
-            let t = ready + m.recv_busy(env.nbytes);
-            if self.profile {
-                // The wait `[clock, ready]` is left as a gap (idle); only
-                // the busy half `[ready, t]` becomes a span.
-                let path = self.current_path();
-                let trace = self.trace.id;
-                self.spans.push_msg(Span {
-                    start: ready,
-                    end: t,
-                    kind: SpanKind::Recv,
-                    path,
-                    peer: src as u32,
-                    tag,
-                    arrival: env.arrival,
-                    trace,
-                });
-            }
-            self.clock = t;
+            // The wait `[clock, ready]` is left as a gap (idle); only the
+            // busy half `[ready, t]` is the event's interval.
+            recv.start = self.clock.max(env.arrival);
+            self.clock = recv.start + m.recv_busy(env.nbytes);
+            recv.end = self.clock;
         }
+        self.emit(recv, taken_at);
         env
-    }
-
-    /// Record the busy half of a send as a span when profiling.
-    #[inline]
-    fn span_send(&mut self, v0: f64, dst: usize, tag: u64, arrival: f64) {
-        if self.profile {
-            let path = self.current_path();
-            let trace = self.trace.id;
-            self.spans.push_msg(Span {
-                start: v0,
-                end: self.clock,
-                kind: SpanKind::Send,
-                path,
-                peer: dst as u32,
-                tag,
-                arrival,
-                trace,
-            });
-        }
     }
 
     /// True if a message from `src` with `tag` is already deposited.
@@ -543,91 +527,58 @@ impl ProcCtx {
         }
     }
 
-    /// Mark an event at the current time on this processor's log.
-    pub fn record(&mut self, label: impl Into<String>) {
+    /// Mark an instant at the current time on this processor's log.
+    /// Harnesses match on the label's text.
+    pub fn record(&mut self, label: impl AsRef<str>) {
         let t = self.now();
-        self.events.record(t, label);
+        let label = self.log.labels().intern(label.as_ref());
+        self.emit(Event { label, start: t, end: t, ..self.here(EventKind::Mark) }, None);
     }
 
-    // ----- span profiling --------------------------------------------------
+    // ----- scopes and the log ----------------------------------------------
 
-    /// True when duration spans are being recorded (the machine enabled
-    /// profiling and time is simulated). Callers use this to skip scope
-    /// bookkeeping entirely on unprofiled runs.
+    /// True when duration events are being retained (the machine enabled
+    /// profiling and time is simulated).
     #[inline]
     pub fn profiling(&self) -> bool {
         self.profile
     }
 
-    /// Push a component onto the span scope path (`"G1"`, `"assign2"`,
-    /// …). Subsequent spans are tagged `parent/…/name` until the matching
-    /// [`ProcCtx::pop_scope`]. Counts one region entry; the path itself is
-    /// maintained only when profiling or telemetry is active.
+    /// Push a component onto the scope path (`"G1"`, `"assign2"`, …).
+    /// Subsequent events are labelled `parent/…/name` until the matching
+    /// [`ProcCtx::pop_scope`]. Counts one region entry; the scope itself
+    /// is tracked only when profiling or telemetry is active.
     pub fn push_scope(&mut self, name: &str) {
         bump(&self.counters.region_enters, 1);
-        if !self.profile && self.tl.is_none() {
+        if !self.observed {
             return;
         }
-        self.scope_stack.push(self.scope_path.len());
-        if !self.scope_path.is_empty() {
-            self.scope_path.push('/');
-        }
-        self.scope_path.push_str(name);
-        self.scope_arc = None;
-        if self.tl.is_some() {
-            self.telemetry_scope_enter();
-        }
+        let parent = self.scopes.last().copied().unwrap_or(0);
+        self.scopes.push(self.log.labels().enter(parent, name));
+        self.emit(self.here(EventKind::Enter), None);
     }
 
-    /// Pop the innermost span scope component. No-op when neither
-    /// profiling nor telemetry is active (or when the scope stack is
-    /// empty).
+    /// Pop the innermost scope component. No-op when no scope is open
+    /// (always so when neither profiling nor telemetry is active).
     pub fn pop_scope(&mut self) {
-        if !self.profile && self.tl.is_none() {
-            return;
-        }
-        if let Some(len) = self.scope_stack.pop() {
-            if let (Some(sh), Some(id)) = (&self.tl, self.scope_id_stack.pop()) {
-                let wall = ns_since(self.start);
-                sh.on_region_exit(id, wall, self.vbits());
-            }
-            self.scope_path.truncate(len);
-            self.scope_arc = None;
+        if !self.scopes.is_empty() {
+            self.emit(self.here(EventKind::Exit), None);
+            self.scopes.pop();
         }
     }
 
-    /// Telemetry bookkeeping for a just-pushed scope: intern the full path
-    /// (through the per-processor id cache), count the entry under its
-    /// subgroup path, and drop an enter event into the flight ring.
-    fn telemetry_scope_enter(&mut self) {
-        let id = match self.scope_ids.get(&self.scope_path) {
-            Some(&id) => id,
-            None => {
-                let t = self.world.telemetry.as_ref().expect("tl implies telemetry");
-                let id = t.intern(&self.scope_path);
-                self.scope_ids.insert(self.scope_path.clone(), id);
-                id
-            }
-        };
-        self.scope_id_stack.push(id);
-        let wall = ns_since(self.start);
-        let vbits = self.vbits();
-        if let Some(sh) = &self.tl {
-            sh.on_region_enter(id, wall, vbits);
-        }
+    /// What this processor has retained of its events so far: marks, and
+    /// duration events when profiling under simulated time. The complete
+    /// log lands in [`crate::RunReport::logs`].
+    pub fn log(&self) -> &Log {
+        &self.log
     }
 
-    /// The spans recorded so far (empty unless profiling under simulated
-    /// time). The complete log lands in [`crate::RunReport::spans`].
-    pub fn spans(&self) -> &SpanLog {
-        &self.spans
-    }
-
-    /// Index of the next span to be recorded — a mark for later windowed
-    /// queries with [`SpanLog::window_breakdown`].
+    /// Index of the next event to be retained — a mark for later windowed
+    /// queries with [`Log::window_breakdown`].
     #[inline]
-    pub fn span_mark(&self) -> usize {
-        self.spans.len()
+    pub fn log_mark(&self) -> usize {
+        self.log.events.len()
     }
 
     // ----- causal tracing --------------------------------------------------
@@ -640,45 +591,27 @@ impl ProcCtx {
     }
 
     /// Start (or switch to) trace `id` at this processor: subsequent
-    /// spans are tagged with it and subsequent sends piggyback it. A
+    /// events are tagged with it and subsequent sends piggyback it. A
     /// no-op when tracing is off, so origin stamping can stay
     /// unconditional in application code. `0` clears the context.
     #[inline]
     pub fn set_trace(&mut self, id: u64) {
         if self.tracing {
-            self.trace = TraceCtx::root(id);
+            self.trace = id;
         }
     }
 
-    /// Clear the active trace context (e.g. after a request batch, so
+    /// Clear the active trace id (e.g. after a request batch, so
     /// scheduler machinery is not attributed to the last request).
     #[inline]
     pub fn clear_trace(&mut self) {
-        self.trace = TraceCtx::NONE;
+        self.trace = 0;
     }
 
     /// The trace id active on this processor (`0` = untraced).
     #[inline]
     pub fn trace(&self) -> u64 {
-        self.trace.id
-    }
-
-    /// The full active trace context, including the causal parent link
-    /// adopted from the last traced message received.
-    #[inline]
-    pub fn trace_ctx(&self) -> TraceCtx {
         self.trace
-    }
-
-    /// Shared copy of the current scope path (`None` at top level).
-    fn current_path(&mut self) -> Option<Arc<str>> {
-        if self.scope_path.is_empty() {
-            return None;
-        }
-        if self.scope_arc.is_none() {
-            self.scope_arc = Some(Arc::from(self.scope_path.as_str()));
-        }
-        self.scope_arc.clone()
     }
 
     /// Number of messages this processor has sent so far.
@@ -708,10 +641,7 @@ impl ProcCtx {
     #[inline]
     pub fn note_barrier(&mut self) {
         bump(&self.counters.barriers, 1);
-        if let Some(sh) = &self.tl {
-            let wall = ns_since(self.start);
-            sh.on_barrier(wall, self.vbits());
-        }
+        self.emit(self.here(EventKind::Barrier), None);
     }
 
     /// The run's resolved barrier-elision mode (never
@@ -728,7 +658,7 @@ impl ProcCtx {
     /// unobserved runs.
     #[inline]
     pub fn scopes_active(&self) -> bool {
-        self.profile || self.tl.is_some()
+        self.observed
     }
 
     /// Count one sync point classified interval-covered (barrier elided).
@@ -857,6 +787,6 @@ impl ProcCtx {
     /// The processor is done: what it hands back besides its counters,
     /// which stay in the world's block.
     pub(crate) fn finish<R>(self, value: R) -> ProcOutcome<R> {
-        ProcOutcome { value, time: self.now(), events: self.events, spans: self.spans }
+        ProcOutcome { value, time: self.now(), log: self.log }
     }
 }

@@ -1,134 +1,40 @@
-//! The flight recorder: a per-processor, lock-free ring buffer of recent
-//! runtime events.
+//! The flight recorder: a per-processor, lock-free ring buffer holding
+//! the newest of the processor's events.
 //!
-//! Every send, receive, barrier, and task-region scope transition is
-//! written into the owning processor's ring with a wall-clock timestamp
-//! (and the virtual time, when simulating). The ring holds the newest
-//! `capacity` events and silently overwrites older ones, so recording is
-//! bounded-overhead no matter how long the run is — the point is not a
-//! full trace (spans do that, post-mortem) but a *black box*: when a run
-//! panics, the deadlock watchdog fires, or the stall detector flags a
-//! processor, the last moments before the incident are available.
+//! When a telemetry registry is attached, every send, receive, barrier,
+//! and task-region scope transition the processor emits is also written
+//! into its ring — the same [`Event`] its log would keep — beside a
+//! wall-clock stamp. The ring holds the newest `capacity` events and
+//! silently overwrites older ones, so recording is bounded-overhead no
+//! matter how long the run is — the point is not a full trace (the log
+//! does that, post-mortem) but a *black box*: when a run panics, the
+//! deadlock watchdog fires, or the stall detector flags a processor, the
+//! last moments before the incident are available.
 //!
 //! The ring is single-writer (each processor writes only its own ring)
 //! and any-reader (the stall sampler thread, an HTTP scrape, or the test
 //! harness may read concurrently). Slots carry only plain words stored
 //! through atomics, guarded by a per-slot sequence counter in the classic
 //! seqlock pattern: the writer never blocks, and a reader that races a
-//! wrapping writer simply discards the torn slot. Region names are not
-//! stored inline; they are interned to small ids by the registry and
-//! resolved back to strings at dump time.
+//! wrapping writer simply discards the torn slot. Labels are not stored
+//! inline; the event carries its id in the processor's label table, which
+//! the reader resolves at dump time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What happened, in wire form. Kind codes for [`RawEvent::packed`].
-pub(crate) const K_SEND: u8 = 0;
-pub(crate) const K_RECV: u8 = 1;
-pub(crate) const K_BARRIER: u8 = 2;
-pub(crate) const K_ENTER: u8 = 3;
-pub(crate) const K_EXIT: u8 = 4;
+use crate::event::{Event, EventKind};
 
-/// One event in wire form: five 64-bit words, all plain data.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct RawEvent {
-    /// `kind | label_id << 8 | peer << 32` (label ids and peer ranks are
-    /// both far below 2^24).
-    pub packed: u64,
-    /// Channel tag for send/recv events; 0 otherwise.
-    pub tag: u64,
-    /// Payload bytes for send/recv events; 0 otherwise.
-    pub bytes: u64,
-    /// Wall-clock nanoseconds since the run started.
-    pub wall_ns: u64,
-    /// Virtual time in seconds (`to_bits`); 0.0 in real-time mode.
-    pub vtime_bits: u64,
-}
-
-impl RawEvent {
-    pub fn pack(kind: u8, label: u32, peer: u32) -> u64 {
-        debug_assert!(label < (1 << 24), "flight label id overflow");
-        kind as u64 | ((label as u64) << 8) | ((peer as u64) << 32)
-    }
-    pub fn kind(&self) -> u8 {
-        (self.packed & 0xff) as u8
-    }
-    pub fn label(&self) -> u32 {
-        ((self.packed >> 8) & 0xff_ffff) as u32
-    }
-    pub fn peer(&self) -> usize {
-        (self.packed >> 32) as usize
-    }
-}
-
-/// One resolved flight-recorder event, as returned by a dump.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlightEvent {
-    /// Wall-clock nanoseconds since the run started.
-    pub wall_ns: u64,
-    /// Virtual time in seconds (0.0 in real-time mode).
-    pub vtime: f64,
-    /// What happened.
-    pub kind: FlightKind,
-}
-
-/// The event payload of a [`FlightEvent`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum FlightKind {
-    /// A message left this processor.
-    Send {
-        /// Destination physical rank.
-        peer: usize,
-        /// Wire tag.
-        tag: u64,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// A message was received (after any blocking wait).
-    Recv {
-        /// Source physical rank.
-        peer: usize,
-        /// Wire tag.
-        tag: u64,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// A group barrier was entered.
-    Barrier,
-    /// A task-region scope was entered (the full `/`-joined path).
-    RegionEnter(String),
-    /// A task-region scope was exited.
-    RegionExit(String),
-}
-
-impl std::fmt::Display for FlightEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ms = self.wall_ns as f64 / 1e6;
-        match &self.kind {
-            FlightKind::Send { peer, tag, bytes } => {
-                write!(f, "[{ms:10.3} ms] send  -> {peer} tag={tag:#x} {bytes} B")
-            }
-            FlightKind::Recv { peer, tag, bytes } => {
-                write!(f, "[{ms:10.3} ms] recv  <- {peer} tag={tag:#x} {bytes} B")
-            }
-            FlightKind::Barrier => write!(f, "[{ms:10.3} ms] barrier"),
-            FlightKind::RegionEnter(p) => write!(f, "[{ms:10.3} ms] enter {p}"),
-            FlightKind::RegionExit(p) => write!(f, "[{ms:10.3} ms] exit  {p}"),
-        }
-    }
-}
-
-/// A slot: a seqlock sequence word plus the event's five data words,
+/// A slot: a seqlock sequence word plus the event as eight data words,
 /// each stored through a relaxed atomic so concurrent reads of a slot
 /// being overwritten are well-defined (the sequence check discards them).
+/// Word 0 is `kind | label << 8 | peer << 32` (label ids are far below
+/// 2^24); then tag, bytes, the bits of start, end and arrival, the trace
+/// id, and the wall stamp.
 #[derive(Default)]
 struct Slot {
     /// Even = consistent, odd = mid-write; increments by 2 per overwrite.
     seq: AtomicU64,
-    packed: AtomicU64,
-    tag: AtomicU64,
-    bytes: AtomicU64,
-    wall_ns: AtomicU64,
-    vtime_bits: AtomicU64,
+    words: [AtomicU64; 8],
 }
 
 /// Lock-free single-writer ring of the newest `capacity` events.
@@ -156,29 +62,40 @@ impl FlightRing {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Append an event. Called only by the owning processor — one writer
+    /// Append an event stamped `wall_ns` (wall-clock nanoseconds since
+    /// the run started). Called only by the owning processor — one writer
     /// at a time by construction under either executor (the pooled
     /// scheduler serializes a processor's execution across the workers
     /// it migrates over, with its queue locks ordering the handoff).
     #[inline]
-    pub fn push(&self, ev: RawEvent) {
+    pub fn push(&self, wall_ns: u64, ev: &Event) {
+        debug_assert!(ev.label < (1 << 24), "flight label id overflow");
         let h = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(h as usize) & self.mask];
+        let words = [
+            ev.kind as u64 | ((ev.label as u64) << 8) | ((ev.peer as u64) << 32),
+            ev.tag,
+            ev.bytes,
+            ev.start.to_bits(),
+            ev.end.to_bits(),
+            ev.arrival.to_bits(),
+            ev.trace,
+            wall_ns,
+        ];
         // Mark the slot inconsistent, publish the data, mark consistent.
         slot.seq.store(2 * h + 1, Ordering::Release);
-        slot.packed.store(ev.packed, Ordering::Relaxed);
-        slot.tag.store(ev.tag, Ordering::Relaxed);
-        slot.bytes.store(ev.bytes, Ordering::Relaxed);
-        slot.wall_ns.store(ev.wall_ns, Ordering::Relaxed);
-        slot.vtime_bits.store(ev.vtime_bits, Ordering::Relaxed);
+        for (w, v) in slot.words.iter().zip(words) {
+            w.store(v, Ordering::Relaxed);
+        }
         slot.seq.store(2 * (h + 1), Ordering::Release);
         self.head.store(h + 1, Ordering::Release);
     }
 
-    /// The retained events, oldest first. Slots torn by a concurrent
-    /// writer are skipped; once the writer has stopped (end of run, or a
-    /// processor parked in a blocked receive) the snapshot is exact.
-    pub fn snapshot(&self) -> Vec<RawEvent> {
+    /// The retained `(wall stamp, event)` pairs, oldest first. Slots torn
+    /// by a concurrent writer are skipped; once the writer has stopped
+    /// (end of run, or a processor parked in a blocked receive) the
+    /// snapshot is exact.
+    pub fn snapshot(&self) -> Vec<(u64, Event)> {
         let h = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let first = h.saturating_sub(cap);
@@ -189,16 +106,24 @@ impl FlightRing {
             if s0 != 2 * (i + 1) {
                 continue; // torn or already overwritten by a wrap
             }
-            let ev = RawEvent {
-                packed: slot.packed.load(Ordering::Relaxed),
-                tag: slot.tag.load(Ordering::Relaxed),
-                bytes: slot.bytes.load(Ordering::Relaxed),
-                wall_ns: slot.wall_ns.load(Ordering::Relaxed),
-                vtime_bits: slot.vtime_bits.load(Ordering::Relaxed),
-            };
-            if slot.seq.load(Ordering::Acquire) == s0 {
-                out.push(ev);
+            let w: [u64; 8] = std::array::from_fn(|k| slot.words[k].load(Ordering::Relaxed));
+            if slot.seq.load(Ordering::Acquire) != s0 {
+                continue;
             }
+            // A consistent slot holds what `push` stored, so the kind byte
+            // is in range; a torn one was discarded above.
+            let ev = Event {
+                kind: EventKind::ALL[(w[0] & 0xff) as usize],
+                label: ((w[0] >> 8) & 0xff_ffff) as u32,
+                peer: (w[0] >> 32) as u32,
+                tag: w[1],
+                bytes: w[2],
+                start: f64::from_bits(w[3]),
+                end: f64::from_bits(w[4]),
+                arrival: f64::from_bits(w[5]),
+                trace: w[6],
+            };
+            out.push((w[7], ev));
         }
         out
     }
@@ -207,27 +132,23 @@ impl FlightRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::ev;
 
-    fn send_ev(i: u64) -> RawEvent {
-        RawEvent {
-            packed: RawEvent::pack(K_SEND, 0, (i % 7) as u32),
-            tag: i,
-            bytes: 8 * i,
-            wall_ns: 100 * i,
-            vtime_bits: 0,
-        }
+    fn send_ev(i: u64) -> Event {
+        Event { peer: (i % 7) as u32, tag: i, bytes: 8 * i, ..ev(EventKind::Send, i as f64, i as f64 + 0.5) }
     }
 
     #[test]
     fn ring_retains_newest_in_order() {
         let ring = FlightRing::new(16);
         for i in 0..100u64 {
-            ring.push(send_ev(i));
+            ring.push(100 * i, &send_ev(i));
         }
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 16, "exactly the newest capacity events");
-        for (k, ev) in snap.iter().enumerate() {
-            assert_eq!(*ev, send_ev(84 + k as u64), "slot {k}");
+        for (k, slot) in snap.iter().enumerate() {
+            let i = 84 + k as u64;
+            assert_eq!(*slot, (100 * i, send_ev(i)), "slot {k}");
         }
         assert_eq!(ring.pushed(), 100);
     }
@@ -236,18 +157,27 @@ mod tests {
     fn ring_below_capacity_is_exact() {
         let ring = FlightRing::new(64);
         for i in 0..5u64 {
-            ring.push(send_ev(i));
+            ring.push(i, &send_ev(i));
         }
         assert_eq!(ring.snapshot().len(), 5);
     }
 
     #[test]
-    fn pack_roundtrip() {
-        let p = RawEvent::pack(K_ENTER, 0x1234, 63);
-        let ev = RawEvent { packed: p, tag: 0, bytes: 0, wall_ns: 0, vtime_bits: 0 };
-        assert_eq!(ev.kind(), K_ENTER);
-        assert_eq!(ev.label(), 0x1234);
-        assert_eq!(ev.peer(), 63);
+    fn every_field_survives_the_ring() {
+        let ring = FlightRing::new(8);
+        let enter = Event {
+            kind: EventKind::Enter,
+            label: 0x1234,
+            peer: u32::MAX,
+            tag: u64::MAX,
+            bytes: 3,
+            start: 1.5,
+            end: 2.5,
+            arrival: 2.75,
+            trace: 0xfeed,
+        };
+        ring.push(77, &enter);
+        assert_eq!(ring.snapshot(), vec![(77, enter)]);
     }
 
     #[test]
@@ -257,22 +187,32 @@ mod tests {
         let r2 = Arc::clone(&ring);
         let writer = std::thread::spawn(move || {
             for i in 0..20_000u64 {
-                // All five words derive from i, so a reader can validate
+                // Every word derives from i, so a reader can validate
                 // slot consistency independently of the seqlock.
-                r2.push(RawEvent {
-                    packed: RawEvent::pack(K_SEND, 0, 1),
+                let ev = Event {
+                    kind: EventKind::Send,
+                    label: (i & 0xffff) as u32,
+                    peer: 1,
                     tag: i,
                     bytes: i.wrapping_mul(3),
-                    wall_ns: i.wrapping_mul(5),
-                    vtime_bits: i.wrapping_mul(7),
-                });
+                    start: f64::from_bits(i.wrapping_mul(11)),
+                    end: f64::from_bits(i.wrapping_mul(13)),
+                    arrival: f64::from_bits(i.wrapping_mul(17)),
+                    trace: i.wrapping_mul(7),
+                };
+                r2.push(i.wrapping_mul(5), &ev);
             }
         });
         for _ in 0..200 {
-            for ev in ring.snapshot() {
-                assert_eq!(ev.bytes, ev.tag.wrapping_mul(3), "torn slot escaped");
-                assert_eq!(ev.wall_ns, ev.tag.wrapping_mul(5), "torn slot escaped");
-                assert_eq!(ev.vtime_bits, ev.tag.wrapping_mul(7), "torn slot escaped");
+            for (wall, ev) in ring.snapshot() {
+                let i = ev.tag;
+                assert_eq!(ev.label, (i & 0xffff) as u32, "torn slot escaped");
+                assert_eq!(ev.bytes, i.wrapping_mul(3), "torn slot escaped");
+                assert_eq!(wall, i.wrapping_mul(5), "torn slot escaped");
+                assert_eq!(ev.trace, i.wrapping_mul(7), "torn slot escaped");
+                assert_eq!(ev.start.to_bits(), i.wrapping_mul(11), "torn slot escaped");
+                assert_eq!(ev.end.to_bits(), i.wrapping_mul(13), "torn slot escaped");
+                assert_eq!(ev.arrival.to_bits(), i.wrapping_mul(17), "torn slot escaped");
             }
         }
         writer.join().unwrap();

@@ -19,9 +19,11 @@
 //!   messages, so pipelined task parallelism overlaps in virtual time
 //!   exactly as it would on real hardware, and results are bit-identical
 //!   across runs and host machines.
-//! * **Event tracing** — [`ProcCtx::record`] marks instants; [`RunReport`]
-//!   computes stream throughput and latency from them, which is how every
-//!   experiment in the paper is measured.
+//! * **One event record** — [`ProcCtx::record`] marks instants and the
+//!   runtime itself records compute, sends and receives as [`Event`]s;
+//!   [`RunReport`] computes stream throughput and latency from the marks,
+//!   which is how every experiment in the paper is measured, and span
+//!   accounting, the critical path and the Chrome trace from the rest.
 //!
 //! Higher layers build the paper's model on top: `fx-core` adds processor
 //! subgroups, task regions and group collectives; `fx-darray` adds
@@ -33,6 +35,7 @@ mod counters;
 mod critical;
 mod ctx;
 pub mod env;
+mod event;
 mod flight;
 mod heartbeat;
 #[cfg(feature = "telemetry-http")]
@@ -43,7 +46,6 @@ mod parker;
 mod payload;
 mod pool;
 mod run;
-mod span;
 mod stall;
 mod telemetry;
 mod trace;
@@ -54,22 +56,18 @@ pub use clock::HostTimer;
 pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
-pub use flight::{FlightEvent, FlightKind};
+pub use event::{
+    request_trace_id, Event, EventKind, Label, Labels, Log, SpanAccounting, WindowBreakdown,
+};
 pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView};
 #[cfg(feature = "telemetry-http")]
 pub use http::TelemetryServer;
 pub use model::{MachineModel, TimeMode};
 pub use payload::{Chunk, Payload};
 pub use run::{run, DataflowMode, Executor, Machine, RunReport};
-pub use span::{
-    request_trace_id, span_ref, span_ref_parts, Span, SpanAccounting, SpanKind, SpanLog, TraceCtx,
-    WindowBreakdown,
-};
 pub use stall::{StallReport, StalledProc};
 pub use telemetry::{
     ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
     TenantStats, TenantTotals,
 };
-pub use trace::{
-    chrome_trace_full_json, chrome_trace_json, chrome_trace_request_json, Event, EventLog,
-};
+pub use trace::chrome_trace;

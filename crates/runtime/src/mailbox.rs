@@ -77,7 +77,6 @@ use parking_lot::Mutex;
 
 use crate::parker::Parkers;
 use crate::payload::MsgBody;
-use crate::span::TraceCtx;
 
 /// A message at rest in a mailbox.
 pub(crate) struct Envelope {
@@ -93,12 +92,11 @@ pub(crate) struct Envelope {
     /// Coarse-clock nanoseconds at the deposit, so diagnostics can report
     /// how long the message has been waiting unreceived.
     pub enqueued: u64,
-    /// Causal trace context piggybacked by the sender (`id == 0` =
-    /// untraced). The receiver adopts a non-zero trace on take, which is
-    /// how a logical operation's identity crosses processor boundaries —
-    /// identically for boxed and chunk payloads, and invisible to the
-    /// cost model.
-    pub trace: TraceCtx,
+    /// Causal trace id piggybacked by the sender (`0` = untraced). The
+    /// receiver adopts a non-zero trace on take, which is how a logical
+    /// operation's identity crosses processor boundaries — identically
+    /// for boxed and chunk payloads, and invisible to the cost model.
+    pub trace: u64,
     /// The message body (type-erased box or pooled byte chunk).
     pub payload: MsgBody,
 }
@@ -384,7 +382,7 @@ mod tests {
             arrival: 0.0,
             nbytes,
             enqueued: mb.parkers.clock.now_ns(),
-            trace: TraceCtx::NONE,
+            trace: 0,
             payload: MsgBody::Boxed(payload),
         });
     }

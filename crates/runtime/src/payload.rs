@@ -17,9 +17,9 @@
 //!
 //! Both forms charge the same wire size, so virtual time is identical
 //! whichever path a program uses. Either way the payload rides inside a
-//! mailbox `Envelope` alongside its metadata — including the 16-byte
-//! causal [`TraceCtx`](crate::TraceCtx) piggyback, which is host-side
-//! bookkeeping and never part of the charged wire size.
+//! mailbox `Envelope` alongside its metadata — including the 8-byte
+//! causal trace id piggyback ([`crate::Event::trace`]), which is
+//! host-side bookkeeping and never part of the charged wire size.
 
 use std::any::{Any, TypeId};
 

@@ -10,15 +10,14 @@ use crate::coro;
 use crate::counters::{ProcTotals, PromoteStats};
 use crate::ctx::{ExecCtx, ProcCtx, World};
 use crate::env;
+use crate::event::Log;
 use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
 use crate::parker::Parkers;
 use crate::pool::{self, Pool};
-use crate::span::SpanLog;
 use crate::stall;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::trace::EventLog;
 
 /// How simulated processors are mapped onto OS threads.
 ///
@@ -106,9 +105,9 @@ pub struct Machine {
     /// once per watchdog period (an eighth of this, within 5–250 ms):
     /// never earlier than configured, up to two periods later.
     pub recv_timeout: Duration,
-    /// Record duration spans (see [`crate::SpanLog`]). Host-side only:
-    /// enabling it never changes virtual times. Only effective under
-    /// simulated time.
+    /// Retain duration events in the processors' logs (see
+    /// [`crate::Log`]). Host-side only: enabling it never changes virtual
+    /// times. Only effective under simulated time.
     pub profile: bool,
     /// Live telemetry registry (see [`crate::Telemetry`]). Host-side
     /// only: enabling it never changes virtual times.
@@ -134,8 +133,8 @@ pub struct Machine {
     /// 1 ms pulse re-examines the idle set about once per potential
     /// promotion without spamming the board).
     pub heartbeat_period: f64,
-    /// Piggyback causal trace contexts on every message and adopt them on
-    /// receive (see [`crate::TraceCtx`]; default off, `FX_TRACE`
+    /// Piggyback the causal trace id on every message and adopt it on
+    /// receive (see [`crate::Event::trace`]; default off, `FX_TRACE`
     /// overrides the default, an explicit [`Machine::with_tracing`]
     /// overrides everything). Host-side observability only: virtual
     /// times are bit-identical with tracing on or off.
@@ -235,8 +234,8 @@ impl Machine {
         self
     }
 
-    /// Enable or disable span profiling (off by default). Spans are
-    /// recorded only under simulated time; profiling is host-side
+    /// Enable or disable span profiling (off by default). Duration events
+    /// are retained only under simulated time; profiling is host-side
     /// observability and never perturbs the virtual clock.
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profile = on;
@@ -244,9 +243,9 @@ impl Machine {
     }
 
     /// Enable or disable causal trace propagation (off by default),
-    /// overriding the `FX_TRACE` environment. Trace contexts ride on
-    /// every message and are adopted on receive; combine with
-    /// [`Machine::with_profiling`] to tag spans with trace ids. Never
+    /// overriding the `FX_TRACE` environment. The trace id rides on
+    /// every message and is adopted on receive; combine with
+    /// [`Machine::with_profiling`] to retain the events it tags. Never
     /// perturbs the virtual clock.
     pub fn with_tracing(mut self, on: bool) -> Self {
         self.tracing = on;
@@ -272,8 +271,11 @@ pub struct RunReport<R> {
     pub results: Vec<R>,
     /// Per-processor finish times (virtual seconds when simulating).
     pub times: Vec<f64>,
-    /// Per-processor event logs.
-    pub events: Vec<EventLog>,
+    /// Per-processor event logs: the marks, and — when the machine was
+    /// built with `with_profiling(true)` under simulated time — the
+    /// duration events. Feed these to [`crate::critical_path`] or
+    /// [`crate::chrome_trace`].
+    pub logs: Vec<Log>,
     /// Per-processor (messages, bytes) sent: `sends` and `send_bytes` of
     /// `counters`, copied out at assembly.
     pub traffic: Vec<(u64, u64)>,
@@ -290,10 +292,6 @@ pub struct RunReport<R> {
     /// processor's mailbox that was ever deposited into or waited on,
     /// ascending by sender; a sender that never appears sent nothing.
     pub lane_bytes: Vec<Vec<(usize, u64)>>,
-    /// Per-processor duration spans (empty unless the machine was built
-    /// with `with_profiling(true)` under simulated time). Feed these to
-    /// [`crate::critical_path`] or [`crate::chrome_trace_full_json`].
-    pub spans: Vec<SpanLog>,
     /// Final telemetry snapshot (`None` unless the machine was built with
     /// [`Machine::with_telemetry`]).
     pub telemetry: Option<TelemetrySnapshot>,
@@ -343,11 +341,11 @@ impl<R> RunReport<R> {
         self.total().promote()
     }
 
-    /// All events with the given label across processors, as
+    /// All marks with the given label across processors, as
     /// `(processor, time)` pairs sorted by time.
     pub fn events_named(&self, label: &str) -> Vec<(usize, f64)> {
         let mut v: Vec<(usize, f64)> = self
-            .events
+            .logs
             .iter()
             .enumerate()
             .flat_map(|(p, log)| log.times_of(label).into_iter().map(move |t| (p, t)))
@@ -374,14 +372,10 @@ impl<R> RunReport<R> {
 
     /// Serialize the run as Chrome-trace JSON (open in `about:tracing` or
     /// Perfetto to see the pipeline overlap). When the run was profiled,
-    /// duration spans are included as complete (`"X"`) events alongside
+    /// duration events are included as complete (`"X"`) events alongside
     /// the instant marks; otherwise only the instant marks are emitted.
     pub fn chrome_trace(&self) -> String {
-        if self.spans.iter().any(|s| !s.is_empty()) {
-            crate::trace::chrome_trace_full_json(&self.events, &self.spans)
-        } else {
-            crate::trace::chrome_trace_json(&self.events)
-        }
+        crate::trace::chrome_trace(&self.logs, None)
     }
 
     /// Critical-path analysis of a profiled run: walks send→recv edges and
@@ -389,7 +383,7 @@ impl<R> RunReport<R> {
     /// processor and attributes the makespan to compute, communication and
     /// idle per stage. Requires a run under `with_profiling(true)`.
     pub fn critical_path(&self) -> crate::critical::CriticalPathReport {
-        crate::critical::critical_path(&self.spans, &self.times)
+        crate::critical::critical_path(&self.logs, &self.times)
     }
 
     /// Mean time between events labelled `start` and the matching events
@@ -468,6 +462,7 @@ where
             .collect(),
         parkers: Arc::clone(&parkers),
         counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
+        labels: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         poisoned: std::sync::atomic::AtomicBool::new(false),
         profile: machine.profile,
         tracing: machine.tracing,
@@ -526,24 +521,21 @@ where
     let undelivered = world.mailboxes.iter().map(Mailbox::undelivered).sum();
     let mut results = Vec::with_capacity(machine.nprocs);
     let mut times = Vec::with_capacity(machine.nprocs);
-    let mut events = Vec::with_capacity(machine.nprocs);
-    let mut spans = Vec::with_capacity(machine.nprocs);
+    let mut logs = Vec::with_capacity(machine.nprocs);
     for out in outcomes {
         let out = out.expect("missing processor outcome despite no panic");
         results.push(out.value);
         times.push(out.time);
-        events.push(out.events);
-        spans.push(out.spans);
+        logs.push(out.log);
     }
     let counters: Vec<ProcTotals> = world.counters.iter().map(|c| c.row()).collect();
     RunReport {
         results,
         times,
-        events,
+        logs,
         traffic: counters.iter().map(|c| (c.sends, c.send_bytes)).collect(),
         counters,
         lane_bytes: world.mailboxes.iter().map(Mailbox::lane_bytes).collect(),
-        spans,
         telemetry: telemetry.as_ref().map(|t| t.snapshot()),
         undelivered,
     }
@@ -552,9 +544,9 @@ where
 /// The `Validate` assertions: elision must not change what the program
 /// did, only when (in virtual time) it did it.
 ///
-/// * Event label sequences are identical per processor — the program took
+/// * Mark label sequences are identical per processor — the program took
 ///   the same path.
-/// * Under simulated time, every event time and finish time of the `On`
+/// * Under simulated time, every mark time and finish time of the `On`
 ///   run is `<=` its `Off` counterpart: removing barriers can only lower
 ///   clocks (clock updates are IEEE `+`/`max` of the same operands, both
 ///   monotone), never raise or reorder them.
@@ -566,7 +558,12 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
     let exact = elided == 0;
     assert_eq!(off.results.len(), on.results.len(), "FX_DATAFLOW=validate: nprocs changed");
     for p in 0..on.results.len() {
-        let (eo, en) = (off.events[p].events(), on.events[p].events());
+        // By text: the two passes intern their labels in different orders
+        // (only the `On` pass is observed, so only it interns scopes).
+        let marks = |log: &Log| -> Vec<(String, f64)> {
+            log.marks().map(|e| (log.labels().get(e.label).path().to_string(), e.start)).collect()
+        };
+        let (eo, en) = (marks(&off.logs[p]), marks(&on.logs[p]));
         assert_eq!(
             eo.len(),
             en.len(),
@@ -574,25 +571,20 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
             eo.len(),
             en.len()
         );
-        for (a, b) in eo.iter().zip(en) {
-            assert_eq!(
-                a.label, b.label,
-                "FX_DATAFLOW=validate: processor {p} event label diverged"
-            );
+        for ((label, ta), (label_on, tb)) in eo.iter().zip(&en) {
+            assert_eq!(label, label_on, "FX_DATAFLOW=validate: processor {p} event label diverged");
             if simulated {
                 if exact {
                     assert!(
-                        a.time.to_bits() == b.time.to_bits(),
+                        ta.to_bits() == tb.to_bits(),
                         "FX_DATAFLOW=validate: nothing elided, yet processor {p} \
-                         event '{}' moved: {} (off) vs {} (on)",
-                        a.label, a.time, b.time
+                         event '{label}' moved: {ta} (off) vs {tb} (on)"
                     );
                 } else {
                     assert!(
-                        b.time <= a.time,
+                        tb <= ta,
                         "FX_DATAFLOW=validate: elision DELAYED processor {p} \
-                         event '{}': {} (off) vs {} (on)",
-                        a.label, a.time, b.time
+                         event '{label}': {ta} (off) vs {tb} (on)"
                     );
                 }
             }
@@ -674,10 +666,11 @@ where
         Err(payload) => {
             world.poison_all();
             if let Some(t) = world.telemetry.as_ref().filter(|_| !is_secondary(&*payload)) {
-                eprintln!(
-                    "[fx-telemetry] processor {rank} panicked; flight recorder:\n{}",
-                    flight_text(t, rank)
-                );
+                let mut tail = t.flight_lines(rank).concat();
+                if tail.is_empty() {
+                    tail.push_str("  (no events recorded)\n");
+                }
+                eprintln!("[fx-telemetry] processor {rank} panicked; flight recorder:\n{tail}");
             }
             Err(payload)
         }
@@ -690,20 +683,6 @@ fn is_secondary(payload: &(dyn Any + Send)) -> bool {
     payload.downcast_ref::<String>().is_some_and(|s| s.contains("another processor panicked"))
 }
 
-/// One processor's flight-recorder readout with its blocked-receive state,
-/// for the on-panic stderr dump.
-fn flight_text(t: &Telemetry, rank: usize) -> String {
-    let events = t.flight_events(rank);
-    if events.is_empty() {
-        return "  (no events recorded)\n".to_string();
-    }
-    let mut out = String::new();
-    for ev in &events {
-        out.push_str(&format!("  {ev}\n"));
-    }
-    out
-}
-
 /// Per-rank results of an execution: the processor's outcome, or the
 /// panic payload it died with. `None` only on abnormal teardown paths
 /// that are about to re-raise a panic anyway.
@@ -714,8 +693,7 @@ pub(crate) type RawOutcomes<R> = Vec<Option<Result<ProcOutcome<R>, Box<dyn Any +
 pub(crate) struct ProcOutcome<R> {
     pub(crate) value: R,
     pub(crate) time: f64,
-    pub(crate) events: EventLog,
-    pub(crate) spans: SpanLog,
+    pub(crate) log: Log,
 }
 
 #[cfg(test)]

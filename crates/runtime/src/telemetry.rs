@@ -7,15 +7,16 @@
 //! hands it the per-processor counter blocks the run's world owns anyway
 //! (see [`crate::counters`] — one block, two readers: the report and the
 //! registry), and it reads them with relaxed loads, live or after the
-//! run, even one that ended in a panic. What it adds per processor is the
-//! [`ProcShard`] of things only an observer wants: log-bucketed
-//! histograms, the flight-recorder ring, the blocked-receive edge, the
-//! in-flight gauge and region-path counts. Shards are single-writer like
-//! the blocks, so the hot send/receive paths touch only their own cache
-//! lines and never take a lock. Cross-processor state is limited to a
-//! label-interning table (hit once per new region path per processor,
-//! then cached locally); even the chunk-bytes-in-flight gauge is sharded
-//! per processor and only summed at read time.
+//! run, even one that ended in a panic. The processors' label tables
+//! ([`crate::Labels`]) are handed over the same way, so a flight dump
+//! resolves its labels post mortem. What the registry adds per processor
+//! is the [`ProcShard`] of things only an observer wants: log-bucketed
+//! histograms, the flight-recorder ring, the blocked-receive edge and the
+//! in-flight gauge. Shards are single-writer like the blocks, so the hot
+//! send/receive paths touch only their own cache lines and never take a
+//! lock. There is no cross-processor state: even the
+//! chunk-bytes-in-flight gauge is sharded per processor and only summed
+//! at read time.
 //!
 //! Reading is always safe concurrently with a run: exporters and the
 //! stall sampler read the same atomics with relaxed loads, and queue
@@ -28,7 +29,7 @@
 //! `*_ns` counters, two histogram records and one flight-ring slot write
 //! per event).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -37,7 +38,8 @@ use parking_lot::Mutex;
 
 use crate::counters::{bump, Counters, ProcTotals};
 use crate::ctx::World;
-use crate::flight::{FlightEvent, FlightKind, FlightRing, RawEvent, K_BARRIER, K_ENTER, K_EXIT, K_RECV, K_SEND};
+use crate::event::{Event, EventKind, Labels, Log};
+use crate::flight::FlightRing;
 use crate::stall::StallReport;
 
 /// Marker for "not blocked in a receive" in [`ProcShard::wait_src`].
@@ -232,9 +234,6 @@ pub(crate) struct ProcShard {
     pub msg_bytes_hist: Histogram,
     /// Blocking receive wait durations in nanoseconds.
     pub recv_wait_hist: Histogram,
-    /// Region-enter counts keyed by interned path id. Locked only on
-    /// scope transitions (rare next to messages) and by exporters.
-    pub scope_counts: Mutex<HashMap<u32, u64>>,
     /// The flight recorder ring for this processor.
     pub flight: FlightRing,
 }
@@ -247,65 +246,35 @@ impl ProcShard {
             wait_tag: AtomicU64::new(0),
             msg_bytes_hist: Histogram::default(),
             recv_wait_hist: Histogram::default(),
-            scope_counts: Mutex::new(HashMap::new()),
             flight: FlightRing::new(flight_capacity),
         }
     }
 
-    /// One flight-ring slot (`packed` = [`RawEvent::pack`] of kind, label, peer).
-    fn record(&self, packed: u64, tag: u64, bytes: u64, wall_ns: u64, vbits: u64) {
-        self.flight.push(RawEvent { packed, tag, bytes, wall_ns, vtime_bits: vbits });
-    }
-
-    /// The observer's half of one send (either payload path).
-    #[inline]
-    pub fn on_send(&self, bytes: u64, chunk: bool, wall_ns: u64, vbits: u64, dst: usize, tag: u64) {
-        if chunk {
-            // The in-flight gauge is sharded too: the sender credits its
-            // own shard, the receiver debits its own; the sum over shards
-            // is the machine-wide gauge. Keeps the hot path off any
-            // shared cache line.
-            let f = self.chunk_flight.load(Ordering::Relaxed);
-            self.chunk_flight.store(f + bytes as i64, Ordering::Relaxed);
-        }
-        self.msg_bytes_hist.record(bytes);
-        self.record(RawEvent::pack(K_SEND, 0, dst as u32), tag, bytes, wall_ns, vbits);
-    }
-
-    /// The observer's half of one completed receive.
-    #[inline]
-    pub fn on_recv(&self, bytes: u64, waited_ns: u64, wall_ns: u64, vbits: u64, src: usize, tag: u64) {
-        self.recv_wait_hist.record(waited_ns);
-        self.wait_src.store(NO_WAIT, Ordering::Relaxed);
-        self.record(RawEvent::pack(K_RECV, 0, src as u32), tag, bytes, wall_ns, vbits);
-    }
-
     /// Mark this processor as parked in a blocking receive on `(src, tag)`
-    /// so the stall sampler can name who it is waiting on.
+    /// so the stall sampler can name who it is waiting on. Left set on a
+    /// watchdog panic, which is exactly what the post-mortem flight dump
+    /// wants to show.
     #[inline]
     pub fn begin_wait(&self, src: usize, tag: u64) {
         self.wait_tag.store(tag, Ordering::Relaxed);
         self.wait_src.store(src, Ordering::Relaxed);
     }
 
-    /// Debit the in-flight gauge on this (receiving) processor's shard.
+    /// The blocking receive completed after `waited_ns` on the host.
     #[inline]
-    pub fn on_recv_chunk_bytes(&self, bytes: u64) {
+    pub fn end_wait(&self, waited_ns: u64) {
+        self.recv_wait_hist.record(waited_ns);
+        self.wait_src.store(NO_WAIT, Ordering::Relaxed);
+    }
+
+    /// Move this processor's share of the in-flight gauge: the sender of
+    /// a chunk credits its own shard, the receiver debits its own; the
+    /// sum over shards is the machine-wide gauge. Keeps the hot path off
+    /// any shared cache line.
+    #[inline]
+    pub fn chunk_flight_add(&self, bytes: i64) {
         let f = self.chunk_flight.load(Ordering::Relaxed);
-        self.chunk_flight.store(f - bytes as i64, Ordering::Relaxed);
-    }
-
-    pub fn on_barrier(&self, wall_ns: u64, vbits: u64) {
-        self.record(RawEvent::pack(K_BARRIER, 0, 0), 0, 0, wall_ns, vbits);
-    }
-
-    pub fn on_region_enter(&self, label: u32, wall_ns: u64, vbits: u64) {
-        *self.scope_counts.lock().entry(label).or_insert(0) += 1;
-        self.record(RawEvent::pack(K_ENTER, label, 0), 0, 0, wall_ns, vbits);
-    }
-
-    pub fn on_region_exit(&self, label: u32, wall_ns: u64, vbits: u64) {
-        self.record(RawEvent::pack(K_EXIT, label, 0), 0, 0, wall_ns, vbits);
+        self.chunk_flight.store(f + bytes, Ordering::Relaxed);
     }
 }
 
@@ -340,7 +309,7 @@ impl Default for TelemetryConfig {
 
 /// One retained slowest-request trace: the id, the end-to-end latency
 /// that earned it a ring slot, and the rendered per-request Chrome-trace
-/// JSON (see [`crate::chrome_trace_request_json`]).
+/// JSON (see [`crate::chrome_trace`]).
 #[derive(Debug, Clone)]
 pub struct ExemplarTrace {
     /// Causal trace id of the request.
@@ -356,11 +325,10 @@ struct Inner {
     /// The current (or last) run's counter blocks: the allocations the
     /// run's world owns, kept alive here past the run.
     counters: Vec<Arc<Counters>>,
+    /// The current (or last) run's per-processor label tables, adopted
+    /// like the counter blocks.
+    labels: Vec<Arc<Labels>>,
     shards: Vec<Arc<ProcShard>>,
-    /// Interned region-path labels, id = index. Append-only across runs so
-    /// cached ids stay valid.
-    names: Vec<Arc<str>>,
-    ids: HashMap<Arc<str>, u32>,
     /// Wall-clock start of the current (or last) run.
     start: Option<Instant>,
     /// The live world, for on-demand queue-depth gauges. Dangling after
@@ -507,7 +475,6 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("config", &self.config)
             .field("nprocs", &inner.shards.len())
-            .field("labels", &inner.names.len())
             .field("stall_reports", &self.stall_reports.lock().len())
             .finish()
     }
@@ -525,9 +492,8 @@ impl Telemetry {
             config,
             inner: Mutex::new(Inner {
                 counters: Vec::new(),
+                labels: Vec::new(),
                 shards: Vec::new(),
-                names: Vec::new(),
-                ids: HashMap::new(),
                 start: None,
                 world: Weak::new(),
                 tenants: Vec::new(),
@@ -542,12 +508,13 @@ impl Telemetry {
         &self.config
     }
 
-    /// Attach to a new run: adopt the world's counter blocks and start
-    /// fresh shards. Called by [`crate::run`]; a handle reused across runs
+    /// Attach to a new run: adopt the world's counter blocks and label
+    /// tables and start fresh shards. Called by [`crate::run`]; a handle reused across runs
     /// reports only the latest run.
     pub(crate) fn begin_run(&self, start: Instant, world: &Arc<World>) {
         let mut inner = self.inner.lock();
         inner.counters = world.counters.clone();
+        inner.labels = world.labels.clone();
         inner.shards = (0..world.nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
         inner.start = Some(start);
         inner.world = Arc::downgrade(world);
@@ -569,29 +536,6 @@ impl Telemetry {
 
     pub(crate) fn world(&self) -> Option<Arc<World>> {
         self.inner.lock().world.upgrade()
-    }
-
-    /// Intern a region path, returning a stable small id.
-    pub(crate) fn intern(&self, path: &str) -> u32 {
-        let mut inner = self.inner.lock();
-        if let Some(&id) = inner.ids.get(path) {
-            return id;
-        }
-        let id = inner.names.len() as u32;
-        let arc: Arc<str> = Arc::from(path);
-        inner.names.push(Arc::clone(&arc));
-        inner.ids.insert(arc, id);
-        id
-    }
-
-    /// Resolve an interned label id back to its path.
-    pub(crate) fn resolve(&self, id: u32) -> Arc<str> {
-        let inner = self.inner.lock();
-        inner
-            .names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| Arc::from(format!("label#{id}").as_str()))
     }
 
     /// Register (or replace) the tenant set for a serving session and
@@ -699,53 +643,58 @@ impl Telemetry {
 
     // ----- flight recorder ------------------------------------------------
 
-    /// The retained flight-recorder events of one processor, oldest first,
-    /// with region labels resolved.
-    pub fn flight_events(&self, proc: usize) -> Vec<FlightEvent> {
-        let shard = {
-            let inner = self.inner.lock();
-            match inner.shards.get(proc) {
-                Some(s) => Arc::clone(s),
-                None => return Vec::new(),
+    /// The tail of one processor's events: what its flight ring retains,
+    /// oldest first — the newest sends, receives, barriers and scope
+    /// transitions, the same records (and the same label table) as the
+    /// processor's own log. Readable while the processor runs and after it
+    /// panicked.
+    pub fn flight_events(&self, proc: usize) -> Log {
+        let inner = self.inner.lock();
+        match (inner.shards.get(proc), inner.labels.get(proc)) {
+            (Some(shard), Some(labels)) => {
+                Log::new(shard.flight.snapshot().into_iter().map(|(_, ev)| ev).collect(), Arc::clone(labels))
             }
+            _ => Log::default(),
+        }
+    }
+
+    /// One processor's ring as text, oldest first: a line per event with
+    /// its wall stamp.
+    pub(crate) fn flight_lines(&self, proc: usize) -> Vec<String> {
+        let (shard, labels) = {
+            let inner = self.inner.lock();
+            (Arc::clone(&inner.shards[proc]), Arc::clone(&inner.labels[proc]))
         };
-        shard
-            .flight
-            .snapshot()
-            .into_iter()
-            .map(|raw| {
-                let kind = match raw.kind() {
-                    K_SEND => FlightKind::Send { peer: raw.peer(), tag: raw.tag, bytes: raw.bytes },
-                    K_RECV => FlightKind::Recv { peer: raw.peer(), tag: raw.tag, bytes: raw.bytes },
-                    K_BARRIER => FlightKind::Barrier,
-                    K_ENTER => FlightKind::RegionEnter(self.resolve(raw.label()).to_string()),
-                    _ => FlightKind::RegionExit(self.resolve(raw.label()).to_string()),
-                };
-                FlightEvent { wall_ns: raw.wall_ns, vtime: f64::from_bits(raw.vtime_bits), kind }
-            })
-            .collect()
+        let line = |(wall_ns, ev): (u64, Event)| {
+            let (peer, tag, bytes) = (ev.peer, ev.tag, ev.bytes);
+            let what = match ev.kind {
+                EventKind::Send => format!("send  -> {peer} tag={tag:#x} {bytes} B"),
+                EventKind::Recv => format!("recv  <- {peer} tag={tag:#x} {bytes} B"),
+                EventKind::Enter => format!("enter {}", labels.get(ev.label).path()),
+                EventKind::Exit => format!("exit  {}", labels.get(ev.label).path()),
+                _ => "barrier".to_string(),
+            };
+            format!("  [{:10.3} ms] {what}\n", wall_ns as f64 / 1e6)
+        };
+        shard.flight.snapshot().into_iter().map(line).collect()
     }
 
     /// Human-readable flight dump of every processor's ring (the black-box
     /// readout printed on panic and attached to CI artifacts).
     pub fn flight_dump(&self) -> String {
-        let nprocs = self.inner.lock().shards.len();
         let mut out = String::new();
-        for p in 0..nprocs {
-            let events = self.flight_events(p);
-            let shard = self.shard(p);
+        for (p, shard) in self.shards().iter().enumerate() {
+            let lines = self.flight_lines(p);
             out.push_str(&format!(
                 "=== processor {p}: {} retained of {} recorded ===\n",
-                events.len(),
+                lines.len(),
                 shard.flight.pushed()
             ));
             let (src, tag) = (shard.wait_src.load(Ordering::Relaxed), shard.wait_tag.load(Ordering::Relaxed));
             if src != NO_WAIT {
                 out.push_str(&format!("    (blocked in recv(src={src}, tag={tag:#x}))\n"));
             }
-            for ev in &events {
-                out.push_str(&format!("  {ev}\n"));
-            }
+            out.extend(lines);
         }
         out
     }
@@ -755,27 +704,18 @@ impl Telemetry {
     /// A consistent-enough point-in-time copy of every counter (relaxed
     /// reads; exact once the run has finished).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (counters, shards, names, tenants) = {
+        let (counters, labels, shards, tenants) = {
             let inner = self.inner.lock();
-            (inner.counters.clone(), inner.shards.clone(), inner.names.clone(), inner.tenants.clone())
+            (inner.counters.clone(), inner.labels.clone(), inner.shards.clone(), inner.tenants.clone())
         };
         let per_proc: Vec<ProcTotals> = counters.iter().map(|c| c.row()).collect();
-        let mut regions: Vec<(String, u64)> = Vec::new();
-        let mut region_map: HashMap<u32, u64> = HashMap::new();
-        for s in &shards {
-            for (&id, &n) in s.scope_counts.lock().iter() {
-                *region_map.entry(id).or_insert(0) += n;
-            }
-        }
-        let mut ids: Vec<u32> = region_map.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let name = names.get(id as usize).map(|a| a.to_string()).unwrap_or_else(|| format!("label#{id}"));
-            regions.push((name, region_map[&id]));
+        let mut regions: BTreeMap<String, u64> = BTreeMap::new();
+        for (label, n) in labels.iter().flat_map(|l| l.enters()) {
+            *regions.entry(label.path().to_string()).or_insert(0) += n;
         }
         TelemetrySnapshot {
             per_proc,
-            regions,
+            regions: regions.into_iter().collect(),
             chunk_bytes_in_flight: shards.iter().map(|s| s.chunk_flight.load(Ordering::Relaxed)).sum(),
             stall_report_count: self.stall_reports.lock().len(),
             tenants: tenants.iter().map(|t| t.totals()).collect(),
@@ -992,7 +932,7 @@ pub struct TelemetrySnapshot {
     /// One counter row per processor, indexed by physical rank.
     pub per_proc: Vec<ProcTotals>,
     /// Region-enter counts by subgroup path, aggregated across
-    /// processors, sorted by first occurrence.
+    /// processors, sorted by path.
     pub regions: Vec<(String, u64)>,
     /// Chunk payload bytes deposited but not yet received at snapshot
     /// time (0 after a clean run).
@@ -1193,17 +1133,6 @@ mod tests {
         // A new serving session clears the ring.
         t.begin_tenants(&["gold"]);
         assert!(t.exemplar_traces().is_empty());
-    }
-
-    #[test]
-    fn intern_is_stable_and_resolves() {
-        let t = Telemetry::new();
-        let a = t.intern("G1/fft");
-        let b = t.intern("G2/hist");
-        assert_ne!(a, b);
-        assert_eq!(t.intern("G1/fft"), a);
-        assert_eq!(&*t.resolve(a), "G1/fft");
-        assert_eq!(&*t.resolve(b), "G2/hist");
     }
 
     #[test]

@@ -1,56 +1,7 @@
-//! Event tracing: instant marks and their Chrome-trace export. (Counters
-//! live in [`crate::counters`], duration spans in [`crate::span`].)
-//!
-//! Applications mark interesting instants (`dataset done`, `hour output`,
-//! …) on their processor's virtual clock; the run report aggregates them so
-//! harnesses can compute throughput (events per second) and latency
-//! (spacing between paired events) exactly the way the paper measures its
-//! stream-processing programs.
+//! The Chrome-trace export of a run's event logs (see [`crate::event`]).
 
 use crate::critical::match_recvs_to_sends;
-use crate::span::{SpanKind, SpanLog};
-
-/// One timestamped mark on a processor's clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Virtual (or wall-clock) time in seconds.
-    pub time: f64,
-    /// Free-form label; harnesses match on it.
-    pub label: String,
-}
-
-/// Per-processor event log.
-#[derive(Debug, Default, Clone)]
-pub struct EventLog {
-    events: Vec<Event>,
-}
-
-impl EventLog {
-    /// Append an event.
-    pub fn record(&mut self, time: f64, label: impl Into<String>) {
-        self.events.push(Event { time, label: label.into() });
-    }
-
-    /// All events in program order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Times of events whose label equals `label`.
-    pub fn times_of(&self, label: &str) -> Vec<f64> {
-        self.events.iter().filter(|e| e.label == label).map(|e| e.time).collect()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-}
+use crate::event::{EventKind, Log};
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -104,16 +55,17 @@ fn push_lane_metadata(out: &mut String, first: &mut bool, nprocs: usize) {
     }
 }
 
-fn push_instant_events(out: &mut String, first: &mut bool, logs: &[EventLog]) {
+/// One instant (`"i"`) record per mark.
+fn push_instant_events(out: &mut String, first: &mut bool, logs: &[Log], only_trace: Option<u64>) {
     for (proc_id, log) in logs.iter().enumerate() {
-        for ev in log.events() {
+        for ev in log.marks().filter(|e| only_trace.is_none_or(|t| e.trace == t)) {
             push_record(
                 out,
                 first,
                 &format!(
                     "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-                    escape(&ev.label),
-                    trace_us(ev.time),
+                    escape(log.labels().get(ev.label).path()),
+                    trace_us(ev.start),
                     proc_id
                 ),
             );
@@ -121,24 +73,21 @@ fn push_instant_events(out: &mut String, first: &mut bool, logs: &[EventLog]) {
     }
 }
 
-/// Flow (`"s"`/`"f"`) event pairs for every matched send/recv span pair,
-/// so Perfetto draws an arrow from each send slice to the receive it
+/// Flow (`"s"`/`"f"`) event pairs for every matched send/recv pair, so
+/// Perfetto draws an arrow from each send slice to the receive it
 /// unblocked. The start binds at the send's end, the finish binds to the
 /// *enclosing* receive slice (`"bp":"e"`) at the receive's end. When
-/// `only_trace` is set, only pairs whose spans both carry that trace id
+/// `only_trace` is set, only pairs whose events both carry that trace id
 /// are emitted (per-request exports). Pairs are sorted by receiver so
 /// flow ids are deterministic.
-fn push_flow_events(out: &mut String, first: &mut bool, spans: &[SpanLog], only_trace: Option<u64>) {
-    let mut pairs: Vec<((usize, usize), (usize, usize))> =
-        match_recvs_to_sends(spans).into_iter().collect();
+fn push_flow_events(out: &mut String, first: &mut bool, logs: &[Log], only_trace: Option<u64>) {
+    let mut pairs: Vec<((usize, usize), (usize, usize))> = match_recvs_to_sends(logs).into_iter().collect();
     pairs.sort_unstable();
     for (flow_id, ((rp, ri), (sp, si))) in pairs.iter().enumerate() {
-        let recv = &spans[*rp].spans()[*ri];
-        let send = &spans[*sp].spans()[*si];
-        if let Some(t) = only_trace {
-            if send.trace != t || recv.trace != t {
-                continue;
-            }
+        let recv = &logs[*rp].events()[*ri];
+        let send = &logs[*sp].events()[*si];
+        if only_trace.is_some_and(|t| send.trace != t || recv.trace != t) {
+            continue;
         }
         push_record(
             out,
@@ -163,25 +112,22 @@ fn push_flow_events(out: &mut String, first: &mut bool, spans: &[SpanLog], only_
     }
 }
 
-fn push_span_events(out: &mut String, first: &mut bool, spans: &[SpanLog], only_trace: Option<u64>) {
-    for (proc_id, log) in spans.iter().enumerate() {
-        for s in log.spans() {
-            if let Some(t) = only_trace {
-                if s.trace != t {
-                    continue;
-                }
-            }
+/// One complete duration (`"X"`) record per compute, send and recv event,
+/// named by its task-region scope path.
+fn push_span_events(out: &mut String, first: &mut bool, logs: &[Log], only_trace: Option<u64>) {
+    for (proc_id, log) in logs.iter().enumerate() {
+        for s in log.spans().filter(|e| only_trace.is_none_or(|t| e.trace == t)) {
             let (cat, fallback) = match s.kind {
-                SpanKind::Compute => ("compute", "compute"),
-                SpanKind::Send => ("comm", "send"),
-                SpanKind::Recv => ("comm", "recv"),
+                EventKind::Compute => ("compute", "compute"),
+                EventKind::Send => ("comm", "send"),
+                _ => ("comm", "recv"),
             };
-            let name = match &s.path {
-                Some(p) => escape(p),
-                None => fallback.to_string(),
+            let name = match s.label {
+                0 => fallback.to_string(),
+                id => escape(log.labels().get(id).path()),
             };
             let mut args = String::new();
-            if s.kind != SpanKind::Compute {
+            if s.kind != EventKind::Compute {
                 args = format!(",\"args\":{{\"peer\":{},\"tag\":{}}}", s.peer, s.tag);
             }
             push_record(
@@ -201,53 +147,32 @@ fn push_span_events(out: &mut String, first: &mut bool, spans: &[SpanLog], only_
     }
 }
 
-/// Serialize per-processor event logs as a Chrome-trace ("about:tracing"
-/// / Perfetto) JSON document: `"M"` metadata records naming the processor
-/// lanes, then one instant event per recorded mark, one row per
-/// processor. Times are virtual microseconds; non-finite times are
-/// clamped to 0 so the output is always valid JSON.
+/// Serialize per-processor logs as a Chrome-trace ("about:tracing" /
+/// Perfetto) JSON document: `"M"` metadata records naming one lane per
+/// processor; complete duration (`"X"`) events for every compute, send
+/// and recv event — named by their task-region scope path, categorized
+/// compute/comm (none unless the run was profiled); flow (`"s"`/`"f"`)
+/// arrows from every matched send to the receive it unblocked; and one
+/// instant event per mark. Open it in Perfetto to see named processor
+/// lanes with nested region scopes, the pipeline overlap, and message
+/// causality.
 ///
-/// Written by hand rather than with serde so labels are escaped without
-/// pulling a JSON dependency into the runtime.
-pub fn chrome_trace_json(logs: &[EventLog]) -> String {
+/// With `only_trace` set, only the events stamped with that causal trace
+/// id are emitted, across all lanes — the per-request view: feed it the
+/// logs of a traced serve run and a request's trace id and it shows
+/// exactly where that request's latency went, hop by hop.
+///
+/// Times are virtual microseconds; non-finite times are clamped to 0 so
+/// the output is always valid JSON. Written by hand rather than with
+/// serde so labels are escaped without pulling a JSON dependency into the
+/// runtime.
+pub fn chrome_trace(logs: &[Log], only_trace: Option<u64>) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     push_lane_metadata(&mut out, &mut first, logs.len());
-    push_instant_events(&mut out, &mut first, logs);
-    out.push_str("]}");
-    out
-}
-
-/// Serialize a profiled run as Chrome-trace JSON: lane metadata, complete
-/// duration (`"X"`) events for every [`SpanLog`] span — named by their
-/// task-region scope path, categorized compute/send/recv — plus flow
-/// (`"s"`/`"f"`) arrows from every matched send to the receive it
-/// unblocked, plus the instant marks from the event logs. Open in
-/// Perfetto to see named processor lanes with nested region scopes, the
-/// pipeline overlap, and message causality.
-pub fn chrome_trace_full_json(logs: &[EventLog], spans: &[SpanLog]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    push_lane_metadata(&mut out, &mut first, logs.len().max(spans.len()));
-    push_span_events(&mut out, &mut first, spans, None);
-    push_flow_events(&mut out, &mut first, spans, None);
-    push_instant_events(&mut out, &mut first, logs);
-    out.push_str("]}");
-    out
-}
-
-/// Serialize the spans of *one* causal trace as Chrome-trace JSON: lane
-/// metadata, duration events for every span stamped with `trace_id`
-/// (across all processor lanes), and flow arrows for the matched
-/// send/recv pairs inside the trace. This is the per-request view: feed
-/// it the spans of a traced serve run and a request's trace id and it
-/// shows exactly where that request's latency went, hop by hop.
-pub fn chrome_trace_request_json(spans: &[SpanLog], trace_id: u64) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    push_lane_metadata(&mut out, &mut first, spans.len());
-    push_span_events(&mut out, &mut first, spans, Some(trace_id));
-    push_flow_events(&mut out, &mut first, spans, Some(trace_id));
+    push_span_events(&mut out, &mut first, logs, only_trace);
+    push_flow_events(&mut out, &mut first, logs, only_trace);
+    push_instant_events(&mut out, &mut first, logs, only_trace);
     out.push_str("]}");
     out
 }
@@ -255,15 +180,24 @@ pub fn chrome_trace_request_json(spans: &[SpanLog], trace_id: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::ev;
+    use crate::event::Event;
+
+    /// A log of marks at the given times.
+    fn marks(at: &[(f64, &str)]) -> Log {
+        let mut log = Log::default();
+        for &(t, text) in at {
+            let label = log.labels().intern(text);
+            log.push(Event { label, ..ev(EventKind::Mark, t, t) });
+        }
+        log
+    }
 
     #[test]
     fn chrome_trace_is_valid_shape() {
-        let mut a = EventLog::default();
-        a.record(0.001, "set \"start\"");
-        a.record(0.002, "set done");
-        let mut b = EventLog::default();
-        b.record(0.0015, "other\n");
-        let json = chrome_trace_json(&[a, b]);
+        let a = marks(&[(0.001, "set \"start\""), (0.002, "set done")]);
+        let b = marks(&[(0.0015, "other\n")]);
+        let json = chrome_trace(&[a, b], None);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         assert!(json.contains("\\\"start\\\""), "quotes escaped: {json}");
@@ -276,14 +210,12 @@ mod tests {
 
     #[test]
     fn chrome_trace_empty_is_valid() {
-        assert_eq!(chrome_trace_json(&[]), "{\"traceEvents\":[]}");
+        assert_eq!(chrome_trace(&[], None), "{\"traceEvents\":[]}");
     }
 
     #[test]
     fn chrome_trace_names_processor_lanes() {
-        let mut a = EventLog::default();
-        a.record(0.001, "x");
-        let json = chrome_trace_json(&[a, EventLog::default()]);
+        let json = chrome_trace(&[marks(&[(0.001, "x")]), Log::default()], None);
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"name\":\"process_name\""));
         assert!(json.contains("\"name\":\"proc 0\""));
@@ -294,11 +226,8 @@ mod tests {
     fn chrome_trace_clamps_non_finite_times() {
         // Regression: a NaN event time used to serialize as `"ts":NaN`,
         // which is not JSON and makes Perfetto reject the whole trace.
-        let mut log = EventLog::default();
-        log.record(f64::NAN, "bad");
-        log.record(f64::INFINITY, "worse");
-        log.record(0.002, "good");
-        let json = chrome_trace_json(&[log]);
+        let log = marks(&[(f64::NAN, "bad"), (f64::INFINITY, "worse"), (0.002, "good")]);
+        let json = chrome_trace(&[log], None);
         assert!(!json.contains("NaN"), "NaN leaked into JSON: {json}");
         assert!(!json.contains("inf"), "inf leaked into JSON: {json}");
         assert!(json.contains("\"ts\":0.000"));
@@ -306,23 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_full_emits_duration_events() {
-        use std::sync::Arc;
-        let mut log = EventLog::default();
-        log.record(0.001, "mark");
-        let mut sl = SpanLog::default();
-        sl.push_compute(0.0, 0.001, Some(Arc::from("G1/assign2")), 0);
-        sl.push_msg(crate::span::Span {
-            start: 0.001,
-            end: 0.0015,
-            kind: SpanKind::Send,
-            path: None,
-            peer: 1,
-            tag: 7,
-            arrival: 0.002,
-            trace: 0,
-        });
-        let json = chrome_trace_full_json(&[log], &[sl]);
+    fn chrome_trace_emits_duration_events() {
+        let mut log = marks(&[(0.001, "mark")]);
+        let g1 = log.labels().enter(0, "G1");
+        let label = log.labels().enter(g1, "assign2");
+        log.push(Event { label, ..ev(EventKind::Compute, 0.0, 0.001) });
+        log.push(Event { peer: 1, tag: 7, arrival: 0.002, ..ev(EventKind::Send, 0.001, 0.0015) });
+        let json = chrome_trace(&[log], None);
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"G1/assign2\""));
         assert!(json.contains("\"cat\":\"compute\""));
@@ -332,37 +251,17 @@ mod tests {
         assert!(json.contains("\"name\":\"proc 0\""));
     }
 
-    fn send_recv_pair(trace: u64) -> Vec<SpanLog> {
-        use crate::span::Span;
-        let mut sender = SpanLog::default();
-        sender.push_msg(Span {
-            start: 0.001,
-            end: 0.0015,
-            kind: SpanKind::Send,
-            path: None,
-            peer: 1,
-            tag: 7,
-            arrival: 0.002,
-            trace,
-        });
-        let mut receiver = SpanLog::default();
-        receiver.push_msg(Span {
-            start: 0.002,
-            end: 0.0025,
-            kind: SpanKind::Recv,
-            path: None,
-            peer: 0,
-            tag: 7,
-            arrival: 0.002,
-            trace,
-        });
+    fn send_recv_pair(trace: u64) -> Vec<Log> {
+        let mut sender = Log::default();
+        sender.push(Event { peer: 1, tag: 7, arrival: 0.002, trace, ..ev(EventKind::Send, 0.001, 0.0015) });
+        let mut receiver = Log::default();
+        receiver.push(Event { peer: 0, tag: 7, arrival: 0.002, trace, ..ev(EventKind::Recv, 0.002, 0.0025) });
         vec![sender, receiver]
     }
 
     #[test]
-    fn chrome_trace_full_emits_flow_events_for_matched_pairs() {
-        let spans = send_recv_pair(0);
-        let json = chrome_trace_full_json(&[], &spans);
+    fn chrome_trace_emits_flow_events_for_matched_pairs() {
+        let json = chrome_trace(&send_recv_pair(0), None);
         assert!(json.contains("\"ph\":\"s\""), "flow start missing: {json}");
         assert!(json.contains("\"ph\":\"f\""), "flow finish missing: {json}");
         assert!(json.contains("\"bp\":\"e\""), "finish must bind to enclosing slice");
@@ -373,32 +272,18 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_request_filters_by_trace_id() {
-        use std::sync::Arc;
-        let mut spans = send_recv_pair(42);
+    fn chrome_trace_filters_by_trace_id() {
+        let mut logs = send_recv_pair(42);
         // An unrelated compute span on the sender from a different trace.
-        spans[0].push_compute(0.003, 0.004, Some(Arc::from("other")), 7);
-        let json = chrome_trace_request_json(&spans, 42);
+        let label = logs[0].labels().enter(0, "other");
+        logs[0].push(Event { label, trace: 7, ..ev(EventKind::Compute, 0.003, 0.004) });
+        let json = chrome_trace(&logs, Some(42));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "only trace-42 spans: {json}");
         assert!(!json.contains("\"name\":\"other\""));
         assert!(json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""));
         // Filtering for an absent trace yields lanes but no events.
-        let empty = chrome_trace_request_json(&spans, 999);
+        let empty = chrome_trace(&logs, Some(999));
         assert!(!empty.contains("\"ph\":\"X\""));
         assert!(!empty.contains("\"ph\":\"s\""));
-    }
-
-    #[test]
-    fn record_and_filter() {
-        let mut log = EventLog::default();
-        log.record(1.0, "a");
-        log.record(2.0, "b");
-        log.record(3.0, "a");
-        assert_eq!(log.len(), 3);
-        assert!(!log.is_empty());
-        assert_eq!(log.times_of("a"), vec![1.0, 3.0]);
-        assert_eq!(log.times_of("b"), vec![2.0]);
-        assert!(log.times_of("c").is_empty());
-        assert_eq!(log.events()[1].label, "b");
     }
 }

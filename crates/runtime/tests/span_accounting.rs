@@ -1,9 +1,9 @@
-//! Span accounting must close: on every processor, the recorded compute,
-//! send, and recv spans plus the derived idle account for every virtual
+//! Span accounting must close: on every processor, the logged compute,
+//! send, and recv events plus the derived idle account for every virtual
 //! second — up to the processor's own finish time and up to the run
 //! makespan — and profiling must never move the virtual clock.
 
-use fx_runtime::{run, Machine, MachineModel, SpanKind};
+use fx_runtime::{run, EventKind, Machine, MachineModel};
 
 fn profiled(p: usize, m: MachineModel) -> Machine {
     Machine::simulated(p, m).with_profiling(true)
@@ -35,7 +35,7 @@ fn per_processor_accounting_sums_to_finish_time() {
     for m in [MachineModel::paragon(), MachineModel::fast_network(), MachineModel::zero_comm(1e-6)]
     {
         let rep = run(&profiled(6, m), workload);
-        for (p, log) in rep.spans.iter().enumerate() {
+        for (p, log) in rep.logs.iter().enumerate() {
             let finish = rep.times[p];
             let acc = log.accounting(finish);
             assert!(
@@ -56,7 +56,7 @@ fn per_processor_accounting_sums_to_finish_time() {
 fn accounting_to_makespan_adds_trailing_idle_only() {
     let rep = run(&profiled(4, MachineModel::paragon()), workload);
     let makespan = rep.makespan();
-    for (p, log) in rep.spans.iter().enumerate() {
+    for (p, log) in rep.logs.iter().enumerate() {
         let at_finish = log.accounting(rep.times[p]);
         let at_makespan = log.accounting(makespan);
         assert_eq!(at_finish.compute, at_makespan.compute);
@@ -72,12 +72,12 @@ fn accounting_to_makespan_adds_trailing_idle_only() {
 #[test]
 fn spans_are_ordered_and_non_overlapping() {
     let rep = run(&profiled(5, MachineModel::paragon()), workload);
-    for log in &rep.spans {
+    for log in &rep.logs {
         let mut cursor = 0.0;
         for s in log.spans() {
             assert!(s.start >= cursor - 1e-15, "span starts before previous end");
             assert!(s.end >= s.start);
-            if s.kind == SpanKind::Compute {
+            if s.kind == EventKind::Compute {
                 assert_eq!(s.peer, u32::MAX);
             }
             cursor = s.end;
@@ -91,8 +91,8 @@ fn profiling_does_not_perturb_virtual_time() {
     let plain = run(&Machine::simulated(6, m), workload);
     let profiled = run(&profiled(6, m), workload);
     assert_eq!(plain.times, profiled.times, "profiling moved the virtual clock");
-    assert!(plain.spans.iter().all(|l| l.is_empty()), "unprofiled run recorded spans");
-    assert!(profiled.spans.iter().all(|l| !l.is_empty()));
+    assert!(plain.logs.iter().all(|l| l.events().is_empty()), "unprofiled run recorded spans");
+    assert!(profiled.logs.iter().all(|l| l.spans().next().is_some()));
 }
 
 #[test]
@@ -104,5 +104,29 @@ fn real_mode_records_no_spans_even_when_asked() {
             let _: u8 = cx.recv(0, 1);
         }
     });
-    assert!(rep.spans.iter().all(|l| l.is_empty()));
+    assert!(rep.logs.iter().all(|l| l.events().is_empty()));
+}
+
+/// A mark never splits a compute span: two charges with a mark between
+/// them are one Compute event and one Mark, and the accounting is what it
+/// is without the mark.
+#[test]
+fn a_mark_between_two_charges_leaves_one_compute_event() {
+    let go = |mark: bool| {
+        run(&profiled(1, MachineModel::paragon()), move |cx| {
+            cx.charge_flops(10_000.0);
+            if mark {
+                cx.record("x");
+            }
+            cx.charge_flops(20_000.0);
+        })
+    };
+    let (marked, plain) = (go(true), go(false));
+    let kinds: Vec<EventKind> = marked.logs[0].events().iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, vec![EventKind::Compute, EventKind::Mark]);
+    let span = marked.logs[0].events()[0];
+    assert_eq!((span.start, span.end), (0.0, marked.times[0]), "one interval over both charges");
+    assert_eq!(marked.events_named("x"), vec![(0, MachineModel::paragon().flops(10_000.0))]);
+    assert_eq!(marked.logs[0].accounting(marked.times[0]), plain.logs[0].accounting(plain.times[0]));
+    assert_eq!(marked.logs[0].spans().collect::<Vec<_>>(), plain.logs[0].spans().collect::<Vec<_>>());
 }

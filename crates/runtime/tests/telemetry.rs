@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fx_runtime::{run, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig};
+use fx_runtime::{run, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig};
 
 fn telemetry_machine(p: usize, t: &Arc<Telemetry>) -> Machine {
     Machine::real(p)
@@ -89,17 +89,13 @@ fn flight_ring_wraps_keeping_newest() {
     });
 
     // Rank 0 pushed 40 send events into a ring of 8: the newest 8 remain.
-    let events = telemetry.flight_events(0);
-    assert_eq!(events.len(), 8);
-    for (k, ev) in events.iter().enumerate() {
-        match &ev.kind {
-            fx_runtime::FlightKind::Send { peer, tag, bytes } => {
-                assert_eq!(*peer, 1);
-                assert_eq!(*tag, (rounds - 8 + k) as u64, "newest events, oldest first");
-                assert_eq!(*bytes, 8);
-            }
-            other => panic!("expected only sends on rank 0, got {other:?}"),
-        }
+    let tail = telemetry.flight_events(0);
+    assert_eq!(tail.events().len(), 8);
+    for (k, ev) in tail.events().iter().enumerate() {
+        assert_eq!(ev.kind, EventKind::Send, "only sends on rank 0");
+        assert_eq!(ev.peer, 1);
+        assert_eq!(ev.tag, (rounds - 8 + k) as u64, "newest events, oldest first");
+        assert_eq!(ev.bytes, 8);
     }
     assert_eq!(rep.counters[0].sends, rounds as u64);
 
@@ -122,8 +118,33 @@ fn no_telemetry_means_no_snapshot() {
     assert!(rep.telemetry.is_none());
 }
 
-/// The handle keeps the run's counter blocks alive: after a run that
-/// panicked — no report — it still reads what was counted.
+/// The tail is a suffix of the log: the ring and the log are fed the same
+/// records by the same `emit`, so each processor's ring, restricted to
+/// the kinds a profiled log also keeps, equals the last such events of its
+/// log field for field.
+#[test]
+fn flight_tail_is_a_suffix_of_the_log() {
+    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
+        flight_capacity: 8,
+        stall: false,
+        ..TelemetryConfig::default()
+    }));
+    let machine =
+        Machine::simulated(4, MachineModel::paragon()).with_profiling(true).with_telemetry(Arc::clone(&telemetry));
+    let rep = run(&machine, |cx| mixed_workload(cx, 8, 256));
+    let msgs = |events: &[fx_runtime::Event]| -> Vec<fx_runtime::Event> {
+        events.iter().copied().filter(|e| matches!(e.kind, EventKind::Send | EventKind::Recv)).collect()
+    };
+    for p in 0..4 {
+        let (tail, log) = (msgs(telemetry.flight_events(p).events()), msgs(rep.logs[p].events()));
+        assert!(!tail.is_empty() && tail.len() <= 8 && log.len() > tail.len(), "proc {p}: {} of {}", tail.len(), log.len());
+        assert_eq!(tail, log[log.len() - tail.len()..], "proc {p}");
+    }
+}
+
+/// The handle keeps the run's counter blocks and label tables alive: after
+/// a run that panicked — no report — it still reads what was counted, and
+/// the victim's flight tail still names the scope it died in.
 #[test]
 fn handle_reads_final_counters_after_a_panicked_run() {
     let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
@@ -133,6 +154,7 @@ fn handle_reads_final_counters_after_a_panicked_run() {
                 (0..3u64).for_each(|v| cx.send(1, 1, v));
             } else {
                 (0..3).for_each(|_| drop(cx.recv::<u64>(0, 1)));
+                cx.push_scope("doomed");
                 panic!("injected after the third receive");
             }
         })
@@ -140,6 +162,10 @@ fn handle_reads_final_counters_after_a_panicked_run() {
     assert!(died.is_err());
     let total = telemetry.total();
     assert_eq!((total.sends, total.recvs, total.send_bytes), (3, 3, 24));
+    let tail = telemetry.flight_events(1);
+    let last = tail.events().last().expect("the victim's ring outlives it");
+    assert_eq!(last.kind, EventKind::Enter);
+    assert_eq!(tail.labels().get(last.label).path(), "doomed", "labels resolve post mortem");
 }
 
 /// Telemetry must never touch the virtual clock: simulated completion

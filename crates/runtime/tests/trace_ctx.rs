@@ -1,12 +1,14 @@
-//! Causal trace propagation: a context set at the origin must ride every
+//! Causal trace propagation: an id set at the origin must ride every
 //! message (boxed and chunk paths), be adopted on receive before the recv
-//! span is recorded, link back to the carrying send span, and never move
-//! the virtual clock.
+//! event is made — so the recv's FIFO-matched send is the traced send —
+//! and never move the virtual clock.
 
-use fx_runtime::{
-    request_trace_id, run, span_ref, span_ref_parts, Executor, Machine, MachineModel, ProcCtx,
-    SpanKind,
-};
+use fx_runtime::{request_trace_id, run, Event, EventKind, Executor, Log, Machine, MachineModel, ProcCtx};
+
+/// The first event of `kind` in `log`.
+fn first(log: &Log, kind: EventKind) -> Event {
+    *log.events().iter().find(|e| e.kind == kind).unwrap()
+}
 
 fn traced(p: usize) -> Machine {
     Machine::simulated(p, MachineModel::paragon()).with_profiling(true).with_tracing(true)
@@ -24,23 +26,20 @@ fn trace_adopted_across_boxed_send() {
             assert_eq!(cx.trace(), 0, "no trace before the message arrives");
             let _: Vec<u8> = cx.recv(0, 7);
             assert_eq!(cx.trace(), id, "receiver adopts the incoming trace");
-            // Rank 0's log is [compute, send]; the parent must reference
-            // the send span that carried the context here.
-            let parent = cx.trace_ctx().parent;
-            assert_eq!(parent, span_ref(0, 1), "parent links the carrying send span");
-            assert_eq!(span_ref_parts(parent), (0, 1));
             cx.charge_flops(5_000.0);
         }
     });
-    // The recv span and the downstream compute span both carry the trace.
-    let r1 = &rep.spans[1];
-    let recv = r1.spans().iter().find(|s| s.kind == SpanKind::Recv).unwrap();
-    assert_eq!(recv.trace, id, "recv span tagged with the adopted trace");
-    let compute = r1.spans().iter().find(|s| s.kind == SpanKind::Compute).unwrap();
-    assert_eq!(compute.trace, id, "downstream compute tagged with the adopted trace");
-    // Sender side: the send span carries the trace too.
-    let send = rep.spans[0].spans().iter().find(|s| s.kind == SpanKind::Send).unwrap();
-    assert_eq!(send.trace, id);
+    // The recv event and the downstream compute event both carry the trace.
+    let recv = first(&rep.logs[1], EventKind::Recv);
+    assert_eq!(recv.trace, id, "recv event tagged with the adopted trace");
+    assert_eq!(first(&rep.logs[1], EventKind::Compute).trace, id, "downstream compute tagged with the adopted trace");
+    // Causality is the FIFO match: the recv's sender is rank 0, and the
+    // first send of rank 0's (0 -> 1, tag 7) stream — the one this first
+    // recv of the stream matches — is the traced send that carried the id.
+    let send = first(&rep.logs[0], EventKind::Send);
+    assert_eq!((recv.peer, recv.tag), (0, 7));
+    assert_eq!((send.peer, send.tag, send.trace), (1, 7, id));
+    assert_eq!(recv.arrival, send.arrival, "the matched send's message is the one received");
 }
 
 #[test]
@@ -58,8 +57,7 @@ fn trace_adopted_across_chunk_send() {
             assert_eq!(cx.trace(), id, "chunk path must carry the trace too");
         }
     });
-    let recv = rep.spans[1].spans().iter().find(|s| s.kind == SpanKind::Recv).unwrap();
-    assert_eq!(recv.trace, id);
+    assert_eq!(first(&rep.logs[1], EventKind::Recv).trace, id);
 }
 
 #[test]
@@ -78,12 +76,7 @@ fn clear_trace_stops_stamping() {
             assert_eq!(cx.trace(), 42);
         }
     });
-    let sends: Vec<u64> = rep.spans[0]
-        .spans()
-        .iter()
-        .filter(|s| s.kind == SpanKind::Send)
-        .map(|s| s.trace)
-        .collect();
+    let sends: Vec<u64> = rep.logs[0].spans().filter(|s| s.kind == EventKind::Send).map(|s| s.trace).collect();
     assert_eq!(sends, vec![42, 0]);
 }
 
@@ -100,7 +93,7 @@ fn set_trace_is_a_noop_when_tracing_off() {
             assert_eq!(cx.trace(), 0);
         }
     });
-    assert!(rep.spans.iter().all(|l| l.spans().iter().all(|s| s.trace == 0)));
+    assert!(rep.logs.iter().all(|l| l.events().iter().all(|s| s.trace == 0)));
 }
 
 fn workload(cx: &mut ProcCtx) {
@@ -128,9 +121,10 @@ fn tracing_leaves_virtual_times_bit_identical() {
         let on = run(&base.with_tracing(true).with_profiling(true), workload);
         let bits = |ts: &[f64]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&off.times), bits(&on.times), "tracing moved the virtual clock");
-        // Same span structure too: tracing only adds ids, never spans.
-        for (a, b) in off.spans.iter().zip(&on.spans) {
-            assert_eq!(a.len(), b.len());
+        // Same events too: tracing only adds ids, never events.
+        let untraced = |log: &Log| log.events().iter().map(|e| Event { trace: 0, ..*e }).collect::<Vec<_>>();
+        for (a, b) in off.logs.iter().zip(&on.logs) {
+            assert_eq!(untraced(a), untraced(b));
         }
     }
 }

@@ -41,15 +41,15 @@
 //! capacity), `FX_SERVE_BATCH` (max requests per pipeline batch) and
 //! `FX_SERVE_SHED` (`newest` | `oldest`).
 
+mod arrivals;
 mod report;
 mod servable;
 mod server;
-mod trace;
 
 pub use report::{ComponentStats, RequestTrace, ServeReport, TenantReport};
 pub use servable::{AirshedServable, FftHistServable, Servable};
 pub use server::{ProcServe, Server};
-pub use trace::{poisson_trace, ServeRequest, TenantSpec};
+pub use arrivals::{poisson_trace, ServeRequest, TenantSpec};
 
 use fx_runtime::env;
 

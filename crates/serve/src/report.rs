@@ -2,7 +2,7 @@
 
 use fx_apps::util::ReqCompletion;
 use fx_core::{RunReport, WindowBreakdown};
-use fx_runtime::{chrome_trace_request_json, SpanLog, Telemetry, TelemetrySnapshot};
+use fx_runtime::{chrome_trace, Log, Telemetry, TelemetrySnapshot};
 
 use crate::server::ProcServe;
 use crate::ServeRequest;
@@ -26,7 +26,7 @@ pub struct RequestTrace {
     pub req: usize,
     /// Tenant index of the request.
     pub tenant: usize,
-    /// Causal trace id the request's spans carry
+    /// Causal trace id the request's events carry
     /// ([`fx_core::request_trace_id`] of `req`).
     pub trace_id: u64,
     /// Arrival time (virtual seconds).
@@ -154,10 +154,10 @@ pub struct ServeReport<T> {
     /// simulated time (profiling is enabled automatically then); one
     /// entry per completion.
     pub request_traces: Vec<RequestTrace>,
-    /// Per-processor span logs of the serve run (empty unless
-    /// profiled), retained so per-request Chrome traces can be
+    /// Per-processor event logs of the serve run (duration events only
+    /// when profiled), retained so per-request Chrome traces can be
     /// exported after the fact.
-    pub spans: Vec<SpanLog>,
+    pub logs: Vec<Log>,
 }
 
 impl<T> ServeReport<T> {
@@ -223,15 +223,12 @@ impl<T> ServeReport<T> {
         self.request_traces.iter().find(|t| t.req == req)
     }
 
-    /// Per-request Chrome-trace JSON (spans of this request across all
+    /// Per-request Chrome-trace JSON (events of this request across all
     /// processor lanes, with send→recv flow arrows). `None` when the
-    /// request was not traced or span logs were not retained.
+    /// request was not traced (a traced request's run was profiled).
     pub fn request_trace_json(&self, req: usize) -> Option<String> {
         let t = self.request_trace(req)?;
-        if self.spans.iter().all(|l| l.is_empty()) {
-            return None;
-        }
-        Some(chrome_trace_request_json(&self.spans, t.trace_id))
+        Some(chrome_trace(&self.logs, Some(t.trace_id)))
     }
 
     /// Counter conservation across all tenants (see
@@ -309,6 +306,6 @@ pub(crate) fn assemble<T>(
         rounds,
         telemetry: rep.telemetry,
         request_traces,
-        spans: rep.spans,
+        logs: rep.logs,
     }
 }

@@ -80,7 +80,7 @@ impl<S: Servable> Server<S> {
         let tenants = telemetry.begin_tenants(tenant_names);
         let mut machine = self.machine.clone().with_telemetry(telemetry.clone());
         let sim = machine.mode.is_simulated();
-        // Per-request attribution needs span logs: a traced simulated
+        // Per-request attribution needs duration events: a traced simulated
         // serve profiles implicitly, so FX_TRACE=1 alone yields full
         // breakdowns (profiling never moves the virtual clock).
         if sim && machine.tracing {
@@ -103,7 +103,7 @@ impl<S: Servable> Server<S> {
         // is lazy: only ring entrants pay for JSON serialization.
         let lat_ns = |t: &RequestTrace| (t.latency().max(0.0) * 1e9).round() as u64;
         let done = report.request_traces.iter().map(|t| (t.trace_id, lat_ns(t)));
-        telemetry.offer_exemplar_traces(done, |id| fx_runtime::chrome_trace_request_json(&report.spans, id));
+        telemetry.offer_exemplar_traces(done, |id| fx_runtime::chrome_trace(&report.logs, Some(id)));
         report
     }
 }
@@ -221,19 +221,19 @@ fn serve_simulated<S: Servable>(
         let k = cfg.batch_max.min(queue.len());
         let batch: Vec<ServeRequest> = queue.drain(..k).collect();
         // Dispatch is now: admission admits only arrivals <= t, so every
-        // batch member's queue_wait = dispatch - arrival is >= 0. The span
+        // batch member's queue_wait = dispatch - arrival is >= 0. The log
         // mark brackets the batch: everything the reporter's clock does
         // between mark and a completion belongs to that request's service
         // window.
         let dispatch = cx.now();
-        let mark = cx.runtime().span_mark();
+        let mark = cx.runtime().log_mark();
         let got = servable.run_batch(cx, &batch);
         cx.clear_trace();
         account_completions(&got, trace, tenants, traced);
         if traced {
             for c in &got {
                 let own = request_trace_id(c.req);
-                let breakdown = cx.runtime().spans().window_breakdown(mark, dispatch, c.done, own);
+                let breakdown = cx.runtime().log().window_breakdown(mark, dispatch, c.done, own);
                 traces.push(RequestTrace {
                     req: c.req,
                     tenant: trace[c.req].tenant,
@@ -309,6 +309,6 @@ fn serve_real<S: Servable>(
         account_completions(&got, trace, tenants, cx.tracing());
         completions.extend(got);
     }
-    // Real-time mode has no span logs, so no per-request breakdowns.
+    // Real-time mode retains no duration events, so no per-request breakdowns.
     ProcServe { completions, sheds, rounds, traces: Vec::new() }
 }

@@ -29,12 +29,12 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write(path, &json).expect("write trace");
 
-    let events: usize = report.events.iter().map(|l| l.len()).sum();
-    let spans: usize = report.spans.iter().map(|l| l.len()).sum();
+    let events: usize = report.logs.iter().map(|l| l.marks().count()).sum();
+    let spans: usize = report.logs.iter().map(|l| l.spans().count()).sum();
     println!("wrote {spans} duration spans + {events} instant events for 6 processors to {path}");
     println!("virtual makespan: {:.4} s", report.makespan());
 
-    // The spans also carry the critical path: print the coarse split.
+    // The logs also carry the critical path: print the coarse split.
     let cp = report.critical_path();
     let (compute, comm, idle) = cp.totals();
     println!(

@@ -2,28 +2,33 @@
 //! rows 1–2).
 //!
 //! A stream of `n x n` complex images; for each: column FFTs (`cffts`),
-//! row FFTs (`rffts`), then a magnitude histogram (`hist`). Variants:
+//! row FFTs (`rffts`), then a magnitude histogram (`hist`).
 //!
-//! * [`fft_hist_dp`] — pure data parallelism on the current group
-//!   (Figure 2(a)'s program compiled the ordinary HPF way);
-//! * [`fft_hist_pipeline`] — the 3-stage pipeline of Figure 2(c), one
-//!   subgroup per stage, data crossing via `A2 = A1` assignments;
-//! * [`fft_hist_replicated`] — Figure 3's replicated data parallelism;
-//! * [`run_fft_hist`] with a [`FftHistMapping`] — any combination of
-//!   replication and pipelining (the mappings Figure 5 explores).
+//! The program is written once, [`fft_hist_stream`], and its mapping is a
+//! value beside it — the paper's claim: Figures 2(a) and 2(c) differ only
+//! in `TASK_PARTITION` sizes and `ON SUBGROUP` brackets, Figures 3 and 5
+//! only in the partition. A [`Segments`] says which adjacent stages share
+//! a processor group; an [`FftHistMapping`] puts Figure 3's replication
+//! around it. The `fft_hist_*` entry points are that one stream under a
+//! particular mapping: [`fft_hist_dp`] is one segment (Figure 2(a)),
+//! [`fft_hist_pipeline`] three (Figure 2(c)), [`fft_hist_segmented`]
+//! anything between (what `fx-mapping` searches), [`fft_hist_replicated`]
+//! and [`run_fft_hist`] deal the stream over modules first, and
+//! [`fft_hist_requests`] is the same again with a serving layer's two
+//! hooks — a request is served by the program that runs it one-shot.
 //!
-//! Every variant records `set start` / `set done` events so the harness
-//! measures throughput and latency the way the paper does, and returns the
-//! per-dataset histograms so tests can check them against the sequential
+//! The stream records `set start` / `set done` events so the harness
+//! measures throughput and latency the way the paper does, and hands each
+//! histogram to its caller so tests can check it against the sequential
 //! oracle ([`reference_histogram`]).
 
-use fx_core::{Cx, Size};
-use fx_darray::{assign2, assign2_with, DArray2, Dist, Participation};
+use fx_core::Cx;
+use fx_darray::{assign2_with, DArray2, Dist, Participation};
 use fx_kernels::fft::{fft2d_reference, fft_cols_in_place, fft_flops, fft_in_place};
 use fx_kernels::hist::{hist_flops, histogram_magnitudes};
 use fx_kernels::Complex;
 
-use crate::util::{complex_input, ReqCompletion, SET_DONE, SET_START};
+use crate::util::{complex_input, dealt, stage_chain, ReqCompletion, SET_DONE, SET_START};
 
 /// Problem parameters for one FFT-Hist run.
 #[derive(Debug, Clone, Copy)]
@@ -115,44 +120,167 @@ pub fn fill_input(cx: &mut Cx, a: &mut DArray2<Complex>, d: usize) {
     cx.charge_mem_bytes(std::mem::size_of_val(a.local()) as f64);
 }
 
+/// How the three stages (fill + `cffts`, `rffts`, `hist`) sit on the
+/// current group — the mapping as data. One segment is Figure 2(a)'s
+/// data-parallel program, `[0, 1, 2]` the pipeline of Figure 2(c), and
+/// every mapping `fx-mapping` searches lies between: adjacent stages in
+/// one segment are fused, and their `A2 = A1` stays within the segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segments {
+    /// Segment of each stage: non-decreasing from 0, steps of at most 1.
+    pub seg_of_stage: [usize; 3],
+    /// Processors of each segment; they sum to the group size.
+    pub procs: Vec<usize>,
+    /// Who takes part in the cross-stage assignments.
+    /// `Participation::WholeGroup` is the ablation for the paper's §4
+    /// claim that minimal-processor-subset identification is essential
+    /// for pipelined task parallelism.
+    pub mode: Participation,
+}
+
+impl Segments {
+    /// Figure 2(a): all three stages data-parallel on a group of `p`.
+    pub fn fused(p: usize) -> Self {
+        Segments { seg_of_stage: [0; 3], procs: vec![p], mode: Participation::Minimal }
+    }
+
+    /// Figure 2(c): one subgroup per stage.
+    pub fn pipeline(procs: [usize; 3]) -> Self {
+        Segments { seg_of_stage: [0, 1, 2], procs: procs.to_vec(), mode: Participation::Minimal }
+    }
+}
+
+impl FftHistMapping {
+    /// The mapping on a group of `p` processors as `(replicas, one
+    /// module's segments)`. `Replicated { replicas: 1, .. }` is `Some(1)`,
+    /// a one-module partition, and not `DataParallel`'s `None`.
+    pub fn segments(self, p: usize) -> (Option<usize>, Segments) {
+        let (replicas, pipeline) = match self {
+            FftHistMapping::DataParallel => (None, None),
+            FftHistMapping::Pipeline(stage) => (None, Some(stage)),
+            FftHistMapping::Replicated { replicas, pipeline } => (Some(replicas), pipeline),
+        };
+        let segs = match pipeline {
+            Some(stage) => Segments::pipeline(stage),
+            // (Zero replicas is `replicated_modules`' panic to raise.)
+            None => Segments::fused(p / replicas.unwrap_or(1).max(1)),
+        };
+        (replicas, segs)
+    }
+}
+
+/// FFT-Hist over a stream of `items`, on the current group under `segs`:
+/// the one program text. `dataset(item)` names the image an item stands
+/// for. `begin(cx, item)` runs on every processor before the item (a
+/// serving layer sets the request's trace id there); `finish(cx, item,
+/// histogram)` runs on every member of the `hist` segment right after
+/// `set done`, and what it returns is collected — so `cx.id() == 0` there
+/// is the leader of the group that produced the result.
+pub fn fft_hist_stream<I, R>(
+    cx: &mut Cx,
+    cfg: &FftHistConfig,
+    segs: &Segments,
+    items: &[I],
+    dataset: impl Fn(&I) -> usize,
+    begin: impl Fn(&mut Cx, &I),
+    finish: impl Fn(&mut Cx, &I, Vec<u64>) -> Option<R>,
+) -> Vec<R> {
+    stage_chain(cx, segs.seg_of_stage, &segs.procs, |cx, st| {
+        let (n, s) = (cfg.n, segs.seg_of_stage);
+        // SUBGROUP(G1) :: A1, etc. — the paper's variable mapping. `hist`
+        // reads A2 where it lies unless it has a segment of its own.
+        let (cols, rows) = ((Dist::Star, Dist::Block), (Dist::Block, Dist::Star));
+        let mut a1 = DArray2::new(cx, st.group(0), [n, n], cols, Complex::ZERO);
+        let mut a2 = DArray2::new(cx, st.group(1), [n, n], rows, Complex::ZERO);
+        let mut a3 =
+            (s[2] != s[1]).then(|| DArray2::new(cx, st.group(2), [n, n], rows, Complex::ZERO));
+        let mut out = Vec::new();
+        for item in items {
+            begin(cx, item);
+            st.on(cx, 0, |cx| {
+                if cx.id() == 0 {
+                    cx.record(SET_START);
+                }
+                fill_input(cx, &mut a1, dataset(item));
+                cffts_local(cx, &mut a1);
+            });
+            // Parent scope. The cffts → rffts redistribution crosses
+            // groups when the stages sit in different segments (only
+            // those two take part under Minimal) and is the in-group
+            // transpose otherwise.
+            assign2_with(cx, &mut a2, &a1, segs.mode);
+            st.on(cx, 1, |cx| rffts_local(cx, &mut a2));
+            let hist_input = match &mut a3 {
+                Some(a3) => {
+                    assign2_with(cx, a3, &a2, segs.mode);
+                    &*a3
+                }
+                None => &a2,
+            };
+            let kept = st.on(cx, 2, |cx| {
+                let h = hist_local(cx, hist_input, cfg.nbins, cfg.max_mag);
+                if cx.id() == 0 {
+                    cx.record(SET_DONE);
+                }
+                finish(cx, item, h)
+            });
+            out.extend(kept.flatten());
+        }
+        out
+    })
+}
+
+/// The stream under any mapping: replicated mappings deal the items over
+/// their modules (position `i` to module `i % replicas`) first.
+fn fft_hist_mapped<I: Clone, R>(
+    cx: &mut Cx,
+    cfg: &FftHistConfig,
+    mapping: FftHistMapping,
+    items: &[I],
+    dataset: impl Fn(&I) -> usize,
+    begin: impl Fn(&mut Cx, &I),
+    finish: impl Fn(&mut Cx, &I, Vec<u64>) -> Option<R>,
+) -> Vec<R> {
+    let (replicas, segs) = mapping.segments(cx.nprocs());
+    let run = |cx: &mut Cx, mine: &[I]| {
+        fft_hist_stream(cx, cfg, &segs, mine, dataset, begin, finish)
+    };
+    match replicas {
+        None => run(cx, items),
+        Some(replicas) => dealt(cx, replicas, items.iter().cloned(), |cx, mine| run(cx, &mine)),
+    }
+}
+
+/// The one-shot stream over dataset ids: no per-item hook, and every
+/// member of the `hist` segment keeps every histogram.
+pub fn fft_hist_sets(
+    cx: &mut Cx,
+    cfg: &FftHistConfig,
+    segs: &Segments,
+    sets: &[usize],
+) -> Vec<Vec<u64>> {
+    fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, _, h| Some(h))
+}
+
+fn all_sets(cfg: &FftHistConfig) -> Vec<usize> {
+    (0..cfg.datasets).collect()
+}
+
 /// Pure data-parallel FFT-Hist on the current group. Returns one
 /// histogram per dataset (identical on every member).
 pub fn fft_hist_dp(cx: &mut Cx, cfg: &FftHistConfig) -> Vec<Vec<u64>> {
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    fft_hist_dp_sets(cx, cfg, &sets)
+    fft_hist_dp_sets(cx, cfg, &all_sets(cfg))
 }
 
-/// Data-parallel FFT-Hist over an explicit list of dataset ids (used by
-/// the replicated variants, whose modules each take a slice of the
-/// stream).
+/// Data-parallel FFT-Hist over an explicit list of dataset ids.
 pub fn fft_hist_dp_sets(cx: &mut Cx, cfg: &FftHistConfig, sets: &[usize]) -> Vec<Vec<u64>> {
-    let g = cx.group();
-    let n = cfg.n;
-    let mut results = Vec::with_capacity(sets.len());
-    let mut a1 = DArray2::new(cx, &g, [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-    let mut a2 = DArray2::new(cx, &g, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    for &d in sets {
-        if cx.id() == 0 {
-            cx.record(SET_START);
-        }
-        fill_input(cx, &mut a1, d);
-        cffts_local(cx, &mut a1);
-        assign2(cx, &mut a2, &a1);
-        rffts_local(cx, &mut a2);
-        let h = hist_local(cx, &a2, cfg.nbins, cfg.max_mag);
-        if cx.id() == 0 {
-            cx.record(SET_DONE);
-        }
-        results.push(h);
-    }
-    results
+    fft_hist_sets(cx, cfg, &Segments::fused(cx.nprocs()), sets)
 }
 
 /// The 3-stage data-parallel pipeline of Figure 2(c). Returns the
 /// histograms on members of the `hist` stage (G3); empty elsewhere.
 pub fn fft_hist_pipeline(cx: &mut Cx, cfg: &FftHistConfig, procs: [usize; 3]) -> Vec<Vec<u64>> {
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    fft_hist_pipeline_sets(cx, cfg, procs, &sets)
+    fft_hist_pipeline_sets(cx, cfg, procs, &all_sets(cfg))
 }
 
 /// Pipelined FFT-Hist over an explicit list of dataset ids.
@@ -166,9 +294,7 @@ pub fn fft_hist_pipeline_sets(
 }
 
 /// Pipelined FFT-Hist with an explicit participation mode for the
-/// cross-stage assignments — `Participation::WholeGroup` is the ablation
-/// for the paper's §4 claim that minimal-processor-subset identification
-/// is essential for pipelined task parallelism.
+/// cross-stage assignments (see [`Segments::mode`]).
 pub fn fft_hist_pipeline_mode(
     cx: &mut Cx,
     cfg: &FftHistConfig,
@@ -176,61 +302,12 @@ pub fn fft_hist_pipeline_mode(
     sets: &[usize],
     mode: Participation,
 ) -> Vec<Vec<u64>> {
-    assert_eq!(
-        procs.iter().sum::<usize>(),
-        cx.nprocs(),
-        "pipeline stage processors must sum to the group size"
-    );
-    let part = cx.task_partition(&[
-        ("G1", Size::Procs(procs[0])),
-        ("G2", Size::Procs(procs[1])),
-        ("G3", Size::Procs(procs[2])),
-    ]);
-    let g1 = part.group("G1");
-    let g2 = part.group("G2");
-    let g3 = part.group("G3");
-    let n = cfg.n;
-    // SUBGROUP(G1) :: A1, etc. — the paper's variable mapping.
-    let mut a1 = DArray2::new(cx, &g1, [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-    let mut a2 = DArray2::new(cx, &g2, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut a3 = DArray2::new(cx, &g3, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut results = Vec::new();
-
-    cx.task_region(&part, |cx, tr| {
-        for &d in sets {
-            tr.on(cx, "G1", |cx| {
-                if cx.id() == 0 {
-                    cx.record(SET_START);
-                }
-                fill_input(cx, &mut a1, d);
-                cffts_local(cx, &mut a1);
-            });
-            // Parent scope: only G1 ∪ G2 take part under Minimal.
-            assign2_with(cx, &mut a2, &a1, mode);
-            tr.on(cx, "G2", |cx| rffts_local(cx, &mut a2));
-            // Only G2 ∪ G3 take part under Minimal.
-            assign2_with(cx, &mut a3, &a2, mode);
-            if let Some(h) = tr.on(cx, "G3", |cx| {
-                let h = hist_local(cx, &a3, cfg.nbins, cfg.max_mag);
-                if cx.id() == 0 {
-                    cx.record(SET_DONE);
-                }
-                h
-            }) {
-                results.push(h);
-            }
-        }
-    });
-    results
+    fft_hist_sets(cx, cfg, &Segments { mode, ..Segments::pipeline(procs) }, sets)
 }
 
-/// Run FFT-Hist under an arbitrary contiguous segmentation of its three
-/// stages (fill+cffts, rffts, hist): `seg_of_stage[k]` gives the segment
-/// index of stage `k` (non-decreasing, starting at 0) and `seg_procs[s]`
-/// the processors of segment `s`. Adjacent stages in the same segment
-/// are fused (no cross-group transfer; the cffts→rffts redistribution
-/// then happens within the segment's own group). This is the executable
-/// form of the mappings `fx-mapping` searches over.
+/// FFT-Hist under an arbitrary contiguous segmentation (see
+/// [`Segments`]) — the executable form of the mappings `fx-mapping`
+/// searches over. Returns the histograms on the `hist` segment's members.
 pub fn fft_hist_segmented(
     cx: &mut Cx,
     cfg: &FftHistConfig,
@@ -238,65 +315,8 @@ pub fn fft_hist_segmented(
     seg_of_stage: [usize; 3],
     seg_procs: &[usize],
 ) -> Vec<Vec<u64>> {
-    assert!(seg_of_stage[0] == 0, "segments start at 0");
-    assert!(
-        seg_of_stage.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1),
-        "segments must be contiguous and non-decreasing"
-    );
-    let nseg = seg_of_stage[2] + 1;
-    assert_eq!(seg_procs.len(), nseg, "one processor count per segment");
-    assert_eq!(seg_procs.iter().sum::<usize>(), cx.nprocs(), "segments must use the whole group");
-    if nseg == 1 {
-        return fft_hist_dp_sets(cx, cfg, sets);
-    }
-
-    let names: Vec<String> = (0..nseg).map(|s| format!("S{s}")).collect();
-    let spec: Vec<(&str, Size)> =
-        names.iter().zip(seg_procs).map(|(n, &p)| (n.as_str(), Size::Procs(p))).collect();
-    let part = cx.task_partition(&spec);
-    let g: Vec<_> = names.iter().map(|n| part.group(n)).collect();
-    let n = cfg.n;
-    let mut a1 =
-        DArray2::new(cx, &g[seg_of_stage[0]], [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-    let mut a2 =
-        DArray2::new(cx, &g[seg_of_stage[1]], [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut a3 = (seg_of_stage[2] != seg_of_stage[1]).then(|| {
-        DArray2::new(cx, &g[seg_of_stage[2]], [n, n], (Dist::Block, Dist::Star), Complex::ZERO)
-    });
-    let mut results = Vec::new();
-
-    cx.task_region(&part, |cx, tr| {
-        for &d in sets {
-            tr.on(cx, &names[seg_of_stage[0]], |cx| {
-                if cx.id() == 0 {
-                    cx.record(SET_START);
-                }
-                fill_input(cx, &mut a1, d);
-                cffts_local(cx, &mut a1);
-            });
-            // cffts → rffts redistribution: cross-group when the stages
-            // sit in different segments, in-group otherwise.
-            assign2(cx, &mut a2, &a1);
-            tr.on(cx, &names[seg_of_stage[1]], |cx| rffts_local(cx, &mut a2));
-            let hist_input = match &mut a3 {
-                Some(a3) => {
-                    assign2(cx, a3, &a2);
-                    &*a3
-                }
-                None => &a2,
-            };
-            if let Some(h) = tr.on(cx, &names[seg_of_stage[2]], |cx| {
-                let h = hist_local(cx, hist_input, cfg.nbins, cfg.max_mag);
-                if cx.id() == 0 {
-                    cx.record(SET_DONE);
-                }
-                h
-            }) {
-                results.push(h);
-            }
-        }
-    });
-    results
+    let mode = Participation::Minimal;
+    fft_hist_sets(cx, cfg, &Segments { seg_of_stage, procs: seg_procs.to_vec(), mode }, sets)
 }
 
 /// Figure 3: replicated data parallelism — `replicas` subgroups, each
@@ -304,208 +324,48 @@ pub fn fft_hist_segmented(
 /// (dataset `d` goes to replica `d % replicas`). With
 /// `pipeline = Some(stage_procs)`, each replica is itself a pipeline
 /// (the two-module mappings of Figure 5). Returns this member's module
-/// results as `(dataset, histogram)` pairs.
+/// results as `(dataset, histogram)` pairs — within a pipelined module
+/// only the `hist` stage holds any.
 pub fn fft_hist_replicated(
     cx: &mut Cx,
     cfg: &FftHistConfig,
     replicas: usize,
     pipeline: Option<[usize; 3]>,
 ) -> Vec<(usize, Vec<u64>)> {
-    crate::util::replicated_modules(cx, replicas, |cx, rep| {
-        // My module processes datasets rep, rep+replicas, …
-        let my_sets: Vec<usize> = (0..cfg.datasets).filter(|d| d % replicas == rep).collect();
-        let hists = match pipeline {
-            None => fft_hist_dp_sets(cx, cfg, &my_sets),
-            Some(stage) => fft_hist_pipeline_sets(cx, cfg, stage, &my_sets),
-        };
-        // Within a pipelined module only the hist stage holds results;
-        // pad so the zip below stays aligned for everyone else.
-        if hists.is_empty() {
-            Vec::new()
-        } else {
-            my_sets.into_iter().zip(hists).collect()
-        }
-    })
+    let mapping = FftHistMapping::Replicated { replicas, pipeline };
+    fft_hist_mapped(cx, cfg, mapping, &all_sets(cfg), |&d| d, |_, _| (), |_, &d, h| Some((d, h)))
 }
 
-// ----- serving adapters ---------------------------------------------------
-//
-// The `_requests` variants run a *batch* of requests — `(request index,
-// dataset id)` pairs — through the same stage kernels and report each
-// request's completion virtual time on one canonical processor, so a
-// serving layer can account per-request latency. They reuse the exact
-// assignments and collectives of the one-shot variants: outputs are
-// bit-identical to the equivalent one-shot run by construction.
-
-/// Data-parallel FFT-Hist over a batch of requests. The group leader
-/// (virtual rank 0) reports every completion; other members return an
-/// empty vec.
-pub fn fft_hist_dp_requests(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    reqs: &[(usize, usize)],
-) -> Vec<ReqCompletion<Vec<u64>>> {
-    let g = cx.group();
-    let n = cfg.n;
-    let mut out = Vec::new();
-    let mut a1 = DArray2::new(cx, &g, [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-    let mut a2 = DArray2::new(cx, &g, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    for &(req, d) in reqs {
-        // Every member tags its work with the request's causal trace id
-        // (deterministic from `req`, so no coordination) — a no-op
-        // unless the machine runs with tracing on.
-        cx.set_trace(fx_core::request_trace_id(req));
-        if cx.id() == 0 {
-            cx.record(SET_START);
-        }
-        fill_input(cx, &mut a1, d);
-        cffts_local(cx, &mut a1);
-        assign2(cx, &mut a2, &a1);
-        rffts_local(cx, &mut a2);
-        let h = hist_local(cx, &a2, cfg.nbins, cfg.max_mag);
-        if cx.id() == 0 {
-            cx.record(SET_DONE);
-            out.push(ReqCompletion { req, done: cx.now(), output: h });
-        }
-    }
-    out
+/// Run FFT-Hist under any mapping (the dispatch used by the Table 1 and
+/// Figure 5 harnesses).
+pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: FftHistMapping) {
+    fft_hist_mapped(cx, cfg, mapping, &all_sets(cfg), |&d| d, |_, _| (), |_, _, _| None::<()>);
 }
 
-/// Segmented (pipelined) FFT-Hist over a batch of requests: same stage
-/// segmentation contract as [`fft_hist_segmented`]. The last segment's
-/// leader reports completions.
-pub fn fft_hist_segmented_requests(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    reqs: &[(usize, usize)],
-    seg_of_stage: [usize; 3],
-    seg_procs: &[usize],
-) -> Vec<ReqCompletion<Vec<u64>>> {
-    assert!(seg_of_stage[0] == 0, "segments start at 0");
-    assert!(
-        seg_of_stage.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1),
-        "segments must be contiguous and non-decreasing"
-    );
-    let nseg = seg_of_stage[2] + 1;
-    assert_eq!(seg_procs.len(), nseg, "one processor count per segment");
-    assert_eq!(seg_procs.iter().sum::<usize>(), cx.nprocs(), "segments must use the whole group");
-    if nseg == 1 {
-        return fft_hist_dp_requests(cx, cfg, reqs);
-    }
-
-    let names: Vec<String> = (0..nseg).map(|s| format!("S{s}")).collect();
-    let spec: Vec<(&str, Size)> =
-        names.iter().zip(seg_procs).map(|(n, &p)| (n.as_str(), Size::Procs(p))).collect();
-    let part = cx.task_partition(&spec);
-    let g: Vec<_> = names.iter().map(|n| part.group(n)).collect();
-    let n = cfg.n;
-    let mut a1 =
-        DArray2::new(cx, &g[seg_of_stage[0]], [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-    let mut a2 =
-        DArray2::new(cx, &g[seg_of_stage[1]], [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut a3 = (seg_of_stage[2] != seg_of_stage[1]).then(|| {
-        DArray2::new(cx, &g[seg_of_stage[2]], [n, n], (Dist::Block, Dist::Star), Complex::ZERO)
-    });
-    let mut out = Vec::new();
-
-    cx.task_region(&part, |cx, tr| {
-        for &(req, d) in reqs {
-            // All segments walk the request stream in order, so each
-            // processor tags its local work (and outgoing transfers)
-            // with the current request's trace id.
-            cx.set_trace(fx_core::request_trace_id(req));
-            tr.on(cx, &names[seg_of_stage[0]], |cx| {
-                if cx.id() == 0 {
-                    cx.record(SET_START);
-                }
-                fill_input(cx, &mut a1, d);
-                cffts_local(cx, &mut a1);
-            });
-            assign2(cx, &mut a2, &a1);
-            tr.on(cx, &names[seg_of_stage[1]], |cx| rffts_local(cx, &mut a2));
-            let hist_input = match &mut a3 {
-                Some(a3) => {
-                    assign2(cx, a3, &a2);
-                    &*a3
-                }
-                None => &a2,
-            };
-            if let Some(Some(c)) = tr.on(cx, &names[seg_of_stage[2]], |cx| {
-                let h = hist_local(cx, hist_input, cfg.nbins, cfg.max_mag);
-                if cx.id() == 0 {
-                    cx.record(SET_DONE);
-                    Some(ReqCompletion { req, done: cx.now(), output: h })
-                } else {
-                    None
-                }
-            }) {
-                out.push(c);
-            }
-        }
-    });
-    out
-}
-
-/// Replicated FFT-Hist over a batch of requests: batch position `i` is
-/// dealt to module `i % replicas` (a deterministic round-robin), and each
-/// module's leader reports its own completions. With
-/// `pipeline = Some(stage_procs)` every module is itself a pipeline.
-pub fn fft_hist_replicated_requests(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    replicas: usize,
-    pipeline: Option<[usize; 3]>,
-    reqs: &[(usize, usize)],
-) -> Vec<ReqCompletion<Vec<u64>>> {
-    let reqs = reqs.to_vec();
-    crate::util::replicated_modules(cx, replicas, move |cx, rep| {
-        let mine: Vec<(usize, usize)> = reqs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % replicas == rep)
-            .map(|(_, &r)| r)
-            .collect();
-        match pipeline {
-            None => fft_hist_dp_requests(cx, cfg, &mine),
-            Some(stage) => fft_hist_segmented_requests(cx, cfg, &mine, [0, 1, 2], &stage),
-        }
-    })
-}
-
-/// Serve a batch of requests under any mapping (the dispatch a serving
-/// layer uses). Completions come back on the leader(s) of the group(s)
-/// that produce results; collect across processors via the run report.
+/// Serve a batch of requests — `(request index, dataset id)` pairs —
+/// under any mapping (the dispatch a serving layer uses): the one stream
+/// with two hooks. Every processor tags its work with the request's
+/// causal trace id (deterministic from the index, so no coordination; a
+/// no-op unless the machine traces), and the leader of the group that
+/// produces a histogram reports the completion with its own virtual
+/// time. Collect completions across processors via the run report.
 pub fn fft_hist_requests(
     cx: &mut Cx,
     cfg: &FftHistConfig,
     mapping: FftHistMapping,
     reqs: &[(usize, usize)],
 ) -> Vec<ReqCompletion<Vec<u64>>> {
-    match mapping {
-        FftHistMapping::DataParallel => fft_hist_dp_requests(cx, cfg, reqs),
-        FftHistMapping::Pipeline(stage) => {
-            fft_hist_segmented_requests(cx, cfg, reqs, [0, 1, 2], &stage)
-        }
-        FftHistMapping::Replicated { replicas, pipeline } => {
-            fft_hist_replicated_requests(cx, cfg, replicas, pipeline, reqs)
-        }
-    }
-}
-
-/// Run FFT-Hist under any mapping (the dispatch used by the Table 1 and
-/// Figure 5 harnesses).
-pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: FftHistMapping) {
-    match mapping {
-        FftHistMapping::DataParallel => {
-            fft_hist_dp(cx, cfg);
-        }
-        FftHistMapping::Pipeline(stage) => {
-            fft_hist_pipeline(cx, cfg, stage);
-        }
-        FftHistMapping::Replicated { replicas, pipeline } => {
-            fft_hist_replicated(cx, cfg, replicas, pipeline);
-        }
-    }
+    fft_hist_mapped(
+        cx,
+        cfg,
+        mapping,
+        reqs,
+        |&(_, d)| d,
+        |cx, &(req, _)| cx.set_trace(fx_core::request_trace_id(req)),
+        |cx, &(req, _), output| {
+            (cx.id() == 0).then(|| ReqCompletion { req, done: cx.now(), output })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -624,6 +484,20 @@ mod tests {
         for (d, h) in rep.results[2].iter().enumerate() {
             assert_eq!(h, &reference_histogram(&cfg, d), "dataset {d}");
         }
+    }
+
+    #[test]
+    fn a_mapping_is_replicas_around_segments() {
+        use FftHistMapping::*;
+        assert_eq!(DataParallel.segments(8), (None, Segments::fused(8)));
+        assert_eq!(Pipeline([2, 4, 2]).segments(8), (None, Segments::pipeline([2, 4, 2])));
+        // One replica is still a (one-module) partition: `Some(1)`.
+        let one = Replicated { replicas: 1, pipeline: None };
+        assert_eq!(one.segments(8), (Some(1), Segments::fused(8)));
+        let four = Replicated { replicas: 4, pipeline: None };
+        assert_eq!(four.segments(8), (Some(4), Segments::fused(2)));
+        let hybrid = Replicated { replicas: 2, pipeline: Some([1, 2, 1]) };
+        assert_eq!(hybrid.segments(8), (Some(2), Segments::pipeline([1, 2, 1])));
     }
 
     #[test]

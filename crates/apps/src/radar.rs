@@ -15,13 +15,13 @@
 //! latency penalty: it soaked up processors the data-parallel structure
 //! could not.
 
-use fx_core::{Cx, Size};
+use fx_core::Cx;
 use fx_darray::{assign2, transpose2, DArray2, Dist};
 use fx_kernels::fft::{fft_any_flops, fft_any_in_place};
 use fx_kernels::signal::{scale_flops, threshold_flops};
 use fx_kernels::Complex;
 
-use crate::util::{complex_input, replicated_modules, SET_DONE, SET_START};
+use crate::util::{complex_input, dealt, stage_chain, SET_DONE, SET_START};
 
 /// Problem parameters for the radar pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -125,10 +125,7 @@ pub fn radar_dp(cx: &mut Cx, cfg: &RadarConfig) -> Vec<u64> {
 /// the paper's winning mapping for this program. Returns this module's
 /// `(dataset, detections)` pairs.
 pub fn radar_replicated(cx: &mut Cx, cfg: &RadarConfig, replicas: usize) -> Vec<(usize, u64)> {
-    replicated_modules(cx, replicas, |cx, rep| {
-        let my_sets: Vec<usize> = (0..cfg.datasets).filter(|d| d % replicas == rep).collect();
-        radar_stream(cx, cfg, &my_sets)
-    })
+    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_stream(cx, cfg, &mine))
 }
 
 /// Replication combined with pipelining — the paper presents exactly
@@ -141,10 +138,7 @@ pub fn radar_replicated_pipeline(
     replicas: usize,
     stage_procs: [usize; 3],
 ) -> Vec<(usize, u64)> {
-    replicated_modules(cx, replicas, |cx, rep| {
-        let my_sets: Vec<usize> = (0..cfg.datasets).filter(|d| d % replicas == rep).collect();
-        radar_pipeline(cx, cfg, stage_procs, &my_sets)
-    })
+    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_pipeline(cx, cfg, stage_procs, &mine))
 }
 
 /// Pipelined radar: acquisition (G1) → Doppler FFT + scaling (G2) →
@@ -156,40 +150,25 @@ pub fn radar_pipeline(
     procs: [usize; 3],
     sets: &[usize],
 ) -> Vec<(usize, u64)> {
-    assert_eq!(
-        procs.iter().sum::<usize>(),
-        cx.nprocs(),
-        "pipeline stage processors must sum to the group size"
-    );
-    let part = cx.task_partition(&[
-        ("G1", Size::Procs(procs[0])),
-        ("G2", Size::Procs(procs[1])),
-        ("G3", Size::Procs(procs[2])),
-    ]);
-    let g1 = part.group("G1");
-    let g2 = part.group("G2");
-    let g3 = part.group("G3");
-    let (p, r) = (cfg.pulses, cfg.ranges);
-    let mut input = DArray2::new(cx, &g1, [p, r], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut work = DArray2::new(cx, &g2, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut staged = DArray2::new(cx, &g3, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut out = Vec::new();
-    let mut scratch = Vec::new();
-
-    cx.task_region(&part, |cx, tr| {
+    stage_chain(cx, [0, 1, 2], &procs, |cx, st| {
+        let (p, r) = (cfg.pulses, cfg.ranges);
+        let rows = (Dist::Block, Dist::Star);
+        let mut input = DArray2::new(cx, st.group(0), [p, r], rows, Complex::ZERO);
+        let mut work = DArray2::new(cx, st.group(1), [r, p], rows, Complex::ZERO);
+        let mut staged = DArray2::new(cx, st.group(2), [r, p], rows, Complex::ZERO);
+        let mut out = Vec::new();
+        let mut scratch = Vec::new();
         for &d in sets {
-            tr.on(cx, "G1", |cx| {
+            st.on(cx, 0, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_START);
                 }
                 input.for_each_owned(|pr, rg, v| *v = complex_input(d, pr, rg));
-                cx.charge_mem_bytes(
-                    std::mem::size_of_val(input.local()) as f64,
-                );
+                cx.charge_mem_bytes(std::mem::size_of_val(input.local()) as f64);
             });
             // Corner turn rides the cross-group transfer (parent scope).
             transpose2(cx, &mut work, &input);
-            tr.on(cx, "G2", |cx| {
+            st.on(cx, 1, |cx| {
                 let (lr, _) = work.local_dims();
                 for row in 0..lr {
                     let slice = work.local_row_mut(row);
@@ -201,12 +180,9 @@ pub fn radar_pipeline(
                 cx.charge_flops(fft_any_flops(p) * lr as f64 + scale_flops(p * lr));
             });
             assign2(cx, &mut staged, &work);
-            if let Some(total) = tr.on(cx, "G3", |cx| {
-                let local_count = staged
-                    .local()
-                    .iter()
-                    .filter(|z| z.abs() >= cfg.threshold)
-                    .count() as u64;
+            if let Some(total) = st.on(cx, 2, |cx| {
+                let local_count =
+                    staged.local().iter().filter(|z| z.abs() >= cfg.threshold).count() as u64;
                 cx.charge_flops(threshold_flops(staged.local().len()));
                 let t = cx.allreduce(local_count, |a, b| a + b);
                 if cx.id() == 0 {
@@ -217,8 +193,8 @@ pub fn radar_pipeline(
                 out.push((d, total));
             }
         }
-    });
-    out
+        out
+    })
 }
 
 #[cfg(test)]

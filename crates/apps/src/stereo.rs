@@ -22,7 +22,7 @@ use fx_kernels::image::{
     window_sum_reference,
 };
 
-use crate::util::{real_input, replicated_modules, SET_DONE, SET_START};
+use crate::util::{dealt, real_input, stage_chain, SET_DONE, SET_START};
 
 /// Problem parameters for multibaseline stereo.
 #[derive(Debug, Clone, Copy)]
@@ -191,41 +191,25 @@ pub fn stereo_pipeline(
     procs: [usize; 3],
     sets: &[usize],
 ) -> Vec<(usize, Vec<u16>)> {
-    assert_eq!(
-        procs.iter().sum::<usize>(),
-        cx.nprocs(),
-        "pipeline stage processors must sum to the group size"
-    );
-    let part = cx.task_partition(&[
-        ("G1", fx_core::Size::Procs(procs[0])),
-        ("G2", fx_core::Size::Procs(procs[1])),
-        ("G3", fx_core::Size::Procs(procs[2])),
-    ]);
-    let g1 = part.group("G1");
-    let g2 = part.group("G2");
-    let g3 = part.group("G3");
-    let (rows, cols) = (cfg.rows, cfg.cols);
-    let dist = (Dist::Star, Dist::Block);
-
-    // SUBGROUP(G1): reference/match/shift/diff; SUBGROUP(G2): diffs and
-    // error volumes; SUBGROUP(G3): error volume and depth.
-    let mut reference = DArray2::new(cx, &g1, [rows, cols], dist, 0f32);
-    let mut matches: Vec<DArray2<f32>> =
-        (0..cfg.n_match).map(|_| DArray2::new(cx, &g1, [rows, cols], dist, 0f32)).collect();
-    let mut shifted = DArray2::new(cx, &g1, [rows, cols], dist, 0f32);
-    let mut diff_g1: Vec<DArray2<f32>> =
-        (0..cfg.max_disp).map(|_| DArray2::new(cx, &g1, [rows, cols], dist, 0f32)).collect();
-    let mut diff_g2: Vec<DArray2<f32>> =
-        (0..cfg.max_disp).map(|_| DArray2::new(cx, &g2, [rows, cols], dist, 0f32)).collect();
-    let mut err_g2: Vec<DArray2<f32>> =
-        (0..cfg.max_disp).map(|_| DArray2::new(cx, &g2, [rows, cols], dist, 0f32)).collect();
-    let mut err_g3: Vec<DArray2<f32>> =
-        (0..cfg.max_disp).map(|_| DArray2::new(cx, &g3, [rows, cols], dist, 0f32)).collect();
-    let mut out = Vec::new();
-
-    cx.task_region(&part, |cx, tr| {
+    stage_chain(cx, [0, 1, 2], &procs, |cx, st| {
+        let image = |cx: &mut Cx, k: usize| {
+            DArray2::new(cx, st.group(k), [cfg.rows, cfg.cols], (Dist::Star, Dist::Block), 0f32)
+        };
+        let volume = |cx: &mut Cx, k: usize| -> Vec<DArray2<f32>> {
+            (0..cfg.max_disp).map(|_| image(cx, k)).collect()
+        };
+        // SUBGROUP(G1): reference/match/shift/diff; SUBGROUP(G2): diffs and
+        // error volumes; SUBGROUP(G3): error volume and depth.
+        let mut reference = image(cx, 0);
+        let mut matches: Vec<DArray2<f32>> = (0..cfg.n_match).map(|_| image(cx, 0)).collect();
+        let mut shifted = image(cx, 0);
+        let mut diff_g1 = volume(cx, 0);
+        let mut diff_g2 = volume(cx, 1);
+        let mut err_g2 = volume(cx, 1);
+        let mut err_g3 = volume(cx, 2);
+        let mut out = Vec::new();
         for &d in sets {
-            tr.on(cx, "G1", |cx| {
+            st.on(cx, 0, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_START);
                 }
@@ -258,7 +242,7 @@ pub fn stereo_pipeline(
             for (dst, src) in diff_g2.iter_mut().zip(&diff_g1) {
                 assign2(cx, dst, src);
             }
-            tr.on(cx, "G2", |cx| {
+            st.on(cx, 1, |cx| {
                 for (diff, err) in diff_g2.iter().zip(err_g2.iter_mut()) {
                     let (lr, lc) = diff.local_dims();
                     let halo = exchange_col_halo(cx, diff, cfg.window);
@@ -279,7 +263,7 @@ pub fn stereo_pipeline(
             for (dst, src) in err_g3.iter_mut().zip(&err_g2) {
                 assign2(cx, dst, src);
             }
-            if let Some(depth) = tr.on(cx, "G3", |cx| {
+            if let Some(depth) = st.on(cx, 2, |cx| {
                 let (lr, lc) = err_g3[0].local_dims();
                 let npix = lr * lc;
                 let mut best = vec![f32::INFINITY; npix];
@@ -301,8 +285,8 @@ pub fn stereo_pipeline(
                 out.push((d, depth));
             }
         }
-    });
-    out
+        out
+    })
 }
 
 /// Replication combined with pipelining (§3.3): `replicas` modules, each
@@ -313,10 +297,7 @@ pub fn stereo_replicated_pipeline(
     replicas: usize,
     stage_procs: [usize; 3],
 ) -> Vec<(usize, Vec<u16>)> {
-    replicated_modules(cx, replicas, |cx, rep| {
-        let my_sets: Vec<usize> = (0..cfg.datasets).filter(|d| d % replicas == rep).collect();
-        stereo_pipeline(cx, cfg, stage_procs, &my_sets)
-    })
+    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_pipeline(cx, cfg, stage_procs, &mine))
 }
 
 /// Replicated stereo: `replicas` modules, datasets dealt round-robin.
@@ -325,10 +306,7 @@ pub fn stereo_replicated(
     cfg: &StereoConfig,
     replicas: usize,
 ) -> Vec<(usize, Vec<u16>)> {
-    replicated_modules(cx, replicas, |cx, rep| {
-        let my_sets: Vec<usize> = (0..cfg.datasets).filter(|d| d % replicas == rep).collect();
-        stereo_stream(cx, cfg, &my_sets)
-    })
+    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_stream(cx, cfg, &mine))
 }
 
 /// Reassemble per-processor local depth tiles (column blocks, in

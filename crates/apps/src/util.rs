@@ -1,7 +1,9 @@
 //! Shared helpers for the applications: deterministic cheap input
-//! synthesis, event labels, and the replicated-modules skeleton.
+//! synthesis, event labels, and the two mapping skeletons the Table 1
+//! programs share — replicated modules with a round-robin dealer
+//! ([`dealt`]) and a three-stage chain placed on segments ([`stage_chain`]).
 
-use fx_core::{Cx, Size};
+use fx_core::{Cx, GroupHandle, Size, TaskRegion};
 use fx_kernels::nbody::Body;
 use fx_kernels::Complex;
 
@@ -136,6 +138,76 @@ pub fn replicated_modules<R>(
     out.expect("every processor belongs to exactly one module")
 }
 
+/// [`replicated_modules`] plus the dealer every replicated stream uses:
+/// item `i` goes to module `i % replicas`, and `f(cx, my_items)` runs on
+/// this processor's module.
+pub fn dealt<I, R>(
+    cx: &mut Cx,
+    replicas: usize,
+    items: impl IntoIterator<Item = I>,
+    f: impl FnOnce(&mut Cx, Vec<I>) -> R,
+) -> R {
+    replicated_modules(cx, replicas, |cx, module| {
+        f(cx, items.into_iter().skip(module).step_by(replicas).collect())
+    })
+}
+
+/// The three stages of a chain as [`stage_chain`] placed them on the current
+/// group.
+pub struct Stages<'r> {
+    seg_of_stage: [usize; 3],
+    region: Option<(&'r TaskRegion<'r>, &'r [String])>,
+    groups: [GroupHandle; 3],
+}
+
+impl Stages<'_> {
+    /// `SUBGROUP(..) ::` — the group stage `k`'s variables are mapped to.
+    pub fn group(&self, k: usize) -> &GroupHandle {
+        &self.groups[k]
+    }
+
+    /// `ON SUBGROUP` stage `k`'s segment; when the whole chain is one
+    /// segment there is no subgroup to be on, and `f` just runs.
+    pub fn on<R>(&self, cx: &mut Cx, k: usize, f: impl FnOnce(&mut Cx) -> R) -> Option<R> {
+        match &self.region {
+            None => Some(f(cx)),
+            Some((tr, names)) => tr.on(cx, &names[self.seg_of_stage[k]], f),
+        }
+    }
+}
+
+/// Place a three-stage chain on the current group and run `body` there.
+/// `seg_of_stage[k]` is the segment of stage `k` (non-decreasing from 0;
+/// adjacent stages in one segment are fused) and `procs[s]` the size of
+/// segment `s`. Several segments are the `TASK_PARTITION G1, G2, …` and
+/// task region of Figure 2(c), `body` its parent scope; one segment is
+/// Figure 2(a) — the current group as it stands, no partition, no region.
+pub fn stage_chain<R>(
+    cx: &mut Cx,
+    seg_of_stage: [usize; 3],
+    procs: &[usize],
+    body: impl FnOnce(&mut Cx, &Stages) -> R,
+) -> R {
+    assert!(
+        seg_of_stage[0] == 0 && seg_of_stage.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1),
+        "stage segments must start at 0 and be contiguous and non-decreasing"
+    );
+    assert_eq!(procs.len(), seg_of_stage[2] + 1, "one processor count per segment");
+    assert_eq!(procs.iter().sum::<usize>(), cx.nprocs(), "segments must use the whole group");
+    if procs.len() == 1 {
+        let g = cx.group();
+        return body(cx, &Stages { seg_of_stage, region: None, groups: [g.clone(), g.clone(), g] });
+    }
+    let names: Vec<String> = (1..=procs.len()).map(|s| format!("G{s}")).collect();
+    let spec: Vec<(&str, Size)> =
+        names.iter().zip(procs).map(|(n, &p)| (n.as_str(), Size::Procs(p))).collect();
+    let part = cx.task_partition(&spec);
+    let groups = seg_of_stage.map(|s| part.group(&names[s]));
+    cx.task_region(&part, |cx, tr| {
+        body(cx, &Stages { seg_of_stage, region: Some((tr, &names)), groups })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +233,39 @@ mod tests {
             })
         });
         assert_eq!(rep.results, vec![20, 20, 40, 40]);
+    }
+
+    #[test]
+    fn dealt_deals_by_position() {
+        let rep = spmd(&Machine::real(4), |cx| dealt(cx, 2, 10..15, |_, mine| mine));
+        assert_eq!(rep.results, [vec![10, 12, 14], vec![10, 12, 14], vec![11, 13], vec![11, 13]]);
+    }
+
+    #[test]
+    fn a_fused_chain_is_the_group_as_it_stands() {
+        // No partition, no region: every stage runs on everyone and no
+        // scope is entered (an op tag or a region entry per stage would
+        // move the data-parallel program's tags and counters).
+        let rep = spmd(&Machine::real(3), |cx| {
+            stage_chain(cx, [0, 0, 0], &[3], |cx, st| {
+                assert_eq!(st.group(2).gid(), cx.group().gid());
+                (0..3).filter_map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
+            })
+        });
+        assert!(rep.results.iter().all(|r| r == &[3, 3, 3]));
+        assert_eq!(rep.total().region_enters, 0);
+    }
+
+    #[test]
+    fn fused_stages_share_a_segment_of_a_longer_chain() {
+        let rep = spmd(&Machine::real(3), |cx| {
+            stage_chain(cx, [0, 0, 1], &[2, 1], |cx, st| {
+                assert_eq!(st.group(0).gid(), st.group(1).gid());
+                (0..3).map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
+            })
+        });
+        let (g1, g2) = (vec![Some(2), Some(2), None], vec![None, None, Some(1)]);
+        assert_eq!(rep.results, [g1.clone(), g1, g2]);
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! `fx-mapping`.
 
 use fx_apps::ffthist::{
-    cffts_local, fft_hist_dp_sets, fft_hist_segmented, fill_input, hist_local, rffts_local,
-    FftHistConfig,
+    cffts_local, fft_hist_dp_sets, fft_hist_sets, fill_input, hist_local, rffts_local,
+    FftHistConfig, Segments,
 };
-use fx_apps::util::{replicated_modules, SET_DONE, SET_START};
+use fx_apps::util::{dealt, SET_DONE, SET_START};
 use fx_core::{spmd, Cx, Machine, MachineModel};
-use fx_darray::{assign2, DArray2, Dist};
+use fx_darray::{assign2, DArray2, Dist, Participation};
 use fx_kernels::Complex;
 use fx_mapping::{Boundary, ChainModel, Mapping, NetParams, ProfileTable, StageProfile};
 
@@ -181,20 +181,25 @@ pub fn fft_hist_chain_model_measured(cfg: &FftHistConfig, p_values: &[usize]) ->
 }
 
 /// Execute an `fx-mapping` mapping of FFT-Hist on the current group:
-/// `modules` replicas of the segmented chain, datasets dealt round-robin.
-/// Processors beyond `mapping.procs_used()` idle in a spare subgroup
-/// (the optimizer is allowed to leave processors unused).
+/// `modules` replicas of the chain under the mapping's [`Segments`],
+/// datasets dealt round-robin. Processors beyond `mapping.procs_used()`
+/// idle in a spare subgroup (the optimizer is allowed to leave processors
+/// unused).
 pub fn run_fft_hist_mapping(cx: &mut Cx, cfg: &FftHistConfig, mapping: &Mapping) {
     let used = mapping.procs_used();
     let total = cx.nprocs();
     assert!(used <= total, "mapping uses {used} of {total} processors");
-    let seg_of_stage = seg_of_stage(mapping);
-    let seg_procs: Vec<usize> = mapping.segments.iter().map(|s| s.procs).collect();
+    let mut segs = Segments {
+        seg_of_stage: [0; 3],
+        procs: mapping.segments.iter().map(|s| s.procs).collect(),
+        mode: Participation::Minimal,
+    };
+    for (si, seg) in mapping.segments.iter().enumerate() {
+        segs.seg_of_stage[seg.first..=seg.last].fill(si);
+    }
     let run = |cx: &mut Cx| {
-        replicated_modules(cx, mapping.modules, |cx, module| {
-            let my_sets: Vec<usize> =
-                (0..cfg.datasets).filter(|d| d % mapping.modules == module).collect();
-            fft_hist_segmented(cx, cfg, &my_sets, seg_of_stage, &seg_procs);
+        dealt(cx, mapping.modules, 0..cfg.datasets, |cx, mine| {
+            fft_hist_sets(cx, cfg, &segs, &mine);
         });
     };
     if used == total {
@@ -208,18 +213,6 @@ pub fn run_fft_hist_mapping(cx: &mut Cx, cfg: &FftHistConfig, mapping: &Mapping)
             tr.on(cx, "work", run);
         });
     }
-}
-
-/// Convert a chain mapping's segments into the stage→segment table the
-/// executable runner uses.
-fn seg_of_stage(mapping: &Mapping) -> [usize; 3] {
-    let mut out = [0usize; 3];
-    for (si, seg) in mapping.segments.iter().enumerate() {
-        for slot in &mut out[seg.first..=seg.last] {
-            *slot = si;
-        }
-    }
-    out
 }
 
 /// Run the pure data-parallel FFT-Hist stream (the Table 1 baseline).

@@ -66,6 +66,43 @@ const PROFIT_FACTOR: f64 = 2.0;
 const MIN_ITERS_PER_PROC: usize = 2;
 
 impl Cx<'_> {
+    /// The one ragged exchange of a promotion: per-iteration `u32` counts
+    /// on the typed path, then the flattened values as one chunk — no
+    /// chunk at all when there are no values.
+    fn send_ragged<T: Copy + Send + 'static>(&mut self, to: usize, tag: u64, rows: &[Vec<T>]) {
+        self.send_v(to, tag, rows.iter().map(|r| r.len() as u32).collect::<Vec<u32>>());
+        let total: usize = rows.iter().map(Vec::len).sum();
+        if total > 0 {
+            let mut ch = self.chunk_for::<T>(total);
+            rows.iter().for_each(|r| ch.push_slice(r));
+            self.send_chunk_v(to, tag, ch);
+        }
+    }
+
+    /// Receive the `iters` rows [`Cx::send_ragged`] sent.
+    fn recv_ragged<T: Copy + Send + 'static>(
+        &mut self,
+        from: usize,
+        tag: u64,
+        iters: usize,
+    ) -> Vec<Vec<T>> {
+        let counts: Vec<u32> = self.recv_v(from, tag);
+        debug_assert_eq!(counts.len(), iters);
+        let mut flat = Vec::new();
+        if counts.iter().any(|&c| c > 0) {
+            let ch = self.recv_chunk_v(from, tag);
+            flat = ch.to_vec::<T>();
+            self.release_chunk(ch);
+        }
+        let mut rest = &flat[..];
+        let row = |&c: &u32| {
+            let (row, tail) = rest.split_at(c as usize);
+            rest = tail;
+            row.to_vec()
+        };
+        counts.iter().map(row).collect()
+    }
+
     /// A *promotable* parallel loop over `range`, block-distributed like
     /// `pdo(.., IterSched::Block, ..)`: sequential by default, donating
     /// its tail to idle subgroup peers on a virtual-time heartbeat. See
@@ -205,19 +242,8 @@ impl Cx<'_> {
                 end = new_end;
                 self.runtime().note_promotions_taken(k as u64);
                 for (j, &vr) in mine[..k].iter().enumerate() {
-                    let mut counts: Vec<u32> = Vec::with_capacity(shares[j].len());
-                    let mut flat: Vec<In> = Vec::new();
-                    for i in shares[j].clone() {
-                        let ins = pack(self, i);
-                        counts.push(ins.len() as u32);
-                        flat.extend_from_slice(&ins);
-                    }
-                    self.send_v(vr, tag_grant, counts);
-                    if !flat.is_empty() {
-                        let mut ch = self.chunk_for::<In>(flat.len());
-                        ch.push_slice(&flat);
-                        self.send_chunk_v(vr, tag_grant, ch);
-                    }
+                    let ins: Vec<Vec<In>> = shares[j].clone().map(|i| pack(self, i)).collect();
+                    self.send_ragged(vr, tag_grant, &ins);
                 }
             } else {
                 self.runtime().heartbeat_board().store_progress(my_phys, t);
@@ -226,22 +252,9 @@ impl Cx<'_> {
 
         // Epilogue: install donated results, grants in the order made.
         for &(vr, g) in &grants_made {
-            let counts: Vec<u32> = self.recv_v(vr, tag_result);
-            debug_assert_eq!(counts.len(), g.hi - g.lo);
-            let total: usize = counts.iter().map(|&c| c as usize).sum();
-            let flat: Vec<Out> = if total > 0 {
-                let ch = self.recv_chunk_v(vr, tag_result);
-                let v = ch.to_vec::<Out>();
-                self.release_chunk(ch);
-                v
-            } else {
-                Vec::new()
-            };
-            let mut off = 0usize;
-            for (idx, i) in (g.lo..g.hi).enumerate() {
-                let c = counts[idx] as usize;
-                apply(self, i, flat[off..off + c].to_vec());
-                off += c;
+            let outs: Vec<Vec<Out>> = self.recv_ragged(vr, tag_result, g.hi - g.lo);
+            for (i, row) in (g.lo..g.hi).zip(outs) {
+                apply(self, i, row);
             }
         }
 
@@ -267,38 +280,17 @@ impl Cx<'_> {
                     let donor_vr = group
                         .vrank_of_phys(g.donor)
                         .expect("grant from outside the loop's group");
-                    let counts: Vec<u32> = self.recv_v(donor_vr, tag_grant);
-                    debug_assert_eq!(counts.len(), g.hi - g.lo);
-                    let total: usize = counts.iter().map(|&c| c as usize).sum();
-                    let flat: Vec<In> = if total > 0 {
-                        let ch = self.recv_chunk_v(donor_vr, tag_grant);
-                        let v = ch.to_vec::<In>();
-                        self.release_chunk(ch);
-                        v
-                    } else {
-                        Vec::new()
-                    };
+                    let ins: Vec<Vec<In>> = self.recv_ragged(donor_vr, tag_grant, g.hi - g.lo);
                     let serve_scope = format!("promote[{}-{}<p{}]", g.lo, g.hi, g.donor);
                     self.runtime().push_scope(&serve_scope);
-                    let mut out_counts: Vec<u32> = Vec::with_capacity(counts.len());
-                    let mut out_flat: Vec<Out> = Vec::new();
-                    let mut off = 0usize;
-                    for (idx, i) in (g.lo..g.hi).enumerate() {
-                        let c = counts[idx] as usize;
-                        let outs = body(self, i, &flat[off..off + c]);
-                        off += c;
-                        out_counts.push(outs.len() as u32);
-                        out_flat.extend_from_slice(&outs);
+                    let mut outs = Vec::with_capacity(ins.len());
+                    for (i, row) in (g.lo..g.hi).zip(&ins) {
+                        outs.push(body(self, i, row));
                         let tn = self.now();
                         self.runtime().heartbeat_board().store_progress(my_phys, tn);
                     }
                     self.runtime().pop_scope();
-                    self.send_v(donor_vr, tag_result, out_counts);
-                    if !out_flat.is_empty() {
-                        let mut ch = self.chunk_for::<Out>(out_flat.len());
-                        ch.push_slice(&out_flat);
-                        self.send_chunk_v(donor_vr, tag_result, ch);
-                    }
+                    self.send_ragged(donor_vr, tag_result, &outs);
                     let t_idle = self.now();
                     self.runtime().heartbeat_board().register_idle(my_phys, epoch, t_idle);
                     deadline = self.runtime().watchdog_deadline();

@@ -1,8 +1,8 @@
 //! Every `FX_*` environment knob, in one table.
 //!
-//! A knob is a *default*: it is read each time a [`crate::Machine`] (or a
-//! serve config) is built — tests set variables at run time, so not once
-//! per process — and an explicit `with_*` on the machine always wins. A
+//! A knob is a *default*: it is read each time a [`crate::Machine`] is
+//! built — tests set variables at run time, so not once per process — and
+//! an explicit `with_*` on the machine always wins. A
 //! variable that is set to something its knob does not accept panics,
 //! naming the variable and the accepted forms: `FX_EXECUTOR=pooledd`
 //! must not silently test the default executor.
@@ -20,7 +20,7 @@ pub struct Knob {
 
 /// Every knob the library reads; the README's table mirrors it (a unit
 /// test compares them).
-pub const KNOBS: [Knob; 11] = [
+pub const KNOBS: [Knob; 8] = [
     Knob {
         name: "FX_EXECUTOR",
         accepts: "`threaded` or `pooled`",
@@ -37,13 +37,6 @@ pub const KNOBS: [Knob; 11] = [
     Knob { name: "FX_TRACE", accepts: "`1`, `on`, `true`, `0`, `off` or `false`", default: "off" },
     Knob { name: "FX_RECV_TIMEOUT_MS", accepts: "an integer number of milliseconds", default: "`60000`" },
     Knob { name: "FX_STACK_KB", accepts: "an integer number of KiB, raised to at least 64", default: "`1024`" },
-    Knob { name: "FX_SERVE_QUEUE", accepts: "an integer, raised to at least 1", default: "`16`" },
-    Knob { name: "FX_SERVE_BATCH", accepts: "an integer, raised to at least 1", default: "`4`" },
-    Knob {
-        name: "FX_SERVE_SHED",
-        accepts: "`newest`, `drop-newest`, `dropnewest`, `oldest`, `drop-oldest` or `dropoldest`, in any case",
-        default: "`newest`",
-    },
 ];
 
 /// The value of knob `name` as `parse` reads it, `None` when the variable

@@ -6,9 +6,10 @@
 //! Yang, PPoPP '97). The paper's results were measured on a 64-node Intel
 //! Paragon; this crate stands in for that machine:
 //!
-//! * **SPMD execution** — `run(machine, f)` executes the same closure on
-//!   `nprocs` host threads, one per simulated processor, each with its own
-//!   [`ProcCtx`].
+//! * **SPMD execution** — `run(machine, f)` executes the same closure
+//!   once per simulated processor, each with its own [`ProcCtx`]: as
+//!   stackful coroutines on a fixed worker pool (the default under
+//!   simulated time) or on a host thread each ([`Executor`]).
 //! * **Direct-deposit messaging** — [`ProcCtx::send`] deposits a typed
 //!   payload straight into the destination mailbox (the Fx communication
 //!   style); [`ProcCtx::recv`] matches on `(source, tag)` FIFO channels.

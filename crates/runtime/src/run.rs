@@ -63,8 +63,8 @@ impl std::fmt::Display for Executor {
 
 /// Whether distributed-array statements elide their inter-stage subset
 /// barriers when the interval-level dependence structure proves them
-/// redundant (ROADMAP item 4; see `fx-darray`'s dataflow module for the
-/// covered-edge rule).
+/// redundant (see `fx-darray`'s dataflow module for the covered-edge
+/// rule).
 ///
 /// Barriers in this runtime never affect *results* — messages are matched
 /// FIFO per `(src, tag)` stream regardless — only virtual (and host) time.

@@ -37,9 +37,9 @@
 //!
 //! ## Knobs
 //!
-//! [`ServeConfig::from_env`] reads `FX_SERVE_QUEUE` (admission queue
-//! capacity), `FX_SERVE_BATCH` (max requests per pipeline batch) and
-//! `FX_SERVE_SHED` (`newest` | `oldest`).
+//! A [`ServeConfig`] — admission queue capacity, requests per pipeline
+//! batch, what to shed when the queue is full — is a value handed to
+//! [`Server::with_config`]; no environment variable sets it.
 
 mod arrivals;
 mod report;
@@ -50,8 +50,6 @@ pub use report::{ComponentStats, RequestTrace, ServeReport, TenantReport};
 pub use servable::{AirshedServable, FftHistServable, Servable};
 pub use server::{ProcServe, Server};
 pub use arrivals::{poisson_trace, ServeRequest, TenantSpec};
-
-use fx_runtime::env;
 
 /// What to drop when a request arrives and the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,29 +78,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig { queue_cap: 16, batch_max: 4, shed: ShedPolicy::DropNewest }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults overridden by `FX_SERVE_QUEUE`, `FX_SERVE_BATCH` and
-    /// `FX_SERVE_SHED` (`newest` | `oldest`; see [`fx_runtime::env`]).
-    /// Capacities are clamped to at least 1.
-    ///
-    /// # Panics
-    /// When one of them is set to a value it does not accept.
-    pub fn from_env() -> Self {
-        let dflt = ServeConfig::default();
-        let count = |s: &str| Some(s.trim().parse::<usize>().ok()?.max(1));
-        ServeConfig {
-            queue_cap: env::read("FX_SERVE_QUEUE", count).unwrap_or(dflt.queue_cap),
-            batch_max: env::read("FX_SERVE_BATCH", count).unwrap_or(dflt.batch_max),
-            shed: env::read("FX_SERVE_SHED", |s| match s.trim().to_ascii_lowercase().as_str() {
-                "oldest" | "drop-oldest" | "dropoldest" => Some(ShedPolicy::DropOldest),
-                "newest" | "drop-newest" | "dropnewest" => Some(ShedPolicy::DropNewest),
-                _ => None,
-            })
-            .unwrap_or(dflt.shed),
-        }
     }
 }
 

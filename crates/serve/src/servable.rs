@@ -27,7 +27,7 @@ pub trait Servable: Send + Sync {
     fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<Self::Output>>;
 }
 
-/// FFT-Hist (Figure 4/5) as a service: each request 2D-FFTs one
+/// FFT-Hist (Figures 2, 3 and 5) as a service: each request 2D-FFTs one
 /// deterministic dataset and histograms the magnitudes, under any of
 /// the paper's mappings (data-parallel, pipeline, replicated).
 #[derive(Debug, Clone, Copy)]

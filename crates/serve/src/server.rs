@@ -41,10 +41,10 @@ pub struct Server<S: Servable> {
 }
 
 impl<S: Servable> Server<S> {
-    /// A server on `machine` wrapping `servable`, configured from the
-    /// environment ([`ServeConfig::from_env`]).
+    /// A server on `machine` wrapping `servable`, with the default
+    /// [`ServeConfig`].
     pub fn new(machine: Machine, servable: S) -> Self {
-        Server { machine, servable, cfg: ServeConfig::from_env() }
+        Server { machine, servable, cfg: ServeConfig::default() }
     }
 
     /// Replace the admission-control configuration.

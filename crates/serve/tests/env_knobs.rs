@@ -1,4 +1,4 @@
-//! The eleven `FX_*` knobs, one table: every accepted spelling resolves
+//! The eight `FX_*` knobs, one table: every accepted spelling resolves
 //! to its value, every malformed value panics naming the variable, and an
 //! explicit `with_*` still wins. The environment is process-wide, so this
 //! is one test in a binary of its own.
@@ -8,13 +8,11 @@ use std::time::Duration;
 
 use fx_runtime::env::{self, Knob};
 use fx_runtime::{DataflowMode, Executor, HeartbeatMode, Machine, MachineModel};
-use fx_serve::ServeConfig;
 
-/// What a knob resolved to, as text: the `Debug` of the machine (or serve
-/// config) field it sets.
+/// What a knob resolved to, as text: the `Debug` of the machine field it
+/// sets.
 fn resolved(knob: &Knob, real: bool) -> String {
     let m = if real { Machine::real(2) } else { Machine::simulated(2, MachineModel::paragon()) };
-    let s = ServeConfig::from_env();
     match knob.name {
         "FX_EXECUTOR" | "FX_WORKERS" => format!("{:?}", m.executor),
         "FX_DATAFLOW" => format!("{:?}", m.dataflow),
@@ -28,9 +26,6 @@ fn resolved(knob: &Knob, real: bool) -> String {
             let at = dbg.find("stack_bytes: ").expect("Machine's Debug shows stack_bytes") + 13;
             dbg[at..].chars().take_while(char::is_ascii_digit).collect()
         }
-        "FX_SERVE_QUEUE" => format!("{:?}", s.queue_cap),
-        "FX_SERVE_BATCH" => format!("{:?}", s.batch_max),
-        "FX_SERVE_SHED" => format!("{:?}", s.shed),
         other => panic!("no resolver for {other}"),
     }
 }
@@ -40,7 +35,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     // (knob, unset on a simulated machine, unset on a real one, accepted
     // spelling → value, malformed values)
     type Row = (&'static str, &'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
-    let table: [Row; 11] = [
+    let table: [Row; 8] = [
         (
             "FX_EXECUTOR",
             "Pooled { workers: 0 }",
@@ -61,22 +56,6 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         ),
         ("FX_RECV_TIMEOUT_MS", "60s", "60s", &[("150", "150ms"), ("2000", "2s")], &["1s", "-5", "1.5"]),
         ("FX_STACK_KB", "1048576", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
-        ("FX_SERVE_QUEUE", "16", "16", &[("8", "8"), (" 8 ", "8"), ("0", "1")], &["many", "-1"]),
-        ("FX_SERVE_BATCH", "4", "4", &[("2", "2"), ("0", "1")], &["all", "2.0"]),
-        (
-            "FX_SERVE_SHED",
-            "DropNewest",
-            "DropNewest",
-            &[
-                ("newest", "DropNewest"),
-                ("drop-newest", "DropNewest"),
-                ("dropnewest", "DropNewest"),
-                ("oldest", "DropOldest"),
-                ("Drop-Oldest", "DropOldest"),
-                (" DROPOLDEST ", "DropOldest"),
-            ],
-            &["random", "old"],
-        ),
     ];
     assert_eq!(table.map(|row| row.0), env::KNOBS.map(|k| k.name), "one row per knob of the table");
     // CI legs export knobs (`FX_EXECUTOR=threaded cargo test`); this

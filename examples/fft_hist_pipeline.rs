@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example fft_hist_pipeline`
 //!
-//! Set `FX_TELEMETRY=1` to attach the live metrics registry and write
+//! Pass `--telemetry` (`… --example fft_hist_pipeline -- --telemetry`) to
+//! attach the live metrics registry and write
 //! `results/fft_hist_pipeline.om` (OpenMetrics), `.json`, and a flight
 //! dump `.flight.txt` — the artifact set CI's telemetry-smoke job checks.
 
@@ -24,7 +25,7 @@ fn main() {
     let cfg = FftHistConfig::new(64, 12);
     let mut machine = Machine::simulated(6, MachineModel::paragon());
 
-    let telemetry = if std::env::var_os("FX_TELEMETRY").is_some() {
+    let telemetry = if std::env::args().any(|a| a == "--telemetry") {
         let t = Arc::new(Telemetry::new());
         machine = machine.with_telemetry(Arc::clone(&t));
         Some(t)

@@ -1,9 +1,13 @@
-//! The documents name source files; a rename must not leave them behind.
+//! The documents name source files and environment knobs; a rename or a
+//! deletion must not leave them behind.
 //!
 //! Every `crates/<crate>/(src|tests)/….rs` path named in DESIGN.md,
 //! README.md, ROADMAP.md and `benchmark/README.md` — `{a,b}` brace lists
-//! expanded — exists. (Not EXPERIMENTS.md or CHANGES.md: a dated log may
-//! name files since deleted.) The pattern is
+//! expanded — exists, and every `FX_…` variable named in DESIGN.md,
+//! README.md and `benchmark/README.md` is a knob of
+//! `fx_runtime::env::KNOBS`. (Not EXPERIMENTS.md or CHANGES.md: a dated
+//! log may name files and knobs since deleted; and ROADMAP.md names knobs
+//! it plans, such as `FX_SCHED_SEED`.) The pattern is
 //! `env::tests::readme_table_mirrors_the_knobs`: prose that a test reads
 //! cannot drift from the code it describes.
 
@@ -37,6 +41,48 @@ fn named_paths(text: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// The `FX_…` variable names spelled in `text`. A bare prefix (`FX_`,
+/// `FX_*`, `FX_SERVE_*`) names no variable and is skipped.
+fn named_knobs(text: &str) -> Vec<&str> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("FX_") {
+        let rest = &text[at..];
+        let end = rest.find(|c: char| !(c.is_ascii_uppercase() || c == '_')).unwrap_or(rest.len());
+        let inside_a_word = text[..at].chars().next_back().is_some_and(word);
+        if !inside_a_word && end > 3 && !rest[end..].starts_with('*') {
+            out.push(&rest[..end]);
+        }
+    }
+    out
+}
+
+#[test]
+fn every_knob_a_document_names_is_in_the_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    let mut unknown = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "benchmark/README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for name in named_knobs(&text) {
+            checked += 1;
+            if !fx::runtime::env::KNOBS.iter().any(|k| k.name == name) {
+                unknown.push(format!("{doc} names {name}"));
+            }
+        }
+    }
+    assert!(checked >= 20, "the scan found only {checked} names: is it still reading the documents?");
+    unknown.sort();
+    unknown.dedup();
+    assert!(unknown.is_empty(), "documents name knobs `env::KNOBS` lacks:\n  {}", unknown.join("\n  "));
+}
+
+#[test]
+fn the_knob_scan_skips_bare_prefixes() {
+    let text = "every `FX_*` read; FX_EXECUTOR=pooledd, `FX_DATAFLOW={off,on}`, the FX_SERVE_* rows, PFX_NOT and `FX_`.";
+    assert_eq!(named_knobs(text), ["FX_EXECUTOR", "FX_DATAFLOW"]);
 }
 
 #[test]

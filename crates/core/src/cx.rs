@@ -256,19 +256,6 @@ impl<'a> Cx<'a> {
         self.rt.recv_chunk(phys, wire)
     }
 
-    /// Non-blocking check for a pending message from virtual processor
-    /// `src` of the current group on user channel `tag` (probe analogue
-    /// of [`Cx::recv_v`]). Never advances virtual time; under the pooled
-    /// executor a negative probe yields the coroutine so the peer can
-    /// make progress.
-    pub fn probe_v(&mut self, src: usize, tag: u64) -> bool {
-        let (phys, wire) = {
-            let f = self.top();
-            (f.handle.phys(src), mix3(f.handle.gid(), USER_SALT, tag))
-        };
-        self.rt.probe(phys, wire)
-    }
-
     // ----- group stack manipulation ---------------------------------------
 
     /// Execute `f` with `group` pushed as the current group. Panics if this
@@ -313,16 +300,6 @@ impl<'a> Cx<'a> {
     /// Escape hatch to the raw runtime context.
     pub fn runtime(&mut self) -> &mut ProcCtx {
         self.rt
-    }
-
-    /// Declare this processor idle (`true`) or active (`false`) for the
-    /// deadlock watchdog and stall sampler. A serving loop sets this
-    /// around waits for new work so legitimate quiescence between request
-    /// arrivals is not diagnosed as a stalled exchange; see
-    /// [`fx_runtime::ProcCtx::set_idle`].
-    #[inline]
-    pub fn set_idle(&mut self, on: bool) {
-        self.rt.set_idle(on);
     }
 
     // ----- communication-plan cache ---------------------------------------

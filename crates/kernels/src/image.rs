@@ -4,33 +4,9 @@
 //! description: for each candidate disparity, (1) difference images —
 //! sum of squared differences between corresponding pixels of shifted
 //! match images; (2) error images — sum over a surrounding pixel window;
-//! (3) depth image — per-pixel argmin over disparities.
-
-/// `out[p] = (a[p] - b[p])^2`, pixel-wise SSD contribution of one image
-/// pair at one disparity.
-pub fn squared_difference(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    for ((x, y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        let d = x - y;
-        *o = d * d;
-    }
-}
-
-/// Shift a row-major `rows x cols` image left by `disparity` pixels
-/// (columns), clamping at the right edge — the geometry of multibaseline
-/// matching along a horizontal baseline.
-pub fn shift_columns(img: &[f32], rows: usize, cols: usize, disparity: usize) -> Vec<f32> {
-    assert_eq!(img.len(), rows * cols);
-    let mut out = vec![0f32; rows * cols];
-    for r in 0..rows {
-        for c in 0..cols {
-            let sc = (c + disparity).min(cols.saturating_sub(1));
-            out[r * cols + c] = img[r * cols + sc];
-        }
-    }
-    out
-}
+//! (3) depth image — per-pixel argmin over disparities. This module holds
+//! the window sums of (2), with and without halos, and the flop counts;
+//! (1) and (3) are fused into `fx-apps`' per-pixel loops.
 
 /// Horizontal box sum of half-width `w`: `out[r][c] = sum img[r][c-w ..= c+w]`
 /// (clamped at edges). One half of the separable window sum; fully local
@@ -173,26 +149,6 @@ pub fn window_sum_reference(img: &[f32], rows: usize, cols: usize, w: usize) -> 
     out
 }
 
-/// `depth[p] = argmin_d err[d][p]` — the final stereo stage.
-pub fn argmin_depth(errors: &[Vec<f32>]) -> Vec<u16> {
-    assert!(!errors.is_empty());
-    let n = errors[0].len();
-    assert!(errors.iter().all(|e| e.len() == n));
-    (0..n)
-        .map(|p| {
-            let mut best = 0u16;
-            let mut bestv = errors[0][p];
-            for (d, e) in errors.iter().enumerate().skip(1) {
-                if e[p] < bestv {
-                    bestv = e[p];
-                    best = d as u16;
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 /// Flops for the SSD stage over `n` pixels and one disparity.
 pub fn ssd_flops(n: usize) -> f64 {
     3.0 * n as f64
@@ -206,24 +162,6 @@ pub fn window_flops(n: usize, w: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn squared_difference_basic() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [1.0f32, 4.0, 0.0];
-        let mut out = [0f32; 3];
-        squared_difference(&a, &b, &mut out);
-        assert_eq!(out, [0.0, 4.0, 9.0]);
-    }
-
-    #[test]
-    fn shift_clamps_at_edge() {
-        // 1x4 image [0,1,2,3], disparity 2 → [2,3,3,3]
-        let img = [0f32, 1.0, 2.0, 3.0];
-        let s = shift_columns(&img, 1, 4, 2);
-        assert_eq!(s, vec![2.0, 3.0, 3.0, 3.0]);
-        assert_eq!(shift_columns(&img, 1, 4, 0), img.to_vec());
-    }
 
     #[test]
     fn box_sum_rows_matches_manual() {
@@ -304,11 +242,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn argmin_picks_smallest_disparity_layer() {
-        let errors = vec![vec![5.0f32, 1.0], vec![3.0, 2.0], vec![4.0, 0.5]];
-        assert_eq!(argmin_depth(&errors), vec![1, 2]);
     }
 }

@@ -14,7 +14,6 @@
 
 pub mod complex;
 pub mod fft;
-pub mod gen;
 pub mod hist;
 pub mod image;
 pub mod nbody;

@@ -1,25 +1,7 @@
-//! Scaling and thresholding — the last two stages of the narrowband
-//! tracking radar pipeline (corner turn → row FFTs → scaling →
-//! thresholding; Shaw et al., MIT Lincoln Laboratory).
-
-use crate::complex::Complex;
-
-/// Multiply every sample by a scalar gain (the radar scaling step).
-pub fn scale_in_place(data: &mut [Complex], gain: f64) {
-    for z in data {
-        *z = z.scale(gain);
-    }
-}
-
-/// Threshold detection: 1 where `|z|` is at or above `thresh`, else 0.
-pub fn threshold_detect(data: &[Complex], thresh: f64) -> Vec<u8> {
-    data.iter().map(|z| u8::from(z.abs() >= thresh)).collect()
-}
-
-/// Count of detections (used as a cheap checksum in tests/benches).
-pub fn detection_count(data: &[Complex], thresh: f64) -> usize {
-    data.iter().filter(|z| z.abs() >= thresh).count()
-}
+//! Flop counts of scaling and thresholding — the last two stages of the
+//! narrowband tracking radar pipeline (corner turn → row FFTs → scaling →
+//! thresholding; Shaw et al., MIT Lincoln Laboratory). The stages
+//! themselves are one-liners `fx-apps` applies to its local data.
 
 /// Flops of the scaling stage over `n` samples.
 pub fn scale_flops(n: usize) -> f64 {
@@ -29,36 +11,4 @@ pub fn scale_flops(n: usize) -> f64 {
 /// Flops of the threshold stage over `n` samples.
 pub fn threshold_flops(n: usize) -> f64 {
     4.0 * n as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scaling_scales() {
-        let mut d = vec![Complex::new(1.0, -2.0), Complex::new(0.5, 0.0)];
-        scale_in_place(&mut d, 2.0);
-        assert_eq!(d[0], Complex::new(2.0, -4.0));
-        assert_eq!(d[1], Complex::new(1.0, 0.0));
-    }
-
-    #[test]
-    fn threshold_marks_strong_samples() {
-        let d = vec![
-            Complex::new(3.0, 4.0), // |z| = 5
-            Complex::new(0.1, 0.0),
-            Complex::new(0.0, 2.0),
-        ];
-        assert_eq!(threshold_detect(&d, 2.0), vec![1, 0, 1]);
-        assert_eq!(detection_count(&d, 2.0), 2);
-        assert_eq!(detection_count(&d, 10.0), 0);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let mut d: Vec<Complex> = Vec::new();
-        scale_in_place(&mut d, 3.0);
-        assert!(threshold_detect(&d, 1.0).is_empty());
-    }
 }

@@ -25,8 +25,11 @@
 //! eliminates (rffts→hist, same distribution).
 //!
 //! With the small chains of real programs (3–5 stages) and ≤ 64
-//! processors, exact dynamic programming over (first stage, processors
-//! remaining, upstream segment width) is instantaneous.
+//! processors the search is direct ([`shapes`]): every replication factor
+//! dividing the machine × every one of the `2^(m-1)` contiguous splits,
+//! each split's processor counts chosen by a hill-climb from the even
+//! allocation. It is a heuristic, not an exact optimum: the climb moves
+//! one processor at a time and stops at the first local minimum.
 
 use serde::{Deserialize, Serialize};
 
@@ -231,8 +234,9 @@ pub fn evaluate(model: &ChainModel, mapping: &Mapping) -> Evaluated {
 }
 
 /// Find the latency-optimal mapping of the chain on `total_procs`
-/// processors subject to `throughput >= min_throughput` (if given).
-/// Returns `None` when no mapping meets the constraint.
+/// processors subject to `throughput >= min_throughput` (if given),
+/// among the candidates of [`shapes`] × [`allocate_procs`]. Returns
+/// `None` when none of them meets the constraint.
 pub fn best_mapping(
     model: &ChainModel,
     total_procs: usize,
@@ -240,29 +244,23 @@ pub fn best_mapping(
 ) -> Option<Evaluated> {
     assert!(total_procs >= 1);
     let mut best: Option<Evaluated> = None;
-    for modules in 1..=total_procs {
-        if !total_procs.is_multiple_of(modules) {
+    for (modules, bounds) in shapes(model, total_procs) {
+        let segments = allocate_procs(model, &bounds, total_procs / modules);
+        let cand = evaluate(model, &Mapping { modules, segments });
+        let feasible = min_throughput.is_none_or(|r| cand.throughput >= r * (1.0 - 1e-9));
+        if !feasible {
             continue;
         }
-        let per_module = total_procs / modules;
-        let per_module_rate = min_throughput.map(|r| r / modules as f64);
-        for segments in enumerate_segmentations(model, per_module, per_module_rate) {
-            let cand = evaluate(model, &Mapping { modules, segments });
-            let feasible = min_throughput.is_none_or(|r| cand.throughput >= r * (1.0 - 1e-9));
-            if !feasible {
-                continue;
+        let better = match &best {
+            None => true,
+            Some(b) => {
+                cand.latency < b.latency * (1.0 - 1e-12)
+                    || ((cand.latency - b.latency).abs() <= 1e-12 * b.latency
+                        && cand.mapping.procs_used() < b.mapping.procs_used())
             }
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    cand.latency < b.latency * (1.0 - 1e-12)
-                        || ((cand.latency - b.latency).abs() <= 1e-12 * b.latency
-                            && cand.mapping.procs_used() < b.mapping.procs_used())
-                }
-            };
-            if better {
-                best = Some(cand);
-            }
+        };
+        if better {
+            best = Some(cand);
         }
     }
     best
@@ -272,82 +270,55 @@ pub fn best_mapping(
 /// when a requested constraint is infeasible, to report the ceiling).
 pub fn max_throughput_mapping(model: &ChainModel, total_procs: usize) -> Evaluated {
     let mut best: Option<Evaluated> = None;
-    for modules in 1..=total_procs {
-        if !total_procs.is_multiple_of(modules) {
-            continue;
-        }
-        for segments in enumerate_segmentations(model, total_procs / modules, None) {
-            let cand = evaluate(model, &Mapping { modules, segments });
-            if best.as_ref().is_none_or(|b| cand.throughput > b.throughput) {
-                best = Some(cand);
-            }
+    for (modules, bounds) in shapes(model, total_procs) {
+        let segments = allocate_procs(model, &bounds, total_procs / modules);
+        let cand = evaluate(model, &Mapping { modules, segments });
+        if best.as_ref().is_none_or(|b| cand.throughput > b.throughput) {
+            best = Some(cand);
         }
     }
     best.expect("at least the trivial mapping exists")
 }
 
-/// Enumerate candidate segmentations of the whole chain on `procs`
-/// processors: every split into contiguous segments, with processor
-/// counts chosen by a per-split inner optimization (small chains make
-/// exhaustive splits cheap; processor allocation per split is chosen by
-/// local search over balanced allocations).
-fn enumerate_segmentations(
-    model: &ChainModel,
-    procs: usize,
-    rate: Option<f64>,
-) -> Vec<Vec<Segment>> {
+/// Every shape a mapping on `total_procs` processors can take, as
+/// `(modules, bounds)`: each replication factor dividing the machine ×
+/// each of the `2^(m-1)` contiguous splits of the chain (m ≤ 5 in
+/// practice) that leaves every segment a processor of the module.
+/// Segment `s` covers stages `bounds[s]..bounds[s + 1]`. Factors ascend,
+/// and within one the split patterns (bit `k` = a cut after stage `k`).
+pub(crate) fn shapes(model: &ChainModel, total_procs: usize) -> Vec<(usize, Vec<usize>)> {
     let m = model.stages.len();
     let mut out = Vec::new();
-    // All 2^(m-1) split patterns (m ≤ 5 in practice).
-    for pattern in 0..(1u32 << (m - 1)) {
-        let mut bounds = vec![0usize];
-        for k in 0..m - 1 {
-            if pattern & (1 << k) != 0 {
-                bounds.push(k + 1);
+    for modules in (1..=total_procs).filter(|r| total_procs.is_multiple_of(*r)) {
+        for pattern in 0..(1u32 << (m - 1)) {
+            let cuts = (0..m - 1).filter(|k| pattern & (1 << k) != 0).map(|k| k + 1);
+            let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([m]).collect();
+            if bounds.len() - 1 <= total_procs / modules {
+                out.push((modules, bounds));
             }
-        }
-        bounds.push(m);
-        let nseg = bounds.len() - 1;
-        if nseg > procs {
-            continue;
-        }
-        if let Some(segs) = allocate_procs(model, &bounds, procs, rate) {
-            out.push(segs);
         }
     }
     out
 }
 
-/// Choose processor counts for a fixed segmentation: exhaustive for ≤ 2
-/// segments, otherwise greedy rebalancing from an even split, minimizing
-/// the worst period then total latency. Respects `rate` when given
-/// (returns the best attempt; the caller re-checks feasibility).
-fn allocate_procs(
-    model: &ChainModel,
-    bounds: &[usize],
-    procs: usize,
-    _rate: Option<f64>,
-) -> Option<Vec<Segment>> {
+/// The segments of `bounds` (see [`shapes`]) on `alloc[s]` processors each.
+pub(crate) fn segments_of(bounds: &[usize], alloc: &[usize]) -> Vec<Segment> {
+    bounds.windows(2).zip(alloc).map(|(b, &procs)| Segment { first: b[0], last: b[1] - 1, procs }).collect()
+}
+
+/// Choose processor counts for a fixed segmentation of a module of
+/// `procs >= segments` processors: start from the even allocation and
+/// move one processor at a time from one segment to another for as long
+/// as a move lowers (worst period, then latency); stop at the first
+/// allocation no single move improves.
+fn allocate_procs(model: &ChainModel, bounds: &[usize], procs: usize) -> Vec<Segment> {
     let nseg = bounds.len() - 1;
-    let seg_at = |alloc: &[usize]| -> Vec<Segment> {
-        (0..nseg)
-            .map(|s| Segment { first: bounds[s], last: bounds[s + 1] - 1, procs: alloc[s] })
-            .collect()
-    };
-    if nseg == 1 {
-        return Some(seg_at(&[procs]));
-    }
-    // Start from an even split and hill-climb by moving one processor at
-    // a time from the least-loaded to the most-loaded segment.
     let mut alloc: Vec<usize> = vec![procs / nseg; nseg];
     for a in alloc.iter_mut().take(procs % nseg) {
         *a += 1;
     }
-    if alloc.contains(&0) {
-        return None;
-    }
     let score = |alloc: &[usize]| -> (f64, f64) {
-        let ev = evaluate(model, &Mapping { modules: 1, segments: seg_at(alloc) });
+        let ev = evaluate(model, &Mapping { modules: 1, segments: segments_of(bounds, alloc) });
         (1.0 / ev.throughput, ev.latency)
     };
     let mut cur = score(&alloc);
@@ -374,7 +345,7 @@ fn allocate_procs(
             break;
         }
     }
-    Some(seg_at(&alloc))
+    segments_of(bounds, &alloc)
 }
 
 #[cfg(test)]

@@ -7,41 +7,16 @@
 //! {throughput, latency} and at least as good in the other). The
 //! `tradeoff` harness prints it for the FFT-Hist chain.
 
-use crate::chain::{evaluate, ChainModel, Evaluated, Mapping, Segment};
+use crate::chain::{evaluate, segments_of, shapes, ChainModel, Evaluated, Mapping};
 
-/// All candidate mappings considered by the optimizer: every replication
-/// factor dividing the machine × every contiguous segmentation, with a
-/// spread of processor allocations per segmentation.
+/// All candidate mappings considered by the optimizer: every shape
+/// ([`shapes`]: replication factor × contiguous segmentation) with a
+/// spread of processor allocations per shape.
 fn candidates(model: &ChainModel, total_procs: usize) -> Vec<Evaluated> {
-    let m = model.stages.len();
     let mut out = Vec::new();
-    for modules in 1..=total_procs {
-        if !total_procs.is_multiple_of(modules) {
-            continue;
-        }
-        let per_module = total_procs / modules;
-        for pattern in 0..(1u32 << (m - 1)) {
-            let mut bounds = vec![0usize];
-            for k in 0..m - 1 {
-                if pattern & (1 << k) != 0 {
-                    bounds.push(k + 1);
-                }
-            }
-            bounds.push(m);
-            let nseg = bounds.len() - 1;
-            if nseg > per_module {
-                continue;
-            }
-            for alloc in allocations(per_module, nseg) {
-                let segments: Vec<Segment> = (0..nseg)
-                    .map(|s| Segment {
-                        first: bounds[s],
-                        last: bounds[s + 1] - 1,
-                        procs: alloc[s],
-                    })
-                    .collect();
-                out.push(evaluate(model, &Mapping { modules, segments }));
-            }
+    for (modules, bounds) in shapes(model, total_procs) {
+        for alloc in allocations(total_procs / modules, bounds.len() - 1) {
+            out.push(evaluate(model, &Mapping { modules, segments: segments_of(&bounds, &alloc) }));
         }
     }
     out

@@ -67,11 +67,6 @@ pub(crate) struct World {
     /// Rendezvous board for promotable loops (one slot per processor;
     /// inert unless a promotable loop runs with the heartbeat on).
     pub hb_board: HeartbeatBoard,
-    /// Per-processor declared-idle flags (see [`ProcCtx::set_idle`]): a
-    /// processor that reads true is legitimately quiescent — waiting for
-    /// work to arrive, not deadlocked — so recv timeouts are forgiven and
-    /// the stall sampler skips it.
-    pub idle: Vec<AtomicBool>,
 }
 
 impl World {
@@ -459,7 +454,7 @@ impl ProcCtx {
             sh.begin_wait(src, tag);
         }
         let world = &self.world;
-        let env = world.mailboxes[self.rank].take(src, tag, &world.idle[self.rank], || match &self.exec {
+        let env = world.mailboxes[self.rank].take(src, tag, || match &self.exec {
             ExecCtx::Thread => world.parkers.park_thread(self.rank),
             ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Blocked),
         });
@@ -738,24 +733,6 @@ impl ProcCtx {
     #[inline]
     pub fn watchdog_expired(&self, deadline: u64) -> bool {
         self.world.parkers.clock.now_ns() > deadline
-    }
-
-    /// Declare this processor idle (`true`) or active (`false`).
-    ///
-    /// A serving loop legitimately quiesces between request arrivals:
-    /// its processors block in receives with nothing in flight, which is
-    /// exactly the signature the deadlock watchdog and the stall sampler
-    /// are built to report. While a processor is declared idle its recv
-    /// timeouts are forgiven (the wait just continues) and the stall
-    /// sampler skips it. Clearing the flag re-arms both within one
-    /// timeout period. The flag is per-processor, starts `false`, and
-    /// must only be set while the processor is genuinely waiting for new
-    /// work — a deadlock inside request processing still triggers the
-    /// full diagnostic because the serving loop clears the flag before
-    /// dispatching a batch.
-    #[inline]
-    pub fn set_idle(&self, on: bool) {
-        self.world.idle[self.rank].store(on, std::sync::atomic::Ordering::Release);
     }
 
     /// Count one heartbeat that published an announcement.

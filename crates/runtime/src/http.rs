@@ -254,7 +254,7 @@ mod tests {
         assert!(idx.contains("no retained traces"), "{idx}");
         assert!(get(addr, "/trace/dead").starts_with("HTTP/1.1 404"));
 
-        telemetry.offer_exemplar_trace(0xDEAD, 5_000, || "{\"traceEvents\":[]}".to_string());
+        telemetry.publish_serving(Vec::new(), [(0xDEAD, 5_000)], |_| "{\"traceEvents\":[]}".to_string());
         let idx = get(addr, "/trace");
         assert!(idx.contains("/trace/000000000000dead"), "{idx}");
         // Hex with and without leading zeros or a 0x prefix all resolve
@@ -304,7 +304,7 @@ mod tests {
         // The prefix-matched /trace/<id> route through the same
         // multi-segment path: a split inside the id must not truncate it
         // into a different (or invalid) trace id.
-        telemetry.offer_exemplar_trace(0xFEED, 1_000, || "{\"traceEvents\":[]}".to_string());
+        telemetry.publish_serving(Vec::new(), [(0xFEED, 1_000)], |_| "{\"traceEvents\":[]}".to_string());
         let out = exchange(addr, |s| {
             s.write_all(b"GET /trace/00000000").unwrap();
             s.flush().unwrap();

@@ -69,6 +69,6 @@ pub use run::{run, DataflowMode, Executor, Machine, RunReport};
 pub use stall::{StallReport, StalledProc};
 pub use telemetry::{
     ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TenantStats, TenantTotals,
+    TenantTotals,
 };
 pub use trace::chrome_trace;

@@ -230,15 +230,7 @@ impl Mailbox {
     /// and panics with a per-`(src, tag)` queue-depth snapshot of every
     /// lane, so a stuck pipeline shows at a glance what *is* pending and
     /// from whom.
-    ///
-    /// `idle` is the receiving processor's declared-idle flag (see
-    /// [`crate::ProcCtx::set_idle`]): while it reads true the timeout is
-    /// forgiven and the wait simply continues, because a serving loop
-    /// legitimately quiesces between request arrivals and that must not
-    /// be diagnosed as a deadlock. The flag is re-read on every timeout
-    /// expiry, so a processor that leaves idle state re-arms the watchdog
-    /// within one timeout period.
-    pub fn take(&self, src: usize, tag: u64, idle: &AtomicBool, mut park: impl FnMut()) -> Envelope {
+    pub fn take(&self, src: usize, tag: u64, mut park: impl FnMut()) -> Envelope {
         let (lane, me) = (self.lane(src), self.owner);
         loop {
             {
@@ -263,7 +255,6 @@ impl Mailbox {
             // re-checks the lane first — progress wins over a timeout that
             // raced a late delivery.
             if self.parkers.take_timed_out(me)
-                && !idle.load(Ordering::Acquire)
                 && !self.probe(src, tag)
                 && !self.poisoned.load(Ordering::Acquire)
             {
@@ -368,9 +359,9 @@ mod tests {
         harness(nprocs, Duration::from_secs(10))
     }
 
-    /// Processor 0 (the calling thread) receives, not declared idle.
+    /// Processor 0 (the calling thread) receives.
     fn take(mb: &Mailbox, src: usize, tag: u64) -> Envelope {
-        mb.take(src, tag, &AtomicBool::new(false), || mb.parkers.park_thread(0))
+        mb.take(src, tag, || mb.parkers.park_thread(0))
     }
 
     /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.

@@ -471,7 +471,6 @@ where
         heartbeat: machine.heartbeat,
         heartbeat_period: machine.heartbeat_period,
         hb_board: HeartbeatBoard::new(machine.nprocs),
-        idle: (0..machine.nprocs).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
     });
     let start = clock::host_now();
     if let Some(t) = &telemetry {

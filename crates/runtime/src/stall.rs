@@ -92,13 +92,6 @@ pub(crate) fn spawn(telemetry: Arc<Telemetry>, world: Arc<World>) -> TickGuard {
             if src == NO_WAIT {
                 continue; // not blocked: compute-bound, not a messaging stall
             }
-            if world.idle[p].load(Ordering::Acquire) {
-                // Declared idle (a serving loop waiting for arrivals):
-                // quiescence is legitimate, not a stall. Re-date the
-                // window so leaving idle state starts a fresh count.
-                last_moved[p] = now;
-                continue;
-            }
             let stalled_for = Duration::from_nanos(now - last_moved[p]);
             if stalled_for >= window {
                 let tag = shard.wait_tag.load(Ordering::Relaxed);

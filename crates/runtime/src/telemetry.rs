@@ -51,9 +51,7 @@ pub(crate) const NO_WAIT: usize = usize::MAX;
 const HIST_FINITE: usize = 38;
 
 /// A fixed-shape power-of-two histogram. All operations are relaxed
-/// atomics; recording is two single-writer load+store bumps (use
-/// [`Histogram::record_shared`] when several processors write the same
-/// histogram, as the per-tenant serving latency histograms do).
+/// atomics; recording is two single-writer load+store bumps.
 ///
 /// Bucket `0` covers `v <= 1`; bucket `i` (for `1 <= i < 38`) covers
 /// `2^(i-1) < v <= 2^i`; the last bucket is the `+Inf` overflow.
@@ -68,7 +66,7 @@ impl Default for Histogram {
     }
 }
 
-/// Bucket index for a recorded value (shared by both record paths).
+/// Bucket index for a recorded value.
 #[inline]
 fn bucket_index(v: u64) -> usize {
     if v <= 1 {
@@ -78,66 +76,11 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// `(lower, upper]` value bounds of bucket `i`. The `+Inf` bucket is
-/// clamped to one more doubling (`2^38`) so interpolation stays finite.
-#[inline]
-fn bucket_bounds(i: usize) -> (u64, u64) {
-    match i {
-        0 => (0, 1),
-        i if i < HIST_FINITE => (1u64 << (i - 1), 1u64 << i),
-        _ => (1u64 << (HIST_FINITE - 1), 1u64 << HIST_FINITE),
-    }
-}
-
-/// Quantile extraction over a merged bucket array: walk to the first
-/// bucket whose cumulative count reaches rank `ceil(q * count)` and
-/// interpolate linearly toward that bucket's *upper* bound.
-///
-/// A naive reader returning bucket lower bounds would systematically
-/// under-report tail quantiles (p99 of a distribution concentrated near
-/// a bucket's top edge reads as half its true value). Interpolating to
-/// the upper bound keeps the estimate inside the true value's bucket,
-/// so the error is at most one power-of-two bucket width: the result is
-/// within `[v/2, 2v]` of the true quantile `v` — a ≤2× bound, which is
-/// the resolution SLO reporting gets from 39 buckets.
-fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
-    let count: u64 = buckets.iter().sum();
-    if count == 0 {
-        return 0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut cum = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let before = cum;
-        cum += c;
-        if cum >= target {
-            let (lo, hi) = bucket_bounds(i);
-            let frac = (target - before) as f64 / c as f64;
-            return (lo as f64 + frac * (hi - lo) as f64).round() as u64;
-        }
-    }
-    unreachable!("cumulative count reaches total")
-}
-
 impl Histogram {
     #[inline]
     pub(crate) fn record(&self, v: u64) {
         bump(&self.buckets[bucket_index(v)], 1);
         bump(&self.sum, v);
-    }
-
-    /// Multi-writer record: locked read-modify-write instead of the
-    /// single-writer load+store pair. Used off the per-message hot path,
-    /// e.g. when several module leaders complete requests for the same
-    /// tenant concurrently.
-    #[inline]
-    pub fn record_shared(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Total number of recorded values.
@@ -150,13 +93,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) of the recorded values, by bucket
-    /// upper-bound interpolation — see [`quantile_from_buckets`] for the
-    /// ≤2× bucket-width error bound. Returns 0 on an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.snapshot().buckets, q)
-    }
-
     /// A point-in-time plain copy of the bucket counts and sum.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -165,12 +101,13 @@ impl Histogram {
         }
     }
 
-    /// Merge into a plain bucket array + sum (for aggregated rendering).
-    fn accumulate(&self, into: &mut ([u64; HIST_FINITE + 1], u64)) {
-        for (i, b) in self.buckets.iter().enumerate() {
-            into.0[i] += b.load(Ordering::Relaxed);
+    /// Add this histogram into a plain copy (for aggregated rendering).
+    fn accumulate(&self, into: &mut HistogramSnapshot) {
+        into.buckets.resize(self.buckets.len(), 0);
+        for (acc, b) in into.buckets.iter_mut().zip(&self.buckets) {
+            *acc += b.load(Ordering::Relaxed);
         }
-        into.1 += self.sum.load(Ordering::Relaxed);
+        into.sum += self.sum.load(Ordering::Relaxed);
     }
 }
 
@@ -189,12 +126,6 @@ impl HistogramSnapshot {
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// The `q`-quantile by bucket upper-bound interpolation (≤2× error —
-    /// see [`Histogram::quantile`]). Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.buckets, q)
     }
 
     /// Mean of recorded values (exact: the sum is tracked outside the
@@ -334,101 +265,11 @@ struct Inner {
     /// The live world, for on-demand queue-depth gauges. Dangling after
     /// the run finishes.
     world: Weak<World>,
-    /// Per-tenant serving accounting, registered by the serving layer via
-    /// [`Telemetry::begin_tenants`]. Deliberately *not* reset by
-    /// [`Telemetry::begin_run`]: the serving layer registers tenants
-    /// before launching the SPMD run that serves them.
-    tenants: Vec<Arc<TenantStats>>,
-}
-
-/// Per-tenant serving accounting: request-outcome counters and the
-/// completion latency histogram that SLO quantiles (p50/p99/p999) are
-/// read from. Counters use shared read-modify-write atomics because
-/// admission decisions and request completions are recorded by whichever
-/// processor performs them.
-pub struct TenantStats {
-    name: String,
-    /// Requests that arrived (admitted + shed).
-    pub arrived: AtomicU64,
-    /// Requests accepted into the admission queue.
-    pub admitted: AtomicU64,
-    /// Requests dropped by the shedding policy (queue full).
-    pub shed: AtomicU64,
-    /// Requests fully served.
-    pub completed: AtomicU64,
-    /// Completion latency (arrival to last-stage completion) in
-    /// nanoseconds of virtual time.
-    pub latency_ns: Histogram,
-    /// Trace id of the most recent traced sample per latency bucket
-    /// (`0` = none): the OpenMetrics exemplar linking a p999 bucket to
-    /// the request that landed in it.
-    exemplar_trace: [AtomicU64; HIST_FINITE + 1],
-    /// Observed latency of the exemplar per bucket (the exemplar's
-    /// required value field).
-    exemplar_value: [AtomicU64; HIST_FINITE + 1],
-}
-
-impl TenantStats {
-    fn new(name: &str) -> Self {
-        TenantStats {
-            name: name.to_string(),
-            arrived: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            latency_ns: Histogram::default(),
-            exemplar_trace: std::array::from_fn(|_| AtomicU64::new(0)),
-            exemplar_value: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// The tenant's registered name (the `tenant` label value in the
-    /// OpenMetrics exposition).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Record one request completion with its latency in nanoseconds.
-    pub fn on_complete(&self, latency_ns: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_ns.record_shared(latency_ns);
-    }
-
-    /// Record one request completion carrying a causal trace id: like
-    /// [`TenantStats::on_complete`], but the latency bucket the sample
-    /// lands in also remembers `trace_id` as its exemplar (most recent
-    /// traced sample wins). `trace_id == 0` records without an exemplar.
-    pub fn on_complete_traced(&self, latency_ns: u64, trace_id: u64) {
-        self.on_complete(latency_ns);
-        if trace_id != 0 {
-            let i = bucket_index(latency_ns);
-            // Value first, id second: a torn read pairs an id with some
-            // traced sample's value from the same bucket — both relaxed
-            // because exemplars are best-effort debugging pointers.
-            self.exemplar_value[i].store(latency_ns, Ordering::Relaxed);
-            self.exemplar_trace[i].store(trace_id, Ordering::Relaxed);
-        }
-    }
-
-    /// Plain copy of this tenant's counters and latency histogram.
-    pub fn totals(&self) -> TenantTotals {
-        TenantTotals {
-            name: self.name.clone(),
-            arrived: self.arrived.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            latency_ns: self.latency_ns.snapshot(),
-            exemplars: (0..=HIST_FINITE)
-                .map(|i| {
-                    (
-                        self.exemplar_trace[i].load(Ordering::Relaxed),
-                        self.exemplar_value[i].load(Ordering::Relaxed),
-                    )
-                })
-                .collect(),
-        }
-    }
+    /// What the serving layer published about the run
+    /// ([`Telemetry::publish_serving`]): its tenant rows and its slowest
+    /// requests' traces, slowest first.
+    tenants: Vec<TenantTotals>,
+    exemplar_traces: Vec<ExemplarTrace>,
 }
 
 /// The live telemetry handle: metrics registry, flight recorders, and
@@ -458,9 +299,6 @@ pub struct Telemetry {
     config: TelemetryConfig,
     inner: Mutex<Inner>,
     stall_reports: Mutex<Vec<StallReport>>,
-    /// Bounded slowest-N request traces (see
-    /// [`Telemetry::offer_exemplar_trace`]).
-    exemplar_traces: Mutex<Vec<ExemplarTrace>>,
 }
 
 impl Default for Telemetry {
@@ -497,9 +335,9 @@ impl Telemetry {
                 start: None,
                 world: Weak::new(),
                 tenants: Vec::new(),
+                exemplar_traces: Vec::new(),
             }),
             stall_reports: Mutex::new(Vec::new()),
-            exemplar_traces: Mutex::new(Vec::new()),
         }
     }
 
@@ -518,6 +356,8 @@ impl Telemetry {
         inner.shards = (0..world.nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
         inner.start = Some(start);
         inner.world = Arc::downgrade(world);
+        inner.tenants.clear();
+        inner.exemplar_traces.clear();
         drop(inner);
         self.stall_reports.lock().clear();
     }
@@ -538,85 +378,40 @@ impl Telemetry {
         self.inner.lock().world.upgrade()
     }
 
-    /// Register (or replace) the tenant set for a serving session and
-    /// return the live handles, in registration order. Counters start at
-    /// zero. Survives [`Telemetry::begin_run`] so the serving layer can
-    /// register tenants before launching the SPMD run that serves them.
-    pub fn begin_tenants(&self, names: &[&str]) -> Vec<Arc<TenantStats>> {
-        let tenants: Vec<Arc<TenantStats>> = names.iter().map(|n| Arc::new(TenantStats::new(n))).collect();
-        self.inner.lock().tenants = tenants.clone();
-        // A new tenant set starts a new serving session: retained
-        // exemplar traces belong to the previous one.
-        self.exemplar_traces.lock().clear();
-        tenants
-    }
-
-    /// Offer a request trace to the slowest-N exemplar ring. The ring
-    /// keeps the [`TelemetryConfig::exemplar_trace_capacity`] slowest
-    /// requests seen this serving session; `render` is only invoked when
-    /// the request actually earns a slot, so callers can offer every
-    /// completion without paying for JSON rendering on the fast path.
-    pub fn offer_exemplar_trace(
+    /// Publish a finished serving run — the one way serving data enters
+    /// the registry. `tenants` are the run's per-tenant rows (the
+    /// `fx_serve_*` families and the JSON `tenants` array); of
+    /// `completions`, `(trace id, latency ns)` each with id 0 for an
+    /// untraced request, the [`TelemetryConfig::exemplar_trace_capacity`]
+    /// slowest are kept with the Chrome trace `render` makes of them, so
+    /// at most that many requests are rendered however many completed.
+    /// Replaces what the previous run published.
+    pub fn publish_serving(
         &self,
-        trace_id: u64,
-        latency_ns: u64,
-        render: impl FnOnce() -> String,
-    ) {
-        let cap = self.config.exemplar_trace_capacity;
-        if cap == 0 || trace_id == 0 {
-            return;
-        }
-        let mut ring = self.exemplar_traces.lock();
-        if ring.len() >= cap {
-            // Evict the fastest retained trace if this one is slower.
-            let (min_i, min_lat) = ring
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, e.latency_ns))
-                .min_by_key(|&(_, l)| l)
-                .expect("ring is non-empty");
-            if latency_ns <= min_lat {
-                return;
-            }
-            ring.swap_remove(min_i);
-        }
-        ring.push(ExemplarTrace { trace_id, latency_ns, json: render() });
-    }
-
-    /// Offer a whole batch of completions, `(trace id, latency ns)` each.
-    /// Offers go slowest first and stop after the ring's capacity — no
-    /// later one could enter — so at most `exemplar_trace_capacity`
-    /// requests are rendered however many completed. (Offered one by one
-    /// in completion order, an overloaded session — latency rising —
-    /// evicts and renders on every offer, and a render scans every span
-    /// of the run.)
-    pub fn offer_exemplar_traces(
-        &self,
+        tenants: Vec<TenantTotals>,
         completions: impl IntoIterator<Item = (u64, u64)>,
         render: impl Fn(u64) -> String,
     ) {
         let mut slowest: Vec<(u64, u64)> = completions.into_iter().filter(|&(id, _)| id != 0).collect();
-        slowest.sort_by_key(|&(_, latency_ns)| std::cmp::Reverse(latency_ns));
-        for &(trace_id, latency_ns) in slowest.iter().take(self.config.exemplar_trace_capacity) {
-            self.offer_exemplar_trace(trace_id, latency_ns, || render(trace_id));
-        }
+        slowest.sort_by_key(|&(id, latency_ns)| (std::cmp::Reverse(latency_ns), id));
+        slowest.truncate(self.config.exemplar_trace_capacity);
+        let exemplar_traces = slowest
+            .into_iter()
+            .map(|(trace_id, latency_ns)| ExemplarTrace { trace_id, latency_ns, json: render(trace_id) })
+            .collect();
+        let mut inner = self.inner.lock();
+        inner.tenants = tenants;
+        inner.exemplar_traces = exemplar_traces;
     }
 
     /// Look up a retained exemplar trace by its trace id.
     pub fn exemplar_trace(&self, trace_id: u64) -> Option<ExemplarTrace> {
-        self.exemplar_traces.lock().iter().find(|e| e.trace_id == trace_id).cloned()
+        self.inner.lock().exemplar_traces.iter().find(|e| e.trace_id == trace_id).cloned()
     }
 
     /// The retained exemplar traces, slowest first.
     pub fn exemplar_traces(&self) -> Vec<ExemplarTrace> {
-        let mut out = self.exemplar_traces.lock().clone();
-        out.sort_by(|a, b| b.latency_ns.cmp(&a.latency_ns).then(a.trace_id.cmp(&b.trace_id)));
-        out
-    }
-
-    /// The currently registered tenant handles (empty outside serving).
-    pub fn tenants(&self) -> Vec<Arc<TenantStats>> {
-        self.inner.lock().tenants.clone()
+        self.inner.lock().exemplar_traces.clone()
     }
 
     pub(crate) fn push_stall_report(&self, report: StallReport) {
@@ -718,7 +513,7 @@ impl Telemetry {
             regions: regions.into_iter().collect(),
             chunk_bytes_in_flight: shards.iter().map(|s| s.chunk_flight.load(Ordering::Relaxed)).sum(),
             stall_report_count: self.stall_reports.lock().len(),
-            tenants: tenants.iter().map(|t| t.totals()).collect(),
+            tenants,
         }
     }
 
@@ -784,10 +579,17 @@ impl Telemetry {
             out.push_str(&format!("fx_oldest_queued_seconds{{proc=\"{p}\"}} {oldest:.6}\n"));
         }
 
-        self.render_histogram(&mut out, "fx_msg_size_bytes", "Sent message sizes in bytes.", |s| &s.msg_bytes_hist);
-        self.render_histogram(&mut out, "fx_recv_wait_duration_ns", "Blocking receive wait durations in nanoseconds.", |s| {
-            &s.recv_wait_hist
-        });
+        let shards = self.shards();
+        let mut per_shard = |name: &str, help: &str, pick: fn(&ProcShard) -> &Histogram| {
+            let mut merged = HistogramSnapshot::default();
+            for s in &shards {
+                pick(s).accumulate(&mut merged);
+            }
+            out.push_str(&format!("# TYPE {name} histogram\n# HELP {name} {help}\n"));
+            render_histogram(&mut out, name, "", &merged, &[]);
+        };
+        per_shard("fx_msg_size_bytes", "Sent message sizes in bytes.", |s| &s.msg_bytes_hist);
+        per_shard("fx_recv_wait_duration_ns", "Blocking receive wait durations in nanoseconds.", |s| &s.recv_wait_hist);
 
         // Per-tenant serving families (present only while a tenant set is
         // registered, i.e. during/after a serving session).
@@ -807,61 +609,13 @@ impl Telemetry {
             out.push_str("# TYPE fx_serve_latency_ns histogram\n");
             out.push_str("# HELP fx_serve_latency_ns Request completion latency in virtual nanoseconds.\n");
             for t in &snap.tenants {
-                let tenant = escape_label(&t.name);
-                let mut cumulative = 0u64;
-                for (i, &c) in t.latency_ns.buckets.iter().enumerate() {
-                    cumulative += c;
-                    let le = if i < HIST_FINITE {
-                        format!("{}", 1u64 << i)
-                    } else {
-                        "+Inf".to_string()
-                    };
-                    // OpenMetrics exemplar: the trace id of the most
-                    // recent traced sample in this bucket, so a p999
-                    // bucket links straight to its exemplar trace.
-                    let exemplar = match t.exemplars.get(i) {
-                        Some(&(tid, v)) if tid != 0 => {
-                            format!(" # {{trace_id=\"{tid:016x}\"}} {v}")
-                        }
-                        _ => String::new(),
-                    };
-                    out.push_str(&format!(
-                        "fx_serve_latency_ns_bucket{{tenant=\"{tenant}\",le=\"{le}\"}} {cumulative}{exemplar}\n"
-                    ));
-                }
-                out.push_str(&format!("fx_serve_latency_ns_sum{{tenant=\"{tenant}\"}} {}\n", t.latency_ns.sum));
-                out.push_str(&format!("fx_serve_latency_ns_count{{tenant=\"{tenant}\"}} {cumulative}\n"));
+                let tenant = format!("tenant=\"{}\"", escape_label(&t.name));
+                render_histogram(&mut out, "fx_serve_latency_ns", &tenant, &t.latency_ns, &t.exemplars);
             }
         }
 
         out.push_str("# EOF\n");
         out
-    }
-
-    fn render_histogram(
-        &self,
-        out: &mut String,
-        name: &str,
-        help: &str,
-        pick: impl Fn(&ProcShard) -> &Histogram,
-    ) {
-        let shards = self.shards();
-        let mut acc = ([0u64; HIST_FINITE + 1], 0u64);
-        for s in &shards {
-            pick(s).accumulate(&mut acc);
-        }
-        out.push_str(&format!("# TYPE {name} histogram\n# HELP {name} {help}\n"));
-        let mut cumulative = 0u64;
-        for (i, &c) in acc.0.iter().enumerate() {
-            cumulative += c;
-            if i < HIST_FINITE {
-                out.push_str(&format!("{name}_bucket{{le=\"{}\"}} {cumulative}\n", 1u64 << i));
-            } else {
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-            }
-        }
-        out.push_str(&format!("{name}_sum {}\n", acc.1));
-        out.push_str(&format!("{name}_count {cumulative}\n"));
     }
 
     /// Render the registry as a JSON document (hand-written, no serde
@@ -898,9 +652,9 @@ impl Telemetry {
                 t.admitted,
                 t.shed,
                 t.completed,
-                t.latency_ns.quantile(0.50),
-                t.latency_ns.quantile(0.99),
-                t.latency_ns.quantile(0.999)
+                t.p50_ns,
+                t.p99_ns,
+                t.p999_ns
             ));
         }
         out.push_str(&format!(
@@ -909,6 +663,27 @@ impl Telemetry {
         ));
         out
     }
+}
+
+/// One histogram's sample lines: cumulative `le` buckets, `_sum` and
+/// `_count`, each carrying `label` (`key="value"`, or empty). A bucket
+/// with an exemplar (`(trace id, value)`, id 0 = none) gets the
+/// OpenMetrics exemplar suffix, so a p999 bucket links straight to a
+/// request's trace.
+fn render_histogram(out: &mut String, name: &str, label: &str, h: &HistogramSnapshot, exemplars: &[(u64, u64)]) {
+    let (sep, braced) = if label.is_empty() { ("", String::new()) } else { (",", format!("{{{label}}}")) };
+    let mut cumulative = 0u64;
+    for i in 0..=HIST_FINITE {
+        cumulative += h.buckets.get(i).copied().unwrap_or(0);
+        let le = if i < HIST_FINITE { (1u64 << i).to_string() } else { "+Inf".to_string() };
+        let exemplar = match exemplars.get(i) {
+            Some(&(tid, v)) if tid != 0 => format!(" # {{trace_id=\"{tid:016x}\"}} {v}"),
+            _ => String::new(),
+        };
+        out.push_str(&format!("{name}_bucket{{{label}{sep}le=\"{le}\"}} {cumulative}{exemplar}\n"));
+    }
+    out.push_str(&format!("{name}_sum{braced} {}\n", h.sum));
+    out.push_str(&format!("{name}_count{braced} {cumulative}\n"));
 }
 
 /// Escape a label value for OpenMetrics / JSON string position.
@@ -943,13 +718,13 @@ pub struct TelemetrySnapshot {
     pub tenants: Vec<TenantTotals>,
 }
 
-/// Final per-tenant serving counters, as stored in snapshots and in
-/// [`crate::RunReport::telemetry`].
+/// One tenant's row of a published serving run
+/// ([`Telemetry::publish_serving`]), as stored in snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct TenantTotals {
-    /// The tenant's registered name.
+    /// The tenant's name (the `tenant` label value in the exposition).
     pub name: String,
-    /// Requests that arrived (admitted + shed).
+    /// Requests that arrived.
     pub arrived: u64,
     /// Requests accepted into the admission queue.
     pub admitted: u64,
@@ -957,13 +732,46 @@ pub struct TenantTotals {
     pub shed: u64,
     /// Requests fully served.
     pub completed: u64,
-    /// Completion latency histogram in virtual nanoseconds; read SLO
-    /// quantiles with [`HistogramSnapshot::quantile`].
+    /// Exact order statistics of the completion latencies, as the serving
+    /// layer computed them (the JSON exporter's `latency_p*_ns`).
+    pub p50_ns: u64,
+    /// See `p50_ns`.
+    pub p99_ns: u64,
+    /// See `p50_ns`.
+    pub p999_ns: u64,
+    /// Completion latencies in virtual nanoseconds, bucketed for the
+    /// exposition (an exposition format, not where quantiles come from).
     pub latency_ns: HistogramSnapshot,
-    /// Per-bucket `(trace id, observed latency)` exemplar of the most
-    /// recent traced sample; `(0, _)` = no exemplar. Same indexing as
-    /// `latency_ns.buckets`.
+    /// Per-bucket `(trace id, observed latency)` exemplar; `(0, _)` = no
+    /// exemplar. Same indexing as `latency_ns.buckets`.
     pub exemplars: Vec<(u64, u64)>,
+}
+
+impl TenantTotals {
+    /// The row of `name` with what follows from its completions alone:
+    /// `completed`, the bucketed latencies and each bucket's exemplar.
+    /// `samples` are `(latency ns, trace id)` in request order, id 0 for
+    /// an untraced request; the last traced sample of a bucket — the
+    /// highest request index — is its exemplar. The outcome counters and
+    /// the exact quantiles are the caller's to fill in.
+    pub fn from_samples(name: &str, samples: &[(u64, u64)]) -> Self {
+        let mut row = TenantTotals {
+            name: name.to_string(),
+            completed: samples.len() as u64,
+            latency_ns: HistogramSnapshot { buckets: vec![0; HIST_FINITE + 1], sum: 0 },
+            exemplars: vec![(0, 0); HIST_FINITE + 1],
+            ..TenantTotals::default()
+        };
+        for &(latency_ns, trace_id) in samples {
+            let i = bucket_index(latency_ns);
+            row.latency_ns.buckets[i] += 1;
+            row.latency_ns.sum += latency_ns;
+            if trace_id != 0 {
+                row.exemplars[i] = (trace_id, latency_ns);
+            }
+        }
+        row
+    }
 }
 
 impl TelemetrySnapshot {
@@ -988,150 +796,78 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        let mut acc = ([0u64; HIST_FINITE + 1], 0u64);
+        let mut acc = HistogramSnapshot::default();
         h.accumulate(&mut acc);
-        assert_eq!(acc.0[0], 2, "0 and 1 land in le=1");
-        assert_eq!(acc.0[1], 1, "2 lands in le=2");
-        assert_eq!(acc.0[2], 2, "3 and 4 land in le=4");
-        assert_eq!(acc.0[10], 1, "1000 lands in le=1024");
-        assert_eq!(acc.0[HIST_FINITE], 1, "u64::MAX overflows to +Inf");
+        assert_eq!(acc, h.snapshot(), "accumulating into an empty copy is the copy");
+        assert_eq!(acc.buckets[0], 2, "0 and 1 land in le=1");
+        assert_eq!(acc.buckets[1], 1, "2 lands in le=2");
+        assert_eq!(acc.buckets[2], 2, "3 and 4 land in le=4");
+        assert_eq!(acc.buckets[10], 1, "1000 lands in le=1024");
+        assert_eq!(acc.buckets[HIST_FINITE], 1, "u64::MAX overflows to +Inf");
     }
 
-    /// Exact quantile of a sorted sample: rank `ceil(q*n)` (1-based).
-    fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-        let n = sorted.len() as f64;
-        let rank = ((q * n).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    fn assert_within_2x(est: u64, exact: u64, what: &str) {
-        let lo = exact / 2;
-        let hi = exact.saturating_mul(2).max(1);
-        assert!(est >= lo && est <= hi, "{what}: estimate {est} outside [{lo}, {hi}] (exact {exact})");
+    fn row(name: &str, counters: [u64; 3], samples: &[(u64, u64)]) -> TenantTotals {
+        let [arrived, admitted, shed] = counters;
+        TenantTotals { arrived, admitted, shed, ..TenantTotals::from_samples(name, samples) }
     }
 
     #[test]
-    fn quantile_within_bucket_width_of_exact() {
-        // Known distributions with analytically exact quantiles: the
-        // log-bucket estimate must stay within one bucket width (≤2×).
-        for (name, values) in [
-            ("uniform 1..=10000", (1..=10_000u64).collect::<Vec<_>>()),
-            ("constant 1000", vec![1000u64; 500]),
-            ("bimodal 10 | 100000", (0..1000).map(|i| if i % 2 == 0 { 10 } else { 100_000 }).collect()),
-            ("geometric-ish", (0..14).flat_map(|k| std::iter::repeat(1u64 << k).take(1 << (13 - k))).collect()),
-        ] {
-            let h = Histogram::default();
-            for &v in &values {
-                h.record(v);
-            }
-            let mut sorted = values.clone();
-            sorted.sort_unstable();
-            for q in [0.5, 0.9, 0.99, 0.999] {
-                assert_within_2x(h.quantile(q), exact_quantile(&sorted, q), &format!("{name} q={q}"));
-            }
-        }
-    }
-
-    #[test]
-    fn quantile_is_monotone_and_handles_edges() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.99), 0, "empty histogram yields 0");
-        for v in [1u64, 3, 9, 100, 5000] {
-            h.record(v);
-        }
-        let qs: Vec<u64> = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0].iter().map(|&q| h.quantile(q)).collect();
-        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "quantiles must be monotone: {qs:?}");
-        assert!(h.quantile(1.0) >= 2500 && h.quantile(1.0) <= 10_000, "max within 2x of 5000");
-        // Values in the first bucket (<= 1) report at most 1.
-        let tiny = Histogram::default();
-        tiny.record(0);
-        tiny.record(1);
-        assert!(tiny.quantile(0.99) <= 1);
-        // Overflow values clamp to the +Inf bucket's interpolation range.
-        let huge = Histogram::default();
-        huge.record(u64::MAX);
-        assert!(huge.quantile(0.5) >= 1u64 << 37);
-    }
-
-    #[test]
-    fn record_shared_matches_record() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        for v in [0u64, 1, 2, 700, 1 << 20] {
-            a.record(v);
-            b.record_shared(v);
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
-    fn tenant_registry_renders_and_snapshots() {
+    fn published_tenant_rows_render_and_snapshot() {
         let t = Telemetry::new();
-        let tenants = t.begin_tenants(&["interactive", "batch"]);
-        tenants[0].arrived.fetch_add(3, Ordering::Relaxed);
-        tenants[0].admitted.fetch_add(2, Ordering::Relaxed);
-        tenants[0].shed.fetch_add(1, Ordering::Relaxed);
-        tenants[0].on_complete(1_000_000);
-        tenants[0].on_complete(2_000_000);
+        let rows = vec![row("interactive", [3, 2, 1], &[(1_000_000, 0), (2_000_000, 0)]), row("batch", [0; 3], &[])];
+        t.publish_serving(rows, [], |_| String::new());
         let om = t.render_openmetrics();
         assert!(om.contains("fx_serve_requests_total{tenant=\"interactive\",outcome=\"shed\"} 1"));
         assert!(om.contains("fx_serve_latency_ns_count{tenant=\"interactive\"} 2"));
+        assert!(om.contains("fx_serve_latency_ns_sum{tenant=\"interactive\"} 3000000"));
         assert!(om.contains("fx_serve_latency_ns_bucket{tenant=\"batch\",le=\"+Inf\"} 0"));
         assert!(om.ends_with("# EOF\n"));
         let snap = t.snapshot();
         assert_eq!(snap.tenants.len(), 2);
         assert_eq!(snap.tenants[0].completed, 2);
-        let p50 = snap.tenants[0].latency_ns.quantile(0.5);
-        assert!(p50 >= 500_000 && p50 <= 4_000_000, "p50 {p50} within 2x of exact 1ms..2ms");
-        // Re-registration resets.
-        let again = t.begin_tenants(&["interactive"]);
-        assert_eq!(again[0].totals().arrived, 0);
+        assert_eq!(snap.tenants[0].latency_ns.mean(), 1_500_000.0);
+        // The next run's rows replace these.
+        t.publish_serving(vec![row("interactive", [0; 3], &[])], [], |_| String::new());
+        assert_eq!(t.snapshot().tenants.len(), 1);
+        assert_eq!(t.snapshot().tenants[0].arrived, 0);
     }
 
     #[test]
     fn latency_buckets_carry_exemplars() {
         let t = Telemetry::new();
-        let tenants = t.begin_tenants(&["gold"]);
-        tenants[0].on_complete(1_000_000); // untraced: no exemplar
-        tenants[0].on_complete_traced(3_000_000, 0xABCD); // traced
-        tenants[0].on_complete_traced(3_100_000, 0xEF01); // same bucket: wins
+        // Untraced, then two traced samples of one bucket: the later wins.
+        let samples = [(1_000_000, 0), (3_000_000, 0xABCD), (3_100_000, 0xEF01)];
+        t.publish_serving(vec![row("gold", [3, 3, 0], &samples)], [], |_| String::new());
         let om = t.render_openmetrics();
         assert!(
             om.contains("# {trace_id=\"000000000000ef01\"} 3100000"),
-            "most recent traced sample is the bucket exemplar: {om}"
+            "the highest request index is the bucket exemplar: {om}"
         );
-        assert!(!om.contains("abcd"), "overwritten exemplar must not linger");
+        assert!(!om.contains("abcd"), "an earlier exemplar of the bucket must not linger");
         // The exemplar rides the bucket the sample landed in, value intact.
-        let totals = tenants[0].totals();
+        let totals = &t.snapshot().tenants[0];
         let i = totals.latency_ns.buckets.iter().rposition(|&c| c > 0).unwrap();
         assert_eq!(totals.exemplars[i], (0xEF01, 3_100_000));
     }
 
     #[test]
     fn exemplar_ring_keeps_slowest_n() {
-        let mut cfg = TelemetryConfig::default();
-        cfg.exemplar_trace_capacity = 2;
+        let cfg = TelemetryConfig { exemplar_trace_capacity: 2, ..TelemetryConfig::default() };
         let t = Telemetry::with_config(cfg);
-        t.begin_tenants(&["gold"]);
-        let mut rendered = 0usize;
-        let mut offer = |id: u64, lat: u64, rendered: &mut usize| {
-            t.offer_exemplar_trace(id, lat, || {
-                *rendered += 1;
-                format!("{{\"trace\":{id}}}")
-            });
-        };
-        offer(1, 100, &mut rendered);
-        offer(2, 300, &mut rendered);
-        offer(3, 50, &mut rendered); // faster than everything retained: dropped
-        offer(4, 200, &mut rendered); // evicts id 1
-        assert_eq!(rendered, 3, "render is lazy: dropped offers never render");
+        let rendered = std::cell::Cell::new(0usize);
+        // Id 0 is an untraced request: never retained, however slow.
+        t.publish_serving(Vec::new(), [(1, 100), (2, 300), (3, 50), (4, 200), (0, 900)], |id| {
+            rendered.set(rendered.get() + 1);
+            format!("{{\"trace\":{id}}}")
+        });
+        assert_eq!(rendered.get(), 2, "only the retained requests are rendered");
         let ids: Vec<u64> = t.exemplar_traces().iter().map(|e| e.trace_id).collect();
         assert_eq!(ids, vec![2, 4], "slowest first");
         assert_eq!(t.exemplar_trace(2).unwrap().json, "{\"trace\":2}");
-        assert!(t.exemplar_trace(1).is_none(), "evicted");
+        assert!(t.exemplar_trace(1).is_none(), "not among the slowest two");
         assert!(t.exemplar_trace(0).is_none());
-        // A new serving session clears the ring.
-        t.begin_tenants(&["gold"]);
+        // The next run's traces replace these.
+        t.publish_serving(Vec::new(), [], |_| String::new());
         assert!(t.exemplar_traces().is_empty());
     }
 

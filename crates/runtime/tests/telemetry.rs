@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fx_runtime::{run, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig};
+use fx_runtime::{run, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig, TenantTotals};
 
 fn telemetry_machine(p: usize, t: &Arc<Telemetry>) -> Machine {
     Machine::real(p)
@@ -236,10 +236,8 @@ fn is_sample_line(line: &str) -> bool {
 fn exporters_render_expected_shapes() {
     let telemetry = Arc::new(Telemetry::new());
     run(&telemetry_machine(2, &telemetry), |cx| mixed_workload(cx, 2, 64));
-    for tenant in telemetry.begin_tenants(&["gold", "bronze"]) {
-        tenant.arrived.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        tenant.on_complete_traced(1500, 0xfeed);
-    }
+    let rows = ["gold", "bronze"].map(|name| TenantTotals { arrived: 2, ..TenantTotals::from_samples(name, &[(1500, 0xfeed)]) });
+    telemetry.publish_serving(rows.to_vec(), [], |_| String::new());
 
     let text = telemetry.render_openmetrics();
     assert!(text.ends_with("# EOF\n"));

@@ -8,8 +8,9 @@
 //! pipelines in a **long-lived cluster object**: requests arrive on an
 //! open-loop (Poisson or trace-driven) schedule, are admitted into a
 //! bounded queue or shed under overload, batched through the pipeline,
-//! and answered with per-tenant latency SLO accounting (p50/p99/p999)
-//! read from the runtime's telemetry histograms.
+//! and answered with per-tenant latency SLO accounting: exact
+//! p50/p99/p999 order statistics, folded from the completions the run
+//! returns.
 //!
 //! The load-bearing invariant: **serving changes scheduling, never
 //! answers.** Every request's output is bit-identical to the same
@@ -17,23 +18,25 @@
 //! queue depth, shed policy, executor, or mapping. Batching and
 //! queueing reorder *when* work happens, not *what* it computes.
 //!
-//! ## Determinism under simulated time
+//! ## One procedure, one ledger
 //!
-//! Under [`TimeMode::Simulated`](fx_core::TimeMode) the admission loop
-//! is a *replicated* decision procedure: every processor runs the same
-//! rounds, agreeing on the round time via `allreduce(now, max)` and
-//! jumping idle gaps with `advance_to(next_arrival)`. Admission,
-//! shedding and batch formation are pure functions of the agreed round
-//! time, so every processor makes identical decisions without any
-//! coordinator messages — and the whole serve run is bit-identical
-//! across executors and hosts, like every other Fx program.
+//! The admission loop is a *replicated* decision procedure under either
+//! clock: every processor runs the same rounds, agreeing on the round
+//! time via `allreduce(now, max)` and skipping an idle gap to the next
+//! arrival — [`TimeMode::Simulated`](fx_core::TimeMode) jumps the virtual
+//! clock there, [`TimeMode::Real`](fx_core::TimeMode) waits for the wall
+//! clock in short slices. Admission, shedding and batch formation are
+//! pure functions of the agreed round time, so every processor makes
+//! identical decisions without a coordinator or a message beyond the
+//! agreement — and under simulated time the whole serve run is
+//! bit-identical across executors and hosts, like every other Fx program.
+//! Nobody is parked in a receive across a gap, so the deadlock watchdog
+//! needs no exemption for a quiet server.
 //!
-//! Under [`TimeMode::Real`](fx_core::TimeMode), processor 0 acts as the
-//! frontend: it watches the wall clock for arrivals and broadcasts
-//! batch directives (`Some(batch)`) or shutdown (`None`) to the rest of
-//! the machine. Non-frontend processors declare themselves idle
-//! (`Cx::set_idle`) while waiting for a directive so the stuck-run
-//! watchdog does not mistake a quiet serving loop for a deadlock.
+//! What a run knows about its tenants is one fold over the trace, the
+//! shed list and the completions ([`TenantReport`]). A telemetry registry
+//! attached to the machine is handed the same rows after the run, for its
+//! exporters; without one the run is unobserved.
 //!
 //! ## Knobs
 //!

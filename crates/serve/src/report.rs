@@ -1,11 +1,11 @@
 //! Assembling a serve run's scattered observations into one report.
 
 use fx_apps::util::ReqCompletion;
-use fx_core::{RunReport, WindowBreakdown};
-use fx_runtime::{chrome_trace, Log, Telemetry, TelemetrySnapshot};
+use fx_core::{request_trace_id, Machine, RunReport, WindowBreakdown};
+use fx_runtime::{chrome_trace, Log, TelemetrySnapshot, TenantTotals};
 
 use crate::server::ProcServe;
-use crate::ServeRequest;
+use crate::{ServeRequest, ShedPolicy};
 
 /// Exact latency decomposition of one served request, recorded by its
 /// canonical reporting processor.
@@ -87,27 +87,35 @@ pub struct ComponentStats {
 }
 
 /// Exact order statistic of `sorted` (ascending): the value at rank
-/// `ceil(q*n)`, the convention histogram quantiles approximate.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// `ceil(q*n)`; zero when empty.
+fn percentile<V: Copy + Default>(sorted: &[V], q: f64) -> V {
     if sorted.is_empty() {
-        return 0.0;
+        return V::default();
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
 
-/// One tenant's service-level accounting for a serve run.
-///
-/// Latency quantiles come from the runtime's log-bucketed telemetry
-/// histograms, so they carry that histogram's documented bound: the
-/// estimate is within a factor of two of the exact order statistic.
+/// A request's latency as the ledger counts it: arrival to completion on
+/// the reporter's clock, in whole nanoseconds.
+fn latency_ns(arrival: f64, done: f64) -> u64 {
+    ((done - arrival).max(0.0) * 1e9).round() as u64
+}
+
+/// One tenant's service-level accounting for a serve run: a fold over
+/// the trace, the shed list and the completions. The latency quantiles
+/// are exact order statistics (rank `ceil(q*n)`) of the tenant's
+/// completed requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant name.
     pub name: String,
-    /// Requests that arrived (admitted + shed under tail drop).
+    /// Requests of this tenant in the trace.
     pub arrived: u64,
-    /// Requests accepted into the admission queue.
+    /// Requests accepted into the admission queue. Follows from the
+    /// policy: tail drop never admits the request it sheds
+    /// (`arrived - shed`); drop-oldest admits every arrival and sheds an
+    /// admitted one (`arrived`).
     pub admitted: u64,
     /// Requests dropped by the shedding policy.
     pub shed: u64,
@@ -145,9 +153,10 @@ pub struct ServeReport<T> {
     pub times: Vec<f64>,
     /// Serve-loop rounds (max over processors).
     pub rounds: u64,
-    /// Full telemetry snapshot of the run, for the OpenMetrics/JSON
-    /// exporters — includes the per-tenant request counters and
-    /// latency histograms rendered as `fx_serve_*` families.
+    /// Snapshot of the registry the caller attached to the machine
+    /// (`None` without one), taken after this run's tenant rows were
+    /// published to it — what the OpenMetrics/JSON exporters render,
+    /// `fx_serve_*` families included.
     pub telemetry: Option<TelemetrySnapshot>,
     /// Per-request latency decompositions, sorted by request index.
     /// Populated only when the machine ran with tracing on under
@@ -232,8 +241,9 @@ impl<T> ServeReport<T> {
     }
 
     /// Counter conservation across all tenants (see
-    /// [`TenantReport::conserved`]); also checks the merged completion
-    /// and shed lists against the counter totals.
+    /// [`TenantReport::conserved`]). `arrived` is counted from the trace
+    /// and the other two from the merged lists, so a request that was
+    /// neither completed nor shed breaks it.
     pub fn conserved(&self) -> bool {
         let completed: u64 = self.tenants.iter().map(|t| t.completed).sum();
         let shed: u64 = self.tenants.iter().map(|t| t.shed).sum();
@@ -243,14 +253,18 @@ impl<T> ServeReport<T> {
     }
 }
 
-/// Merge per-processor serve results and the live tenant counters into
-/// one [`ServeReport`]. Panics if any request was reported complete by
-/// more than one processor — the canonical-reporter contract.
+/// Merge per-processor serve results into one [`ServeReport`]. The
+/// tenant ledger is folded here, once, from the trace, the merged shed
+/// list and the merged completions; a registry attached to `machine`
+/// is handed the same rows and the slowest requests' Chrome traces.
+/// Panics if any request was reported complete by more than one
+/// processor — the canonical-reporter contract.
 pub(crate) fn assemble<T>(
     rep: RunReport<ProcServe<T>>,
     trace: &[ServeRequest],
     tenant_names: &[&str],
-    telemetry: &Telemetry,
+    policy: ShedPolicy,
+    machine: &Machine,
 ) -> ServeReport<T> {
     let rounds = rep.results.iter().map(|p| p.rounds).max().unwrap_or(0);
     let mut completions: Vec<ReqCompletion<T>> = Vec::new();
@@ -274,29 +288,57 @@ pub(crate) fn assemble<T>(
         assert!(c.req < trace.len(), "completion for unknown request {}", c.req);
     }
 
-    let by_name = telemetry.tenants();
-    let tenants = tenant_names
-        .iter()
-        .map(|name| {
-            let t = by_name
+    // One row per tenant; `samples` are `(latency ns, trace id)` in
+    // request order, the id 0 unless the run was traced.
+    let rows: Vec<TenantTotals> = (0..tenant_names.len())
+        .map(|tenant| {
+            let mine = |req: usize| trace[req].tenant == tenant;
+            let id = |req: usize| if machine.tracing { request_trace_id(req) } else { 0 };
+            let samples: Vec<(u64, u64)> = completions
                 .iter()
-                .find(|t| t.name() == *name)
-                .expect("serve registered every tenant name");
-            let totals = t.totals();
-            let h = &totals.latency_ns;
-            TenantReport {
-                name: totals.name.clone(),
-                arrived: totals.arrived,
-                admitted: totals.admitted,
-                shed: totals.shed,
-                completed: totals.completed,
-                p50_ns: h.quantile(0.50),
-                p99_ns: h.quantile(0.99),
-                p999_ns: h.quantile(0.999),
-                mean_ns: h.mean(),
+                .filter(|c| mine(c.req))
+                .map(|c| (latency_ns(trace[c.req].arrival, c.done), id(c.req)))
+                .collect();
+            let mut sorted: Vec<u64> = samples.iter().map(|s| s.0).collect();
+            sorted.sort_unstable();
+            let arrived = trace.iter().filter(|r| r.tenant == tenant).count() as u64;
+            let shed = shed.iter().filter(|&&req| mine(req)).count() as u64;
+            TenantTotals {
+                arrived,
+                admitted: match policy {
+                    ShedPolicy::DropNewest => arrived - shed,
+                    ShedPolicy::DropOldest => arrived,
+                },
+                shed,
+                p50_ns: percentile(&sorted, 0.50),
+                p99_ns: percentile(&sorted, 0.99),
+                p999_ns: percentile(&sorted, 0.999),
+                ..TenantTotals::from_samples(tenant_names[tenant], &samples)
             }
         })
         .collect();
+    let tenants = rows
+        .iter()
+        .map(|r| TenantReport {
+            name: r.name.clone(),
+            arrived: r.arrived,
+            admitted: r.admitted,
+            shed: r.shed,
+            completed: r.completed,
+            p50_ns: r.p50_ns,
+            p99_ns: r.p99_ns,
+            p999_ns: r.p999_ns,
+            mean_ns: r.latency_ns.mean(),
+        })
+        .collect();
+
+    // Rendering is lazy: only the requests the registry retains pay for
+    // JSON serialization.
+    let telemetry = machine.telemetry.as_ref().map(|registry| {
+        let done = request_traces.iter().map(|t| (t.trace_id, latency_ns(t.arrival, t.done)));
+        registry.publish_serving(rows, done, |id| chrome_trace(&rep.logs, Some(id)));
+        registry.snapshot()
+    });
 
     ServeReport {
         completions,
@@ -304,7 +346,7 @@ pub(crate) fn assemble<T>(
         tenants,
         times: rep.times,
         rounds,
-        telemetry: rep.telemetry,
+        telemetry,
         request_traces,
         logs: rep.logs,
     }

@@ -1,12 +1,9 @@
 //! The long-lived cluster object: admission, batching, shedding.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 use fx_core::{request_trace_id, spmd, Cx, Machine};
-use fx_runtime::{Telemetry, TelemetryConfig, TenantStats};
 
 use crate::report::{assemble, RequestTrace, ServeReport};
 use crate::{Servable, ServeConfig, ServeRequest, ShedPolicy};
@@ -19,7 +16,9 @@ pub struct ProcServe<T> {
     /// Trace indices shed by admission control (processor 0 only, so
     /// the merged list counts each shed request exactly once).
     pub sheds: Vec<usize>,
-    /// Serve-loop rounds this processor executed.
+    /// Serve-loop iterations this processor executed, under either
+    /// clock: every agreement `allreduce` counts, whether or not the round
+    /// dispatched a batch.
     pub rounds: u64,
     /// Per-request latency decompositions for the completions above
     /// (empty unless the run was traced).
@@ -31,9 +30,8 @@ pub struct ProcServe<T> {
 /// `Server` owns a [`Machine`] and a [`Servable`]; [`Server::serve`]
 /// pushes an open-loop arrival trace through the pipeline under
 /// admission control and returns per-request completions plus
-/// per-tenant SLO accounting. See the crate docs for the two serving
-/// modes (replicated rounds under simulated time, rank-0 frontend
-/// under real time).
+/// per-tenant SLO accounting. See the crate docs for the one serve
+/// procedure (replicated rounds under either clock).
 pub struct Server<S: Servable> {
     machine: Machine,
     servable: S,
@@ -73,118 +71,65 @@ impl<S: Servable> Server<S> {
             assert!(i == 0 || trace[i - 1].arrival <= r.arrival, "trace must be arrival-sorted");
         }
 
-        // Nobody could read the stall reports of a registry built here: no sampler.
-        let telemetry = self.machine.telemetry.clone().unwrap_or_else(|| {
-            Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }))
-        });
-        let tenants = telemetry.begin_tenants(tenant_names);
-        let mut machine = self.machine.clone().with_telemetry(telemetry.clone());
-        let sim = machine.mode.is_simulated();
+        let mut machine = self.machine.clone();
         // Per-request attribution needs duration events: a traced simulated
         // serve profiles implicitly, so FX_TRACE=1 alone yields full
         // breakdowns (profiling never moves the virtual clock).
-        if sim && machine.tracing {
+        if machine.mode.is_simulated() && machine.tracing {
             machine = machine.with_profiling(true);
         }
-        let cfg = self.cfg;
-        let servable = &self.servable;
-        let trace_arc: Arc<[ServeRequest]> = trace.into();
-
-        let rep = spmd(&machine, move |cx| {
-            if sim {
-                serve_simulated(cx, servable, &cfg, &trace_arc, &tenants)
-            } else {
-                serve_real(cx, servable, &cfg, &trace_arc, &tenants)
-            }
-        });
-        let report = assemble(rep, trace, tenant_names, &telemetry);
-        // Retain the slowest requests' per-request Chrome traces in the
-        // telemetry exemplar ring (served by `/trace/<id>`). Rendering
-        // is lazy: only ring entrants pay for JSON serialization.
-        let lat_ns = |t: &RequestTrace| (t.latency().max(0.0) * 1e9).round() as u64;
-        let done = report.request_traces.iter().map(|t| (t.trace_id, lat_ns(t)));
-        telemetry.offer_exemplar_traces(done, |id| fx_runtime::chrome_trace(&report.logs, Some(id)));
-        report
+        let rep = spmd(&machine, |cx| serve_rounds(cx, &self.servable, &self.cfg, trace));
+        assemble(rep, trace, tenant_names, self.cfg.shed, &machine)
     }
 }
 
 /// Admit `r` into the bounded queue or shed per policy. Returns the
-/// victim's trace index if a request was shed. Telemetry counters are
-/// bumped only when `account` is set (processor 0), so machine-wide
-/// totals count each decision once even though the simulated-time loop
-/// replicates the decision on every processor.
-fn admit(
-    r: &ServeRequest,
-    queue: &mut VecDeque<ServeRequest>,
-    cfg: &ServeConfig,
-    tenants: &[Arc<TenantStats>],
-    account: bool,
-) -> Option<usize> {
-    if account {
-        tenants[r.tenant].arrived.fetch_add(1, Ordering::Relaxed);
-    }
+/// victim's trace index if a request was shed.
+fn admit(r: &ServeRequest, queue: &mut VecDeque<ServeRequest>, cfg: &ServeConfig) -> Option<usize> {
     if queue.len() < cfg.queue_cap {
-        if account {
-            tenants[r.tenant].admitted.fetch_add(1, Ordering::Relaxed);
-        }
         queue.push_back(r.clone());
         return None;
     }
     match cfg.shed {
-        ShedPolicy::DropNewest => {
-            if account {
-                tenants[r.tenant].shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(r.idx)
-        }
+        ShedPolicy::DropNewest => Some(r.idx),
         ShedPolicy::DropOldest => {
             let victim = queue.pop_front().expect("queue_cap >= 1 so the full queue is nonempty");
-            if account {
-                tenants[victim.tenant].shed.fetch_add(1, Ordering::Relaxed);
-                tenants[r.tenant].admitted.fetch_add(1, Ordering::Relaxed);
-            }
             queue.push_back(r.clone());
             Some(victim.idx)
         }
     }
 }
 
-/// Record the completions this processor canonically reported:
-/// latency (arrival → completion) goes into the tenant histogram in
-/// virtual nanoseconds. Safe under concurrent reporters (replicated
-/// modules complete different requests of the same tenant at once)
-/// because the histogram path uses shared atomic recording.
-fn account_completions<T>(
-    got: &[fx_apps::util::ReqCompletion<T>],
-    trace: &[ServeRequest],
-    tenants: &[Arc<TenantStats>],
-    traced: bool,
-) {
-    for c in got {
-        let r = &trace[c.req];
-        let lat_ns = ((c.done - r.arrival).max(0.0) * 1e9).round() as u64;
-        // Traced runs attach the request's trace id as the bucket's
-        // OpenMetrics exemplar; id 0 records without one.
-        let tid = if traced { request_trace_id(c.req) } else { 0 };
-        tenants[r.tenant].on_complete_traced(lat_ns, tid);
+/// Skip an idle gap to the agreed time `t`. The virtual clock jumps; the
+/// wall clock is waited for in short slices with a yield before each, so
+/// a pooled worker is never held across the gap: every processor reaches
+/// its own wait and none sits parked in a receive for the watchdog or the
+/// stall sampler to find.
+fn skip_to(cx: &mut Cx, t: f64) {
+    cx.runtime().advance_to(t);
+    while cx.now() < t {
+        cx.runtime().yield_now();
+        std::thread::sleep(Duration::from_secs_f64((t - cx.now()).clamp(0.0, 0.002)));
     }
 }
 
-/// Simulated-time serving: a replicated decision procedure. Each round
-/// every processor agrees on the round time (`allreduce` max — the
-/// pipeline's slowest processor gates admission, exactly as a shared
-/// frontend would observe), jumps idle gaps to the next arrival, then
-/// admits/sheds/batches with identical pure-function decisions. No
-/// coordinator, no extra messages beyond the agreement reduction, and
-/// the run stays bit-identical across executors and hosts.
-fn serve_simulated<S: Servable>(
+/// The serve procedure: a replicated decision loop under either clock.
+/// Each round every processor agrees on the round time (`allreduce` max —
+/// the pipeline's slowest processor gates admission, exactly as a shared
+/// frontend would observe), skips an idle gap to the next arrival, then
+/// admits/sheds/batches with identical pure-function decisions of the
+/// agreed time — never of its own `now()`: `run_batch` is SPMD over the
+/// batch. No coordinator, no extra messages beyond the agreement
+/// reduction, and under simulated time the run stays bit-identical
+/// across executors and hosts.
+fn serve_rounds<S: Servable>(
     cx: &mut Cx,
     servable: &S,
     cfg: &ServeConfig,
     trace: &[ServeRequest],
-    tenants: &[Arc<TenantStats>],
 ) -> ProcServe<S::Output> {
-    let account = cx.id() == 0;
+    // Duration events are retained under simulated time only, so a
+    // real-time run carries no per-request breakdowns.
     let traced = cx.tracing() && cx.profiling();
     let mut queue: VecDeque<ServeRequest> = VecDeque::new();
     let mut next = 0usize;
@@ -202,14 +147,14 @@ fn serve_simulated<S: Servable>(
                 break;
             }
             if trace[next].arrival > t {
-                // Nothing queued and nothing arrived: jump the idle gap.
+                // Nothing queued and nothing arrived: skip the idle gap.
                 t = trace[next].arrival;
-                cx.runtime().advance_to(t);
+                skip_to(cx, t);
             }
         }
         while next < trace.len() && trace[next].arrival <= t {
-            if let Some(victim) = admit(&trace[next], &mut queue, cfg, tenants, account) {
-                if account {
+            if let Some(victim) = admit(&trace[next], &mut queue, cfg) {
+                if cx.id() == 0 {
                     sheds.push(victim);
                 }
             }
@@ -229,7 +174,6 @@ fn serve_simulated<S: Servable>(
         let mark = cx.runtime().log_mark();
         let got = servable.run_batch(cx, &batch);
         cx.clear_trace();
-        account_completions(&got, trace, tenants, traced);
         if traced {
             for c in &got {
                 let own = request_trace_id(c.req);
@@ -250,65 +194,4 @@ fn serve_simulated<S: Servable>(
         completions.extend(got);
     }
     ProcServe { completions, sheds, rounds, traces }
-}
-
-/// Real-time serving: processor 0 is the frontend. It polls the wall
-/// clock for arrivals, runs admission control, and broadcasts either a
-/// batch directive (`Some(batch)`) or shutdown (`None`). Everyone else
-/// declares itself idle while waiting for the next directive so the
-/// stuck-run watchdog does not mistake trace gaps for a deadlock —
-/// then clears the flag before computing, so a genuinely wedged batch
-/// still dumps.
-fn serve_real<S: Servable>(
-    cx: &mut Cx,
-    servable: &S,
-    cfg: &ServeConfig,
-    trace: &[ServeRequest],
-    tenants: &[Arc<TenantStats>],
-) -> ProcServe<S::Output> {
-    let me = cx.id();
-    let mut queue: VecDeque<ServeRequest> = VecDeque::new();
-    let mut next = 0usize;
-    let mut completions = Vec::new();
-    let mut sheds = Vec::new();
-    let mut rounds = 0u64;
-
-    loop {
-        let directive: Option<Vec<ServeRequest>> = if me == 0 {
-            loop {
-                let now = cx.now();
-                while next < trace.len() && trace[next].arrival <= now {
-                    if let Some(victim) = admit(&trace[next], &mut queue, cfg, tenants, true) {
-                        sheds.push(victim);
-                    }
-                    next += 1;
-                }
-                if !queue.is_empty() {
-                    let k = cfg.batch_max.min(queue.len());
-                    break Some(queue.drain(..k).collect());
-                }
-                if next >= trace.len() {
-                    break None;
-                }
-                let wait = (trace[next].arrival - cx.now()).max(0.0);
-                std::thread::sleep(Duration::from_secs_f64(wait.clamp(0.0002, 0.005)));
-            }
-        } else {
-            None
-        };
-        if me != 0 {
-            cx.set_idle(true);
-        }
-        let directive = cx.bcast(0, directive);
-        if me != 0 {
-            cx.set_idle(false);
-        }
-        let Some(batch) = directive else { break };
-        rounds += 1;
-        let got = servable.run_batch(cx, &batch);
-        account_completions(&got, trace, tenants, cx.tracing());
-        completions.extend(got);
-    }
-    // Real-time mode retains no duration events, so no per-request breakdowns.
-    ProcServe { completions, sheds, rounds, traces: Vec::new() }
 }

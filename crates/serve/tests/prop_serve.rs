@@ -2,12 +2,15 @@
 //!
 //! Random open-loop traces pushed through random admission configs and
 //! mappings must answer every served request bit-identically to the
-//! sequential oracle, conserve request counters, and produce
-//! bit-identical virtual times on both executors.
+//! sequential oracle, conserve request counters, report per-tenant
+//! accounting equal to an independent recount, and produce bit-identical
+//! virtual times on both executors.
+
+use std::sync::Arc;
 
 use fx_apps::ffthist::{reference_histogram, FftHistConfig, FftHistMapping};
 use fx_core::{Machine, MachineModel};
-use fx_runtime::Executor;
+use fx_runtime::{Executor, Telemetry, TelemetryConfig};
 use fx_serve::{poisson_trace, FftHistServable, ServeConfig, Server, ShedPolicy, TenantSpec};
 use proptest::prelude::*;
 
@@ -42,17 +45,16 @@ proptest! {
         let shed = if drop_oldest { ShedPolicy::DropOldest } else { ShedPolicy::DropNewest };
         let serve_cfg = ServeConfig { queue_cap, batch_max, shed };
 
-        let run = |exec: Executor, tracing: bool| {
-            Server::new(
-                Machine::simulated(4, MachineModel::paragon())
-                    .with_executor(exec)
-                    .with_tracing(tracing),
-                FftHistServable { cfg, mapping },
-            )
-            .with_config(serve_cfg)
-            .serve(&trace, &names)
+        let serve_on = |machine: Machine| {
+            Server::new(machine, FftHistServable { cfg, mapping }).with_config(serve_cfg).serve(&trace, &names)
         };
-        let a = run(Executor::Threaded, false);
+        let machine = |exec: Executor, tracing: bool| {
+            Machine::simulated(4, MachineModel::paragon()).with_executor(exec).with_tracing(tracing)
+        };
+        let run = |exec: Executor, tracing: bool| serve_on(machine(exec, tracing));
+        // One leg is observed: a registry never changes what is reported.
+        let registry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
+        let a = serve_on(machine(Executor::Threaded, false).with_telemetry(registry.clone()));
         let b = run(Executor::Pooled { workers: 2 }, false);
         let ta = run(Executor::Threaded, true);
         let tb = run(Executor::Pooled { workers: 2 }, true);
@@ -60,6 +62,31 @@ proptest! {
         // Counter conservation and no lost requests, under any load.
         prop_assert!(a.conserved());
         prop_assert_eq!(a.completed() + a.shed.len(), trace.len());
+
+        // The ledger: each tenant's report is what a recount from the
+        // trace, the shed list and the completions gives — counters, and
+        // quantiles equal to the exact order statistic (rank ceil(q n)) of
+        // the tenant's latencies — and the exposition counts the same.
+        let exposition = registry.render_openmetrics();
+        for (tenant, name) in names.iter().enumerate() {
+            let arrived = trace.iter().filter(|r| r.tenant == tenant).count() as u64;
+            let shed = a.shed.iter().filter(|&&req| trace[req].tenant == tenant).count() as u64;
+            let mut lat_ns: Vec<u64> = a
+                .completions
+                .iter()
+                .filter(|c| trace[c.req].tenant == tenant)
+                .map(|c| ((c.done - trace[c.req].arrival).max(0.0) * 1e9).round() as u64)
+                .collect();
+            lat_ns.sort_unstable();
+            let n = lat_ns.len();
+            let exact = |q: f64| if n == 0 { 0 } else { lat_ns[((q * n as f64).ceil() as usize).clamp(1, n) - 1] };
+            let admitted = if drop_oldest { arrived } else { arrived - shed };
+            let t = a.tenant(name).expect("a report per tenant name");
+            prop_assert_eq!((t.arrived, t.admitted, t.shed, t.completed), (arrived, admitted, shed, n as u64));
+            prop_assert_eq!((t.p50_ns, t.p99_ns, t.p999_ns), (exact(0.50), exact(0.99), exact(0.999)));
+            let count = format!("fx_serve_latency_ns_count{{tenant=\"{name}\"}} {n}\n");
+            prop_assert!(exposition.contains(&count), "missing {:?} in:\n{}", count, exposition);
+        }
 
         // Every served answer matches the sequential oracle bit-for-bit.
         for c in &a.completions {

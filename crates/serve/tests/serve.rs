@@ -29,6 +29,7 @@ fn served_outputs_are_bit_identical_to_reference_for_every_mapping() {
         let server = Server::new(paragon(6), FftHistServable { cfg, mapping })
             .with_config(ServeConfig { queue_cap: 32, batch_max: 3, shed: ShedPolicy::DropNewest });
         let rep = server.serve(&trace, &["gold", "bronze"]);
+        assert!(rep.telemetry.is_none(), "no registry attached: the run is unobserved");
         assert!(rep.conserved(), "counter conservation under {mapping:?}");
         assert_eq!(rep.completed(), trace.len(), "ample queue sheds nothing");
         for c in &rep.completions {
@@ -155,30 +156,41 @@ fn airshed_service_answers_match_oneshot() {
 
 #[test]
 fn real_time_serving_survives_trace_gaps_longer_than_recv_timeout() {
-    // A quiet serving loop is not a deadlock: the trace has a 400ms gap,
-    // four times the receive timeout. Idle declaration keeps the
-    // watchdog silent; the run completes and answers stay exact.
+    // A quiet serving loop is not a deadlock: the trace has gaps of 400 ms
+    // and 300 ms against a 100 ms receive timeout and a stall window of
+    // the same length. Nothing declares anyone idle — every processor
+    // waits out a gap in its own sliced sleep, none parked in a receive,
+    // not even on one pooled worker — so the watchdog and the sampler stay
+    // silent, the run completes and answers stay exact.
+    const TIMEOUT: Duration = Duration::from_millis(100);
     let cfg = FftHistConfig::new(8, 1);
     let trace = {
-        let mut t = poisson_trace(&[TenantSpec::new("live", 1000.0, 4)], 3);
-        for r in t.iter_mut().skip(2) {
-            r.arrival += 0.4; // open a gap after the first two requests
+        let mut t = poisson_trace(&[TenantSpec::new("live", 1000.0, 6)], 3);
+        for (i, r) in t.iter_mut().enumerate() {
+            r.arrival += [0.0, 0.4, 0.7][i / 2];
         }
         t
     };
-    let machine = Machine::real(2).with_timeout(Duration::from_millis(100));
-    let server =
-        Server::new(machine, FftHistServable { cfg, mapping: FftHistMapping::DataParallel })
+    for exec in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
+        let tele = std::sync::Arc::new(fx_runtime::Telemetry::with_config(fx_runtime::TelemetryConfig {
+            stall_window: TIMEOUT,
+            stall_sample_every: Duration::from_millis(10),
+            ..Default::default()
+        }));
+        let machine = Machine::real(4).with_executor(exec).with_timeout(TIMEOUT).with_telemetry(tele.clone());
+        let server = Server::new(machine, FftHistServable { cfg, mapping: FftHistMapping::Pipeline([1, 2, 1]) })
             .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest });
-    let rep = server.serve(&trace, &["live"]);
-    assert_eq!(rep.completed(), 4, "every request served across the gap");
-    assert!(rep.conserved());
-    for c in &rep.completions {
-        assert_eq!(c.output, reference_histogram(&cfg, trace[c.req].dataset));
-        assert!(c.done >= trace[c.req].arrival - 1e-3, "wall-clock completion after arrival");
+        let rep = server.serve(&trace, &["live"]);
+        assert_eq!(rep.completed(), 6, "{exec:?}: every request served across the gaps");
+        assert!(rep.conserved());
+        for c in &rep.completions {
+            assert_eq!(c.output, reference_histogram(&cfg, trace[c.req].dataset));
+            assert!(c.done >= trace[c.req].arrival - 1e-3, "wall-clock completion after arrival");
+        }
+        let t = rep.tenant("live").unwrap();
+        assert!(t.p50_ns > 0, "real-mode latencies recorded");
+        assert_eq!(tele.stall_reports().len(), 0, "{exec:?}: {:?}", tele.stall_reports());
     }
-    let t = rep.tenant("live").unwrap();
-    assert!(t.p50_ns > 0, "real-mode latencies recorded");
 }
 
 #[test]
@@ -308,17 +320,14 @@ fn exporters_render_per_tenant_serve_metrics() {
 
 /// An 800-request traced overload run (latency rising with arrival):
 /// retention renders once per ring slot, not once per request, and keeps
-/// the requests that offering every completion one by one in trace order
-/// — what `serve` used to do, quadratic in the trace — would have kept.
+/// the slowest requests.
 #[test]
 fn overload_renders_only_the_retained_exemplars() {
     use fx_runtime::{Telemetry, TelemetryConfig};
     const CAP: usize = 8;
     let registry = || {
         let cfg = TelemetryConfig { stall: false, exemplar_trace_capacity: CAP, ..TelemetryConfig::default() };
-        let t = std::sync::Arc::new(Telemetry::with_config(cfg));
-        t.begin_tenants(&["burst"]);
-        t
+        std::sync::Arc::new(Telemetry::with_config(cfg))
     };
     let trace = poisson_trace(&[TenantSpec::new("burst", 4000.0, 800)], 5);
     let served = registry();
@@ -334,17 +343,16 @@ fn overload_renders_only_the_retained_exemplars() {
 
     let lat_ns = |t: &fx_serve::RequestTrace| (t.latency().max(0.0) * 1e9).round() as u64;
     let ids = |t: &Telemetry| t.exemplar_traces().iter().map(|e| e.trace_id).collect::<Vec<_>>();
-    let (renders, batch, one_by_one) = (std::cell::Cell::new(0usize), registry(), registry());
-    batch.offer_exemplar_traces(rep.request_traces.iter().map(|t| (t.trace_id, lat_ns(t))), |id| {
+    let (renders, batch) = (std::cell::Cell::new(0usize), registry());
+    batch.publish_serving(Vec::new(), rep.request_traces.iter().map(|t| (t.trace_id, lat_ns(t))), |id| {
         renders.set(renders.get() + 1);
         id.to_string()
     });
     assert_eq!(renders.get(), CAP);
-    for t in &rep.request_traces {
-        one_by_one.offer_exemplar_trace(t.trace_id, lat_ns(t), String::new);
-    }
-    assert_eq!(ids(&batch), ids(&one_by_one));
-    assert_eq!(ids(&served), ids(&one_by_one), "and the run itself retained them");
+    let mut slowest: Vec<&fx_serve::RequestTrace> = rep.request_traces.iter().collect();
+    slowest.sort_by_key(|t| std::cmp::Reverse(lat_ns(t)));
+    assert_eq!(ids(&batch), slowest[..CAP].iter().map(|t| t.trace_id).collect::<Vec<_>>());
+    assert_eq!(ids(&served), ids(&batch), "and the run itself retained them");
 }
 
 // ---------------------------------------------------------------------------

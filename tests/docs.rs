@@ -1,11 +1,14 @@
-//! The documents name source files and environment knobs; a rename or a
-//! deletion must not leave them behind.
+//! The documents name source files, environment knobs and benchmark
+//! metrics; a rename or a deletion must not leave them behind.
 //!
 //! Every `crates/<crate>/(src|tests)/….rs` path named in DESIGN.md,
 //! README.md, ROADMAP.md and `benchmark/README.md` — `{a,b}` brace lists
 //! expanded — exists, and every `FX_…` variable named in DESIGN.md,
 //! README.md and `benchmark/README.md` is a knob of
-//! `fx_runtime::env::KNOBS`. (Not EXPERIMENTS.md or CHANGES.md: a dated
+//! `fx_runtime::env::KNOBS`, and every metric named in backticks in
+//! DESIGN.md, README.md and ROADMAP.md — a token under one of
+//! `BENCHMARK.json`'s per-layer prefixes (`serve.`, `runtime.`, …) —
+//! is a metric that file lists. (Not EXPERIMENTS.md or CHANGES.md: a dated
 //! log may name files and knobs since deleted; and ROADMAP.md names knobs
 //! it plans, such as `FX_SCHED_SEED`.) The pattern is
 //! `env::tests::readme_table_mirrors_the_knobs`: prose that a test reads
@@ -31,16 +34,21 @@ fn named_paths(text: &str) -> Vec<String> {
         if dir != "src" && dir != "tests" {
             continue;
         }
-        match (spelled.find('{'), spelled.find('}')) {
-            (Some(open), Some(close)) if open < close => {
-                for alt in spelled[open + 1..close].split(',') {
-                    out.push(format!("{}{alt}{}", &spelled[..open], &spelled[close + 1..]));
-                }
-            }
-            _ => out.push(spelled.to_string()),
-        }
+        out.extend(expand_braces(spelled));
     }
     out
+}
+
+/// `a/{b,c}.rs` → `a/b.rs`, `a/c.rs`: one brace list expanded, anything
+/// else as spelled.
+fn expand_braces(spelled: &str) -> Vec<String> {
+    match (spelled.find('{'), spelled.find('}')) {
+        (Some(open), Some(close)) if open < close => spelled[open + 1..close]
+            .split(',')
+            .map(|alt| format!("{}{alt}{}", &spelled[..open], &spelled[close + 1..]))
+            .collect(),
+        _ => vec![spelled.to_string()],
+    }
 }
 
 /// The `FX_…` variable names spelled in `text`. A bare prefix (`FX_`,
@@ -110,4 +118,62 @@ fn the_scan_expands_brace_lists_and_stops_at_the_extension() {
         named_paths(text),
         ["crates/runtime/src/ctx.rs", "crates/runtime/src/event.rs", "crates/serve/tests/serve.rs"]
     );
+}
+
+/// The per-layer prefixes of `BENCHMARK.json`'s metric names.
+const METRIC_LAYERS: [&str; 9] = ["runtime", "core", "darray", "kernels", "mapping", "apps", "serve", "process", "trace"];
+
+/// The metric names spelled in backticks in `text`: a token of metric
+/// characters whose first dot-component is a per-layer prefix, brace
+/// lists expanded (and allowed to wrap after a comma). File names
+/// (`serve.rs`), method calls and wildcards (`serve.*_ms.dp`) are not
+/// metric tokens.
+fn named_metrics(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for token in text.split('`').skip(1).step_by(2) {
+        let token: String = token.split(',').map(str::trim).collect::<Vec<_>>().join(",");
+        let metric_chars = token.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || matches!(c, '_' | '.' | '{' | '}' | ','));
+        let layered = token.split_once('.').is_some_and(|(layer, rest)| METRIC_LAYERS.contains(&layer) && !rest.is_empty());
+        let file = [".rs", ".md", ".json", ".txt", ".toml", ".yml"].iter().any(|ext| token.ends_with(ext));
+        if !metric_chars || !layered || file {
+            continue;
+        }
+        out.extend(expand_braces(&token));
+    }
+    out
+}
+
+#[test]
+fn every_metric_a_document_names_is_in_the_benchmark() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let listed: Vec<&str> = include_str!("../BENCHMARK.json")
+        .split("\"name\": \"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().expect("a closing quote"))
+        .collect();
+    for end_to_end in ["setup_s", "host_wall_s", "peak_rss_mib", "virt_makespan_s", "virt_op_p50_ms", "virt_op_p95_ms", "virt_goodput"] {
+        assert!(listed.contains(&end_to_end), "BENCHMARK.json lists no {end_to_end}: is the scan still reading it?");
+    }
+    let mut checked = 0;
+    let mut unknown = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "ROADMAP.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for name in named_metrics(&text) {
+            checked += 1;
+            if !listed.contains(&name.as_str()) {
+                unknown.push(format!("{doc} names {name}"));
+            }
+        }
+    }
+    assert!(checked >= 20, "the scan found only {checked} names: is it still reading the documents?");
+    unknown.sort();
+    unknown.dedup();
+    assert!(unknown.is_empty(), "documents name metrics BENCHMARK.json lacks:\n  {}", unknown.join("\n  "));
+}
+
+#[test]
+fn the_metric_scan_expands_brace_lists_and_skips_files_and_wildcards() {
+    let text = "`serve.{p50,\n  p99}_ms.dp` and `serve.hist_p99_err_frac`; not `serve.rs`, `serve.*_p99_ms.dp`, \
+                `trace.len()`, `machine.tracing`, serve.p50_ms.dp unquoted or `host_wall_s`.";
+    assert_eq!(named_metrics(text), ["serve.p50_ms.dp", "serve.p99_ms.dp", "serve.hist_p99_err_frac"]);
 }

@@ -302,109 +302,6 @@ fn panic_at_p512_tears_down_in_bounded_time_with_the_root_cause() {
     assert!(took < Duration::from_millis(2500), "teardown of a P={P} run took {took:?}");
 }
 
-// --- Declared-idle gating of the watchdog (serving loops). ---
-//
-// A serving loop legitimately quiesces between request arrivals: its
-// processors block in receives with nothing in flight, which is the
-// exact signature the deadlock watchdog (`FX_RECV_TIMEOUT_MS` /
-// `Machine::with_timeout`) and the stall sampler were built to kill.
-// `ProcCtx::set_idle` declares that state; these tests pin down both
-// halves of the contract — declared idleness survives quiescence far
-// longer than the timeout, while a genuine deadlock *inside* request
-// processing (idle cleared) still dies with the full diagnostic.
-
-/// The idle tests' executors: two workers, so the sleeping "arrival
-/// generator" coroutine does not hold the only worker while the server
-/// parks beside it.
-fn threaded_and_two_workers() -> [fx::runtime::Executor; 2] {
-    use fx::runtime::Executor;
-    [Executor::Threaded, Executor::Pooled { workers: 2 }]
-}
-
-/// An idle server outlives several recv-timeout windows of quiescence,
-/// then serves the late request normally; the stall sampler stays quiet.
-#[test]
-fn idle_server_survives_recv_timeout_quiescence() {
-    use fx::runtime::{Telemetry, TelemetryConfig};
-    use std::sync::Arc;
-
-    for executor in threaded_and_two_workers() {
-        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-            stall_window: Duration::from_millis(100),
-            stall_sample_every: Duration::from_millis(20),
-            ..TelemetryConfig::default()
-        }));
-        let machine = Machine::real(2)
-            .with_timeout(Duration::from_millis(100))
-            .with_executor(executor)
-            .with_telemetry(Arc::clone(&telemetry));
-        let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-            if cx.rank() == 0 {
-                // The "arrival generator": quiescent for several timeout
-                // windows before the request shows up.
-                std::thread::sleep(Duration::from_millis(450));
-                cx.send(1, 1, 7u64);
-                0
-            } else {
-                // The "server": declared idle while waiting for work.
-                cx.set_idle(true);
-                let req: u64 = cx.recv(0, 1);
-                cx.set_idle(false);
-                req
-            }
-        });
-        assert_eq!(rep.results[1], 7, "{executor:?}: the late request must still be served");
-        assert!(
-            telemetry.stall_reports().is_empty(),
-            "{executor:?}: declared idleness must not be reported as a stall: {:?}",
-            telemetry.stall_reports()
-        );
-    }
-}
-
-/// A deadlock while *processing* a request (idle cleared) still trips
-/// the watchdog and the stall sampler, even though the same processor
-/// idled legitimately moments before.
-#[test]
-fn deadlocked_request_still_triggers_dump_after_idle_phase() {
-    use fx::runtime::{Telemetry, TelemetryConfig};
-    use std::sync::Arc;
-
-    for executor in threaded_and_two_workers() {
-        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-            stall_window: Duration::from_millis(100),
-            stall_sample_every: Duration::from_millis(20),
-            ..TelemetryConfig::default()
-        }));
-        let machine = Machine::real(2)
-            .with_timeout(Duration::from_millis(300))
-            .with_executor(executor)
-            .with_telemetry(Arc::clone(&telemetry));
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            fx::runtime::run(&machine, |cx: &mut ProcCtx| {
-                if cx.rank() == 0 {
-                    std::thread::sleep(Duration::from_millis(50));
-                    cx.send(1, 1, 7u64);
-                } else {
-                    cx.set_idle(true);
-                    let _req: u64 = cx.recv(0, 1); // served fine
-                    cx.set_idle(false);
-                    // "Processing" deadlocks: waits on a reply that never
-                    // comes, with idleness no longer declared.
-                    let _: u64 = cx.recv(0, 2);
-                }
-            })
-        }))
-        .expect_err("a deadlock outside the idle phase must still be killed");
-        let msg = panic_message(err);
-        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
-        let reports = telemetry.stall_reports();
-        assert!(!reports.is_empty(), "{executor:?}: the stall sampler must still diagnose a real deadlock");
-        let all: String = reports.iter().map(|r| r.to_string()).collect();
-        assert!(all.contains("recv(src=0, tag=0x2)"), "{executor:?}: report must name the stuck wait edge, got:\n{all}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Lanes on first use. A mailbox builds the lane of a source on the first
 // deposit from it or the first wait on it; poison and the deadlock dump

@@ -84,34 +84,39 @@ fn transport(cx: &mut Cx, conc: &mut DArray3<f64>, cfg: &AirshedConfig) {
     if l1 == 0 {
         return;
     }
-    let read = conc.local().to_vec();
-    // Neighbour plane value for (layer a, local plane b +/- 1, species c).
-    let at = |a: usize, b: isize, c: usize| -> f64 {
-        if b < 0 {
-            if halo.before.is_empty() {
-                read[(a * l1) * l2 + c] // global edge: clamp to own first
-            } else {
-                halo.before[a * l2 + c]
-            }
-        } else if (b as usize) < l1 {
-            read[(a * l1 + b as usize) * l2 + c]
-        } else if halo.after.is_empty() {
-            read[(a * l1 + l1 - 1) * l2 + c]
+    // In place, one row (one plane of one layer) at a time: `prev` holds
+    // the old values of the row above, and the row below is still old.
+    let mut prev = vec![0f64; l2];
+    let mut last = vec![0f64; l2];
+    for (a, layer) in conc.local_mut().chunks_exact_mut(l1 * l2).enumerate() {
+        let ghost = a * l2..(a + 1) * l2;
+        // At a global edge the missing neighbour is clamped to the row
+        // itself.
+        let before = if halo.before.is_empty() { &layer[..l2] } else { &halo.before[ghost.clone()] };
+        prev.copy_from_slice(before);
+        let after = if halo.after.is_empty() {
+            last.copy_from_slice(&layer[(l1 - 1) * l2..]);
+            &last
         } else {
-            halo.after[a * l2 + c]
-        }
-    };
-    let local = conc.local_mut();
-    for a in 0..l0 {
+            &halo.after[ghost]
+        };
         for b in 0..l1 {
-            for c in 0..l2 {
-                let v = 0.5 * read[(a * l1 + b) * l2 + c]
-                    + 0.25 * (at(a, b as isize - 1, c) + at(a, b as isize + 1, c));
-                local[(a * l1 + b) * l2 + c] = v;
-            }
+            let (row, below) = layer[b * l2..].split_at_mut(l2);
+            let next = if b + 1 < l1 { &below[..l2] } else { after };
+            smooth_row(row, &mut prev, next);
         }
     }
     cx.charge_flops(cfg.trans_flops_per_cell * (l0 * l1 * l2) as f64);
+}
+
+/// `row = 0.5·row + 0.25·(prev + next)` element-wise, leaving the row's
+/// old values in `prev` for the row after it.
+fn smooth_row(row: &mut [f64], prev: &mut [f64], next: &[f64]) {
+    for ((v, p), &n) in row.iter_mut().zip(prev.iter_mut()).zip(next) {
+        let cur = *v;
+        *v = 0.5 * cur + 0.25 * (*p + n);
+        *p = cur;
+    }
 }
 
 /// One chemistry step: purely local, compute-dominant per-cell work.
@@ -404,6 +409,72 @@ mod tests {
             chem_flops_per_cell: 100.0,
             trans_flops_per_cell: 20.0,
         }
+    }
+
+    /// The per-element transport the row-slice one replaced, kept as its
+    /// oracle.
+    fn transport_per_element(cx: &mut Cx, conc: &mut DArray3<f64>, cfg: &AirshedConfig) {
+        let halo = exchange_plane_halo(cx, conc, 1);
+        let (l0, l1, l2) = conc.local_dims();
+        if l1 == 0 {
+            return;
+        }
+        let read = conc.local().to_vec();
+        let at = |a: usize, b: isize, c: usize| -> f64 {
+            if b < 0 {
+                if halo.before.is_empty() {
+                    read[(a * l1) * l2 + c]
+                } else {
+                    halo.before[a * l2 + c]
+                }
+            } else if (b as usize) < l1 {
+                read[(a * l1 + b as usize) * l2 + c]
+            } else if halo.after.is_empty() {
+                read[(a * l1 + l1 - 1) * l2 + c]
+            } else {
+                halo.after[a * l2 + c]
+            }
+        };
+        let local = conc.local_mut();
+        for a in 0..l0 {
+            for b in 0..l1 {
+                for c in 0..l2 {
+                    let v = 0.5 * read[(a * l1 + b) * l2 + c]
+                        + 0.25 * (at(a, b as isize - 1, c) + at(a, b as isize + 1, c));
+                    local[(a * l1 + b) * l2 + c] = v;
+                }
+            }
+        }
+        cx.charge_flops(cfg.trans_flops_per_cell * (l0 * l1 * l2) as f64);
+    }
+
+    #[test]
+    fn row_slice_transport_matches_the_per_element_oracle_bitwise() {
+        // Group ends with empty halos, one-plane tiles (13 over 5 ends on a
+        // single plane, 4 over 4 is all single planes) and members with no
+        // plane at all (13 over 6, 1 over 3).
+        let mut seen = Vec::new();
+        for (gridpoints, p) in [(13, 5), (13, 6), (4, 4), (12, 3), (1, 3)] {
+            let cfg = AirshedConfig { gridpoints, ..tiny_cfg() };
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
+                let g = cx.group();
+                let data: Vec<f64> =
+                    (0..cfg.cells()).map(|i| unit_hash(9, i as u64, 0)).collect();
+                let mut rows = DArray3::from_global(cx, &g, cfg.shape(), DIST, &data);
+                let mut oracle = rows.clone();
+                for _ in 0..3 {
+                    transport(cx, &mut rows, &cfg);
+                    transport_per_element(cx, &mut oracle, &cfg);
+                }
+                let bits = |a: &DArray3<f64>| a.local().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                (rows.local_dims().1, bits(&rows), bits(&oracle))
+            });
+            for (v, (planes, got, want)) in rep.results.iter().enumerate() {
+                assert_eq!(got, want, "{gridpoints} gridpoints over {p}: member {v} ({planes} planes)");
+            }
+            seen.extend(rep.results.iter().map(|r| r.0));
+        }
+        assert!(seen.contains(&0) && seen.contains(&1), "tile sizes covered: {seen:?}");
     }
 
     #[test]

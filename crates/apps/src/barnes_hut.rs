@@ -23,6 +23,12 @@ use fx_kernels::nbody::{interaction_flops, BhTree, Body};
 
 use crate::util::unit_hash;
 
+/// Bytes charged per cell of a partial tree handed to a subgroup, fixed
+/// at the 88-byte cell every committed virtual time was produced with:
+/// the layout of `fx_kernels::nbody::Cell` is a host detail and must not
+/// move virtual time.
+const CELL_CHARGE_BYTES: usize = 88;
+
 /// Parameters for one Barnes-Hut force evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct BhConfig {
@@ -144,7 +150,7 @@ fn compute_force(
         // partition_bh_tree: each half gets top-k levels + its subtree.
         if let Some((s, w)) = tr.on(cx, "subTreeG1", |cx| {
             let sub = tree.split_range(lo, mid, cfg.k);
-            cx.charge_mem_bytes((sub.nodes.len() * std::mem::size_of::<fx_kernels::nbody::Node>()) as f64);
+            cx.charge_mem_bytes((sub.cells.len() * CELL_CHARGE_BYTES) as f64);
             compute_force(cx, &sub, lo, mid, cfg)
         }) {
             my_solved = s;
@@ -152,7 +158,7 @@ fn compute_force(
         }
         if let Some((s, w)) = tr.on(cx, "subTreeG2", |cx| {
             let sub = tree.split_range(mid, hi, cfg.k);
-            cx.charge_mem_bytes((sub.nodes.len() * std::mem::size_of::<fx_kernels::nbody::Node>()) as f64);
+            cx.charge_mem_bytes((sub.cells.len() * CELL_CHARGE_BYTES) as f64);
             compute_force(cx, &sub, mid, hi, cfg)
         }) {
             my_solved = s;
@@ -326,12 +332,11 @@ mod tests {
                 // forces[] is input-ordered; tree.bodies is tree-ordered.
                 let f = forces[tree.order[i]];
                 let seq = tree.force_at(b.pos, cfg.theta, cfg.eps).unwrap();
-                for d in 0..3 {
-                    assert!(
-                        (f[d] - seq[d]).abs() < 1e-9,
-                        "parallel differs from sequential BH at particle {i}"
-                    );
-                }
+                assert_eq!(
+                    f.map(f64::to_bits),
+                    seq.map(f64::to_bits),
+                    "parallel differs from sequential BH at particle {i}"
+                );
                 let mag = exact[i].iter().map(|x| x * x).sum::<f64>().sqrt();
                 if mag > 1e-9 {
                     let err = (0..3)
@@ -345,6 +350,13 @@ mod tests {
             let rms = (sum_sq / count as f64).sqrt();
             assert!(rms < 0.1, "p={p}: BH RMS error vs direct too large: {rms}");
         }
+    }
+
+    #[test]
+    fn cell_charge_is_pinned_to_the_calibrated_layout() {
+        // results/*.txt were produced charging 88 bytes a cell; changing
+        // this constant moves every Barnes-Hut virtual time.
+        assert_eq!(CELL_CHARGE_BYTES, 88);
     }
 
     #[test]

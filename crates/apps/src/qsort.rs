@@ -143,8 +143,23 @@ fn bucket_sort_leaf(cx: &mut Cx, a: &mut DArray1<i64>) {
     let bucket_of =
         |v: i64| (((v as i128 - min as i128) as u128 * nbuckets as u128 / span) as usize)
             .min(nbuckets - 1);
-    // Replicated bucketing scan (same charge on every member).
+    // Replicated bucketing scan (same charge on every member): a counting
+    // sort by bucket, so bucket `b` is `by_bucket[starts[b]..starts[b + 1]]`.
     cx.charge_flops(n as f64 * 2.0);
+    let buckets: Vec<usize> = keys.iter().map(|&v| bucket_of(v)).collect();
+    let mut starts = vec![0usize; nbuckets + 1];
+    for &b in &buckets {
+        starts[b + 1] += 1;
+    }
+    for b in 0..nbuckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut fill = starts.clone();
+    let mut by_bucket = vec![0i64; n];
+    for (&v, &b) in keys.iter().zip(&buckets) {
+        by_bucket[fill[b]] = v;
+        fill[b] += 1;
+    }
 
     let my_buckets = block_range(0..nbuckets, q, cx.id());
     let base = my_buckets.start;
@@ -154,8 +169,7 @@ fn bucket_sort_leaf(cx: &mut Cx, a: &mut DArray1<i64>) {
         0..nbuckets,
         |_cx, _b| Vec::<i64>::new(),
         |cx, b, _ins: &[i64]| {
-            let mut vals: Vec<i64> =
-                keys.iter().copied().filter(|&v| bucket_of(v) == b).collect();
+            let mut vals = by_bucket[starts[b]..starts[b + 1]].to_vec();
             vals.sort_unstable();
             let len = vals.len() as f64;
             cx.charge_flops(len * len.log2().max(1.0) * 4.0);

@@ -144,6 +144,49 @@ fn walk_tile<const N: usize>(
     });
 }
 
+/// Visit the tile of grid coordinate `coord` as maximal runs of
+/// consecutive elements, in local row-major order: `f(global row-major
+/// start, local slot start, len)`. Consecutive along the last dimension
+/// means one run per owned block of it, and runs that continue each other
+/// in the global order too (a tile spanning whole rows) merge.
+fn walk_runs<const N: usize>(
+    maps: &[DimMap; N],
+    coord: [usize; N],
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let shape = maps.map(|m| m.n);
+    let mut globals: [Vec<usize>; N] =
+        std::array::from_fn(|k| maps[k].owned_globals(coord[k]).collect());
+    // The last dimension as (first global, len) blocks.
+    let last = maps[N - 1];
+    let mut blocks = Vec::new();
+    let mut i = 0;
+    while let Some(&g) = globals[N - 1].get(i) {
+        let len = last.block_end(g) - g;
+        blocks.push((g, len));
+        i += len;
+    }
+    globals[N - 1] = blocks.iter().map(|b| b.0).collect();
+    let mut slot = 0;
+    let mut run: Option<(usize, usize, usize)> = None;
+    for_each_index::<N>(std::array::from_fn(|k| globals[k].len()), |l| {
+        let at = ravel(std::array::from_fn(|k| globals[k][l[k]]), shape);
+        let len = blocks[l[N - 1]].1;
+        match &mut run {
+            Some((start, _, n)) if *start + *n == at => *n += len,
+            _ => {
+                if let Some((start, from, n)) = run.replace((at, slot, len)) {
+                    f(start, from, n);
+                }
+            }
+        }
+        slot += len;
+    });
+    if let Some((start, from, n)) = run {
+        f(start, from, n);
+    }
+}
+
 impl<T: Elem, const N: usize> DArray<T, N> {
     /// Create an array of extents `shape` filled with `fill`, using the
     /// default grid for `dist`. No communication; every caller builds its
@@ -225,7 +268,7 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         assert_eq!(data.len(), shape.iter().product::<usize>());
         let mut a = Self::placed(cx, group, shape, dist, default_grid(dist, group.len()));
         if let Some(c) = a.my_coord {
-            walk_tile(&a.side.maps, c, |g, _| a.local.push(data[ravel(g, shape)]));
+            walk_runs(&a.side.maps, c, |at, _, len| a.local.extend_from_slice(&data[at..at + len]));
         }
         a
     }
@@ -296,16 +339,17 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         let parts: Vec<Vec<T>> = cx.allgather_vecs(self.local.clone());
         let mut out = vec![T::default(); self.whole().end];
         for (v, part) in parts.iter().enumerate() {
-            self.walk_member(v, |at, slot| out[at] = part[slot]);
+            self.walk_member(v, |at, slot, len| {
+                out[at..at + len].copy_from_slice(&part[slot..slot + len]);
+            });
         }
         out
     }
 
     /// Visit the tile of virtual rank `v` in its local row-major order as
-    /// `(row-major global position, flat local slot)`.
-    pub(crate) fn walk_member(&self, v: usize, mut f: impl FnMut(usize, usize)) {
-        let shape = self.shape();
-        walk_tile(&self.side.maps, unravel(v, self.grid()), |g, slot| f(ravel(g, shape), slot));
+    /// maximal runs `(row-major global start, flat local slot start, len)`.
+    pub(crate) fn walk_member(&self, v: usize, f: impl FnMut(usize, usize, usize)) {
+        walk_runs(&self.side.maps, unravel(v, self.grid()), f);
     }
 
     pub(crate) fn maps(&self) -> &[DimMap; N] {
@@ -549,6 +593,7 @@ impl<T: Elem> DArray<T, 3> {
 mod tests {
     use super::*;
     use fx_core::{spmd, Machine, Size};
+    use proptest::prelude::*;
 
     #[test]
     fn default_grids() {
@@ -559,6 +604,48 @@ mod tests {
         assert_eq!(default_grid([Dist::Star, Dist::Star], 1), [1, 1]);
         assert_eq!(default_grid([Dist::Star, Dist::Cyclic, Dist::Star], 5), [1, 5, 1]);
         assert_eq!(default_grid([Dist::Star], 5), [1], "a(*) replicates over any group size");
+    }
+
+    /// Runs expanded to the `(global position, local slot)` pairs they
+    /// cover must be exactly the element walk, in its order, and no two
+    /// consecutive runs may continue each other.
+    fn check_runs<const N: usize>(dims: [(usize, usize, Dist); N]) {
+        let maps = dims.map(|(n, q, d)| DimMap::new(n, if d == Dist::Star { 1 } else { q }, d));
+        let shape = maps.map(|m| m.n);
+        for_each_index(maps.map(|m| m.q), |c| {
+            let mut runs = Vec::new();
+            walk_runs(&maps, c, |at, slot, len| runs.push((at, slot, len)));
+            let covered: Vec<(usize, usize)> = runs
+                .iter()
+                .flat_map(|&(at, slot, len)| (0..len).map(move |i| (at + i, slot + i)))
+                .collect();
+            let mut elems = Vec::new();
+            walk_tile(&maps, c, |g, slot| elems.push((ravel(g, shape), slot)));
+            assert_eq!(covered, elems, "{maps:?} at {c:?}");
+            for w in runs.windows(2) {
+                assert!(w[0].2 > 0 && w[0].0 + w[0].2 != w[1].0, "{maps:?} at {c:?}: {runs:?}");
+            }
+        });
+    }
+
+    fn any_dist() -> impl Strategy<Value = Dist> {
+        prop_oneof![
+            Just(Dist::Block),
+            Just(Dist::Cyclic),
+            (1usize..4).prop_map(Dist::BlockCyclic),
+            Just(Dist::Star)
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn runs_cover_exactly_the_tile_walk(
+            dims in proptest::collection::vec((0usize..9, 1usize..4, any_dist()), 3)
+        ) {
+            check_runs([dims[0]]);
+            check_runs([dims[0], dims[1]]);
+            check_runs([dims[0], dims[1], dims[2]]);
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn gather_to_root<T: Elem + Default, const N: usize>(
             recv_tile(cx, v, tag, &mut tile);
             &tile
         };
-        a.walk_member(v, |at, slot| out[at] = part[slot]);
+        a.walk_member(v, |at, slot, len| out[at..at + len].copy_from_slice(&part[slot..slot + len]));
     }
     Some(out)
 }
@@ -89,7 +89,7 @@ pub fn scatter_from_root<T: Elem, const N: usize>(
             continue;
         }
         let mut chunk = cx.chunk_for::<T>(count);
-        a.walk_member(v, |at, _| chunk.push_slice(&data[at..at + 1]));
+        a.walk_member(v, |at, _, len| chunk.push_slice(&data[at..at + len]));
         cx.send_chunk_v(v, tag, chunk);
     }
     let shape = a.shape();

@@ -8,9 +8,17 @@
 //! in this processor's partial copy) aborts and reports it, so the caller
 //! can put the particle on the worklist passed up to the parent subgroup.
 //!
+//! The tree is one arena of [`Cell`]s in depth-first order (a cell's left
+//! child is the cell right after it), linked by `u32` indices, and a force
+//! evaluation walks it with an explicit stack of pending right children —
+//! the recursion state made a record. Partial trees share the full tree's
+//! particle arrays instead of copying them.
+//!
 //! Everything here is sequential; `fx-apps::barnes_hut` layers the
 //! recursive processor subdivision, the top-`k`-level replication and the
 //! worklist protocol on top.
+
+use std::sync::Arc;
 
 /// A point mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,24 +29,53 @@ pub struct Body {
     pub mass: f64,
 }
 
-/// One cell of the balanced Barnes-Hut tree.
+/// Link value of a leaf: one particle, complete as-is.
+const LEAF: u32 = u32::MAX;
+/// Link value of a remote stub: the cell's subtree exists on another
+/// processor only, so its summary is valid but it cannot be opened.
+const REMOTE: u32 = u32::MAX - 1;
+/// Right children a walk can have pending: one per level, and a balanced
+/// tree of fewer than 2³¹ particles (what `u32` links can index) has at
+/// most 31 levels below the root.
+const MAX_DEPTH: usize = 32;
+
+/// One cell of the balanced Barnes-Hut tree (48 bytes).
+///
+/// The particles a cell covers are implied by its place in the tree: the
+/// root covers `0..n` and a cell covering `len` particles from `start`
+/// splits them at `start + len / 2`.
 #[derive(Debug, Clone, Copy)]
-pub struct Node {
+pub struct Cell {
     /// Centre of mass of the cell's particles.
     pub com: [f64; 3],
     /// Total mass.
     pub mass: f64,
-    /// Radius of the bounding sphere around `com`.
-    pub radius: f64,
-    /// Range of (sorted) particle indices covered: `start .. start + len`.
-    pub start: usize,
-    /// Number of particles in the cell.
-    pub len: usize,
-    /// Child node indices; `None` for leaves *and* for remote stubs.
-    pub children: Option<(usize, usize)>,
-    /// True when the cell's subtree exists on another processor only: the
-    /// summary (com/mass/radius) is valid but the cell cannot be opened.
-    pub remote: bool,
+    /// Square of the bounding-sphere radius around `com`: the largest
+    /// squared distance of one of the cell's particles from it.
+    pub radius2: f64,
+    /// Left child, or [`LEAF`] / [`REMOTE`].
+    left: u32,
+    /// Right child (meaningless unless `left` is a child).
+    right: u32,
+}
+
+impl Cell {
+    /// Radius of the bounding sphere around `com`. Rounded `sqrt` is
+    /// monotone, so this is bit for bit the largest rounded particle
+    /// distance.
+    pub fn radius(&self) -> f64 {
+        self.radius2.sqrt()
+    }
+
+    /// Child cell indices; `None` for leaves *and* for remote stubs.
+    pub fn children(&self) -> Option<(usize, usize)> {
+        (self.left < REMOTE).then_some((self.left as usize, self.right as usize))
+    }
+
+    /// True when the cell's subtree exists on another processor only.
+    pub fn is_remote(&self) -> bool {
+        self.left == REMOTE
+    }
 }
 
 /// A balanced Barnes-Hut tree over a set of particles.
@@ -48,32 +85,35 @@ pub struct Node {
 /// will be sorted based on the ordering of the leaves".
 #[derive(Debug, Clone, Default)]
 pub struct BhTree {
-    /// All cells; children are indices into this vector.
-    pub nodes: Vec<Node>,
-    /// Particles in tree (leaf) order.
-    pub bodies: Vec<Body>,
+    /// All cells in depth-first order; the root is cell 0 (when there is
+    /// one).
+    pub cells: Vec<Cell>,
+    /// Particles in tree (leaf) order, shared by every partial tree split
+    /// from this one.
+    pub bodies: Arc<[Body]>,
     /// `order[i]` is the *original* index of tree-ordered body `i`
     /// (the build sorts bodies by leaf order; integrators use this to map
     /// forces back to input order).
-    pub order: Vec<usize>,
-    /// Index of the root node (0 unless the tree is empty).
-    pub root: usize,
+    pub order: Arc<[usize]>,
 }
 
 impl BhTree {
     /// Build the tree by recursive median splits along cycling axes
     /// (`build_bh_tree` of Figure 7).
     pub fn build(bodies: Vec<Body>) -> BhTree {
+        let n = bodies.len();
+        assert!(n < 1 << 31, "{n} particles exceed what u32 cell links index");
         let mut tagged: Vec<(Body, usize)> =
             bodies.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let mut nodes = Vec::new();
-        if tagged.is_empty() {
-            return BhTree { nodes, bodies: Vec::new(), order: Vec::new(), root: 0 };
+        let mut cells = Vec::with_capacity((2 * n).saturating_sub(1));
+        if n > 0 {
+            build_rec(&mut tagged, 0, &mut cells);
         }
-        let n = tagged.len();
-        let root = build_rec(&mut tagged, 0, n, 0, &mut nodes);
-        let (bodies, order): (Vec<Body>, Vec<usize>) = tagged.into_iter().unzip();
-        BhTree { nodes, bodies, order, root }
+        BhTree {
+            cells,
+            bodies: tagged.iter().map(|t| t.0).collect(),
+            order: tagged.iter().map(|t| t.1).collect(),
+        }
     }
 
     /// Number of particles.
@@ -92,141 +132,134 @@ impl BhTree {
 
     /// Like [`BhTree::force_at`] but also reports the number of cells
     /// visited, which the simulator charges as interaction work.
+    ///
+    /// Cells are visited depth first, left before right, so the forces
+    /// accumulate in one fixed order.
     pub fn force_at_counting(
         &self,
         pos: [f64; 3],
         theta: f64,
         eps: f64,
     ) -> (Option<[f64; 3]>, usize) {
-        if self.nodes.is_empty() {
+        if self.cells.is_empty() {
             return (Some([0.0; 3]), 0);
         }
+        let mac = Mac::new(theta);
         let mut acc = [0.0f64; 3];
         let mut visits = 0usize;
-        if self.force_rec(self.root, pos, theta, eps, &mut acc, &mut visits) {
-            (Some(acc), visits)
-        } else {
-            (None, visits)
-        }
-    }
-
-    fn force_rec(
-        &self,
-        idx: usize,
-        pos: [f64; 3],
-        theta: f64,
-        eps: f64,
-        acc: &mut [f64; 3],
-        visits: &mut usize,
-    ) -> bool {
-        *visits += 1;
-        let node = &self.nodes[idx];
-        let d = dist(pos, node.com);
-        let is_leaf_like = node.children.is_none() && !node.remote;
-        // MAC: the cell is far enough that its monopole suffices.
-        if is_leaf_like || d > node.radius / theta {
-            if d > 0.0 || eps > 0.0 {
-                add_gravity(pos, node.com, node.mass, eps, acc);
+        let mut pending = [0u32; MAX_DEPTH];
+        let mut top = 0;
+        let mut i = 0u32;
+        loop {
+            visits += 1;
+            let cell = &self.cells[i as usize];
+            let d = [cell.com[0] - pos[0], cell.com[1] - pos[1], cell.com[2] - pos[2]];
+            let d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            // A cell is taken when the MAC says its monopole suffices, a
+            // leaf always (at d² = 0 the MAC refuses one).
+            if mac.far(d2, cell.radius2) || cell.left == LEAF {
+                if d2 > 0.0 || eps > 0.0 {
+                    pull(d, d2, cell.mass, eps, &mut acc);
+                }
+                if top == 0 {
+                    return (Some(acc), visits);
+                }
+                top -= 1;
+                i = pending[top];
+            } else if cell.left == REMOTE {
+                // MAC failed on a remote stub: cannot resolve locally.
+                return (None, visits);
+            } else {
+                pending[top] = cell.right;
+                top += 1;
+                i = cell.left;
             }
-            return true;
-        }
-        match node.children {
-            Some((l, r)) => {
-                self.force_rec(l, pos, theta, eps, acc, visits)
-                    && self.force_rec(r, pos, theta, eps, acc, visits)
-            }
-            // MAC failed on a remote stub: cannot resolve locally.
-            None => false,
         }
     }
 
     /// Extract the partial tree for one half of the particle range
     /// (`partition_bh_tree` of Figure 7): the top `k` levels are kept in
     /// full, the subtree covering `lo..hi` is kept in full, and every
-    /// other internal cell becomes a *remote* summary stub.
+    /// other internal cell becomes a *remote* summary stub. The particles
+    /// are shared, not copied (force evaluation itself only needs cell
+    /// summaries; the bodies are there for the caller's own range).
     pub fn split_range(&self, lo: usize, hi: usize, k: usize) -> BhTree {
-        let mut nodes = Vec::new();
-        if self.nodes.is_empty() {
-            return BhTree { nodes, bodies: Vec::new(), order: Vec::new(), root: 0 };
+        // At most 2^(k+1) cells from the replicated levels, 2·(hi − lo)
+        // from the kept subtree and 4 per level (≤ 31) for the cells
+        // straddling its ends and their stubs.
+        let bound = (2usize << k.min(31)) + 2 * hi.saturating_sub(lo) + 4 * MAX_DEPTH;
+        let mut cells = Vec::with_capacity(bound.min(self.cells.len()));
+        if !self.cells.is_empty() {
+            self.split_rec(0, 0, self.n_bodies(), k, lo..hi, &mut cells);
         }
-        let root = self.split_rec(self.root, 0, k, lo, hi, &mut nodes);
-        // Bodies travel with the tree (force evaluation itself only needs
-        // node summaries; the bodies are kept for the caller's own range).
-        BhTree { nodes, bodies: self.bodies.clone(), order: self.order.clone(), root }
+        BhTree { cells, bodies: Arc::clone(&self.bodies), order: Arc::clone(&self.order) }
     }
 
+    /// Copy cell `idx`, which covers particles `start..start + len`, and
+    /// what is kept below it; `replicate` more levels are kept in full.
     fn split_rec(
         &self,
         idx: usize,
-        depth: usize,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<Node>,
-    ) -> usize {
-        let node = self.nodes[idx];
+        start: usize,
+        len: usize,
+        replicate: usize,
+        keep: std::ops::Range<usize>,
+        out: &mut Vec<Cell>,
+    ) -> u32 {
+        let cell = self.cells[idx];
         let new_idx = out.len();
-        out.push(node); // placeholder; fixed up below
-        let overlaps = node.start < hi && node.start + node.len > lo;
-        let expand = node.children.is_some() && (depth < k || overlaps);
-        if expand {
-            let (l, r) = node.children.expect("checked above");
-            let li = self.split_rec(l, depth + 1, k, lo, hi, out);
-            let ri = self.split_rec(r, depth + 1, k, lo, hi, out);
-            out[new_idx].children = Some((li, ri));
-            out[new_idx].remote = false;
-        } else {
-            out[new_idx].children = None;
-            // An unexpanded internal cell is a remote summary; an
-            // unexpanded leaf is complete as-is. A cell that was already
-            // remote (splitting an existing partial tree) stays remote —
-            // otherwise it would masquerade as a leaf and skip the MAC.
-            out[new_idx].remote = node.children.is_some() || node.remote;
+        out.push(cell);
+        let overlaps = start < keep.end && start + len > keep.start;
+        match cell.children() {
+            Some((l, r)) if replicate > 0 || overlaps => {
+                let (mid, below) = (len / 2, replicate.saturating_sub(1));
+                let li = self.split_rec(l, start, mid, below, keep.clone(), out);
+                let ri = self.split_rec(r, start + mid, len - mid, below, keep, out);
+                out[new_idx].left = li;
+                out[new_idx].right = ri;
+            }
+            // An unexpanded internal cell is a remote summary. An
+            // unexpanded leaf is complete as-is, and a cell that was
+            // already remote (splitting an existing partial tree) stays
+            // remote — otherwise it would masquerade as a leaf and skip
+            // the MAC.
+            Some(_) => out[new_idx].left = REMOTE,
+            None => {}
         }
-        new_idx
+        new_idx as u32
     }
 
     /// Depth of the tree (root = level 0); for sizing the replication
     /// parameter `k`.
     pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], i: usize) -> usize {
-            match nodes[i].children {
+        fn rec(cells: &[Cell], i: usize) -> usize {
+            match cells[i].children() {
                 None => 0,
-                Some((l, r)) => 1 + rec(nodes, l).max(rec(nodes, r)),
+                Some((l, r)) => 1 + rec(cells, l).max(rec(cells, r)),
             }
         }
-        if self.nodes.is_empty() {
+        if self.cells.is_empty() {
             0
         } else {
-            rec(&self.nodes, self.root)
+            rec(&self.cells, 0)
         }
     }
 }
 
-fn build_rec(
-    bodies: &mut [(Body, usize)],
-    start: usize,
-    len: usize,
-    axis: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let slice = &mut bodies[start..start + len];
+fn build_rec(slice: &mut [(Body, usize)], axis: usize, cells: &mut Vec<Cell>) -> u32 {
     let (com, mass) = center_of_mass(slice);
-    let radius = slice
-        .iter()
-        .map(|(b, _)| dist(b.pos, com))
-        .fold(0.0f64, f64::max);
-    let idx = nodes.len();
-    nodes.push(Node { com, mass, radius, start, len, children: None, remote: false });
-    if len > 1 {
-        let mid = len / 2;
+    let radius2 = slice.iter().map(|(b, _)| dist2(b.pos, com)).fold(0.0f64, f64::max);
+    let idx = cells.len();
+    cells.push(Cell { com, mass, radius2, left: LEAF, right: LEAF });
+    if slice.len() > 1 {
+        let mid = slice.len() / 2;
         // Median split along the current axis (quicksort-style selection).
         slice.select_nth_unstable_by(mid, |a, b| a.0.pos[axis].total_cmp(&b.0.pos[axis]));
-        let l = build_rec(bodies, start, mid, (axis + 1) % 3, nodes);
-        let r = build_rec(bodies, start + mid, len - mid, (axis + 1) % 3, nodes);
-        nodes[idx].children = Some((l, r));
+        let (lo, hi) = slice.split_at_mut(mid);
+        cells[idx].left = build_rec(lo, (axis + 1) % 3, cells);
+        cells[idx].right = build_rec(hi, (axis + 1) % 3, cells);
     }
-    idx
+    idx as u32
 }
 
 fn center_of_mass(bodies: &[(Body, usize)]) -> ([f64; 3], f64) {
@@ -252,6 +285,68 @@ fn center_of_mass(bodies: &[(Body, usize)]) -> ([f64; 3], f64) {
     (c, m)
 }
 
+/// Margins of the square-root-free MAC: `1 ± 16u` (u = 2⁻⁵³, the unit
+/// roundoff). [`Mac::far`] shows why they suffice.
+const FAR_MARGIN: f64 = 1.0 + 8.0 * f64::EPSILON;
+const NEAR_MARGIN: f64 = 1.0 - 8.0 * f64::EPSILON;
+
+/// The multipole acceptance test of one walk, `sqrt(d²) > sqrt(r²) / θ`
+/// evaluated in rounded arithmetic exactly as written, but decided from
+/// `d²` and `r²` with two multiplications on every visit that is not
+/// within a few ulps of the boundary.
+#[derive(Clone, Copy)]
+struct Mac {
+    theta: f64,
+    /// `≈ (1 + 16u) / θ²`; NaN sends every visit to the exact test.
+    far: f64,
+    /// `≈ (1 − 16u) / θ²`; NaN likewise.
+    near: f64,
+}
+
+impl Mac {
+    fn new(theta: f64) -> Mac {
+        // Inside this range θ², 1/θ² and both bounds are normal numbers,
+        // and so is r/θ for any r = sqrt(r²) with r² > 0. Outside it (θ
+        // tiny, huge, zero or NaN), NaN bounds fail both comparisons.
+        let (far, near) = if (2f64.powi(-100)..=2f64.powi(100)).contains(&theta) {
+            let inv = 1.0 / (theta * theta);
+            (inv * FAR_MARGIN, inv * NEAR_MARGIN)
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        Mac { theta, far, near }
+    }
+
+    /// Is a cell with squared radius `r2` at squared distance `d2` far
+    /// enough for its monopole? Bit for bit `d2.sqrt() > r2.sqrt() / θ`.
+    ///
+    /// Proof of the two shortcuts. Let q = fl(fl(√r2)/θ) be the exact
+    /// test's threshold, u = 2⁻⁵³, and note that a double `d2` compared
+    /// with a rounded product fl(x) compares the same way with x itself
+    /// (rounding is monotone and fixes doubles). With r2 > 0 and θ in
+    /// range, q is normal and q ∈ √r2/θ · [(1−u)², (1+u)²];
+    /// `far` ∈ (1+16u)/θ² · [(1−u)²/(1+u), (1+u)²/(1−u)], `near` likewise.
+    /// - `d2 > fl(r2·far)`: d2 > r2·far ≥ r2/θ² (1+16u)(1−u)²/(1+u)
+    ///   ≥ r2/θ² (1+u)⁴(1+2u)² ≥ (q(1+2u))² ≥ next_up(q)², so the rounded
+    ///   √d2 is at least next_up(q) > q: the exact test says far.
+    /// - `d2 < fl(r2·near)`: d2 < r2·near ≤ r2/θ² (1−16u)(1+u)²/(1−u)
+    ///   ≤ r2/θ² (1−u)⁴ ≤ q², so √d2 < q and its rounding is ≤ q: near.
+    ///
+    /// With r2 = 0 both products are 0 and `d2 > 0` is exactly `√d2 > 0`;
+    /// an infinite r2 only ever answers near (q = ∞); NaN anywhere falls
+    /// through to the exact test.
+    #[inline]
+    fn far(&self, d2: f64, r2: f64) -> bool {
+        if d2 > r2 * self.far {
+            true
+        } else if d2 < r2 * self.near {
+            false
+        } else {
+            d2.sqrt() > r2.sqrt() / self.theta
+        }
+    }
+}
+
 /// Total energy of a configuration (kinetic from `velocities` plus
 /// softened pairwise potential) — the conservation check for
 /// integrators. O(n²); test-scale use only.
@@ -275,28 +370,33 @@ pub fn total_energy(bodies: &[Body], velocities: &[[f64; 3]], eps: f64) -> f64 {
     e
 }
 
-fn dist(a: [f64; 3], b: [f64; 3]) -> f64 {
+fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
     let dx = a[0] - b[0];
     let dy = a[1] - b[1];
     let dz = a[2] - b[2];
-    (dx * dx + dy * dy + dz * dz).sqrt()
+    dx * dx + dy * dy + dz * dz
 }
 
 /// Accumulate the (G = 1) gravitational acceleration exerted at `pos` by a
 /// mass `m` at `src`, with Plummer softening `eps`.
 fn add_gravity(pos: [f64; 3], src: [f64; 3], m: f64, eps: f64, acc: &mut [f64; 3]) {
-    let dx = src[0] - pos[0];
-    let dy = src[1] - pos[1];
-    let dz = src[2] - pos[2];
-    let r2 = dx * dx + dy * dy + dz * dz + eps * eps;
+    let d = [src[0] - pos[0], src[1] - pos[1], src[2] - pos[2]];
+    pull(d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2], m, eps, acc);
+}
+
+/// [`add_gravity`] given the separation `d = src − pos` and its squared
+/// length `d2`.
+#[inline]
+fn pull(d: [f64; 3], d2: f64, m: f64, eps: f64, acc: &mut [f64; 3]) {
+    let r2 = d2 + eps * eps;
     if r2 == 0.0 {
         return; // exactly self, unsoftened: no self-force
     }
     let inv_r = 1.0 / r2.sqrt();
     let f = m * inv_r * inv_r * inv_r;
-    acc[0] += f * dx;
-    acc[1] += f * dy;
-    acc[2] += f * dz;
+    acc[0] += f * d[0];
+    acc[1] += f * d[1];
+    acc[2] += f * d[2];
 }
 
 /// Direct O(n²) force summation — the oracle for Barnes-Hut accuracy
@@ -343,30 +443,17 @@ mod tests {
     }
 
     #[test]
-    fn tree_is_balanced_and_covers_all_bodies() {
-        let t = BhTree::build(cloud(100, 1));
-        assert_eq!(t.n_bodies(), 100);
-        let root = &t.nodes[t.root];
-        assert_eq!((root.start, root.len), (0, 100));
-        // A balanced binary tree over 100 leaves has depth ceil(log2 100) = 7.
-        assert_eq!(t.depth(), 7);
-        // Leaves partition the index range exactly.
-        let mut leaf_cover = vec![0u32; 100];
-        for n in &t.nodes {
-            if n.children.is_none() {
-                assert_eq!(n.len, 1);
-                leaf_cover[n.start] += 1;
-            }
-        }
-        assert!(leaf_cover.iter().all(|&c| c == 1));
+    fn cell_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 48);
     }
 
     #[test]
     fn com_and_mass_are_consistent_up_the_tree() {
         let t = BhTree::build(cloud(64, 2));
-        for n in &t.nodes {
-            if let Some((l, r)) = n.children {
-                let (nl, nr) = (&t.nodes[l], &t.nodes[r]);
+        assert_eq!(t.cells.len(), 2 * 64 - 1);
+        for n in &t.cells {
+            if let Some((l, r)) = n.children() {
+                let (nl, nr) = (&t.cells[l], &t.cells[r]);
                 assert!((n.mass - nl.mass - nr.mass).abs() < 1e-9);
                 for d in 0..3 {
                     let blended = (nl.com[d] * nl.mass + nr.com[d] * nr.mass) / n.mass;
@@ -424,34 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn split_keeps_own_half_and_stubs_other() {
-        let t = BhTree::build(cloud(64, 5));
-        let half = t.split_range(0, 32, 2);
-        // Summaries intact at the root.
-        assert!((half.nodes[half.root].mass - t.nodes[t.root].mass).abs() < 1e-12);
-        // Some remote stubs must exist, all outside [0, 32).
-        let stubs: Vec<&Node> = half.nodes.iter().filter(|n| n.remote).collect();
-        assert!(!stubs.is_empty());
-        for s in &stubs {
-            assert!(s.start >= 32, "stub covering own half");
-        }
-        // Every leaf of my half is present.
-        let mut covered = [false; 32];
-        for n in &half.nodes {
-            if n.children.is_none() && !n.remote && n.len == 1 && n.start < 32 {
-                covered[n.start] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "missing own-half leaves");
-    }
-
-    #[test]
     fn partial_tree_bails_only_for_near_remote_cells() {
         let bodies = cloud(128, 6);
         let t = BhTree::build(bodies);
         // Replicate 3 levels: stubs are ~1/8-of-the-cloud cells, so distant
         // particles resolve locally while nearby ones must be passed up.
         let half = t.split_range(0, 64, 3);
+        assert!(Arc::ptr_eq(&half.bodies, &t.bodies), "a partial tree shares its particles");
         let mut bailed = 0;
         let mut matched = 0;
         for b in &t.bodies[0..64] {
@@ -470,6 +536,31 @@ mod tests {
         // other half opened, distant ones are satisfied by summaries.
         assert!(bailed > 0, "expected some worklist particles");
         assert!(matched > 0, "expected some locally-resolved particles");
+    }
+
+    #[test]
+    fn mac_shortcuts_agree_with_the_exact_test_at_the_boundary() {
+        // d² a few ulps either side of (r/θ)², where only the exact test
+        // can decide, and far from it, for θ in and out of the fast range.
+        for theta in [1.0, 0.4, 0.3, 1e-9, 1e-40, 0.0, 3e40, f64::NAN] {
+            let mac = Mac::new(theta);
+            for r2 in [0.0, 5e-324, 1e-300, 0.37, 1.0, 2.5e7, 1e300, f64::INFINITY] {
+                let q = r2.sqrt() / theta;
+                let mut d2 = q * q;
+                for _ in 0..40 {
+                    d2 = f64::from_bits(d2.to_bits().saturating_sub(1));
+                }
+                for _ in 0..80 {
+                    let exact = d2.sqrt() > r2.sqrt() / theta;
+                    assert_eq!(mac.far(d2, r2), exact, "theta {theta} r2 {r2:e} d2 {d2:e}");
+                    d2 = f64::from_bits(d2.to_bits() + 1);
+                }
+                for d2 in [0.0, 1e-310, 1e-3, 1.0, 1e10, 1e308, f64::INFINITY] {
+                    let exact = d2.sqrt() > r2.sqrt() / theta;
+                    assert_eq!(mac.far(d2, r2), exact, "theta {theta} r2 {r2:e} d2 {d2:e}");
+                }
+            }
+        }
     }
 
     #[test]

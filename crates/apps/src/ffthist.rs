@@ -8,14 +8,16 @@
 //! value beside it — the paper's claim: Figures 2(a) and 2(c) differ only
 //! in `TASK_PARTITION` sizes and `ON SUBGROUP` brackets, Figures 3 and 5
 //! only in the partition. A [`Segments`] says which adjacent stages share
-//! a processor group; an [`FftHistMapping`] puts Figure 3's replication
-//! around it. The `fft_hist_*` entry points are that one stream under a
-//! particular mapping: [`fft_hist_dp`] is one segment (Figure 2(a)),
-//! [`fft_hist_pipeline`] three (Figure 2(c)), [`fft_hist_segmented`]
-//! anything between (what `fx-mapping` searches), [`fft_hist_replicated`]
-//! and [`run_fft_hist`] deal the stream over modules first, and
-//! [`fft_hist_requests`] is the same again with a serving layer's two
-//! hooks — a request is served by the program that runs it one-shot.
+//! a processor group; a [`StreamMapping`] (here also named
+//! [`FftHistMapping`]) puts Figure 3's replication around it — the same
+//! value Radar and Stereo run under. The `fft_hist_*` entry points are
+//! that one stream under a particular mapping: [`fft_hist_dp`] is one
+//! segment (Figure 2(a)), [`fft_hist_pipeline`] three (Figure 2(c)),
+//! [`fft_hist_sets`] any (what `fx-mapping` searches),
+//! [`fft_hist_replicated`] and [`run_fft_hist`] deal the stream over
+//! modules first, and [`fft_hist_requests`] is the same again with a
+//! serving layer's two hooks — a request is served by the program that
+//! runs it one-shot.
 //!
 //! The stream records `set start` / `set done` events so the harness
 //! measures throughput and latency the way the paper does, and hands each
@@ -23,12 +25,15 @@
 //! oracle ([`reference_histogram`]).
 
 use fx_core::Cx;
-use fx_darray::{assign2_with, DArray2, Dist, Participation};
+use fx_darray::{assign2_with, DArray2, Dist};
 use fx_kernels::fft::{fft2d_reference, fft_cols_in_place, fft_flops, fft_in_place};
 use fx_kernels::hist::{hist_flops, histogram_magnitudes};
 use fx_kernels::Complex;
 
-use crate::util::{complex_input, dealt, stage_chain, ReqCompletion, SET_DONE, SET_START};
+use crate::util::{
+    complex_input, hop, run_mapped, stage_chain, ReqCompletion, Segments, StreamMapping, SET_DONE,
+    SET_START,
+};
 
 /// Problem parameters for one FFT-Hist run.
 #[derive(Debug, Clone, Copy)]
@@ -50,22 +55,9 @@ impl FftHistConfig {
     }
 }
 
-/// How FFT-Hist is mapped onto processors (the axis Figure 5 explores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FftHistMapping {
-    /// All processors data-parallel on every stage.
-    DataParallel,
-    /// Three pipeline stages with the given processor counts.
-    Pipeline([usize; 3]),
-    /// `replicas` independent modules, datasets dealt round-robin; each
-    /// module runs the inner mapping.
-    Replicated {
-        /// Number of independent modules.
-        replicas: usize,
-        /// Stage processor counts when each module is itself a pipeline.
-        pipeline: Option<[usize; 3]>,
-    },
-}
+/// FFT-Hist's name for the mapping all three stream programs share
+/// (`benchmark/` and `fx-serve` spell it this way).
+pub type FftHistMapping = StreamMapping;
 
 /// Sequential oracle: the histogram of dataset `d`.
 pub fn reference_histogram(cfg: &FftHistConfig, d: usize) -> Vec<u64> {
@@ -120,62 +112,14 @@ pub fn fill_input(cx: &mut Cx, a: &mut DArray2<Complex>, d: usize) {
     cx.charge_mem_bytes(std::mem::size_of_val(a.local()) as f64);
 }
 
-/// How the three stages (fill + `cffts`, `rffts`, `hist`) sit on the
-/// current group — the mapping as data. One segment is Figure 2(a)'s
-/// data-parallel program, `[0, 1, 2]` the pipeline of Figure 2(c), and
-/// every mapping `fx-mapping` searches lies between: adjacent stages in
-/// one segment are fused, and their `A2 = A1` stays within the segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segments {
-    /// Segment of each stage: non-decreasing from 0, steps of at most 1.
-    pub seg_of_stage: [usize; 3],
-    /// Processors of each segment; they sum to the group size.
-    pub procs: Vec<usize>,
-    /// Who takes part in the cross-stage assignments.
-    /// `Participation::WholeGroup` is the ablation for the paper's §4
-    /// claim that minimal-processor-subset identification is essential
-    /// for pipelined task parallelism.
-    pub mode: Participation,
-}
-
-impl Segments {
-    /// Figure 2(a): all three stages data-parallel on a group of `p`.
-    pub fn fused(p: usize) -> Self {
-        Segments { seg_of_stage: [0; 3], procs: vec![p], mode: Participation::Minimal }
-    }
-
-    /// Figure 2(c): one subgroup per stage.
-    pub fn pipeline(procs: [usize; 3]) -> Self {
-        Segments { seg_of_stage: [0, 1, 2], procs: procs.to_vec(), mode: Participation::Minimal }
-    }
-}
-
-impl FftHistMapping {
-    /// The mapping on a group of `p` processors as `(replicas, one
-    /// module's segments)`. `Replicated { replicas: 1, .. }` is `Some(1)`,
-    /// a one-module partition, and not `DataParallel`'s `None`.
-    pub fn segments(self, p: usize) -> (Option<usize>, Segments) {
-        let (replicas, pipeline) = match self {
-            FftHistMapping::DataParallel => (None, None),
-            FftHistMapping::Pipeline(stage) => (None, Some(stage)),
-            FftHistMapping::Replicated { replicas, pipeline } => (Some(replicas), pipeline),
-        };
-        let segs = match pipeline {
-            Some(stage) => Segments::pipeline(stage),
-            // (Zero replicas is `replicated_modules`' panic to raise.)
-            None => Segments::fused(p / replicas.unwrap_or(1).max(1)),
-        };
-        (replicas, segs)
-    }
-}
-
-/// FFT-Hist over a stream of `items`, on the current group under `segs`:
-/// the one program text. `dataset(item)` names the image an item stands
-/// for. `begin(cx, item)` runs on every processor before the item (a
-/// serving layer sets the request's trace id there); `finish(cx, item,
-/// histogram)` runs on every member of the `hist` segment right after
-/// `set done`, and what it returns is collected — so `cx.id() == 0` there
-/// is the leader of the group that produced the result.
+/// FFT-Hist over a stream of `items`, on the current group under `segs`
+/// (stages fill + `cffts`, `rffts`, `hist`): the one program text.
+/// `dataset(item)` names the image an item stands for. `begin(cx, item)`
+/// runs on every processor before the item (a serving layer sets the
+/// request's trace id there); `finish(cx, item, histogram)` runs on every
+/// member of the `hist` segment right after `set done`, and what it
+/// returns is collected — so `cx.id() == 0` there is the leader of the
+/// group that produced the result.
 pub fn fft_hist_stream<I, R>(
     cx: &mut Cx,
     cfg: &FftHistConfig,
@@ -185,7 +129,7 @@ pub fn fft_hist_stream<I, R>(
     begin: impl Fn(&mut Cx, &I),
     finish: impl Fn(&mut Cx, &I, Vec<u64>) -> Option<R>,
 ) -> Vec<R> {
-    stage_chain(cx, segs.seg_of_stage, &segs.procs, |cx, st| {
+    stage_chain(cx, segs, |cx, st| {
         let (n, s) = (cfg.n, segs.seg_of_stage);
         // SUBGROUP(G1) :: A1, etc. — the paper's variable mapping. `hist`
         // reads A2 where it lies unless it has a segment of its own.
@@ -210,13 +154,7 @@ pub fn fft_hist_stream<I, R>(
             // transpose otherwise.
             assign2_with(cx, &mut a2, &a1, segs.mode);
             st.on(cx, 1, |cx| rffts_local(cx, &mut a2));
-            let hist_input = match &mut a3 {
-                Some(a3) => {
-                    assign2_with(cx, a3, &a2, segs.mode);
-                    &*a3
-                }
-                None => &a2,
-            };
+            let hist_input = hop(cx, &mut a3, &a2, segs.mode);
             let kept = st.on(cx, 2, |cx| {
                 let h = hist_local(cx, hist_input, cfg.nbins, cfg.max_mag);
                 if cx.id() == 0 {
@@ -228,27 +166,6 @@ pub fn fft_hist_stream<I, R>(
         }
         out
     })
-}
-
-/// The stream under any mapping: replicated mappings deal the items over
-/// their modules (position `i` to module `i % replicas`) first.
-fn fft_hist_mapped<I: Clone, R>(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    mapping: FftHistMapping,
-    items: &[I],
-    dataset: impl Fn(&I) -> usize,
-    begin: impl Fn(&mut Cx, &I),
-    finish: impl Fn(&mut Cx, &I, Vec<u64>) -> Option<R>,
-) -> Vec<R> {
-    let (replicas, segs) = mapping.segments(cx.nprocs());
-    let run = |cx: &mut Cx, mine: &[I]| {
-        fft_hist_stream(cx, cfg, &segs, mine, dataset, begin, finish)
-    };
-    match replicas {
-        None => run(cx, items),
-        Some(replicas) => dealt(cx, replicas, items.iter().cloned(), |cx, mine| run(cx, &mine)),
-    }
 }
 
 /// The one-shot stream over dataset ids: no per-item hook, and every
@@ -290,33 +207,7 @@ pub fn fft_hist_pipeline_sets(
     procs: [usize; 3],
     sets: &[usize],
 ) -> Vec<Vec<u64>> {
-    fft_hist_pipeline_mode(cx, cfg, procs, sets, Participation::Minimal)
-}
-
-/// Pipelined FFT-Hist with an explicit participation mode for the
-/// cross-stage assignments (see [`Segments::mode`]).
-pub fn fft_hist_pipeline_mode(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    procs: [usize; 3],
-    sets: &[usize],
-    mode: Participation,
-) -> Vec<Vec<u64>> {
-    fft_hist_sets(cx, cfg, &Segments { mode, ..Segments::pipeline(procs) }, sets)
-}
-
-/// FFT-Hist under an arbitrary contiguous segmentation (see
-/// [`Segments`]) — the executable form of the mappings `fx-mapping`
-/// searches over. Returns the histograms on the `hist` segment's members.
-pub fn fft_hist_segmented(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    sets: &[usize],
-    seg_of_stage: [usize; 3],
-    seg_procs: &[usize],
-) -> Vec<Vec<u64>> {
-    let mode = Participation::Minimal;
-    fft_hist_sets(cx, cfg, &Segments { seg_of_stage, procs: seg_procs.to_vec(), mode }, sets)
+    fft_hist_sets(cx, cfg, &Segments::pipeline(procs), sets)
 }
 
 /// Figure 3: replicated data parallelism — `replicas` subgroups, each
@@ -332,14 +223,18 @@ pub fn fft_hist_replicated(
     replicas: usize,
     pipeline: Option<[usize; 3]>,
 ) -> Vec<(usize, Vec<u64>)> {
-    let mapping = FftHistMapping::Replicated { replicas, pipeline };
-    fft_hist_mapped(cx, cfg, mapping, &all_sets(cfg), |&d| d, |_, _| (), |_, &d, h| Some((d, h)))
+    let mapping = StreamMapping::Replicated { replicas, pipeline };
+    run_mapped(cx, mapping, &all_sets(cfg), |cx, segs, sets| {
+        fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, &d, h| Some((d, h)))
+    })
 }
 
 /// Run FFT-Hist under any mapping (the dispatch used by the Table 1 and
 /// Figure 5 harnesses).
-pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: FftHistMapping) {
-    fft_hist_mapped(cx, cfg, mapping, &all_sets(cfg), |&d| d, |_, _| (), |_, _, _| None::<()>);
+pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: StreamMapping) {
+    run_mapped(cx, mapping, &all_sets(cfg), |cx, segs, sets| {
+        fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, _, _| None::<()>)
+    });
 }
 
 /// Serve a batch of requests — `(request index, dataset id)` pairs —
@@ -352,20 +247,22 @@ pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: FftHistMapping) {
 pub fn fft_hist_requests(
     cx: &mut Cx,
     cfg: &FftHistConfig,
-    mapping: FftHistMapping,
+    mapping: StreamMapping,
     reqs: &[(usize, usize)],
 ) -> Vec<ReqCompletion<Vec<u64>>> {
-    fft_hist_mapped(
-        cx,
-        cfg,
-        mapping,
-        reqs,
-        |&(_, d)| d,
-        |cx, &(req, _)| cx.set_trace(fx_core::request_trace_id(req)),
-        |cx, &(req, _), output| {
-            (cx.id() == 0).then(|| ReqCompletion { req, done: cx.now(), output })
-        },
-    )
+    run_mapped(cx, mapping, reqs, |cx, segs, reqs| {
+        fft_hist_stream(
+            cx,
+            cfg,
+            segs,
+            reqs,
+            |&(_, d)| d,
+            |cx, &(req, _)| cx.set_trace(fx_core::request_trace_id(req)),
+            |cx, &(req, _), output| {
+                (cx.id() == 0).then(|| ReqCompletion { req, done: cx.now(), output })
+            },
+        )
+    })
 }
 
 #[cfg(test)]
@@ -459,8 +356,9 @@ mod tests {
         // [fill+cffts | rffts+hist] on 2+2, and [all fused] on 4.
         let rep = spmd(&Machine::real(4), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
-            let two_seg = fft_hist_segmented(cx, &cfg, &sets, [0, 1, 1], &[2, 2]);
-            let fused = fft_hist_segmented(cx, &cfg, &sets, [0, 0, 0], &[4]);
+            let two = Segments { seg_of_stage: [0, 1, 1], procs: vec![2, 2], ..Segments::fused(4) };
+            let two_seg = fft_hist_sets(cx, &cfg, &two, &sets);
+            let fused = fft_hist_sets(cx, &cfg, &Segments::fused(4), &sets);
             (two_seg, fused)
         });
         // Hist segment members (phys 2, 3) hold the two-segment results.
@@ -479,7 +377,8 @@ mod tests {
         let cfg = small_cfg();
         let rep = spmd(&Machine::real(3), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
-            fft_hist_segmented(cx, &cfg, &sets, [0, 0, 1], &[2, 1])
+            let segs = Segments { seg_of_stage: [0, 0, 1], procs: vec![2, 1], ..Segments::fused(3) };
+            fft_hist_sets(cx, &cfg, &segs, &sets)
         });
         for (d, h) in rep.results[2].iter().enumerate() {
             assert_eq!(h, &reference_histogram(&cfg, d), "dataset {d}");
@@ -487,30 +386,16 @@ mod tests {
     }
 
     #[test]
-    fn a_mapping_is_replicas_around_segments() {
-        use FftHistMapping::*;
-        assert_eq!(DataParallel.segments(8), (None, Segments::fused(8)));
-        assert_eq!(Pipeline([2, 4, 2]).segments(8), (None, Segments::pipeline([2, 4, 2])));
-        // One replica is still a (one-module) partition: `Some(1)`.
-        let one = Replicated { replicas: 1, pipeline: None };
-        assert_eq!(one.segments(8), (Some(1), Segments::fused(8)));
-        let four = Replicated { replicas: 4, pipeline: None };
-        assert_eq!(four.segments(8), (Some(4), Segments::fused(2)));
-        let hybrid = Replicated { replicas: 2, pipeline: Some([1, 2, 1]) };
-        assert_eq!(hybrid.segments(8), (Some(2), Segments::pipeline([1, 2, 1])));
-    }
-
-    #[test]
     fn run_fft_hist_dispatches_every_mapping() {
         let cfg = FftHistConfig { n: 16, datasets: 2, nbins: 8, max_mag: 64.0 };
         let rep = spmd(&Machine::real(6), move |cx| {
-            run_fft_hist(cx, &cfg, FftHistMapping::DataParallel);
-            run_fft_hist(cx, &cfg, FftHistMapping::Pipeline([2, 2, 2]));
-            run_fft_hist(cx, &cfg, FftHistMapping::Replicated { replicas: 2, pipeline: None });
+            run_fft_hist(cx, &cfg, StreamMapping::DataParallel);
+            run_fft_hist(cx, &cfg, StreamMapping::Pipeline([2, 2, 2]));
+            run_fft_hist(cx, &cfg, StreamMapping::Replicated { replicas: 2, pipeline: None });
             run_fft_hist(
                 cx,
                 &cfg,
-                FftHistMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
+                StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
             );
         });
         // 4 runs x 2 datasets each: every variant completed the stream.
@@ -522,10 +407,10 @@ mod tests {
         let cfg = small_cfg();
         let reqs: Vec<(usize, usize)> = vec![(10, 0), (11, 2), (12, 1)];
         let mappings = [
-            FftHistMapping::DataParallel,
-            FftHistMapping::Pipeline([2, 2, 2]),
-            FftHistMapping::Replicated { replicas: 2, pipeline: None },
-            FftHistMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
+            StreamMapping::DataParallel,
+            StreamMapping::Pipeline([2, 2, 2]),
+            StreamMapping::Replicated { replicas: 2, pipeline: None },
+            StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
         ];
         for mapping in mappings {
             let reqs2 = reqs.clone();

@@ -10,15 +10,16 @@
 //! | Module | Paper reference | Task structure |
 //! |---|---|---|
 //! | [`ffthist`] | Figures 2, 3, 5; Table 1 | data-parallel pipeline, replication, hybrids |
-//! | [`radar`] | Table 1 (narrowband tracking radar) | replication |
-//! | [`stereo`] | Table 1 (multibaseline stereo) | replication, pipelines |
+//! | [`radar`] | Table 1 (narrowband tracking radar) | the same mappings, replication best |
+//! | [`stereo`] | Table 1 (multibaseline stereo) | the same mappings, replication best |
 //! | [`airshed`] | §5.2, Figure 6 | separated I/O tasks |
 //! | [`qsort`] | Figure 4 | dynamically nested partitions |
 //! | [`barnes_hut`] | §5.3, Figure 7 | nested partitions + worklists |
 //!
-//! All stream programs record `set start` / `set done` events, from which
-//! the benchmark harnesses compute the throughput and latency numbers the
-//! paper reports.
+//! The three stream programs are each one program text under one shared
+//! mapping value ([`util::Segments`], [`util::StreamMapping`]). All record
+//! `set start` / `set done` events, from which the benchmark harnesses
+//! compute the throughput and latency numbers the paper reports.
 
 pub mod airshed;
 pub mod barnes_hut;

@@ -7,7 +7,14 @@
 //! **thresholding**. The paper's 512x10x4 data sets (512 range gates ×
 //! 10 dwells × 4 channels) are modelled as 40-pulse × 512-range complex
 //! matrices; the 40-point Doppler FFT runs through Bluestein's
-//! arbitrary-length algorithm (`fx_kernels::fft::fft_any`).
+//! arbitrary-length algorithm (`fx_kernels::fft::fft_any_in_place`).
+//!
+//! The program is written once, [`radar_sets`], as three stages under a
+//! [`Segments`] value — acquisition, Doppler FFT + scaling, thresholding +
+//! the detection count's reduction — with the corner turn riding the
+//! first hop; [`radar_stream`] is its data-parallel mapping, and
+//! [`run_mapped`](crate::util::run_mapped) deals it over replicated
+//! modules.
 //!
 //! The data-parallel program cannot use more processors than there are
 //! FFT batches profitably — which is exactly why the paper's best
@@ -16,12 +23,12 @@
 //! could not.
 
 use fx_core::Cx;
-use fx_darray::{assign2, transpose2, DArray2, Dist};
+use fx_darray::{transpose2, DArray2, Dist};
 use fx_kernels::fft::{fft_any_flops, fft_any_in_place};
 use fx_kernels::signal::{scale_flops, threshold_flops};
 use fx_kernels::Complex;
 
-use crate::util::{complex_input, dealt, stage_chain, SET_DONE, SET_START};
+use crate::util::{complex_input, hop, stage_chain, Segments, SET_DONE, SET_START};
 
 /// Problem parameters for the radar pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -70,92 +77,29 @@ pub fn reference_detections(cfg: &RadarConfig, d: usize) -> u64 {
     count
 }
 
-/// Process the given data sets data-parallel on the current group,
-/// returning `(dataset, detections)` pairs (identical on every member).
-pub fn radar_stream(cx: &mut Cx, cfg: &RadarConfig, sets: &[usize]) -> Vec<(usize, u64)> {
-    let g = cx.group();
-    let (p, r) = (cfg.pulses, cfg.ranges);
-    // The sensor delivers the dwell distributed *by pulse* — so at most
-    // `pulses` processors hold input, the parallelization-structure limit
-    // the paper cites for this program — and the corner turn to the
-    // by-range-gate layout is a genuine all-to-all.
-    let mut input = DArray2::new(cx, &g, [p, r], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut work = DArray2::new(cx, &g, [r, p], (Dist::Block, Dist::Star), Complex::ZERO);
-    let mut out = Vec::with_capacity(sets.len());
-    let mut scratch = Vec::new();
-    for &d in sets {
-        if cx.id() == 0 {
-            cx.record(SET_START);
-        }
-        // Sensor feed: each owner generates its slice of the dwell.
-        input.for_each_owned(|pr, rg, v| *v = complex_input(d, pr, rg));
-        cx.charge_mem_bytes(std::mem::size_of_val(input.local()) as f64);
-        // Corner turn: the all-to-all redistribution.
-        transpose2(cx, &mut work, &input);
-        // Doppler FFT per range gate + scaling + thresholding, all local.
-        let (lr, _) = work.local_dims();
-        let mut local_count = 0u64;
-        for row in 0..lr {
-            let slice = work.local_row_mut(row);
-            fft_any_in_place(slice, false, &mut scratch);
-            for z in slice.iter_mut() {
-                *z = z.scale(cfg.gain);
-            }
-            local_count += slice.iter().filter(|z| z.abs() >= cfg.threshold).count() as u64;
-        }
-        cx.charge_flops(
-            fft_any_flops(p) * lr as f64 + scale_flops(p * lr) + threshold_flops(p * lr),
-        );
-        let total = cx.allreduce(local_count, |a, b| a + b);
-        if cx.id() == 0 {
-            cx.record(SET_DONE);
-        }
-        out.push((d, total));
-    }
-    out
-}
-
-/// Data-parallel radar over the whole stream.
-pub fn radar_dp(cx: &mut Cx, cfg: &RadarConfig) -> Vec<u64> {
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    radar_stream(cx, cfg, &sets).into_iter().map(|(_, c)| c).collect()
-}
-
-/// Replicated radar: `replicas` modules, datasets dealt round-robin —
-/// the paper's winning mapping for this program. Returns this module's
-/// `(dataset, detections)` pairs.
-pub fn radar_replicated(cx: &mut Cx, cfg: &RadarConfig, replicas: usize) -> Vec<(usize, u64)> {
-    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_stream(cx, cfg, &mine))
-}
-
-/// Replication combined with pipelining — the paper presents exactly
-/// this combination for the sensor applications (§3.3): `replicas`
-/// modules, each an acquisition→FFT→threshold pipeline with the given
-/// stage sizes. Returns this module's G3-held `(dataset, detections)`.
-pub fn radar_replicated_pipeline(
+/// Radar over the data sets `sets`, on the current group under `segs`:
+/// the one program text. Returns `(dataset, detections)` pairs on the
+/// members of the thresholding stage's segment, empty elsewhere.
+pub fn radar_sets(
     cx: &mut Cx,
     cfg: &RadarConfig,
-    replicas: usize,
-    stage_procs: [usize; 3],
-) -> Vec<(usize, u64)> {
-    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_pipeline(cx, cfg, stage_procs, &mine))
-}
-
-/// Pipelined radar: acquisition (G1) → Doppler FFT + scaling (G2) →
-/// thresholding (G3), the corner turn riding the G1→G2 transfer.
-/// Returns `(dataset, detections)` pairs on G3 members, empty elsewhere.
-pub fn radar_pipeline(
-    cx: &mut Cx,
-    cfg: &RadarConfig,
-    procs: [usize; 3],
+    segs: &Segments,
     sets: &[usize],
 ) -> Vec<(usize, u64)> {
-    stage_chain(cx, [0, 1, 2], &procs, |cx, st| {
-        let (p, r) = (cfg.pulses, cfg.ranges);
+    stage_chain(cx, segs, |cx, st| {
+        let (p, r, s) = (cfg.pulses, cfg.ranges, segs.seg_of_stage);
+        // The sensor delivers the dwell distributed *by pulse* — so at
+        // most `pulses` processors hold input, the parallelization-structure
+        // limit the paper cites for this program — and the corner turn to
+        // the by-range-gate layout is a genuine all-to-all.
         let rows = (Dist::Block, Dist::Star);
         let mut input = DArray2::new(cx, st.group(0), [p, r], rows, Complex::ZERO);
         let mut work = DArray2::new(cx, st.group(1), [r, p], rows, Complex::ZERO);
-        let mut staged = DArray2::new(cx, st.group(2), [r, p], rows, Complex::ZERO);
+        // Thresholding reads the Doppler output where it lies unless it
+        // has a segment of its own.
+        let fused = s[2] == s[1];
+        let mut staged =
+            (!fused).then(|| DArray2::new(cx, st.group(2), [r, p], rows, Complex::ZERO));
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         for &d in sets {
@@ -163,12 +107,17 @@ pub fn radar_pipeline(
                 if cx.id() == 0 {
                     cx.record(SET_START);
                 }
+                // Sensor feed: each owner generates its slice of the dwell.
                 input.for_each_owned(|pr, rg, v| *v = complex_input(d, pr, rg));
                 cx.charge_mem_bytes(std::mem::size_of_val(input.local()) as f64);
             });
-            // Corner turn rides the cross-group transfer (parent scope).
+            // Corner turn, in the parent scope: the all-to-all
+            // redistribution, across groups when acquisition has a
+            // segment of its own.
             transpose2(cx, &mut work, &input);
-            st.on(cx, 1, |cx| {
+            // Fused, the segment's work is charged once, where it ends:
+            // one sum, in stage order.
+            let carried = st.on(cx, 1, |cx| {
                 let (lr, _) = work.local_dims();
                 for row in 0..lr {
                     let slice = work.local_row_mut(row);
@@ -177,24 +126,34 @@ pub fn radar_pipeline(
                         *z = z.scale(cfg.gain);
                     }
                 }
-                cx.charge_flops(fft_any_flops(p) * lr as f64 + scale_flops(p * lr));
+                let flops = fft_any_flops(p) * lr as f64 + scale_flops(p * lr);
+                if fused {
+                    return flops;
+                }
+                cx.charge_flops(flops);
+                0.0
             });
-            assign2(cx, &mut staged, &work);
-            if let Some(total) = st.on(cx, 2, |cx| {
-                let local_count =
-                    staged.local().iter().filter(|z| z.abs() >= cfg.threshold).count() as u64;
-                cx.charge_flops(threshold_flops(staged.local().len()));
-                let t = cx.allreduce(local_count, |a, b| a + b);
+            let detect_input = hop(cx, &mut staged, &work, segs.mode);
+            let total = st.on(cx, 2, |cx| {
+                let local = detect_input.local();
+                let count = local.iter().filter(|z| z.abs() >= cfg.threshold).count() as u64;
+                cx.charge_flops(carried.unwrap_or(0.0) + threshold_flops(local.len()));
+                let t = cx.allreduce(count, |a, b| a + b);
                 if cx.id() == 0 {
                     cx.record(SET_DONE);
                 }
                 t
-            }) {
-                out.push((d, total));
-            }
+            });
+            out.extend(total.map(|t| (d, t)));
         }
         out
     })
+}
+
+/// Data-parallel radar over the given data sets on the current group,
+/// returning `(dataset, detections)` pairs (identical on every member).
+pub fn radar_stream(cx: &mut Cx, cfg: &RadarConfig, sets: &[usize]) -> Vec<(usize, u64)> {
+    radar_sets(cx, cfg, &Segments::fused(cx.nprocs()), sets)
 }
 
 #[cfg(test)]
@@ -210,12 +169,9 @@ mod tests {
     fn dp_matches_reference() {
         let cfg = small_cfg();
         for p in [1usize, 2, 4] {
-            let rep = spmd(&Machine::real(p), move |cx| radar_dp(cx, &cfg));
-            for results in &rep.results {
-                for (d, &count) in results.iter().enumerate() {
-                    assert_eq!(count, reference_detections(&cfg, d), "p={p} d={d}");
-                }
-            }
+            let rep = spmd(&Machine::real(p), move |cx| radar_stream(cx, &cfg, &[0, 1, 2]));
+            let expect: Vec<_> = (0..3).map(|d| (d, reference_detections(&cfg, d))).collect();
+            assert!(rep.results.iter().all(|r| r == &expect), "p={p}");
         }
     }
 
@@ -230,63 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn replicated_matches_reference_and_partitions_stream() {
-        let cfg = RadarConfig { datasets: 6, ..small_cfg() };
-        let rep = spmd(&Machine::real(4), move |cx| radar_replicated(cx, &cfg, 2));
-        let mut seen = vec![false; cfg.datasets];
-        for results in &rep.results {
-            for &(d, count) in results {
-                assert_eq!(count, reference_detections(&cfg, d), "d={d}");
-                seen[d] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-        // Modules got alternating datasets.
-        let sets0: Vec<usize> = rep.results[0].iter().map(|(d, _)| *d).collect();
-        assert_eq!(sets0, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn pipeline_matches_reference() {
-        let cfg = RadarConfig { datasets: 4, ..small_cfg() };
-        let sets: Vec<usize> = (0..cfg.datasets).collect();
-        let rep = spmd(&Machine::real(5), move |cx| radar_pipeline(cx, &cfg, [1, 3, 1], &sets));
-        // G3 member (phys 4) holds the results.
-        let results = &rep.results[4];
-        assert_eq!(results.len(), cfg.datasets);
-        for &(d, count) in results {
-            assert_eq!(count, reference_detections(&cfg, d), "d={d}");
-        }
-        assert!(rep.results[..4].iter().all(|r| r.is_empty()));
-    }
-
-    #[test]
-    fn replicated_pipeline_hybrid_matches_reference() {
-        // Replication combined with pipelining: 2 modules x [1, 2, 1].
-        let cfg = RadarConfig { datasets: 4, ..small_cfg() };
-        let rep = spmd(&Machine::real(8), move |cx| {
-            radar_replicated_pipeline(cx, &cfg, 2, [1, 2, 1])
-        });
-        let mut seen = vec![false; cfg.datasets];
-        for results in &rep.results {
-            for &(d, count) in results {
-                assert_eq!(count, reference_detections(&cfg, d), "d={d}");
-                seen[d] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn more_processors_than_rows_still_correct() {
         // 8-pulse input rows over 12 processors: several own nothing in
         // one of the two layouts; the corner turn must still be exact.
         let cfg = RadarConfig { ranges: 16, pulses: 8, datasets: 2, gain: 0.5, threshold: 0.5 };
-        let rep = spmd(&Machine::real(12), move |cx| radar_dp(cx, &cfg));
-        for results in &rep.results {
-            for (d, &count) in results.iter().enumerate() {
-                assert_eq!(count, reference_detections(&cfg, d));
-            }
-        }
+        let rep = spmd(&Machine::real(12), move |cx| radar_stream(cx, &cfg, &[0, 1]));
+        let expect: Vec<_> = (0..2).map(|d| (d, reference_detections(&cfg, d))).collect();
+        assert!(rep.results.iter().all(|r| r == &expect));
     }
 }

@@ -14,15 +14,23 @@
 //! every disparity, as in the HPF formulation); the horizontal half of
 //! the separable window sum uses a column-halo exchange, the vertical
 //! half is local.
+//!
+//! The program is written once, [`stereo_sets`], as three stages under a
+//! [`Segments`] value — difference image (shift and SSD), error image
+//! (halo and window sums), depth (argmin) — run per disparity, so a
+//! pipeline ships one difference image and one error image per
+//! disparity; [`stereo_stream`] is its data-parallel mapping, and
+//! [`run_mapped`](crate::util::run_mapped) deals it over replicated
+//! modules.
 
 use fx_core::Cx;
-use fx_darray::{assign2, exchange_col_halo, remap2, DArray2, Dist, Remap};
+use fx_darray::{exchange_col_halo, remap2, DArray2, Dist, Remap};
 use fx_kernels::image::{
     box_sum_cols_with_halo, box_sum_rows_with_halo, ssd_flops, window_flops,
     window_sum_reference,
 };
 
-use crate::util::{dealt, real_input, stage_chain, SET_DONE, SET_START};
+use crate::util::{hop, real_input, stage_chain, Segments, SET_DONE, SET_START};
 
 /// Problem parameters for multibaseline stereo.
 #[derive(Debug, Clone, Copy)]
@@ -103,185 +111,93 @@ fn shift_cols(cx: &mut Cx, shifted: &mut DArray2<f32>, img: &DArray2<f32>, by: u
     remap2(cx, shifted, img, Remap::Identity, Remap::ClampShift(by as isize));
 }
 
-/// Process the given data sets data-parallel on the current group.
-/// Returns, per dataset, this processor's local depth columns as
-/// `(dataset, local_depth)` (row-major `rows x local_cols`).
-pub fn stereo_stream(cx: &mut Cx, cfg: &StereoConfig, sets: &[usize]) -> Vec<(usize, Vec<u16>)> {
-    let g = cx.group();
-    let (rows, cols) = (cfg.rows, cfg.cols);
-    let dist = (Dist::Star, Dist::Block);
-    let mut reference = DArray2::new(cx, &g, [rows, cols], dist, 0f32);
-    let mut matches: Vec<DArray2<f32>> =
-        (0..cfg.n_match).map(|_| DArray2::new(cx, &g, [rows, cols], dist, 0f32)).collect();
-    let mut shifted = DArray2::new(cx, &g, [rows, cols], dist, 0f32);
-    let mut diff = DArray2::new(cx, &g, [rows, cols], dist, 0f32);
-    let mut out = Vec::with_capacity(sets.len());
-
-    for &d in sets {
-        if cx.id() == 0 {
-            cx.record(SET_START);
-        }
-        // Camera feed: each owner generates its columns of every image.
-        reference.for_each_owned(|r, c, v| *v = real_input(d, r, c));
-        for (mi, img) in matches.iter_mut().enumerate() {
-            img.for_each_owned(|r, c, v| *v = match_input(cfg, d, mi + 1, r, c));
-        }
-        cx.charge_mem_bytes(((cfg.n_match + 1) * reference.local().len() * 4) as f64);
-
-        let (lr, lc) = reference.local_dims();
-        let npix = lr * lc;
-        let mut best = vec![f32::INFINITY; npix];
-        let mut depth = vec![0u16; npix];
-        for disp in 0..cfg.max_disp {
-            // Difference image: SSD across the shifted match images. The
-            // shift is an array assignment that crosses column blocks.
-            for v in diff.local_mut() {
-                *v = 0.0;
-            }
-            for (mi, img) in matches.iter().enumerate() {
-                let m = mi + 1;
-                shift_cols(cx, &mut shifted, img, m * disp);
-                let refl = reference.local();
-                let shl = shifted.local();
-                for (dv, (rv, sv)) in diff.local_mut().iter_mut().zip(refl.iter().zip(shl)) {
-                    let e = rv - sv;
-                    *dv += e * e;
-                }
-            }
-            cx.charge_flops(ssd_flops(npix) * cfg.n_match as f64);
-
-            // Error image: horizontal sum with column halos, vertical
-            // sum local (columns hold all rows).
-            let halo = exchange_col_halo(cx, &diff, cfg.window);
-            let horiz =
-                box_sum_rows_with_halo(diff.local(), lr, lc, cfg.window, &halo.left, &halo.right);
-            let err = box_sum_cols_with_halo(&horiz, lr, lc, cfg.window, &[], &[]);
-            cx.charge_flops(window_flops(npix, cfg.window));
-
-            // Depth: running argmin.
-            for i in 0..npix {
-                if err[i] < best[i] {
-                    best[i] = err[i];
-                    depth[i] = disp as u16;
-                }
-            }
-            cx.charge_flops(npix as f64);
-        }
-        if cx.id() == 0 {
-            cx.record(SET_DONE);
-        }
-        out.push((d, depth));
-    }
-    out
-}
-
-/// Data-parallel stereo over the whole stream.
-pub fn stereo_dp(cx: &mut Cx, cfg: &StereoConfig) -> Vec<(usize, Vec<u16>)> {
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    stereo_stream(cx, cfg, &sets)
-}
-
-/// Pipelined stereo: difference images (G1) → error images (G2) → depth
-/// (G3), one diff/error matrix per disparity crossing each boundary.
-/// Returns `(dataset, local_depth)` pairs on G3 members (column tiles of
-/// G3's layout), empty elsewhere.
-pub fn stereo_pipeline(
+/// Stereo over the data sets `sets`, on the current group under `segs`:
+/// the one program text. Returns, per dataset, this processor's local
+/// depth columns as `(dataset, local_depth)` (row-major `rows x
+/// local_cols`) on the members of the argmin stage's segment, empty
+/// elsewhere.
+pub fn stereo_sets(
     cx: &mut Cx,
     cfg: &StereoConfig,
-    procs: [usize; 3],
+    segs: &Segments,
     sets: &[usize],
 ) -> Vec<(usize, Vec<u16>)> {
-    stage_chain(cx, [0, 1, 2], &procs, |cx, st| {
+    stage_chain(cx, segs, |cx, st| {
+        let s = segs.seg_of_stage;
         let image = |cx: &mut Cx, k: usize| {
             DArray2::new(cx, st.group(k), [cfg.rows, cfg.cols], (Dist::Star, Dist::Block), 0f32)
         };
-        let volume = |cx: &mut Cx, k: usize| -> Vec<DArray2<f32>> {
-            (0..cfg.max_disp).map(|_| image(cx, k)).collect()
-        };
-        // SUBGROUP(G1): reference/match/shift/diff; SUBGROUP(G2): diffs and
-        // error volumes; SUBGROUP(G3): error volume and depth.
+        // A stage reads its predecessor's image where it lies unless it
+        // has a segment of its own.
         let mut reference = image(cx, 0);
         let mut matches: Vec<DArray2<f32>> = (0..cfg.n_match).map(|_| image(cx, 0)).collect();
         let mut shifted = image(cx, 0);
-        let mut diff_g1 = volume(cx, 0);
-        let mut diff_g2 = volume(cx, 1);
-        let mut err_g2 = volume(cx, 1);
-        let mut err_g3 = volume(cx, 2);
+        let mut diff = image(cx, 0);
+        let mut diff_copy = (s[1] != s[0]).then(|| image(cx, 1));
+        let mut err = image(cx, 1);
+        let mut err_copy = (s[2] != s[1]).then(|| image(cx, 2));
         let mut out = Vec::new();
         for &d in sets {
             st.on(cx, 0, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_START);
                 }
+                // Camera feed: each owner generates its columns of every image.
                 reference.for_each_owned(|r, c, v| *v = real_input(d, r, c));
                 for (mi, img) in matches.iter_mut().enumerate() {
                     img.for_each_owned(|r, c, v| *v = match_input(cfg, d, mi + 1, r, c));
                 }
-                let npix = reference.local().len();
-                cx.charge_mem_bytes(((cfg.n_match + 1) * npix * 4) as f64);
-                for (disp, diff) in diff_g1.iter_mut().enumerate() {
-                    for v in diff.local_mut() {
-                        *v = 0.0;
-                    }
+                cx.charge_mem_bytes(((cfg.n_match + 1) * reference.local().len() * 4) as f64);
+            });
+            let npix = err_copy.as_ref().unwrap_or(&err).local().len();
+            let mut best = vec![f32::INFINITY; npix];
+            let mut depth = vec![0u16; npix];
+            for disp in 0..cfg.max_disp {
+                // Difference image: SSD across the shifted match images.
+                // The shift is an array assignment that crosses column
+                // blocks.
+                st.on(cx, 0, |cx| {
+                    diff.local_mut().fill(0.0);
                     for (mi, img) in matches.iter().enumerate() {
-                        let m = mi + 1;
-                        shift_cols(cx, &mut shifted, img, m * disp);
-                        let refl = reference.local();
-                        let shl = shifted.local();
-                        for (dv, (rv, sv)) in
-                            diff.local_mut().iter_mut().zip(refl.iter().zip(shl))
-                        {
+                        shift_cols(cx, &mut shifted, img, (mi + 1) * disp);
+                        let pairs = reference.local().iter().zip(shifted.local());
+                        for (dv, (rv, sv)) in diff.local_mut().iter_mut().zip(pairs) {
                             let e = rv - sv;
                             *dv += e * e;
                         }
                     }
-                    cx.charge_flops(ssd_flops(npix) * cfg.n_match as f64);
-                }
-            });
-            // Difference volume crosses to the error stage.
-            for (dst, src) in diff_g2.iter_mut().zip(&diff_g1) {
-                assign2(cx, dst, src);
-            }
-            st.on(cx, 1, |cx| {
-                for (diff, err) in diff_g2.iter().zip(err_g2.iter_mut()) {
-                    let (lr, lc) = diff.local_dims();
-                    let halo = exchange_col_halo(cx, diff, cfg.window);
-                    let horiz = box_sum_rows_with_halo(
-                        diff.local(),
-                        lr,
-                        lc,
-                        cfg.window,
-                        &halo.left,
-                        &halo.right,
-                    );
-                    let e = box_sum_cols_with_halo(&horiz, lr, lc, cfg.window, &[], &[]);
+                    cx.charge_flops(ssd_flops(diff.local().len()) * cfg.n_match as f64);
+                });
+                // Error image: horizontal sum with column halos, vertical
+                // sum local (columns hold all rows).
+                let diff_in = hop(cx, &mut diff_copy, &diff, segs.mode);
+                st.on(cx, 1, |cx| {
+                    let (lr, lc) = diff_in.local_dims();
+                    let halo = exchange_col_halo(cx, diff_in, cfg.window);
+                    let (w, left, right) = (cfg.window, &halo.left, &halo.right);
+                    let horiz = box_sum_rows_with_halo(diff_in.local(), lr, lc, w, left, right);
+                    let e = box_sum_cols_with_halo(&horiz, lr, lc, w, &[], &[]);
                     err.local_mut().copy_from_slice(&e);
                     cx.charge_flops(window_flops(lr * lc, cfg.window));
-                }
-            });
-            // Error volume crosses to the depth stage.
-            for (dst, src) in err_g3.iter_mut().zip(&err_g2) {
-                assign2(cx, dst, src);
-            }
-            if let Some(depth) = st.on(cx, 2, |cx| {
-                let (lr, lc) = err_g3[0].local_dims();
-                let npix = lr * lc;
-                let mut best = vec![f32::INFINITY; npix];
-                let mut depth = vec![0u16; npix];
-                for (disp, err) in err_g3.iter().enumerate() {
-                    for (i, &e) in err.local().iter().enumerate() {
+                });
+                // Depth: running argmin.
+                let err_in = hop(cx, &mut err_copy, &err, segs.mode);
+                st.on(cx, 2, |cx| {
+                    for (i, &e) in err_in.local().iter().enumerate() {
                         if e < best[i] {
                             best[i] = e;
                             depth[i] = disp as u16;
                         }
                     }
-                }
-                cx.charge_flops((npix * cfg.max_disp) as f64);
+                    cx.charge_flops(npix as f64);
+                });
+            }
+            let done = st.on(cx, 2, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_DONE);
                 }
-                depth
-            }) {
+            });
+            if done.is_some() {
                 out.push((d, depth));
             }
         }
@@ -289,24 +205,11 @@ pub fn stereo_pipeline(
     })
 }
 
-/// Replication combined with pipelining (§3.3): `replicas` modules, each
-/// a diff→error→depth pipeline. Returns this module's G3-held results.
-pub fn stereo_replicated_pipeline(
-    cx: &mut Cx,
-    cfg: &StereoConfig,
-    replicas: usize,
-    stage_procs: [usize; 3],
-) -> Vec<(usize, Vec<u16>)> {
-    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_pipeline(cx, cfg, stage_procs, &mine))
-}
-
-/// Replicated stereo: `replicas` modules, datasets dealt round-robin.
-pub fn stereo_replicated(
-    cx: &mut Cx,
-    cfg: &StereoConfig,
-    replicas: usize,
-) -> Vec<(usize, Vec<u16>)> {
-    dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_stream(cx, cfg, &mine))
+/// Data-parallel stereo over the given data sets on the current group.
+/// Returns, per dataset, this processor's local depth columns as
+/// `(dataset, local_depth)` (row-major `rows x local_cols`).
+pub fn stereo_stream(cx: &mut Cx, cfg: &StereoConfig, sets: &[usize]) -> Vec<(usize, Vec<u16>)> {
+    stereo_sets(cx, cfg, &Segments::fused(cx.nprocs()), sets)
 }
 
 /// Reassemble per-processor local depth tiles (column blocks, in
@@ -359,7 +262,7 @@ mod tests {
     fn dp_matches_reference() {
         let cfg = small_cfg();
         for p in [1usize, 2, 4] {
-            let rep = spmd(&Machine::real(p), move |cx| stereo_dp(cx, &cfg));
+            let rep = spmd(&Machine::real(p), move |cx| stereo_stream(cx, &cfg, &[0, 1]));
             for d in 0..cfg.datasets {
                 let got = depth_for(&rep.results, d, cfg.rows, cfg.cols);
                 let expect = reference_depth(&cfg, d);
@@ -374,7 +277,7 @@ mod tests {
         // the larger disparity shifts reach past the neighbouring block.
         let cfg = StereoConfig { datasets: 1, ..StereoConfig::paper() };
         let machine = Machine::simulated(16, fx_core::MachineModel::paragon());
-        let rep = spmd(&machine, move |cx| stereo_dp(cx, &cfg));
+        let rep = spmd(&machine, move |cx| stereo_stream(cx, &cfg, &[0]));
         let got = depth_for(&rep.results, 0, cfg.rows, cfg.cols);
         assert_eq!(got, reference_depth(&cfg, 0));
     }
@@ -396,51 +299,6 @@ mod tests {
             }
         }
         assert!(hits as f64 / total as f64 > 0.6, "depth recovery too poor: {hits}/{total}");
-    }
-
-    #[test]
-    fn replicated_covers_all_datasets() {
-        let cfg = StereoConfig { datasets: 4, ..small_cfg() };
-        let rep = spmd(&Machine::real(4), move |cx| stereo_replicated(cx, &cfg, 2));
-        for d in 0..cfg.datasets {
-            let module = d % 2;
-            let module_results = &rep.results[module * 2..module * 2 + 2];
-            let got = depth_for(module_results, d, cfg.rows, cfg.cols);
-            assert_eq!(got, reference_depth(&cfg, d), "d={d}");
-        }
-    }
-
-    #[test]
-    fn pipeline_matches_reference() {
-        let cfg = StereoConfig { datasets: 3, ..small_cfg() };
-        let sets: Vec<usize> = (0..cfg.datasets).collect();
-        let rep = spmd(&Machine::real(5), move |cx| {
-            stereo_pipeline(cx, &cfg, [2, 2, 1], &sets)
-        });
-        // G3 = phys 4 (one processor, whole columns).
-        let g3 = &rep.results[4];
-        assert_eq!(g3.len(), cfg.datasets);
-        for (d, tile) in g3 {
-            let got = assemble_depth(std::slice::from_ref(tile), cfg.rows, cfg.cols);
-            assert_eq!(got, reference_depth(&cfg, *d), "d={d}");
-        }
-    }
-
-    #[test]
-    fn replicated_pipeline_hybrid_matches_reference() {
-        let cfg = StereoConfig { datasets: 4, ..small_cfg() };
-        let rep = spmd(&Machine::real(6), move |cx| {
-            stereo_replicated_pipeline(cx, &cfg, 2, [1, 1, 1])
-        });
-        let mut seen = vec![false; cfg.datasets];
-        for per_proc in &rep.results {
-            for (d, tile) in per_proc {
-                let got = assemble_depth(std::slice::from_ref(tile), cfg.rows, cfg.cols);
-                assert_eq!(got, reference_depth(&cfg, *d), "d={d}");
-                seen[*d] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

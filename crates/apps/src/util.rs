@@ -1,9 +1,11 @@
 //! Shared helpers for the applications: deterministic cheap input
-//! synthesis, event labels, and the two mapping skeletons the Table 1
-//! programs share — replicated modules with a round-robin dealer
-//! ([`dealt`]) and a three-stage chain placed on segments ([`stage_chain`]).
+//! synthesis, event labels, and the mapping the three Table 1 stream
+//! programs share — a [`Segments`] value placing a three-stage chain on a
+//! group ([`stage_chain`]), a [`StreamMapping`] putting replicated modules
+//! around it, and the one dealer ([`run_mapped`], [`dealt`]).
 
 use fx_core::{Cx, GroupHandle, Size, TaskRegion};
+use fx_darray::{assign2_with, DArray2, Elem, Participation};
 use fx_kernels::nbody::Body;
 use fx_kernels::Complex;
 
@@ -152,6 +154,93 @@ pub fn dealt<I, R>(
     })
 }
 
+/// How the three stages of a stream program sit on the current group —
+/// the mapping as data. One segment is Figure 2(a)'s data-parallel
+/// program, `[0, 1, 2]` the pipeline of Figure 2(c), and every mapping
+/// `fx-mapping` searches lies between: adjacent stages in one segment are
+/// fused, and a stage reads its predecessor's array where it lies unless
+/// it has a segment of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segments {
+    /// Segment of each stage: non-decreasing from 0, steps of at most 1.
+    pub seg_of_stage: [usize; 3],
+    /// Processors of each segment; they sum to the group size.
+    pub procs: Vec<usize>,
+    /// Who takes part in the cross-stage assignments (Radar's corner
+    /// turn, a transpose, always takes the minimal subset).
+    /// `Participation::WholeGroup` is the ablation for the paper's §4
+    /// claim that minimal-processor-subset identification is essential
+    /// for pipelined task parallelism.
+    pub mode: Participation,
+}
+
+impl Segments {
+    /// Figure 2(a): all three stages data-parallel on a group of `p`.
+    pub fn fused(p: usize) -> Self {
+        Segments { seg_of_stage: [0; 3], procs: vec![p], mode: Participation::Minimal }
+    }
+
+    /// Figure 2(c): one subgroup per stage.
+    pub fn pipeline(procs: [usize; 3]) -> Self {
+        Segments { seg_of_stage: [0, 1, 2], procs: procs.to_vec(), mode: Participation::Minimal }
+    }
+}
+
+/// How a stream program is mapped onto processors (the axis Figure 5
+/// explores): Figure 3's replication around a module's [`Segments`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamMapping {
+    /// All processors data-parallel on every stage.
+    DataParallel,
+    /// Three pipeline stages with the given processor counts.
+    Pipeline([usize; 3]),
+    /// `replicas` independent modules, datasets dealt round-robin; each
+    /// module runs the inner mapping.
+    Replicated {
+        /// Number of independent modules.
+        replicas: usize,
+        /// Stage processor counts when each module is itself a pipeline.
+        pipeline: Option<[usize; 3]>,
+    },
+}
+
+impl StreamMapping {
+    /// The mapping on a group of `p` processors as `(replicas, one
+    /// module's segments)`. `Replicated { replicas: 1, .. }` is `Some(1)`,
+    /// a one-module partition, and not `DataParallel`'s `None`.
+    pub fn segments(self, p: usize) -> (Option<usize>, Segments) {
+        let (replicas, pipeline) = match self {
+            StreamMapping::DataParallel => (None, None),
+            StreamMapping::Pipeline(stage) => (None, Some(stage)),
+            StreamMapping::Replicated { replicas, pipeline } => (Some(replicas), pipeline),
+        };
+        let segs = match pipeline {
+            Some(stage) => Segments::pipeline(stage),
+            // (Zero replicas is `replicated_modules`' panic to raise.)
+            None => Segments::fused(p / replicas.unwrap_or(1).max(1)),
+        };
+        (replicas, segs)
+    }
+}
+
+/// A stream program under any mapping: `run(cx, segments, items)` on the
+/// current group, or, when the mapping is replicated, on each module with
+/// the items dealt over the modules first ([`dealt`]).
+pub fn run_mapped<I: Clone, R>(
+    cx: &mut Cx,
+    mapping: StreamMapping,
+    items: &[I],
+    run: impl FnOnce(&mut Cx, &Segments, &[I]) -> R,
+) -> R {
+    let (replicas, segs) = mapping.segments(cx.nprocs());
+    match replicas {
+        None => run(cx, &segs, items),
+        Some(replicas) => {
+            dealt(cx, replicas, items.iter().cloned(), |cx, mine| run(cx, &segs, &mine))
+        }
+    }
+}
+
 /// The three stages of a chain as [`stage_chain`] placed them on the current
 /// group.
 pub struct Stages<'r> {
@@ -176,18 +265,12 @@ impl Stages<'_> {
     }
 }
 
-/// Place a three-stage chain on the current group and run `body` there.
-/// `seg_of_stage[k]` is the segment of stage `k` (non-decreasing from 0;
-/// adjacent stages in one segment are fused) and `procs[s]` the size of
-/// segment `s`. Several segments are the `TASK_PARTITION G1, G2, …` and
+/// Place a three-stage chain on the current group under `segs` and run
+/// `body` there. Several segments are the `TASK_PARTITION G1, G2, …` and
 /// task region of Figure 2(c), `body` its parent scope; one segment is
 /// Figure 2(a) — the current group as it stands, no partition, no region.
-pub fn stage_chain<R>(
-    cx: &mut Cx,
-    seg_of_stage: [usize; 3],
-    procs: &[usize],
-    body: impl FnOnce(&mut Cx, &Stages) -> R,
-) -> R {
+pub fn stage_chain<R>(cx: &mut Cx, segs: &Segments, body: impl FnOnce(&mut Cx, &Stages) -> R) -> R {
+    let (seg_of_stage, procs) = (segs.seg_of_stage, &segs.procs);
     assert!(
         seg_of_stage[0] == 0 && seg_of_stage.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] + 1),
         "stage segments must start at 0 and be contiguous and non-decreasing"
@@ -206,6 +289,24 @@ pub fn stage_chain<R>(
     cx.task_region(&part, |cx, tr| {
         body(cx, &Stages { seg_of_stage, region: Some((tr, &names)), groups })
     })
+}
+
+/// The array a stage reads: its predecessor's `src` where it lies, or,
+/// when the stage has a segment of its own (`own` is its copy there),
+/// `src` assigned across in the parent scope.
+pub fn hop<'a, T: Elem>(
+    cx: &mut Cx,
+    own: &'a mut Option<DArray2<T>>,
+    src: &'a DArray2<T>,
+    mode: Participation,
+) -> &'a DArray2<T> {
+    match own {
+        Some(dst) => {
+            assign2_with(cx, dst, src, mode);
+            dst
+        }
+        None => src,
+    }
 }
 
 #[cfg(test)]
@@ -247,7 +348,7 @@ mod tests {
         // scope is entered (an op tag or a region entry per stage would
         // move the data-parallel program's tags and counters).
         let rep = spmd(&Machine::real(3), |cx| {
-            stage_chain(cx, [0, 0, 0], &[3], |cx, st| {
+            stage_chain(cx, &Segments::fused(3), |cx, st| {
                 assert_eq!(st.group(2).gid(), cx.group().gid());
                 (0..3).filter_map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
             })
@@ -258,14 +359,41 @@ mod tests {
 
     #[test]
     fn fused_stages_share_a_segment_of_a_longer_chain() {
+        let segs = Segments { seg_of_stage: [0, 0, 1], procs: vec![2, 1], ..Segments::fused(3) };
         let rep = spmd(&Machine::real(3), |cx| {
-            stage_chain(cx, [0, 0, 1], &[2, 1], |cx, st| {
+            stage_chain(cx, &segs, |cx, st| {
                 assert_eq!(st.group(0).gid(), st.group(1).gid());
                 (0..3).map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
             })
         });
         let (g1, g2) = (vec![Some(2), Some(2), None], vec![None, None, Some(1)]);
         assert_eq!(rep.results, [g1.clone(), g1, g2]);
+    }
+
+    #[test]
+    fn a_mapping_is_replicas_around_segments() {
+        use StreamMapping::*;
+        assert_eq!(DataParallel.segments(8), (None, Segments::fused(8)));
+        assert_eq!(Pipeline([2, 4, 2]).segments(8), (None, Segments::pipeline([2, 4, 2])));
+        // One replica is still a (one-module) partition: `Some(1)`.
+        let one = Replicated { replicas: 1, pipeline: None };
+        assert_eq!(one.segments(8), (Some(1), Segments::fused(8)));
+        let four = Replicated { replicas: 4, pipeline: None };
+        assert_eq!(four.segments(8), (Some(4), Segments::fused(2)));
+        let hybrid = Replicated { replicas: 2, pipeline: Some([1, 2, 1]) };
+        assert_eq!(hybrid.segments(8), (Some(2), Segments::pipeline([1, 2, 1])));
+    }
+
+    #[test]
+    fn run_mapped_deals_items_and_hands_each_module_its_segments() {
+        let hybrid = StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) };
+        let rep = spmd(&Machine::real(6), |cx| {
+            run_mapped(cx, hybrid, &[10, 11, 12], |cx, segs, mine| {
+                (cx.nprocs(), segs.procs.clone(), mine.to_vec())
+            })
+        });
+        let (m0, m1) = ((3, vec![1, 1, 1], vec![10, 12]), (3, vec![1, 1, 1], vec![11]));
+        assert_eq!(rep.results, [m0.clone(), m0.clone(), m0, m1.clone(), m1.clone(), m1]);
     }
 
     #[test]

@@ -1,19 +1,58 @@
 //! Property tests over the applications: quicksort sorts anything on any
-//! group size; FFT-Hist agrees with the sequential oracle under arbitrary
-//! mappings, and served is the one-shot program to the bit; Barnes-Hut
-//! worklists resolve for any replication depth.
+//! group size; FFT-Hist, Radar and Stereo agree with their sequential
+//! oracles under arbitrary mappings, and served FFT-Hist is the one-shot
+//! program to the bit; Barnes-Hut worklists resolve for any replication
+//! depth.
 
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
-use fx_apps::ffthist::{
-    fft_hist_segmented, fft_hist_sets, fft_hist_stream, reference_histogram, FftHistConfig,
-    Segments,
-};
+use fx_apps::ffthist::{fft_hist_sets, fft_hist_stream, reference_histogram, FftHistConfig};
 use fx_apps::qsort::qsort_global;
-use fx_apps::util::{dealt, ReqCompletion, SET_DONE};
-use fx_core::{request_trace_id, spmd, Machine, MachineModel};
+use fx_apps::radar::{radar_sets, reference_detections, RadarConfig};
+use fx_apps::stereo::{assemble_depth, reference_depth, stereo_sets, StereoConfig};
+use fx_apps::util::{dealt, ReqCompletion, Segments, SET_DONE};
+use fx_core::{request_trace_id, spmd, Machine, MachineModel, RunReport};
 use fx_darray::Participation;
 use fx_kernels::nbody::BhTree;
 use proptest::prelude::*;
+
+/// The chain's four segmentations, by number, with the drawn sizes of the
+/// segments it has.
+fn segmentation(pattern: usize, procs: &[usize]) -> Segments {
+    let seg_of_stage = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 2]][pattern];
+    let procs = procs[..=seg_of_stage[2]].to_vec();
+    Segments { seg_of_stage, procs, mode: Participation::Minimal }
+}
+
+/// Checks a Radar or Stereo run — `replicas` modules of `segs` dealt
+/// `sets` data sets round-robin, each processor returning `(dataset,
+/// output)` pairs: every data set comes back exactly once per member of
+/// its module's last segment, and from no one else. Returns those
+/// members' outputs per data set, in rank order.
+fn outputs_by_dataset<T: Clone>(
+    rep: &RunReport<Vec<(usize, T)>>,
+    segs: &Segments,
+    replicas: usize,
+    sets: usize,
+) -> Vec<Vec<T>> {
+    let module: usize = segs.procs.iter().sum();
+    let last = *segs.procs.last().unwrap();
+    let mut by_set: Vec<Vec<(usize, T)>> = vec![Vec::new(); sets];
+    for (proc, pairs) in rep.results.iter().enumerate() {
+        for (d, out) in pairs {
+            by_set[*d].push((proc, out.clone()));
+        }
+    }
+    by_set
+        .into_iter()
+        .enumerate()
+        .map(|(d, held)| {
+            let first = (d % replicas) * module + module - last;
+            let holders: Vec<usize> = held.iter().map(|(p, _)| *p).collect();
+            assert_eq!(holders, (first..first + last).collect::<Vec<_>>(), "data set {d}");
+            held.into_iter().map(|(_, out)| out).collect()
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -43,24 +82,15 @@ proptest! {
         seg_pattern in 0usize..4,
         procs in proptest::collection::vec(1usize..4, 3),
     ) {
-        let seg_of_stage = match seg_pattern {
-            0 => [0, 0, 0],
-            1 => [0, 0, 1],
-            2 => [0, 1, 1],
-            _ => [0, 1, 2],
-        };
-        let nseg = seg_of_stage[2] + 1;
-        let seg_procs: Vec<usize> = procs[..nseg].to_vec();
-        let total: usize = seg_procs.iter().sum();
+        let segs = segmentation(seg_pattern, &procs);
+        let nseg = segs.procs.len();
+        let total: usize = segs.procs.iter().sum();
         let cfg = FftHistConfig { n: 16, datasets: 2, nbins: 8, max_mag: 64.0 };
-        let sp = seg_procs.clone();
-        let rep = spmd(&Machine::real(total), move |cx| {
-            fft_hist_segmented(cx, &cfg, &[0, 1], seg_of_stage, &sp)
-        });
+        let rep = spmd(&Machine::real(total), |cx| fft_hist_sets(cx, &cfg, &segs, &[0, 1]));
         // The last segment's members hold the results.
         let holders: Vec<&Vec<Vec<u64>>> =
             rep.results.iter().filter(|r| !r.is_empty()).collect();
-        prop_assert_eq!(holders.len(), *seg_procs.last().unwrap());
+        prop_assert_eq!(holders.len(), segs.procs[nseg - 1]);
         for h in holders {
             prop_assert_eq!(h.len(), 2);
             for (d, hist) in h.iter().enumerate() {
@@ -68,7 +98,6 @@ proptest! {
             }
         }
 
-        let segs = Segments { seg_of_stage, procs: seg_procs, mode: Participation::Minimal };
         let reqs: [(usize, usize); 5] = [(40, 1), (41, 0), (42, 1), (43, 0), (44, 1)];
         for replicas in [1usize, 2] {
             let machine = Machine::simulated(total * replicas, MachineModel::paragon());
@@ -110,6 +139,57 @@ proptest! {
             }
             completed.sort_unstable();
             prop_assert_eq!(completed, reqs.map(|r| r.0).to_vec(), "x{}: once each", replicas);
+        }
+    }
+
+    /// Radar under any segmentation of its chain (acquisition, Doppler
+    /// FFT and scaling, thresholding and reduction), on one module or
+    /// dealt over two, counts the oracle's detections for every data set,
+    /// on exactly the members of its module's last segment.
+    #[test]
+    fn radar_any_mapping_matches_oracle(
+        seg_pattern in 0usize..4,
+        procs in proptest::collection::vec(1usize..4, 3),
+    ) {
+        let segs = segmentation(seg_pattern, &procs);
+        let cfg =
+            RadarConfig { ranges: 16, pulses: 8, datasets: 5, gain: 0.25, threshold: 0.6 };
+        for replicas in [1usize, 2] {
+            let p = replicas * segs.procs.iter().sum::<usize>();
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), |cx| {
+                dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_sets(cx, &cfg, &segs, &mine))
+            });
+            let by_set = outputs_by_dataset(&rep, &segs, replicas, cfg.datasets);
+            for (d, counts) in by_set.iter().enumerate() {
+                for &c in counts {
+                    prop_assert_eq!(c, reference_detections(&cfg, d), "x{} set {}", replicas, d);
+                }
+            }
+        }
+    }
+
+    /// Stereo under any segmentation of its chain (shift + SSD, halo +
+    /// window sums, argmin), on one module or dealt over two: the column
+    /// tiles of the members of a module's last segment make up the
+    /// oracle's depth image of each of its data sets.
+    #[test]
+    fn stereo_any_mapping_matches_oracle(
+        seg_pattern in 0usize..4,
+        procs in proptest::collection::vec(1usize..4, 3),
+    ) {
+        let segs = segmentation(seg_pattern, &procs);
+        let cfg =
+            StereoConfig { rows: 8, cols: 24, n_match: 2, max_disp: 3, window: 1, datasets: 3 };
+        for replicas in [1usize, 2] {
+            let p = replicas * segs.procs.iter().sum::<usize>();
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), |cx| {
+                dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_sets(cx, &cfg, &segs, &mine))
+            });
+            let by_set = outputs_by_dataset(&rep, &segs, replicas, cfg.datasets);
+            for (d, tiles) in by_set.iter().enumerate() {
+                let depth = assemble_depth(tiles, cfg.rows, cfg.cols);
+                prop_assert_eq!(depth, reference_depth(&cfg, d), "x{} set {}", replicas, d);
+            }
         }
     }
 

@@ -19,8 +19,8 @@
 //!
 //! Run with: `cargo run --release -p fx-bench --bin ablations`
 
-use fx_apps::ffthist::{fft_hist_pipeline_mode, FftHistConfig};
-use fx_apps::util::{SET_DONE, SET_START};
+use fx_apps::ffthist::{fft_hist_sets, FftHistConfig};
+use fx_apps::util::{Segments, SET_DONE, SET_START};
 use fx_bench::paragon;
 use fx_core::{spmd, Size};
 use fx_darray::{assign1, DArray1, Dist1, Participation};
@@ -34,7 +34,7 @@ fn pipeline_ablation() {
     ] {
         let rep = spmd(&paragon(24), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
-            fft_hist_pipeline_mode(cx, &cfg, [8, 8, 8], &sets, mode);
+            fft_hist_sets(cx, &cfg, &Segments { mode, ..Segments::pipeline([8, 8, 8]) }, &sets);
         });
         let thr = rep.throughput(SET_DONE, 2);
         let lat = rep.latency(SET_START, SET_DONE);

@@ -12,8 +12,9 @@
 //! Run with: `cargo run --release -p fx-bench --bin table1`
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_apps::radar::{radar_replicated, radar_stream, RadarConfig};
-use fx_apps::stereo::{stereo_replicated, stereo_stream, StereoConfig};
+use fx_apps::radar::{radar_sets, RadarConfig};
+use fx_apps::stereo::{stereo_sets, StereoConfig};
+use fx_apps::util::{run_mapped, Segments, StreamMapping};
 use fx_bench::{
     fft_hist_chain_model, measure_stream, run_fft_hist_dp, run_fft_hist_mapping, StreamStats,
 };
@@ -68,7 +69,6 @@ fn print_row(cols: &[String], widths: &[usize]) {
     println!("{}", line.join("  "));
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit(
     paper: &PaperRow,
     dp: StreamStats,
@@ -173,68 +173,45 @@ fn pick_replication(
         .copied()
 }
 
-fn radar_row(paper: &PaperRow) {
-    let cfg = RadarConfig { datasets: 10, ..RadarConfig::paper() };
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    let dp = measure_stream(P, 2, |cx| {
-        radar_stream(cx, &cfg, &sets);
-    });
+/// Radar's and Stereo's row: the data-parallel program on `sets` data
+/// sets, probed as one module (on `probe` sets) at every power-of-two
+/// replication, and the latency-optimal replication that meets the
+/// constraint run on three sets a module, at least `min_run`.
+/// `program(cx, segs, sets)` is Radar or Stereo under one module's
+/// segments.
+fn replicated_row<R>(
+    paper: &PaperRow,
+    (sets, probe, min_run): (usize, usize, usize),
+    program: impl Fn(&mut Cx, &Segments, &[usize]) -> R + Sync,
+) {
+    let run = |cx: &mut Cx, mapping, sets: &[usize]| {
+        run_mapped(cx, mapping, sets, &program);
+    };
+    let ids = |n: usize| (0..n).collect::<Vec<usize>>();
+    let (sets, probe_sets) = (ids(sets), ids(probe));
+    let dp = measure_stream(P, 2, |cx| run(cx, StreamMapping::DataParallel, &sets));
     let constraint = dp.throughput * paper.constraint / paper.dp_thr;
-    let probe_sets: Vec<usize> = (0..4).collect();
     // Probe each module size once; reuse across relaxation steps.
     let probes: Vec<(usize, StreamStats)> = module_sizes()
         .map(|r| {
-            let s = measure_stream(P / r, 1, |cx: &mut Cx| {
-                radar_stream(cx, &cfg, &probe_sets);
+            let s = measure_stream(P / r, 1, |cx| {
+                run(cx, StreamMapping::DataParallel, &probe_sets)
             });
             (r, s)
         })
         .collect();
     match relaxing_search(constraint, dp.throughput, |c| pick_replication(&probes, c)) {
         Some((used_c, (r, _))) => {
-            let run_cfg = RadarConfig { datasets: (3 * r).max(12), ..cfg };
-            let best = measure_stream(P, r + 1, |cx| {
-                radar_replicated(cx, &run_cfg, r);
-            });
-            let mut label = format!("{r}x [radar-dp:{}]", P / r);
+            let run_sets = ids((3 * r).max(min_run));
+            let mapping = StreamMapping::Replicated { replicas: r, pipeline: None };
+            let best = measure_stream(P, r + 1, |cx| run(cx, mapping, &run_sets));
+            let mut label = format!("{r}x [{}-dp:{}]", paper.name.to_lowercase(), P / r);
             if used_c < constraint {
                 label.push_str(&format!(" (relaxed to {used_c:.1}/s)"));
             }
             emit(paper, dp, best, label);
         }
-        None => println!("Radar: no replication beats plain data parallelism"),
-    }
-}
-
-fn stereo_row(paper: &PaperRow) {
-    let cfg = StereoConfig { datasets: 8, ..StereoConfig::paper() };
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    let dp = measure_stream(P, 2, |cx| {
-        stereo_stream(cx, &cfg, &sets);
-    });
-    let constraint = dp.throughput * paper.constraint / paper.dp_thr;
-    let probe_sets: Vec<usize> = (0..3).collect();
-    let probes: Vec<(usize, StreamStats)> = module_sizes()
-        .map(|r| {
-            let s = measure_stream(P / r, 1, |cx: &mut Cx| {
-                stereo_stream(cx, &cfg, &probe_sets);
-            });
-            (r, s)
-        })
-        .collect();
-    match relaxing_search(constraint, dp.throughput, |c| pick_replication(&probes, c)) {
-        Some((used_c, (r, _))) => {
-            let run_cfg = StereoConfig { datasets: (3 * r).max(8), ..cfg };
-            let best = measure_stream(P, r + 1, |cx| {
-                stereo_replicated(cx, &run_cfg, r);
-            });
-            let mut label = format!("{r}x [stereo-dp:{}]", P / r);
-            if used_c < constraint {
-                label.push_str(&format!(" (relaxed to {used_c:.1}/s)"));
-            }
-            emit(paper, dp, best, label);
-        }
-        None => println!("Stereo: no replication beats plain data parallelism"),
+        None => println!("{}: no replication beats plain data parallelism", paper.name),
     }
 }
 
@@ -264,7 +241,8 @@ fn main() {
             best_lat: 0.807,
         },
     );
-    radar_row(&PaperRow {
+    let radar = RadarConfig::paper();
+    let radar_paper = PaperRow {
         name: "Radar",
         size: "512x10x4",
         dp_thr: 23.4,
@@ -272,8 +250,10 @@ fn main() {
         constraint: 50.0,
         best_thr: 70.2,
         best_lat: 0.043,
-    });
-    stereo_row(&PaperRow {
+    };
+    replicated_row(&radar_paper, (10, 4, 12), |cx, segs, sets| radar_sets(cx, &radar, segs, sets));
+    let stereo = StereoConfig::paper();
+    let stereo_paper = PaperRow {
         name: "Stereo",
         size: "256x240",
         dp_thr: 3.64,
@@ -281,5 +261,6 @@ fn main() {
         constraint: 10.0,
         best_thr: 11.67,
         best_lat: 0.514,
-    });
+    };
+    replicated_row(&stereo_paper, (8, 3, 8), |cx, segs, sets| stereo_sets(cx, &stereo, segs, sets));
 }

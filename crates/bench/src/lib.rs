@@ -25,9 +25,9 @@
 
 use fx_apps::ffthist::{
     cffts_local, fft_hist_dp_sets, fft_hist_sets, fill_input, hist_local, rffts_local,
-    FftHistConfig, Segments,
+    FftHistConfig,
 };
-use fx_apps::util::{dealt, SET_DONE, SET_START};
+use fx_apps::util::{dealt, Segments, SET_DONE, SET_START};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::{assign2, DArray2, Dist, Participation};
 use fx_kernels::Complex;

@@ -17,12 +17,12 @@
 //! runner.
 
 use fx_apps::airshed::{airshed_best, airshed_dp, airshed_tp, AirshedConfig};
-use fx_apps::ffthist::{
-    fft_hist_dp, fft_hist_pipeline_mode, fft_hist_replicated, FftHistConfig,
-};
+use fx_apps::ffthist::{fft_hist_dp, fft_hist_replicated, fft_hist_sets, FftHistConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx_apps::qsort::{qsort_global, qsort_global_promoted};
-use fx_apps::util::make_plummer_bodies;
+use fx_apps::radar::{radar_sets, RadarConfig};
+use fx_apps::stereo::{stereo_sets, StereoConfig};
+use fx_apps::util::{make_plummer_bodies, run_mapped, Segments, StreamMapping};
 use fx_bench::{fft_hist_chain_model, run_fft_hist_dp, run_fft_hist_mapping, paragon};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::{assign1, DArray1, Dist1, Participation};
@@ -81,6 +81,27 @@ fn table1_ffthist_dp_and_mapping() {
     });
 }
 
+/// table1 flavor, the sensor rows: Radar and Stereo under a pipeline and
+/// a replicated pipeline, the mappings whose stage hops cross groups.
+#[test]
+fn table1_radar_and_stereo_mappings() {
+    let radar = RadarConfig { ranges: 64, pulses: 8, datasets: 4, gain: 0.25, threshold: 0.6 };
+    let stereo =
+        StereoConfig { rows: 16, cols: 48, n_match: 2, max_disp: 4, window: 2, datasets: 4 };
+    let sets = [0, 1, 2, 3];
+    for mapping in [
+        StreamMapping::Pipeline([4, 6, 2]),
+        StreamMapping::Replicated { replicas: 2, pipeline: Some([2, 3, 1]) },
+    ] {
+        assert_bitwise(&format!("table1/radar {mapping:?}"), &paragon(12), |cx| {
+            run_mapped(cx, mapping, &sets, |cx, segs, mine| radar_sets(cx, &radar, segs, mine))
+        });
+        assert_bitwise(&format!("table1/stereo {mapping:?}"), &paragon(12), |cx| {
+            run_mapped(cx, mapping, &sets, |cx, segs, mine| stereo_sets(cx, &stereo, segs, mine))
+        });
+    }
+}
+
 /// fig5 flavor: the pure data-parallel mapping and a pipelined mapping
 /// with unequal stage assignment, as in the paper's mapping pictures.
 #[test]
@@ -131,7 +152,7 @@ fn ablations_workloads() {
     for mode in [Participation::Minimal, Participation::WholeGroup] {
         assert_bitwise("ablations/pipeline", &paragon(12), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
-            fft_hist_pipeline_mode(cx, &cfg, [4, 4, 4], &sets, mode);
+            fft_hist_sets(cx, &cfg, &Segments { mode, ..Segments::pipeline([4, 4, 4]) }, &sets);
         });
     }
 

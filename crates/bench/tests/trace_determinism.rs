@@ -15,11 +15,13 @@
 
 use fx_apps::airshed::{airshed_best, airshed_dp, AirshedConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
-use fx_apps::ffthist::{fft_hist_dp, fft_hist_pipeline_mode, FftHistConfig};
+use fx_apps::ffthist::{fft_hist_dp, fft_hist_pipeline_sets, FftHistConfig};
 use fx_apps::qsort::qsort_global;
+use fx_apps::radar::{radar_sets, RadarConfig};
+use fx_apps::stereo::{stereo_sets, StereoConfig};
+use fx_apps::util::{run_mapped, StreamMapping};
 use fx_bench::{fft_hist_chain_model, paragon, run_fft_hist_dp, run_fft_hist_mapping};
 use fx_core::{spmd, Cx, Machine, MachineModel};
-use fx_darray::Participation;
 use fx_mapping::{tradeoff_frontier, Mapping, Segment};
 use fx_runtime::{Event, Executor, Log};
 
@@ -78,6 +80,27 @@ fn table1_tracing_is_vtime_free() {
     });
 }
 
+/// table1 flavor, the sensor rows: Radar and Stereo under a pipeline and
+/// a replicated pipeline, where trace contexts ride the stage hops.
+#[test]
+fn table1_radar_and_stereo_tracing_is_vtime_free() {
+    let radar = RadarConfig { ranges: 64, pulses: 8, datasets: 4, gain: 0.25, threshold: 0.6 };
+    let stereo =
+        StereoConfig { rows: 16, cols: 48, n_match: 2, max_disp: 4, window: 2, datasets: 4 };
+    let sets = [0, 1, 2, 3];
+    for mapping in [
+        StreamMapping::Pipeline([4, 6, 2]),
+        StreamMapping::Replicated { replicas: 2, pipeline: Some([2, 3, 1]) },
+    ] {
+        assert_trace_free(&format!("table1/radar {mapping:?}"), &paragon(12), |cx| {
+            run_mapped(cx, mapping, &sets, |cx, segs, mine| radar_sets(cx, &radar, segs, mine))
+        });
+        assert_trace_free(&format!("table1/stereo {mapping:?}"), &paragon(12), |cx| {
+            run_mapped(cx, mapping, &sets, |cx, segs, mine| stereo_sets(cx, &stereo, segs, mine))
+        });
+    }
+}
+
 /// fig5 flavor: a pipelined mapping with unequal stage assignment.
 #[test]
 fn fig5_tracing_is_vtime_free() {
@@ -119,7 +142,7 @@ fn ablations_tracing_is_vtime_free() {
     let cfg = FftHistConfig::new(64, 4);
     assert_trace_free("ablations/pipeline", &paragon(12), move |cx| {
         let sets: Vec<usize> = (0..cfg.datasets).collect();
-        fft_hist_pipeline_mode(cx, &cfg, [4, 4, 4], &sets, Participation::Minimal);
+        fft_hist_pipeline_sets(cx, &cfg, [4, 4, 4], &sets);
     });
 }
 

@@ -1,14 +1,35 @@
 //! The paper's sensor-based programs (§5.1): narrowband tracking radar
-//! and multibaseline stereo, each runnable as pure data parallelism,
-//! a 3-stage pipeline, or replicated modules — the mappings Table 1
-//! compares.
+//! and multibaseline stereo, each one program text run under the mappings
+//! Table 1 compares — pure data parallelism, a 3-stage pipeline,
+//! replicated modules — each given as a `StreamMapping` value.
 //!
 //! Run with: `cargo run --release --example sensor_pipelines`
 
-use fx::apps::radar::{radar_dp, radar_pipeline, radar_replicated, RadarConfig};
-use fx::apps::stereo::{stereo_dp, stereo_pipeline, StereoConfig};
-use fx::apps::util::{SET_DONE, SET_START};
+use fx::apps::radar::{radar_sets, RadarConfig};
+use fx::apps::stereo::{stereo_sets, StereoConfig};
+use fx::apps::util::{run_mapped, Segments, StreamMapping, SET_DONE, SET_START};
 use fx::prelude::*;
+
+/// Run `program` over `datasets` data sets under each `(label, mapping,
+/// pipeline-fill sets to skip)` on `machine` and print what it measures.
+fn report<R>(
+    machine: &Machine,
+    datasets: usize,
+    mappings: &[(&str, StreamMapping, usize)],
+    program: impl Fn(&mut Cx, &Segments, &[usize]) -> R + Sync,
+) {
+    let sets: Vec<usize> = (0..datasets).collect();
+    for &(label, mapping, skip) in mappings {
+        let rep = spmd(machine, |cx| {
+            run_mapped(cx, mapping, &sets, &program);
+        });
+        println!(
+            "  {label:14}: {:6.1} sets/s, latency {:.4} s",
+            rep.throughput(SET_DONE, skip),
+            rep.latency(SET_START, SET_DONE)
+        );
+    }
+}
 
 fn main() {
     let machine = Machine::simulated(8, MachineModel::paragon());
@@ -16,34 +37,14 @@ fn main() {
     // ---- Radar -----------------------------------------------------
     let rcfg = RadarConfig { ranges: 128, pulses: 8, datasets: 12, gain: 0.25, threshold: 0.6 };
     println!("Narrowband tracking radar ({}x{}, {} data sets, 8 procs)", rcfg.ranges, rcfg.pulses, rcfg.datasets);
-
-    let dp = spmd(&machine, move |cx| {
-        radar_dp(cx, &rcfg);
+    let mappings = [
+        ("data parallel", StreamMapping::DataParallel, 2),
+        ("pipeline 2/5/1", StreamMapping::Pipeline([2, 5, 1]), 3),
+        ("4x replicated", StreamMapping::Replicated { replicas: 4, pipeline: None }, 4),
+    ];
+    report(&machine, rcfg.datasets, &mappings, |cx, segs, sets| {
+        radar_sets(cx, &rcfg, segs, sets)
     });
-    println!(
-        "  data parallel : {:6.1} sets/s, latency {:.4} s",
-        dp.throughput(SET_DONE, 2),
-        dp.latency(SET_START, SET_DONE)
-    );
-
-    let pipe = spmd(&machine, move |cx| {
-        let sets: Vec<usize> = (0..rcfg.datasets).collect();
-        radar_pipeline(cx, &rcfg, [2, 5, 1], &sets);
-    });
-    println!(
-        "  pipeline 2/5/1: {:6.1} sets/s, latency {:.4} s",
-        pipe.throughput(SET_DONE, 3),
-        pipe.latency(SET_START, SET_DONE)
-    );
-
-    let repl = spmd(&machine, move |cx| {
-        radar_replicated(cx, &rcfg, 4);
-    });
-    println!(
-        "  4x replicated : {:6.1} sets/s, latency {:.4} s",
-        repl.throughput(SET_DONE, 4),
-        repl.latency(SET_START, SET_DONE)
-    );
     println!();
 
     // ---- Stereo ----------------------------------------------------
@@ -52,25 +53,14 @@ fn main() {
         "Multibaseline stereo ({}x{}, {} match images, {} disparities, 8 procs)",
         scfg.rows, scfg.cols, scfg.n_match, scfg.max_disp
     );
-
-    let dp = spmd(&machine, move |cx| {
-        stereo_dp(cx, &scfg);
+    let mappings = [
+        ("data parallel", StreamMapping::DataParallel, 2),
+        ("pipeline 4/3/1", StreamMapping::Pipeline([4, 3, 1]), 3),
+        ("2x pipe 2/1/1", StreamMapping::Replicated { replicas: 2, pipeline: Some([2, 1, 1]) }, 4),
+    ];
+    report(&machine, scfg.datasets, &mappings, |cx, segs, sets| {
+        stereo_sets(cx, &scfg, segs, sets)
     });
-    println!(
-        "  data parallel : {:6.1} sets/s, latency {:.4} s",
-        dp.throughput(SET_DONE, 2),
-        dp.latency(SET_START, SET_DONE)
-    );
-
-    let pipe = spmd(&machine, move |cx| {
-        let sets: Vec<usize> = (0..scfg.datasets).collect();
-        stereo_pipeline(cx, &scfg, [4, 3, 1], &sets);
-    });
-    println!(
-        "  pipeline 4/3/1: {:6.1} sets/s, latency {:.4} s",
-        pipe.throughput(SET_DONE, 3),
-        pipe.latency(SET_START, SET_DONE)
-    );
 
     println!();
     println!("ok: task parallelism reshapes throughput/latency exactly as Table 1 describes");

@@ -5,8 +5,9 @@ use fx::apps::airshed::{airshed_dp, reference_checksum, AirshedConfig};
 use fx::apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx::apps::ffthist::{fft_hist_pipeline, reference_histogram, FftHistConfig};
 use fx::apps::qsort::qsort_global;
-use fx::apps::radar::{radar_dp, reference_detections, RadarConfig};
-use fx::apps::stereo::{assemble_depth, reference_depth, stereo_dp, StereoConfig};
+use fx::apps::radar::{radar_sets, reference_detections, RadarConfig};
+use fx::apps::stereo::{assemble_depth, reference_depth, stereo_sets, StereoConfig};
+use fx::apps::util::{run_mapped, StreamMapping};
 use fx::kernels::nbody::BhTree;
 use fx::prelude::*;
 
@@ -22,18 +23,23 @@ fn all_applications_match_their_oracles() {
         assert_eq!(h, &reference_histogram(&cfg, d));
     }
 
-    // Radar.
+    // Radar, two replicated modules: each member holds its module's sets.
     let rcfg = RadarConfig { ranges: 32, pulses: 8, datasets: 2, gain: 0.25, threshold: 0.6 };
-    let rep = spmd(&Machine::real(4), move |cx| radar_dp(cx, &rcfg));
-    for (d, &c) in rep.results[0].iter().enumerate() {
-        assert_eq!(c, reference_detections(&rcfg, d));
+    let repl = StreamMapping::Replicated { replicas: 2, pipeline: None };
+    let rep = spmd(&Machine::real(4), move |cx| {
+        run_mapped(cx, repl, &[0, 1], |cx, segs, sets| radar_sets(cx, &rcfg, segs, sets))
+    });
+    for (proc, results) in rep.results.iter().enumerate() {
+        assert_eq!(results, &[(proc / 2, reference_detections(&rcfg, proc / 2))]);
     }
 
-    // Stereo.
+    // Stereo, a pipeline: the last stage's two members hold the depth tiles.
     let scfg = StereoConfig { rows: 16, cols: 32, n_match: 2, max_disp: 4, window: 1, datasets: 1 };
-    let rep = spmd(&Machine::real(4), move |cx| stereo_dp(cx, &scfg));
-    let tiles: Vec<Vec<u16>> =
-        rep.results.iter().map(|r| r.first().map(|(_, t)| t.clone()).unwrap_or_default()).collect();
+    let pipe = StreamMapping::Pipeline([1, 1, 2]);
+    let rep = spmd(&Machine::real(4), move |cx| {
+        run_mapped(cx, pipe, &[0], |cx, segs, sets| stereo_sets(cx, &scfg, segs, sets))
+    });
+    let tiles: Vec<Vec<u16>> = rep.results[2..].iter().map(|r| r[0].1.clone()).collect();
     assert_eq!(assemble_depth(&tiles, 16, 32), reference_depth(&scfg, 0));
 
     // Airshed.

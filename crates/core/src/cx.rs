@@ -328,19 +328,19 @@ impl<'a> Cx<'a> {
         plan
     }
 
-    /// Report host nanoseconds spent packing/unpacking along plan runs
-    /// (the `pack_ns` counter of [`fx_runtime::ProcTotals`]).
+    /// A plan replay or halo exchange begins (see
+    /// [`fx_runtime::ProcCtx::exchange_begins`]).
     #[inline]
-    pub fn note_pack_ns(&mut self, ns: u64) {
-        self.rt.add_pack_ns(ns);
+    pub fn exchange_begins(&mut self) {
+        self.rt.exchange_begins();
     }
 
-    /// A stopwatch for such a duration: it runs only when a telemetry
-    /// registry is attached and reads 0 otherwise (see
-    /// [`fx_runtime::ProcCtx::host_timer`]).
+    /// A pack or unpack step ended: its host time is the `pack_ns`
+    /// counter of [`fx_runtime::ProcTotals`] (see
+    /// [`fx_runtime::ProcCtx::packed`]).
     #[inline]
-    pub fn host_timer(&self) -> fx_runtime::HostTimer {
-        self.rt.host_timer()
+    pub fn packed(&mut self) {
+        self.rt.packed();
     }
 
     #[inline]

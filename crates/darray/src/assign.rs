@@ -116,13 +116,16 @@ fn plan_for<const N: usize>(cx: &mut Cx, s: &Side<N>, d: &Side<N>, stmt: Stmt<N>
 }
 
 /// Execute a plan. Same observable schedule as the per-element
-/// enumeration: local leg, memory charge, sends ascending by destination,
-/// then receives ascending by source. Pack/unpack host time is reported
-/// out-of-band, and measured only when a telemetry registry is attached
-/// (`Cx::host_timer`). Messages ride the chunk fast path: pooled buffers, no
-/// boxing, bytes copied once on each side — virtual-time charges are
-/// those of an equal-sized Vec. The local leg copies tile to tile and
-/// borrows no chunk, so the pool counters see messages only.
+/// enumeration: memory charge for the local leg, sends ascending by
+/// destination, then receives ascending by source. The charge precedes
+/// the local copy (no virtual clock moves between them), so the exchange
+/// begins after it and each copy, pack and unpack step ends with
+/// `Cx::packed`: host time is measured only when a telemetry registry is
+/// attached, and never includes a charge. Messages ride the chunk fast path:
+/// pooled buffers, no boxing, bytes copied once on each side —
+/// virtual-time charges are those of an equal-sized Vec. The local leg
+/// copies tile to tile and borrows no chunk, so the pool counters see
+/// messages only.
 fn replay<T: Elem, const N: usize>(
     cx: &mut Cx,
     tag: u64,
@@ -130,31 +133,26 @@ fn replay<T: Elem, const N: usize>(
     dst: &mut [T],
     src: &[T],
 ) {
-    let mut pack_ns = 0u64;
-    let t0 = cx.host_timer();
-    let mut local_total = 0usize;
+    let local_total = plan.local.as_ref().map_or(0, |(sl, _)| sl.total);
+    cx.charge_mem_bytes(2.0 * (local_total * std::mem::size_of::<T>()) as f64);
+    cx.exchange_begins();
     if let Some((sl, dl)) = &plan.local {
         copy_local(src, &plan.src_strides, sl.dims(&plan.runs), dst, &plan.dst_strides, dl.dims(&plan.runs));
-        local_total = sl.total;
+        cx.packed();
     }
-    pack_ns += t0.elapsed_ns();
-    cx.charge_mem_bytes(2.0 * (local_total * std::mem::size_of::<T>()) as f64);
     for p in &plan.sends {
-        let t = cx.host_timer();
         let mut chunk = cx.chunk_for::<T>(p.total);
         pack_into(src, &plan.src_strides, p.dims(&plan.runs), &mut chunk);
-        pack_ns += t.elapsed_ns();
+        cx.packed();
         cx.send_chunk_phys(p.peer, tag, chunk);
     }
     for p in &plan.recvs {
         let chunk = cx.recv_chunk_phys(p.peer, tag);
         assert_eq!(chunk.elems(), p.total, "communication set mismatch from {}", p.peer);
-        let t = cx.host_timer();
         unpack_chunk(dst, &plan.dst_strides, p.dims(&plan.runs), &chunk);
-        pack_ns += t.elapsed_ns();
+        cx.packed();
         cx.release_chunk(chunk);
     }
-    cx.note_pack_ns(pack_ns);
 }
 
 /// One planned statement between two rank-`N` arrays, reading footprint

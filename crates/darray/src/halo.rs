@@ -109,26 +109,22 @@ fn exchange_halo<T: Elem, const N: usize>(
 
     // Deposit sends first (non-blocking), then receive. Ghost slabs ride
     // the pooled chunk fast path; the halo API still hands out Vecs.
-    let mut pack_ns = 0u64;
+    cx.exchange_begins();
     for slab in plan.lead.iter().chain(&plan.trail) {
-        let t = cx.host_timer();
         let mut chunk = cx.chunk_for::<T>(slab.total);
         pack_into(a.local(), &plan.strides, slab.dims(&plan.runs), &mut chunk);
-        pack_ns += t.elapsed_ns();
+        cx.packed();
         cx.send_chunk_v(slab.peer, tag, chunk);
     }
-    let mut recv = |cx: &mut Cx, slab: &Option<Peer<N>>| {
+    let recv = |cx: &mut Cx, slab: &Option<Peer<N>>| {
         let Some(slab) = slab else { return Vec::new() };
         let chunk = cx.recv_chunk_v(slab.peer, tag);
-        let t = cx.host_timer();
         let v = chunk.to_vec::<T>();
-        pack_ns += t.elapsed_ns();
+        cx.packed();
         cx.release_chunk(chunk);
         v
     };
-    let halo = (recv(cx, &plan.lead), recv(cx, &plan.trail));
-    cx.note_pack_ns(pack_ns);
-    halo
+    (recv(cx, &plan.lead), recv(cx, &plan.trail))
 }
 
 /// Ghost rows received from the neighbours above and below this

@@ -1,6 +1,6 @@
 //! Host clocks of a run, and who is allowed to read them.
 //!
-//! The host clock (`clock_gettime` through the vDSO, ~36 ns a read) is
+//! The host clock (`clock_gettime` through the vDSO, ~20 ns a read) is
 //! not free next to a ~200 ns message, so the message path reads it in
 //! one of two ways and never directly:
 //!
@@ -18,10 +18,10 @@
 //!   `recv_timeout / 8`, clamped to 5–250 ms: a quarter second on the
 //!   default 60 s timeout, which is what a diagnostic of "these were
 //!   queued long ago and nobody is receiving them" needs.
-//! * **A stopwatch** ([`HostTimer`]): host *durations* (`send_ns`,
-//!   `recv_wait_ns`, `pack_ns`, the registry's wait histogram and wall
-//!   stamps) have exactly one reader, the telemetry registry, so a
-//!   stopwatch runs only when one is attached and reads 0 otherwise.
+//! * **The lap** (one `u64` per [`crate::ProcCtx`]): host *durations*
+//!   (`send_ns`, `recv_wait_ns`, `pack_ns`, the wait histogram, flight
+//!   stamps) have one reader, the telemetry registry, so only an attached
+//!   one makes a processor read the clock: once per cut ([`crate::counters`]).
 //!
 //! Every read of the host clock in this crate goes through [`host_now`],
 //! which debug builds count ([`debug_counters`]) so a test can pin "an
@@ -67,20 +67,6 @@ pub(crate) fn host_now() -> Instant {
 #[inline]
 pub(crate) fn ns_since(t0: Instant) -> u64 {
     host_now().duration_since(t0).as_nanos() as u64
-}
-
-/// A host-time stopwatch that runs only when its reading has a reader
-/// (see [`crate::ProcCtx::host_timer`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HostTimer(pub(crate) Option<Instant>);
-
-impl HostTimer {
-    /// Host nanoseconds since the stopwatch was taken; 0 when it is not
-    /// running (no telemetry registry attached).
-    #[inline]
-    pub fn elapsed_ns(&self) -> u64 {
-        self.0.map_or(0, ns_since)
-    }
 }
 
 /// Nanoseconds since the run began, at watchdog resolution.
@@ -211,13 +197,5 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(seen.lock().len(), ticks.len(), "a dropped guard has joined the thread");
-    }
-
-    #[test]
-    fn stopwatch_reads_zero_unless_running() {
-        assert_eq!(HostTimer(None).elapsed_ns(), 0);
-        let t = HostTimer(Some(host_now()));
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(t.elapsed_ns() >= 1_000_000);
     }
 }

@@ -20,7 +20,20 @@
 //! Counting never touches the virtual clock. The three host durations
 //! (`send_ns`, `recv_wait_ns`, `pack_ns`) are taken only while a
 //! telemetry registry is attached and read 0 otherwise: an unobserved
-//! message reads no host clock.
+//! message reads no host clock. Observed, each processor keeps one
+//! **lap**, the host time of its latest clock read (a *cut*):
+//!
+//! * **One read per cut.** Cuts come at the end of every send, pack step
+//!   and unpack step; at the resume of every receive that parked; at the
+//!   start of a plan replay or halo exchange; and at the start of the
+//!   first send or parking receive after a compute charge, so kernel
+//!   time and plan builds stay out of message durations.
+//! * **An interval belongs to the step that ends it.** `send_ns` sums
+//!   those that end at a send, `pack_ns` at a pack or unpack step, and
+//!   `recv_wait_ns` at the resume of a parked receive: the blocked time. A
+//!   receive whose message is already queued reads no clock and waits 0.
+//! * **Flight events carry the latest stamp**, never ahead of the event:
+//!   barrier, scope and non-parking receive events read nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,10 +120,10 @@ declare_counters! {
     send_bytes, "fx_send_bytes", "Payload bytes sent.";
     chunk_msgs, "fx_chunk_msgs", "Messages sent via the chunk fast path.";
     chunk_bytes, "fx_chunk_bytes", "Payload bytes sent via the chunk fast path.";
-    send_ns, "fx_send_ns", "Host nanoseconds inside send calls (0 unless a telemetry registry is attached).";
+    send_ns, "fx_send_ns", "Host nanoseconds of the lap intervals that end at a send (0 unless a telemetry registry is attached).";
     recvs, "fx_recvs", "Messages received.";
     recv_bytes, "fx_recv_bytes", "Payload bytes received.";
-    recv_wait_ns, "fx_recv_wait_ns", "Host nanoseconds blocked in receives (0 unless a telemetry registry is attached).";
+    recv_wait_ns, "fx_recv_wait_ns", "Host nanoseconds blocked in receives that parked (0 unless a telemetry registry is attached).";
     barriers, "fx_barriers", "Group barriers entered.";
     barriers_elided, "fx_barriers_elided", "Statement sync points whose subset barrier was elided (interval-covered edge).";
     barriers_kept, "fx_barriers_kept", "Statement sync points whose subset barrier ran.";
@@ -123,7 +136,7 @@ declare_counters! {
     pool_misses, "fx_pool_misses", "Buffer-pool misses (allocator invoked).";
     plan_hits, "fx_plan_hits", "Communication-plan cache hits.";
     plan_misses, "fx_plan_misses", "Communication-plan cache misses.";
-    pack_ns, "fx_plan_pack_ns", "Host nanoseconds packing/unpacking plan buffers (0 unless a telemetry registry is attached).";
+    pack_ns, "fx_plan_pack_ns", "Host nanoseconds of the lap intervals that end at a plan pack or unpack step (0 unless a telemetry registry is attached).";
     lane_contention, "fx_lane_contention", "Mailbox lane deposits that found the lane lock held.";
 }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clock::{host_now, ns_since, tick_period, HostTimer};
+use crate::clock::{host_now, ns_since, tick_period};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
 use crate::event::{Event, EventKind, Labels, Log};
@@ -23,7 +23,7 @@ use crate::model::TimeMode;
 use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
 use crate::run::{DataflowMode, ProcOutcome};
-use crate::telemetry::{ProcShard, Telemetry};
+use crate::telemetry::{ProcShard, Telemetry, NO_WAIT};
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
@@ -100,6 +100,18 @@ pub(crate) enum ExecCtx {
     Pooled(Yielder),
 }
 
+/// Set in a lap by a compute charge: the next step also cuts at its start.
+/// Readings (ns since the run began) stay far below it, so `cut` returns 0.
+const CHARGED: u64 = 1 << 63;
+
+/// A cut of a lap (the rule is in [`crate::counters`]), the message path's
+/// one clock read: the interval since the previous cut, 0 across a charge.
+#[inline]
+fn cut(lap: &mut u64, start: Instant) -> u64 {
+    let now = ns_since(start);
+    now.saturating_sub(std::mem::replace(lap, now))
+}
+
 /// Execution context of one physical processor (one per SPMD thread).
 pub struct ProcCtx {
     rank: usize,
@@ -110,6 +122,9 @@ pub struct ProcCtx {
     clock: f64,
     /// Wall-clock start, for real-time mode.
     start: Instant,
+    /// The lap: host ns since `start` of this processor's latest clock read,
+    /// [`CHARGED`] set by a charge since. Read only with a registry attached.
+    lap: u64,
     /// What this processor retains of its own events (see
     /// [`ProcCtx::emit`]), with its label table.
     log: Log,
@@ -156,6 +171,7 @@ impl ProcCtx {
             exec,
             clock: 0.0,
             start,
+            lap: CHARGED,
             log,
             counters,
             pool: BufferPool::default(),
@@ -191,15 +207,12 @@ impl ProcCtx {
     /// is what retains it: the processor's own log keeps marks always and
     /// duration events when profiling; the registry's flight ring, when
     /// one is attached, keeps the newest message, barrier and scope events
-    /// beside a wall stamp (nanoseconds since the run began) — `at` when
-    /// the caller already read the host clock for this event, one read
-    /// here otherwise. Compute intervals
-    /// and marks stay out of the ring: a charge merges into the previous
-    /// one in place, which a ring read from other threads cannot do, and
-    /// a stamp per charge would be a clock read per charge. Nobody
-    /// observing and not a mark: one branch.
+    /// beside the lap, so a stamp is never ahead of its event. Compute
+    /// intervals and marks stay out of the ring: a charge merges into the
+    /// previous one in place, which a ring read from other threads cannot
+    /// do. Nobody observing and not a mark: one branch.
     #[inline(always)]
-    fn emit(&mut self, ev: Event, at: Option<u64>) {
+    fn emit(&mut self, ev: Event) {
         if !self.observed && ev.kind != EventKind::Mark {
             return;
         }
@@ -213,7 +226,7 @@ impl ProcCtx {
             if ev.kind == EventKind::Send {
                 sh.msg_bytes_hist.record(ev.bytes);
             }
-            sh.flight.push(at.unwrap_or_else(|| ns_since(self.start)), &ev);
+            sh.flight.push(self.lap & !CHARGED, &ev);
         }
     }
 
@@ -284,7 +297,8 @@ impl ProcCtx {
         let t0 = self.clock;
         self.clock += s;
         self.hb_acc += self.clock - t0;
-        self.emit(Event { start: t0, ..self.here(EventKind::Compute) }, None);
+        self.lap |= CHARGED;
+        self.emit(Event { start: t0, ..self.here(EventKind::Compute) });
     }
 
     /// Advance the clock for an outgoing message of `nbytes` and return
@@ -306,26 +320,19 @@ impl ProcCtx {
     /// Direct deposit: the call enqueues into `dst`'s mailbox and returns;
     /// the sender is only charged its CPU overhead plus the per-byte gap.
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u64, value: T) {
-        let t0 = self.host_timer();
         let (payload, nbytes) = erase(value);
-        self.post(t0, dst, tag, nbytes, MsgBody::Boxed(payload));
-    }
-
-    /// A stopwatch for a host duration that a counter reports (`send_ns`,
-    /// `recv_wait_ns`, `pack_ns`): it runs — two reads of the host clock —
-    /// only when a telemetry registry is attached to the run, the one
-    /// reader of those durations, and reads 0 otherwise.
-    #[inline]
-    pub fn host_timer(&self) -> HostTimer {
-        HostTimer(self.tl.as_ref().map(|_| host_now()))
+        self.post(dst, tag, nbytes, MsgBody::Boxed(payload));
     }
 
     /// The one post routine behind [`ProcCtx::send`] and
     /// [`ProcCtx::send_chunk`]: same virtual-time charge, event, counters
     /// and deposit for either payload path; a chunk additionally counts
     /// as chunk traffic.
-    fn post(&mut self, t0: HostTimer, dst: usize, tag: u64, nbytes: usize, payload: MsgBody) {
+    fn post(&mut self, dst: usize, tag: u64, nbytes: usize, payload: MsgBody) {
         assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
+        if self.tl.is_some() && self.lap & CHARGED != 0 {
+            cut(&mut self.lap, self.start);
+        }
         let chunk = matches!(payload, MsgBody::Chunk(_));
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
@@ -348,18 +355,14 @@ impl ProcCtx {
         if contended {
             bump(&c.lane_contention, 1);
         }
-        // Host-time accounting, when someone is looking; the event's wall
-        // stamp reuses `t0`.
-        let mut sent_at = None;
-        if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
-            bump(&c.send_ns, ns_since(t0));
+        if let Some(sh) = &self.tl {
+            bump(&c.send_ns, cut(&mut self.lap, self.start));
             if chunk {
                 sh.chunk_flight_add(nbytes as i64);
             }
-            sent_at = Some(t0.duration_since(self.start).as_nanos() as u64);
         }
         let send = Event { peer: dst as u32, tag, bytes: nbytes as u64, start: v0, arrival, ..self.here(EventKind::Send) };
-        self.emit(send, sent_at);
+        self.emit(send);
     }
 
     /// Receive a `T` from physical processor `src` on channel `tag`,
@@ -398,8 +401,7 @@ impl ProcCtx {
     /// of an equal-sized `Vec<T>`, but no `Box<dyn Any>` allocation — the
     /// pooled buffer itself moves into the receiver's mailbox.
     pub fn send_chunk(&mut self, dst: usize, tag: u64, chunk: Chunk) {
-        let t0 = self.host_timer();
-        self.post(t0, dst, tag, chunk.nbytes(), MsgBody::Chunk(chunk));
+        self.post(dst, tag, chunk.nbytes(), MsgBody::Chunk(chunk));
     }
 
     /// Receive a [`Chunk`] from processor `src` on channel `tag`. After
@@ -443,30 +445,36 @@ impl ProcCtx {
     }
 
     /// Blocking mailbox take with receive-side clock update and, when a
-    /// registry is attached, host wait-time accounting (common to `recv`
-    /// and `recv_chunk`).
+    /// registry is attached and the receive parks, host wait-time
+    /// accounting (common to `recv` and `recv_chunk`).
     fn take_env(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.world.nprocs, "recv from nonexistent processor {src}");
-        let t0 = self.host_timer();
-        if let Some(sh) = &self.tl {
-            // Published before blocking so the stall sampler can name the
-            // (src, tag) this processor is parked on.
-            sh.begin_wait(src, tag);
-        }
-        let world = &self.world;
-        let env = world.mailboxes[self.rank].take(src, tag, || match &self.exec {
-            ExecCtx::Thread => world.parkers.park_thread(self.rank),
-            ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Blocked),
+        let (world, exec, tl, start, lap) = (&self.world, &self.exec, &self.tl, self.start, &mut self.lap);
+        let mut parked = false;
+        let env = world.mailboxes[self.rank].take(src, tag, || {
+            // The wait edge the stall sampler and a post-mortem flight dump
+            // name, published before blocking.
+            if let Some(sh) = tl {
+                sh.wait_tag.store(tag, Ordering::Relaxed);
+                sh.wait_src.store(src, Ordering::Relaxed);
+                if *lap & CHARGED != 0 {
+                    cut(lap, start);
+                }
+            }
+            parked = true;
+            match exec {
+                ExecCtx::Thread => world.parkers.park_thread(self.rank),
+                ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Blocked),
+            }
         });
         let c = &self.counters;
         bump(&c.recvs, 1);
         bump(&c.recv_bytes, env.nbytes as u64);
-        let mut taken_at = None;
-        if let (Some(sh), Some(t0)) = (&self.tl, t0.0) {
-            let waited = ns_since(t0);
+        if let (Some(sh), true) = (&self.tl, parked) {
+            let waited = cut(&mut self.lap, self.start);
             bump(&c.recv_wait_ns, waited);
-            sh.end_wait(waited);
-            taken_at = Some(t0.duration_since(self.start).as_nanos() as u64 + waited);
+            sh.recv_wait_hist.record(waited);
+            sh.wait_src.store(NO_WAIT, Ordering::Relaxed);
         }
         // Adopt a piggybacked trace id *before* making the recv event, so
         // the busy half of the receive — the first local work done on
@@ -489,7 +497,7 @@ impl ProcCtx {
             self.clock = recv.start + m.recv_busy(env.nbytes);
             recv.end = self.clock;
         }
-        self.emit(recv, taken_at);
+        self.emit(recv);
         env
     }
 
@@ -527,7 +535,7 @@ impl ProcCtx {
     pub fn record(&mut self, label: impl AsRef<str>) {
         let t = self.now();
         let label = self.log.labels().intern(label.as_ref());
-        self.emit(Event { label, start: t, end: t, ..self.here(EventKind::Mark) }, None);
+        self.emit(Event { label, start: t, end: t, ..self.here(EventKind::Mark) });
     }
 
     // ----- scopes and the log ----------------------------------------------
@@ -550,14 +558,14 @@ impl ProcCtx {
         }
         let parent = self.scopes.last().copied().unwrap_or(0);
         self.scopes.push(self.log.labels().enter(parent, name));
-        self.emit(self.here(EventKind::Enter), None);
+        self.emit(self.here(EventKind::Enter));
     }
 
     /// Pop the innermost scope component. No-op when no scope is open
     /// (always so when neither profiling nor telemetry is active).
     pub fn pop_scope(&mut self) {
         if !self.scopes.is_empty() {
-            self.emit(self.here(EventKind::Exit), None);
+            self.emit(self.here(EventKind::Exit));
             self.scopes.pop();
         }
     }
@@ -626,17 +634,30 @@ impl ProcCtx {
         bump(&self.counters.plan_misses, 1);
     }
 
-    /// Accumulate host nanoseconds spent packing/unpacking along plan runs.
+    /// A plan replay or halo exchange begins: a cut whose interval (plan
+    /// lookup or build, dataflow classification) counts in no duration.
+    /// Reads no clock unless a registry is attached.
     #[inline]
-    pub fn add_pack_ns(&mut self, ns: u64) {
-        bump(&self.counters.pack_ns, ns);
+    pub fn exchange_begins(&mut self) {
+        if self.tl.is_some() {
+            cut(&mut self.lap, self.start);
+        }
+    }
+
+    /// A pack or unpack step of a plan replay or halo exchange ended: a
+    /// cut whose interval is `pack_ns`. Same condition.
+    #[inline]
+    pub fn packed(&mut self) {
+        if self.tl.is_some() {
+            bump(&self.counters.pack_ns, cut(&mut self.lap, self.start));
+        }
     }
 
     /// Count one group-barrier entry (called by the collectives layer).
     #[inline]
     pub fn note_barrier(&mut self) {
         bump(&self.counters.barriers, 1);
-        self.emit(self.here(EventKind::Barrier), None);
+        self.emit(self.here(EventKind::Barrier));
     }
 
     /// The run's resolved barrier-elision mode (never

@@ -3,8 +3,9 @@
 //!
 //! When a telemetry registry is attached, every send, receive, barrier,
 //! and task-region scope transition the processor emits is also written
-//! into its ring — the same [`Event`] its log would keep — beside a
-//! wall-clock stamp. The ring holds the newest `capacity` events and
+//! into its ring — the same [`Event`] its log would keep — beside the
+//! processor's latest clock read ([`crate::counters`]), never ahead of
+//! the event. The ring holds the newest `capacity` events and
 //! silently overwrites older ones, so recording is bounded-overhead no
 //! matter how long the run is — the point is not a full trace (the log
 //! does that, post-mortem) but a *black box*: when a run panics, the
@@ -62,8 +63,8 @@ impl FlightRing {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Append an event stamped `wall_ns` (wall-clock nanoseconds since
-    /// the run started). Called only by the owning processor — one writer
+    /// Append an event stamped `wall_ns` (host nanoseconds since the run
+    /// started). Called only by the owning processor — one writer
     /// at a time by construction under either executor (the pooled
     /// scheduler serializes a processor's execution across the workers
     /// it migrates over, with its queue locks ordering the handoff).

@@ -53,7 +53,6 @@ mod trace;
 
 #[doc(hidden)]
 pub use clock::debug_counters;
-pub use clock::HostTimer;
 pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;

@@ -474,7 +474,7 @@ where
     });
     let start = clock::host_now();
     if let Some(t) = &telemetry {
-        t.begin_run(start, &world);
+        t.begin_run(&world);
     }
     // The run's watchdog tick, under either executor: it advances the
     // coarse clock and expires parked receives. Like the stall sampler

@@ -25,14 +25,14 @@
 //!
 //! Telemetry never touches the virtual clock. Simulated times are
 //! bit-identical with telemetry on, off, or absent; the only cost of
-//! enabling it is host wall-time (the host-clock reads behind the three
-//! `*_ns` counters, two histogram records and one flight-ring slot write
-//! per event).
+//! enabling it is host wall-time: one clock read per cut of a processor's
+//! lap (the rule is in [`crate::counters`]), a histogram record per send
+//! and per parked receive, and one flight-ring slot write per event.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -155,15 +155,16 @@ pub(crate) struct ProcShard {
     /// machine-wide gauge is the sum over shards (each shard stays
     /// single-writer; no shared cache line on the hot path).
     pub chunk_flight: AtomicI64,
-    /// Source rank this processor is currently blocked receiving from
-    /// ([`NO_WAIT`] when not blocked).
+    /// Source rank this processor is parked receiving from, written only
+    /// by a receive that parks ([`NO_WAIT`] otherwise; a watchdog panic
+    /// leaves it set for the post-mortem dump).
     pub wait_src: AtomicUsize,
     /// Tag of the in-progress blocking receive (valid when `wait_src` is
     /// not [`NO_WAIT`]).
     pub wait_tag: AtomicU64,
     /// Sent message sizes in bytes.
     pub msg_bytes_hist: Histogram,
-    /// Blocking receive wait durations in nanoseconds.
+    /// Wait durations of the receives that parked, in nanoseconds.
     pub recv_wait_hist: Histogram,
     /// The flight recorder ring for this processor.
     pub flight: FlightRing,
@@ -179,23 +180,6 @@ impl ProcShard {
             recv_wait_hist: Histogram::default(),
             flight: FlightRing::new(flight_capacity),
         }
-    }
-
-    /// Mark this processor as parked in a blocking receive on `(src, tag)`
-    /// so the stall sampler can name who it is waiting on. Left set on a
-    /// watchdog panic, which is exactly what the post-mortem flight dump
-    /// wants to show.
-    #[inline]
-    pub fn begin_wait(&self, src: usize, tag: u64) {
-        self.wait_tag.store(tag, Ordering::Relaxed);
-        self.wait_src.store(src, Ordering::Relaxed);
-    }
-
-    /// The blocking receive completed after `waited_ns` on the host.
-    #[inline]
-    pub fn end_wait(&self, waited_ns: u64) {
-        self.recv_wait_hist.record(waited_ns);
-        self.wait_src.store(NO_WAIT, Ordering::Relaxed);
     }
 
     /// Move this processor's share of the in-flight gauge: the sender of
@@ -260,8 +244,6 @@ struct Inner {
     /// like the counter blocks.
     labels: Vec<Arc<Labels>>,
     shards: Vec<Arc<ProcShard>>,
-    /// Wall-clock start of the current (or last) run.
-    start: Option<Instant>,
     /// The live world, for on-demand queue-depth gauges. Dangling after
     /// the run finishes.
     world: Weak<World>,
@@ -332,7 +314,6 @@ impl Telemetry {
                 counters: Vec::new(),
                 labels: Vec::new(),
                 shards: Vec::new(),
-                start: None,
                 world: Weak::new(),
                 tenants: Vec::new(),
                 exemplar_traces: Vec::new(),
@@ -349,12 +330,11 @@ impl Telemetry {
     /// Attach to a new run: adopt the world's counter blocks and label
     /// tables and start fresh shards. Called by [`crate::run`]; a handle reused across runs
     /// reports only the latest run.
-    pub(crate) fn begin_run(&self, start: Instant, world: &Arc<World>) {
+    pub(crate) fn begin_run(&self, world: &Arc<World>) {
         let mut inner = self.inner.lock();
         inner.counters = world.counters.clone();
         inner.labels = world.labels.clone();
         inner.shards = (0..world.nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
-        inner.start = Some(start);
         inner.world = Arc::downgrade(world);
         inner.tenants.clear();
         inner.exemplar_traces.clear();

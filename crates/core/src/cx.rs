@@ -32,9 +32,10 @@ pub struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
-    pub(crate) fn new(rt: &'a mut ProcCtx) -> Self {
-        let n = rt.nprocs();
-        let world = GroupHandle::new(WORLD_GID, Arc::new((0..n).collect()));
+    /// The context of `rt` with `world`, the run's one whole-machine
+    /// group, as the bottom frame.
+    pub(crate) fn new(rt: &'a mut ProcCtx, world: GroupHandle) -> Self {
+        debug_assert_eq!(world.len(), rt.nprocs(), "the bottom frame is the whole machine");
         let vrank = rt.rank();
         Cx { rt, stack: vec![Frame::new(world, vrank)], plans: PlanCache::default() }
     }
@@ -356,6 +357,8 @@ impl<'a> Cx<'a> {
 
 /// Run an SPMD program under the Fx model: every processor of `machine`
 /// executes `f` with a [`Cx`] whose initial group is the whole machine.
+/// That group is built once, here: every processor's bottom frame shares
+/// its member list and fingerprint, so set-up is O(P), not O(P²).
 ///
 /// ```
 /// use fx_core::{spmd, Machine};
@@ -370,8 +373,9 @@ where
     R: Send,
     F: Fn(&mut Cx) -> R + Send + Sync,
 {
+    let world = GroupHandle::new(WORLD_GID, Arc::new((0..machine.nprocs).collect()));
     fx_runtime::run(machine, |rt| {
-        let mut cx = Cx::new(rt);
+        let mut cx = Cx::new(rt, world.clone());
         f(&mut cx)
     })
 }
@@ -379,7 +383,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_runtime::MachineModel;
+    use fx_runtime::{Executor, MachineModel, ProcTotals};
 
     #[test]
     fn world_group_identity() {
@@ -458,6 +462,45 @@ mod tests {
             (world_tag, sub_tag)
         });
         assert_ne!(rep.results[0].0, rep.results[0].1);
+    }
+
+    /// A second `spmd` of a size runs on the stacks the first one gave back
+    /// and must not differ from it in any bit: results, finish times,
+    /// counters (all but `lane_contention`, a `try_lock` outcome) and
+    /// profiled logs. In both, every bottom frame shares one member list.
+    #[test]
+    fn a_warm_spmd_equals_a_cold_one_and_shares_one_world_list() {
+        const P: usize = 1024;
+        let program = |cx: &mut Cx| {
+            let (me, p) = (cx.id(), cx.nprocs());
+            let mut token = me as u64;
+            for _ in 0..4 {
+                cx.send_v((me + 1) % p, 1, token);
+                token = cx.recv_v((me + p - 1) % p, 1);
+            }
+            let sum = cx.allreduce(token, u64::wrapping_add);
+            cx.barrier();
+            (token, sum, cx.group())
+        };
+        for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Threaded] {
+            let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(executor).with_profiling(true);
+            let [cold, warm] = [(); 2].map(|_| spmd(&machine, program));
+            for rep in [&cold, &warm] {
+                let world = &rep.results[0].2.members;
+                assert!(rep.results.iter().all(|r| Arc::ptr_eq(&r.2.members, world)), "{executor}: P world lists");
+                assert_eq!(rep.results[0].1, (P * (P - 1) / 2) as u64);
+            }
+            type Rep = RunReport<(u64, u64, GroupHandle)>;
+            let values = |rep: &Rep| rep.results.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>();
+            let bits = |rep: &Rep| rep.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            let counts = |rep: &Rep| {
+                rep.counters.iter().map(|c| ProcTotals { lane_contention: 0, ..c.clone() }).collect::<Vec<_>>()
+            };
+            assert_eq!(values(&cold), values(&warm), "{executor}: results");
+            assert_eq!(bits(&cold), bits(&warm), "{executor}: finish times");
+            assert_eq!(counts(&cold), counts(&warm), "{executor}: counters");
+            assert!(cold.logs == warm.logs, "{executor}: logs");
+        }
     }
 
     #[test]

@@ -47,6 +47,8 @@ pub mod debug_counters {
     /// Worker parks that ran to their backstop timeout and then found
     /// runnable work: an enqueue that notified nobody.
     pub static BACKSTOP_FOUND_WORK: AtomicU64 = AtomicU64::new(0);
+    /// Coroutine stacks mapped (rather than taken from the free list).
+    pub static STACK_MAPS: AtomicU64 = AtomicU64::new(0);
 
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {

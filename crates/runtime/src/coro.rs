@@ -28,8 +28,17 @@
 //! workloads move plain data. Stack overflow hits the `PROT_NONE` guard
 //! page and faults loudly instead of corrupting a neighbour; size the
 //! stack with `FX_STACK_KB` if a kernel genuinely recurses deeply.
+//!
+//! Stacks outlive their coroutines: a finished coroutine's stack goes back
+//! to one process-wide free list, keyed by size, and the next coroutine of
+//! that size takes it, guard page and all. After the first run of a size,
+//! starting a processor makes no system call.
 
 #![allow(dead_code)]
+
+use parking_lot::Mutex;
+
+use crate::clock::debug_counters;
 
 /// True when this target has a coroutine context-switch implementation.
 /// When false, `Executor::Pooled` resolves to the threaded executor.
@@ -87,10 +96,11 @@ impl Yielder {
     }
 }
 
-/// One stackful coroutine: switch state plus its guard-paged stack.
+/// One stackful coroutine: switch state plus its guard-paged stack
+/// (`None` only while the coroutine is being dropped).
 pub(crate) struct Coro {
     inner: Box<CoroInner>,
-    stack: Stack,
+    stack: Option<Stack>,
 }
 
 // SAFETY: a suspended coroutine is inert data (registers parked on its own
@@ -114,7 +124,7 @@ impl Coro {
     /// and dropping every `Coro` before `run` returns.
     pub(crate) unsafe fn new_scoped(stack_bytes: usize, entry: Entry<'_>) -> Coro {
         let entry: Entry<'static> = std::mem::transmute(entry);
-        let stack = Stack::new(stack_bytes);
+        let stack = Stack::take(stack_bytes);
         let mut inner = Box::new(CoroInner {
             coro_sp: 0,
             resume_sp: 0,
@@ -122,7 +132,7 @@ impl Coro {
             entry: Some(entry),
         });
         inner.coro_sp = seed_stack(stack.top(), &mut *inner as *mut CoroInner);
-        Coro { inner, stack }
+        Coro { inner, stack: Some(stack) }
     }
 
     /// Run the coroutine until it suspends or finishes. Must not be
@@ -136,6 +146,17 @@ impl Coro {
             fx_coro_switch(&mut self.inner.resume_sp, self.inner.coro_sp);
         }
         self.inner.yielded
+    }
+}
+
+impl Drop for Coro {
+    /// A finished coroutine's stack holds no live frame, so it goes back to
+    /// the free list; one dropped mid-run (a teardown after a scheduler
+    /// panic) is unmapped, as it always was.
+    fn drop(&mut self) {
+        if let Some(stack) = self.stack.take().filter(|_| self.inner.yielded == YieldKind::Done) {
+            stack.recycle();
+        }
     }
 }
 
@@ -319,7 +340,17 @@ unsafe fn fx_coro_switch(_save: *mut usize, _to: usize) {
 // memory. Pages are committed lazily by the kernel, so P = 4096 stacks
 // cost virtual address space, not resident memory. Elsewhere (only
 // reachable if SUPPORTED is ever extended), a plain aligned heap block.
+// A stack is mapped once and then recycled through `IDLE`.
 // ---------------------------------------------------------------------------
+
+/// Idle stacks, grouped by total length. A run's coroutines take from
+/// here and its finished ones give back, so only a run larger than every
+/// earlier one of its stack size maps anything.
+static IDLE: Mutex<Vec<(usize, Vec<Stack>)>> = Mutex::new(Vec::new());
+
+/// At most this many idle stacks, all sizes together (twice a P = 4096
+/// run); beyond it a returned stack is unmapped.
+const IDLE_CAP: usize = 8192;
 
 struct Stack {
     base: *mut u8,
@@ -327,8 +358,9 @@ struct Stack {
     mmapped: bool,
 }
 
-// SAFETY: the stack is an owned allocation; the owning `Coro`'s `Send`
-// contract covers its contents.
+// SAFETY: the stack (`base`, `len`) is an owned allocation. A live one's
+// contents are covered by the owning `Coro`'s `Send` contract; an idle
+// one in `IDLE` belonged to a finished coroutine and holds no live frame.
 unsafe impl Send for Stack {}
 
 #[cfg(target_os = "linux")]
@@ -368,12 +400,36 @@ fn page_size() -> usize {
 }
 
 impl Stack {
-    fn new(usable_bytes: usize) -> Stack {
+    /// A stack of at least `usable_bytes`: an idle one of that size if
+    /// there is one, else a fresh mapping.
+    fn take(usable_bytes: usize) -> Stack {
         let page = page_size();
         let usable = usable_bytes.div_ceil(page).max(4) * page;
+        // + guard page at the low end
+        let len = if cfg!(target_os = "linux") { usable + page } else { usable };
+        let idle = IDLE.lock().iter_mut().find(|(l, _)| *l == len).and_then(|(_, free)| free.pop());
+        idle.unwrap_or_else(|| Stack::map(len, page))
+    }
+
+    /// Hand a stack whose coroutine finished to the next coroutine of its
+    /// size (unmapped instead when [`IDLE_CAP`] stacks are idle already).
+    fn recycle(self) {
+        let mut idle = IDLE.lock();
+        if idle.iter().map(|(_, free)| free.len()).sum::<usize>() >= IDLE_CAP {
+            drop(idle);
+            return; // `self` drops here, unmapped outside the lock
+        }
+        match idle.iter_mut().find(|(l, _)| *l == self.len) {
+            Some((_, free)) => free.push(self),
+            None => idle.push((self.len, vec![self])),
+        }
+    }
+
+    /// Map `total` bytes, the lowest `page` of them a guard.
+    fn map(total: usize, page: usize) -> Stack {
+        debug_counters::bump(&debug_counters::STACK_MAPS);
         #[cfg(target_os = "linux")]
         {
-            let total = usable + page; // + guard page at the low end
             unsafe {
                 let p = sys::mmap(
                     std::ptr::null_mut(),
@@ -394,10 +450,11 @@ impl Stack {
         }
         #[cfg(not(target_os = "linux"))]
         {
-            let layout = std::alloc::Layout::from_size_align(usable, 16).unwrap();
+            let _ = page; // no guard page off Linux
+            let layout = std::alloc::Layout::from_size_align(total, 16).unwrap();
             let p = unsafe { std::alloc::alloc(layout) };
             assert!(!p.is_null(), "coroutine stack allocation failed");
-            Stack { base: p, len: usable, mmapped: false }
+            Stack { base: p, len: total, mmapped: false }
         }
     }
 
@@ -505,6 +562,26 @@ mod tests {
             )
         };
         assert_eq!(c.resume(), YieldKind::Done);
+    }
+
+    #[test]
+    fn a_finished_coroutine_hands_its_stack_to_the_next_one() {
+        const SIZE: usize = 72 * 1024; // no other test maps this size
+        let idle = || {
+            let len = SIZE + page_size();
+            IDLE.lock().iter().find(|(l, _)| *l == len).map_or(0, |(_, free)| free.len())
+        };
+        let base = |c: &Coro| c.stack.as_ref().expect("a live coroutine has its stack").base;
+        let mut a = unsafe { Coro::new_scoped(SIZE, Box::new(|_: &Yielder| ())) };
+        let first = base(&a);
+        assert_eq!(a.resume(), YieldKind::Done);
+        drop(a);
+        assert_eq!(idle(), 1);
+        let mut b = unsafe { Coro::new_scoped(SIZE, Box::new(|y: &Yielder| y.suspend(YieldKind::Yielded))) };
+        assert_eq!((base(&b), idle()), (first, 0), "the finished stack was taken, guard page and all");
+        assert_eq!(b.resume(), YieldKind::Yielded);
+        drop(b);
+        assert_eq!(idle(), 0, "a stack with live frames is unmapped, not recycled");
     }
 
     #[test]

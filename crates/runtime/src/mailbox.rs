@@ -21,9 +21,13 @@
 //!   and the ring buffer is reused for the life of the lane, so a delivered
 //!   message leaves nothing behind. Accepted worst case: draining a lane in
 //!   reverse deposit order is O(depth) per take (no program here does it).
-//! * **Lanes on first use.** A mailbox holds a 16-byte slot per possible
-//!   sender; the lane is built by the first deposit from, or wait on, that
-//!   source. `probe` and the observers read an absent lane as empty.
+//! * **A sender-sparse lane table.** Lanes come in blocks of 32 senders. A
+//!   mailbox holds one 16-byte slot per block (32 at P = 1024); a block is
+//!   built with the first lane in it, and a lane by the first deposit
+//!   from, or wait on, its source. So setting up P mailboxes writes P²/32
+//!   slots, not P², and a mailbox's heap grows with the senders it hears
+//!   from, not with P. `probe` and the observers read an absent lane as
+//!   empty and build nothing.
 //!
 //! ## The wakeup protocol
 //!
@@ -159,9 +163,19 @@ impl LaneState {
 /// One sender's shard of a mailbox.
 type Lane = Mutex<LaneState>;
 
-/// Mailbox of one physical processor: one lane slot per possible sender.
+/// Senders per block of a lane table.
+const BLOCK: usize = 32;
+
+/// The lane slots of [`BLOCK`] consecutive senders.
+type Block = [OnceLock<Box<Lane>>; BLOCK];
+
+/// Mailbox of one physical processor: a sender-sparse lane table.
 pub(crate) struct Mailbox {
-    lanes: Vec<OnceLock<Box<Lane>>>,
+    /// Slot `b` holds the lanes of senders `32b..32b + 32`, once one of
+    /// them is built.
+    blocks: Box<[OnceLock<Box<Block>>]>,
+    /// Possible senders (the machine's processors).
+    nprocs: usize,
     /// Physical rank of the one processor that receives here.
     owner: usize,
     /// The run's park latches (to wake `owner`), recv timeout, and the
@@ -176,18 +190,27 @@ impl Mailbox {
     /// The mailbox of processor `owner`, able to receive from `nprocs`
     /// senders (including itself).
     pub fn new(nprocs: usize, owner: usize, parkers: Arc<Parkers>) -> Self {
-        let lanes = (0..nprocs).map(|_| OnceLock::new()).collect();
-        Mailbox { lanes, owner, parkers, poisoned: AtomicBool::new(false) }
+        let blocks = (0..nprocs.div_ceil(BLOCK)).map(|_| OnceLock::new()).collect();
+        Mailbox { blocks, nprocs, owner, parkers, poisoned: AtomicBool::new(false) }
     }
 
-    /// The lane of sender `src`, built on first use.
+    /// The lane of sender `src`, built (with its block) on first use.
     fn lane(&self, src: usize) -> &Lane {
-        self.lanes[src].get_or_init(Box::default)
+        let block = self.blocks[src / BLOCK].get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        block[src % BLOCK].get_or_init(Box::default)
     }
 
-    /// The lanes built so far, each with its sender rank.
+    /// The lane of sender `src`, if it is built.
+    fn built(&self, src: usize) -> Option<&Lane> {
+        Some(&**self.blocks[src / BLOCK].get()?[src % BLOCK].get()?)
+    }
+
+    /// The lanes built so far, each with its sender rank, ascending.
     fn live_lanes(&self) -> impl Iterator<Item = (usize, &Lane)> {
-        self.lanes.iter().enumerate().filter_map(|(src, l)| Some((src, &**l.get()?)))
+        let blocks = self.blocks.iter().enumerate().filter_map(|(b, block)| Some((b * BLOCK, block.get()?)));
+        blocks.flat_map(|(first, block)| {
+            block.iter().enumerate().filter_map(move |(i, l)| Some((first + i, &**l.get()?)))
+        })
     }
 
     /// Deposit a message (called by the *sender*). Only the sender's own
@@ -270,7 +293,7 @@ impl Mailbox {
 
     /// Non-blocking probe: is a message from `src` with `tag` waiting?
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        self.lanes[src].get().is_some_and(|l| l.lock().queue.iter().any(|e| e.tag == tag))
+        self.built(src).is_some_and(|l| l.lock().queue.iter().any(|e| e.tag == tag))
     }
 
     /// True once some processor panicked and poisoned this mailbox.
@@ -285,7 +308,7 @@ impl Mailbox {
     /// header for why all three).
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        for src in 0..self.lanes.len() {
+        for src in 0..self.nprocs {
             drop(self.lane(src).lock());
         }
         self.parkers.wake(self.owner);
@@ -388,6 +411,15 @@ mod tests {
         /// Envelope slots held by all queues, full or empty.
         fn retained_slots(&self) -> usize {
             self.live_lanes().map(|(_, l)| l.lock().queue.capacity()).sum()
+        }
+
+        /// Heap bytes of the lane table: the block slots, the blocks built
+        /// and the lanes built (not what their queues hold).
+        fn table_bytes(&self) -> usize {
+            let built = self.blocks.iter().filter(|b| b.get().is_some()).count();
+            std::mem::size_of_val(&*self.blocks)
+                + built * std::mem::size_of::<Block>()
+                + self.materialised_lanes() * std::mem::size_of::<Lane>()
         }
     }
 
@@ -534,6 +566,30 @@ mod tests {
         // Observers do not build lanes either.
         assert!(!mb.probe(9, 0));
         assert_eq!((mb.undelivered(), mb.depth_snapshot().len(), mb.materialised_lanes()), (0, 0, 1));
+    }
+
+    /// At P = 4096 a mailbox that hears from three senders in three blocks
+    /// holds three blocks and three lanes over 128 block slots: under
+    /// 4 KiB, where one slot per possible sender was 64 KiB before a lane
+    /// existed.
+    #[test]
+    fn three_senders_of_4096_build_three_lanes() {
+        const P: usize = 4096;
+        let mb = mailbox(P);
+        let empty = mb.table_bytes();
+        assert_eq!(empty, P / BLOCK * std::mem::size_of::<OnceLock<Box<Block>>>());
+        for src in [5, 700, P - 1] {
+            put(&mb, src, 1, src as u32);
+        }
+        assert!(!mb.probe(6, 1) && !mb.probe(701, 1), "observers build nothing");
+        assert_eq!(mb.materialised_lanes(), 3);
+        let per_sender = std::mem::size_of::<Block>() + std::mem::size_of::<Lane>();
+        assert_eq!(mb.table_bytes(), empty + 3 * per_sender);
+        assert!(mb.table_bytes() < P * std::mem::size_of::<OnceLock<Box<Lane>>>() / 8, "{} bytes", mb.table_bytes());
+        for src in [5, 700, P - 1] {
+            assert_eq!(take_u32(&mb, src, 1), src as u32);
+        }
+        assert_eq!(mb.lane_bytes(), vec![(5, 4), (700, 4), (P - 1, 4)]);
     }
 
     /// The accepted worst case: every take scans the whole queue.

@@ -179,7 +179,9 @@ fn worker_loop(pool: &Pool, parkers: &Parkers, coros: &[Mutex<Option<Coro>>], wi
         let mut coro = coros[p].lock().take().expect("runnable processor has no coroutine");
         match coro.resume() {
             YieldKind::Done => {
-                drop(coro); // free the stack eagerly: matters at P=4096
+                // Hand the stack back to the free list now (coro.rs): a
+                // run started on another thread meanwhile can take it.
+                drop(coro);
                 if pool.live.fetch_sub(1, Ordering::AcqRel) == 1 {
                     pool.begin_shutdown();
                 }

@@ -2,9 +2,10 @@
 //! clock per message, an observed one reads it once per cut of a
 //! processor's lap (the rule is in `crates/runtime/src/counters.rs`), and
 //! what replaced the per-message clock reads — the coarse clock, the
-//! sleeper gate — loses neither a wakeup nor a timeout.
+//! sleeper gate — loses neither a wakeup nor a timeout. Starting a run
+//! maps no coroutine stack once a run of its size has finished.
 //!
-//! Tests (a)–(c), (e) and (f) read the runtime's debug-build counters,
+//! Tests (a)–(c), (e), (f) and (h) read the runtime's debug-build counters,
 //! which are process-wide: every test here holds `SERIAL`, and the file is
 //! its own test binary.
 #![cfg(debug_assertions)]
@@ -15,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fx::prelude::*;
-use fx::runtime::debug_counters::{BACKSTOP_FOUND_WORK, CLOCK_READS, WORKER_NOTIFIES};
+use fx::runtime::debug_counters::{BACKSTOP_FOUND_WORK, CLOCK_READS, STACK_MAPS, WORKER_NOTIFIES};
 use fx::runtime::{Executor, ProcCtx, RunReport, Telemetry, TelemetryConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -275,5 +276,25 @@ fn lap_intervals_fit_in_the_run_and_flight_stamps_never_decrease() {
         let stamps: Vec<f64> = section.lines().filter_map(stamp).collect();
         assert!(stamps.len() > 100, "processor {p}: {} stamps", stamps.len());
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "processor {p}: {stamps:?}");
+    }
+}
+
+/// (h) Starting processors is quiet too: a run takes its coroutine stacks
+/// from the free list the previous run's finished coroutines gave them
+/// back to, so a second `spmd` of a size maps no stack (no `mmap`,
+/// `mprotect` or `munmap`), under one worker or two.
+#[test]
+fn a_second_spmd_of_a_size_maps_no_stack() {
+    let _serial = serial();
+    for workers in [1, 2] {
+        let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(Executor::Pooled { workers });
+        let maps_of = |machine: &Machine| {
+            let maps0 = STACK_MAPS.load(Ordering::Relaxed);
+            spmd(machine, ring_barrier_replay);
+            STACK_MAPS.load(Ordering::Relaxed) - maps0
+        };
+        let first = maps_of(&machine);
+        assert!(first <= P as u64, "{workers} workers: the first run mapped {first} stacks");
+        assert_eq!(maps_of(&machine), 0, "{workers} workers: the second run mapped stacks");
     }
 }

@@ -33,18 +33,15 @@
 //!   every destination index on every member, on every call.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use fx_core::{Cx, GroupHandle};
-use fx_runtime::Chunk;
 
 use crate::array::{DArray, DArray1, DArray2, DArray3, Elem};
 use crate::dataflow::sync_edge;
-use crate::dist::for_each_index;
 use crate::plan::{
-    copy_local, pack_into, unpack_chunk, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind,
+    copy_local, pack_into, unpack_chunk, CommSets, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind,
 };
 
 /// Which processors take part in a parent-scope array statement.
@@ -391,12 +388,11 @@ pub fn copy_remap2_with<T: Elem>(
 }
 
 /// The closure statements' engine, and the protocol every planned
-/// statement reproduces: walk every destination index of `range` in
-/// row-major order, ask the distribution metadata who owns it and who
-/// owns its image under `f`, copy what is local, bucket the rest by peer;
-/// then charge the local bytes, ship the per-peer chunks ascending by
-/// destination, receive ascending by source and scatter each message
-/// into its slots in message order.
+/// statement reproduces: the per-element walk of `range` under `f`
+/// ([`CommSets::enumerate_with`]), replayed as the local copy, the charge
+/// for its bytes, the per-peer chunks shipped ascending by destination,
+/// then the receives ascending by source, each message scattered into its
+/// slots in message order.
 fn enumerate_copy<T: Elem, const N: usize>(
     cx: &mut Cx,
     tag: u64,
@@ -405,48 +401,20 @@ fn enumerate_copy<T: Elem, const N: usize>(
     range: [(usize, usize); N],
     f: impl Fn([usize; N]) -> [usize; N],
 ) {
-    let me = cx.phys_rank();
-    let (s_strides, d_strides) = (s.strides(me), d.strides(me));
-    // Per-peer send buffers are pooled chunks (grown on demand: a peer's
-    // share is unknown until the enumeration ends), so the payloads ride
-    // the chunk path like every planned statement's.
-    let mut sends: BTreeMap<usize, Chunk> = BTreeMap::new();
-    let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut local_bytes = 0usize;
-    for_each_index(range.map(|(lo, hi)| hi.saturating_sub(lo)), |off| {
-        let di: [usize; N] = std::array::from_fn(|k| range[k].0 + off[k]);
-        let si = f(di);
-        let one;
-        let targets = if d.replicated {
-            d.group.members()
-        } else {
-            one = [d.owner(di, me)];
-            &one[..]
-        };
-        for &dp in targets {
-            let sp = s.owner(si, dp);
-            if sp == me {
-                let v = src[s.slot(si, &s_strides)];
-                if dp == me {
-                    dst[d.slot(di, &d_strides)] = v;
-                    local_bytes += std::mem::size_of::<T>();
-                } else {
-                    sends.entry(dp).or_insert_with(|| cx.chunk_for::<T>(0)).push_slice(&[v]);
-                }
-            } else if dp == me {
-                recvs.entry(sp).or_default().push(d.slot(di, &d_strides));
-            }
-        }
-    });
-
-    cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    for (dp, chunk) in sends {
-        cx.send_chunk_phys(dp, tag, chunk);
+    let sets = CommSets::enumerate_with(cx.phys_rank(), s, d, range, f);
+    for &(ss, ds) in &sets.local {
+        dst[ds] = src[ss];
     }
-    for (sp, slots) in recvs {
-        let chunk = cx.recv_chunk_phys(sp, tag);
+    cx.charge_mem_bytes(2.0 * (sets.local.len() * std::mem::size_of::<T>()) as f64);
+    for (dp, slots) in &sets.sends {
+        let mut chunk = cx.chunk_for::<T>(slots.len());
+        slots.iter().for_each(|&slot| chunk.push_slice(&src[slot..slot + 1]));
+        cx.send_chunk_phys(*dp, tag, chunk);
+    }
+    for (sp, slots) in &sets.recvs {
+        let chunk = cx.recv_chunk_phys(*sp, tag);
         assert_eq!(chunk.elems(), slots.len(), "communication set mismatch from {sp}");
-        for (k, slot) in slots.into_iter().enumerate() {
+        for (k, &slot) in slots.iter().enumerate() {
             chunk.read_into(k, &mut dst[slot..slot + 1]);
         }
         cx.release_chunk(chunk);

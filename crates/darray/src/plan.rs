@@ -37,8 +37,9 @@
 //! * **One oracle.** [`CommSets::enumerate`] is the reference
 //!   implementation: it walks every destination index, asks the
 //!   distribution metadata for the owners and buckets slots by peer —
-//!   O(elements), what the `copy_remap*` closure statements do on every
-//!   call. Debug builds check freshly built plans against it (up to
+//!   O(elements). The `copy_remap*` closure statements run the same walk
+//!   ([`CommSets::enumerate_with`]) under their closure on every call and
+//!   replay its sets. Debug builds check freshly built plans against it (up to
 //!   `ORACLE_MAX_ELEMS` elements), the property tests do so in release
 //!   builds too, and `redist_microbench` times it as the "legacy" leg.
 //!
@@ -890,15 +891,37 @@ pub struct CommSets {
 }
 
 impl CommSets {
-    /// The reference implementation of [`Plan::build`]: walk every
-    /// destination index of the statement in row-major order, resolve the
-    /// owners through the distribution metadata, bucket flat tile slots by
-    /// peer — the loop the `copy_remap*` closure statements run.
+    /// The reference implementation of [`Plan::build`]: the per-element
+    /// walk ([`CommSets::enumerate_with`]) under the statement's map.
     pub fn enumerate<const N: usize>(
         me: usize,
         s: &Side<N>,
         d: &Side<N>,
         stmt: &Stmt<N>,
+    ) -> CommSets {
+        CommSets::enumerate_with(me, s, d, stmt.range, |di| {
+            let mut si = [0; N];
+            for (k, &i) in di.iter().enumerate() {
+                let a = stmt.axes[k];
+                si[a] = stmt.remap[k].apply(i, s.maps[a].n).unwrap_or_else(|| {
+                    panic!("{:?} sends destination index {i} outside the source", stmt.remap[k])
+                });
+            }
+            si
+        })
+    }
+
+    /// Walk every destination index of `range` in row-major order, map it
+    /// to its source index with `f`, resolve both owners through the
+    /// distribution metadata and bucket flat tile slots by peer — the
+    /// oracle behind [`CommSets::enumerate`], and the engine of the
+    /// `copy_remap*` closure statements.
+    pub fn enumerate_with<const N: usize>(
+        me: usize,
+        s: &Side<N>,
+        d: &Side<N>,
+        range: [(usize, usize); N],
+        f: impl Fn([usize; N]) -> [usize; N],
     ) -> CommSets {
         use std::collections::BTreeMap;
         let mut sends: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -908,15 +931,9 @@ impl CommSets {
             return CommSets { sends: Vec::new(), recvs: Vec::new(), local };
         }
         let (s_strides, d_strides) = (s.strides(me), d.strides(me));
-        for_each_index(stmt.range.map(|(lo, hi)| hi.saturating_sub(lo)), |off| {
-            let di: [usize; N] = std::array::from_fn(|k| stmt.range[k].0 + off[k]);
-            let mut si = [0; N];
-            for (k, &i) in di.iter().enumerate() {
-                let a = stmt.axes[k];
-                si[a] = stmt.remap[k].apply(i, s.maps[a].n).unwrap_or_else(|| {
-                    panic!("{:?} sends destination index {i} outside the source", stmt.remap[k])
-                });
-            }
+        for_each_index(range.map(|(lo, hi)| hi.saturating_sub(lo)), |off| {
+            let di: [usize; N] = std::array::from_fn(|k| range[k].0 + off[k]);
+            let si = f(di);
             let one;
             let targets = if d.replicated {
                 d.group.members()

@@ -9,12 +9,13 @@
 //!   ([`spawn_ticker`]) once per watchdog period and read with a relaxed
 //!   load. It serves the uses that only ever needed watchdog resolution:
 //!   the deposit stamp behind the deadlock dump's oldest-message ages,
-//!   the park stamp of a blocked processor and the watchdog's comparison
-//!   against it ([`crate::parker`]), the board poll-waits' deadlines, and
-//!   the stall sampler's windows. A stamp is never ahead of
-//!   the host clock and at most one tick interval behind; cold readers
-//!   (a dump, the tick itself) [`CoarseClock::refresh`] first, so an age
-//!   errs only towards older, by less than one period —
+//!   the park stamp of a blocked processor and the tick's comparisons
+//!   against it — the watchdog's expiry ([`crate::parker`]) and the stall
+//!   report ([`crate::stall`]) — and the board poll-waits' deadlines. A
+//!   stamp is never ahead of the host clock and at most one tick interval
+//!   behind; cold readers (a dump, a snapshot, the tick itself)
+//!   [`CoarseClock::refresh`] first, so an age errs only towards older, by
+//!   less than one period —
 //!   `recv_timeout / 8`, clamped to 5–250 ms: a quarter second on the
 //!   default 60 s timeout, which is what a diagnostic of "these were
 //!   queued long ago and nobody is receiving them" needs.
@@ -122,10 +123,11 @@ impl Drop for TickGuard {
     }
 }
 
-/// Start a periodic service thread called `name` (the run's watchdog
-/// tick, the stall sampler): every `period` it advances `clock` and calls
-/// `on_tick(now, slack)`, until the guard drops — which interrupts the
-/// wait, so stopping never sleeps out a period.
+/// Start a periodic service thread called `name` (a run's one, its
+/// watchdog tick, is started in [`crate::run`]): every `period` it
+/// advances `clock` and calls `on_tick(now, slack)`, until the guard
+/// drops — which interrupts the wait, so stopping never sleeps out a
+/// period.
 ///
 /// `slack` is the longest interval between two ticks so far. A stamp `s`
 /// taken from the coarse clock was published by some tick and replaced by

@@ -140,18 +140,6 @@ declare_counters! {
     lane_contention, "fx_lane_contention", "Mailbox lane deposits that found the lane lock held.";
 }
 
-impl Counters {
-    /// Monotone count of the events a processor cannot make while it is
-    /// blocked in a receive (sends, completed receives, barrier and
-    /// region entries): the stall sampler's forward-progress witness.
-    pub fn progress(&self) -> u64 {
-        [&self.sends, &self.recvs, &self.barriers, &self.region_enters]
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 // The block is paid for by every processor of every run: keep it small.
 const _: () = assert!(std::mem::size_of::<Counters>() <= 256);
 

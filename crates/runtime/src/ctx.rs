@@ -23,7 +23,7 @@ use crate::model::TimeMode;
 use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
 use crate::run::{DataflowMode, ProcOutcome};
-use crate::telemetry::{ProcShard, Telemetry, NO_WAIT};
+use crate::telemetry::{ProcShard, Telemetry};
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
@@ -355,11 +355,8 @@ impl ProcCtx {
         if contended {
             bump(&c.lane_contention, 1);
         }
-        if let Some(sh) = &self.tl {
+        if self.tl.is_some() {
             bump(&c.send_ns, cut(&mut self.lap, self.start));
-            if chunk {
-                sh.chunk_flight_add(nbytes as i64);
-            }
         }
         let send = Event { peer: dst as u32, tag, bytes: nbytes as u64, start: v0, arrival, ..self.here(EventKind::Send) };
         self.emit(send);
@@ -410,12 +407,7 @@ impl ProcCtx {
     pub fn recv_chunk(&mut self, src: usize, tag: u64) -> Chunk {
         let env = self.take_env(src, tag);
         match env.payload {
-            MsgBody::Chunk(c) => {
-                if let Some(sh) = &self.tl {
-                    sh.chunk_flight_add(-(env.nbytes as i64));
-                }
-                c
-            }
+            MsgBody::Chunk(c) => c,
             MsgBody::Boxed(_) => panic!(
                 "recv type mismatch for message from processor {src} tag {tag:#x}: \
                  expected a byte chunk, got a boxed payload (receive it with recv)"
@@ -452,14 +444,8 @@ impl ProcCtx {
         let (world, exec, tl, start, lap) = (&self.world, &self.exec, &self.tl, self.start, &mut self.lap);
         let mut parked = false;
         let env = world.mailboxes[self.rank].take(src, tag, || {
-            // The wait edge the stall sampler and a post-mortem flight dump
-            // name, published before blocking.
-            if let Some(sh) = tl {
-                sh.wait_tag.store(tag, Ordering::Relaxed);
-                sh.wait_src.store(src, Ordering::Relaxed);
-                if *lap & CHARGED != 0 {
-                    cut(lap, start);
-                }
+            if tl.is_some() && *lap & CHARGED != 0 {
+                cut(lap, start);
             }
             parked = true;
             match exec {
@@ -474,7 +460,6 @@ impl ProcCtx {
             let waited = cut(&mut self.lap, self.start);
             bump(&c.recv_wait_ns, waited);
             sh.recv_wait_hist.record(waited);
-            sh.wait_src.store(NO_WAIT, Ordering::Relaxed);
         }
         // Adopt a piggybacked trace id *before* making the recv event, so
         // the busy half of the receive — the first local work done on

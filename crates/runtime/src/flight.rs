@@ -5,7 +5,7 @@
 //! and task-region scope transition the processor emits is also written
 //! into its ring — the same [`Event`] its log would keep — beside the
 //! processor's latest clock read ([`crate::counters`]), never ahead of
-//! the event. The ring holds the newest `capacity` events and
+//! the event. The ring holds the newest [`FLIGHT_CAPACITY`] events and
 //! silently overwrites older ones, so recording is bounded-overhead no
 //! matter how long the run is — the point is not a full trace (the log
 //! does that, post-mortem) but a *black box*: when a run panics, the
@@ -13,8 +13,8 @@
 //! last moments before the incident are available.
 //!
 //! The ring is single-writer (each processor writes only its own ring)
-//! and any-reader (the stall sampler thread, an HTTP scrape, or the test
-//! harness may read concurrently). Slots carry only plain words stored
+//! and any-reader (a flight dump, an HTTP scrape, or the test harness may
+//! read concurrently). Slots carry only plain words stored
 //! through atomics, guarded by a per-slot sequence counter in the classic
 //! seqlock pattern: the writer never blocks, and a reader that races a
 //! wrapping writer simply discards the torn slot. Labels are not stored
@@ -38,26 +38,23 @@ struct Slot {
     words: [AtomicU64; 8],
 }
 
-/// Lock-free single-writer ring of the newest `capacity` events.
+/// Events a ring retains (a power of two).
+pub(crate) const FLIGHT_CAPACITY: usize = 256;
+
+/// Lock-free single-writer ring of the newest [`FLIGHT_CAPACITY`] events.
 pub(crate) struct FlightRing {
     slots: Box<[Slot]>,
-    mask: usize,
-    /// Total events ever pushed; `head % capacity` is the next slot.
+    /// Total events ever pushed; `head % FLIGHT_CAPACITY` is the next slot.
     head: AtomicU64,
 }
 
-impl FlightRing {
-    /// A ring holding the newest `capacity` events (rounded up to a power
-    /// of two, minimum 8).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
-        FlightRing {
-            slots: (0..cap).map(|_| Slot::default()).collect(),
-            mask: cap - 1,
-            head: AtomicU64::new(0),
-        }
+impl Default for FlightRing {
+    fn default() -> Self {
+        FlightRing { slots: (0..FLIGHT_CAPACITY).map(|_| Slot::default()).collect(), head: AtomicU64::new(0) }
     }
+}
 
+impl FlightRing {
     /// Total events pushed over the ring's lifetime (≥ what is retained).
     pub fn pushed(&self) -> u64 {
         self.head.load(Ordering::Acquire)
@@ -72,7 +69,7 @@ impl FlightRing {
     pub fn push(&self, wall_ns: u64, ev: &Event) {
         debug_assert!(ev.label < (1 << 24), "flight label id overflow");
         let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h as usize) & self.mask];
+        let slot = &self.slots[h as usize % FLIGHT_CAPACITY];
         let words = [
             ev.kind as u64 | ((ev.label as u64) << 8) | ((ev.peer as u64) << 32),
             ev.tag,
@@ -98,11 +95,10 @@ impl FlightRing {
     /// snapshot is exact.
     pub fn snapshot(&self) -> Vec<(u64, Event)> {
         let h = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let first = h.saturating_sub(cap);
+        let first = h.saturating_sub(FLIGHT_CAPACITY as u64);
         let mut out = Vec::with_capacity((h - first) as usize);
         for i in first..h {
-            let slot = &self.slots[(i as usize) & self.mask];
+            let slot = &self.slots[i as usize % FLIGHT_CAPACITY];
             let s0 = slot.seq.load(Ordering::Acquire);
             if s0 != 2 * (i + 1) {
                 continue; // torn or already overwritten by a wrap
@@ -141,22 +137,23 @@ mod tests {
 
     #[test]
     fn ring_retains_newest_in_order() {
-        let ring = FlightRing::new(16);
-        for i in 0..100u64 {
+        let ring = FlightRing::default();
+        let n = FLIGHT_CAPACITY as u64 + 100;
+        for i in 0..n {
             ring.push(100 * i, &send_ev(i));
         }
         let snap = ring.snapshot();
-        assert_eq!(snap.len(), 16, "exactly the newest capacity events");
+        assert_eq!(snap.len(), FLIGHT_CAPACITY, "exactly the newest capacity events");
         for (k, slot) in snap.iter().enumerate() {
-            let i = 84 + k as u64;
+            let i = 100 + k as u64;
             assert_eq!(*slot, (100 * i, send_ev(i)), "slot {k}");
         }
-        assert_eq!(ring.pushed(), 100);
+        assert_eq!(ring.pushed(), n);
     }
 
     #[test]
     fn ring_below_capacity_is_exact() {
-        let ring = FlightRing::new(64);
+        let ring = FlightRing::default();
         for i in 0..5u64 {
             ring.push(i, &send_ev(i));
         }
@@ -165,7 +162,7 @@ mod tests {
 
     #[test]
     fn every_field_survives_the_ring() {
-        let ring = FlightRing::new(8);
+        let ring = FlightRing::default();
         let enter = Event {
             kind: EventKind::Enter,
             label: 0x1234,
@@ -184,7 +181,7 @@ mod tests {
     #[test]
     fn concurrent_reader_never_sees_torn_slots() {
         use std::sync::Arc;
-        let ring = Arc::new(FlightRing::new(8));
+        let ring = Arc::new(FlightRing::default());
         let r2 = Arc::clone(&ring);
         let writer = std::thread::spawn(move || {
             for i in 0..20_000u64 {

@@ -68,7 +68,7 @@
 //! ([`crate::clock::CoarseClock`]: one relaxed load, advanced once per
 //! watchdog period), not from the host clock. The only reader is the
 //! depth snapshot behind the deadlock dump, the stall report and the
-//! `fx_oldest_queued_seconds` gauge, which refreshes the clock first: an
+//! registry's queue gauges, whose caller refreshes the clock first: an
 //! age is the true one plus at most one period (`recv_timeout / 8`,
 //! 5–250 ms), ample for telling "being drained" from "queued long ago".
 
@@ -120,6 +120,9 @@ pub(crate) struct LaneDepth {
     pub count: usize,
     /// Age of the oldest queued message.
     pub oldest_wait: Duration,
+    /// Payload bytes of the channel's queued chunks (the registry's
+    /// chunk-bytes-in-flight gauge); not part of the dump's text.
+    pub chunk_bytes: u64,
 }
 
 impl std::fmt::Debug for LaneDepth {
@@ -281,7 +284,8 @@ impl Mailbox {
                 && !self.probe(src, tag)
                 && !self.poisoned.load(Ordering::Acquire)
             {
-                let (timeout, pending) = (self.parkers.recv_timeout, self.depth_snapshot());
+                let pending = self.depth_snapshot(self.parkers.clock.refresh());
+                let timeout = self.parkers.recv_timeout;
                 panic!(
                     "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
                      {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
@@ -321,24 +325,31 @@ impl Mailbox {
     }
 
     /// Depths of every non-empty `(src, tag)` queue, ascending by source
-    /// then tag, each with the age of its oldest queued message — the
-    /// deadlock diagnostic and debugging view.
-    pub fn depth_snapshot(&self) -> DepthSnapshot {
-        let now = self.parkers.clock.refresh();
+    /// then tag, each with the age at coarse-clock time `now` of its
+    /// oldest queued message — the deadlock diagnostic and debugging view.
+    pub fn depth_snapshot(&self, now: u64) -> DepthSnapshot {
         let mut out: DepthSnapshot = Vec::new();
         for (src, lane) in self.live_lanes() {
-            let mut tags: BTreeMap<u64, (usize, Duration)> = BTreeMap::new();
+            let mut tags: BTreeMap<u64, LaneDepth> = BTreeMap::new();
             for e in &lane.lock().queue {
                 // Deposit order: the first message met per tag is its oldest.
-                let age = Duration::from_nanos(now.saturating_sub(e.enqueued));
-                tags.entry(e.tag).or_insert((0, age)).0 += 1;
+                let oldest_wait = Duration::from_nanos(now.saturating_sub(e.enqueued));
+                let fresh = LaneDepth { src, tag: e.tag, count: 0, oldest_wait, chunk_bytes: 0 };
+                let d = tags.entry(e.tag).or_insert(fresh);
+                d.count += 1;
+                if matches!(e.payload, MsgBody::Chunk(_)) {
+                    d.chunk_bytes += e.nbytes as u64;
+                }
             }
-            out.extend(
-                tags.into_iter()
-                    .map(|(tag, (count, oldest_wait))| LaneDepth { src, tag, count, oldest_wait }),
-            );
+            out.extend(tags.into_values());
         }
         out
+    }
+
+    /// The `(src, tag)` the owner is registered to wait on, if any: the
+    /// wait edge of a parked receive, read where the receive keeps it.
+    pub fn waiting(&self) -> Option<(usize, u64)> {
+        self.live_lanes().find_map(|(src, lane)| Some((src, lane.lock().waiting_tag?)))
     }
 
     /// `(sender rank, payload bytes deposited since the run began)` of
@@ -374,7 +385,7 @@ mod tests {
         let clock = Arc::new(CoarseClock::new());
         let parkers = Parkers::new(1, None, timeout, Arc::clone(&clock));
         let mb = Arc::new(Mailbox::new(nprocs, 0, Arc::clone(&parkers)));
-        let expire = move |now, slack| parkers.expire_parked(now, slack);
+        let expire = move |now, slack| parkers.expire_parked(now, slack, |_, _| ());
         Harness { mb, _watchdog: spawn_ticker("fx-tick", clock, tick_period(timeout), expire) }
     }
 
@@ -402,6 +413,11 @@ mod tests {
     }
 
     impl Mailbox {
+        /// The depth snapshot at the host's now.
+        fn depths_now(&self) -> DepthSnapshot {
+            self.depth_snapshot(self.parkers.clock.refresh())
+        }
+
         /// Lanes built so far (at most one per sender that deposited or
         /// was waited on).
         fn materialised_lanes(&self) -> usize {
@@ -483,7 +499,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         mb.parkers.clock.refresh();
         put(&mb, 3, 9, 2); // newer message must not reset the age
-        let snap = mb.depth_snapshot();
+        let snap = mb.depths_now();
         assert_eq!(snap.len(), 1);
         assert_eq!((snap[0].src, snap[0].tag, snap[0].count), (3, 9, 2));
         assert!(
@@ -493,7 +509,7 @@ mod tests {
         );
         // Draining the oldest message shrinks the reported age.
         let _ = take(&mb, 3, 9);
-        let snap = mb.depth_snapshot();
+        let snap = mb.depths_now();
         assert_eq!(snap[0].count, 1);
         assert!(snap[0].oldest_wait < Duration::from_millis(40));
     }
@@ -527,6 +543,22 @@ mod tests {
     }
 
     #[test]
+    fn a_waiting_receive_names_its_edge_until_the_deposit_clears_it() {
+        let mb = mailbox(4);
+        assert_eq!(mb.waiting(), None);
+        let mb2 = Arc::clone(&mb.mb);
+        let h = std::thread::spawn(move || {
+            while mb2.waiting() != Some((2, 7)) {
+                std::thread::yield_now();
+            }
+            put(&mb2, 2, 7, 5);
+        });
+        assert_eq!(take_u32(&mb, 2, 7), 5);
+        h.join().unwrap();
+        assert_eq!(mb.waiting(), None);
+    }
+
+    #[test]
     fn lane_bytes_accumulate_per_source() {
         let mb = mailbox(3);
         put(&mb, 1, 7, 10); // 4 bytes
@@ -543,7 +575,7 @@ mod tests {
         mb.parkers.clock.refresh();
         put(&mb, 1, 0xb, 2);
         put(&mb, 1, 0xa, 3);
-        let snap = mb.depth_snapshot();
+        let snap = mb.depths_now();
         assert_eq!(snap.iter().map(|d| (d.src, d.tag, d.count)).collect::<Vec<_>>(), [(1, 0xa, 2), (1, 0xb, 1)]);
         assert!(snap[0].oldest_wait >= snap[1].oldest_wait + Duration::from_millis(40));
         // A younger tag is taken past an older one; each channel stays FIFO.
@@ -565,7 +597,7 @@ mod tests {
         assert_eq!(mb.materialised_lanes(), 1);
         // Observers do not build lanes either.
         assert!(!mb.probe(9, 0));
-        assert_eq!((mb.undelivered(), mb.depth_snapshot().len(), mb.materialised_lanes()), (0, 0, 1));
+        assert_eq!((mb.undelivered(), mb.depths_now().len(), mb.materialised_lanes()), (0, 0, 1));
     }
 
     /// At P = 4096 a mailbox that hears from three senders in three blocks
@@ -663,7 +695,7 @@ mod tests {
                     let mut depths: Vec<(usize, u64, usize)> =
                         model.iter().filter(|(_, q)| !q.is_empty()).map(|(&(s, t), q)| (s, t, q.len())).collect();
                     depths.sort_unstable();
-                    let snap: Vec<_> = mb.depth_snapshot().iter().map(|d| (d.src, d.tag, d.count)).collect();
+                    let snap: Vec<_> = mb.depths_now().iter().map(|d| (d.src, d.tag, d.count)).collect();
                     prop_assert_eq!(snap, depths);
                     prop_assert_eq!(mb.undelivered(), model.values().map(VecDeque::len).sum::<usize>());
                     // Only a deposit builds a lane here, and each adds bytes.

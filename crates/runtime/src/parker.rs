@@ -38,7 +38,8 @@
 //! timeout early, and bounds it to two tick periods late. On expiry the
 //! scan latches a `timed_out` flag and wakes the processor; the processor
 //! itself re-checks its lane (progress wins over timeout) and otherwise
-//! raises the deadlock diagnostic from its own context.
+//! raises the deadlock diagnostic from its own context. The same pass
+//! hands every younger park to the stall detector ([`crate::stall`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -185,14 +186,22 @@ impl Parkers {
     /// (where the diagnostic belongs). Park stamps are coarse — up to
     /// `slack` behind the host time they were taken at — so a park only
     /// expires once `slack` more than the timeout has passed since its
-    /// stamp (see [`crate::clock::spawn_ticker`]).
-    pub fn expire_parked(&self, now: u64, slack: u64) {
+    /// stamp (see [`crate::clock::spawn_ticker`]). Every park the scan
+    /// leaves in place is handed to `parked` with its stamp's age: the
+    /// stall detector's view of the same pass ([`crate::stall`]).
+    pub fn expire_parked(&self, now: u64, slack: u64, mut parked: impl FnMut(usize, u64)) {
         let lim = u64::try_from(self.recv_timeout.as_nanos()).unwrap_or(u64::MAX).saturating_add(slack);
         for (proc, slot) in self.slots.iter().enumerate() {
             let b = slot.blocked_at_ns.load(Ordering::Relaxed);
-            if b != NOT_BLOCKED && now.saturating_sub(b) >= lim {
+            if b == NOT_BLOCKED {
+                continue;
+            }
+            let age = now.saturating_sub(b);
+            if age >= lim {
                 slot.timed_out.store(true, Ordering::Release);
                 self.wake(proc);
+            } else {
+                parked(proc, age);
             }
         }
     }
@@ -251,14 +260,16 @@ mod tests {
         let slack = 25_000_000;
         p.slots[0].thread.get_or_init(std::thread::current); // whom the expiry unparks
         assert!(p.commit_park(0)); // stamped 0: taken anywhere in [0, slack]
-        p.expire_parked(lim + slack - 1, slack);
+        let mut seen = Vec::new();
+        p.expire_parked(lim + slack - 1, slack, |proc, age| seen.push((proc, age)));
         assert!(!p.take_timed_out(0), "the park may be younger than the timeout");
-        p.expire_parked(lim + slack, slack);
+        assert_eq!(seen, [(0, lim + slack - 1)], "a park left in place is reported with its age");
+        p.expire_parked(lim + slack, slack, |_, _| panic!("an expired park is not left in place"));
         assert!(p.take_timed_out(0) && !p.take_timed_out(0), "latched once");
         assert!(p.commit_park(0), "the expiry woke the processor: it was IDLE again");
         p.clear_timeout(0);
         p.wake(0);
-        p.expire_parked(u64::MAX - 1, slack);
+        p.expire_parked(u64::MAX - 1, slack, |_, _| panic!("a runnable processor is not parked"));
         assert!(!p.take_timed_out(0), "a runnable processor has no park to expire");
     }
 }

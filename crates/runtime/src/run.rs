@@ -16,7 +16,7 @@ use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
 use crate::parker::Parkers;
 use crate::pool::{self, Pool};
-use crate::stall;
+use crate::stall::StallWatch;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// How simulated processors are mapped onto OS threads.
@@ -476,22 +476,24 @@ where
     if let Some(t) = &telemetry {
         t.begin_run(&world);
     }
-    // The run's watchdog tick, under either executor: it advances the
-    // coarse clock and expires parked receives. Like the stall sampler
-    // below it lives exactly as long as the execution: the guard stops
-    // and joins it on drop, even when a propagated panic unwinds past us.
+    // The run's one service thread, under either executor: its tick
+    // advances the coarse clock, expires parked receives and, for a
+    // registry that asks, reports stalled ones. It lives exactly as long
+    // as the execution: the guard stops and joins it on drop, even when a
+    // propagated panic unwinds past us.
     let period = clock::tick_period(machine.recv_timeout);
-    let ticker = clock::spawn_ticker("fx-tick", coarse, period, move |now, slack| parkers.expire_parked(now, slack));
-    let stall_sampler =
-        telemetry.as_ref().filter(|t| t.config().stall).map(|t| stall::spawn(Arc::clone(t), Arc::clone(&world)));
+    let mut stalls = StallWatch::new(&world, period);
+    let ticker = clock::spawn_ticker("fx-tick", coarse, period, move |now, slack| match &mut stalls {
+        Some(watch) => watch.tick(now, slack),
+        None => parkers.expire_parked(now, slack, |_, _| ()),
+    });
 
     let raw = match &pool {
         Some(p) => pool::execute(p, &world, machine.stack_bytes, start, &f),
         None => run_threaded(&world, start, &f),
     };
 
-    // Tear down the service threads before (possibly) re-raising a panic.
-    drop(stall_sampler);
+    // Tear down the tick before (possibly) re-raising a panic.
     drop(ticker);
 
     // Prefer reporting the root-cause panic over the poison-induced

@@ -1,35 +1,37 @@
-//! The stall detector: a sampler thread that watches per-processor
-//! progress counters during a run and diagnoses who is blocked on whom.
+//! The stall detector: the run's watchdog tick, read early.
 //!
 //! The deadlock watchdog ([`crate::parker`]) only fires after the full
 //! receive timeout (default 60 s) and kills the run; the stall detector
-//! is its early-warning sibling. Every `stall_sample_every` it reads each
-//! processor's monotone progress count (the sum of its send, receive,
-//! barrier and region-entry counters). A processor whose count has not
-//! moved within `stall_window` *and* which is parked in a blocking
-//! receive is reported as stalled, together with the `(src, tag)` it is
-//! waiting on, whether that source is itself stalled (a cycle — the
-//! classic mismatched-exchange deadlock), and the queue-depth snapshot of
-//! its mailbox showing what *did* arrive.
+//! is its early-warning view of the same pass. When the attached registry
+//! asks for it ([`crate::TelemetryConfig::stall`]), the tick's one scan of
+//! the park stamps also collects every processor parked for
+//! [`STALL_TICKS`] watchdog periods — 1 s at the default timeout — under
+//! the watchdog's rule: never early, at most two periods late. Each is
+//! reported with the `(src, tag)` it waits on, read from the registration
+//! its mailbox lane holds, whether that source is itself stalled (a
+//! cycle — the classic mismatched-exchange deadlock), and the queue-depth
+//! snapshot of its mailbox showing what *did* arrive. An unchanged set of
+//! stalls is reported once.
 //!
 //! Reports land in the [`crate::Telemetry`] handle, so they are readable
 //! while the run executes (e.g. via the scrape endpoint) and survive a
 //! run that dies to the watchdog panic.
 //!
 //! All diagnostics here are keyed by **processor id**, never by thread
-//! identity: progress counters, wait edges and queue snapshots live in
-//! per-processor blocks and shards indexed by rank. That is what keeps
+//! identity: park stamps, wait registrations and queue snapshots live in
+//! per-processor slots and mailboxes indexed by rank. That is what keeps
 //! who-blocks-on-whom dumps correct under the pooled executor, where
 //! many processors share (and migrate between) a few worker threads and
 //! a thread id means nothing.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::clock::{spawn_ticker, TickGuard};
 use crate::ctx::World;
-use crate::telemetry::{Telemetry, NO_WAIT};
+use crate::telemetry::Telemetry;
+
+/// A park this many watchdog periods old is a stall.
+const STALL_TICKS: u32 = 4;
 
 /// One processor flagged by the stall detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +42,8 @@ pub struct StalledProc {
     pub src: usize,
     /// Tag of the blocking receive.
     pub tag: u64,
-    /// How long the processor has made no progress.
+    /// How long the processor has been parked (its coarse park stamp's
+    /// age: at most one watchdog period more than the true wait).
     pub stalled_for: Duration,
 }
 
@@ -64,69 +67,71 @@ impl std::fmt::Display for StallReport {
     }
 }
 
-/// Start the sampler for one run: a periodic service thread on the
-/// run's coarse clock, whose windows and report times are therefore
-/// nanoseconds since the run began. The guard must be dropped before the
-/// run harness reads final mailbox state; dropping it interrupts the
-/// sampler's wait, so an observed run never sleeps out a sample period.
-pub(crate) fn spawn(telemetry: Arc<Telemetry>, world: Arc<World>) -> TickGuard {
-    let (counters, shards) = (telemetry.counters(), telemetry.shards());
-    let window = telemetry.config().stall_window;
-    let every = telemetry.config().stall_sample_every;
-    let mut last_progress: Vec<u64> = counters.iter().map(|c| c.progress()).collect();
-    let mut last_moved: Vec<u64> = vec![world.parkers.clock.refresh(); shards.len()];
-    // The (proc, src, tag) set already reported, to avoid re-reporting an
-    // unchanged stall every sample.
-    let mut reported: Vec<(usize, usize, u64)> = Vec::new();
+/// The stall detector of one run, owned by its tick.
+pub(crate) struct StallWatch {
+    world: Arc<World>,
+    telemetry: Arc<Telemetry>,
+    /// Park age, in coarse-clock nanoseconds, that makes a stall.
+    window: u64,
+    /// The `(proc, src, tag)` set last reported, to avoid re-reporting an
+    /// unchanged stall every tick.
+    reported: Vec<(usize, usize, u64)>,
+}
 
-    spawn_ticker("fx-stall-detector", Arc::clone(&world.parkers.clock), every, move |now, _slack| {
+impl StallWatch {
+    /// The detector for `world`'s run, ticking every `period`; `None`
+    /// unless its registry asks for one.
+    pub fn new(world: &Arc<World>, period: Duration) -> Option<StallWatch> {
+        let telemetry = world.telemetry.as_ref().filter(|t| t.config().stall)?;
+        Some(StallWatch {
+            world: Arc::clone(world),
+            telemetry: Arc::clone(telemetry),
+            window: u64::try_from((period * STALL_TICKS).as_nanos()).unwrap_or(u64::MAX),
+            reported: Vec::new(),
+        })
+    }
+
+    /// One tick (see [`crate::clock::spawn_ticker`] for `now` and `slack`):
+    /// the watchdog's scan, and a report of the parks it leaves in place
+    /// that are older than the window.
+    pub fn tick(&mut self, now: u64, slack: u64) {
+        let (world, lim) = (&self.world, self.window.saturating_add(slack));
         let mut stalled = Vec::new();
-        for (p, shard) in shards.iter().enumerate() {
-            let prog = counters[p].progress();
-            if prog != last_progress[p] {
-                last_progress[p] = prog;
-                last_moved[p] = now;
-                continue;
+        world.parkers.expire_parked(now, slack, |proc, age| {
+            // A processor woken since the stamp was read has no
+            // registration left: not a stall.
+            let edge = if age >= lim { world.mailboxes[proc].waiting() } else { None };
+            if let Some((src, tag)) = edge {
+                stalled.push(StalledProc { proc, src, tag, stalled_for: Duration::from_nanos(age) });
             }
-            let src = shard.wait_src.load(Ordering::Relaxed);
-            if src == NO_WAIT {
-                continue; // not blocked: compute-bound, not a messaging stall
-            }
-            let stalled_for = Duration::from_nanos(now - last_moved[p]);
-            if stalled_for >= window {
-                let tag = shard.wait_tag.load(Ordering::Relaxed);
-                stalled.push(StalledProc { proc: p, src, tag, stalled_for });
-            }
-        }
+        });
         let key: Vec<(usize, usize, u64)> = stalled.iter().map(|s| (s.proc, s.src, s.tag)).collect();
-        if stalled.is_empty() {
-            reported.clear();
+        if key == self.reported {
             return;
         }
-        if key == reported {
-            return; // same stall as last reported; don't spam
+        self.reported = key;
+        if !stalled.is_empty() {
+            let diagnosis = diagnose(&stalled, world, now);
+            self.telemetry.push_stall_report(StallReport { at: Duration::from_nanos(now), stalled, diagnosis });
         }
-        reported = key;
-        let diagnosis = diagnose(&stalled, &world);
-        telemetry.push_stall_report(StallReport { at: Duration::from_nanos(now), stalled, diagnosis });
-    })
+    }
 }
 
 /// Build the who-is-blocked-on-whom story, reusing the watchdog's
 /// queue-depth snapshot for the "what actually arrived" half.
-fn diagnose(stalled: &[StalledProc], world: &World) -> String {
+fn diagnose(stalled: &[StalledProc], world: &World, now: u64) -> String {
     let mut out = String::new();
     for (i, s) in stalled.iter().enumerate() {
         if i > 0 {
             out.push_str("; ");
         }
         out.push_str(&format!(
-            "processor {} made no progress for {:.1?}, blocked in recv(src={}, tag={:#x})",
+            "processor {} parked for {:.1?} in recv(src={}, tag={:#x})",
             s.proc, s.stalled_for, s.src, s.tag
         ));
         if let Some(peer) = stalled.iter().find(|o| o.proc == s.src) {
             out.push_str(&format!(
-                " — its source {} is itself blocked on recv(src={}, tag={:#x})",
+                " — its source {} is itself parked in recv(src={}, tag={:#x})",
                 peer.proc, peer.src, peer.tag
             ));
             if peer.src == s.proc {
@@ -135,7 +140,7 @@ fn diagnose(stalled: &[StalledProc], world: &World) -> String {
         }
     }
     for s in stalled {
-        let depths = world.mailboxes[s.proc].depth_snapshot();
+        let depths = world.mailboxes[s.proc].depth_snapshot(now);
         out.push_str(&format!("; queued for processor {}: {:?}", s.proc, depths));
     }
     out

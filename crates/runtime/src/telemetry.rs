@@ -3,25 +3,25 @@
 //!
 //! A [`Telemetry`] handle is created by the harness, attached to a machine
 //! with [`crate::Machine::with_telemetry`], and shared (it is always used
-//! behind an `Arc`). The registry keeps no counters of its own: every run
-//! hands it the per-processor counter blocks the run's world owns anyway
-//! (see [`crate::counters`] — one block, two readers: the report and the
+//! behind an `Arc`). The registry is a view of what the run keeps anyway.
+//! Every run hands it the per-processor counter blocks its world owns (see
+//! [`crate::counters`] — one block, two readers: the report and the
 //! registry), and it reads them with relaxed loads, live or after the
 //! run, even one that ended in a panic. The processors' label tables
 //! ([`crate::Labels`]) are handed over the same way, so a flight dump
-//! resolves its labels post mortem. What the registry adds per processor
-//! is the [`ProcShard`] of things only an observer wants: log-bucketed
-//! histograms, the flight-recorder ring, the blocked-receive edge and the
-//! in-flight gauge. Shards are single-writer like the blocks, so the hot
-//! send/receive paths touch only their own cache lines and never take a
-//! lock. There is no cross-processor state: even the
-//! chunk-bytes-in-flight gauge is sharded per processor and only summed
-//! at read time.
+//! resolves its labels post mortem. Queue depths, oldest-message ages and
+//! the chunk-bytes-in-flight gauge are read from the live mailboxes, and
+//! stall reports come from the run's watchdog tick ([`crate::stall`]).
+//! What the registry adds per processor is the [`ProcShard`] of things
+//! only an observer wants: two log-bucketed histograms and the
+//! flight-recorder ring. Shards are single-writer like the blocks, so the
+//! hot send/receive paths touch only their own cache lines and never take
+//! a lock.
 //!
-//! Reading is always safe concurrently with a run: exporters and the
-//! stall sampler read the same atomics with relaxed loads, and queue
-//! depths are computed on demand from the live mailboxes rather than
-//! tracked by yet another hot-path atomic.
+//! Reading is always safe concurrently with a run. A reader takes one
+//! [`TelemetrySnapshot`] — relaxed loads of the same atomics, and at most
+//! one host-clock read to age the queued messages against — and both
+//! exporters render that snapshot.
 //!
 //! Telemetry never touches the virtual clock. Simulated times are
 //! bit-identical with telemetry on, off, or absent; the only cost of
@@ -30,7 +30,7 @@
 //! and per parked receive, and one flight-ring slot write per event.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -40,10 +40,9 @@ use crate::counters::{bump, Counters, ProcTotals};
 use crate::ctx::World;
 use crate::event::{Event, EventKind, Labels, Log};
 use crate::flight::FlightRing;
+use crate::mailbox::DepthSnapshot;
 use crate::stall::StallReport;
-
-/// Marker for "not blocked in a receive" in [`ProcShard::wait_src`].
-pub(crate) const NO_WAIT: usize = usize::MAX;
+use crate::trace::escape;
 
 /// Log-bucketed histogram bucket count: finite `le` bounds are
 /// `2^0 .. 2^37` (covers byte sizes to 128 GB and waits to ~137 s in ns),
@@ -141,27 +140,15 @@ impl HistogramSnapshot {
 }
 
 /// One processor's shard of the registry — what only an observer wants,
-/// beside the counter block every run has ([`crate::counters`]): plain
-/// relaxed atomics and single-writer histograms, written only by the
+/// beside the counter block every run has ([`crate::counters`]):
+/// single-writer histograms and the flight ring, written only by the
 /// owning simulated processor (whichever worker thread is currently
 /// running it — see [`bump`] for why migration is safe), read by
-/// exporters and the stall sampler. Cache-line aligned so neighbouring
-/// shards (separate allocations, but allocator-adjacent) never
-/// false-share.
+/// snapshots and flight dumps. Cache-line aligned so neighbouring shards
+/// (separate allocations, but allocator-adjacent) never false-share.
+#[derive(Default)]
 #[repr(align(64))]
 pub(crate) struct ProcShard {
-    /// This processor's contribution to the chunk-bytes-in-flight gauge:
-    /// +bytes when it sends a chunk, -bytes when it receives one. The
-    /// machine-wide gauge is the sum over shards (each shard stays
-    /// single-writer; no shared cache line on the hot path).
-    pub chunk_flight: AtomicI64,
-    /// Source rank this processor is parked receiving from, written only
-    /// by a receive that parks ([`NO_WAIT`] otherwise; a watchdog panic
-    /// leaves it set for the post-mortem dump).
-    pub wait_src: AtomicUsize,
-    /// Tag of the in-progress blocking receive (valid when `wait_src` is
-    /// not [`NO_WAIT`]).
-    pub wait_tag: AtomicU64,
     /// Sent message sizes in bytes.
     pub msg_bytes_hist: Histogram,
     /// Wait durations of the receives that parked, in nanoseconds.
@@ -170,41 +157,13 @@ pub(crate) struct ProcShard {
     pub flight: FlightRing,
 }
 
-impl ProcShard {
-    fn new(flight_capacity: usize) -> Self {
-        ProcShard {
-            chunk_flight: AtomicI64::new(0),
-            wait_src: AtomicUsize::new(NO_WAIT),
-            wait_tag: AtomicU64::new(0),
-            msg_bytes_hist: Histogram::default(),
-            recv_wait_hist: Histogram::default(),
-            flight: FlightRing::new(flight_capacity),
-        }
-    }
-
-    /// Move this processor's share of the in-flight gauge: the sender of
-    /// a chunk credits its own shard, the receiver debits its own; the
-    /// sum over shards is the machine-wide gauge. Keeps the hot path off
-    /// any shared cache line.
-    #[inline]
-    pub fn chunk_flight_add(&self, bytes: i64) {
-        let f = self.chunk_flight.load(Ordering::Relaxed);
-        self.chunk_flight.store(f + bytes, Ordering::Relaxed);
-    }
-}
-
 /// Tuning knobs for a [`Telemetry`] handle.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Flight-recorder ring capacity per processor (events retained).
-    pub flight_capacity: usize,
-    /// Run the stall-detector sampler thread during host-mode runs.
+    /// Report receives parked for four watchdog periods — 1 s at the
+    /// default recv timeout — as stalls ([`crate::StallReport`]), from the
+    /// run's watchdog tick.
     pub stall: bool,
-    /// A processor blocked in a receive without forward progress for this
-    /// long is reported as stalled.
-    pub stall_window: Duration,
-    /// How often the stall sampler wakes to check progress counters.
-    pub stall_sample_every: Duration,
     /// How many slowest-request exemplar traces the serving layer retains
     /// (the `/trace/<id>` ring); 0 disables retention.
     pub exemplar_trace_capacity: usize,
@@ -212,13 +171,7 @@ pub struct TelemetryConfig {
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            flight_capacity: 256,
-            stall: true,
-            stall_window: Duration::from_millis(1000),
-            stall_sample_every: Duration::from_millis(50),
-            exemplar_trace_capacity: 8,
-        }
+        TelemetryConfig { stall: true, exemplar_trace_capacity: 8 }
     }
 }
 
@@ -244,8 +197,8 @@ struct Inner {
     /// like the counter blocks.
     labels: Vec<Arc<Labels>>,
     shards: Vec<Arc<ProcShard>>,
-    /// The live world, for on-demand queue-depth gauges. Dangling after
-    /// the run finishes.
+    /// The live world, for the mailbox gauges. Dangling after the run
+    /// finishes.
     world: Weak<World>,
     /// What the serving layer published about the run
     /// ([`Telemetry::publish_serving`]): its tenant rows and its slowest
@@ -334,7 +287,7 @@ impl Telemetry {
         let mut inner = self.inner.lock();
         inner.counters = world.counters.clone();
         inner.labels = world.labels.clone();
-        inner.shards = (0..world.nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
+        inner.shards = (0..world.nprocs).map(|_| Arc::default()).collect();
         inner.world = Arc::downgrade(world);
         inner.tenants.clear();
         inner.exemplar_traces.clear();
@@ -344,18 +297,6 @@ impl Telemetry {
 
     pub(crate) fn shard(&self, rank: usize) -> Arc<ProcShard> {
         Arc::clone(&self.inner.lock().shards[rank])
-    }
-
-    pub(crate) fn shards(&self) -> Vec<Arc<ProcShard>> {
-        self.inner.lock().shards.clone()
-    }
-
-    pub(crate) fn counters(&self) -> Vec<Arc<Counters>> {
-        self.inner.lock().counters.clone()
-    }
-
-    pub(crate) fn world(&self) -> Option<Arc<World>> {
-        self.inner.lock().world.upgrade()
     }
 
     /// Publish a finished serving run — the one way serving data enters
@@ -409,13 +350,6 @@ impl Telemetry {
         self.stall_reports.lock().clone()
     }
 
-    /// Chunk payload bytes currently deposited in mailboxes (sum of the
-    /// per-processor sharded gauge; transiently off by in-progress
-    /// messages while the run executes, exact once it finishes).
-    pub fn chunk_bytes_in_flight(&self) -> i64 {
-        self.shards().iter().map(|s| s.chunk_flight.load(Ordering::Relaxed)).sum()
-    }
-
     // ----- flight recorder ------------------------------------------------
 
     /// The tail of one processor's events: what its flight ring retains,
@@ -455,18 +389,23 @@ impl Telemetry {
     }
 
     /// Human-readable flight dump of every processor's ring (the black-box
-    /// readout printed on panic and attached to CI artifacts).
+    /// readout printed on panic and attached to CI artifacts). While the
+    /// run executes, a processor waiting in a receive also shows the
+    /// `(src, tag)` its mailbox lane has registered.
     pub fn flight_dump(&self) -> String {
+        let (shards, world) = {
+            let inner = self.inner.lock();
+            (inner.shards.clone(), inner.world.upgrade())
+        };
         let mut out = String::new();
-        for (p, shard) in self.shards().iter().enumerate() {
+        for (p, shard) in shards.iter().enumerate() {
             let lines = self.flight_lines(p);
             out.push_str(&format!(
                 "=== processor {p}: {} retained of {} recorded ===\n",
                 lines.len(),
                 shard.flight.pushed()
             ));
-            let (src, tag) = (shard.wait_src.load(Ordering::Relaxed), shard.wait_tag.load(Ordering::Relaxed));
-            if src != NO_WAIT {
+            if let Some((src, tag)) = world.as_ref().and_then(|w| w.mailboxes[p].waiting()) {
                 out.push_str(&format!("    (blocked in recv(src={src}, tag={tag:#x}))\n"));
             }
             out.extend(lines);
@@ -476,22 +415,40 @@ impl Telemetry {
 
     // ----- snapshots ------------------------------------------------------
 
-    /// A consistent-enough point-in-time copy of every counter (relaxed
-    /// reads; exact once the run has finished).
+    /// A consistent-enough point-in-time copy of everything the exporters
+    /// print (relaxed reads; exact once the run has finished). Reads the
+    /// host clock once while the run's world is alive, to age the queued
+    /// messages, and not at all after it.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (counters, labels, shards, tenants) = {
+        let (counters, labels, shards, world, tenants) = {
             let inner = self.inner.lock();
-            (inner.counters.clone(), inner.labels.clone(), inner.shards.clone(), inner.tenants.clone())
+            let world = inner.world.upgrade();
+            (inner.counters.clone(), inner.labels.clone(), inner.shards.clone(), world, inner.tenants.clone())
         };
-        let per_proc: Vec<ProcTotals> = counters.iter().map(|c| c.row()).collect();
         let mut regions: BTreeMap<String, u64> = BTreeMap::new();
         for (label, n) in labels.iter().flat_map(|l| l.enters()) {
             *regions.entry(label.path().to_string()).or_insert(0) += n;
         }
+        let queues: Vec<DepthSnapshot> = match &world {
+            Some(w) => {
+                let now = w.parkers.clock.refresh();
+                w.mailboxes.iter().map(|mb| mb.depth_snapshot(now)).collect()
+            }
+            None => vec![Vec::new(); counters.len()],
+        };
+        let merged = |pick: fn(&ProcShard) -> &Histogram| {
+            let mut h = HistogramSnapshot::default();
+            shards.iter().for_each(|s| pick(s).accumulate(&mut h));
+            h
+        };
         TelemetrySnapshot {
-            per_proc,
+            per_proc: counters.iter().map(|c| c.row()).collect(),
             regions: regions.into_iter().collect(),
-            chunk_bytes_in_flight: shards.iter().map(|s| s.chunk_flight.load(Ordering::Relaxed)).sum(),
+            queue_depth: queues.iter().map(|q| q.iter().map(|d| d.count).sum()).collect(),
+            oldest_queued: queues.iter().map(|q| q.iter().map(|d| d.oldest_wait).max().unwrap_or_default()).collect(),
+            chunk_bytes_in_flight: queues.iter().flatten().map(|d| d.chunk_bytes).sum(),
+            msg_size_bytes: merged(|s| &s.msg_bytes_hist),
+            recv_wait_ns: merged(|s| &s.recv_wait_hist),
             stall_report_count: self.stall_reports.lock().len(),
             tenants,
         }
@@ -503,18 +460,64 @@ impl Telemetry {
         self.snapshot().total()
     }
 
-    // ----- exporters ------------------------------------------------------
-
-    /// Render the registry in OpenMetrics text format (Prometheus
-    /// exposition), ending with `# EOF`. Per-processor counters carry a
-    /// `proc` label; region-enter counters carry a `path` label; queue
-    /// depths are gauged live from the mailboxes while the run executes.
+    /// [`TelemetrySnapshot::render_openmetrics`] of a fresh snapshot.
     pub fn render_openmetrics(&self) -> String {
-        let snap = self.snapshot();
+        self.snapshot().render_openmetrics()
+    }
+
+    /// [`TelemetrySnapshot::render_json`] of a fresh snapshot.
+    pub fn render_json(&self) -> String {
+        self.snapshot().render_json()
+    }
+}
+
+/// Point-in-time copy of the whole registry — everything the exporters
+/// print — as stored in [`crate::RunReport::telemetry`].
+#[derive(Debug, Clone, Default)]
+pub struct TelemetrySnapshot {
+    /// One counter row per processor, indexed by physical rank.
+    pub per_proc: Vec<ProcTotals>,
+    /// Region-enter counts by subgroup path, aggregated across
+    /// processors, sorted by path.
+    pub regions: Vec<(String, u64)>,
+    /// Messages queued in each processor's mailbox (0 once the run's
+    /// world is gone).
+    pub queue_depth: Vec<usize>,
+    /// Age of the oldest message queued in each processor's mailbox.
+    pub oldest_queued: Vec<Duration>,
+    /// Chunk payload bytes deposited but not yet received (0 after a
+    /// clean run).
+    pub chunk_bytes_in_flight: u64,
+    /// Sent message sizes in bytes, all processors merged.
+    pub msg_size_bytes: HistogramSnapshot,
+    /// Wait durations of the receives that parked, in nanoseconds, all
+    /// processors merged.
+    pub recv_wait_ns: HistogramSnapshot,
+    /// Number of stall reports the detector emitted.
+    pub stall_report_count: usize,
+    /// Per-tenant serving accounting (empty outside serving sessions).
+    pub tenants: Vec<TenantTotals>,
+}
+
+impl TelemetrySnapshot {
+    /// Machine-wide totals: every per-processor row merged.
+    pub fn total(&self) -> ProcTotals {
+        let mut t = ProcTotals::default();
+        for row in &self.per_proc {
+            t.merge(row);
+        }
+        t
+    }
+
+    /// The snapshot in OpenMetrics text format (Prometheus exposition),
+    /// ending with `# EOF`. Per-processor counters and gauges carry a
+    /// `proc` label, region-enter counters a `path` label, the serving
+    /// families a `tenant` label.
+    pub fn render_openmetrics(&self) -> String {
         let mut out = String::with_capacity(4096);
 
         // One counter family per declared counter, one sample per processor.
-        let rows: Vec<_> = snap.per_proc.iter().map(ProcTotals::values).collect();
+        let rows: Vec<_> = self.per_proc.iter().map(ProcTotals::values).collect();
         for (i, c) in ProcTotals::COUNTERS.iter().enumerate() {
             out.push_str(&format!("# TYPE {0} counter\n# HELP {0} {1}\n", c.family, c.help));
             for (p, row) in rows.iter().enumerate() {
@@ -523,60 +526,39 @@ impl Telemetry {
         }
 
         out.push_str("# TYPE fx_region_path_enters counter\n# HELP fx_region_path_enters Region entries by subgroup path.\n");
-        for (path, n) in &snap.regions {
+        for (path, n) in &self.regions {
             out.push_str(&format!("fx_region_path_enters_total{{path=\"{}\"}} {n}\n", escape_label(path)));
         }
 
         out.push_str("# TYPE fx_chunk_bytes_in_flight gauge\n");
         out.push_str("# HELP fx_chunk_bytes_in_flight Chunk payload bytes currently deposited in mailboxes.\n");
-        out.push_str(&format!("fx_chunk_bytes_in_flight {}\n", snap.chunk_bytes_in_flight));
+        out.push_str(&format!("fx_chunk_bytes_in_flight {}\n", self.chunk_bytes_in_flight));
 
-        // Queue depths are computed live from the mailboxes; after the run
-        // finishes the world is gone and the gauges read 0.
-        let world = self.world();
         out.push_str("# TYPE fx_queue_depth gauge\n");
         out.push_str("# HELP fx_queue_depth Messages queued in each processor's mailbox.\n");
-        for p in 0..snap.per_proc.len() {
-            let depth: usize = world
-                .as_ref()
-                .map(|w| w.mailboxes[p].depth_snapshot().iter().map(|d| d.count).sum())
-                .unwrap_or(0);
+        for (p, depth) in self.queue_depth.iter().enumerate() {
             out.push_str(&format!("fx_queue_depth{{proc=\"{p}\"}} {depth}\n"));
         }
         out.push_str("# TYPE fx_oldest_queued_seconds gauge\n");
         out.push_str("# HELP fx_oldest_queued_seconds Age of the oldest message queued in each mailbox.\n");
-        for p in 0..snap.per_proc.len() {
-            let oldest: f64 = world
-                .as_ref()
-                .map(|w| {
-                    w.mailboxes[p]
-                        .depth_snapshot()
-                        .iter()
-                        .map(|d| d.oldest_wait.as_secs_f64())
-                        .fold(0.0, f64::max)
-                })
-                .unwrap_or(0.0);
-            out.push_str(&format!("fx_oldest_queued_seconds{{proc=\"{p}\"}} {oldest:.6}\n"));
+        for (p, oldest) in self.oldest_queued.iter().enumerate() {
+            out.push_str(&format!("fx_oldest_queued_seconds{{proc=\"{p}\"}} {:.6}\n", oldest.as_secs_f64()));
         }
 
-        let shards = self.shards();
-        let mut per_shard = |name: &str, help: &str, pick: fn(&ProcShard) -> &Histogram| {
-            let mut merged = HistogramSnapshot::default();
-            for s in &shards {
-                pick(s).accumulate(&mut merged);
-            }
+        for (name, help, h) in [
+            ("fx_msg_size_bytes", "Sent message sizes in bytes.", &self.msg_size_bytes),
+            ("fx_recv_wait_duration_ns", "Blocking receive wait durations in nanoseconds.", &self.recv_wait_ns),
+        ] {
             out.push_str(&format!("# TYPE {name} histogram\n# HELP {name} {help}\n"));
-            render_histogram(&mut out, name, "", &merged, &[]);
-        };
-        per_shard("fx_msg_size_bytes", "Sent message sizes in bytes.", |s| &s.msg_bytes_hist);
-        per_shard("fx_recv_wait_duration_ns", "Blocking receive wait durations in nanoseconds.", |s| &s.recv_wait_hist);
+            render_histogram(&mut out, name, "", h, &[]);
+        }
 
         // Per-tenant serving families (present only while a tenant set is
         // registered, i.e. during/after a serving session).
-        if !snap.tenants.is_empty() {
+        if !self.tenants.is_empty() {
             out.push_str("# TYPE fx_serve_requests counter\n");
             out.push_str("# HELP fx_serve_requests Serving requests by tenant and outcome.\n");
-            for t in &snap.tenants {
+            for t in &self.tenants {
                 let tenant = escape_label(&t.name);
                 for (outcome, n) in
                     [("arrived", t.arrived), ("admitted", t.admitted), ("shed", t.shed), ("completed", t.completed)]
@@ -588,7 +570,7 @@ impl Telemetry {
             }
             out.push_str("# TYPE fx_serve_latency_ns histogram\n");
             out.push_str("# HELP fx_serve_latency_ns Request completion latency in virtual nanoseconds.\n");
-            for t in &snap.tenants {
+            for t in &self.tenants {
                 let tenant = format!("tenant=\"{}\"", escape_label(&t.name));
                 render_histogram(&mut out, "fx_serve_latency_ns", &tenant, &t.latency_ns, &t.exemplars);
             }
@@ -598,36 +580,36 @@ impl Telemetry {
         out
     }
 
-    /// Render the registry as a JSON document (hand-written, no serde
-    /// dependency): per-processor counter objects, aggregated region
-    /// counts, gauges, and stall-report count.
+    /// The snapshot as a JSON document (hand-written, no serde
+    /// dependency): per-processor counter objects, their total,
+    /// aggregated region counts, tenant rows, the chunk gauge and the
+    /// stall-report count.
     pub fn render_json(&self) -> String {
-        let snap = self.snapshot();
         let mut out = String::from("{\"procs\":[");
-        for (p, t) in snap.per_proc.iter().enumerate() {
+        for (p, t) in self.per_proc.iter().enumerate() {
             if p > 0 {
                 out.push(',');
             }
             out.push_str(&t.to_json());
         }
         out.push_str("],\"total\":");
-        out.push_str(&snap.total().to_json());
+        out.push_str(&self.total().to_json());
         out.push_str(",\"regions\":{");
-        for (i, (path, n)) in snap.regions.iter().enumerate() {
+        for (i, (path, n)) in self.regions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{n}", escape_label(path)));
+            out.push_str(&format!("\"{}\":{n}", escape(path)));
         }
         out.push_str("},\"tenants\":[");
-        for (i, t) in snap.tenants.iter().enumerate() {
+        for (i, t) in self.tenants.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"arrived\":{},\"admitted\":{},\"shed\":{},\"completed\":{},\
                  \"latency_p50_ns\":{},\"latency_p99_ns\":{},\"latency_p999_ns\":{}}}",
-                escape_label(&t.name),
+                escape(&t.name),
                 t.arrived,
                 t.admitted,
                 t.shed,
@@ -639,7 +621,7 @@ impl Telemetry {
         }
         out.push_str(&format!(
             "],\"chunk_bytes_in_flight\":{},\"stall_reports\":{}}}",
-            snap.chunk_bytes_in_flight, snap.stall_report_count
+            self.chunk_bytes_in_flight, self.stall_report_count
         ));
         out
     }
@@ -666,7 +648,8 @@ fn render_histogram(out: &mut String, name: &str, label: &str, h: &HistogramSnap
     out.push_str(&format!("{name}_count{braced} {cumulative}\n"));
 }
 
-/// Escape a label value for OpenMetrics / JSON string position.
+/// Escape an OpenMetrics label value: only `"`, `\` and newline are
+/// escaped there (a JSON string takes [`escape`] instead).
 fn escape_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -680,27 +663,10 @@ fn escape_label(s: &str) -> String {
     out
 }
 
-/// Point-in-time copy of the whole registry, as stored in
-/// [`crate::RunReport::telemetry`].
-#[derive(Debug, Clone, Default)]
-pub struct TelemetrySnapshot {
-    /// One counter row per processor, indexed by physical rank.
-    pub per_proc: Vec<ProcTotals>,
-    /// Region-enter counts by subgroup path, aggregated across
-    /// processors, sorted by path.
-    pub regions: Vec<(String, u64)>,
-    /// Chunk payload bytes deposited but not yet received at snapshot
-    /// time (0 after a clean run).
-    pub chunk_bytes_in_flight: i64,
-    /// Number of stall reports the detector emitted.
-    pub stall_report_count: usize,
-    /// Per-tenant serving accounting (empty outside serving sessions).
-    pub tenants: Vec<TenantTotals>,
-}
-
 /// One tenant's row of a published serving run
-/// ([`Telemetry::publish_serving`]), as stored in snapshots.
-#[derive(Debug, Clone, Default)]
+/// ([`Telemetry::publish_serving`]), as stored in snapshots and in the
+/// serving layer's own report.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantTotals {
     /// The tenant's name (the `tenant` label value in the exposition).
     pub name: String,
@@ -752,16 +718,11 @@ impl TenantTotals {
         }
         row
     }
-}
 
-impl TelemetrySnapshot {
-    /// Machine-wide totals: every per-processor row merged.
-    pub fn total(&self) -> ProcTotals {
-        let mut t = ProcTotals::default();
-        for row in &self.per_proc {
-            t.merge(row);
-        }
-        t
+    /// Counter conservation: every arrived request was either served or
+    /// shed, nothing lost, nothing double-counted.
+    pub fn conserved(&self) -> bool {
+        self.arrived == self.completed + self.shed
     }
 }
 
@@ -805,6 +766,8 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.tenants.len(), 2);
         assert_eq!(snap.tenants[0].completed, 2);
+        assert!(snap.tenants.iter().all(TenantTotals::conserved));
+        assert!(!row("lossy", [2, 2, 0], &[(5, 0)]).conserved(), "one of two arrivals neither served nor shed");
         assert_eq!(snap.tenants[0].latency_ns.mean(), 1_500_000.0);
         // The next run's rows replace these.
         t.publish_serving(vec![row("interactive", [0; 3], &[])], [], |_| String::new());

@@ -3,7 +3,8 @@
 use crate::critical::match_recvs_to_sends;
 use crate::event::{EventKind, Log};
 
-fn escape(s: &str) -> String {
+/// Escape `s` for a JSON string (RFC 8259 §7: every control character).
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

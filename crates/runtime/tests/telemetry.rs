@@ -38,9 +38,9 @@ fn mixed_workload(cx: &mut ProcCtx, rounds: usize, elems: usize) {
     cx.pop_scope();
 }
 
-/// What only the registry knows about a finished run: the sharded
-/// in-flight gauge is back at zero, region entries are counted under
-/// their path, and the snapshot's rows are the report's.
+/// What only the registry knows about a finished run: the in-flight
+/// gauge, read from the mailboxes, is back at zero, region entries are
+/// counted under their path, and the snapshot's rows are the report's.
 #[test]
 fn gauge_drains_and_region_paths_are_counted() {
     let telemetry = Arc::new(Telemetry::new());
@@ -53,9 +53,9 @@ fn gauge_drains_and_region_paths_are_counted() {
     assert_eq!((total.recvs, total.recv_bytes), (total.sends, total.send_bytes), "every message was received");
     assert_eq!(total.chunk_msgs * 2, total.sends, "one chunk per boxed message");
 
-    // All chunks were received: the sharded in-flight gauge sums to zero.
+    // All chunks were received: no mailbox holds one.
     assert_eq!(snap.chunk_bytes_in_flight, 0);
-    assert_eq!(telemetry.chunk_bytes_in_flight(), 0);
+    assert_eq!(snap.queue_depth, [0; 4]);
 
     // Region scopes were counted under their path label.
     assert_eq!(total.region_enters, 4);
@@ -66,16 +66,13 @@ fn gauge_drains_and_region_paths_are_counted() {
     );
 }
 
-/// The flight ring is bounded: pushed well past capacity it retains
+/// The flight ring is bounded: pushed well past its 256 slots it retains
 /// exactly the newest events, in order.
 #[test]
 fn flight_ring_wraps_keeping_newest() {
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        flight_capacity: 8,
-        stall: false,
-        ..TelemetryConfig::default()
-    }));
-    let rounds = 40usize;
+    const RING: usize = 256;
+    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
+    let rounds = 300usize;
     let rep = run(&telemetry_machine(2, &telemetry), move |cx| {
         if cx.rank() == 0 {
             for r in 0..rounds {
@@ -88,13 +85,13 @@ fn flight_ring_wraps_keeping_newest() {
         }
     });
 
-    // Rank 0 pushed 40 send events into a ring of 8: the newest 8 remain.
+    // Rank 0 pushed 300 send events into a ring of 256: the newest 256 remain.
     let tail = telemetry.flight_events(0);
-    assert_eq!(tail.events().len(), 8);
+    assert_eq!(tail.events().len(), RING);
     for (k, ev) in tail.events().iter().enumerate() {
         assert_eq!(ev.kind, EventKind::Send, "only sends on rank 0");
         assert_eq!(ev.peer, 1);
-        assert_eq!(ev.tag, (rounds - 8 + k) as u64, "newest events, oldest first");
+        assert_eq!(ev.tag, (rounds - RING + k) as u64, "newest events, oldest first");
         assert_eq!(ev.bytes, 8);
     }
     assert_eq!(rep.counters[0].sends, rounds as u64);
@@ -102,7 +99,7 @@ fn flight_ring_wraps_keeping_newest() {
     // The human dump mentions the ring bound, and the recorded total
     // still counts everything that went through.
     let dump = telemetry.flight_dump();
-    assert!(dump.contains("processor 0: 8 retained of 40 recorded"), "got:\n{dump}");
+    assert!(dump.contains("processor 0: 256 retained of 300 recorded"), "got:\n{dump}");
 }
 
 /// Without a telemetry handle the report carries no snapshot.
@@ -121,23 +118,20 @@ fn no_telemetry_means_no_snapshot() {
 /// The tail is a suffix of the log: the ring and the log are fed the same
 /// records by the same `emit`, so each processor's ring, restricted to
 /// the kinds a profiled log also keeps, equals the last such events of its
-/// log field for field.
+/// log field for field. Every processor emits more than the ring's 256
+/// events, so every ring has wrapped.
 #[test]
 fn flight_tail_is_a_suffix_of_the_log() {
-    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-        flight_capacity: 8,
-        stall: false,
-        ..TelemetryConfig::default()
-    }));
+    let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
     let machine =
         Machine::simulated(4, MachineModel::paragon()).with_profiling(true).with_telemetry(Arc::clone(&telemetry));
-    let rep = run(&machine, |cx| mixed_workload(cx, 8, 256));
+    let rep = run(&machine, |cx| mixed_workload(cx, 160, 16));
     let msgs = |events: &[fx_runtime::Event]| -> Vec<fx_runtime::Event> {
         events.iter().copied().filter(|e| matches!(e.kind, EventKind::Send | EventKind::Recv)).collect()
     };
     for p in 0..4 {
         let (tail, log) = (msgs(telemetry.flight_events(p).events()), msgs(rep.logs[p].events()));
-        assert!(!tail.is_empty() && tail.len() <= 8 && log.len() > tail.len(), "proc {p}: {} of {}", tail.len(), log.len());
+        assert!(tail.len() >= 250 && log.len() > tail.len(), "proc {p}: {} of {}", tail.len(), log.len());
         assert_eq!(tail, log[log.len() - tail.len()..], "proc {p}");
     }
 }
@@ -308,17 +302,30 @@ fn every_declared_counter_is_exported_exactly_once() {
     assert_eq!(count(rows, "\":"), 2 + (P + 1) * ProcTotals::COUNTERS.len(), "no undeclared key in a row");
 }
 
-/// The default registry runs the stall sampler; stopping it must
-/// interrupt its wait, not sleep out `stall_sample_every` (50 ms): twenty
-/// observed runs of an empty program used to take a second.
+/// A run's report carries the snapshot both exporters render: after a
+/// clean run (nothing left queued), rendering the report's copy and
+/// rendering the registry are the same bytes, in both formats.
 #[test]
-fn observed_runs_do_not_sleep_out_the_stall_sampler() {
-    let t0 = std::time::Instant::now();
-    for _ in 0..20 {
-        let telemetry = Arc::new(Telemetry::new());
-        assert!(telemetry.config().stall);
-        let rep = run(&Machine::simulated(4, MachineModel::paragon()).with_telemetry(telemetry), |_cx| ());
-        assert!(rep.telemetry.is_some());
-    }
-    assert!(t0.elapsed() < Duration::from_millis(200), "20 observed empty runs took {:?}", t0.elapsed());
+fn the_report_snapshot_renders_what_the_registry_renders() {
+    let telemetry = Arc::new(Telemetry::new());
+    let rep = run(&telemetry_machine(3, &telemetry), |cx| mixed_workload(cx, 4, 32));
+    assert_eq!(rep.undelivered, 0);
+    let snap = rep.telemetry.expect("a registry was attached");
+    assert_eq!(snap.render_openmetrics(), telemetry.render_openmetrics());
+    assert_eq!(snap.render_json(), telemetry.render_json());
+}
+
+/// RFC 8259 forbids a raw control character inside a JSON string: a
+/// scope path or a tenant name carrying one is escaped, not copied.
+#[test]
+fn json_rendering_escapes_control_characters() {
+    let telemetry = Arc::new(Telemetry::new());
+    run(&telemetry_machine(2, &telemetry), |cx| {
+        cx.push_scope("a\tb");
+        cx.pop_scope();
+    });
+    telemetry.publish_serving(vec![TenantTotals::from_samples("x\u{1}y", &[(1500, 0)])], [], |_| String::new());
+    let json = telemetry.render_json();
+    assert!(json.contains("a\\tb") && json.contains("x\\u0001y"), "{json}");
+    assert!(json.bytes().all(|b| b >= 0x20), "a control byte in {json:?}");
 }

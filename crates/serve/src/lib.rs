@@ -34,7 +34,7 @@
 //! needs no exemption for a quiet server.
 //!
 //! What a run knows about its tenants is one fold over the trace, the
-//! shed list and the completions ([`TenantReport`]). A telemetry registry
+//! shed list and the completions ([`ServeReport::tenants`]). A telemetry registry
 //! attached to the machine is handed the same rows after the run, for its
 //! exporters; without one the run is unobserved.
 //!
@@ -49,7 +49,7 @@ mod report;
 mod servable;
 mod server;
 
-pub use report::{ComponentStats, RequestTrace, ServeReport, TenantReport};
+pub use report::{ComponentStats, RequestTrace, ServeReport};
 pub use servable::{AirshedServable, FftHistServable, Servable};
 pub use server::{ProcServe, Server};
 pub use arrivals::{poisson_trace, ServeRequest, TenantSpec};

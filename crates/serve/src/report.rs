@@ -102,43 +102,6 @@ fn latency_ns(arrival: f64, done: f64) -> u64 {
     ((done - arrival).max(0.0) * 1e9).round() as u64
 }
 
-/// One tenant's service-level accounting for a serve run: a fold over
-/// the trace, the shed list and the completions. The latency quantiles
-/// are exact order statistics (rank `ceil(q*n)`) of the tenant's
-/// completed requests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantReport {
-    /// Tenant name.
-    pub name: String,
-    /// Requests of this tenant in the trace.
-    pub arrived: u64,
-    /// Requests accepted into the admission queue. Follows from the
-    /// policy: tail drop never admits the request it sheds
-    /// (`arrived - shed`); drop-oldest admits every arrival and sheds an
-    /// admitted one (`arrived`).
-    pub admitted: u64,
-    /// Requests dropped by the shedding policy.
-    pub shed: u64,
-    /// Requests fully served.
-    pub completed: u64,
-    /// Median completion latency, virtual nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile completion latency, virtual nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th-percentile completion latency, virtual nanoseconds.
-    pub p999_ns: u64,
-    /// Mean completion latency, virtual nanoseconds.
-    pub mean_ns: f64,
-}
-
-impl TenantReport {
-    /// Counter conservation: every arrived request was either served
-    /// or shed, nothing lost, nothing double-counted.
-    pub fn conserved(&self) -> bool {
-        self.arrived == self.completed + self.shed
-    }
-}
-
 /// Everything a serve run produced.
 #[derive(Debug, Clone)]
 pub struct ServeReport<T> {
@@ -147,8 +110,10 @@ pub struct ServeReport<T> {
     pub completions: Vec<ReqCompletion<T>>,
     /// Trace indices of shed requests, in shed order.
     pub shed: Vec<usize>,
-    /// Per-tenant SLO accounting.
-    pub tenants: Vec<TenantReport>,
+    /// Per-tenant SLO accounting: a fold over the trace, the shed list
+    /// and the completions, with exact latency quantiles (rank
+    /// `ceil(q*n)`); the rows an attached registry is handed.
+    pub tenants: Vec<TenantTotals>,
     /// Per-processor finish times (virtual seconds when simulating).
     pub times: Vec<f64>,
     /// Serve-loop rounds (max over processors).
@@ -190,8 +155,8 @@ impl<T> ServeReport<T> {
         }
     }
 
-    /// Look up a tenant's report by name.
-    pub fn tenant(&self, name: &str) -> Option<&TenantReport> {
+    /// Look up a tenant's row by name.
+    pub fn tenant(&self, name: &str) -> Option<&TenantTotals> {
         self.tenants.iter().find(|t| t.name == name)
     }
 
@@ -241,13 +206,13 @@ impl<T> ServeReport<T> {
     }
 
     /// Counter conservation across all tenants (see
-    /// [`TenantReport::conserved`]). `arrived` is counted from the trace
+    /// [`TenantTotals::conserved`]). `arrived` is counted from the trace
     /// and the other two from the merged lists, so a request that was
     /// neither completed nor shed breaks it.
     pub fn conserved(&self) -> bool {
         let completed: u64 = self.tenants.iter().map(|t| t.completed).sum();
         let shed: u64 = self.tenants.iter().map(|t| t.shed).sum();
-        self.tenants.iter().all(TenantReport::conserved)
+        self.tenants.iter().all(TenantTotals::conserved)
             && completed == self.completions.len() as u64
             && shed == self.shed.len() as u64
     }
@@ -290,7 +255,7 @@ pub(crate) fn assemble<T>(
 
     // One row per tenant; `samples` are `(latency ns, trace id)` in
     // request order, the id 0 unless the run was traced.
-    let rows: Vec<TenantTotals> = (0..tenant_names.len())
+    let tenants: Vec<TenantTotals> = (0..tenant_names.len())
         .map(|tenant| {
             let mine = |req: usize| trace[req].tenant == tenant;
             let id = |req: usize| if machine.tracing { request_trace_id(req) } else { 0 };
@@ -317,26 +282,12 @@ pub(crate) fn assemble<T>(
             }
         })
         .collect();
-    let tenants = rows
-        .iter()
-        .map(|r| TenantReport {
-            name: r.name.clone(),
-            arrived: r.arrived,
-            admitted: r.admitted,
-            shed: r.shed,
-            completed: r.completed,
-            p50_ns: r.p50_ns,
-            p99_ns: r.p99_ns,
-            p999_ns: r.p999_ns,
-            mean_ns: r.latency_ns.mean(),
-        })
-        .collect();
 
     // Rendering is lazy: only the requests the registry retains pay for
     // JSON serialization.
     let telemetry = machine.telemetry.as_ref().map(|registry| {
         let done = request_traces.iter().map(|t| (t.trace_id, latency_ns(t.arrival, t.done)));
-        registry.publish_serving(rows, done, |id| chrome_trace(&rep.logs, Some(id)));
+        registry.publish_serving(tenants.clone(), done, |id| chrome_trace(&rep.logs, Some(id)));
         registry.snapshot()
     });
 

@@ -103,8 +103,8 @@ fn admit(r: &ServeRequest, queue: &mut VecDeque<ServeRequest>, cfg: &ServeConfig
 /// Skip an idle gap to the agreed time `t`. The virtual clock jumps; the
 /// wall clock is waited for in short slices with a yield before each, so
 /// a pooled worker is never held across the gap: every processor reaches
-/// its own wait and none sits parked in a receive for the watchdog or the
-/// stall sampler to find.
+/// its own wait and none sits parked in a receive for the watchdog tick
+/// to expire or report as a stall.
 fn skip_to(cx: &mut Cx, t: f64) {
     cx.runtime().advance_to(t);
     while cx.now() < t {

@@ -157,11 +157,11 @@ fn airshed_service_answers_match_oneshot() {
 #[test]
 fn real_time_serving_survives_trace_gaps_longer_than_recv_timeout() {
     // A quiet serving loop is not a deadlock: the trace has gaps of 400 ms
-    // and 300 ms against a 100 ms receive timeout and a stall window of
-    // the same length. Nothing declares anyone idle — every processor
-    // waits out a gap in its own sliced sleep, none parked in a receive,
-    // not even on one pooled worker — so the watchdog and the sampler stay
-    // silent, the run completes and answers stay exact.
+    // and 300 ms against a 100 ms receive timeout, whose stall window is
+    // half that. Nothing declares anyone idle — every processor waits out
+    // a gap in its own sliced sleep, none parked in a receive, not even on
+    // one pooled worker — so the watchdog tick neither expires nor reports
+    // a park, the run completes and answers stay exact.
     const TIMEOUT: Duration = Duration::from_millis(100);
     let cfg = FftHistConfig::new(8, 1);
     let trace = {
@@ -172,11 +172,7 @@ fn real_time_serving_survives_trace_gaps_longer_than_recv_timeout() {
         t
     };
     for exec in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
-        let tele = std::sync::Arc::new(fx_runtime::Telemetry::with_config(fx_runtime::TelemetryConfig {
-            stall_window: TIMEOUT,
-            stall_sample_every: Duration::from_millis(10),
-            ..Default::default()
-        }));
+        let tele = std::sync::Arc::new(fx_runtime::Telemetry::new());
         let machine = Machine::real(4).with_executor(exec).with_timeout(TIMEOUT).with_telemetry(tele.clone());
         let server = Server::new(machine, FftHistServable { cfg, mapping: FftHistMapping::Pipeline([1, 2, 1]) })
             .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest });

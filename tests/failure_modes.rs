@@ -211,23 +211,21 @@ fn darray_misuse_panics() {
 
 /// The stall detector names who is blocked on whom: in a deadlocked
 /// two-processor exchange (each waiting on a message the other never
-/// sends), reports must appear before the watchdog kills the run and
-/// must carry both processors' `(src, tag)` wait edges. The diagnosis is
-/// keyed by processor id, so it names the same edges when both
-/// processors are coroutines sharing one worker thread.
+/// sends), the watchdog tick reports both parks once they are four
+/// periods old (1 s under a 2 s timeout: never earlier, and before the
+/// watchdog kills the run), with both processors' `(src, tag)` wait
+/// edges. The diagnosis is keyed by processor id, so it names the same
+/// edges when both processors are coroutines sharing one worker thread.
 #[test]
 fn stall_detector_diagnoses_deadlocked_exchange() {
-    use fx::runtime::{Telemetry, TelemetryConfig};
+    use fx::runtime::Telemetry;
     use std::sync::Arc;
 
+    const TIMEOUT: Duration = Duration::from_secs(2);
     for executor in both_executors() {
-        let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig {
-            stall_window: Duration::from_millis(250),
-            stall_sample_every: Duration::from_millis(25),
-            ..TelemetryConfig::default()
-        }));
+        let telemetry = Arc::new(Telemetry::new());
         let machine = Machine::real(2)
-            .with_timeout(Duration::from_secs(2))
+            .with_timeout(TIMEOUT)
             .with_executor(executor)
             .with_telemetry(Arc::clone(&telemetry));
         let err = catch_unwind(AssertUnwindSafe(|| {
@@ -245,6 +243,10 @@ fn stall_detector_diagnoses_deadlocked_exchange() {
 
         let reports = telemetry.stall_reports();
         assert!(!reports.is_empty(), "{executor:?}: stall detector fired before the watchdog");
+        let first = reports[0].at;
+        let four_periods = Duration::from_secs(1); // a period is TIMEOUT / 8
+        assert!(first >= four_periods, "{executor:?}: a park was reported after {first:?}, before four periods");
+        assert!(first < TIMEOUT, "{executor:?}: the first report came at {first:?}, not before the watchdog");
         let all: String = reports.iter().map(|r| r.to_string()).collect();
         assert!(
             all.contains("recv(src=1, tag=0x7)"),

@@ -6,11 +6,13 @@
 //! (`Threads:` in /proc/self/status) from inside the run, at a point
 //! where all 1024 processors exist concurrently (none has finished, all
 //! are live coroutines). Under the old executor this number would be
-//! ≥ 1024; under the pooled executor it is the worker count plus a
-//! handful of service threads (watchdog, stall sampler, test harness).
+//! ≥ 1024; under the pooled executor it is the worker count plus the
+//! run's one service thread (the watchdog tick) and the test harness's.
+
+use std::sync::Arc;
 
 use fx_core::spmd;
-use fx_runtime::{Executor, Machine, MachineModel};
+use fx_runtime::{Executor, Machine, MachineModel, Telemetry};
 
 /// A numeric field of /proc/self/status (`Threads:`, `VmRSS:` in kB).
 /// Linux-only, like the coroutine executor itself.
@@ -26,6 +28,15 @@ fn proc_status(field: &str) -> usize {
 /// Current OS-thread count of this process.
 fn os_thread_count() -> usize {
     proc_status("Threads:")
+}
+
+/// The names of this process's OS threads (`comm`, cut to 15 bytes).
+fn os_thread_names() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("read /proc/self/task");
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
 }
 
 #[test]
@@ -98,4 +109,27 @@ fn p1024_message_rounds_leave_memory_flat() {
         "a P={P} run of 20 ring and 50 allreduce+barrier rounds grew VmRSS by {grown_mib} MiB"
     );
     eprintln!("P={P}: VmRSS grew by {grown_mib} MiB over the run");
+}
+
+/// An observed run adds no thread: the default registry's stall reports
+/// come from the run's watchdog tick, the one service thread a run has.
+/// Rank 0 lists the process's threads mid-run, after a ring exchange has
+/// proven every processor live.
+#[test]
+#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc; pooled executor is Linux-only")]
+fn an_observed_run_starts_no_stall_thread() {
+    let telemetry = Arc::new(Telemetry::new());
+    assert!(telemetry.config().stall, "the default registry reports stalls");
+    let machine = Machine::simulated(8, MachineModel::paragon())
+        .with_executor(Executor::Pooled { workers: 1 })
+        .with_telemetry(telemetry);
+    let rep = spmd(&machine, |cx| {
+        let p = cx.nprocs();
+        cx.send_v((cx.id() + 1) % p, 1, cx.id() as u64);
+        let _: u64 = cx.recv_v((cx.id() + p - 1) % p, 1);
+        if cx.id() == 0 { os_thread_names() } else { Vec::new() }
+    });
+    let names = &rep.results[0];
+    assert!(names.iter().any(|n| n == "fx-tick"), "the run's tick is missing from {names:?}");
+    assert!(!names.iter().any(|n| n.starts_with("fx-stall")), "a stall thread in {names:?}");
 }

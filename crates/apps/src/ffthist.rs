@@ -14,8 +14,8 @@
 //! that one stream under a particular mapping: [`fft_hist_dp`] is one
 //! segment (Figure 2(a)), [`fft_hist_pipeline`] three (Figure 2(c)),
 //! [`fft_hist_sets`] any (what `fx-mapping` searches),
-//! [`fft_hist_replicated`] and [`run_fft_hist`] deal the stream over
-//! modules first, and [`fft_hist_requests`] is the same again with a
+//! [`fft_hist_replicated`] deals the stream over modules first, and
+//! [`fft_hist_requests`] is the same again with a
 //! serving layer's two hooks — a request is served by the program that
 //! runs it one-shot.
 //!
@@ -70,7 +70,7 @@ pub fn reference_histogram(cfg: &FftHistConfig, d: usize) -> Vec<u64> {
 
 /// `cffts`: in-place FFT of every locally owned column of a
 /// `(*, BLOCK)`-distributed matrix, charging the cost model. (Public,
-/// like the other stage kernels, for the profiling probes in `fx-bench`.)
+/// like the other stage kernels, for the benchmark's per-layer probes.)
 pub fn cffts_local(cx: &mut Cx, a: &mut DArray2<Complex>) {
     let (rows, lc) = a.local_dims();
     if lc == 0 || rows == 0 {
@@ -229,14 +229,6 @@ pub fn fft_hist_replicated(
     })
 }
 
-/// Run FFT-Hist under any mapping (the dispatch used by the Table 1 and
-/// Figure 5 harnesses).
-pub fn run_fft_hist(cx: &mut Cx, cfg: &FftHistConfig, mapping: StreamMapping) {
-    run_mapped(cx, mapping, &all_sets(cfg), |cx, segs, sets| {
-        fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, _, _| None::<()>)
-    });
-}
-
 /// Serve a batch of requests — `(request index, dataset id)` pairs —
 /// under any mapping (the dispatch a serving layer uses): the one stream
 /// with two hooks. Every processor tags its work with the request's
@@ -383,23 +375,6 @@ mod tests {
         for (d, h) in rep.results[2].iter().enumerate() {
             assert_eq!(h, &reference_histogram(&cfg, d), "dataset {d}");
         }
-    }
-
-    #[test]
-    fn run_fft_hist_dispatches_every_mapping() {
-        let cfg = FftHistConfig { n: 16, datasets: 2, nbins: 8, max_mag: 64.0 };
-        let rep = spmd(&Machine::real(6), move |cx| {
-            run_fft_hist(cx, &cfg, StreamMapping::DataParallel);
-            run_fft_hist(cx, &cfg, StreamMapping::Pipeline([2, 2, 2]));
-            run_fft_hist(cx, &cfg, StreamMapping::Replicated { replicas: 2, pipeline: None });
-            run_fft_hist(
-                cx,
-                &cfg,
-                StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
-            );
-        });
-        // 4 runs x 2 datasets each: every variant completed the stream.
-        assert_eq!(rep.events_named(SET_DONE).len(), 8);
     }
 
     #[test]

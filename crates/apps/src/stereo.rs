@@ -283,6 +283,14 @@ mod tests {
     }
 
     #[test]
+    fn processors_owning_no_column_still_match_reference() {
+        // 32 columns over 12 processors: blocks of 3, the last one empty.
+        let cfg = small_cfg();
+        let rep = spmd(&Machine::real(12), move |cx| stereo_stream(cx, &cfg, &[0]));
+        assert_eq!(depth_for(&rep.results, 0, cfg.rows, cfg.cols), reference_depth(&cfg, 0));
+    }
+
+    #[test]
     fn recovered_depth_tracks_truth_away_from_edges() {
         // With noiseless synthetic inputs the argmin should recover the
         // generating disparity over most interior pixels.

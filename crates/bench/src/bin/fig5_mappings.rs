@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p fx-bench --bin fig5_mappings`
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_bench::{fft_hist_chain_model, measure_stream, run_fft_hist_mapping};
+use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
 use fx_mapping::{best_mapping, evaluate, max_throughput_mapping, Mapping, Segment};
 
 const P: usize = 64;
@@ -44,7 +44,8 @@ fn main() {
     println!("Figure 5: mappings of a {N}x{N} FFT-Hist program on {P} simulated Paragon nodes");
     println!();
 
-    let model = fft_hist_chain_model(&FftHistConfig::new(N, 1), &[1, 2, 4, 8, 16, 32, 64]);
+    let stream = Stream::FftHist(FftHistConfig::new(N, 1));
+    let model = chain_model(&stream, &[1, 2, 4, 8, 16, 32, 64]);
 
     // Baseline: the pure data-parallel mapping (minimum latency, no
     // throughput requirement).
@@ -72,9 +73,9 @@ fn main() {
         let scaled = paper_constraint.map(|c| c / PAPER_DP_THR * dp_thr);
         match best_mapping(&model, P, scaled) {
             Some(ev) => {
-                let cfg = FftHistConfig::new(N, (3 * ev.mapping.modules).max(10));
+                let sets = (3 * ev.mapping.modules).max(10);
                 let meas = measure_stream(P, ev.mapping.modules + 1, |cx| {
-                    run_fft_hist_mapping(cx, &cfg, &ev.mapping)
+                    run_mapping(cx, &stream, &ev.mapping, sets)
                 });
                 println!("{label}:");
                 println!("  mapping    : {}", ev.mapping.render(&model));
@@ -92,9 +93,9 @@ fn main() {
                 println!(
                     "{label}: infeasible on this machine; running the throughput ceiling instead"
                 );
-                let cfg = FftHistConfig::new(N, (4 * ceiling.mapping.modules).max(10));
+                let sets = (4 * ceiling.mapping.modules).max(10);
                 let meas = measure_stream(P, ceiling.mapping.modules, |cx| {
-                    run_fft_hist_mapping(cx, &cfg, &ceiling.mapping)
+                    run_mapping(cx, &stream, &ceiling.mapping, sets)
                 });
                 println!("  mapping    : {}", ceiling.mapping.render(&model));
                 println!(

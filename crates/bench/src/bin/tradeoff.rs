@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p fx-bench --bin tradeoff`
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_bench::{fft_hist_chain_model, measure_stream, run_fft_hist_mapping};
+use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
 use fx_mapping::tradeoff_frontier;
 
 const P: usize = 64;
@@ -18,7 +18,8 @@ const P: usize = 64;
 fn main() {
     for n in [256usize, 512] {
         println!("FFT-Hist {n}x{n}: latency-throughput frontier on {P} simulated Paragon nodes");
-        let model = fft_hist_chain_model(&FftHistConfig::new(n, 1), &[1, 2, 4, 8, 16, 32, 64]);
+        let stream = Stream::FftHist(FftHistConfig::new(n, 1));
+        let model = chain_model(&stream, &[1, 2, 4, 8, 16, 32, 64]);
         let frontier = tradeoff_frontier(&model, P);
         println!(
             "{:>12} {:>12}   mapping",
@@ -37,9 +38,9 @@ fn main() {
             ("latency-optimal", frontier.first().unwrap()),
             ("throughput-optimal", frontier.last().unwrap()),
         ] {
-            let cfg = FftHistConfig::new(n, (4 * point.mapping.modules).max(10));
+            let sets = (4 * point.mapping.modules).max(10);
             let meas = measure_stream(P, point.mapping.modules, |cx| {
-                run_fft_hist_mapping(cx, &cfg, &point.mapping)
+                run_mapping(cx, &stream, &point.mapping, sets)
             });
             println!(
                 "  {label}: predicted {:.2}/s @ {:.4}s — simulated {:.2}/s @ {:.4}s",

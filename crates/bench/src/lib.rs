@@ -18,20 +18,21 @@
 //! of the `benchmark/` package, and every claim about them is a test in
 //! the crate that owns the code.
 //!
-//! This library holds the shared measurement plumbing: running a stream
-//! program on the simulated machine and extracting throughput/latency,
-//! measuring per-stage cost profiles, and executing a mapping produced by
-//! `fx-mapping`.
+//! This library holds the one path every Table 1 row takes: a [`Stream`]
+//! (one of the three stream programs, with its stage boundaries), the one
+//! chain-model builder that profiles it ([`chain_model`]), the one runner
+//! that executes any `fx-mapping` mapping of it ([`run_mapping`]), and
+//! [`measure_stream`], which reads throughput and latency off a run.
 
-use fx_apps::ffthist::{
-    cffts_local, fft_hist_dp_sets, fft_hist_sets, fill_input, hist_local, rffts_local,
-    FftHistConfig,
-};
+use fx_apps::ffthist::{fft_hist_sets, FftHistConfig};
+use fx_apps::radar::{radar_sets, RadarConfig};
+use fx_apps::stereo::{stereo_sets, StereoConfig};
 use fx_apps::util::{dealt, Segments, SET_DONE, SET_START};
-use fx_core::{spmd, Cx, Machine, MachineModel};
-use fx_darray::{assign2, DArray2, Dist, Participation};
+use fx_core::{spmd, Cx, Machine, MachineModel, Size};
+use fx_darray::Participation;
 use fx_kernels::Complex;
-use fx_mapping::{Boundary, ChainModel, Mapping, NetParams, ProfileTable, StageProfile};
+use fx_mapping::{Boundary, ChainModel, Mapping, NetParams, StageProfile};
+use fx_runtime::Log;
 
 /// The simulated 1996 Paragon the paper's numbers were measured on.
 pub fn paragon(p: usize) -> Machine {
@@ -64,128 +65,123 @@ where
     }
 }
 
-/// Measure the FFT-Hist stage cost profiles `T_i(p)` on the simulator:
-/// one probe run per processor count, stages separated by barriers so
-/// each stage's time is attributed cleanly. Returns the chain model the
-/// mapping optimizer consumes.
-pub fn fft_hist_chain_model(cfg: &FftHistConfig, p_values: &[usize]) -> ChainModel {
-    let mut samples: [Vec<(usize, f64)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for &p in p_values {
-        let rep = spmd(&paragon(p), |cx| {
-            let g = cx.group();
-            let n = cfg.n;
-            let mut a1 =
-                DArray2::new(cx, &g, [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-            let mut a2 =
-                DArray2::new(cx, &g, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-            // Calibrate the barrier cost so it can be subtracted from the
-            // stage attributions.
-            cx.barrier();
-            let tb0 = cx.now();
-            cx.barrier();
-            let tb = cx.now() - tb0;
-            let t0 = cx.now();
-            fill_input(cx, &mut a1, 0);
-            cffts_local(cx, &mut a1);
-            cx.barrier();
-            let t1 = cx.now();
-            assign2(cx, &mut a2, &a1);
-            cx.barrier();
-            let t2 = cx.now();
-            rffts_local(cx, &mut a2);
-            cx.barrier();
-            let t3 = cx.now();
-            let _ = hist_local(cx, &a2, cfg.nbins, cfg.max_mag);
-            cx.barrier();
-            let t4 = cx.now();
-            // The redistribution time t2-t1 is represented in the chain
-            // model by the boundary descriptor instead.
-            let clean = |dt: f64| (dt - tb).max(1e-9);
-            [clean(t1 - t0), clean(t2 - t1), clean(t3 - t2), clean(t4 - t3)]
-        });
-        let t = rep.results[0];
-        samples[0].push((p, t[0]));
-        samples[1].push((p, t[2]));
-        samples[2].push((p, t[3]));
-    }
-    let stages = vec![
-        StageProfile::from_samples("cffts", samples[0].clone()),
-        StageProfile::from_samples("rffts", samples[1].clone()),
-        StageProfile::from_samples("hist", samples[2].clone()),
-    ];
-    ChainModel::new(stages, fft_hist_boundaries(cfg), NetParams::paragon())
+/// One of Table 1's three stream programs at one problem size. Each is a
+/// three-stage chain written once in `fx-apps`; this is that program as
+/// the mapping search sees it — stage names and boundaries, declared here
+/// once — plus the program's own code under any [`Segments`].
+#[derive(Debug, Clone, Copy)]
+pub enum Stream {
+    /// Fill + `cffts`, `rffts`, `hist`.
+    FftHist(FftHistConfig),
+    /// Acquisition, Doppler FFT + scaling, thresholding + count.
+    Radar(RadarConfig),
+    /// Difference image, error image, depth (per disparity).
+    Stereo(StereoConfig),
 }
 
-/// FFT-Hist boundary descriptors shared by both profile-extraction paths.
-fn fft_hist_boundaries(cfg: &FftHistConfig) -> Vec<Boundary> {
-    let volume = (cfg.n * cfg.n * std::mem::size_of::<Complex>()) as f64;
-    vec![
-        // cffts → rffts: the transpose — an all-to-all that happens even
-        // when the stages are fused onto one group.
-        Boundary { bytes: volume, all_to_all: true, fused_is_free: false },
-        // rffts → hist: same (BLOCK, *) distribution on both sides —
-        // aligned transfer, free when fused.
-        Boundary { bytes: volume, all_to_all: false, fused_is_free: true },
-    ]
-}
-
-/// Log-based FFT-Hist profile extraction: the same probe runs as
-/// [`fft_hist_chain_model`], but measured from the profiled event
-/// logs instead of barrier-bracketed stopwatches. Each stage's body
-/// runs under a named scope; its `T_i(p)` sample is the widest
-/// per-processor elapsed window of duration events made under that scope
-/// (compute charges plus any communication inside the stage, excluding
-/// the inter-stage barriers). Samples feed a [`ProfileTable`], so this is
-/// the measurement-fed path into the chain optimizer.
-pub fn fft_hist_chain_model_measured(cfg: &FftHistConfig, p_values: &[usize]) -> ChainModel {
-    let mut table = ProfileTable::new();
-    for &p in p_values {
-        let machine = paragon(p).with_profiling(true);
-        let rep = spmd(&machine, |cx| {
-            let g = cx.group();
-            let n = cfg.n;
-            let mut a1 =
-                DArray2::new(cx, &g, [n, n], (Dist::Star, Dist::Block), Complex::ZERO);
-            let mut a2 =
-                DArray2::new(cx, &g, [n, n], (Dist::Block, Dist::Star), Complex::ZERO);
-            cx.barrier();
-            cx.scoped("cffts", |cx| {
-                fill_input(cx, &mut a1, 0);
-                cffts_local(cx, &mut a1);
-            });
-            cx.barrier();
-            // The redistribution is represented in the chain model by the
-            // first boundary descriptor; run it unscoped so it lands in
-            // no stage's window, mirroring the probe path.
-            assign2(cx, &mut a2, &a1);
-            cx.barrier();
-            cx.scoped("rffts", |cx| rffts_local(cx, &mut a2));
-            cx.barrier();
-            cx.scoped("hist", |cx| {
-                let _ = hist_local(cx, &a2, cfg.nbins, cfg.max_mag);
-            });
-            cx.barrier();
-        });
-        for stage in ["cffts", "rffts", "hist"] {
-            let t = rep
-                .logs
-                .iter()
-                .filter_map(|log| log.window_under(stage))
-                .map(|(a, b)| b - a)
-                .fold(0.0, f64::max)
-                .max(1e-9);
-            table.add(stage, p, t);
+impl Stream {
+    /// Stage names in chain order (what a rendered mapping reads).
+    pub fn stages(&self) -> [&'static str; 3] {
+        match self {
+            Stream::FftHist(_) => ["cffts", "rffts", "hist"],
+            Stream::Radar(_) => ["acquire", "doppler", "detect"],
+            Stream::Stereo(_) => ["diff", "error", "depth"],
         }
     }
-    ChainModel::new(table.into_profiles(), fft_hist_boundaries(cfg), NetParams::paragon())
+
+    /// What crosses each stage boundary per data set. A redistribution
+    /// (FFT-Hist's transpose, Radar's corner turn) is an all-to-all that
+    /// happens even when its two stages share a group; an aligned hop
+    /// (same distribution both sides) is free when they do.
+    pub fn boundaries(&self) -> [Boundary; 2] {
+        let redistribution = |bytes| Boundary { bytes, all_to_all: true, fused_is_free: false };
+        let aligned = |bytes| Boundary { bytes, all_to_all: false, fused_is_free: true };
+        let complex = std::mem::size_of::<Complex>();
+        match *self {
+            Stream::FftHist(c) => {
+                let image = (c.n * c.n * complex) as f64;
+                [redistribution(image), aligned(image)]
+            }
+            Stream::Radar(c) => {
+                let dwell = (c.pulses * c.ranges * complex) as f64;
+                [redistribution(dwell), aligned(dwell)]
+            }
+            Stream::Stereo(c) => {
+                // One difference and one error image a disparity, both
+                // (*, BLOCK).
+                let images = (c.rows * c.cols * std::mem::size_of::<f32>() * c.max_disp) as f64;
+                [aligned(images), aligned(images)]
+            }
+        }
+    }
+
+    /// The program over data sets `sets` on the current group under `segs`.
+    pub fn run(&self, cx: &mut Cx, segs: &Segments, sets: &[usize]) {
+        match self {
+            Stream::FftHist(c) => {
+                fft_hist_sets(cx, c, segs, sets);
+            }
+            Stream::Radar(c) => {
+                radar_sets(cx, c, segs, sets);
+            }
+            Stream::Stereo(c) => {
+                stereo_sets(cx, c, segs, sets);
+            }
+        }
+    }
 }
 
-/// Execute an `fx-mapping` mapping of FFT-Hist on the current group:
-/// `modules` replicas of the chain under the mapping's [`Segments`],
-/// datasets dealt round-robin. Processors beyond `mapping.procs_used()`
-/// idle in a spare subgroup (the optimizer is allowed to leave processors
-/// unused).
-pub fn run_fft_hist_mapping(cx: &mut Cx, cfg: &FftHistConfig, mapping: &Mapping) {
+/// The network of a simulated machine as the chain model prices it. The
+/// chain charges each side of a transfer one per-message overhead, so the
+/// machine must charge its sender and receiver alike.
+pub fn net_params(m: &MachineModel) -> NetParams {
+    assert_eq!(m.o_send, m.o_recv, "one o_msg prices both sides of a message");
+    NetParams { sec_per_byte: m.gap_per_byte, o_msg: m.o_send, latency: m.latency }
+}
+
+/// Profile `stream` into the chain model the mapping search consumes. For
+/// each `p` in `p_values` one data set runs through the program's own code
+/// under `Segments::pipeline([p; 3])` on `3p` simulated Paragon nodes, so
+/// stage `k` runs on `p` processors under its own `G{k+1}` scope, and
+/// `T_k(p)` is read from the profiled event log ([`stage_time`]). The
+/// boundaries are priced with the network of the machine profiled.
+pub fn chain_model(stream: &Stream, p_values: &[usize]) -> ChainModel {
+    let machine = MachineModel::paragon();
+    let mut samples: [Vec<(usize, f64)>; 3] = Default::default();
+    for &p in p_values {
+        let profiled = Machine::simulated(3 * p, machine).with_profiling(true);
+        let rep = spmd(&profiled, |cx| stream.run(cx, &Segments::pipeline([p; 3]), &[0]));
+        for (k, s) in samples.iter_mut().enumerate() {
+            s.push((p, stage_time(&rep.logs, &format!("G{}", k + 1)).max(1e-9)));
+        }
+    }
+    let stages = samples.into_iter().zip(stream.stages());
+    let stages = stages.map(|(s, name)| StageProfile::from_samples(name, s)).collect();
+    ChainModel::new(stages, stream.boundaries().to_vec(), net_params(&machine))
+}
+
+/// Virtual seconds a stage takes, from the logs of a run that enters its
+/// scope `scope` the same number of times on each of its processors (once,
+/// or once a disparity for Stereo). Entry `j` lasts from the last member's
+/// first event in it to the last member's last event — a barrier-bracketed
+/// stopwatch: a wait inside the entry (a collective's) counts, the skew its
+/// members arrive with (the hop's, priced by the boundary) does not — and
+/// the stage's time is the entries' sum.
+fn stage_time(logs: &[Log], scope: &str) -> f64 {
+    let entries: Vec<Vec<(f64, f64)>> = logs.iter().map(|log| log.entries_under(scope)).collect();
+    let n = entries.iter().map(Vec::len).max().unwrap_or(0);
+    let last = |j| {
+        let windows = entries.iter().filter_map(|e| e.get(j));
+        windows.fold((0.0f64, 0.0f64), |(s, e), &(a, b)| (s.max(a), e.max(b)))
+    };
+    (0..n).map(last).map(|(s, e)| e - s).sum()
+}
+
+/// Run `stream` on data sets `0..sets` under `mapping` on the current
+/// group: `mapping.modules` replicas of its segments, data sets dealt
+/// round-robin (Figure 3). Processors beyond `mapping.procs_used()` idle
+/// in a spare subgroup (the search may leave processors unused).
+pub fn run_mapping(cx: &mut Cx, stream: &Stream, mapping: &Mapping, sets: usize) {
     let used = mapping.procs_used();
     let total = cx.nprocs();
     assert!(used <= total, "mapping uses {used} of {total} processors");
@@ -198,89 +194,82 @@ pub fn run_fft_hist_mapping(cx: &mut Cx, cfg: &FftHistConfig, mapping: &Mapping)
         segs.seg_of_stage[seg.first..=seg.last].fill(si);
     }
     let run = |cx: &mut Cx| {
-        dealt(cx, mapping.modules, 0..cfg.datasets, |cx, mine| {
-            fft_hist_sets(cx, cfg, &segs, &mine);
-        });
+        dealt(cx, mapping.modules, 0..sets, |cx, mine| stream.run(cx, &segs, &mine));
     };
     if used == total {
         run(cx);
     } else {
-        let part = cx.task_partition(&[
-            ("work", fx_core::Size::Procs(used)),
-            ("idle", fx_core::Size::Rest),
-        ]);
+        let part = cx.task_partition(&[("work", Size::Procs(used)), ("idle", Size::Rest)]);
         cx.task_region(&part, |cx, tr| {
             tr.on(cx, "work", run);
         });
     }
 }
 
-/// Run the pure data-parallel FFT-Hist stream (the Table 1 baseline).
-pub fn run_fft_hist_dp(cx: &mut Cx, cfg: &FftHistConfig) {
-    let sets: Vec<usize> = (0..cfg.datasets).collect();
-    fft_hist_dp_sets(cx, cfg, &sets);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fx_mapping::Segment;
 
-    #[test]
-    fn chain_model_profiles_decrease_with_processors() {
-        // Large enough that stage compute dominates the inter-stage
-        // barriers the probe uses for attribution.
-        let cfg = FftHistConfig::new(128, 1);
-        let model = fft_hist_chain_model(&cfg, &[1, 2, 4]);
-        // The FFT stages are compute-bound and must scale; hist on a tiny
-        // image is reduction-latency-bound and may not (that is exactly
-        // the non-scalability the paper's mappings exploit).
-        for stage in &model.stages[..2] {
-            assert!(
-                stage.time(1) > stage.time(4),
-                "{} does not scale: {} vs {}",
-                stage.name,
-                stage.time(1),
-                stage.time(4)
-            );
-        }
-        assert!(model.stages.iter().all(|s| s.time(1) > 0.0));
-        assert_eq!(model.boundaries.len(), 2);
-        assert!(model.boundaries[0].all_to_all && !model.boundaries[0].fused_is_free);
-        assert!(model.boundaries[1].fused_is_free);
+    fn small_streams() -> [Stream; 3] {
+        [
+            Stream::FftHist(FftHistConfig::new(128, 1)),
+            Stream::Radar(RadarConfig { datasets: 1, ..RadarConfig::paper() }),
+            Stream::Stereo(StereoConfig { datasets: 1, ..StereoConfig::paper() }),
+        ]
     }
 
     #[test]
-    fn span_extracted_profiles_agree_with_probe_profiles() {
-        // The acceptance bar for the measurement-fed path: auto-extracted
-        // profiles must drive the optimizer to the same best mapping as
-        // the barrier-probe profiles.
-        let cfg = FftHistConfig::new(128, 1);
-        let p_values = [1, 2, 4, 8, 16];
-        let probe = fft_hist_chain_model(&cfg, &p_values);
-        let measured = fft_hist_chain_model_measured(&cfg, &p_values);
-        // Per-stage samples agree closely (same virtual runs, different
-        // attribution mechanism — spans exclude the inter-stage barriers
-        // the probe has to calibrate away).
-        for (a, b) in probe.stages.iter().zip(&measured.stages) {
-            assert_eq!(a.name, b.name);
-            for &p in &p_values {
-                let (ta, tb) = (a.time(p), b.time(p));
+    fn chain_model_profiles_decrease_with_processors() {
+        // Per program: the stages that must scale, and each boundary's
+        // (all_to_all, fused_is_free). A stage bound by a reduction on a
+        // small image — FFT-Hist's histogram, Radar's detection count —
+        // may not scale (that is the non-scalability the paper's mappings
+        // exploit). A redistribution (the transpose, the corner turn) is
+        // all-to-all and costs even fused; an aligned hop is free fused.
+        let redistribution = (true, false);
+        let aligned = (false, true);
+        for stream in small_streams() {
+            let (scaling, kinds) = match stream {
+                Stream::FftHist(_) => (0..2, [redistribution, aligned]),
+                Stream::Radar(_) => (0..2, [redistribution, aligned]),
+                Stream::Stereo(_) => (0..3, [aligned, aligned]),
+            };
+            let model = chain_model(&stream, &[1, 2, 4]);
+            assert_eq!(model.stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), stream.stages());
+            assert!(model.stages.iter().all(|s| s.time(1) > 0.0), "{stream:?}");
+            for stage in &model.stages[scaling] {
                 assert!(
-                    (ta - tb).abs() / ta.max(tb) < 0.05,
-                    "{} at p={p}: probe {ta} vs spans {tb}",
-                    a.name
+                    stage.time(1) > stage.time(4),
+                    "{stream:?}: {} does not scale: {} vs {}",
+                    stage.name,
+                    stage.time(1),
+                    stage.time(4)
                 );
             }
+            let declared = model.boundaries.iter().map(|b| (b.all_to_all, b.fused_is_free));
+            assert_eq!(declared.collect::<Vec<_>>(), kinds, "{stream:?}");
         }
-        let best_probe = fx_mapping::best_mapping(&probe, 16, None).unwrap();
-        let best_spans = fx_mapping::best_mapping(&measured, 16, None).unwrap();
-        assert_eq!(best_probe.mapping, best_spans.mapping);
+    }
+
+    #[test]
+    fn net_params_are_the_machine_models() {
+        // `NetParams::paragon()` is a constant in fx-mapping; it must stay
+        // the simulated Paragon's network.
+        let (p, m) = (NetParams::paragon(), net_params(&MachineModel::paragon()));
+        assert_eq!((p.sec_per_byte, p.o_msg, p.latency), (1.0 / 30e6, 300e-6, 60e-6));
+        assert_eq!((p.sec_per_byte, p.o_msg, p.latency), (m.sec_per_byte, m.o_msg, m.latency));
+        for m in [MachineModel::paragon(), MachineModel::fast_network(), MachineModel::zero_comm(1e-7)] {
+            assert_eq!(m.o_send, m.o_recv, "{m:?} folds two overheads into one o_msg");
+            let n = net_params(&m);
+            assert_eq!((n.sec_per_byte, n.o_msg, n.latency), (m.gap_per_byte, m.o_send, m.latency));
+        }
     }
 
     #[test]
     fn measure_stream_reports_sane_numbers() {
-        let cfg = FftHistConfig::new(16, 4);
-        let stats = measure_stream(2, 1, |cx| run_fft_hist_dp(cx, &cfg));
+        let stream = Stream::FftHist(FftHistConfig::new(16, 4));
+        let stats = measure_stream(2, 1, |cx| stream.run(cx, &Segments::fused(2), &[0, 1, 2, 3]));
         assert!(stats.throughput > 0.0);
         assert!(stats.latency > 0.0);
         assert!(stats.makespan >= stats.latency);
@@ -288,22 +277,20 @@ mod tests {
 
     #[test]
     fn mapping_execution_handles_idle_processors() {
-        use fx_mapping::Segment;
-        let cfg = FftHistConfig::new(16, 4);
         let mapping = Mapping {
             modules: 1,
             segments: vec![Segment { first: 0, last: 2, procs: 3 }],
         };
         // 5 processors, 3 used, 2 idle.
-        let rep = spmd(&paragon(5), |cx| run_fft_hist_mapping(cx, &cfg, &mapping));
-        assert_eq!(rep.results.len(), 5);
-        assert_eq!(rep.events_named(SET_DONE).len(), 4);
+        for stream in small_streams() {
+            let rep = spmd(&paragon(5), |cx| run_mapping(cx, &stream, &mapping, 2));
+            assert_eq!(rep.results.len(), 5);
+            assert_eq!(rep.events_named(SET_DONE).len(), 2, "{stream:?}");
+        }
     }
 
     #[test]
     fn pipelined_mapping_executes() {
-        use fx_mapping::Segment;
-        let cfg = FftHistConfig::new(16, 6);
         let mapping = Mapping {
             modules: 2,
             segments: vec![
@@ -311,7 +298,9 @@ mod tests {
                 Segment { first: 2, last: 2, procs: 1 },
             ],
         };
-        let rep = spmd(&paragon(6), |cx| run_fft_hist_mapping(cx, &cfg, &mapping));
-        assert_eq!(rep.events_named(SET_DONE).len(), 6);
+        for stream in small_streams() {
+            let rep = spmd(&paragon(6), |cx| run_mapping(cx, &stream, &mapping, 3));
+            assert_eq!(rep.events_named(SET_DONE).len(), 3, "{stream:?}");
+        }
     }
 }

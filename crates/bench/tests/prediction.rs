@@ -1,62 +1,73 @@
 //! Regression tests for the optimizer's predictive power: the chain
 //! model's predicted throughput/latency must track the simulator within
-//! a modest factor for representative mappings. (The Figure 5 harness
-//! showed ≤ 5% error for the data-parallel and pipelined points; these
-//! tests pin a looser bound so refactors cannot silently decouple the
-//! model from the machine.)
+//! a modest factor for representative mappings of every Table 1 program,
+//! each profiled by the one builder (`chain_model`) and run by the one
+//! runner (`run_mapping`). (The Figure 5 harness showed ≤ 5% error for
+//! the data-parallel and pipelined points; these tests pin a looser bound
+//! so refactors cannot silently decouple the model from the machine.)
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_bench::{fft_hist_chain_model, measure_stream, run_fft_hist_mapping};
+use fx_apps::radar::RadarConfig;
+use fx_apps::stereo::StereoConfig;
+use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
 use fx_mapping::{evaluate, Mapping, Segment};
 
 const P: usize = 8;
-const N: usize = 64;
 
-fn check(mapping: Mapping, thr_tol: f64, lat_tol: f64) {
-    let model = fft_hist_chain_model(&FftHistConfig::new(N, 1), &[1, 2, 4, 8]);
+fn check(stream: Stream, mapping: Mapping, thr_tol: f64, lat_tol: f64) {
+    let model = chain_model(&stream, &[1, 2, 4, 8]);
     let pred = evaluate(&model, &mapping);
-    let cfg = FftHistConfig::new(N, (6 * mapping.modules).max(12));
-    let meas = measure_stream(P, 2 * mapping.modules, |cx| {
-        run_fft_hist_mapping(cx, &cfg, &mapping)
-    });
+    let sets = (6 * mapping.modules).max(12);
+    let meas = measure_stream(P, 2 * mapping.modules, |cx| run_mapping(cx, &stream, &mapping, sets));
     let thr_ratio = meas.throughput / pred.throughput;
     let lat_ratio = meas.latency / pred.latency;
+    let shown = mapping.render(&model);
     assert!(
         (1.0 / thr_tol..=thr_tol).contains(&thr_ratio),
-        "throughput prediction off: predicted {:.2}, measured {:.2} (ratio {thr_ratio:.2})",
+        "{shown}: throughput prediction off: predicted {:.2}, measured {:.2} (ratio {thr_ratio:.2})",
         pred.throughput,
         meas.throughput
     );
     assert!(
         (1.0 / lat_tol..=lat_tol).contains(&lat_ratio),
-        "latency prediction off: predicted {:.4}, measured {:.4} (ratio {lat_ratio:.2})",
+        "{shown}: latency prediction off: predicted {:.4}, measured {:.4} (ratio {lat_ratio:.2})",
         pred.latency,
         meas.latency
     );
 }
 
+fn fft_hist() -> Stream {
+    Stream::FftHist(FftHistConfig::new(64, 1))
+}
+
+fn radar() -> Stream {
+    Stream::Radar(RadarConfig::paper())
+}
+
+fn stereo() -> Stream {
+    Stream::Stereo(StereoConfig::paper())
+}
+
+fn data_parallel() -> Mapping {
+    Mapping { modules: 1, segments: vec![Segment { first: 0, last: 2, procs: P }] }
+}
+
+/// The first two stages fused on 5 processors, the third on 3.
+fn two_segments() -> Mapping {
+    Mapping {
+        modules: 1,
+        segments: vec![Segment { first: 0, last: 1, procs: 5 }, Segment { first: 2, last: 2, procs: 3 }],
+    }
+}
+
 #[test]
 fn data_parallel_prediction_tracks_simulation() {
-    check(
-        Mapping { modules: 1, segments: vec![Segment { first: 0, last: 2, procs: P }] },
-        1.3,
-        1.3,
-    );
+    check(fft_hist(), data_parallel(), 1.3, 1.3);
 }
 
 #[test]
 fn pipeline_prediction_tracks_simulation() {
-    check(
-        Mapping {
-            modules: 1,
-            segments: vec![
-                Segment { first: 0, last: 1, procs: 5 },
-                Segment { first: 2, last: 2, procs: 3 },
-            ],
-        },
-        1.5,
-        1.5,
-    );
+    check(fft_hist(), two_segments(), 1.5, 1.5);
 }
 
 #[test]
@@ -65,8 +76,21 @@ fn replicated_prediction_tracks_simulation() {
     // between consecutive data sets is unmodeled), so allow more slack
     // on the high side.
     check(
+        fft_hist(),
         Mapping { modules: 2, segments: vec![Segment { first: 0, last: 2, procs: 4 }] },
         1.8,
         1.5,
     );
+}
+
+#[test]
+fn radar_predictions_track_simulation() {
+    check(radar(), data_parallel(), 1.3, 1.3);
+    check(radar(), two_segments(), 1.5, 1.5);
+}
+
+#[test]
+fn stereo_predictions_track_simulation() {
+    check(stereo(), data_parallel(), 1.3, 1.3);
+    check(stereo(), two_segments(), 1.5, 1.5);
 }

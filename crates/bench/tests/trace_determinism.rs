@@ -17,16 +17,22 @@ use fx_apps::airshed::{airshed_best, airshed_dp, AirshedConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx_apps::ffthist::{fft_hist_dp, fft_hist_pipeline_sets, FftHistConfig};
 use fx_apps::qsort::qsort_global;
-use fx_apps::radar::{radar_sets, RadarConfig};
-use fx_apps::stereo::{stereo_sets, StereoConfig};
-use fx_apps::util::{run_mapped, StreamMapping};
-use fx_bench::{fft_hist_chain_model, paragon, run_fft_hist_dp, run_fft_hist_mapping};
+use fx_apps::radar::RadarConfig;
+use fx_apps::stereo::StereoConfig;
+use fx_apps::util::Segments;
+use fx_bench::{chain_model, paragon, run_mapping, Stream};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_mapping::{tradeoff_frontier, Mapping, Segment};
 use fx_runtime::{Event, Executor, Log};
 
 fn bits(ts: &[f64]) -> Vec<u64> {
     ts.iter().map(|t| t.to_bits()).collect()
+}
+
+/// `modules` replicas of a three-segment pipeline on `procs`.
+fn pipeline(modules: usize, procs: [usize; 3]) -> Mapping {
+    let segments = (0..3).map(|k| Segment { first: k, last: k, procs: procs[k] }).collect();
+    Mapping { modules, segments }
 }
 
 /// Run `f` with tracing off and on — under both executors, profiled
@@ -70,41 +76,42 @@ where
 /// pipelined mapping.
 #[test]
 fn table1_tracing_is_vtime_free() {
-    let cfg = FftHistConfig::new(128, 4);
-    assert_trace_free("table1/dp", &paragon(16), move |cx| run_fft_hist_dp(cx, &cfg));
+    let stream = Stream::FftHist(FftHistConfig::new(128, 1));
+    assert_trace_free("table1/dp", &paragon(16), |cx| {
+        stream.run(cx, &Segments::fused(16), &[0, 1, 2, 3])
+    });
 
     let mapping = Mapping { modules: 2, segments: vec![Segment { first: 0, last: 2, procs: 8 }] };
-    let mcfg = FftHistConfig::new(128, 6);
-    assert_trace_free("table1/mapping", &paragon(16), move |cx| {
-        run_fft_hist_mapping(cx, &mcfg, &mapping)
-    });
+    assert_trace_free("table1/mapping", &paragon(16), |cx| run_mapping(cx, &stream, &mapping, 6));
 }
 
 /// table1 flavor, the sensor rows: Radar and Stereo under a pipeline and
 /// a replicated pipeline, where trace contexts ride the stage hops.
 #[test]
 fn table1_radar_and_stereo_tracing_is_vtime_free() {
-    let radar = RadarConfig { ranges: 64, pulses: 8, datasets: 4, gain: 0.25, threshold: 0.6 };
-    let stereo =
-        StereoConfig { rows: 16, cols: 48, n_match: 2, max_disp: 4, window: 2, datasets: 4 };
-    let sets = [0, 1, 2, 3];
-    for mapping in [
-        StreamMapping::Pipeline([4, 6, 2]),
-        StreamMapping::Replicated { replicas: 2, pipeline: Some([2, 3, 1]) },
-    ] {
-        assert_trace_free(&format!("table1/radar {mapping:?}"), &paragon(12), |cx| {
-            run_mapped(cx, mapping, &sets, |cx, segs, mine| radar_sets(cx, &radar, segs, mine))
-        });
-        assert_trace_free(&format!("table1/stereo {mapping:?}"), &paragon(12), |cx| {
-            run_mapped(cx, mapping, &sets, |cx, segs, mine| stereo_sets(cx, &stereo, segs, mine))
-        });
+    let radar =
+        Stream::Radar(RadarConfig { ranges: 64, pulses: 8, datasets: 4, gain: 0.25, threshold: 0.6 });
+    let stereo = Stream::Stereo(StereoConfig {
+        rows: 16,
+        cols: 48,
+        n_match: 2,
+        max_disp: 4,
+        window: 2,
+        datasets: 4,
+    });
+    for mapping in [pipeline(1, [4, 6, 2]), pipeline(2, [2, 3, 1])] {
+        for stream in [radar, stereo] {
+            assert_trace_free(&format!("table1 {stream:?} {mapping:?}"), &paragon(12), |cx| {
+                run_mapping(cx, &stream, &mapping, 4)
+            });
+        }
     }
 }
 
 /// fig5 flavor: a pipelined mapping with unequal stage assignment.
 #[test]
 fn fig5_tracing_is_vtime_free() {
-    let cfg = FftHistConfig::new(128, 5);
+    let stream = Stream::FftHist(FftHistConfig::new(128, 1));
     let pipelined = Mapping {
         modules: 1,
         segments: vec![
@@ -112,9 +119,7 @@ fn fig5_tracing_is_vtime_free() {
             Segment { first: 1, last: 2, procs: 12 },
         ],
     };
-    assert_trace_free("fig5/pipelined", &paragon(16), move |cx| {
-        run_fft_hist_mapping(cx, &cfg, &pipelined)
-    });
+    assert_trace_free("fig5/pipelined", &paragon(16), |cx| run_mapping(cx, &stream, &pipelined, 5));
 }
 
 /// fig6 flavor: the Airshed model, data-parallel and best-of-both.
@@ -180,12 +185,12 @@ fn scaling_tracing_is_vtime_free() {
 /// optimizer's frontier.
 #[test]
 fn tradeoff_tracing_is_vtime_free() {
-    let model = fft_hist_chain_model(&FftHistConfig::new(64, 1), &[1, 2, 4, 8, 16]);
+    let stream = Stream::FftHist(FftHistConfig::new(64, 1));
+    let model = chain_model(&stream, &[1, 2, 4, 8, 16]);
     let frontier = tradeoff_frontier(&model, 16);
     let point = frontier.first().expect("frontier must be non-empty");
-    let cfg = FftHistConfig::new(64, (2 * point.mapping.modules).max(6));
-    let mapping = point.mapping.clone();
-    assert_trace_free("tradeoff/latency-optimal", &paragon(16), move |cx| {
-        run_fft_hist_mapping(cx, &cfg, &mapping)
+    let sets = (2 * point.mapping.modules).max(6);
+    assert_trace_free("tradeoff/latency-optimal", &paragon(16), |cx| {
+        run_mapping(cx, &stream, &point.mapping, sets)
     });
 }

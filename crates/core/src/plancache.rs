@@ -24,11 +24,10 @@
 //! dataflow barrier elision (DESIGN.md §5): plan-based statements move
 //! exactly the intervals their descriptors describe, so the darray
 //! layer's per-array version vectors can prove the receives subsume the
-//! statement's barrier. Statements that bypass plans (`copy_remap*`
-//! closures, root I/O) are opaque to that analysis and taint what they
-//! write. The cache itself stores no dataflow state — version vectors
-//! live on the array descriptors — so hits and misses cannot change
-//! classification.
+//! statement's barrier. Statements that bypass plans (root I/O) are
+//! opaque to that analysis and taint what they write. The cache itself
+//! stores no dataflow state — version vectors live on the array
+//! descriptors — so hits and misses cannot change classification.
 
 use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;

@@ -15,9 +15,9 @@
 //!   communication sets from distribution metadata, so a message is
 //!   exchanged only between processors that actually share elements.
 //!
-//! Three tiers of statement, from most to least planned. The first two
-//! share everything but the kind of write they record: one prologue
-//! (`enter`), one cached rank-generic [`Plan`], one `replay`.
+//! Two kinds of statement, which share everything but the kind of write
+//! they record: one prologue (`enter`), one cached rank-generic [`Plan`],
+//! one `replay`.
 //!
 //! * `assign*`, [`transpose2`], [`copy_shift1_range`]: recorded as
 //!   *covered* writes (their receives order the data, so the next
@@ -25,12 +25,11 @@
 //! * [`remap1`] / [`remap2`]: **structured remaps** — separable statements
 //!   `dst[r][c] = src[fr(r)][fc(c)]` whose per-dimension maps are
 //!   [`Remap`] descriptors (identity, shift, clamped shift, cyclic shift).
-//!   They keep the closure statements' protocol: never a sync point, write
-//!   recorded opaque.
-//! * `copy_remap*`: `dst[i] = src[f(i)]` for an arbitrary closure `f` (and
-//!   the 2-D analogue). The **fallback** for maps no descriptor expresses,
-//!   and the oracle the structured path is tested against: it enumerates
-//!   every destination index on every member, on every call.
+//!   Never a sync point; their write is recorded *opaque*. Their oracle
+//!   is the per-element walk
+//!   [`CommSets::enumerate_with`](crate::plan::CommSets::enumerate_with)
+//!   under the same map, replayed with the same protocol
+//!   (`tests/prop_remap.rs`).
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -40,9 +39,7 @@ use fx_core::{Cx, GroupHandle};
 
 use crate::array::{DArray, DArray1, DArray2, DArray3, Elem};
 use crate::dataflow::sync_edge;
-use crate::plan::{
-    copy_local, pack_into, unpack_chunk, CommSets, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind,
-};
+use crate::plan::{copy_local, pack_into, unpack_chunk, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind};
 
 /// Which processors take part in a parent-scope array statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,9 +192,9 @@ pub fn assign1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>) {
     cx.scoped("assign1", |cx| copy_shift1_range(cx, dst, 0..n, src, 0, Participation::Minimal));
 }
 
-/// `dst[i] = src[i + shift]` for `i` in `range` — the affine special case
-/// of [`copy_remap1_range`] (plain assignment, sub-range merges, end-off
-/// shifts), executed through a cached interval-based communication plan.
+/// `dst[i] = src[i + shift]` for `i` in `range` — plain assignment,
+/// sub-range merges, end-off shifts — executed through a cached
+/// interval-based communication plan.
 ///
 /// The shifted range must lie within the source extent (checked in every
 /// build profile). Must be called by **every** member of the current
@@ -228,10 +225,8 @@ pub fn copy_shift1_range<T: Elem>(
 }
 
 /// Structured 1-D remap `dst[i] = src[remap(i)]` over the whole
-/// destination: the plan-cached counterpart of [`copy_remap1`] for the
-/// maps [`Remap`] expresses, with the closure statement's exact protocol
-/// (same op tag, skip rule, message schedule, virtual charges and opaque
-/// write).
+/// destination: one op tag, owners only, never a sync point, write
+/// recorded opaque.
 ///
 /// Panics — in every build profile, when the plan is first built — if
 /// the map sends a destination index outside the source extent.
@@ -285,13 +280,10 @@ pub fn assign3<T: Elem>(cx: &mut Cx, dst: &mut DArray3<T>, src: &DArray3<T>) {
     });
 }
 
-/// Structured 2-D remap `dst[r][c] = src[rows(r)][cols(c)]`: the
-/// plan-cached counterpart of [`copy_remap2`] for separable maps
-/// [`Remap`] expresses (Stereo's disparity shift is
-/// `(Identity, ClampShift(δ))`). The statement keeps the closure
-/// statement's exact protocol — same op tag, skip rule, message schedule
-/// and virtual charges; never a sync point; write recorded opaque — so
-/// swapping one for the other moves no virtual time.
+/// Structured 2-D remap `dst[r][c] = src[rows(r)][cols(c)]` for separable
+/// maps [`Remap`] expresses (Stereo's disparity shift is
+/// `(Identity, ClampShift(δ))`): one op tag, owners only, never a sync
+/// point, write recorded opaque.
 ///
 /// Panics — in every build profile, when the plan is first built — if a
 /// map sends a destination index outside the source extent.
@@ -304,121 +296,6 @@ pub fn remap2<T: Elem>(
 ) {
     let stmt = Stmt::whole(dst.maps(), [rows, cols]);
     planned(cx, dst, src, (src.whole(), dst.whole()), stmt, WriteKind::Opaque, Participation::Minimal);
-}
-
-// ---------------------------------------------------------------------------
-// Closure fallbacks
-// ---------------------------------------------------------------------------
-
-/// `dst[i] = src[f(i)]` for all `i` — whole-array remapped copy.
-pub fn copy_remap1<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray1<T>,
-    src: &DArray1<T>,
-    f: impl Fn(usize) -> usize,
-) {
-    let n = dst.n();
-    copy_remap1_range(cx, dst, 0..n, src, f, Participation::Minimal);
-}
-
-/// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation —
-/// the general fallback for maps [`remap1`] cannot express.
-///
-/// Must be called by **every** member of the current group (SPMD), even
-/// those that will skip — the operation tag is allocated collectively.
-pub fn copy_remap1_range<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray1<T>,
-    range: Range<usize>,
-    src: &DArray1<T>,
-    f: impl Fn(usize) -> usize,
-    mode: Participation,
-) {
-    assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
-    let tag = cx.next_op_tag();
-    let (s_op, d_op) = (src.operand(src.whole()), dst.operand(range.clone()));
-    if !enter(cx, tag, &s_op, &d_op, WriteKind::Opaque, mode) {
-        return;
-    }
-    let src_n = src.n();
-    let map = |[gi]: [usize; 1]| {
-        let sgi = f(gi);
-        assert!(sgi < src_n, "copy_remap1: map sends {gi} to {sgi}, outside src extent {src_n}");
-        [sgi]
-    };
-    let d = dst.side().clone();
-    enumerate_copy(cx, tag, (src.side(), src.local()), (&d, dst.local_mut()), [(range.start, range.end)], map);
-}
-
-/// `dst[r][c] = src[f(r, c)]` for the whole destination.
-pub fn copy_remap2<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray2<T>,
-    src: &DArray2<T>,
-    f: impl Fn(usize, usize) -> (usize, usize),
-) {
-    copy_remap2_with(cx, dst, src, f, Participation::Minimal);
-}
-
-/// `dst[r][c] = src[f(r, c)]` with explicit participation mode — the
-/// general fallback for maps [`remap2`] cannot express.
-pub fn copy_remap2_with<T: Elem>(
-    cx: &mut Cx,
-    dst: &mut DArray2<T>,
-    src: &DArray2<T>,
-    f: impl Fn(usize, usize) -> (usize, usize),
-    mode: Participation,
-) {
-    let tag = cx.next_op_tag();
-    if !enter(cx, tag, &src.operand(src.whole()), &dst.operand(dst.whole()), WriteKind::Opaque, mode) {
-        return;
-    }
-    let (rows, cols) = (src.rows(), src.cols());
-    let map = |[r, c]: [usize; 2]| {
-        let (sr, sc) = f(r, c);
-        assert!(
-            sr < rows && sc < cols,
-            "copy_remap2: map sends ({r}, {c}) to ({sr}, {sc}), outside src shape {rows}x{cols}"
-        );
-        [sr, sc]
-    };
-    let (s, d) = (src.side(), dst.side().clone());
-    let whole = dst.shape().map(|n| (0, n));
-    enumerate_copy(cx, tag, (s, src.local()), (&d, dst.local_mut()), whole, map);
-}
-
-/// The closure statements' engine, and the protocol every planned
-/// statement reproduces: the per-element walk of `range` under `f`
-/// ([`CommSets::enumerate_with`]), replayed as the local copy, the charge
-/// for its bytes, the per-peer chunks shipped ascending by destination,
-/// then the receives ascending by source, each message scattered into its
-/// slots in message order.
-fn enumerate_copy<T: Elem, const N: usize>(
-    cx: &mut Cx,
-    tag: u64,
-    (s, src): (&Side<N>, &[T]),
-    (d, dst): (&Side<N>, &mut [T]),
-    range: [(usize, usize); N],
-    f: impl Fn([usize; N]) -> [usize; N],
-) {
-    let sets = CommSets::enumerate_with(cx.phys_rank(), s, d, range, f);
-    for &(ss, ds) in &sets.local {
-        dst[ds] = src[ss];
-    }
-    cx.charge_mem_bytes(2.0 * (sets.local.len() * std::mem::size_of::<T>()) as f64);
-    for (dp, slots) in &sets.sends {
-        let mut chunk = cx.chunk_for::<T>(slots.len());
-        slots.iter().for_each(|&slot| chunk.push_slice(&src[slot..slot + 1]));
-        cx.send_chunk_phys(*dp, tag, chunk);
-    }
-    for (sp, slots) in &sets.recvs {
-        let chunk = cx.recv_chunk_phys(*sp, tag);
-        assert_eq!(chunk.elems(), slots.len(), "communication set mismatch from {sp}");
-        for (k, &slot) in slots.iter().enumerate() {
-            chunk.read_into(k, &mut dst[slot..slot + 1]);
-        }
-        cx.release_chunk(chunk);
-    }
 }
 
 #[cfg(test)]
@@ -496,16 +373,16 @@ mod tests {
     }
 
     #[test]
-    fn remap_reverses() {
+    fn shift_redistributes() {
         let rep = spmd(&Machine::real(4), |cx| {
             let g = cx.group();
             let data: Vec<u16> = (0..9).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u16);
-            copy_remap1(cx, &mut dst, &src, |i| 8 - i);
+            copy_shift1_range(cx, &mut dst, 0..8, &src, 1, Participation::Minimal);
             dst.to_global(cx)
         });
-        assert_eq!(rep.results[0], vec![8, 7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(rep.results[0], vec![1, 2, 3, 4, 5, 6, 7, 8, 0]);
     }
 
     #[test]
@@ -521,8 +398,8 @@ mod tests {
             let a_geq = DArray1::from_global(cx, &ghi, geq.len(), Dist1::Block, &geq);
             let g = cx.group();
             let mut a = DArray1::new(cx, &g, 7, Dist1::Block, 0i32);
-            copy_remap1_range(cx, &mut a, 0..3, &a_less, |i| i, Participation::Minimal);
-            copy_remap1_range(cx, &mut a, 3..7, &a_geq, |i| i - 3, Participation::Minimal);
+            copy_shift1_range(cx, &mut a, 0..3, &a_less, 0, Participation::Minimal);
+            copy_shift1_range(cx, &mut a, 3..7, &a_geq, -3, Participation::Minimal);
             a.to_global(cx)
         });
         for r in rep.results {
@@ -586,7 +463,7 @@ mod tests {
                 let data = vec![1u8; 100];
                 let src = DArray1::from_global(cx, &g1, data.len(), Dist1::Block, &data);
                 let mut dst = DArray1::new(cx, &g2, 100, Dist1::Block, 0u8);
-                copy_remap1_range(cx, &mut dst, 0..100, &src, |i| i, Participation::Minimal);
+                copy_shift1_range(cx, &mut dst, 0..100, &src, 0, Participation::Minimal);
             });
             cx.now()
         });
@@ -611,7 +488,7 @@ mod tests {
                 let data = vec![1u8; 100];
                 let src = DArray1::from_global(cx, &g1, data.len(), Dist1::Block, &data);
                 let mut dst = DArray1::new(cx, &g2, 100, Dist1::Block, 0u8);
-                copy_remap1_range(cx, &mut dst, 0..100, &src, |i| i, Participation::WholeGroup);
+                copy_shift1_range(cx, &mut dst, 0..100, &src, 0, Participation::WholeGroup);
             });
             cx.now()
         });

@@ -14,10 +14,9 @@
 //!   receives already order the consumer behind the producer. The barrier
 //!   is elided; the receives are the synchronization.
 //! * **barrier-required** — the footprint overlaps an *opaque* write
-//!   (a `copy_remap*` closure or root I/O, whose communication pattern
-//!   the planner cannot see, or a structured `remap*`, which keeps the
-//!   closure statement's protocol). The subset barrier is kept, and the
-//!   taint it orders is cleared.
+//!   (root I/O, whose communication pattern the planner cannot see, or a
+//!   structured `remap*`). The subset barrier is kept, and the taint it
+//!   orders is cleared.
 //!
 //! The classification is computed redundantly on every processor from its
 //! own descriptor replicas, with no extra communication. That is sound

@@ -24,8 +24,6 @@
 //! * [`transpose2`] — the distributed corner turn;
 //! * [`remap1`] / [`remap2`] — separable shifted assignments
 //!   `dst[r][c] = src[fr(r)][fc(c)]` planned from [`Remap`] descriptors;
-//!   [`copy_remap1`] / [`copy_remap2`] are the closure fallback for maps
-//!   no descriptor expresses;
 //! * [`exchange_row_halo`] / [`exchange_col_halo`] /
 //!   [`exchange_plane_halo`] — ghost regions for window/stencil kernels;
 //! * [`repartition_by`] / [`count_matching`] — predicate splits onto
@@ -53,8 +51,8 @@ mod rootio;
 
 pub use array::{DArray, DArray1, DArray2, DArray3, Dist1, Elem, PerDim};
 pub use assign::{
-    assign1, assign2, assign2_with, assign3, copy_remap1, copy_remap1_range, copy_remap2,
-    copy_remap2_with, copy_shift1_range, remap1, remap2, transpose2, Participation,
+    assign1, assign2, assign2_with, assign3, copy_shift1_range, remap1, remap2, transpose2,
+    Participation,
 };
 pub use dist::{DimMap, Dist};
 pub use halo::{

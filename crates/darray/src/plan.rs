@@ -37,9 +37,8 @@
 //! * **One oracle.** [`CommSets::enumerate`] is the reference
 //!   implementation: it walks every destination index, asks the
 //!   distribution metadata for the owners and buckets slots by peer —
-//!   O(elements). The `copy_remap*` closure statements run the same walk
-//!   ([`CommSets::enumerate_with`]) under their closure on every call and
-//!   replay its sets. Debug builds check freshly built plans against it (up to
+//!   O(elements); [`CommSets::enumerate_with`] is the same walk under any
+//!   index map. Debug builds check freshly built plans against it (up to
 //!   `ORACLE_MAX_ELEMS` elements), the property tests do so in release
 //!   builds too, and `redist_microbench` times it as the "legacy" leg.
 //!
@@ -914,8 +913,8 @@ impl CommSets {
     /// Walk every destination index of `range` in row-major order, map it
     /// to its source index with `f`, resolve both owners through the
     /// distribution metadata and bucket flat tile slots by peer — the
-    /// oracle behind [`CommSets::enumerate`], and the engine of the
-    /// `copy_remap*` closure statements.
+    /// oracle behind [`CommSets::enumerate`], and the closure oracle the
+    /// structured remaps are tested against.
     pub fn enumerate_with<const N: usize>(
         me: usize,
         s: &Side<N>,
@@ -993,8 +992,9 @@ impl CommSets {
 /// `(source, tag)` matching already orders the consumer behind the
 /// producer, so an interval they wrote is **covered**: a later statement
 /// reading it needs no barrier. Writes whose communication pattern the
-/// planner cannot see — `copy_remap*` closures, root I/O — are **opaque**
-/// and taint the interval until the next kept barrier orders them.
+/// planner does not vouch for — structured remaps, root I/O — are
+/// **opaque** and taint the interval until the next kept barrier orders
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
     /// Written by an interval plan; downstream receives provide ordering.

@@ -4,8 +4,7 @@
 
 use fx_core::{spmd, Cx, DataflowMode, Machine, MachineModel, Size};
 use fx_darray::{
-    assign1, copy_remap1, copy_remap1_range, copy_remap2, exchange_row_halo, DArray1, DArray2,
-    Dist, Dist1, Participation,
+    assign1, exchange_row_halo, remap1, remap2, DArray1, DArray2, Dist, Dist1, Participation, Remap,
 };
 use proptest::prelude::*;
 
@@ -89,7 +88,7 @@ fn opaque_writes_keep_their_barrier_until_ordered() {
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut mid = DArray1::new(cx, &g, 12, Dist1::Cyclic, 0u64);
             // Opaque write: taints `mid`, itself never a sync point.
-            copy_remap1(cx, &mut mid, &src, |i| 11 - i);
+            remap1(cx, &mut mid, &src, Remap::Cyclic(1));
             let mut d1 = DArray1::new(cx, &g, 12, Dist1::Block, 0u64);
             // Edge reads tainted `mid`: barrier kept, taint cleared.
             assign1(cx, &mut d1, &mid);
@@ -100,7 +99,7 @@ fn opaque_writes_keep_their_barrier_until_ordered() {
         },
     );
     for r in &rep.results {
-        assert_eq!(*r, (0..12).rev().collect::<Vec<u64>>());
+        assert_eq!(*r, (0..12).map(|i| (i + 1) % 12).collect::<Vec<u64>>());
     }
     let d = rep.total();
     assert_eq!(d.barriers_kept, p as u64, "one kept barrier per member");
@@ -118,7 +117,7 @@ fn halos_test_taint_but_never_clear_it() {
             let mut a = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
             let b = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
             let h0 = exchange_row_halo(cx, &a, 1); // clean → elided
-            copy_remap2(cx, &mut a, &b, |r, c| (r, c)); // taints `a`
+            remap2(cx, &mut a, &b, Remap::Identity, Remap::Identity); // taints `a`
             let h1 = exchange_row_halo(cx, &a, 1); // tainted → kept
             let h2 = exchange_row_halo(cx, &a, 1); // halos never clear → kept again
             (h0.bottom, h1.bottom, h2.bottom)
@@ -150,7 +149,7 @@ fn validate_mode_passes_with_covered_and_tainted_edges() {
             let data: Vec<u64> = (0..10).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut mid = DArray1::new(cx, &g, 10, Dist1::Cyclic, 0u64);
-            copy_remap1(cx, &mut mid, &src, |i| i);
+            remap1(cx, &mut mid, &src, Remap::Identity);
             let mut dst = DArray1::new(cx, &g, 10, Dist1::Block, 0u64);
             assign1(cx, &mut dst, &mid);
             assign1(cx, &mut dst, &src);
@@ -164,8 +163,8 @@ fn validate_mode_passes_with_covered_and_tainted_edges() {
 
 #[test]
 fn validate_is_bit_exact_when_nothing_elides() {
-    // Only remaps (never sync points) and whole-group statements: the On
-    // pass elides nothing, so validate asserts bitwise-identical clocks.
+    // Only a remap (never a sync point): the On pass elides nothing, so
+    // validate asserts bitwise-identical clocks.
     let rep = spmd(
         &Machine::simulated(3, MachineModel::paragon()).with_dataflow(DataflowMode::Validate),
         |cx| {
@@ -173,7 +172,7 @@ fn validate_is_bit_exact_when_nothing_elides() {
             let data: Vec<u64> = (0..9).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
             let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u64);
-            copy_remap1_range(cx, &mut dst, 0..9, &src, |i| i, Participation::WholeGroup);
+            remap1(cx, &mut dst, &src, Remap::Identity);
             dst.to_global(cx)
         },
     );
@@ -244,8 +243,9 @@ enum Op {
     Assign { dst: usize, src: usize },
     /// Shifted sub-range copy through the interval planner.
     Shift { dst: usize, src: usize, lo: usize, len: usize, shift: isize },
-    /// Opaque remap (taint source): dst[i] = src[perm(i)].
-    Remap { dst: usize, src: usize, rev: bool },
+    /// Opaque remap (taint source): dst[i] = src[i], or src[(i + 1) % n]
+    /// when rotated.
+    Remap { dst: usize, src: usize, rotate: bool },
 }
 
 /// Distinct (dst, src) pair over three arrays, encoded as dst + offset.
@@ -263,7 +263,7 @@ fn arb_op(n: usize) -> impl Strategy<Value = Op> {
             let shift = shift.clamp(-(lo as isize), (n - lo - len) as isize);
             Op::Shift { dst, src, lo, len, shift }
         }),
-        (arb_pair(), any::<bool>()).prop_map(|((dst, src), rev)| Op::Remap { dst, src, rev }),
+        (arb_pair(), any::<bool>()).prop_map(|((dst, src), rotate)| Op::Remap { dst, src, rotate }),
     ]
 }
 
@@ -306,11 +306,10 @@ proptest! {
                                     Participation::Minimal,
                                 );
                             }
-                            Op::Remap { dst, src, rev } => {
+                            Op::Remap { dst, src, rotate } => {
                                 let s = arrs[src].clone();
-                                copy_remap1(cx, &mut arrs[dst], &s, move |i| {
-                                    if rev { n - 1 - i } else { i }
-                                });
+                                let by = if rotate { Remap::Cyclic(1) } else { Remap::Identity };
+                                remap1(cx, &mut arrs[dst], &s, by);
                             }
                         }
                     }

@@ -1,7 +1,7 @@
 //! Property tests for distribution index maps and redistribution.
 
 use fx_core::{spmd, Machine};
-use fx_darray::{assign1, copy_remap1, DArray1, DimMap, Dist};
+use fx_darray::{assign1, remap1, DArray1, DimMap, Dist, Remap};
 use proptest::prelude::*;
 
 /// Every distribution of one dimension; `*` on a vector is replication.
@@ -76,7 +76,7 @@ proptest! {
             let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
             let mut dst = DArray1::new(cx, &g, n, dd, 0u32);
             // Clamped shift: dst[i] = src[min(i + shift, n-1)].
-            copy_remap1(cx, &mut dst, &src, |i| (i + shift).min(n - 1));
+            remap1(cx, &mut dst, &src, Remap::ClampShift(shift as isize));
             dst.to_global(cx)
         });
         let expect: Vec<u32> = (0..n).map(|i| ((i + shift).min(n - 1)) as u32).collect();

@@ -1,7 +1,8 @@
 //! Property tests for structured remaps: over random distributions,
 //! explicit grids, placements and per-dimension index maps, `remap2` /
-//! `remap1` are indistinguishable from the closure oracle `copy_remap2` /
-//! `copy_remap1` — same destination contents, bitwise-equal virtual
+//! `remap1` are indistinguishable from the closure oracle ([`oracle`]: the
+//! per-element walk `CommSets::enumerate_with` under the same index map,
+//! replayed by hand) — same destination contents, bitwise-equal virtual
 //! finish times on every processor, same message and byte counts — under
 //! both executors. The observable protocol (op tag, skip rule, message
 //! schedule, charges) is shared; only the host work differs.
@@ -12,10 +13,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fx_core::{spmd, Cx, GroupHandle, Machine, MachineModel, Size};
-use fx_darray::plan::{Peer, Piece, Plan, Seg, Side, Stmt};
-use fx_darray::{
-    copy_remap1, copy_remap2, remap1, remap2, DArray1, DArray2, DimMap, Dist, Dist1, Remap,
-};
+use fx_darray::plan::{CommSets, Peer, Piece, Plan, Seg, Side, Stmt};
+use fx_darray::{remap1, remap2, DArray, DArray1, DArray2, DimMap, Dist, Dist1, Remap};
 use fx_runtime::Executor;
 use proptest::prelude::*;
 
@@ -59,6 +58,47 @@ fn arb_dim() -> impl Strategy<Value = Dim> {
             sn
         }),
     ]
+}
+
+/// `dst[i] = src[f(i)]` the slow way, under a remap statement's protocol:
+/// one op tag on every caller, owners only, the per-element communication
+/// sets (`CommSets::enumerate_with`) replayed as the local copy, its
+/// charge, the sends ascending by destination, then the receives ascending
+/// by source — each message scattered into its slots in order.
+fn oracle<const N: usize>(
+    cx: &mut Cx,
+    dst: &mut DArray<u32, N>,
+    src: &DArray<u32, N>,
+    f: impl Fn([usize; N]) -> [usize; N],
+) {
+    let tag = cx.next_op_tag();
+    if !src.is_member() && !dst.is_member() {
+        return;
+    }
+    let side = |a: &DArray<u32, N>| {
+        let (shape, grid, dist) = (a.shape(), a.grid(), a.dist());
+        let maps = std::array::from_fn(|k| DimMap::new(shape[k], grid[k], dist[k]));
+        Side { group: a.group().clone(), maps, replicated: N == 1 && dist[0] == Dist::Star }
+    };
+    let whole = dst.shape().map(|n| (0, n));
+    let sets = CommSets::enumerate_with(cx.phys_rank(), &side(src), &side(dst), whole, f);
+    let (src, dst) = (src.local(), dst.local_mut());
+    for &(ss, ds) in &sets.local {
+        dst[ds] = src[ss];
+    }
+    cx.charge_mem_bytes(2.0 * (sets.local.len() * std::mem::size_of::<u32>()) as f64);
+    for (dp, slots) in &sets.sends {
+        let mut chunk = cx.chunk_for::<u32>(slots.len());
+        slots.iter().for_each(|&slot| chunk.push_slice(&src[slot..slot + 1]));
+        cx.send_chunk_phys(*dp, tag, chunk);
+    }
+    for (sp, slots) in &sets.recvs {
+        let chunk = cx.recv_chunk_phys(*sp, tag);
+        for (k, &slot) in slots.iter().enumerate() {
+            chunk.read_into(k, &mut dst[slot..slot + 1]);
+        }
+        cx.release_chunk(chunk);
+    }
 }
 
 fn arb_dist() -> impl Strategy<Value = Dist> {
@@ -146,7 +186,7 @@ proptest! {
                     if structured {
                         remap2(cx, &mut dst, &src, rows.remap, cols.remap);
                     } else {
-                        copy_remap2(cx, &mut dst, &src, |r, c| (rows.src_of(r), cols.src_of(c)));
+                        oracle(cx, &mut dst, &src, |[r, c]| [rows.src_of(r), cols.src_of(c)]);
                     }
                 }
                 dst.fold_owned(Vec::new(), |mut acc, r, c, v| {
@@ -204,7 +244,7 @@ proptest! {
                     if structured {
                         remap1(cx, &mut dst, &src, dim.remap);
                     } else {
-                        copy_remap1(cx, &mut dst, &src, |i| dim.src_of(i));
+                        oracle(cx, &mut dst, &src, |[i]| [dim.src_of(i)]);
                     }
                 }
                 dst.fold_owned(Vec::new(), |mut acc, i, v| {
@@ -412,30 +452,20 @@ fn out_of_range_shift_panics_at_plan_build() {
     );
 }
 
-/// The same mistake through the statements themselves: the structured
-/// path and the closure fallback both refuse — in release builds too —
-/// instead of reading a wrong slot.
+/// The same mistake through the statement itself: it refuses — in
+/// release builds too — instead of reading a wrong slot.
 #[test]
 fn out_of_range_statements_panic_in_every_profile() {
     let machine = Machine::real(2).with_timeout(std::time::Duration::from_secs(10));
-    let run = |structured: bool| {
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            spmd(&machine, move |cx| {
-                let g = cx.group();
-                let src = DArray2::new(cx, &g, [3, 8], (Dist::Star, Dist::Block), 1u8);
-                let mut dst = DArray2::new(cx, &g, [3, 8], (Dist::Star, Dist::Block), 0u8);
-                if structured {
-                    remap2(cx, &mut dst, &src, Remap::Identity, Remap::Shift(2));
-                } else {
-                    copy_remap2(cx, &mut dst, &src, |r, c| (r, c + 2));
-                }
-            })
-        }))
-        .expect_err("shift leaves the source");
-        panic_message(err)
-    };
-    let msg = run(true);
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        spmd(&machine, move |cx| {
+            let g = cx.group();
+            let src = DArray2::new(cx, &g, [3, 8], (Dist::Star, Dist::Block), 1u8);
+            let mut dst = DArray2::new(cx, &g, [3, 8], (Dist::Star, Dist::Block), 0u8);
+            remap2(cx, &mut dst, &src, Remap::Identity, Remap::Shift(2));
+        })
+    }))
+    .expect_err("shift leaves the source");
+    let msg = panic_message(err);
     assert!(msg.contains("outside the source extent 8") || msg.contains("another processor panicked"), "got: {msg}");
-    let msg = run(false);
-    assert!(msg.contains("outside src shape 3x8") || msg.contains("another processor panicked"), "got: {msg}");
 }

@@ -38,10 +38,10 @@ pub fn box_sum_cols_with_halo(
     bottom: &[f32],
 ) -> Vec<f32> {
     assert_eq!(tile.len(), rows * cols);
-    assert_eq!(top.len() % cols, 0);
-    assert_eq!(bottom.len() % cols, 0);
-    let top_rows = top.len() / cols;
-    let bot_rows = bottom.len() / cols;
+    assert_eq!(top.len() % cols.max(1), 0);
+    assert_eq!(bottom.len() % cols.max(1), 0);
+    let top_rows = top.len().checked_div(cols).unwrap_or(0);
+    let bot_rows = bottom.len().checked_div(cols).unwrap_or(0);
     let at = |r: isize, c: usize| -> f32 {
         if r < 0 {
             let tr = top_rows as isize + r; // r = -1 → last ghost row
@@ -162,6 +162,14 @@ pub fn window_flops(n: usize, w: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A processor that owns no column of a `(*, BLOCK)` image (256
+    /// columns over 21 processors leaves the last one none) sums nothing.
+    #[test]
+    fn empty_tiles_sum_to_nothing() {
+        assert!(box_sum_cols_with_halo(&[], 240, 0, 2, &[], &[]).is_empty());
+        assert!(box_sum_rows_with_halo(&[], 240, 0, 2, &[], &[]).is_empty());
+    }
 
     #[test]
     fn box_sum_rows_matches_manual() {

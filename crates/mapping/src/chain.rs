@@ -49,7 +49,9 @@ pub struct NetParams {
 }
 
 impl NetParams {
-    /// Defaults matching `fx_runtime::MachineModel::paragon()`.
+    /// The simulated Paragon's network: `fx_runtime::MachineModel::paragon()`'s
+    /// numbers, pinned to it by `fx-bench`'s `net_params` test (this crate
+    /// stays free of a runtime dependency).
     pub fn paragon() -> Self {
         NetParams { sec_per_byte: 1.0 / 30e6, o_msg: 300e-6, latency: 60e-6 }
     }

@@ -12,8 +12,10 @@
 //! references \[21] (Subhlok & Vondran, PPoPP '95) and \[22] (SPAA '96).
 //!
 //! Pure model-side computation; no runtime dependency. `fx-bench`
-//! couples it to the simulator: measure profiles → search mappings →
-//! re-run the chosen mapping and compare predicted vs simulated.
+//! couples it to the simulator: it derives [`NetParams`] from the
+//! `MachineModel` it profiles on, profiles a stream program's stages →
+//! searches mappings → re-runs the chosen mapping and compares predicted
+//! vs simulated.
 
 mod chain;
 mod frontier;
@@ -24,4 +26,4 @@ pub use chain::{
     NetParams, Segment,
 };
 pub use frontier::tradeoff_frontier;
-pub use profile::{ProfileTable, StageProfile};
+pub use profile::StageProfile;

@@ -85,59 +85,6 @@ impl StageProfile {
     }
 }
 
-/// Accumulator turning measured `(stage, processors, seconds)` samples
-/// into [`StageProfile`]s — the ingestion point between a measurement
-/// harness (e.g. `fx-bench` harvesting per-stage times from the runtime's
-/// span profiler at several subgroup sizes) and the chain optimizer.
-///
-/// Stages keep their first-insertion order, which is the pipeline order
-/// when the harness probes stages in sequence.
-#[derive(Debug, Default, Clone)]
-pub struct ProfileTable {
-    stages: Vec<(String, Vec<(usize, f64)>)>,
-}
-
-impl ProfileTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        ProfileTable::default()
-    }
-
-    /// Record one measurement of `stage` on `p` processors. Re-measuring
-    /// the same `(stage, p)` replaces the earlier sample.
-    pub fn add(&mut self, stage: &str, p: usize, seconds: f64) {
-        assert!(p >= 1 && seconds > 0.0, "need p >= 1 and a positive time");
-        let entry = match self.stages.iter_mut().find(|(n, _)| n == stage) {
-            Some((_, samples)) => samples,
-            None => {
-                self.stages.push((stage.to_string(), Vec::new()));
-                &mut self.stages.last_mut().unwrap().1
-            }
-        };
-        match entry.iter_mut().find(|(q, _)| *q == p) {
-            Some(slot) => slot.1 = seconds,
-            None => entry.push((p, seconds)),
-        }
-    }
-
-    /// The profile of one stage, if any sample was recorded for it.
-    pub fn profile(&self, stage: &str) -> Option<StageProfile> {
-        self.stages
-            .iter()
-            .find(|(n, _)| n == stage)
-            .map(|(n, samples)| StageProfile::from_samples(n.clone(), samples.clone()))
-    }
-
-    /// All profiles in first-insertion (pipeline) order — feed directly to
-    /// [`crate::ChainModel`].
-    pub fn into_profiles(self) -> Vec<StageProfile> {
-        self.stages
-            .into_iter()
-            .map(|(n, samples)| StageProfile::from_samples(n, samples))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,22 +155,5 @@ mod tests {
     #[should_panic(expected = "duplicate processor counts")]
     fn duplicate_samples_rejected() {
         StageProfile::from_samples("s", vec![(2, 5.0), (2, 4.0)]);
-    }
-
-    #[test]
-    fn profile_table_accumulates_in_pipeline_order() {
-        let mut t = ProfileTable::new();
-        t.add("fft", 1, 8.0);
-        t.add("hist", 1, 4.0);
-        t.add("fft", 4, 2.0);
-        t.add("hist", 4, 1.5);
-        t.add("fft", 4, 2.5); // re-measurement replaces
-        let profiles = t.clone().into_profiles();
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].name, "fft");
-        assert_eq!(profiles[1].name, "hist");
-        assert_eq!(profiles[0].time(4), 2.5);
-        assert_eq!(t.profile("hist").unwrap().time(1), 4.0);
-        assert!(t.profile("missing").is_none());
     }
 }

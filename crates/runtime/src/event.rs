@@ -472,30 +472,26 @@ impl Log {
         b
     }
 
-    /// The duration events recorded under stage `label` (every scope
-    /// whose path has `label` as its first component, however deeply
-    /// nested below it).
-    fn under<'a>(&'a self, label: &str) -> impl Iterator<Item = &'a Event> {
+    /// The window `(first start, last end)` of each entry into stage
+    /// `label` — every scope whose path has `label` as its first
+    /// component, however deeply nested — where an entry is a run of
+    /// consecutive duration events under it. A window includes the waits
+    /// *inside* the stage (a collective's) but not what the parent scope
+    /// does between entries.
+    pub fn entries_under(&self, label: &str) -> Vec<(f64, f64)> {
         let staged: Vec<bool> = self.labels.table.lock().labels.iter().map(|l| l.stage() == label).collect();
-        self.spans().filter(move |e| e.label != 0 && staged[e.label as usize])
-    }
-
-    /// Busy time (compute + send + recv) under stage `label` (e.g. every
-    /// interval recorded under the `"cffts"` scope).
-    pub fn busy_under(&self, label: &str) -> f64 {
-        self.under(label).map(Event::dur).sum()
-    }
-
-    /// Elapsed window `(first_start, last_end)` of the duration events
-    /// under stage `label`; `None` when there are none. This is the
-    /// harvested analogue of a barrier-bracketed stopwatch around one
-    /// stage: it includes waits *inside* the stage (collective latencies)
-    /// but not the inter-stage synchronization around it.
-    pub fn window_under(&self, label: &str) -> Option<(f64, f64)> {
-        self.under(label).fold(None, |w, e| match w {
-            None => Some((e.start, e.end)),
-            Some((a, b)) => Some((a.min(e.start), b.max(e.end))),
-        })
+        let mut out: Vec<(f64, f64)> = Vec::new();
+        let mut inside = false;
+        for e in self.spans() {
+            let under = e.label != 0 && staged[e.label as usize];
+            match out.last_mut() {
+                Some(w) if under && inside => w.1 = w.1.max(e.end),
+                _ if under => out.push((e.start, e.end)),
+                _ => {}
+            }
+            inside = under;
+        }
+        out
     }
 }
 
@@ -582,13 +578,14 @@ pub(crate) mod tests {
         log.push(compute(0.0, 1.0, g1, 0));
         log.push(compute(2.0, 3.0, g1a, 0));
         log.push(compute(3.0, 4.0, g2, 0));
+        log.push(compute(5.0, 6.0, g1, 0));
         assert_eq!(log.labels().get(g1a).path(), "G1/assign2");
         assert_eq!(log.labels().get(g1a).stage(), "G1");
-        assert_eq!(log.busy_under("G1"), 2.0);
-        assert_eq!(log.window_under("G1"), Some((0.0, 3.0)));
-        assert_eq!(log.window_under("G2"), Some((3.0, 4.0)));
-        assert_eq!(log.window_under("G3"), None);
-        assert_eq!(log.busy_under("G"), 0.0, "prefix must match a whole component");
+        // A nested scope extends its stage's entry; another stage ends it.
+        assert_eq!(log.entries_under("G1"), [(0.0, 3.0), (5.0, 6.0)]);
+        assert_eq!(log.entries_under("G2"), [(3.0, 4.0)]);
+        assert_eq!(log.entries_under("G3"), []);
+        assert_eq!(log.entries_under("G"), [], "prefix must match a whole component");
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub mod prelude {
         TaskRegion, TimeMode,
     };
     pub use fx_darray::{
-        assign1, assign2, copy_remap1, copy_remap1_range, copy_remap2, count_matching,
-        exchange_col_halo, exchange_row_halo, remap1, remap2, repartition_by, transpose2,
-        DArray1, DArray2, Dist, Dist1, Participation, Remap,
+        assign1, assign2, copy_shift1_range, count_matching, exchange_col_halo, exchange_row_halo,
+        remap1, remap2, repartition_by, transpose2, DArray1, DArray2, Dist, Dist1, Participation,
+        Remap,
     };
 }
 

@@ -15,14 +15,20 @@
 //! overlap the main computation, recovering ~25% at 64 processors
 //! (Figure 6).
 //!
+//! The program is written once, [`airshed_hours`], as a three-stage chain
+//! on [`stage_chain`] — input | compute | output, a data set an hour — and
+//! the paper's two versions are two of its mappings: [`airshed_dp`] the
+//! fused chain, [`airshed_tp`] the pipeline `[1, P − 2, 1]`. `fx-bench`'s
+//! mapping search picks among all of them for Figure 6's best column.
+//!
 //! The concentration matrix is a [`DArray3`] distributed
 //! `(*, BLOCK, *)` over grid points; transport exchanges one ghost plane
 //! of grid points, chemistry is purely local and dominates compute.
 
-use fx_core::{Cx, Size};
+use fx_core::Cx;
 use fx_darray::{assign3, exchange_plane_halo, DArray3, Dist};
 
-use crate::util::unit_hash;
+use crate::util::{stage_chain, unit_hash, Segments, StreamMapping, SET_DONE, SET_START};
 
 /// Problem parameters for the Airshed model.
 #[derive(Debug, Clone, Copy)]
@@ -159,195 +165,99 @@ fn checksum(cx: &mut Cx, conc: &DArray3<f64>) -> f64 {
     cx.allreduce(local, |a, b| a + b)
 }
 
-/// Data-parallel Airshed: the serial I/O phases run on virtual processor
-/// 0 of the current group, everyone else waits on the distributed data.
-/// Returns the final concentration checksum.
-pub fn airshed_dp(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
-    let g = cx.group();
-    let mut conc = DArray3::new(cx, &g, cfg.shape(), DIST, 0f64);
-    for hour in 0..cfg.hours {
-        if cx.id() == 0 {
-            cx.charge_seconds(cfg.input_seconds);
-        }
-        scatter_from_zero(cx, &mut conc, hour);
-        compute_hour(cx, &mut conc, cfg, hour);
-        gather_to_zero(cx, &conc);
-        if cx.id() == 0 {
-            cx.charge_seconds(cfg.output_seconds);
-            cx.record("hour done");
-        }
-    }
-    checksum(cx, &conc)
-}
-
-/// Distribute hour `hour`'s data from virtual processor 0 to the owners
-/// (an explicit scatter: 0 materializes and sends each member's block of
-/// grid-point planes).
-fn scatter_from_zero(cx: &mut Cx, conc: &mut DArray3<f64>, hour: usize) {
-    let tag = cx.next_op_tag();
-    let p = cx.nprocs();
-    let me = cx.id();
-    let block = conc.shape()[1].div_ceil(p); // BLOCK plane count
-    if me == 0 {
-        for v in 1..p {
-            let (l0, l1, l2) = conc.local_dims_of(v);
-            if l0 * l1 * l2 == 0 {
-                continue;
-            }
-            let first = v * block;
-            let mut buf = Vec::with_capacity(l0 * l1 * l2);
-            for a in 0..l0 {
-                for b in 0..l1 {
-                    for c in 0..l2 {
-                        buf.push(hourly_input(hour, a, first + b, c));
-                    }
-                }
-            }
-            cx.send_v(v, tag, buf);
-        }
-        conc.for_each_owned(|a, g_, c, val| *val = hourly_input(hour, a, g_, c));
-    } else if !conc.local().is_empty() {
-        let buf: Vec<f64> = cx.recv_v(0, tag);
-        conc.local_mut().copy_from_slice(&buf);
-    }
-}
-
-/// Gather the concentration matrix to virtual processor 0 for output.
-fn gather_to_zero(cx: &mut Cx, conc: &DArray3<f64>) {
-    let tag = cx.next_op_tag();
-    let p = cx.nprocs();
-    let me = cx.id();
-    if me == 0 {
-        for v in 1..p {
-            let (l0, l1, l2) = conc.local_dims_of(v);
-            if l0 * l1 * l2 == 0 {
-                continue;
-            }
-            let _block: Vec<f64> = cx.recv_v(v, tag);
-        }
-    } else if !conc.local().is_empty() {
-        cx.send_v(0, tag, conc.local().to_vec());
-    }
-}
-
-/// Task-parallel Airshed (the paper's improvement): input and output run
-/// as tasks on their own single-processor subgroups, overlapping the main
-/// computation. Returns the final checksum (on main-group members; the
-/// I/O processors return 0).
-pub fn airshed_tp(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
-    assert!(cx.nprocs() >= 3, "task-parallel airshed needs >= 3 processors");
-    let part = cx.task_partition(&[
-        ("input", Size::Procs(1)),
-        ("main", Size::Rest),
-        ("output", Size::Procs(1)),
-    ]);
-    let g_in = part.group("input");
-    let g_main = part.group("main");
-    let g_out = part.group("output");
-    // SUBGROUP(input) :: staged ; SUBGROUP(main) :: conc ;
-    // SUBGROUP(output) :: outbuf
-    let mut staged = DArray3::new(cx, &g_in, cfg.shape(), DIST, 0f64);
-    let mut conc = DArray3::new(cx, &g_main, cfg.shape(), DIST, 0f64);
-    let mut outbuf = DArray3::new(cx, &g_out, cfg.shape(), DIST, 0f64);
-    let mut result = 0.0;
-
-    cx.task_region(&part, |cx, tr| {
-        for hour in 0..cfg.hours {
+/// Airshed over the hours `hours` on the current group under `segs`: the
+/// one program text, a chain of input | compute | output. Input and output
+/// own one-processor arrays under every mapping — `(*, BLOCK_CYCLIC(all
+/// gridpoints), *)` puts the whole array on the first member of the
+/// stage's group — so each serial phase is charged on one processor, and
+/// both hops are plain `assign3` statements: a scatter from that processor
+/// and a gather back to it when the chain is fused, a hand-off between
+/// subgroups when input and output have segments of their own. `conc`
+/// carries from hour to hour, so the compute stage is never replicated.
+/// Returns the final concentration checksum on the compute stage's
+/// members and 0 elsewhere.
+pub fn airshed_hours(
+    cx: &mut Cx,
+    cfg: &AirshedConfig,
+    segs: &Segments,
+    hours: impl IntoIterator<Item = usize>,
+) -> f64 {
+    stage_chain(cx, segs, |cx, st| {
+        let one_owner = (Dist::Star, Dist::BlockCyclic(cfg.gridpoints), Dist::Star);
+        // SUBGROUP(input) :: staged ; SUBGROUP(compute) :: conc ;
+        // SUBGROUP(output) :: outbuf
+        let mut staged = DArray3::new(cx, st.group(0), cfg.shape(), one_owner, 0f64);
+        let mut conc = DArray3::new(cx, st.group(1), cfg.shape(), DIST, 0f64);
+        let mut outbuf = DArray3::new(cx, st.group(2), cfg.shape(), one_owner, 0f64);
+        for hour in hours {
             // The input task preprocesses hour `hour` — overlapping the
-            // main task's previous hour thanks to subset skipping.
-            tr.on(cx, "input", |cx| {
-                cx.charge_seconds(cfg.input_seconds);
+            // compute stage's previous hour when it has its own segment.
+            st.on(cx, 0, |cx| {
+                if cx.id() == 0 {
+                    cx.record(SET_START);
+                    cx.charge_seconds(cfg.input_seconds);
+                }
                 staged.for_each_owned(|a, g_, c, v| *v = hourly_input(hour, a, g_, c));
             });
-            // Hand the staged hour to the compute group (parent scope;
-            // only input ∪ main participate).
             assign3(cx, &mut conc, &staged);
-            tr.on(cx, "main", |cx| {
-                compute_hour(cx, &mut conc, cfg, hour);
-            });
-            // Raw output moves to the output task, which "writes" it
-            // while main continues with the next hour.
+            st.on(cx, 1, |cx| compute_hour(cx, &mut conc, cfg, hour));
+            // Raw output moves to the output processor, which "writes" it
+            // while the compute stage continues with the next hour.
             assign3(cx, &mut outbuf, &conc);
-            tr.on(cx, "output", |cx| {
-                cx.charge_seconds(cfg.output_seconds);
-                cx.record("hour done");
+            st.on(cx, 2, |cx| {
+                if cx.id() == 0 {
+                    cx.charge_seconds(cfg.output_seconds);
+                    cx.record(SET_DONE);
+                }
             });
         }
-        if let Some(v) = tr.on(cx, "main", |cx| checksum(cx, &conc)) {
-            result = v;
-        }
-    });
-    result
+        st.on(cx, 1, |cx| checksum(cx, &conc)).unwrap_or(0.0)
+    })
+}
+
+/// Data-parallel Airshed (Figure 6's DP curve): the whole chain fused on
+/// the current group, its serial I/O phases on virtual processor 0.
+/// Returns the final concentration checksum on every member.
+pub fn airshed_dp(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
+    airshed_hours(cx, cfg, &Segments::fused(cx.nprocs()), 0..cfg.hours)
+}
+
+/// Task-parallel Airshed (the paper's improvement): input and output on
+/// single-processor subgroups of their own, overlapping the computation
+/// on the rest. Returns the final checksum on the compute group's
+/// members; the I/O processors return 0.
+pub fn airshed_tp(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
+    assert!(cx.nprocs() >= 3, "task-parallel airshed needs >= 3 processors");
+    airshed_hours(cx, cfg, &Segments::pipeline([1, cx.nprocs() - 2, 1]), 0..cfg.hours)
 }
 
 /// Serve a batch of Airshed requests: each request is one full
-/// simulation day (the configured hour stream), and the group leader
-/// reports each request's checksum and completion virtual time. Under
-/// the task-parallel version the checksum lives on the main group, whose
-/// leader is world virtual rank 1 (rank 0 is the input task), so it is
-/// broadcast to the reporting leader first — scheduling changes, the
-/// answer does not: the reported checksum is bit-identical to the
-/// equivalent one-shot [`airshed_dp`] / [`airshed_tp`] run.
+/// simulation day (the configured hours) under `mapping`, which must not
+/// replicate — hours carry state — and the group leader reports each
+/// request's checksum and completion virtual time. The checksum lives on
+/// the compute stage, so when input has a segment of its own it is
+/// broadcast from the compute stage's first member to the reporting
+/// leader — scheduling changes, the answer does not: the reported
+/// checksum is bit-identical to the equivalent one-shot run.
 pub fn airshed_requests(
     cx: &mut Cx,
     cfg: &AirshedConfig,
-    task_parallel: bool,
+    mapping: StreamMapping,
     reqs: &[usize],
 ) -> Vec<crate::util::ReqCompletion<f64>> {
+    let (replicas, segs) = mapping.segments(cx.nprocs());
+    assert!(replicas.is_none(), "airshed hours carry state: {mapping:?} replicates them");
+    let compute_leader = segs.procs[..segs.seg_of_stage[1]].iter().sum();
     let mut out = Vec::new();
     for &req in reqs {
         cx.set_trace(fx_core::request_trace_id(req));
-        let cs = if task_parallel {
-            let v = airshed_tp(cx, cfg);
-            cx.bcast(1, v)
-        } else {
-            airshed_dp(cx, cfg)
-        };
+        let v = airshed_hours(cx, cfg, &segs, 0..cfg.hours);
+        let cs = if compute_leader == 0 { v } else { cx.bcast(compute_leader, v) };
         if cx.id() == 0 {
             out.push(crate::util::ReqCompletion { req, done: cx.now(), output: cs });
         }
     }
     out
-}
-
-/// Predicted per-hour times of the two program versions on `p`
-/// processors under `model` — the little performance model behind
-/// [`airshed_best`]. Returns `(t_dp, t_tp)`.
-pub fn predict_hour_times(cfg: &AirshedConfig, p: usize, flop_time: f64) -> (f64, f64) {
-    // Uses the configured base step count as the estimate; actual
-    // hours vary around it (nsteps_for), which the selector tolerates.
-    let steps = 1 + 3 * cfg.nsteps;
-    let chem_steps = cfg.nsteps;
-    let compute_flops = cfg.cells() as f64
-        * (steps as f64 * cfg.trans_flops_per_cell
-            + chem_steps as f64 * cfg.chem_flops_per_cell);
-    let io = cfg.input_seconds + cfg.output_seconds;
-    let t_dp = compute_flops * flop_time / p as f64 + io;
-    let t_tp = if p >= 3 {
-        (compute_flops * flop_time / (p - 2) as f64)
-            .max(cfg.input_seconds)
-            .max(cfg.output_seconds)
-    } else {
-        f64::INFINITY
-    };
-    (t_dp, t_tp)
-}
-
-/// Pick and run the better program version for this machine size — the
-/// "automatic tools to achieve different performance goals" the paper
-/// closes §5.1 with, applied to Figure 6: separated I/O tasks only pay
-/// off once the serial phases actually bottleneck the computation.
-pub fn airshed_best(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
-    let flop_time = match cx.time_mode() {
-        fx_core::TimeMode::Simulated(m) => m.flop_time,
-        fx_core::TimeMode::Real => 1e-7,
-    };
-    let (t_dp, t_tp) = predict_hour_times(cfg, cx.nprocs(), flop_time);
-    if t_tp < t_dp {
-        airshed_tp(cx, cfg)
-    } else {
-        airshed_dp(cx, cfg)
-    }
 }
 
 /// Sequential oracle for the checksum: the same per-hour phase sequence
@@ -480,26 +390,32 @@ mod tests {
     #[test]
     fn request_adapter_reports_oneshot_identical_checksums() {
         let cfg = tiny_cfg();
-        let oneshot_dp =
-            spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg))
-                .results[0];
-        let oneshot_tp =
-            spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| airshed_tp(cx, &cfg))
-                .results[1];
-        for tp in [false, true] {
-            let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
-                airshed_requests(cx, &cfg, tp, &[7, 8])
-            });
+        let machine = Machine::simulated(4, MachineModel::paragon());
+        // The compute stage's first member holds the one-shot checksum.
+        let oneshot_dp = spmd(&machine, move |cx| airshed_dp(cx, &cfg)).results[0];
+        let oneshot_tp = spmd(&machine, move |cx| airshed_tp(cx, &cfg)).results[1];
+        let mappings = [StreamMapping::DataParallel, StreamMapping::Pipeline([1, 2, 1])];
+        for (mapping, expect) in mappings.into_iter().zip([oneshot_dp, oneshot_tp]) {
+            let rep = spmd(&machine, move |cx| airshed_requests(cx, &cfg, mapping, &[7, 8]));
             let completions = &rep.results[0];
             assert_eq!(completions.len(), 2, "leader reports both requests");
-            let expect = if tp { oneshot_tp } else { oneshot_dp };
             for c in completions {
-                assert_eq!(c.output.to_bits(), expect.to_bits(), "tp={tp}: bit-identical checksum");
+                assert_eq!(c.output.to_bits(), expect.to_bits(), "{mapping:?}: bit-identical checksum");
             }
             for r in &rep.results[1..] {
                 assert!(r.is_empty(), "only the leader reports");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "hours carry state")]
+    fn requests_refuse_a_replicated_mapping() {
+        let cfg = tiny_cfg();
+        let twice = StreamMapping::Replicated { replicas: 2, pipeline: None };
+        spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
+            airshed_requests(cx, &cfg, twice, &[0])
+        });
     }
 
     #[test]
@@ -560,41 +476,6 @@ mod tests {
             t_tp < 0.85 * t_dp,
             "task parallelism should overlap I/O: dp {t_dp:.3}s tp {t_tp:.3}s"
         );
-    }
-
-    #[test]
-    fn best_variant_never_loses_to_either() {
-        let cfg = AirshedConfig {
-            gridpoints: 64,
-            layers: 2,
-            species: 4,
-            hours: 2,
-            nsteps: 2,
-            input_seconds: 0.4,
-            output_seconds: 0.4,
-            chem_flops_per_cell: 2000.0,
-            trans_flops_per_cell: 200.0,
-        };
-        let m = MachineModel::paragon();
-        for p in [4usize, 8, 16] {
-            let t_dp = spmd(&Machine::simulated(p, m), move |cx| {
-                airshed_dp(cx, &cfg);
-            })
-            .makespan();
-            let t_tp = spmd(&Machine::simulated(p, m), move |cx| {
-                airshed_tp(cx, &cfg);
-            })
-            .makespan();
-            let t_best = spmd(&Machine::simulated(p, m), move |cx| {
-                airshed_best(cx, &cfg);
-            })
-            .makespan();
-            let floor = t_dp.min(t_tp);
-            assert!(
-                t_best <= floor * 1.05,
-                "p={p}: best {t_best:.3} should track min(dp {t_dp:.3}, tp {t_tp:.3})"
-            );
-        }
     }
 
     #[test]

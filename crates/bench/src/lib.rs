@@ -24,6 +24,7 @@
 //! that executes any `fx-mapping` mapping of it ([`run_mapping`]), and
 //! [`measure_stream`], which reads throughput and latency off a run.
 
+use fx_apps::airshed::{airshed_hours, AirshedConfig};
 use fx_apps::ffthist::{fft_hist_sets, FftHistConfig};
 use fx_apps::radar::{radar_sets, RadarConfig};
 use fx_apps::stereo::{stereo_sets, StereoConfig};
@@ -65,10 +66,11 @@ where
     }
 }
 
-/// One of Table 1's three stream programs at one problem size. Each is a
-/// three-stage chain written once in `fx-apps`; this is that program as
-/// the mapping search sees it — stage names and boundaries, declared here
-/// once — plus the program's own code under any [`Segments`].
+/// One of Table 1's three stream programs, or Figure 6's Airshed, at one
+/// problem size. Each is a three-stage chain written once in `fx-apps`;
+/// this is that program as the mapping search sees it — stage names and
+/// boundaries, declared here once — plus the program's own code under any
+/// [`Segments`].
 #[derive(Debug, Clone, Copy)]
 pub enum Stream {
     /// Fill + `cffts`, `rffts`, `hist`.
@@ -77,6 +79,9 @@ pub enum Stream {
     Radar(RadarConfig),
     /// Difference image, error image, depth (per disparity).
     Stereo(StereoConfig),
+    /// Hourly input, transport + chemistry, output; a data set is an hour,
+    /// and the concentrations carry from one to the next.
+    Airshed(AirshedConfig),
 }
 
 impl Stream {
@@ -86,6 +91,7 @@ impl Stream {
             Stream::FftHist(_) => ["cffts", "rffts", "hist"],
             Stream::Radar(_) => ["acquire", "doppler", "detect"],
             Stream::Stereo(_) => ["diff", "error", "depth"],
+            Stream::Airshed(_) => ["input", "compute", "output"],
         }
     }
 
@@ -112,6 +118,11 @@ impl Stream {
                 let images = (c.rows * c.cols * std::mem::size_of::<f32>() * c.max_disp) as f64;
                 [aligned(images), aligned(images)]
             }
+            Stream::Airshed(c) => {
+                // One processor's whole array to (*, BLOCK, *) and back.
+                let conc = (c.cells() * std::mem::size_of::<f64>()) as f64;
+                [redistribution(conc), redistribution(conc)]
+            }
         }
     }
 
@@ -126,6 +137,9 @@ impl Stream {
             }
             Stream::Stereo(c) => {
                 stereo_sets(cx, c, segs, sets);
+            }
+            Stream::Airshed(c) => {
+                airshed_hours(cx, c, segs, sets.iter().copied());
             }
         }
     }
@@ -155,8 +169,12 @@ pub fn chain_model(stream: &Stream, p_values: &[usize]) -> ChainModel {
             s.push((p, stage_time(&rep.logs, &format!("G{}", k + 1)).max(1e-9)));
         }
     }
-    let stages = samples.into_iter().zip(stream.stages());
-    let stages = stages.map(|(s, name)| StageProfile::from_samples(name, s)).collect();
+    let stages = samples.into_iter().zip(stream.stages()).enumerate();
+    let stages = stages.map(|(k, (s, name))| StageProfile {
+        carries_state: matches!(stream, Stream::Airshed(_)) && k == 1,
+        ..StageProfile::from_samples(name, s)
+    });
+    let stages = stages.collect();
     ChainModel::new(stages, stream.boundaries().to_vec(), net_params(&machine))
 }
 
@@ -209,7 +227,8 @@ pub fn run_mapping(cx: &mut Cx, stream: &Stream, mapping: &Mapping, sets: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_mapping::Segment;
+    use fx_apps::airshed::{airshed_dp, airshed_tp};
+    use fx_mapping::{fastest_for, Segment};
 
     fn small_streams() -> [Stream; 3] {
         [
@@ -225,15 +244,17 @@ mod tests {
         // (all_to_all, fused_is_free). A stage bound by a reduction on a
         // small image — FFT-Hist's histogram, Radar's detection count —
         // may not scale (that is the non-scalability the paper's mappings
-        // exploit). A redistribution (the transpose, the corner turn) is
+        // exploit), nor may Airshed's serial I/O. A redistribution (the
+        // transpose, the corner turn, Airshed's scatter and gather) is
         // all-to-all and costs even fused; an aligned hop is free fused.
         let redistribution = (true, false);
         let aligned = (false, true);
-        for stream in small_streams() {
+        for stream in small_streams().into_iter().chain([small_airshed()]) {
             let (scaling, kinds) = match stream {
                 Stream::FftHist(_) => (0..2, [redistribution, aligned]),
                 Stream::Radar(_) => (0..2, [redistribution, aligned]),
                 Stream::Stereo(_) => (0..3, [aligned, aligned]),
+                Stream::Airshed(_) => (1..2, [redistribution, redistribution]),
             };
             let model = chain_model(&stream, &[1, 2, 4]);
             assert_eq!(model.stages.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), stream.stages());
@@ -249,6 +270,49 @@ mod tests {
             }
             let declared = model.boundaries.iter().map(|b| (b.all_to_all, b.fused_is_free));
             assert_eq!(declared.collect::<Vec<_>>(), kinds, "{stream:?}");
+            // Only Airshed's concentrations carry from one data set on.
+            let carried: Vec<bool> = model.stages.iter().map(|s| s.carries_state).collect();
+            assert_eq!(carried, [false, matches!(stream, Stream::Airshed(_)), false], "{stream:?}");
+        }
+    }
+
+    fn small_airshed() -> Stream {
+        Stream::Airshed(AirshedConfig { gridpoints: 240, ..AirshedConfig::paper() })
+    }
+
+    #[test]
+    fn searched_airshed_mapping_never_loses_to_either() {
+        // The fastest frontier mapping of Figure 6's chain, run for the
+        // day's hours, against the two named mappings.
+        let cfg = AirshedConfig {
+            gridpoints: 64,
+            layers: 2,
+            species: 4,
+            hours: 2,
+            nsteps: 2,
+            input_seconds: 0.4,
+            output_seconds: 0.4,
+            chem_flops_per_cell: 2000.0,
+            trans_flops_per_cell: 200.0,
+        };
+        let stream = Stream::Airshed(cfg);
+        let model = chain_model(&stream, &[1, 2, 4, 8, 16]);
+        let makespan = |p, f: &(dyn Fn(&mut Cx) + Sync)| spmd(&paragon(p), |cx| f(cx)).makespan();
+        for p in [4usize, 8, 16] {
+            let best = fastest_for(&model, p, cfg.hours).mapping;
+            assert_eq!(best.modules, 1, "p={p}: hours carry state");
+            let t_dp = makespan(p, &|cx| {
+                airshed_dp(cx, &cfg);
+            });
+            let t_tp = makespan(p, &|cx| {
+                airshed_tp(cx, &cfg);
+            });
+            let t_best = makespan(p, &|cx| run_mapping(cx, &stream, &best, cfg.hours));
+            assert!(
+                t_best <= t_dp.min(t_tp) * 1.05,
+                "p={p}: {} takes {t_best:.3}, min(dp {t_dp:.3}, tp {t_tp:.3})",
+                best.render(&model)
+            );
         }
     }
 

@@ -16,7 +16,7 @@
 //! via `FX_EXECUTOR`, so the suite is safe under the parallel test
 //! runner.
 
-use fx_apps::airshed::{airshed_best, airshed_dp, airshed_tp, AirshedConfig};
+use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
 use fx_apps::ffthist::{fft_hist_dp, fft_hist_replicated, fft_hist_sets, FftHistConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx_apps::qsort::{qsort_global, qsort_global_promoted};
@@ -26,7 +26,7 @@ use fx_apps::util::{make_plummer_bodies, Segments};
 use fx_bench::{chain_model, paragon, run_mapping, Stream};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::{assign1, DArray1, Dist1, Participation};
-use fx_mapping::{tradeoff_frontier, Mapping, Segment};
+use fx_mapping::{fastest_for, tradeoff_frontier, Mapping, Segment};
 use fx_runtime::Executor;
 
 fn bits(ts: &[f64]) -> Vec<u64> {
@@ -127,8 +127,8 @@ fn fig5_mapping_shapes() {
     assert_bitwise("fig5/pipelined", &paragon(16), |cx| run_mapping(cx, &stream, &pipelined, 5));
 }
 
-/// fig6 flavor: the Airshed model, data-parallel vs task-parallel vs
-/// best-of-both, on a reduced grid.
+/// fig6 flavor: the Airshed model, data-parallel vs task-parallel vs the
+/// mapping the search picks, on a reduced grid.
 #[test]
 fn fig6_airshed_variants() {
     let cfg = AirshedConfig {
@@ -144,7 +144,9 @@ fn fig6_airshed_variants() {
     };
     assert_bitwise("fig6/dp", &paragon(8), move |cx| airshed_dp(cx, &cfg));
     assert_bitwise("fig6/tp", &paragon(8), move |cx| airshed_tp(cx, &cfg));
-    assert_bitwise("fig6/best", &paragon(8), move |cx| airshed_best(cx, &cfg));
+    let stream = Stream::Airshed(cfg);
+    let best = fastest_for(&chain_model(&stream, &[1, 2, 4, 8]), 8, cfg.hours).mapping;
+    assert_bitwise("fig6/best", &paragon(8), |cx| run_mapping(cx, &stream, &best, cfg.hours));
 }
 
 /// ablations flavor: minimal-subset vs whole-group pipeline, the

@@ -13,7 +13,7 @@
 //! never via `FX_EXECUTOR`/`FX_TRACE`, so the suite is safe under the
 //! parallel test runner.
 
-use fx_apps::airshed::{airshed_best, airshed_dp, AirshedConfig};
+use fx_apps::airshed::{airshed_dp, AirshedConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx_apps::ffthist::{fft_hist_dp, fft_hist_pipeline_sets, FftHistConfig};
 use fx_apps::qsort::qsort_global;
@@ -22,7 +22,7 @@ use fx_apps::stereo::StereoConfig;
 use fx_apps::util::Segments;
 use fx_bench::{chain_model, paragon, run_mapping, Stream};
 use fx_core::{spmd, Cx, Machine, MachineModel};
-use fx_mapping::{tradeoff_frontier, Mapping, Segment};
+use fx_mapping::{fastest_for, tradeoff_frontier, Mapping, Segment};
 use fx_runtime::{Event, Executor, Log};
 
 fn bits(ts: &[f64]) -> Vec<u64> {
@@ -122,7 +122,8 @@ fn fig5_tracing_is_vtime_free() {
     assert_trace_free("fig5/pipelined", &paragon(16), |cx| run_mapping(cx, &stream, &pipelined, 5));
 }
 
-/// fig6 flavor: the Airshed model, data-parallel and best-of-both.
+/// fig6 flavor: the Airshed model, data-parallel and the mapping the
+/// search picks.
 #[test]
 fn fig6_tracing_is_vtime_free() {
     let cfg = AirshedConfig {
@@ -137,7 +138,9 @@ fn fig6_tracing_is_vtime_free() {
         trans_flops_per_cell: 10.0,
     };
     assert_trace_free("fig6/dp", &paragon(8), move |cx| airshed_dp(cx, &cfg));
-    assert_trace_free("fig6/best", &paragon(8), move |cx| airshed_best(cx, &cfg));
+    let stream = Stream::Airshed(cfg);
+    let best = fastest_for(&chain_model(&stream, &[1, 2, 4, 8]), 8, cfg.hours).mapping;
+    assert_trace_free("fig6/best", &paragon(8), |cx| run_mapping(cx, &stream, &best, cfg.hours));
 }
 
 /// ablations flavor: the minimal-subset pipeline, where trace contexts

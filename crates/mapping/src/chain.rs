@@ -283,15 +283,17 @@ pub fn max_throughput_mapping(model: &ChainModel, total_procs: usize) -> Evaluat
 }
 
 /// Every shape a mapping on `total_procs` processors can take, as
-/// `(modules, bounds)`: each replication factor dividing the machine ×
+/// `(modules, bounds)`: each replication factor dividing the machine (only
+/// 1 when a stage carries state) ×
 /// each of the `2^(m-1)` contiguous splits of the chain (m ≤ 5 in
 /// practice) that leaves every segment a processor of the module.
 /// Segment `s` covers stages `bounds[s]..bounds[s + 1]`. Factors ascend,
 /// and within one the split patterns (bit `k` = a cut after stage `k`).
 pub(crate) fn shapes(model: &ChainModel, total_procs: usize) -> Vec<(usize, Vec<usize>)> {
     let m = model.stages.len();
+    let most = if model.stages.iter().any(|s| s.carries_state) { 1 } else { total_procs };
     let mut out = Vec::new();
-    for modules in (1..=total_procs).filter(|r| total_procs.is_multiple_of(*r)) {
+    for modules in (1..=most).filter(|r| total_procs.is_multiple_of(*r)) {
         for pattern in 0..(1u32 << (m - 1)) {
             let cuts = (0..m - 1).filter(|k| pattern & (1 << k) != 0).map(|k| k + 1);
             let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([m]).collect();
@@ -443,6 +445,32 @@ mod tests {
         let best = best_mapping(&model, 8, None).unwrap();
         assert!(best.mapping.is_pure_data_parallel(), "{:?}", best.mapping);
         assert!((best.latency - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_state_carrying_chain_is_never_replicated() {
+        // The FFT-Hist chain's shapes: every factor of 64 × every split
+        // that leaves each segment a processor of the module.
+        let stage = |name| StageProfile::ideal(name, 1.0, 64);
+        let transpose = Boundary { bytes: 1e6, all_to_all: true, fused_is_free: false };
+        let aligned = Boundary { bytes: 1e6, all_to_all: false, fused_is_free: true };
+        let mut model = ChainModel::new(
+            vec![stage("cffts"), stage("rffts"), stage("hist")],
+            vec![transpose, aligned],
+            NetParams::paragon(),
+        );
+        let splits = [vec![0, 3], vec![0, 1, 3], vec![0, 2, 3], vec![0, 1, 2, 3]];
+        let mut fft_hist = Vec::new();
+        for modules in [1, 2, 4, 8, 16, 32, 64] {
+            let fits = splits.iter().filter(|b| b.len() - 1 <= 64 / modules);
+            fft_hist.extend(fits.map(|b| (modules, b.clone())));
+        }
+        assert_eq!(shapes(&model, 64), fft_hist);
+        // Carrying state in any stage leaves the one-module shapes only.
+        model.stages[1].carries_state = true;
+        assert_eq!(shapes(&model, 64), fft_hist[..4]);
+        assert_eq!(max_throughput_mapping(&model, 64).mapping.modules, 1);
+        assert!(crate::tradeoff_frontier(&model, 64).iter().all(|e| e.mapping.modules == 1));
     }
 
     #[test]

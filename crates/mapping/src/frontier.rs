@@ -120,6 +120,15 @@ pub fn tradeoff_frontier(model: &ChainModel, total_procs: usize) -> Vec<Evaluate
     frontier
 }
 
+/// The mapping predicted to finish `sets` data sets first — latency +
+/// (sets − 1) / throughput, Figure 6's makespan — which only a frontier
+/// point can minimise.
+pub fn fastest_for(model: &ChainModel, total_procs: usize, sets: usize) -> Evaluated {
+    let day = |e: &Evaluated| e.latency + (sets - 1) as f64 / e.throughput;
+    let frontier = tradeoff_frontier(model, total_procs).into_iter();
+    frontier.min_by(|a, b| day(a).total_cmp(&day(b))).expect("the frontier is never empty")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +180,15 @@ mod tests {
             max_thr > lat_opt_thr * 1.5,
             "expected a real trade: {lat_opt_thr} → {max_thr}"
         );
+    }
+
+    #[test]
+    fn fastest_for_one_set_is_the_latency_optimum_and_for_many_the_fastest_stream() {
+        let model = test_model();
+        let f = tradeoff_frontier(&model, 16);
+        let lat = |e: &Evaluated| e.latency;
+        assert_eq!(lat(&fastest_for(&model, 16, 1)), lat(&f[0]));
+        assert_eq!(lat(&fastest_for(&model, 16, 1_000_000)), lat(f.last().unwrap()));
     }
 
     #[test]

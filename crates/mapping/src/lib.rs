@@ -25,5 +25,5 @@ pub use chain::{
     best_mapping, evaluate, max_throughput_mapping, Boundary, ChainModel, Evaluated, Mapping,
     NetParams, Segment,
 };
-pub use frontier::tradeoff_frontier;
+pub use frontier::{fastest_for, tradeoff_frontier};
 pub use profile::StageProfile;

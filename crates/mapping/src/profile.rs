@@ -17,6 +17,9 @@ pub struct StageProfile {
     pub name: String,
     /// `(processors, seconds)` samples, strictly increasing in processors.
     pub samples: Vec<(usize, f64)>,
+    /// The stage carries state from one data set to the next, so no
+    /// mapping may replicate it (Airshed's hourly concentrations).
+    pub carries_state: bool,
 }
 
 impl StageProfile {
@@ -32,7 +35,7 @@ impl StageProfile {
             samples.iter().all(|&(p, t)| p >= 1 && t > 0.0),
             "samples must have p >= 1 and positive times"
         );
-        StageProfile { name: name.into(), samples }
+        StageProfile { name: name.into(), samples, carries_state: false }
     }
 
     /// An ideal `T(p) = work / p` profile (useful in tests and as a

@@ -39,8 +39,6 @@ pub mod env;
 mod event;
 mod flight;
 mod heartbeat;
-#[cfg(feature = "telemetry-http")]
-mod http;
 mod mailbox;
 mod model;
 mod parker;
@@ -60,8 +58,6 @@ pub use event::{
     request_trace_id, Event, EventKind, Label, Labels, Log, SpanAccounting, WindowBreakdown,
 };
 pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView};
-#[cfg(feature = "telemetry-http")]
-pub use http::TelemetryServer;
 pub use model::{MachineModel, TimeMode};
 pub use payload::{Chunk, Payload};
 pub use run::{run, DataflowMode, Executor, Machine, RunReport};

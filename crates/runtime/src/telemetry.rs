@@ -226,9 +226,9 @@ struct Inner {
 /// assert!(text.ends_with("# EOF\n"));
 /// ```
 ///
-/// The handle outlives the run: scrape it live from another thread (or
-/// the `telemetry-http` endpoint) while the program executes, and read
-/// final counters, flight dumps, and stall reports after it finishes —
+/// The handle outlives the run: scrape it live from another thread while
+/// the program executes, and read final counters, flight dumps, and
+/// stall reports after it finishes —
 /// even when the run ended in a panic and no report was produced.
 pub struct Telemetry {
     config: TelemetryConfig,

@@ -11,7 +11,7 @@
 use crate::ServeRequest;
 use fx_apps::airshed::{airshed_requests, AirshedConfig};
 use fx_apps::ffthist::{fft_hist_requests, FftHistConfig, FftHistMapping};
-use fx_apps::util::ReqCompletion;
+use fx_apps::util::{ReqCompletion, StreamMapping};
 use fx_core::Cx;
 
 /// A compiled pipeline that can serve batches of requests.
@@ -55,9 +55,10 @@ impl Servable for FftHistServable {
 pub struct AirshedServable {
     /// Problem shape.
     pub cfg: AirshedConfig,
-    /// `true` for the task-parallel input/main/output mapping,
-    /// `false` for pure data parallelism.
-    pub task_parallel: bool,
+    /// How input | compute | output sit on the machine: data-parallel,
+    /// or a pipeline such as Figure 6's `[1, P − 2, 1]`. Never
+    /// replicated — hours carry state — and a batch panics if it is.
+    pub mapping: StreamMapping,
 }
 
 impl Servable for AirshedServable {
@@ -65,6 +66,6 @@ impl Servable for AirshedServable {
 
     fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<f64>> {
         let reqs: Vec<usize> = batch.iter().map(|r| r.idx).collect();
-        airshed_requests(cx, &self.cfg, self.task_parallel, &reqs)
+        airshed_requests(cx, &self.cfg, self.mapping, &reqs)
     }
 }

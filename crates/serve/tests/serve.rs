@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use fx_apps::airshed::AirshedConfig;
 use fx_apps::ffthist::{reference_histogram, FftHistConfig, FftHistMapping};
+use fx_apps::util::StreamMapping;
 use fx_core::{spmd, Machine, MachineModel};
 use fx_runtime::Executor;
 use fx_serve::{
@@ -138,20 +139,25 @@ fn airshed_service_answers_match_oneshot() {
         chem_flops_per_cell: 400.0,
         trans_flops_per_cell: 60.0,
     };
-    let oneshot = spmd(&paragon(4), |cx| fx_apps::airshed::airshed_dp(cx, &cfg)).results[0];
+    // The compute stage's first member holds the one-shot checksum.
+    let oneshot_dp = spmd(&paragon(4), |cx| fx_apps::airshed::airshed_dp(cx, &cfg)).results[0];
+    let oneshot_tp = spmd(&paragon(4), |cx| fx_apps::airshed::airshed_tp(cx, &cfg)).results[1];
     let trace = poisson_trace(&[TenantSpec::new("ops", 5.0, 3)], 21);
-    let server = Server::new(paragon(4), AirshedServable { cfg, task_parallel: false })
-        .with_config(ServeConfig::default());
-    let rep = server.serve(&trace, &["ops"]);
-    assert_eq!(rep.completed(), 3);
-    for c in &rep.completions {
-        assert_eq!(
-            c.output.to_bits(),
-            oneshot.to_bits(),
-            "served checksum must be bit-identical to the one-shot run"
-        );
+    let mappings = [StreamMapping::DataParallel, StreamMapping::Pipeline([1, 2, 1])];
+    for (mapping, oneshot) in mappings.into_iter().zip([oneshot_dp, oneshot_tp]) {
+        let server = Server::new(paragon(4), AirshedServable { cfg, mapping })
+            .with_config(ServeConfig::default());
+        let rep = server.serve(&trace, &["ops"]);
+        assert_eq!(rep.completed(), 3);
+        for c in &rep.completions {
+            assert_eq!(
+                c.output.to_bits(),
+                oneshot.to_bits(),
+                "{mapping:?}: served checksum must be bit-identical to the one-shot run"
+            );
+        }
+        assert!(rep.conserved());
     }
-    assert!(rep.conserved());
 }
 
 #[test]

@@ -177,3 +177,59 @@ fn the_metric_scan_expands_brace_lists_and_skips_files_and_wildcards() {
                 `trace.len()`, `machine.tracing`, serve.p50_ms.dp unquoted or `host_wall_s`.";
     assert_eq!(named_metrics(text), ["serve.p50_ms.dp", "serve.p99_ms.dp", "serve.hist_p99_err_frac"]);
 }
+
+/// A table cell or a printed column as a comparable token: no spaces, no
+/// emphasis, no code quotes, no percent sign, no explicit plus, and an
+/// ASCII minus.
+fn cell(text: &str) -> String {
+    let text = text.replace("**", "").replace(['`', ' ', '%'], "").replace('−', "-");
+    text.strip_prefix('+').unwrap_or(&text).to_string()
+}
+
+/// The rows of the first Markdown table in `text` whose first cell is a
+/// number, as cells (an escaped `\|` stays inside its cell).
+fn table_rows(text: &str) -> Vec<Vec<String>> {
+    let rows = text.lines().skip_while(|l| !l.starts_with('|')).take_while(|l| l.starts_with('|'));
+    let cells = |l: &str| -> Vec<String> {
+        let l = l.replace("\\|", "\u{1}");
+        l.trim_matches('|').split('|').map(|c| cell(&c.replace('\u{1}', "|"))).collect()
+    };
+    rows.map(cells).filter(|r| r[0].parse::<usize>().is_ok()).collect()
+}
+
+#[test]
+fn the_fig6_table_is_the_committed_result() {
+    // ROADMAP 8(i)'s first slice: every cell of EXPERIMENTS.md's Figure 6
+    // table, and its sequential time and I/O share, as
+    // `results/fig6_airshed.txt` prints them.
+    let experiments = include_str!("../EXPERIMENTS.md");
+    let at = experiments.find("## Figure 6").expect("EXPERIMENTS.md has a Figure 6 section");
+    let section = &experiments[at..at + experiments[at + 1..].find("\n## ").unwrap_or(experiments.len() - at)];
+    let printed = include_str!("../results/fig6_airshed.txt");
+    let seq = printed.lines().find_map(|l| l.strip_prefix("sequential time: ")).expect("a sequential time");
+    let (secs, share) = (seq.split(' ').next().unwrap(), seq.split("I/O ").nth(1).unwrap().split('%').next().unwrap());
+    for quoted in [format!("{secs} s"), format!("{share} %")] {
+        assert!(section.contains(&quoted), "the Figure 6 section does not quote {quoted:?}");
+    }
+    let results: Vec<Vec<String>> = printed
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("procs"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let mut cols: Vec<String> = l.split_whitespace().take(7).map(cell).collect();
+            cols.push(cell(l.split_whitespace().skip(7).collect::<Vec<_>>().join(" ").as_str()));
+            cols
+        })
+        .collect();
+    let doc = table_rows(section);
+    assert_eq!(results.len(), 5, "results/fig6_airshed.txt: one row a machine size");
+    assert_eq!(doc, results, "EXPERIMENTS.md's Figure 6 table drifted from results/fig6_airshed.txt");
+}
+
+#[test]
+fn a_table_row_keeps_escaped_pipes_and_reads_signs_plainly() {
+    let text = "prose\n| procs | gain | mapping |\n|---|---|---|\n| 64 | **+28.2 %** | `1x [a:1 \\| b:2]` |\n\nmore";
+    assert_eq!(table_rows(text), [["64", "28.2", "1x[a:1|b:2]"]]);
+    assert_eq!(cell("−92.7%"), "-92.7");
+}

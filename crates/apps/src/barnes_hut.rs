@@ -16,7 +16,11 @@
 //! (`fx-kernels::nbody::BhTree::build`); it is performed redundantly from
 //! the replicated particle set — the parallel build is the same recursive
 //! partitioning exercised by `fx-apps::qsort`, so the novel path
-//! exercised here is the force/worklist protocol.
+//! exercised here is the force/worklist protocol. Redundant on the model,
+//! once on the host: every member is charged for the build and for its
+//! subgroup's partial tree, but each tree is built once per group
+//! ([`Cx::replicated`]) and shared, and the worklist and result gathers
+//! are read in place from the one buffer the group shares.
 
 use fx_core::{Cx, Size};
 use fx_kernels::nbody::{interaction_flops, BhTree, Body};
@@ -85,7 +89,7 @@ pub fn make_bodies(n: usize, seed: u64) -> Vec<Body> {
 /// the current group.
 pub fn bh_forces(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig) -> Vec<[f64; 3]> {
     // build_bh_tree: replicated build from the replicated particle set.
-    let tree = BhTree::build(bodies.to_vec());
+    let tree = cx.replicated(|| BhTree::build(bodies.to_vec()));
     let n = tree.n_bodies();
     let build_flops = (n as f64) * (n as f64).log2().max(1.0) * 10.0;
     cx.charge_flops(build_flops);
@@ -101,13 +105,11 @@ pub fn bh_forces(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig) -> Vec<[f64; 3]> 
     let all = cx.allgather_vecs(flat);
     let mut forces = vec![[0.0f64; 3]; n];
     let mut seen = vec![false; n];
-    for part in all {
-        for (i, f) in part {
-            let i = i as usize;
-            assert!(!seen[i], "particle {i} solved twice");
-            seen[i] = true;
-            forces[tree.order[i]] = f;
-        }
+    for &(i, f) in all.flat() {
+        let i = i as usize;
+        assert!(!seen[i], "particle {i} solved twice");
+        seen[i] = true;
+        forces[tree.order[i]] = f;
     }
     assert!(seen.iter().all(|&s| s), "every particle must be solved");
     forces
@@ -149,7 +151,7 @@ fn compute_force(
     cx.task_region(&part, |cx, tr| {
         // partition_bh_tree: each half gets top-k levels + its subtree.
         if let Some((s, w)) = tr.on(cx, "subTreeG1", |cx| {
-            let sub = tree.split_range(lo, mid, cfg.k);
+            let sub = cx.replicated(|| tree.split_range(lo, mid, cfg.k));
             cx.charge_mem_bytes((sub.cells.len() * CELL_CHARGE_BYTES) as f64);
             compute_force(cx, &sub, lo, mid, cfg)
         }) {
@@ -157,7 +159,7 @@ fn compute_force(
             my_worklist = w;
         }
         if let Some((s, w)) = tr.on(cx, "subTreeG2", |cx| {
-            let sub = tree.split_range(mid, hi, cfg.k);
+            let sub = cx.replicated(|| tree.split_range(mid, hi, cfg.k));
             cx.charge_mem_bytes((sub.cells.len() * CELL_CHARGE_BYTES) as f64);
             compute_force(cx, &sub, mid, hi, cfg)
         }) {
@@ -168,13 +170,12 @@ fn compute_force(
 
     // Parent scope: pool the children's worklists and retry them against
     // this level's (fuller) tree, spread over all current processors.
-    let pooled: Vec<u64> = {
-        let mine: Vec<u64> = my_worklist.iter().map(|&i| i as u64).collect();
-        cx.allgather_vecs(mine).into_iter().flatten().collect()
-    };
+    let mine: Vec<u64> = my_worklist.iter().map(|&i| i as u64).collect();
+    let pooled = cx.allgather_vecs(mine);
     let me = cx.id();
     let p = cx.nprocs();
     let my_share: Vec<usize> = pooled
+        .flat()
         .iter()
         .enumerate()
         .filter(|(j, _)| j % p == me)

@@ -125,41 +125,23 @@ const BUCKETS_PER_PROC: usize = 16;
 /// member whose buckets caught a skewed key mass donates its tail on a
 /// heartbeat — the buckets are computable anywhere because the key set
 /// is replicated, so donated iterations ship no input). The concatenated
-/// sorted buckets are the sorted array.
+/// sorted buckets are the sorted array. Replicated on the model, once on
+/// the host: every member is charged for the bucketing scan, but the
+/// gathered keys and the sorted result are one buffer the leaf shares and
+/// the scan runs once per leaf ([`Cx::replicated`]).
 fn bucket_sort_leaf(cx: &mut Cx, a: &mut DArray1<i64>) {
     let n = a.n();
     let q = cx.nprocs();
     // Replicate the leaf's keys (vrank concatenation = global order).
-    let keys: Vec<i64> =
-        cx.allgather_vecs(a.local().to_vec()).into_iter().flatten().collect();
-    debug_assert_eq!(keys.len(), n);
-    let min = *keys.iter().min().expect("leaf sorts a non-empty range");
-    let max = *keys.iter().max().expect("leaf sorts a non-empty range");
-    if min == max {
-        return; // all keys equal: already sorted
-    }
+    let keys = cx.allgather_vecs(a.local().to_vec());
+    debug_assert_eq!(keys.flat().len(), n);
     let nbuckets = BUCKETS_PER_PROC * q;
-    let span = (max as i128 - min as i128 + 1) as u128;
-    let bucket_of =
-        |v: i64| (((v as i128 - min as i128) as u128 * nbuckets as u128 / span) as usize)
-            .min(nbuckets - 1);
-    // Replicated bucketing scan (same charge on every member): a counting
-    // sort by bucket, so bucket `b` is `by_bucket[starts[b]..starts[b + 1]]`.
+    let scan = cx.replicated(|| bucket_scan(keys.flat(), nbuckets));
+    let Some((starts, by_bucket)) = &*scan else {
+        return; // all keys equal: already sorted
+    };
+    // The replicated bucketing scan, charged on every member.
     cx.charge_flops(n as f64 * 2.0);
-    let buckets: Vec<usize> = keys.iter().map(|&v| bucket_of(v)).collect();
-    let mut starts = vec![0usize; nbuckets + 1];
-    for &b in &buckets {
-        starts[b + 1] += 1;
-    }
-    for b in 0..nbuckets {
-        starts[b + 1] += starts[b];
-    }
-    let mut fill = starts.clone();
-    let mut by_bucket = vec![0i64; n];
-    for (&v, &b) in keys.iter().zip(&buckets) {
-        by_bucket[fill[b]] = v;
-        fill[b] += 1;
-    }
 
     let my_buckets = block_range(0..nbuckets, q, cx.id());
     let base = my_buckets.start;
@@ -180,14 +162,40 @@ fn bucket_sort_leaf(cx: &mut Cx, a: &mut DArray1<i64>) {
 
     // Reassemble: buckets ascend by value and members ascend by bucket,
     // so the vrank concatenation is the fully sorted array.
-    let sorted: Vec<i64> = cx
-        .allgather_vecs(parts.concat())
-        .into_iter()
-        .flatten()
-        .collect();
-    debug_assert_eq!(sorted.len(), n);
-    a.for_each_owned(|gi, v| *v = sorted[gi]);
+    let sorted = cx.allgather_vecs(parts.concat());
+    debug_assert_eq!(sorted.flat().len(), n);
+    a.for_each_owned(|gi, v| *v = sorted.flat()[gi]);
     cx.charge_mem_bytes(std::mem::size_of_val(a.local()) as f64);
+}
+
+/// The bucketing scan of [`bucket_sort_leaf`]: a counting sort of `keys`
+/// into `nbuckets` uniform buckets over their range, so bucket `b` is
+/// `by_bucket[starts[b]..starts[b + 1]]`. `None` when all keys are equal.
+fn bucket_scan(keys: &[i64], nbuckets: usize) -> Option<(Vec<usize>, Vec<i64>)> {
+    let min = *keys.iter().min().expect("leaf sorts a non-empty range");
+    let max = *keys.iter().max().expect("leaf sorts a non-empty range");
+    if min == max {
+        return None;
+    }
+    let span = (max as i128 - min as i128 + 1) as u128;
+    let bucket_of =
+        |v: i64| (((v as i128 - min as i128) as u128 * nbuckets as u128 / span) as usize)
+            .min(nbuckets - 1);
+    let buckets: Vec<usize> = keys.iter().map(|&v| bucket_of(v)).collect();
+    let mut starts = vec![0usize; nbuckets + 1];
+    for &b in &buckets {
+        starts[b + 1] += 1;
+    }
+    for b in 0..nbuckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut fill = starts.clone();
+    let mut by_bucket = vec![0i64; keys.len()];
+    for (&v, &b) in keys.iter().zip(&buckets) {
+        by_bucket[fill[b]] = v;
+        fill[b] += 1;
+    }
+    Some((starts, by_bucket))
 }
 
 /// Pick a pivot that is guaranteed to be a present key: the median of the

@@ -52,6 +52,32 @@ pub fn format_phys_ranges(members: &[usize]) -> String {
     out
 }
 
+/// What [`Cx::allgather_vecs`] returns: every member's contribution, in
+/// virtual-rank order, in one flat buffer that all members of the group
+/// share.
+pub struct Gathered<T> {
+    buf: Arc<(Vec<T>, Vec<u64>)>,
+    /// `part(v)` is `flat()[offs[v]..offs[v + 1]]`.
+    offs: Vec<usize>,
+}
+
+impl<T> Gathered<T> {
+    /// All parts concatenated in virtual-rank order.
+    pub fn flat(&self) -> &[T] {
+        &self.buf.0
+    }
+
+    /// The vector virtual rank `v` contributed.
+    pub fn part(&self, v: usize) -> &[T] {
+        &self.buf.0[self.offs[v]..self.offs[v + 1]]
+    }
+
+    /// Every member's part, in virtual-rank order.
+    pub fn parts(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+        (0..self.offs.len() - 1).map(|v| self.part(v))
+    }
+}
+
 impl Cx<'_> {
     /// Subset barrier over the current group: no member continues until all
     /// members have arrived. Implemented as a reduce-then-broadcast of unit
@@ -139,6 +165,16 @@ impl Cx<'_> {
     /// and the message schedule is unchanged, so virtual time is
     /// bit-identical to the deep-copy implementation.
     fn bcast_opt<T: Payload + Clone + Sync>(&mut self, root: usize, value: Option<T>) -> T {
+        let shared = self.bcast_arc(root, value);
+        // At most one deep clone per member, and none when this member's
+        // reference is the last one standing.
+        Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone())
+    }
+
+    /// The binomial broadcast behind [`Cx::bcast_opt`], leaving the value
+    /// in the `Arc` that travelled: every member ends up holding the
+    /// root's one allocation.
+    fn bcast_arc<T: Payload + Sync>(&mut self, root: usize, value: Option<T>) -> Arc<T> {
         let p = self.nprocs();
         assert!(root < p, "bcast root {root} out of range for group of {p}");
         let tag = self.next_op_tag();
@@ -146,7 +182,7 @@ impl Cx<'_> {
         let rel = (me + p - root) % p;
         debug_assert!(
             (rel == 0) == value.is_some(),
-            "bcast_opt: exactly the root supplies a value"
+            "bcast: exactly the root supplies a value"
         );
         let mut slot: Option<Arc<T>> = value.map(Arc::new);
         let mut mask = 1usize;
@@ -165,10 +201,7 @@ impl Cx<'_> {
             }
             mask <<= 1;
         }
-        let shared = slot.expect("bcast internal: member finished without value");
-        // At most one deep clone per member, and none when this member's
-        // reference is the last one standing.
-        Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone())
+        slot.expect("bcast internal: member finished without value")
     }
 
     /// Reduce the members' values with `f` (associative & commutative) onto
@@ -243,24 +276,24 @@ impl Cx<'_> {
     }
 
     /// All-gather of variable-length vectors: every member contributes a
-    /// `Vec<T>` and receives all members' vectors in virtual-rank order.
-    /// (Nested vectors are flattened for the broadcast leg, so only flat
-    /// buffers travel on the wire.)
-    pub fn allgather_vecs<T: Clone + Send + Sync + 'static>(&mut self, value: Vec<T>) -> Vec<Vec<T>> {
+    /// `Vec<T>` and receives all members' vectors in virtual-rank order,
+    /// as one [`Gathered`] buffer shared by the whole group and read in
+    /// place. The root flattens the parts for the broadcast leg, so only
+    /// flat buffers travel on the wire, and the broadcast hands every
+    /// member the same allocation: no member copies it.
+    pub fn allgather_vecs<T: Clone + Send + Sync + 'static>(&mut self, value: Vec<T>) -> Gathered<T> {
         let packed = self.gather(0, value).map(|vs| {
             let lens: Vec<u64> = vs.iter().map(|v| v.len() as u64).collect();
             let flat: Vec<T> = vs.into_iter().flatten().collect();
             (flat, lens)
         });
-        let (flat, lens): (Vec<T>, Vec<u64>) = self.bcast_opt(0, packed);
-        let mut out = Vec::with_capacity(lens.len());
-        let mut off = 0usize;
-        for l in lens {
-            let l = l as usize;
-            out.push(flat[off..off + l].to_vec());
-            off += l;
+        let buf: Arc<(Vec<T>, Vec<u64>)> = self.bcast_arc(0, packed);
+        let mut offs = Vec::with_capacity(buf.1.len() + 1);
+        offs.push(0);
+        for &l in &buf.1 {
+            offs.push(offs[offs.len() - 1] + l as usize);
         }
-        out
+        Gathered { buf, offs }
     }
 
     /// Personalized all-to-all: `data[dst]` is sent to virtual rank `dst`;

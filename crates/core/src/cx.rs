@@ -12,6 +12,7 @@ use fx_runtime::{Chunk, Machine, Payload, ProcCtx, RunReport, TimeMode};
 use crate::group::{Frame, GroupHandle};
 use crate::hash::{mix2, mix3, WORLD_GID};
 use crate::plancache::PlanCache;
+use crate::replica::Replicas;
 
 /// Salt separating user point-to-point tags from collective tags.
 const USER_SALT: u64 = 0xFACE_0FF0;
@@ -29,15 +30,19 @@ pub struct Cx<'a> {
     /// the context itself; survives group entry/exit so a plan built inside
     /// one `ON SUBGROUP` execution is reused by the next.
     plans: PlanCache,
+    /// The run's table of replicated values in flight (see
+    /// [`Cx::replicated`]), shared with every other processor's context.
+    pub(crate) replicas: Arc<Replicas>,
 }
 
 impl<'a> Cx<'a> {
     /// The context of `rt` with `world`, the run's one whole-machine
-    /// group, as the bottom frame.
-    pub(crate) fn new(rt: &'a mut ProcCtx, world: GroupHandle) -> Self {
+    /// group, as the bottom frame, and `replicas`, the run's one table of
+    /// replicated values.
+    pub(crate) fn new(rt: &'a mut ProcCtx, world: GroupHandle, replicas: Arc<Replicas>) -> Self {
         debug_assert_eq!(world.len(), rt.nprocs(), "the bottom frame is the whole machine");
         let vrank = rt.rank();
-        Cx { rt, stack: vec![Frame::new(world, vrank)], plans: PlanCache::default() }
+        Cx { rt, stack: vec![Frame::new(world, vrank)], plans: PlanCache::default(), replicas }
     }
 
     // ----- identity ------------------------------------------------------
@@ -358,7 +363,9 @@ impl<'a> Cx<'a> {
 /// Run an SPMD program under the Fx model: every processor of `machine`
 /// executes `f` with a [`Cx`] whose initial group is the whole machine.
 /// That group is built once, here: every processor's bottom frame shares
-/// its member list and fingerprint, so set-up is O(P), not O(P²).
+/// its member list and fingerprint, so set-up is O(P), not O(P²). So is
+/// the run's table of replicated values ([`Cx::replicated`]), which goes
+/// with the contexts when the run ends or panics.
 ///
 /// ```
 /// use fx_core::{spmd, Machine};
@@ -374,8 +381,9 @@ where
     F: Fn(&mut Cx) -> R + Send + Sync,
 {
     let world = GroupHandle::new(WORLD_GID, Arc::new((0..machine.nprocs).collect()));
+    let replicas = Arc::new(Replicas::default());
     fx_runtime::run(machine, |rt| {
-        let mut cx = Cx::new(rt, world.clone());
+        let mut cx = Cx::new(rt, world.clone(), Arc::clone(&replicas));
         f(&mut cx)
     })
 }

@@ -26,7 +26,9 @@
 //! * scalars are replicated per processor (in Rust: thread-local stack
 //!   variables) and scalar computation is performed redundantly without
 //!   synchronization — the paper's replication rule falls out of the
-//!   embedding for free;
+//!   embedding for free; a large replicated value (a tree top, a gathered
+//!   key set) is computed once per group on the host by
+//!   [`Cx::replicated`], while every member is still charged for it;
 //! * groups nest dynamically through procedures executing on subgroups,
 //!   and every processor carries a stack of virtual→physical mappings
 //!   ([`Cx`]'s group stack).
@@ -45,8 +47,9 @@ mod partition;
 mod plancache;
 mod promote;
 mod region;
+mod replica;
 
-pub use coll::format_phys_ranges;
+pub use coll::{format_phys_ranges, Gathered};
 pub use cx::{spmd, Cx};
 pub use plancache::PlanCache;
 pub use group::{GroupHandle, Membership};

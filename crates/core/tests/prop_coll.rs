@@ -56,23 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn allgather_vecs_preserves_irregular_lengths(p in 1usize..7, lens in proptest::collection::vec(0usize..6, 6)) {
-        let lens2 = lens.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
-            let me = cx.id();
-            let mine: Vec<u16> = (0..lens2[me]).map(|i| (me * 100 + i) as u16).collect();
-            cx.allgather_vecs(mine)
-        });
-        for r in &rep.results {
-            prop_assert_eq!(r.len(), p);
-            for (v, part) in r.iter().enumerate() {
-                let expect: Vec<u16> = (0..lens[v]).map(|i| (v * 100 + i) as u16).collect();
-                prop_assert_eq!(part, &expect);
-            }
-        }
-    }
-
-    #[test]
     fn scans_match_prefix_folds(p in 1usize..9, vals in proptest::collection::vec(-100i64..100, 8)) {
         let vals2 = vals.clone();
         let rep = spmd(&Machine::real(p), move |cx| {

@@ -323,7 +323,8 @@ impl<T: Elem, const N: usize> DArray<T, N> {
 
     /// Collect the whole array (row-major) on every member — a collective
     /// over the array's group. For validation and output stages, not
-    /// inner loops.
+    /// inner loops. The gathered tiles are one buffer the group shares,
+    /// read in place: each member copies only its own output.
     pub fn to_global(&self, cx: &mut Cx) -> Vec<T>
     where
         T: Default,
@@ -336,9 +337,9 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         if self.side.replicated {
             return self.local.clone(); // every member already holds it all
         }
-        let parts: Vec<Vec<T>> = cx.allgather_vecs(self.local.clone());
+        let parts = cx.allgather_vecs(self.local.clone());
         let mut out = vec![T::default(); self.whole().end];
-        for (v, part) in parts.iter().enumerate() {
+        for (v, part) in parts.parts().enumerate() {
             self.walk_member(v, |at, slot, len| {
                 out[at..at + len].copy_from_slice(&part[slot..slot + len]);
             });

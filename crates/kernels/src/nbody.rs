@@ -44,7 +44,7 @@ const MAX_DEPTH: usize = 32;
 /// The particles a cell covers are implied by its place in the tree: the
 /// root covers `0..n` and a cell covering `len` particles from `start`
 /// splits them at `start + len / 2`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Centre of mass of the cell's particles.
     pub com: [f64; 3],
@@ -83,7 +83,7 @@ impl Cell {
 /// `bodies` are stored in tree order (the order produced by the recursive
 /// median partitioning), mirroring the paper's note that "the particles
 /// will be sorted based on the ordering of the leaves".
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BhTree {
     /// All cells in depth-first order; the root is cell 0 (when there is
     /// one).

@@ -186,15 +186,152 @@ fn cell(text: &str) -> String {
     text.strip_prefix('+').unwrap_or(&text).to_string()
 }
 
-/// The rows of the first Markdown table in `text` whose first cell is a
-/// number, as cells (an escaped `\|` stays inside its cell).
-fn table_rows(text: &str) -> Vec<Vec<String>> {
+/// The body rows of the first Markdown table in `text`, as cells (an
+/// escaped `\|` stays inside its cell; `×` reads as `x`).
+fn table_body(text: &str) -> Vec<Vec<String>> {
     let rows = text.lines().skip_while(|l| !l.starts_with('|')).take_while(|l| l.starts_with('|'));
     let cells = |l: &str| -> Vec<String> {
-        let l = l.replace("\\|", "\u{1}");
+        let l = l.replace("\\|", "\u{1}").replace('×', "x");
         l.trim_matches('|').split('|').map(|c| cell(&c.replace('\u{1}', "|"))).collect()
     };
-    rows.map(cells).filter(|r| r[0].parse::<usize>().is_ok()).collect()
+    rows.skip(2).map(cells).collect()
+}
+
+/// The rows of the first Markdown table in `text` whose first cell is a
+/// number.
+fn table_rows(text: &str) -> Vec<Vec<String>> {
+    table_body(text).into_iter().filter(|r| r[0].parse::<usize>().is_ok()).collect()
+}
+
+/// The `## {title}` section of `doc`, up to the next `## ` heading.
+fn section<'a>(doc: &'a str, title: &str) -> &'a str {
+    let at = doc.find(&format!("## {title}")).unwrap_or_else(|| panic!("no section {title:?}"));
+    let len = doc[at + 1..].find("\n## ").map_or(doc.len() - at, |n| n + 1);
+    &doc[at..at + len]
+}
+
+/// `results/table1.txt` as printed: per program a measured row and a
+/// paper row, each as its seven numeric columns (DP thr/s, DP lat s,
+/// constraint, best thr/s, best lat s, thr x, lat x) plus, for the measured
+/// row, the mapping.
+fn printed_table1() -> Vec<(Vec<String>, String)> {
+    include_str!("../results/table1.txt")
+        .lines()
+        .filter(|l| l.starts_with(' ') && !l.trim_start().starts_with("Program"))
+        .map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            let skip = if words[0] == "(paper)" { 1 } else { 2 };
+            let numbers = words[skip..skip + 7].iter().map(|w| w.to_string()).collect();
+            (numbers, words[skip + 7..].join(" "))
+        })
+        .collect()
+}
+
+#[test]
+fn the_table1_and_fig5_tables_are_the_committed_results() {
+    // ROADMAP 8(i): every cell of EXPERIMENTS.md's Table 1 and Figure 5
+    // tables as `results/table1.txt` and `results/fig5_mappings.txt` print
+    // them. (The prose around them compares and derives, so it is not
+    // held to the files.)
+    let experiments = include_str!("../EXPERIMENTS.md");
+    let printed = printed_table1();
+    assert_eq!(printed.len(), 8, "results/table1.txt: a measured and a paper row per program");
+    let doc = table_body(section(experiments, "Table 1 — "));
+    assert_eq!(doc.len(), printed.len(), "EXPERIMENTS.md's Table 1 has a row per printed row");
+    for (row, (numbers, mapping)) in doc.iter().zip(&printed) {
+        // Table columns: DP thr, DP lat, best thr, best lat, thr ×, lat ×.
+        let expect: Vec<String> = [0, 1, 3, 4, 5, 6].iter().map(|&i| cell(&numbers[i])).collect();
+        assert_eq!(row[2..8], expect[..], "EXPERIMENTS.md's Table 1 row {row:?} drifted from results/table1.txt");
+        assert_eq!(row[8], cell(mapping), "the mapping of {row:?}");
+    }
+
+    let fig5 = include_str!("../results/fig5_mappings.txt");
+    let field = |name: &str| -> Vec<String> {
+        fig5.lines()
+            .filter_map(|l| l.trim_start().strip_prefix(name)?.trim_start().strip_prefix(':'))
+            .map(|v| v.trim().to_string())
+            .collect()
+    };
+    let rate = |v: &String| {
+        let w: Vec<&str> = v.split_whitespace().collect();
+        cell(&format!("{}/s @ {} s", w[0], w[3]))
+    };
+    let (mappings, predicted, measured) = (field("mapping"), field("predicted"), field("measured"));
+    let doc = table_body(section(experiments, "Figure 5 — "));
+    assert_eq!(doc.len(), 3, "EXPERIMENTS.md's Figure 5 table: one row a requirement");
+    assert_eq!(mappings.len(), 3, "results/fig5_mappings.txt: one mapping a requirement");
+    for (i, row) in doc.iter().enumerate() {
+        let expect = [cell(&mappings[i]), rate(&predicted[i]), rate(&measured[i])];
+        assert_eq!(row[1..], expect[..], "EXPERIMENTS.md's Figure 5 row {i} drifted from results/fig5_mappings.txt");
+    }
+}
+
+#[test]
+fn the_readme_quotes_table1_and_fig5_as_committed() {
+    // Every `N.NN×` of a README paragraph naming `results/table1.txt` is a
+    // thr × or lat × cell of it, measured or paper; every `N sets/s` of a
+    // paragraph naming `results/fig5_mappings.txt` is a rate it prints.
+    let readme = include_str!("../README.md");
+    let ratios: Vec<String> = printed_table1().into_iter().flat_map(|(n, _)| [n[5].clone(), n[6].clone()]).collect();
+    let fig5 = include_str!("../results/fig5_mappings.txt");
+    let rates: Vec<&str> = fig5.split_whitespace().collect::<Vec<_>>().windows(2).filter(|w| w[1] == "sets/s").map(|w| w[0]).collect();
+    let mut quoted = 0;
+    for paragraph in readme.split("\n\n") {
+        let words: Vec<&str> = paragraph.split_whitespace().map(|w| w.trim_end_matches([',', '.', ')', ';'])).collect();
+        if paragraph.contains("results/table1.txt") {
+            for ratio in words.iter().filter_map(|w| w.strip_suffix('×')) {
+                assert!(ratios.iter().any(|r| r == ratio), "README quotes {ratio}× but results/table1.txt prints no such ratio");
+                quoted += 1;
+            }
+        }
+        if paragraph.contains("results/fig5_mappings.txt") {
+            for pair in words.windows(2).filter(|w| w[1] == "sets/s") {
+                assert!(rates.contains(&pair[0]), "README quotes {} sets/s but results/fig5_mappings.txt prints no such rate", pair[0]);
+                quoted += 1;
+            }
+        }
+    }
+    assert!(quoted >= 10, "the README's headline paragraph quotes Table 1 and Figure 5 ({quoted} numbers found)");
+}
+
+#[test]
+fn design_quotes_each_crates_non_test_lines() {
+    // ROADMAP 8(ii): DESIGN §3's size table, recounted by its own rule —
+    // a file's lines before its first line starting `#[cfg(test)]`,
+    // summed over the crate's `src/*.rs`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = include_str!("../DESIGN.md");
+    let inventory = section(design, "3. ");
+    let at = inventory.find("| Crate | Non-test lines |").expect("DESIGN §3 has a size table");
+    let rows = table_body(&inventory[at..]);
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/")
+        .map(|e| e.expect("a crate directory").path())
+        .filter(|p| p.join("Cargo.toml").exists())
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    crates.sort();
+    let count = |dir: &str| -> usize {
+        let src = root.join("crates").join(dir).join("src");
+        std::fs::read_dir(&src)
+            .expect("a src/ directory")
+            .map(|e| e.expect("a source file").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| {
+                let text = std::fs::read_to_string(&p).expect("readable source");
+                text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).count()
+            })
+            .sum()
+    };
+    let mut listed: Vec<String> = Vec::new();
+    for row in &rows {
+        let dir = row[0].strip_prefix("fx-").unwrap_or_else(|| panic!("DESIGN §3 size row {row:?} names no fx- crate"));
+        let quoted: usize = row[1].parse().expect("a line count");
+        assert_eq!(quoted, count(dir), "DESIGN §3 quotes {quoted} non-test lines for {}", row[0]);
+        listed.push(dir.to_string());
+    }
+    listed.sort();
+    assert_eq!(listed, crates, "DESIGN §3's size table lists every crate once");
 }
 
 #[test]
@@ -202,9 +339,7 @@ fn the_fig6_table_is_the_committed_result() {
     // ROADMAP 8(i)'s first slice: every cell of EXPERIMENTS.md's Figure 6
     // table, and its sequential time and I/O share, as
     // `results/fig6_airshed.txt` prints them.
-    let experiments = include_str!("../EXPERIMENTS.md");
-    let at = experiments.find("## Figure 6").expect("EXPERIMENTS.md has a Figure 6 section");
-    let section = &experiments[at..at + experiments[at + 1..].find("\n## ").unwrap_or(experiments.len() - at)];
+    let section = section(include_str!("../EXPERIMENTS.md"), "Figure 6");
     let printed = include_str!("../results/fig6_airshed.txt");
     let seq = printed.lines().find_map(|l| l.strip_prefix("sequential time: ")).expect("a sequential time");
     let (secs, share) = (seq.split(' ').next().unwrap(), seq.split("I/O ").nth(1).unwrap().split('%').next().unwrap());

@@ -50,6 +50,8 @@ pub mod debug_counters {
     pub static BACKSTOP_FOUND_WORK: AtomicU64 = AtomicU64::new(0);
     /// Coroutine stacks mapped (rather than taken from the free list).
     pub static STACK_MAPS: AtomicU64 = AtomicU64::new(0);
+    /// The most messages any mailbox lane has held (a high-water mark).
+    pub static MAX_LANE_DEPTH: AtomicU64 = AtomicU64::new(0);
 
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {

@@ -34,6 +34,9 @@
 //!   receive whose message is already queued reads no clock and waits 0.
 //! * **Flight events carry the latest stamp**, never ahead of the event:
 //!   barrier, scope and non-parking receive events read nothing.
+//! * **A run-ahead yield is dropped, not read.** The next cut's interval,
+//!   which holds the time off the worker, counts in no duration, and a
+//!   receive that parks next also cuts at its start, as after a charge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

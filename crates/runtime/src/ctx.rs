@@ -21,7 +21,7 @@ use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
 use crate::parker::Parkers;
-use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
+use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload, Returned};
 use crate::run::{DataflowMode, ProcOutcome};
 use crate::telemetry::{ProcShard, Telemetry};
 
@@ -44,6 +44,8 @@ pub(crate) struct World {
     /// over at `begin_run` like the counter blocks — by the telemetry
     /// registry, which is what lets a post-mortem flight dump name scopes.
     pub labels: Vec<Arc<Labels>>,
+    /// Every processor's chunk storage given back by receivers ([`BufferPool`]).
+    pub returned: Vec<Returned>,
     /// Set by the first processor to panic, which poisons every mailbox;
     /// later (secondary) panickers find it set and skip the walk.
     pub poisoned: AtomicBool,
@@ -104,6 +106,9 @@ pub(crate) enum ExecCtx {
 /// Readings (ns since the run began) stay far below it, so `cut` returns 0.
 const CHARGED: u64 = 1 << 63;
 
+/// Set in a lap by a run-ahead yield: the next cut returns 0, reading nothing more.
+const YIELDED: u64 = 1 << 62;
+
 /// A cut of a lap (the rule is in [`crate::counters`]), the message path's
 /// one clock read: the interval since the previous cut, 0 across a charge.
 #[inline]
@@ -156,6 +161,8 @@ pub struct ProcCtx {
     /// Pure accumulation alongside the clock: it never feeds back into
     /// any charge, so arming the heartbeat cannot move virtual time.
     hb_acc: f64,
+    /// A lane a send found still holding our previous message, until we yield.
+    ahead: Option<usize>,
 }
 
 impl ProcCtx {
@@ -182,6 +189,7 @@ impl ProcCtx {
             scopes: Vec::new(),
             tl,
             hb_acc: 0.0,
+            ahead: None,
         }
     }
 
@@ -226,7 +234,7 @@ impl ProcCtx {
             if ev.kind == EventKind::Send {
                 sh.msg_bytes_hist.record(ev.bytes);
             }
-            sh.flight.push(self.lap & !CHARGED, &ev);
+            sh.flight.push(self.lap & !(CHARGED | YIELDED), &ev);
         }
     }
 
@@ -294,6 +302,7 @@ impl ProcCtx {
     /// Advance the virtual clock by `s` seconds of local compute.
     #[inline]
     fn charge(&mut self, s: f64) {
+        self.catch_up();
         let t0 = self.clock;
         self.clock += s;
         self.hb_acc += self.clock - t0;
@@ -333,10 +342,13 @@ impl ProcCtx {
         if self.tl.is_some() && self.lap & CHARGED != 0 {
             cut(&mut self.lap, self.start);
         }
+        if self.ahead == Some(dst) {
+            self.catch_up();
+        }
         let chunk = matches!(payload, MsgBody::Chunk(_));
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
-        let contended = self.world.mailboxes[dst].deposit(Envelope {
+        let (contended, backlog) = self.world.mailboxes[dst].deposit(Envelope {
             src: self.rank,
             tag,
             arrival,
@@ -360,6 +372,18 @@ impl ProcCtx {
         }
         let send = Event { peer: dst as u32, tag, bytes: nbytes as u64, start: v0, arrival, ..self.here(EventKind::Send) };
         self.emit(send);
+        self.ahead = backlog.then_some(dst).or(self.ahead);
+    }
+
+    /// A send found its previous message still queued: a pooled processor
+    /// yields its worker once, at its next receive, charge or send into that
+    /// lane, so a burst of sends (an all-to-all) is never cut in half.
+    #[inline]
+    fn catch_up(&mut self) {
+        if let (Some(_), ExecCtx::Pooled(yielder)) = (self.ahead.take(), &self.exec) {
+            yielder.suspend(YieldKind::Yielded);
+            self.lap |= YIELDED;
+        }
     }
 
     /// Receive a `T` from physical processor `src` on channel `tag`,
@@ -379,16 +403,20 @@ impl ProcCtx {
     /// An empty chunk for `elems` elements of type `T`, drawn from this
     /// processor's buffer pool (no allocation once the pool is warm).
     pub fn chunk_for<T: Copy + Send + 'static>(&mut self, elems: usize) -> Chunk {
-        let (bytes, hit) = self.pool.acquire(elems * std::mem::size_of::<T>());
+        let (bytes, hit) = self.pool.acquire(elems * std::mem::size_of::<T>(), &self.world.returned[self.rank]);
         let c = &self.counters;
         bump(if hit { &c.pool_hits } else { &c.pool_misses }, 1);
-        Chunk::from_bytes::<T>(bytes)
+        Chunk::from_bytes::<T>(bytes, Some(self.rank as u32))
     }
 
-    /// Return a chunk's storage to this processor's buffer pool so the
-    /// next transfer of a similar size reuses it.
+    /// Recycle a chunk's storage: here if it is ours, standalone or of a size
+    /// class we send in, otherwise back to the pool it came from.
     pub fn release_chunk(&mut self, chunk: Chunk) {
-        self.pool.release(chunk.into_bytes());
+        let (bytes, home) = chunk.into_parts();
+        match home.filter(|&h| h != self.rank).and_then(|h| self.world.returned.get(h)) {
+            Some(back) if !self.pool.uses(bytes.capacity()) => back.lock().push(bytes),
+            _ => self.pool.release(bytes),
+        }
     }
 
     /// Send a packed [`Chunk`] to processor `dst` on channel `tag`.
@@ -441,10 +469,11 @@ impl ProcCtx {
     /// accounting (common to `recv` and `recv_chunk`).
     fn take_env(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.world.nprocs, "recv from nonexistent processor {src}");
+        self.catch_up();
         let (world, exec, tl, start, lap) = (&self.world, &self.exec, &self.tl, self.start, &mut self.lap);
         let mut parked = false;
         let env = world.mailboxes[self.rank].take(src, tag, || {
-            if tl.is_some() && *lap & CHARGED != 0 {
+            if tl.is_some() && *lap & (CHARGED | YIELDED) != 0 {
                 cut(lap, start);
             }
             parked = true;

@@ -28,6 +28,8 @@
 //!   slots, not P², and a mailbox's heap grows with the senders it hears
 //!   from, not with P. `probe` and the observers read an absent lane as
 //!   empty and build nothing.
+//! * **A backlog makes a pooled sender yield** (`ProcCtx::catch_up`): a
+//!   deposit reports whether its sender's previous message was still queued.
 //!
 //! ## The wakeup protocol
 //!
@@ -79,6 +81,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::clock::debug_counters::MAX_LANE_DEPTH;
 use crate::parker::Parkers;
 use crate::payload::MsgBody;
 
@@ -228,15 +231,19 @@ impl Mailbox {
     /// through another group context). The cost is identical either way —
     /// `try_lock` succeeding *is* the uncontended lock fast path — so the
     /// telemetry lane-contention counter is free when nobody reads it.
-    pub fn deposit(&self, env: Envelope) -> bool {
+    /// Second, whether the lane still held a message of the sender's (its backlog).
+    pub fn deposit(&self, env: Envelope) -> (bool, bool) {
         let lane = self.lane(env.src);
         let (mut st, contended) = match lane.try_lock() {
             Some(st) => (st, false),
             None => (lane.lock(), true),
         };
-        let tag = env.tag;
+        let (tag, backlog) = (env.tag, !st.queue.is_empty());
         st.bytes += env.nbytes as u64;
         st.queue.push_back(env);
+        if cfg!(debug_assertions) {
+            MAX_LANE_DEPTH.fetch_max(st.queue.len() as u64, Ordering::Relaxed);
+        }
         // Consume a matching wait registration under the lane lock, then
         // wake the owner.
         let wake_owner = st.waiting_tag.take_if(|t| *t == tag).is_some();
@@ -244,7 +251,7 @@ impl Mailbox {
         if wake_owner {
             self.parkers.wake(self.owner);
         }
-        contended
+        (contended, backlog)
     }
 
     /// Block until a message from `src` with `tag` is available and take

@@ -148,8 +148,9 @@ pub(crate) fn unerase<T: Payload>(any: AnyPayload, src: usize, tag: u64) -> T {
 pub struct Chunk {
     bytes: Vec<u8>,
     ty: TypeId,
-    elem_size: usize,
     elems: usize,
+    /// Rank whose pool the storage came from (`None`: standalone).
+    home: Option<u32>,
 }
 
 impl Chunk {
@@ -158,27 +159,30 @@ impl Chunk {
     /// inside a running program use `ProcCtx::chunk_for`, which draws the
     /// storage from the processor's buffer pool instead of the allocator.
     pub fn with_capacity<T: Copy + Send + 'static>(elems: usize) -> Self {
-        Self::from_bytes::<T>(Vec::with_capacity(elems * std::mem::size_of::<T>()))
+        Self::from_bytes::<T>(Vec::with_capacity(elems * std::mem::size_of::<T>()), None)
     }
 
-    /// Wrap recycled storage as an empty chunk for elements of type `T`.
-    pub(crate) fn from_bytes<T: Copy + Send + 'static>(mut bytes: Vec<u8>) -> Self {
+    /// Wrap pool storage of processor `home` as an empty chunk for `T`.
+    pub(crate) fn from_bytes<T: Copy + Send + 'static>(mut bytes: Vec<u8>, home: Option<u32>) -> Self {
         bytes.clear();
-        Chunk { bytes, ty: TypeId::of::<T>(), elem_size: std::mem::size_of::<T>(), elems: 0 }
+        Chunk { bytes, ty: TypeId::of::<T>(), elems: 0, home }
     }
 
-    fn check_type<T: Copy + Send + 'static>(&self) {
+    /// The element type check; debug builds also check what the casts rely on.
+    fn check_type<T: Copy + Send + 'static>(&self, typed: *const T) {
         assert!(
             self.ty == TypeId::of::<T>(),
             "chunk element type mismatch: expected {}",
             std::any::type_name::<T>()
         );
+        debug_assert_eq!(self.bytes.len(), self.elems * std::mem::size_of::<T>(), "chunk length");
+        debug_assert!(typed.is_aligned(), "misaligned {}", std::any::type_name::<T>());
     }
 
     /// Append a run of elements (byte copy; the pack half of a transfer).
     #[inline]
     pub fn push_slice<T: Copy + Send + 'static>(&mut self, src: &[T]) {
-        self.check_type::<T>();
+        self.check_type(src.as_ptr());
         let nb = std::mem::size_of_val(src);
         self.bytes.reserve(nb);
         // SAFETY: `reserve` guarantees `nb` spare bytes past `len`; the
@@ -199,7 +203,7 @@ impl Chunk {
     /// (the unpack half of a transfer).
     #[inline]
     pub fn read_into<T: Copy + Send + 'static>(&self, offset: usize, dst: &mut [T]) {
-        self.check_type::<T>();
+        self.check_type(dst.as_ptr());
         assert!(
             offset + dst.len() <= self.elems,
             "chunk read out of bounds: {}..{} of {} elems",
@@ -212,7 +216,7 @@ impl Chunk {
         // exactly the byte length copied; regions cannot overlap.
         unsafe {
             std::ptr::copy_nonoverlapping(
-                self.bytes.as_ptr().add(offset * self.elem_size),
+                self.bytes.as_ptr().add(offset * std::mem::size_of::<T>()),
                 dst.as_mut_ptr().cast::<u8>(),
                 std::mem::size_of_val(dst),
             );
@@ -221,16 +225,16 @@ impl Chunk {
 
     /// All elements as a freshly allocated `Vec<T>`.
     pub fn to_vec<T: Copy + Send + 'static>(&self) -> Vec<T> {
-        self.check_type::<T>();
         let mut v: Vec<T> = Vec::with_capacity(self.elems);
-        // SAFETY: the reserved capacity holds exactly `elems` elements;
-        // the source is that many initialized bytes of `Copy` data; the
-        // length is set only after every element has been written.
+        self.check_type(v.as_ptr());
+        // SAFETY: every push was checked against `T`, so the buffer is exactly
+        // `elems` initialized `T`s of `Copy` data, which the capacity holds;
+        // the length is set only after every element has been written.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.bytes.as_ptr(),
                 v.as_mut_ptr().cast::<u8>(),
-                self.elems * self.elem_size,
+                self.bytes.len(),
             );
             v.set_len(self.elems);
         }
@@ -253,24 +257,29 @@ impl Chunk {
     /// sending the same elements as a `Vec<T>`.
     #[inline]
     pub fn nbytes(&self) -> usize {
-        self.elems * self.elem_size
+        self.bytes.len()
     }
 
-    /// Surrender the underlying storage (for recycling into a pool).
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+    /// Surrender the storage and its home (for recycling into a pool).
+    pub(crate) fn into_parts(self) -> (Vec<u8>, Option<usize>) {
+        (self.bytes, self.home.map(|h| h as usize))
     }
 }
 
+/// Buffers receivers gave back to a processor's pool, not yet taken in.
+pub(crate) type Returned = parking_lot::Mutex<Vec<Vec<u8>>>;
+
 /// Per-processor freelist of message buffers, keyed by power-of-two size
-/// class. Receivers release unpacked chunk storage here; senders draw pack
-/// buffers from here. In a steady-state pipeline every transfer finds a
-/// recycled buffer (hit rate 100% after warm-up) and the transport makes
-/// zero allocator calls.
+/// class. Senders draw pack buffers from here; a receiver keeps unpacked
+/// storage only in a class it acquires itself (an all-to-all, a halo) and
+/// otherwise gives it back to its home's [`Returned`] list. So in a steady
+/// state every transfer finds a recycled buffer and a sink holds none.
 #[derive(Default)]
 pub(crate) struct BufferPool {
     /// `classes[c]` holds idle buffers with capacity ≥ 2^c bytes.
     classes: Vec<Vec<Vec<u8>>>,
+    /// Bit c set once the owner has acquired a buffer of class c.
+    used: u32,
 }
 
 /// Smallest pooled class: 2^6 = 64 bytes (sub-cacheline buffers are not
@@ -283,10 +292,14 @@ const MAX_CLASS: usize = 31;
 const CLASS_BYTES: usize = 1 << 20;
 
 impl BufferPool {
-    /// A buffer with capacity ≥ `nbytes`, and whether it was recycled (a
-    /// pool hit) or freshly allocated (a miss) — the caller counts.
-    pub fn acquire(&mut self, nbytes: usize) -> (Vec<u8>, bool) {
+    /// A buffer with capacity ≥ `nbytes`, and whether it was recycled (a hit,
+    /// taking in what was `returned` first) or freshly allocated (a miss).
+    pub fn acquire(&mut self, nbytes: usize, returned: &Returned) -> (Vec<u8>, bool) {
         let c = Self::class_ceil(nbytes);
+        self.used |= 1 << c;
+        if self.classes.get(c).is_none_or(Vec::is_empty) {
+            std::mem::take(&mut *returned.lock()).into_iter().for_each(|b| self.release(b));
+        }
         match self.classes.get_mut(c).and_then(Vec::pop) {
             Some(b) => (b, true),
             None => (Vec::with_capacity(1usize << c), false),
@@ -310,6 +323,11 @@ impl BufferPool {
         if self.classes[c].len() < (CLASS_BYTES >> c).max(16) {
             self.classes[c].push(bytes);
         }
+    }
+
+    /// Whether the owner acquires buffers of the class `cap` bytes fill.
+    pub fn uses(&self, cap: usize) -> bool {
+        self.used & (1 << Self::class_ceil(cap)) != 0
     }
 
     /// Size class whose buffers can hold `nbytes`: ceil(log2), clamped.
@@ -402,13 +420,13 @@ mod tests {
 
     #[test]
     fn pool_recycles_by_size_class() {
-        let mut p = BufferPool::default();
-        let (b, hit) = p.acquire(1000); // class 10 (1024)
+        let (mut p, back) = (BufferPool::default(), Returned::default());
+        let (b, hit) = p.acquire(1000, &back); // class 10 (1024)
         assert!(!hit && b.capacity() >= 1000);
         p.release(b);
-        let (b2, hit) = p.acquire(700); // still class 10
+        let (b2, hit) = p.acquire(700, &back); // still class 10
         assert!(hit && b2.capacity() >= 1024);
-        let (_b3, hit) = p.acquire(2000); // class 11: fresh allocation
+        let (_b3, hit) = p.acquire(2000, &back); // class 11: fresh allocation
         assert!(!hit);
     }
 
@@ -417,20 +435,20 @@ mod tests {
         // (buffer size, buffers retained): 1 MiB per class for small
         // buffers, never fewer than 16 for large ones.
         for (size, depth) in [(256usize, 4096u64), (1 << 16, 16), (1 << 20, 16)] {
-            let mut p = BufferPool::default();
+            let (mut p, back) = (BufferPool::default(), Returned::default());
             for _ in 0..depth + 4 {
                 p.release(Vec::with_capacity(size));
             }
-            let hits = (0..depth + 4).filter(|_| p.acquire(size).1).count();
+            let hits = (0..depth + 4).filter(|_| p.acquire(size, &back).1).count();
             assert_eq!(hits as u64, depth, "size {size}: the other 4 acquires allocate");
         }
     }
 
     #[test]
     fn pool_keeps_every_chunk_of_a_64_way_all_to_all() {
-        let mut p = BufferPool::default();
+        let (mut p, back) = (BufferPool::default(), Returned::default());
         for round in 0..3 {
-            let held: Vec<_> = (0..63).map(|_| p.acquire(256)).collect();
+            let held: Vec<_> = (0..63).map(|_| p.acquire(256, &back)).collect();
             let hits = held.iter().filter(|(_, hit)| *hit).count();
             assert_eq!(hits, if round == 0 { 0 } else { 63 }, "round {round}: only the first round allocates");
             held.into_iter().for_each(|(b, _)| p.release(b));
@@ -438,9 +456,26 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_takes_in_returned_buffers_under_the_class_cap() {
+        let (mut p, back) = (BufferPool::default(), Returned::default());
+        assert!(!p.uses(1 << 16));
+        let (b, hit) = p.acquire(1 << 16, &back);
+        assert!(!hit && p.uses(b.capacity()) && !p.uses(1 << 17));
+        // A receiver gave back 20 buffers of the class: the next miss takes
+        // them in, keeps the class's 16 and leaves the list empty.
+        back.lock().extend((0..20).map(|_| Vec::with_capacity(1 << 16)));
+        let hits = (0..17).filter(|_| p.acquire(1 << 16, &back).1).count();
+        assert_eq!((hits, back.lock().len()), (16, 0));
+        // A hit takes no returned buffer in.
+        p.release(b);
+        back.lock().push(Vec::with_capacity(1 << 16));
+        assert!(p.acquire(1 << 16, &back).1 && back.lock().len() == 1);
+    }
+
+    #[test]
     fn pool_ignores_tiny_buffers() {
-        let mut p = BufferPool::default();
+        let (mut p, back) = (BufferPool::default(), Returned::default());
         p.release(Vec::with_capacity(8));
-        assert!(!p.acquire(8).1);
+        assert!(!p.acquire(8, &back).1);
     }
 }

@@ -187,8 +187,8 @@ fn worker_loop(pool: &Pool, parkers: &Parkers, coros: &[Mutex<Option<Coro>>], wi
                 }
             }
             YieldKind::Yielded => {
-                // Cooperative yield (probe poll): go to the back of the
-                // shared injector so peers on this worker are not starved.
+                // Cooperative yield (a probe poll, a run-ahead send): go to the
+                // back of the shared injector so peers on this worker run first.
                 *coros[p].lock() = Some(coro);
                 pool.global.lock().push_back(p);
                 pool.notify_one_worker();

@@ -463,6 +463,7 @@ where
         parkers: Arc::clone(&parkers),
         counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         labels: (0..machine.nprocs).map(|_| Arc::default()).collect(),
+        returned: (0..machine.nprocs).map(|_| Default::default()).collect(),
         poisoned: std::sync::atomic::AtomicBool::new(false),
         profile: machine.profile,
         tracing: machine.tracing,

@@ -147,7 +147,9 @@ fn handle_reads_final_counters_after_a_panicked_run() {
             if cx.rank() == 0 {
                 (0..3u64).for_each(|v| cx.send(1, 1, v));
             } else {
-                (0..3).for_each(|_| drop(cx.recv::<u64>(0, 1)));
+                for _ in 0..3 {
+                    let _ = cx.recv::<u64>(0, 1);
+                }
                 cx.push_scope("doomed");
                 panic!("injected after the third receive");
             }

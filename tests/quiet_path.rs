@@ -5,9 +5,9 @@
 //! sleeper gate — loses neither a wakeup nor a timeout. Starting a run
 //! maps no coroutine stack once a run of its size has finished.
 //!
-//! Tests (a)–(c), (e), (f) and (h) read the runtime's debug-build counters,
-//! which are process-wide: every test here holds `SERIAL`, and the file is
-//! its own test binary.
+//! Tests (a)–(c), (e), (f), (h) and (i) read the runtime's debug-build
+//! counters, which are process-wide: every test here holds `SERIAL`, and
+//! the file is its own test binary.
 #![cfg(debug_assertions)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -297,4 +297,38 @@ fn a_second_spmd_of_a_size_maps_no_stack() {
         assert!(first <= P as u64, "{workers} workers: the first run mapped {first} stacks");
         assert_eq!(maps_of(&machine), 0, "{workers} workers: the second run mapped stacks");
     }
+}
+
+/// (i) A send that finds its previous message still queued yields its
+/// worker, and the receiver spends that time: here a 100 µs host spin after
+/// each receive. The interval off the worker lands in none of the sender's
+/// durations, and the yield reads no clock, so a message still reads at
+/// most three.
+#[test]
+fn a_yielding_sender_books_no_time_off_the_worker() {
+    let _serial = serial();
+    const N: u64 = 400;
+    const SPIN: Duration = Duration::from_micros(100);
+    let machine = Machine::simulated(2, MachineModel::paragon())
+        .with_executor(Executor::Pooled { workers: 1 })
+        .with_telemetry(registry());
+    let reads0 = CLOCK_READS.load(Ordering::Relaxed);
+    let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+        if cx.rank() == 0 {
+            (0..N).for_each(|v| cx.send(1, 1, v));
+        } else {
+            for _ in 0..N {
+                let _ = cx.recv::<u64>(0, 1);
+                let t0 = Instant::now();
+                while t0.elapsed() < SPIN {}
+            }
+        }
+    });
+    let reads = CLOCK_READS.load(Ordering::Relaxed) - reads0;
+    let (sender, receiver) = (&rep.counters[0], &rep.counters[1]);
+    let spun = SPIN.as_nanos() as u64 * N;
+    eprintln!("yielding stream: send_ns {} of {spun} ns spun, {reads} clock reads", sender.send_ns);
+    assert!(receiver.recv_wait_ns > 0, "the receiver never caught up: the sender did not yield");
+    assert!(sender.send_ns * 4 < spun, "{} ns of sends beside {spun} ns spun off the sender's worker", sender.send_ns);
+    assert!(reads <= 3 * N, "{reads} clock reads over {N} messages");
 }

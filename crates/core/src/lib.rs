@@ -53,15 +53,13 @@ pub use coll::{format_phys_ranges, Gathered};
 pub use cx::{spmd, Cx};
 pub use plancache::PlanCache;
 pub use group::{GroupHandle, Membership};
-pub use partition::{
-    donation_split, promotion_assignment, proportional_split, Size, Subgroup, TaskPartition,
-};
+pub use partition::{proportional_split, Size, Subgroup, TaskPartition};
 pub use pdo::{block_range, IterSched};
 pub use promote::assert_promotion_transparent;
 pub use region::TaskRegion;
 
 // Re-export the runtime surface users need alongside the model.
 pub use fx_runtime::{
-    request_trace_id, DataflowMode, Grant, HeartbeatMode, Machine, MachineModel, Payload, ProcCtx,
-    ProcTotals, PromoteStats, RunReport, TimeMode, WindowBreakdown,
+    request_trace_id, DataflowMode, Machine, MachineModel, Payload, ProcCtx, ProcTotals,
+    PromoteStats, RunReport, TimeMode, WindowBreakdown,
 };

@@ -224,85 +224,11 @@ pub fn proportional_split(procs: usize, weights: &[f64]) -> Vec<usize> {
     sizes
 }
 
-/// The victims (by group vrank) a claimant is responsible for when the
-/// claimants of one heartbeat round split the round's victim set
-/// round-robin: victim `j` (in ascending-vrank order) belongs to
-/// claimant `j mod claimants.len()` (ditto). A pure function of the two
-/// sorted sets, so every tied claimant computes the same assignment
-/// without communicating — the heart of the promotion protocol's
-/// determinism argument (see `fx_runtime::HeartbeatBoard`).
-///
-/// Both slices must be sorted ascending; `me` must appear in
-/// `claimants`.
-pub fn promotion_assignment(claimants: &[usize], victims: &[usize], me: usize) -> Vec<usize> {
-    debug_assert!(claimants.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(victims.windows(2).all(|w| w[0] < w[1]));
-    let mine = claimants
-        .iter()
-        .position(|&c| c == me)
-        .expect("claimant not in its own claimant set");
-    victims
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| j % claimants.len() == mine)
-        .map(|(_, &v)| v)
-        .collect()
-}
-
-/// Split a donor's remaining iterations `cur..end` for donation to
-/// `nvictims` victims: the donor keeps the first `ceil(rem / (v + 1))`
-/// iterations (it is already warm on them) and the tail is block-split
-/// evenly among the victims in order. Returns the donor's new `end` and
-/// one global sub-range per victim (every range non-empty when
-/// `rem >= 2 * (nvictims + 1)`, which the profitability gate ensures).
-pub fn donation_split(
-    cur: usize,
-    end: usize,
-    nvictims: usize,
-) -> (usize, Vec<std::ops::Range<usize>>) {
-    let rem = end - cur;
-    let keep = rem.div_ceil(nvictims + 1);
-    let tail = cur + keep..end;
-    let shares =
-        (0..nvictims).map(|j| crate::pdo::block_range(tail.clone(), nvictims, j)).collect();
-    (cur + keep, shares)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cx::spmd;
     use fx_runtime::Machine;
-
-    #[test]
-    fn promotion_assignment_partitions_victims() {
-        let claimants = [1, 4, 6];
-        let victims = [0, 2, 3, 5, 7];
-        let all: Vec<Vec<usize>> =
-            claimants.iter().map(|&c| promotion_assignment(&claimants, &victims, c)).collect();
-        // Every victim goes to exactly one claimant, round-robin.
-        assert_eq!(all[0], vec![0, 5]);
-        assert_eq!(all[1], vec![2, 7]);
-        assert_eq!(all[2], vec![3]);
-        let mut merged: Vec<usize> = all.into_iter().flatten().collect();
-        merged.sort_unstable();
-        assert_eq!(merged, victims);
-    }
-
-    #[test]
-    fn donation_split_keeps_warm_prefix_and_covers_tail() {
-        let (new_end, shares) = donation_split(10, 30, 3);
-        assert_eq!(new_end, 15); // donor keeps ceil(20/4) = 5
-        assert_eq!(shares.iter().map(|r| r.len()).sum::<usize>(), 15);
-        // Contiguous ascending coverage of the donated tail.
-        let mut next = 15;
-        for s in &shares {
-            assert_eq!(s.start, next);
-            assert!(!s.is_empty());
-            next = s.end;
-        }
-        assert_eq!(next, 30);
-    }
 
     #[test]
     fn partition_covers_group_contiguously() {

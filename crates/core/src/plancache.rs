@@ -24,8 +24,9 @@
 //! dataflow barrier elision (DESIGN.md §5): plan-based statements move
 //! exactly the intervals their descriptors describe, so the darray
 //! layer's per-array version vectors can prove the receives subsume the
-//! statement's barrier. Statements that bypass plans (root I/O) are
-//! opaque to that analysis and taint what they write. The cache itself
+//! statement's barrier. Statements whose plans the analysis does not
+//! vouch for (the structured remaps, for now) are opaque to it and taint
+//! what they write. The cache itself
 //! stores no dataflow state — version vectors live on the array
 //! descriptors — so hits and misses cannot change classification.
 

@@ -6,11 +6,10 @@
 //! its most loaded member. Promotable loops close that gap in the style
 //! of the heartbeat compilers: every iteration runs sequentially on its
 //! statically assigned owner, but once per heartbeat — every
-//! `FX_HEARTBEAT_US` of *charged virtual compute* — the owner consults
-//! the replicated idle-set ([`fx_runtime::HeartbeatBoard`]) for its
-//! current subgroup and, when peers are parked and the remaining tail
-//! clears a LogGP profitability bound, donates block-split slices of the
-//! tail to them.
+//! [`Machine::heartbeat_period`] of *charged virtual compute*, 1 ms by
+//! default — the owner consults the loop's board and, when peers are
+//! parked and the remaining tail clears a LogGP profitability bound,
+//! donates block-split slices of the tail to them.
 //!
 //! # Programming model
 //!
@@ -32,6 +31,23 @@
 //! zero-copy path as distributed-array plan replay) with per-iteration
 //! `u32` counts on the ordinary typed path.
 //!
+//! Like a collective, a promotable loop must be entered by every member
+//! of the current group with no interposed cross-member blocking.
+//!
+//! # One board per loop instance
+//!
+//! Each promotable loop instance has its own `Board`: one slot per member
+//! of the loop's group, by virtual rank. It is published and taken through
+//! the run's replica table under the loop's (group id, first op tag) key,
+//! as a [`Cx::replicated`] value is, and dropped when its last member
+//! leaves the loop; nothing is reused across loops, so two promotable
+//! loops back to back never read each other's slots. A slot holds the
+//! member's published virtual clock, when it parked, the grant it holds,
+//! its announcement history and the heartbeat time of the last grant it
+//! took. A slot whose member has not entered the loop reads as progress
+//! −∞ and not parked: unresolved, not a victim and not done, so a member
+//! that is ahead waits for it. The heartbeat-off path takes no board.
+//!
 //! # Determinism
 //!
 //! With the heartbeat off (`FX_HEARTBEAT=off`, real-time machines, or
@@ -39,22 +55,60 @@
 //! caller's block share — no protocol, no messages, bit-identical to a
 //! run that predates the feature. With it on, results are *asserted*
 //! equal (see [`assert_promotion_transparent`]) and only virtual
-//! completion times change. All promotion decisions are pure functions
-//! of virtual-time values published through the board; host scheduling
-//! decides only how long the rendezvous spins take (see the
-//! `fx_runtime::heartbeat` module docs for the resolution-frontier
-//! argument).
+//! completion times change.
 //!
-//! Like a collective, a promotable loop must be entered by every member
-//! of the current group with no interposed cross-member blocking.
+//! The board is host-shared mutable state, so every *decision* read from
+//! it has to be a pure function of virtual-time values. A *resolution
+//! frontier* guarantees this: a donor that heartbeats at virtual time `T`
+//! first publishes its announcement, then waits (host-spinning, without
+//! advancing its virtual clock) until every peer is **resolved at `T`**:
+//!
+//! * a working peer is resolved once its published progress clock has
+//!   reached `T` — it cannot later announce at a time `<= T` (the
+//!   announcement is written before the progress that covers it);
+//! * a parked peer with no outstanding grant is resolved (it is eligible
+//!   iff it parked at `idle_since < T`, a virtual-time predicate);
+//! * a parked peer holding an unserved grant from an earlier heartbeat
+//!   is *unresolved*: the donor waits until the victim finishes serving
+//!   and re-parks at its post-serve time;
+//! * a peer that has not entered the loop is unresolved.
+//!
+//! Once the frontier passes `T`, the claimant set (every peer whose
+//! announcement history contains exactly `T`) and the victim set (every
+//! peer parked strictly before `T` holding no grant, plus peers granted
+//! *at* `T` by a tied co-claimant — whether still parked, serving, or
+//! already re-parked) are deterministic virtual-time sets, and the
+//! round-robin assignment between them is a pure function every tied
+//! claimant computes identically. Host timing decides only how long the
+//! spin takes, never what it observes. Two details make the tie case
+//! airtight:
+//!
+//! * announcements are an append-only history, so a claimant that
+//!   heartbeats again at `T' > T` cannot erase the record a tied
+//!   co-claimant at `T` needs to compute the same claimant set;
+//! * victim eligibility uses the *strict* bound `idle_since < T`: a peer
+//!   parking at exactly `T` may be observed either working (progress
+//!   `>= T`) or parked depending on host timing, and the strict bound
+//!   makes both observations agree (not eligible).
+//!
+//! Completion needs no message either. Every member parks when its share
+//! and its donations' results are done, and serves grants until every
+//! slot reads "parked, no grant". That predicate is stable once true —
+//! granting requires a working donor, and a donor parks only after
+//! collecting every result it is owed — so the first true observation is
+//! final, and a member that has left the loop leaves its slot parked.
+//! Exiting by board read leaves each member's virtual clock at its own
+//! last event: a promotable loop that never donates costs zero virtual
+//! time and zero messages over the sequential loop.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use fx_runtime::{Grant, Machine, Payload, RunReport};
+use fx_runtime::{Machine, Payload, RunReport};
 
 use crate::coll::format_phys_ranges;
 use crate::cx::{spmd, Cx};
-use crate::partition::{donation_split, promotion_assignment};
 use crate::pdo::block_range;
 
 /// A donation must be worth at least this many promotion round-trips per
@@ -64,6 +118,155 @@ const PROFIT_FACTOR: f64 = 2.0;
 /// Minimum iterations each participant (donor and every victim) must end
 /// up with for a donation to be considered.
 const MIN_ITERS_PER_PROC: usize = 2;
+
+/// A donated range: `lo..hi` global iterations of the loop, assigned by
+/// virtual rank `donor` at virtual time `t`.
+#[derive(Clone, Copy)]
+struct Grant {
+    donor: usize,
+    lo: usize,
+    hi: usize,
+    t: f64,
+}
+
+/// One member's rendezvous state on a loop's board.
+#[derive(Default)]
+struct Slot {
+    /// When the member parked idle, if it is parked.
+    idle_since: Option<f64>,
+    /// The grant the member holds but has not started serving.
+    grant: Option<Grant>,
+    /// Every virtual time at which the member announced, in order.
+    announces: Vec<f64>,
+    /// The heartbeat time of the last grant the member took for serving.
+    served_t: Option<f64>,
+}
+
+/// One promotable loop instance's board (see the module docs). Only a
+/// member itself publishes its progress; donors write grants into other
+/// members' slots, and every question is answered under the one lock.
+struct Board {
+    /// Each member's last published virtual clock as `f64` bits, −∞ until
+    /// it enters the loop. Single-writer and monotone.
+    progress: Vec<AtomicU64>,
+    slots: Mutex<Vec<Slot>>,
+}
+
+impl Board {
+    fn new(p: usize) -> Board {
+        Board {
+            progress: (0..p).map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits())).collect(),
+            slots: Mutex::new((0..p).map(|_| Slot::default()).collect()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Slot>> {
+        // A member that panicked holding the lock is torn down with its
+        // run; the others leave their spin on the poison flag.
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn progress(&self, v: usize) -> f64 {
+        f64::from_bits(self.progress[v].load(Ordering::Acquire))
+    }
+
+    /// Publish member `v`'s clock; the first publication enters the loop.
+    fn publish(&self, v: usize, t: f64) {
+        self.progress[v].store(t.to_bits(), Ordering::Release);
+    }
+
+    /// Announce a heartbeat at `t`, *then* publish `t`: a peer that reads
+    /// progress `>= t` sees the announcement (the accumulator crosses its
+    /// period only on positive clock deltas, so a member whose progress
+    /// passed `t` without an announcement never announces at `t`).
+    fn announce(&self, v: usize, t: f64) {
+        self.lock()[v].announces.push(t);
+        self.publish(v, t);
+    }
+
+    /// Park member `v` at `t`, then publish `t` as its final clock.
+    fn park(&self, v: usize, t: f64) {
+        {
+            let slot = &mut self.lock()[v];
+            debug_assert!(slot.grant.is_none(), "parked idle while holding a grant");
+            slot.idle_since = Some(t);
+        }
+        self.publish(v, t);
+    }
+
+    /// Give a parked victim a grant; the round that chose it saw it parked
+    /// with none.
+    fn grant(&self, victim: usize, g: Grant) {
+        let slot = &mut self.lock()[victim];
+        assert!(slot.idle_since.is_some(), "grant written to a non-idle victim");
+        assert!(slot.grant.is_none(), "grant written over an unserved grant");
+        slot.grant = Some(g);
+    }
+
+    /// Take member `v`'s grant, if any. The member is working again, so
+    /// donors at later times wait for its post-serve park; tied
+    /// co-claimants still count it as a victim of the grant's round.
+    fn take_grant(&self, v: usize) -> Option<Grant> {
+        let slot = &mut self.lock()[v];
+        let g = slot.grant.take()?;
+        slot.idle_since = None;
+        slot.served_t = Some(g.t);
+        Some(g)
+    }
+
+    /// The first peer of `me` not resolved at `t`, if any.
+    fn unresolved(&self, me: usize, t: f64) -> Option<usize> {
+        let slots = self.lock();
+        let resolved = |v: usize, s: &Slot| {
+            self.progress(v) >= t || (s.idle_since.is_some() && s.grant.is_none_or(|g| g.t >= t))
+        };
+        slots.iter().enumerate().position(|(v, s)| v != me && !resolved(v, s))
+    }
+
+    /// The claimants and the victims of the heartbeat round at `t`, both
+    /// ascending.
+    fn round(&self, t: f64) -> (Vec<usize>, Vec<usize>) {
+        let (mut claimants, mut victims) = (Vec::new(), Vec::new());
+        for (v, s) in self.lock().iter().enumerate() {
+            if s.announces.contains(&t) {
+                claimants.push(v);
+            }
+            if s.served_t == Some(t)
+                || s.grant.is_some_and(|g| g.t == t)
+                || (s.idle_since.is_some_and(|ti| ti < t) && s.grant.is_none())
+            {
+                victims.push(v);
+            }
+        }
+        (claimants, victims)
+    }
+
+    /// Whether every member is parked holding no grant: the loop is done.
+    fn all_parked(&self) -> bool {
+        self.lock().iter().all(|s| s.idle_since.is_some() && s.grant.is_none())
+    }
+}
+
+/// The victims a claimant serves when the claimants of one round split
+/// its victim set round-robin: victim `j` (ascending) belongs to claimant
+/// `j mod claimants.len()` (ditto). A pure function of the two sorted
+/// sets, so every tied claimant computes the same assignment without
+/// communicating. `me` must be one of `claimants`.
+fn promotion_assignment(claimants: &[usize], victims: &[usize], me: usize) -> Vec<usize> {
+    let mine = claimants.iter().position(|&c| c == me).expect("claimant not in its own claimant set");
+    victims.iter().enumerate().filter(|(j, _)| j % claimants.len() == mine).map(|(_, &v)| v).collect()
+}
+
+/// Split a donor's remaining iterations `cur..end` among `nvictims`
+/// victims: the donor keeps the first `ceil(rem / (nvictims + 1))` (it is
+/// warm on them) and the tail is block-split among the victims in order.
+/// Returns the donor's new `end` and one range per victim, each non-empty
+/// when `rem >= 2 * (nvictims + 1)`, which the profitability gate ensures.
+fn donation_split(cur: usize, end: usize, nvictims: usize) -> (usize, Vec<Range<usize>>) {
+    let keep = (end - cur).div_ceil(nvictims + 1);
+    let tail = cur + keep..end;
+    (cur + keep, (0..nvictims).map(|j| block_range(tail.clone(), nvictims, j)).collect())
+}
 
 impl Cx<'_> {
     /// The one ragged exchange of a promotion: per-iteration `u32` counts
@@ -103,6 +306,25 @@ impl Cx<'_> {
         counts.iter().map(row).collect()
     }
 
+    /// Host-spin, never advancing virtual time, until `poll` answers. A
+    /// poisoned run panics, and so does a wait that outlives the recv
+    /// timeout, with `wedged()` saying what it waited for.
+    fn spin<T>(&mut self, label: &str, mut poll: impl FnMut() -> Option<T>, wedged: impl Fn() -> String) -> T {
+        let deadline = self.runtime().watchdog_deadline();
+        loop {
+            if let Some(answer) = poll() {
+                return answer;
+            }
+            if self.runtime().is_poisoned() {
+                panic!("promotable loop '{label}': another processor panicked");
+            }
+            if self.runtime().watchdog_expired(deadline) {
+                panic!("promotable loop '{label}': {}", wedged());
+            }
+            self.runtime().yield_now();
+        }
+    }
+
     /// A *promotable* parallel loop over `range`, block-distributed like
     /// `pdo(.., IterSched::Block, ..)`: sequential by default, donating
     /// its tail to idle subgroup peers on a virtual-time heartbeat. See
@@ -123,12 +345,10 @@ impl Cx<'_> {
     {
         let p = self.nprocs();
         let me = self.id();
-        // Two channels per loop instance, allocated SPMD so the base tag
-        // doubles as the loop's board epoch (identical on every member,
-        // monotonically increasing, distinct from every other loop).
+        // Two channels per loop instance, allocated SPMD; the first also
+        // keys the loop's board.
         let tag_grant = self.next_op_tag();
         let tag_result = self.next_op_tag();
-        let epoch = tag_grant;
 
         // Scope the whole construct with the subgroup's physical ranks so
         // `critical_path().by_stage()` splits idle per subgroup.
@@ -157,10 +377,9 @@ impl Cx<'_> {
         // pure overhead (payload gap is charged when it is actually sent).
         let promote_cost = 2.0 * (model.o_send + model.o_recv) + 2.0 * model.latency;
 
-        let my_phys = self.phys_rank();
-        let group = self.group();
+        let board = self.shared(tag_grant, || Arc::new(Board::new(p)));
         let t0 = self.now();
-        self.runtime().heartbeat_board().enter_epoch(my_phys, epoch, t0);
+        board.publish(me, t0);
         self.runtime().heartbeat_reset();
 
         let mut cur = share.start;
@@ -179,30 +398,20 @@ impl Cx<'_> {
             let t = self.now();
             if self.runtime().heartbeat_elapsed() >= self.runtime().heartbeat_period() && cur < end
             {
-                // Heartbeat: publish the announcement (the board stores
-                // progress = t after it, in that order), then rendezvous.
-                self.runtime().heartbeat_board().announce(my_phys, epoch, t);
+                // Heartbeat: announce, wait for the frontier, then read
+                // the round's claimant and victim sets.
+                board.announce(me, t);
                 self.runtime().note_promotion_attempted();
                 self.runtime().heartbeat_reset();
-                self.promote_wait_frontier(label, epoch, t);
-
-                // Claimant and victim sets: pure virtual-time sets every
-                // tied claimant computes identically (see heartbeat docs).
-                let mut claimants = Vec::new();
-                let mut victims = Vec::new();
-                for vr in 0..p {
-                    let v = self.runtime().heartbeat_board().read_peer(group.phys(vr));
-                    debug_assert_eq!(v.epoch, epoch, "frontier passed a stale-epoch peer");
-                    if v.announced_at(t) {
-                        claimants.push(vr);
-                    }
-                    let eligible = v.served_t == Some(t)
-                        || v.grant.is_some_and(|g| g.t == t)
-                        || (v.idle_since.is_some_and(|ti| ti < t) && v.grant.is_none());
-                    if eligible {
-                        victims.push(vr);
-                    }
-                }
+                self.spin(
+                    label,
+                    || board.unresolved(me, t).is_none().then_some(()),
+                    || {
+                        let stuck = board.unresolved(me, t);
+                        format!("heartbeat at t={t} stuck waiting for virtual processor {stuck:?} to resolve")
+                    },
+                );
+                let (claimants, victims) = board.round(t);
                 let mine = promotion_assignment(&claimants, &victims, me);
 
                 // Profitability: shed victims until the per-participant
@@ -227,26 +436,21 @@ impl Cx<'_> {
 
                 let (new_end, shares) = donation_split(cur, end, k);
                 // Write every grant before shipping any inputs: a tied
-                // co-claimant's scan may observe these slots, and victims
+                // co-claimant's round may read these slots, and victims
                 // block on the input recv anyway.
-                for (j, &vr) in mine[..k].iter().enumerate() {
-                    let g = Grant {
-                        donor: my_phys,
-                        lo: shares[j].start,
-                        hi: shares[j].end,
-                        t,
-                    };
-                    self.runtime().heartbeat_board().set_grant(group.phys(vr), epoch, g);
+                for (&vr, share) in mine.iter().zip(&shares) {
+                    let g = Grant { donor: me, lo: share.start, hi: share.end, t };
+                    board.grant(vr, g);
                     grants_made.push((vr, g));
                 }
                 end = new_end;
                 self.runtime().note_promotions_taken(k as u64);
-                for (j, &vr) in mine[..k].iter().enumerate() {
-                    let ins: Vec<Vec<In>> = shares[j].clone().map(|i| pack(self, i)).collect();
+                for (&vr, share) in mine.iter().zip(shares) {
+                    let ins: Vec<Vec<In>> = share.map(|i| pack(self, i)).collect();
                     self.send_ragged(vr, tag_grant, &ins);
                 }
             } else {
-                self.runtime().heartbeat_board().store_progress(my_phys, t);
+                board.publish(me, t);
             }
         }
 
@@ -258,63 +462,28 @@ impl Cx<'_> {
             }
         }
 
-        // Completion: every member (vrank 0 included) parks on the board
-        // and serves grants until the loop is globally done. Termination
-        // is detected through the board alone, no messages: the predicate
-        // "every member parked in this epoch holding no grant" is stable
-        // once true (granting requires a working donor, and a donor parks
-        // only after its epilogue collected every result it is owed), so
-        // the first true observation is final. A peer whose slot already
-        // shows a *later* epoch must itself have observed the predicate
-        // before moving on, so it counts as parked; board epochs are
-        // op-tag values, monotonic in program order on every member.
-        // Exiting by board read leaves each member's virtual clock at its
-        // own last event — a promotable loop that never donates costs
-        // zero virtual time and zero messages over the sequential loop.
-        {
-            let t_idle = self.now();
-            self.runtime().heartbeat_board().register_idle(my_phys, epoch, t_idle);
-            let mut deadline = self.runtime().watchdog_deadline();
-            loop {
-                if let Some(g) = self.runtime().heartbeat_board().take_grant(my_phys) {
-                    let donor_vr = group
-                        .vrank_of_phys(g.donor)
-                        .expect("grant from outside the loop's group");
-                    let ins: Vec<Vec<In>> = self.recv_ragged(donor_vr, tag_grant, g.hi - g.lo);
-                    let serve_scope = format!("promote[{}-{}<p{}]", g.lo, g.hi, g.donor);
-                    self.runtime().push_scope(&serve_scope);
-                    let mut outs = Vec::with_capacity(ins.len());
-                    for (i, row) in (g.lo..g.hi).zip(&ins) {
-                        outs.push(body(self, i, row));
-                        let tn = self.now();
-                        self.runtime().heartbeat_board().store_progress(my_phys, tn);
-                    }
-                    self.runtime().pop_scope();
-                    self.send_ragged(donor_vr, tag_result, &outs);
-                    let t_idle = self.now();
-                    self.runtime().heartbeat_board().register_idle(my_phys, epoch, t_idle);
-                    deadline = self.runtime().watchdog_deadline();
-                    continue;
-                }
-                let all_parked = (0..p).all(|vr| {
-                    let v = self.runtime().heartbeat_board().read_peer(group.phys(vr));
-                    v.epoch > epoch
-                        || (v.epoch == epoch && v.idle_since.is_some() && v.grant.is_none())
-                });
-                if all_parked {
-                    break;
-                }
-                if self.runtime().is_poisoned() {
-                    panic!("promotable loop '{label}': another processor panicked");
-                }
-                if self.runtime().watchdog_expired(deadline) {
-                    panic!(
-                        "promotable loop '{label}': processor {me} wedged in the victim \
-                         loop (no grant, no completion)"
-                    );
-                }
-                self.runtime().yield_now();
+        // Completion (module docs): park, serve grants until every member
+        // is parked holding none.
+        board.park(me, self.now());
+        while let Some(g) = self.spin(
+            label,
+            || match board.take_grant(me) {
+                Some(g) => Some(Some(g)),
+                None => board.all_parked().then_some(None),
+            },
+            || format!("processor {me} wedged in the victim loop (no grant, no completion)"),
+        ) {
+            let ins: Vec<Vec<In>> = self.recv_ragged(g.donor, tag_grant, g.hi - g.lo);
+            let serve_scope = format!("promote[{}-{}<p{}]", g.lo, g.hi, self.group().phys(g.donor));
+            self.runtime().push_scope(&serve_scope);
+            let mut outs = Vec::with_capacity(ins.len());
+            for (i, row) in (g.lo..g.hi).zip(&ins) {
+                outs.push(body(self, i, row));
+                board.publish(me, self.now());
             }
+            self.runtime().pop_scope();
+            self.send_ragged(g.donor, tag_result, &outs);
+            board.park(me, self.now());
         }
         self.runtime().pop_scope();
     }
@@ -359,48 +528,6 @@ impl Cx<'_> {
         }
         self.scoped("merge", |cx| cx.allreduce(acc, combine))
     }
-
-    /// Host-spin (never advancing virtual time) until every group peer is
-    /// *resolved* at announce time `t`: its published progress reached
-    /// `t`, or it is parked with no grant from an earlier heartbeat. See
-    /// the `fx_runtime::heartbeat` module docs for why this makes every
-    /// board decision a pure function of virtual time.
-    fn promote_wait_frontier(&mut self, label: &str, epoch: u64, t: f64) {
-        let p = self.nprocs();
-        let me = self.id();
-        let group = self.group();
-        let deadline = self.runtime().watchdog_deadline();
-        loop {
-            let mut unresolved = None;
-            for vr in 0..p {
-                if vr == me {
-                    continue;
-                }
-                let v = self.runtime().heartbeat_board().read_peer(group.phys(vr));
-                let resolved = v.epoch == epoch
-                    && (v.progress >= t
-                        || (v.idle_since.is_some() && v.grant.is_none_or(|g| g.t >= t)));
-                if !resolved {
-                    unresolved = Some(vr);
-                    break;
-                }
-            }
-            let Some(stuck) = unresolved else { return };
-            if self.runtime().is_poisoned() {
-                panic!(
-                    "promotable loop '{label}': another processor panicked during a \
-                     promotion rendezvous"
-                );
-            }
-            if self.runtime().watchdog_expired(deadline) {
-                panic!(
-                    "promotable loop '{label}': heartbeat at t={t} stuck waiting for \
-                     virtual processor {stuck} to resolve"
-                );
-            }
-            self.runtime().yield_now();
-        }
-    }
 }
 
 /// Dual-run transparency check: execute `f` on `machine` with the
@@ -430,6 +557,81 @@ where
 mod tests {
     use super::*;
     use fx_runtime::MachineModel;
+
+    #[test]
+    fn a_slot_nobody_entered_is_unresolved_not_a_victim_and_not_parked() {
+        let b = Board::new(2);
+        b.publish(0, 1.0);
+        assert_eq!(b.unresolved(0, 0.5), Some(1));
+        assert_eq!(b.round(0.5), (vec![], vec![]));
+        b.park(0, 2.0);
+        assert!(!b.all_parked());
+        b.publish(1, 0.0);
+        b.park(1, 0.25);
+        assert_eq!(b.unresolved(0, 3.0), None);
+        assert_eq!(b.round(3.0), (vec![], vec![0, 1]));
+        assert!(b.all_parked());
+    }
+
+    #[test]
+    fn take_grant_clears_idle_registration() {
+        let b = Board::new(1);
+        b.publish(0, 0.0);
+        b.park(0, 1.0);
+        assert_eq!(b.progress(0), 1.0);
+        b.grant(0, Grant { donor: 0, lo: 3, hi: 9, t: 1.5 });
+        assert!(!b.all_parked(), "a parked member holding a grant is not done");
+        let g = b.take_grant(0).unwrap();
+        assert_eq!((g.lo, g.hi, g.donor), (3, 9, 0));
+        assert!(b.take_grant(0).is_none());
+        // Serving, it is not idle, but a tied co-claimant at 1.5 still
+        // counts it as a victim of that round.
+        assert_eq!(b.round(1.5).1, vec![0]);
+        assert_eq!(b.round(2.0).1, Vec::<usize>::new());
+    }
+
+    #[test]
+    fn announce_is_visible_once_progress_reaches_it() {
+        let b = Board::new(2);
+        b.publish(1, 0.0);
+        b.announce(1, 4.25);
+        assert!(b.progress(1) >= 4.25);
+        assert_eq!(b.round(4.25).0, vec![1]);
+        b.announce(1, 9.5);
+        // History is append-only: a later heartbeat never erases the
+        // evidence a tied co-claimant needs.
+        assert_eq!((b.round(4.25).0, b.round(9.5).0), (vec![1], vec![1]));
+    }
+
+    #[test]
+    fn promotion_assignment_partitions_victims() {
+        let claimants = [1, 4, 6];
+        let victims = [0, 2, 3, 5, 7];
+        let all: Vec<Vec<usize>> =
+            claimants.iter().map(|&c| promotion_assignment(&claimants, &victims, c)).collect();
+        // Every victim goes to exactly one claimant, round-robin.
+        assert_eq!(all[0], vec![0, 5]);
+        assert_eq!(all[1], vec![2, 7]);
+        assert_eq!(all[2], vec![3]);
+        let mut merged: Vec<usize> = all.into_iter().flatten().collect();
+        merged.sort_unstable();
+        assert_eq!(merged, victims);
+    }
+
+    #[test]
+    fn donation_split_keeps_warm_prefix_and_covers_tail() {
+        let (new_end, shares) = donation_split(10, 30, 3);
+        assert_eq!(new_end, 15); // donor keeps ceil(20/4) = 5
+        assert_eq!(shares.iter().map(|r| r.len()).sum::<usize>(), 15);
+        // Contiguous ascending coverage of the donated tail.
+        let mut next = 15;
+        for s in &shares {
+            assert_eq!(s.start, next);
+            assert!(!s.is_empty());
+            next = s.end;
+        }
+        assert_eq!(next, 30);
+    }
 
     fn skewed_machine(p: usize) -> Machine {
         Machine::simulated(p, MachineModel::paragon()).with_heartbeat(true)
@@ -582,6 +784,24 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "no-donation run re-timed a processor");
         }
         assert_eq!(off.traffic, on.traffic, "no-donation run changed message traffic");
+    }
+
+    /// `FX_DATAFLOW=validate` runs the program twice on one replica
+    /// table: each pass's members take every board they publish, so the
+    /// second pass starts on fresh boards. A board left over from the
+    /// first (every slot parked) would let the second pass's victims leave
+    /// while their donor waits for results.
+    #[test]
+    fn validate_passes_promote_on_fresh_boards() {
+        let machine = skewed_machine(4).with_dataflow(fx_runtime::DataflowMode::Validate);
+        let rep = assert_promotion_transparent(&machine, |cx| {
+            cx.pdo_reduce_promote("v", 0..200, 0u64, |cx, i| {
+                cx.charge_flops(skewed_flops(i) * 20.0);
+                i as u64
+            }, |a, b| a + b)
+        });
+        assert!(rep.promote_total().taken > 0, "the second pass never donated");
+        assert!(rep.results.iter().all(|&r| r == 199 * 200 / 2));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! last member takes it. A group entered twice at the same sequence number
 //! (an HPF `ON PROCESSORS` block run twice) draws the same key twice, so a
 //! key holds a queue of generations and a member takes the oldest one it
-//! has not taken yet.
+//! has not taken yet. A promotable loop's board is shared the same way
+//! ([`Cx::shared`], under the loop's first op tag), without the debug
+//! comparison: it is mutable rendezvous state, not a replicated value.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -140,20 +142,12 @@ impl Cx<'_> {
         F: FnOnce() -> T,
     {
         let tag = self.next_op_tag();
-        let gid = self.top().handle.gid();
-        let (key, v, n) = ((gid, tag), self.id(), self.nprocs());
         let mut f = Some(f);
         let mut compute = || Arc::new(f.take().expect("the closure runs once per member")());
         let mine = cfg!(debug_assertions).then(&mut compute);
-        let shared = match self.replicas.take(key, v) {
-            Some(shared) => shared,
-            None => self.replicas.publish(key, v, n, mine.clone().unwrap_or_else(compute) as Shared),
-        };
-        let me = self.phys_rank();
-        let shared = shared
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("a replicated value of another type on processor {me} of group {gid:#x}"));
+        let shared = self.shared(tag, || mine.clone().unwrap_or_else(compute));
         if let Some(own) = mine {
+            let (me, v, gid) = (self.phys_rank(), self.id(), self.top().handle.gid());
             assert!(
                 *own == *shared,
                 "replicated value differs on processor {me} (rank {v} of group {gid:#x}): \
@@ -161,6 +155,23 @@ impl Cx<'_> {
             );
         }
         shared
+    }
+
+    /// The current group's one `T` under op tag `tag`: the first member to
+    /// arrive publishes `make()`, every member (the publisher included)
+    /// takes it once, and the table forgets it when the last one has.
+    /// Never parks.
+    pub(crate) fn shared<T: Send + Sync + 'static>(&mut self, tag: u64, make: impl FnOnce() -> Arc<T>) -> Arc<T> {
+        let gid = self.top().handle.gid();
+        let (key, v, n) = ((gid, tag), self.id(), self.nprocs());
+        let shared = match self.replicas.take(key, v) {
+            Some(shared) => shared,
+            None => self.replicas.publish(key, v, n, make() as Shared),
+        };
+        let me = self.phys_rank();
+        shared
+            .downcast::<T>()
+            .unwrap_or_else(|_| panic!("a replicated value of another type on processor {me} of group {gid:#x}"))
     }
 }
 

@@ -13,10 +13,9 @@
 //!   was last written by an interval plan, whose per-peer `(source, tag)`
 //!   receives already order the consumer behind the producer. The barrier
 //!   is elided; the receives are the synchronization.
-//! * **barrier-required** — the footprint overlaps an *opaque* write
-//!   (root I/O, whose communication pattern the planner cannot see, or a
-//!   structured `remap*`). The subset barrier is kept, and the taint it
-//!   orders is cleared.
+//! * **barrier-required** — the footprint overlaps an *opaque* write (a
+//!   structured `remap*`, which is planned but not yet vouched for). The
+//!   subset barrier is kept, and the taint it orders is cleared.
 //!
 //! The classification is computed redundantly on every processor from its
 //! own descriptor replicas, with no extra communication. That is sound

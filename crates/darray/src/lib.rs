@@ -28,8 +28,6 @@
 //!   [`exchange_plane_halo`] — ghost regions for window/stencil kernels;
 //! * [`repartition_by`] / [`count_matching`] — predicate splits onto
 //!   subgroups (quicksort, Barnes-Hut);
-//! * [`gather_to_root`] / [`scatter_from_root`] — whole arrays to and from
-//!   a designated I/O processor;
 //! * owner-computes iteration (`for_each_owned`) and reassembly
 //!   (`to_global`) on the array type itself.
 //!
@@ -47,7 +45,6 @@ mod intrinsics;
 mod pack;
 // Public so benchmarks and property tests can drive planning directly.
 pub mod plan;
-mod rootio;
 
 pub use array::{DArray, DArray1, DArray2, DArray3, Dist1, Elem, PerDim};
 pub use assign::{
@@ -61,4 +58,3 @@ pub use halo::{
 pub use intrinsics::{cshift1, eoshift1, max1, min1, sum1, sum2, sum_along_cols, sum_along_rows};
 pub use pack::{count_matching, repartition_by};
 pub use plan::{IntervalVer, Remap, VersionVec, WriteKind};
-pub use rootio::{gather_to_root, scatter_from_root};

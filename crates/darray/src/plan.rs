@@ -992,7 +992,7 @@ impl CommSets {
 /// `(source, tag)` matching already orders the consumer behind the
 /// producer, so an interval they wrote is **covered**: a later statement
 /// reading it needs no barrier. Writes whose communication pattern the
-/// planner does not vouch for — structured remaps, root I/O — are
+/// planner does not vouch for — today the structured remaps — are
 /// **opaque** and taint the interval until the next kept barrier orders
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

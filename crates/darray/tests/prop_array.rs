@@ -8,13 +8,10 @@
 //!   the per-dimension [`DimMap`]s give the caller's grid coordinate, and
 //!   `from_global` put the right element in each slot;
 //! * `to_global(from_global(x)) == x` on every member;
-//! * `aligned_with` shares owners;
-//! * `gather_to_root ∘ scatter_from_root` is the identity, on every root.
+//! * `aligned_with` shares owners.
 
 use fx_core::{spmd, Cx, GroupHandle, Machine, Size};
-use fx_darray::{
-    gather_to_root, scatter_from_root, DArray, DArray1, DArray2, DArray3, DimMap, Dist,
-};
+use fx_darray::{DArray, DArray1, DArray2, DArray3, DimMap, Dist};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -58,8 +55,6 @@ struct View<const N: usize> {
     twin_owned: Vec<[usize; N]>,
     /// `to_global`, on members.
     global: Option<Vec<u64>>,
-    /// `gather_to_root(scatter_from_root(data, root), root)` per root.
-    round_trips: Vec<Option<Vec<u64>>>,
 }
 
 fn ravel<const N: usize>(idx: [usize; N], lens: [usize; N]) -> usize {
@@ -70,17 +65,9 @@ fn replicated<const N: usize>(dist: [Dist; N]) -> bool {
     N == 1 && dist[0] == Dist::Star
 }
 
-/// The collectives, run inside the array's group.
-fn collect<const N: usize>(cx: &mut Cx, a: &DArray<u64, N>, data: &[u64], view: &mut View<N>) {
+/// The collective, run inside the array's group.
+fn collect<const N: usize>(cx: &mut Cx, a: &DArray<u64, N>, view: &mut View<N>) {
     view.global = Some(a.to_global(cx));
-    if replicated(a.dist()) {
-        return; // root I/O refuses an array that is global everywhere
-    }
-    for root in 0..cx.nprocs() {
-        let mut b = DArray::aligned_with(cx, a, 0u64);
-        scatter_from_root(cx, &mut b, root, (cx.id() == root).then_some(data));
-        view.round_trips.push(gather_to_root(cx, &b, root));
-    }
 }
 
 fn observe<const N: usize>(
@@ -103,7 +90,6 @@ where
         local: a.local().to_vec(),
         twin_owned: twin.owned(),
         global: None,
-        round_trips: Vec::new(),
     };
     (a, view)
 }
@@ -123,14 +109,14 @@ where
         if outsiders == 0 {
             let g = cx.group();
             let (a, mut view) = observe(cx, &g, shape, dist, &data);
-            collect(cx, &a, &data, &mut view);
+            collect(cx, &a, &mut view);
             return view;
         }
         // Outsiders first, so members' physical ranks differ from their
         // virtual ones.
         let part = cx.task_partition(&[("out", Size::Procs(outsiders)), ("a", Size::Rest)]);
         let (a, mut view) = observe(cx, &part.group("a"), shape, dist, &data);
-        cx.task_region(&part, |cx, tr| tr.on(cx, "a", |cx| collect(cx, &a, &data, &mut view)));
+        cx.task_region(&part, |cx, tr| tr.on(cx, "a", |cx| collect(cx, &a, &mut view)));
         view
     });
 
@@ -167,10 +153,6 @@ where
         }
         prop_assert_eq!(&view.twin_owned, &view.owned, "aligned_with moved an owner");
         prop_assert_eq!(view.global.as_ref(), Some(&data));
-        prop_assert_eq!(view.round_trips.len(), if rep_all { 0 } else { p });
-        for (root, got) in view.round_trips.iter().enumerate() {
-            prop_assert_eq!(got.as_ref(), (v == root).then_some(&data), "root {}", root);
-        }
     }
     let copies = if rep_all { p } else { 1 };
     prop_assert!(holders.iter().all(|&h| h == copies), "holders per element: {:?}", holders);

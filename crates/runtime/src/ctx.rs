@@ -17,7 +17,6 @@ use crate::clock::{host_now, ns_since, tick_period};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
 use crate::event::{Event, EventKind, Labels, Log};
-use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
 use crate::parker::Parkers;
@@ -62,13 +61,10 @@ pub(crate) struct World {
     /// Resolved barrier-elision mode for this run (`Off` or `On`;
     /// `Validate` is split into two runs before the world is built).
     pub dataflow: DataflowMode,
-    /// Resolved heartbeat promotion mode (`Off` unless simulating).
-    pub heartbeat: HeartbeatMode,
+    /// Heartbeat promotion armed (see [`crate::Machine::heartbeat`]).
+    pub heartbeat: bool,
     /// Virtual seconds of charged compute between heartbeats.
     pub heartbeat_period: f64,
-    /// Rendezvous board for promotable loops (one slot per processor;
-    /// inert unless a promotable loop runs with the heartbeat on).
-    pub hb_board: HeartbeatBoard,
 }
 
 impl World {
@@ -711,19 +707,13 @@ impl ProcCtx {
     /// real-time machine always behaves as `FX_HEARTBEAT=off`).
     #[inline]
     pub fn heartbeat_active(&self) -> bool {
-        self.world.heartbeat == HeartbeatMode::On && self.world.mode.is_simulated()
+        self.world.heartbeat && self.world.mode.is_simulated()
     }
 
     /// Virtual seconds of charged compute between heartbeat checks.
     #[inline]
     pub fn heartbeat_period(&self) -> f64 {
         self.world.heartbeat_period
-    }
-
-    /// The machine-wide promotion rendezvous board.
-    #[inline]
-    pub fn heartbeat_board(&self) -> &HeartbeatBoard {
-        &self.world.hb_board
     }
 
     /// Charged compute accumulated since the last
@@ -742,15 +732,15 @@ impl ProcCtx {
     }
 
     /// True once some processor panicked and poisoned the mailboxes.
-    /// Board spin-waits poll this so a promotion rendezvous never hangs
-    /// on a dead peer.
+    /// A promotable loop's spin-waits poll this so a promotion
+    /// rendezvous never hangs on a dead peer.
     #[inline]
     pub fn is_poisoned(&self) -> bool {
         self.world.mailboxes[self.rank].is_poisoned()
     }
 
-    /// Arm a watchdog for a poll-wait that starts now (the heartbeat
-    /// board's spin-waits, so a wedged promotion rendezvous dies with a
+    /// Arm a watchdog for a poll-wait that starts now (a promotable
+    /// loop's spin-waits, so a wedged promotion rendezvous dies with a
     /// diagnostic instead of hanging the run): the coarse-clock time past
     /// which [`ProcCtx::watchdog_expired`] reads true. That is the
     /// machine's recv timeout plus one tick, since the coarse clock may be

@@ -20,7 +20,7 @@ pub struct Knob {
 
 /// Every knob the library reads; the README's table mirrors it (a unit
 /// test compares them).
-pub const KNOBS: [Knob; 8] = [
+pub const KNOBS: [Knob; 7] = [
     Knob {
         name: "FX_EXECUTOR",
         accepts: "`threaded` or `pooled`",
@@ -33,7 +33,6 @@ pub const KNOBS: [Knob; 8] = [
         accepts: "`off` or `on`",
         default: "`on` for simulated machines, `off` for real-time ones",
     },
-    Knob { name: "FX_HEARTBEAT_US", accepts: "a positive number of microseconds", default: "`1000`" },
     Knob { name: "FX_TRACE", accepts: "`1`, `on`, `true`, `0`, `off` or `false`", default: "off" },
     Knob { name: "FX_RECV_TIMEOUT_MS", accepts: "an integer number of milliseconds", default: "`60000`" },
     Knob { name: "FX_STACK_KB", accepts: "an integer number of KiB, raised to at least 64", default: "`1024`" },

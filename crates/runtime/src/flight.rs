@@ -13,7 +13,7 @@
 //! last moments before the incident are available.
 //!
 //! The ring is single-writer (each processor writes only its own ring)
-//! and any-reader (a flight dump, an HTTP scrape, or the test harness may
+//! and any-reader (a flight dump, an exporter, or the test harness may
 //! read concurrently). Slots carry only plain words stored
 //! through atomics, guarded by a per-slot sequence counter in the classic
 //! seqlock pattern: the writer never blocks, and a reader that races a

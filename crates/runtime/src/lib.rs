@@ -38,7 +38,6 @@ mod ctx;
 pub mod env;
 mod event;
 mod flight;
-mod heartbeat;
 mod mailbox;
 mod model;
 mod parker;
@@ -57,7 +56,6 @@ pub use ctx::ProcCtx;
 pub use event::{
     request_trace_id, Event, EventKind, Label, Labels, Log, SpanAccounting, WindowBreakdown,
 };
-pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView};
 pub use model::{MachineModel, TimeMode};
 pub use payload::{Chunk, Payload};
 pub use run::{run, DataflowMode, Executor, Machine, RunReport};

@@ -309,7 +309,7 @@ impl Mailbox {
 
     /// True once some processor panicked and poisoned this mailbox.
     /// Host-spin loops that wait on shared state other than the mailbox
-    /// (the heartbeat board) poll this so they unwind instead of hanging.
+    /// (a promotable loop's board) poll this so they unwind instead of hanging.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }

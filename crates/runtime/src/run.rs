@@ -11,7 +11,6 @@ use crate::counters::{ProcTotals, PromoteStats};
 use crate::ctx::{ExecCtx, ProcCtx, World};
 use crate::env;
 use crate::event::Log;
-use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
 use crate::parker::Parkers;
@@ -121,17 +120,19 @@ pub struct Machine {
     /// `FX_DATAFLOW` overrides, an explicit [`Machine::with_dataflow`]
     /// overrides everything).
     pub dataflow: DataflowMode,
-    /// Heartbeat work promotion for promotable loops (default `On` for
-    /// simulated machines, `Off` for real-time ones; `FX_HEARTBEAT`
+    /// Heartbeat work promotion for promotable loops (default on for
+    /// simulated machines, off for real-time ones; `FX_HEARTBEAT`
     /// overrides the default, an explicit [`Machine::with_heartbeat`]
-    /// overrides everything). Inert for programs that never run a
-    /// promotable loop — arming it cannot change their virtual times.
-    pub heartbeat: HeartbeatMode,
-    /// Virtual seconds of charged compute between heartbeats
-    /// (`FX_HEARTBEAT_US` microseconds; default 1000 us: at the Paragon
-    /// parameters a promotion costs ~1.3 ms of messaging overhead, so a
-    /// 1 ms pulse re-examines the idle set about once per potential
-    /// promotion without spamming the board).
+    /// overrides everything). Off, a promotable loop runs its static
+    /// share sequentially; on, only virtual completion times may change,
+    /// never results. Inert for programs that never run a promotable
+    /// loop, and under real time, where it always behaves as off.
+    pub heartbeat: bool,
+    /// Virtual seconds of charged compute between heartbeats (default
+    /// 1 ms: at the Paragon parameters a promotion costs ~1.3 ms of
+    /// messaging overhead, so a 1 ms pulse re-examines the idle set about
+    /// once per potential promotion; [`Machine::with_heartbeat_period`]
+    /// overrides it).
     pub heartbeat_period: f64,
     /// Piggyback the causal trace id on every message and adopt it on
     /// receive (see [`crate::Event::trace`]; default off, `FX_TRACE`
@@ -174,7 +175,6 @@ impl Machine {
             _ => on_off(s).map(|on| if on { DataflowMode::On } else { DataflowMode::Off }),
         });
         let heartbeat = env::read("FX_HEARTBEAT", on_off).unwrap_or(simulated);
-        let heartbeat_us = env::read("FX_HEARTBEAT_US", |s| s.parse::<f64>().ok().filter(|us| *us > 0.0));
         let tracing = env::read("FX_TRACE", |s| match s {
             "1" | "true" => Some(true),
             "0" | "false" => Some(false),
@@ -190,8 +190,8 @@ impl Machine {
             telemetry: None,
             executor: if pooled.unwrap_or(simulated) { Executor::Pooled { workers } } else { Executor::Threaded },
             dataflow: dataflow.unwrap_or(DataflowMode::On),
-            heartbeat: if heartbeat { HeartbeatMode::On } else { HeartbeatMode::Off },
-            heartbeat_period: heartbeat_us.unwrap_or(1000.0) * 1e-6,
+            heartbeat,
+            heartbeat_period: 1e-3,
             tracing: tracing.unwrap_or(false),
             stack_bytes: stack_kb.unwrap_or(1024).max(64) * 1024,
         }
@@ -222,7 +222,7 @@ impl Machine {
     /// runs under simulated time; arming it on a real-time machine is a
     /// no-op.
     pub fn with_heartbeat(mut self, on: bool) -> Self {
-        self.heartbeat = if on { HeartbeatMode::On } else { HeartbeatMode::Off };
+        self.heartbeat = on;
         self
     }
 
@@ -253,11 +253,12 @@ impl Machine {
     }
 
     /// Attach a live telemetry registry (off by default). The handle is
-    /// shared: keep your clone to scrape metrics mid-run, read flight
-    /// recorders and stall reports — even after a run that panicked. The
-    /// final snapshot also lands in [`RunReport::telemetry`]. Host-side
-    /// observability only: virtual times are bit-identical with telemetry
-    /// on or off.
+    /// shared: keep your clone to render metrics mid-run
+    /// ([`Telemetry::render_openmetrics`]), read flight recorders
+    /// ([`Telemetry::flight_dump`]) and stall reports — even after a run
+    /// that panicked. The final snapshot also lands in
+    /// [`RunReport::telemetry`]. Host-side observability only: virtual
+    /// times are bit-identical with telemetry on or off.
     pub fn with_telemetry(mut self, t: Arc<Telemetry>) -> Self {
         self.telemetry = Some(t);
         self
@@ -471,7 +472,6 @@ where
         dataflow: machine.dataflow,
         heartbeat: machine.heartbeat,
         heartbeat_period: machine.heartbeat_period,
-        hb_board: HeartbeatBoard::new(machine.nprocs),
     });
     let start = clock::host_now();
     if let Some(t) = &telemetry {

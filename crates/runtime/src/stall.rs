@@ -14,8 +14,8 @@
 //! stalls is reported once.
 //!
 //! Reports land in the [`crate::Telemetry`] handle, so they are readable
-//! while the run executes (e.g. via the scrape endpoint) and survive a
-//! run that dies to the watchdog panic.
+//! while the run executes ([`crate::Telemetry::stall_reports`]) and
+//! survive a run that dies to the watchdog panic.
 //!
 //! All diagnostics here are keyed by **processor id**, never by thread
 //! identity: park stamps, wait registrations and queue snapshots live in

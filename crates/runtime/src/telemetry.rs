@@ -165,7 +165,7 @@ pub struct TelemetryConfig {
     /// run's watchdog tick.
     pub stall: bool,
     /// How many slowest-request exemplar traces the serving layer retains
-    /// (the `/trace/<id>` ring); 0 disables retention.
+    /// ([`Telemetry::exemplar_trace`]); 0 disables retention.
     pub exemplar_trace_capacity: usize,
 }
 
@@ -226,7 +226,7 @@ struct Inner {
 /// assert!(text.ends_with("# EOF\n"));
 /// ```
 ///
-/// The handle outlives the run: scrape it live from another thread while
+/// The handle outlives the run: render it live from another thread while
 /// the program executes, and read final counters, flight dumps, and
 /// stall reports after it finishes —
 /// even when the run ended in a panic and no report was produced.

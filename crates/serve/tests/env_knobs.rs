@@ -1,4 +1,4 @@
-//! The eight `FX_*` knobs, one table: every accepted spelling resolves
+//! The seven `FX_*` knobs, one table: every accepted spelling resolves
 //! to its value, every malformed value panics naming the variable, and an
 //! explicit `with_*` still wins. The environment is process-wide, so this
 //! is one test in a binary of its own.
@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use fx_runtime::env::{self, Knob};
-use fx_runtime::{DataflowMode, Executor, HeartbeatMode, Machine, MachineModel};
+use fx_runtime::{DataflowMode, Executor, Machine, MachineModel};
 
 /// What a knob resolved to, as text: the `Debug` of the machine field it
 /// sets.
@@ -17,7 +17,6 @@ fn resolved(knob: &Knob, real: bool) -> String {
         "FX_EXECUTOR" | "FX_WORKERS" => format!("{:?}", m.executor),
         "FX_DATAFLOW" => format!("{:?}", m.dataflow),
         "FX_HEARTBEAT" => format!("{:?}", m.heartbeat),
-        "FX_HEARTBEAT_US" => format!("{:?}", m.heartbeat_period),
         "FX_TRACE" => format!("{:?}", m.tracing),
         "FX_RECV_TIMEOUT_MS" => format!("{:?}", m.recv_timeout),
         // Not a public field: read it off the machine's `Debug`.
@@ -35,7 +34,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     // (knob, unset on a simulated machine, unset on a real one, accepted
     // spelling → value, malformed values)
     type Row = (&'static str, &'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
-    let table: [Row; 8] = [
+    let table: [Row; 7] = [
         (
             "FX_EXECUTOR",
             "Pooled { workers: 0 }",
@@ -45,8 +44,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         ),
         ("FX_WORKERS", "Pooled { workers: 0 }", "Threaded", &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }")], &["two", "-1", "1.5"]),
         ("FX_DATAFLOW", "On", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
-        ("FX_HEARTBEAT", "On", "Off", &[("on", "On"), ("off", "Off")], &["1", "true", "validate"]),
-        ("FX_HEARTBEAT_US", "0.001", "0.001", &[("500", "0.0005"), ("2000", "0.002")], &["0", "-3", "fast", "1ms"]),
+        ("FX_HEARTBEAT", "true", "false", &[("on", "true"), ("off", "false")], &["1", "true", "validate"]),
         (
             "FX_TRACE",
             "false",
@@ -86,11 +84,11 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
 
     // An explicit `with_*` wins over the environment.
     let set = [("FX_EXECUTOR", "threaded"), ("FX_DATAFLOW", "off"), ("FX_HEARTBEAT", "off")];
-    for (name, value) in set.into_iter().chain([("FX_HEARTBEAT_US", "500"), ("FX_TRACE", "0"), ("FX_RECV_TIMEOUT_MS", "150")]) {
+    for (name, value) in set.into_iter().chain([("FX_TRACE", "0"), ("FX_RECV_TIMEOUT_MS", "150")]) {
         std::env::set_var(name, value);
     }
     let m = Machine::simulated(2, MachineModel::paragon());
-    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Threaded, DataflowMode::Off, HeartbeatMode::Off));
+    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Threaded, DataflowMode::Off, false));
     let m = m
         .with_executor(Executor::pooled())
         .with_dataflow(DataflowMode::On)
@@ -98,7 +96,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         .with_heartbeat_period(2e-3)
         .with_tracing(true)
         .with_timeout(Duration::from_secs(9));
-    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::pooled(), DataflowMode::On, HeartbeatMode::On));
+    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::pooled(), DataflowMode::On, true));
     assert_eq!((m.heartbeat_period, m.tracing, m.recv_timeout), (2e-3, true, Duration::from_secs(9)));
     for k in &env::KNOBS {
         std::env::remove_var(k.name);

@@ -8,7 +8,8 @@
 //! `fx_runtime::env::KNOBS`, and every metric named in backticks in
 //! DESIGN.md, README.md and ROADMAP.md — a token under one of
 //! `BENCHMARK.json`'s per-layer prefixes (`serve.`, `runtime.`, …) —
-//! is a metric that file lists. (Not EXPERIMENTS.md or CHANGES.md: a dated
+//! is a metric that file lists; and DESIGN.md and README.md name no
+//! `localhost:` URL. (Not EXPERIMENTS.md or CHANGES.md: a dated
 //! log may name files and knobs since deleted; and ROADMAP.md names knobs
 //! it plans, such as `FX_SCHED_SEED`.) The pattern is
 //! `env::tests::readme_table_mirrors_the_knobs`: prose that a test reads
@@ -109,6 +110,23 @@ fn every_source_path_a_document_names_exists() {
     }
     assert!(checked >= 10, "the scan found only {checked} paths: is it still reading the documents?");
     assert!(missing.is_empty(), "documents name files that do not exist:\n  {}", missing.join("\n  "));
+}
+
+/// The library serves nothing over a socket: its telemetry is read in
+/// process (`Telemetry::render_openmetrics`, `exemplar_trace`,
+/// `flight_dump`), so a user-facing document must not send readers to a
+/// `localhost:` URL.
+#[test]
+fn no_document_points_at_a_local_server() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (n, line) in text.lines().enumerate().filter(|(_, l)| l.contains("localhost:")) {
+            found.push(format!("{doc}:{}: {line}", n + 1));
+        }
+    }
+    assert!(found.is_empty(), "documents name a local server the library does not run:\n  {}", found.join("\n  "));
 }
 
 #[test]

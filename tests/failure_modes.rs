@@ -304,6 +304,57 @@ fn panic_at_p512_tears_down_in_bounded_time_with_the_root_cause() {
     assert!(took < Duration::from_millis(2500), "teardown of a P={P} run took {took:?}");
 }
 
+/// A promotable loop whose donated iteration panics on its victim: the
+/// donor waits for results that never come and the other members spin on
+/// the loop's board, and every one of them must leave on the poison flag,
+/// so the run re-raises the victim's own panic long before the recv
+/// timeout — never the board's wedge or stuck-frontier message.
+#[test]
+fn panic_in_a_donated_iteration_tears_down_the_promotable_loop() {
+    use fx::core::block_range;
+    use std::time::Instant;
+
+    const N: usize = 64;
+    let timeout = Duration::from_secs(10);
+    let program = |fail: bool| {
+        move |cx: &mut fx::core::Cx| {
+            let mut out = vec![0u64; N];
+            cx.pdo_promote(
+                "poisoned",
+                0..N,
+                |_cx, i| vec![i as u64],
+                |cx, i, ins| {
+                    // Only the last member's share is heavy, so the others
+                    // park early and it donates its tail to them.
+                    cx.charge_flops(if i >= N * 3 / 4 { 1e6 } else { 10.0 });
+                    let donated = !block_range(0..N, cx.nprocs(), cx.id()).contains(&i);
+                    if fail && donated && cx.id() == 0 {
+                        panic!("injected failure in a donated iteration");
+                    }
+                    vec![ins[0] + 1]
+                },
+                |_cx, i, outs: Vec<u64>| out[i] = outs[0],
+            );
+            out
+        }
+    };
+    for executor in both_executors() {
+        let machine = Machine::simulated(4, MachineModel::paragon())
+            .with_heartbeat(true)
+            .with_timeout(timeout)
+            .with_executor(executor);
+        let healthy = spmd(&machine, program(false));
+        assert!(healthy.promote_total().taken >= 3, "{executor:?}: the loop must donate to every idle member");
+        let t0 = Instant::now();
+        let err = catch_unwind(AssertUnwindSafe(|| spmd(&machine, program(true))))
+            .expect_err("the victim's panic must propagate");
+        let took = t0.elapsed();
+        let msg = panic_message(err);
+        assert!(msg.contains("injected failure in a donated iteration"), "{executor:?}: got: {msg}");
+        assert!(took < timeout / 4, "{executor:?}: teardown took {took:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Lanes on first use. A mailbox builds the lane of a source on the first
 // deposit from it or the first wait on it; poison and the deadlock dump

@@ -245,25 +245,26 @@ fn rule_subgroup_variables_allocate_only_on_members() {
 }
 
 /// §4 (Implication for I/O): "one simple solution is to have a single
-/// designated I/O processor that performs all I/O" — the root-centric
-/// gather/scatter collectives realize exactly that pattern.
+/// designated I/O processor that performs all I/O" — an array whose one
+/// block spans it (`BLOCK_CYCLIC(n)`) lives on the group's first member,
+/// and plain array assignments scatter from it and gather back to it.
 #[test]
 fn rule_designated_io_processor_pattern() {
-    use fx::darray::{gather_to_root, scatter_from_root};
     spmd(&Machine::real(4), |cx| {
         let g = cx.group();
+        let mut io = DArray1::new(cx, &g, 12, Dist1::BlockCyclic(12), 0u32);
         let mut a = DArray1::new(cx, &g, 12, Dist1::Block, 0u32);
         // "Read" on the I/O processor, scatter to the compute processors.
-        let input = (cx.id() == 0).then(|| (0..12u32).map(|i| i * i).collect::<Vec<_>>());
-        scatter_from_root(cx, &mut a, 0, input.as_deref());
+        io.for_each_owned(|i, v| *v = (i * i) as u32);
+        assign1(cx, &mut a, &io);
         a.for_each_owned(|_g, v| *v += 1);
         // Gather back for "writing".
-        let out = gather_to_root(cx, &a, 0);
+        assign1(cx, &mut io, &a);
         if cx.id() == 0 {
             let expect: Vec<u32> = (0..12u32).map(|i| i * i + 1).collect();
-            assert_eq!(out.unwrap(), expect);
+            assert_eq!(io.local(), expect);
         } else {
-            assert!(out.is_none());
+            assert!(io.local().is_empty(), "only the I/O processor holds the array");
         }
     });
 }

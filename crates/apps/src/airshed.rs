@@ -28,7 +28,7 @@
 use fx_core::Cx;
 use fx_darray::{assign3, exchange_plane_halo, DArray3, Dist};
 
-use crate::util::{stage_chain, unit_hash, Segments, StreamMapping, SET_DONE, SET_START};
+use crate::util::{stage_chain, unit_hash, Segments, SET_DONE, SET_START};
 
 /// Problem parameters for the Airshed model.
 #[derive(Debug, Clone, Copy)]
@@ -231,35 +231,6 @@ pub fn airshed_tp(cx: &mut Cx, cfg: &AirshedConfig) -> f64 {
     airshed_hours(cx, cfg, &Segments::pipeline([1, cx.nprocs() - 2, 1]), 0..cfg.hours)
 }
 
-/// Serve a batch of Airshed requests: each request is one full
-/// simulation day (the configured hours) under `mapping`, which must not
-/// replicate — hours carry state — and the group leader reports each
-/// request's checksum and completion virtual time. The checksum lives on
-/// the compute stage, so when input has a segment of its own it is
-/// broadcast from the compute stage's first member to the reporting
-/// leader — scheduling changes, the answer does not: the reported
-/// checksum is bit-identical to the equivalent one-shot run.
-pub fn airshed_requests(
-    cx: &mut Cx,
-    cfg: &AirshedConfig,
-    mapping: StreamMapping,
-    reqs: &[usize],
-) -> Vec<crate::util::ReqCompletion<f64>> {
-    let (replicas, segs) = mapping.segments(cx.nprocs());
-    assert!(replicas.is_none(), "airshed hours carry state: {mapping:?} replicates them");
-    let compute_leader = segs.procs[..segs.seg_of_stage[1]].iter().sum();
-    let mut out = Vec::new();
-    for &req in reqs {
-        cx.set_trace(fx_core::request_trace_id(req));
-        let v = airshed_hours(cx, cfg, &segs, 0..cfg.hours);
-        let cs = if compute_leader == 0 { v } else { cx.bcast(compute_leader, v) };
-        if cx.id() == 0 {
-            out.push(crate::util::ReqCompletion { req, done: cx.now(), output: cs });
-        }
-    }
-    out
-}
-
 /// Sequential oracle for the checksum: the same per-hour phase sequence
 /// on one in-memory `layers x gridpoints x species` array, with the same
 /// edge clamping, so results agree to rounding.
@@ -385,37 +356,6 @@ mod tests {
             seen.extend(rep.results.iter().map(|r| r.0));
         }
         assert!(seen.contains(&0) && seen.contains(&1), "tile sizes covered: {seen:?}");
-    }
-
-    #[test]
-    fn request_adapter_reports_oneshot_identical_checksums() {
-        let cfg = tiny_cfg();
-        let machine = Machine::simulated(4, MachineModel::paragon());
-        // The compute stage's first member holds the one-shot checksum.
-        let oneshot_dp = spmd(&machine, move |cx| airshed_dp(cx, &cfg)).results[0];
-        let oneshot_tp = spmd(&machine, move |cx| airshed_tp(cx, &cfg)).results[1];
-        let mappings = [StreamMapping::DataParallel, StreamMapping::Pipeline([1, 2, 1])];
-        for (mapping, expect) in mappings.into_iter().zip([oneshot_dp, oneshot_tp]) {
-            let rep = spmd(&machine, move |cx| airshed_requests(cx, &cfg, mapping, &[7, 8]));
-            let completions = &rep.results[0];
-            assert_eq!(completions.len(), 2, "leader reports both requests");
-            for c in completions {
-                assert_eq!(c.output.to_bits(), expect.to_bits(), "{mapping:?}: bit-identical checksum");
-            }
-            for r in &rep.results[1..] {
-                assert!(r.is_empty(), "only the leader reports");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "hours carry state")]
-    fn requests_refuse_a_replicated_mapping() {
-        let cfg = tiny_cfg();
-        let twice = StreamMapping::Replicated { replicas: 2, pipeline: None };
-        spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
-            airshed_requests(cx, &cfg, twice, &[0])
-        });
     }
 
     #[test]

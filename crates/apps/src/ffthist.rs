@@ -4,20 +4,18 @@
 //! A stream of `n x n` complex images; for each: column FFTs (`cffts`),
 //! row FFTs (`rffts`), then a magnitude histogram (`hist`).
 //!
-//! The program is written once, [`fft_hist_stream`], and its mapping is a
+//! The program is written once, [`fft_hist_program`], and its mapping is a
 //! value beside it — the paper's claim: Figures 2(a) and 2(c) differ only
 //! in `TASK_PARTITION` sizes and `ON SUBGROUP` brackets, Figures 3 and 5
 //! only in the partition. A [`Segments`] says which adjacent stages share
-//! a processor group; a [`StreamMapping`] (here also named
-//! [`FftHistMapping`]) puts Figure 3's replication around it — the same
-//! value Radar and Stereo run under. The `fft_hist_*` entry points are
-//! that one stream under a particular mapping: [`fft_hist_dp`] is one
-//! segment (Figure 2(a)), [`fft_hist_pipeline`] three (Figure 2(c)),
-//! [`fft_hist_sets`] any (what `fx-mapping` searches),
-//! [`fft_hist_replicated`] deals the stream over modules first, and
-//! [`fft_hist_requests`] is the same again with a
-//! serving layer's two hooks — a request is served by the program that
-//! runs it one-shot.
+//! a processor group, and a [`Placement`](crate::util::Placement)
+//! replicates it over modules — the same value Radar, Stereo and Airshed
+//! run under ([`Stream`](crate::stream::Stream)). The `fft_hist_*` entry
+//! points are that one program under a particular mapping:
+//! [`fft_hist_dp`] is one segment (Figure 2(a)), [`fft_hist_pipeline`]
+//! three (Figure 2(c)), and [`fft_hist_sets`] any (what `fx-mapping`
+//! searches). A served request runs the same program with a serving
+//! layer's hooks.
 //!
 //! The stream records `set start` / `set done` events so the harness
 //! measures throughput and latency the way the paper does, and hands each
@@ -30,10 +28,7 @@ use fx_kernels::fft::{fft2d_reference, fft_cols_in_place, fft_flops, fft_in_plac
 use fx_kernels::hist::{hist_flops, histogram_magnitudes};
 use fx_kernels::Complex;
 
-use crate::util::{
-    complex_input, hop, run_mapped, stage_chain, ReqCompletion, Segments, StreamMapping, SET_DONE,
-    SET_START,
-};
+use crate::util::{complex_input, hop, stage_chain, Placement, Segments, SET_DONE, SET_START};
 
 /// Problem parameters for one FFT-Hist run.
 #[derive(Debug, Clone, Copy)]
@@ -55,9 +50,33 @@ impl FftHistConfig {
     }
 }
 
-/// FFT-Hist's name for the mapping all three stream programs share
-/// (`benchmark/` and `fx-serve` spell it this way).
-pub type FftHistMapping = StreamMapping;
+/// A served FFT-Hist's mapping as `benchmark/`'s serve ladder spells it;
+/// everything else takes a [`Placement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FftHistMapping {
+    /// All processors data-parallel on every stage.
+    DataParallel,
+    /// `replicas` modules, each data-parallel or the given pipeline.
+    Replicated {
+        /// Number of independent modules.
+        replicas: usize,
+        /// Stage processor counts when each module is a pipeline.
+        pipeline: Option<[usize; 3]>,
+    },
+}
+
+impl FftHistMapping {
+    /// The mapping on a group of `p` processors.
+    pub fn placement(self, p: usize) -> Placement {
+        match self {
+            FftHistMapping::DataParallel => Placement::data_parallel(p),
+            FftHistMapping::Replicated { replicas, pipeline } => {
+                let segs = pipeline.map_or_else(|| Segments::fused(p / replicas), Segments::pipeline);
+                Placement::replicated(replicas, segs)
+            }
+        }
+    }
+}
 
 /// Sequential oracle: the histogram of dataset `d`.
 pub fn reference_histogram(cfg: &FftHistConfig, d: usize) -> Vec<u64> {
@@ -120,7 +139,7 @@ pub fn fill_input(cx: &mut Cx, a: &mut DArray2<Complex>, d: usize) {
 /// member of the `hist` segment right after `set done`, and what it
 /// returns is collected — so `cx.id() == 0` there is the leader of the
 /// group that produced the result.
-pub fn fft_hist_stream<I, R>(
+pub fn fft_hist_program<I, R>(
     cx: &mut Cx,
     cfg: &FftHistConfig,
     segs: &Segments,
@@ -170,13 +189,8 @@ pub fn fft_hist_stream<I, R>(
 
 /// The one-shot stream over dataset ids: no per-item hook, and every
 /// member of the `hist` segment keeps every histogram.
-pub fn fft_hist_sets(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    segs: &Segments,
-    sets: &[usize],
-) -> Vec<Vec<u64>> {
-    fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, _, h| Some(h))
+pub fn fft_hist_sets(cx: &mut Cx, cfg: &FftHistConfig, segs: &Segments, sets: &[usize]) -> Vec<Vec<u64>> {
+    fft_hist_program(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, _, h| Some(h))
 }
 
 fn all_sets(cfg: &FftHistConfig) -> Vec<usize> {
@@ -210,56 +224,10 @@ pub fn fft_hist_pipeline_sets(
     fft_hist_sets(cx, cfg, &Segments::pipeline(procs), sets)
 }
 
-/// Figure 3: replicated data parallelism — `replicas` subgroups, each
-/// running the full data-parallel computation on its share of the stream
-/// (dataset `d` goes to replica `d % replicas`). With
-/// `pipeline = Some(stage_procs)`, each replica is itself a pipeline
-/// (the two-module mappings of Figure 5). Returns this member's module
-/// results as `(dataset, histogram)` pairs — within a pipelined module
-/// only the `hist` stage holds any.
-pub fn fft_hist_replicated(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    replicas: usize,
-    pipeline: Option<[usize; 3]>,
-) -> Vec<(usize, Vec<u64>)> {
-    let mapping = StreamMapping::Replicated { replicas, pipeline };
-    run_mapped(cx, mapping, &all_sets(cfg), |cx, segs, sets| {
-        fft_hist_stream(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, &d, h| Some((d, h)))
-    })
-}
-
-/// Serve a batch of requests — `(request index, dataset id)` pairs —
-/// under any mapping (the dispatch a serving layer uses): the one stream
-/// with two hooks. Every processor tags its work with the request's
-/// causal trace id (deterministic from the index, so no coordination; a
-/// no-op unless the machine traces), and the leader of the group that
-/// produces a histogram reports the completion with its own virtual
-/// time. Collect completions across processors via the run report.
-pub fn fft_hist_requests(
-    cx: &mut Cx,
-    cfg: &FftHistConfig,
-    mapping: StreamMapping,
-    reqs: &[(usize, usize)],
-) -> Vec<ReqCompletion<Vec<u64>>> {
-    run_mapped(cx, mapping, reqs, |cx, segs, reqs| {
-        fft_hist_stream(
-            cx,
-            cfg,
-            segs,
-            reqs,
-            |&(_, d)| d,
-            |cx, &(req, _)| cx.set_trace(fx_core::request_trace_id(req)),
-            |cx, &(req, _), output| {
-                (cx.id() == 0).then(|| ReqCompletion { req, done: cx.now(), output })
-            },
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::run_mapped;
     use fx_core::{spmd, Machine, MachineModel};
 
     fn small_cfg() -> FftHistConfig {
@@ -307,10 +275,22 @@ mod tests {
         }
     }
 
+    /// Figure 3 and its hybrids: the one program dealt over modules,
+    /// each member returning its module's `(dataset, histogram)` pairs.
+    fn dealt_sets(cx: &mut Cx, cfg: &FftHistConfig, placement: &Placement) -> Vec<(usize, Vec<u64>)> {
+        let sets: Vec<usize> = (0..cfg.datasets).collect();
+        run_mapped(cx, placement, &sets, |cx, segs, sets| {
+            fft_hist_program(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, &d, h| Some((d, h)))
+        })
+    }
+
     #[test]
     fn replicated_partitions_the_stream() {
         let cfg = FftHistConfig { datasets: 5, ..small_cfg() };
-        let rep = spmd(&Machine::real(4), move |cx| fft_hist_replicated(cx, &cfg, 2, None));
+        let twice = FftHistMapping::Replicated { replicas: 2, pipeline: None }.placement(4);
+        assert_eq!(twice, Placement::replicated(2, Segments::fused(2)));
+        assert_eq!(FftHistMapping::DataParallel.placement(4), Placement::data_parallel(4));
+        let rep = spmd(&Machine::real(4), move |cx| dealt_sets(cx, &cfg, &twice));
         // Replica 0 (procs 0,1): datasets 0, 2, 4; replica 1: 1, 3.
         for proc in [0usize, 1] {
             let sets: Vec<usize> = rep.results[proc].iter().map(|(d, _)| *d).collect();
@@ -328,9 +308,9 @@ mod tests {
     #[test]
     fn replicated_pipeline_hybrid_matches_reference() {
         let cfg = FftHistConfig { datasets: 4, ..small_cfg() };
-        let rep = spmd(&Machine::real(6), move |cx| {
-            fft_hist_replicated(cx, &cfg, 2, Some([1, 1, 1]))
-        });
+        let hybrid = FftHistMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) }.placement(6);
+        assert_eq!(hybrid, Placement::replicated(2, Segments::pipeline([1, 1, 1])));
+        let rep = spmd(&Machine::real(6), move |cx| dealt_sets(cx, &cfg, &hybrid));
         // Within each module only the G3 member reports; others are empty.
         let mut seen = vec![false; cfg.datasets];
         for proc_results in &rep.results {
@@ -374,36 +354,6 @@ mod tests {
         });
         for (d, h) in rep.results[2].iter().enumerate() {
             assert_eq!(h, &reference_histogram(&cfg, d), "dataset {d}");
-        }
-    }
-
-    #[test]
-    fn request_adapters_match_reference_and_report_leaders_only() {
-        let cfg = small_cfg();
-        let reqs: Vec<(usize, usize)> = vec![(10, 0), (11, 2), (12, 1)];
-        let mappings = [
-            StreamMapping::DataParallel,
-            StreamMapping::Pipeline([2, 2, 2]),
-            StreamMapping::Replicated { replicas: 2, pipeline: None },
-            StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) },
-        ];
-        for mapping in mappings {
-            let reqs2 = reqs.clone();
-            let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), move |cx| {
-                fft_hist_requests(cx, &cfg, mapping, &reqs2)
-            });
-            let mut completions: Vec<_> = rep.results.iter().flatten().collect();
-            completions.sort_by_key(|c| c.req);
-            assert_eq!(
-                completions.iter().map(|c| c.req).collect::<Vec<_>>(),
-                vec![10, 11, 12],
-                "{mapping:?}: every request completes exactly once"
-            );
-            for c in &completions {
-                let d = reqs.iter().find(|(r, _)| *r == c.req).unwrap().1;
-                assert_eq!(c.output, reference_histogram(&cfg, d), "{mapping:?} req {}", c.req);
-                assert!(c.done > 0.0, "{mapping:?}: completion time must advance");
-            }
         }
     }
 

@@ -16,10 +16,11 @@
 //! | [`qsort`] | Figure 4 | dynamically nested partitions |
 //! | [`barnes_hut`] | §5.3, Figure 7 | nested partitions + worklists |
 //!
-//! The three stream programs are each one program text under one shared
-//! mapping value ([`util::Segments`], [`util::StreamMapping`]). All record
-//! `set start` / `set done` events, from which the benchmark harnesses
-//! compute the throughput and latency numbers the paper reports.
+//! The three stream programs and Airshed are each one program text under
+//! one shared mapping value ([`util::Segments`], [`util::Placement`]), and
+//! one value names them ([`stream::Stream`]), run one-shot or served. All
+//! record `set start` / `set done` events, from which the benchmark
+//! harnesses compute the throughput and latency numbers the paper reports.
 
 pub mod airshed;
 pub mod barnes_hut;
@@ -28,4 +29,5 @@ pub mod multiblock;
 pub mod qsort;
 pub mod radar;
 pub mod stereo;
+pub mod stream;
 pub mod util;

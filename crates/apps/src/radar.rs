@@ -9,10 +9,11 @@
 //! matrices; the 40-point Doppler FFT runs through Bluestein's
 //! arbitrary-length algorithm (`fx_kernels::fft::fft_any_in_place`).
 //!
-//! The program is written once, [`radar_sets`], as three stages under a
+//! The program is written once, [`radar_program`], as three stages under a
 //! [`Segments`] value — acquisition, Doppler FFT + scaling, thresholding +
 //! the detection count's reduction — with the corner turn riding the
-//! first hop; [`radar_stream`] is its data-parallel mapping, and
+//! first hop; [`radar_sets`] runs it one-shot under any segments,
+//! [`radar_stream`] data-parallel, and
 //! [`run_mapped`](crate::util::run_mapped) deals it over replicated
 //! modules.
 //!
@@ -77,15 +78,20 @@ pub fn reference_detections(cfg: &RadarConfig, d: usize) -> u64 {
     count
 }
 
-/// Radar over the data sets `sets`, on the current group under `segs`:
-/// the one program text. Returns `(dataset, detections)` pairs on the
-/// members of the thresholding stage's segment, empty elsewhere.
-pub fn radar_sets(
+/// Radar over a stream of `items`, on the current group under `segs`: the
+/// one program text, with FFT-Hist's hooks
+/// ([`fft_hist_program`](crate::ffthist::fft_hist_program)).
+/// `finish(cx, item, detections)` runs on every member of the
+/// thresholding stage's segment right after `set done`.
+pub fn radar_program<I, R>(
     cx: &mut Cx,
     cfg: &RadarConfig,
     segs: &Segments,
-    sets: &[usize],
-) -> Vec<(usize, u64)> {
+    items: &[I],
+    dataset: impl Fn(&I) -> usize,
+    begin: impl Fn(&mut Cx, &I),
+    finish: impl Fn(&mut Cx, &I, u64) -> Option<R>,
+) -> Vec<R> {
     stage_chain(cx, segs, |cx, st| {
         let (p, r, s) = (cfg.pulses, cfg.ranges, segs.seg_of_stage);
         // The sensor delivers the dwell distributed *by pulse* — so at
@@ -102,7 +108,9 @@ pub fn radar_sets(
             (!fused).then(|| DArray2::new(cx, st.group(2), [r, p], rows, Complex::ZERO));
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        for &d in sets {
+        for item in items {
+            let d = dataset(item);
+            begin(cx, item);
             st.on(cx, 0, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_START);
@@ -134,7 +142,7 @@ pub fn radar_sets(
                 0.0
             });
             let detect_input = hop(cx, &mut staged, &work, segs.mode);
-            let total = st.on(cx, 2, |cx| {
+            let kept = st.on(cx, 2, |cx| {
                 let local = detect_input.local();
                 let count = local.iter().filter(|z| z.abs() >= cfg.threshold).count() as u64;
                 cx.charge_flops(carried.unwrap_or(0.0) + threshold_flops(local.len()));
@@ -142,12 +150,19 @@ pub fn radar_sets(
                 if cx.id() == 0 {
                     cx.record(SET_DONE);
                 }
-                t
+                finish(cx, item, t)
             });
-            out.extend(total.map(|t| (d, t)));
+            out.extend(kept.flatten());
         }
         out
     })
+}
+
+/// Radar over the data sets `sets` under `segs`: `(dataset, detections)`
+/// pairs on the members of the thresholding stage's segment, empty
+/// elsewhere.
+pub fn radar_sets(cx: &mut Cx, cfg: &RadarConfig, segs: &Segments, sets: &[usize]) -> Vec<(usize, u64)> {
+    radar_program(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, &d, t| Some((d, t)))
 }
 
 /// Data-parallel radar over the given data sets on the current group,

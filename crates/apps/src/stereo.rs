@@ -15,11 +15,12 @@
 //! the separable window sum uses a column-halo exchange, the vertical
 //! half is local.
 //!
-//! The program is written once, [`stereo_sets`], as three stages under a
-//! [`Segments`] value — difference image (shift and SSD), error image
+//! The program is written once, [`stereo_program`], as three stages under
+//! a [`Segments`] value — difference image (shift and SSD), error image
 //! (halo and window sums), depth (argmin) — run per disparity, so a
 //! pipeline ships one difference image and one error image per
-//! disparity; [`stereo_stream`] is its data-parallel mapping, and
+//! disparity; [`stereo_sets`] runs it one-shot under any segments,
+//! [`stereo_stream`] data-parallel, and
 //! [`run_mapped`](crate::util::run_mapped) deals it over replicated
 //! modules.
 
@@ -111,17 +112,21 @@ fn shift_cols(cx: &mut Cx, shifted: &mut DArray2<f32>, img: &DArray2<f32>, by: u
     remap2(cx, shifted, img, Remap::Identity, Remap::ClampShift(by as isize));
 }
 
-/// Stereo over the data sets `sets`, on the current group under `segs`:
-/// the one program text. Returns, per dataset, this processor's local
-/// depth columns as `(dataset, local_depth)` (row-major `rows x
-/// local_cols`) on the members of the argmin stage's segment, empty
-/// elsewhere.
-pub fn stereo_sets(
+/// Stereo over a stream of `items`, on the current group under `segs`: the
+/// one program text, with FFT-Hist's hooks
+/// ([`fft_hist_program`](crate::ffthist::fft_hist_program)).
+/// `finish(cx, item, tile)` runs on every member of the argmin stage's
+/// segment right after `set done`, with that member's local depth columns
+/// (row-major `rows x local_cols`); what it returns is collected.
+pub fn stereo_program<I, R>(
     cx: &mut Cx,
     cfg: &StereoConfig,
     segs: &Segments,
-    sets: &[usize],
-) -> Vec<(usize, Vec<u16>)> {
+    items: &[I],
+    dataset: impl Fn(&I) -> usize,
+    begin: impl Fn(&mut Cx, &I),
+    finish: impl Fn(&mut Cx, &I, Vec<u16>) -> Option<R>,
+) -> Vec<R> {
     stage_chain(cx, segs, |cx, st| {
         let s = segs.seg_of_stage;
         let image = |cx: &mut Cx, k: usize| {
@@ -137,7 +142,9 @@ pub fn stereo_sets(
         let mut err = image(cx, 1);
         let mut err_copy = (s[2] != s[1]).then(|| image(cx, 2));
         let mut out = Vec::new();
-        for &d in sets {
+        for item in items {
+            let d = dataset(item);
+            begin(cx, item);
             st.on(cx, 0, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_START);
@@ -192,17 +199,23 @@ pub fn stereo_sets(
                     cx.charge_flops(npix as f64);
                 });
             }
-            let done = st.on(cx, 2, |cx| {
+            let kept = st.on(cx, 2, |cx| {
                 if cx.id() == 0 {
                     cx.record(SET_DONE);
                 }
+                finish(cx, item, depth)
             });
-            if done.is_some() {
-                out.push((d, depth));
-            }
+            out.extend(kept.flatten());
         }
         out
     })
+}
+
+/// Stereo over the data sets `sets` under `segs`: per dataset, this
+/// processor's local depth columns as `(dataset, local_depth)` on the
+/// members of the argmin stage's segment, empty elsewhere.
+pub fn stereo_sets(cx: &mut Cx, cfg: &StereoConfig, segs: &Segments, sets: &[usize]) -> Vec<(usize, Vec<u16>)> {
+    stereo_program(cx, cfg, segs, sets, |&d| d, |_, _| (), |_, &d, tile| Some((d, tile)))
 }
 
 /// Data-parallel stereo over the given data sets on the current group.
@@ -214,11 +227,7 @@ pub fn stereo_stream(cx: &mut Cx, cfg: &StereoConfig, sets: &[usize]) -> Vec<(us
 
 /// Reassemble per-processor local depth tiles (column blocks, in
 /// virtual-rank order) into the global image.
-pub fn assemble_depth(
-    tiles: &[Vec<u16>],
-    rows: usize,
-    cols: usize,
-) -> Vec<u16> {
+pub fn assemble_depth(tiles: &[Vec<u16>], rows: usize, cols: usize) -> Vec<u16> {
     let p = tiles.len();
     let block = cols.div_ceil(p);
     let mut img = vec![u16::MAX; rows * cols];

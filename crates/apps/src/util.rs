@@ -1,8 +1,8 @@
 //! Shared helpers for the applications: deterministic cheap input
-//! synthesis, event labels, and the mapping the three Table 1 stream
-//! programs share — a [`Segments`] value placing a three-stage chain on a
-//! group ([`stage_chain`]), a [`StreamMapping`] putting replicated modules
-//! around it, and the one dealer ([`run_mapped`], [`dealt`]).
+//! synthesis, event labels, and the mapping the four chain programs share —
+//! a [`Segments`] value placing a three-stage chain on a group
+//! ([`stage_chain`]), a [`Placement`] replicating it over modules, and the
+//! one dealer ([`run_mapped`]).
 
 use fx_core::{Cx, GroupHandle, Size, TaskRegion};
 use fx_darray::{assign2_with, DArray2, Elem, Participation};
@@ -14,13 +14,10 @@ pub const SET_START: &str = "set start";
 /// Event label marking the completion of one data set's processing.
 pub const SET_DONE: &str = "set done";
 
-/// One served request's completion, as observed by the canonical
-/// completing processor (the lowest-ranked member of the group that
-/// produces the result). `req` is the caller-side request index, `done`
-/// the completing processor's virtual time right after the result is
-/// available, and `output` the request's result — which must be
-/// bit-identical to the same computation run one-shot, because batching
-/// and mapping change scheduling, never answers.
+/// One served request's completion, reported by the lowest-ranked member
+/// of the group that produces the result. Its `output` is bit-identical to
+/// the same computation run one-shot: batching and mapping change
+/// scheduling, never answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReqCompletion<T> {
     /// Caller-side request index (position in the submitted batch/trace).
@@ -140,20 +137,6 @@ pub fn replicated_modules<R>(
     out.expect("every processor belongs to exactly one module")
 }
 
-/// [`replicated_modules`] plus the dealer every replicated stream uses:
-/// item `i` goes to module `i % replicas`, and `f(cx, my_items)` runs on
-/// this processor's module.
-pub fn dealt<I, R>(
-    cx: &mut Cx,
-    replicas: usize,
-    items: impl IntoIterator<Item = I>,
-    f: impl FnOnce(&mut Cx, Vec<I>) -> R,
-) -> R {
-    replicated_modules(cx, replicas, |cx, module| {
-        f(cx, items.into_iter().skip(module).step_by(replicas).collect())
-    })
-}
-
 /// How the three stages of a stream program sit on the current group —
 /// the mapping as data. One segment is Figure 2(a)'s data-parallel
 /// program, `[0, 1, 2]` the pipeline of Figure 2(c), and every mapping
@@ -186,59 +169,67 @@ impl Segments {
     }
 }
 
-/// How a stream program is mapped onto processors (the axis Figure 5
-/// explores): Figure 3's replication around a module's [`Segments`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMapping {
-    /// All processors data-parallel on every stage.
-    DataParallel,
-    /// Three pipeline stages with the given processor counts.
-    Pipeline([usize; 3]),
-    /// `replicas` independent modules, datasets dealt round-robin; each
-    /// module runs the inner mapping.
-    Replicated {
-        /// Number of independent modules.
-        replicas: usize,
-        /// Stage processor counts when each module is itself a pipeline.
-        pipeline: Option<[usize; 3]>,
-    },
+/// A stream program's mapping, the value every mapping of the paper is: a
+/// module's [`Segments`] replicated `modules` times (Figure 3), with data
+/// sets dealt round-robin over the modules — the shape of the mapping
+/// `fx-mapping` searches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    /// Replicated modules; data set `i` goes to module `i % modules`.
+    pub modules: usize,
+    /// How the three stages sit on one module.
+    pub segs: Segments,
 }
 
-impl StreamMapping {
-    /// The mapping on a group of `p` processors as `(replicas, one
-    /// module's segments)`. `Replicated { replicas: 1, .. }` is `Some(1)`,
-    /// a one-module partition, and not `DataParallel`'s `None`.
-    pub fn segments(self, p: usize) -> (Option<usize>, Segments) {
-        let (replicas, pipeline) = match self {
-            StreamMapping::DataParallel => (None, None),
-            StreamMapping::Pipeline(stage) => (None, Some(stage)),
-            StreamMapping::Replicated { replicas, pipeline } => (Some(replicas), pipeline),
-        };
-        let segs = match pipeline {
-            Some(stage) => Segments::pipeline(stage),
-            // (Zero replicas is `replicated_modules`' panic to raise.)
-            None => Segments::fused(p / replicas.unwrap_or(1).max(1)),
-        };
-        (replicas, segs)
+impl Placement {
+    /// Figure 2(a): one module, all three stages data-parallel on `p`.
+    pub fn data_parallel(p: usize) -> Self {
+        Self::replicated(1, Segments::fused(p))
+    }
+
+    /// Figure 2(c): one module, one subgroup per stage.
+    pub fn pipeline(procs: [usize; 3]) -> Self {
+        Self::replicated(1, Segments::pipeline(procs))
+    }
+
+    /// Figure 3 and the hybrids of Figure 5: `modules` copies of `segs`.
+    pub fn replicated(modules: usize, segs: Segments) -> Self {
+        Placement { modules, segs }
+    }
+
+    /// Processors the placement occupies.
+    pub fn procs(&self) -> usize {
+        self.modules * self.segs.procs.iter().sum::<usize>()
     }
 }
 
-/// A stream program under any mapping: `run(cx, segments, items)` on the
-/// current group, or, when the mapping is replicated, on each module with
-/// the items dealt over the modules first ([`dealt`]).
-pub fn run_mapped<I: Clone, R>(
+/// A stream program under a placement: `run(cx, segs, items)` on each of
+/// `placement.modules` modules, with item `i` dealt to module `i % modules`.
+/// One module is the current group as it stands — no partition, no region.
+/// Processors beyond `placement.procs()` idle in a spare subgroup (a
+/// searched mapping may leave some unused) and return `R::default()`.
+pub fn run_mapped<I: Clone, R: Default>(
     cx: &mut Cx,
-    mapping: StreamMapping,
+    placement: &Placement,
     items: &[I],
     run: impl FnOnce(&mut Cx, &Segments, &[I]) -> R,
 ) -> R {
-    let (replicas, segs) = mapping.segments(cx.nprocs());
-    match replicas {
-        None => run(cx, &segs, items),
-        Some(replicas) => {
-            dealt(cx, replicas, items.iter().cloned(), |cx, mine| run(cx, &segs, &mine))
+    let (used, total, modules) = (placement.procs(), cx.nprocs(), placement.modules);
+    assert!(used <= total, "the placement uses {used} of {total} processors");
+    let deal = |cx: &mut Cx| {
+        if modules == 1 {
+            return run(cx, &placement.segs, items);
         }
+        replicated_modules(cx, modules, |cx, module| {
+            let mine: Vec<I> = items.iter().skip(module).step_by(modules).cloned().collect();
+            run(cx, &placement.segs, &mine)
+        })
+    };
+    if used == total {
+        return deal(cx);
     }
+    let part = cx.task_partition(&[("work", Size::Procs(used)), ("idle", Size::Rest)]);
+    cx.task_region(&part, |cx, tr| tr.on(cx, "work", deal)).unwrap_or_default()
 }
 
 /// The three stages of a chain as [`stage_chain`] placed them on the current
@@ -337,12 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn dealt_deals_by_position() {
-        let rep = spmd(&Machine::real(4), |cx| dealt(cx, 2, 10..15, |_, mine| mine));
-        assert_eq!(rep.results, [vec![10, 12, 14], vec![10, 12, 14], vec![11, 13], vec![11, 13]]);
-    }
-
-    #[test]
     fn a_fused_chain_is_the_group_as_it_stands() {
         // No partition, no region: every stage runs on everyone and no
         // scope is entered (an op tag or a region entry per stage would
@@ -371,29 +356,38 @@ mod tests {
     }
 
     #[test]
-    fn a_mapping_is_replicas_around_segments() {
-        use StreamMapping::*;
-        assert_eq!(DataParallel.segments(8), (None, Segments::fused(8)));
-        assert_eq!(Pipeline([2, 4, 2]).segments(8), (None, Segments::pipeline([2, 4, 2])));
-        // One replica is still a (one-module) partition: `Some(1)`.
-        let one = Replicated { replicas: 1, pipeline: None };
-        assert_eq!(one.segments(8), (Some(1), Segments::fused(8)));
-        let four = Replicated { replicas: 4, pipeline: None };
-        assert_eq!(four.segments(8), (Some(4), Segments::fused(2)));
-        let hybrid = Replicated { replicas: 2, pipeline: Some([1, 2, 1]) };
-        assert_eq!(hybrid.segments(8), (Some(2), Segments::pipeline([1, 2, 1])));
-    }
-
-    #[test]
     fn run_mapped_deals_items_and_hands_each_module_its_segments() {
-        let hybrid = StreamMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) };
+        let hybrid = Placement::replicated(2, Segments::pipeline([1, 1, 1]));
         let rep = spmd(&Machine::real(6), |cx| {
-            run_mapped(cx, hybrid, &[10, 11, 12], |cx, segs, mine| {
+            run_mapped(cx, &hybrid, &[10, 11, 12], |cx, segs, mine| {
                 (cx.nprocs(), segs.procs.clone(), mine.to_vec())
             })
         });
         let (m0, m1) = ((3, vec![1, 1, 1], vec![10, 12]), (3, vec![1, 1, 1], vec![11]));
         assert_eq!(rep.results, [m0.clone(), m0.clone(), m0, m1.clone(), m1.clone(), m1]);
+    }
+
+    #[test]
+    fn one_module_runs_on_the_group_as_it_stands() {
+        let rep = spmd(&Machine::real(4), |cx| {
+            run_mapped(cx, &Placement::data_parallel(4), &[7, 8], |cx, _, mine| (cx.nprocs(), mine.to_vec()))
+        });
+        assert!(rep.results.iter().all(|r| r == &(4, vec![7, 8])));
+        assert_eq!(rep.total().region_enters, 0);
+    }
+
+    #[test]
+    fn processors_the_placement_leaves_over_idle() {
+        // Two modules of 2 on 7 processors: the last 3 idle and return the
+        // default; the modules deal the items between them.
+        let twice = Placement::replicated(2, Segments::fused(2));
+        assert_eq!(twice.procs(), 4);
+        let rep = spmd(&Machine::real(7), |cx| {
+            run_mapped(cx, &twice, &[0, 1, 2], |cx, _, mine| vec![(cx.nprocs(), mine.to_vec())])
+        });
+        let (m0, m1) = (vec![(2, vec![0, 2])], vec![(2, vec![1])]);
+        assert_eq!(rep.results[..4], [m0.clone(), m0, m1.clone(), m1]);
+        assert!(rep.results[4..].iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! depth.
 
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
-use fx_apps::ffthist::{fft_hist_sets, fft_hist_stream, reference_histogram, FftHistConfig};
+use fx_apps::ffthist::{fft_hist_program, fft_hist_sets, reference_histogram, FftHistConfig};
 use fx_apps::qsort::qsort_global;
 use fx_apps::radar::{radar_sets, reference_detections, RadarConfig};
 use fx_apps::stereo::{assemble_depth, reference_depth, stereo_sets, StereoConfig};
-use fx_apps::util::{dealt, ReqCompletion, Segments, SET_DONE};
+use fx_apps::util::{run_mapped, Placement, ReqCompletion, Segments, SET_DONE};
 use fx_core::{request_trace_id, spmd, Machine, MachineModel, RunReport};
 use fx_darray::Participation;
 use fx_kernels::nbody::BhTree;
@@ -101,18 +101,19 @@ proptest! {
         let reqs: [(usize, usize); 5] = [(40, 1), (41, 0), (42, 1), (43, 0), (44, 1)];
         for replicas in [1usize, 2] {
             let machine = Machine::simulated(total * replicas, MachineModel::paragon());
+            let placement = Placement::replicated(replicas, segs.clone());
             let one_shot = spmd(&machine, |cx| {
-                dealt(cx, replicas, reqs.iter().map(|r| r.1), |cx, mine| {
-                    fft_hist_sets(cx, &cfg, &segs, &mine).len()
+                run_mapped(cx, &placement, &reqs.map(|r| r.1), |cx, segs, mine| {
+                    fft_hist_sets(cx, &cfg, segs, mine).len()
                 })
             });
             let served = spmd(&machine.clone().with_tracing(true), |cx| {
-                dealt(cx, replicas, reqs, |cx, mine| {
-                    fft_hist_stream(
+                run_mapped(cx, &placement, &reqs, |cx, segs, mine| {
+                    fft_hist_program(
                         cx,
                         &cfg,
-                        &segs,
-                        &mine,
+                        segs,
+                        mine,
                         |&(_, d)| d,
                         |cx, &(req, _)| cx.set_trace(request_trace_id(req)),
                         |cx, &(req, _), output| {
@@ -156,8 +157,9 @@ proptest! {
             RadarConfig { ranges: 16, pulses: 8, datasets: 5, gain: 0.25, threshold: 0.6 };
         for replicas in [1usize, 2] {
             let p = replicas * segs.procs.iter().sum::<usize>();
+            let (placement, sets) = (Placement::replicated(replicas, segs.clone()), [0, 1, 2, 3, 4]);
             let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), |cx| {
-                dealt(cx, replicas, 0..cfg.datasets, |cx, mine| radar_sets(cx, &cfg, &segs, &mine))
+                run_mapped(cx, &placement, &sets, |cx, segs, mine| radar_sets(cx, &cfg, segs, mine))
             });
             let by_set = outputs_by_dataset(&rep, &segs, replicas, cfg.datasets);
             for (d, counts) in by_set.iter().enumerate() {
@@ -182,8 +184,9 @@ proptest! {
             StereoConfig { rows: 8, cols: 24, n_match: 2, max_disp: 3, window: 1, datasets: 3 };
         for replicas in [1usize, 2] {
             let p = replicas * segs.procs.iter().sum::<usize>();
+            let (placement, sets) = (Placement::replicated(replicas, segs.clone()), [0, 1, 2]);
             let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), |cx| {
-                dealt(cx, replicas, 0..cfg.datasets, |cx, mine| stereo_sets(cx, &cfg, &segs, &mine))
+                run_mapped(cx, &placement, &sets, |cx, segs, mine| stereo_sets(cx, &cfg, segs, mine))
             });
             let by_set = outputs_by_dataset(&rep, &segs, replicas, cfg.datasets);
             for (d, tiles) in by_set.iter().enumerate() {

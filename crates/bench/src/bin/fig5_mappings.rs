@@ -12,7 +12,8 @@
 //! Run with: `cargo run --release -p fx-bench --bin fig5_mappings`
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, measure_stream, placement};
 use fx_mapping::{best_mapping, evaluate, max_throughput_mapping, Mapping, Segment};
 
 const P: usize = 64;
@@ -75,7 +76,7 @@ fn main() {
             Some(ev) => {
                 let sets = (3 * ev.mapping.modules).max(10);
                 let meas = measure_stream(P, ev.mapping.modules + 1, |cx| {
-                    run_mapping(cx, &stream, &ev.mapping, sets)
+                    stream.run(cx, &placement(&ev.mapping), sets)
                 });
                 println!("{label}:");
                 println!("  mapping    : {}", ev.mapping.render(&model));
@@ -95,7 +96,7 @@ fn main() {
                 );
                 let sets = (4 * ceiling.mapping.modules).max(10);
                 let meas = measure_stream(P, ceiling.mapping.modules, |cx| {
-                    run_mapping(cx, &stream, &ceiling.mapping, sets)
+                    stream.run(cx, &placement(&ceiling.mapping), sets)
                 });
                 println!("  mapping    : {}", ceiling.mapping.render(&model));
                 println!(

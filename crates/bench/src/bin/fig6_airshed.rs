@@ -10,13 +10,14 @@
 //!
 //! The "best" column is the one mapping search every Table 1 row uses:
 //! the Airshed chain profiled by `chain_model`, and the frontier mapping
-//! predicted to finish the day's hours first (`fastest_for`), run by
-//! `run_mapping`.
+//! predicted to finish the day's hours first (`fastest_for`), run under
+//! its `placement`.
 //!
 //! Run with: `cargo run --release -p fx-bench --bin fig6_airshed`
 
 use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
-use fx_bench::{chain_model, paragon, run_mapping, Stream};
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, paragon, placement};
 use fx_core::{spmd, Cx};
 use fx_mapping::fastest_for;
 
@@ -56,7 +57,7 @@ fn main() {
             airshed_tp(cx, &cfg);
         });
         let best = fastest_for(&model, p, cfg.hours);
-        let t_best = makespan(p, |cx| run_mapping(cx, &stream, &best.mapping, cfg.hours));
+        let t_best = makespan(p, |cx| stream.run(cx, &placement(&best.mapping), cfg.hours));
         println!(
             "{:>6}  {:>12.3} {:>8.1}  {:>12.3} {:>8.1}  {:>9.1}%  {:>10.1}  {}",
             p,

@@ -12,8 +12,9 @@
 //!
 //! Run with: `cargo run --release -p fx-bench --bin machines`
 
-use fx_apps::ffthist::{fft_hist_dp, fft_hist_replicated, FftHistConfig};
-use fx_apps::util::{SET_DONE, SET_START};
+use fx_apps::ffthist::{fft_hist_dp, FftHistConfig};
+use fx_apps::stream::Stream;
+use fx_apps::util::{Placement, Segments, SET_DONE, SET_START};
 use fx_core::{spmd, Machine, MachineModel};
 
 const P: usize = 64;
@@ -31,7 +32,7 @@ fn study(label: &str, model: MachineModel) {
         // A fixed 4-way replicated mapping as the task-parallel probe.
         let rcfg = FftHistConfig::new(n, 16);
         let repl = spmd(&Machine::simulated(P, model), move |cx| {
-            fft_hist_replicated(cx, &rcfg, 4, None);
+            Stream::FftHist(rcfg).run(cx, &Placement::replicated(4, Segments::fused(P / 4)), rcfg.datasets);
         });
         let r_thr = repl.throughput(SET_DONE, 4);
         let r_lat = repl.latency(SET_START, SET_DONE);

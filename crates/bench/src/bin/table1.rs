@@ -15,8 +15,9 @@
 use fx_apps::ffthist::FftHistConfig;
 use fx_apps::radar::RadarConfig;
 use fx_apps::stereo::StereoConfig;
-use fx_apps::util::Segments;
-use fx_bench::{chain_model, measure_stream, run_mapping, Stream, StreamStats};
+use fx_apps::stream::Stream;
+use fx_apps::util::Placement;
+use fx_bench::{chain_model, measure_stream, placement, StreamStats};
 use fx_mapping::best_mapping;
 
 const P: usize = 64;
@@ -124,15 +125,14 @@ fn relaxing_search<T>(
 /// then the latency-optimal mapping the chain model finds for the
 /// constraint, run on three sets a module, at least `min_run`.
 fn row(stream: Stream, (dp_sets, min_run): (usize, usize), paper: &PaperRow) {
-    let dp_ids: Vec<usize> = (0..dp_sets).collect();
-    let dp = measure_stream(P, 2, |cx| stream.run(cx, &Segments::fused(P), &dp_ids));
+    let dp = measure_stream(P, 2, |cx| stream.run(cx, &Placement::data_parallel(P), dp_sets));
     let model = chain_model(&stream, &PROFILE_POINTS);
     let constraint = dp.throughput * paper.constraint / paper.dp_thr;
     match relaxing_search(constraint, dp.throughput, |c| best_mapping(&model, P, Some(c))) {
         Some((used_c, ev)) => {
             let sets = (3 * ev.mapping.modules).max(min_run);
             let best = measure_stream(P, ev.mapping.modules + 1, |cx| {
-                run_mapping(cx, &stream, &ev.mapping, sets)
+                stream.run(cx, &placement(&ev.mapping), sets)
             });
             let mut label = ev.mapping.render(&model);
             if used_c < constraint {

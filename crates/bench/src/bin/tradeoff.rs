@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release -p fx-bench --bin tradeoff`
 
 use fx_apps::ffthist::FftHistConfig;
-use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, measure_stream, placement};
 use fx_mapping::tradeoff_frontier;
 
 const P: usize = 64;
@@ -40,7 +41,7 @@ fn main() {
         ] {
             let sets = (4 * point.mapping.modules).max(10);
             let meas = measure_stream(P, point.mapping.modules, |cx| {
-                run_mapping(cx, &stream, &point.mapping, sets)
+                stream.run(cx, &placement(&point.mapping), sets)
             });
             println!(
                 "  {label}: predicted {:.2}/s @ {:.4}s — simulated {:.2}/s @ {:.4}s",

@@ -18,18 +18,15 @@
 //! of the `benchmark/` package, and every claim about them is a test in
 //! the crate that owns the code.
 //!
-//! This library holds the one path every Table 1 row takes: a [`Stream`]
-//! (one of the three stream programs, with its stage boundaries), the one
-//! chain-model builder that profiles it ([`chain_model`]), the one runner
-//! that executes any `fx-mapping` mapping of it ([`run_mapping`]), and
+//! This library holds the one path every Table 1 row takes: a program's
+//! stage [`boundaries`], the one chain-model builder that profiles it
+//! ([`chain_model`]), the one translation of an `fx-mapping` mapping into
+//! the [`Placement`] the program runs under ([`placement`]), and
 //! [`measure_stream`], which reads throughput and latency off a run.
 
-use fx_apps::airshed::{airshed_hours, AirshedConfig};
-use fx_apps::ffthist::{fft_hist_sets, FftHistConfig};
-use fx_apps::radar::{radar_sets, RadarConfig};
-use fx_apps::stereo::{stereo_sets, StereoConfig};
-use fx_apps::util::{dealt, Segments, SET_DONE, SET_START};
-use fx_core::{spmd, Cx, Machine, MachineModel, Size};
+use fx_apps::stream::Stream;
+use fx_apps::util::{Placement, Segments, SET_DONE, SET_START};
+use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::Participation;
 use fx_kernels::Complex;
 use fx_mapping::{Boundary, ChainModel, Mapping, NetParams, StageProfile};
@@ -66,83 +63,47 @@ where
     }
 }
 
-/// One of Table 1's three stream programs, or Figure 6's Airshed, at one
-/// problem size. Each is a three-stage chain written once in `fx-apps`;
-/// this is that program as the mapping search sees it — stage names and
-/// boundaries, declared here once — plus the program's own code under any
-/// [`Segments`].
-#[derive(Debug, Clone, Copy)]
-pub enum Stream {
-    /// Fill + `cffts`, `rffts`, `hist`.
-    FftHist(FftHistConfig),
-    /// Acquisition, Doppler FFT + scaling, thresholding + count.
-    Radar(RadarConfig),
-    /// Difference image, error image, depth (per disparity).
-    Stereo(StereoConfig),
-    /// Hourly input, transport + chemistry, output; a data set is an hour,
-    /// and the concentrations carry from one to the next.
-    Airshed(AirshedConfig),
+/// What crosses each of `stream`'s stage boundaries per data set. A
+/// redistribution (FFT-Hist's transpose, Radar's corner turn) is an
+/// all-to-all that happens even when its two stages share a group; an
+/// aligned hop (same distribution both sides) is free when they do.
+pub fn boundaries(stream: &Stream) -> [Boundary; 2] {
+    let redistribution = |bytes| Boundary { bytes, all_to_all: true, fused_is_free: false };
+    let aligned = |bytes| Boundary { bytes, all_to_all: false, fused_is_free: true };
+    let complex = std::mem::size_of::<Complex>();
+    match *stream {
+        Stream::FftHist(c) => {
+            let image = (c.n * c.n * complex) as f64;
+            [redistribution(image), aligned(image)]
+        }
+        Stream::Radar(c) => {
+            let dwell = (c.pulses * c.ranges * complex) as f64;
+            [redistribution(dwell), aligned(dwell)]
+        }
+        Stream::Stereo(c) => {
+            // One difference and one error image a disparity, both
+            // (*, BLOCK).
+            let images = (c.rows * c.cols * std::mem::size_of::<f32>() * c.max_disp) as f64;
+            [aligned(images), aligned(images)]
+        }
+        Stream::Airshed(c) => {
+            // One processor's whole array to (*, BLOCK, *) and back.
+            let conc = (c.cells() * std::mem::size_of::<f64>()) as f64;
+            [redistribution(conc), redistribution(conc)]
+        }
+    }
 }
 
-impl Stream {
-    /// Stage names in chain order (what a rendered mapping reads).
-    pub fn stages(&self) -> [&'static str; 3] {
-        match self {
-            Stream::FftHist(_) => ["cffts", "rffts", "hist"],
-            Stream::Radar(_) => ["acquire", "doppler", "detect"],
-            Stream::Stereo(_) => ["diff", "error", "depth"],
-            Stream::Airshed(_) => ["input", "compute", "output"],
-        }
+/// A searched mapping as the value the programs run under:
+/// `mapping.modules` copies of its segments (Figure 3); processors it
+/// leaves unused idle ([`run_mapped`](fx_apps::util::run_mapped)).
+pub fn placement(mapping: &Mapping) -> Placement {
+    let mut seg_of_stage = [0; 3];
+    for (si, seg) in mapping.segments.iter().enumerate() {
+        seg_of_stage[seg.first..=seg.last].fill(si);
     }
-
-    /// What crosses each stage boundary per data set. A redistribution
-    /// (FFT-Hist's transpose, Radar's corner turn) is an all-to-all that
-    /// happens even when its two stages share a group; an aligned hop
-    /// (same distribution both sides) is free when they do.
-    pub fn boundaries(&self) -> [Boundary; 2] {
-        let redistribution = |bytes| Boundary { bytes, all_to_all: true, fused_is_free: false };
-        let aligned = |bytes| Boundary { bytes, all_to_all: false, fused_is_free: true };
-        let complex = std::mem::size_of::<Complex>();
-        match *self {
-            Stream::FftHist(c) => {
-                let image = (c.n * c.n * complex) as f64;
-                [redistribution(image), aligned(image)]
-            }
-            Stream::Radar(c) => {
-                let dwell = (c.pulses * c.ranges * complex) as f64;
-                [redistribution(dwell), aligned(dwell)]
-            }
-            Stream::Stereo(c) => {
-                // One difference and one error image a disparity, both
-                // (*, BLOCK).
-                let images = (c.rows * c.cols * std::mem::size_of::<f32>() * c.max_disp) as f64;
-                [aligned(images), aligned(images)]
-            }
-            Stream::Airshed(c) => {
-                // One processor's whole array to (*, BLOCK, *) and back.
-                let conc = (c.cells() * std::mem::size_of::<f64>()) as f64;
-                [redistribution(conc), redistribution(conc)]
-            }
-        }
-    }
-
-    /// The program over data sets `sets` on the current group under `segs`.
-    pub fn run(&self, cx: &mut Cx, segs: &Segments, sets: &[usize]) {
-        match self {
-            Stream::FftHist(c) => {
-                fft_hist_sets(cx, c, segs, sets);
-            }
-            Stream::Radar(c) => {
-                radar_sets(cx, c, segs, sets);
-            }
-            Stream::Stereo(c) => {
-                stereo_sets(cx, c, segs, sets);
-            }
-            Stream::Airshed(c) => {
-                airshed_hours(cx, c, segs, sets.iter().copied());
-            }
-        }
-    }
+    let procs = mapping.segments.iter().map(|s| s.procs).collect();
+    Placement::replicated(mapping.modules, Segments { seg_of_stage, procs, mode: Participation::Minimal })
 }
 
 /// The network of a simulated machine as the chain model prices it. The
@@ -155,7 +116,7 @@ pub fn net_params(m: &MachineModel) -> NetParams {
 
 /// Profile `stream` into the chain model the mapping search consumes. For
 /// each `p` in `p_values` one data set runs through the program's own code
-/// under `Segments::pipeline([p; 3])` on `3p` simulated Paragon nodes, so
+/// under `Placement::pipeline([p; 3])` on `3p` simulated Paragon nodes, so
 /// stage `k` runs on `p` processors under its own `G{k+1}` scope, and
 /// `T_k(p)` is read from the profiled event log ([`stage_time`]). The
 /// boundaries are priced with the network of the machine profiled.
@@ -164,7 +125,7 @@ pub fn chain_model(stream: &Stream, p_values: &[usize]) -> ChainModel {
     let mut samples: [Vec<(usize, f64)>; 3] = Default::default();
     for &p in p_values {
         let profiled = Machine::simulated(3 * p, machine).with_profiling(true);
-        let rep = spmd(&profiled, |cx| stream.run(cx, &Segments::pipeline([p; 3]), &[0]));
+        let rep = spmd(&profiled, |cx| stream.run(cx, &Placement::pipeline([p; 3]), 1));
         for (k, s) in samples.iter_mut().enumerate() {
             s.push((p, stage_time(&rep.logs, &format!("G{}", k + 1)).max(1e-9)));
         }
@@ -175,7 +136,7 @@ pub fn chain_model(stream: &Stream, p_values: &[usize]) -> ChainModel {
         ..StageProfile::from_samples(name, s)
     });
     let stages = stages.collect();
-    ChainModel::new(stages, stream.boundaries().to_vec(), net_params(&machine))
+    ChainModel::new(stages, boundaries(stream).to_vec(), net_params(&machine))
 }
 
 /// Virtual seconds a stage takes, from the logs of a run that enters its
@@ -195,39 +156,13 @@ fn stage_time(logs: &[Log], scope: &str) -> f64 {
     (0..n).map(last).map(|(s, e)| e - s).sum()
 }
 
-/// Run `stream` on data sets `0..sets` under `mapping` on the current
-/// group: `mapping.modules` replicas of its segments, data sets dealt
-/// round-robin (Figure 3). Processors beyond `mapping.procs_used()` idle
-/// in a spare subgroup (the search may leave processors unused).
-pub fn run_mapping(cx: &mut Cx, stream: &Stream, mapping: &Mapping, sets: usize) {
-    let used = mapping.procs_used();
-    let total = cx.nprocs();
-    assert!(used <= total, "mapping uses {used} of {total} processors");
-    let mut segs = Segments {
-        seg_of_stage: [0; 3],
-        procs: mapping.segments.iter().map(|s| s.procs).collect(),
-        mode: Participation::Minimal,
-    };
-    for (si, seg) in mapping.segments.iter().enumerate() {
-        segs.seg_of_stage[seg.first..=seg.last].fill(si);
-    }
-    let run = |cx: &mut Cx| {
-        dealt(cx, mapping.modules, 0..sets, |cx, mine| stream.run(cx, &segs, &mine));
-    };
-    if used == total {
-        run(cx);
-    } else {
-        let part = cx.task_partition(&[("work", Size::Procs(used)), ("idle", Size::Rest)]);
-        cx.task_region(&part, |cx, tr| {
-            tr.on(cx, "work", run);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_apps::airshed::{airshed_dp, airshed_tp};
+    use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
+    use fx_apps::ffthist::FftHistConfig;
+    use fx_apps::radar::RadarConfig;
+    use fx_apps::stereo::StereoConfig;
     use fx_mapping::{fastest_for, Segment};
 
     fn small_streams() -> [Stream; 3] {
@@ -307,7 +242,7 @@ mod tests {
             let t_tp = makespan(p, &|cx| {
                 airshed_tp(cx, &cfg);
             });
-            let t_best = makespan(p, &|cx| run_mapping(cx, &stream, &best, cfg.hours));
+            let t_best = makespan(p, &|cx| stream.run(cx, &placement(&best), cfg.hours));
             assert!(
                 t_best <= t_dp.min(t_tp) * 1.05,
                 "p={p}: {} takes {t_best:.3}, min(dp {t_dp:.3}, tp {t_tp:.3})",
@@ -333,7 +268,7 @@ mod tests {
     #[test]
     fn measure_stream_reports_sane_numbers() {
         let stream = Stream::FftHist(FftHistConfig::new(16, 4));
-        let stats = measure_stream(2, 1, |cx| stream.run(cx, &Segments::fused(2), &[0, 1, 2, 3]));
+        let stats = measure_stream(2, 1, |cx| stream.run(cx, &Placement::data_parallel(2), 4));
         assert!(stats.throughput > 0.0);
         assert!(stats.latency > 0.0);
         assert!(stats.makespan >= stats.latency);
@@ -347,7 +282,7 @@ mod tests {
         };
         // 5 processors, 3 used, 2 idle.
         for stream in small_streams() {
-            let rep = spmd(&paragon(5), |cx| run_mapping(cx, &stream, &mapping, 2));
+            let rep = spmd(&paragon(5), |cx| stream.run(cx, &placement(&mapping), 2));
             assert_eq!(rep.results.len(), 5);
             assert_eq!(rep.events_named(SET_DONE).len(), 2, "{stream:?}");
         }
@@ -363,7 +298,7 @@ mod tests {
             ],
         };
         for stream in small_streams() {
-            let rep = spmd(&paragon(6), |cx| run_mapping(cx, &stream, &mapping, 3));
+            let rep = spmd(&paragon(6), |cx| stream.run(cx, &placement(&mapping), 3));
             assert_eq!(rep.events_named(SET_DONE).len(), 3, "{stream:?}");
         }
     }

@@ -17,13 +17,14 @@
 //! runner.
 
 use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
-use fx_apps::ffthist::{fft_hist_dp, fft_hist_replicated, fft_hist_sets, FftHistConfig};
+use fx_apps::ffthist::{fft_hist_dp, fft_hist_sets, FftHistConfig};
 use fx_apps::barnes_hut::{bh_forces, make_bodies, BhConfig};
 use fx_apps::qsort::{qsort_global, qsort_global_promoted};
 use fx_apps::radar::RadarConfig;
 use fx_apps::stereo::StereoConfig;
-use fx_apps::util::{make_plummer_bodies, Segments};
-use fx_bench::{chain_model, paragon, run_mapping, Stream};
+use fx_apps::util::{make_plummer_bodies, Placement, Segments};
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, paragon, placement};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::{assign1, DArray1, Dist1, Participation};
 use fx_mapping::{fastest_for, tradeoff_frontier, Mapping, Segment};
@@ -78,12 +79,12 @@ where
 fn table1_ffthist_dp_and_mapping() {
     let stream = Stream::FftHist(FftHistConfig::new(128, 1));
     assert_bitwise("table1/dp", &paragon(16), |cx| {
-        stream.run(cx, &Segments::fused(16), &[0, 1, 2, 3])
+        stream.run(cx, &Placement::data_parallel(16), 4)
     });
 
     let mapping =
         Mapping { modules: 2, segments: vec![Segment { first: 0, last: 2, procs: 8 }] };
-    assert_bitwise("table1/mapping", &paragon(16), |cx| run_mapping(cx, &stream, &mapping, 6));
+    assert_bitwise("table1/mapping", &paragon(16), |cx| stream.run(cx, &placement(&mapping), 6));
 }
 
 /// table1 flavor, the sensor rows: Radar and Stereo under a pipeline and
@@ -103,7 +104,7 @@ fn table1_radar_and_stereo_mappings() {
     for mapping in [pipeline(1, [4, 6, 2]), pipeline(2, [2, 3, 1])] {
         for stream in [radar, stereo] {
             assert_bitwise(&format!("table1 {stream:?} {mapping:?}"), &paragon(12), |cx| {
-                run_mapping(cx, &stream, &mapping, 4)
+                stream.run(cx, &placement(&mapping), 4)
             });
         }
     }
@@ -115,7 +116,7 @@ fn table1_radar_and_stereo_mappings() {
 fn fig5_mapping_shapes() {
     let stream = Stream::FftHist(FftHistConfig::new(128, 1));
     let dp = Mapping { modules: 1, segments: vec![Segment { first: 0, last: 2, procs: 16 }] };
-    assert_bitwise("fig5/dp-mapping", &paragon(16), |cx| run_mapping(cx, &stream, &dp, 5));
+    assert_bitwise("fig5/dp-mapping", &paragon(16), |cx| stream.run(cx, &placement(&dp), 5));
 
     let pipelined = Mapping {
         modules: 1,
@@ -124,7 +125,7 @@ fn fig5_mapping_shapes() {
             Segment { first: 1, last: 2, procs: 12 },
         ],
     };
-    assert_bitwise("fig5/pipelined", &paragon(16), |cx| run_mapping(cx, &stream, &pipelined, 5));
+    assert_bitwise("fig5/pipelined", &paragon(16), |cx| stream.run(cx, &placement(&pipelined), 5));
 }
 
 /// fig6 flavor: the Airshed model, data-parallel vs task-parallel vs the
@@ -146,7 +147,7 @@ fn fig6_airshed_variants() {
     assert_bitwise("fig6/tp", &paragon(8), move |cx| airshed_tp(cx, &cfg));
     let stream = Stream::Airshed(cfg);
     let best = fastest_for(&chain_model(&stream, &[1, 2, 4, 8]), 8, cfg.hours).mapping;
-    assert_bitwise("fig6/best", &paragon(8), |cx| run_mapping(cx, &stream, &best, cfg.hours));
+    assert_bitwise("fig6/best", &paragon(8), |cx| stream.run(cx, &placement(&best), cfg.hours));
 }
 
 /// ablations flavor: minimal-subset vs whole-group pipeline, the
@@ -202,7 +203,7 @@ fn machines_model_sensitivity() {
         });
         let rcfg = FftHistConfig::new(64, 6);
         assert_bitwise("machines/replicated", &Machine::simulated(16, model), move |cx| {
-            fft_hist_replicated(cx, &rcfg, 2, None);
+            Stream::FftHist(rcfg).run(cx, &Placement::replicated(2, Segments::fused(8)), rcfg.datasets);
         });
     }
 }
@@ -279,6 +280,6 @@ fn tradeoff_frontier_endpoints() {
         ("tradeoff/throughput-optimal", frontier.last().unwrap()),
     ] {
         let sets = (2 * point.mapping.modules).max(6);
-        assert_bitwise(label, &paragon(16), |cx| run_mapping(cx, &stream, &point.mapping, sets));
+        assert_bitwise(label, &paragon(16), |cx| stream.run(cx, &placement(&point.mapping), sets));
     }
 }

@@ -3,7 +3,7 @@
 //! a modest factor for representative mappings of every Table 1 program
 //! and of Figure 6's Airshed,
 //! each profiled by the one builder (`chain_model`) and run by the one
-//! runner (`run_mapping`). (The Figure 5 harness showed ≤ 5% error for
+//! runner (`Stream::run` under the mapping's `placement`). (The Figure 5 harness showed ≤ 5% error for
 //! the data-parallel and pipelined points; these tests pin a looser bound
 //! so refactors cannot silently decouple the model from the machine.)
 
@@ -11,7 +11,8 @@ use fx_apps::airshed::AirshedConfig;
 use fx_apps::ffthist::FftHistConfig;
 use fx_apps::radar::RadarConfig;
 use fx_apps::stereo::StereoConfig;
-use fx_bench::{chain_model, measure_stream, run_mapping, Stream};
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, measure_stream, placement};
 use fx_mapping::{evaluate, Mapping, Segment};
 
 const P: usize = 8;
@@ -20,7 +21,7 @@ fn check(stream: Stream, mapping: Mapping, thr_tol: f64, lat_tol: f64) {
     let model = chain_model(&stream, &[1, 2, 4, 8]);
     let pred = evaluate(&model, &mapping);
     let sets = (6 * mapping.modules).max(12);
-    let meas = measure_stream(P, 2 * mapping.modules, |cx| run_mapping(cx, &stream, &mapping, sets));
+    let meas = measure_stream(P, 2 * mapping.modules, |cx| stream.run(cx, &placement(&mapping), sets));
     let thr_ratio = meas.throughput / pred.throughput;
     let lat_ratio = meas.latency / pred.latency;
     let shown = mapping.render(&model);
@@ -106,7 +107,7 @@ fn check_makespan(stream: Stream, mapping: Mapping, tol: f64) {
     let model = chain_model(&stream, &[1, 2, 4, 8]);
     let pred = evaluate(&model, &mapping);
     let sets = 12;
-    let meas = measure_stream(P, 2, |cx| run_mapping(cx, &stream, &mapping, sets));
+    let meas = measure_stream(P, 2, |cx| stream.run(cx, &placement(&mapping), sets));
     let predicted = pred.latency + (sets - 1) as f64 / pred.throughput;
     let shown = mapping.render(&model);
     for (what, p, m) in [("throughput", pred.throughput, meas.throughput), ("makespan", predicted, meas.makespan)] {

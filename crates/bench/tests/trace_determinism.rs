@@ -19,8 +19,9 @@ use fx_apps::ffthist::{fft_hist_dp, fft_hist_pipeline_sets, FftHistConfig};
 use fx_apps::qsort::qsort_global;
 use fx_apps::radar::RadarConfig;
 use fx_apps::stereo::StereoConfig;
-use fx_apps::util::Segments;
-use fx_bench::{chain_model, paragon, run_mapping, Stream};
+use fx_apps::util::Placement;
+use fx_apps::stream::Stream;
+use fx_bench::{chain_model, paragon, placement};
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_mapping::{fastest_for, tradeoff_frontier, Mapping, Segment};
 use fx_runtime::{Event, Executor, Log};
@@ -78,11 +79,11 @@ where
 fn table1_tracing_is_vtime_free() {
     let stream = Stream::FftHist(FftHistConfig::new(128, 1));
     assert_trace_free("table1/dp", &paragon(16), |cx| {
-        stream.run(cx, &Segments::fused(16), &[0, 1, 2, 3])
+        stream.run(cx, &Placement::data_parallel(16), 4)
     });
 
     let mapping = Mapping { modules: 2, segments: vec![Segment { first: 0, last: 2, procs: 8 }] };
-    assert_trace_free("table1/mapping", &paragon(16), |cx| run_mapping(cx, &stream, &mapping, 6));
+    assert_trace_free("table1/mapping", &paragon(16), |cx| stream.run(cx, &placement(&mapping), 6));
 }
 
 /// table1 flavor, the sensor rows: Radar and Stereo under a pipeline and
@@ -102,7 +103,7 @@ fn table1_radar_and_stereo_tracing_is_vtime_free() {
     for mapping in [pipeline(1, [4, 6, 2]), pipeline(2, [2, 3, 1])] {
         for stream in [radar, stereo] {
             assert_trace_free(&format!("table1 {stream:?} {mapping:?}"), &paragon(12), |cx| {
-                run_mapping(cx, &stream, &mapping, 4)
+                stream.run(cx, &placement(&mapping), 4)
             });
         }
     }
@@ -119,7 +120,7 @@ fn fig5_tracing_is_vtime_free() {
             Segment { first: 1, last: 2, procs: 12 },
         ],
     };
-    assert_trace_free("fig5/pipelined", &paragon(16), |cx| run_mapping(cx, &stream, &pipelined, 5));
+    assert_trace_free("fig5/pipelined", &paragon(16), |cx| stream.run(cx, &placement(&pipelined), 5));
 }
 
 /// fig6 flavor: the Airshed model, data-parallel and the mapping the
@@ -140,7 +141,7 @@ fn fig6_tracing_is_vtime_free() {
     assert_trace_free("fig6/dp", &paragon(8), move |cx| airshed_dp(cx, &cfg));
     let stream = Stream::Airshed(cfg);
     let best = fastest_for(&chain_model(&stream, &[1, 2, 4, 8]), 8, cfg.hours).mapping;
-    assert_trace_free("fig6/best", &paragon(8), |cx| run_mapping(cx, &stream, &best, cfg.hours));
+    assert_trace_free("fig6/best", &paragon(8), |cx| stream.run(cx, &placement(&best), cfg.hours));
 }
 
 /// ablations flavor: the minimal-subset pipeline, where trace contexts
@@ -194,6 +195,6 @@ fn tradeoff_tracing_is_vtime_free() {
     let point = frontier.first().expect("frontier must be non-empty");
     let sets = (2 * point.mapping.modules).max(6);
     assert_trace_free("tradeoff/latency-optimal", &paragon(16), |cx| {
-        run_mapping(cx, &stream, &point.mapping, sets)
+        stream.run(cx, &placement(&point.mapping), sets)
     });
 }

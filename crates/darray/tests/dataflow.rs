@@ -288,7 +288,7 @@ proptest! {
                 move |cx| {
                     let g = cx.group();
                     let init: Vec<u64> = (0..n as u64).map(|i| i * 13 + 5).collect();
-                    let mut arrs = vec![
+                    let mut arrs = [
                         DArray1::from_global(cx, &g, init.len(), dists.0, &init),
                         DArray1::new(cx, &g, n, dists.1, 0u64),
                         DArray1::new(cx, &g, n, dists.2, 1u64),

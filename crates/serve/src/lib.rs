@@ -50,7 +50,7 @@ mod servable;
 mod server;
 
 pub use report::{ComponentStats, RequestTrace, ServeReport};
-pub use servable::{AirshedServable, FftHistServable, Servable};
+pub use servable::{FftHistServable, Servable, StreamServable};
 pub use server::{ProcServe, Server};
 pub use arrivals::{poisson_trace, ServeRequest, TenantSpec};
 

@@ -145,16 +145,6 @@ impl<T> ServeReport<T> {
         self.times.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Served requests per second of makespan.
-    pub fn throughput(&self) -> f64 {
-        let m = self.makespan();
-        if m > 0.0 {
-            self.completed() as f64 / m
-        } else {
-            0.0
-        }
-    }
-
     /// Look up a tenant's row by name.
     pub fn tenant(&self, name: &str) -> Option<&TenantTotals> {
         self.tenants.iter().find(|t| t.name == name)

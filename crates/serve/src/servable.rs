@@ -9,9 +9,9 @@
 //! on batch composition, mapping or timing.
 
 use crate::ServeRequest;
-use fx_apps::airshed::{airshed_requests, AirshedConfig};
-use fx_apps::ffthist::{fft_hist_requests, FftHistConfig, FftHistMapping};
-use fx_apps::util::{ReqCompletion, StreamMapping};
+use fx_apps::ffthist::{FftHistConfig, FftHistMapping};
+use fx_apps::stream::{Answer, Stream};
+use fx_apps::util::{Placement, ReqCompletion};
 use fx_core::Cx;
 
 /// A compiled pipeline that can serve batches of requests.
@@ -27,14 +27,34 @@ pub trait Servable: Send + Sync {
     fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<Self::Output>>;
 }
 
-/// FFT-Hist (Figures 2, 3 and 5) as a service: each request 2D-FFTs one
-/// deterministic dataset and histograms the magnitudes, under any of
-/// the paper's mappings (data-parallel, pipeline, replicated).
+/// Any of the four chain programs as a service, under any placement —
+/// what the mapping search picks included: each request runs the one-shot
+/// program on its dataset ([`Stream::serve`]; an Airshed request is a
+/// whole day on one module).
+#[derive(Debug, Clone)]
+pub struct StreamServable {
+    /// The program and its problem size.
+    pub stream: Stream,
+    /// Where its stages sit on the machine.
+    pub placement: Placement,
+}
+
+impl Servable for StreamServable {
+    type Output = Answer;
+
+    fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<Answer>> {
+        let reqs: Vec<(usize, usize)> = batch.iter().map(|r| (r.idx, r.dataset)).collect();
+        self.stream.serve(cx, &self.placement, &reqs)
+    }
+}
+
+/// Served FFT-Hist as `benchmark/`'s serve ladder spells it: a
+/// [`StreamServable`] answering the bare histogram.
 #[derive(Debug, Clone, Copy)]
 pub struct FftHistServable {
     /// Problem shape.
     pub cfg: FftHistConfig,
-    /// Processor mapping (the axis Table 1 and Figure 5 explore).
+    /// Processor mapping.
     pub mapping: FftHistMapping,
 }
 
@@ -42,30 +62,12 @@ impl Servable for FftHistServable {
     type Output = Vec<u64>;
 
     fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<Vec<u64>>> {
-        let reqs: Vec<(usize, usize)> = batch.iter().map(|r| (r.idx, r.dataset)).collect();
-        fft_hist_requests(cx, &self.cfg, self.mapping, &reqs)
-    }
-}
-
-/// Airshed (§5) as a service: each request runs one full simulation
-/// and answers its concentration checksum. The dataset index is
-/// ignored — every Airshed request runs the configured scenario — but
-/// requests still differ by id, so completions stay distinguishable.
-#[derive(Debug, Clone, Copy)]
-pub struct AirshedServable {
-    /// Problem shape.
-    pub cfg: AirshedConfig,
-    /// How input | compute | output sit on the machine: data-parallel,
-    /// or a pipeline such as Figure 6's `[1, P − 2, 1]`. Never
-    /// replicated — hours carry state — and a batch panics if it is.
-    pub mapping: StreamMapping,
-}
-
-impl Servable for AirshedServable {
-    type Output = f64;
-
-    fn run_batch(&self, cx: &mut Cx, batch: &[ServeRequest]) -> Vec<ReqCompletion<f64>> {
-        let reqs: Vec<usize> = batch.iter().map(|r| r.idx).collect();
-        airshed_requests(cx, &self.cfg, self.mapping, &reqs)
+        let placement = self.mapping.placement(cx.nprocs());
+        let served = StreamServable { stream: Stream::FftHist(self.cfg), placement };
+        let histogram = |c: ReqCompletion<Answer>| match c.output {
+            Answer::Histogram(output) => ReqCompletion { req: c.req, done: c.done, output },
+            other => unreachable!("FFT-Hist answers a histogram, not {other:?}"),
+        };
+        served.run_batch(cx, batch).into_iter().map(histogram).collect()
     }
 }

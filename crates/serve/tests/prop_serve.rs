@@ -8,17 +8,21 @@
 
 use std::sync::Arc;
 
-use fx_apps::ffthist::{reference_histogram, FftHistConfig, FftHistMapping};
+use fx_apps::ffthist::{reference_histogram, FftHistConfig};
+use fx_apps::stream::{Answer, Stream};
+use fx_apps::util::{Placement, Segments};
 use fx_core::{Machine, MachineModel};
 use fx_runtime::{Executor, Telemetry, TelemetryConfig};
-use fx_serve::{poisson_trace, FftHistServable, ServeConfig, Server, ShedPolicy, TenantSpec};
+use fx_serve::{poisson_trace, ServeConfig, Server, ShedPolicy, StreamServable, TenantSpec};
 use proptest::prelude::*;
 
-fn mapping_strategy() -> impl Strategy<Value = FftHistMapping> {
+fn placement_strategy() -> impl Strategy<Value = Placement> {
+    let fused_tail = Segments { seg_of_stage: [0, 1, 1], procs: vec![2, 2], ..Segments::fused(4) };
     prop_oneof![
-        Just(FftHistMapping::DataParallel),
-        Just(FftHistMapping::Pipeline([1, 2, 1])),
-        Just(FftHistMapping::Replicated { replicas: 2, pipeline: None }),
+        Just(Placement::data_parallel(4)),
+        Just(Placement::pipeline([1, 2, 1])),
+        Just(Placement::replicated(2, Segments::fused(2))),
+        Just(Placement::replicated(1, fused_tail)),
     ]
 }
 
@@ -34,7 +38,7 @@ proptest! {
         batch_max in 1usize..4,
         queue_cap in 1usize..8,
         drop_oldest in any::<bool>(),
-        mapping in mapping_strategy(),
+        placement in placement_strategy(),
     ) {
         let cfg = FftHistConfig::new(8, 1);
         let tenants: Vec<TenantSpec> = (0..ntenants)
@@ -46,7 +50,8 @@ proptest! {
         let serve_cfg = ServeConfig { queue_cap, batch_max, shed };
 
         let serve_on = |machine: Machine| {
-            Server::new(machine, FftHistServable { cfg, mapping }).with_config(serve_cfg).serve(&trace, &names)
+            let servable = StreamServable { stream: Stream::FftHist(cfg), placement: placement.clone() };
+            Server::new(machine, servable).with_config(serve_cfg).serve(&trace, &names)
         };
         let machine = |exec: Executor, tracing: bool| {
             Machine::simulated(4, MachineModel::paragon()).with_executor(exec).with_tracing(tracing)
@@ -90,7 +95,7 @@ proptest! {
 
         // Every served answer matches the sequential oracle bit-for-bit.
         for c in &a.completions {
-            prop_assert_eq!(&c.output, &reference_histogram(&cfg, trace[c.req].dataset));
+            prop_assert_eq!(&c.output, &Answer::Histogram(reference_histogram(&cfg, trace[c.req].dataset)));
             prop_assert!(c.done >= trace[c.req].arrival);
         }
 

@@ -1,20 +1,106 @@
-//! End-to-end serving tests: bit-identity to one-shot runs, overload
+//! End-to-end serving tests: all four chain programs served under every
+//! kind of placement with answers bit-identical to one-shot runs, overload
 //! shedding, counter conservation, executor invariance, and real-time
 //! serving across trace gaps longer than the receive timeout.
 
 use std::time::Duration;
 
-use fx_apps::airshed::AirshedConfig;
-use fx_apps::ffthist::{reference_histogram, FftHistConfig, FftHistMapping};
-use fx_apps::util::StreamMapping;
+use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
+use fx_apps::ffthist::{reference_histogram, FftHistConfig};
+use fx_apps::radar::{reference_detections, RadarConfig};
+use fx_apps::stereo::{assemble_depth, stereo_stream, StereoConfig};
+use fx_apps::stream::{Answer, Stream};
+use fx_apps::util::{Placement, Segments};
 use fx_core::{spmd, Machine, MachineModel};
 use fx_runtime::Executor;
-use fx_serve::{
-    poisson_trace, AirshedServable, FftHistServable, ServeConfig, Server, ShedPolicy, TenantSpec,
-};
+use fx_serve::{poisson_trace, ServeConfig, Server, ShedPolicy, StreamServable, TenantSpec};
 
 fn paragon(p: usize) -> Machine {
     Machine::simulated(p, MachineModel::paragon())
+}
+
+/// FFT-Hist at `cfg` served under `placement`.
+fn fft_hist(cfg: FftHistConfig, placement: Placement) -> StreamServable {
+    StreamServable { stream: Stream::FftHist(cfg), placement }
+}
+
+fn histogram(cfg: &FftHistConfig, d: usize) -> Answer {
+    Answer::Histogram(reference_histogram(cfg, d))
+}
+
+/// The placements every stream program is served under on 6 processors:
+/// data-parallel, a pipeline, replicated, the fused-segment mapping
+/// `1x [s1:2 | s2+s3:4]` the search picks for Table 1's FFT-Hist 512², and
+/// two modules of two leaving two processors spare.
+fn six_placements() -> [Placement; 5] {
+    let fused_tail = Segments { seg_of_stage: [0, 1, 1], procs: vec![2, 4], ..Segments::fused(6) };
+    [
+        Placement::data_parallel(6),
+        Placement::pipeline([1, 4, 1]),
+        Placement::replicated(2, Segments::fused(3)),
+        Placement::replicated(1, fused_tail),
+        Placement::replicated(2, Segments::fused(2)),
+    ]
+}
+
+/// Serve `stream` under `placement` on `p` processors with an ample queue
+/// and check each answer against `oneshot(dataset)`.
+fn serve_matches(stream: Stream, p: usize, placement: Placement, oneshot: impl Fn(usize) -> Answer) {
+    let trace = poisson_trace(&[TenantSpec::new("t", 40.0, 5)], 17);
+    let label = format!("{:?} under {placement:?}", stream.stages());
+    let rep = Server::new(paragon(p), StreamServable { stream, placement })
+        .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest })
+        .serve(&trace, &["t"]);
+    assert!(rep.conserved(), "{label}");
+    assert_eq!(rep.completed(), trace.len(), "{label}: ample queue sheds nothing");
+    for c in &rep.completions {
+        let want = oneshot(trace[c.req].dataset);
+        match (&c.output, &want) {
+            (Answer::Checksum(a), Answer::Checksum(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{label}"),
+            _ => assert_eq!(c.output, want, "{label}: request {}", c.req),
+        }
+    }
+}
+
+#[test]
+fn every_stream_program_serves_under_every_kind_of_placement() {
+    let fcfg = FftHistConfig::new(16, 1);
+    let rcfg = RadarConfig { ranges: 16, pulses: 8, datasets: 1, gain: 0.25, threshold: 0.6 };
+    let scfg = StereoConfig { rows: 8, cols: 24, n_match: 2, max_disp: 3, window: 1, datasets: 1 };
+    // Stereo's one-shot answer: the data-parallel run's tiles, assembled.
+    let stereo_oneshot = |d: usize| {
+        let rep = spmd(&paragon(4), |cx| stereo_stream(cx, &scfg, &[d]));
+        let tiles: Vec<Vec<u16>> = rep.results.into_iter().map(|mut r| r.remove(0).1).collect();
+        Answer::Depth(assemble_depth(&tiles, scfg.rows, scfg.cols))
+    };
+    for placement in six_placements() {
+        serve_matches(Stream::FftHist(fcfg), 6, placement.clone(), |d| histogram(&fcfg, d));
+        serve_matches(Stream::Radar(rcfg), 6, placement.clone(), |d| {
+            Answer::Detections(reference_detections(&rcfg, d))
+        });
+        serve_matches(Stream::Stereo(scfg), 6, placement, stereo_oneshot);
+    }
+}
+
+#[test]
+fn airshed_serves_a_day_data_parallel_and_as_a_pipeline() {
+    let cfg = AirshedConfig {
+        gridpoints: 24,
+        layers: 2,
+        species: 3,
+        hours: 2,
+        nsteps: 2,
+        input_seconds: 0.05,
+        output_seconds: 0.05,
+        chem_flops_per_cell: 400.0,
+        trans_flops_per_cell: 60.0,
+    };
+    // The compute stage's first member holds the one-shot checksum.
+    let dp = spmd(&paragon(4), |cx| airshed_dp(cx, &cfg)).results[0];
+    let tp = spmd(&paragon(4), |cx| airshed_tp(cx, &cfg)).results[1];
+    for (placement, oneshot) in [(Placement::data_parallel(4), dp), (Placement::pipeline([1, 2, 1]), tp)] {
+        serve_matches(Stream::Airshed(cfg), 4, placement, |_| Answer::Checksum(oneshot));
+    }
 }
 
 #[test]
@@ -22,21 +108,21 @@ fn served_outputs_are_bit_identical_to_reference_for_every_mapping() {
     let cfg = FftHistConfig::new(16, 1);
     let tenants = [TenantSpec::new("gold", 50.0, 6), TenantSpec::new("bronze", 20.0, 3)];
     let trace = poisson_trace(&tenants, 11);
-    for mapping in [
-        FftHistMapping::DataParallel,
-        FftHistMapping::Pipeline([1, 4, 1]),
-        FftHistMapping::Replicated { replicas: 2, pipeline: None },
+    for placement in [
+        Placement::data_parallel(6),
+        Placement::pipeline([1, 4, 1]),
+        Placement::replicated(2, Segments::fused(3)),
     ] {
-        let server = Server::new(paragon(6), FftHistServable { cfg, mapping })
+        let server = Server::new(paragon(6), fft_hist(cfg, placement.clone()))
             .with_config(ServeConfig { queue_cap: 32, batch_max: 3, shed: ShedPolicy::DropNewest });
         let rep = server.serve(&trace, &["gold", "bronze"]);
         assert!(rep.telemetry.is_none(), "no registry attached: the run is unobserved");
-        assert!(rep.conserved(), "counter conservation under {mapping:?}");
+        assert!(rep.conserved(), "counter conservation under {placement:?}");
         assert_eq!(rep.completed(), trace.len(), "ample queue sheds nothing");
         for c in &rep.completions {
             assert_eq!(
                 c.output,
-                reference_histogram(&cfg, trace[c.req].dataset),
+                histogram(&cfg, trace[c.req].dataset),
                 "request {} output must be bit-identical to the one-shot reference",
                 c.req
             );
@@ -55,7 +141,7 @@ fn serving_is_bit_identical_across_executors() {
     let serve_with = |exec: Executor| {
         let server = Server::new(
             paragon(6).with_executor(exec),
-            FftHistServable { cfg, mapping: FftHistMapping::Pipeline([1, 4, 1]) },
+            fft_hist(cfg, Placement::pipeline([1, 4, 1])),
         )
         .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest });
         server.serve(&trace, &["t"])
@@ -79,7 +165,7 @@ fn overload_sheds_and_conserves() {
     // request: the queue must overflow.
     let trace = poisson_trace(&[TenantSpec::new("burst", 2000.0, 40)], 9);
     let server =
-        Server::new(paragon(4), FftHistServable { cfg, mapping: FftHistMapping::DataParallel })
+        Server::new(paragon(4), fft_hist(cfg, Placement::data_parallel(4)))
             .with_config(ServeConfig { queue_cap: 4, batch_max: 2, shed: ShedPolicy::DropNewest });
     let rep = server.serve(&trace, &["burst"]);
     let t = rep.tenant("burst").unwrap();
@@ -89,7 +175,7 @@ fn overload_sheds_and_conserves() {
     assert_eq!(rep.completed() + rep.shed.len(), trace.len());
     // Every served answer is still exact under overload.
     for c in &rep.completions {
-        assert_eq!(c.output, reference_histogram(&cfg, trace[c.req].dataset));
+        assert_eq!(c.output, histogram(&cfg, trace[c.req].dataset));
     }
     // Tail drop: shed requests arrived while the queue was full, so the
     // first queue_cap + batch_max arrivals are never shed.
@@ -102,7 +188,7 @@ fn drop_oldest_sheds_earlier_requests_than_drop_newest() {
     let cfg = FftHistConfig::new(16, 1);
     let trace = poisson_trace(&[TenantSpec::new("burst", 2000.0, 40)], 9);
     let run = |shed| {
-        Server::new(paragon(4), FftHistServable { cfg, mapping: FftHistMapping::DataParallel })
+        Server::new(paragon(4), fft_hist(cfg, Placement::data_parallel(4)))
             .with_config(ServeConfig { queue_cap: 4, batch_max: 2, shed })
             .serve(&trace, &["burst"])
     };
@@ -121,42 +207,8 @@ fn drop_oldest_sheds_earlier_requests_than_drop_newest() {
     // any served request answers.
     for rep in [&newest, &oldest] {
         for c in &rep.completions {
-            assert_eq!(c.output, reference_histogram(&cfg, trace[c.req].dataset));
+            assert_eq!(c.output, histogram(&cfg, trace[c.req].dataset));
         }
-    }
-}
-
-#[test]
-fn airshed_service_answers_match_oneshot() {
-    let cfg = AirshedConfig {
-        gridpoints: 24,
-        layers: 2,
-        species: 3,
-        hours: 2,
-        nsteps: 2,
-        input_seconds: 0.05,
-        output_seconds: 0.05,
-        chem_flops_per_cell: 400.0,
-        trans_flops_per_cell: 60.0,
-    };
-    // The compute stage's first member holds the one-shot checksum.
-    let oneshot_dp = spmd(&paragon(4), |cx| fx_apps::airshed::airshed_dp(cx, &cfg)).results[0];
-    let oneshot_tp = spmd(&paragon(4), |cx| fx_apps::airshed::airshed_tp(cx, &cfg)).results[1];
-    let trace = poisson_trace(&[TenantSpec::new("ops", 5.0, 3)], 21);
-    let mappings = [StreamMapping::DataParallel, StreamMapping::Pipeline([1, 2, 1])];
-    for (mapping, oneshot) in mappings.into_iter().zip([oneshot_dp, oneshot_tp]) {
-        let server = Server::new(paragon(4), AirshedServable { cfg, mapping })
-            .with_config(ServeConfig::default());
-        let rep = server.serve(&trace, &["ops"]);
-        assert_eq!(rep.completed(), 3);
-        for c in &rep.completions {
-            assert_eq!(
-                c.output.to_bits(),
-                oneshot.to_bits(),
-                "{mapping:?}: served checksum must be bit-identical to the one-shot run"
-            );
-        }
-        assert!(rep.conserved());
     }
 }
 
@@ -180,13 +232,13 @@ fn real_time_serving_survives_trace_gaps_longer_than_recv_timeout() {
     for exec in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
         let tele = std::sync::Arc::new(fx_runtime::Telemetry::new());
         let machine = Machine::real(4).with_executor(exec).with_timeout(TIMEOUT).with_telemetry(tele.clone());
-        let server = Server::new(machine, FftHistServable { cfg, mapping: FftHistMapping::Pipeline([1, 2, 1]) })
+        let server = Server::new(machine, fft_hist(cfg, Placement::pipeline([1, 2, 1])))
             .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest });
         let rep = server.serve(&trace, &["live"]);
         assert_eq!(rep.completed(), 6, "{exec:?}: every request served across the gaps");
         assert!(rep.conserved());
         for c in &rep.completions {
-            assert_eq!(c.output, reference_histogram(&cfg, trace[c.req].dataset));
+            assert_eq!(c.output, histogram(&cfg, trace[c.req].dataset));
             assert!(c.done >= trace[c.req].arrival - 1e-3, "wall-clock completion after arrival");
         }
         let t = rep.tenant("live").unwrap();
@@ -203,7 +255,7 @@ fn traced_serve_decomposes_latency_exactly_and_is_vtime_free() {
     let run = |tracing: bool| {
         Server::new(
             paragon(6).with_tracing(tracing),
-            FftHistServable { cfg, mapping: FftHistMapping::Pipeline([1, 4, 1]) },
+            fft_hist(cfg, Placement::pipeline([1, 4, 1])),
         )
         .with_config(ServeConfig { queue_cap: 32, batch_max: 3, shed: ShedPolicy::DropNewest })
         .serve(&trace, &["gold", "bronze"])
@@ -266,7 +318,7 @@ fn traced_serve_feeds_exemplars_and_trace_endpoints() {
     let tele = std::sync::Arc::new(fx_runtime::Telemetry::new());
     let server = Server::new(
         paragon(4).with_telemetry(tele.clone()).with_tracing(true),
-        FftHistServable { cfg, mapping: FftHistMapping::DataParallel },
+        fft_hist(cfg, Placement::data_parallel(4)),
     );
     let rep = server.serve(&trace, &["gold"]);
     assert_eq!(rep.completed(), 5);
@@ -302,7 +354,7 @@ fn exporters_render_per_tenant_serve_metrics() {
     let tele = std::sync::Arc::new(fx_runtime::Telemetry::new());
     let server = Server::new(
         paragon(4).with_telemetry(tele.clone()),
-        FftHistServable { cfg, mapping: FftHistMapping::DataParallel },
+        fft_hist(cfg, Placement::data_parallel(4)),
     );
     let rep = server.serve(&trace, &["gold", "free"]);
     assert!(rep.telemetry.is_some(), "serve always snapshots telemetry");
@@ -328,12 +380,12 @@ fn overload_renders_only_the_retained_exemplars() {
     use fx_runtime::{Telemetry, TelemetryConfig};
     const CAP: usize = 8;
     let registry = || {
-        let cfg = TelemetryConfig { stall: false, exemplar_trace_capacity: CAP, ..TelemetryConfig::default() };
+        let cfg = TelemetryConfig { stall: false, exemplar_trace_capacity: CAP };
         std::sync::Arc::new(Telemetry::with_config(cfg))
     };
     let trace = poisson_trace(&[TenantSpec::new("burst", 4000.0, 800)], 5);
     let served = registry();
-    let servable = FftHistServable { cfg: FftHistConfig::new(16, 1), mapping: FftHistMapping::DataParallel };
+    let servable = fft_hist(FftHistConfig::new(16, 1), Placement::data_parallel(4));
     let rep = Server::new(paragon(4).with_tracing(true).with_telemetry(served.clone()), servable)
         .with_config(ServeConfig { queue_cap: 1024, batch_max: 2, shed: ShedPolicy::DropNewest })
         .serve(&trace, &["burst"]);
@@ -362,31 +414,34 @@ fn overload_renders_only_the_retained_exemplars() {
 // nodes, gold:bronze 3:1 from seed 42, batches of 4 — virtual time only.
 // ---------------------------------------------------------------------------
 
-const REPL4: FftHistMapping = FftHistMapping::Replicated { replicas: 4, pipeline: None };
+fn repl4() -> Placement {
+    Placement::replicated(4, Segments::fused(4))
+}
 
 fn serve64(
-    mapping: FftHistMapping,
+    placement: Placement,
     rate: f64,
     requests: usize,
     queue_cap: usize,
     tracing: bool,
-) -> (Vec<fx_serve::ServeRequest>, fx_serve::ServeReport<Vec<u64>>) {
+) -> (Vec<fx_serve::ServeRequest>, fx_serve::ServeReport<Answer>) {
     let tenants =
         [TenantSpec::new("gold", rate * 0.75, requests * 3 / 4), TenantSpec::new("bronze", rate * 0.25, requests / 4)];
     let trace = poisson_trace(&tenants, 42);
-    let servable = FftHistServable { cfg: FftHistConfig::new(64, 1), mapping };
+    let label = format!("{placement:?}");
+    let servable = fft_hist(FftHistConfig::new(64, 1), placement);
     let rep = Server::new(paragon(16).with_tracing(tracing), servable)
         .with_config(ServeConfig { queue_cap, batch_max: 4, shed: ShedPolicy::DropNewest })
         .serve(&trace, &["gold", "bronze"]);
-    assert!(rep.conserved(), "{mapping:?} at {rate} req/s: arrived == completed + shed");
+    assert!(rep.conserved(), "{label} at {rate} req/s: arrived == completed + shed");
     (trace, rep)
 }
 
 /// Service rate: 60 arrivals far beyond capacity into a queue that sheds
 /// none of them, completions over first arrival → last completion.
-fn saturation_rps(mapping: FftHistMapping) -> f64 {
-    let (trace, rep) = serve64(mapping, 1e6, 60, 61, false);
-    assert_eq!(rep.completed(), 60, "{mapping:?}: the saturation probe sheds nothing");
+fn saturation_rps(placement: Placement) -> f64 {
+    let (trace, rep) = serve64(placement, 1e6, 60, 61, false);
+    assert_eq!(rep.completed(), 60, "the saturation probe sheds nothing");
     let last = rep.completions.iter().map(|c| c.done).fold(0.0f64, f64::max);
     60.0 / (last - trace[0].arrival)
 }
@@ -398,14 +453,15 @@ fn saturation_rps(mapping: FftHistMapping) -> f64 {
 /// of 8 — no slower (gold p50 14.1 vs 19.9 ms).
 #[test]
 fn table1_ordering_survives_queueing() {
-    let dp_sat = saturation_rps(FftHistMapping::DataParallel);
-    let (best, best_sat) = [FftHistMapping::Pipeline([2, 12, 2]), REPL4]
-        .map(|m| (m, saturation_rps(m)))
+    let dp_sat = saturation_rps(Placement::data_parallel(16));
+    let (best, best_sat) = [Placement::pipeline([2, 12, 2]), repl4()]
+        .map(|m| (m.clone(), saturation_rps(m)))
         .into_iter()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap();
     let light_p50 = |m, sat: f64| serve64(m, 0.25 * sat, 120, 8, false).1.tenant("gold").unwrap().p50_ns;
-    let (dp_p50, best_p50) = (light_p50(FftHistMapping::DataParallel, dp_sat), light_p50(best, best_sat));
+    let dp_p50 = light_p50(Placement::data_parallel(16), dp_sat);
+    let best_p50 = light_p50(best.clone(), best_sat);
     eprintln!("{best:?} saturates at {best_sat:.1} req/s, dp at {dp_sat:.1}; lightest-load p50 {best_p50} vs {dp_p50} ns");
     assert!(best_sat > dp_sat, "the best task+data mapping must saturate above dp");
     assert!(dp_p50 <= best_p50, "dp must answer the lightest load no slower");
@@ -417,7 +473,7 @@ fn table1_ordering_survives_queueing() {
 /// requests accounts for the gap (109.2 ms, 100 % attributed; ≥ 90 % held).
 #[test]
 fn dp_knee_p99_gap_lands_on_named_components() {
-    let offered = 0.9 * saturation_rps(FftHistMapping::DataParallel);
+    let offered = 0.9 * saturation_rps(Placement::data_parallel(16));
     let p99_of = |mapping| {
         let rep = serve64(mapping, offered, 120, 8, true).1;
         assert_eq!(rep.request_traces.len(), rep.completed(), "a decomposition per completion");
@@ -426,7 +482,7 @@ fn dp_knee_p99_gap_lands_on_named_components() {
         let rank = (0.99 * by_lat.len() as f64).ceil() as usize;
         (by_lat[rank - 1].clone(), rep)
     };
-    let ((dp99, dp), (rv99, _)) = (p99_of(FftHistMapping::DataParallel), p99_of(REPL4));
+    let ((dp99, dp), (rv99, _)) = (p99_of(Placement::data_parallel(16)), p99_of(repl4()));
     let gap = dp99.latency() - rv99.latency();
     let attributed: f64 =
         dp99.components().iter().zip(rv99.components()).map(|((_, a), (_, b))| a - b).sum();

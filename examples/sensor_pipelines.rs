@@ -1,31 +1,31 @@
 //! The paper's sensor-based programs (§5.1): narrowband tracking radar
 //! and multibaseline stereo, each one program text run under the mappings
 //! Table 1 compares — pure data parallelism, a 3-stage pipeline,
-//! replicated modules — each given as a `StreamMapping` value.
+//! replicated modules — each given as a `Placement` value.
 //!
 //! Run with: `cargo run --release --example sensor_pipelines`
 
 use fx::apps::radar::{radar_sets, RadarConfig};
 use fx::apps::stereo::{stereo_sets, StereoConfig};
-use fx::apps::util::{run_mapped, Segments, StreamMapping, SET_DONE, SET_START};
+use fx::apps::util::{run_mapped, Placement, Segments, SET_DONE, SET_START};
 use fx::prelude::*;
 
 /// Run `program` over `datasets` data sets under each `(label, mapping,
 /// pipeline-fill sets to skip)` on `machine` and print what it measures.
-fn report<R>(
+fn report<R: Default>(
     machine: &Machine,
     datasets: usize,
-    mappings: &[(&str, StreamMapping, usize)],
+    mappings: &[(&str, Placement, usize)],
     program: impl Fn(&mut Cx, &Segments, &[usize]) -> R + Sync,
 ) {
     let sets: Vec<usize> = (0..datasets).collect();
-    for &(label, mapping, skip) in mappings {
+    for (label, placement, skip) in mappings {
         let rep = spmd(machine, |cx| {
-            run_mapped(cx, mapping, &sets, &program);
+            run_mapped(cx, placement, &sets, &program);
         });
         println!(
             "  {label:14}: {:6.1} sets/s, latency {:.4} s",
-            rep.throughput(SET_DONE, skip),
+            rep.throughput(SET_DONE, *skip),
             rep.latency(SET_START, SET_DONE)
         );
     }
@@ -38,9 +38,9 @@ fn main() {
     let rcfg = RadarConfig { ranges: 128, pulses: 8, datasets: 12, gain: 0.25, threshold: 0.6 };
     println!("Narrowband tracking radar ({}x{}, {} data sets, 8 procs)", rcfg.ranges, rcfg.pulses, rcfg.datasets);
     let mappings = [
-        ("data parallel", StreamMapping::DataParallel, 2),
-        ("pipeline 2/5/1", StreamMapping::Pipeline([2, 5, 1]), 3),
-        ("4x replicated", StreamMapping::Replicated { replicas: 4, pipeline: None }, 4),
+        ("data parallel", Placement::data_parallel(8), 2),
+        ("pipeline 2/5/1", Placement::pipeline([2, 5, 1]), 3),
+        ("4x replicated", Placement::replicated(4, Segments::fused(2)), 4),
     ];
     report(&machine, rcfg.datasets, &mappings, |cx, segs, sets| {
         radar_sets(cx, &rcfg, segs, sets)
@@ -54,9 +54,9 @@ fn main() {
         scfg.rows, scfg.cols, scfg.n_match, scfg.max_disp
     );
     let mappings = [
-        ("data parallel", StreamMapping::DataParallel, 2),
-        ("pipeline 4/3/1", StreamMapping::Pipeline([4, 3, 1]), 3),
-        ("2x pipe 2/1/1", StreamMapping::Replicated { replicas: 2, pipeline: Some([2, 1, 1]) }, 4),
+        ("data parallel", Placement::data_parallel(8), 2),
+        ("pipeline 4/3/1", Placement::pipeline([4, 3, 1]), 3),
+        ("2x pipe 2/1/1", Placement::replicated(2, Segments::pipeline([2, 1, 1])), 4),
     ];
     report(&machine, scfg.datasets, &mappings, |cx, segs, sets| {
         stereo_sets(cx, &scfg, segs, sets)

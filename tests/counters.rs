@@ -149,7 +149,7 @@ fn report_lists_materialised_lanes_only() {
         from
     });
     let lanes: usize = rep.lane_bytes.iter().map(Vec::len).sum();
-    assert!(lanes >= P && lanes < 64 * P, "{lanes} lane entries for {P} processors");
+    assert!((P..64 * P).contains(&lanes), "{lanes} lane entries for {P} processors");
     let held: u64 = rep.lane_bytes.iter().flatten().map(|&(_, bytes)| bytes).sum();
     assert_eq!(held, rep.total().send_bytes);
     for (me, row) in rep.lane_bytes.iter().enumerate() {

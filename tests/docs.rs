@@ -381,6 +381,36 @@ fn the_fig6_table_is_the_committed_result() {
 }
 
 #[test]
+fn the_ablation_quotes_are_the_committed_results() {
+    // Each number EXPERIMENTS.md's ablation section quotes is the figure
+    // `results/ablations.txt` prints, rounded to the digits quoted. A quote is the word after a phrase of the section; a printed
+    // figure the word after `key` on the line naming the leg.
+    let text = section(include_str!("../EXPERIMENTS.md"), "§4 implementation claims — ablations");
+    let prose = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let printed = include_str!("../results/ablations.txt");
+    let word_after = |text: &str, key: &str| -> String {
+        let at = text.find(key).unwrap_or_else(|| panic!("no {key:?} in {text:?}")) + key.len();
+        let word = text[at..].split_whitespace().next().unwrap_or("");
+        word.trim_matches(|c: char| !c.is_ascii_digit()).to_string()
+    };
+    let leg = |name: &str, key: &str| -> f64 {
+        let line = printed.lines().find(|l| l.contains(name)).unwrap_or_else(|| panic!("no {name:?} leg"));
+        word_after(line, key).parse().expect("a printed number")
+    };
+    for (phrase, value) in [
+        ("streams at", leg("minimal subsets (paper)", "throughput")),
+        ("collapses it to", leg("whole-group sync (ablated)", "throughput")),
+        ("induction variables vs", leg("owner-broadcast (ablated)", "total time")),
+        ("assignment moves", leg("exact sets (paper)", ")")),
+        ("same data moves", leg("naive all-to-all (ablated)", ")")),
+    ] {
+        let quoted = word_after(&prose, phrase);
+        let digits = quoted.split('.').nth(1).map_or(0, str::len);
+        assert_eq!(quoted, format!("{value:.digits$}"), "EXPERIMENTS.md's ablations quote {quoted} after {phrase:?}");
+    }
+}
+
+#[test]
 fn a_table_row_keeps_escaped_pipes_and_reads_signs_plainly() {
     let text = "prose\n| procs | gain | mapping |\n|---|---|---|\n| 64 | **+28.2 %** | `1x [a:1 \\| b:2]` |\n\nmore";
     assert_eq!(table_rows(text), [["64", "28.2", "1x[a:1|b:2]"]]);

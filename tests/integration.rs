@@ -7,7 +7,7 @@ use fx::apps::ffthist::{fft_hist_pipeline, reference_histogram, FftHistConfig};
 use fx::apps::qsort::qsort_global;
 use fx::apps::radar::{radar_sets, reference_detections, RadarConfig};
 use fx::apps::stereo::{assemble_depth, reference_depth, stereo_sets, StereoConfig};
-use fx::apps::util::{run_mapped, StreamMapping};
+use fx::apps::util::{run_mapped, Placement, Segments};
 use fx::kernels::nbody::BhTree;
 use fx::prelude::*;
 
@@ -25,9 +25,9 @@ fn all_applications_match_their_oracles() {
 
     // Radar, two replicated modules: each member holds its module's sets.
     let rcfg = RadarConfig { ranges: 32, pulses: 8, datasets: 2, gain: 0.25, threshold: 0.6 };
-    let repl = StreamMapping::Replicated { replicas: 2, pipeline: None };
+    let repl = Placement::replicated(2, Segments::fused(2));
     let rep = spmd(&Machine::real(4), move |cx| {
-        run_mapped(cx, repl, &[0, 1], |cx, segs, sets| radar_sets(cx, &rcfg, segs, sets))
+        run_mapped(cx, &repl, &[0, 1], |cx, segs, sets| radar_sets(cx, &rcfg, segs, sets))
     });
     for (proc, results) in rep.results.iter().enumerate() {
         assert_eq!(results, &[(proc / 2, reference_detections(&rcfg, proc / 2))]);
@@ -35,9 +35,9 @@ fn all_applications_match_their_oracles() {
 
     // Stereo, a pipeline: the last stage's two members hold the depth tiles.
     let scfg = StereoConfig { rows: 16, cols: 32, n_match: 2, max_disp: 4, window: 1, datasets: 1 };
-    let pipe = StreamMapping::Pipeline([1, 1, 2]);
+    let pipe = Placement::pipeline([1, 1, 2]);
     let rep = spmd(&Machine::real(4), move |cx| {
-        run_mapped(cx, pipe, &[0], |cx, segs, sets| stereo_sets(cx, &scfg, segs, sets))
+        run_mapped(cx, &pipe, &[0], |cx, segs, sets| stereo_sets(cx, &scfg, segs, sets))
     });
     let tiles: Vec<Vec<u16>> = rep.results[2..].iter().map(|r| r[0].1.clone()).collect();
     assert_eq!(assemble_depth(&tiles, 16, 32), reference_depth(&scfg, 0));

@@ -19,10 +19,11 @@
 //! exercised here is the force/worklist protocol. Redundant on the model,
 //! once on the host: every member is charged for the build and for its
 //! subgroup's partial tree, but each tree is built once per group
-//! ([`Cx::replicated`]) and shared, and the worklist and result gathers
-//! are read in place from the one buffer the group shares.
+//! ([`Cx::replicated`]) and shared, the worklist and result gathers are
+//! read in place from the one buffer the group shares, and the force
+//! array in input order is assembled once per group too.
 
-use fx_core::{Cx, Size};
+use fx_core::{Cx, Global, Size};
 use fx_kernels::nbody::{interaction_flops, BhTree, Body};
 
 use crate::util::unit_hash;
@@ -86,8 +87,8 @@ pub fn make_bodies(n: usize, seed: u64) -> Vec<Body> {
 
 /// Compute all forces with the recursive subgroup scheme. Returns the
 /// force vector **in the input order of `bodies`** on every member of
-/// the current group.
-pub fn bh_forces(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig) -> Vec<[f64; 3]> {
+/// the current group, as the one array the group shares.
+pub fn bh_forces(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig) -> Global<[f64; 3]> {
     // build_bh_tree: replicated build from the replicated particle set.
     let tree = cx.replicated(|| BhTree::build(bodies.to_vec()));
     let n = tree.n_bodies();
@@ -103,16 +104,19 @@ pub fn bh_forces(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig) -> Vec<[f64; 3]> 
     let flat: Vec<(u64, [f64; 3])> =
         solved.drain(..).map(|(i, f)| (i as u64, f)).collect();
     let all = cx.allgather_vecs(flat);
-    let mut forces = vec![[0.0f64; 3]; n];
-    let mut seen = vec![false; n];
-    for &(i, f) in all.flat() {
-        let i = i as usize;
-        assert!(!seen[i], "particle {i} solved twice");
-        seen[i] = true;
-        forces[tree.order[i]] = f;
-    }
-    assert!(seen.iter().all(|&s| s), "every particle must be solved");
-    forces
+    cx.replicated(|| {
+        let mut forces = vec![[0.0f64; 3]; n];
+        let mut seen = vec![false; n];
+        for &(i, f) in all.flat() {
+            let i = i as usize;
+            assert!(!seen[i], "particle {i} solved twice");
+            seen[i] = true;
+            forces[tree.order[i]] = f;
+        }
+        assert!(seen.iter().all(|&s| s), "every particle must be solved");
+        forces
+    })
+    .into()
 }
 
 /// `compute_force` of Figure 7: the current group computes forces for
@@ -257,7 +261,7 @@ pub fn bh_step(cx: &mut Cx, bodies: &[Body], cfg: &BhConfig, dt: f64) -> Vec<Bod
     let forces = bh_forces(cx, bodies, cfg);
     bodies
         .iter()
-        .zip(forces)
+        .zip(forces.iter())
         .map(|(b, f)| Body {
             pos: [
                 b.pos[0] + dt * dt * f[0],
@@ -290,7 +294,7 @@ pub fn bh_simulate(
     let mut acc = bh_forces(cx, &bodies, cfg);
     for _ in 0..steps {
         // Kick (half), drift, re-evaluate, kick (half).
-        for (v, a) in vel.iter_mut().zip(&acc) {
+        for (v, a) in vel.iter_mut().zip(acc.iter()) {
             for d in 0..3 {
                 v[d] += 0.5 * dt * a[d];
             }
@@ -301,7 +305,7 @@ pub fn bh_simulate(
             }
         }
         acc = bh_forces(cx, &bodies, cfg);
-        for (v, a) in vel.iter_mut().zip(&acc) {
+        for (v, a) in vel.iter_mut().zip(acc.iter()) {
             for d in 0..3 {
                 v[d] += 0.5 * dt * a[d];
             }

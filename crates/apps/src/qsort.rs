@@ -13,7 +13,7 @@
 //! heavily duplicated inputs still make progress — a detail the paper's
 //! pseudocode leaves to `pick_pivot`.
 
-use fx_core::{block_range, proportional_split, Cx, Size};
+use fx_core::{block_range, proportional_split, Cx, Global, Size};
 use fx_darray::{copy_shift1_range, count_matching, repartition_by, DArray1, Dist1, Participation};
 
 /// Sort a distributed array of keys in place. Must be called with the
@@ -258,8 +258,9 @@ fn merge_result_high(
 }
 
 /// Convenience wrapper: sort a globally known vector on the current
-/// group, returning the sorted result on every member.
-pub fn qsort_global(cx: &mut Cx, keys: &[i64]) -> Vec<i64> {
+/// group, returning the sorted result on every member (one array the
+/// group shares, as [`DArray1::to_global`] returns it).
+pub fn qsort_global(cx: &mut Cx, keys: &[i64]) -> Global<i64> {
     let g = cx.group();
     let mut a = DArray1::from_global(cx, &g, keys.len(), Dist1::Block, keys);
     qsort(cx, &mut a);
@@ -268,7 +269,7 @@ pub fn qsort_global(cx: &mut Cx, keys: &[i64]) -> Vec<i64> {
 
 /// [`qsort_global`] with promotable leaf base cases of `leaf_group`
 /// processors (see [`qsort_with_leaf`]).
-pub fn qsort_global_promoted(cx: &mut Cx, keys: &[i64], leaf_group: usize) -> Vec<i64> {
+pub fn qsort_global_promoted(cx: &mut Cx, keys: &[i64], leaf_group: usize) -> Global<i64> {
     let g = cx.group();
     let mut a = DArray1::from_global(cx, &g, keys.len(), Dist1::Block, keys);
     qsort_with_leaf(cx, &mut a, leaf_group);

@@ -50,6 +50,7 @@ mod region;
 mod replica;
 
 pub use coll::{format_phys_ranges, Gathered};
+pub use replica::Global;
 pub use cx::{spmd, Cx};
 pub use plancache::PlanCache;
 pub use group::{GroupHandle, Membership};

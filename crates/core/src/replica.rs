@@ -20,6 +20,8 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::cx::Cx;
@@ -109,6 +111,56 @@ impl Replicas {
     #[cfg(test)]
     fn outstanding(&self) -> usize {
         self.lock().values().map(VecDeque::len).sum()
+    }
+}
+
+/// A whole array every member of a group holds: the one read-only buffer
+/// [`Cx::replicated`] built for the group, read as a slice. Cloning shares
+/// the buffer; a caller that must own the data calls `.to_vec()`.
+pub struct Global<T>(Arc<Vec<T>>);
+
+impl<T> Global<T> {
+    /// Do `a` and `b` read the same buffer?
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl<T> From<Arc<Vec<T>>> for Global<T> {
+    fn from(shared: Arc<Vec<T>>) -> Self {
+        Global(shared)
+    }
+}
+
+impl<T> Deref for Global<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> Clone for Global<T> {
+    fn clone(&self) -> Self {
+        Global(Arc::clone(&self.0))
+    }
+}
+
+impl<T: PartialEq> PartialEq for Global<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Global<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Global<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
     }
 }
 

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 
-use fx_core::{Cx, GroupHandle};
+use fx_core::{Cx, Global, GroupHandle};
 
 use crate::assign::Operand;
 use crate::dist::{for_each_index, ravel, unravel, DimMap, Dist};
@@ -324,10 +324,13 @@ impl<T: Elem, const N: usize> DArray<T, N> {
     /// Collect the whole array (row-major) on every member — a collective
     /// over the array's group. For validation and output stages, not
     /// inner loops. The gathered tiles are one buffer the group shares,
-    /// read in place: each member copies only its own output.
-    pub fn to_global(&self, cx: &mut Cx) -> Vec<T>
+    /// read in place, and the row-major array is built once per group
+    /// ([`Cx::replicated`]): every member gets the same [`Global`]. A
+    /// replicated array shares its local copy the same way, so in debug
+    /// builds members whose copies differ panic.
+    pub fn to_global(&self, cx: &mut Cx) -> Global<T>
     where
-        T: Default,
+        T: Default + PartialEq,
     {
         assert_eq!(
             cx.group().gid(),
@@ -335,16 +338,19 @@ impl<T: Elem, const N: usize> DArray<T, N> {
             "to_global is a collective over the array's group"
         );
         if self.side.replicated {
-            return self.local.clone(); // every member already holds it all
+            return cx.replicated(|| self.local.clone()).into(); // every member already holds it all
         }
         let parts = cx.allgather_vecs(self.local.clone());
-        let mut out = vec![T::default(); self.whole().end];
-        for (v, part) in parts.parts().enumerate() {
-            self.walk_member(v, |at, slot, len| {
-                out[at..at + len].copy_from_slice(&part[slot..slot + len]);
-            });
-        }
-        out
+        cx.replicated(|| {
+            let mut out = vec![T::default(); self.whole().end];
+            for (v, part) in parts.parts().enumerate() {
+                self.walk_member(v, |at, slot, len| {
+                    out[at..at + len].copy_from_slice(&part[slot..slot + len]);
+                });
+            }
+            out
+        })
+        .into()
     }
 
     /// Visit the tile of virtual rank `v` in its local row-major order as
@@ -772,6 +778,52 @@ mod tests {
                 assert_eq!(r, (0..35).collect::<Vec<u64>>(), "dist = {dist:?}");
             }
         }
+    }
+
+    /// What `to_global` built before the group shared one buffer: every
+    /// member's own copy, assembled from the gathered tiles.
+    fn per_member_global<T: Elem + Default, const N: usize>(cx: &mut Cx, a: &DArray<T, N>) -> Vec<T> {
+        let parts = cx.allgather_vecs(a.local().to_vec());
+        let mut out = vec![T::default(); a.whole().end];
+        for (v, part) in parts.parts().enumerate() {
+            a.walk_member(v, |at, slot, len| out[at..at + len].copy_from_slice(&part[slot..slot + len]));
+        }
+        out
+    }
+
+    #[test]
+    fn to_global_is_one_buffer_equal_to_the_per_member_assembly() {
+        fn check<const N: usize>(shape: [usize; N], dist: [Dist; N]) {
+            let data: Vec<u32> = (0..shape.iter().product::<usize>() as u32).map(|i| i * 7 + 1).collect();
+            let expect = data.clone();
+            let rep = spmd(&Machine::real(6), move |cx| {
+                let g = cx.group();
+                let a = DArray::<u32, N>::from_global(cx, &g, shape, dist, &data);
+                (a.to_global(cx), per_member_global(cx, &a))
+            });
+            for (v, (shared, own)) in rep.results.iter().enumerate() {
+                assert_eq!(*shared, *own, "{dist:?}: processor {v}");
+                assert_eq!(*shared, expect, "{dist:?}: processor {v}");
+                assert!(Global::ptr_eq(shared, &rep.results[0].0), "{dist:?}: processor {v} holds its own copy");
+            }
+        }
+        check([37], [Dist::Block]);
+        check([37], [Dist::Cyclic]);
+        check([7, 9], [Dist::Block, Dist::Cyclic]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "replicated value differs on processor")]
+    fn members_of_a_star_array_that_disagree_panic_in_to_global() {
+        spmd(&Machine::real(3), |cx| {
+            let g = cx.group();
+            let mut a = DArray1::new(cx, &g, 4, Dist::Star, 0u8);
+            if cx.id() == 2 {
+                a.local_mut()[1] = 9;
+            }
+            a.to_global(cx);
+        });
     }
 
     #[test]

@@ -341,7 +341,7 @@ mod tests {
             assign1(cx, &mut dst, &src);
             if dst.is_member() {
                 cx.task_region(&part, |cx, tr| {
-                    tr.on(cx, "g2", |cx| dst.to_global(cx)).unwrap()
+                    tr.on(cx, "g2", |cx| dst.to_global(cx).to_vec()).unwrap()
                 })
             } else {
                 Vec::new()

@@ -191,12 +191,12 @@ pub fn exchange_plane_halo<T: Elem>(cx: &mut Cx, a: &DArray3<T>, width: usize) -
 mod tests {
     use super::*;
     use crate::dist::{for_each_index, ravel};
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Global, Machine};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// What one member sees of an exchange: `(lower slab, higher slab,
     /// the whole array)`.
-    type Seen = (Vec<u32>, Vec<u32>, Vec<u32>);
+    type Seen = (Vec<u32>, Vec<u32>, Global<u32>);
 
     /// One public exchange on an array whose halo axis has extent `n`
     /// (elements numbered row-major): `(name, exchange(cx, n, width),

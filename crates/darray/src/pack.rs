@@ -171,10 +171,10 @@ mod tests {
             (s, l)
         });
         let (s, l) = &rep.results[0];
-        let mut s_sorted = s.clone();
+        let mut s_sorted = s.to_vec();
         s_sorted.sort_unstable();
         assert_eq!(s_sorted, vec![0, 1, 2, 3, 4]);
-        let mut l_sorted = l.clone();
+        let mut l_sorted = l.to_vec();
         l_sorted.sort_unstable();
         assert_eq!(l_sorted, vec![5, 6, 7, 8, 9]);
         // Order preservation: source local order on block boundaries.

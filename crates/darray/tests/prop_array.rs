@@ -10,7 +10,7 @@
 //! * `to_global(from_global(x)) == x` on every member;
 //! * `aligned_with` shares owners.
 
-use fx_core::{spmd, Cx, GroupHandle, Machine, Size};
+use fx_core::{spmd, Cx, Global, GroupHandle, Machine, Size};
 use fx_darray::{DArray, DArray1, DArray2, DArray3, DimMap, Dist};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -54,7 +54,7 @@ struct View<const N: usize> {
     local: Vec<u64>,
     twin_owned: Vec<[usize; N]>,
     /// `to_global`, on members.
-    global: Option<Vec<u64>>,
+    global: Option<Global<u64>>,
 }
 
 fn ravel<const N: usize>(idx: [usize; N], lens: [usize; N]) -> usize {
@@ -152,7 +152,7 @@ where
             holders[ravel(g, shape)] += 1;
         }
         prop_assert_eq!(&view.twin_owned, &view.owned, "aligned_with moved an owner");
-        prop_assert_eq!(view.global.as_ref(), Some(&data));
+        prop_assert_eq!(view.global.as_deref(), Some(&data[..]));
     }
     let copies = if rep_all { p } else { 1 };
     prop_assert!(holders.iter().all(|&h| h == copies), "holders per element: {:?}", holders);

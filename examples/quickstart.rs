@@ -45,9 +45,10 @@ fn main() {
         });
         // END TASK_REGION
 
-        // Collect the result on the "many" members for display.
+        // Collect the result on the "many" members for display; the
+        // others return an empty vector.
         if many_high.is_member() {
-            cx.enter(&g_many, |cx| many_high.to_global(cx))
+            cx.enter(&g_many, |cx| many_high.to_global(cx).to_vec())
         } else {
             Vec::new()
         }

@@ -114,7 +114,9 @@ fn p1024_message_rounds_leave_memory_flat() {
 /// An observed run adds no thread: the default registry's stall reports
 /// come from the run's watchdog tick, the one service thread a run has.
 /// Rank 0 lists the process's threads mid-run, after a ring exchange has
-/// proven every processor live.
+/// proven every processor live. A new thread names itself once it first
+/// runs, so until then it shows its spawner's name: rank 0 lists again,
+/// for up to 5 s, until the tick has named itself.
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "reads /proc; pooled executor is Linux-only")]
 fn an_observed_run_starts_no_stall_thread() {
@@ -127,7 +129,17 @@ fn an_observed_run_starts_no_stall_thread() {
         let p = cx.nprocs();
         cx.send_v((cx.id() + 1) % p, 1, cx.id() as u64);
         let _: u64 = cx.recv_v((cx.id() + p - 1) % p, 1);
-        if cx.id() == 0 { os_thread_names() } else { Vec::new() }
+        if cx.id() != 0 {
+            return Vec::new();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let names = os_thread_names();
+            if names.iter().any(|n| n == "fx-tick") || std::time::Instant::now() > deadline {
+                return names;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     });
     let names = &rep.results[0];
     assert!(names.iter().any(|n| n == "fx-tick"), "the run's tick is missing from {names:?}");

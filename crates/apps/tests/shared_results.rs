@@ -1,5 +1,5 @@
-//! A whole-array result is one buffer per group: at P = 64, on threads
-//! and on one pooled worker, every member's sorted keys and every
+//! A whole-array result is one buffer per group: at P = 64, on a worker
+//! per processor and on one worker, every member's sorted keys and every
 //! member's force array are the same allocation, and hold the right
 //! values.
 
@@ -11,7 +11,7 @@ use fx_kernels::nbody::BhTree;
 use fx_runtime::{Executor, MachineModel};
 
 const P: usize = 64;
-const EXECUTORS: [Executor; 2] = [Executor::Threaded, Executor::Pooled { workers: 1 }];
+const EXECUTORS: [Executor; 2] = [Executor::Pooled { workers: P }, Executor::Pooled { workers: 1 }];
 
 fn machine(executor: Executor) -> Machine {
     Machine::simulated(P, MachineModel::paragon()).with_executor(executor)

@@ -1,7 +1,6 @@
-//! The determinism bar for the pooled executor: every benchmark
-//! workload must produce **bit-identical virtual times** under the
-//! pooled coroutine executor and the threaded reference executor,
-//! profiled and unprofiled.
+//! The determinism bar for the executor: every benchmark workload must
+//! produce **bit-identical virtual times** on one worker, on two and on
+//! one worker per processor, profiled and unprofiled.
 //!
 //! One test per benchmark binary (ablations, fig5_mappings,
 //! fig6_airshed, machines, scaling, table1, tradeoff), each running a
@@ -12,9 +11,8 @@
 //! between processor clocks — so host scheduling must never leak into
 //! the numbers. These tests are what make that claim enforceable.
 //!
-//! Executors are selected with explicit `with_executor` calls, never
-//! via `FX_EXECUTOR`, so the suite is safe under the parallel test
-//! runner.
+//! Worker counts are selected with explicit `with_executor` calls, never
+//! via `FX_WORKERS`, so the suite is safe under the parallel test runner.
 
 use fx_apps::airshed::{airshed_dp, airshed_tp, AirshedConfig};
 use fx_apps::ffthist::{fft_hist_dp, fft_hist_sets, FftHistConfig};
@@ -40,11 +38,12 @@ fn pipeline(modules: usize, procs: [usize; 3]) -> Mapping {
     Mapping { modules, segments }
 }
 
-/// Run `f` under the pooled executor (2 workers — fewer than the
-/// processor counts used here, so coroutines genuinely multiplex and
-/// migrate) and under the threaded reference, profiled and unprofiled,
-/// and require bit-identical per-processor virtual times plus identical
-/// traffic counters and equal event logs.
+/// Run `f` on one worker, on two (fewer than the processor counts used
+/// here, so coroutines genuinely multiplex and migrate) and on one worker
+/// per processor (4096 is clamped to P: every processor on a preempted
+/// thread of its own), profiled and unprofiled, and require bit-identical
+/// per-processor virtual times plus identical traffic counters and equal
+/// event logs.
 fn assert_bitwise<R, F>(label: &str, base: &Machine, f: F)
 where
     R: Send,
@@ -52,24 +51,17 @@ where
 {
     for profiled in [false, true] {
         let m = base.clone().with_profiling(profiled);
-        let pooled = spmd(&m.clone().with_executor(Executor::Pooled { workers: 2 }), &f);
-        let threaded = spmd(&m.with_executor(Executor::Threaded), &f);
-        assert_eq!(
-            bits(&pooled.times),
-            bits(&threaded.times),
-            "{label}: virtual times diverged between executors (profiled={profiled})"
-        );
-        assert_eq!(
-            pooled.traffic, threaded.traffic,
-            "{label}: per-processor traffic diverged (profiled={profiled})"
-        );
-        assert_eq!(
-            pooled.undelivered, threaded.undelivered,
-            "{label}: undelivered-message count diverged (profiled={profiled})"
-        );
-        // The log is a pure function of the program: the marks always,
-        // the duration events too under profiling.
-        assert!(pooled.logs == threaded.logs, "{label}: event logs diverged (profiled={profiled})");
+        let one = spmd(&m.clone().with_executor(Executor::Pooled { workers: 1 }), &f);
+        for workers in [2, 4096] {
+            let other = spmd(&m.clone().with_executor(Executor::Pooled { workers }), &f);
+            let at = format!("{workers} workers against 1, profiled={profiled}");
+            assert_eq!(bits(&one.times), bits(&other.times), "{label}: virtual times diverged, {at}");
+            assert_eq!(one.traffic, other.traffic, "{label}: per-processor traffic diverged, {at}");
+            assert_eq!(one.undelivered, other.undelivered, "{label}: undelivered-message count diverged, {at}");
+            // The log is a pure function of the program: the marks always,
+            // the duration events too under profiling.
+            assert!(one.logs == other.logs, "{label}: event logs diverged, {at}");
+        }
     }
 }
 
@@ -227,8 +219,8 @@ fn scaling_nested_applications() {
 
 /// heartbeat flavor: promotable loops with donations genuinely in
 /// flight. Promotion decisions are pure functions of virtual-time
-/// values published through the board, so the executor — and the host
-/// interleaving it produces — must not change a single clock.
+/// values published through the board, so the worker count — and the
+/// host interleaving it produces — must not change a single clock.
 #[test]
 fn heartbeat_promotable_workloads() {
     // Synthetic back-loaded ramp: donations guaranteed (asserted below).

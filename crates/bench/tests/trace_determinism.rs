@@ -1,6 +1,6 @@
 //! The zero-cost bar for causal tracing: every benchmark workload must
 //! produce **bit-identical virtual times** with tracing on and off, on
-//! both executors, profiled and unprofiled.
+//! one worker, two and one per processor, profiled and unprofiled.
 //!
 //! One test per benchmark binary flavor (table1, fig5_mappings,
 //! fig6_airshed, ablations, machines, scaling, tradeoff), each running
@@ -9,8 +9,8 @@
 //! are adopted on receive, but none of that ever charges the virtual
 //! clock — these tests are what make that claim enforceable.
 //!
-//! Executors and tracing are selected with explicit builder calls,
-//! never via `FX_EXECUTOR`/`FX_TRACE`, so the suite is safe under the
+//! Worker counts and tracing are selected with explicit builder calls,
+//! never via `FX_WORKERS`/`FX_TRACE`, so the suite is safe under the
 //! parallel test runner.
 
 use fx_apps::airshed::{airshed_dp, AirshedConfig};
@@ -36,7 +36,8 @@ fn pipeline(modules: usize, procs: [usize; 3]) -> Mapping {
     Mapping { modules, segments }
 }
 
-/// Run `f` with tracing off and on — under both executors, profiled
+/// Run `f` with tracing off and on — on one worker, two and one per
+/// processor (4096 is clamped to P), profiled
 /// and unprofiled — and require bit-identical per-processor virtual
 /// times plus identical traffic counters. The event logs must match too,
 /// trace id aside: tracing annotates events, it never adds or merges
@@ -47,7 +48,8 @@ where
     F: Fn(&mut Cx) -> R + Send + Sync,
 {
     for profiled in [false, true] {
-        for exec in [Executor::Threaded, Executor::Pooled { workers: 2 }] {
+        for workers in [1, 2, 4096] {
+            let exec = Executor::Pooled { workers };
             let m = base.clone().with_profiling(profiled).with_executor(exec);
             let off = spmd(&m.clone().with_tracing(false), &f);
             let on = spmd(&m.with_tracing(true), &f);

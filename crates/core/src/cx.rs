@@ -490,7 +490,8 @@ mod tests {
             cx.barrier();
             (token, sum, cx.group())
         };
-        for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Threaded] {
+        // One worker, two, and one per processor (4096 is clamped to P).
+        for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
             let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(executor).with_profiling(true);
             let [cold, warm] = [(); 2].map(|_| spmd(&machine, program));
             for rep in [&cold, &warm] {

@@ -44,7 +44,8 @@ fn two_loops(cx: &mut Cx, dummies: usize) -> Vec<u64> {
 
 #[test]
 fn back_to_back_promotable_loops_complete_in_both_tag_orders() {
-    for executor in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
+    // One worker, two, and one per processor (4096 is clamped to P).
+    for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
         let machine = Machine::simulated(4, MachineModel::paragon())
             .with_executor(executor)
             .with_timeout(Duration::from_secs(5));

@@ -3,7 +3,7 @@
 //!
 //! (a) the closure runs once per group in release builds and once per
 //! member in debug builds, for the world group and both levels of a nested
-//! partition, under every executor; (b) a closure that depends on the
+//! partition, on one worker, two and one per processor; (b) a closure that depends on the
 //! member panics in debug builds; (c) no slot outlives its group's last
 //! taker, and a panicked run drops the table; (d) `allgather_vecs`
 //! returns every member's part, in rank order, in one buffer the group
@@ -17,8 +17,9 @@ use fx_core::{spmd, Cx, Machine, Size};
 use fx_runtime::Executor;
 use proptest::prelude::*;
 
+/// One worker, two, and one per processor (4096 is clamped to P).
 const EXECUTORS: [Executor; 3] =
-    [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }];
+    [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }];
 
 /// Run `f` on the members of the current group one after another, in rank
 /// order, so that no two of them race into it.

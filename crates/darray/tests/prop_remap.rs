@@ -3,8 +3,8 @@
 //! `remap1` are indistinguishable from the closure oracle ([`oracle`]: the
 //! per-element walk `CommSets::enumerate_with` under the same index map,
 //! replayed by hand) — same destination contents, bitwise-equal virtual
-//! finish times on every processor, same message and byte counts — under
-//! both executors. The observable protocol (op tag, skip rule, message
+//! finish times on every processor, same message and byte counts — on a
+//! worker per processor and on two workers. The observable protocol (op tag, skip rule, message
 //! schedule, charges) is shared; only the host work differs.
 //!
 //! Below them, the closed-form `Remap::cut` against its per-index
@@ -156,7 +156,8 @@ fn machine(p: usize, executor: Executor) -> Machine {
     Machine::simulated(p, MachineModel::paragon()).with_executor(executor)
 }
 
-const EXECUTORS: [Executor; 2] = [Executor::Threaded, Executor::Pooled { workers: 2 }];
+/// One worker per processor (4096 is clamped to P), and two.
+const EXECUTORS: [Executor; 2] = [Executor::Pooled { workers: 4096 }, Executor::Pooled { workers: 2 }];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

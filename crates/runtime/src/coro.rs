@@ -1,6 +1,6 @@
-//! Stackful coroutines for the pooled SPMD executor.
+//! Stackful coroutines for the SPMD executor.
 //!
-//! Each simulated processor of a pooled [`crate::Machine`] runs as a
+//! Each simulated processor of a [`crate::Machine`] runs as a
 //! [`Coro`]: a callee-saved-register context plus a dedicated, guard-paged
 //! stack. A worker thread enters the coroutine with [`Coro::resume`]; the
 //! coroutine leaves either by finishing or by calling
@@ -17,9 +17,8 @@
 //! simulated processors multiplex onto `num_cpus` OS threads.
 //!
 //! Platform support: Linux on x86_64 and aarch64 (the System V / AAPCS64
-//! callee-saved sets). On other targets [`SUPPORTED`] is false and the
-//! run harness silently falls back to the threaded executor, so builds
-//! never break.
+//! callee-saved sets, and mmap'd stacks with a guard page). Any other
+//! target is a compile error.
 //!
 //! Safety contract (the same one every stackful-fiber library has): a
 //! coroutine may migrate between OS threads at suspension points, so SPMD
@@ -34,16 +33,12 @@
 //! that size takes it, guard page and all. After the first run of a size,
 //! starting a processor makes no system call.
 
-#![allow(dead_code)]
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+compile_error!("fx-runtime's coroutines run on Linux x86-64 and aarch64 only");
 
 use parking_lot::Mutex;
 
 use crate::clock::debug_counters;
-
-/// True when this target has a coroutine context-switch implementation.
-/// When false, `Executor::Pooled` resolves to the threaded executor.
-pub(crate) const SUPPORTED: bool =
-    cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")));
 
 /// Why a coroutine handed control back to its resumer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +99,7 @@ pub(crate) struct Coro {
 }
 
 // SAFETY: a suspended coroutine is inert data (registers parked on its own
-// stack, entry closure is `Send`); the pooled scheduler's state machine
+// stack, entry closure is `Send`); the scheduler's state machine
 // guarantees at most one thread resumes it at a time, and its queue locks
 // provide the acquire/release ordering for the migration handoff. User
 // closures must not hold non-`Send` locals across suspension points (see
@@ -120,7 +115,7 @@ impl Coro {
     /// `entry`'s lifetime is erased. The caller must guarantee the
     /// coroutine is dropped (and, if it ever ran, has finished or will
     /// never be resumed again) before anything `entry` borrows goes out
-    /// of scope. The pooled executor upholds this by joining all workers
+    /// of scope. The executor upholds this by joining all workers
     /// and dropping every `Coro` before `run` returns.
     pub(crate) unsafe fn new_scoped(stack_bytes: usize, entry: Entry<'_>) -> Coro {
         let entry: Entry<'static> = std::mem::transmute(entry);
@@ -199,7 +194,6 @@ unsafe extern "C" fn fx_coro_entry_rust(task: *mut CoroInner) -> ! {
 // CoroInner pointer in a callee-saved register.
 // ---------------------------------------------------------------------------
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 extern "C" {
     fn fx_coro_switch(save: *mut usize, to: usize);
     fn fx_coro_tramp();
@@ -323,24 +317,12 @@ unsafe fn seed_stack(top: *mut u8, task: *mut CoroInner) -> usize {
     s as usize
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-unsafe fn seed_stack(_top: *mut u8, _task: *mut CoroInner) -> usize {
-    unreachable!("pooled executor selected on an unsupported target");
-}
-
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[allow(non_snake_case)]
-unsafe fn fx_coro_switch(_save: *mut usize, _to: usize) {
-    unreachable!("pooled executor selected on an unsupported target");
-}
-
 // ---------------------------------------------------------------------------
-// Stacks: on Linux, an anonymous mmap with a PROT_NONE guard page at the
-// low end, so overflow faults instead of silently corrupting adjacent
-// memory. Pages are committed lazily by the kernel, so P = 4096 stacks
-// cost virtual address space, not resident memory. Elsewhere (only
-// reachable if SUPPORTED is ever extended), a plain aligned heap block.
-// A stack is mapped once and then recycled through `IDLE`.
+// Stacks: an anonymous mmap with a PROT_NONE guard page at the low end, so
+// overflow faults instead of silently corrupting adjacent memory. Pages
+// are committed lazily by the kernel, so P = 4096 stacks cost virtual
+// address space, not resident memory. A stack is mapped once and then
+// recycled through `IDLE`.
 // ---------------------------------------------------------------------------
 
 /// Idle stacks, grouped by total length. A run's coroutines take from
@@ -355,7 +337,6 @@ const IDLE_CAP: usize = 8192;
 struct Stack {
     base: *mut u8,
     len: usize,
-    mmapped: bool,
 }
 
 // SAFETY: the stack (`base`, `len`) is an owned allocation. A live one's
@@ -363,7 +344,6 @@ struct Stack {
 // one in `IDLE` belonged to a finished coroutine and holds no live frame.
 unsafe impl Send for Stack {}
 
-#[cfg(target_os = "linux")]
 mod sys {
     use std::ffi::c_void;
     pub const PROT_NONE: i32 = 0;
@@ -389,14 +369,12 @@ mod sys {
 
 /// Host page size (for guard-page placement and stack rounding).
 fn page_size() -> usize {
-    #[cfg(target_os = "linux")]
-    {
-        let ps = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
-        if ps > 0 {
-            return ps as usize;
-        }
+    let ps = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
+    if ps > 0 {
+        ps as usize
+    } else {
+        4096
     }
-    4096
 }
 
 impl Stack {
@@ -405,8 +383,7 @@ impl Stack {
     fn take(usable_bytes: usize) -> Stack {
         let page = page_size();
         let usable = usable_bytes.div_ceil(page).max(4) * page;
-        // + guard page at the low end
-        let len = if cfg!(target_os = "linux") { usable + page } else { usable };
+        let len = usable + page; // + guard page at the low end
         let idle = IDLE.lock().iter_mut().find(|(l, _)| *l == len).and_then(|(_, free)| free.pop());
         idle.unwrap_or_else(|| Stack::map(len, page))
     }
@@ -428,33 +405,19 @@ impl Stack {
     /// Map `total` bytes, the lowest `page` of them a guard.
     fn map(total: usize, page: usize) -> Stack {
         debug_counters::bump(&debug_counters::STACK_MAPS);
-        #[cfg(target_os = "linux")]
-        {
-            unsafe {
-                let p = sys::mmap(
-                    std::ptr::null_mut(),
-                    total,
-                    sys::PROT_READ | sys::PROT_WRITE,
-                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
-                    -1,
-                    0,
-                );
-                assert!(
-                    p as isize != -1,
-                    "mmap of a {total}-byte coroutine stack failed (out of address space?)"
-                );
-                let rc = sys::mprotect(p, page, sys::PROT_NONE);
-                assert_eq!(rc, 0, "mprotect(guard page) failed");
-                Stack { base: p as *mut u8, len: total, mmapped: true }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = page; // no guard page off Linux
-            let layout = std::alloc::Layout::from_size_align(total, 16).unwrap();
-            let p = unsafe { std::alloc::alloc(layout) };
-            assert!(!p.is_null(), "coroutine stack allocation failed");
-            Stack { base: p, len: total, mmapped: false }
+        unsafe {
+            let p = sys::mmap(
+                std::ptr::null_mut(),
+                total,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            assert!(p as isize != -1, "mmap of a {total}-byte coroutine stack failed (out of address space?)");
+            let rc = sys::mprotect(p, page, sys::PROT_NONE);
+            assert_eq!(rc, 0, "mprotect(guard page) failed");
+            Stack { base: p as *mut u8, len: total }
         }
     }
 
@@ -467,21 +430,13 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if self.mmapped {
-            unsafe {
-                sys::munmap(self.base as *mut std::ffi::c_void, self.len);
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
         unsafe {
-            let layout = std::alloc::Layout::from_size_align(self.len, 16).unwrap();
-            std::alloc::dealloc(self.base, layout);
+            sys::munmap(self.base as *mut std::ffi::c_void, self.len);
         }
     }
 }
 
-#[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -44,9 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a locked read-modify-write. Every counter of a [`Counters`] block (and
 /// every per-processor histogram of the registry) is written only by its
 /// owning *processor* — an invariant about the simulated processor, not
-/// about OS-thread identity. Under the threaded executor the two
-/// coincide; under the pooled executor the processor may migrate between
-/// worker threads, but only at suspension points, and the scheduler's
+/// about OS-thread identity. The processor may migrate between worker
+/// threads, but only at suspension points, and the scheduler's
 /// run-queue locks establish happens-before between the worker that
 /// wrote last and the worker that resumes next — so writes never race
 /// and the unlocked form stays exact. It is roughly 3× cheaper than

@@ -85,19 +85,6 @@ impl World {
     }
 }
 
-/// How this processor's blocking points are implemented: by parking the
-/// dedicated OS thread (threaded executor) or by suspending the
-/// processor's coroutine back into the worker-pool scheduler (pooled
-/// executor). Everything else — registration, wakeup, the watchdog,
-/// matching, FIFO order, virtual-time accounting — is shared, which is
-/// what makes the two executors bit-identical in virtual time.
-pub(crate) enum ExecCtx {
-    /// One dedicated OS thread; blocking parks it.
-    Thread,
-    /// Coroutine multiplexed on the worker pool; blocking suspends.
-    Pooled(Yielder),
-}
-
 /// Set in a lap by a compute charge: the next step also cuts at its start.
 /// Readings (ns since the run began) stay far below it, so `cut` returns 0.
 const CHARGED: u64 = 1 << 63;
@@ -113,12 +100,13 @@ fn cut(lap: &mut u64, start: Instant) -> u64 {
     now.saturating_sub(std::mem::replace(lap, now))
 }
 
-/// Execution context of one physical processor (one per SPMD thread).
+/// Execution context of one physical processor (one per coroutine).
 pub struct ProcCtx {
     rank: usize,
     world: Arc<World>,
-    /// Blocking/yield strategy (threaded vs pooled executor).
-    exec: ExecCtx,
+    /// Suspends this processor's coroutine back into its pool worker: every
+    /// blocking point and yield goes through it.
+    yielder: Yielder,
     /// Virtual clock (seconds). Unused in real-time mode.
     clock: f64,
     /// Wall-clock start, for real-time mode.
@@ -162,7 +150,7 @@ pub struct ProcCtx {
 }
 
 impl ProcCtx {
-    pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant, exec: ExecCtx) -> Self {
+    pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant, yielder: Yielder) -> Self {
         let profile = world.profile && world.mode.is_simulated();
         let tracing = world.tracing;
         let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
@@ -171,7 +159,7 @@ impl ProcCtx {
         ProcCtx {
             rank,
             world,
-            exec,
+            yielder,
             clock: 0.0,
             start,
             lap: CHARGED,
@@ -371,13 +359,13 @@ impl ProcCtx {
         self.ahead = backlog.then_some(dst).or(self.ahead);
     }
 
-    /// A send found its previous message still queued: a pooled processor
+    /// A send found its previous message still queued: the processor
     /// yields its worker once, at its next receive, charge or send into that
     /// lane, so a burst of sends (an all-to-all) is never cut in half.
     #[inline]
     fn catch_up(&mut self) {
-        if let (Some(_), ExecCtx::Pooled(yielder)) = (self.ahead.take(), &self.exec) {
-            yielder.suspend(YieldKind::Yielded);
+        if self.ahead.take().is_some() {
+            self.yielder.suspend(YieldKind::Yielded);
             self.lap |= YIELDED;
         }
     }
@@ -466,17 +454,14 @@ impl ProcCtx {
     fn take_env(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.world.nprocs, "recv from nonexistent processor {src}");
         self.catch_up();
-        let (world, exec, tl, start, lap) = (&self.world, &self.exec, &self.tl, self.start, &mut self.lap);
+        let (world, yielder, tl, start, lap) = (&self.world, &self.yielder, &self.tl, self.start, &mut self.lap);
         let mut parked = false;
         let env = world.mailboxes[self.rank].take(src, tag, || {
             if tl.is_some() && *lap & (CHARGED | YIELDED) != 0 {
                 cut(lap, start);
             }
             parked = true;
-            match exec {
-                ExecCtx::Thread => world.parkers.park_thread(self.rank),
-                ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Blocked),
-            }
+            yielder.suspend(YieldKind::Blocked);
         });
         let c = &self.counters;
         bump(&c.recvs, 1);
@@ -520,24 +505,17 @@ impl ProcCtx {
     pub fn probe(&self, src: usize, tag: u64) -> bool {
         let found = self.world.mailboxes[self.rank].probe(src, tag);
         if !found {
-            if let ExecCtx::Pooled(yielder) = &self.exec {
-                yielder.suspend(YieldKind::Yielded);
-            }
+            self.yield_now();
         }
         found
     }
 
-    /// Let other runnable processors use this processor's execution
-    /// resource: the OS scheduler's `yield_now` under the threaded
-    /// executor, a cooperative reschedule (to the back of the run queue)
-    /// under the pooled one. Poll loops must call this — under the pooled
-    /// executor a spinning processor otherwise occupies a worker that the
-    /// peer it is waiting for may need.
+    /// Let other runnable processors use this processor's worker: a
+    /// cooperative reschedule to the back of the run queue. Poll loops
+    /// must call this — a spinning processor otherwise occupies a worker
+    /// that the peer it is waiting for may need.
     pub fn yield_now(&self) {
-        match &self.exec {
-            ExecCtx::Thread => std::thread::yield_now(),
-            ExecCtx::Pooled(yielder) => yielder.suspend(YieldKind::Yielded),
-        }
+        self.yielder.suspend(YieldKind::Yielded);
     }
 
     /// Mark an instant at the current time on this processor's log.

@@ -4,8 +4,8 @@
 //! built — tests set variables at run time, so not once per process — and
 //! an explicit `with_*` on the machine always wins. A
 //! variable that is set to something its knob does not accept panics,
-//! naming the variable and the accepted forms: `FX_EXECUTOR=pooledd`
-//! must not silently test the default executor.
+//! naming the variable and the accepted forms: `FX_WORKERS=two` must
+//! not silently test the default worker count.
 
 /// One environment variable, as the README's knob table and the panic a
 /// malformed value raises show it.
@@ -20,13 +20,12 @@ pub struct Knob {
 
 /// Every knob the library reads; the README's table mirrors it (a unit
 /// test compares them).
-pub const KNOBS: [Knob; 7] = [
+pub const KNOBS: [Knob; 6] = [
     Knob {
-        name: "FX_EXECUTOR",
-        accepts: "`threaded` or `pooled`",
-        default: "`pooled` for simulated machines, `threaded` for real-time ones",
+        name: "FX_WORKERS",
+        accepts: "an integer, at most one per processor counts; `0` is the default",
+        default: "one per host CPU for simulated machines, one per processor for real-time ones",
     },
-    Knob { name: "FX_WORKERS", accepts: "an integer; `0` is one per host CPU", default: "`0`" },
     Knob { name: "FX_DATAFLOW", accepts: "`off`, `on` or `validate`", default: "`on`" },
     Knob {
         name: "FX_HEARTBEAT",

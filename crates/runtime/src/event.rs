@@ -23,7 +23,7 @@
 //! ([`crate::chrome_trace`]) are folds over a log's events.
 //!
 //! An event carries no host time, so a log is a pure function of the
-//! program: equal (`==`) across executors and runs. Recording never moves
+//! program: equal (`==`) across worker counts and runs. Recording never moves
 //! the virtual clock.
 //!
 //! Labels — a scope path like `G1/assign2`, a mark's text — are interned
@@ -346,7 +346,7 @@ pub struct Log {
 
 /// Equal events under equal label tables. Ids are per-processor and
 /// interned in program order, so two runs of one program compare equal
-/// whatever the executor.
+/// whatever the worker count.
 impl PartialEq for Log {
     fn eq(&self, other: &Self) -> bool {
         let paths = |l: &Labels| l.table.lock().labels.iter().map(|l| Arc::clone(&l.path)).collect::<Vec<_>>();

@@ -62,9 +62,9 @@ impl FlightRing {
 
     /// Append an event stamped `wall_ns` (host nanoseconds since the run
     /// started). Called only by the owning processor — one writer
-    /// at a time by construction under either executor (the pooled
-    /// scheduler serializes a processor's execution across the workers
-    /// it migrates over, with its queue locks ordering the handoff).
+    /// at a time by construction (the scheduler serializes a processor's
+    /// execution across the workers it migrates over, with its queue
+    /// locks ordering the handoff).
     #[inline]
     pub fn push(&self, wall_ns: u64, ev: &Event) {
         debug_assert!(ev.label < (1 << 24), "flight label id overflow");

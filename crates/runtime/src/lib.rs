@@ -7,9 +7,8 @@
 //! Paragon; this crate stands in for that machine:
 //!
 //! * **SPMD execution** — `run(machine, f)` executes the same closure
-//!   once per simulated processor, each with its own [`ProcCtx`]: as
-//!   stackful coroutines on a fixed worker pool (the default under
-//!   simulated time) or on a host thread each ([`Executor`]).
+//!   once per simulated processor, each with its own [`ProcCtx`], as a
+//!   stackful coroutine on a fixed pool of worker threads ([`Executor`]).
 //! * **Direct-deposit messaging** — [`ProcCtx::send`] deposits a typed
 //!   payload straight into the destination mailbox (the Fx communication
 //!   style); [`ProcCtx::recv`] matches on `(source, tag)` FIFO channels.

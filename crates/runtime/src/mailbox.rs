@@ -28,27 +28,25 @@
 //!   slots, not P², and a mailbox's heap grows with the senders it hears
 //!   from, not with P. `probe` and the observers read an absent lane as
 //!   empty and build nothing.
-//! * **A backlog makes a pooled sender yield** (`ProcCtx::catch_up`): a
+//! * **A backlog makes a sender yield** (`ProcCtx::catch_up`): a
 //!   deposit reports whether its sender's previous message was still queued.
 //!
 //! ## The wakeup protocol
 //!
-//! One protocol, whichever executor owns the mailbox. A receiver that
-//! finds no match *registers* the tag it needs in the lane
-//! (`waiting_tag`, written under the lane lock) and parks through the
-//! `park` closure its executor supplies; a deposit that matches the
-//! registered tag clears it and wakes the owning processor
+//! One protocol. A receiver that finds no match *registers* the tag it
+//! needs in the lane (`waiting_tag`, written under the lane lock) and
+//! parks through the `park` closure its context supplies; a deposit that
+//! matches the registered tag clears it and wakes the owning processor
 //! ([`Parkers::wake`]). Registration-under-lock closes the race with a
 //! concurrent deposit: the depositor either sees the registration (and
 //! wakes) or deposited before it (and the wake is not needed: the
 //! receiver's next look at the lane finds the message). A wake that
 //! arrives before the park commits is latched, so the park aborts — see
-//! [`crate::parker`] for the latch, for what parking and waking mean
-//! under each executor, and for the watchdog, which latches a
-//! `timed_out` flag and wakes the processor; it re-checks its lane and
-//! raises the deadlock diagnostic from its own context. A deposit nobody
-//! is registered for wakes nobody: no system call, and nothing shared is
-//! written but the lane.
+//! [`crate::parker`] for the latch, for what parking and waking mean,
+//! and for the watchdog, which latches a `timed_out` flag and wakes the
+//! processor; it re-checks its lane and raises the deadlock diagnostic
+//! from its own context. A deposit nobody is registered for wakes nobody:
+//! no system call, and nothing shared is written but the lane.
 //!
 //! `poison` sets the flag, then *materialises* each lane and bumps its
 //! lock, then wakes the owner unconditionally. The wake alone is not
@@ -255,7 +253,7 @@ impl Mailbox {
     }
 
     /// Block until a message from `src` with `tag` is available and take
-    /// it. `park` is the executor's way to block the owning processor
+    /// it. `park` is the context's way to block the owning processor
     /// until its next wake (see the module header for the protocol).
     ///
     /// The run's recv timeout bounds the wait; exceeding it indicates a
@@ -372,8 +370,9 @@ mod tests {
     use super::*;
     use crate::clock::{spawn_ticker, tick_period, CoarseClock, TickGuard};
     use crate::payload::erase;
+    use crate::pool::Pool;
 
-    /// The mailbox of processor 0 of a one-processor threaded run: its
+    /// The mailbox of processor 0 of a one-processor run: its
     /// park latch, a coarse clock of its own, and a ticker playing the
     /// run's watchdog for as long as the harness lives.
     struct Harness {
@@ -390,7 +389,7 @@ mod tests {
 
     fn harness(nprocs: usize, timeout: Duration) -> Harness {
         let clock = Arc::new(CoarseClock::new());
-        let parkers = Parkers::new(1, None, timeout, Arc::clone(&clock));
+        let parkers = Parkers::new(1, Pool::new(1, 1), timeout, Arc::clone(&clock));
         let mb = Arc::new(Mailbox::new(nprocs, 0, Arc::clone(&parkers)));
         let expire = move |now, slack| parkers.expire_parked(now, slack, |_, _| ());
         Harness { mb, _watchdog: spawn_ticker("fx-tick", clock, tick_period(timeout), expire) }
@@ -400,9 +399,17 @@ mod tests {
         harness(nprocs, Duration::from_secs(10))
     }
 
-    /// Processor 0 (the calling thread) receives.
+    /// Processor 0 (the calling thread) receives, standing in for the
+    /// worker of a one-worker pool: it commits the park and then waits
+    /// for a wake to put processor 0 on the run queue.
     fn take(mb: &Mailbox, src: usize, tag: u64) -> Envelope {
-        mb.take(src, tag, || mb.parkers.park_thread(0))
+        mb.take(src, tag, || {
+            if mb.parkers.commit_park(0) {
+                while mb.parkers.pool.find_work(0).is_none() {
+                    std::thread::yield_now();
+                }
+            }
+        })
     }
 
     /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.

@@ -1,5 +1,5 @@
-//! The pooled executor: P simulated processors multiplexed onto a fixed
-//! pool of worker threads.
+//! The executor: P simulated processors multiplexed onto a fixed pool of
+//! worker threads.
 //!
 //! Each processor runs as a stackful coroutine ([`crate::coro`]). Workers
 //! pull runnable processors from per-worker run queues (plus a shared
@@ -32,8 +32,9 @@
 //! per-processor state advanced by local charges and by message
 //! causality (`recv` takes `max(own clock, arrival)`), and message
 //! matching is FIFO per `(src, tag)` with no wildcard receive — so the
-//! virtual-time results are bit-identical to the threaded executor no
-//! matter how processors interleave on workers.
+//! virtual-time results are bit-identical whatever the worker count and
+//! however processors interleave on workers. One worker is a cooperative
+//! schedule; one worker per processor gives each its own preempted thread.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -46,7 +47,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::clock::debug_counters;
 use crate::coro::{Coro, YieldKind, Yielder};
-use crate::ctx::{ExecCtx, ProcCtx, World};
+use crate::ctx::{ProcCtx, World};
 use crate::parker::Parkers;
 use crate::run::{run_proc, ProcOutcome, RawOutcomes};
 
@@ -76,7 +77,7 @@ pub(crate) struct Pool {
 
 impl Pool {
     pub(crate) fn new(nprocs: usize, workers: usize) -> Arc<Pool> {
-        assert!(workers >= 1, "pooled executor needs at least one worker");
+        assert!(workers >= 1, "the executor needs at least one worker");
         Arc::new(Pool {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             global: Mutex::new(VecDeque::new()),
@@ -115,7 +116,7 @@ impl Pool {
 
     /// Pop runnable work: own queue front, then the injector, then steal
     /// from the back of the other workers' queues.
-    fn find_work(&self, widx: usize) -> Option<usize> {
+    pub(crate) fn find_work(&self, widx: usize) -> Option<usize> {
         if let Some(p) = self.queues[widx].lock().pop_front() {
             return Some(p);
         }
@@ -209,9 +210,8 @@ fn worker_loop(pool: &Pool, parkers: &Parkers, coros: &[Mutex<Option<Coro>>], wi
 }
 
 /// Run the SPMD closure over all processors of `world` on this pool:
-/// each coroutine runs the per-processor harness the threaded executor's
-/// threads run ([`run_proc`]) and the same per-rank outcomes come back
-/// for the shared report-assembly code in `run`.
+/// each coroutine runs the per-processor harness ([`run_proc`]) and the
+/// per-rank outcomes come back for the report assembly in `run`.
 pub(crate) fn execute<R, F>(
     pool: &Arc<Pool>,
     world: &Arc<World>,
@@ -234,7 +234,7 @@ where
         .map(|rank| {
             let slot = &slots[rank];
             let entry = Box::new(move |y: &Yielder| {
-                *slot.lock() = Some(run_proc(rank, world, ExecCtx::Pooled(*y), start, f));
+                *slot.lock() = Some(run_proc(rank, world, *y, start, f));
             });
             Mutex::new(Some(unsafe { Coro::new_scoped(stack_bytes, entry) }))
         })

@@ -6,9 +6,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::clock::{self, CoarseClock};
-use crate::coro;
+use crate::coro::Yielder;
 use crate::counters::{ProcTotals, PromoteStats};
-use crate::ctx::{ExecCtx, ProcCtx, World};
+use crate::ctx::{ProcCtx, World};
 use crate::env;
 use crate::event::Log;
 use crate::mailbox::Mailbox;
@@ -18,42 +18,42 @@ use crate::pool::{self, Pool};
 use crate::stall::StallWatch;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
-/// How simulated processors are mapped onto OS threads.
+/// How simulated processors are mapped onto OS threads: each one is a
+/// stackful coroutine on a pool of `workers` threads.
 ///
-/// Either executor produces **bit-identical virtual-time results**:
-/// virtual clocks are per-processor state coupled only through message
-/// causality, and matching is FIFO per `(src, tag)` with no wildcard
-/// receive, so host scheduling order cannot leak into simulated time.
-/// The choice only affects host wall-clock and resource footprint.
+/// The worker count moves host wall-clock and footprint only, never a
+/// result: virtual clocks are per-processor state coupled only through
+/// message causality, and matching is FIFO per `(src, tag)` with no
+/// wildcard receive, so host scheduling order cannot leak into simulated
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// One dedicated OS thread per simulated processor — the reference
-    /// executor (and the only option for `P` real-time processors that
-    /// genuinely need preemptive parallelism). At P ≫ cores it drowns in
-    /// thread stacks and kernel context switches.
-    Threaded,
-    /// Each processor is a stackful coroutine multiplexed onto a fixed
-    /// pool of `workers` OS threads with per-worker run queues and work
-    /// stealing; blocking receives suspend into the scheduler. `workers
-    /// == 0` means auto (`available_parallelism`). The default for
-    /// simulated machines.
+    /// Processors multiplexed onto `workers` OS threads with per-worker
+    /// run queues and work stealing; blocking receives suspend into the
+    /// scheduler. `workers == 0` is one per host CPU under simulated time
+    /// and one per processor under real time; a count above the number of
+    /// processors is clamped to it, one preempted thread each.
     Pooled {
-        /// Worker threads (0 = number of host CPUs).
+        /// Worker threads (0 = the time mode's default).
         workers: usize,
     },
 }
 
 impl Executor {
-    /// The pooled executor with automatic worker count.
+    /// The pool with the time mode's worker count.
     pub fn pooled() -> Self {
         Executor::Pooled { workers: 0 }
     }
+
+    /// One worker per processor: `benchmark/`'s spelling of it.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Threaded: Executor = Executor::Pooled { workers: usize::MAX };
 }
 
 impl std::fmt::Display for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Executor::Threaded => write!(f, "threaded"),
             Executor::Pooled { workers: 0 } => write!(f, "pooled(auto)"),
             Executor::Pooled { workers } => write!(f, "pooled({workers})"),
         }
@@ -111,9 +111,9 @@ pub struct Machine {
     /// Live telemetry registry (see [`crate::Telemetry`]). Host-side
     /// only: enabling it never changes virtual times.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// How processors map onto OS threads (defaults: pooled for
-    /// simulated machines, threaded for real-time ones; `FX_EXECUTOR`
-    /// and `FX_WORKERS` override the default, an explicit
+    /// How processors map onto OS threads (default: one worker per host
+    /// CPU for simulated machines, one per processor for real-time ones;
+    /// `FX_WORKERS` overrides the default, an explicit
     /// [`Machine::with_executor`] overrides everything).
     pub executor: Executor,
     /// Barrier elision for distributed-array statements (default `On`;
@@ -140,7 +140,7 @@ pub struct Machine {
     /// overrides everything). Host-side observability only: virtual
     /// times are bit-identical with tracing on or off.
     pub tracing: bool,
-    /// Stack of each pooled processor's coroutine (`FX_STACK_KB`).
+    /// Stack of each processor's coroutine (`FX_STACK_KB`).
     pub(crate) stack_bytes: usize,
 }
 
@@ -165,11 +165,6 @@ impl Machine {
             _ => None,
         };
         let workers = env::read("FX_WORKERS", |s| s.parse().ok()).unwrap_or(0);
-        let pooled = env::read("FX_EXECUTOR", |s| match s {
-            "pooled" => Some(true),
-            "threaded" => Some(false),
-            _ => None,
-        });
         let dataflow = env::read("FX_DATAFLOW", |s| match s {
             "validate" => Some(DataflowMode::Validate),
             _ => on_off(s).map(|on| if on { DataflowMode::On } else { DataflowMode::Off }),
@@ -188,7 +183,7 @@ impl Machine {
             recv_timeout: timeout_ms.map_or(Duration::from_secs(60), Duration::from_millis),
             profile: false,
             telemetry: None,
-            executor: if pooled.unwrap_or(simulated) { Executor::Pooled { workers } } else { Executor::Threaded },
+            executor: Executor::Pooled { workers },
             dataflow: dataflow.unwrap_or(DataflowMode::On),
             heartbeat,
             heartbeat_period: 1e-3,
@@ -203,8 +198,8 @@ impl Machine {
         self
     }
 
-    /// Pin the executor, overriding both the mode default and the
-    /// `FX_EXECUTOR`/`FX_WORKERS` environment.
+    /// Pin the worker count, overriding both the mode default and the
+    /// `FX_WORKERS` environment.
     pub fn with_executor(mut self, e: Executor) -> Self {
         self.executor = e;
         self
@@ -440,20 +435,14 @@ where
     assert!(machine.nprocs >= 1, "machine needs at least one processor");
     debug_assert!(machine.dataflow != DataflowMode::Validate, "validate resolves before launch");
     let coarse = Arc::new(CoarseClock::new());
-    // Resolve the effective executor: auto worker counts become concrete,
-    // and targets without a coroutine backend fall back to threads.
-    let pool = match machine.executor {
-        Executor::Pooled { workers } if coro::SUPPORTED => {
-            let workers = if workers == 0 {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            } else {
-                workers
-            };
-            Some(Pool::new(machine.nprocs, workers.clamp(1, machine.nprocs)))
-        }
-        _ => None,
+    let Executor::Pooled { workers } = machine.executor;
+    let workers = match (workers, machine.mode) {
+        (0, TimeMode::Simulated(_)) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        (0, TimeMode::Real) => machine.nprocs,
+        (w, _) => w,
     };
-    let parkers = Parkers::new(machine.nprocs, pool.clone(), machine.recv_timeout, Arc::clone(&coarse));
+    let pool = Pool::new(machine.nprocs, workers.clamp(1, machine.nprocs));
+    let parkers = Parkers::new(machine.nprocs, Arc::clone(&pool), machine.recv_timeout, Arc::clone(&coarse));
     let telemetry = machine.telemetry.clone();
     let world = Arc::new(World {
         nprocs: machine.nprocs,
@@ -477,7 +466,7 @@ where
     if let Some(t) = &telemetry {
         t.begin_run(&world);
     }
-    // The run's one service thread, under either executor: its tick
+    // The run's one service thread: its tick
     // advances the coarse clock, expires parked receives and, for a
     // registry that asks, reports stalled ones. It lives exactly as long
     // as the execution: the guard stops and joins it on drop, even when a
@@ -489,17 +478,13 @@ where
         None => parkers.expire_parked(now, slack, |_, _| ()),
     });
 
-    let raw = match &pool {
-        Some(p) => pool::execute(p, &world, machine.stack_bytes, start, &f),
-        None => run_threaded(&world, start, &f),
-    };
+    let raw = pool::execute(&pool, &world, machine.stack_bytes, start, &f);
 
     // Tear down the tick before (possibly) re-raising a panic.
     drop(ticker);
 
     // Prefer reporting the root-cause panic over the poison-induced
-    // secondary ones, scanning in rank order like the threaded join loop
-    // always has.
+    // secondary ones, scanning in rank order.
     let mut outcomes: Vec<Option<ProcOutcome<R>>> = Vec::with_capacity(machine.nprocs);
     let mut first_panic: Option<Box<dyn Any + Send>> = None;
     let mut poison_panic: Option<Box<dyn Any + Send>> = None;
@@ -628,26 +613,7 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
     );
 }
 
-/// The reference executor: one dedicated OS thread per simulated
-/// processor, each running [`run_proc`]; results are collected in rank
-/// order.
-fn run_threaded<R, F>(world: &Arc<World>, start: Instant, f: &F) -> RawOutcomes<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx) -> R + Send + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..world.nprocs)
-            .map(|rank| scope.spawn(move || run_proc(rank, world, ExecCtx::Thread, start, f)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| Some(h.join().expect("SPMD worker thread died outside catch_unwind")))
-            .collect()
-    })
-}
-
-/// One processor's life under either executor: build its context, run
+/// One processor's life on its coroutine: build its context, run
 /// the SPMD closure, and hand back what it produced — or, if it
 /// panicked, unblock everyone else, dump its flight recorder (when a
 /// registry is attached, and unless this is a secondary poison panic:
@@ -655,14 +621,14 @@ where
 pub(crate) fn run_proc<R, F>(
     rank: usize,
     world: &Arc<World>,
-    exec: ExecCtx,
+    yielder: Yielder,
     start: Instant,
     f: &F,
 ) -> Result<ProcOutcome<R>, Box<dyn Any + Send>>
 where
     F: Fn(&mut ProcCtx) -> R,
 {
-    let mut cx = ProcCtx::new(rank, Arc::clone(world), start, exec);
+    let mut cx = ProcCtx::new(rank, Arc::clone(world), start, yielder);
     match catch_unwind(AssertUnwindSafe(|| f(&mut cx))) {
         Ok(value) => Ok(cx.finish(value)),
         Err(payload) => {

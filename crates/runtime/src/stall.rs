@@ -20,8 +20,7 @@
 //! All diagnostics here are keyed by **processor id**, never by thread
 //! identity: park stamps, wait registrations and queue snapshots live in
 //! per-processor slots and mailboxes indexed by rank. That is what keeps
-//! who-blocks-on-whom dumps correct under the pooled executor, where
-//! many processors share (and migrate between) a few worker threads and
+//! who-blocks-on-whom dumps correct when many processors share (and migrate between) a few worker threads and
 //! a thread id means nothing.
 
 use std::sync::Arc;

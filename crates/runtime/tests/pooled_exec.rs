@@ -1,6 +1,5 @@
-//! The pooled coroutine executor: correctness under P ≫ workers and
-//! determinism against the threaded reference. (Its failure modes run in
-//! `tests/failure_modes.rs`, in one loop with the threaded executor's.)
+//! The coroutine executor: correctness under P ≫ workers and determinism
+//! across worker counts. (Its failure modes run in `tests/failure_modes.rs`.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,28 +35,31 @@ fn pooled_ping_pong_real_mode() {
     assert_eq!(rep.results, vec![124, 123]);
 }
 
+/// One worker, two, and one per processor (4096 is clamped to P).
+const WORKERS: [usize; 3] = [1, 2, 4096];
+
+fn bits(times: &[f64]) -> Vec<u64> {
+    times.iter().map(|t| t.to_bits()).collect()
+}
+
 #[test]
-fn pooled_matches_threaded_bitwise() {
+fn virtual_times_and_logs_do_not_depend_on_the_worker_count() {
     let m = MachineModel::paragon();
     // The last input is the simulated machine outgrowing the host: three
-    // trips round a 256-processor ring on two workers.
+    // trips round a 256-processor ring.
     for &(p, rounds) in &[(1, 1), (2, 1), (4, 1), (8, 1), (17, 1), (256, 3)] {
         let laps = move |cx: &mut ProcCtx| (0..rounds).map(|_| ring(cx)).fold(0.0, f64::max);
-        let pooled = run(
-            &Machine::simulated(p, m).with_executor(Executor::Pooled { workers: 2 }),
-            laps,
-        );
-        let threaded =
-            run(&Machine::simulated(p, m).with_executor(Executor::Threaded), laps);
-        for rank in 0..p {
-            assert_eq!(
-                pooled.times[rank].to_bits(),
-                threaded.times[rank].to_bits(),
-                "virtual time diverged at p={p} rank={rank}"
-            );
+        for profiled in [false, true] {
+            let machine = |workers| Machine::simulated(p, m).with_profiling(profiled).with_executor(Executor::Pooled { workers });
+            let reps = WORKERS.map(|workers| run(&machine(workers), laps));
+            for (rep, workers) in reps.iter().zip(WORKERS).skip(1) {
+                let at = format!("p={p} profiled={profiled}: {workers} workers against 1");
+                assert_eq!(bits(&rep.times), bits(&reps[0].times), "virtual time diverged, {at}");
+                assert_eq!((&rep.traffic, rep.undelivered), (&reps[0].traffic, reps[0].undelivered), "{at}");
+                // Logs are virtual-time records: identical too.
+                assert!(rep.logs == reps[0].logs, "logs diverged, {at}");
+            }
         }
-        assert_eq!(pooled.traffic, threaded.traffic);
-        assert_eq!(pooled.undelivered, threaded.undelivered);
     }
 }
 
@@ -70,15 +72,12 @@ fn many_procs_on_few_workers() {
     let rep = run(&machine, ring);
     assert_eq!(rep.results.len(), 64);
     assert_eq!(rep.undelivered, 0);
-    // And the exact same virtual times as the reference executor.
+    // And the exact same virtual times as on a worker per processor.
     let reference = run(
-        &Machine::simulated(64, MachineModel::paragon()).with_executor(Executor::Threaded),
+        &Machine::simulated(64, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 64 }),
         ring,
     );
-    assert_eq!(
-        rep.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-        reference.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
-    );
+    assert_eq!(bits(&rep.times), bits(&reference.times));
 }
 
 #[test]
@@ -165,19 +164,4 @@ fn pooled_yield_now_is_cooperative() {
         }
     });
     assert_eq!(turns.load(Ordering::SeqCst), 20);
-}
-
-#[test]
-fn pooled_profiled_runs_are_bit_identical_too() {
-    let m = MachineModel::fast_network();
-    let base = Machine::simulated(8, m);
-    let pooled = run(&base.clone().with_profiling(true).with_executor(Executor::pooled()), ring);
-    let threaded =
-        run(&base.with_profiling(true).with_executor(Executor::Threaded), ring);
-    assert_eq!(
-        pooled.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-        threaded.times.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
-    );
-    // Logs are virtual-time records: identical too.
-    assert_eq!(pooled.logs, threaded.logs);
 }

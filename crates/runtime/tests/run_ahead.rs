@@ -1,4 +1,4 @@
-//! Host memory follows the simulated machine: a pooled sender whose
+//! Host memory follows the simulated machine: a sender whose
 //! previous message is still queued yields its worker, and a receiver that
 //! never sends a chunk's size class gives the storage back to the pool it
 //! came from. Neither moves virtual time.
@@ -19,15 +19,16 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const ONE_WORKER: Executor = Executor::Pooled { workers: 1 };
-const EXECUTORS: [Executor; 3] = [Executor::Threaded, ONE_WORKER, Executor::Pooled { workers: 2 }];
+/// One worker, two, and one per processor (4096 is clamped to P).
+const EXECUTORS: [Executor; 3] = [ONE_WORKER, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }];
 
 fn machine(p: usize, executor: Executor) -> Machine {
     Machine::simulated(p, MachineModel::paragon()).with_executor(executor)
 }
 
-/// Run `f` under every executor; the virtual finish times, results and
+/// Run `f` under every worker count; the virtual finish times, results and
 /// traffic must be bit-identical. Returns the reports in `EXECUTORS` order.
-fn under_every_executor<R, F>(p: usize, f: F) -> Vec<RunReport<R>>
+fn under_every_worker_count<R, F>(p: usize, f: F) -> Vec<RunReport<R>>
 where
     R: Send + PartialEq + std::fmt::Debug,
     F: Fn(&mut ProcCtx) -> R + Send + Sync,
@@ -76,7 +77,7 @@ fn a_one_way_stream_holds_at_most_two_messages_in_its_lane() {
     assert!(depth <= 2 && (depth > 0 || !cfg!(debug_assertions)), "the lane held {depth} messages");
     assert!(ahead.load(Ordering::Relaxed) <= 2, "the sender ran {} messages ahead", ahead.load(Ordering::Relaxed));
     // `taken` only grows from here on, so `ahead` reads nothing new.
-    under_every_executor(2, stream);
+    under_every_worker_count(2, stream);
 }
 
 /// (b) A one-way stream of 1 000 chunks of 8 KiB: the receiver never sends
@@ -107,13 +108,13 @@ fn a_chunk_stream_recycles_the_senders_buffers() {
             sum
         }
     };
-    let reps = under_every_executor(2, stream);
+    let reps = under_every_worker_count(2, stream);
     assert_eq!(reps[0].results, [0, ELEMS as u64 * CHUNKS * (CHUNKS - 1) / 2]);
     for (rep, e) in reps.iter().zip(EXECUTORS) {
         let (src, dst) = (&rep.counters[0], &rep.counters[1]);
         assert_eq!((src.pool_hits + src.pool_misses, dst.pool_hits + dst.pool_misses), (CHUNKS, 0), "{e:?}");
     }
-    let src = &reps[1].counters[0];
+    let src = &reps[0].counters[0];
     eprintln!("chunk stream on one worker: {} hits, {} misses", src.pool_hits, src.pool_misses);
     assert!(src.pool_misses <= 3, "the sender allocated {} of {CHUNKS} chunks", src.pool_misses);
 }
@@ -121,14 +122,14 @@ fn a_chunk_stream_recycles_the_senders_buffers() {
 /// (c) A P = 16 all-to-all of chunks, five rounds: every processor sends
 /// the class it receives, so it keeps what it receives. The first round
 /// allocates 15 buffers a processor and every later send finds one,
-/// whatever the executor.
+/// whatever the worker count.
 #[test]
 fn an_all_to_all_keeps_its_hits_and_misses() {
     let _serial = serial();
     const P: usize = 16;
     const ROUNDS: u64 = 5;
     const ELEMS: usize = 64;
-    let reps = under_every_executor(P, |cx: &mut ProcCtx| -> u64 {
+    let reps = under_every_worker_count(P, |cx: &mut ProcCtx| -> u64 {
         let me = cx.rank();
         let mut sum = 0;
         for round in 0..ROUNDS {

@@ -115,7 +115,8 @@ fn workload(cx: &mut ProcCtx) {
 
 #[test]
 fn tracing_leaves_virtual_times_bit_identical() {
-    for exec in [Executor::Threaded, Executor::Pooled { workers: 2 }] {
+    for workers in [1, 2, 4096] {
+        let exec = Executor::Pooled { workers };
         let base = Machine::simulated(5, MachineModel::paragon()).with_executor(exec);
         let off = run(&base.clone().with_tracing(false).with_profiling(true), workload);
         let on = run(&base.with_tracing(true).with_profiling(true), workload);

@@ -1,6 +1,6 @@
 //! A lost-wakeup hammer on the one wait/wake protocol (registration
 //! under the lane lock, the per-processor park latch): the same three
-//! storms under a thread per processor, one pool worker and two. A wakeup
+//! storms on one pool worker, two, and one per processor. A wakeup
 //! that went missing would end in the 5 s recv timeout, which fails the
 //! storm; CI runs this file in `--release` ten times in a row.
 
@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 use fx_runtime::{run, Executor, Machine, ProcCtx};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+/// One worker, two, and one per processor (4096 is clamped to P).
 const EXECUTORS: [Executor; 3] =
-    [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }];
+    [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }];
 
 fn machine(p: usize, executor: Executor) -> Machine {
     Machine::real(p).with_timeout(Duration::from_secs(5)).with_executor(executor)

@@ -15,7 +15,7 @@
 //! The load-bearing invariant: **serving changes scheduling, never
 //! answers.** Every request's output is bit-identical to the same
 //! computation run one-shot, whatever the offered load, batch size,
-//! queue depth, shed policy, executor, or mapping. Batching and
+//! queue depth, shed policy, worker count, or mapping. Batching and
 //! queueing reorder *when* work happens, not *what* it computes.
 //!
 //! ## One procedure, one ledger
@@ -29,7 +29,7 @@
 //! pure functions of the agreed round time, so every processor makes
 //! identical decisions without a coordinator or a message beyond the
 //! agreement — and under simulated time the whole serve run is
-//! bit-identical across executors and hosts, like every other Fx program.
+//! bit-identical across worker counts and hosts, like every other Fx program.
 //! Nobody is parked in a receive across a gap, so the deadlock watchdog
 //! needs no exemption for a quiet server.
 //!

@@ -102,7 +102,7 @@ fn admit(r: &ServeRequest, queue: &mut VecDeque<ServeRequest>, cfg: &ServeConfig
 
 /// Skip an idle gap to the agreed time `t`. The virtual clock jumps; the
 /// wall clock is waited for in short slices with a yield before each, so
-/// a pooled worker is never held across the gap: every processor reaches
+/// a worker is never held across the gap: every processor reaches
 /// its own wait and none sits parked in a receive for the watchdog tick
 /// to expire or report as a stall.
 fn skip_to(cx: &mut Cx, t: f64) {
@@ -121,7 +121,7 @@ fn skip_to(cx: &mut Cx, t: f64) {
 /// agreed time — never of its own `now()`: `run_batch` is SPMD over the
 /// batch. No coordinator, no extra messages beyond the agreement
 /// reduction, and under simulated time the run stays bit-identical
-/// across executors and hosts.
+/// across worker counts and hosts.
 fn serve_rounds<S: Servable>(
     cx: &mut Cx,
     servable: &S,

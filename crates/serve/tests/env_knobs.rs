@@ -1,4 +1,4 @@
-//! The seven `FX_*` knobs, one table: every accepted spelling resolves
+//! The six `FX_*` knobs, one table: every accepted spelling resolves
 //! to its value, every malformed value panics naming the variable, and an
 //! explicit `with_*` still wins. The environment is process-wide, so this
 //! is one test in a binary of its own.
@@ -14,7 +14,7 @@ use fx_runtime::{DataflowMode, Executor, Machine, MachineModel};
 fn resolved(knob: &Knob, real: bool) -> String {
     let m = if real { Machine::real(2) } else { Machine::simulated(2, MachineModel::paragon()) };
     match knob.name {
-        "FX_EXECUTOR" | "FX_WORKERS" => format!("{:?}", m.executor),
+        "FX_WORKERS" => format!("{:?}", m.executor),
         "FX_DATAFLOW" => format!("{:?}", m.dataflow),
         "FX_HEARTBEAT" => format!("{:?}", m.heartbeat),
         "FX_TRACE" => format!("{:?}", m.tracing),
@@ -34,15 +34,14 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     // (knob, unset on a simulated machine, unset on a real one, accepted
     // spelling → value, malformed values)
     type Row = (&'static str, &'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
-    let table: [Row; 7] = [
+    let table: [Row; 6] = [
         (
-            "FX_EXECUTOR",
+            "FX_WORKERS",
             "Pooled { workers: 0 }",
-            "Threaded",
-            &[("threaded", "Threaded"), ("pooled", "Pooled { workers: 0 }")],
-            &["pooledd", "Threaded", " pooled", ""],
+            "Pooled { workers: 0 }",
+            &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }"), ("4096", "Pooled { workers: 4096 }")],
+            &["two", "-1", "1.5", "pooled"],
         ),
-        ("FX_WORKERS", "Pooled { workers: 0 }", "Threaded", &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }")], &["two", "-1", "1.5"]),
         ("FX_DATAFLOW", "On", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
         ("FX_HEARTBEAT", "true", "false", &[("on", "true"), ("off", "false")], &["1", "true", "validate"]),
         (
@@ -56,7 +55,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         ("FX_STACK_KB", "1048576", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
     ];
     assert_eq!(table.map(|row| row.0), env::KNOBS.map(|k| k.name), "one row per knob of the table");
-    // CI legs export knobs (`FX_EXECUTOR=threaded cargo test`); this
+    // CI legs export knobs (`FX_WORKERS=1 cargo test`); this
     // process's environment is the test's own.
     for k in &env::KNOBS {
         std::env::remove_var(k.name);
@@ -64,14 +63,11 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
 
     for (knob, (_, unset_sim, unset_real, accepted, malformed)) in env::KNOBS.iter().zip(table) {
         assert_eq!((resolved(knob, false).as_str(), resolved(knob, true).as_str()), (unset_sim, unset_real), "{} unset", knob.name);
-        // FX_WORKERS only shows on a pooled machine; every other knob
-        // resolves the same way in both modes once it is set.
+        // Every knob resolves the same way in both modes once it is set.
         for &(spelling, value) in accepted {
             std::env::set_var(knob.name, spelling);
             assert_eq!(resolved(knob, false), value, "{}={spelling:?}", knob.name);
-            if knob.name != "FX_WORKERS" {
-                assert_eq!(resolved(knob, true), value, "{}={spelling:?} (real)", knob.name);
-            }
+            assert_eq!(resolved(knob, true), value, "{}={spelling:?} (real)", knob.name);
         }
         for &bad in malformed {
             std::env::set_var(knob.name, bad);
@@ -83,12 +79,12 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     }
 
     // An explicit `with_*` wins over the environment.
-    let set = [("FX_EXECUTOR", "threaded"), ("FX_DATAFLOW", "off"), ("FX_HEARTBEAT", "off")];
+    let set = [("FX_WORKERS", "3"), ("FX_DATAFLOW", "off"), ("FX_HEARTBEAT", "off")];
     for (name, value) in set.into_iter().chain([("FX_TRACE", "0"), ("FX_RECV_TIMEOUT_MS", "150")]) {
         std::env::set_var(name, value);
     }
     let m = Machine::simulated(2, MachineModel::paragon());
-    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Threaded, DataflowMode::Off, false));
+    assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Pooled { workers: 3 }, DataflowMode::Off, false));
     let m = m
         .with_executor(Executor::pooled())
         .with_dataflow(DataflowMode::On)

@@ -4,7 +4,7 @@
 //! mappings must answer every served request bit-identically to the
 //! sequential oracle, conserve request counters, report per-tenant
 //! accounting equal to an independent recount, and produce bit-identical
-//! virtual times on both executors.
+//! virtual times on one worker per processor and on two workers.
 
 use std::sync::Arc;
 
@@ -59,9 +59,10 @@ proptest! {
         let run = |exec: Executor, tracing: bool| serve_on(machine(exec, tracing));
         // One leg is observed: a registry never changes what is reported.
         let registry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));
-        let a = serve_on(machine(Executor::Threaded, false).with_telemetry(registry.clone()));
+        let per_proc = Executor::Pooled { workers: 4 };
+        let a = serve_on(machine(per_proc, false).with_telemetry(registry.clone()));
         let b = run(Executor::Pooled { workers: 2 }, false);
-        let ta = run(Executor::Threaded, true);
+        let ta = run(per_proc, true);
         let tb = run(Executor::Pooled { workers: 2 }, true);
 
         // Counter conservation and no lost requests, under any load.
@@ -99,7 +100,7 @@ proptest! {
             prop_assert!(c.done >= trace[c.req].arrival);
         }
 
-        // Executor invariance: identical decisions, identical virtual
+        // Worker-count invariance: identical decisions, identical virtual
         // times, identical SLO accounting.
         prop_assert_eq!(&a.times, &b.times);
         prop_assert_eq!(&a.shed, &b.shed);
@@ -112,7 +113,7 @@ proptest! {
         prop_assert_eq!(&a.tenants, &b.tenants);
 
         // Tracing is free on the virtual clock: same finish and
-        // completion times as the untraced run, on both executors.
+        // completion times as the untraced run, on both worker counts.
         for (traced, plain) in [(&ta, &a), (&tb, &b)] {
             prop_assert_eq!(&traced.times, &plain.times);
             prop_assert_eq!(traced.completions.len(), plain.completions.len());
@@ -122,7 +123,7 @@ proptest! {
         }
 
         // Per-request decompositions: one per completion, components
-        // summing exactly to end-to-end latency, on both executors.
+        // summing exactly to end-to-end latency, on both worker counts.
         for traced in [&ta, &tb] {
             prop_assert_eq!(traced.request_traces.len(), traced.completions.len());
             for t in &traced.request_traces {

@@ -1,6 +1,6 @@
 //! End-to-end serving tests: all four chain programs served under every
 //! kind of placement with answers bit-identical to one-shot runs, overload
-//! shedding, counter conservation, executor invariance, and real-time
+//! shedding, counter conservation, worker-count invariance, and real-time
 //! serving across trace gaps longer than the receive timeout.
 
 use std::time::Duration;
@@ -135,7 +135,7 @@ fn served_outputs_are_bit_identical_to_reference_for_every_mapping() {
 }
 
 #[test]
-fn serving_is_bit_identical_across_executors() {
+fn serving_is_bit_identical_across_worker_counts() {
     let cfg = FftHistConfig::new(16, 1);
     let trace = poisson_trace(&[TenantSpec::new("t", 80.0, 8)], 5);
     let serve_with = |exec: Executor| {
@@ -146,16 +146,16 @@ fn serving_is_bit_identical_across_executors() {
         .with_config(ServeConfig { queue_cap: 8, batch_max: 2, shed: ShedPolicy::DropNewest });
         server.serve(&trace, &["t"])
     };
-    let a = serve_with(Executor::Threaded);
+    let a = serve_with(Executor::Pooled { workers: 6 });
     let b = serve_with(Executor::Pooled { workers: 3 });
-    assert_eq!(a.times, b.times, "virtual finish times must not depend on the executor");
+    assert_eq!(a.times, b.times, "virtual finish times must not depend on the worker count");
     assert_eq!(a.completions.len(), b.completions.len());
     for (x, y) in a.completions.iter().zip(&b.completions) {
         assert_eq!(x.req, y.req);
         assert_eq!(x.output, y.output);
         assert_eq!(x.done.to_bits(), y.done.to_bits(), "completion vtimes bit-identical");
     }
-    assert_eq!(a.tenants, b.tenants, "SLO accounting must match across executors");
+    assert_eq!(a.tenants, b.tenants, "SLO accounting must match across worker counts");
 }
 
 #[test]
@@ -229,7 +229,7 @@ fn real_time_serving_survives_trace_gaps_longer_than_recv_timeout() {
         }
         t
     };
-    for exec in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
+    for exec in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
         let tele = std::sync::Arc::new(fx_runtime::Telemetry::new());
         let machine = Machine::real(4).with_executor(exec).with_timeout(TIMEOUT).with_telemetry(tele.clone());
         let server = Server::new(machine, fft_hist(cfg, Placement::pipeline([1, 2, 1])))

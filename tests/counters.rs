@@ -74,7 +74,7 @@ fn snapshot_rows_are_the_report_rows() {
     }
 }
 
-/// (b) No knob changes a count. Executor × registry × profiling ×
+/// (b) No knob changes a count. Worker count × registry × profiling ×
 /// tracing: every counter of every processor is identical in all 24
 /// cells — all but `lane_contention`, which is a `try_lock` outcome and
 /// so depends on the host schedule — and the three host durations are
@@ -86,7 +86,8 @@ fn counts_are_identical_under_every_knob() {
         rep.counters.iter().map(strip).collect()
     };
     let mut reference: Option<(Vec<ProcTotals>, Vec<u64>, Vec<f64>)> = None;
-    for executor in [Executor::Threaded, Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }] {
+    // One worker, two, and one per processor (4096 is clamped to P).
+    for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
         for observed in [false, true] {
             for (profiling, tracing) in [(false, false), (true, false), (false, true), (true, true)] {
                 let cell = format!("{executor} registry={observed} profiling={profiling} tracing={tracing}");

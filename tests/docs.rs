@@ -90,8 +90,8 @@ fn every_knob_a_document_names_is_in_the_table() {
 
 #[test]
 fn the_knob_scan_skips_bare_prefixes() {
-    let text = "every `FX_*` read; FX_EXECUTOR=pooledd, `FX_DATAFLOW={off,on}`, the FX_SERVE_* rows, PFX_NOT and `FX_`.";
-    assert_eq!(named_knobs(text), ["FX_EXECUTOR", "FX_DATAFLOW"]);
+    let text = "every `FX_*` read; FX_WORKERS=two, `FX_DATAFLOW={off,on}`, the FX_SERVE_* rows, PFX_NOT and `FX_`.";
+    assert_eq!(named_knobs(text), ["FX_WORKERS", "FX_DATAFLOW"]);
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn no_document_names_a_removed_api() {
     for doc in ["DESIGN.md", "README.md"] {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
         for (n, line) in text.lines().enumerate() {
-            for gone in ["Dist1::Replicated", "gather_to_root", "scatter_from_root", "rootio"] {
+            for gone in ["Dist1::Replicated", "gather_to_root", "scatter_from_root", "rootio", "Executor::Threaded", "FX_EXECUTOR"] {
                 if line.contains(gone) {
                     found.push(format!("{doc}:{}: {gone}", n + 1));
                 }

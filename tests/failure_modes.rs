@@ -14,9 +14,10 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
-fn both_executors() -> [fx::runtime::Executor; 2] {
+/// One worker, two, and one per processor (4096 is clamped to P).
+fn worker_counts() -> [fx::runtime::Executor; 3] {
     use fx::runtime::Executor;
-    [Executor::Threaded, Executor::Pooled { workers: 1 }]
+    [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }]
 }
 
 /// A receive with no matching send trips the deadlock watchdog with a
@@ -25,7 +26,7 @@ fn both_executors() -> [fx::runtime::Executor; 2] {
 /// watchdog's victim again for its post-wake recheck.
 #[test]
 fn deadlock_watchdog_fires() {
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let machine = Machine::real(2).with_timeout(Duration::from_millis(200)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| {
@@ -68,7 +69,7 @@ fn type_mismatch_is_loud() {
 /// coroutines — are unwedged.
 #[test]
 fn peer_panic_unblocks_waiters() {
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let machine = Machine::real(3).with_timeout(Duration::from_secs(30)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             spmd(&machine, |cx| {
@@ -222,7 +223,7 @@ fn stall_detector_diagnoses_deadlocked_exchange() {
     use std::sync::Arc;
 
     const TIMEOUT: Duration = Duration::from_secs(2);
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let telemetry = Arc::new(Telemetry::new());
         let machine = Machine::real(2)
             .with_timeout(TIMEOUT)
@@ -338,7 +339,7 @@ fn panic_in_a_donated_iteration_tears_down_the_promotable_loop() {
             out
         }
     };
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let machine = Machine::simulated(4, MachineModel::paragon())
             .with_heartbeat(true)
             .with_timeout(timeout)
@@ -359,7 +360,7 @@ fn panic_in_a_donated_iteration_tears_down_the_promotable_loop() {
 // Lanes on first use. A mailbox builds the lane of a source on the first
 // deposit from it or the first wait on it; poison and the deadlock dump
 // must treat a lane that only the waiting receiver has ever touched
-// exactly like one that carried traffic. Both executors, same diagnostics.
+// exactly like one that carried traffic. Every worker count, same diagnostics.
 // ---------------------------------------------------------------------
 
 /// Processor 2 blocks in `recv` on processor 1, which never sends it
@@ -372,7 +373,7 @@ fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
     use std::time::Instant;
 
     const TIMEOUT: Duration = Duration::from_secs(20);
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let machine = Machine::real(3).with_timeout(TIMEOUT).with_executor(executor);
         let released: Mutex<Option<(String, Duration)>> = Mutex::new(None);
         let err = catch_unwind(AssertUnwindSafe(|| {
@@ -431,7 +432,7 @@ fn oldest_secs(dump: &str, src: usize, tag: u64, n: usize) -> f64 {
 #[test]
 fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
     const GAP: Duration = Duration::from_millis(150);
-    for executor in both_executors() {
+    for executor in worker_counts() {
         let machine = Machine::real(3).with_timeout(Duration::from_millis(300)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {

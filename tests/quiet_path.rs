@@ -132,8 +132,8 @@ fn sleeper_gate_loses_no_wakeup_under_a_two_worker_barrier_storm() {
     assert_eq!(BACKSTOP_FOUND_WORK.load(Ordering::Relaxed) - missed0, 0, "a park backstop expired with work waiting");
 }
 
-/// (d) A coarse park stamp must not shorten the recv timeout, whichever
-/// executor parks the receiver: the deadlock panic comes no earlier than
+/// (d) A coarse park stamp must not shorten the recv timeout, whatever
+/// the worker count: the deadlock panic comes no earlier than
 /// the 200 ms configured and within two 25 ms watchdog periods after
 /// (plus what the host scheduler adds), with the usual text and a
 /// believable age for the message that *is* queued.
@@ -141,7 +141,8 @@ fn sleeper_gate_loses_no_wakeup_under_a_two_worker_barrier_storm() {
 fn recv_timeout_is_never_early_and_at_most_two_periods_late() {
     let _serial = serial();
     const TIMEOUT: Duration = Duration::from_millis(200);
-    for executor in [Executor::Threaded, Executor::Pooled { workers: 1 }] {
+    // One worker, two, and one per processor (4096 is clamped to P).
+    for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
         let machine = Machine::real(2).with_timeout(TIMEOUT).with_executor(executor);
         let seen: Mutex<Option<(String, Duration)>> = Mutex::new(None);
         catch_unwind(AssertUnwindSafe(|| {

@@ -31,9 +31,10 @@
 //! descriptors — so hits and misses cannot change classification.
 
 use std::any::{Any, TypeId};
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+use crate::hash::SplitMixHasher;
 
 /// Maximum number of cached plans per processor before LRU eviction.
 const PLAN_CACHE_CAP: usize = 64;
@@ -78,10 +79,9 @@ impl PlanCache {
     {
         self.tick += 1;
         let tick = self.tick;
-        // DefaultHasher::new() is deterministic (unlike RandomState), so
-        // cache behaviour — and with it the hit/miss counters tests assert
-        // on — is reproducible across runs.
-        let mut hasher = DefaultHasher::new();
+        // A deterministic hasher, and a cheap one: every lookup hashes the
+        // whole key. Hits and misses depend on exact key equality alone.
+        let mut hasher = SplitMixHasher::default();
         TypeId::of::<K>().hash(&mut hasher);
         key.hash(&mut hasher);
         let hash = hasher.finish();

@@ -148,6 +148,19 @@ impl DimMap {
         }
     }
 
+    /// How many of the indices below `g` (at most `n`) coordinate `c`
+    /// owns: the local index of the first one it owns from `g` on.
+    pub(crate) fn owned_before(&self, c: usize, g: usize) -> usize {
+        debug_assert!(c < self.q && g <= self.n);
+        match self.dist {
+            _ if self.q == 1 => g,
+            Dist::Block => g.saturating_sub(c * self.block()).min(self.local_len(c)),
+            Dist::Star => unreachable!("a '*' dimension has one position"),
+            Dist::Cyclic => g.saturating_sub(c).div_ceil(self.q),
+            Dist::BlockCyclic(b) => g / (b * self.q) * b + (g % (b * self.q)).saturating_sub(c * b).min(b),
+        }
+    }
+
     /// Iterate the global indices owned by coordinate `c`, ascending.
     pub fn owned_globals(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
         let len = self.local_len(c);
@@ -218,6 +231,12 @@ mod tests {
         // Lengths sum to n.
         let total: usize = (0..m.q).map(|c| m.local_len(c)).sum();
         assert_eq!(total, m.n);
+        // owned_before counts what owner() says.
+        for c in 0..m.q {
+            for g in 0..=m.n {
+                assert_eq!(m.owned_before(c, g), (0..g).filter(|&i| m.owner(i) == c).count(), "c={c} g={g}");
+            }
+        }
         // owned_globals is consistent with owner().
         for c in 0..m.q {
             for g in m.owned_globals(c) {

@@ -94,7 +94,7 @@ fn scatter_side<T: Elem>(
     let mut sends: Vec<(usize, fx_runtime::Chunk)> = Vec::new();
     for c in 0..d_map.q {
         segs.clear();
-        owned_segments(&d_map, c, 0, lo, hi, &mut |s, l| segs.push((s, l)));
+        owned_segments(&d_map, c, 0, lo, hi, &mut |g| segs.extend(g.runs()));
         if segs.is_empty() {
             continue;
         }

@@ -12,18 +12,21 @@
 //!   (destination dimension `k` reads source dimension `axes[k]`;
 //!   transposition is `[1, 0]`). [`Plan::build`] cuts each dimension's map
 //!   into affine/constant pieces in closed form ([`Remap::cut`]), turns
-//!   each dimension into per-peer **contiguous index runs** with one 1-D
-//!   routine (`View::walk`: the FALLS-style segments a [`DimMap`] owns,
-//!   split at the other side's block boundaries and compressed into
-//!   strided [`Seg`]s), and takes the `N`-fold product: a peer's element
-//!   set is the cross product of its per-dimension runs, visited in the
-//!   destination's row-major order.
+//!   each dimension into per-peer **strided runs** ([`Seg`]s) with one 1-D
+//!   routine (`View::walk`: the FALLS families a [`DimMap`] owns,
+//!   intersected with the other side's), and takes the `N`-fold product: a
+//!   peer's element set is the cross product of its per-dimension runs,
+//!   visited in the destination's row-major order.
 //! * **One arena.** A build costs what the plan's description costs, not
-//!   what its data costs: time proportional to the runs, and a handful of
-//!   allocations whatever the extents or the number of processors. Every
-//!   `Seg` of a plan lives in its `runs` vector; a dimension's share for a
-//!   peer coordinate is stored there once, and each [`Peer`] of the
-//!   product holds `N` spans into it.
+//!   what its data costs. A `Block` map has one block per coordinate, and
+//!   a `Cyclic` or `BlockCyclic` map repeats with its period, so a piece
+//!   costs O(peers) where one side is `Block`, and O(peers × a few joint
+//!   periods) where both repeat; only a pattern that puts `Seg`s in every
+//!   joint period costs its runs, which are then its description. A build
+//!   makes a handful of allocations whatever the extents or the number of
+//!   processors. Every `Seg` of a plan lives in its `runs` vector; a
+//!   dimension's share for a peer coordinate is stored there once, and
+//!   each [`Peer`] of the product holds `N` spans into it.
 //! * **Replication** (rank 1 only) is a peer-enumeration rule on top of
 //!   the same runs: a replicated side stands at coordinate 0 of a `Star`
 //!   map, every member of a replicated destination receives the share,
@@ -40,7 +43,8 @@
 //!   O(elements); [`CommSets::enumerate_with`] is the same walk under any
 //!   index map. Debug builds check freshly built plans against it (up to
 //!   `ORACLE_MAX_ELEMS` elements), the property tests do so in release
-//!   builds too, and `redist_microbench` times it as the "legacy" leg.
+//!   builds too, and `tests/plan_vs_enumeration.rs` times it against plan
+//!   build and one run.
 //!
 //! Plans depend only on static descriptors (distributions, member lists,
 //! ranges, index maps, permutation), so they are cached per processor in
@@ -79,10 +83,16 @@ pub struct Seg {
     pub count: usize,
 }
 
+impl Seg {
+    /// The contiguous `(start, len)` runs, in order.
+    pub(crate) fn runs(self) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.count).map(move |k| (self.start + k * self.stride, self.len))
+    }
+}
+
 /// Iterator over the contiguous `(start, len)` pieces of a run list.
 fn pieces(segs: &[Seg]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    segs.iter()
-        .flat_map(|s| (0..s.count).map(move |k| (s.start + k * s.stride, s.len)))
+    segs.iter().flat_map(|s| s.runs())
 }
 
 /// Streaming compression of contiguous `(start, len)` runs into strided
@@ -92,7 +102,7 @@ fn pieces(segs: &[Seg]) -> impl Iterator<Item = (usize, usize)> + '_ {
 /// repeated in place folds at stride 0. A finished `Seg` goes to the
 /// caller's `put` with its position, so one pass can count a share's
 /// `Seg`s and the next write them at their place in an arena.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Fold {
     /// Indices fed so far.
     total: usize,
@@ -103,9 +113,65 @@ struct Fold {
     /// Position of the first `Seg` put, and of the next one.
     from: usize,
     at: usize,
+    /// Where the fold stood when the current period of a periodic walk
+    /// began.
+    mark: Tip,
+}
+
+/// The part of a [`Fold`] that feeding moves: its total, its pending run,
+/// its open `Seg`'s count and the next `Seg`'s position.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tip {
+    total: usize,
+    pending: (usize, usize),
+    count: usize,
+    at: usize,
 }
 
 impl Fold {
+    /// Feed the runs of `seg` in turn, in time independent of its count:
+    /// once one run moves the fold by a translation of `seg.stride`, so
+    /// does every later one, and the rest are added at once. That takes at
+    /// most four runs.
+    fn feed_seg(&mut self, seg: Seg, put: &mut impl FnMut(usize, Seg)) {
+        for j in 0..seg.count {
+            let was = self.tip();
+            self.feed(seg.start + j * seg.stride, seg.len, put);
+            if self.translated(was, seg.stride) {
+                return self.advance(was, seg.count - 1 - j);
+            }
+        }
+    }
+
+    /// The part of the fold that feeding moves.
+    fn tip(&self) -> Tip {
+        Tip { total: self.total, pending: self.pending, count: self.open.count, at: self.at }
+    }
+
+    /// Did what was fed since the fold stood at `was` move it by a
+    /// translation of `step` slots, so that feeding the same again, `step`
+    /// slots further on, moves it the same way? Yes if nothing was fed.
+    /// Otherwise no `Seg` was put, and either the pending run grew by
+    /// `step`, or the open `Seg` grew by `step` slots' worth of runs while
+    /// the pending run moved `step` on.
+    fn translated(&self, was: Tip, step: usize) -> bool {
+        self.total == was.total
+            || self.at == was.at
+                && match self.open.count - was.count {
+                    0 => self.pending == (was.pending.0, was.pending.1 + step),
+                    grown => grown * self.open.stride == step && self.pending == (was.pending.0 + step, was.pending.1),
+                }
+    }
+
+    /// Move the fold on as if what was fed since `was` were fed `times`
+    /// more times, `step` slots further on each time.
+    fn advance(&mut self, was: Tip, times: usize) {
+        self.total += times * (self.total - was.total);
+        self.open.count += times * (self.open.count - was.count);
+        self.pending.0 += times * (self.pending.0 - was.pending.0);
+        self.pending.1 += times * (self.pending.1 - was.pending.1);
+    }
+
     /// Feed the next run.
     fn feed(&mut self, s: usize, l: usize, put: &mut impl FnMut(usize, Seg)) {
         self.total += l;
@@ -142,9 +208,11 @@ impl Fold {
 
     /// No more runs: put what is still open.
     fn finish(&mut self, put: &mut impl FnMut(usize, Seg)) {
-        let run = std::mem::take(&mut self.pending);
-        self.fold(run, put);
-        self.put_open(put);
+        if self.total > 0 {
+            let run = std::mem::take(&mut self.pending);
+            self.fold(run, put);
+            self.put_open(put);
+        }
     }
 }
 
@@ -152,71 +220,62 @@ impl Fold {
 // FALLS-style ownership segments
 // ---------------------------------------------------------------------------
 
-/// Call `out(start, len)` with the ascending segments of `{ g in [lo, hi) :
-/// 0 <= g+delta < n and map.owner(g+delta) == c }` — the global indices
-/// whose *shifted* image lives on grid coordinate `c`. Each segment lies
-/// within a single ownership block of `map`, so its local image is
-/// contiguous.
-pub(crate) fn owned_segments(
-    map: &DimMap,
-    c: usize,
-    delta: isize,
-    lo: usize,
-    hi: usize,
-    out: &mut impl FnMut(usize, usize),
-) {
+/// Call `out` with `{ g in [lo, hi) : 0 <= g+delta < n and map.owner(g+delta)
+/// == c }` — the global indices whose *shifted* image lives on grid
+/// coordinate `c` — as at most three ascending strided families of
+/// contiguous runs: the first block of `map` there, clipped at `lo`; the
+/// whole blocks after it, one `Seg` at the map's period; and the last
+/// block, clipped at `hi` or the extent. Each run lies within a single
+/// ownership block of `map`, so its local image is contiguous. This is
+/// FALLS (Ramaswamy & Banerjee) in closed form: its cost does not grow with
+/// the number of blocks.
+pub(crate) fn owned_segments(map: &DimMap, c: usize, delta: isize, lo: usize, hi: usize, out: &mut impl FnMut(Seg)) {
     if lo >= hi || map.n == 0 {
         return;
     }
     let n = map.n as isize;
     let (lo_i, hi_i) = (lo as isize, hi as isize);
-    let mut push_clipped = |a: isize, e: isize| {
-        let a = a.max(lo_i);
-        let e = e.min(hi_i);
-        if e > a {
-            out(a as usize, (e - a) as usize);
-        }
-    };
-    // (base, blen, per): first block [base, base+blen), repeating at +per.
+    // Block `k` of coordinate `c` is `[k*per + base, k*per + base + blen)`.
     let (base, blen, per) = match map.dist {
-        _ if map.q == 1 || map.dist == Dist::Star => {
-            push_clipped(-delta, n - delta);
-            return;
-        }
-        Dist::Block => {
-            let b = map.n.div_ceil(map.q).max(1) as isize;
-            let start = c as isize * b;
-            push_clipped(start - delta, (start + b).min(n) - delta);
-            return;
-        }
+        _ if map.q == 1 || map.dist == Dist::Star => (0, n, n),
+        Dist::Block => (c as isize * map.block() as isize, map.block() as isize, n),
         Dist::Star => unreachable!("taken by the arm above"),
         Dist::Cyclic => (c as isize, 1isize, map.q as isize),
-        Dist::BlockCyclic(b) => {
-            (c as isize * b as isize, b as isize, (b * map.q) as isize)
-        }
+        Dist::BlockCyclic(b) => (c as isize * b as isize, b as isize, (b * map.q) as isize),
     };
-    // First block whose translated image ends after `lo`:
-    // k*per + base + blen - delta > lo  ⇔  k > (lo + delta - base - blen)/per.
+    // Blocks `k0..k1` meet the translated range: `k0` is the first whose
+    // image ends after `lo`, `k1` the first that starts at or after its end.
+    let end = n.min(hi_i + delta);
     let k0 = ((lo_i + delta - base - blen).div_euclid(per) + 1).max(0);
-    let mut k = k0;
-    loop {
-        let s = k * per + base;
-        if s >= n || s - delta >= hi_i {
-            break;
-        }
-        push_clipped(s - delta, (s + blen).min(n) - delta);
-        k += 1;
+    let k1 = (end - base + per - 1).div_euclid(per).max(0);
+    let clipped = |k: isize| {
+        let s = k * per + base - delta;
+        let (a, e) = (s.max(lo_i), (s + blen).min(end - delta));
+        (e > a).then(|| Seg { start: a as usize, len: (e - a) as usize, stride: 0, count: 1 })
+    };
+    if k1 <= k0 {
+        return;
     }
+    let whole = (k1 - k0 > 2).then(|| Seg {
+        start: ((k0 + 1) * per + base - delta) as usize,
+        len: blen as usize,
+        stride: per as usize,
+        count: (k1 - k0 - 2) as usize,
+    });
+    let last = if k1 - k0 > 1 { clipped(k1 - 1) } else { None };
+    [clipped(k0), whole, last].into_iter().flatten().for_each(out);
 }
 
 /// Replace `out` with the compressed local runs of the indices of
-/// `lo..hi` that coordinate `c` of `map` owns; returns their number.
+/// `lo..hi` that coordinate `c` of `map` owns; returns their number. They
+/// are consecutive in its storage, so they are one run.
 pub(crate) fn owned_runs(map: &DimMap, c: usize, lo: usize, hi: usize, out: &mut Vec<Seg>) -> usize {
     out.clear();
-    let (mut fold, mut put) = (Fold::default(), |_, seg| out.push(seg));
-    owned_segments(map, c, 0, lo, hi, &mut |s, l| fold.feed(map.local_of(s), l, &mut put));
-    fold.finish(&mut put);
-    fold.total
+    let (a, e) = (map.owned_before(c, lo), map.owned_before(c, hi));
+    if e > a {
+        out.push(Seg { start: a, len: e - a, stride: 0, count: 1 });
+    }
+    e - a
 }
 
 // ---------------------------------------------------------------------------
@@ -382,53 +441,245 @@ struct View<'a> {
 }
 
 impl View<'_> {
-    /// Number of peer coordinates along this dimension.
-    fn peers(&self) -> usize {
+    /// My map and the peers'.
+    fn maps(&self) -> (&DimMap, &DimMap) {
         match self.role {
-            Role::Send => self.dst.q,
-            Role::Recv => self.src.q,
+            Role::Send => (self.src, self.dst),
+            Role::Recv => (self.dst, self.src),
         }
     }
 
-    /// Call `f(peer coordinate, local start, len)` with every run of my
-    /// indices that one peer shares, in ascending *destination* order — so
-    /// a peer's source runs may step backwards (a cyclic wrap) or repeat an
-    /// index (a clamped tail).
+    /// Number of peer coordinates along this dimension.
+    fn peers(&self) -> usize {
+        self.maps().1.q
+    }
+
+    /// Feed each peer's share of my indices to its fold, in ascending
+    /// *destination* order — so a peer's source runs may step backwards (a
+    /// cyclic wrap) or repeat an index (a clamped tail).
     ///
-    /// My own indices come from the FALLS segments of my map and are split
-    /// at the peer map's block boundaries: O(runs), no per-element owner
-    /// arithmetic and nothing proportional to the extent.
-    fn walk(&self, f: &mut impl FnMut(usize, usize, usize)) {
-        let (src, dst, send) = (self.src, self.dst, self.role == Role::Send);
+    /// My indices and each peer's are FALLS families of the two maps, and
+    /// a family costs its description, not its blocks ([`owned_segments`]).
+    /// Along a piece, a `Cyclic` or `BlockCyclic` map's ownership repeats
+    /// with its period; a `Block` map has one block per coordinate, and a
+    /// clamped tail reads one source index throughout. So where my side has
+    /// one block, each peer's share of it is at most three families of
+    /// theirs. Where theirs has one block per peer, each peer's share is my
+    /// indices in it: one run of my storage. Both cost O(peers) per piece.
+    /// Where both repeat, the runs repeat with the joint period, and the
+    /// walk takes whole periods at once once every fold moves by a
+    /// translation per period ([`View::periodic`]); a pattern that puts a
+    /// `Seg` in every period is walked run by run, and those `Seg`s are its
+    /// description.
+    fn walk<const N: usize>(&self, to: &mut Shares<N, impl FnMut(usize, Seg)>) {
+        let (send, (mine, theirs)) = (self.role == Role::Send, self.maps());
         for p in self.cut {
-            let src_at = |i: usize| p.src + (i - p.dst) * p.step;
-            // Destination indices `s..s + l` are mine and contiguous in my
-            // storage: split them where the peer map's owner changes,
-            // stepping through its blocks (one block, reading a constant).
-            let mut split = |s: usize, l: usize| {
-                let (theirs, t, slot) =
-                    if send { (dst, s, src.local_of(src_at(s))) } else { (src, src_at(s), dst.local_of(s)) };
-                let (mut peer, mut left, block) = (theirs.owner(t), theirs.block_end(t) - t, theirs.block());
-                let mut i = 0;
-                while i < l {
-                    let e = if send || p.step == 1 { (i + left).min(l) } else { l };
-                    if send && p.step == 0 {
-                        (i..e).for_each(|_| f(peer, slot, 1));
-                    } else {
-                        f(peer, slot + i, e - i);
+            let (lo, hi, fixed) = (p.dst, p.dst + p.len, p.step == 0);
+            match (period(mine, send && fixed), period(theirs, !send && fixed)) {
+                (None, None) => self.runs(p, (lo, hi), to),
+                (None, Some(_)) => {
+                    let mut one = None;
+                    self.mine(p, (lo, hi), &mut |g| one = Some((g.start, g.start + g.len)));
+                    if let Some(w) = one {
+                        self.their_blocks(p, w, to);
                     }
-                    (i, left) = (e, block);
-                    peer = if peer + 1 == theirs.q { 0 } else { peer + 1 };
                 }
-            };
-            // A sender owns the destination indices whose source it owns.
-            let (lo, hi, delta) = (p.dst, p.dst + p.len, p.src as isize - p.dst as isize);
-            match (send, p.step) {
-                (true, 0) => if src.owner(p.src) == self.coord { split(lo, p.len) },
-                (true, _) => owned_segments(src, self.coord, delta, lo, hi, &mut split),
-                (false, _) => owned_segments(dst, self.coord, 0, lo, hi, &mut split),
+                (Some(_), None) => {
+                    // Each block of theirs reaches one peer, and my indices
+                    // there are the next run of my storage.
+                    let ((mut c, mut e), block) = (self.theirs(p, lo), theirs.block());
+                    let (mut s, mut slot) = (lo, self.slot(p, lo));
+                    while s < hi {
+                        let end = self.slot(p, e.min(hi));
+                        if end > slot {
+                            to.feed(c, Seg { start: slot, len: end - slot, stride: 0, count: 1 });
+                        }
+                        (s, slot, e) = (e, end, e + block);
+                        c = if c + 1 == theirs.q { 0 } else { c + 1 };
+                    }
+                }
+                (Some(pm), Some(pt)) => match (pm / gcd(pm, pt)).checked_mul(pt) {
+                    Some(l) => self.periodic(p, (lo, hi), (l, l / pm * mine.block()), to),
+                    None => self.runs(p, (lo, hi), to),
+                },
             }
         }
+    }
+
+    /// Feed my one segment `a..e` of piece `p`, contiguous in my storage
+    /// (one slot, for a clamped tail), over which the peer map's blocks
+    /// cycle. Each peer's share is at most three families: the rest of the
+    /// block holding `a`, its whole blocks one period apart as one `Seg`,
+    /// and the part block that ends at `e`.
+    fn their_blocks<const N: usize>(
+        &self,
+        p: &Piece,
+        (a, e): (usize, usize),
+        to: &mut Shares<N, impl FnMut(usize, Seg)>,
+    ) {
+        let theirs = self.maps().1;
+        let (q, block, slot) = (theirs.q, theirs.block(), self.slot(p, a));
+        // The block holding `a` ends at `x`; whole blocks follow, the first
+        // of them coordinate `c`'s.
+        let (head, x) = self.theirs(p, a);
+        let (x, mut c) = (x.min(e), if head + 1 == q { 0 } else { head + 1 });
+        let (whole, part) = ((e - x) / block, (e - x) % block);
+        let mut give = |c: usize, at: usize, len: usize, count: usize| {
+            if len * count > 0 {
+                to.feed(c, match p.step {
+                    0 => Seg { start: slot, len: 1, stride: 0, count: len * count },
+                    _ => Seg { start: slot + (at - a), len, stride: q * block, count },
+                });
+            }
+        };
+        give(head, a, x - a, 1);
+        let (rounds, extra) = (whole / q, whole % q);
+        for i in 0..q.min(whole + 1) {
+            give(c, x + i * block, block, rounds + usize::from(i < extra));
+            if i == extra {
+                give(c, x + whole * block, part, 1);
+            }
+            c = if c + 1 == q { 0 } else { c + 1 };
+        }
+    }
+
+    /// Feed the window `w0..w1` of piece `p`, over which my runs repeat
+    /// every `period` destination indices, `step` local slots on: a period
+    /// at a time, run by run, until every peer's fold moved by a
+    /// translation in the last one (checked after periods 1, 2, 4, 8, …, so
+    /// a pattern that never settles costs its runs plus O(peers) per
+    /// doubling). Then each fold takes the whole periods left at once, and
+    /// the rest is walked run by run.
+    fn periodic<const N: usize>(
+        &self,
+        p: &Piece,
+        (w0, w1): (usize, usize),
+        (period, step): (usize, usize),
+        to: &mut Shares<N, impl FnMut(usize, Seg)>,
+    ) {
+        let (peers, mut at) = (0..self.peers(), w0);
+        for walked in 1usize.. {
+            if (w1 - at) / period < 2 {
+                break;
+            }
+            let check = walked.is_power_of_two();
+            if check {
+                for c in peers.clone() {
+                    let f = to.fold(c);
+                    f.mark = f.tip();
+                }
+            }
+            self.runs(p, (at, at + period), to);
+            at += period;
+            let settled = |f: &mut Fold| f.translated(f.mark, step);
+            if check && peers.clone().all(|c| settled(to.fold(c))) {
+                let times = (w1 - at) / period;
+                for c in peers {
+                    let f = to.fold(c);
+                    f.advance(f.mark, times);
+                }
+                at += times * period;
+                break;
+            }
+        }
+        self.runs(p, (at, w1), to);
+    }
+
+    /// Feed the runs of my indices of `w0..w1` in piece `p` one by one: my
+    /// segments there, split where the peer map's owner changes.
+    fn runs<const N: usize>(&self, p: &Piece, w: (usize, usize), to: &mut Shares<N, impl FnMut(usize, Seg)>) {
+        let theirs = self.maps().1;
+        let block = theirs.block();
+        let mut split = |s: usize, l: usize| {
+            // Destination indices `s..s + l` are contiguous in my storage:
+            // step through the peer's blocks (one block, reading a constant).
+            let ((mut peer, end), slot) = (self.theirs(p, s), self.slot(p, s));
+            let (mut i, mut e) = (0, (end - s).min(l));
+            loop {
+                to.feed(peer, match (self.role, p.step) {
+                    // A clamped tail sends one slot over and over.
+                    (Role::Send, 0) => Seg { start: slot, len: 1, stride: 0, count: e - i },
+                    _ => Seg { start: slot + i, len: e - i, stride: 0, count: 1 },
+                });
+                if e == l {
+                    break;
+                }
+                (i, e) = (e, (e + block).min(l));
+                peer = if peer + 1 == theirs.q { 0 } else { peer + 1 };
+            }
+        };
+        self.mine(p, w, &mut |g| g.runs().for_each(|(s, l)| split(s, l)));
+    }
+
+    /// Call `out` with my indices of `lo..hi` in piece `p`, as ascending
+    /// families of runs, each run contiguous in my storage. A sender owns
+    /// the destination indices whose source it owns.
+    fn mine(&self, p: &Piece, (lo, hi): (usize, usize), out: &mut impl FnMut(Seg)) {
+        let delta = p.src as isize - p.dst as isize;
+        match (self.role, p.step) {
+            (Role::Send, 0) => {
+                if self.src.owner(p.src) == self.coord && lo < hi {
+                    out(Seg { start: lo, len: hi - lo, stride: 0, count: 1 });
+                }
+            }
+            (Role::Send, _) => owned_segments(self.src, self.coord, delta, lo, hi, out),
+            (Role::Recv, _) => owned_segments(self.dst, self.coord, 0, lo, hi, out),
+        }
+    }
+
+    /// My local slot of my first index from destination index `s` of piece
+    /// `p` on (of `s` itself, when I own it).
+    fn slot(&self, p: &Piece, s: usize) -> usize {
+        match self.role {
+            Role::Send => self.src.owned_before(self.coord, p.src + (s - p.dst) * p.step),
+            Role::Recv => self.dst.owned_before(self.coord, s),
+        }
+    }
+
+    /// The peer coordinate that shares destination index `s` of piece `p`,
+    /// and the destination index where its block ends.
+    fn theirs(&self, p: &Piece, s: usize) -> (usize, usize) {
+        match (self.role, p.step) {
+            (Role::Send, _) => (self.dst.owner(s), self.dst.block_end(s)),
+            (Role::Recv, 0) => (self.src.owner(p.src), p.dst + p.len),
+            (Role::Recv, _) => {
+                let t = p.src + (s - p.dst);
+                (self.src.owner(t), s + (self.src.block_end(t) - t))
+            }
+        }
+    }
+}
+
+/// The destination indices after which `map`'s ownership repeats, for
+/// `Cyclic` and `BlockCyclic` maps spread over more than one position;
+/// `None` for a map read at one index throughout (`fixed`) or with one
+/// block per position.
+fn period(map: &DimMap, fixed: bool) -> Option<usize> {
+    match map.dist {
+        Dist::Cyclic | Dist::BlockCyclic(_) if map.q > 1 && !fixed => Some(map.block() * map.q),
+        _ => None,
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 { a } else { gcd(b, a % b) }
+}
+
+/// Where a view's runs go: the folds of dimension `k`, one per peer
+/// coordinate, putting finished `Seg`s with `put`.
+struct Shares<'a, const N: usize, P> {
+    folds: &'a mut [[Fold; N]],
+    k: usize,
+    put: &'a mut P,
+}
+
+impl<const N: usize, P: FnMut(usize, Seg)> Shares<'_, N, P> {
+    fn fold(&mut self, c: usize) -> &mut Fold {
+        &mut self.folds[c][self.k]
+    }
+
+    fn feed(&mut self, c: usize, seg: Seg) {
+        self.folds[c][self.k].feed_seg(seg, self.put);
     }
 }
 
@@ -453,7 +704,7 @@ fn plan_role<const N: usize>(
     for pass in 0..2 {
         let mut put = |at: usize, seg| if pass == 1 { runs[at] = seg };
         for (k, v) in views.iter().enumerate() {
-            v.walk(&mut |peer, s, l| folds[peer][k].feed(s, l, &mut put));
+            v.walk(&mut Shares { folds: &mut folds[..], k, put: &mut put });
         }
         folds.iter_mut().flatten().for_each(|f| f.finish(&mut put));
         if pass == 0 {
@@ -667,9 +918,10 @@ const ORACLE_MAX_ELEMS: usize = 1 << 22;
 
 impl<const N: usize> Plan<N> {
     /// Build the plan of `stmt` between placements `s` and `d` for
-    /// processor `me`: the `N`-fold product of the per-dimension shares
-    /// ([`fold_views`]), in time and space proportional to the runs it
-    /// describes and a fixed number of allocations. Panics — in every
+    /// processor `me`: the `N`-fold product of the per-dimension shares, in
+    /// time and space proportional to the `Seg`s it holds (`View::walk`
+    /// states the one exception) and a fixed number of allocations.
+    /// Panics — in every
     /// build profile — if an index map leaves the source extent; debug
     /// builds verify the result against [`CommSets::enumerate`].
     pub fn build(me: usize, s: &Side<N>, d: &Side<N>, stmt: &Stmt<N>) -> Plan<N> {
@@ -1155,6 +1407,143 @@ mod tests {
     }
 
     #[test]
+    fn a_fed_seg_is_its_runs_fed_in_turn() {
+        // Fold states to start from: empty, a pending run, an open `Seg`
+        // of one run or of several, at strides the `Seg` may continue.
+        let states: [&[(usize, usize)]; 6] = [
+            &[],
+            &[(3, 2)],
+            &[(0, 1), (4, 1)],
+            &[(0, 1), (4, 1), (8, 1)],
+            &[(9, 1), (9, 1), (9, 1)],
+            &[(1, 2), (5, 2)],
+        ];
+        for before in states {
+            for (start, len, stride, count) in quads(0..12, 1..4, 0..7, 1..10) {
+                // The walk feeds no runs that overlap: one slot over and
+                // over, or distinct runs.
+                if (stride == 0 && len > 1) || (stride > 0 && stride < len) {
+                    continue;
+                }
+                let seg = Seg { start, len, stride, count };
+                let run = |whole: bool| {
+                    let (mut fold, mut puts) = (Fold::default(), Vec::new());
+                    let mut put = |at, seg| puts.push((at, seg));
+                    before.iter().for_each(|&(s, l)| fold.feed(s, l, &mut put));
+                    if whole {
+                        fold.feed_seg(seg, &mut put);
+                    } else {
+                        pieces(&[seg]).for_each(|(s, l)| fold.feed(s, l, &mut put));
+                    }
+                    (Fold { mark: Tip::default(), ..fold }, puts)
+                };
+                assert_eq!(run(true), run(false), "{seg:?} after {before:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_translated_period_advances_as_walking_on() {
+        // One peer's runs in each period, `step` slots further on each
+        // time, fed after runs of earlier pieces that may touch the first.
+        let patterns: [&[(usize, usize)]; 7] = [
+            &[(0, 1)],
+            &[(0, 2)],
+            &[(1, 1)],
+            &[(0, 1), (2, 1)],
+            &[(0, 2), (3, 1)],
+            &[(0, 1), (1, 2)],
+            &[(1, 2), (4, 2)],
+        ];
+        let befores: [&[(usize, usize)]; 7] = [
+            &[],
+            &[(9, 1)],
+            &[(8, 2)],
+            &[(3, 1), (6, 1), (9, 1)],
+            &[(1, 1), (5, 1), (9, 1)],
+            &[(7, 1), (8, 1)],
+            &[(2, 2), (6, 2)],
+        ];
+        for (before, pattern, step) in quads(0..7, 0..7, 1..9, 0..1).map(|(b, p, s, _)| (befores[b], patterns[p], s)) {
+            if pattern.iter().any(|&(o, l)| o + l > step) {
+                continue;
+            }
+            let period = |k: usize| pattern.iter().map(move |&(o, l)| (10 + k * step + o, l));
+            let (mut fold, mut put) = (Fold::default(), |_, _| {});
+            before.iter().for_each(|&(s, l)| fold.feed(s, l, &mut put));
+            for k in 0..8 {
+                let was = fold.tip();
+                period(k).for_each(|(s, l)| fold.feed(s, l, &mut put));
+                if fold.translated(was, step) {
+                    let (mut jumped, mut walked, mut puts) = (fold, fold, 0);
+                    jumped.advance(was, 5);
+                    (k + 1..k + 6).flat_map(period).for_each(|(s, l)| walked.feed(s, l, &mut |_, _| puts += 1));
+                    let what = format!("{pattern:?} every {step} after {before:?}, period {k}");
+                    assert_eq!((jumped, puts), (walked, 0), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Every `(a, b, c, d)` of four ranges, the last varying fastest.
+    fn quads(
+        a: Range<usize>,
+        b: Range<usize>,
+        c: Range<usize>,
+        d: Range<usize>,
+    ) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        a.flat_map(move |w| {
+            let (c, d) = (c.clone(), d.clone());
+            b.clone().flat_map(move |x| {
+                let d = d.clone();
+                c.clone().flat_map(move |y| d.clone().map(move |z| (w, x, y, z)))
+            })
+        })
+    }
+
+    #[test]
+    fn periodic_walks_plan_as_enumerated() {
+        // Every pair of maps over extents that hold many periods of both,
+        // between overlapping groups, under every kind of piece: windows
+        // start and end mid-period, and a peer's share of a period is one
+        // run or several.
+        let dists = [Dist::Block, Dist::Cyclic, Dist::BlockCyclic(2), Dist::BlockCyclic(3), Dist::BlockCyclic(7)];
+        for (sd, dd) in dists.iter().flat_map(|&a| dists.map(|b| (a, b))) {
+            for (sq, dq) in [(4, 4), (4, 3), (2, 5), (3, 1)] {
+                let s_group = GroupHandle::synthetic(1, (0..sq).collect());
+                let d_group = GroupHandle::synthetic(2, (1..1 + dq).rev().collect());
+                for n in [29usize, 96, 131] {
+                    let (s, d) = (
+                        Side { group: s_group.clone(), maps: [DimMap::new(n, sq, sd)], replicated: false },
+                        Side { group: d_group.clone(), maps: [DimMap::new(n, dq, dd)], replicated: false },
+                    );
+                    let stmts = [
+                        (Remap::Identity, (0, n)),
+                        (Remap::Identity, (5, n - 6)),
+                        (Remap::Shift(3), (0, n - 3)),
+                        (Remap::Shift(-4), (4, n)),
+                        (Remap::ClampShift(n as isize / 2), (0, n)),
+                        (Remap::ClampShift(-(n as isize) / 3), (2, n)),
+                        (Remap::Cyclic(11), (0, n)),
+                        (Remap::Cyclic(-(n as isize) / 2), (0, n)),
+                    ];
+                    for (remap, range) in stmts {
+                        let stmt = Stmt { remap: [remap], range: [range], axes: [0] };
+                        for me in 0..=sq.max(1 + dq) {
+                            let plan = Plan::build(me, &s, &d, &stmt);
+                            assert_eq!(
+                                CommSets::of_plan(&plan),
+                                CommSets::enumerate(me, &s, &d, &stmt),
+                                "{sd:?}/{sq} -> {dd:?}/{dq}, n = {n}, {remap:?} over {range:?}, rank {me}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn owned_segments_match_bruteforce() {
         let dists = [Dist::Block, Dist::Cyclic, Dist::BlockCyclic(3), Dist::BlockCyclic(1)];
         for dist in dists {
@@ -1165,7 +1554,7 @@ mod tests {
                         for (lo, hi) in [(0usize, n), (2, n.saturating_sub(1)), (0, 3.min(n))] {
                             for c in 0..q {
                                 let mut segs = Vec::new();
-                                owned_segments(&map, c, delta, lo, hi, &mut |s, l| segs.push((s, l)));
+                                owned_segments(&map, c, delta, lo, hi, &mut |g| segs.extend(g.runs()));
                                 let got: Vec<usize> =
                                     segs.iter().flat_map(|&(s, l)| s..s + l).collect();
                                 let want: Vec<usize> = (lo..hi)

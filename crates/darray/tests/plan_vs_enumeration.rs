@@ -101,3 +101,40 @@ fn plan_build_and_one_run_beat_enumeration_twofold_on_every_p64_row() {
     }
     println!("build+run at P = 64 is at least {worst:.2}x faster than enumeration on all 12 rows");
 }
+
+/// CI's cyclic build-cost gate (`--release --ignored`): building all 64
+/// ranks' BLOCK→CYCLIC and CYCLIC→BLOCK plans at n = 2²⁰ takes at most
+/// twice as long as at n = 2¹², best of 7 in one process. A build that
+/// visits every owned index, as the walk before this gate did, reads over
+/// 100×.
+#[test]
+#[ignore = "timing; CI runs it in release with --ignored"]
+fn cyclic_plans_build_in_time_independent_of_the_extent() {
+    let statements = |n: usize| {
+        let side = |dist| Side {
+            group: GroupHandle::synthetic(1, (0..P).collect()),
+            maps: [DimMap::new(n, P, dist)],
+            replicated: false,
+        };
+        [(side(Dist::Block), side(Dist::Cyclic)), (side(Dist::Cyclic), side(Dist::Block))]
+    };
+    let (small, large) = (statements(1 << 12), statements(1 << 20));
+    let build_all = |sides: &[(Side<1>, Side<1>); 2]| {
+        let t = Instant::now();
+        for (s, d) in sides {
+            let stmt = Stmt::whole(&d.maps, [Remap::Identity]);
+            (0..P).for_each(|me| drop(std::hint::black_box(Plan::build(me, s, d, &stmt))));
+        }
+        t.elapsed().as_nanos() as f64
+    };
+    // The two sizes alternate round by round, so drift on the host reaches
+    // both.
+    let (mut at_small, mut at_large) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        at_small = at_small.min(build_all(&small));
+        at_large = at_large.min(build_all(&large));
+    }
+    let ratio = at_large / at_small;
+    println!("all 64 ranks' block<->cyclic plans: {at_small:.0} ns at n = 2^12, {at_large:.0} ns at n = 2^20 ({ratio:.2}x)");
+    assert!(ratio <= 2.0, "n = 2^20 takes {at_large:.0} ns, more than twice {at_small:.0} ns at n = 2^12");
+}

@@ -368,12 +368,93 @@ fn assert_scaled<const N: usize>(big: &Plan<N>, small: &Plan<N>, by: [usize; N])
     }
 }
 
+/// How many of the indices `lo..hi` `hit` picks, where `hit` repeats
+/// every `period` indices: one period by brute force, times the whole
+/// periods, plus the rest by brute force.
+fn count_periodic(lo: usize, hi: usize, period: usize, hit: impl Fn(usize) -> bool) -> usize {
+    let brute = |a: usize, b: usize| (a..b).filter(|&i| hit(i)).count();
+    let whole = hi.saturating_sub(lo) / period;
+    let once = if whole > 0 { brute(lo, lo + period) } else { 0 };
+    once * whole + brute(lo + whole * period, hi.max(lo))
+}
+
+/// The range holding every global index coordinate `c` of `map` owns, and
+/// the period with which `map`'s ownership repeats inside it.
+fn span_and_period(map: &DimMap, c: usize) -> (usize, usize, usize) {
+    match map.dist {
+        Dist::Block => {
+            let b = map.n.div_ceil(map.q);
+            ((c * b).min(map.n), ((c + 1) * b).min(map.n), 1)
+        }
+        Dist::Cyclic => (0, map.n, map.q),
+        Dist::BlockCyclic(b) => (0, map.n, b * map.q),
+        Dist::Star => (0, map.n, 1),
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// On each of 64 ranks, the plan of the rank-1 `stmt` gives each peer the
+/// share the two maps say: the destination indices that one side's
+/// coordinate owns and whose source the other side's coordinate owns. The
+/// share is counted from the maps, piece by piece of the statement's cut,
+/// one joint period at a time.
+fn assert_shares(s: &Side<1>, d: &Side<1>, stmt: &Stmt<1>, what: &str) {
+    let (sm, dm) = (s.maps[0], d.maps[0]);
+    let pieces = stmt.remap[0].cut(stmt.range[0], sm.n, 1, 0);
+    let share = |c: usize, j: usize| -> usize {
+        let ((s_lo, s_hi, sp), (d_lo, d_hi, dp)) = (span_and_period(&sm, c), span_and_period(&dm, j));
+        let piece = |p: &Piece| {
+            // The destination indices of the piece whose source lies in
+            // the source span, and in the destination span.
+            let (a, e) = match p.step {
+                0 if (s_lo..s_hi).contains(&p.src) => (p.dst, p.dst + p.len),
+                0 => (p.dst, p.dst),
+                _ => ((s_lo + p.dst).saturating_sub(p.src), (s_hi + p.dst).saturating_sub(p.src)),
+            };
+            let (a, e) = (a.max(p.dst).max(d_lo), e.min(p.dst + p.len).min(d_hi));
+            let period = if p.step == 0 { dp } else { sp / gcd(sp, dp) * dp };
+            let src_of = |i: usize| p.src + (i - p.dst) * p.step;
+            count_periodic(a, e, period, |i| dm.owner(i) == j && sm.owner(src_of(i)) == c)
+        };
+        pieces.iter().map(piece).sum()
+    };
+    for me in 0..64 {
+        let plan = Plan::build(me, s, d, stmt);
+        let got = |peers: &[Peer<1>], peer: usize| peers.iter().find(|p| p.peer == peer).map_or(0, |p| p.total);
+        let local = plan.local.as_ref().map_or(0, |(sl, _)| sl.total);
+        if let Some(c) = s.group.vrank_of_phys(me) {
+            for j in 0..dm.q {
+                let (peer, want) = (d.group.phys(j), share(c, j));
+                let have = if peer == me { local } else { got(&plan.sends, peer) };
+                assert_eq!(have, want, "{what}: rank {me} sends to destination coordinate {j}");
+            }
+        }
+        if let Some(j) = d.group.vrank_of_phys(me) {
+            for c in 0..sm.q {
+                let (peer, want) = (s.group.phys(c), share(c, j));
+                let have = if peer == me { local } else { got(&plan.recvs, peer) };
+                assert_eq!(have, want, "{what}: rank {me} receives from source coordinate {c}");
+            }
+        }
+    }
+}
+
 /// The functional proof that a build has no step proportional to the
-/// extent: 2⁴⁰ indices per dimension at P=64 plan at once — on every rank,
-/// debug builds included — and give the 2¹⁰ plan, scaled.
+/// extent, for every map: 2⁴⁰ indices per dimension at P=64 plan at once —
+/// on every rank, debug builds included. BLOCK plans give the 2¹⁰ plan,
+/// scaled; cyclic and block-cyclic plans, one shifted, give each peer the
+/// share the two maps say, as does a clamped tail 2³⁰ long.
 #[test]
-fn block_plan_over_a_huge_extent_builds() {
+fn every_map_plans_over_a_huge_extent() {
     const P: usize = 64;
+    const N: usize = 1 << 40;
     let all = GroupHandle::synthetic(1, (0..P).collect());
     // BLOCK over the 64 onto BLOCK over 16 of them, in reverse order: four
     // source blocks per destination block.
@@ -397,7 +478,7 @@ fn block_plan_over_a_huge_extent_builds() {
             let (s, d) = vector(n);
             Plan::build(me, &s, &d, &Stmt::whole(&d.maps, [Remap::Identity]))
         };
-        let big = plan1(1 << 40);
+        let big = plan1(N);
         assert_eq!(big.sends.len() + big.local.iter().len(), 1, "rank {me}'s block has one owner");
         assert_scaled(&big, &plan1(1 << 10), [1 << 30]);
 
@@ -405,10 +486,43 @@ fn block_plan_over_a_huge_extent_builds() {
             let (s, d) = matrix(shape);
             Plan::build(me, &s, &d, &Stmt::whole(&d.maps, [Remap::Identity; 2]))
         };
-        let big = plan2([1 << 40, 1 << 20]);
+        let big = plan2([N, 1 << 20]);
         assert_eq!((big.sends.len(), big.recvs.len()), (P - 1, P - 1));
         assert_scaled(&big, &plan2([1 << 10, 1 << 6]), [1 << 30, 1 << 14]);
     }
+
+    let side = |group: &GroupHandle, dist| {
+        Side { group: group.clone(), maps: [DimMap::new(N, group.len(), dist)], replicated: false }
+    };
+    let sixteen = GroupHandle::synthetic(3, (0..16).map(|v| 4 * v + 2).collect());
+    for (what, s, d) in [
+        ("BLOCK -> CYCLIC", side(&all, Dist::Block), side(&all, Dist::Cyclic)),
+        ("CYCLIC -> BLOCK", side(&all, Dist::Cyclic), side(&all, Dist::Block)),
+        ("CYCLIC over 64 -> CYCLIC over 16", side(&all, Dist::Cyclic), side(&sixteen, Dist::Cyclic)),
+        ("BLOCK -> CYCLIC(3)", side(&all, Dist::Block), side(&all, Dist::BlockCyclic(3))),
+    ] {
+        assert_shares(&s, &d, &Stmt::whole(&d.maps, [Remap::Identity]), what);
+    }
+    // Both maps repeat, and the source's blocks of three start one index
+    // off the destination's period.
+    let (s, d) = (side(&all, Dist::BlockCyclic(3)), side(&all, Dist::Cyclic));
+    let shifted = Stmt { range: [(0, N - 1)], ..Stmt::whole(&d.maps, [Remap::Shift(1)]) };
+    assert_shares(&s, &d, &shifted, "CYCLIC(3) -> CYCLIC, shifted by one");
+    // CYCLIC over two onto CYCLIC(3) over 64: a receiver's block of three
+    // comes from both sources, so each share of a period is two runs,
+    // which join the next period's into one strided family.
+    let two = GroupHandle::synthetic(4, vec![5, 9]);
+    let (s, d) = (side(&two, Dist::Cyclic), side(&all, Dist::BlockCyclic(3)));
+    let from_one = Stmt { range: [(1, N)], ..Stmt::whole(&d.maps, [Remap::Identity]) };
+    assert_shares(&s, &d, &from_one, "CYCLIC over 2 -> CYCLIC(3) over 64, from index 1");
+    // dst[i] = src[min(i + 2³⁰, n − 1)]: the last 2³⁰ destination indices
+    // all read the source's last element, which one rank sends to one
+    // destination block.
+    let clamp = Remap::ClampShift(1 << 30);
+    let tail = *clamp.cut((0, N), N, 1, 0).last().expect("a tail piece");
+    assert_eq!((tail.len, tail.step), (1 << 30, 0), "the clamped tail");
+    let (s, d) = (side(&all, Dist::Block), side(&few, Dist::Block));
+    assert_shares(&s, &d, &Stmt::whole(&d.maps, [clamp]), "a clamped shift");
 }
 
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {

@@ -14,7 +14,7 @@
 use fx_apps::ffthist::FftHistConfig;
 use fx_apps::stream::Stream;
 use fx_bench::{chain_model, measure_stream, placement};
-use fx_mapping::{best_mapping, evaluate, max_throughput_mapping, Mapping, Segment};
+use fx_mapping::{best_mapping, evaluate, tradeoff_frontier, Mapping, Segment};
 
 const P: usize = 64;
 const N: usize = 512;
@@ -56,7 +56,8 @@ fn main() {
     };
     let dp_pred = evaluate(&model, &dp_mapping);
     let dp_thr = dp_pred.throughput;
-    let ceiling = max_throughput_mapping(&model, P);
+    let frontier = tradeoff_frontier(&model, P);
+    let ceiling = frontier.last().expect("the frontier is never empty");
     println!(
         "predicted data-parallel throughput: {dp_thr:.2} sets/s; ceiling {:.2} sets/s via {}",
         ceiling.throughput,

@@ -21,9 +21,6 @@ mod chain;
 mod frontier;
 mod profile;
 
-pub use chain::{
-    best_mapping, evaluate, max_throughput_mapping, Boundary, ChainModel, Evaluated, Mapping,
-    NetParams, Segment,
-};
-pub use frontier::{fastest_for, tradeoff_frontier};
+pub use chain::{evaluate, Boundary, ChainModel, Evaluated, Mapping, NetParams, Segment};
+pub use frontier::{best_mapping, fastest_for, tradeoff_frontier};
 pub use profile::StageProfile;

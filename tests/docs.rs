@@ -140,7 +140,7 @@ fn no_document_names_a_removed_api() {
     for doc in ["DESIGN.md", "README.md"] {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
         for (n, line) in text.lines().enumerate() {
-            for gone in ["Dist1::Replicated", "gather_to_root", "scatter_from_root", "rootio", "Executor::Threaded", "FX_EXECUTOR"] {
+            for gone in ["Dist1::Replicated", "gather_to_root", "scatter_from_root", "rootio", "Executor::Threaded", "FX_EXECUTOR", "max_throughput_mapping"] {
                 if line.contains(gone) {
                     found.push(format!("{doc}:{}: {gone}", n + 1));
                 }

@@ -24,17 +24,14 @@
 //! segment* (FFT-Hist's cffts→rffts transpose) from ones fusion
 //! eliminates (rffts→hist, same distribution).
 //!
-//! The search is direct ([`shapes`]): every replication factor dividing
-//! the machine × every one of the `2^(m-1)` contiguous splits × the
-//! processor counts of each split's segments — all of them while a split
-//! has at most 4 096 (every chain of ≤ 3 stages on ≤ 64 processors),
-//! else the even split and the counts one transfer away. The frontier
-//! ([`tradeoff_frontier`](crate::tradeoff_frontier)) keeps the candidates
-//! no other dominates, and every question is a read of it:
-//! [`best_mapping`](crate::best_mapping) is its least-latency point that
-//! meets the throughput constraint, [`fastest_for`](crate::fastest_for)
-//! its point that finishes a batch first, and its last point is the
-//! throughput ceiling.
+//! The search is exact at any chain depth: one dynamic programme over
+//! chain prefixes per replication factor dividing the machine finds the
+//! mappings that no other dominates, the frontier
+//! ([`tradeoff_frontier`](crate::tradeoff_frontier)), and every question
+//! is a read of it: [`best_mapping`](crate::best_mapping) is its
+//! least-latency point that meets the throughput constraint,
+//! [`fastest_for`](crate::fastest_for) its point that finishes a batch
+//! first, and its last point is the throughput ceiling.
 
 use serde::{Deserialize, Serialize};
 
@@ -128,27 +125,33 @@ impl ChainModel {
 
     /// Period of the fused segment covering stages `i..=j` on `q`
     /// processors, given the upstream segment width (`None` for the
-    /// first segment): inbound receive + compute + internal
-    /// redistributions + outbound send. The outbound send side is
-    /// charged with the downstream width `q_next` when known.
-    fn segment_period(
+    /// first segment), up to its outbound send: inbound receive + compute
+    /// (`time(k)` for stage `k`) + internal redistributions.
+    pub(crate) fn open_period(
         &self,
         i: usize,
         j: usize,
         q: usize,
         q_prev: Option<usize>,
-        q_next: Option<usize>,
+        time: impl Fn(usize) -> f64,
     ) -> f64 {
         let mut t = 0.0;
         if let (true, Some(qp)) = (i > 0, q_prev) {
             t += self.recv_side(i - 1, qp, q) + self.net.latency;
         }
         for k in i..=j {
-            t += self.stages[k].time(q);
+            t += time(k);
             if k < j {
                 t += self.internal_cost(k, q);
             }
         }
+        t
+    }
+
+    /// An open period `t` of a segment ending at stage `j` on `q`
+    /// processors, completed by its outbound send side, charged with the
+    /// downstream width `q_next` when known.
+    pub(crate) fn outbound(&self, mut t: f64, j: usize, q: usize, q_next: Option<usize>) -> f64 {
         if let (true, Some(qn)) = (j + 1 < self.stages.len(), q_next) {
             t += self.send_side(j, q, qn);
         }
@@ -213,16 +216,16 @@ pub struct Evaluated {
 pub fn evaluate(model: &ChainModel, mapping: &Mapping) -> Evaluated {
     assert!(mapping.modules >= 1);
     let m = model.stages.len();
-    let widths: Vec<usize> = mapping.segments.iter().map(|s| s.procs).collect();
     let mut latency = 0.0;
     let mut worst_period = 0.0f64;
     let mut next = 0;
     for (si, seg) in mapping.segments.iter().enumerate() {
         assert_eq!(seg.first, next, "segments must cover the chain in order");
         assert!(seg.procs >= 1);
-        let q_prev = (si > 0).then(|| widths[si - 1]);
-        let q_next = (si + 1 < widths.len()).then(|| widths[si + 1]);
-        let t = model.segment_period(seg.first, seg.last, seg.procs, q_prev, q_next);
+        let q_prev = si.checked_sub(1).map(|p| mapping.segments[p].procs);
+        let q_next = mapping.segments.get(si + 1).map(|s| s.procs);
+        let open = model.open_period(seg.first, seg.last, seg.procs, q_prev, |k| model.stages[k].time(seg.procs));
+        let t = model.outbound(open, seg.last, seg.procs, q_next);
         latency += t;
         worst_period = worst_period.max(t);
         next = seg.last + 1;
@@ -233,34 +236,6 @@ pub fn evaluate(model: &ChainModel, mapping: &Mapping) -> Evaluated {
         latency,
         throughput: mapping.modules as f64 / worst_period,
     }
-}
-
-/// Every shape a mapping on `total_procs` processors can take, as
-/// `(modules, bounds)`: each replication factor dividing the machine (only
-/// 1 when a stage carries state) ×
-/// each of the `2^(m-1)` contiguous splits of the chain (m ≤ 5 in
-/// practice) that leaves every segment a processor of the module.
-/// Segment `s` covers stages `bounds[s]..bounds[s + 1]`. Factors ascend,
-/// and within one the split patterns (bit `k` = a cut after stage `k`).
-pub(crate) fn shapes(model: &ChainModel, total_procs: usize) -> Vec<(usize, Vec<usize>)> {
-    let m = model.stages.len();
-    let most = if model.stages.iter().any(|s| s.carries_state) { 1 } else { total_procs };
-    let mut out = Vec::new();
-    for modules in (1..=most).filter(|r| total_procs.is_multiple_of(*r)) {
-        for pattern in 0..(1u32 << (m - 1)) {
-            let cuts = (0..m - 1).filter(|k| pattern & (1 << k) != 0).map(|k| k + 1);
-            let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([m]).collect();
-            if bounds.len() - 1 <= total_procs / modules {
-                out.push((modules, bounds));
-            }
-        }
-    }
-    out
-}
-
-/// The segments of `bounds` (see [`shapes`]) on `alloc[s]` processors each.
-pub(crate) fn segments_of(bounds: &[usize], alloc: &[usize]) -> Vec<Segment> {
-    bounds.windows(2).zip(alloc).map(|(b, &procs)| Segment { first: b[0], last: b[1] - 1, procs }).collect()
 }
 
 #[cfg(test)]
@@ -365,8 +340,7 @@ mod tests {
 
     #[test]
     fn a_state_carrying_chain_is_never_replicated() {
-        // The FFT-Hist chain's shapes: every factor of 64 × every split
-        // that leaves each segment a processor of the module.
+        // The FFT-Hist chain's shape: its throughput ceiling replicates.
         let stage = |name| StageProfile::ideal(name, 1.0, 64);
         let transpose = Boundary { bytes: 1e6, all_to_all: true, fused_is_free: false };
         let aligned = Boundary { bytes: 1e6, all_to_all: false, fused_is_free: true };
@@ -375,19 +349,13 @@ mod tests {
             vec![transpose, aligned],
             NetParams::paragon(),
         );
-        let splits = [vec![0, 3], vec![0, 1, 3], vec![0, 2, 3], vec![0, 1, 2, 3]];
-        let mut fft_hist = Vec::new();
-        for modules in [1, 2, 4, 8, 16, 32, 64] {
-            let fits = splits.iter().filter(|b| b.len() - 1 <= 64 / modules);
-            fft_hist.extend(fits.map(|b| (modules, b.clone())));
-        }
-        assert_eq!(shapes(&model, 64), fft_hist);
-        // Carrying state in any stage leaves the one-module shapes only.
+        assert!(tradeoff_frontier(&model, 64).last().unwrap().mapping.modules > 1);
+        // Carrying state in any stage leaves one-module mappings only,
+        // pipelines among them.
         model.stages[1].carries_state = true;
-        assert_eq!(shapes(&model, 64), fft_hist[..4]);
         let frontier = tradeoff_frontier(&model, 64);
-        assert_eq!(frontier.last().unwrap().mapping.modules, 1);
         assert!(frontier.iter().all(|e| e.mapping.modules == 1));
+        assert!(frontier.iter().any(|e| e.mapping.segments.len() > 1));
     }
 
     #[test]

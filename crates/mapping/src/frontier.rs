@@ -8,105 +8,129 @@
 //! `tradeoff` harness prints it for the FFT-Hist chain. It is the one
 //! search: [`best_mapping`] and [`fastest_for`] each pick a point of it.
 
-use crate::chain::{evaluate, segments_of, shapes, ChainModel, Evaluated, Mapping};
+use crate::chain::{evaluate, ChainModel, Evaluated, Mapping, Segment};
 
-/// All candidate mappings: every shape ([`shapes`]: replication factor ×
-/// contiguous segmentation) × the processor allocations of
-/// [`allocations`].
-fn candidates(model: &ChainModel, total_procs: usize) -> Vec<Evaluated> {
-    let mut out = Vec::new();
-    for (modules, bounds) in shapes(model, total_procs) {
-        for alloc in allocations(total_procs / modules, bounds.len() - 1) {
-            out.push(evaluate(model, &Mapping { modules, segments: segments_of(&bounds, &alloc) }));
-        }
-    }
-    out
+/// A prefix of a module's mapping: segments covering stages `0..=j`, the
+/// last of them (stages `first..=j` on `procs` processors) still open,
+/// because its send side waits on the next segment's width.
+struct Label {
+    /// Worst period and latency of the completed segments, and the open
+    /// segment's period without its send side.
+    cost: [f64; 3],
+    first: usize,
+    procs: usize,
+    /// Processors of the whole prefix.
+    used: usize,
+    prev: Option<usize>,
 }
 
-/// The processor allocations of `procs` over `nseg` segments: every
-/// composition while there are at most 4 096 of them, otherwise the even
-/// split and the allocations one transfer away from it.
-fn allocations(procs: usize, nseg: usize) -> Vec<Vec<usize>> {
-    if nseg == 1 {
-        return vec![vec![procs]];
-    }
-    // Exhaustive compositions when the space is tiny.
-    let space: usize = num_compositions(procs, nseg);
-    if space <= 4096 {
-        let mut out = Vec::new();
-        let mut cur = vec![1usize; nseg];
-        compose(procs - nseg, 0, &mut cur, &mut out);
-        return out;
-    }
-    // Otherwise: even split and its neighbours.
-    let mut base: Vec<usize> = vec![procs / nseg; nseg];
-    for b in base.iter_mut().take(procs % nseg) {
-        *b += 1;
-    }
-    let mut out = vec![base.clone()];
-    for from in 0..nseg {
-        for to in 0..nseg {
-            if from == to || base[from] <= 1 {
-                continue;
+/// Some point of the staircase `met` (throughput and latency both
+/// ascending) is at least as good as `p` in both and better in one.
+fn beaten(met: &[(f64, f64)], p: (f64, f64)) -> bool {
+    met.get(met.partition_point(|q| q.0 < p.0)).is_some_and(|&q| q.1 <= p.1 && q != p)
+}
+
+/// The mappings of `modules` modules of `n` processors each that the
+/// frontier may hold, in candidate order: split pattern (bit `k` a cut
+/// after stage `k`), then segment widths lexicographically. `time[k][q - 1]`
+/// is stage `k` on `q` processors; `met` is the staircase of the complete
+/// mappings met so far, any factor's.
+///
+/// A dynamic programme over chain prefixes. A state is (the open
+/// segment's last stage, processors used, the open segment's width). Any
+/// suffix adds the same send side and the same periods to each prefix at
+/// a state, `max` and `+` only grow, and two completions by one suffix
+/// differ only in cuts before it, so they sort as their prefixes do. A
+/// prefix that an earlier one at its state covers (no higher in any of
+/// the three costs) thus completes only to mappings an earlier one
+/// matches or beats, which the frontier never keeps, and it goes. One
+/// that only a later prefix covers stays, because the two may complete to
+/// an exact tie, and of a tie the frontier keeps the earlier. Prefixes
+/// reach each state in candidate order. A prefix goes too when a complete
+/// mapping beats its bound: its throughput and latency were the rest of
+/// the chain free.
+fn module_mappings(
+    model: &ChainModel,
+    modules: usize,
+    n: usize,
+    time: &[Vec<f64>],
+    met: &mut Vec<(f64, f64)>,
+) -> Vec<Mapping> {
+    let m = model.stages.len();
+    // The most throughput and least latency a prefix can complete to.
+    let bound = |[worst, latency, open]: [f64; 3]| (modules as f64 / worst.max(open), latency + open);
+    let mut labels: Vec<Label> = Vec::new();
+    // Labels by the open segment's last stage, in candidate order, and by state.
+    let mut ending: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut states: Vec<Vec<[f64; 3]>> = vec![Vec::new(); (m - 1) * n * n];
+    for i in 0..m {
+        let preds = if i == 0 { vec![None] } else { ending[i - 1].iter().map(|&l| Some(l)).collect() };
+        for prev in preds {
+            let used = prev.map_or(0, |l| labels[l].used);
+            // A segment from the last stage takes every processor left.
+            for q in if i + 1 == m { n - used } else { 1 }..=n - used {
+                // The previous segment completes against a width-`q` successor.
+                let before = prev.map(|l| &labels[l]);
+                let t = before.map_or(0.0, |b| model.outbound(b.cost[2], i - 1, b.procs, Some(q)));
+                let [worst, latency] = before.map_or([0.0; 2], |b| [b.cost[0].max(t), b.cost[1] + t]);
+                let q_prev = before.map(|b| b.procs);
+                // Every processor is used exactly when the last stage is reached.
+                let every = used + q == n;
+                for j in i..m - usize::from(!every) {
+                    let cost = [worst, latency, model.open_period(i, j, q, q_prev, |k| time[k][q - 1])];
+                    let best = bound(cost);
+                    if every && j + 1 < m {
+                        continue;
+                    } else if beaten(met, best) {
+                        break; // a longer segment has a worse bound
+                    } else if every {
+                        met.retain(|p| !(best.0 >= p.0 && best.1 <= p.1));
+                        met.insert(met.partition_point(|p| p.0 < best.0), best);
+                    } else {
+                        let state = &mut states[(j * n + used + q) * n + q - 1];
+                        if state.iter().any(|c| c.iter().zip(&cost).all(|(a, b)| a <= b)) {
+                            continue;
+                        }
+                        state.push(cost);
+                    }
+                    ending[j].push(labels.len());
+                    labels.push(Label { cost, first: i, procs: q, used: used + q, prev });
+                }
             }
-            let mut v = base.clone();
-            v[from] -= 1;
-            v[to] += 1;
-            out.push(v);
         }
     }
-    out
-}
-
-/// C(procs-1, nseg-1): how many ways `procs` processors split into `nseg`
-/// positive parts. Saturates at `usize::MAX` instead of overflowing, so
-/// the 4 096-composition test in [`allocations`] is exact
-/// for any space that is actually small. (A previous version saturated
-/// the multiply *before* the divide, which could truncate a huge space to
-/// a small wrong count and silently switch the optimizer to exhaustive
-/// enumeration of an astronomically large space.)
-fn num_compositions(procs: usize, nseg: usize) -> usize {
-    let (n, k) = (procs - 1, nseg - 1);
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        // Exact at every step: C(n, i+1) = C(n, i) * (n-i) / (i+1), and
-        // the product of consecutive binomials is always divisible.
-        acc = acc * (n - i) as u128 / (i as u128 + 1);
-        if acc > usize::MAX as u128 {
-            return usize::MAX;
+    let complete = ending[m - 1].iter().filter(|&&l| !beaten(met, bound(labels[l].cost)));
+    let mapping = |&l: &usize| {
+        let (mut segments, mut at) = (Vec::new(), Some(l));
+        while let Some(l) = at.map(|l| &labels[l]) {
+            let last = segments.first().map_or(m, |s: &Segment| s.first) - 1;
+            segments.insert(0, Segment { first: l.first, last, procs: l.procs });
+            at = l.prev;
         }
-    }
-    acc as usize
+        Mapping { modules, segments }
+    };
+    complete.map(mapping).collect()
 }
 
-fn compose(extra: usize, i: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if i == cur.len() - 1 {
-        cur[i] += extra;
-        out.push(cur.clone());
-        cur[i] -= extra;
-        return;
-    }
-    for take in 0..=extra {
-        cur[i] += take;
-        compose(extra - take, i + 1, cur, out);
-        cur[i] -= take;
-    }
-}
-
-/// The Pareto frontier of (throughput, latency): returned in increasing
-/// throughput order; every point is undominated.
+/// The Pareto frontier of (throughput, latency), in increasing throughput
+/// order; every point is undominated. Of mappings that tie exactly on
+/// both, it holds the first in candidate order: replication factor, then
+/// split pattern, then segment widths lexicographically. A point more
+/// than 1e-15 s slower than one of higher throughput does not count.
+///
+/// Each factor's [`module_mappings`] is searched, the largest factor —
+/// the cheapest search — first, so that its complete mappings bound the
+/// rest; what survives is evaluated and swept.
 pub fn tradeoff_frontier(model: &ChainModel, total_procs: usize) -> Vec<Evaluated> {
-    let mut cands = candidates(model, total_procs);
-    // Sort by throughput descending, then latency ascending.
-    cands.sort_by(|a, b| {
-        b.throughput
-            .total_cmp(&a.throughput)
-            .then(a.latency.total_cmp(&b.latency))
-    });
+    let time: Vec<Vec<f64>> = model.stages.iter().map(|s| (1..=total_procs).map(|q| s.time(q)).collect()).collect();
+    let most = if model.stages.iter().any(|s| s.carries_state) { 1 } else { total_procs };
+    let (mut met, factors) = (Vec::new(), (1..=most).rev().filter(|r| total_procs.is_multiple_of(*r)));
+    let found: Vec<Vec<Mapping>> =
+        factors.map(|r| module_mappings(model, r, total_procs / r, &time, &mut met)).collect();
+    let mut cands: Vec<Evaluated> = found.iter().rev().flatten().map(|mapping| evaluate(model, mapping)).collect();
+    // Throughput descending, then latency ascending; a stable sort keeps
+    // candidate order among exact ties.
+    cands.sort_by(|a, b| b.throughput.total_cmp(&a.throughput).then(a.latency.total_cmp(&b.latency)));
     let mut frontier: Vec<Evaluated> = Vec::new();
     let mut best_latency = f64::INFINITY;
     for c in cands {
@@ -115,8 +139,6 @@ pub fn tradeoff_frontier(model: &ChainModel, total_procs: usize) -> Vec<Evaluate
             frontier.push(c);
         }
     }
-    // frontier currently: throughput descending with strictly improving
-    // latency → reverse to increasing throughput.
     frontier.reverse();
     frontier
 }
@@ -173,17 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_contains_the_latency_optimum() {
-        // The least latency of any candidate, found without the frontier.
-        let model = test_model();
-        let best_lat = candidates(&model, 16).iter().map(|e| e.latency).fold(f64::INFINITY, f64::min);
-        let first = &tradeoff_frontier(&model, 16)[0];
-        let unconstrained = best_mapping(&model, 16, None).unwrap();
-        assert_eq!(first.latency, best_lat, "frontier missed the latency optimum");
-        assert_eq!(unconstrained.latency, best_lat, "best_mapping missed the latency optimum");
-    }
-
-    #[test]
     fn frontier_reaches_higher_throughput_than_the_latency_optimum() {
         let model = test_model();
         let f = tradeoff_frontier(&model, 16);
@@ -202,47 +213,6 @@ mod tests {
         let lat = |e: &Evaluated| e.latency;
         assert_eq!(lat(&fastest_for(&model, 16, 1)), lat(&f[0]));
         assert_eq!(lat(&fastest_for(&model, 16, 1_000_000)), lat(f.last().unwrap()));
-    }
-
-    #[test]
-    fn compositions_enumerate_exactly() {
-        let mut got = Vec::new();
-        let mut cur = vec![1usize; 3];
-        compose(2, 0, &mut cur, &mut got);
-        // 2 extra over 3 slots: C(4,2) = 6 compositions.
-        assert_eq!(got.len(), 6);
-        assert!(got.iter().all(|v| v.iter().sum::<usize>() == 5));
-    }
-
-    #[test]
-    fn num_compositions_matches_direct_recursive_count() {
-        // Count compositions by direct recursion and compare: the closed
-        // form must agree wherever enumeration is feasible, including
-        // values straddling the 4096 compositions above which
-        // `allocations` stops enumerating.
-        fn count(procs: usize, nseg: usize) -> usize {
-            if nseg == 1 {
-                return usize::from(procs >= 1);
-            }
-            (1..=procs.saturating_sub(nseg - 1)).map(|first| count(procs - first, nseg - 1)).sum()
-        }
-        for procs in 1..=20 {
-            for nseg in 1..=procs {
-                assert_eq!(
-                    num_compositions(procs, nseg),
-                    count(procs, nseg),
-                    "procs={procs} nseg={nseg}"
-                );
-            }
-        }
-        // nseg > procs: no composition into positive parts.
-        assert_eq!(num_compositions(3, 5), 0);
-        // Near the threshold: C(16,8) = 12870 > 4096 must NOT be
-        // truncated into the exhaustive regime.
-        assert_eq!(num_compositions(17, 9), 12870);
-        assert!(num_compositions(17, 9) > 4096);
-        // Huge spaces saturate instead of wrapping.
-        assert_eq!(num_compositions(1000, 500), usize::MAX);
     }
 
     #[test]

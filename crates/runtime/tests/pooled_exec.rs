@@ -20,7 +20,7 @@ fn ring(cx: &mut ProcCtx) -> f64 {
 }
 
 #[test]
-fn pooled_ping_pong_real_mode() {
+fn ping_pong_real_mode() {
     let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
     let rep = run(&machine, |cx: &mut ProcCtx| {
         if cx.rank() == 0 {
@@ -81,7 +81,7 @@ fn many_procs_on_few_workers() {
 }
 
 #[test]
-fn pooled_fan_in_heavy_traffic() {
+fn fan_in_heavy_traffic() {
     // Every processor sends 50 messages to rank 0; exercises wake-on-
     // deposit for a processor that parks and unparks many times.
     let p = 16;
@@ -107,7 +107,7 @@ fn pooled_fan_in_heavy_traffic() {
 }
 
 #[test]
-fn pooled_chunk_transfers() {
+fn chunk_transfers() {
     let machine = Machine::simulated(4, MachineModel::paragon())
         .with_executor(Executor::Pooled { workers: 2 });
     let rep = run(&machine, |cx: &mut ProcCtx| {
@@ -128,7 +128,7 @@ fn pooled_chunk_transfers() {
 }
 
 #[test]
-fn pooled_probe_poll_loop_makes_progress() {
+fn probe_poll_loop_makes_progress() {
     // A probe-driven poll loop on 1 worker: without the cooperative
     // yield inside probe(), rank 1 would spin the only worker forever
     // and rank 0's send could never run.
@@ -148,7 +148,7 @@ fn pooled_probe_poll_loop_makes_progress() {
 }
 
 #[test]
-fn pooled_yield_now_is_cooperative() {
+fn yield_now_is_cooperative() {
     // Two procs on one worker alternating via yield_now on shared state.
     let turns = Arc::new(AtomicUsize::new(0));
     let t2 = Arc::clone(&turns);

@@ -11,7 +11,9 @@
 //! is a metric that file lists; and DESIGN.md and README.md name no
 //! `localhost:` URL and no removed API. (Not EXPERIMENTS.md or CHANGES.md: a dated
 //! log may name files and knobs since deleted; and ROADMAP.md names knobs
-//! it plans, such as `FX_SCHED_SEED`.) The pattern is
+//! it plans, such as `FX_SCHED_SEED`.) A test or function cited as
+//! `file.rs::name` in any of them but CHANGES.md is defined in that file,
+//! EXPERIMENTS.md included: a cite says where a claim is checked now. The pattern is
 //! `env::tests::readme_table_mirrors_the_knobs`: prose that a test reads
 //! cannot drift from the code it describes.
 
@@ -140,7 +142,16 @@ fn no_document_names_a_removed_api() {
     for doc in ["DESIGN.md", "README.md"] {
         let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
         for (n, line) in text.lines().enumerate() {
-            for gone in ["Dist1::Replicated", "gather_to_root", "scatter_from_root", "rootio", "Executor::Threaded", "FX_EXECUTOR", "max_throughput_mapping"] {
+            for gone in [
+                "Dist1::Replicated",
+                "gather_to_root",
+                "scatter_from_root",
+                "rootio",
+                "Executor::Threaded",
+                "FX_EXECUTOR",
+                "max_throughput_mapping",
+                "num_compositions",
+            ] {
                 if line.contains(gone) {
                     found.push(format!("{doc}:{}: {gone}", n + 1));
                 }
@@ -157,6 +168,98 @@ fn the_scan_expands_brace_lists_and_stops_at_the_extension() {
         named_paths(text),
         ["crates/runtime/src/ctx.rs", "crates/runtime/src/event.rs", "crates/serve/tests/serve.rs"]
     );
+}
+
+/// The `file.rs::name` cites in `text`, as (the file as spelled — a path
+/// or its tail — and the item's name, its last `::` segment). A name cut
+/// short with `…` keeps the `…`.
+fn named_items(text: &str) -> Vec<(&str, &str)> {
+    let path = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '/' | '.');
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(".rs::") {
+        let start = text[..at].rfind(|c: char| !path(c)).map_or(0, |i| i + text[i..].chars().next().unwrap().len_utf8());
+        let rest = &text[at + 5..];
+        let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | ':' | '…'))).unwrap_or(rest.len());
+        let name = rest[..end].trim_end_matches(':').rsplit("::").next().unwrap_or("");
+        if !name.is_empty() {
+            out.push((&text[start..at + 3], name));
+        }
+    }
+    out
+}
+
+/// Every `.rs` file of the repository's own code (not `target/`, not
+/// `vendor/`), relative to `root`.
+fn source_files(root: &Path) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut dirs: Vec<std::path::PathBuf> =
+        ["crates", "src", "tests", "examples", "benchmark/src", "benchmark/tests"].iter().map(|d| root.join(d)).collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path.strip_prefix(root).unwrap().to_string_lossy().into_owned());
+            }
+        }
+    }
+    out
+}
+
+/// `source` defines an item called `name` (`…` at its end: any name it
+/// begins).
+fn defines(source: &str, name: &str) -> bool {
+    let (name, cut) = name.strip_suffix('…').map_or((name, false), |n| (n, true));
+    ["fn", "struct", "enum", "mod", "const", "static", "trait", "type", "macro_rules!"].iter().any(|kw| {
+        source.match_indices(&format!("{kw} {name}")).any(|(at, spelled)| {
+            let before = source[..at].chars().next_back().is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
+            let after = source[at + spelled.len()..].chars().next().is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
+            before && (cut || after)
+        })
+    })
+}
+
+/// A test or function a document cites by `file.rs::name` exists in that
+/// file: a rename must take its cites along. A file spelled by its tail
+/// (`serve.rs::…`, `tests/telemetry.rs::…`) may be any file it ends.
+#[test]
+fn every_item_a_document_cites_is_in_its_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = source_files(root);
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "ROADMAP.md", "EXPERIMENTS.md", "benchmark/README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (file, name) in named_items(&text) {
+            checked += 1;
+            let found = files.iter().filter(|f| *f == file || f.ends_with(&format!("/{file}"))).any(|f| {
+                let source = std::fs::read_to_string(root.join(f)).unwrap_or_else(|e| panic!("{f}: {e}"));
+                defines(&source, name)
+            });
+            if !found {
+                missing.push(format!("{doc} cites {file}::{name}"));
+            }
+        }
+    }
+    assert!(checked >= 20, "the scan found only {checked} cites: is it still reading the documents?");
+    assert!(missing.is_empty(), "documents cite items their files do not define:\n  {}", missing.join("\n  "));
+}
+
+#[test]
+fn the_cite_scan_reads_paths_tails_and_cut_names() {
+    let text = "see `crates/serve/src/report.rs::assemble`, (serve.rs::served_outputs_are_bit_identical_…) and \
+                `src/lib.rs::tests::prelude_covers_the_basics`; not `serve.rs` alone.";
+    assert_eq!(
+        named_items(text),
+        [
+            ("crates/serve/src/report.rs", "assemble"),
+            ("serve.rs", "served_outputs_are_bit_identical_…"),
+            ("src/lib.rs", "prelude_covers_the_basics")
+        ]
+    );
+    assert!(defines("pub fn served_outputs_are_bit_identical_under_load() {}", "served_outputs_are_bit_identical_…"));
+    assert!(!defines("fn assembled() {}", "assemble") && !defines("fn reassemble() {}", "assemble"));
 }
 
 /// The per-layer prefixes of `BENCHMARK.json`'s metric names.

@@ -605,11 +605,6 @@ impl ProcCtx {
         self.trace
     }
 
-    /// Number of messages this processor has sent so far.
-    pub fn sent_msgs(&self) -> u64 {
-        self.counters.sends.load(Ordering::Relaxed)
-    }
-
     /// Count one communication-plan cache hit (plan replayed).
     #[inline]
     pub fn note_plan_hit(&mut self) {

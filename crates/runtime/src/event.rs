@@ -275,34 +275,6 @@ impl Labels {
     }
 }
 
-/// Totals of one processor's virtual-time accounting over `[0, until]`.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct SpanAccounting {
-    /// Total local compute seconds.
-    pub compute: f64,
-    /// Total sender-side communication seconds.
-    pub send: f64,
-    /// Total receiver-side communication seconds.
-    pub recv: f64,
-    /// Idle seconds: everything not covered by a duration event (blocked
-    /// receives, barrier waits, trailing time up to the accounting
-    /// horizon).
-    pub idle: f64,
-}
-
-impl SpanAccounting {
-    /// Communication seconds (send + recv busy halves).
-    pub fn comm(&self) -> f64 {
-        self.send + self.recv
-    }
-
-    /// Sum of all four buckets; equals the accounting horizon by
-    /// construction.
-    pub fn total(&self) -> f64 {
-        self.compute + self.send + self.recv + self.idle
-    }
-}
-
 /// Exact decomposition of one window `[t0, t1]` of a processor's virtual
 /// time, produced by [`Log::window_breakdown`]. All fields are in
 /// virtual seconds and the six buckets sum to exactly `t1 - t0` by
@@ -413,25 +385,6 @@ impl Log {
             }
         }
         self.events.push(ev);
-    }
-
-    /// Account the processor's virtual time over `[0, until]`: per-kind
-    /// totals, with everything uncovered reported as idle. `until` is
-    /// typically the processor's own finish time (then the buckets sum to
-    /// exactly that) or the run makespan (then trailing wait is included
-    /// in idle).
-    pub fn accounting(&self, until: f64) -> SpanAccounting {
-        let mut acc = SpanAccounting::default();
-        for e in &self.events {
-            match e.kind {
-                EventKind::Compute => acc.compute += e.dur(),
-                EventKind::Send => acc.send += e.dur(),
-                EventKind::Recv => acc.recv += e.dur(),
-                _ => {}
-            }
-        }
-        acc.idle = (until - acc.compute - acc.send - acc.recv).max(0.0);
-        acc
     }
 
     /// Exact decomposition of the window `[t0, t1]`, considering only
@@ -551,22 +504,6 @@ pub(crate) mod tests {
         assert_eq!(log.spans().count(), 1);
         assert_eq!(log.spans().next().unwrap().end, 2.0);
         assert_eq!(log.times_of("x"), vec![1.0]);
-    }
-
-    #[test]
-    fn accounting_buckets_and_idle() {
-        let mut log = Log::default();
-        log.push(compute(0.0, 2.0, 0, 0));
-        log.push(msg(EventKind::Send, 2.0, 2.5, 1, 7, 2.6));
-        // gap [2.5, 4.0] = idle
-        log.push(msg(EventKind::Recv, 4.0, 4.25, 1, 8, 4.0));
-        let acc = log.accounting(5.0);
-        assert_eq!(acc.compute, 2.0);
-        assert_eq!(acc.send, 0.5);
-        assert_eq!(acc.recv, 0.25);
-        assert!((acc.idle - 2.25).abs() < 1e-12);
-        assert!((acc.total() - 5.0).abs() < 1e-12);
-        assert!((acc.comm() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -52,9 +52,7 @@ pub use clock::debug_counters;
 pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
-pub use event::{
-    request_trace_id, Event, EventKind, Label, Labels, Log, SpanAccounting, WindowBreakdown,
-};
+pub use event::{request_trace_id, Event, EventKind, Label, Labels, Log, WindowBreakdown};
 pub use model::{MachineModel, TimeMode};
 pub use payload::{Chunk, Payload};
 pub use run::{run, DataflowMode, Executor, Machine, RunReport};

@@ -1,9 +1,10 @@
-//! Span accounting must close: on every processor, the logged compute,
-//! send, and recv events plus the derived idle account for every virtual
-//! second — up to the processor's own finish time and up to the run
-//! makespan — and profiling must never move the virtual clock.
+//! Span accounting must close: on every processor, `Log::window_breakdown`
+//! over the whole run — the logged barrier, send, recv and compute time
+//! plus the derived idle — accounts for every virtual second, up to the
+//! processor's own finish time and up to the run makespan, and profiling
+//! must never move the virtual clock.
 
-use fx_runtime::{run, EventKind, Machine, MachineModel};
+use fx_runtime::{run, EventKind, Log, Machine, MachineModel, WindowBreakdown};
 
 fn profiled(p: usize, m: MachineModel) -> Machine {
     Machine::simulated(p, m).with_profiling(true)
@@ -30,6 +31,11 @@ fn workload(cx: &mut fx_runtime::ProcCtx) {
     }
 }
 
+/// Processor `log`'s virtual time over `[0, until]`, every event counted.
+fn accounting(log: &Log, until: f64) -> WindowBreakdown {
+    log.window_breakdown(0, 0.0, until, 0)
+}
+
 #[test]
 fn per_processor_accounting_sums_to_finish_time() {
     for m in [MachineModel::paragon(), MachineModel::fast_network(), MachineModel::zero_comm(1e-6)]
@@ -37,14 +43,10 @@ fn per_processor_accounting_sums_to_finish_time() {
         let rep = run(&profiled(6, m), workload);
         for (p, log) in rep.logs.iter().enumerate() {
             let finish = rep.times[p];
-            let acc = log.accounting(finish);
+            let acc = accounting(log, finish);
             assert!(
                 (acc.total() - finish).abs() <= 1e-9 * finish.max(1.0),
-                "proc {p}: compute {} + send {} + recv {} + idle {} != finish {finish}",
-                acc.compute,
-                acc.send,
-                acc.recv,
-                acc.idle
+                "proc {p}: buckets {acc:?} do not sum to finish {finish}"
             );
             // Idle is a derived gap, never negative.
             assert!(acc.idle >= 0.0);
@@ -57,11 +59,9 @@ fn accounting_to_makespan_adds_trailing_idle_only() {
     let rep = run(&profiled(4, MachineModel::paragon()), workload);
     let makespan = rep.makespan();
     for (p, log) in rep.logs.iter().enumerate() {
-        let at_finish = log.accounting(rep.times[p]);
-        let at_makespan = log.accounting(makespan);
-        assert_eq!(at_finish.compute, at_makespan.compute);
-        assert_eq!(at_finish.send, at_makespan.send);
-        assert_eq!(at_finish.recv, at_makespan.recv);
+        let at_finish = accounting(log, rep.times[p]);
+        let at_makespan = accounting(log, makespan);
+        assert_eq!(WindowBreakdown { idle: 0.0, ..at_finish }, WindowBreakdown { idle: 0.0, ..at_makespan });
         let extra = at_makespan.idle - at_finish.idle;
         let wait = makespan - rep.times[p];
         assert!((extra - wait).abs() <= 1e-12, "proc {p}: trailing idle {extra} vs {wait}");
@@ -127,6 +127,6 @@ fn a_mark_between_two_charges_leaves_one_compute_event() {
     let span = marked.logs[0].events()[0];
     assert_eq!((span.start, span.end), (0.0, marked.times[0]), "one interval over both charges");
     assert_eq!(marked.events_named("x"), vec![(0, MachineModel::paragon().flops(10_000.0))]);
-    assert_eq!(marked.logs[0].accounting(marked.times[0]), plain.logs[0].accounting(plain.times[0]));
+    assert_eq!(accounting(&marked.logs[0], marked.times[0]), accounting(&plain.logs[0], plain.times[0]));
     assert_eq!(marked.logs[0].spans().collect::<Vec<_>>(), plain.logs[0].spans().collect::<Vec<_>>());
 }

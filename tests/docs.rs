@@ -9,7 +9,8 @@
 //! DESIGN.md, README.md and ROADMAP.md — a token under one of
 //! `BENCHMARK.json`'s per-layer prefixes (`serve.`, `runtime.`, …) —
 //! is a metric that file lists; and DESIGN.md and README.md name no
-//! `localhost:` URL and no removed API. (Not EXPERIMENTS.md or CHANGES.md: a dated
+//! `localhost:` URL (the removed names are `tests/surface.rs`'s). (Not
+//! EXPERIMENTS.md or CHANGES.md: a dated
 //! log may name files and knobs since deleted; and ROADMAP.md names knobs
 //! it plans, such as `FX_SCHED_SEED`.) A test or function cited as
 //! `file.rs::name` in any of them but CHANGES.md is defined in that file,
@@ -129,36 +130,6 @@ fn no_document_points_at_a_local_server() {
         }
     }
     assert!(found.is_empty(), "documents name a local server the library does not run:\n  {}", found.join("\n  "));
-}
-
-/// Replication is `Dist::Star`, not a `Dist1::Replicated` variant, and a
-/// designated I/O processor is a one-owner array filled by `assign*`, not
-/// root I/O: the user-facing documents must not teach the removed
-/// spellings.
-#[test]
-fn no_document_names_a_removed_api() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut found = Vec::new();
-    for doc in ["DESIGN.md", "README.md"] {
-        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
-        for (n, line) in text.lines().enumerate() {
-            for gone in [
-                "Dist1::Replicated",
-                "gather_to_root",
-                "scatter_from_root",
-                "rootio",
-                "Executor::Threaded",
-                "FX_EXECUTOR",
-                "max_throughput_mapping",
-                "num_compositions",
-            ] {
-                if line.contains(gone) {
-                    found.push(format!("{doc}:{}: {gone}", n + 1));
-                }
-            }
-        }
-    }
-    assert!(found.is_empty(), "documents name removed APIs:\n  {}", found.join("\n  "));
 }
 
 #[test]

@@ -20,15 +20,12 @@
 //! keeping a runaway program (e.g. one redistributing arrays of a fresh
 //! extent each iteration) from growing without bound.
 //!
-//! A cached plan is also what makes a statement *analyzable* for
-//! dataflow barrier elision (DESIGN.md §5): plan-based statements move
-//! exactly the intervals their descriptors describe, so the darray
-//! layer's per-array version vectors can prove the receives subsume the
-//! statement's barrier. Statements whose plans the analysis does not
-//! vouch for (the structured remaps, for now) are opaque to it and taint
-//! what they write. The cache itself
-//! stores no dataflow state — version vectors live on the array
-//! descriptors — so hits and misses cannot change classification.
+//! A cached plan is also what lets dataflow barrier elision (DESIGN.md
+//! §5) drop every statement's barrier: a plan moves exactly the
+//! intervals its descriptors describe, through per-peer `(source, tag)`
+//! receives that already order the consumer behind the producer. The
+//! cache stores no dataflow state, so hits and misses cannot change
+//! which barriers run.
 
 use std::any::{Any, TypeId};
 use std::hash::{Hash, Hasher};

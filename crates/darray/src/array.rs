@@ -13,14 +13,10 @@
 //! extent. That is [`Side::replicated`], and the one place it is decided
 //! is the constructor.
 
-use std::cell::RefCell;
-use std::ops::Range;
-
 use fx_core::{Cx, Global, GroupHandle};
 
-use crate::assign::Operand;
 use crate::dist::{for_each_index, ravel, unravel, DimMap, Dist};
-use crate::plan::{Side, VersionVec};
+use crate::plan::Side;
 
 /// Element types storable in distributed arrays. `Sync` lets collectives
 /// share one broadcast payload across processor threads.
@@ -87,9 +83,6 @@ pub struct DArray<T, const N: usize> {
     my_coord: Option<[usize; N]>,
     /// Row-major local tile (empty on non-members).
     local: Vec<T>,
-    /// Replicated read/write version vector (dataflow classification)
-    /// over the flattened extent.
-    versions: RefCell<VersionVec>,
 }
 
 /// A vector of extent `n` over `p` grid positions — or, distributed `*`,
@@ -249,7 +242,6 @@ impl<T: Elem, const N: usize> DArray<T, N> {
             my_coord: side.coord_of(cx.phys_rank()),
             side,
             local: Vec::new(),
-            versions: RefCell::new(VersionVec::new(shape.iter().product())),
         }
     }
 
@@ -315,12 +307,6 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         &mut self.local
     }
 
-    /// The array's read/write version vector (replicated metadata; the
-    /// dataflow classifier records statement effects through it).
-    pub fn versions(&self) -> &RefCell<VersionVec> {
-        &self.versions
-    }
-
     /// Collect the whole array (row-major) on every member — a collective
     /// over the array's group. For validation and output stages, not
     /// inner loops. The gathered tiles are one buffer the group shares,
@@ -342,7 +328,7 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         }
         let parts = cx.allgather_vecs(self.local.clone());
         cx.replicated(|| {
-            let mut out = vec![T::default(); self.whole().end];
+            let mut out = vec![T::default(); self.shape().iter().product()];
             for (v, part) in parts.parts().enumerate() {
                 self.walk_member(v, |at, slot, len| {
                     out[at..at + len].copy_from_slice(&part[slot..slot + len]);
@@ -368,29 +354,9 @@ impl<T: Elem, const N: usize> DArray<T, N> {
         &self.side
     }
 
-    /// The whole flattened extent, as a statement footprint.
-    pub(crate) fn whole(&self) -> Range<usize> {
-        0..self.shape().iter().product()
-    }
-
-    /// The array as a statement operand touching `footprint`.
-    pub(crate) fn operand(&self, footprint: Range<usize>) -> Operand<'_> {
-        Operand {
-            group: &self.side.group,
-            versions: &self.versions,
-            footprint,
-            member: self.is_member(),
-        }
-    }
-
     /// Tile extents of the member at grid coordinate `coord`.
     fn tile_extents(&self, coord: [usize; N]) -> [usize; N] {
         std::array::from_fn(|k| self.side.maps[k].local_len(coord[k]))
-    }
-
-    /// Tile extents of the member at virtual rank `vrank`.
-    pub(crate) fn extents_of(&self, vrank: usize) -> [usize; N] {
-        self.tile_extents(unravel(vrank, self.grid()))
     }
 
     /// This processor's tile extents (zeros on non-members).
@@ -516,11 +482,6 @@ impl<T: Elem> DArray<T, 2> {
         self.local_extents().into()
     }
 
-    /// Local tile dimensions of an arbitrary member, by virtual rank.
-    pub fn local_dims_of(&self, vrank: usize) -> (usize, usize) {
-        self.extents_of(vrank).into()
-    }
-
     /// One local row as a slice.
     pub fn local_row(&self, lr: usize) -> &[T] {
         let (_, lc) = self.local_dims();
@@ -567,11 +528,6 @@ impl<T: Elem> DArray<T, 3> {
     /// Local extents `(l0, l1, l2)`.
     pub fn local_dims(&self) -> (usize, usize, usize) {
         self.local_extents().into()
-    }
-
-    /// Local extents of an arbitrary member by virtual rank.
-    pub fn local_dims_of(&self, vrank: usize) -> (usize, usize, usize) {
-        self.extents_of(vrank).into()
     }
 
     /// Physical owner of global element `(i0, i1, i2)`.
@@ -784,7 +740,7 @@ mod tests {
     /// member's own copy, assembled from the gathered tiles.
     fn per_member_global<T: Elem + Default, const N: usize>(cx: &mut Cx, a: &DArray<T, N>) -> Vec<T> {
         let parts = cx.allgather_vecs(a.local().to_vec());
-        let mut out = vec![T::default(); a.whole().end];
+        let mut out = vec![T::default(); a.shape().iter().product()];
         for (v, part) in parts.parts().enumerate() {
             a.walk_member(v, |at, slot, len| out[at..at + len].copy_from_slice(&part[slot..slot + len]));
         }

@@ -15,23 +15,19 @@
 //!   communication sets from distribution metadata, so a message is
 //!   exchanged only between processors that actually share elements.
 //!
-//! Two kinds of statement, which share everything but the kind of write
-//! they record: one prologue (`enter`), one cached rank-generic [`Plan`],
-//! one `replay`.
+//! Every statement shares one prologue (`enter`, a sync edge between
+//! its source and destination groups), one cached rank-generic [`Plan`]
+//! and one `replay`:
 //!
-//! * `assign*`, [`transpose2`], [`copy_shift1_range`]: recorded as
-//!   *covered* writes (their receives order the data, so the next
-//!   statement's barrier can be elided).
+//! * `assign*`, [`transpose2`], [`copy_shift1_range`];
 //! * [`remap1`] / [`remap2`]: **structured remaps** — separable statements
 //!   `dst[r][c] = src[fr(r)][fc(c)]` whose per-dimension maps are
 //!   [`Remap`] descriptors (identity, shift, clamped shift, cyclic shift).
-//!   Never a sync point; their write is recorded *opaque*. Their oracle
-//!   is the per-element walk
+//!   Their oracle is the per-element walk
 //!   [`CommSets::enumerate_with`](crate::plan::CommSets::enumerate_with)
 //!   under the same map, replayed with the same protocol
 //!   (`tests/prop_remap.rs`).
 
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -39,7 +35,7 @@ use fx_core::{Cx, GroupHandle};
 
 use crate::array::{DArray, DArray1, DArray2, DArray3, Elem};
 use crate::dataflow::sync_edge;
-use crate::plan::{copy_local, pack_into, unpack_chunk, Key, Plan, Remap, Side, Stmt, VersionVec, WriteKind};
+use crate::plan::{copy_local, pack_into, unpack_chunk, Key, Plan, Remap, Side, Stmt};
 
 /// Which processors take part in a parent-scope array statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,50 +53,16 @@ pub enum Participation {
 // What every statement shares: prologue, plan lookup, replay
 // ---------------------------------------------------------------------------
 
-/// One array operand of a statement, as the dataflow prologue sees it.
-pub(crate) struct Operand<'a> {
-    pub(crate) group: &'a GroupHandle,
-    pub(crate) versions: &'a RefCell<VersionVec>,
-    /// Flattened global index range the statement touches.
-    pub(crate) footprint: Range<usize>,
-    /// Does the calling processor hold elements of the array?
-    pub(crate) member: bool,
-}
-
 /// The prologue of every array statement. It runs on every caller —
-/// members and skippers alike — so the replicated version vectors stay in
-/// step. A *covered* statement is a sync edge: its owners barrier only if
-/// an opaque write taints either footprint, and the kept barrier clears
-/// that taint. An *opaque* statement (remaps, closures: a pattern the
-/// planner does not vouch for) is never a sync point itself; it taints its
-/// destination so the next covered statement keeps its barrier.
-/// `WholeGroup` synchronizes the whole current group instead. Returns
-/// whether this processor takes part — everyone else skips past the
-/// statement (the minimal-subset rule).
-fn enter(
-    cx: &mut Cx,
-    tag: u64,
-    src: &Operand,
-    dst: &Operand,
-    write: WriteKind,
-    mode: Participation,
-) -> bool {
-    let covered = write == WriteKind::Covered;
-    let tainted = covered
-        && (src.versions.borrow().tainted(src.footprint.clone())
-            || dst.versions.borrow().tainted(dst.footprint.clone()));
+/// members and skippers alike. The statement is a sync edge between its
+/// source and destination groups ([`sync_edge`]); `WholeGroup`
+/// synchronizes the whole current group instead.
+fn enter(cx: &mut Cx, tag: u64, src: &GroupHandle, dst: &GroupHandle, mode: Participation) {
     if mode == Participation::WholeGroup {
         cx.barrier();
-    } else if covered {
-        sync_edge(cx, tag, src.group, dst.group, tainted);
+    } else {
+        sync_edge(cx, tag, src, dst);
     }
-    if tainted {
-        src.versions.borrow_mut().clear_taint(src.footprint.clone());
-        dst.versions.borrow_mut().clear_taint(dst.footprint.clone());
-    }
-    src.versions.borrow_mut().record_read(src.footprint.clone());
-    dst.versions.borrow_mut().record_write(dst.footprint.clone(), write);
-    src.member || dst.member
 }
 
 /// This processor's cached plan for `stmt` between placements `s` and `d`.
@@ -149,19 +111,19 @@ fn replay<T: Elem, const N: usize>(
     }
 }
 
-/// One planned statement between two rank-`N` arrays, reading footprint
-/// `s_fp` of `src` and writing `d_fp` of `dst` (flattened ranges).
+/// One planned statement between two rank-`N` arrays.
 fn planned<T: Elem, const N: usize>(
     cx: &mut Cx,
     dst: &mut DArray<T, N>,
     src: &DArray<T, N>,
-    (s_fp, d_fp): (Range<usize>, Range<usize>),
     stmt: Stmt<N>,
-    write: WriteKind,
     mode: Participation,
 ) {
     let tag = cx.next_op_tag();
-    if !enter(cx, tag, &src.operand(s_fp), &dst.operand(d_fp), write, mode) {
+    enter(cx, tag, src.group(), dst.group(), mode);
+    // Only owners take part; everyone else skips past the statement (the
+    // minimal-subset rule).
+    if !src.is_member() && !dst.is_member() {
         return;
     }
     let plan = plan_for(cx, src.side(), dst.side(), stmt);
@@ -208,9 +170,7 @@ pub fn copy_shift1_range<T: Elem>(
     mode: Participation,
 ) {
     assert!(range.end <= dst.n(), "range {range:?} exceeds dst extent {}", dst.n());
-    let s_range = if range.is_empty() {
-        0..0
-    } else {
+    if !range.is_empty() {
         let lo = range.start as isize + shift;
         assert!(
             lo >= 0 && lo as usize + range.len() <= src.n(),
@@ -218,21 +178,19 @@ pub fn copy_shift1_range<T: Elem>(
              the source extent {}",
             src.n()
         );
-        lo as usize..lo as usize + range.len()
-    };
+    }
     let stmt = Stmt { remap: [Remap::Shift(shift)], range: [(range.start, range.end)], axes: [0] };
-    planned(cx, dst, src, (s_range, range), stmt, WriteKind::Covered, mode);
+    planned(cx, dst, src, stmt, mode);
 }
 
 /// Structured 1-D remap `dst[i] = src[remap(i)]` over the whole
-/// destination: one op tag, owners only, never a sync point, write
-/// recorded opaque.
+/// destination: one op tag, owners only.
 ///
 /// Panics — in every build profile, when the plan is first built — if
 /// the map sends a destination index outside the source extent.
 pub fn remap1<T: Elem>(cx: &mut Cx, dst: &mut DArray1<T>, src: &DArray1<T>, remap: Remap) {
     let stmt = Stmt::whole(dst.maps(), [remap]);
-    planned(cx, dst, src, (src.whole(), dst.whole()), stmt, WriteKind::Opaque, Participation::Minimal);
+    planned(cx, dst, src, stmt, Participation::Minimal);
 }
 
 /// Plain distributed assignment `dst = src` for matrices (the statement
@@ -252,8 +210,7 @@ pub fn assign2_with<T: Elem>(
     assert_eq!(dst.rows(), src.rows(), "assign2 row mismatch");
     assert_eq!(dst.cols(), src.cols(), "assign2 col mismatch");
     let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 2]);
-    let whole = (src.whole(), dst.whole());
-    cx.scoped("assign2", |cx| planned(cx, dst, src, whole, stmt, WriteKind::Covered, mode));
+    cx.scoped("assign2", |cx| planned(cx, dst, src, stmt, mode));
 }
 
 /// Distributed transposition `dst[r][c] = src[c][r]` (the radar corner
@@ -262,10 +219,7 @@ pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) 
     assert_eq!(dst.rows(), src.cols(), "transpose2 shape mismatch");
     assert_eq!(dst.cols(), src.rows(), "transpose2 shape mismatch");
     let stmt = Stmt { axes: [1, 0], ..Stmt::whole(dst.maps(), [Remap::Identity; 2]) };
-    let whole = (src.whole(), dst.whole());
-    cx.scoped("transpose2", |cx| {
-        planned(cx, dst, src, whole, stmt, WriteKind::Covered, Participation::Minimal)
-    });
+    cx.scoped("transpose2", |cx| planned(cx, dst, src, stmt, Participation::Minimal));
 }
 
 /// Distributed assignment `dst = src` between 3-D arrays of the same
@@ -274,16 +228,12 @@ pub fn transpose2<T: Elem>(cx: &mut Cx, dst: &mut DArray2<T>, src: &DArray2<T>) 
 pub fn assign3<T: Elem>(cx: &mut Cx, dst: &mut DArray3<T>, src: &DArray3<T>) {
     assert_eq!(dst.shape(), src.shape(), "assign3 shape mismatch");
     let stmt = Stmt::whole(dst.maps(), [Remap::Identity; 3]);
-    let whole = (src.whole(), dst.whole());
-    cx.scoped("assign3", |cx| {
-        planned(cx, dst, src, whole, stmt, WriteKind::Covered, Participation::Minimal)
-    });
+    cx.scoped("assign3", |cx| planned(cx, dst, src, stmt, Participation::Minimal));
 }
 
 /// Structured 2-D remap `dst[r][c] = src[rows(r)][cols(c)]` for separable
 /// maps [`Remap`] expresses (Stereo's disparity shift is
-/// `(Identity, ClampShift(δ))`): one op tag, owners only, never a sync
-/// point, write recorded opaque.
+/// `(Identity, ClampShift(δ))`): one op tag, owners only.
 ///
 /// Panics — in every build profile, when the plan is first built — if a
 /// map sends a destination index outside the source extent.
@@ -295,7 +245,7 @@ pub fn remap2<T: Elem>(
     cols: Remap,
 ) {
     let stmt = Stmt::whole(dst.maps(), [rows, cols]);
-    planned(cx, dst, src, (src.whole(), dst.whole()), stmt, WriteKind::Opaque, Participation::Minimal);
+    planned(cx, dst, src, stmt, Participation::Minimal);
 }
 
 #[cfg(test)]

@@ -66,13 +66,7 @@ fn exchange_halo<T: Elem, const N: usize>(
     let needs: [Dist; N] = std::array::from_fn(|k| if k == axis { Dist::Block } else { Dist::Star });
     assert_eq!(a.dist(), needs, "a halo along dimension {axis} needs BLOCK there and * elsewhere");
     let tag = cx.next_op_tag();
-    // Halos run inside the owning subgroup, which outside replica holders
-    // skip, so they only *test* taint (an opaque write must still be
-    // ordered before its boundary values are read) — never clear it:
-    // clearing here would desync the outsiders' version vectors.
-    let op = a.operand(a.whole());
-    let tainted = op.versions.borrow().tainted(op.footprint);
-    sync_edge(cx, tag, a.group(), a.group(), tainted);
+    sync_edge(cx, tag, a.group(), a.group());
     // BLOCK along `axis` and `*` elsewhere puts virtual rank `me` at
     // coordinate `me` of `axis`, so the grid neighbours are `me ± 1`.
     let (me, phys) = (cx.id(), cx.phys_rank());

@@ -34,7 +34,9 @@
 //! Every assignment, transposition and remap is one statement shape to
 //! the [`plan`] module: a cached rank-generic communication plan, built by
 //! one builder, replayed by one loop and checked against one per-element
-//! oracle.
+//! oracle. Each statement is also one sync edge between its source and
+//! destination groups: its receives order it, so `FX_DATAFLOW=on` elides
+//! the barrier that `off` runs at every statement.
 
 mod array;
 mod assign;
@@ -57,4 +59,4 @@ pub use halo::{
 };
 pub use intrinsics::{cshift1, eoshift1, max1, min1, sum1, sum2, sum_along_cols, sum_along_rows};
 pub use pack::{count_matching, repartition_by};
-pub use plan::{IntervalVer, Remap, VersionVec, WriteKind};
+pub use plan::Remap;

@@ -1234,139 +1234,6 @@ impl CommSets {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Read/write version vectors (dataflow barrier elision)
-// ---------------------------------------------------------------------------
-
-/// How a statement wrote an interval, for dependence classification.
-///
-/// Plan-based assignments move data through per-peer receives whose
-/// `(source, tag)` matching already orders the consumer behind the
-/// producer, so an interval they wrote is **covered**: a later statement
-/// reading it needs no barrier. Writes whose communication pattern the
-/// planner does not vouch for — today the structured remaps — are
-/// **opaque** and taint the interval until the next kept barrier orders
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteKind {
-    /// Written by an interval plan; downstream receives provide ordering.
-    Covered,
-    /// Written by an unanalyzable pattern; requires a barrier to order.
-    Opaque,
-}
-
-/// One interval of a [`VersionVec`]: `[start, end)` with the versions of
-/// its last write and last read, and whether the last write was opaque.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalVer {
-    /// First global index of the interval.
-    pub start: usize,
-    /// One past the last global index.
-    pub end: usize,
-    /// Version stamp of the most recent write (0 = initial value).
-    pub write_ver: u64,
-    /// Version stamp of the most recent read (0 = never read).
-    pub read_ver: u64,
-    /// Last write was [`WriteKind::Opaque`].
-    pub opaque: bool,
-}
-
-/// Per-distribution-interval read/write version vector of one distributed
-/// array.
-///
-/// Every processor holding a descriptor replica evolves an identical copy
-/// (statements record effects before any membership early-return), so the
-/// dataflow classifier can decide *locally* — from metadata alone —
-/// whether an inter-stage edge is interval-covered (elide the subset
-/// barrier) or barrier-required (an opaque write overlaps the statement's
-/// footprint). Intervals are kept disjoint, sorted and minimal: recording
-/// an effect splits intervals at the footprint boundaries, so precision
-/// follows the actual statement ranges (1-D assignments record true
-/// sub-ranges; 2-D/3-D statements record whole-array footprints).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VersionVec {
-    ivs: Vec<IntervalVer>,
-    next_ver: u64,
-}
-
-impl VersionVec {
-    /// A fresh vector over `n` elements: one interval, version 0, clean.
-    pub fn new(n: usize) -> Self {
-        let ivs = if n == 0 {
-            Vec::new()
-        } else {
-            vec![IntervalVer { start: 0, end: n, write_ver: 0, read_ver: 0, opaque: false }]
-        };
-        VersionVec { ivs, next_ver: 1 }
-    }
-
-    /// The current disjoint, sorted interval list.
-    pub fn intervals(&self) -> &[IntervalVer] {
-        &self.ivs
-    }
-
-    /// Split the interval containing `x` (if any) so `x` becomes a
-    /// boundary.
-    fn split_at(&mut self, x: usize) {
-        if let Some(i) = self.ivs.iter().position(|iv| iv.start < x && x < iv.end) {
-            let mut right = self.ivs[i].clone();
-            right.start = x;
-            self.ivs[i].end = x;
-            self.ivs.insert(i + 1, right);
-        }
-    }
-
-    /// Apply `f` to every interval inside `range`, splitting at the
-    /// boundaries first so the edit is exact.
-    fn apply(&mut self, range: Range<usize>, mut f: impl FnMut(&mut IntervalVer)) {
-        if range.start >= range.end {
-            return;
-        }
-        self.split_at(range.start);
-        self.split_at(range.end);
-        for iv in &mut self.ivs {
-            if iv.start >= range.start && iv.end <= range.end {
-                f(iv);
-            }
-        }
-    }
-
-    /// Record a write of `range` with the given kind, bumping the write
-    /// version. A covered write clears any taint it overwrites.
-    pub fn record_write(&mut self, range: Range<usize>, kind: WriteKind) {
-        if range.start >= range.end {
-            return;
-        }
-        let ver = self.next_ver;
-        self.next_ver += 1;
-        self.apply(range, |iv| {
-            iv.write_ver = ver;
-            iv.opaque = kind == WriteKind::Opaque;
-        });
-    }
-
-    /// Record a read of `range`, bumping the read version.
-    pub fn record_read(&mut self, range: Range<usize>) {
-        if range.start >= range.end {
-            return;
-        }
-        let ver = self.next_ver;
-        self.next_ver += 1;
-        self.apply(range, |iv| iv.read_ver = ver);
-    }
-
-    /// Does `range` overlap any interval whose last write was opaque?
-    pub fn tainted(&self, range: Range<usize>) -> bool {
-        self.ivs.iter().any(|iv| iv.opaque && iv.start < range.end && range.start < iv.end)
-    }
-
-    /// Clear the opaque flag on `range` (after a kept barrier ordered the
-    /// offending writes). Does not bump versions.
-    pub fn clear_taint(&mut self, range: Range<usize>) {
-        self.apply(range, |iv| iv.opaque = false);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1669,64 +1536,5 @@ mod tests {
         assert_eq!(&dst2[10..12], &[0, 1]);
         assert_eq!(&dst2[13..15], &[2, 3]);
         assert_eq!(&dst2[16..18], &[4, 5]);
-    }
-
-    #[test]
-    fn version_vec_splits_on_overlap() {
-        let mut vv = VersionVec::new(10);
-        assert_eq!(vv.intervals().len(), 1);
-        vv.record_write(2..6, WriteKind::Opaque);
-        let ivs = vv.intervals();
-        assert_eq!(
-            ivs.iter().map(|iv| (iv.start, iv.end, iv.opaque)).collect::<Vec<_>>(),
-            vec![(0, 2, false), (2, 6, true), (6, 10, false)]
-        );
-        assert!(vv.tainted(0..10));
-        assert!(vv.tainted(5..6));
-        assert!(!vv.tainted(0..2));
-        assert!(!vv.tainted(6..10));
-        assert!(!vv.tainted(2..2), "empty range never tainted");
-    }
-
-    #[test]
-    fn covered_write_clears_overwritten_taint() {
-        let mut vv = VersionVec::new(8);
-        vv.record_write(0..8, WriteKind::Opaque);
-        vv.record_write(2..5, WriteKind::Covered);
-        assert!(vv.tainted(0..2));
-        assert!(!vv.tainted(2..5));
-        assert!(vv.tainted(5..8));
-    }
-
-    #[test]
-    fn clear_taint_is_range_exact() {
-        let mut vv = VersionVec::new(8);
-        vv.record_write(0..8, WriteKind::Opaque);
-        vv.clear_taint(3..5);
-        assert!(vv.tainted(0..3));
-        assert!(!vv.tainted(3..5));
-        assert!(vv.tainted(5..8));
-    }
-
-    #[test]
-    fn versions_advance_monotonically() {
-        let mut vv = VersionVec::new(4);
-        vv.record_write(0..4, WriteKind::Covered);
-        let w1 = vv.intervals()[0].write_ver;
-        vv.record_read(0..2);
-        vv.record_write(0..4, WriteKind::Covered);
-        let w2 = vv.intervals()[0].write_ver;
-        assert!(w2 > w1);
-        // reads bump read_ver only
-        assert_eq!(vv.intervals()[0].read_ver, w1 + 1);
-    }
-
-    #[test]
-    fn zero_length_array_is_inert() {
-        let mut vv = VersionVec::new(0);
-        vv.record_write(0..0, WriteKind::Opaque);
-        vv.record_read(0..0);
-        assert!(!vv.tainted(0..0));
-        assert!(vv.intervals().is_empty());
     }
 }

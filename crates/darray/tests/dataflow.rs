@@ -1,16 +1,17 @@
-//! Dataflow barrier elision: the classifier must elide exactly the
-//! barriers whose edges are interval-covered, keep the ones tainted by
-//! opaque writes, and never change program results — only virtual time.
+//! Dataflow barrier elision: every array statement is a sync edge whose
+//! receives order it, so `On` elides each edge's barrier and `Off` keeps
+//! one per member of the edge — and neither changes program results,
+//! only virtual time.
 
 use fx_core::{spmd, Cx, DataflowMode, Machine, MachineModel, Size};
 use fx_darray::{
-    assign1, exchange_row_halo, remap1, remap2, DArray1, DArray2, Dist, Dist1, Participation, Remap,
+    assign1, assign2, assign2_with, exchange_row_halo, remap1, remap2, DArray1, DArray2, Dist, Dist1,
+    Participation, Remap,
 };
 use proptest::prelude::*;
 
 /// A 3-stage 1-D pipeline (the FFT-Hist shape): G1 produces, G2
-/// transforms, G3 consumes, data crossing stages via plan-based `assign1`
-/// — every inter-stage edge is interval-covered.
+/// transforms, G3 consumes, data crossing stages via plan-based `assign1`.
 fn pipeline(cx: &mut Cx, datasets: usize, n: usize) -> Vec<u64> {
     let part = cx.task_partition(&[
         ("G1", Size::Procs(1)),
@@ -78,70 +79,41 @@ fn covered_pipeline_elides_every_barrier() {
 }
 
 #[test]
-fn opaque_writes_keep_their_barrier_until_ordered() {
+fn a_remap_is_a_sync_edge_like_any_statement() {
     let p = 3usize;
-    let rep = spmd(
-        &Machine::simulated(p, MachineModel::paragon()).with_dataflow(DataflowMode::On),
-        |cx| {
-            let g = cx.group();
-            let data: Vec<u64> = (0..12).collect();
-            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
-            let mut mid = DArray1::new(cx, &g, 12, Dist1::Cyclic, 0u64);
-            // Opaque write: taints `mid`, itself never a sync point.
-            remap1(cx, &mut mid, &src, Remap::Cyclic(1));
-            let mut d1 = DArray1::new(cx, &g, 12, Dist1::Block, 0u64);
-            // Edge reads tainted `mid`: barrier kept, taint cleared.
-            assign1(cx, &mut d1, &mid);
-            let mut d2 = DArray1::new(cx, &g, 12, Dist1::Block, 0u64);
-            // Taint is gone: this edge is covered and elides.
-            assign1(cx, &mut d2, &mid);
-            d2.to_global(cx)
-        },
-    );
-    for r in &rep.results {
-        assert_eq!(*r, (0..12).map(|i| (i + 1) % 12).collect::<Vec<u64>>());
-    }
-    let d = rep.total();
-    assert_eq!(d.barriers_kept, p as u64, "one kept barrier per member");
-    assert_eq!(d.barriers_elided, p as u64, "one elided barrier per member");
-}
-
-#[test]
-fn halos_test_taint_but_never_clear_it() {
-    let p = 3usize;
-    let rep = spmd(
-        &Machine::simulated(p, MachineModel::paragon()).with_dataflow(DataflowMode::On),
-        |cx| {
+    let go = |mode: DataflowMode| {
+        spmd(&Machine::simulated(p, MachineModel::paragon()).with_dataflow(mode), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..24).collect(); // 6x4
-            let mut a = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
-            let b = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
-            let h0 = exchange_row_halo(cx, &a, 1); // clean → elided
-            remap2(cx, &mut a, &b, Remap::Identity, Remap::Identity); // taints `a`
-            let h1 = exchange_row_halo(cx, &a, 1); // tainted → kept
-            let h2 = exchange_row_halo(cx, &a, 1); // halos never clear → kept again
-            (h0.bottom, h1.bottom, h2.bottom)
-        },
-    );
-    // Correctness is untouched by the synchronization policy.
-    assert_eq!(rep.results[0].0, vec![8, 9, 10, 11]);
-    assert_eq!(rep.results[0].1, vec![8, 9, 10, 11]);
-    assert_eq!(rep.results[0].2, vec![8, 9, 10, 11]);
-    let d = rep.total();
-    assert_eq!(d.barriers_elided, p as u64);
-    assert_eq!(d.barriers_kept, 2 * p as u64);
+            let src = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
+            let mut mid = DArray2::new(cx, &g, [6, 4], (Dist::Cyclic, Dist::Star), 0u32);
+            let mut dst = DArray2::new(cx, &g, [6, 4], (Dist::Block, Dist::Star), 0u32);
+            remap2(cx, &mut mid, &src, Remap::Identity, Remap::Cyclic(1)); // edge 1
+            assign2(cx, &mut dst, &mid); // edge 2
+            let halo = exchange_row_halo(cx, &dst, 1); // edge 3
+            (dst.to_global(cx).to_vec(), halo.top, halo.bottom)
+        })
+    };
+    let (off, on) = (go(DataflowMode::Off), go(DataflowMode::On));
+    assert_eq!(off.results, on.results, "barriers never move data");
+    // Processor 0 owns rows 0-1; its lower ghost row is row 2, rotated.
+    assert_eq!(on.results[0].2, vec![9, 10, 11, 8]);
+    let edges = 3 * p as u64;
+    let (doff, don) = (off.total(), on.total());
+    assert_eq!((don.barriers_elided, don.barriers_kept), (edges, 0), "On elides every edge");
+    assert_eq!((doff.barriers_elided, doff.barriers_kept), (0, edges), "Off: one per member");
 }
 
 #[test]
-fn validate_mode_passes_with_covered_and_tainted_edges() {
-    // Covered-only pipeline: the dual run asserts monotone speedup.
+fn validate_mode_passes_on_a_pipeline_and_a_remap_chain() {
+    // The pipeline: the dual run asserts monotone speedup.
     let rep = spmd(
         &Machine::simulated(4, MachineModel::paragon()).with_dataflow(DataflowMode::Validate),
         |cx| pipeline(cx, 3, 32),
     );
     assert!(rep.total().barriers_elided > 0);
 
-    // Mixed taint: kept and elided barriers in one program.
+    // A remap feeding two assignments: three elided edges.
     let rep = spmd(
         &Machine::simulated(3, MachineModel::paragon()).with_dataflow(DataflowMode::Validate),
         |cx| {
@@ -163,23 +135,24 @@ fn validate_mode_passes_with_covered_and_tainted_edges() {
 
 #[test]
 fn validate_is_bit_exact_when_nothing_elides() {
-    // Only a remap (never a sync point): the On pass elides nothing, so
-    // validate asserts bitwise-identical clocks.
+    // Only a `WholeGroup` statement, which barriers the group and is no
+    // sync edge: the On pass elides nothing, so validate asserts
+    // bitwise-identical clocks.
     let rep = spmd(
         &Machine::simulated(3, MachineModel::paragon()).with_dataflow(DataflowMode::Validate),
         |cx| {
             let g = cx.group();
-            let data: Vec<u64> = (0..9).collect();
-            let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
-            let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u64);
-            remap1(cx, &mut dst, &src, Remap::Identity);
+            let data: Vec<u64> = (0..12).collect();
+            let src = DArray2::from_global(cx, &g, [3, 4], (Dist::Block, Dist::Star), &data);
+            let mut dst = DArray2::new(cx, &g, [3, 4], (Dist::Star, Dist::Block), 0u64);
+            assign2_with(cx, &mut dst, &src, Participation::WholeGroup);
             dst.to_global(cx)
         },
     );
     assert_eq!(rep.total().barriers_elided, 0);
     assert_eq!(rep.total().barriers_kept, 0);
     for r in &rep.results {
-        assert_eq!(*r, (0..9).collect::<Vec<u64>>());
+        assert_eq!(*r, (0..12).collect::<Vec<u64>>());
     }
 }
 
@@ -225,7 +198,7 @@ fn kept_barriers_carry_edge_labels_in_profiled_spans() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: "classified covered ⇒ elided run ≡ barriered run"
+// Property: "elided run ≡ barriered run"
 // ---------------------------------------------------------------------------
 
 fn arb_dist1() -> impl Strategy<Value = Dist1> {
@@ -243,8 +216,8 @@ enum Op {
     Assign { dst: usize, src: usize },
     /// Shifted sub-range copy through the interval planner.
     Shift { dst: usize, src: usize, lo: usize, len: usize, shift: isize },
-    /// Opaque remap (taint source): dst[i] = src[i], or src[(i + 1) % n]
-    /// when rotated.
+    /// Structured remap: dst[i] = src[i], or src[(i + 1) % n] when
+    /// rotated.
     Remap { dst: usize, src: usize, rotate: bool },
 }
 
@@ -270,7 +243,7 @@ fn arb_op(n: usize) -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any random mix of covered and opaque statements over random
+    /// Any random mix of assignments, shifts and remaps over random
     /// distributions produces identical contents with barriers elided or
     /// kept, never-later clocks, and — when nothing was elided —
     /// bit-identical clocks.

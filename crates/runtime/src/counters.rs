@@ -127,7 +127,7 @@ declare_counters! {
     recv_bytes, "fx_recv_bytes", "Payload bytes received.";
     recv_wait_ns, "fx_recv_wait_ns", "Host nanoseconds blocked in receives that parked (0 unless a telemetry registry is attached).";
     barriers, "fx_barriers", "Group barriers entered.";
-    barriers_elided, "fx_barriers_elided", "Statement sync points whose subset barrier was elided (interval-covered edge).";
+    barriers_elided, "fx_barriers_elided", "Statement sync points whose subset barrier was elided.";
     barriers_kept, "fx_barriers_kept", "Statement sync points whose subset barrier ran.";
     promotions_attempted, "fx_promotions_attempted", "Heartbeats that published a promotion announcement.";
     promotions_taken, "fx_promotions_taken", "Loop-tail grants donated to idle subgroup peers.";

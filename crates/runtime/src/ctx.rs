@@ -660,7 +660,7 @@ impl ProcCtx {
         self.observed
     }
 
-    /// Count one sync point classified interval-covered (barrier elided).
+    /// Count one sync point whose subset barrier was elided.
     #[inline]
     pub fn note_barrier_elided(&mut self) {
         bump(&self.counters.barriers_elided, 1);

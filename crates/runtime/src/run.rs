@@ -68,15 +68,15 @@ impl std::fmt::Display for Executor {
 /// Barriers in this runtime never affect *results* — messages are matched
 /// FIFO per `(src, tag)` stream regardless — only virtual (and host) time.
 /// `Off` is the conservative baseline that synchronizes the participating
-/// subset at every statement; `On` keeps only the barriers the classifier
-/// cannot prove covered; `Validate` runs both ways and asserts the
+/// subset at every statement; `On` elides them all, since each statement's
+/// receives already order it; `Validate` runs both ways and asserts the
 /// elision is sound (identical event sequences, monotonically earlier
 /// clocks, bit-identical times when nothing was elided).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataflowMode {
     /// Conservative: subset barrier at every distributed-array statement.
     Off,
-    /// Elide barriers on interval-covered edges (the default).
+    /// Elide every statement's barrier (the default).
     On,
     /// Run `Off` then `On` and assert the runs agree; report the `On` run.
     Validate,

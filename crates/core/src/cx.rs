@@ -319,6 +319,14 @@ impl<'a> Cx<'a> {
     /// Keys are compared by exact equality; the data-parallel layer encodes
     /// everything a plan depends on (distributions, group member lists, array
     /// extents, ranges, shifts) into its key types.
+    ///
+    /// A plan is kept in proportion to its reuse ([`PlanCache`]'s 2Q
+    /// admission): a first sighting waits on probation among the last 8,
+    /// and only a plan used again — while on probation, or while its key's
+    /// hash is still among the last 256 pushed out — joins the 64 plans
+    /// kept least recently used first. A run of one-off statements
+    /// therefore neither fills memory with plans nor evicts the ones a
+    /// pipeline replays.
     pub fn plan_cached<K, P, F>(&mut self, key: K, build: F) -> Arc<P>
     where
         K: Eq + std::hash::Hash + Send + 'static,

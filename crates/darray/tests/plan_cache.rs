@@ -36,6 +36,50 @@ fn hundred_iteration_pipeline_builds_each_plan_once() {
 }
 
 #[test]
+fn reused_plans_survive_a_scan_of_one_off_statements() {
+    // Each iteration runs the two statements of the pipeline above, then
+    // SCAN assignments on extents never seen before or again: more
+    // distinct plans per iteration than a 64-plan LRU holds, so an LRU
+    // re-plans the reused statements every iteration (1 640 misses per
+    // processor here). A reused plan must be built at most twice: once
+    // on its first sighting, once more if the scan pushed it out of
+    // probation before its reuse.
+    const ITERS: u64 = 20;
+    const SCAN: u64 = 80;
+    let rep = spmd(&Machine::real(4), |cx| {
+        let g = cx.group();
+        let data: Vec<u64> = (0..64).collect();
+        let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
+        let mut mid = DArray1::new(cx, &g, 64, Dist1::Cyclic, 0u64);
+        let m1 = DArray2::new(cx, &g, [8, 8], (Dist::Block, Dist::Star), 1u64);
+        let mut m2 = DArray2::new(cx, &g, [8, 8], (Dist::Star, Dist::Block), 0u64);
+        let mut fresh = 100;
+        for _ in 0..ITERS {
+            assign1(cx, &mut mid, &src);
+            transpose2(cx, &mut m2, &m1);
+            for _ in 0..SCAN {
+                let a = DArray1::new(cx, &g, fresh, Dist1::Block, 1u64);
+                let mut b = DArray1::new(cx, &g, fresh, Dist1::Cyclic, 0u64);
+                assign1(cx, &mut b, &a);
+                fresh += 1;
+            }
+        }
+        mid.to_global(cx)
+    });
+    for r in &rep.results {
+        assert_eq!(*r, (0..64u64).collect::<Vec<_>>());
+    }
+    for (p, ps) in rep.counters.iter().enumerate() {
+        assert_eq!(ps.plan_misses + ps.plan_hits, ITERS * (2 + SCAN), "proc {p}");
+        assert!(
+            ps.plan_misses <= ITERS * SCAN + 2 * 2,
+            "proc {p}: {} misses, so a reused statement planned more than twice",
+            ps.plan_misses
+        );
+    }
+}
+
+#[test]
 fn halo_and_3d_assignment_plans_are_cached_too() {
     const ITERS: u64 = 50;
     let rep = spmd(&Machine::real(3), |cx| {

@@ -33,10 +33,15 @@
 //!   and `Side::serve` picks which member of a replicated source serves a
 //!   given destination processor.
 //! * **One pack/unpack/copy.** [`pack_into`], [`unpack_chunk`] and
-//!   [`copy_local`] walk the outer dimensions index by index and move the
-//!   innermost run as a slice whenever its stride is 1 — per element only
-//!   under a permutation, where the inner destination dimension strides
-//!   through the source tile.
+//!   [`copy_local`] walk the outer dimensions index by index. Pack and
+//!   unpack move each innermost `Seg` by its shape, not piece by piece:
+//!   contiguous runs of two or more elements as one slice copy per run,
+//!   and anything else — a family of one-element runs (BLOCK↔CYCLIC), a
+//!   stride-0 repeat, any run under a permutation, where the inner
+//!   destination dimension strides through the source tile — as one
+//!   typed gather or scatter loop over the `Seg`'s `count × len` elements
+//!   ([`Chunk::push_iter`] / [`Chunk::iter_from`]), with no library call
+//!   per element. The local copy moves a one-element span inline too.
 //! * **One oracle.** [`CommSets::enumerate`] is the reference
 //!   implementation: it walks every destination index, asks the
 //!   distribution metadata for the owners and buckets slots by peer —
@@ -1004,10 +1009,38 @@ fn for_each_outer(dims: &[&[Seg]], strides: &[usize], base: usize, f: &mut impl 
     }
 }
 
+/// Whether the runs of `seg`, at element step `step`, move as one slice
+/// copy each: contiguous runs of two or more elements. Anything else — a
+/// family of one-element runs, a stride-0 repeat, any run under a
+/// permutation — moves as one typed gather or scatter loop over the whole
+/// `Seg`. A copy call per run costs about what moving two or three
+/// elements one at a time does (experiments/pr-45.md), so only
+/// one-element runs gain from the loop.
+fn by_slices(seg: &Seg, step: usize) -> bool {
+    step == 1 && seg.len > 1
+}
+
+impl Seg {
+    /// The offsets of this `Seg`'s elements as one arithmetic progression
+    /// (first, gap) at element step `step`, if they form one: one run, or
+    /// one-element runs. A gather or scatter along it is one flat loop;
+    /// through the loop nest of a family it reads `redist_steady` 14 %
+    /// slower end to end (experiments/pr-45.md).
+    fn line(&self, step: usize) -> Option<(usize, usize)> {
+        match (self.count, self.len) {
+            (1, _) => Some((self.start * step, step)),
+            (_, 1) => Some((self.start * step, self.stride * step)),
+            _ => None,
+        }
+    }
+}
+
 /// Pack the cross product `dims` of a tile with element `strides` into a
 /// pooled [`Chunk`] (message packing; the chunk's storage comes from the
-/// sender's buffer pool and is recycled by the receiver). Innermost runs
-/// are copied as slices when their stride is 1, per element otherwise.
+/// sender's buffer pool and is recycled by the receiver). Each innermost
+/// `Seg` is one [`Chunk::push_iter`] gather over its elements, or one
+/// slice copy per run when its runs are contiguous and longer than one
+/// element.
 pub fn pack_into<T: Copy + Send + 'static, const N: usize>(
     src: &[T],
     strides: &[usize; N],
@@ -1016,20 +1049,23 @@ pub fn pack_into<T: Copy + Send + 'static, const N: usize>(
 ) {
     let (inner, step) = (dims[N - 1], strides[N - 1]);
     for_each_outer(&dims[..N - 1], &strides[..N - 1], 0, &mut |base| {
-        for (start, len) in pieces(inner) {
-            if step == 1 {
-                chunk.push_slice(&src[base + start..base + start + len]);
+        for seg in inner {
+            let n = seg.count * seg.len;
+            if by_slices(seg, step) {
+                seg.runs().for_each(|(start, len)| chunk.push_slice(&src[base + start..][..len]));
+            } else if let Some((first, gap)) = seg.line(step) {
+                chunk.push_iter(n, (0..n).map(|k| src[base + first + k * gap]));
             } else {
-                for i in start..start + len {
-                    chunk.push_slice(&src[base + i * step..base + i * step + 1]);
-                }
+                let elems = seg.runs().flat_map(|(start, len)| (start..start + len).map(|i| src[base + i * step]));
+                chunk.push_iter(n, elems);
             }
         }
     });
 }
 
 /// Scatter a received [`Chunk`] into the cross product `dims` of a tile
-/// with element `strides` — the inverse of [`pack_into`].
+/// with element `strides` — the inverse of [`pack_into`], with the same
+/// choice per `Seg`.
 pub fn unpack_chunk<T: Copy + Send + 'static, const N: usize>(
     dst: &mut [T],
     strides: &[usize; N],
@@ -1039,15 +1075,20 @@ pub fn unpack_chunk<T: Copy + Send + 'static, const N: usize>(
     let (inner, step) = (dims[N - 1], strides[N - 1]);
     let mut off = 0;
     for_each_outer(&dims[..N - 1], &strides[..N - 1], 0, &mut |base| {
-        for (start, len) in pieces(inner) {
-            if step == 1 {
-                chunk.read_into(off, &mut dst[base + start..base + start + len]);
-            } else {
-                for (j, i) in (start..start + len).enumerate() {
-                    chunk.read_into(off + j, &mut dst[base + i * step..base + i * step + 1]);
+        for seg in inner {
+            let n = seg.count * seg.len;
+            if by_slices(seg, step) {
+                for (k, (start, len)) in seg.runs().enumerate() {
+                    chunk.read_into(off + k * len, &mut dst[base + start..][..len]);
                 }
+            } else if let Some((first, gap)) = seg.line(step) {
+                (0..n).zip(chunk.iter_from(off, n)).for_each(|(k, v)| dst[base + first + k * gap] = v);
+            } else {
+                let mut vals = chunk.iter_from(off, n);
+                let slots = seg.runs().flat_map(|(start, len)| start..start + len);
+                slots.for_each(|i| dst[base + i * step] = vals.next().expect("a Seg holds count x len elements"));
             }
-            off += len;
+            off += n;
         }
     });
     debug_assert_eq!(off, chunk.elems());
@@ -1093,8 +1134,9 @@ fn copy_dims<T: Copy>(
 
 /// Copy elements of `src` along `s_runs` (index `i` at `src[i * step]`)
 /// to `dst` along `d_runs`. The two run lists cover the same number of
-/// elements; piece boundaries may differ, so spans are copied at the
-/// finer granularity — as slices when `step` is 1.
+/// elements; piece boundaries may differ, so spans are copied at the finer
+/// granularity — as slices when `step` is 1 and the span is longer than
+/// one element, element by element otherwise.
 fn copy_seg_runs<T: Copy>(src: &[T], step: usize, s_runs: &[Seg], dst: &mut [T], d_runs: &[Seg]) {
     let mut sit = pieces(s_runs);
     let mut dit = pieces(d_runs);
@@ -1103,7 +1145,7 @@ fn copy_seg_runs<T: Copy>(src: &[T], step: usize, s_runs: &[Seg], dst: &mut [T],
     while let (Some((ss, sl)), Some((ds, dl))) = (sp, dp) {
         let span = (sl - so).min(dl - dof);
         let (from, to) = (ss + so, ds + dof);
-        if step == 1 {
+        if step == 1 && span > 1 {
             dst[to..to + span].copy_from_slice(&src[from..from + span]);
         } else {
             for j in 0..span {

@@ -361,8 +361,8 @@ mod tests {
     #[test]
     fn dp_and_tp_agree_on_the_physics() {
         let cfg = tiny_cfg();
-        let dp = spmd(&Machine::real(4), move |cx| airshed_dp(cx, &cfg));
-        let tp = spmd(&Machine::real(4), move |cx| airshed_tp(cx, &cfg));
+        let dp = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg));
+        let tp = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| airshed_tp(cx, &cfg));
         let dp_val = dp.results[0];
         // TP: main group members (phys 1, 2) hold the checksum.
         let tp_val = tp.results[1];
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn dp_matches_sequential_reference() {
         let cfg = tiny_cfg();
-        let dp = spmd(&Machine::real(3), move |cx| airshed_dp(cx, &cfg)).results[0];
+        let dp = spmd(&Machine::simulated(3, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg)).results[0];
         let seq = reference_checksum(&cfg);
         assert!((dp - seq).abs() < 1e-9 * seq.abs().max(1.0), "dp {dp} vs seq {seq}");
     }
@@ -384,8 +384,8 @@ mod tests {
     #[test]
     fn dp_is_deterministic_across_processor_counts() {
         let cfg = tiny_cfg();
-        let a = spmd(&Machine::real(1), move |cx| airshed_dp(cx, &cfg)).results[0];
-        let b = spmd(&Machine::real(3), move |cx| airshed_dp(cx, &cfg)).results[0];
+        let a = spmd(&Machine::simulated(1, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg)).results[0];
+        let b = spmd(&Machine::simulated(3, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg)).results[0];
         assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
     }
 
@@ -421,7 +421,7 @@ mod tests {
     #[test]
     fn gridpoints_not_divisible_by_processors() {
         let cfg = AirshedConfig { gridpoints: 13, ..tiny_cfg() };
-        let dp = spmd(&Machine::real(5), move |cx| airshed_dp(cx, &cfg)).results[0];
+        let dp = spmd(&Machine::simulated(5, MachineModel::paragon()), move |cx| airshed_dp(cx, &cfg)).results[0];
         let seq = reference_checksum(&cfg);
         assert!((dp - seq).abs() < 1e-9 * seq.abs().max(1.0));
     }

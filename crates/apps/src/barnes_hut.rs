@@ -318,12 +318,12 @@ pub fn bh_simulate(
 mod tests {
     use super::*;
     use fx_kernels::nbody::direct_forces;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     fn check_against_direct(n: usize, p: usize, k: usize) {
         let bodies = make_bodies(n, 11);
         let cfg = BhConfig { n, theta: 0.4, eps: 1e-3, k, leaf_group: 1 };
-        let rep = spmd(&Machine::real(p), move |cx| bh_forces(cx, &bodies, &cfg));
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| bh_forces(cx, &bodies, &cfg));
         // Oracle: sequential BH on the full tree (identical math), and
         // direct sum for physical sanity.
         let bodies2 = make_bodies(n, 11);
@@ -412,7 +412,7 @@ mod tests {
     fn step_moves_particles() {
         let bodies = make_bodies(32, 3);
         let cfg = BhConfig { n: 32, theta: 0.4, eps: 1e-2, k: 3, leaf_group: 1 };
-        let rep = spmd(&Machine::real(2), move |cx| bh_step(cx, &bodies, &cfg, 1e-3));
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), move |cx| bh_step(cx, &bodies, &cfg, 1e-3));
         let moved = &rep.results[0];
         assert_eq!(moved.len(), 32);
         // Same on all processors, and positions changed (in input order).
@@ -438,7 +438,7 @@ mod tests {
         let vel = vec![[0.0f64; 3]; n];
         let cfg = BhConfig { n, theta: 0.2, eps: 0.05, k: 4, leaf_group: 1 };
         let e0 = total_energy(&bodies, &vel, cfg.eps);
-        let rep = spmd(&Machine::real(4), move |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
             bh_simulate(cx, &bodies, &vel, &cfg, 2e-4, 25)
         });
         let (final_bodies, final_vel) = &rep.results[0];

@@ -238,7 +238,7 @@ mod tests {
     fn dp_matches_reference() {
         let cfg = small_cfg();
         for p in [1usize, 2, 4] {
-            let rep = spmd(&Machine::real(p), move |cx| fft_hist_dp(cx, &cfg));
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| fft_hist_dp(cx, &cfg));
             for proc_results in &rep.results {
                 for (d, h) in proc_results.iter().enumerate() {
                     assert_eq!(h, &reference_histogram(&cfg, d), "p={p} dataset {d}");
@@ -256,7 +256,7 @@ mod tests {
         let cfg = FftHistConfig::new(64, 2);
         let expect: Vec<Vec<u64>> = (0..cfg.datasets).map(|d| reference_histogram(&cfg, d)).collect();
         for p in [3usize, 16, 48] {
-            let rep = spmd(&Machine::real(p), move |cx| fft_hist_dp(cx, &cfg));
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| fft_hist_dp(cx, &cfg));
             for proc_results in &rep.results {
                 assert_eq!(proc_results, &expect, "p={p}");
             }
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn pipeline_matches_reference() {
         let cfg = small_cfg();
-        let rep = spmd(&Machine::real(6), move |cx| fft_hist_pipeline(cx, &cfg, [2, 3, 1]));
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), move |cx| fft_hist_pipeline(cx, &cfg, [2, 3, 1]));
         // G3 members (phys 5) hold the results.
         let g3 = &rep.results[5];
         assert_eq!(g3.len(), cfg.datasets);
@@ -290,7 +290,7 @@ mod tests {
         let twice = FftHistMapping::Replicated { replicas: 2, pipeline: None }.placement(4);
         assert_eq!(twice, Placement::replicated(2, Segments::fused(2)));
         assert_eq!(FftHistMapping::DataParallel.placement(4), Placement::data_parallel(4));
-        let rep = spmd(&Machine::real(4), move |cx| dealt_sets(cx, &cfg, &twice));
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| dealt_sets(cx, &cfg, &twice));
         // Replica 0 (procs 0,1): datasets 0, 2, 4; replica 1: 1, 3.
         for proc in [0usize, 1] {
             let sets: Vec<usize> = rep.results[proc].iter().map(|(d, _)| *d).collect();
@@ -310,7 +310,7 @@ mod tests {
         let cfg = FftHistConfig { datasets: 4, ..small_cfg() };
         let hybrid = FftHistMapping::Replicated { replicas: 2, pipeline: Some([1, 1, 1]) }.placement(6);
         assert_eq!(hybrid, Placement::replicated(2, Segments::pipeline([1, 1, 1])));
-        let rep = spmd(&Machine::real(6), move |cx| dealt_sets(cx, &cfg, &hybrid));
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), move |cx| dealt_sets(cx, &cfg, &hybrid));
         // Within each module only the G3 member reports; others are empty.
         let mut seen = vec![false; cfg.datasets];
         for proc_results in &rep.results {
@@ -326,7 +326,7 @@ mod tests {
     fn segmented_mappings_match_reference() {
         let cfg = small_cfg();
         // [fill+cffts | rffts+hist] on 2+2, and [all fused] on 4.
-        let rep = spmd(&Machine::real(4), move |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
             let two = Segments { seg_of_stage: [0, 1, 1], procs: vec![2, 2], ..Segments::fused(4) };
             let two_seg = fft_hist_sets(cx, &cfg, &two, &sets);
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn fused_first_two_stages_match_reference() {
         let cfg = small_cfg();
-        let rep = spmd(&Machine::real(3), move |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), move |cx| {
             let sets: Vec<usize> = (0..cfg.datasets).collect();
             let segs = Segments { seg_of_stage: [0, 0, 1], procs: vec![2, 1], ..Segments::fused(3) };
             fft_hist_sets(cx, &cfg, &segs, &sets)

@@ -213,7 +213,7 @@ mod tests {
         let cfg = MultiblockConfig { rows: 8, cols_a: 5, cols_b: 11, steps: 12, left_bc: 1.0, right_bc: -0.5 };
         let (ea, eb) = reference_checksums(&cfg);
         for p in [2usize, 3, 6] {
-            let rep = spmd(&Machine::real(p), move |cx| multiblock_tp(cx, &cfg));
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| multiblock_tp(cx, &cfg));
             for &(sa, sb) in &rep.results {
                 assert!((sa - ea).abs() < 1e-9 * ea.abs().max(1.0), "p={p}: A {sa} vs {ea}");
                 assert!((sb - eb).abs() < 1e-9 * eb.abs().max(1.0), "p={p}: B {sb} vs {eb}");
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn subgroups_are_sized_by_block_area() {
         let cfg = MultiblockConfig { rows: 8, cols_a: 4, cols_b: 12, steps: 1, left_bc: 0.0, right_bc: 0.0 };
-        let rep = spmd(&Machine::real(8), move |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), move |cx| {
             multiblock_tp(cx, &cfg);
             cx.nprocs()
         });

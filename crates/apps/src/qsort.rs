@@ -279,12 +279,12 @@ pub fn qsort_global_promoted(cx: &mut Cx, keys: &[i64], leaf_group: usize) -> Gl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     fn check_sort(keys: Vec<i64>, p: usize) {
         let mut expect = keys.clone();
         expect.sort_unstable();
-        let rep = spmd(&Machine::real(p), move |cx| qsort_global(cx, &keys));
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| qsort_global(cx, &keys));
         for r in rep.results {
             assert_eq!(r, expect, "p = {p}");
         }

@@ -174,7 +174,7 @@ pub fn radar_stream(cx: &mut Cx, cfg: &RadarConfig, sets: &[usize]) -> Vec<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     fn small_cfg() -> RadarConfig {
         RadarConfig { ranges: 32, pulses: 8, datasets: 3, gain: 0.25, threshold: 0.6 }
@@ -184,7 +184,7 @@ mod tests {
     fn dp_matches_reference() {
         let cfg = small_cfg();
         for p in [1usize, 2, 4] {
-            let rep = spmd(&Machine::real(p), move |cx| radar_stream(cx, &cfg, &[0, 1, 2]));
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| radar_stream(cx, &cfg, &[0, 1, 2]));
             let expect: Vec<_> = (0..3).map(|d| (d, reference_detections(&cfg, d))).collect();
             assert!(rep.results.iter().all(|r| r == &expect), "p={p}");
         }
@@ -205,7 +205,7 @@ mod tests {
         // 8-pulse input rows over 12 processors: several own nothing in
         // one of the two layouts; the corner turn must still be exact.
         let cfg = RadarConfig { ranges: 16, pulses: 8, datasets: 2, gain: 0.5, threshold: 0.5 };
-        let rep = spmd(&Machine::real(12), move |cx| radar_stream(cx, &cfg, &[0, 1]));
+        let rep = spmd(&Machine::simulated(12, MachineModel::paragon()), move |cx| radar_stream(cx, &cfg, &[0, 1]));
         let expect: Vec<_> = (0..2).map(|d| (d, reference_detections(&cfg, d))).collect();
         assert!(rep.results.iter().all(|r| r == &expect));
     }

@@ -247,7 +247,7 @@ pub fn assemble_depth(tiles: &[Vec<u16>], rows: usize, cols: usize) -> Vec<u16> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     fn small_cfg() -> StereoConfig {
         StereoConfig { rows: 24, cols: 32, n_match: 2, max_disp: 4, window: 2, datasets: 2 }
@@ -271,7 +271,7 @@ mod tests {
     fn dp_matches_reference() {
         let cfg = small_cfg();
         for p in [1usize, 2, 4] {
-            let rep = spmd(&Machine::real(p), move |cx| stereo_stream(cx, &cfg, &[0, 1]));
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| stereo_stream(cx, &cfg, &[0, 1]));
             for d in 0..cfg.datasets {
                 let got = depth_for(&rep.results, d, cfg.rows, cfg.cols);
                 let expect = reference_depth(&cfg, d);
@@ -295,7 +295,7 @@ mod tests {
     fn processors_owning_no_column_still_match_reference() {
         // 32 columns over 12 processors: blocks of 3, the last one empty.
         let cfg = small_cfg();
-        let rep = spmd(&Machine::real(12), move |cx| stereo_stream(cx, &cfg, &[0]));
+        let rep = spmd(&Machine::simulated(12, MachineModel::paragon()), move |cx| stereo_stream(cx, &cfg, &[0]));
         assert_eq!(depth_for(&rep.results, 0, cfg.rows, cfg.cols), reference_depth(&cfg, 0));
     }
 
@@ -322,7 +322,7 @@ mod tests {
     fn shifts_cause_real_communication() {
         // The disparity shifts must move data between column blocks.
         let cfg = small_cfg();
-        let rep = spmd(&Machine::real(4), move |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
             stereo_stream(cx, &cfg, &[0]);
         });
         let msgs: u64 = rep.traffic.iter().map(|(m, _)| m).sum();

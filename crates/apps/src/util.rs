@@ -303,11 +303,11 @@ pub fn hop<'a, T: Elem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     #[test]
     fn replicated_modules_assigns_each_processor_once() {
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             replicated_modules(cx, 3, |cx, module| {
                 assert_eq!(cx.nprocs(), 2);
                 (module, cx.id())
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn modules_compute_independently() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             replicated_modules(cx, 2, |cx, module| {
                 cx.allreduce((module as u64 + 1) * 10, |a, b| a + b)
             })
@@ -332,7 +332,7 @@ mod tests {
         // No partition, no region: every stage runs on everyone and no
         // scope is entered (an op tag or a region entry per stage would
         // move the data-parallel program's tags and counters).
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             stage_chain(cx, &Segments::fused(3), |cx, st| {
                 assert_eq!(st.group(2).gid(), cx.group().gid());
                 (0..3).filter_map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn fused_stages_share_a_segment_of_a_longer_chain() {
         let segs = Segments { seg_of_stage: [0, 0, 1], procs: vec![2, 1], ..Segments::fused(3) };
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             stage_chain(cx, &segs, |cx, st| {
                 assert_eq!(st.group(0).gid(), st.group(1).gid());
                 (0..3).map(|k| st.on(cx, k, |cx| cx.nprocs())).collect::<Vec<_>>()
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn run_mapped_deals_items_and_hands_each_module_its_segments() {
         let hybrid = Placement::replicated(2, Segments::pipeline([1, 1, 1]));
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             run_mapped(cx, &hybrid, &[10, 11, 12], |cx, segs, mine| {
                 (cx.nprocs(), segs.procs.clone(), mine.to_vec())
             })
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn one_module_runs_on_the_group_as_it_stands() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             run_mapped(cx, &Placement::data_parallel(4), &[7, 8], |cx, _, mine| (cx.nprocs(), mine.to_vec()))
         });
         assert!(rep.results.iter().all(|r| r == &(4, vec![7, 8])));
@@ -382,7 +382,7 @@ mod tests {
         // default; the modules deal the items between them.
         let twice = Placement::replicated(2, Segments::fused(2));
         assert_eq!(twice.procs(), 4);
-        let rep = spmd(&Machine::real(7), |cx| {
+        let rep = spmd(&Machine::simulated(7, MachineModel::paragon()), |cx| {
             run_mapped(cx, &twice, &[0, 1, 2], |cx, _, mine| vec![(cx.nprocs(), mine.to_vec())])
         });
         let (m0, m1) = (vec![(2, vec![0, 2])], vec![(2, vec![1])]);

@@ -65,7 +65,7 @@ proptest! {
     ) {
         let mut expect = keys.clone();
         expect.sort_unstable();
-        let rep = spmd(&Machine::real(p), move |cx| qsort_global(cx, &keys));
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| qsort_global(cx, &keys));
         for r in rep.results {
             prop_assert_eq!(&r, &expect);
         }
@@ -86,7 +86,7 @@ proptest! {
         let nseg = segs.procs.len();
         let total: usize = segs.procs.iter().sum();
         let cfg = FftHistConfig { n: 16, datasets: 2, nbins: 8, max_mag: 64.0 };
-        let rep = spmd(&Machine::real(total), |cx| fft_hist_sets(cx, &cfg, &segs, &[0, 1]));
+        let rep = spmd(&Machine::simulated(total, MachineModel::paragon()), |cx| fft_hist_sets(cx, &cfg, &segs, &[0, 1]));
         // The last segment's members hold the results.
         let holders: Vec<&Vec<Vec<u64>>> =
             rep.results.iter().filter(|r| !r.is_empty()).collect();
@@ -207,7 +207,7 @@ proptest! {
         let n = 64;
         let bodies = make_bodies(n, seed);
         let cfg = BhConfig { n, theta: 0.5, eps: 1e-3, k, leaf_group: 1 };
-        let rep = spmd(&Machine::real(p), move |cx| bh_forces(cx, &bodies, &cfg));
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| bh_forces(cx, &bodies, &cfg));
         let tree = BhTree::build(make_bodies(n, seed));
         for (i, b) in tree.bodies.iter().enumerate() {
             let seq = tree.force_at(b.pos, cfg.theta, cfg.eps).unwrap();

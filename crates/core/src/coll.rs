@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn bcast_from_each_root() {
         for root in 0..5 {
-            let rep = spmd(&Machine::real(5), move |cx| {
+            let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), move |cx| {
                 let v = if cx.id() == root { 100 + root as u64 } else { 0 };
                 cx.bcast(root, v)
             });
@@ -392,7 +392,7 @@ mod tests {
     fn reduce_sum_all_roots_all_sizes() {
         for p in 1..=9usize {
             for root in [0, p - 1, p / 2] {
-                let rep = spmd(&Machine::real(p), move |cx| {
+                let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
                     cx.reduce(root, cx.id() as u64 + 1, |a, b| a + b)
                 });
                 let expect = (p * (p + 1) / 2) as u64;
@@ -409,20 +409,20 @@ mod tests {
 
     #[test]
     fn allreduce_max() {
-        let rep = spmd(&Machine::real(7), |cx| cx.allreduce(cx.id() as i64 * 3, i64::max));
+        let rep = spmd(&Machine::simulated(7, MachineModel::paragon()), |cx| cx.allreduce(cx.id() as i64 * 3, i64::max));
         assert!(rep.results.iter().all(|&v| v == 18));
     }
 
     #[test]
     fn gather_in_rank_order() {
-        let rep = spmd(&Machine::real(6), |cx| cx.gather(2, cx.id() as u32 * 10));
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| cx.gather(2, cx.id() as u32 * 10));
         assert_eq!(rep.results[2], Some(vec![0, 10, 20, 30, 40, 50]));
         assert_eq!(rep.results[0], None);
     }
 
     #[test]
     fn allgather_everyone_sees_all() {
-        let rep = spmd(&Machine::real(4), |cx| cx.allgather(cx.id() as u8));
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| cx.allgather(cx.id() as u8));
         for r in rep.results {
             assert_eq!(r, vec![0, 1, 2, 3]);
         }
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn alltoallv_transpose_pattern() {
         let p = 4;
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let me = cx.id();
             // Send [me, dst] to each dst.
             let data: Vec<Vec<usize>> = (0..p).map(|dst| vec![me, dst]).collect();
@@ -446,13 +446,13 @@ mod tests {
 
     #[test]
     fn exscan_prefix_sums() {
-        let rep = spmd(&Machine::real(5), |cx| cx.exscan(cx.id() as u64 + 1, |a, b| a + b));
+        let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), |cx| cx.exscan(cx.id() as u64 + 1, |a, b| a + b));
         assert_eq!(rep.results, vec![None, Some(1), Some(3), Some(6), Some(10)]);
     }
 
     #[test]
     fn scan_inclusive_prefix_sums() {
-        let rep = spmd(&Machine::real(5), |cx| cx.scan(cx.id() as u64 + 1, |a, b| a + b));
+        let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), |cx| cx.scan(cx.id() as u64 + 1, |a, b| a + b));
         assert_eq!(rep.results, vec![1, 3, 6, 10, 15]);
     }
 
@@ -480,7 +480,7 @@ mod tests {
         // messages would cross and types/values would mismatch.
         use crate::group::GroupHandle;
         use std::sync::Arc;
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g01 = GroupHandle::new(777, Arc::new(vec![0, 1]));
             if cx.phys_rank() <= 1 {
                 cx.enter(&g01, |cx| {
@@ -512,7 +512,7 @@ mod tests {
 
     #[test]
     fn single_member_collectives_are_local() {
-        let rep = spmd(&Machine::real(1), |cx| {
+        let rep = spmd(&Machine::simulated(1, MachineModel::paragon()), |cx| {
             cx.barrier();
             let b = cx.bcast(0, 9u8);
             let r = cx.reduce(0, 5u32, |a, b| a + b);

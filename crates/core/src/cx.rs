@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use fx_runtime::{Chunk, Machine, Payload, ProcCtx, RunReport, TimeMode};
+use fx_runtime::{Chunk, Machine, Payload, ProcCtx, RunReport};
 
 use crate::group::{Frame, GroupHandle};
 use crate::hash::{mix2, mix3, WORLD_GID};
@@ -84,7 +84,7 @@ impl<'a> Cx<'a> {
 
     // ----- time & tracing (delegated to the runtime) ----------------------
 
-    /// Current time (virtual seconds when simulating).
+    /// Current time (virtual seconds).
     #[inline]
     pub fn now(&self) -> f64 {
         self.rt.now()
@@ -113,13 +113,8 @@ impl<'a> Cx<'a> {
         self.rt.record(label);
     }
 
-    /// The machine's time mode.
-    pub fn time_mode(&self) -> TimeMode {
-        self.rt.time_mode()
-    }
-
     /// True when the machine retains duration events
-    /// (`Machine::with_profiling(true)` under simulated time).
+    /// (`Machine::with_profiling(true)`).
     #[inline]
     pub fn profiling(&self) -> bool {
         self.rt.profiling()
@@ -376,9 +371,9 @@ impl<'a> Cx<'a> {
 /// with the contexts when the run ends or panics.
 ///
 /// ```
-/// use fx_core::{spmd, Machine};
+/// use fx_core::{spmd, Machine, MachineModel};
 ///
-/// let report = spmd(&Machine::real(4), |cx| {
+/// let report = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
 ///     cx.allreduce(cx.id() as u64, |a, b| a + b)
 /// });
 /// assert_eq!(report.results, vec![6, 6, 6, 6]); // 0+1+2+3 everywhere
@@ -403,7 +398,7 @@ mod tests {
 
     #[test]
     fn world_group_identity() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             assert_eq!(cx.nprocs(), 4);
             assert_eq!(cx.world_nprocs(), 4);
             assert_eq!(cx.id(), cx.phys_rank());
@@ -415,7 +410,7 @@ mod tests {
 
     #[test]
     fn group_relative_send_recv() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             if cx.id() == 0 {
                 cx.send_v(2, 5, 77u32);
                 0
@@ -430,7 +425,7 @@ mod tests {
 
     #[test]
     fn enter_subgroup_changes_view() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = GroupHandle::new(42, Arc::new(vec![1, 3]));
             if g.contains_phys(cx.phys_rank()) {
                 cx.enter(&g, |cx| {
@@ -448,7 +443,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not belong")]
     fn entering_foreign_group_panics() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = GroupHandle::new(42, Arc::new(vec![0]));
             // Rank 1 is not a member but enters anyway.
             if cx.phys_rank() == 1 {
@@ -459,7 +454,7 @@ mod tests {
 
     #[test]
     fn op_tags_are_consistent_across_members_and_distinct_in_sequence() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let a = cx.next_op_tag();
             let b = cx.next_op_tag();
             assert_ne!(a, b);
@@ -471,7 +466,7 @@ mod tests {
 
     #[test]
     fn tags_differ_between_groups() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let world_tag = cx.next_op_tag();
             let g = GroupHandle::new(mix2(1, 2), Arc::new(vec![0, 1]));
             let sub_tag = cx.enter(&g, |cx| cx.next_op_tag());

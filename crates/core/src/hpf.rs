@@ -44,9 +44,9 @@ impl Cx<'_> {
     /// clause from replicated values.
     ///
     /// ```
-    /// use fx_core::{spmd, Machine};
+    /// use fx_core::{spmd, Machine, MachineModel};
     ///
-    /// let rep = spmd(&Machine::real(4), |cx| {
+    /// let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
     ///     cx.on_processors(1..3, |cx| cx.allreduce(1u32, |a, b| a + b))
     /// });
     /// assert_eq!(rep.results, vec![None, Some(2), Some(2), None]);
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn on_processors_executes_on_the_section_only() {
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let lo = cx.on_processors(0..2, |cx| {
                 assert_eq!(cx.nprocs(), 2);
                 cx.allreduce(1u32, |a, b| a + b)
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn runtime_computed_sections() {
         // HPF's flexibility: the subset is computed during execution.
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             let split = 3 + (cx.world_nprocs() % 3); // any replicated expression
             let a = cx.on_processors(0..split, |cx| cx.nprocs());
             let b = cx.on_processors(split..8, |cx| cx.nprocs());
@@ -193,7 +193,7 @@ mod tests {
     fn same_section_from_different_blocks_shares_identity() {
         // Two textually distinct ON blocks naming the same range must
         // agree on the group (so tags keep matching across them).
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g1 = cx.processors_section(1..3);
             let g2 = cx.processors_section(1..3);
             (g1.gid() == g2.gid(), g1.members() == g2.members())
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn nested_on_blocks_are_relative_to_the_inner_arrangement() {
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             cx.on_processors(2..8, |cx| {
                 // Inside: arrangement of 6 (phys 2..8); take its last 3.
                 cx.on_processors(3..6, |cx| {
@@ -228,7 +228,7 @@ mod tests {
         // An Fx task partition and an HPF ON block describing the same
         // processors compute the same result.
         use crate::partition::Size;
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
             let fx_style = cx.task_region(&part, |cx, tr| {
                 tr.on(cx, "a", |cx| cx.allreduce(cx.id() as u64, |a, b| a + b))
@@ -245,7 +245,7 @@ mod tests {
     fn two_d_sections_partition_a_grid() {
         // 6 processors viewed as 2x3; left 2x2 block and right 2x1 column
         // compute independently.
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let left =
                 cx.on_processors_2d((2, 3), 0..2, 0..2, |cx| cx.allreduce(1u32, |a, b| a + b));
             let right =
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn two_d_sections_nest() {
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             // 2x4 arrangement; take the bottom row (4 procs), view it as
             // 2x2, then take its left column.
             cx.on_processors_2d((2, 4), 1..2, 0..4, |cx| {
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match the current arrangement")]
     fn wrong_arrangement_shape_panics() {
-        spmd(&Machine::real(6), |cx| {
+        spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             cx.on_processors_2d((2, 2), 0..1, 0..1, |_| ());
         });
     }
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the current arrangement")]
     fn out_of_range_section_panics() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             cx.on_processors(0..5, |_| ());
         });
     }

@@ -62,5 +62,5 @@ pub use region::TaskRegion;
 // Re-export the runtime surface users need alongside the model.
 pub use fx_runtime::{
     request_trace_id, DataflowMode, Machine, MachineModel, Payload, ProcCtx, ProcTotals,
-    PromoteStats, RunReport, TimeMode, WindowBreakdown,
+    PromoteStats, RunReport, WindowBreakdown,
 };

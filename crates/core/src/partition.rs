@@ -118,9 +118,9 @@ impl Cx<'_> {
     /// equals the group size.
     ///
     /// ```
-    /// use fx_core::{spmd, Machine, Size};
+    /// use fx_core::{spmd, Machine, MachineModel, Size};
     ///
-    /// spmd(&Machine::real(8), |cx| {
+    /// spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
     ///     // TASK_PARTITION :: some(5), many(NUMBER_OF_PROCESSORS()-5)
     ///     let part = cx.task_partition(&[("some", Size::Procs(5)), ("many", Size::Rest)]);
     ///     assert_eq!(part.group("some").len(), 5);
@@ -228,11 +228,11 @@ pub fn proportional_split(procs: usize, weights: &[f64]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::cx::spmd;
-    use fx_runtime::Machine;
+    use fx_runtime::{Machine, MachineModel};
 
     #[test]
     fn partition_covers_group_contiguously() {
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[
                 ("a", Size::Procs(3)),
                 ("b", Size::Rest),
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn partition_ids_agree_across_members() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("x", Size::Procs(2)), ("y", Size::Rest)]);
             (part.group("x").gid(), part.group("y").gid())
         });
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn two_partitions_have_distinct_subgroup_ids() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let p1 = cx.task_partition(&[("x", Size::Rest)]);
             let p2 = cx.task_partition(&[("x", Size::Rest)]);
             (p1.group("x").gid(), p2.group("x").gid())
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sizes sum to")]
     fn underspecified_partition_panics() {
-        spmd(&Machine::real(4), |cx| {
+        spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             cx.task_partition(&[("a", Size::Procs(2))]);
         });
     }
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least")]
     fn oversized_partition_panics() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             cx.task_partition(&[("a", Size::Procs(3)), ("b", Size::Rest)]);
         });
     }
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate subgroup name")]
     fn duplicate_names_panic() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             cx.task_partition(&[("a", Size::Procs(1)), ("a", Size::Procs(1))]);
         });
     }
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no subgroup named")]
     fn unknown_name_panics() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let p = cx.task_partition(&[("a", Size::Rest)]);
             p.group("zzz");
         });
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn subgroup_accessors() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(1)), ("b", Size::Rest)]);
             let sg = &part.subgroups()[1];
             (

@@ -33,9 +33,9 @@ impl Cx<'_> {
     /// the end.
     ///
     /// ```
-    /// use fx_core::{spmd, IterSched, Machine};
+    /// use fx_core::{spmd, IterSched, Machine, MachineModel};
     ///
-    /// let rep = spmd(&Machine::real(3), |cx| {
+    /// let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
     ///     cx.pdo_reduce(0..100, IterSched::Block, 0u64, |i, acc| *acc += i as u64, |a, b| a + b)
     /// });
     /// assert!(rep.results.iter().all(|&s| s == 4950));
@@ -117,12 +117,12 @@ mod tests {
     use super::*;
     use crate::cx::spmd;
     use crate::partition::Size;
-    use fx_runtime::Machine;
+    use fx_runtime::{Machine, MachineModel};
 
     #[test]
     fn pdo_reduce_sums_like_sequential() {
         for p in [1usize, 2, 3, 5] {
-            let rep = spmd(&Machine::real(p), |cx| {
+            let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), |cx| {
                 cx.pdo_reduce(0..100, IterSched::Block, 0u64, |i, acc| *acc += i as u64, |a, b| a + b)
             });
             assert!(rep.results.iter().all(|&v| v == 4950), "p = {p}");
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn block_and_cyclic_schedules_cover_exactly_once() {
         for sched in [IterSched::Block, IterSched::Cyclic] {
-            let rep = spmd(&Machine::real(4), move |cx| {
+            let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
                 cx.my_iters(10..35, sched).collect::<Vec<usize>>()
             });
             let mut all: Vec<usize> = rep.results.into_iter().flatten().collect();
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn pdo_runs_only_local_iterations() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let mut mine = Vec::new();
             cx.pdo(0..9, IterSched::Cyclic, |i| mine.push(i));
             mine
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn pdo_reduce_inside_subgroups_is_scoped() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
             cx.task_region(&part, |cx, tr| {
                 let a = tr.on(cx, "a", |cx| {
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn empty_range_reduces_to_inits() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             cx.pdo_reduce(5..5, IterSched::Block, 7u64, |_, _| unreachable!(), |a, b| a + b)
         });
         assert!(rep.results.iter().all(|&v| v == 21)); // 3 x init merged
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn more_processors_than_iterations() {
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             cx.pdo_reduce(0..3, IterSched::Block, 0u32, |i, s| *s += i as u32 + 1, |a, b| a + b)
         });
         assert!(rep.results.iter().all(|&v| v == 6));

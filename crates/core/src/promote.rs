@@ -50,10 +50,10 @@
 //!
 //! # Determinism
 //!
-//! With the heartbeat off (`FX_HEARTBEAT=off`, real-time machines, or
-//! one-member groups) the construct is a plain sequential loop over the
-//! caller's block share — no protocol, no messages, bit-identical to a
-//! run that predates the feature. With it on, results are *asserted*
+//! With the heartbeat off (`FX_HEARTBEAT=off`, or a one-member group)
+//! the construct is a plain sequential loop over the caller's block
+//! share — no protocol, no messages, bit-identical to a run that
+//! predates the feature. With it on, results are *asserted*
 //! equal (see [`assert_promotion_transparent`]) and only virtual
 //! completion times change.
 //!
@@ -358,10 +358,9 @@ impl Cx<'_> {
         let share = block_range(range, p, me);
 
         if !(self.runtime().heartbeat_active() && p > 1) {
-            // Off / real-time / singleton: the plain sequential loop. The
-            // per-iteration charge structure is identical to the local
-            // path below, so arming the heartbeat never re-times local
-            // iterations.
+            // Off / singleton: the plain sequential loop. The per-iteration
+            // charge structure is identical to the local path below, so
+            // arming the heartbeat never re-times local iterations.
             for i in share {
                 let ins = pack(self, i);
                 let outs = body(self, i, &ins);
@@ -371,7 +370,7 @@ impl Cx<'_> {
             return;
         }
 
-        let model = *self.time_mode().model().expect("heartbeat_active implies simulated time");
+        let model = *self.runtime().model();
         // One promotion round-trip per victim: counts + data out, counts
         // + data back — four message setups and two network crossings of
         // pure overhead (payload gap is charged when it is actually sent).

@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn on_blocks_execute_only_on_members() {
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let part =
                 cx.task_partition(&[("left", Size::Procs(2)), ("right", Size::Rest)]);
             cx.task_region(&part, |cx, tr| {
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn parent_scope_runs_on_everyone() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
             cx.task_region(&part, |cx, _tr| {
                 // Parent scope: a collective over ALL current processors.
@@ -144,7 +144,7 @@ mod tests {
     fn repeated_on_blocks_keep_fresh_tags() {
         // A pipeline-shaped loop: the same subgroup communicates in every
         // iteration; sequence counters must not reset between ON blocks.
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("g", Size::Procs(2)), ("h", Size::Rest)]);
             cx.task_region(&part, |cx, tr| {
                 let mut acc = 0u64;
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn dynamically_nested_regions() {
         // A subgroup re-partitions itself: quicksort-style nesting.
-        let rep = spmd(&Machine::real(8), |cx| {
+        let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
             let outer = cx.task_partition(&[("top", Size::Procs(4)), ("bottom", Size::Rest)]);
             cx.task_region(&outer, |cx, tr| {
                 let from_top = tr.on(cx, "top", |cx| {
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different group")]
     fn activating_partition_on_wrong_group_panics() {
-        spmd(&Machine::real(4), |cx| {
+        spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let outer = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
             let inner_part = cx.task_partition(&[("x", Size::Rest)]);
             cx.task_region(&outer, |cx, tr| {

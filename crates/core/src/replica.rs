@@ -183,9 +183,9 @@ impl Cx<'_> {
     /// parks.
     ///
     /// ```
-    /// use fx_core::{spmd, Machine};
+    /// use fx_core::{spmd, Machine, MachineModel};
     ///
-    /// let rep = spmd(&Machine::real(4), |cx| cx.replicated(|| (0..1000u64).sum::<u64>()));
+    /// let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| cx.replicated(|| (0..1000u64).sum::<u64>()));
     /// assert!(rep.results.iter().all(|r| std::sync::Arc::ptr_eq(r, &rep.results[0])));
     /// ```
     pub fn replicated<T, F>(&mut self, f: F) -> Arc<T>
@@ -230,14 +230,14 @@ impl Cx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_runtime::Machine;
+    use fx_runtime::{Machine, MachineModel};
 
     #[test]
     fn a_reentered_group_takes_its_generations_in_order() {
         // Both ON blocks name the same section, so both calls draw the
         // same key; rank 0 runs both before rank 1 starts under one
         // worker, and each member must still read its own block's value.
-        let rep = crate::spmd(&Machine::real(2).with_executor(fx_runtime::Executor::Pooled { workers: 1 }), |cx| {
+        let rep = crate::spmd(&Machine::simulated(2, MachineModel::paragon()).with_executor(fx_runtime::Executor::Pooled { workers: 1 }), |cx| {
             let a = cx.on_processors(0..2, |cx| *cx.replicated(|| 1u32)).unwrap();
             let b = cx.on_processors(0..2, |cx| *cx.replicated(|| 2u32)).unwrap();
             (a, b)

@@ -1,7 +1,7 @@
 //! Property tests for the group collectives: any group size, any root,
 //! arbitrary values — results must match the sequential definition.
 
-use fx_core::{spmd, Machine, Size};
+use fx_core::{spmd, Machine, MachineModel, Size};
 use proptest::prelude::*;
 
 proptest! {
@@ -10,7 +10,7 @@ proptest! {
     #[test]
     fn bcast_delivers_roots_value(p in 1usize..9, root_pick in 0usize..100, v in any::<u64>()) {
         let root = root_pick % p;
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let mine = if cx.id() == root { v } else { 0 };
             cx.bcast(root, mine)
         });
@@ -21,7 +21,7 @@ proptest! {
     fn reduce_equals_sequential_fold(p in 1usize..9, root_pick in 0usize..100, vals in proptest::collection::vec(any::<i64>(), 8)) {
         let root = root_pick % p;
         let vals2 = vals.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             cx.reduce(root, vals2[cx.id()], |a, b| a.wrapping_add(b))
         });
         let expect: i64 = vals[..p].iter().fold(0i64, |a, &b| a.wrapping_add(b));
@@ -37,7 +37,7 @@ proptest! {
     #[test]
     fn allreduce_min_max(p in 1usize..9, vals in proptest::collection::vec(any::<i32>(), 8)) {
         let vals2 = vals.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let v = vals2[cx.id()];
             (cx.allreduce(v, i32::min), cx.allreduce(v, i32::max))
         });
@@ -48,7 +48,7 @@ proptest! {
 
     #[test]
     fn allgather_orders_by_rank(p in 1usize..9, seed in any::<u32>()) {
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             cx.allgather(seed.wrapping_add(cx.id() as u32))
         });
         let expect: Vec<u32> = (0..p as u32).map(|i| seed.wrapping_add(i)).collect();
@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn scans_match_prefix_folds(p in 1usize..9, vals in proptest::collection::vec(-100i64..100, 8)) {
         let vals2 = vals.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let v = vals2[cx.id()];
             (cx.scan(v, |a, b| a + b), cx.exscan(v, |a, b| a + b))
         });
@@ -72,7 +72,7 @@ proptest! {
 
     #[test]
     fn alltoallv_is_a_transpose(p in 1usize..7, seed in any::<u16>()) {
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let me = cx.id();
             let data: Vec<Vec<u32>> = (0..p)
                 .map(|dst| vec![seed as u32 + (me * 10 + dst) as u32; (me + dst) % 3])
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn partition_sizes_always_cover(p in 2usize..12, first in 1usize..6) {
         let first = first.min(p - 1);
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(first)), ("b", Size::Rest)]);
             (part.group("a").len(), part.group("b").len())
         });
@@ -103,7 +103,7 @@ proptest! {
     #[test]
     fn collectives_inside_partitions_stay_scoped(p in 2usize..9, cut in 1usize..8) {
         let cut = cut.min(p - 1);
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(cut)), ("b", Size::Rest)]);
             cx.task_region(&part, |cx, tr| {
                 let a = tr.on(cx, "a", |cx| cx.allreduce(1u64, |x, y| x + y));

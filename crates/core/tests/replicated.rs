@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, Weak};
 
-use fx_core::{spmd, Cx, Machine, Size};
+use fx_core::{spmd, Cx, Machine, MachineModel, Size};
 use fx_runtime::Executor;
 use proptest::prelude::*;
 
@@ -78,7 +78,7 @@ fn the_closure_runs_once_per_group_in_release_and_once_per_member_in_debug() {
     for executor in EXECUTORS {
         for ordered in [true, false] {
             let calls = Counts::default();
-            let machine = Machine::real(P).with_executor(executor);
+            let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(executor);
             let rep = spmd(&machine, |cx| nested_program(cx, &calls, ordered));
             let calls = calls.lock().unwrap().clone();
             for (group, members) in sizes {
@@ -106,7 +106,7 @@ fn the_closure_runs_once_per_group_in_release_and_once_per_member_in_debug() {
 #[test]
 fn a_closure_that_depends_on_the_member_panics_in_debug() {
     for executor in EXECUTORS {
-        let machine = Machine::real(4).with_executor(executor);
+        let machine = Machine::simulated(4, MachineModel::paragon()).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             spmd(&machine, |cx| {
                 halves(cx, "h", |cx, _| {
@@ -131,7 +131,7 @@ fn no_slot_outlives_its_groups_last_taker() {
     // Once every member has taken a value (the barrier after the call),
     // the members hold the only references: the table kept none.
     for executor in EXECUTORS {
-        let machine = Machine::real(6).with_executor(executor);
+        let machine = Machine::simulated(6, MachineModel::paragon()).with_executor(executor);
         let rep = spmd(&machine, |cx| {
             let mut held = Vec::new();
             let mut check = |cx: &mut Cx, value: u32| {
@@ -167,7 +167,7 @@ fn no_slot_outlives_its_groups_last_taker() {
 fn a_panicked_run_drops_the_table() {
     for executor in EXECUTORS {
         let left: Mutex<Vec<Weak<Vec<u8>>>> = Mutex::new(Vec::new());
-        let machine = Machine::real(4).with_executor(executor);
+        let machine = Machine::simulated(4, MachineModel::paragon()).with_executor(executor);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             spmd(&machine, |cx| {
                 // Rank 0 takes the value and dies before the others can
@@ -196,7 +196,7 @@ proptest! {
     #[test]
     fn allgather_vecs_preserves_irregular_lengths(p in 1usize..7, lens in proptest::collection::vec(0usize..6, 6)) {
         let lens2 = lens.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let me = cx.id();
             let mine: Vec<u16> = (0..lens2[me]).map(|i| (me * 100 + i) as u16).collect();
             cx.allgather_vecs(mine)

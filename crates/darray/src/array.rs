@@ -186,10 +186,10 @@ impl<T: Elem, const N: usize> DArray<T, N> {
     /// view.
     ///
     /// ```
-    /// use fx_core::{spmd, Machine};
+    /// use fx_core::{spmd, Machine, MachineModel};
     /// use fx_darray::{DArray1, Dist1};
     ///
-    /// spmd(&Machine::real(2), |cx| {
+    /// spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
     ///     let g = cx.group();
     ///     let mut a = DArray1::new(cx, &g, 6, Dist1::Block, 0.0f64);
     ///     a.for_each_owned(|gi, v| *v = gi as f64); // owner computes
@@ -416,53 +416,6 @@ impl<T: Elem> DArray<T, 1> {
     pub fn fold_owned<A>(&self, init: A, mut f: impl FnMut(A, usize, T) -> A) -> A {
         self.fold_each(init, |acc, [i], v| f(acc, i, v))
     }
-
-    /// Promotable owner-computes map: `dst[i] = f(cx, i, self[i])` for
-    /// every global index, each element computed by its block owner by
-    /// default but donatable to idle group peers on a virtual-time
-    /// heartbeat (see `fx_core::Cx::pdo_promote`). Donated intervals ship
-    /// the donor-owned source elements over the chunk transport and the
-    /// results ride back the same way, so `f` may be arbitrarily skewed
-    /// per element without stranding the subgroup behind one owner.
-    ///
-    /// `f` must be compute-only (`charge_*`, no communication) and a pure
-    /// function of `(i, element)`; results are bit-identical with the
-    /// heartbeat on or off. Both arrays must be `Block` over the current
-    /// group, which every member must enter (this is a collective).
-    pub fn promote_map<U: Elem>(
-        &self,
-        cx: &mut Cx,
-        label: &str,
-        dst: &mut DArray1<U>,
-        f: impl Fn(&mut Cx, usize, T) -> U,
-    ) {
-        let group = &self.side.group;
-        assert_eq!(
-            cx.group().gid(),
-            group.gid(),
-            "promote_map is a collective over the array's group"
-        );
-        assert_eq!(self.dist(), [Dist::Block], "promote_map requires a Block source");
-        assert_eq!(dst.dist(), [Dist::Block], "promote_map requires a Block destination");
-        assert_eq!(dst.n(), self.n(), "promote_map arrays must share their extent");
-        assert_eq!(dst.group().gid(), group.gid(), "promote_map arrays must share a group");
-        let me = cx.id();
-        // The promotable loop's block split is exactly the HPF Block
-        // ownership map, so iteration `i` lands on `i`'s owner and local
-        // indices are `i - base`.
-        let my_block = fx_core::block_range(0..self.n(), cx.nprocs(), me);
-        debug_assert_eq!(my_block.len(), self.local.len());
-        let base = my_block.start;
-        let src_local = &self.local;
-        let dst_local = dst.local.as_mut_slice();
-        cx.pdo_promote(
-            label,
-            0..self.n(),
-            |_cx, i| vec![src_local[i - base]],
-            |cx, i, ins| vec![f(cx, i, ins[0])],
-            |_cx, i, outs: Vec<U>| dst_local[i - base] = outs[0],
-        );
-    }
 }
 
 /// The matrix view: `(row, col)` signatures over the generic core.
@@ -555,7 +508,7 @@ impl<T: Elem> DArray<T, 3> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_core::{spmd, Machine, Size};
+    use fx_core::{spmd, Machine, MachineModel, Size};
     use proptest::prelude::*;
 
     #[test]
@@ -613,7 +566,7 @@ mod tests {
 
     #[test]
     fn star_vector_is_replicated_on_members_only() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(3)), ("b", Size::Rest)]);
             let a = DArray1::from_global(cx, &part.group("a"), 3, Dist::Star, &[5u8, 6, 7]);
             let twin = DArray1::aligned_with(cx, &a, 0u8);
@@ -626,40 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn promote_map_matches_sequential_and_donates_on_skew() {
-        use fx_core::{MachineModel, PromoteStats};
-        let n = 512usize;
-        let run = |hb: bool| {
-            let m = Machine::simulated(6, MachineModel::paragon()).with_heartbeat(hb);
-            spmd(&m, move |cx| {
-                let g = cx.group();
-                let data: Vec<u64> = (0..n as u64).collect();
-                let src = DArray1::from_global(cx, &g, n, Dist::Block, &data);
-                let mut dst = DArray1::aligned_with(cx, &src, 0u64);
-                src.promote_map(cx, "square", &mut dst, |cx, i, v| {
-                    // Skewed: the last owner's elements cost the most.
-                    cx.charge_flops(50.0 + (i as f64) * 30.0);
-                    v * v + 1
-                });
-                dst.to_global(cx)
-            })
-        };
-        let off = run(false);
-        let on = run(true);
-        assert_eq!(off.results, on.results, "promotion changed promote_map results");
-        for r in &on.results {
-            for (i, v) in r.iter().enumerate() {
-                assert_eq!(*v, (i as u64) * (i as u64) + 1);
-            }
-        }
-        let total: PromoteStats = on.promote_total();
-        assert!(total.taken > 0, "skewed promote_map never donated");
-        assert!(on.makespan() < off.makespan(), "donation did not improve the makespan");
-    }
-
-    #[test]
     fn zero_length_array_is_fine() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let mut a = DArray1::new(cx, &g, 0, Dist::Block, 0u8);
             let mut hits = 0;
@@ -671,7 +592,7 @@ mod tests {
 
     #[test]
     fn row_block_layout() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..24).collect(); // 6x4
             let a = DArray2::from_global(cx, &g, [6, 4], (Dist::Block, Dist::Star), &data);
@@ -684,7 +605,7 @@ mod tests {
 
     #[test]
     fn col_block_layout() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..12).collect(); // 3x4
             let a = DArray2::from_global(cx, &g, [3, 4], (Dist::Star, Dist::Block), &data);
@@ -696,7 +617,7 @@ mod tests {
 
     #[test]
     fn two_d_grid_tiles() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..16).collect(); // 4x4
             let a = DArray2::with_grid(
@@ -724,7 +645,7 @@ mod tests {
             (Dist::Star, Dist::Block),
             (Dist::Cyclic, Dist::Star),
         ] {
-            let rep = spmd(&Machine::real(4), move |cx| {
+            let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
                 let g = cx.group();
                 let data: Vec<u64> = (0..35).collect(); // 5x7
                 let a = DArray2::from_global(cx, &g, [5, 7], dist, &data);
@@ -752,7 +673,7 @@ mod tests {
         fn check<const N: usize>(shape: [usize; N], dist: [Dist; N]) {
             let data: Vec<u32> = (0..shape.iter().product::<usize>() as u32).map(|i| i * 7 + 1).collect();
             let expect = data.clone();
-            let rep = spmd(&Machine::real(6), move |cx| {
+            let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), move |cx| {
                 let g = cx.group();
                 let a = DArray::<u32, N>::from_global(cx, &g, shape, dist, &data);
                 (a.to_global(cx), per_member_global(cx, &a))
@@ -772,7 +693,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "replicated value differs on processor")]
     fn members_of_a_star_array_that_disagree_panic_in_to_global() {
-        spmd(&Machine::real(3), |cx| {
+        spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let mut a = DArray1::new(cx, &g, 4, Dist::Star, 0u8);
             if cx.id() == 2 {
@@ -784,7 +705,7 @@ mod tests {
 
     #[test]
     fn owner_and_local_of_global_agree() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let a = DArray2::new(cx, &g, [8, 8], (Dist::Block, Dist::Star), 0u8);
             let mut mine = Vec::new();
@@ -805,7 +726,7 @@ mod tests {
 
     #[test]
     fn subgroup_mapped_array() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("g1", Size::Procs(2)), ("g2", Size::Rest)]);
             let g1 = part.group("g1");
             let a = DArray2::new(cx, &g1, [4, 6], (Dist::Star, Dist::Block), 1.5f64);
@@ -818,7 +739,7 @@ mod tests {
 
     #[test]
     fn local_row_slices() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..12).collect();
             let mut a =
@@ -834,7 +755,7 @@ mod tests {
 
     #[test]
     fn layout_and_roundtrip() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let mut a = DArray3::new(cx, &g, [2, 9, 4], (Dist::Star, Dist::Block, Dist::Star), 0u32);
             a.for_each_owned(|i0, i1, i2, v| *v = (i0 * 100 + i1 * 10 + i2) as u32);
@@ -853,7 +774,7 @@ mod tests {
 
     #[test]
     fn owner_matches_membership() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let a = DArray3::new(cx, &g, [3, 8, 2], (Dist::Star, Dist::Block, Dist::Star), 0u8);
             let mut mine = 0usize;
@@ -876,7 +797,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one distributed dimension")]
     fn two_distributed_dims_need_explicit_grid() {
-        spmd(&Machine::real(4), |cx| {
+        spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             DArray3::new(cx, &g, [4, 4, 4], (Dist::Block, Dist::Block, Dist::Star), 0u8);
         });
@@ -884,7 +805,7 @@ mod tests {
 
     #[test]
     fn explicit_grid_two_distributed_dims() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let mut a = DArray3::with_grid(
                 cx,

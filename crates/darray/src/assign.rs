@@ -137,10 +137,10 @@ fn planned<T: Elem, const N: usize>(
 /// Plain distributed assignment `dst = src` (shapes must match).
 ///
 /// ```
-/// use fx_core::{spmd, Machine};
+/// use fx_core::{spmd, Machine, MachineModel};
 /// use fx_darray::{assign1, DArray1, Dist1};
 ///
-/// spmd(&Machine::real(3), |cx| {
+/// spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
 ///     let g = cx.group();
 ///     let src = DArray1::from_global(cx, &g, 5, Dist1::Block, &[1u64, 2, 3, 4, 5]);
 ///     let mut dst = DArray1::new(cx, &g, 5, Dist1::Cyclic, 0u64);
@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::array::Dist1;
     use crate::dist::Dist;
-    use fx_core::{spmd, Machine, Size};
+    use fx_core::{spmd, Machine, MachineModel, Size};
 
     #[test]
     fn assign1_between_distributions() {
@@ -264,7 +264,7 @@ mod tests {
             (Dist1::BlockCyclic(2), Dist1::BlockCyclic(5)),
         ];
         for (sd, dd) in cases {
-            let rep = spmd(&Machine::real(4), move |cx| {
+            let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
                 let g = cx.group();
                 let data: Vec<u64> = (0..23).map(|i| i * 7).collect();
                 let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn assign1_across_disjoint_subgroups() {
         // The pipeline statement: src on G1, dst on G2.
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("g1", Size::Procs(2)), ("g2", Size::Rest)]);
             let g1 = part.group("g1");
             let g2 = part.group("g2");
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn replicated_to_block_and_back() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..11).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Star, &data);
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn shift_redistributes() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u16> = (0..9).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn range_assign_merges_subarrays() {
         // Figure 4's merge: a[0..k] = aLess, a[k..] = aGreaterEq.
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("lo", Size::Procs(2)), ("hi", Size::Rest)]);
             let glo = part.group("lo");
             let ghi = part.group("hi");
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn assign2_redistribution_and_cross_group() {
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("g1", Size::Procs(2)), ("g2", Size::Rest)]);
             let g1 = part.group("g1");
             let g2 = part.group("g2");
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn transpose2_matches_reference() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<i64> = (0..12).collect(); // 3x4
             let src = DArray2::from_global(cx, &g, [3, 4], (Dist::Block, Dist::Star), &data);
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn assign3_across_groups() {
-        let rep = spmd(&Machine::real(5), |cx| {
+        let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), |cx| {
             let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
             let ga = part.group("a");
             let gb = part.group("b");
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn assign3_dim0_redistribution() {
         // (BLOCK, *, *) → (*, BLOCK, *): a genuine all-to-all in 3-D.
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let mut src = DArray3::new(cx, &g, [4, 4, 2], (Dist::Block, Dist::Star, Dist::Star), 0i32);
             src.for_each_owned(|a, b, c, v| *v = (a * 8 + b * 2 + c) as i32);
@@ -481,7 +481,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "copy_shift1_range: shift +3 sends destination range 0..10 outside the source extent 10")]
     fn shift_past_the_source_panics_in_every_profile() {
-        spmd(&Machine::real(2), |cx| {
+        spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let src = DArray1::new(cx, &g, 10, Dist1::Block, 1u8);
             let mut dst = DArray1::new(cx, &g, 10, Dist1::Cyclic, 0u8);
@@ -495,7 +495,7 @@ mod tests {
     #[should_panic(expected = "communication set mismatch from 0")]
     fn short_message_is_refused_in_every_profile() {
         use crate::plan::{Peer, Seg};
-        let machine = Machine::real(2).with_timeout(std::time::Duration::from_secs(10));
+        let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(std::time::Duration::from_secs(10));
         spmd(&machine, |cx| {
             let tag = cx.next_op_tag();
             // Processor 0 ships 2x2x1 elements; processor 1 expects 2x2x2:

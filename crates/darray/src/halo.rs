@@ -185,7 +185,7 @@ pub fn exchange_plane_halo<T: Elem>(cx: &mut Cx, a: &DArray3<T>, width: usize) -
 mod tests {
     use super::*;
     use crate::dist::{for_each_index, ravel};
-    use fx_core::{spmd, Global, Machine};
+    use fx_core::{spmd, Global, Machine, MachineModel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// What one member sees of an exchange: `(lower slab, higher slab,
@@ -245,7 +245,7 @@ mod tests {
         let n = 8;
         for (name, exchange, axis, shape) in CASES {
             for width in [1, 2] {
-                let rep = spmd(&Machine::real(P), move |cx| exchange(cx, n, width));
+                let rep = spmd(&Machine::simulated(P, MachineModel::paragon()), move |cx| exchange(cx, n, width));
                 for (v, (lead, trail, global)) in rep.results.iter().enumerate() {
                     let (lo, hi) = (3 * v, (3 * v + 3).min(n));
                     let slab = |lo, hi| slab(global, shape(n), axis, lo, hi);
@@ -263,7 +263,7 @@ mod tests {
         // Two indices over four members: blocks of one on members 0 and 1,
         // nothing on 2 and 3, which neither send nor receive.
         for (name, exchange, axis, shape) in CASES {
-            let rep = spmd(&Machine::real(4), move |cx| exchange(cx, 2, 1));
+            let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| exchange(cx, 2, 1));
             let global = &rep.results[0].2;
             assert_eq!(rep.results[0].0, Vec::<u32>::new(), "{name}");
             assert_eq!(rep.results[0].1, slab(global, shape(2), axis, 1, 2), "{name}");
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn single_proc_halo_is_empty() {
         for (name, exchange, ..) in CASES {
-            let rep = spmd(&Machine::real(1), move |cx| exchange(cx, 4, 1));
+            let rep = spmd(&Machine::simulated(1, MachineModel::paragon()), move |cx| exchange(cx, 4, 1));
             assert!(rep.results[0].0.is_empty() && rep.results[0].1.is_empty(), "{name}");
         }
     }
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn owning_fewer_than_the_width_panics_on_every_axis() {
         for (name, exchange, ..) in CASES {
-            let machine = Machine::real(4).with_timeout(std::time::Duration::from_secs(10));
+            let machine = Machine::simulated(4, MachineModel::paragon()).with_timeout(std::time::Duration::from_secs(10));
             let err = catch_unwind(AssertUnwindSafe(|| spmd(&machine, move |cx| exchange(cx, 4, 2))))
                 .expect_err("one index each is thinner than a halo of two");
             let msg = err

@@ -123,12 +123,12 @@ fn assert_group(cx: &Cx, gid: u64, what: &str) {
 mod tests {
     use super::*;
     use crate::Dist1;
-    use fx_core::{spmd, Machine};
+    use fx_core::{spmd, Machine, MachineModel};
 
     #[test]
     fn cshift_wraps_both_directions() {
         for shift in [-3isize, -1, 0, 1, 4, 9] {
-            let rep = spmd(&Machine::real(3), move |cx| {
+            let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), move |cx| {
                 let g = cx.group();
                 let data: Vec<u32> = (0..9).collect();
                 let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn eoshift_fills_the_ends() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<i32> = (1..=6).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn eoshift_larger_than_extent_is_all_fill() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let src = DArray1::from_global(cx, &g, 3, Dist1::Block, &[1i32, 2, 3]);
             let mut dst = DArray1::new(cx, &g, 3, Dist1::Block, 0i32);
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn global_reductions() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<f64> = (1..=10).map(|i| i as f64).collect();
             let a = DArray1::from_global(cx, &g, data.len(), Dist1::Cyclic, &data);
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn dimension_sums_match_reference() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<f64> = (0..24).map(|i| i as f64).collect(); // 6x4
             let by_rows = {
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn sum2_totals_the_matrix() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<f64> = vec![1.5; 12];
             let a = DArray2::from_global(cx, &g, [3, 4], (Dist::Block, Dist::Star), &data);

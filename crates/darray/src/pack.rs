@@ -153,11 +153,11 @@ fn scatter_side<T: Elem>(
 mod tests {
     use super::*;
     use crate::Dist1;
-    use fx_core::{spmd, Machine, Size};
+    use fx_core::{spmd, Machine, MachineModel, Size};
 
     #[test]
     fn split_within_one_group() {
-        let rep = spmd(&Machine::real(4), |cx| {
+        let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<i64> = vec![5, 1, 9, 3, 7, 2, 8, 4, 6, 0];
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -187,7 +187,7 @@ mod tests {
     fn split_onto_disjoint_subgroups() {
         // The actual quicksort shape: src on the parent, destinations on
         // the two subgroups.
-        let rep = spmd(&Machine::real(6), |cx| {
+        let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
             let data: Vec<i64> = (0..30).rev().collect();
             let g = cx.group();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn all_elements_on_one_side() {
-        let rep = spmd(&Machine::real(3), |cx| {
+        let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..12).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn count_matching_counts_globally() {
-        let rep = spmd(&Machine::real(5), |cx| {
+        let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let data: Vec<i32> = (0..100).collect();
             let src = DArray1::from_global(cx, &g, data.len(), Dist1::Cyclic, &data);

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use fx_core::{spmd, Machine};
+use fx_core::{spmd, Machine, MachineModel};
 use fx_darray::{assign1, assign2, remap2, DArray1, DArray2, Dist, Dist1, Remap};
 use fx_runtime::Telemetry;
 
@@ -16,7 +16,7 @@ use fx_runtime::Telemetry;
 /// processor ships out in the scatter leg comes back to it in the
 /// gather leg, so pools stop growing after the first iteration.
 fn pool_counters(iters: usize) -> Vec<(u64, u64)> {
-    let rep = spmd(&Machine::real(4), move |cx| {
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
         let g = cx.group();
         let data: Vec<u64> = (0..64).collect();
         let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -55,7 +55,7 @@ fn steady_state_redistribution_makes_zero_transport_allocations() {
 fn p64_all_to_all_allocates_in_its_first_iteration_only() {
     const P: usize = 64;
     let run = |iters: usize| {
-        spmd(&Machine::real(P), move |cx| {
+        spmd(&Machine::simulated(P, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let data: Vec<u64> = (0..(2 * P * 2 * P) as u64).collect();
             let cols = DArray2::from_global(cx, &g, [2 * P, 2 * P], (Dist::Star, Dist::Block), &data);
@@ -83,7 +83,7 @@ fn p64_all_to_all_allocates_in_its_first_iteration_only() {
 #[test]
 fn repeated_structured_remap_hits_the_plan_cache_and_the_pool() {
     let run = |iters: u64| {
-        spmd(&Machine::real(4), move |cx| {
+        spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let data: Vec<u32> = (0..6 * 16).collect();
             let dist = (Dist::Star, Dist::Block);
@@ -121,8 +121,8 @@ fn chunk_traffic_is_counted_and_timed_only_for_a_reader() {
     // measured with one attached and read 0 (no clock reads) without.
     for observed in [false, true] {
         let machine = match observed {
-            true => Machine::real(4).with_telemetry(Arc::new(Telemetry::new())),
-            false => Machine::real(4),
+            true => Machine::simulated(4, MachineModel::paragon()).with_telemetry(Arc::new(Telemetry::new())),
+            false => Machine::simulated(4, MachineModel::paragon()),
         };
         let rep = spmd(&machine, |cx| {
             let g = cx.group();
@@ -136,7 +136,7 @@ fn chunk_traffic_is_counted_and_timed_only_for_a_reader() {
             // Every remote redistribution leg rides the chunk path.
             assert!(h.chunk_msgs > 0, "redistribution should use chunk transport");
             assert_eq!(h.chunk_bytes % 8, 0, "u64 payloads are whole elements");
-            // Wall-clock counters tick (real-time mode, actual threads).
+            // Host-time counters tick only when a registry observes the run.
             assert_eq!(h.send_ns > 0, observed, "send_ns {} with observed = {observed}", h.send_ns);
             assert_eq!(h.pack_ns > 0, observed, "pack_ns {} with observed = {observed}", h.pack_ns);
         }

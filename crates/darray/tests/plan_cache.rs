@@ -2,7 +2,7 @@
 //! m-iteration pipeline must build each statement's plan exactly once
 //! and replay it from the cache for the remaining m-1 iterations.
 
-use fx_core::{spmd, Machine};
+use fx_core::{spmd, Machine, MachineModel};
 use fx_darray::{
     assign1, assign3, exchange_row_halo, transpose2, DArray1, DArray2, DArray3, Dist, Dist1,
 };
@@ -10,7 +10,7 @@ use fx_darray::{
 #[test]
 fn hundred_iteration_pipeline_builds_each_plan_once() {
     const ITERS: u64 = 100;
-    let rep = spmd(&Machine::real(4), |cx| {
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
         let g = cx.group();
         let data: Vec<u64> = (0..64).collect();
         let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -46,7 +46,7 @@ fn reused_plans_survive_a_scan_of_one_off_statements() {
     // probation before its reuse.
     const ITERS: u64 = 20;
     const SCAN: u64 = 80;
-    let rep = spmd(&Machine::real(4), |cx| {
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
         let g = cx.group();
         let data: Vec<u64> = (0..64).collect();
         let src = DArray1::from_global(cx, &g, data.len(), Dist1::Block, &data);
@@ -82,7 +82,7 @@ fn reused_plans_survive_a_scan_of_one_off_statements() {
 #[test]
 fn halo_and_3d_assignment_plans_are_cached_too() {
     const ITERS: u64 = 50;
-    let rep = spmd(&Machine::real(3), |cx| {
+    let rep = spmd(&Machine::simulated(3, MachineModel::paragon()), |cx| {
         let g = cx.group();
         let a = DArray2::from_global(
             cx,
@@ -114,7 +114,7 @@ fn halo_and_3d_assignment_plans_are_cached_too() {
 fn changing_the_statement_shape_changes_the_plan() {
     // Same arrays, different ranges: each distinct (range, shift) is its
     // own plan, but repeats of the same range hit the cache.
-    let rep = spmd(&Machine::real(2), |cx| {
+    let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
         let g = cx.group();
         let src = DArray1::from_global(cx, &g, 16, Dist1::Block, &(0..16i64).collect::<Vec<_>>());
         let mut dst = DArray1::new(cx, &g, 16, Dist1::Cyclic, 0i64);

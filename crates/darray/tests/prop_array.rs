@@ -10,7 +10,7 @@
 //! * `to_global(from_global(x)) == x` on every member;
 //! * `aligned_with` shares owners.
 
-use fx_core::{spmd, Cx, Global, GroupHandle, Machine, Size};
+use fx_core::{spmd, Cx, Global, GroupHandle, Machine, MachineModel, Size};
 use fx_darray::{DArray, DArray1, DArray2, DArray3, DimMap, Dist};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -105,7 +105,7 @@ where
 {
     let total: usize = shape.iter().product();
     let data: Vec<u64> = (0..total as u64).map(|i| i * 7 + 3).collect();
-    let rep = spmd(&Machine::real(p + outsiders), |cx| {
+    let rep = spmd(&Machine::simulated(p + outsiders, MachineModel::paragon()), |cx| {
         if outsiders == 0 {
             let g = cx.group();
             let (a, mut view) = observe(cx, &g, shape, dist, &data);

@@ -2,7 +2,7 @@
 //! arbitrary distributions/grids preserves content; transposition is an
 //! involution; halos always match the neighbours' data.
 
-use fx_core::{spmd, Machine, Size};
+use fx_core::{spmd, Machine, MachineModel, Size};
 use fx_darray::{
     assign2, exchange_col_halo, exchange_row_halo, transpose2, DArray2, Dist,
 };
@@ -38,7 +38,7 @@ proptest! {
     ) {
         let data: Vec<u64> = (0..rows * cols).map(|i| (i * 31 + 7) as u64).collect();
         let expect = data.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             if cross_groups && p >= 2 {
                 let part = cx.task_partition(&[("a", Size::Procs(1)), ("b", Size::Rest)]);
                 let ga = part.group("a");
@@ -81,7 +81,7 @@ proptest! {
     ) {
         let data: Vec<i64> = (0..rows * cols).map(|i| i as i64 * 3 - 7).collect();
         let expect = data.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let a = DArray2::from_global(cx, &g, [rows, cols], (Dist::Block, Dist::Star), &data);
             let mut t = DArray2::new(cx, &g, [cols, rows], (Dist::Block, Dist::Star), 0i64);
@@ -108,7 +108,7 @@ proptest! {
         let block = rows.div_ceil(p);
         prop_assume!(block >= width && (rows % block == 0 || rows % block >= width));
         let data: Vec<u32> = (0..rows * cols).map(|i| i as u32).collect();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let a = DArray2::from_global(cx, &g, [rows, cols], (Dist::Block, Dist::Star), &data);
             let h = exchange_row_halo(cx, &a, width);
@@ -151,7 +151,7 @@ proptest! {
         let block = cols.div_ceil(p);
         prop_assume!(block >= width && (cols % block == 0 || cols % block >= width));
         let data: Vec<u32> = (0..rows * cols).map(|i| i as u32).collect();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let a = DArray2::from_global(cx, &g, [rows, cols], (Dist::Star, Dist::Block), &data);
             let h = exchange_col_halo(cx, &a, width);

@@ -1,6 +1,6 @@
 //! Property tests for distribution index maps and redistribution.
 
-use fx_core::{spmd, Machine};
+use fx_core::{spmd, Machine, MachineModel};
 use fx_darray::{assign1, remap1, DArray1, DimMap, Dist, Remap};
 use proptest::prelude::*;
 
@@ -49,7 +49,7 @@ proptest! {
     ) {
         let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(seed + 1)).collect();
         let expect = data.clone();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
             let mut dst = DArray1::new(cx, &g, n, dd, 0u64);
@@ -71,7 +71,7 @@ proptest! {
         dd in arb_dist(),
     ) {
         let data: Vec<u32> = (0..n as u32).collect();
-        let rep = spmd(&Machine::real(p), move |cx| {
+        let rep = spmd(&Machine::simulated(p, MachineModel::paragon()), move |cx| {
             let g = cx.group();
             let src = DArray1::from_global(cx, &g, data.len(), sd, &data);
             let mut dst = DArray1::new(cx, &g, n, dd, 0u32);

@@ -571,7 +571,7 @@ fn out_of_range_shift_panics_at_plan_build() {
 /// release builds too — instead of reading a wrong slot.
 #[test]
 fn out_of_range_statements_panic_in_every_profile() {
-    let machine = Machine::real(2).with_timeout(std::time::Duration::from_secs(10));
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(std::time::Duration::from_secs(10));
     let err = catch_unwind(AssertUnwindSafe(|| {
         spmd(&machine, move |cx| {
             let g = cx.group();

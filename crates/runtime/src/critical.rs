@@ -222,7 +222,7 @@ pub(crate) fn match_recvs_to_sends(logs: &[Log]) -> HashMap<(usize, usize), (usi
 ///
 /// `logs` is [`crate::RunReport::logs`], `times` is
 /// [`crate::RunReport::times`]; the run must have been executed with
-/// profiling enabled under simulated time (logs without duration events
+/// profiling enabled (logs without duration events
 /// yield a path that is all idle).
 pub fn critical_path(logs: &[Log], times: &[f64]) -> CriticalPathReport {
     assert_eq!(logs.len(), times.len(), "one log per processor");

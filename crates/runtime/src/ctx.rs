@@ -13,12 +13,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clock::{host_now, ns_since, tick_period};
+use crate::clock::{ns_since, tick_period};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
 use crate::event::{Event, EventKind, Labels, Log};
 use crate::mailbox::{Envelope, Mailbox};
-use crate::model::TimeMode;
+use crate::model::MachineModel;
 use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload, Returned};
 use crate::run::{DataflowMode, ProcOutcome};
@@ -27,7 +27,7 @@ use crate::telemetry::{ProcShard, Telemetry};
 /// Shared state of one run of the machine.
 pub(crate) struct World {
     pub nprocs: usize,
-    pub mode: TimeMode,
+    pub model: MachineModel,
     pub mailboxes: Vec<Mailbox>,
     /// Every processor's park latch, the recv timeout that expires a
     /// park, and the run's coarse clock, which also stamps every deposit
@@ -107,9 +107,9 @@ pub struct ProcCtx {
     /// Suspends this processor's coroutine back into its pool worker: every
     /// blocking point and yield goes through it.
     yielder: Yielder,
-    /// Virtual clock (seconds). Unused in real-time mode.
+    /// Virtual clock (seconds).
     clock: f64,
-    /// Wall-clock start, for real-time mode.
+    /// Host instant the run began: the origin of the lap's readings.
     start: Instant,
     /// The lap: host ns since `start` of this processor's latest clock read,
     /// [`CHARGED`] set by a charge since. Read only with a registry attached.
@@ -122,8 +122,8 @@ pub struct ProcCtx {
     counters: Arc<Counters>,
     /// Recycled message-buffer storage for the chunk fast path.
     pool: BufferPool,
-    /// True when the machine profiles and time is simulated: duration
-    /// events are retained in the log.
+    /// True when the machine profiles: duration events are retained in
+    /// the log.
     profile: bool,
     /// True when someone reads more than marks: the machine profiles or a
     /// telemetry registry is attached. The one check on every
@@ -151,7 +151,7 @@ pub struct ProcCtx {
 
 impl ProcCtx {
     pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant, yielder: Yielder) -> Self {
-        let profile = world.profile && world.mode.is_simulated();
+        let profile = world.profile;
         let tracing = world.tracing;
         let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
         let counters = Arc::clone(&world.counters[rank]);
@@ -177,9 +177,9 @@ impl ProcCtx {
         }
     }
 
-    /// An instant event here and now: the virtual clock (0.0 in real-time
-    /// mode, where it never moves), the innermost open scope, the active
-    /// trace. Every emitted event is this with its own fields filled in.
+    /// An instant event here and now: the virtual clock, the innermost
+    /// open scope, the active trace. Every emitted event is this with its
+    /// own fields filled in.
     #[inline(always)]
     fn here(&self, kind: EventKind) -> Event {
         Event {
@@ -234,27 +234,23 @@ impl ProcCtx {
         self.world.nprocs
     }
 
-    /// The machine's time mode (shared by all processors).
+    /// The machine's cost model (shared by all processors).
     #[inline]
-    pub fn time_mode(&self) -> TimeMode {
-        self.world.mode
+    pub fn model(&self) -> &MachineModel {
+        &self.world.model
     }
 
-    /// Current time in seconds: virtual time when simulating, wall-clock
-    /// time since machine start otherwise.
+    /// This processor's virtual clock, in seconds.
     #[inline]
     pub fn now(&self) -> f64 {
-        match self.world.mode {
-            TimeMode::Real => host_now().duration_since(self.start).as_secs_f64(),
-            TimeMode::Simulated(_) => self.clock,
-        }
+        self.clock
     }
 
-    /// Advance this processor's virtual clock to at least `t`
-    /// (no-op in real-time mode or when already past `t`).
+    /// Advance this processor's virtual clock to at least `t` (no-op when
+    /// already past `t`).
     #[inline]
     pub fn advance_to(&mut self, t: f64) {
-        if self.world.mode.is_simulated() && t > self.clock {
+        if t > self.clock {
             self.clock = t;
         }
     }
@@ -262,25 +258,19 @@ impl ProcCtx {
     /// Charge `n` floating point operations of local compute.
     #[inline]
     pub fn charge_flops(&mut self, n: f64) {
-        if let TimeMode::Simulated(m) = self.world.mode {
-            self.charge(m.flops(n));
-        }
+        self.charge(self.world.model.flops(n));
     }
 
     /// Charge `n` bytes of local memory traffic (memory-bound kernels).
     #[inline]
     pub fn charge_mem_bytes(&mut self, n: f64) {
-        if let TimeMode::Simulated(m) = self.world.mode {
-            self.charge(m.mem_bytes(n));
-        }
+        self.charge(self.world.model.mem_bytes(n));
     }
 
     /// Charge a raw amount of virtual seconds (e.g. a modeled I/O phase).
     #[inline]
     pub fn charge_seconds(&mut self, s: f64) {
-        if self.world.mode.is_simulated() {
-            self.charge(s);
-        }
+        self.charge(s);
     }
 
     /// Advance the virtual clock by `s` seconds of local compute.
@@ -299,13 +289,9 @@ impl ProcCtx {
     /// the chunk fast path charges exactly what the boxed path charges.
     #[inline]
     fn charge_send(&mut self, nbytes: usize) -> f64 {
-        match self.world.mode {
-            TimeMode::Real => 0.0,
-            TimeMode::Simulated(m) => {
-                self.clock += m.send_busy(nbytes);
-                m.arrival(self.clock)
-            }
-        }
+        let m = &self.world.model;
+        self.clock += m.send_busy(nbytes);
+        m.arrival(self.clock)
     }
 
     /// Send `value` to physical processor `dst` on channel `tag`.
@@ -478,20 +464,18 @@ impl ProcCtx {
         if self.tracing && env.trace != 0 {
             self.trace = env.trace;
         }
-        let mut recv = Event {
+        // The wait `[clock, ready]` is left as a gap (idle); only the busy
+        // half `[ready, t]` is the event's interval.
+        let ready = self.clock.max(env.arrival);
+        self.clock = ready + self.world.model.recv_busy(env.nbytes);
+        let recv = Event {
             peer: src as u32,
             tag,
             bytes: env.nbytes as u64,
+            start: ready,
             arrival: env.arrival,
             ..self.here(EventKind::Recv)
         };
-        if let TimeMode::Simulated(m) = self.world.mode {
-            // The wait `[clock, ready]` is left as a gap (idle); only the
-            // busy half `[ready, t]` is the event's interval.
-            recv.start = self.clock.max(env.arrival);
-            self.clock = recv.start + m.recv_busy(env.nbytes);
-            recv.end = self.clock;
-        }
         self.emit(recv);
         env
     }
@@ -529,7 +513,7 @@ impl ProcCtx {
     // ----- scopes and the log ----------------------------------------------
 
     /// True when duration events are being retained (the machine enabled
-    /// profiling and time is simulated).
+    /// profiling).
     #[inline]
     pub fn profiling(&self) -> bool {
         self.profile
@@ -559,7 +543,7 @@ impl ProcCtx {
     }
 
     /// What this processor has retained of its events so far: marks, and
-    /// duration events when profiling under simulated time. The complete
+    /// duration events when profiling. The complete
     /// log lands in [`crate::RunReport::logs`].
     pub fn log(&self) -> &Log {
         &self.log
@@ -674,13 +658,11 @@ impl ProcCtx {
 
     // ----- heartbeat promotion --------------------------------------------
 
-    /// True when promotable loops should run the promotion protocol:
-    /// the machine armed the heartbeat *and* time is simulated (idle
-    /// detection and profitability are virtual-clock predicates; a
-    /// real-time machine always behaves as `FX_HEARTBEAT=off`).
+    /// True when promotable loops should run the promotion protocol (the
+    /// machine armed the heartbeat).
     #[inline]
     pub fn heartbeat_active(&self) -> bool {
-        self.world.heartbeat && self.world.mode.is_simulated()
+        self.world.heartbeat
     }
 
     /// Virtual seconds of charged compute between heartbeat checks.

@@ -24,14 +24,10 @@ pub const KNOBS: [Knob; 6] = [
     Knob {
         name: "FX_WORKERS",
         accepts: "an integer, at most one per processor counts; `0` is the default",
-        default: "one per host CPU for simulated machines, one per processor for real-time ones",
+        default: "one per host CPU",
     },
     Knob { name: "FX_DATAFLOW", accepts: "`off`, `on` or `validate`", default: "`on`" },
-    Knob {
-        name: "FX_HEARTBEAT",
-        accepts: "`off` or `on`",
-        default: "`on` for simulated machines, `off` for real-time ones",
-    },
+    Knob { name: "FX_HEARTBEAT", accepts: "`off` or `on`", default: "`on`" },
     Knob { name: "FX_TRACE", accepts: "`1`, `on`, `true`, `0`, `off` or `false`", default: "off" },
     Knob { name: "FX_RECV_TIMEOUT_MS", accepts: "an integer number of milliseconds", default: "`60000`" },
     Knob { name: "FX_STACK_KB", accepts: "an integer number of KiB, raised to at least 64", default: "`1024`" },

@@ -97,8 +97,8 @@ pub struct Event {
     pub tag: u64,
     /// Payload bytes of a send or receive (0 otherwise).
     pub bytes: u64,
-    /// Start of the interval in seconds (virtual when simulating; the
-    /// instant itself for instant events).
+    /// Start of the interval in virtual seconds (the instant itself for
+    /// instant events).
     pub start: f64,
     /// End of the interval (`== start` for instant events).
     pub end: f64,
@@ -309,7 +309,7 @@ impl WindowBreakdown {
 
 /// What one processor retained of its own events, in program order, with
 /// the label table that names them: marks always, duration events when
-/// the run was profiled under simulated time.
+/// the run was profiled.
 #[derive(Debug, Clone, Default)]
 pub struct Log {
     pub(crate) events: Vec<Event>,
@@ -344,7 +344,7 @@ impl Log {
     }
 
     /// The duration events (compute, send, recv) in time order; none
-    /// unless the run was profiled under simulated time.
+    /// unless the run was profiled.
     pub fn spans(&self) -> impl Iterator<Item = &Event> {
         self.events.iter().filter(|e| e.is_span())
     }

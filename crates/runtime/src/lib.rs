@@ -12,8 +12,7 @@
 //! * **Direct-deposit messaging** — [`ProcCtx::send`] deposits a typed
 //!   payload straight into the destination mailbox (the Fx communication
 //!   style); [`ProcCtx::recv`] matches on `(source, tag)` FIFO channels.
-//! * **Deterministic virtual time** — under [`TimeMode::Simulated`], each
-//!   processor keeps its own clock, advanced only by explicit
+//! * **Deterministic virtual time** — each processor keeps its own clock, advanced only by explicit
 //!   `charge_*` calls and by the LogGP-style costs of the messages it sends
 //!   and receives ([`MachineModel`]). Clocks couple *only* through
 //!   messages, so pipelined task parallelism overlaps in virtual time
@@ -53,7 +52,7 @@ pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
 pub use event::{request_trace_id, Event, EventKind, Label, Labels, Log, WindowBreakdown};
-pub use model::{MachineModel, TimeMode};
+pub use model::MachineModel;
 pub use payload::{Chunk, Payload};
 pub use run::{run, DataflowMode, Executor, Machine, RunReport};
 pub use stall::{StallReport, StalledProc};

@@ -90,7 +90,7 @@ pub(crate) struct Envelope {
     /// Channel tag (runtime-internal; composed from group id + sequence).
     pub tag: u64,
     /// Virtual time at which the message may be received (already includes
-    /// wire latency). Zero in real-time mode.
+    /// wire latency).
     pub arrival: f64,
     /// Wire size used for receiver-side cost accounting.
     pub nbytes: usize,

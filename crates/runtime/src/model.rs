@@ -127,34 +127,6 @@ impl Default for MachineModel {
     }
 }
 
-/// How the runtime accounts for time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimeMode {
-    /// Wall-clock execution on host threads; `charge_*` calls are no-ops.
-    /// Used for correctness tests and interactive examples.
-    Real,
-    /// Deterministic virtual time driven by the given [`MachineModel`].
-    /// A processor's clock advances only through explicit charges and
-    /// through the timestamps of messages it receives, so results are
-    /// independent of host scheduling.
-    Simulated(MachineModel),
-}
-
-impl TimeMode {
-    /// The cost model, if simulating.
-    pub fn model(&self) -> Option<&MachineModel> {
-        match self {
-            TimeMode::Real => None,
-            TimeMode::Simulated(m) => Some(m),
-        }
-    }
-
-    /// True when running under virtual time.
-    pub fn is_simulated(&self) -> bool {
-        matches!(self, TimeMode::Simulated(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,14 +153,5 @@ mod tests {
         assert_eq!(m.send_busy(1 << 20), 0.0);
         assert_eq!(m.recv_busy(1 << 20), 0.0);
         assert!((m.flops(100.0) - 100e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn time_mode_accessors() {
-        assert!(TimeMode::Real.model().is_none());
-        assert!(!TimeMode::Real.is_simulated());
-        let tm = TimeMode::Simulated(MachineModel::paragon());
-        assert!(tm.is_simulated());
-        assert_eq!(tm.model().unwrap().o_send, 300e-6);
     }
 }

@@ -12,7 +12,7 @@ use crate::ctx::{ProcCtx, World};
 use crate::env;
 use crate::event::Log;
 use crate::mailbox::Mailbox;
-use crate::model::{MachineModel, TimeMode};
+use crate::model::MachineModel;
 use crate::parker::Parkers;
 use crate::pool::{self, Pool};
 use crate::stall::StallWatch;
@@ -30,17 +30,16 @@ use crate::telemetry::{Telemetry, TelemetrySnapshot};
 pub enum Executor {
     /// Processors multiplexed onto `workers` OS threads with per-worker
     /// run queues and work stealing; blocking receives suspend into the
-    /// scheduler. `workers == 0` is one per host CPU under simulated time
-    /// and one per processor under real time; a count above the number of
-    /// processors is clamped to it, one preempted thread each.
+    /// scheduler. `workers == 0` is one per host CPU; a count above the
+    /// number of processors is clamped to it, one preempted thread each.
     Pooled {
-        /// Worker threads (0 = the time mode's default).
+        /// Worker threads (0 = one per host CPU).
         workers: usize,
     },
 }
 
 impl Executor {
-    /// The pool with the time mode's worker count.
+    /// The pool with one worker per host CPU.
     pub fn pooled() -> Self {
         Executor::Pooled { workers: 0 }
     }
@@ -97,8 +96,8 @@ impl std::fmt::Display for DataflowMode {
 pub struct Machine {
     /// Number of simulated processors.
     pub nprocs: usize,
-    /// Real or simulated time.
-    pub mode: TimeMode,
+    /// The cost model that drives every processor's virtual clock.
+    pub model: MachineModel,
     /// Deadlock watchdog: a blocked receive panics after this long
     /// (`FX_RECV_TIMEOUT_MS`; default 60 s). Parked receives are checked
     /// once per watchdog period (an eighth of this, within 5–250 ms):
@@ -106,27 +105,25 @@ pub struct Machine {
     pub recv_timeout: Duration,
     /// Retain duration events in the processors' logs (see
     /// [`crate::Log`]). Host-side only: enabling it never changes virtual
-    /// times. Only effective under simulated time.
+    /// times.
     pub profile: bool,
     /// Live telemetry registry (see [`crate::Telemetry`]). Host-side
     /// only: enabling it never changes virtual times.
     pub telemetry: Option<Arc<Telemetry>>,
     /// How processors map onto OS threads (default: one worker per host
-    /// CPU for simulated machines, one per processor for real-time ones;
-    /// `FX_WORKERS` overrides the default, an explicit
+    /// CPU; `FX_WORKERS` overrides the default, an explicit
     /// [`Machine::with_executor`] overrides everything).
     pub executor: Executor,
     /// Barrier elision for distributed-array statements (default `On`;
     /// `FX_DATAFLOW` overrides, an explicit [`Machine::with_dataflow`]
     /// overrides everything).
     pub dataflow: DataflowMode,
-    /// Heartbeat work promotion for promotable loops (default on for
-    /// simulated machines, off for real-time ones; `FX_HEARTBEAT`
-    /// overrides the default, an explicit [`Machine::with_heartbeat`]
-    /// overrides everything). Off, a promotable loop runs its static
-    /// share sequentially; on, only virtual completion times may change,
-    /// never results. Inert for programs that never run a promotable
-    /// loop, and under real time, where it always behaves as off.
+    /// Heartbeat work promotion for promotable loops (default on;
+    /// `FX_HEARTBEAT` overrides the default, an explicit
+    /// [`Machine::with_heartbeat`] overrides everything). Off, a promotable
+    /// loop runs its static share sequentially; on, only virtual completion
+    /// times may change, never results. Inert for programs that never run
+    /// a promotable loop.
     pub heartbeat: bool,
     /// Virtual seconds of charged compute between heartbeats (default
     /// 1 ms: at the Paragon parameters a promotion costs ~1.3 ms of
@@ -146,19 +143,10 @@ pub struct Machine {
 
 impl Machine {
     /// A machine with `nprocs` processors under deterministic virtual time.
+    ///
+    /// The defaults come from the `FX_*` environment (see [`crate::env`]),
+    /// read once per construction.
     pub fn simulated(nprocs: usize, model: MachineModel) -> Self {
-        Machine::from_env(nprocs, TimeMode::Simulated(model))
-    }
-
-    /// A machine with `nprocs` processors running in real (wall-clock) time.
-    pub fn real(nprocs: usize) -> Self {
-        Machine::from_env(nprocs, TimeMode::Real)
-    }
-
-    /// The mode's defaults under the `FX_*` environment (see
-    /// [`crate::env`]), read once per construction.
-    fn from_env(nprocs: usize, mode: TimeMode) -> Self {
-        let simulated = mode.is_simulated();
         let on_off = |s: &str| match s {
             "on" => Some(true),
             "off" => Some(false),
@@ -169,7 +157,7 @@ impl Machine {
             "validate" => Some(DataflowMode::Validate),
             _ => on_off(s).map(|on| if on { DataflowMode::On } else { DataflowMode::Off }),
         });
-        let heartbeat = env::read("FX_HEARTBEAT", on_off).unwrap_or(simulated);
+        let heartbeat = env::read("FX_HEARTBEAT", on_off).unwrap_or(true);
         let tracing = env::read("FX_TRACE", |s| match s {
             "1" | "true" => Some(true),
             "0" | "false" => Some(false),
@@ -179,7 +167,7 @@ impl Machine {
         let stack_kb = env::read("FX_STACK_KB", |s| s.parse::<usize>().ok());
         Machine {
             nprocs,
-            mode,
+            model,
             recv_timeout: timeout_ms.map_or(Duration::from_secs(60), Duration::from_millis),
             profile: false,
             telemetry: None,
@@ -198,7 +186,7 @@ impl Machine {
         self
     }
 
-    /// Pin the worker count, overriding both the mode default and the
+    /// Pin the worker count, overriding both the default and the
     /// `FX_WORKERS` environment.
     pub fn with_executor(mut self, e: Executor) -> Self {
         self.executor = e;
@@ -212,10 +200,8 @@ impl Machine {
         self
     }
 
-    /// Arm or disarm heartbeat work promotion, overriding both the mode
-    /// default and the `FX_HEARTBEAT` environment. Promotion only ever
-    /// runs under simulated time; arming it on a real-time machine is a
-    /// no-op.
+    /// Arm or disarm heartbeat work promotion, overriding both the
+    /// default and the `FX_HEARTBEAT` environment.
     pub fn with_heartbeat(mut self, on: bool) -> Self {
         self.heartbeat = on;
         self
@@ -229,9 +215,8 @@ impl Machine {
         self
     }
 
-    /// Enable or disable span profiling (off by default). Duration events
-    /// are retained only under simulated time; profiling is host-side
-    /// observability and never perturbs the virtual clock.
+    /// Enable or disable span profiling (off by default). Profiling is
+    /// host-side observability and never perturbs the virtual clock.
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profile = on;
         self
@@ -265,11 +250,10 @@ impl Machine {
 pub struct RunReport<R> {
     /// Per-processor return values, indexed by physical rank.
     pub results: Vec<R>,
-    /// Per-processor finish times (virtual seconds when simulating).
+    /// Per-processor finish times (virtual seconds).
     pub times: Vec<f64>,
     /// Per-processor event logs: the marks, and — when the machine was
-    /// built with `with_profiling(true)` under simulated time — the
-    /// duration events. Feed these to [`crate::critical_path`] or
+    /// built with `with_profiling(true)` — the duration events. Feed these to [`crate::critical_path`] or
     /// [`crate::chrome_trace`].
     pub logs: Vec<Log>,
     /// Per-processor (messages, bytes) sent: `sends` and `send_bytes` of
@@ -419,7 +403,7 @@ where
         let mut on = machine.clone();
         on.dataflow = DataflowMode::On;
         let on_rep = run_resolved(&on, &f);
-        validate_elision(&off_rep, &on_rep, machine.mode.is_simulated());
+        validate_elision(&off_rep, &on_rep);
         return on_rep;
     }
     run_resolved(machine, &f)
@@ -436,17 +420,16 @@ where
     debug_assert!(machine.dataflow != DataflowMode::Validate, "validate resolves before launch");
     let coarse = Arc::new(CoarseClock::new());
     let Executor::Pooled { workers } = machine.executor;
-    let workers = match (workers, machine.mode) {
-        (0, TimeMode::Simulated(_)) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        (0, TimeMode::Real) => machine.nprocs,
-        (w, _) => w,
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        w => w,
     };
     let pool = Pool::new(machine.nprocs, workers.clamp(1, machine.nprocs));
     let parkers = Parkers::new(machine.nprocs, Arc::clone(&pool), machine.recv_timeout, Arc::clone(&coarse));
     let telemetry = machine.telemetry.clone();
     let world = Arc::new(World {
         nprocs: machine.nprocs,
-        mode: machine.mode,
+        model: machine.model,
         mailboxes: (0..machine.nprocs)
             .map(|rank| Mailbox::new(machine.nprocs, rank, Arc::clone(&parkers)))
             .collect(),
@@ -533,14 +516,13 @@ where
 ///
 /// * Mark label sequences are identical per processor — the program took
 ///   the same path.
-/// * Under simulated time, every mark time and finish time of the `On`
-///   run is `<=` its `Off` counterpart: removing barriers can only lower
+/// * Every mark time and finish time of the `On` run is `<=` its `Off` counterpart: removing barriers can only lower
 ///   clocks (clock updates are IEEE `+`/`max` of the same operands, both
 ///   monotone), never raise or reorder them.
 /// * Traffic is `<=` (the elided barrier messages are the difference).
 /// * When nothing was elided the runs executed identical message
 ///   schedules, so times and traffic must be bit-identical.
-fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
+fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>) {
     let elided = on.total().barriers_elided;
     let exact = elided == 0;
     assert_eq!(off.results.len(), on.results.len(), "FX_DATAFLOW=validate: nprocs changed");
@@ -560,37 +542,33 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
         );
         for ((label, ta), (label_on, tb)) in eo.iter().zip(&en) {
             assert_eq!(label, label_on, "FX_DATAFLOW=validate: processor {p} event label diverged");
-            if simulated {
-                if exact {
-                    assert!(
-                        ta.to_bits() == tb.to_bits(),
-                        "FX_DATAFLOW=validate: nothing elided, yet processor {p} \
-                         event '{label}' moved: {ta} (off) vs {tb} (on)"
-                    );
-                } else {
-                    assert!(
-                        tb <= ta,
-                        "FX_DATAFLOW=validate: elision DELAYED processor {p} \
-                         event '{label}': {ta} (off) vs {tb} (on)"
-                    );
-                }
-            }
-        }
-        if simulated {
-            let (to, tn) = (off.times[p], on.times[p]);
             if exact {
                 assert!(
-                    to.to_bits() == tn.to_bits(),
-                    "FX_DATAFLOW=validate: nothing elided, yet processor {p} finish \
-                     moved: {to} (off) vs {tn} (on)"
+                    ta.to_bits() == tb.to_bits(),
+                    "FX_DATAFLOW=validate: nothing elided, yet processor {p} \
+                     event '{label}' moved: {ta} (off) vs {tb} (on)"
                 );
             } else {
                 assert!(
-                    tn <= to,
-                    "FX_DATAFLOW=validate: elision delayed processor {p} finish: \
-                     {to} (off) vs {tn} (on)"
+                    tb <= ta,
+                    "FX_DATAFLOW=validate: elision DELAYED processor {p} \
+                     event '{label}': {ta} (off) vs {tb} (on)"
                 );
             }
+        }
+        let (to, tn) = (off.times[p], on.times[p]);
+        if exact {
+            assert!(
+                to.to_bits() == tn.to_bits(),
+                "FX_DATAFLOW=validate: nothing elided, yet processor {p} finish \
+                 moved: {to} (off) vs {tn} (on)"
+            );
+        } else {
+            assert!(
+                tn <= to,
+                "FX_DATAFLOW=validate: elision delayed processor {p} finish: \
+                 {to} (off) vs {tn} (on)"
+            );
         }
         let ((mo, bo), (mn, bn)) = (off.traffic[p], on.traffic[p]);
         if exact {
@@ -668,22 +646,26 @@ pub(crate) struct ProcOutcome<R> {
 mod tests {
     use super::*;
 
+    fn machine(nprocs: usize) -> Machine {
+        Machine::simulated(nprocs, MachineModel::paragon())
+    }
+
     #[test]
     fn single_proc_returns_value() {
-        let rep = run(&Machine::real(1), |cx| cx.rank() + 41);
+        let rep = run(&machine(1), |cx| cx.rank() + 41);
         assert_eq!(rep.results, vec![41]);
         assert_eq!(rep.undelivered, 0);
     }
 
     #[test]
     fn ranks_are_unique_and_complete() {
-        let rep = run(&Machine::real(8), |cx| cx.rank());
+        let rep = run(&machine(8), |cx| cx.rank());
         assert_eq!(rep.results, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn ping_pong_real_mode() {
-        let rep = run(&Machine::real(2), |cx| {
+    fn ping_pong() {
+        let rep = run(&machine(2), |cx| {
             if cx.rank() == 0 {
                 cx.send(1, 1, 123u64);
                 cx.recv::<u64>(1, 2)
@@ -776,7 +758,7 @@ mod tests {
 
     #[test]
     fn panic_in_one_proc_fails_whole_run() {
-        let machine = Machine::real(2).with_timeout(Duration::from_secs(30));
+        let machine = machine(2).with_timeout(Duration::from_secs(30));
         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run(&machine, |cx| {
                 if cx.rank() == 0 {
@@ -795,7 +777,7 @@ mod tests {
 
     #[test]
     fn undelivered_messages_are_counted() {
-        let rep = run(&Machine::real(2), |cx| {
+        let rep = run(&machine(2), |cx| {
             if cx.rank() == 0 {
                 cx.send(1, 1, 5u8);
                 cx.send(1, 2, 6u8);
@@ -810,7 +792,7 @@ mod tests {
 
     #[test]
     fn probe_sees_deposited_messages_without_consuming() {
-        let rep = run(&Machine::real(2), |cx| {
+        let rep = run(&machine(2), |cx| {
             if cx.rank() == 0 {
                 cx.send(1, 3, 9u8);
                 true
@@ -844,17 +826,8 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_is_noop_in_real_mode() {
-        let rep = run(&Machine::real(1), |cx| {
-            cx.advance_to(1e9);
-            cx.now() < 1.0 // wall clock, not the far future
-        });
-        assert!(rep.results[0]);
-    }
-
-    #[test]
     fn traffic_counts_bytes() {
-        let rep = run(&Machine::real(2), |cx| {
+        let rep = run(&machine(2), |cx| {
             if cx.rank() == 0 {
                 cx.send(1, 1, vec![0u32; 100]);
             } else {

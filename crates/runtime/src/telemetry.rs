@@ -214,10 +214,10 @@ struct Inner {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use fx_runtime::{run, Machine, Telemetry};
+/// use fx_runtime::{run, Machine, MachineModel, Telemetry};
 ///
 /// let telemetry = Arc::new(Telemetry::new());
-/// let machine = Machine::real(2).with_telemetry(Arc::clone(&telemetry));
+/// let machine = Machine::simulated(2, MachineModel::paragon()).with_telemetry(Arc::clone(&telemetry));
 /// let rep = run(&machine, |cx| {
 ///     if cx.rank() == 0 { cx.send(1, 1, 7u32); } else { let _: u32 = cx.recv(0, 1); }
 /// });

@@ -20,8 +20,8 @@ fn ring(cx: &mut ProcCtx) -> f64 {
 }
 
 #[test]
-fn ping_pong_real_mode() {
-    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
+fn ping_pong_on_one_worker() {
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 });
     let rep = run(&machine, |cx: &mut ProcCtx| {
         if cx.rank() == 0 {
             cx.send(1, 1, 123u64);
@@ -85,7 +85,7 @@ fn fan_in_heavy_traffic() {
     // Every processor sends 50 messages to rank 0; exercises wake-on-
     // deposit for a processor that parks and unparks many times.
     let p = 16;
-    let machine = Machine::real(p).with_executor(Executor::Pooled { workers: 3 });
+    let machine = Machine::simulated(p, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 3 });
     let rep = run(&machine, move |cx: &mut ProcCtx| {
         if cx.rank() == 0 {
             let mut sum = 0u64;
@@ -132,7 +132,7 @@ fn probe_poll_loop_makes_progress() {
     // A probe-driven poll loop on 1 worker: without the cooperative
     // yield inside probe(), rank 1 would spin the only worker forever
     // and rank 0's send could never run.
-    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 });
     let rep = run(&machine, |cx: &mut ProcCtx| {
         if cx.rank() == 0 {
             cx.send(1, 3, 9u8);
@@ -152,7 +152,7 @@ fn yield_now_is_cooperative() {
     // Two procs on one worker alternating via yield_now on shared state.
     let turns = Arc::new(AtomicUsize::new(0));
     let t2 = Arc::clone(&turns);
-    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 });
     run(&machine, move |cx: &mut ProcCtx| {
         for i in 0..10 {
             // Wait for my turn: rank 0 acts on even counts, rank 1 odd.

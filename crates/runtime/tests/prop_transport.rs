@@ -3,7 +3,7 @@
 //! element types and sizes, and the sharded mailbox must preserve
 //! FIFO-per-(source, tag) order under heavy many-to-one contention.
 
-use fx_runtime::{run, Machine};
+use fx_runtime::{run, Executor, Machine, MachineModel};
 use proptest::prelude::*;
 
 /// Send `data` from rank 0 to rank 1 over both transports and return
@@ -12,7 +12,7 @@ fn both_paths<T>(data: Vec<T>) -> (Vec<T>, Vec<T>, Vec<T>)
 where
     T: Copy + Send + Sync + Default + std::fmt::Debug + PartialEq + 'static,
 {
-    let rep = run(&Machine::real(2), move |cx| {
+    let rep = run(&Machine::simulated(2, MachineModel::paragon()), move |cx| {
         if cx.rank() == 0 {
             cx.send(1, 1, data.clone());
             let mut c = cx.chunk_for::<T>(data.len());
@@ -104,13 +104,15 @@ proptest! {
 /// 31 senders hammer rank 0's mailbox concurrently, alternating boxed
 /// and chunk messages on a single shared tag. The sharded mailbox must
 /// keep every (source, tag) stream FIFO even though deposits from
-/// different sources race on different lanes.
+/// different sources race on different lanes: one worker per
+/// processor, so the senders really run at once.
 #[test]
 fn many_senders_one_receiver_preserves_fifo_per_source() {
     const P: usize = 32;
     const ROUNDS: u64 = 64;
     const TAG: u64 = 7;
-    let rep = run(&Machine::real(P), |cx| {
+    let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(Executor::Pooled { workers: P });
+    let rep = run(&machine, |cx| {
         if cx.rank() == 0 {
             let mut total = 0u64;
             // Drain each sender's stream in an interleaved order so

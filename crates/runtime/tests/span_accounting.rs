@@ -95,18 +95,6 @@ fn profiling_does_not_perturb_virtual_time() {
     assert!(profiled.logs.iter().all(|l| l.spans().next().is_some()));
 }
 
-#[test]
-fn real_mode_records_no_spans_even_when_asked() {
-    let rep = run(&Machine::real(2).with_profiling(true), |cx| {
-        if cx.rank() == 0 {
-            cx.send(1, 1, 7u8);
-        } else {
-            let _: u8 = cx.recv(0, 1);
-        }
-    });
-    assert!(rep.logs.iter().all(|l| l.events().is_empty()));
-}
-
 /// A mark never splits a compute span: two charges with a mark between
 /// them are one Compute event and one Mark, and the accounting is what it
 /// is without the mark.

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use fx_runtime::{run, Executor, Machine, ProcCtx};
+use fx_runtime::{run, Executor, Machine, MachineModel, ProcCtx};
 
 const P: usize = 8;
 const FAN_IN: usize = 7;
@@ -27,7 +27,7 @@ const ROUNDS: usize = 4096;
 fn fan_in_ns(fresh_tag: bool) -> f64 {
     // (data, ack) tags of a round: the two fixed ones, or a pair of its own.
     let tags = move |round: usize| if fresh_tag { (2 * round as u64 + 1, 2 * round as u64 + 2) } else { (1, 2) };
-    let machine = Machine::real(P).with_executor(Executor::Pooled { workers: 1 });
+    let machine = Machine::simulated(P, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 });
     let rep = run(&machine, move |cx: &mut ProcCtx| {
         let me = cx.rank();
         if me == 0 {

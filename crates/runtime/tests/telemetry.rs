@@ -8,7 +8,7 @@ use std::time::Duration;
 use fx_runtime::{run, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig, TenantTotals};
 
 fn telemetry_machine(p: usize, t: &Arc<Telemetry>) -> Machine {
-    Machine::real(p)
+    Machine::simulated(p, MachineModel::paragon())
         .with_timeout(Duration::from_secs(30))
         .with_telemetry(Arc::clone(t))
 }
@@ -105,7 +105,7 @@ fn flight_ring_wraps_keeping_newest() {
 /// Without a telemetry handle the report carries no snapshot.
 #[test]
 fn no_telemetry_means_no_snapshot() {
-    let rep = run(&Machine::real(2), |cx| {
+    let rep = run(&Machine::simulated(2, MachineModel::paragon()), |cx| {
         if cx.rank() == 0 {
             cx.send(1, 1, 1u8);
         } else {

@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use fx_runtime::{run, Executor, Machine, ProcCtx};
+use fx_runtime::{run, Executor, Machine, MachineModel, ProcCtx};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One worker, two, and one per processor (4096 is clamped to P).
@@ -15,7 +15,7 @@ const EXECUTORS: [Executor; 3] =
     [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }];
 
 fn machine(p: usize, executor: Executor) -> Machine {
-    Machine::real(p).with_timeout(Duration::from_secs(5)).with_executor(executor)
+    Machine::simulated(p, MachineModel::paragon()).with_timeout(Duration::from_secs(5)).with_executor(executor)
 }
 
 /// (a) Nothing is ever queued ahead in a ping-pong, so nearly every

@@ -10,7 +10,7 @@
 use fx_apps::util::unit_hash;
 
 /// One tenant's offered load: a Poisson stream of `requests` requests
-/// at `rate` requests per second (of virtual time when simulating).
+/// at `rate` requests per second of virtual time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Tenant name, used for telemetry labels and SLO reporting.

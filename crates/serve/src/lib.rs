@@ -20,16 +20,14 @@
 //!
 //! ## One procedure, one ledger
 //!
-//! The admission loop is a *replicated* decision procedure under either
+//! The admission loop is a *replicated* decision procedure on the virtual
 //! clock: every processor runs the same rounds, agreeing on the round
-//! time via `allreduce(now, max)` and skipping an idle gap to the next
-//! arrival — [`TimeMode::Simulated`](fx_core::TimeMode) jumps the virtual
-//! clock there, [`TimeMode::Real`](fx_core::TimeMode) waits for the wall
-//! clock in short slices. Admission, shedding and batch formation are
+//! time via `allreduce(now, max)` and jumping its clock over an idle gap
+//! to the next arrival. Admission, shedding and batch formation are
 //! pure functions of the agreed round time, so every processor makes
 //! identical decisions without a coordinator or a message beyond the
-//! agreement — and under simulated time the whole serve run is
-//! bit-identical across worker counts and hosts, like every other Fx program.
+//! agreement — and the whole serve run is bit-identical across worker
+//! counts and hosts, like every other Fx program.
 //! Nobody is parked in a receive across a gap, so the deadlock watchdog
 //! needs no exemption for a quiet server.
 //!

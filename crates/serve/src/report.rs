@@ -114,7 +114,7 @@ pub struct ServeReport<T> {
     /// and the completions, with exact latency quantiles (rank
     /// `ceil(q*n)`); the rows an attached registry is handed.
     pub tenants: Vec<TenantTotals>,
-    /// Per-processor finish times (virtual seconds when simulating).
+    /// Per-processor finish times (virtual seconds).
     pub times: Vec<f64>,
     /// Serve-loop rounds (max over processors).
     pub rounds: u64,
@@ -124,8 +124,8 @@ pub struct ServeReport<T> {
     /// `fx_serve_*` families included.
     pub telemetry: Option<TelemetrySnapshot>,
     /// Per-request latency decompositions, sorted by request index.
-    /// Populated only when the machine ran with tracing on under
-    /// simulated time (profiling is enabled automatically then); one
+    /// Populated only when the machine ran with tracing on (profiling is
+    /// enabled automatically then); one
     /// entry per completion.
     pub request_traces: Vec<RequestTrace>,
     /// Per-processor event logs of the serve run (duration events only
@@ -140,7 +140,7 @@ impl<T> ServeReport<T> {
         self.completions.len()
     }
 
-    /// Latest processor finish time (virtual seconds when simulating).
+    /// Latest processor finish time (virtual seconds).
     pub fn makespan(&self) -> f64 {
         self.times.iter().copied().fold(0.0, f64::max)
     }

@@ -1,7 +1,6 @@
 //! The long-lived cluster object: admission, batching, shedding.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 use fx_core::{request_trace_id, spmd, Cx, Machine};
 
@@ -16,9 +15,8 @@ pub struct ProcServe<T> {
     /// Trace indices shed by admission control (processor 0 only, so
     /// the merged list counts each shed request exactly once).
     pub sheds: Vec<usize>,
-    /// Serve-loop iterations this processor executed, under either
-    /// clock: every agreement `allreduce` counts, whether or not the round
-    /// dispatched a batch.
+    /// Serve-loop iterations this processor executed: every agreement
+    /// `allreduce` counts, whether or not the round dispatched a batch.
     pub rounds: u64,
     /// Per-request latency decompositions for the completions above
     /// (empty unless the run was traced).
@@ -31,7 +29,7 @@ pub struct ProcServe<T> {
 /// pushes an open-loop arrival trace through the pipeline under
 /// admission control and returns per-request completions plus
 /// per-tenant SLO accounting. See the crate docs for the one serve
-/// procedure (replicated rounds under either clock).
+/// procedure (replicated rounds on the virtual clock).
 pub struct Server<S: Servable> {
     machine: Machine,
     servable: S,
@@ -72,10 +70,10 @@ impl<S: Servable> Server<S> {
         }
 
         let mut machine = self.machine.clone();
-        // Per-request attribution needs duration events: a traced simulated
-        // serve profiles implicitly, so FX_TRACE=1 alone yields full
-        // breakdowns (profiling never moves the virtual clock).
-        if machine.mode.is_simulated() && machine.tracing {
+        // Per-request attribution needs duration events: a traced serve
+        // profiles implicitly, so FX_TRACE=1 alone yields full breakdowns
+        // (profiling never moves the virtual clock).
+        if machine.tracing {
             machine = machine.with_profiling(true);
         }
         let rep = spmd(&machine, |cx| serve_rounds(cx, &self.servable, &self.cfg, trace));
@@ -100,36 +98,23 @@ fn admit(r: &ServeRequest, queue: &mut VecDeque<ServeRequest>, cfg: &ServeConfig
     }
 }
 
-/// Skip an idle gap to the agreed time `t`. The virtual clock jumps; the
-/// wall clock is waited for in short slices with a yield before each, so
-/// a worker is never held across the gap: every processor reaches
-/// its own wait and none sits parked in a receive for the watchdog tick
-/// to expire or report as a stall.
-fn skip_to(cx: &mut Cx, t: f64) {
-    cx.runtime().advance_to(t);
-    while cx.now() < t {
-        cx.runtime().yield_now();
-        std::thread::sleep(Duration::from_secs_f64((t - cx.now()).clamp(0.0, 0.002)));
-    }
-}
-
-/// The serve procedure: a replicated decision loop under either clock.
+/// The serve procedure: a replicated decision loop on the virtual clock.
 /// Each round every processor agrees on the round time (`allreduce` max —
 /// the pipeline's slowest processor gates admission, exactly as a shared
 /// frontend would observe), skips an idle gap to the next arrival, then
 /// admits/sheds/batches with identical pure-function decisions of the
 /// agreed time — never of its own `now()`: `run_batch` is SPMD over the
 /// batch. No coordinator, no extra messages beyond the agreement
-/// reduction, and under simulated time the run stays bit-identical
-/// across worker counts and hosts.
+/// reduction, and the run stays bit-identical across worker counts and
+/// hosts.
 fn serve_rounds<S: Servable>(
     cx: &mut Cx,
     servable: &S,
     cfg: &ServeConfig,
     trace: &[ServeRequest],
 ) -> ProcServe<S::Output> {
-    // Duration events are retained under simulated time only, so a
-    // real-time run carries no per-request breakdowns.
+    // Per-request breakdowns fold the duration events, which a run
+    // retains only when profiled.
     let traced = cx.tracing() && cx.profiling();
     let mut queue: VecDeque<ServeRequest> = VecDeque::new();
     let mut next = 0usize;
@@ -147,9 +132,11 @@ fn serve_rounds<S: Servable>(
                 break;
             }
             if trace[next].arrival > t {
-                // Nothing queued and nothing arrived: skip the idle gap.
+                // Nothing queued and nothing arrived: the clock jumps the
+                // idle gap, so no processor sits parked in a receive
+                // across it.
                 t = trace[next].arrival;
-                skip_to(cx, t);
+                cx.runtime().advance_to(t);
             }
         }
         while next < trace.len() && trace[next].arrival <= t {

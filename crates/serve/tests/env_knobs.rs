@@ -11,8 +11,8 @@ use fx_runtime::{DataflowMode, Executor, Machine, MachineModel};
 
 /// What a knob resolved to, as text: the `Debug` of the machine field it
 /// sets.
-fn resolved(knob: &Knob, real: bool) -> String {
-    let m = if real { Machine::real(2) } else { Machine::simulated(2, MachineModel::paragon()) };
+fn resolved(knob: &Knob) -> String {
+    let m = Machine::simulated(2, MachineModel::paragon());
     match knob.name {
         "FX_WORKERS" => format!("{:?}", m.executor),
         "FX_DATAFLOW" => format!("{:?}", m.dataflow),
@@ -31,28 +31,27 @@ fn resolved(knob: &Knob, real: bool) -> String {
 
 #[test]
 fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
-    // (knob, unset on a simulated machine, unset on a real one, accepted
-    // spelling → value, malformed values)
-    type Row = (&'static str, &'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
+    // (knob, unset, accepted spelling → value, malformed values). Each
+    // knob has one default: workers auto (one per host CPU) and the
+    // heartbeat on, for every machine.
+    type Row = (&'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
     let table: [Row; 6] = [
         (
             "FX_WORKERS",
             "Pooled { workers: 0 }",
-            "Pooled { workers: 0 }",
             &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }"), ("4096", "Pooled { workers: 4096 }")],
             &["two", "-1", "1.5", "pooled"],
         ),
-        ("FX_DATAFLOW", "On", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
-        ("FX_HEARTBEAT", "true", "false", &[("on", "true"), ("off", "false")], &["1", "true", "validate"]),
+        ("FX_DATAFLOW", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
+        ("FX_HEARTBEAT", "true", &[("on", "true"), ("off", "false")], &["1", "true", "validate"]),
         (
             "FX_TRACE",
-            "false",
             "false",
             &[("1", "true"), ("on", "true"), ("true", "true"), ("0", "false"), ("off", "false"), ("false", "false")],
             &["yes", "2", "ON"],
         ),
-        ("FX_RECV_TIMEOUT_MS", "60s", "60s", &[("150", "150ms"), ("2000", "2s")], &["1s", "-5", "1.5"]),
-        ("FX_STACK_KB", "1048576", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
+        ("FX_RECV_TIMEOUT_MS", "60s", &[("150", "150ms"), ("2000", "2s")], &["1s", "-5", "1.5"]),
+        ("FX_STACK_KB", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
     ];
     assert_eq!(table.map(|row| row.0), env::KNOBS.map(|k| k.name), "one row per knob of the table");
     // CI legs export knobs (`FX_WORKERS=1 cargo test`); this
@@ -61,17 +60,15 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         std::env::remove_var(k.name);
     }
 
-    for (knob, (_, unset_sim, unset_real, accepted, malformed)) in env::KNOBS.iter().zip(table) {
-        assert_eq!((resolved(knob, false).as_str(), resolved(knob, true).as_str()), (unset_sim, unset_real), "{} unset", knob.name);
-        // Every knob resolves the same way in both modes once it is set.
+    for (knob, (_, unset, accepted, malformed)) in env::KNOBS.iter().zip(table) {
+        assert_eq!(resolved(knob), unset, "{} unset", knob.name);
         for &(spelling, value) in accepted {
             std::env::set_var(knob.name, spelling);
-            assert_eq!(resolved(knob, false), value, "{}={spelling:?}", knob.name);
-            assert_eq!(resolved(knob, true), value, "{}={spelling:?} (real)", knob.name);
+            assert_eq!(resolved(knob), value, "{}={spelling:?}", knob.name);
         }
         for &bad in malformed {
             std::env::set_var(knob.name, bad);
-            let err = catch_unwind(AssertUnwindSafe(|| resolved(knob, false))).expect_err("a malformed value must panic");
+            let err = catch_unwind(AssertUnwindSafe(|| resolved(knob))).expect_err("a malformed value must panic");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains(knob.name) && msg.contains(knob.accepts), "{}={bad:?} panicked with: {msg}", knob.name);
         }
@@ -101,7 +98,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     // The stack is sized when the machine is built, not when it runs, and
     // a request below the floor is clamped, not honoured into a crash.
     std::env::set_var("FX_STACK_KB", "1");
-    let machine = Machine::real(2).with_executor(Executor::Pooled { workers: 1 });
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_executor(Executor::Pooled { workers: 1 });
     std::env::remove_var("FX_STACK_KB");
     let rep = fx_runtime::run(&machine, |cx| {
         if cx.rank() == 0 {

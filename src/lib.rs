@@ -12,7 +12,7 @@
 //!
 //! // Four processors run the same SPMD program; two subgroups work
 //! // independently, then combine.
-//! let report = spmd(&Machine::real(4), |cx| {
+//! let report = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
 //!     let part = cx.task_partition(&[("left", Size::Procs(2)), ("right", Size::Rest)]);
 //!     let mine = cx.task_region(&part, |cx, tr| {
 //!         let l = tr.on(cx, "left", |cx| cx.allreduce(1u64, |a, b| a + b));
@@ -51,7 +51,7 @@ pub use fx_runtime as runtime;
 pub mod prelude {
     pub use fx_core::{
         proportional_split, spmd, Cx, GroupHandle, Machine, MachineModel, Size, TaskPartition,
-        TaskRegion, TimeMode,
+        TaskRegion,
     };
     pub use fx_darray::{
         assign1, assign2, copy_shift1_range, count_matching, exchange_col_halo, exchange_row_halo,
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn prelude_covers_the_basics() {
-        let rep = spmd(&Machine::real(2), |cx| {
+        let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
             let g = cx.group();
             let a = DArray1::from_global(cx, &g, 4, Dist1::Block, &[1u64, 2, 3, 4]);
             a.fold_owned(0, |acc, _g, v| acc + v)

@@ -27,7 +27,7 @@ fn worker_counts() -> [fx::runtime::Executor; 3] {
 #[test]
 fn deadlock_watchdog_fires() {
     for executor in worker_counts() {
-        let machine = Machine::real(2).with_timeout(Duration::from_millis(200)).with_executor(executor);
+        let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_millis(200)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| {
                 if cx.rank() == 0 {
@@ -49,7 +49,7 @@ fn deadlock_watchdog_fires() {
 /// Mismatched message types panic with the expected type's name.
 #[test]
 fn type_mismatch_is_loud() {
-    let machine = Machine::real(2).with_timeout(Duration::from_secs(10));
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_secs(10));
     let err = catch_unwind(AssertUnwindSafe(|| {
         fx::runtime::run(&machine, |cx: &mut ProcCtx| {
             if cx.rank() == 0 {
@@ -70,7 +70,7 @@ fn type_mismatch_is_loud() {
 #[test]
 fn peer_panic_unblocks_waiters() {
     for executor in worker_counts() {
-        let machine = Machine::real(3).with_timeout(Duration::from_secs(30)).with_executor(executor);
+        let machine = Machine::simulated(3, MachineModel::paragon()).with_timeout(Duration::from_secs(30)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             spmd(&machine, |cx| {
                 if cx.id() == 0 {
@@ -88,66 +88,71 @@ fn peer_panic_unblocks_waiters() {
 
 /// A panic raised *inside* an `ON SUBGROUP` block propagates with its
 /// original message — not a poison-induced secondary one — and peers
-/// blocked on cross-subgroup communication at region exit are unwedged.
+/// blocked on cross-subgroup communication at region exit are unwedged,
+/// on every worker count.
 #[test]
 fn panic_inside_on_subgroup_propagates_original_message() {
-    let machine = Machine::real(4).with_timeout(Duration::from_secs(30));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        spmd(&machine, |cx| {
-            let part = cx.task_partition(&[("boom", Size::Procs(2)), ("wait", Size::Rest)]);
-            cx.task_region(&part, |cx, tr| {
-                tr.on(cx, "boom", |cx| {
-                    if cx.id() == 1 {
-                        panic!("injected failure inside ON SUBGROUP");
-                    }
-                    // The non-panicking member blocks on its subgroup
-                    // sibling and must be unwedged by the poison.
-                    cx.barrier();
+    for executor in worker_counts() {
+        let machine = Machine::simulated(4, MachineModel::paragon()).with_timeout(Duration::from_secs(30)).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            spmd(&machine, |cx| {
+                let part = cx.task_partition(&[("boom", Size::Procs(2)), ("wait", Size::Rest)]);
+                cx.task_region(&part, |cx, tr| {
+                    tr.on(cx, "boom", |cx| {
+                        if cx.id() == 1 {
+                            panic!("injected failure inside ON SUBGROUP");
+                        }
+                        // The non-panicking member blocks on its subgroup
+                        // sibling and must be unwedged by the poison.
+                        cx.barrier();
+                    });
+                    tr.on(cx, "wait", |cx| {
+                        // The other subgroup wedges at its own collective.
+                        cx.barrier();
+                    });
                 });
-                tr.on(cx, "wait", |cx| {
-                    // The other subgroup wedges at its own collective.
-                    cx.barrier();
-                });
-            });
-            // Region exit: a parent-scope collective no member reaches.
-            cx.barrier();
-        })
-    }))
-    .expect_err("ON SUBGROUP panic must fail the whole run");
-    let msg = panic_message(err);
-    assert!(msg.contains("injected failure inside ON SUBGROUP"), "got: {msg}");
+                // Region exit: a parent-scope collective no member reaches.
+                cx.barrier();
+            })
+        }))
+        .expect_err("ON SUBGROUP panic must fail the whole run");
+        let msg = panic_message(err);
+        assert!(msg.contains("injected failure inside ON SUBGROUP"), "{executor:?}: got: {msg}");
+    }
 }
 
 /// Same, for a panic in a dynamically nested region (a subgroup that
 /// re-partitioned itself): the original message still wins over the
-/// secondary poison panics of both nesting levels.
+/// secondary poison panics of both nesting levels, on every worker count.
 #[test]
 fn panic_in_nested_region_keeps_original_message() {
-    let machine = Machine::real(4).with_timeout(Duration::from_secs(30));
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        spmd(&machine, |cx| {
-            let outer = cx.task_partition(&[("top", Size::Procs(2)), ("bottom", Size::Rest)]);
-            cx.task_region(&outer, |cx, tr| {
-                tr.on(cx, "top", |cx| {
-                    let inner = cx.task_partition(&[("t0", Size::Procs(1)), ("t1", Size::Rest)]);
-                    cx.task_region(&inner, |cx, tr2| {
-                        tr2.on(cx, "t0", |_| panic!("nested region failure"));
-                        tr2.on(cx, "t1", |cx| cx.barrier());
+    for executor in worker_counts() {
+        let machine = Machine::simulated(4, MachineModel::paragon()).with_timeout(Duration::from_secs(30)).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            spmd(&machine, |cx| {
+                let outer = cx.task_partition(&[("top", Size::Procs(2)), ("bottom", Size::Rest)]);
+                cx.task_region(&outer, |cx, tr| {
+                    tr.on(cx, "top", |cx| {
+                        let inner = cx.task_partition(&[("t0", Size::Procs(1)), ("t1", Size::Rest)]);
+                        cx.task_region(&inner, |cx, tr2| {
+                            tr2.on(cx, "t0", |_| panic!("nested region failure"));
+                            tr2.on(cx, "t1", |cx| cx.barrier());
+                        });
                     });
+                    tr.on(cx, "bottom", |cx| cx.barrier());
                 });
-                tr.on(cx, "bottom", |cx| cx.barrier());
-            });
-        })
-    }))
-    .expect_err("nested region panic must fail the whole run");
-    let msg = panic_message(err);
-    assert!(msg.contains("nested region failure"), "got: {msg}");
+            })
+        }))
+        .expect_err("nested region panic must fail the whole run");
+        let msg = panic_message(err);
+        assert!(msg.contains("nested region failure"), "{executor:?}: got: {msg}");
+    }
 }
 
 /// Group/partition misuse is caught at the API boundary.
 #[test]
 fn partition_misuse_panics() {
-    let machine = Machine::real(2).with_timeout(Duration::from_secs(10));
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_secs(10));
     // Oversubscribed partition.
     let err = catch_unwind(AssertUnwindSafe(|| {
         spmd(&machine, |cx| {
@@ -171,7 +176,7 @@ fn partition_misuse_panics() {
 /// Collectives called with an out-of-range root are rejected.
 #[test]
 fn collective_root_out_of_range() {
-    let machine = Machine::real(2).with_timeout(Duration::from_secs(10));
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_secs(10));
     let err = catch_unwind(AssertUnwindSafe(|| {
         spmd(&machine, |cx| {
             cx.bcast(5, 1u8);
@@ -185,7 +190,7 @@ fn collective_root_out_of_range() {
 /// collectives are caught.
 #[test]
 fn darray_misuse_panics() {
-    let machine = Machine::real(2).with_timeout(Duration::from_secs(10));
+    let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_secs(10));
     let err = catch_unwind(AssertUnwindSafe(|| {
         spmd(&machine, |cx| {
             let g = cx.group();
@@ -225,7 +230,7 @@ fn stall_detector_diagnoses_deadlocked_exchange() {
     const TIMEOUT: Duration = Duration::from_secs(2);
     for executor in worker_counts() {
         let telemetry = Arc::new(Telemetry::new());
-        let machine = Machine::real(2)
+        let machine = Machine::simulated(2, MachineModel::paragon())
             .with_timeout(TIMEOUT)
             .with_executor(executor)
             .with_telemetry(Arc::clone(&telemetry));
@@ -264,7 +269,7 @@ fn stall_detector_diagnoses_deadlocked_exchange() {
 /// The report counts undelivered messages so leaks are visible.
 #[test]
 fn undelivered_messages_are_reported() {
-    let rep = spmd(&Machine::real(2), |cx| {
+    let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), |cx| {
         if cx.id() == 0 {
             cx.send_v(1, 9, 123u8); // never received
         }
@@ -374,7 +379,7 @@ fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
 
     const TIMEOUT: Duration = Duration::from_secs(20);
     for executor in worker_counts() {
-        let machine = Machine::real(3).with_timeout(TIMEOUT).with_executor(executor);
+        let machine = Machine::simulated(3, MachineModel::paragon()).with_timeout(TIMEOUT).with_executor(executor);
         let released: Mutex<Option<(String, Duration)>> = Mutex::new(None);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
@@ -433,7 +438,7 @@ fn oldest_secs(dump: &str, src: usize, tag: u64, n: usize) -> f64 {
 fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
     const GAP: Duration = Duration::from_millis(150);
     for executor in worker_counts() {
-        let machine = Machine::real(3).with_timeout(Duration::from_millis(300)).with_executor(executor);
+        let machine = Machine::simulated(3, MachineModel::paragon()).with_timeout(Duration::from_millis(300)).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
                 0 => {

@@ -17,7 +17,7 @@ use fx::prelude::*;
 fn all_applications_match_their_oracles() {
     // FFT-Hist pipeline.
     let cfg = FftHistConfig::new(16, 3);
-    let rep = spmd(&Machine::real(4), move |cx| fft_hist_pipeline(cx, &cfg, [1, 2, 1]));
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| fft_hist_pipeline(cx, &cfg, [1, 2, 1]));
     let hists = rep.results.iter().find(|r| !r.is_empty()).unwrap();
     for (d, h) in hists.iter().enumerate() {
         assert_eq!(h, &reference_histogram(&cfg, d));
@@ -26,7 +26,7 @@ fn all_applications_match_their_oracles() {
     // Radar, two replicated modules: each member holds its module's sets.
     let rcfg = RadarConfig { ranges: 32, pulses: 8, datasets: 2, gain: 0.25, threshold: 0.6 };
     let repl = Placement::replicated(2, Segments::fused(2));
-    let rep = spmd(&Machine::real(4), move |cx| {
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
         run_mapped(cx, &repl, &[0, 1], |cx, segs, sets| radar_sets(cx, &rcfg, segs, sets))
     });
     for (proc, results) in rep.results.iter().enumerate() {
@@ -36,7 +36,7 @@ fn all_applications_match_their_oracles() {
     // Stereo, a pipeline: the last stage's two members hold the depth tiles.
     let scfg = StereoConfig { rows: 16, cols: 32, n_match: 2, max_disp: 4, window: 1, datasets: 1 };
     let pipe = Placement::pipeline([1, 1, 2]);
-    let rep = spmd(&Machine::real(4), move |cx| {
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| {
         run_mapped(cx, &pipe, &[0], |cx, segs, sets| stereo_sets(cx, &scfg, segs, sets))
     });
     let tiles: Vec<Vec<u16>> = rep.results[2..].iter().map(|r| r[0].1.clone()).collect();
@@ -54,7 +54,7 @@ fn all_applications_match_their_oracles() {
         chem_flops_per_cell: 1.0,
         trans_flops_per_cell: 1.0,
     };
-    let rep = spmd(&Machine::real(2), move |cx| airshed_dp(cx, &acfg));
+    let rep = spmd(&Machine::simulated(2, MachineModel::paragon()), move |cx| airshed_dp(cx, &acfg));
     let seq = reference_checksum(&acfg);
     assert!((rep.results[0] - seq).abs() < 1e-9 * seq.abs().max(1.0));
 
@@ -62,13 +62,13 @@ fn all_applications_match_their_oracles() {
     let keys: Vec<i64> = (0..300).map(|i: i64| (i * 37) % 101).collect();
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let rep = spmd(&Machine::real(5), move |cx| qsort_global(cx, &keys));
+    let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), move |cx| qsort_global(cx, &keys));
     assert_eq!(rep.results[0], expect);
 
     // Barnes-Hut.
     let bodies = make_bodies(64, 9);
     let bcfg = BhConfig { n: 64, theta: 0.4, eps: 1e-3, k: 3, leaf_group: 1 };
-    let rep = spmd(&Machine::real(4), move |cx| bh_forces(cx, &bodies, &bcfg));
+    let rep = spmd(&Machine::simulated(4, MachineModel::paragon()), move |cx| bh_forces(cx, &bodies, &bcfg));
     let tree = BhTree::build(make_bodies(64, 9));
     for (i, b) in tree.bodies.iter().enumerate() {
         let seq = tree.force_at(b.pos, 0.4, 1e-3).unwrap();
@@ -126,7 +126,7 @@ fn task_parallelism_beats_data_parallelism_for_small_datasets() {
 /// and balanced groups.
 #[test]
 fn deep_dynamic_nesting() {
-    let rep = spmd(&Machine::real(16), |cx| {
+    let rep = spmd(&Machine::simulated(16, MachineModel::paragon()), |cx| {
         fn descend(cx: &mut Cx, depth: usize) -> u64 {
             if cx.nprocs() == 1 || depth == 0 {
                 return cx.allreduce(1u64, |a, b| a + b);
@@ -151,7 +151,7 @@ fn deep_dynamic_nesting() {
 /// redistribution hops spanning subgroups.
 #[test]
 fn redistribution_chain_preserves_content() {
-    let rep = spmd(&Machine::real(6), |cx| {
+    let rep = spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
         let data: Vec<u64> = (0..97).map(|i| i * i).collect();
         let world = cx.group();
         let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Procs(3)), ("c", Size::Rest)]);

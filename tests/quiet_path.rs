@@ -143,7 +143,7 @@ fn recv_timeout_is_never_early_and_at_most_two_periods_late() {
     const TIMEOUT: Duration = Duration::from_millis(200);
     // One worker, two, and one per processor (4096 is clamped to P).
     for executor in [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }] {
-        let machine = Machine::real(2).with_timeout(TIMEOUT).with_executor(executor);
+        let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(TIMEOUT).with_executor(executor);
         let seen: Mutex<Option<(String, Duration)>> = Mutex::new(None);
         catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| {

@@ -10,7 +10,7 @@ use fx::prelude::*;
 /// computations on disjoint processor subgroups."
 #[test]
 fn rule_subgroups_are_disjoint_and_cover() {
-    spmd(&Machine::real(9), |cx| {
+    spmd(&Machine::simulated(9, MachineModel::paragon()), |cx| {
         let part = cx.task_partition(&[
             ("a", Size::Procs(2)),
             ("b", Size::Procs(3)),
@@ -35,7 +35,7 @@ fn rule_partition_sizes_may_be_runtime_values() {
         let part = cx.task_partition(&[("some", Size::Procs(n_some)), ("many", Size::Rest)]);
         (part.group("some").len(), part.group("many").len())
     }
-    spmd(&Machine::real(8), |cx| {
+    spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
         assert_eq!(subroutine(cx, 2), (2, 6));
         assert_eq!(subroutine(cx, 5), (5, 3));
     });
@@ -46,7 +46,7 @@ fn rule_partition_sizes_may_be_runtime_values() {
 /// group."
 #[test]
 fn rule_multiple_partitions_coexist() {
-    spmd(&Machine::real(6), |cx| {
+    spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
         let by_two = cx.task_partition(&[("l", Size::Procs(3)), ("r", Size::Rest)]);
         let by_three = cx.task_partition(&[
             ("x", Size::Procs(2)),
@@ -75,7 +75,7 @@ fn rule_multiple_partitions_coexist() {
 /// be mapped to all processors in the current processor group."
 #[test]
 fn rule_unmapped_data_lives_on_the_whole_group() {
-    spmd(&Machine::real(4), |cx| {
+    spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
         let whole = cx.group();
         let unmapped = DArray1::new(cx, &whole, 8, Dist1::Block, 0u8);
         assert!(unmapped.is_member(), "every current processor holds a piece");
@@ -88,7 +88,7 @@ fn rule_unmapped_data_lives_on_the_whole_group() {
 /// 2-processor subgroup splits it two ways, regardless of machine size.
 #[test]
 fn rule_distribution_is_relative_to_the_subgroup() {
-    spmd(&Machine::real(8), |cx| {
+    spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
         let part = cx.task_partition(&[("some", Size::Procs(2)), ("many", Size::Rest)]);
         let g = part.group("some");
         let a = DArray1::new(cx, &g, 10, Dist1::Block, 0u8);
@@ -121,7 +121,7 @@ fn rule_non_members_skip_on_blocks() {
 /// task region, in normal data parallel mode."
 #[test]
 fn rule_parent_scope_runs_on_all_current_processors() {
-    let rep = spmd(&Machine::real(5), |cx| {
+    let rep = spmd(&Machine::simulated(5, MachineModel::paragon()), |cx| {
         let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
         cx.task_region(&part, |cx, _tr| {
             // A parent-scope collective must see all 5 processors.
@@ -195,7 +195,7 @@ fn rule_dynamic_nesting_through_procedures() {
             tr.on(cx, "h1", procedure).or(tr.on(cx, "h2", procedure)).unwrap()
         })
     }
-    let rep = spmd(&Machine::real(8), procedure);
+    let rep = spmd(&Machine::simulated(8, MachineModel::paragon()), procedure);
     // 8 → 4 → 2 → 1: three nested subgroup levels above the world group.
     assert!(rep.results.iter().all(|&d| d == 4), "{:?}", rep.results);
 }
@@ -204,7 +204,7 @@ fn rule_dynamic_nesting_through_procedures() {
 /// size at every nesting level.
 #[test]
 fn rule_number_of_processors_tracks_the_current_group() {
-    spmd(&Machine::real(6), |cx| {
+    spmd(&Machine::simulated(6, MachineModel::paragon()), |cx| {
         assert_eq!(cx.nprocs(), 6);
         let part = cx.task_partition(&[("a", Size::Procs(4)), ("b", Size::Rest)]);
         cx.task_region(&part, |cx, tr| {
@@ -229,7 +229,7 @@ fn rule_number_of_processors_tracks_the_current_group() {
 /// elements.
 #[test]
 fn rule_subgroup_variables_allocate_only_on_members() {
-    spmd(&Machine::real(8), |cx| {
+    spmd(&Machine::simulated(8, MachineModel::paragon()), |cx| {
         let part = cx.task_partition(&[("tiny", Size::Procs(1)), ("rest", Size::Rest)]);
         let g = part.group("tiny");
         let big = DArray1::new(cx, &g, 1_000_000, Dist1::Block, 0u64);
@@ -250,7 +250,7 @@ fn rule_subgroup_variables_allocate_only_on_members() {
 /// and plain array assignments scatter from it and gather back to it.
 #[test]
 fn rule_designated_io_processor_pattern() {
-    spmd(&Machine::real(4), |cx| {
+    spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
         let g = cx.group();
         let mut io = DArray1::new(cx, &g, 12, Dist1::BlockCyclic(12), 0u32);
         let mut a = DArray1::new(cx, &g, 12, Dist1::Block, 0u32);
@@ -276,7 +276,7 @@ fn rule_designated_io_processor_pattern() {
 #[test]
 fn rule_directives_preserve_sequential_semantics() {
     // The Figure 1 program with and without the task region.
-    let with_directives = spmd(&Machine::real(4), |cx| {
+    let with_directives = spmd(&Machine::simulated(4, MachineModel::paragon()), |cx| {
         let part = cx.task_partition(&[("a", Size::Procs(2)), ("b", Size::Rest)]);
         let ga = part.group("a");
         let gb = part.group("b");

@@ -363,8 +363,8 @@ fn one_tick_per_run() {
 /// One clock on the message path: an observed processor reads the host
 /// clock once per cut of its lap (`runtime/src/counters.rs` states the
 /// rule). A stopwatch type or a per-step pack timer is a second clock, and
-/// so is a read in ctx.rs other than `now()` in real-time mode and the
-/// lap's `cut`.
+/// so is any read in ctx.rs besides the lap's `cut`: `now()` is the
+/// virtual clock, on every machine.
 const CLOCK_GONE: &[&str] = &["HostTimer", "host_timer", "note_pack_ns", "add_pack_ns"];
 
 #[test]
@@ -372,10 +372,9 @@ fn one_clock_on_the_message_path() {
     assert_none(spelled(&walk(&["crates", "tests", "examples"]), CLOCK_GONE, &[]), "a second clock");
     let ctx = read("crates/runtime/src/ctx.rs");
     let sites: Vec<&str> = non_test(&ctx).lines().filter(|l| l.contains("host_now(") || l.contains("ns_since(")).collect();
-    let expected = ["TimeMode::Real => host_now()", "let now = ns_since(start);"];
     assert!(
-        sites.len() == 2 && expected.iter().all(|site| sites.iter().any(|l| l.contains(site))),
-        "ctx.rs reads the host clock at `now()` and the lap's `cut` only: {sites:#?}"
+        sites.len() == 1 && sites[0].contains("let now = ns_since(start);"),
+        "ctx.rs reads the host clock at the lap's `cut` only: {sites:#?}"
     );
 }
 
@@ -397,12 +396,17 @@ const REMOVED: &[&str] = &["Dist1::Replicated", "gather_to_root", "scatter_from_
 /// its own receives order, so no write is opaque and no array tracks taint.
 const TAINT_GONE: &[&str] = &["VersionVec", "IntervalVer", "WriteKind", "clear_taint", "record_write"];
 
+/// Every machine runs on virtual time: there is no time mode, no
+/// wall-clock machine and nothing to ask which clock a run is on.
+const REAL_TIME_GONE: &[&str] = &["TimeMode", "Machine::real", "time_mode(", "is_simulated("];
+
 /// The user-facing documents teach no removed name: neither [`REMOVED`],
-/// [`TAINT_GONE`] nor one a rule above bans. A source may not spell the
-/// first two either; a source that spells a rule's name fails that rule.
+/// [`TAINT_GONE`], [`REAL_TIME_GONE`] nor one a rule above bans. A source
+/// may not spell the first three either; a source that spells a rule's
+/// name fails that rule.
 #[test]
 fn no_document_or_source_names_a_removed_api() {
-    let removed: Vec<&str> = REMOVED.iter().chain(TAINT_GONE).copied().collect();
+    let removed: Vec<&str> = REMOVED.iter().chain(TAINT_GONE).chain(REAL_TIME_GONE).copied().collect();
     assert_none(spelled(&walk(&TREE), &removed, &[]), "sources name removed APIs");
     let every_rule =
         [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, TICK_GONE, CLOCK_GONE];

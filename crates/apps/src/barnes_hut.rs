@@ -393,14 +393,17 @@ mod tests {
 
     #[test]
     fn promoted_leaves_match_plain_recursion() {
-        use fx_core::{assert_promotion_transparent, MachineModel};
+        use fx_core::{Agreement, MachineModel};
         let n = 192;
         let bodies = make_bodies(n, 11);
         // Whole group is one leaf: the entire force phase runs as a
         // single promotable loop over the irregular traversals.
         let cfg = BhConfig::new(n).with_leaf_group(4);
         let m = Machine::simulated(4, MachineModel::paragon());
-        let rep = assert_promotion_transparent(&m, move |cx| bh_forces(cx, &bodies, &cfg));
+        let forces = |cx: &mut Cx| bh_forces(cx, &bodies, &cfg);
+        let off = spmd(&m.clone().with_heartbeat(false), forces);
+        let rep = spmd(&m.clone().with_heartbeat(true), forces);
+        rep.assert_agrees_with(&off, Agreement::SameAnswers);
         // Same forces as the plain recursion on the same machine.
         let bodies2 = make_bodies(n, 11);
         let plain_cfg = BhConfig::new(n);

@@ -334,16 +334,17 @@ mod tests {
 
     #[test]
     fn promoted_leaves_sort_and_match_heartbeat_off() {
-        use fx_core::{assert_promotion_transparent, MachineModel};
+        use fx_core::{Agreement, MachineModel};
         let keys: Vec<i64> =
             (0..600).map(|i: i64| (i.wrapping_mul(2654435761) % 997) - 498).collect();
         let mut expect = keys.clone();
         expect.sort_unstable();
         for (p, leaf) in [(4, 4), (8, 4), (6, 3)] {
             let m = Machine::simulated(p, MachineModel::paragon());
-            let k = keys.clone();
-            let rep =
-                assert_promotion_transparent(&m, move |cx| qsort_global_promoted(cx, &k, leaf));
+            let sort = |cx: &mut Cx| qsort_global_promoted(cx, &keys, leaf);
+            let off = spmd(&m.clone().with_heartbeat(false), sort);
+            let rep = spmd(&m.with_heartbeat(true), sort);
+            rep.assert_agrees_with(&off, Agreement::SameAnswers);
             for r in &rep.results {
                 assert_eq!(r, &expect, "p = {p}, leaf_group = {leaf}");
             }

@@ -27,14 +27,16 @@ pub enum Stream {
     Airshed(AirshedConfig),
 }
 
-/// What a served request answers: the program's result for its data set.
+/// What a request answers, or a one-shot run holds: the program's result
+/// for a data set.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// FFT-Hist's magnitude histogram.
     Histogram(Vec<u64>),
     /// Radar's detection count.
     Detections(u64),
-    /// Stereo's whole depth image, row-major.
+    /// Stereo's depth image, row-major: the whole image when served, a
+    /// processor's own columns from [`Stream::run`].
     Depth(Vec<u16>),
     /// Airshed's final concentration checksum for the whole day.
     Checksum(f64),
@@ -52,14 +54,17 @@ impl Stream {
     }
 
     /// The program over data sets `0..sets` under `placement` on the
-    /// current group.
-    pub fn run(&self, cx: &mut Cx, placement: &Placement, sets: usize) {
+    /// current group. Returns the answers this processor holds, in data-set
+    /// order: FFT-Hist's histograms and Radar's counts where the last stage
+    /// produced them, Stereo's depth tile of each set (this processor's
+    /// columns), Airshed's checksum.
+    pub fn run(&self, cx: &mut Cx, placement: &Placement, sets: usize) -> Vec<Answer> {
         let ids: Vec<usize> = (0..sets).collect();
         run_mapped(cx, placement, &ids, |cx, segs, ids| match self {
-            Stream::FftHist(c) => _ = fft_hist_sets(cx, c, segs, ids),
-            Stream::Radar(c) => _ = radar_sets(cx, c, segs, ids),
-            Stream::Stereo(c) => _ = stereo_sets(cx, c, segs, ids),
-            Stream::Airshed(c) => _ = airshed_hours(cx, c, segs, ids.iter().copied()),
+            Stream::FftHist(c) => fft_hist_sets(cx, c, segs, ids).into_iter().map(Answer::Histogram).collect(),
+            Stream::Radar(c) => radar_sets(cx, c, segs, ids).into_iter().map(|(_, n)| Answer::Detections(n)).collect(),
+            Stream::Stereo(c) => stereo_sets(cx, c, segs, ids).into_iter().map(|(_, t)| Answer::Depth(t)).collect(),
+            Stream::Airshed(c) => vec![Answer::Checksum(airshed_hours(cx, c, segs, ids.iter().copied()))],
         })
     }
 

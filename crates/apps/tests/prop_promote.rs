@@ -6,12 +6,21 @@
 
 use fx_apps::qsort::qsort_global_promoted;
 use fx_apps::util::unit_hash;
-use fx_core::{assert_promotion_transparent, Machine};
+use fx_core::{spmd, Agreement, Cx, Machine, RunReport};
 use fx_runtime::MachineModel;
 use proptest::prelude::*;
 
-fn sim(p: usize) -> Machine {
-    Machine::simulated(p, MachineModel::paragon())
+/// `f` on `p` processors with the heartbeat on, after asserting that it
+/// agrees with the heartbeat-off run.
+fn promoted<R>(p: usize, f: impl Fn(&mut Cx) -> R + Send + Sync) -> RunReport<R>
+where
+    R: PartialEq + std::fmt::Debug + Send,
+{
+    let m = Machine::simulated(p, MachineModel::paragon());
+    let off = spmd(&m.clone().with_heartbeat(false), &f);
+    let on = spmd(&m.with_heartbeat(true), &f);
+    on.assert_agrees_with(&off, Agreement::SameAnswers);
+    on
 }
 
 proptest! {
@@ -33,7 +42,7 @@ proptest! {
             .collect();
         let mut expect = keys.clone();
         expect.sort_unstable();
-        let rep = assert_promotion_transparent(&sim(p), move |cx| {
+        let rep = promoted(p, move |cx| {
             qsort_global_promoted(cx, &keys, leaf)
         });
         for r in rep.results {
@@ -51,7 +60,7 @@ proptest! {
         p in 2usize..9,
         n in 16usize..600,
     ) {
-        let rep = assert_promotion_transparent(&sim(p), move |cx| {
+        let rep = promoted(p, move |cx| {
             cx.pdo_reduce_promote(
                 "randcost",
                 0..n,

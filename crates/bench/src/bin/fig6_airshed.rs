@@ -23,7 +23,7 @@ use fx_mapping::fastest_for;
 
 const PROFILE_POINTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-fn makespan(p: usize, f: impl Fn(&mut Cx) + Send + Sync) -> f64 {
+fn makespan<R: Send>(p: usize, f: impl Fn(&mut Cx) -> R + Send + Sync) -> f64 {
     spmd(&paragon(p), |cx| f(cx)).makespan()
 }
 

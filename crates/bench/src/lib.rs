@@ -51,9 +51,10 @@ pub struct StreamStats {
 /// Run `f` on `p` simulated processors and measure the `set start` /
 /// `set done` stream, skipping the first `skip` completions (pipeline
 /// fill).
-pub fn measure_stream<F>(p: usize, skip: usize, f: F) -> StreamStats
+pub fn measure_stream<R, F>(p: usize, skip: usize, f: F) -> StreamStats
 where
-    F: Fn(&mut Cx) + Send + Sync,
+    R: Send,
+    F: Fn(&mut Cx) -> R + Send + Sync,
 {
     let rep = spmd(&paragon(p), |cx| f(cx));
     StreamStats {
@@ -242,7 +243,9 @@ mod tests {
             let t_tp = makespan(p, &|cx| {
                 airshed_tp(cx, &cfg);
             });
-            let t_best = makespan(p, &|cx| stream.run(cx, &placement(&best), cfg.hours));
+            let t_best = makespan(p, &|cx| {
+                stream.run(cx, &placement(&best), cfg.hours);
+            });
             assert!(
                 t_best <= t_dp.min(t_tp) * 1.05,
                 "p={p}: {} takes {t_best:.3}, min(dp {t_dp:.3}, tp {t_tp:.3})",

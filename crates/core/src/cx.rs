@@ -290,9 +290,7 @@ impl<'a> Cx<'a> {
         (out, frame.seq)
     }
 
-    /// The machine's dataflow barrier-elision mode. By the time a
-    /// processor is running this is [`fx_runtime::DataflowMode::Off`] or
-    /// `On` — `Validate` is resolved by `run` into one pass of each.
+    /// The machine's dataflow barrier-elision mode.
     #[inline]
     pub fn dataflow(&self) -> fx_runtime::DataflowMode {
         self.rt.dataflow()

@@ -56,11 +56,10 @@ pub use plancache::PlanCache;
 pub use group::{GroupHandle, Membership};
 pub use partition::{proportional_split, Size, Subgroup, TaskPartition};
 pub use pdo::{block_range, IterSched};
-pub use promote::assert_promotion_transparent;
 pub use region::TaskRegion;
 
 // Re-export the runtime surface users need alongside the model.
 pub use fx_runtime::{
-    request_trace_id, DataflowMode, Machine, MachineModel, Payload, ProcCtx, ProcTotals,
+    request_trace_id, Agreement, DataflowMode, Machine, MachineModel, Payload, ProcCtx, ProcTotals,
     PromoteStats, RunReport, WindowBreakdown,
 };

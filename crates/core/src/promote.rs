@@ -6,10 +6,10 @@
 //! its most loaded member. Promotable loops close that gap in the style
 //! of the heartbeat compilers: every iteration runs sequentially on its
 //! statically assigned owner, but once per heartbeat — every
-//! [`Machine::heartbeat_period`] of *charged virtual compute*, 1 ms by
-//! default — the owner consults the loop's board and, when peers are
-//! parked and the remaining tail clears a LogGP profitability bound,
-//! donates block-split slices of the tail to them.
+//! [`fx_runtime::Machine::heartbeat_period`] of *charged virtual
+//! compute*, 1 ms by default — the owner consults the loop's board and,
+//! when peers are parked and the remaining tail clears a LogGP
+//! profitability bound, donates block-split slices of the tail to them.
 //!
 //! # Programming model
 //!
@@ -53,9 +53,9 @@
 //! With the heartbeat off (`FX_HEARTBEAT=off`, or a one-member group)
 //! the construct is a plain sequential loop over the caller's block
 //! share — no protocol, no messages, bit-identical to a run that
-//! predates the feature. With it on, results are *asserted*
-//! equal (see [`assert_promotion_transparent`]) and only virtual
-//! completion times change.
+//! predates the feature. With it on, only virtual completion times
+//! change: an `on` run agrees with its `off` run under
+//! [`fx_runtime::Agreement::SameAnswers`].
 //!
 //! The board is host-shared mutable state, so every *decision* read from
 //! it has to be a pure function of virtual-time values. A *resolution
@@ -105,10 +105,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use fx_runtime::{Machine, Payload, RunReport};
+use fx_runtime::Payload;
 
 use crate::coll::format_phys_ranges;
-use crate::cx::{spmd, Cx};
+use crate::cx::Cx;
 use crate::pdo::block_range;
 
 /// A donation must be worth at least this many promotion round-trips per
@@ -529,33 +529,11 @@ impl Cx<'_> {
     }
 }
 
-/// Dual-run transparency check: execute `f` on `machine` with the
-/// heartbeat forced off, then forced on, assert every processor's result
-/// is identical, and return the heartbeat-on report (whose completion
-/// times reflect any promotions). This is the promotion analogue of
-/// `FX_DATAFLOW=validate`, packaged as a helper because `spmd` itself
-/// cannot grow a `PartialEq` bound.
-pub fn assert_promotion_transparent<R, F>(machine: &Machine, f: F) -> RunReport<R>
-where
-    R: PartialEq + std::fmt::Debug + Send,
-    F: Fn(&mut Cx) -> R + Send + Sync,
-{
-    let off = spmd(&machine.clone().with_heartbeat(false), &f);
-    let on = spmd(&machine.clone().with_heartbeat(true), &f);
-    for (rank, (a, b)) in off.results.iter().zip(on.results.iter()).enumerate() {
-        assert_eq!(
-            a, b,
-            "heartbeat promotion changed processor {rank}'s result \
-             (expected bit-identical results with FX_HEARTBEAT on and off)"
-        );
-    }
-    on
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_runtime::MachineModel;
+    use crate::cx::spmd;
+    use fx_runtime::{Agreement, Machine, MachineModel, RunReport};
 
     #[test]
     fn a_slot_nobody_entered_is_unresolved_not_a_victim_and_not_parked() {
@@ -636,6 +614,19 @@ mod tests {
         Machine::simulated(p, MachineModel::paragon()).with_heartbeat(true)
     }
 
+    /// `f` on `p` processors with the heartbeat on, after asserting that
+    /// it agrees with the heartbeat-off run.
+    fn promoted<R, F>(p: usize, f: F) -> RunReport<R>
+    where
+        R: PartialEq + std::fmt::Debug + Send,
+        F: Fn(&mut Cx) -> R + Send + Sync,
+    {
+        let off = spmd(&skewed_machine(p).with_heartbeat(false), &f);
+        let on = spmd(&skewed_machine(p), &f);
+        on.assert_agrees_with(&off, Agreement::SameAnswers);
+        on
+    }
+
     /// A deliberately skewed compute kernel: iteration cost grows with
     /// the iteration index, so the block owner of the tail is the
     /// straggler and early finishers park as victims.
@@ -646,7 +637,7 @@ mod tests {
     #[test]
     fn promoted_loop_matches_sequential_results() {
         let n = 400usize;
-        let rep = assert_promotion_transparent(&skewed_machine(4), move |cx| {
+        let rep = promoted(4, move |cx| {
             let mut out = vec![0u64; n];
             cx.pdo_promote(
                 "sq",
@@ -694,7 +685,7 @@ mod tests {
         let on = run(true);
         // `acc` sums per-index values, so order does not matter: results
         // must agree even though `on` computes some iterations remotely.
-        assert_eq!(off.results, on.results);
+        on.assert_agrees_with(&off, Agreement::SameAnswers);
         let (t_off, t_on) = (off.makespan(), on.makespan());
         assert!(on.promote_total().taken > 0, "no grant fired on a skewed loop");
         assert!(
@@ -706,7 +697,7 @@ mod tests {
     #[test]
     fn reduce_promote_is_bit_identical_and_exact() {
         let n = 500usize;
-        let rep = assert_promotion_transparent(&skewed_machine(6), move |cx| {
+        let rep = promoted(6, move |cx| {
             cx.pdo_reduce_promote(
                 "dot",
                 0..n,
@@ -718,7 +709,7 @@ mod tests {
                 |a, b| a + b,
             )
         });
-        // The transparency helper already asserted off == on bitwise;
+        // `promoted` already asserted off == on bitwise;
         // sanity-check the value against a plain sum with a loose epsilon
         // (the exact association is the collective's business).
         let seq: f64 = (0..n).map(|i| (i as f64).sqrt() * 1.5).sum();
@@ -776,37 +767,15 @@ mod tests {
         };
         let off = run(false);
         let on = run(true);
-        assert_eq!(off.results, on.results);
         assert!(on.promote_total().attempted > 0, "loop never heartbeat");
         assert_eq!(on.promote_total().taken, 0, "balanced loop still donated");
-        for (a, b) in off.times.iter().zip(on.times.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "no-donation run re-timed a processor");
-        }
-        assert_eq!(off.traffic, on.traffic, "no-donation run changed message traffic");
-    }
-
-    /// `FX_DATAFLOW=validate` runs the program twice on one replica
-    /// table: each pass's members take every board they publish, so the
-    /// second pass starts on fresh boards. A board left over from the
-    /// first (every slot parked) would let the second pass's victims leave
-    /// while their donor waits for results.
-    #[test]
-    fn validate_passes_promote_on_fresh_boards() {
-        let machine = skewed_machine(4).with_dataflow(fx_runtime::DataflowMode::Validate);
-        let rep = assert_promotion_transparent(&machine, |cx| {
-            cx.pdo_reduce_promote("v", 0..200, 0u64, |cx, i| {
-                cx.charge_flops(skewed_flops(i) * 20.0);
-                i as u64
-            }, |a, b| a + b)
-        });
-        assert!(rep.promote_total().taken > 0, "the second pass never donated");
-        assert!(rep.results.iter().all(|&r| r == 199 * 200 / 2));
+        on.assert_agrees_with(&off, Agreement::Identical);
     }
 
     #[test]
     fn empty_and_tiny_ranges_complete() {
         for n in [0usize, 1, 3] {
-            let rep = assert_promotion_transparent(&skewed_machine(4), move |cx| {
+            let rep = promoted(4, move |cx| {
                 let mut seen: Vec<usize> = Vec::new();
                 cx.pdo_promote(
                     "tiny",

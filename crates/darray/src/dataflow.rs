@@ -45,9 +45,6 @@ pub(crate) fn sync_edge(cx: &mut Cx, op_tag: u64, src: &GroupHandle, dst: &Group
             return;
         }
         DataflowMode::Off => cx.runtime().note_barrier_kept(),
-        DataflowMode::Validate => {
-            unreachable!("Validate resolves to Off and On passes before processors run")
-        }
     }
     let members = union_members(src, dst);
     // Build the edge-labelled scope name only when an observer is

@@ -12,7 +12,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fx_core::{spmd, Cx, GroupHandle, Machine, MachineModel, Size};
+use fx_core::{spmd, Cx, DataflowMode, GroupHandle, Machine, MachineModel, Size};
 use fx_darray::plan::{CommSets, Peer, Piece, Plan, Seg, Side, Stmt};
 use fx_darray::{remap1, remap2, DArray, DArray1, DArray2, DimMap, Dist, Dist1, Remap};
 use fx_runtime::Executor;
@@ -61,7 +61,8 @@ fn arb_dim() -> impl Strategy<Value = Dim> {
 }
 
 /// `dst[i] = src[f(i)]` the slow way, under a remap statement's protocol:
-/// one op tag on every caller, owners only, the per-element communication
+/// one op tag on every caller, under the `Off` dataflow its sync edge's
+/// barrier over both groups, owners only, the per-element communication
 /// sets (`CommSets::enumerate_with`) replayed as the local copy, its
 /// charge, the sends ascending by destination, then the receives ascending
 /// by source — each message scattered into its slots in order.
@@ -72,6 +73,12 @@ fn oracle<const N: usize>(
     f: impl Fn([usize; N]) -> [usize; N],
 ) {
     let tag = cx.next_op_tag();
+    if cx.dataflow() == DataflowMode::Off {
+        let mut members: Vec<usize> = src.group().members().iter().chain(dst.group().members()).copied().collect();
+        members.sort_unstable();
+        members.dedup();
+        cx.barrier_among(&members, tag, "barrier");
+    }
     if !src.is_member() && !dst.is_member() {
         return;
     }

@@ -58,8 +58,7 @@ pub(crate) struct World {
     /// Live telemetry registry (see [`crate::Telemetry`]); `None` keeps
     /// every hot path on the seed code shape.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Resolved barrier-elision mode for this run (`Off` or `On`;
-    /// `Validate` is split into two runs before the world is built).
+    /// Barrier-elision mode for this run.
     pub dataflow: DataflowMode,
     /// Heartbeat promotion armed (see [`crate::Machine::heartbeat`]).
     pub heartbeat: bool,
@@ -627,10 +626,8 @@ impl ProcCtx {
         self.emit(self.here(EventKind::Barrier));
     }
 
-    /// The run's resolved barrier-elision mode (never
-    /// [`DataflowMode::Validate`] — a validate machine launches two
-    /// resolved runs). The data-parallel layer consults this at every
-    /// statement sync point.
+    /// The run's barrier-elision mode. The data-parallel layer consults
+    /// this at every statement sync point.
     #[inline]
     pub fn dataflow(&self) -> DataflowMode {
         self.world.dataflow

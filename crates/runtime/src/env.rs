@@ -26,7 +26,7 @@ pub const KNOBS: [Knob; 6] = [
         accepts: "an integer, at most one per processor counts; `0` is the default",
         default: "one per host CPU",
     },
-    Knob { name: "FX_DATAFLOW", accepts: "`off`, `on` or `validate`", default: "`on`" },
+    Knob { name: "FX_DATAFLOW", accepts: "`off` or `on`", default: "`on`" },
     Knob { name: "FX_HEARTBEAT", accepts: "`off` or `on`", default: "`on`" },
     Knob { name: "FX_TRACE", accepts: "`1`, `on`, `true`, `0`, `off` or `false`", default: "off" },
     Knob { name: "FX_RECV_TIMEOUT_MS", accepts: "an integer number of milliseconds", default: "`60000`" },

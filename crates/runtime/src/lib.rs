@@ -54,7 +54,7 @@ pub use ctx::ProcCtx;
 pub use event::{request_trace_id, Event, EventKind, Label, Labels, Log, WindowBreakdown};
 pub use model::MachineModel;
 pub use payload::{Chunk, Payload};
-pub use run::{run, DataflowMode, Executor, Machine, RunReport};
+pub use run::{run, Agreement, DataflowMode, Executor, Machine, RunReport};
 pub use stall::{StallReport, StalledProc};
 pub use telemetry::{
     ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,

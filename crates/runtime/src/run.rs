@@ -10,7 +10,7 @@ use crate::coro::Yielder;
 use crate::counters::{ProcTotals, PromoteStats};
 use crate::ctx::{ProcCtx, World};
 use crate::env;
-use crate::event::Log;
+use crate::event::{Event, EventKind, Label, Log};
 use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
 use crate::parker::Parkers;
@@ -68,17 +68,14 @@ impl std::fmt::Display for Executor {
 /// FIFO per `(src, tag)` stream regardless — only virtual (and host) time.
 /// `Off` is the conservative baseline that synchronizes the participating
 /// subset at every statement; `On` elides them all, since each statement's
-/// receives already order it; `Validate` runs both ways and asserts the
-/// elision is sound (identical event sequences, monotonically earlier
-/// clocks, bit-identical times when nothing was elided).
+/// receives already order it. An `On` run agrees with its `Off` run under
+/// [`Agreement::Earlier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataflowMode {
     /// Conservative: subset barrier at every distributed-array statement.
     Off,
     /// Elide every statement's barrier (the default).
     On,
-    /// Run `Off` then `On` and assert the runs agree; report the `On` run.
-    Validate,
 }
 
 impl std::fmt::Display for DataflowMode {
@@ -86,7 +83,6 @@ impl std::fmt::Display for DataflowMode {
         match self {
             DataflowMode::Off => write!(f, "off"),
             DataflowMode::On => write!(f, "on"),
-            DataflowMode::Validate => write!(f, "validate"),
         }
     }
 }
@@ -153,10 +149,7 @@ impl Machine {
             _ => None,
         };
         let workers = env::read("FX_WORKERS", |s| s.parse().ok()).unwrap_or(0);
-        let dataflow = env::read("FX_DATAFLOW", |s| match s {
-            "validate" => Some(DataflowMode::Validate),
-            _ => on_off(s).map(|on| if on { DataflowMode::On } else { DataflowMode::Off }),
-        });
+        let dataflow = env::read("FX_DATAFLOW", on_off).map(|on| if on { DataflowMode::On } else { DataflowMode::Off });
         let heartbeat = env::read("FX_HEARTBEAT", on_off).unwrap_or(true);
         let tracing = env::read("FX_TRACE", |s| match s {
             "1" | "true" => Some(true),
@@ -265,8 +258,7 @@ pub struct RunReport<R> {
     /// only when a telemetry registry is attached, 0 otherwise — host
     /// nanoseconds in sends, receives and pack loops. A read of the same
     /// per-processor block `telemetry.per_proc` reads, so the two are
-    /// equal. Host observability only; never affects virtual time. For a
-    /// `Validate` run these are the counters of the `On` pass.
+    /// equal. Host observability only; never affects virtual time.
     pub counters: Vec<ProcTotals>,
     /// Per-processor `(sender rank, payload bytes)` of every lane of the
     /// processor's mailbox that was ever deposited into or waited on,
@@ -378,8 +370,106 @@ impl<R> RunReport<R> {
     }
 }
 
+/// What flipping one toggle may change in a run of a program:
+/// [`RunReport::agrees_with`] holds the flipped run to it against the
+/// run before the flip, its base.
+///
+/// Every rule asks for the same results, the same undelivered count and,
+/// per processor, the same marks in the same order, labels compared by
+/// text. A toggle may change *when* a processor works, never *what* it
+/// computes, and a schedule that sends exactly the base's traffic has no
+/// way to be earlier or later: under every rule, equal traffic forces
+/// bit-identical mark and finish times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agreement {
+    /// A host-only toggle (worker count, profiling, tracing, telemetry):
+    /// equal traffic and, with it, bit-identical times; the duration
+    /// events too when both runs kept them, and trace ids when both runs
+    /// traced.
+    Identical,
+    /// Dataflow `Off` (the base) to `On`: no mark or finish later and no
+    /// processor's traffic higher.
+    Earlier,
+    /// Heartbeat off (the base) to on: the same answers, times free once
+    /// a donation has sent a message.
+    SameAnswers,
+}
+
+impl<R: PartialEq + std::fmt::Debug> RunReport<R> {
+    /// `Ok` when this run agrees with `base` under `rule`; otherwise the
+    /// first difference found.
+    pub fn agrees_with(&self, base: &Self, rule: Agreement) -> Result<(), String> {
+        let n = base.results.len();
+        if self.results.len() != n || self.undelivered != base.undelivered {
+            let (p, u) = (self.results.len(), self.undelivered);
+            return Err(format!("{p} processors, {u} undelivered against {n}, {}", base.undelivered));
+        }
+        let exact = self.traffic == base.traffic;
+        if rule == Agreement::Identical && !exact {
+            return Err(format!("traffic {:?} against {:?}", self.traffic, base.traffic));
+        }
+        let agrees = |t: f64, b: f64| {
+            t.to_bits() == b.to_bits() || (!exact && (rule == Agreement::SameAnswers || t <= b))
+        };
+        let spans = rule == Agreement::Identical && self.kept_spans() && base.kept_spans();
+        let traced = self.traced() && base.traced();
+        for p in 0..n {
+            if self.results[p] != base.results[p] {
+                return Err(format!("processor {p} returned {:?} against {:?}", self.results[p], base.results[p]));
+            }
+            let ((m, b), (bm, bb)) = (self.traffic[p], base.traffic[p]);
+            if rule == Agreement::Earlier && (m > bm || b > bb) {
+                return Err(format!("processor {p} sent {m} messages, {b} B against {bm}, {bb} B"));
+            }
+            if !agrees(self.times[p], base.times[p]) {
+                return Err(format!("processor {p} finished at {:e} against {:e}", self.times[p], base.times[p]));
+            }
+            let (mine, theirs) = (compared(&self.logs[p], spans, traced), compared(&base.logs[p], spans, traced));
+            if mine.len() != theirs.len() {
+                return Err(format!("processor {p} kept {} events against {}", mine.len(), theirs.len()));
+            }
+            for (i, ((e, l), (be, bl))) in mine.iter().zip(&theirs).enumerate() {
+                let timeless = |e: &Event| Event { start: 0.0, end: 0.0, arrival: 0.0, ..*e };
+                let same = l.path() == bl.path() && timeless(e) == timeless(be);
+                if !(same && agrees(e.start, be.start) && agrees(e.end, be.end) && agrees(e.arrival, be.arrival)) {
+                    return Err(format!("processor {p} event {i}: {:?} {e:?} against {:?} {be:?}", l.path(), bl.path()));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`RunReport::agrees_with`], panicking with the difference.
+    #[track_caller]
+    pub fn assert_agrees_with(&self, base: &Self, rule: Agreement) {
+        if let Err(why) = self.agrees_with(base, rule) {
+            panic!("the run disagrees with its base ({rule:?}): {why}");
+        }
+    }
+
+    /// True when some processor kept a duration event (a profiled run).
+    fn kept_spans(&self) -> bool {
+        self.logs.iter().any(|log| log.spans().next().is_some())
+    }
+
+    /// True when some kept event carries a trace id (a traced run).
+    fn traced(&self) -> bool {
+        self.logs.iter().any(|log| log.events().iter().any(|e| e.trace != 0))
+    }
+}
+
+/// The events of `log` a comparison reads — its marks, and its duration
+/// events when `spans` — each with its label, its label id cleared (two
+/// runs may intern in different orders) and its trace id kept only when
+/// `traced`.
+fn compared(log: &Log, spans: bool, traced: bool) -> Vec<(Event, Arc<Label>)> {
+    let kept = log.events().iter().filter(|e| e.kind == EventKind::Mark || (spans && e.is_span()));
+    kept.map(|e| (Event { label: 0, trace: if traced { e.trace } else { 0 }, ..*e }, log.labels().get(e.label)))
+        .collect()
+}
+
 /// Run `f` as an SPMD program: every processor executes the same closure
-/// with its own [`ProcCtx`]. Returns when all processors finish.
+/// with its own [`ProcCtx`], once. Returns when all processors finish.
 ///
 /// If any processor panics, all others are unblocked (their receives
 /// poison) and the original panic is propagated.
@@ -388,36 +478,7 @@ where
     R: Send,
     F: Fn(&mut ProcCtx) -> R + Send + Sync,
 {
-    if machine.dataflow == DataflowMode::Validate {
-        // Soundness check for barrier elision: execute the program twice —
-        // conservative barriers first, then with the classifier — and
-        // assert the elision could not have changed observable behaviour.
-        // Observers (telemetry, profiling) attach only to the reported
-        // `On` pass so registry counters aren't double-counted.
-        let mut off = machine.clone();
-        off.dataflow = DataflowMode::Off;
-        off.telemetry = None;
-        off.profile = false;
-        off.tracing = false;
-        let off_rep = run_resolved(&off, &f);
-        let mut on = machine.clone();
-        on.dataflow = DataflowMode::On;
-        let on_rep = run_resolved(&on, &f);
-        validate_elision(&off_rep, &on_rep);
-        return on_rep;
-    }
-    run_resolved(machine, &f)
-}
-
-/// The single-pass body of [`run`]: `machine.dataflow` is already resolved
-/// to `Off` or `On`.
-fn run_resolved<R, F>(machine: &Machine, f: &F) -> RunReport<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx) -> R + Send + Sync,
-{
     assert!(machine.nprocs >= 1, "machine needs at least one processor");
-    debug_assert!(machine.dataflow != DataflowMode::Validate, "validate resolves before launch");
     let coarse = Arc::new(CoarseClock::new());
     let Executor::Pooled { workers } = machine.executor;
     let workers = match workers {
@@ -509,86 +570,6 @@ where
         telemetry: telemetry.as_ref().map(|t| t.snapshot()),
         undelivered,
     }
-}
-
-/// The `Validate` assertions: elision must not change what the program
-/// did, only when (in virtual time) it did it.
-///
-/// * Mark label sequences are identical per processor — the program took
-///   the same path.
-/// * Every mark time and finish time of the `On` run is `<=` its `Off` counterpart: removing barriers can only lower
-///   clocks (clock updates are IEEE `+`/`max` of the same operands, both
-///   monotone), never raise or reorder them.
-/// * Traffic is `<=` (the elided barrier messages are the difference).
-/// * When nothing was elided the runs executed identical message
-///   schedules, so times and traffic must be bit-identical.
-fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>) {
-    let elided = on.total().barriers_elided;
-    let exact = elided == 0;
-    assert_eq!(off.results.len(), on.results.len(), "FX_DATAFLOW=validate: nprocs changed");
-    for p in 0..on.results.len() {
-        // By text: the two passes intern their labels in different orders
-        // (only the `On` pass is observed, so only it interns scopes).
-        let marks = |log: &Log| -> Vec<(String, f64)> {
-            log.marks().map(|e| (log.labels().get(e.label).path().to_string(), e.start)).collect()
-        };
-        let (eo, en) = (marks(&off.logs[p]), marks(&on.logs[p]));
-        assert_eq!(
-            eo.len(),
-            en.len(),
-            "FX_DATAFLOW=validate: processor {p} recorded {} events with barriers, {} without",
-            eo.len(),
-            en.len()
-        );
-        for ((label, ta), (label_on, tb)) in eo.iter().zip(&en) {
-            assert_eq!(label, label_on, "FX_DATAFLOW=validate: processor {p} event label diverged");
-            if exact {
-                assert!(
-                    ta.to_bits() == tb.to_bits(),
-                    "FX_DATAFLOW=validate: nothing elided, yet processor {p} \
-                     event '{label}' moved: {ta} (off) vs {tb} (on)"
-                );
-            } else {
-                assert!(
-                    tb <= ta,
-                    "FX_DATAFLOW=validate: elision DELAYED processor {p} \
-                     event '{label}': {ta} (off) vs {tb} (on)"
-                );
-            }
-        }
-        let (to, tn) = (off.times[p], on.times[p]);
-        if exact {
-            assert!(
-                to.to_bits() == tn.to_bits(),
-                "FX_DATAFLOW=validate: nothing elided, yet processor {p} finish \
-                 moved: {to} (off) vs {tn} (on)"
-            );
-        } else {
-            assert!(
-                tn <= to,
-                "FX_DATAFLOW=validate: elision delayed processor {p} finish: \
-                 {to} (off) vs {tn} (on)"
-            );
-        }
-        let ((mo, bo), (mn, bn)) = (off.traffic[p], on.traffic[p]);
-        if exact {
-            assert_eq!(
-                (mo, bo),
-                (mn, bn),
-                "FX_DATAFLOW=validate: nothing elided, yet processor {p} traffic differs"
-            );
-        } else {
-            assert!(
-                mn <= mo && bn <= bo,
-                "FX_DATAFLOW=validate: elision increased processor {p} traffic: \
-                 {mo} msgs/{bo} B (off) vs {mn} msgs/{bn} B (on)"
-            );
-        }
-    }
-    assert_eq!(
-        off.undelivered, on.undelivered,
-        "FX_DATAFLOW=validate: undelivered message count diverged"
-    );
 }
 
 /// One processor's life on its coroutine: build its context, run
@@ -823,6 +804,107 @@ mod tests {
         assert_eq!(a, 2.5);
         assert_eq!(b, 2.5);
         assert!((c - 3.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_closure_runs_once_per_processor() {
+        for mode in [DataflowMode::Off, DataflowMode::On] {
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            run(&machine(5).with_dataflow(mode), |_| calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+            assert_eq!(calls.into_inner(), 5, "{mode}");
+        }
+    }
+
+    const RULES: [Agreement; 3] = [Agreement::Identical, Agreement::Earlier, Agreement::SameAnswers];
+
+    /// Processor 0 computes, marks and sends one message to processor 1,
+    /// which marks its receipt; processor 2 does nothing, so its clock
+    /// stays at `0.0`.
+    fn sample(profiled: bool) -> RunReport<u64> {
+        run(&machine(3).with_profiling(profiled), |cx| match cx.rank() {
+            0 => {
+                cx.charge_flops(1e4);
+                cx.record("sent");
+                cx.send(1, 1, 7u64);
+                0
+            }
+            1 => {
+                let v: u64 = cx.recv(0, 1);
+                cx.record("got");
+                v
+            }
+            _ => 2,
+        })
+    }
+
+    #[test]
+    fn every_rule_accepts_the_identity() {
+        for rule in RULES {
+            sample(false).assert_agrees_with(&sample(false), rule);
+            sample(true).assert_agrees_with(&sample(true), rule);
+        }
+    }
+
+    #[test]
+    fn every_rule_rejects_a_later_time_a_renamed_mark_an_extra_message_and_a_changed_result() {
+        let base = sample(false);
+        type Fault = (&'static str, fn(&mut RunReport<u64>));
+        let faults: [Fault; 5] = [
+            ("a finish one ulp later", |r| r.times[1] = r.times[1].next_up()),
+            ("a mark one ulp later", |r| r.logs[1].events[0].start = r.logs[1].events[0].start.next_up()),
+            ("a renamed mark", |r| r.logs[0].events[0].label = r.logs[0].labels().intern("renamed")),
+            ("one extra message", |r| {
+                r.traffic[2] = (1, 8);
+                r.undelivered += 1;
+            }),
+            ("a changed result", |r| r.results[2] += 1),
+        ];
+        for rule in RULES {
+            for (fault, inject) in faults {
+                let mut rep = sample(false);
+                inject(&mut rep);
+                assert!(rep.agrees_with(&base, rule).is_err(), "{rule:?} accepts {fault}");
+            }
+        }
+        let mut flipped = sample(false);
+        flipped.times[2] = -0.0;
+        assert!(flipped.agrees_with(&base, Agreement::Identical).is_err(), "Identical accepts a 0.0/-0.0 flip");
+    }
+
+    #[test]
+    fn equal_traffic_requires_bitwise_times() {
+        let base = sample(false);
+        let moved: [fn(f64) -> f64; 3] = [f64::next_down, f64::next_up, |t| -t];
+        for rule in [Agreement::Earlier, Agreement::SameAnswers] {
+            for (p, move_time) in [(1, moved[0]), (1, moved[1]), (2, moved[2])] {
+                let mut rep = sample(false);
+                rep.times[p] = move_time(rep.times[p]);
+                assert!(rep.agrees_with(&base, rule).is_err(), "{rule:?} moves processor {p} at equal traffic");
+            }
+        }
+        // With less traffic (an elided barrier's message), an earlier time
+        // agrees under `Earlier` but a later one does not; with more (a
+        // donation's), any time agrees under `SameAnswers`.
+        let mut bigger = sample(false);
+        bigger.traffic[0] = (2, 16);
+        let mut rep = sample(false);
+        rep.times[1] = rep.times[1].next_down();
+        rep.assert_agrees_with(&bigger, Agreement::Earlier);
+        rep.times[1] = base.times[1].next_up();
+        assert!(rep.agrees_with(&bigger, Agreement::Earlier).is_err(), "Earlier accepts a later finish");
+        bigger.assert_agrees_with(&rep, Agreement::SameAnswers);
+    }
+
+    #[test]
+    fn identical_compares_duration_events_when_both_runs_kept_them() {
+        let (plain, profiled) = (sample(false), sample(true));
+        profiled.assert_agrees_with(&plain, Agreement::Identical);
+        plain.assert_agrees_with(&profiled, Agreement::Identical);
+        let mut moved = sample(true);
+        let span = moved.logs[0].events.iter_mut().find(|e| e.is_span()).expect("a profiled compute span");
+        span.end = span.end.next_up();
+        assert!(moved.agrees_with(&profiled, Agreement::Identical).is_err(), "a moved span agrees");
+        moved.assert_agrees_with(&plain, Agreement::Identical);
     }
 
     #[test]

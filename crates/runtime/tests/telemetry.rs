@@ -5,7 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fx_runtime::{run, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig, TenantTotals};
+use fx_runtime::{
+    run, Agreement, EventKind, Machine, MachineModel, ProcCtx, ProcTotals, Telemetry, TelemetryConfig, TenantTotals,
+};
 
 fn telemetry_machine(p: usize, t: &Arc<Telemetry>) -> Machine {
     Machine::simulated(p, MachineModel::paragon())
@@ -191,10 +193,7 @@ fn simulated_times_bit_identical_with_telemetry() {
         workload,
     );
 
-    assert_eq!(plain.times, instrumented.times, "virtual times diverged");
-    for (a, b) in plain.results.iter().zip(&instrumented.results) {
-        assert_eq!(a.to_bits(), b.to_bits(), "per-proc clocks diverged");
-    }
+    instrumented.assert_agrees_with(&plain, Agreement::Identical);
     // And the registry did observe the run.
     assert_eq!(telemetry.total().sends, 3);
 }

@@ -42,7 +42,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
             &[("3", "Pooled { workers: 3 }"), ("0", "Pooled { workers: 0 }"), ("4096", "Pooled { workers: 4096 }")],
             &["two", "-1", "1.5", "pooled"],
         ),
-        ("FX_DATAFLOW", "On", &[("off", "Off"), ("on", "On"), ("validate", "Validate")], &["1", "ON", "check"]),
+        ("FX_DATAFLOW", "On", &[("off", "Off"), ("on", "On")], &["1", "ON", "check", "validate"]),
         ("FX_HEARTBEAT", "true", &[("on", "true"), ("off", "false")], &["1", "true", "validate"]),
         (
             "FX_TRACE",

@@ -400,13 +400,21 @@ const TAINT_GONE: &[&str] = &["VersionVec", "IntervalVer", "WriteKind", "clear_t
 /// wall-clock machine and nothing to ask which clock a run is on.
 const REAL_TIME_GONE: &[&str] = &["TimeMode", "Machine::real", "time_mode(", "is_simulated("];
 
+/// One way to say "this toggle changes nothing": two runs and
+/// `RunReport::agrees_with`. A run mode that runs the program twice, a
+/// helper that compares two runs of its own, or a second determinism
+/// suite with its own loop is a second way.
+const COMPARATOR_GONE: &[&str] =
+    &["DataflowMode::Validate", "FX_DATAFLOW=validate", "assert_promotion_transparent", "validate_elision", "trace_determinism"];
+
 /// The user-facing documents teach no removed name: neither [`REMOVED`],
-/// [`TAINT_GONE`], [`REAL_TIME_GONE`] nor one a rule above bans. A source
-/// may not spell the first three either; a source that spells a rule's
-/// name fails that rule.
+/// [`TAINT_GONE`], [`REAL_TIME_GONE`], [`COMPARATOR_GONE`] nor one a rule
+/// above bans. A source may not spell the first four either; a source that
+/// spells a rule's name fails that rule.
 #[test]
 fn no_document_or_source_names_a_removed_api() {
-    let removed: Vec<&str> = REMOVED.iter().chain(TAINT_GONE).chain(REAL_TIME_GONE).copied().collect();
+    let removed: Vec<&str> =
+        REMOVED.iter().chain(TAINT_GONE).chain(REAL_TIME_GONE).chain(COMPARATOR_GONE).copied().collect();
     assert_none(spelled(&walk(&TREE), &removed, &[]), "sources name removed APIs");
     let every_rule =
         [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, TICK_GONE, CLOCK_GONE];

@@ -24,6 +24,8 @@
 //! the [`Placement`] the program runs under ([`placement`]), and
 //! [`measure_stream`], which reads throughput and latency off a run.
 
+pub mod sampler;
+
 use fx_apps::stream::Stream;
 use fx_apps::util::{Placement, Segments, SET_DONE, SET_START};
 use fx_core::{spmd, Cx, Machine, MachineModel};

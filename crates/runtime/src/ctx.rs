@@ -297,9 +297,11 @@ impl ProcCtx {
     ///
     /// Direct deposit: the call enqueues into `dst`'s mailbox and returns;
     /// the sender is only charged its CPU overhead plus the per-byte gap.
+    /// A value of at most 16 bytes travels inside the envelope, with no
+    /// allocation.
     pub fn send<T: Payload>(&mut self, dst: usize, tag: u64, value: T) {
         let (payload, nbytes) = erase(value);
-        self.post(dst, tag, nbytes, MsgBody::Boxed(payload));
+        self.post(dst, tag, nbytes, payload);
     }
 
     /// The one post routine behind [`ProcCtx::send`] and
@@ -317,15 +319,10 @@ impl ProcCtx {
         let chunk = matches!(payload, MsgBody::Chunk(_));
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
-        let (contended, backlog) = self.world.mailboxes[dst].deposit(Envelope {
-            src: self.rank,
-            tag,
-            arrival,
-            nbytes,
-            enqueued: self.world.parkers.clock.now_ns(),
-            trace: self.trace,
-            payload,
-        });
+        let (contended, backlog) = self.world.mailboxes[dst].deposit(
+            self.rank,
+            Envelope { tag, arrival, nbytes, enqueued: self.world.parkers.clock.now_ns(), trace: self.trace, payload },
+        );
         let c = &self.counters;
         bump(&c.sends, 1);
         bump(&c.send_bytes, nbytes as u64);
@@ -358,15 +355,7 @@ impl ProcCtx {
     /// Receive a `T` from physical processor `src` on channel `tag`,
     /// blocking until it arrives. Matching is FIFO per `(src, tag)`.
     pub fn recv<T: Payload>(&mut self, src: usize, tag: u64) -> T {
-        let env = self.take_env(src, tag);
-        match env.payload {
-            MsgBody::Boxed(b) => unerase(b, src, tag),
-            MsgBody::Chunk(_) => panic!(
-                "recv type mismatch for message from processor {src} tag {tag:#x}: \
-                 expected {}, got a byte chunk (receive it with recv_chunk)",
-                std::any::type_name::<T>()
-            ),
-        }
+        unerase(self.take_env(src, tag).payload, src, tag)
     }
 
     /// An empty chunk for `elems` elements of type `T`, drawn from this
@@ -405,7 +394,7 @@ impl ProcCtx {
         let env = self.take_env(src, tag);
         match env.payload {
             MsgBody::Chunk(c) => c,
-            MsgBody::Boxed(_) => panic!(
+            MsgBody::Inline(_) | MsgBody::Boxed(_) => panic!(
                 "recv type mismatch for message from processor {src} tag {tag:#x}: \
                  expected a byte chunk, got a boxed payload (receive it with recv)"
             ),

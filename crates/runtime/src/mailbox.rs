@@ -7,20 +7,26 @@
 //! which — together with the absence of a wildcard source — makes virtual
 //! time fully deterministic.
 //!
-//! The mailbox is **sharded by sender**: one lane (a mutex around one
-//! queue) per source rank, so concurrent senders depositing into the same
-//! receiver never contend on a shared lock, and the receiver — there is no
-//! wildcard receive — waits on exactly the lane it matches.
+//! The mailbox is **sharded by sender**: one lane (a mutex around that
+//! source's queue) per source rank, so concurrent senders depositing into
+//! the same receiver never contend on a shared lock, and the receiver —
+//! there is no wildcard receive — waits on exactly the lane it matches.
 //!
 //! * **One FIFO per lane, scanned by tag.** A lane holds its source's
 //!   undelivered messages in deposit order. Deposits are serialised by the
 //!   lane lock, so the first envelope carrying `tag` *is* the oldest of
 //!   channel `(src, tag)`: first match = FIFO per channel. Nearly every
 //!   statement and collective draws a fresh tag and depth is typically
-//!   0–2, so a take is a `pop_front`: no hashing, no per-tag allocation,
-//!   and the ring buffer is reused for the life of the lane, so a delivered
-//!   message leaves nothing behind. Accepted worst case: draining a lane in
-//!   reverse deposit order is O(depth) per take (no program here does it).
+//!   0–2, so a take is usually the front: no hashing, no per-tag
+//!   allocation. Accepted worst case: draining a lane in reverse deposit
+//!   order is O(depth) per take (no program here does it).
+//! * **A message at rest is one record in one place.** The lane keeps its
+//!   two oldest envelopes inline, beside its lock; only younger ones go to
+//!   a `VecDeque`, whose buffer is released whenever it empties. An
+//!   envelope is 88 bytes and names no sender (the lane is the sender),
+//!   and a payload of at most 16 bytes rides inside it
+//!   ([`crate::payload`]). So a small message allocates nothing, and a
+//!   lane of depth ≤ 2 — every ring and collective lane — holds no buffer.
 //! * **A sender-sparse lane table.** Lanes come in blocks of 32 senders. A
 //!   mailbox holds one 16-byte slot per block (32 at P = 1024); a block is
 //!   built with the first lane in it, and a lane by the first deposit
@@ -83,10 +89,8 @@ use crate::clock::debug_counters::MAX_LANE_DEPTH;
 use crate::parker::Parkers;
 use crate::payload::MsgBody;
 
-/// A message at rest in a mailbox.
+/// A message at rest in a mailbox. Its sender is the lane it rests in.
 pub(crate) struct Envelope {
-    /// Physical rank of the sender.
-    pub src: usize,
     /// Channel tag (runtime-internal; composed from group id + sequence).
     pub tag: u64,
     /// Virtual time at which the message may be received (already includes
@@ -102,7 +106,7 @@ pub(crate) struct Envelope {
     /// operation's identity crosses processor boundaries — identically
     /// for boxed and chunk payloads, and invisible to the cost model.
     pub trace: u64,
-    /// The message body (type-erased box or pooled byte chunk).
+    /// The message body (inline value, type-erased box or pooled byte chunk).
     pub payload: MsgBody,
 }
 
@@ -142,8 +146,12 @@ pub(crate) type DepthSnapshot = Vec<LaneDepth>;
 
 #[derive(Default)]
 struct LaneState {
-    /// Every undelivered message of this lane's source, in deposit order.
-    queue: VecDeque<Envelope>,
+    /// The two oldest undelivered messages of this lane's source, oldest
+    /// first. A `None` is followed only by `None`s and an empty `rest`.
+    head: [Option<Envelope>; 2],
+    /// The younger undelivered messages, in deposit order. Its buffer is
+    /// released whenever it empties, so a lane of depth ≤ 2 holds none.
+    rest: VecDeque<Envelope>,
     /// Payload bytes deposited on this lane so far (host observability).
     bytes: u64,
     /// The tag the owning processor is parked on (`None` when it is not
@@ -154,13 +162,45 @@ struct LaneState {
 }
 
 impl LaneState {
-    /// Take the oldest queued message carrying `tag` (usually the front).
-    fn pop_tag(&mut self, tag: u64) -> Option<Envelope> {
-        if self.queue.front()?.tag == tag {
-            return self.queue.pop_front();
+    /// Every undelivered message, in deposit order.
+    fn queue(&self) -> impl Iterator<Item = &Envelope> {
+        self.head.iter().flatten().chain(&self.rest)
+    }
+
+    /// Number of undelivered messages.
+    fn len(&self) -> usize {
+        self.head.iter().flatten().count() + self.rest.len()
+    }
+
+    /// Append a message behind the others.
+    fn push(&mut self, env: Envelope) {
+        match self.head.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(env),
+            None => self.rest.push_back(env),
         }
-        let at = self.queue.iter().position(|e| e.tag == tag)?;
-        self.queue.remove(at)
+    }
+
+    /// Take the oldest queued message carrying `tag` (usually the front),
+    /// moving the younger ones up to keep the head full.
+    fn pop_tag(&mut self, tag: u64) -> Option<Envelope> {
+        let at = match &self.head[0] {
+            Some(front) if front.tag == tag => 0,
+            _ => self.queue().position(|e| e.tag == tag)?,
+        };
+        let env = match at {
+            0 => {
+                let env = self.head[0].take();
+                self.head[0] = self.head[1].take();
+                self.head[1] = self.rest.pop_front();
+                env
+            }
+            1 => std::mem::replace(&mut self.head[1], self.rest.pop_front()),
+            _ => self.rest.remove(at - 2),
+        };
+        if self.rest.is_empty() && self.rest.capacity() > 0 {
+            self.rest = VecDeque::new();
+        }
+        env
     }
 }
 
@@ -230,17 +270,17 @@ impl Mailbox {
     /// `try_lock` succeeding *is* the uncontended lock fast path — so the
     /// telemetry lane-contention counter is free when nobody reads it.
     /// Second, whether the lane still held a message of the sender's (its backlog).
-    pub fn deposit(&self, env: Envelope) -> (bool, bool) {
-        let lane = self.lane(env.src);
+    pub fn deposit(&self, src: usize, env: Envelope) -> (bool, bool) {
+        let lane = self.lane(src);
         let (mut st, contended) = match lane.try_lock() {
             Some(st) => (st, false),
             None => (lane.lock(), true),
         };
-        let (tag, backlog) = (env.tag, !st.queue.is_empty());
+        let (tag, backlog) = (env.tag, st.head[0].is_some());
         st.bytes += env.nbytes as u64;
-        st.queue.push_back(env);
+        st.push(env);
         if cfg!(debug_assertions) {
-            MAX_LANE_DEPTH.fetch_max(st.queue.len() as u64, Ordering::Relaxed);
+            MAX_LANE_DEPTH.fetch_max(st.len() as u64, Ordering::Relaxed);
         }
         // Consume a matching wait registration under the lane lock, then
         // wake the owner.
@@ -302,7 +342,7 @@ impl Mailbox {
 
     /// Non-blocking probe: is a message from `src` with `tag` waiting?
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        self.built(src).is_some_and(|l| l.lock().queue.iter().any(|e| e.tag == tag))
+        self.built(src).is_some_and(|l| l.lock().queue().any(|e| e.tag == tag))
     }
 
     /// True once some processor panicked and poisoned this mailbox.
@@ -326,7 +366,7 @@ impl Mailbox {
     /// Number of undelivered messages (used by the run harness to detect
     /// programs that exit leaving messages unreceived).
     pub fn undelivered(&self) -> usize {
-        self.live_lanes().map(|(_, l)| l.lock().queue.len()).sum()
+        self.live_lanes().map(|(_, l)| l.lock().len()).sum()
     }
 
     /// Depths of every non-empty `(src, tag)` queue, ascending by source
@@ -336,7 +376,7 @@ impl Mailbox {
         let mut out: DepthSnapshot = Vec::new();
         for (src, lane) in self.live_lanes() {
             let mut tags: BTreeMap<u64, LaneDepth> = BTreeMap::new();
-            for e in &lane.lock().queue {
+            for e in lane.lock().queue() {
                 // Deposit order: the first message met per tag is its oldest.
                 let oldest_wait = Duration::from_nanos(now.saturating_sub(e.enqueued));
                 let fresh = LaneDepth { src, tag: e.tag, count: 0, oldest_wait, chunk_bytes: 0 };
@@ -415,15 +455,7 @@ mod tests {
     /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.
     fn put(mb: &Mailbox, src: usize, tag: u64, v: u32) {
         let (payload, nbytes) = erase(v);
-        mb.deposit(Envelope {
-            src,
-            tag,
-            arrival: 0.0,
-            nbytes,
-            enqueued: mb.parkers.clock.now_ns(),
-            trace: 0,
-            payload: MsgBody::Boxed(payload),
-        });
+        mb.deposit(src, Envelope { tag, arrival: 0.0, nbytes, enqueued: mb.parkers.clock.now_ns(), trace: 0, payload });
     }
 
     impl Mailbox {
@@ -438,9 +470,10 @@ mod tests {
             self.live_lanes().count()
         }
 
-        /// Envelope slots held by all queues, full or empty.
+        /// Envelope slots held by all queues' buffers, full or empty
+        /// (the two in each lane not counted).
         fn retained_slots(&self) -> usize {
-            self.live_lanes().map(|(_, l)| l.lock().queue.capacity()).sum()
+            self.live_lanes().map(|(_, l)| l.lock().rest.capacity()).sum()
         }
 
         /// Heap bytes of the lane table: the block slots, the blocks built
@@ -454,11 +487,7 @@ mod tests {
     }
 
     fn take_u32(mb: &Mailbox, src: usize, tag: u64) -> u32 {
-        let e = take(mb, src, tag);
-        match e.payload {
-            MsgBody::Boxed(b) => crate::payload::unerase(b, src, tag),
-            MsgBody::Chunk(_) => panic!("expected boxed payload"),
-        }
+        crate::payload::unerase(take(mb, src, tag).payload, src, tag)
     }
 
     #[test]
@@ -549,11 +578,7 @@ mod tests {
         });
         let e = take(&mb, 5, 1);
         h.join().unwrap();
-        let v: u32 = match e.payload {
-            MsgBody::Boxed(b) => crate::payload::unerase(b, 5, 1),
-            MsgBody::Chunk(_) => panic!("expected boxed payload"),
-        };
-        assert_eq!(v, 42);
+        assert_eq!(crate::payload::unerase::<u32>(e.payload, 5, 1), 42);
     }
 
     #[test]
@@ -607,7 +632,7 @@ mod tests {
             put(&mb, 7, tag, tag as u32);
             assert_eq!(take_u32(&mb, 7, tag), tag as u32);
         }
-        assert!(mb.retained_slots() <= 8, "retained {} slots", mb.retained_slots());
+        assert_eq!(mb.retained_slots(), 0, "a lane of depth 1 holds no buffer");
         assert_eq!(mb.materialised_lanes(), 1);
         // Observers do not build lanes either.
         assert!(!mb.probe(9, 0));
@@ -636,6 +661,27 @@ mod tests {
             assert_eq!(take_u32(&mb, src, 1), src as u32);
         }
         assert_eq!(mb.lane_bytes(), vec![(5, 4), (700, 4), (P - 1, 4)]);
+    }
+
+    #[test]
+    fn a_message_at_rest_is_one_small_record() {
+        assert!(std::mem::size_of::<Envelope>() <= 88, "{}", std::mem::size_of::<Envelope>());
+        // A head slot costs no flag beside its envelope.
+        assert_eq!(std::mem::size_of::<Option<Envelope>>(), std::mem::size_of::<Envelope>());
+    }
+
+    #[test]
+    fn a_lane_keeps_two_inline_and_releases_the_rest_when_it_empties() {
+        let mb = mailbox(2);
+        for depth in 1..=4u32 {
+            (0..depth).for_each(|v| put(&mb, 1, 7, v));
+            assert_eq!(mb.retained_slots() > 0, depth > 2, "depth {depth}");
+            // Drained out of order: a younger tag first, then the front.
+            put(&mb, 1, 8, 99);
+            assert_eq!(take_u32(&mb, 1, 8), 99);
+            assert_eq!((0..depth).map(|_| take_u32(&mb, 1, 7)).collect::<Vec<_>>(), (0..depth).collect::<Vec<_>>());
+            assert_eq!((mb.undelivered(), mb.retained_slots()), (0, 0), "depth {depth}");
+        }
     }
 
     /// The accepted worst case: every take scans the whole queue.

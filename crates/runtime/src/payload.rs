@@ -2,26 +2,33 @@
 //!
 //! The simulator needs to know how many bytes each message occupies on the
 //! (virtual) wire, so every type sent through the runtime implements
-//! [`Payload`]. Payloads travel between threads in one of two forms —
+//! [`Payload`]. Payloads travel between threads in one of three forms —
 //! "direct deposit" into the receiver's mailbox, mirroring the Fx/Paragon
 //! communication layer where the sender writes straight into the receiver's
 //! memory space:
 //!
+//! * **Inline** — a value of at most 16 bytes with alignment ≤ 8 (every
+//!   scalar, `()`, an `Arc`, small tuples and `Option`s) travels inside
+//!   the envelope itself, beside its `TypeId` and, only when it has any,
+//!   its drop glue. No allocation: the message is one record in one place.
 //! * **Boxed** — `Box<dyn Any + Send>`, one allocation per message. The
-//!   general path: any `Payload` type, recovered by downcast on receive.
+//!   general path for a value that does not fit inline, recovered by
+//!   downcast on receive.
 //! * **Chunk** — a typed byte buffer drawn from a per-processor
 //!   [`BufferPool`] and recycled across pipeline iterations. The fast path
 //!   for plan-driven bulk transfers (`fx-darray` pack/unpack loops): no
 //!   per-message allocation once the pool is warm, no `Box<dyn Any>`
 //!   indirection, bytes copied exactly twice (pack in, unpack out).
 //!
-//! Both forms charge the same wire size, so virtual time is identical
+//! Every form charges the same wire size, so virtual time is identical
 //! whichever path a program uses. Either way the payload rides inside a
 //! mailbox `Envelope` alongside its metadata — including the 8-byte
 //! causal trace id piggyback ([`crate::Event::trace`]), which is
 //! host-side bookkeeping and never part of the charged wire size.
 
 use std::any::{Any, TypeId};
+use std::marker::PhantomData;
+use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// A value that can be sent between (virtual) processors.
 ///
@@ -41,7 +48,7 @@ macro_rules! scalar_payload {
     };
 }
 
-scalar_payload!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool, char);
+scalar_payload!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, f32, f64, bool, char);
 
 impl Payload for () {
     #[inline]
@@ -106,32 +113,111 @@ impl<T: Payload + Sync> Payload for std::sync::Arc<T> {
 /// Type-erased payload as stored in a mailbox.
 pub(crate) type AnyPayload = Box<dyn Any + Send>;
 
-/// The two wire formats a message body can take.
+/// The three wire formats a message body can take.
 pub(crate) enum MsgBody {
+    /// Small path: the value itself, inside the envelope.
+    Inline(Inline),
     /// General path: a boxed `dyn Any` payload, recovered by downcast.
     Boxed(AnyPayload),
     /// Fast path: a pooled, typed byte buffer (plan-driven bulk data).
     Chunk(Chunk),
 }
 
-/// Erase a payload, retaining its wire size.
-pub(crate) fn erase<T: Payload>(value: T) -> (AnyPayload, usize) {
+/// Storage of an inline payload: 16 bytes, 8-aligned.
+type InlineBytes = MaybeUninit<[u64; 2]>;
+
+/// A payload small enough to travel inside its envelope: the value's
+/// bytes, its type and, when it needs one, its destructor. The marker
+/// keeps the body `Send` but not `Sync`, like the box it replaces.
+pub(crate) struct Inline {
+    bytes: InlineBytes,
+    ty: TypeId,
+    drop: Option<unsafe fn(*mut InlineBytes)>,
+    _unsync: PhantomData<std::cell::Cell<()>>,
+}
+
+impl Inline {
+    /// Whether a `T` travels inline (decided per type at compile time).
+    const fn fits<T>() -> bool {
+        std::mem::size_of::<T>() <= std::mem::size_of::<InlineBytes>()
+            && std::mem::align_of::<T>() <= std::mem::align_of::<InlineBytes>()
+    }
+
+    /// Store `value`. Panics unless a `T` fits ([`Inline::fits`]); per
+    /// type the check is a constant, so it folds away.
+    fn new<T: Payload>(value: T) -> Self {
+        /// Drop the `T` stored in `bytes`.
+        ///
+        /// # Safety
+        /// `bytes` holds a live `T`, dropped nowhere else.
+        unsafe fn drop_as<T>(bytes: *mut InlineBytes) {
+            // SAFETY: the caller's contract.
+            unsafe { std::ptr::drop_in_place(bytes.cast::<T>()) }
+        }
+        assert!(Self::fits::<T>(), "inline payload too large");
+        let mut bytes = InlineBytes::uninit();
+        // SAFETY: `fits` bounds `T`'s size and alignment by the storage's,
+        // so the write stays inside `bytes` and is aligned.
+        unsafe { bytes.as_mut_ptr().cast::<T>().write(value) };
+        let drop = std::mem::needs_drop::<T>().then_some(drop_as::<T> as unsafe fn(*mut InlineBytes));
+        Inline { bytes, ty: TypeId::of::<T>(), drop, _unsync: PhantomData }
+    }
+
+    /// The stored value, if it is a `T`.
+    fn take<T: Payload>(self) -> Option<T> {
+        if self.ty != TypeId::of::<T>() {
+            return None;
+        }
+        let me = ManuallyDrop::new(self);
+        // SAFETY: the type check above says `bytes` holds a live `T`
+        // (written by `new`); `ManuallyDrop` keeps `Drop` from dropping
+        // it a second time.
+        Some(unsafe { me.bytes.as_ptr().cast::<T>().read() })
+    }
+}
+
+impl Drop for Inline {
+    fn drop(&mut self) {
+        if let Some(drop) = self.drop {
+            // SAFETY: `drop` is the glue `new` stored for the `T` it
+            // wrote; a value moved out by `take` never reaches here.
+            unsafe { drop(&mut self.bytes) }
+        }
+    }
+}
+
+/// Erase a payload, retaining its wire size: inline when it fits,
+/// boxed otherwise.
+pub(crate) fn erase<T: Payload>(value: T) -> (MsgBody, usize) {
     let n = value.nbytes();
-    (Box::new(value), n)
+    if Inline::fits::<T>() {
+        (MsgBody::Inline(Inline::new(value)), n)
+    } else {
+        (MsgBody::Boxed(Box::new(value)), n)
+    }
 }
 
 /// Recover a payload of a concrete type; panics on a type mismatch, which
 /// indicates mismatched send/recv pairs in an SPMD program (a program bug,
-/// analogous to an MPI datatype mismatch).
-pub(crate) fn unerase<T: Payload>(any: AnyPayload, src: usize, tag: u64) -> T {
-    match any.downcast::<T>() {
-        Ok(b) => *b,
-        Err(_) => panic!(
+/// analogous to an MPI datatype mismatch). The text is the same whichever
+/// form the message took.
+pub(crate) fn unerase<T: Payload>(body: MsgBody, src: usize, tag: u64) -> T {
+    let value = match body {
+        MsgBody::Inline(v) => v.take::<T>(),
+        MsgBody::Boxed(b) => b.downcast::<T>().ok().map(|b| *b),
+        MsgBody::Chunk(_) => panic!(
+            "recv type mismatch for message from processor {src} tag {tag:#x}: \
+             expected {}, got a byte chunk (receive it with recv_chunk)",
+            std::any::type_name::<T>()
+        ),
+    };
+    value.unwrap_or_else(|| {
+        panic!(
             "recv type mismatch for message from processor {src} tag {tag:#x}: \
              expected {}",
             std::any::type_name::<T>()
-        ),
-    }
+        )
+    })
 }
 
 /// A typed byte buffer for plan-driven bulk transfers.
@@ -147,14 +233,18 @@ pub(crate) fn unerase<T: Payload>(any: AnyPayload, src: usize, tag: u64) -> T {
 /// alignment never constrains the pooled storage.
 ///
 /// Elements must be `Copy`: a chunk is a byte image, so it can only carry
-/// plain values with no drop glue or owned heap storage.
+/// plain values with no drop glue or owned heap storage. A chunk holds at
+/// most `u32::MAX` elements; a push past that panics.
 pub struct Chunk {
     bytes: Vec<u8>,
     ty: TypeId,
-    elems: usize,
-    /// Rank whose pool the storage came from (`None`: standalone).
-    home: Option<u32>,
+    elems: u32,
+    /// Rank whose pool the storage came from ([`STANDALONE`]: none).
+    home: u32,
 }
+
+/// The `home` of a chunk whose storage belongs to no pool.
+const STANDALONE: u32 = u32::MAX;
 
 impl Chunk {
     /// An empty chunk for elements of type `T`, with room for `elems`
@@ -168,7 +258,7 @@ impl Chunk {
     /// Wrap pool storage of processor `home` as an empty chunk for `T`.
     pub(crate) fn from_bytes<T: Copy + Send + 'static>(mut bytes: Vec<u8>, home: Option<u32>) -> Self {
         bytes.clear();
-        Chunk { bytes, ty: TypeId::of::<T>(), elems: 0, home }
+        Chunk { bytes, ty: TypeId::of::<T>(), elems: 0, home: home.unwrap_or(STANDALONE) }
     }
 
     /// The element type check.
@@ -178,7 +268,12 @@ impl Chunk {
             "chunk element type mismatch: expected {}",
             std::any::type_name::<T>()
         );
-        debug_assert_eq!(self.bytes.len(), self.elems * std::mem::size_of::<T>(), "chunk length");
+        debug_assert_eq!(self.bytes.len(), self.elems() * std::mem::size_of::<T>(), "chunk length");
+    }
+
+    /// Panics unless `n` more elements keep the count within `u32::MAX`.
+    fn check_room(&self, n: usize) {
+        assert!(n <= (u32::MAX - self.elems) as usize, "chunk push: more than u32::MAX elements");
     }
 
     /// Append the `n` elements `items` yields (the pack half of a
@@ -192,6 +287,7 @@ impl Chunk {
         self.check_type::<T>();
         let len = self.bytes.len();
         let nbytes = n.checked_mul(std::mem::size_of::<T>()).expect("chunk push: size overflows usize");
+        self.check_room(n);
         self.bytes.reserve(nbytes);
         let free = self.bytes.spare_capacity_mut().as_mut_ptr().cast::<T>();
         let mut k = 0;
@@ -207,7 +303,7 @@ impl Chunk {
         // SAFETY: the `n` elements' `nbytes` bytes past `len` were all
         // written above.
         unsafe { self.bytes.set_len(len + nbytes) };
-        self.elems += n;
+        self.elems += n as u32;
     }
 
     /// The `n` elements from element `offset` on, in order (the unpack
@@ -227,11 +323,11 @@ impl Chunk {
     fn bytes_of<T: Copy + Send + 'static>(&self, offset: usize, n: usize) -> &[u8] {
         self.check_type::<T>();
         assert!(
-            offset.checked_add(n).is_some_and(|end| end <= self.elems),
+            offset.checked_add(n).is_some_and(|end| end <= self.elems()),
             "chunk read out of bounds: {}..+{} of {} elems",
             offset,
             n,
-            self.elems
+            self.elems()
         );
         let size = std::mem::size_of::<T>();
         &self.bytes[offset * size..(offset + n) * size]
@@ -243,6 +339,7 @@ impl Chunk {
     #[inline]
     pub fn push_slice<T: Copy + Send + 'static>(&mut self, src: &[T]) {
         self.check_type::<T>();
+        self.check_room(src.len());
         let nb = std::mem::size_of_val(src);
         self.bytes.reserve(nb);
         // SAFETY: `reserve` guarantees `nb` spare bytes past `len`; the
@@ -256,7 +353,7 @@ impl Chunk {
             );
             self.bytes.set_len(self.bytes.len() + nb);
         }
-        self.elems += src.len();
+        self.elems += src.len() as u32;
     }
 
     /// Copy `dst.len()` elements starting at element `offset` into `dst`
@@ -272,13 +369,13 @@ impl Chunk {
 
     /// All elements as a freshly allocated `Vec<T>`.
     pub fn to_vec<T: Copy + Send + 'static>(&self) -> Vec<T> {
-        self.iter_from(0, self.elems).collect()
+        self.iter_from(0, self.elems()).collect()
     }
 
     /// Number of elements packed so far.
     #[inline]
     pub fn elems(&self) -> usize {
-        self.elems
+        self.elems as usize
     }
 
     /// True when no elements have been packed.
@@ -296,7 +393,7 @@ impl Chunk {
 
     /// Surrender the storage and its home (for recycling into a pool).
     pub(crate) fn into_parts(self) -> (Vec<u8>, Option<usize>) {
-        (self.bytes, self.home.map(|h| h as usize))
+        (self.bytes, (self.home != STANDALONE).then_some(self.home as usize))
     }
 }
 
@@ -421,6 +518,46 @@ mod tests {
     }
 
     #[test]
+    fn small_values_travel_inline_and_the_rest_boxed() {
+        let inline = |b: &MsgBody| matches!(b, MsgBody::Inline(_));
+        assert!(inline(&erase(7u64).0) && inline(&erase(()).0) && inline(&erase(Some(7u64)).0));
+        assert!(inline(&erase((1u32, 2.0f64)).0) && inline(&erase(std::sync::Arc::new(vec![0u8; 99])).0));
+        // Alignment 16, and 24 bytes: boxed, and back whole.
+        let (wide, n) = erase(u128::MAX - 3);
+        assert!(!inline(&wide) && n == 16);
+        assert_eq!(unerase::<u128>(wide, 0, 0), u128::MAX - 3);
+        let (triple, n) = erase((1u64, -2.5f64, 3usize));
+        assert!(!inline(&triple) && n == 24);
+        assert_eq!(unerase::<(u64, f64, usize)>(triple, 0, 0), (1, -2.5, 3));
+        assert!(!inline(&erase(vec![1u8]).0));
+    }
+
+    #[test]
+    fn a_mismatch_reads_the_same_inline_or_boxed() {
+        let text = |body: MsgBody| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unerase::<f64>(body, 3, 7)));
+            *err.expect_err("a mismatch panics").downcast::<String>().expect("a formatted message")
+        };
+        let (inline, boxed) = (text(erase(1u64).0), text(erase(1u128).0));
+        assert_eq!(inline, boxed);
+        assert_eq!(inline, "recv type mismatch for message from processor 3 tag 0x7: expected f64");
+    }
+
+    #[test]
+    fn an_inline_value_is_dropped_once_whether_taken_or_not() {
+        let a = std::sync::Arc::new(5u64);
+        let (kept, _) = erase(std::sync::Arc::clone(&a));
+        let (taken, _) = erase(std::sync::Arc::clone(&a));
+        assert_eq!(std::sync::Arc::strong_count(&a), 3);
+        drop(kept);
+        assert_eq!(std::sync::Arc::strong_count(&a), 2);
+        let back: std::sync::Arc<u64> = unerase(taken, 0, 0);
+        assert_eq!(std::sync::Arc::strong_count(&a), 2);
+        drop(back);
+        assert_eq!(std::sync::Arc::strong_count(&a), 1);
+    }
+
+    #[test]
     fn chunk_pack_unpack_roundtrip() {
         let mut c = Chunk::with_capacity::<u32>(8);
         c.push_slice(&[1u32, 2, 3]);
@@ -482,7 +619,16 @@ mod tests {
     #[test]
     fn a_chunk_stays_small() {
         // A chunk rides in every mailbox envelope that carries one.
-        assert!(std::mem::size_of::<Chunk>() <= 56, "{}", std::mem::size_of::<Chunk>());
+        assert!(std::mem::size_of::<Chunk>() <= 48, "{}", std::mem::size_of::<Chunk>());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX elements")]
+    fn a_push_past_u32_max_elements_panics() {
+        let mut c = Chunk::with_capacity::<()>(0);
+        c.push_slice(&vec![(); u32::MAX as usize]);
+        assert_eq!(c.elems(), u32::MAX as usize);
+        c.push_iter(1, [()]);
     }
 
     #[test]

@@ -772,6 +772,22 @@ mod tests {
     }
 
     #[test]
+    fn an_undelivered_inline_payload_is_dropped_once() {
+        let shared = Arc::new(7u64);
+        let rep = run(&machine(2), |cx| {
+            if cx.rank() == 0 {
+                cx.send(1, 1, Arc::clone(&shared));
+                cx.send(1, 2, Arc::clone(&shared));
+            } else {
+                let got: Arc<u64> = cx.recv(0, 1);
+                assert_eq!(*got, 7);
+            }
+        });
+        assert_eq!(rep.undelivered, 1);
+        assert_eq!(Arc::strong_count(&shared), 1, "the undelivered copy leaked or dropped twice");
+    }
+
+    #[test]
     fn probe_sees_deposited_messages_without_consuming() {
         let rep = run(&machine(2), |cx| {
             if cx.rank() == 0 {

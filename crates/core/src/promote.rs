@@ -307,10 +307,10 @@ impl Cx<'_> {
     }
 
     /// Host-spin, never advancing virtual time, until `poll` answers. A
-    /// poisoned run panics, and so does a wait that outlives the recv
-    /// timeout, with `wedged()` saying what it waited for.
+    /// poisoned run panics, and so does a wait that outlives the machine's
+    /// spin timeout, with `wedged()` saying what it waited for.
     fn spin<T>(&mut self, label: &str, mut poll: impl FnMut() -> Option<T>, wedged: impl Fn() -> String) -> T {
-        let deadline = self.runtime().watchdog_deadline();
+        let mut deadline = self.runtime().spin_deadline();
         loop {
             if let Some(answer) = poll() {
                 return answer;
@@ -318,7 +318,7 @@ impl Cx<'_> {
             if self.runtime().is_poisoned() {
                 panic!("promotable loop '{label}': another processor panicked");
             }
-            if self.runtime().watchdog_expired(deadline) {
+            if deadline.expired() {
                 panic!("promotable loop '{label}': {}", wedged());
             }
             self.runtime().yield_now();

@@ -8,7 +8,7 @@
 //! loop's tag hashes lower than the first's on the world group, with one
 //! it hashes higher, and both orders must complete.
 //!
-//! A short recv timeout makes a wedge fail in seconds, not after the
+//! A short spin timeout makes a wedge fail in seconds, not after the
 //! default minute.
 
 use std::time::Duration;

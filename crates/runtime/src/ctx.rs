@@ -11,9 +11,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::clock::{ns_since, tick_period};
+use crate::clock::{ns_since, SpinDeadline};
 use crate::coro::{YieldKind, Yielder};
 use crate::counters::{bump, Counters};
 use crate::event::{Event, EventKind, Labels, Log};
@@ -29,10 +29,12 @@ pub(crate) struct World {
     pub nprocs: usize,
     pub model: MachineModel,
     pub mailboxes: Vec<Mailbox>,
-    /// Every processor's park latch, the recv timeout that expires a
-    /// park, and the run's coarse clock, which also stamps every deposit
-    /// (see [`crate::parker`], [`crate::clock`]).
+    /// Every processor's park latch, and the diagnosis of a deadlock
+    /// (see [`crate::parker`]).
     pub parkers: Arc<Parkers>,
+    /// How long a promotable loop's board spin may wait
+    /// ([`crate::Machine::spin_timeout`]).
+    pub spin_timeout: Duration,
     /// Every processor's counter block (see [`crate::counters`]): always
     /// there, written only by the owning [`ProcCtx`], read by the report
     /// and — through its own handles on the same allocations — by the
@@ -321,7 +323,7 @@ impl ProcCtx {
         let arrival = self.charge_send(nbytes);
         let (contended, backlog) = self.world.mailboxes[dst].deposit(
             self.rank,
-            Envelope { tag, arrival, nbytes, enqueued: self.world.parkers.clock.now_ns(), trace: self.trace, payload },
+            Envelope { tag, arrival, nbytes, trace: self.trace, payload },
         );
         let c = &self.counters;
         bump(&c.sends, 1);
@@ -680,25 +682,14 @@ impl ProcCtx {
         self.world.mailboxes[self.rank].is_poisoned()
     }
 
-    /// Arm a watchdog for a poll-wait that starts now (a promotable
-    /// loop's spin-waits, so a wedged promotion rendezvous dies with a
-    /// diagnostic instead of hanging the run): the coarse-clock time past
-    /// which [`ProcCtx::watchdog_expired`] reads true. That is the
-    /// machine's recv timeout plus one tick, since the coarse clock may be
-    /// a tick behind now: like every other watchdog it reads no host
-    /// clock and is never early.
+    /// Arm the deadline of a poll-wait that starts now: a promotable
+    /// loop's board spin, which keeps its processor runnable, so a wedged
+    /// promotion rendezvous is no deadlock the pool can see. It expires
+    /// no earlier than the machine's [`crate::Machine::spin_timeout`]
+    /// after now; call [`SpinDeadline::expired`] once per poll.
     #[inline]
-    pub fn watchdog_deadline(&self) -> u64 {
-        let timeout = self.world.parkers.recv_timeout;
-        let ns = timeout.saturating_add(tick_period(timeout)).as_nanos();
-        self.world.parkers.clock.now_ns().saturating_add(u64::try_from(ns).unwrap_or(u64::MAX))
-    }
-
-    /// Whether a poll-wait armed with [`ProcCtx::watchdog_deadline`] has
-    /// outlived the recv timeout.
-    #[inline]
-    pub fn watchdog_expired(&self, deadline: u64) -> bool {
-        self.world.parkers.clock.now_ns() > deadline
+    pub fn spin_deadline(&self) -> SpinDeadline {
+        SpinDeadline::new(self.world.spin_timeout)
     }
 
     /// Count one heartbeat that published an announcement.

@@ -20,7 +20,7 @@ pub struct Knob {
 
 /// Every knob the library reads; the README's table mirrors it (a unit
 /// test compares them).
-pub const KNOBS: [Knob; 6] = [
+pub const KNOBS: [Knob; 5] = [
     Knob {
         name: "FX_WORKERS",
         accepts: "an integer, at most one per processor counts; `0` is the default",
@@ -29,7 +29,6 @@ pub const KNOBS: [Knob; 6] = [
     Knob { name: "FX_DATAFLOW", accepts: "`off` or `on`", default: "`on`" },
     Knob { name: "FX_HEARTBEAT", accepts: "`off` or `on`", default: "`on`" },
     Knob { name: "FX_TRACE", accepts: "`1`, `on`, `true`, `0`, `off` or `false`", default: "off" },
-    Knob { name: "FX_RECV_TIMEOUT_MS", accepts: "an integer number of milliseconds", default: "`60000`" },
     Knob { name: "FX_STACK_KB", accepts: "an integer number of KiB, raised to at least 64", default: "`1024`" },
 ];
 

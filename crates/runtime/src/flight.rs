@@ -8,9 +8,8 @@
 //! the event. The ring holds the newest [`FLIGHT_CAPACITY`] events and
 //! silently overwrites older ones, so recording is bounded-overhead no
 //! matter how long the run is — the point is not a full trace (the log
-//! does that, post-mortem) but a *black box*: when a run panics, the
-//! deadlock watchdog fires, or the stall detector flags a processor, the
-//! last moments before the incident are available.
+//! does that, post-mortem) but a *black box*: when a run panics or
+//! deadlocks, the last moments before the incident are available.
 //!
 //! The ring is single-writer (each processor writes only its own ring)
 //! and any-reader (a flight dump, an exporter, or the test harness may

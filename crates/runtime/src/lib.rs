@@ -48,6 +48,7 @@ mod trace;
 
 #[doc(hidden)]
 pub use clock::debug_counters;
+pub use clock::SpinDeadline;
 pub use counters::{CounterDef, ProcTotals, PromoteStats};
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;

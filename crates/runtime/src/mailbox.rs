@@ -23,7 +23,7 @@
 //! * **A message at rest is one record in one place.** The lane keeps its
 //!   two oldest envelopes inline, beside its lock; only younger ones go to
 //!   a `VecDeque`, whose buffer is released whenever it empties. An
-//!   envelope is 88 bytes and names no sender (the lane is the sender),
+//!   envelope is 80 bytes and names no sender (the lane is the sender),
 //!   and a payload of at most 16 bytes rides inside it
 //!   ([`crate::payload`]). So a small message allocates nothing, and a
 //!   lane of depth ≤ 2 — every ring and collective lane — holds no buffer.
@@ -49,10 +49,11 @@
 //! receiver's next look at the lane finds the message). A wake that
 //! arrives before the park commits is latched, so the park aborts — see
 //! [`crate::parker`] for the latch, for what parking and waking mean,
-//! and for the watchdog, which latches a `timed_out` flag and wakes the
-//! processor; it re-checks its lane and raises the deadlock diagnostic
-//! from its own context. A deposit nobody is registered for wakes nobody:
-//! no system call, and nothing shared is written but the lane.
+//! and for the deadlock declaration, which latches a `deadlocked` flag
+//! and wakes every parked processor; the first to run raises the run's
+//! deadlock diagnosis from its own context. A deposit nobody is
+//! registered for wakes nobody: no system call, and nothing shared is
+//! written but the lane.
 //!
 //! `poison` sets the flag, then *materialises* each lane and bumps its
 //! lock, then wakes the owner unconditionally. The wake alone is not
@@ -68,20 +69,17 @@
 //! flag under: the argument holds for a lane that did not exist at the
 //! panic.
 //!
-//! ## Message ages
+//! ## What a queued message says
 //!
-//! A deposit is stamped from the run's coarse clock
-//! ([`crate::clock::CoarseClock`]: one relaxed load, advanced once per
-//! watchdog period), not from the host clock. The only reader is the
-//! depth snapshot behind the deadlock dump, the stall report and the
-//! registry's queue gauges, whose caller refreshes the clock first: an
-//! age is the true one plus at most one period (`recv_timeout / 8`,
-//! 5–250 ms), ample for telling "being drained" from "queued long ago".
+//! An envelope carries no host stamp. A queued message is described by
+//! its virtual `arrival`, which the sender computed: the depth snapshot
+//! behind the deadlock diagnosis ([`crate::stall`]) and the registry's
+//! queue gauges read nothing else, so a diagnosis reads the same on every
+//! worker count and every host.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -98,9 +96,6 @@ pub(crate) struct Envelope {
     pub arrival: f64,
     /// Wire size used for receiver-side cost accounting.
     pub nbytes: usize,
-    /// Coarse-clock nanoseconds at the deposit, so diagnostics can report
-    /// how long the message has been waiting unreceived.
-    pub enqueued: u64,
     /// Causal trace id piggybacked by the sender (`0` = untraced). The
     /// receiver adopts a non-zero trace on take, which is how a logical
     /// operation's identity crosses processor boundaries — identically
@@ -111,11 +106,8 @@ pub(crate) struct Envelope {
 }
 
 /// One non-empty `(src, tag)` channel of a mailbox at a point in time:
-/// its depth and how long its oldest (front, FIFO) message has been
-/// queued unreceived. The oldest-wait distinguishes "this channel is
-/// being drained normally" from "these messages arrived long ago and
-/// nobody is receiving them" at a glance in deadlock dumps.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// its depth and the virtual arrival of its oldest (front, FIFO) message.
+#[derive(Clone, Copy, PartialEq)]
 pub(crate) struct LaneDepth {
     /// Sender rank of the channel.
     pub src: usize,
@@ -123,8 +115,8 @@ pub(crate) struct LaneDepth {
     pub tag: u64,
     /// Messages queued.
     pub count: usize,
-    /// Age of the oldest queued message.
-    pub oldest_wait: Duration,
+    /// Virtual arrival time of the oldest queued message.
+    pub arrival: f64,
     /// Payload bytes of the channel's queued chunks (the registry's
     /// chunk-bytes-in-flight gauge); not part of the dump's text.
     pub chunk_bytes: u64,
@@ -134,8 +126,8 @@ impl std::fmt::Debug for LaneDepth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "(src={}, tag={:#x}, n={}, oldest={:.1?})",
-            self.src, self.tag, self.count, self.oldest_wait
+            "(src={}, tag={:#x}, n={}, arrival={:?})",
+            self.src, self.tag, self.count, self.arrival
         )
     }
 }
@@ -222,8 +214,8 @@ pub(crate) struct Mailbox {
     nprocs: usize,
     /// Physical rank of the one processor that receives here.
     owner: usize,
-    /// The run's park latches (to wake `owner`), recv timeout, and the
-    /// coarse clock that stamped every queued envelope.
+    /// The run's park latches (to wake `owner`) and its deadlock
+    /// diagnosis.
     parkers: Arc<Parkers>,
     /// Set when some processor panicked: everyone blocked here must unwind
     /// too so the whole run fails instead of hanging.
@@ -296,11 +288,10 @@ impl Mailbox {
     /// it. `park` is the context's way to block the owning processor
     /// until its next wake (see the module header for the protocol).
     ///
-    /// The run's recv timeout bounds the wait; exceeding it indicates a
-    /// deadlock in the SPMD program (mismatched send/recv or collective)
-    /// and panics with a per-`(src, tag)` queue-depth snapshot of every
-    /// lane, so a stuck pipeline shows at a glance what *is* pending and
-    /// from whom.
+    /// A wait no processor can end — the SPMD program deadlocked on a
+    /// mismatched send/recv or collective — panics as soon as the run can
+    /// make no progress, with the run's diagnosis ([`crate::stall`]): who
+    /// waits on whom, and what *is* queued, from whom.
     pub fn take(&self, src: usize, tag: u64, mut park: impl FnMut()) -> Envelope {
         let (lane, me) = (self.lane(src), self.owner);
         loop {
@@ -311,9 +302,6 @@ impl Mailbox {
                 }
                 if let Some(env) = st.pop_tag(tag) {
                     st.waiting_tag = None;
-                    drop(st);
-                    // Drop any stale watchdog latch: the message won.
-                    self.parkers.clear_timeout(me);
                     return env;
                 }
                 // Register the wait under the lane lock, so a concurrent
@@ -322,20 +310,16 @@ impl Mailbox {
                 st.waiting_tag = Some(tag);
             }
             park();
-            // Woken: matching deposit, poison, or the watchdog. The loop
-            // re-checks the lane first — progress wins over a timeout that
-            // raced a late delivery.
-            if self.parkers.take_timed_out(me)
-                && !self.probe(src, tag)
-                && !self.poisoned.load(Ordering::Acquire)
-            {
-                let pending = self.depth_snapshot(self.parkers.clock.refresh());
-                let timeout = self.parkers.recv_timeout;
-                panic!(
-                    "processor {me}: recv(src={src}, tag={tag:#x}) timed out after \
-                     {timeout:?} — likely deadlock. Pending per (src, tag) with depth \
-                     and oldest-message age: {pending:?}"
-                );
+            // Woken: a matching deposit, poison, or a deadlock declaration.
+            // A declared deadlock is exact — nothing can deposit once every
+            // worker is idle — so the lane is not re-checked: a message
+            // found there would be a lost wakeup, and the diagnosis shows
+            // it queued. The first processor released raises the diagnosis;
+            // the others park again until its panic poisons the run.
+            if self.parkers.take_deadlocked(me) && !self.poisoned.load(Ordering::Acquire) {
+                if let Some(diagnosis) = self.parkers.take_diagnosis() {
+                    panic!("{diagnosis}");
+                }
             }
         }
     }
@@ -370,16 +354,15 @@ impl Mailbox {
     }
 
     /// Depths of every non-empty `(src, tag)` queue, ascending by source
-    /// then tag, each with the age at coarse-clock time `now` of its
-    /// oldest queued message — the deadlock diagnostic and debugging view.
-    pub fn depth_snapshot(&self, now: u64) -> DepthSnapshot {
+    /// then tag, each with the virtual arrival of its oldest queued
+    /// message — the deadlock diagnosis and debugging view.
+    pub fn depth_snapshot(&self) -> DepthSnapshot {
         let mut out: DepthSnapshot = Vec::new();
         for (src, lane) in self.live_lanes() {
             let mut tags: BTreeMap<u64, LaneDepth> = BTreeMap::new();
             for e in lane.lock().queue() {
                 // Deposit order: the first message met per tag is its oldest.
-                let oldest_wait = Duration::from_nanos(now.saturating_sub(e.enqueued));
-                let fresh = LaneDepth { src, tag: e.tag, count: 0, oldest_wait, chunk_bytes: 0 };
+                let fresh = LaneDepth { src, tag: e.tag, count: 0, arrival: e.arrival, chunk_bytes: 0 };
                 let d = tags.entry(e.tag).or_insert(fresh);
                 d.count += 1;
                 if matches!(e.payload, MsgBody::Chunk(_)) {
@@ -408,35 +391,14 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{spawn_ticker, tick_period, CoarseClock, TickGuard};
     use crate::payload::erase;
     use crate::pool::Pool;
+    use std::time::Duration;
 
-    /// The mailbox of processor 0 of a one-processor run: its
-    /// park latch, a coarse clock of its own, and a ticker playing the
-    /// run's watchdog for as long as the harness lives.
-    struct Harness {
-        mb: Arc<Mailbox>,
-        _watchdog: TickGuard,
-    }
-
-    impl std::ops::Deref for Harness {
-        type Target = Mailbox;
-        fn deref(&self) -> &Mailbox {
-            &self.mb
-        }
-    }
-
-    fn harness(nprocs: usize, timeout: Duration) -> Harness {
-        let clock = Arc::new(CoarseClock::new());
-        let parkers = Parkers::new(1, Pool::new(1, 1), timeout, Arc::clone(&clock));
-        let mb = Arc::new(Mailbox::new(nprocs, 0, Arc::clone(&parkers)));
-        let expire = move |now, slack| parkers.expire_parked(now, slack, |_, _| ());
-        Harness { mb, _watchdog: spawn_ticker("fx-tick", clock, tick_period(timeout), expire) }
-    }
-
-    fn mailbox(nprocs: usize) -> Harness {
-        harness(nprocs, Duration::from_secs(10))
+    /// The mailbox of processor 0 of a one-processor run, with its park
+    /// latch.
+    fn mailbox(nprocs: usize) -> Arc<Mailbox> {
+        Arc::new(Mailbox::new(nprocs, 0, Parkers::new(1, Pool::new(1, 1))))
     }
 
     /// Processor 0 (the calling thread) receives, standing in for the
@@ -452,18 +414,18 @@ mod tests {
         })
     }
 
-    /// Deposit `v` from `src` on `tag`, stamped as a send would stamp it.
-    fn put(mb: &Mailbox, src: usize, tag: u64, v: u32) {
+    /// Deposit `v` from `src` on `tag`, arriving at virtual time `arrival`.
+    fn put_at(mb: &Mailbox, src: usize, tag: u64, v: u32, arrival: f64) {
         let (payload, nbytes) = erase(v);
-        mb.deposit(src, Envelope { tag, arrival: 0.0, nbytes, enqueued: mb.parkers.clock.now_ns(), trace: 0, payload });
+        mb.deposit(src, Envelope { tag, arrival, nbytes, trace: 0, payload });
+    }
+
+    /// Deposit `v` from `src` on `tag`, arriving at time 0.
+    fn put(mb: &Mailbox, src: usize, tag: u64, v: u32) {
+        put_at(mb, src, tag, v, 0.0);
     }
 
     impl Mailbox {
-        /// The depth snapshot at the host's now.
-        fn depths_now(&self) -> DepthSnapshot {
-            self.depth_snapshot(self.parkers.clock.refresh())
-        }
-
         /// Lanes built so far (at most one per sender that deposited or
         /// was waited on).
         fn materialised_lanes(&self) -> usize {
@@ -510,58 +472,44 @@ mod tests {
         assert_eq!(mb.undelivered(), 1);
     }
 
+    /// A parked receive released by a deadlock declaration raises the
+    /// declared diagnosis, word for word.
     #[test]
-    #[should_panic(expected = "timed out")]
-    fn take_times_out_with_diagnostic() {
-        let mb = harness(4, Duration::from_millis(20));
-        put(&mb, 3, 9, 1);
-        take(&mb, 1, 7);
-    }
-
-    #[test]
-    fn timeout_diagnostic_reports_lane_depths_and_oldest_age() {
-        let mb = harness(4, Duration::from_millis(20));
-        put(&mb, 3, 9, 1);
-        std::thread::sleep(Duration::from_millis(30));
-        put(&mb, 3, 9, 2);
-        put(&mb, 2, 5, 7);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            take(&mb, 1, 7);
-        }))
-        .expect_err("must time out");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("src=2, tag=0x5, n=1"), "snapshot missing lane 2: {msg}");
-        assert!(msg.contains("src=3, tag=0x9, n=2"), "snapshot missing depth-2 queue: {msg}");
-        assert!(msg.contains("oldest="), "snapshot missing oldest-message age: {msg}");
-    }
-
-    #[test]
-    fn depth_snapshot_tracks_oldest_message_age() {
+    fn a_declared_deadlock_raises_its_diagnosis() {
         let mb = mailbox(4);
         put(&mb, 3, 9, 1);
-        std::thread::sleep(Duration::from_millis(40));
-        mb.parkers.clock.refresh();
-        put(&mb, 3, 9, 2); // newer message must not reset the age
-        let snap = mb.depths_now();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mb.take(1, 7, || {
+                assert!(mb.parkers.commit_park(0), "nothing woke the receiver");
+                mb.parkers.declare_deadlock(format!("deadlock: {:?}", mb.depth_snapshot()));
+                assert_eq!(mb.parkers.pool.find_work(0), Some(0), "the declaration woke the receiver");
+            });
+        }))
+        .expect_err("a declared deadlock must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, "deadlock: [(src=3, tag=0x9, n=1, arrival=0.0)]");
+        assert_eq!(mb.waiting(), Some((1, 7)), "the wait edge stays for the diagnosis");
+    }
+
+    #[test]
+    fn depth_snapshot_reports_the_oldest_arrival() {
+        let mb = mailbox(4);
+        put_at(&mb, 3, 9, 1, 2.5);
+        put_at(&mb, 3, 9, 2, 1.5); // a newer message does not replace the front's arrival
+        let snap = mb.depth_snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!((snap[0].src, snap[0].tag, snap[0].count), (3, 9, 2));
-        assert!(
-            snap[0].oldest_wait >= Duration::from_millis(40),
-            "oldest_wait should reflect the front (oldest) message, got {:?}",
-            snap[0].oldest_wait
-        );
-        // Draining the oldest message shrinks the reported age.
+        assert_eq!((snap[0].src, snap[0].tag, snap[0].count, snap[0].arrival), (3, 9, 2, 2.5));
+        // Draining the oldest message exposes the next one's.
         let _ = take(&mb, 3, 9);
-        let snap = mb.depths_now();
-        assert_eq!(snap[0].count, 1);
-        assert!(snap[0].oldest_wait < Duration::from_millis(40));
+        let snap = mb.depth_snapshot();
+        assert_eq!((snap[0].count, snap[0].arrival), (1, 1.5));
     }
 
     #[test]
     #[should_panic(expected = "another processor panicked")]
     fn poison_unblocks_with_panic() {
         let mb = mailbox(4);
-        let mb2 = Arc::clone(&mb.mb);
+        let mb2 = Arc::clone(&mb);
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             mb2.poison();
@@ -572,7 +520,7 @@ mod tests {
     #[test]
     fn cross_thread_delivery() {
         let mb = mailbox(8);
-        let mb2 = Arc::clone(&mb.mb);
+        let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || {
             put(&mb2, 5, 1, 42);
         });
@@ -585,7 +533,7 @@ mod tests {
     fn a_waiting_receive_names_its_edge_until_the_deposit_clears_it() {
         let mb = mailbox(4);
         assert_eq!(mb.waiting(), None);
-        let mb2 = Arc::clone(&mb.mb);
+        let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || {
             while mb2.waiting() != Some((2, 7)) {
                 std::thread::yield_now();
@@ -609,14 +557,14 @@ mod tests {
     #[test]
     fn interleaved_tags_report_their_own_first_deposit() {
         let mb = mailbox(2);
-        put(&mb, 1, 0xa, 1);
-        std::thread::sleep(Duration::from_millis(40));
-        mb.parkers.clock.refresh();
-        put(&mb, 1, 0xb, 2);
-        put(&mb, 1, 0xa, 3);
-        let snap = mb.depths_now();
-        assert_eq!(snap.iter().map(|d| (d.src, d.tag, d.count)).collect::<Vec<_>>(), [(1, 0xa, 2), (1, 0xb, 1)]);
-        assert!(snap[0].oldest_wait >= snap[1].oldest_wait + Duration::from_millis(40));
+        put_at(&mb, 1, 0xa, 1, 1.0);
+        put_at(&mb, 1, 0xb, 2, 2.0);
+        put_at(&mb, 1, 0xa, 3, 3.0);
+        let snap = mb.depth_snapshot();
+        assert_eq!(
+            snap.iter().map(|d| (d.src, d.tag, d.count, d.arrival)).collect::<Vec<_>>(),
+            [(1, 0xa, 2, 1.0), (1, 0xb, 1, 2.0)]
+        );
         // A younger tag is taken past an older one; each channel stays FIFO.
         assert_eq!(take_u32(&mb, 1, 0xb), 2);
         assert_eq!(take_u32(&mb, 1, 0xa), 1);
@@ -636,7 +584,7 @@ mod tests {
         assert_eq!(mb.materialised_lanes(), 1);
         // Observers do not build lanes either.
         assert!(!mb.probe(9, 0));
-        assert_eq!((mb.undelivered(), mb.depths_now().len(), mb.materialised_lanes()), (0, 0, 1));
+        assert_eq!((mb.undelivered(), mb.depth_snapshot().len(), mb.materialised_lanes()), (0, 0, 1));
     }
 
     /// At P = 4096 a mailbox that hears from three senders in three blocks
@@ -665,7 +613,7 @@ mod tests {
 
     #[test]
     fn a_message_at_rest_is_one_small_record() {
-        assert!(std::mem::size_of::<Envelope>() <= 88, "{}", std::mem::size_of::<Envelope>());
+        assert!(std::mem::size_of::<Envelope>() <= 80, "{}", std::mem::size_of::<Envelope>());
         // A head slot costs no flag beside its envelope.
         assert_eq!(std::mem::size_of::<Option<Envelope>>(), std::mem::size_of::<Envelope>());
     }
@@ -755,7 +703,7 @@ mod tests {
                     let mut depths: Vec<(usize, u64, usize)> =
                         model.iter().filter(|(_, q)| !q.is_empty()).map(|(&(s, t), q)| (s, t, q.len())).collect();
                     depths.sort_unstable();
-                    let snap: Vec<_> = mb.depths_now().iter().map(|d| (d.src, d.tag, d.count)).collect();
+                    let snap: Vec<_> = mb.depth_snapshot().iter().map(|d| (d.src, d.tag, d.count)).collect();
                     prop_assert_eq!(snap, depths);
                     prop_assert_eq!(mb.undelivered(), model.values().map(VecDeque::len).sum::<usize>());
                     // Only a deposit builds a lane here, and each adds bytes.

@@ -26,6 +26,24 @@
 //! before. In the steady state of a busy run — every worker running or
 //! draining its queue — a wake never enters the kernel.
 //!
+//! ## Deadlock
+//!
+//! The same count decides when a run can never progress. Only a running
+//! processor deposits or wakes, and a worker pushes only to its own queue
+//! or the injector. A worker parks only after a [`Pool::find_work`] that
+//! found both empty after its last push, and only it pushes to its own
+//! queue. So at the instant the last worker's increment brings `sleepers`
+//! up to the worker count, no processor is running, every queue is empty
+//! and nothing can ever become runnable again. If a processor is
+//! unfinished then, every such processor is parked on a receive that no
+//! deposit can satisfy: the run is deadlocked — exactly, and at once,
+//! whatever the host clock says. That worker does not sleep: it has the
+//! run's diagnosis built and declared ([`crate::stall::declare`]), which
+//! releases every parked processor to raise it. A processor that never
+//! parks (a compute loop, a `probe` poll, a promotable loop's board spin)
+//! stays runnable and is never declared; of those, only the board spin
+//! has a deadline ([`crate::clock::SpinDeadline`]).
+//!
 //! ## Determinism
 //!
 //! Scheduling order affects host wall-clock only. Virtual time is
@@ -48,8 +66,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::clock::debug_counters;
 use crate::coro::{Coro, YieldKind, Yielder};
 use crate::ctx::{ProcCtx, World};
-use crate::parker::Parkers;
 use crate::run::{run_proc, ProcOutcome, RawOutcomes};
+use crate::stall;
 
 thread_local! {
     /// Index of the pool worker running on this thread (`usize::MAX` on
@@ -143,11 +161,15 @@ impl Pool {
     /// before the re-check (see "The sleeper gate"). The timeout is a
     /// belt-and-braces backstop; wakes normally arrive via the condvar,
     /// and debug builds count an expiry that finds work waiting — an
-    /// enqueue that woke nobody.
-    fn park(&self) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+    /// enqueue that woke nobody. True, without sleeping, when this worker
+    /// is the last to go idle with a processor unfinished: the run is
+    /// deadlocked (see "Deadlock").
+    fn park(&self) -> bool {
+        let last = self.sleepers.fetch_add(1, Ordering::SeqCst) + 1 == self.queues.len();
         let mut g = self.idle_lock.lock();
-        if !self.shutdown.load(Ordering::Acquire) && !self.has_work() {
+        let idle = !self.shutdown.load(Ordering::Acquire) && !self.has_work();
+        let deadlocked = idle && last && self.live.load(Ordering::Acquire) > 0;
+        if idle && !deadlocked {
             let expired = self.idle_cv.wait_for(&mut g, Duration::from_millis(50)).timed_out();
             if cfg!(debug_assertions) && expired && self.has_work() {
                 debug_counters::bump(&debug_counters::BACKSTOP_FOUND_WORK);
@@ -155,6 +177,7 @@ impl Pool {
         }
         drop(g);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        deadlocked
     }
 
     /// Last processor finished (or a worker is unwinding): release every
@@ -166,15 +189,18 @@ impl Pool {
     }
 }
 
-/// One worker: resume runnable processors until shutdown.
-fn worker_loop(pool: &Pool, parkers: &Parkers, coros: &[Mutex<Option<Coro>>], widx: usize) {
+/// One worker: resume runnable processors until shutdown, and declare
+/// the run deadlocked when it is (see "Deadlock").
+fn worker_loop(pool: &Pool, world: &World, start: Instant, coros: &[Mutex<Option<Coro>>], widx: usize) {
     CURRENT_WORKER.set(widx);
     loop {
         if pool.shutdown.load(Ordering::Acquire) {
             return;
         }
         let Some(p) = pool.find_work(widx) else {
-            pool.park();
+            if pool.park() {
+                stall::declare(world, start);
+            }
             continue;
         };
         let mut coro = coros[p].lock().take().expect("runnable processor has no coroutine");
@@ -199,7 +225,7 @@ fn worker_loop(pool: &Pool, parkers: &Parkers, coros: &[Mutex<Option<Coro>>], wi
                 // to its slot *before* publishing BLOCKED, so a waker that
                 // observes BLOCKED can immediately hand it to any worker.
                 *coros[p].lock() = Some(coro);
-                if !parkers.commit_park(p) {
+                if !world.parkers.commit_park(p) {
                     // A wake raced the park: keep the processor runnable
                     // on this worker.
                     pool.enqueue(p);
@@ -260,7 +286,7 @@ where
                     }
                 }
                 let _guard = ShutdownOnPanic(&pool);
-                worker_loop(&pool, &world.parkers, coros, w);
+                worker_loop(&pool, world, start, coros, w);
             });
         }
     });

@@ -5,7 +5,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::clock::{self, CoarseClock};
+use crate::clock;
 use crate::coro::Yielder;
 use crate::counters::{ProcTotals, PromoteStats};
 use crate::ctx::{ProcCtx, World};
@@ -15,7 +15,6 @@ use crate::mailbox::Mailbox;
 use crate::model::MachineModel;
 use crate::parker::Parkers;
 use crate::pool::{self, Pool};
-use crate::stall::StallWatch;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// How simulated processors are mapped onto OS threads: each one is a
@@ -94,11 +93,14 @@ pub struct Machine {
     pub nprocs: usize,
     /// The cost model that drives every processor's virtual clock.
     pub model: MachineModel,
-    /// Deadlock watchdog: a blocked receive panics after this long
-    /// (`FX_RECV_TIMEOUT_MS`; default 60 s). Parked receives are checked
-    /// once per watchdog period (an eighth of this, within 5–250 ms):
-    /// never earlier than configured, up to two periods later.
-    pub recv_timeout: Duration,
+    /// How long a promotable loop's board spin may wait for a peer
+    /// before it panics with what it waited for (default 60 s;
+    /// [`Machine::with_timeout`]). The spin keeps its processor runnable,
+    /// so it is the one wait a deadlock cannot be seen in; a receive
+    /// needs no timeout, since a run that can never progress is diagnosed
+    /// at once. Never early; a steady spin expires within about twice
+    /// this ([`crate::SpinDeadline`]).
+    pub spin_timeout: Duration,
     /// Retain duration events in the processors' logs (see
     /// [`crate::Log`]). Host-side only: enabling it never changes virtual
     /// times.
@@ -156,12 +158,11 @@ impl Machine {
             "0" | "false" => Some(false),
             _ => on_off(s),
         });
-        let timeout_ms = env::read("FX_RECV_TIMEOUT_MS", |s| s.parse().ok());
         let stack_kb = env::read("FX_STACK_KB", |s| s.parse::<usize>().ok());
         Machine {
             nprocs,
             model,
-            recv_timeout: timeout_ms.map_or(Duration::from_secs(60), Duration::from_millis),
+            spin_timeout: Duration::from_secs(60),
             profile: false,
             telemetry: None,
             executor: Executor::Pooled { workers },
@@ -173,9 +174,9 @@ impl Machine {
         }
     }
 
-    /// Override the deadlock watchdog timeout.
+    /// Override the board spin's timeout ([`Machine::spin_timeout`]).
     pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.recv_timeout = t;
+        self.spin_timeout = t;
         self
     }
 
@@ -472,21 +473,21 @@ fn compared(log: &Log, spans: bool, traced: bool) -> Vec<(Event, Arc<Label>)> {
 /// with its own [`ProcCtx`], once. Returns when all processors finish.
 ///
 /// If any processor panics, all others are unblocked (their receives
-/// poison) and the original panic is propagated.
+/// poison) and the original panic is propagated. If the run deadlocks,
+/// it panics at once with the diagnosis of [`crate::StallReport`].
 pub fn run<R, F>(machine: &Machine, f: F) -> RunReport<R>
 where
     R: Send,
     F: Fn(&mut ProcCtx) -> R + Send + Sync,
 {
     assert!(machine.nprocs >= 1, "machine needs at least one processor");
-    let coarse = Arc::new(CoarseClock::new());
     let Executor::Pooled { workers } = machine.executor;
     let workers = match workers {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         w => w,
     };
     let pool = Pool::new(machine.nprocs, workers.clamp(1, machine.nprocs));
-    let parkers = Parkers::new(machine.nprocs, Arc::clone(&pool), machine.recv_timeout, Arc::clone(&coarse));
+    let parkers = Parkers::new(machine.nprocs, Arc::clone(&pool));
     let telemetry = machine.telemetry.clone();
     let world = Arc::new(World {
         nprocs: machine.nprocs,
@@ -494,7 +495,8 @@ where
         mailboxes: (0..machine.nprocs)
             .map(|rank| Mailbox::new(machine.nprocs, rank, Arc::clone(&parkers)))
             .collect(),
-        parkers: Arc::clone(&parkers),
+        parkers,
+        spin_timeout: machine.spin_timeout,
         counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         labels: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         returned: (0..machine.nprocs).map(|_| Default::default()).collect(),
@@ -510,22 +512,7 @@ where
     if let Some(t) = &telemetry {
         t.begin_run(&world);
     }
-    // The run's one service thread: its tick
-    // advances the coarse clock, expires parked receives and, for a
-    // registry that asks, reports stalled ones. It lives exactly as long
-    // as the execution: the guard stops and joins it on drop, even when a
-    // propagated panic unwinds past us.
-    let period = clock::tick_period(machine.recv_timeout);
-    let mut stalls = StallWatch::new(&world, period);
-    let ticker = clock::spawn_ticker("fx-tick", coarse, period, move |now, slack| match &mut stalls {
-        Some(watch) => watch.tick(now, slack),
-        None => parkers.expire_parked(now, slack, |_, _| ()),
-    });
-
     let raw = pool::execute(&pool, &world, machine.stack_bytes, start, &f);
-
-    // Tear down the tick before (possibly) re-raising a panic.
-    drop(ticker);
 
     // Prefer reporting the root-cause panic over the poison-induced
     // secondary ones, scanning in rank order.

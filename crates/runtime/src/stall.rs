@@ -1,62 +1,52 @@
-//! The stall detector: the run's watchdog tick, read early.
+//! The deadlock diagnosis: who waits on whom, and what is queued.
 //!
-//! The deadlock watchdog ([`crate::parker`]) only fires after the full
-//! receive timeout (default 60 s) and kills the run; the stall detector
-//! is its early-warning view of the same pass. When the attached registry
-//! asks for it ([`crate::TelemetryConfig::stall`]), the tick's one scan of
-//! the park stamps also collects every processor parked for
-//! [`STALL_TICKS`] watchdog periods — 1 s at the default timeout — under
-//! the watchdog's rule: never early, at most two periods late. Each is
-//! reported with the `(src, tag)` it waits on, read from the registration
-//! its mailbox lane holds, whether that source is itself stalled (a
-//! cycle — the classic mismatched-exchange deadlock), and the queue-depth
-//! snapshot of its mailbox showing what *did* arrive. An unchanged set of
-//! stalls is reported once.
+//! When the pool finds the run deadlocked (`pool.rs`, "Deadlock"), every
+//! unfinished processor is parked in a receive and nothing runs, so the
+//! mailboxes hold a still picture of the run: each parked receive's wait
+//! edge, the registration its lane keeps ([`Mailbox::waiting`]), and
+//! each mailbox's queued messages with their virtual arrivals
+//! ([`Mailbox::depth_snapshot`]). [`declare`] reads it once into one text:
 //!
-//! Reports land in the [`crate::Telemetry`] handle, so they are readable
-//! while the run executes ([`crate::Telemetry::stall_reports`]) and
-//! survive a run that dies to the watchdog panic.
+//! * every wait edge, ascending by processor, and whether the awaited
+//!   source has finished (at a deadlock, a processor with no wait edge
+//!   has returned);
+//! * every cycle of wait edges, named by its members — the classic
+//!   mismatched-exchange deadlock;
+//! * what is queued in each mailbox that holds anything.
 //!
-//! All diagnostics here are keyed by **processor id**, never by thread
-//! identity: park stamps, wait registrations and queue snapshots live in
-//! per-processor slots and mailboxes indexed by rank. That is what keeps
-//! who-blocks-on-whom dumps correct when many processors share (and migrate between) a few worker threads and
-//! a thread id means nothing.
+//! Nothing in it is a host time or a thread: it is keyed by processor id
+//! and made of the program's messages, so the text is the same on every
+//! worker count. The first processor the declaration releases panics with
+//! it, and when the attached registry asks ([`crate::TelemetryConfig::stall`])
+//! the registry keeps it as a [`StallReport`], readable after the run
+//! died ([`crate::Telemetry::stall_reports`]).
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crate::clock::ns_since;
 use crate::ctx::World;
-use crate::telemetry::Telemetry;
+use crate::mailbox::Mailbox;
 
-/// A park this many watchdog periods old is a stall.
-const STALL_TICKS: u32 = 4;
-
-/// One processor flagged by the stall detector.
+/// One processor parked in a deadlocked run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StalledProc {
-    /// Physical rank of the stalled processor.
+    /// Physical rank of the parked processor.
     pub proc: usize,
     /// Source rank it is blocked receiving from.
     pub src: usize,
     /// Tag of the blocking receive.
     pub tag: u64,
-    /// How long the processor has been parked (its coarse park stamp's
-    /// age: at most one watchdog period more than the true wait).
-    pub stalled_for: Duration,
 }
 
-/// A stall-detector diagnosis: which processors are blocked, on whom, and
-/// what is actually queued in their mailboxes.
+/// A deadlock diagnosis: which processors are blocked, on whom, and what
+/// is actually queued in their mailboxes.
 #[derive(Debug, Clone)]
 pub struct StallReport {
-    /// Wall-clock time since run start when the report was emitted.
+    /// Host time since run start when the deadlock was declared.
     pub at: Duration,
-    /// The stalled processors, ascending by rank.
+    /// The parked processors, ascending by rank.
     pub stalled: Vec<StalledProc>,
-    /// Human-readable diagnosis (who is blocked on whom by `(src, tag)`,
-    /// cycles called out, per-mailbox queue depths with oldest-message
-    /// ages).
+    /// The diagnosis the run panics with (see the module docs).
     pub diagnosis: String,
 }
 
@@ -66,81 +56,90 @@ impl std::fmt::Display for StallReport {
     }
 }
 
-/// The stall detector of one run, owned by its tick.
-pub(crate) struct StallWatch {
-    world: Arc<World>,
-    telemetry: Arc<Telemetry>,
-    /// Park age, in coarse-clock nanoseconds, that makes a stall.
-    window: u64,
-    /// The `(proc, src, tag)` set last reported, to avoid re-reporting an
-    /// unchanged stall every tick.
-    reported: Vec<(usize, usize, u64)>,
+/// Declare `world`'s run deadlocked (the pool saw it so): build the
+/// diagnosis, hand it to a registry that asks for it, and release every
+/// parked processor to raise it.
+pub(crate) fn declare(world: &World, start: Instant) {
+    let (stalled, diagnosis) = diagnose(world);
+    if let Some(t) = world.telemetry.as_ref().filter(|t| t.config().stall) {
+        let at = Duration::from_nanos(ns_since(start));
+        t.push_stall_report(StallReport { at, stalled, diagnosis: diagnosis.clone() });
+    }
+    world.parkers.declare_deadlock(diagnosis);
 }
 
-impl StallWatch {
-    /// The detector for `world`'s run, ticking every `period`; `None`
-    /// unless its registry asks for one.
-    pub fn new(world: &Arc<World>, period: Duration) -> Option<StallWatch> {
-        let telemetry = world.telemetry.as_ref().filter(|t| t.config().stall)?;
-        Some(StallWatch {
-            world: Arc::clone(world),
-            telemetry: Arc::clone(telemetry),
-            window: u64::try_from((period * STALL_TICKS).as_nanos()).unwrap_or(u64::MAX),
-            reported: Vec::new(),
-        })
-    }
-
-    /// One tick (see [`crate::clock::spawn_ticker`] for `now` and `slack`):
-    /// the watchdog's scan, and a report of the parks it leaves in place
-    /// that are older than the window.
-    pub fn tick(&mut self, now: u64, slack: u64) {
-        let (world, lim) = (&self.world, self.window.saturating_add(slack));
-        let mut stalled = Vec::new();
-        world.parkers.expire_parked(now, slack, |proc, age| {
-            // A processor woken since the stamp was read has no
-            // registration left: not a stall.
-            let edge = if age >= lim { world.mailboxes[proc].waiting() } else { None };
-            if let Some((src, tag)) = edge {
-                stalled.push(StalledProc { proc, src, tag, stalled_for: Duration::from_nanos(age) });
-            }
-        });
-        let key: Vec<(usize, usize, u64)> = stalled.iter().map(|s| (s.proc, s.src, s.tag)).collect();
-        if key == self.reported {
-            return;
+/// The parked processors and the diagnosis text of a deadlocked run.
+fn diagnose(world: &World) -> (Vec<StalledProc>, String) {
+    let edges: Vec<Option<(usize, u64)>> = world.mailboxes.iter().map(Mailbox::waiting).collect();
+    let mut out = String::from("deadlock: every unfinished processor waits in a receive that no processor can satisfy");
+    let mut stalled = Vec::new();
+    for (proc, &(src, tag)) in edges.iter().enumerate().filter_map(|(p, e)| Some((p, e.as_ref()?))) {
+        out.push_str(&format!("\nprocessor {proc} waits in recv(src={src}, tag={tag:#x})"));
+        if edges[src].is_none() {
+            out.push_str(&format!(" — processor {src} has finished"));
         }
-        self.reported = key;
-        if !stalled.is_empty() {
-            let diagnosis = diagnose(&stalled, world, now);
-            self.telemetry.push_stall_report(StallReport { at: Duration::from_nanos(now), stalled, diagnosis });
+        stalled.push(StalledProc { proc, src, tag });
+    }
+    for cycle in cycles(&edges) {
+        let members: Vec<String> = cycle.iter().chain(&cycle[..1]).map(usize::to_string).collect();
+        out.push_str(&format!("\nwait cycle: {}", members.join(" → ")));
+    }
+    let mut queued = false;
+    for (proc, mb) in world.mailboxes.iter().enumerate() {
+        let depths = mb.depth_snapshot();
+        if !depths.is_empty() {
+            out.push_str(&format!("\nqueued for processor {proc}: {depths:?}"));
+            queued = true;
         }
     }
+    if !queued {
+        out.push_str("\nnothing is queued");
+    }
+    (stalled, out)
 }
 
-/// Build the who-is-blocked-on-whom story, reusing the watchdog's
-/// queue-depth snapshot for the "what actually arrived" half.
-fn diagnose(stalled: &[StalledProc], world: &World, now: u64) -> String {
-    let mut out = String::new();
-    for (i, s) in stalled.iter().enumerate() {
-        if i > 0 {
-            out.push_str("; ");
+/// The cycles of the wait graph (each processor waits on at most one
+/// source), each listed from its lowest rank in wait order, ascending by
+/// that rank.
+fn cycles(edges: &[Option<(usize, u64)>]) -> Vec<Vec<usize>> {
+    const NEW: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const DONE: u8 = 2;
+    let mut mark = vec![NEW; edges.len()];
+    let mut found = Vec::new();
+    for first in 0..edges.len() {
+        let (mut path, mut p) = (Vec::new(), first);
+        while mark[p] == NEW {
+            let Some((src, _)) = edges[p] else { break };
+            mark[p] = ON_PATH;
+            path.push(p);
+            p = src;
         }
-        out.push_str(&format!(
-            "processor {} parked for {:.1?} in recv(src={}, tag={:#x})",
-            s.proc, s.stalled_for, s.src, s.tag
-        ));
-        if let Some(peer) = stalled.iter().find(|o| o.proc == s.src) {
-            out.push_str(&format!(
-                " — its source {} is itself parked in recv(src={}, tag={:#x})",
-                peer.proc, peer.src, peer.tag
-            ));
-            if peer.src == s.proc {
-                out.push_str(" [cycle]");
-            }
+        if mark[p] == ON_PATH {
+            let mut cycle = path[path.iter().position(|&q| q == p).expect("on the path")..].to_vec();
+            let lowest = cycle.iter().enumerate().min_by_key(|&(_, &q)| q).map_or(0, |(i, _)| i);
+            cycle.rotate_left(lowest);
+            found.push(cycle);
         }
+        path.iter().for_each(|&q| mark[q] = DONE);
     }
-    for s in stalled {
-        let depths = world.mailboxes[s.proc].depth_snapshot(now);
-        out.push_str(&format!("; queued for processor {}: {:?}", s.proc, depths));
+    found.sort_unstable();
+    found
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn edges(waits: &[Option<usize>]) -> Vec<Option<(usize, u64)>> {
+        waits.iter().map(|w| w.map(|src| (src, 0))).collect()
     }
-    out
+
+    #[test]
+    fn cycles_are_found_once_from_their_lowest_rank() {
+        // 0 → 3 → 1 → 0, 2 → 2, 4 → 0 (into a cycle), 5 → 6, 6 finished.
+        let waits = edges(&[Some(3), Some(0), Some(2), Some(1), Some(0), Some(6), None]);
+        assert_eq!(cycles(&waits), [vec![0, 3, 1], vec![2]]);
+        assert!(cycles(&edges(&[None, Some(0)])).is_empty(), "a wait on a finished processor is no cycle");
+    }
 }

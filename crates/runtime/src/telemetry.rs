@@ -9,9 +9,9 @@
 //! registry), and it reads them with relaxed loads, live or after the
 //! run, even one that ended in a panic. The processors' label tables
 //! ([`crate::Labels`]) are handed over the same way, so a flight dump
-//! resolves its labels post mortem. Queue depths, oldest-message ages and
-//! the chunk-bytes-in-flight gauge are read from the live mailboxes, and
-//! stall reports come from the run's watchdog tick ([`crate::stall`]).
+//! resolves its labels post mortem. Queue depths and the
+//! chunk-bytes-in-flight gauge are read from the live mailboxes, and a
+//! stall report is the diagnosis of a deadlocked run ([`crate::stall`]).
 //! What the registry adds per processor is the [`ProcShard`] of things
 //! only an observer wants: two log-bucketed histograms and the
 //! flight-recorder ring. Shards are single-writer like the blocks, so the
@@ -19,9 +19,9 @@
 //! a lock.
 //!
 //! Reading is always safe concurrently with a run. A reader takes one
-//! [`TelemetrySnapshot`] — relaxed loads of the same atomics, and at most
-//! one host-clock read to age the queued messages against — and both
-//! exporters render that snapshot.
+//! [`TelemetrySnapshot`] — relaxed loads of the same atomics and the
+//! mailboxes' depths, no host-clock read — and both exporters render
+//! that snapshot.
 //!
 //! Telemetry never touches the virtual clock. Simulated times are
 //! bit-identical with telemetry on, off, or absent; the only cost of
@@ -32,7 +32,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -160,9 +159,8 @@ pub(crate) struct ProcShard {
 /// Tuning knobs for a [`Telemetry`] handle.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Report receives parked for four watchdog periods — 1 s at the
-    /// default recv timeout — as stalls ([`crate::StallReport`]), from the
-    /// run's watchdog tick.
+    /// Keep a deadlocked run's diagnosis as a [`crate::StallReport`]
+    /// ([`Telemetry::stall_reports`]) besides the panic that carries it.
     pub stall: bool,
     /// How many slowest-request exemplar traces the serving layer retains
     /// ([`Telemetry::exemplar_trace`]); 0 disables retention.
@@ -337,15 +335,15 @@ impl Telemetry {
 
     pub(crate) fn push_stall_report(&self, report: StallReport) {
         let mut reports = self.stall_reports.lock();
-        // Bounded: a long-lived stall re-reported forever must not grow
-        // without limit.
+        // Bounded: a program that catches its deadlock panics and
+        // deadlocks again, forever, must not grow this without limit.
         if reports.len() < 256 {
             reports.push(report);
         }
     }
 
-    /// Stall-detector reports accumulated during the current/last run,
-    /// oldest first. Readable even after a run that ended in a panic.
+    /// The deadlock diagnoses of the current/last run, oldest first.
+    /// Readable after the run ended in the deadlock's panic.
     pub fn stall_reports(&self) -> Vec<StallReport> {
         self.stall_reports.lock().clone()
     }
@@ -416,9 +414,8 @@ impl Telemetry {
     // ----- snapshots ------------------------------------------------------
 
     /// A consistent-enough point-in-time copy of everything the exporters
-    /// print (relaxed reads; exact once the run has finished). Reads the
-    /// host clock once while the run's world is alive, to age the queued
-    /// messages, and not at all after it.
+    /// print (relaxed reads; exact once the run has finished). Reads no
+    /// host clock.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let (counters, labels, shards, world, tenants) = {
             let inner = self.inner.lock();
@@ -430,10 +427,7 @@ impl Telemetry {
             *regions.entry(label.path().to_string()).or_insert(0) += n;
         }
         let queues: Vec<DepthSnapshot> = match &world {
-            Some(w) => {
-                let now = w.parkers.clock.refresh();
-                w.mailboxes.iter().map(|mb| mb.depth_snapshot(now)).collect()
-            }
+            Some(w) => w.mailboxes.iter().map(|mb| mb.depth_snapshot()).collect(),
             None => vec![Vec::new(); counters.len()],
         };
         let merged = |pick: fn(&ProcShard) -> &Histogram| {
@@ -445,7 +439,6 @@ impl Telemetry {
             per_proc: counters.iter().map(|c| c.row()).collect(),
             regions: regions.into_iter().collect(),
             queue_depth: queues.iter().map(|q| q.iter().map(|d| d.count).sum()).collect(),
-            oldest_queued: queues.iter().map(|q| q.iter().map(|d| d.oldest_wait).max().unwrap_or_default()).collect(),
             chunk_bytes_in_flight: queues.iter().flatten().map(|d| d.chunk_bytes).sum(),
             msg_size_bytes: merged(|s| &s.msg_bytes_hist),
             recv_wait_ns: merged(|s| &s.recv_wait_hist),
@@ -483,8 +476,6 @@ pub struct TelemetrySnapshot {
     /// Messages queued in each processor's mailbox (0 once the run's
     /// world is gone).
     pub queue_depth: Vec<usize>,
-    /// Age of the oldest message queued in each processor's mailbox.
-    pub oldest_queued: Vec<Duration>,
     /// Chunk payload bytes deposited but not yet received (0 after a
     /// clean run).
     pub chunk_bytes_in_flight: u64,
@@ -493,7 +484,7 @@ pub struct TelemetrySnapshot {
     /// Wait durations of the receives that parked, in nanoseconds, all
     /// processors merged.
     pub recv_wait_ns: HistogramSnapshot,
-    /// Number of stall reports the detector emitted.
+    /// Number of deadlock diagnoses kept ([`Telemetry::stall_reports`]).
     pub stall_report_count: usize,
     /// Per-tenant serving accounting (empty outside serving sessions).
     pub tenants: Vec<TenantTotals>,
@@ -538,11 +529,6 @@ impl TelemetrySnapshot {
         out.push_str("# HELP fx_queue_depth Messages queued in each processor's mailbox.\n");
         for (p, depth) in self.queue_depth.iter().enumerate() {
             out.push_str(&format!("fx_queue_depth{{proc=\"{p}\"}} {depth}\n"));
-        }
-        out.push_str("# TYPE fx_oldest_queued_seconds gauge\n");
-        out.push_str("# HELP fx_oldest_queued_seconds Age of the oldest message queued in each mailbox.\n");
-        for (p, oldest) in self.oldest_queued.iter().enumerate() {
-            out.push_str(&format!("fx_oldest_queued_seconds{{proc=\"{p}\"}} {:.6}\n", oldest.as_secs_f64()));
         }
 
         for (name, help, h) in [

@@ -28,8 +28,8 @@
 //! identical decisions without a coordinator or a message beyond the
 //! agreement — and the whole serve run is bit-identical across worker
 //! counts and hosts, like every other Fx program.
-//! Nobody is parked in a receive across a gap, so the deadlock watchdog
-//! needs no exemption for a quiet server.
+//! Nobody is parked in a receive across a gap, so a quiet server is
+//! never a deadlock.
 //!
 //! What a run knows about its tenants is one fold over the trace, the
 //! shed list and the completions ([`ServeReport::tenants`]). A telemetry registry

@@ -1,4 +1,4 @@
-//! The six `FX_*` knobs, one table: every accepted spelling resolves
+//! The five `FX_*` knobs, one table: every accepted spelling resolves
 //! to its value, every malformed value panics naming the variable, and an
 //! explicit `with_*` still wins. The environment is process-wide, so this
 //! is one test in a binary of its own.
@@ -18,7 +18,6 @@ fn resolved(knob: &Knob) -> String {
         "FX_DATAFLOW" => format!("{:?}", m.dataflow),
         "FX_HEARTBEAT" => format!("{:?}", m.heartbeat),
         "FX_TRACE" => format!("{:?}", m.tracing),
-        "FX_RECV_TIMEOUT_MS" => format!("{:?}", m.recv_timeout),
         // Not a public field: read it off the machine's `Debug`.
         "FX_STACK_KB" => {
             let dbg = format!("{m:?}");
@@ -35,7 +34,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
     // knob has one default: workers auto (one per host CPU) and the
     // heartbeat on, for every machine.
     type Row = (&'static str, &'static str, &'static [(&'static str, &'static str)], &'static [&'static str]);
-    let table: [Row; 6] = [
+    let table: [Row; 5] = [
         (
             "FX_WORKERS",
             "Pooled { workers: 0 }",
@@ -50,7 +49,6 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
             &[("1", "true"), ("on", "true"), ("true", "true"), ("0", "false"), ("off", "false"), ("false", "false")],
             &["yes", "2", "ON"],
         ),
-        ("FX_RECV_TIMEOUT_MS", "60s", &[("150", "150ms"), ("2000", "2s")], &["1s", "-5", "1.5"]),
         ("FX_STACK_KB", "1048576", &[("1", "65536"), ("64", "65536"), ("256", "262144")], &["1M", "-1", ""]),
     ];
     assert_eq!(table.map(|row| row.0), env::KNOBS.map(|k| k.name), "one row per knob of the table");
@@ -77,11 +75,12 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
 
     // An explicit `with_*` wins over the environment.
     let set = [("FX_WORKERS", "3"), ("FX_DATAFLOW", "off"), ("FX_HEARTBEAT", "off")];
-    for (name, value) in set.into_iter().chain([("FX_TRACE", "0"), ("FX_RECV_TIMEOUT_MS", "150")]) {
+    for (name, value) in set.into_iter().chain([("FX_TRACE", "0")]) {
         std::env::set_var(name, value);
     }
     let m = Machine::simulated(2, MachineModel::paragon());
     assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::Pooled { workers: 3 }, DataflowMode::Off, false));
+    assert_eq!(m.spin_timeout, Duration::from_secs(60), "the spin timeout has no knob");
     let m = m
         .with_executor(Executor::pooled())
         .with_dataflow(DataflowMode::On)
@@ -90,7 +89,7 @@ fn every_knob_resolves_its_spellings_and_rejects_the_rest() {
         .with_tracing(true)
         .with_timeout(Duration::from_secs(9));
     assert_eq!((m.executor, m.dataflow, m.heartbeat), (Executor::pooled(), DataflowMode::On, true));
-    assert_eq!((m.heartbeat_period, m.tracing, m.recv_timeout), (2e-3, true, Duration::from_secs(9)));
+    assert_eq!((m.heartbeat_period, m.tracing, m.spin_timeout), (2e-3, true, Duration::from_secs(9)));
     for k in &env::KNOBS {
         std::env::remove_var(k.name);
     }

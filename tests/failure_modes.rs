@@ -20,14 +20,16 @@ fn worker_counts() -> [fx::runtime::Executor; 3] {
     [Executor::Pooled { workers: 1 }, Executor::Pooled { workers: 2 }, Executor::Pooled { workers: 4096 }]
 }
 
-/// A receive with no matching send trips the deadlock watchdog with a
-/// diagnostic, instead of hanging forever — also when the receiver is a
-/// suspended coroutine and the only worker thread must run the
-/// watchdog's victim again for its post-wake recheck.
+/// A receive with no matching send is a deadlock, diagnosed the moment
+/// the run can make no progress instead of hanging forever — also when
+/// the receiver is a suspended coroutine and the only worker thread must
+/// run it again to raise the diagnosis. The text names the wait edge and
+/// the awaited processor that has returned, and reads the same on every
+/// worker count.
 #[test]
 fn deadlock_watchdog_fires() {
     for executor in worker_counts() {
-        let machine = Machine::simulated(2, MachineModel::paragon()).with_timeout(Duration::from_millis(200)).with_executor(executor);
+        let machine = Machine::simulated(2, MachineModel::paragon()).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| {
                 if cx.rank() == 0 {
@@ -36,13 +38,77 @@ fn deadlock_watchdog_fires() {
             })
         }))
         .expect_err("deadlock must panic");
-        let msg = panic_message(err);
-        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
-        // The root-cause diagnostic carries the wait edge when it wins the
-        // propagation race.
-        if msg.contains("timed out") {
-            assert!(msg.contains("recv(src=1, tag=0x2a)"), "{executor:?}: got: {msg}");
+        assert_eq!(
+            panic_message(err),
+            "deadlock: every unfinished processor waits in a receive that no processor can satisfy\n\
+             processor 0 waits in recv(src=1, tag=0x2a) — processor 1 has finished\n\
+             nothing is queued",
+            "{executor:?}"
+        );
+    }
+}
+
+/// A receive whose sender is slow on the host is no deadlock, however
+/// short the machine's timeout: processor 0 computes for 400 ms of host
+/// time before it sends, on two workers, under a 100 ms timeout.
+#[test]
+fn a_slow_sender_is_no_deadlock() {
+    use fx::runtime::Executor;
+
+    let machine = Machine::simulated(2, MachineModel::paragon())
+        .with_executor(Executor::Pooled { workers: 2 })
+        .with_timeout(Duration::from_millis(100));
+    let rep = fx::runtime::run(&machine, |cx: &mut ProcCtx| {
+        if cx.rank() == 0 {
+            std::thread::sleep(Duration::from_millis(400));
+            cx.send(1, 7, 42u64);
+            0
+        } else {
+            cx.recv::<u64>(0, 7)
         }
+    });
+    assert_eq!(rep.results, [0, 42]);
+}
+
+/// A promotable loop's board spin keeps its processor runnable, so a
+/// member that never enters the loop is no deadlock the pool can see:
+/// the spin's own deadline ends it, with its wedge text, never before
+/// the machine's timeout and within twice it (plus what the host
+/// scheduler adds).
+#[test]
+fn a_wedged_board_spin_panics_after_its_timeout() {
+    use std::sync::Mutex;
+    use std::time::Instant;
+
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    for executor in worker_counts() {
+        let machine = Machine::simulated(2, MachineModel::paragon())
+            .with_heartbeat(true)
+            .with_timeout(TIMEOUT)
+            .with_executor(executor);
+        let wedged: Mutex<Option<Duration>> = Mutex::new(None);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            spmd(&machine, |cx| {
+                if cx.id() == 1 {
+                    let _: u8 = cx.recv_v(0, 99); // never enters the loop
+                    return;
+                }
+                let t0 = Instant::now();
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    cx.pdo_promote("wedged", 0..4, |_cx, i| vec![i as u64], |_cx, _i, ins| ins.to_vec(), |_cx, _i, _: Vec<u64>| {});
+                }))
+                .expect_err("a member never enters the loop");
+                *wedged.lock().unwrap() = Some(t0.elapsed());
+                std::panic::resume_unwind(err);
+            })
+        }))
+        .expect_err("the wedged spin must panic");
+        let msg = panic_message(err);
+        assert_eq!(msg, "promotable loop 'wedged': processor 0 wedged in the victim loop (no grant, no completion)", "{executor:?}");
+        let waited = wedged.into_inner().unwrap().expect("processor 0 spun");
+        eprintln!("{executor:?}: a {TIMEOUT:?} spin timeout fired after {waited:?}");
+        assert!(waited >= TIMEOUT, "{executor:?}: the spin gave up after {waited:?}, before {TIMEOUT:?}");
+        assert!(waited < 2 * TIMEOUT + Duration::from_millis(250), "{executor:?}: the spin gave up only after {waited:?}");
     }
 }
 
@@ -215,25 +281,21 @@ fn darray_misuse_panics() {
     assert!(panic_message(err).contains("collective over the array's group"));
 }
 
-/// The stall detector names who is blocked on whom: in a deadlocked
+/// The deadlock diagnosis names who is blocked on whom: in a deadlocked
 /// two-processor exchange (each waiting on a message the other never
-/// sends), the watchdog tick reports both parks once they are four
-/// periods old (1 s under a 2 s timeout: never earlier, and before the
-/// watchdog kills the run), with both processors' `(src, tag)` wait
-/// edges. The diagnosis is keyed by processor id, so it names the same
-/// edges when both processors are coroutines sharing one worker thread.
+/// sends) it names both processors' `(src, tag)` wait edges and the
+/// cycle they close, and the registry's report is the panic's text. The
+/// diagnosis is keyed by processor id, so it is the same when both
+/// processors are coroutines sharing one worker thread.
 #[test]
 fn stall_detector_diagnoses_deadlocked_exchange() {
     use fx::runtime::Telemetry;
     use std::sync::Arc;
 
-    const TIMEOUT: Duration = Duration::from_secs(2);
     for executor in worker_counts() {
         let telemetry = Arc::new(Telemetry::new());
-        let machine = Machine::simulated(2, MachineModel::paragon())
-            .with_timeout(TIMEOUT)
-            .with_executor(executor)
-            .with_telemetry(Arc::clone(&telemetry));
+        let machine =
+            Machine::simulated(2, MachineModel::paragon()).with_executor(executor).with_telemetry(Arc::clone(&telemetry));
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| {
                 if cx.rank() == 0 {
@@ -243,26 +305,22 @@ fn stall_detector_diagnoses_deadlocked_exchange() {
                 }
             })
         }))
-        .expect_err("the deadlock watchdog must eventually kill the run");
+        .expect_err("the deadlock must panic");
         let msg = panic_message(err);
-        assert!(msg.contains("timed out") || msg.contains("another processor panicked"), "{executor:?}: got: {msg}");
-
+        assert_eq!(
+            msg,
+            "deadlock: every unfinished processor waits in a receive that no processor can satisfy\n\
+             processor 0 waits in recv(src=1, tag=0x7)\n\
+             processor 1 waits in recv(src=0, tag=0x9)\n\
+             wait cycle: 0 → 1 → 0\n\
+             nothing is queued",
+            "{executor:?}"
+        );
         let reports = telemetry.stall_reports();
-        assert!(!reports.is_empty(), "{executor:?}: stall detector fired before the watchdog");
-        let first = reports[0].at;
-        let four_periods = Duration::from_secs(1); // a period is TIMEOUT / 8
-        assert!(first >= four_periods, "{executor:?}: a park was reported after {first:?}, before four periods");
-        assert!(first < TIMEOUT, "{executor:?}: the first report came at {first:?}, not before the watchdog");
-        let all: String = reports.iter().map(|r| r.to_string()).collect();
-        assert!(
-            all.contains("recv(src=1, tag=0x7)"),
-            "{executor:?}: report must name processor 0's wait edge, got:\n{all}"
-        );
-        assert!(
-            all.contains("recv(src=0, tag=0x9)"),
-            "{executor:?}: report must name processor 1's wait edge, got:\n{all}"
-        );
-        assert!(all.contains("[cycle]"), "{executor:?}: mutual wait must be flagged as a cycle, got:\n{all}");
+        assert_eq!(reports.len(), 1, "{executor:?}: one deadlock, one report");
+        assert_eq!(reports[0].diagnosis, msg, "{executor:?}: the report is the panic's text");
+        let edges: Vec<_> = reports[0].stalled.iter().map(|s| (s.proc, s.src, s.tag)).collect();
+        assert_eq!(edges, [(0, 1, 7), (1, 0, 9)], "{executor:?}");
     }
 }
 
@@ -313,7 +371,7 @@ fn panic_at_p512_tears_down_in_bounded_time_with_the_root_cause() {
 /// A promotable loop whose donated iteration panics on its victim: the
 /// donor waits for results that never come and the other members spin on
 /// the loop's board, and every one of them must leave on the poison flag,
-/// so the run re-raises the victim's own panic long before the recv
+/// so the run re-raises the victim's own panic long before the spin
 /// timeout — never the board's wedge or stuck-frontier message.
 #[test]
 fn panic_in_a_donated_iteration_tears_down_the_promotable_loop() {
@@ -371,16 +429,15 @@ fn panic_in_a_donated_iteration_tears_down_the_promotable_loop() {
 /// Processor 2 blocks in `recv` on processor 1, which never sends it
 /// anything: the lane exists only because of the wait. A panic on
 /// processor 0 must still release it — by poison ("another processor
-/// panicked"), long before the recv timeout would.
+/// panicked"), not by a deadlock declaration: processor 0 runs until it
+/// panics.
 #[test]
 fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
     use std::sync::Mutex;
-    use std::time::Instant;
 
-    const TIMEOUT: Duration = Duration::from_secs(20);
     for executor in worker_counts() {
-        let machine = Machine::simulated(3, MachineModel::paragon()).with_timeout(TIMEOUT).with_executor(executor);
-        let released: Mutex<Option<(String, Duration)>> = Mutex::new(None);
+        let machine = Machine::simulated(3, MachineModel::paragon()).with_executor(executor);
+        let released: Mutex<Option<String>> = Mutex::new(None);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
                 0 => {
@@ -394,13 +451,11 @@ fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
                 }
                 _ => {
                     cx.send(0, 1, 0u8);
-                    let t0 = Instant::now();
                     let err = catch_unwind(AssertUnwindSafe(|| {
                         let _: u64 = cx.recv(1, 42);
                     }))
                     .expect_err("nothing is ever sent on (1, 42)");
-                    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                    *released.lock().unwrap() = Some((msg, t0.elapsed()));
+                    *released.lock().unwrap() = err.downcast_ref::<String>().cloned();
                     std::panic::resume_unwind(err);
                 }
             })
@@ -408,42 +463,34 @@ fn peer_panic_releases_receiver_on_a_lane_nobody_deposited_to() {
         .expect_err("peer panic must propagate");
         let msg = panic_message(err);
         assert!(msg.contains("injected failure"), "{executor:?}: got: {msg}");
-        let (msg, waited) = released.into_inner().unwrap().expect("processor 2 must have been released");
-        assert!(msg.contains("processor 2: aborting recv, another processor panicked"), "{executor:?}: got: {msg}");
-        assert!(waited < TIMEOUT / 2, "{executor:?}: released by the watchdog ({waited:?}), not by poison");
+        let msg = released.into_inner().unwrap().expect("processor 2 must have been released");
+        assert_eq!(msg, "processor 2: aborting recv, another processor panicked", "{executor:?}");
     }
 }
 
-/// `oldest=` of the `(src, tag)` entry of a deadlock dump, in seconds.
-fn oldest_secs(dump: &str, src: usize, tag: u64, n: usize) -> f64 {
-    let key = format!("(src={src}, tag={tag:#x}, n={n}, oldest=");
-    let at = dump.find(&key).unwrap_or_else(|| panic!("dump lacks {key}..): {dump}")) + key.len();
-    let age = &dump[at..at + dump[at..].find(')').expect("closing paren")];
-    let digits = age.trim_end_matches(|c: char| c.is_alphabetic() || c == 'µ');
-    let scale = match &age[digits.len()..] {
-        "s" => 1.0,
-        "ms" => 1e-3,
-        "µs" => 1e-6,
-        "ns" => 1e-9,
-        unit => panic!("unknown duration unit {unit:?} in {age:?}"),
-    };
-    digits.parse::<f64>().expect("duration digits") * scale
-}
-
-/// The same receiver without a panic gets the unchanged deadlock dump.
+/// The same receiver without a panic gets the deadlock diagnosis.
 /// Processor 0 has queued two tags interleaved on one lane; each tag's
-/// depth and age must be those of *its* messages, the age that of its
-/// first-deposited one.
+/// depth and arrival must be those of *its* messages, the arrival that of
+/// its first-deposited one — the virtual arrival the sender computed, so
+/// the text is the same on every worker count.
 #[test]
 fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
-    const GAP: Duration = Duration::from_millis(150);
+    let model = MachineModel::paragon();
+    // Processor 0's clock after each of its 8-byte sends, and when each
+    // of the first two arrives.
+    let sent: Vec<f64> = (1..=2).map(|k| k as f64 * model.send_busy(8)).collect();
+    let (a, b) = (model.arrival(sent[0]), model.arrival(sent[1]));
+    let want = format!(
+        "deadlock: every unfinished processor waits in a receive that no processor can satisfy\n\
+         processor 2 waits in recv(src=1, tag=0x2a) — processor 1 has finished\n\
+         queued for processor 2: [(src=0, tag=0xa, n=2, arrival={a:?}), (src=0, tag=0xb, n=1, arrival={b:?})]"
+    );
     for executor in worker_counts() {
-        let machine = Machine::simulated(3, MachineModel::paragon()).with_timeout(Duration::from_millis(300)).with_executor(executor);
+        let machine = Machine::simulated(3, MachineModel::paragon()).with_executor(executor);
         let err = catch_unwind(AssertUnwindSafe(|| {
             fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
                 0 => {
                     cx.send(2, 0xa, 1u64);
-                    std::thread::sleep(GAP);
                     cx.send(2, 0xb, 2u64);
                     cx.send(2, 0xa, 3u64);
                     cx.send(2, 1, 0u8);
@@ -456,10 +503,6 @@ fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
             })
         }))
         .expect_err("deadlock must panic");
-        let msg = panic_message(err);
-        assert!(msg.contains("processor 2: recv(src=1, tag=0x2a) timed out"), "{executor:?}: got: {msg}");
-        let (a, b) = (oldest_secs(&msg, 0, 0xa, 2), oldest_secs(&msg, 0, 0xb, 1));
-        assert!(b >= 0.25, "{executor:?}: tag 0xb waited a whole timeout, dump says {b}s: {msg}");
-        assert!(a >= b + 0.1, "{executor:?}: tag 0xa is {GAP:?} older than 0xb, dump says {a}s vs {b}s: {msg}");
+        assert_eq!(panic_message(err), want, "{executor:?}");
     }
 }

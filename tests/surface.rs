@@ -337,27 +337,55 @@ fn serve_has_one_ledger() {
     assert_none(spelled(&walk(&["crates/serve/src"]), &["fetch_add"], &[]), "an atomic read-modify-write in fx-serve");
 }
 
-/// One tick per run: the watchdog tick started in `runtime/src/run.rs` is a
-/// run's only service thread, and the stall detector is a view of its pass
-/// over the park stamps. A private wait edge or in-flight gauge in the
-/// registry, or a stall or flight knob, is the parallel bookkeeping coming
-/// back.
-const TICK_GONE: &[&str] =
-    &["fx-stall-detector", "wait_src", "NO_WAIT", "chunk_flight", "stall_window", "stall_sample_every", "flight_capacity"];
+/// No thread but the pool's workers: fx-runtime's non-test code starts
+/// threads in one place, the worker scope in `runtime/src/pool.rs`. A
+/// deadlock is a state the workers see at once and a stall report is its
+/// diagnosis, so a tick, a timer over park stamps or a stall sampler is
+/// a second way to find one. Its names stay gone: the coarse clock and
+/// its tick, the park stamps and their expiry, the receive timeout and
+/// its knob, message ages and the stall window; and, from before, a
+/// private wait edge or in-flight gauge in the registry, or a stall or
+/// flight knob.
+const THREAD_GONE: &[&str] = &[
+    "fx-stall-detector",
+    "wait_src",
+    "NO_WAIT",
+    "chunk_flight",
+    "stall_window",
+    "stall_sample_every",
+    "flight_capacity",
+    "CoarseClock",
+    "spawn_ticker",
+    "TickGuard",
+    "tick_period",
+    "expire_parked",
+    "blocked_at_ns",
+    "take_timed_out",
+    "clear_timeout",
+    "recv_timeout",
+    "FX_RECV_TIMEOUT_MS",
+    "StallWatch",
+    "stalled_for",
+    "enqueued: ",
+    "oldest_wait",
+    "oldest_queued",
+    "watchdog_deadline",
+    "watchdog_expired",
+];
 
 #[test]
-fn one_tick_per_run() {
-    let mut callers = Vec::new();
-    for (path, text) in &crate_sources() {
-        for line in non_test(text).lines().filter(|l| l.contains("spawn_ticker(") && !l.contains("fn spawn_ticker(")) {
-            callers.push(format!("{path}: {}", line.trim()));
+fn no_thread_but_the_pool_workers() {
+    let mut sites = Vec::new();
+    for (path, text) in walk(&["crates/runtime/src"]) {
+        for line in non_test(&text).lines().filter(|l| l.contains("spawn(") || l.contains("thread::Builder")) {
+            sites.push(format!("{path}: {}", line.trim()));
         }
     }
     assert!(
-        callers.len() == 1 && callers[0].starts_with("crates/runtime/src/run.rs: "),
-        "one non-test `spawn_ticker(` caller, in run.rs: {callers:#?}"
+        sites.len() == 1 && sites[0].starts_with("crates/runtime/src/pool.rs: scope.spawn("),
+        "fx-runtime starts threads only in the pool's worker scope: {sites:#?}"
     );
-    assert_none(spelled(&walk(&["crates", "tests", "examples"]), TICK_GONE, &[]), "a second service thread's bookkeeping");
+    assert_none(spelled(&walk(&["crates", "tests", "examples"]), THREAD_GONE, &[]), "a second way to find a deadlock");
 }
 
 /// One clock on the message path: an observed processor reads the host
@@ -417,7 +445,7 @@ fn no_document_or_source_names_a_removed_api() {
         REMOVED.iter().chain(TAINT_GONE).chain(REAL_TIME_GONE).chain(COMPARATOR_GONE).copied().collect();
     assert_none(spelled(&walk(&TREE), &removed, &[]), "sources name removed APIs");
     let every_rule =
-        [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, TICK_GONE, CLOCK_GONE];
+        [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, THREAD_GONE, CLOCK_GONE];
     let names: Vec<&str> = removed.iter().chain(every_rule.iter().copied().flatten()).copied().collect();
     assert_none(spelled(&walk(&["DESIGN.md", "README.md"]), &names, &[]), "documents name removed APIs");
 }

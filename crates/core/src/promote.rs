@@ -316,7 +316,8 @@ impl Cx<'_> {
                 return answer;
             }
             if self.runtime().is_poisoned() {
-                panic!("promotable loop '{label}': another processor panicked");
+                // Secondary: unwind without the panic hook (as a poisoned receive does).
+                std::panic::resume_unwind(Box::new(format!("promotable loop '{label}': another processor panicked")));
             }
             if deadline.expired() {
                 panic!("promotable loop '{label}': {}", wedged());

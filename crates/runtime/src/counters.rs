@@ -1,5 +1,4 @@
-//! The per-processor counter store: one declaration, one writer, many
-//! readers.
+//! The per-processor counter row: one declaration, one owner.
 //!
 //! In the paper's machine a processor's state is private, so a fact about
 //! a processor has exactly one owner. Every per-processor counter of the
@@ -7,13 +6,13 @@
 //! below — field name, OpenMetrics family, help text — and everything
 //! else is derived from that table:
 //!
-//! * [`Counters`], the block of relaxed atomics the run's `World` owns for
-//!   every processor, observed or not. Its only writer is the owning
-//!   [`crate::ProcCtx`] (see [`bump`]); anyone may read it at any time.
-//! * [`ProcTotals`], the plain row a [`crate::RunReport`] and a
-//!   [`crate::TelemetrySnapshot`] both hold — the same block read twice,
-//!   so the two are equal by construction — with its `merge`, `Display`
-//!   and JSON object.
+//! * [`ProcTotals`], the plain row of integers. While a processor runs,
+//!   its row is a field of its [`crate::ProcCtx`], the only writer, and a
+//!   count is a `+=` on it. When the processor is done — returned or
+//!   unwinding — the row is handed over once: to the run's report, and to
+//!   an attached registry, so a [`crate::RunReport`]'s `counters` and a
+//!   [`crate::TelemetrySnapshot`]'s `per_proc` are the same rows. Its
+//!   `merge`, `Display` and JSON object are generated too.
 //! * [`ProcTotals::COUNTERS`], the table itself, which the OpenMetrics
 //!   exporter walks to emit one `counter` family per entry.
 //!
@@ -38,23 +37,6 @@
 //!   which holds the time off the worker, counts in no duration, and a
 //!   receive that parks next also cuts at its start, as after a charge.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Single-writer counter increment: a relaxed load+store pair instead of
-/// a locked read-modify-write. Every counter of a [`Counters`] block (and
-/// every per-processor histogram of the registry) is written only by its
-/// owning *processor* — an invariant about the simulated processor, not
-/// about OS-thread identity. The processor may migrate between worker
-/// threads, but only at suspension points, and the scheduler's
-/// run-queue locks establish happens-before between the worker that
-/// wrote last and the worker that resumes next — so writes never race
-/// and the unlocked form stays exact. It is roughly 3× cheaper than
-/// `fetch_add` on x86.
-#[inline]
-pub(crate) fn bump(a: &AtomicU64, v: u64) {
-    a.store(a.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
-}
-
 /// One entry of the counter declaration: what a counter is called in a
 /// [`ProcTotals`] row (and as a JSON key), which OpenMetrics family
 /// exports it, and the family's help text.
@@ -73,29 +55,13 @@ macro_rules! declare_counters {
         /// One processor's counters as plain integers — or, merged, the
         /// machine's. A [`crate::RunReport`] holds one per processor in
         /// `counters` and a [`crate::TelemetrySnapshot`] in `per_proc`;
-        /// both are reads of the same per-processor block, so after a run
+        /// both are the row the processor handed over when it was done, so
         /// they are equal. Generated from the counter declaration in
         /// `counters.rs`, as are `merge`, `Display` and the exporters'
         /// rows.
         #[derive(Debug, Default, Clone, PartialEq, Eq)]
         pub struct ProcTotals {
             $(#[doc = $help] pub $field: u64,)*
-        }
-
-        /// One processor's live counters. Cache-line aligned so that
-        /// neighbouring processors' blocks never false-share.
-        #[derive(Default)]
-        #[repr(align(64))]
-        pub(crate) struct Counters {
-            $(pub $field: AtomicU64,)*
-        }
-
-        impl Counters {
-            /// A point-in-time plain copy (relaxed loads; exact once the
-            /// owning processor has finished).
-            pub fn row(&self) -> ProcTotals {
-                ProcTotals { $($field: self.$field.load(Ordering::Relaxed),)* }
-            }
         }
 
         impl ProcTotals {
@@ -142,8 +108,8 @@ declare_counters! {
     lane_contention, "fx_lane_contention", "Mailbox lane deposits that found the lane lock held.";
 }
 
-// The block is paid for by every processor of every run: keep it small.
-const _: () = assert!(std::mem::size_of::<Counters>() <= 256);
+// The row is part of every processor's context in every run: keep it small.
+const _: () = assert!(std::mem::size_of::<ProcTotals>() <= 256);
 
 impl ProcTotals {
     /// `(declaration, value)` for every counter of the row.
@@ -202,16 +168,16 @@ mod tests {
 
     #[test]
     fn row_merge_display_and_json_follow_the_declaration() {
-        let block = Counters::default();
+        let mut row = ProcTotals::default();
         for (i, c) in ProcTotals::COUNTERS.iter().enumerate() {
             assert!(c.family.starts_with("fx_") && !c.help.is_empty(), "{c:?}");
             assert_eq!(ProcTotals::COUNTERS.iter().filter(|o| o.name == c.name || o.family == c.family).count(), 1);
-            assert_eq!(block.row().values()[i], 0);
+            assert_eq!(row.values()[i], 0);
         }
-        bump(&block.sends, 3);
-        bump(&block.lane_contention, 1);
-        let mut total = block.row();
-        total.merge(&block.row());
+        row.sends += 3;
+        row.lane_contention += 1;
+        let mut total = row.clone();
+        total.merge(&row);
         let n = ProcTotals::COUNTERS.len();
         assert_eq!((total.values()[0], total.values()[n - 1], total.values().iter().sum::<u64>()), (6, 2, 8));
         assert_eq!(total.to_string(), "sends=6 lane_contention=2");

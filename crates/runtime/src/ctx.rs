@@ -5,9 +5,11 @@
 //! processor's identity, its (virtual) clock, its event log, and the
 //! endpoints for direct-deposit messaging. It is the one producer of the
 //! processor's events ([`crate::event`]: every instrumented site calls
-//! `emit`) and the one writer of its counter block ([`crate::counters`],
-//! owned by the [`World`]): every `note_*` is one bump of that block,
-//! whether or not anyone observes the run.
+//! `emit`) and the owner of everything the processor observes about
+//! itself: its counter row ([`crate::counters`]; every `note_*` is one
+//! `+=` on it, whether or not anyone observes the run) and, with a
+//! registry attached, its histograms and flight ring. It hands them over
+//! once, when the processor is done ([`ProcCtx::hand_over`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,14 +17,14 @@ use std::time::{Duration, Instant};
 
 use crate::clock::{ns_since, SpinDeadline};
 use crate::coro::{YieldKind, Yielder};
-use crate::counters::{bump, Counters};
-use crate::event::{Event, EventKind, Labels, Log};
+use crate::counters::ProcTotals;
+use crate::event::{Event, EventKind, Log};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::MachineModel;
 use crate::parker::Parkers;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload, Returned};
 use crate::run::{DataflowMode, ProcOutcome};
-use crate::telemetry::{ProcShard, Telemetry};
+use crate::telemetry::{Observations, Telemetry};
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
@@ -35,16 +37,6 @@ pub(crate) struct World {
     /// How long a promotable loop's board spin may wait
     /// ([`crate::Machine::spin_timeout`]).
     pub spin_timeout: Duration,
-    /// Every processor's counter block (see [`crate::counters`]): always
-    /// there, written only by the owning [`ProcCtx`], read by the report
-    /// and — through its own handles on the same allocations — by the
-    /// telemetry registry, during the run and after it.
-    pub counters: Vec<Arc<Counters>>,
-    /// Every processor's label table (see [`crate::event`]): written only
-    /// by the owning [`ProcCtx`], read by the report's logs and — handed
-    /// over at `begin_run` like the counter blocks — by the telemetry
-    /// registry, which is what lets a post-mortem flight dump name scopes.
-    pub labels: Vec<Arc<Labels>>,
     /// Every processor's chunk storage given back by receivers ([`BufferPool`]).
     pub returned: Vec<Returned>,
     /// Set by the first processor to panic, which poisons every mailbox;
@@ -57,8 +49,9 @@ pub(crate) struct World {
     /// message and adopt them on receive. Host-side only: tracing
     /// never moves the virtual clock.
     pub tracing: bool,
-    /// Live telemetry registry (see [`crate::Telemetry`]); `None` keeps
-    /// every hot path on the seed code shape.
+    /// Telemetry registry (see [`crate::Telemetry`]) that every processor
+    /// hands its observations to when it is done; `None` keeps every hot
+    /// path on the seed code shape.
     pub telemetry: Option<Arc<Telemetry>>,
     /// Barrier-elision mode for this run.
     pub dataflow: DataflowMode,
@@ -118,9 +111,8 @@ pub struct ProcCtx {
     /// What this processor retains of its own events (see
     /// [`ProcCtx::emit`]), with its label table.
     log: Log,
-    /// This processor's counter block (the world's, shared with whoever
-    /// reads it). The context is its only writer.
-    counters: Arc<Counters>,
+    /// This processor's counter row, until it is handed over.
+    totals: ProcTotals,
     /// Recycled message-buffer storage for the chunk fast path.
     pool: BufferPool,
     /// True when the machine profiles: duration events are retained in
@@ -140,8 +132,9 @@ pub struct ProcCtx {
     /// Label id of each open task-region/subgroup scope, innermost last
     /// (maintained only when observed).
     scopes: Vec<u32>,
-    /// This processor's telemetry shard (`None` when telemetry is off).
-    tl: Option<Arc<ProcShard>>,
+    /// What this processor observes for the registry, until it is handed
+    /// over (`None` when no registry is attached).
+    seen: Option<Observations>,
     /// Virtual seconds of charged compute since the last heartbeat reset.
     /// Pure accumulation alongside the clock: it never feeds back into
     /// any charge, so arming the heartbeat cannot move virtual time.
@@ -154,9 +147,7 @@ impl ProcCtx {
     pub(crate) fn new(rank: usize, world: Arc<World>, start: Instant, yielder: Yielder) -> Self {
         let profile = world.profile;
         let tracing = world.tracing;
-        let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
-        let counters = Arc::clone(&world.counters[rank]);
-        let log = Log::new(Vec::new(), Arc::clone(&world.labels[rank]));
+        let seen = world.telemetry.as_ref().map(|_| Observations::default());
         ProcCtx {
             rank,
             world,
@@ -164,15 +155,15 @@ impl ProcCtx {
             clock: 0.0,
             start,
             lap: CHARGED,
-            log,
-            counters,
+            log: Log::default(),
+            totals: ProcTotals::default(),
             pool: BufferPool::default(),
             profile,
-            observed: profile || tl.is_some(),
+            observed: profile || seen.is_some(),
             tracing,
             trace: 0,
             scopes: Vec::new(),
-            tl,
+            seen,
             hb_acc: 0.0,
             ahead: None,
         }
@@ -198,12 +189,11 @@ impl ProcCtx {
 
     /// The one producer of this processor's events. Where a record goes
     /// is what retains it: the processor's own log keeps marks always and
-    /// duration events when profiling; the registry's flight ring, when
-    /// one is attached, keeps the newest message, barrier and scope events
-    /// beside the lap, so a stamp is never ahead of its event. Compute
-    /// intervals and marks stay out of the ring: a charge merges into the
-    /// previous one in place, which a ring read from other threads cannot
-    /// do. Nobody observing and not a mark: one branch.
+    /// duration events when profiling; its flight ring, when a registry is
+    /// attached, keeps the newest message, barrier and scope events beside
+    /// the lap, so a stamp is never ahead of its event. Compute intervals
+    /// and marks stay out of the ring: it is the black box of the message
+    /// path. Nobody observing and not a mark: one branch.
     #[inline(always)]
     fn emit(&mut self, ev: Event) {
         if !self.observed && ev.kind != EventKind::Mark {
@@ -212,14 +202,14 @@ impl ProcCtx {
         if ev.kind == EventKind::Mark || (self.profile && ev.is_span()) {
             self.log.push(ev);
         }
-        if let Some(sh) = &self.tl {
+        if let Some(seen) = &mut self.seen {
             if matches!(ev.kind, EventKind::Compute | EventKind::Mark) {
                 return;
             }
             if ev.kind == EventKind::Send {
-                sh.msg_bytes_hist.record(ev.bytes);
+                seen.msg_bytes.record(ev.bytes);
             }
-            sh.flight.push(self.lap & !(CHARGED | YIELDED), &ev);
+            seen.flight.push(self.lap & !(CHARGED | YIELDED), ev);
         }
     }
 
@@ -312,7 +302,7 @@ impl ProcCtx {
     /// as chunk traffic.
     fn post(&mut self, dst: usize, tag: u64, nbytes: usize, payload: MsgBody) {
         assert!(dst < self.world.nprocs, "send to nonexistent processor {dst}");
-        if self.tl.is_some() && self.lap & CHARGED != 0 {
+        if self.seen.is_some() && self.lap & CHARGED != 0 {
             cut(&mut self.lap, self.start);
         }
         if self.ahead == Some(dst) {
@@ -325,18 +315,18 @@ impl ProcCtx {
             self.rank,
             Envelope { tag, arrival, nbytes, trace: self.trace, payload },
         );
-        let c = &self.counters;
-        bump(&c.sends, 1);
-        bump(&c.send_bytes, nbytes as u64);
+        let c = &mut self.totals;
+        c.sends += 1;
+        c.send_bytes += nbytes as u64;
         if chunk {
-            bump(&c.chunk_msgs, 1);
-            bump(&c.chunk_bytes, nbytes as u64);
+            c.chunk_msgs += 1;
+            c.chunk_bytes += nbytes as u64;
         }
         if contended {
-            bump(&c.lane_contention, 1);
+            c.lane_contention += 1;
         }
-        if self.tl.is_some() {
-            bump(&c.send_ns, cut(&mut self.lap, self.start));
+        if self.seen.is_some() {
+            c.send_ns += cut(&mut self.lap, self.start);
         }
         let send = Event { peer: dst as u32, tag, bytes: nbytes as u64, start: v0, arrival, ..self.here(EventKind::Send) };
         self.emit(send);
@@ -364,8 +354,11 @@ impl ProcCtx {
     /// processor's buffer pool (no allocation once the pool is warm).
     pub fn chunk_for<T: Copy + Send + 'static>(&mut self, elems: usize) -> Chunk {
         let (bytes, hit) = self.pool.acquire(elems * std::mem::size_of::<T>(), &self.world.returned[self.rank]);
-        let c = &self.counters;
-        bump(if hit { &c.pool_hits } else { &c.pool_misses }, 1);
+        if hit {
+            self.totals.pool_hits += 1;
+        } else {
+            self.totals.pool_misses += 1;
+        }
         Chunk::from_bytes::<T>(bytes, Some(self.rank as u32))
     }
 
@@ -430,22 +423,22 @@ impl ProcCtx {
     fn take_env(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.world.nprocs, "recv from nonexistent processor {src}");
         self.catch_up();
-        let (world, yielder, tl, start, lap) = (&self.world, &self.yielder, &self.tl, self.start, &mut self.lap);
+        let (world, yielder, watched, start, lap) = (&self.world, &self.yielder, self.seen.is_some(), self.start, &mut self.lap);
         let mut parked = false;
         let env = world.mailboxes[self.rank].take(src, tag, || {
-            if tl.is_some() && *lap & (CHARGED | YIELDED) != 0 {
+            if watched && *lap & (CHARGED | YIELDED) != 0 {
                 cut(lap, start);
             }
             parked = true;
             yielder.suspend(YieldKind::Blocked);
         });
-        let c = &self.counters;
-        bump(&c.recvs, 1);
-        bump(&c.recv_bytes, env.nbytes as u64);
-        if let (Some(sh), true) = (&self.tl, parked) {
+        let c = &mut self.totals;
+        c.recvs += 1;
+        c.recv_bytes += env.nbytes as u64;
+        if let (Some(seen), true) = (&mut self.seen, parked) {
             let waited = cut(&mut self.lap, self.start);
-            bump(&c.recv_wait_ns, waited);
-            sh.recv_wait_hist.record(waited);
+            c.recv_wait_ns += waited;
+            seen.recv_wait.record(waited);
         }
         // Adopt a piggybacked trace id *before* making the recv event, so
         // the busy half of the receive — the first local work done on
@@ -514,7 +507,7 @@ impl ProcCtx {
     /// [`ProcCtx::pop_scope`]. Counts one region entry; the scope itself
     /// is tracked only when profiling or telemetry is active.
     pub fn push_scope(&mut self, name: &str) {
-        bump(&self.counters.region_enters, 1);
+        self.totals.region_enters += 1;
         if !self.observed {
             return;
         }
@@ -582,13 +575,13 @@ impl ProcCtx {
     /// Count one communication-plan cache hit (plan replayed).
     #[inline]
     pub fn note_plan_hit(&mut self) {
-        bump(&self.counters.plan_hits, 1);
+        self.totals.plan_hits += 1;
     }
 
     /// Count one communication-plan cache miss (plan built).
     #[inline]
     pub fn note_plan_miss(&mut self) {
-        bump(&self.counters.plan_misses, 1);
+        self.totals.plan_misses += 1;
     }
 
     /// A plan replay or halo exchange begins: a cut whose interval (plan
@@ -596,7 +589,7 @@ impl ProcCtx {
     /// Reads no clock unless a registry is attached.
     #[inline]
     pub fn exchange_begins(&mut self) {
-        if self.tl.is_some() {
+        if self.seen.is_some() {
             cut(&mut self.lap, self.start);
         }
     }
@@ -605,15 +598,15 @@ impl ProcCtx {
     /// cut whose interval is `pack_ns`. Same condition.
     #[inline]
     pub fn packed(&mut self) {
-        if self.tl.is_some() {
-            bump(&self.counters.pack_ns, cut(&mut self.lap, self.start));
+        if self.seen.is_some() {
+            self.totals.pack_ns += cut(&mut self.lap, self.start);
         }
     }
 
     /// Count one group-barrier entry (called by the collectives layer).
     #[inline]
     pub fn note_barrier(&mut self) {
-        bump(&self.counters.barriers, 1);
+        self.totals.barriers += 1;
         self.emit(self.here(EventKind::Barrier));
     }
 
@@ -635,13 +628,13 @@ impl ProcCtx {
     /// Count one sync point whose subset barrier was elided.
     #[inline]
     pub fn note_barrier_elided(&mut self) {
-        bump(&self.counters.barriers_elided, 1);
+        self.totals.barriers_elided += 1;
     }
 
     /// Count one sync point where the subset barrier actually ran.
     #[inline]
     pub fn note_barrier_kept(&mut self) {
-        bump(&self.counters.barriers_kept, 1);
+        self.totals.barriers_kept += 1;
     }
 
     // ----- heartbeat promotion --------------------------------------------
@@ -695,32 +688,43 @@ impl ProcCtx {
     /// Count one heartbeat that published an announcement.
     #[inline]
     pub fn note_promotion_attempted(&mut self) {
-        bump(&self.counters.promotions_attempted, 1);
+        self.totals.promotions_attempted += 1;
     }
 
     /// Count `n` grants written by one heartbeat (one per victim).
     #[inline]
     pub fn note_promotions_taken(&mut self, n: u64) {
-        bump(&self.counters.promotions_taken, n);
+        self.totals.promotions_taken += n;
     }
 
     /// Count one heartbeat that donated nothing (no eligible victim, or
     /// the remaining range failed the profitability bound).
     #[inline]
     pub fn note_promotion_declined(&mut self) {
-        bump(&self.counters.promotions_declined, 1);
+        self.totals.promotions_declined += 1;
     }
 
     /// Count one skipped task region (this processor was not a member of
     /// the region's subgroup).
     #[inline]
     pub fn note_region_skip(&mut self) {
-        bump(&self.counters.region_skips, 1);
+        self.totals.region_skips += 1;
     }
 
-    /// The processor is done: what it hands back besides its counters,
-    /// which stay in the world's block.
-    pub(crate) fn finish<R>(self, value: R) -> ProcOutcome<R> {
-        ProcOutcome { value, time: self.now(), log: self.log }
+    /// The processor is done, returned or unwinding: hand over what it
+    /// observed, once. An attached registry takes its counter row,
+    /// histograms, flight ring and label table; the row comes back for the
+    /// report.
+    pub(crate) fn hand_over(&mut self) -> ProcTotals {
+        let totals = std::mem::take(&mut self.totals);
+        if let (Some(t), Some(seen)) = (&self.world.telemetry, self.seen.take()) {
+            t.hand_over(self.rank, totals.clone(), seen, Arc::clone(self.log.labels()));
+        }
+        totals
+    }
+
+    /// The processor returned `value`: what the report needs of it.
+    pub(crate) fn finish<R>(self, value: R, counters: ProcTotals) -> ProcOutcome<R> {
+        ProcOutcome { value, time: self.clock, log: self.log, counters }
     }
 }

@@ -11,10 +11,11 @@
 //! * the processor's own [`Log`] keeps marks always and duration events
 //!   when the machine profiles (`Machine::with_profiling(true)`, simulated
 //!   time only); it comes back as [`crate::RunReport::logs`];
-//! * the telemetry registry's flight ring ([`crate::Telemetry`]) keeps the
-//!   newest N message, barrier and scope events of the same record beside
-//!   a host wall stamp, readable from another thread while the processor
-//!   runs and after it panicked.
+//! * its flight ring, when a telemetry registry is attached, keeps the
+//!   newest 256 message, barrier and scope events of the same record
+//!   beside a host wall stamp; the processor hands it to the registry
+//!   ([`crate::Telemetry`]) when it is done, so it is read after the run,
+//!   also one that panicked.
 //!
 //! Throughput and latency of a stream program (the spacing of its marks,
 //! which is how every experiment in the paper is measured), span
@@ -59,19 +60,6 @@ pub enum EventKind {
     Enter,
     /// A task-region scope was left.
     Exit,
-}
-
-impl EventKind {
-    /// Every kind, indexed by its `u8` value (the flight ring's wire form).
-    pub(crate) const ALL: [EventKind; 7] = [
-        EventKind::Compute,
-        EventKind::Send,
-        EventKind::Recv,
-        EventKind::Mark,
-        EventKind::Barrier,
-        EventKind::Enter,
-        EventKind::Exit,
-    ];
 }
 
 /// One thing a processor did, as plain data.
@@ -193,8 +181,11 @@ impl Label {
 
 /// One processor's append-only label table. The processor interns (it is
 /// the only writer, in program order, so ids are deterministic); the
-/// report's folds and the telemetry registry read, the latter from other
-/// threads while the run executes and after it panicked.
+/// report's folds and the telemetry registry, which the processor hands
+/// its table to when it is done, read. The table is shared (`Arc`)
+/// between the processor, which interns through `&self`, and the logs
+/// that name its ids, which are read during the run too — fx-serve's
+/// window folds read [`crate::ProcCtx::log`] mid-run — hence its mutex.
 pub struct Labels {
     table: Mutex<Table>,
 }

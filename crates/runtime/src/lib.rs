@@ -35,7 +35,6 @@ mod critical;
 mod ctx;
 pub mod env;
 mod event;
-mod flight;
 mod mailbox;
 mod model;
 mod parker;
@@ -57,8 +56,5 @@ pub use model::MachineModel;
 pub use payload::{Chunk, Payload};
 pub use run::{run, Agreement, DataflowMode, Executor, Machine, RunReport};
 pub use stall::{StallReport, StalledProc};
-pub use telemetry::{
-    ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TenantTotals,
-};
+pub use telemetry::{ExemplarTrace, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot, TenantTotals};
 pub use trace::chrome_trace;

@@ -298,7 +298,12 @@ impl Mailbox {
             {
                 let mut st = lane.lock();
                 if self.poisoned.load(Ordering::Acquire) {
-                    panic!("processor {me}: aborting recv, another processor panicked");
+                    // A secondary panic: unwind without the panic hook, so
+                    // a failure prints its root cause once, not once per
+                    // processor it releases.
+                    std::panic::resume_unwind(Box::new(format!(
+                        "processor {me}: aborting recv, another processor panicked"
+                    )));
                 }
                 if let Some(env) = st.pop_tag(tag) {
                     st.waiting_tag = None;

@@ -105,8 +105,8 @@ pub struct Machine {
     /// [`crate::Log`]). Host-side only: enabling it never changes virtual
     /// times.
     pub profile: bool,
-    /// Live telemetry registry (see [`crate::Telemetry`]). Host-side
-    /// only: enabling it never changes virtual times.
+    /// Telemetry registry (see [`crate::Telemetry`]). Host-side only:
+    /// enabling it never changes virtual times.
     pub telemetry: Option<Arc<Telemetry>>,
     /// How processors map onto OS threads (default: one worker per host
     /// CPU; `FX_WORKERS` overrides the default, an explicit
@@ -226,11 +226,11 @@ impl Machine {
         self
     }
 
-    /// Attach a live telemetry registry (off by default). The handle is
-    /// shared: keep your clone to render metrics mid-run
+    /// Attach a telemetry registry (off by default). The handle is
+    /// shared: keep your clone to render metrics
     /// ([`Telemetry::render_openmetrics`]), read flight recorders
-    /// ([`Telemetry::flight_dump`]) and stall reports — even after a run
-    /// that panicked. The final snapshot also lands in
+    /// ([`Telemetry::flight_dump`]) and stall reports after the run — even
+    /// one that panicked. The final snapshot also lands in
     /// [`RunReport::telemetry`]. Host-side observability only: virtual
     /// times are bit-identical with telemetry on or off.
     pub fn with_telemetry(mut self, t: Arc<Telemetry>) -> Self {
@@ -257,9 +257,10 @@ pub struct RunReport<R> {
     /// bytes both ways, chunk traffic, buffer-pool and plan-cache hit
     /// rates, barriers run and elided, promotions, region entries, and —
     /// only when a telemetry registry is attached, 0 otherwise — host
-    /// nanoseconds in sends, receives and pack loops. A read of the same
-    /// per-processor block `telemetry.per_proc` reads, so the two are
-    /// equal. Host observability only; never affects virtual time.
+    /// nanoseconds in sends, receives and pack loops. Each is the row its
+    /// processor handed over when it was done, the one `telemetry.per_proc`
+    /// holds, so the two are equal. Host observability only; never affects
+    /// virtual time.
     pub counters: Vec<ProcTotals>,
     /// Per-processor `(sender rank, payload bytes)` of every lane of the
     /// processor's mailbox that was ever deposited into or waited on,
@@ -497,8 +498,6 @@ where
             .collect(),
         parkers,
         spin_timeout: machine.spin_timeout,
-        counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
-        labels: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         returned: (0..machine.nprocs).map(|_| Default::default()).collect(),
         poisoned: std::sync::atomic::AtomicBool::new(false),
         profile: machine.profile,
@@ -510,9 +509,12 @@ where
     });
     let start = clock::host_now();
     if let Some(t) = &telemetry {
-        t.begin_run(&world);
+        t.begin_run(machine.nprocs);
     }
     let raw = pool::execute(&pool, &world, machine.stack_bytes, start, &f);
+    if let Some(t) = &telemetry {
+        t.end_run(&world.mailboxes);
+    }
 
     // Prefer reporting the root-cause panic over the poison-induced
     // secondary ones, scanning in rank order.
@@ -540,13 +542,14 @@ where
     let mut results = Vec::with_capacity(machine.nprocs);
     let mut times = Vec::with_capacity(machine.nprocs);
     let mut logs = Vec::with_capacity(machine.nprocs);
+    let mut counters = Vec::with_capacity(machine.nprocs);
     for out in outcomes {
         let out = out.expect("missing processor outcome despite no panic");
         results.push(out.value);
         times.push(out.time);
         logs.push(out.log);
+        counters.push(out.counters);
     }
-    let counters: Vec<ProcTotals> = world.counters.iter().map(|c| c.row()).collect();
     RunReport {
         results,
         times,
@@ -559,11 +562,12 @@ where
     }
 }
 
-/// One processor's life on its coroutine: build its context, run
-/// the SPMD closure, and hand back what it produced — or, if it
-/// panicked, unblock everyone else, dump its flight recorder (when a
-/// registry is attached, and unless this is a secondary poison panic:
-/// the root cause already dumped its own) and hand back the payload.
+/// One processor's life on its coroutine: build its context, run the
+/// SPMD closure, hand over what it observed (on return and on unwind
+/// alike), and hand back what it produced — or, if it panicked, unblock
+/// everyone else, dump its flight recorder (when a registry is attached,
+/// and unless this is a secondary poison panic: the root cause already
+/// dumped its own) and hand back the payload.
 pub(crate) fn run_proc<R, F>(
     rank: usize,
     world: &Arc<World>,
@@ -575,8 +579,10 @@ where
     F: Fn(&mut ProcCtx) -> R,
 {
     let mut cx = ProcCtx::new(rank, Arc::clone(world), start, yielder);
-    match catch_unwind(AssertUnwindSafe(|| f(&mut cx))) {
-        Ok(value) => Ok(cx.finish(value)),
+    let returned = catch_unwind(AssertUnwindSafe(|| f(&mut cx)));
+    let counters = cx.hand_over();
+    match returned {
+        Ok(value) => Ok(cx.finish(value, counters)),
         Err(payload) => {
             world.poison_all();
             if let Some(t) = world.telemetry.as_ref().filter(|_| !is_secondary(&*payload)) {
@@ -602,12 +608,12 @@ fn is_secondary(payload: &(dyn Any + Send)) -> bool {
 /// that are about to re-raise a panic anyway.
 pub(crate) type RawOutcomes<R> = Vec<Option<Result<ProcOutcome<R>, Box<dyn Any + Send>>>>;
 
-/// What one processor hands back to the run for report assembly besides
-/// its counters, which stay in the world's block.
+/// What one processor hands back to the run for report assembly.
 pub(crate) struct ProcOutcome<R> {
     pub(crate) value: R,
     pub(crate) time: f64,
     pub(crate) log: Log,
+    pub(crate) counters: ProcTotals,
 }
 
 #[cfg(test)]

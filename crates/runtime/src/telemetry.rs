@@ -1,27 +1,25 @@
-//! Live host-mode telemetry: a lock-light sharded metrics registry with
-//! OpenMetrics/JSON exporters.
+//! Host-mode telemetry: a metrics registry with OpenMetrics/JSON
+//! exporters.
 //!
 //! A [`Telemetry`] handle is created by the harness, attached to a machine
 //! with [`crate::Machine::with_telemetry`], and shared (it is always used
-//! behind an `Arc`). The registry is a view of what the run keeps anyway.
-//! Every run hands it the per-processor counter blocks its world owns (see
-//! [`crate::counters`] — one block, two readers: the report and the
-//! registry), and it reads them with relaxed loads, live or after the
-//! run, even one that ended in a panic. The processors' label tables
-//! ([`crate::Labels`]) are handed over the same way, so a flight dump
-//! resolves its labels post mortem. Queue depths and the
-//! chunk-bytes-in-flight gauge are read from the live mailboxes, and a
+//! behind an `Arc`). The registry is a view of what the run keeps anyway,
+//! and it is written once per processor: a processor owns what it
+//! observes until it is done, as plain fields of its context, and then —
+//! as it returns or unwinds — hands it over under the registry's one
+//! mutex: its counter row (see [`crate::counters`]; the report gets the
+//! same row), its label table ([`crate::Labels`]), so a flight dump
+//! resolves its labels post mortem, and the [`Observations`] only an
+//! observer wants: two log-bucketed histograms and the flight recorder.
+//! When the run's processors are all done, and before the run re-raises a
+//! panic or assembles its report, the run hands over the mailboxes' end
+//! state: the messages still queued and the chunk bytes among them. A
 //! stall report is the diagnosis of a deadlocked run ([`crate::stall`]).
-//! What the registry adds per processor is the [`ProcShard`] of things
-//! only an observer wants: two log-bucketed histograms and the
-//! flight-recorder ring. Shards are single-writer like the blocks, so the
-//! hot send/receive paths touch only their own cache lines and never take
-//! a lock.
 //!
-//! Reading is always safe concurrently with a run. A reader takes one
-//! [`TelemetrySnapshot`] — relaxed loads of the same atomics and the
-//! mailboxes' depths, no host-clock read — and both exporters render
-//! that snapshot.
+//! So the registry is read after the run, even one that ended in a panic.
+//! A reader during the run sees the processors that have finished. A
+//! reader takes one [`TelemetrySnapshot`] — no host-clock read — and both
+//! exporters render that snapshot.
 //!
 //! Telemetry never touches the virtual clock. Simulated times are
 //! bit-identical with telemetry on, off, or absent; the only cost of
@@ -30,16 +28,13 @@
 //! and per parked receive, and one flight-ring slot write per event.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::counters::{bump, Counters, ProcTotals};
-use crate::ctx::World;
+use crate::counters::ProcTotals;
 use crate::event::{Event, EventKind, Labels, Log};
-use crate::flight::FlightRing;
-use crate::mailbox::DepthSnapshot;
+use crate::mailbox::Mailbox;
 use crate::stall::StallReport;
 use crate::trace::escape;
 
@@ -47,22 +42,6 @@ use crate::trace::escape;
 /// `2^0 .. 2^37` (covers byte sizes to 128 GB and waits to ~137 s in ns),
 /// plus one `+Inf` overflow bucket.
 const HIST_FINITE: usize = 38;
-
-/// A fixed-shape power-of-two histogram. All operations are relaxed
-/// atomics; recording is two single-writer load+store bumps.
-///
-/// Bucket `0` covers `v <= 1`; bucket `i` (for `1 <= i < 38`) covers
-/// `2^(i-1) < v <= 2^i`; the last bucket is the `+Inf` overflow.
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_FINITE + 1],
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)), sum: AtomicU64::new(0) }
-    }
-}
 
 /// Bucket index for a recorded value.
 #[inline]
@@ -74,53 +53,38 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-impl Histogram {
-    #[inline]
-    pub(crate) fn record(&self, v: u64) {
-        bump(&self.buckets[bucket_index(v)], 1);
-        bump(&self.sum, v);
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Sum of recorded values (wrapping on overflow).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time plain copy of the bucket counts and sum.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Add this histogram into a plain copy (for aggregated rendering).
-    fn accumulate(&self, into: &mut HistogramSnapshot) {
-        into.buckets.resize(self.buckets.len(), 0);
-        for (acc, b) in into.buckets.iter_mut().zip(&self.buckets) {
-            *acc += b.load(Ordering::Relaxed);
-        }
-        into.sum += self.sum.load(Ordering::Relaxed);
-    }
-}
-
-/// Plain (non-atomic) copy of a [`Histogram`], as stored in snapshots
-/// and reports.
+/// A fixed-shape power-of-two histogram of plain counts, as kept by its
+/// one writer and stored in snapshots and reports.
+///
+/// Bucket `0` covers `v <= 1`; bucket `i` (for `1 <= i < 38`) covers
+/// `2^(i-1) < v <= 2^i`; the last bucket is the `+Inf` overflow.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Bucket counts; same shape as the live histogram (39 buckets, the
-    /// last being `+Inf`).
+    /// Bucket counts: 39 buckets, the last being `+Inf`, once a value is
+    /// recorded (empty before).
     pub buckets: Vec<u64>,
-    /// Sum of recorded values.
+    /// Sum of recorded values (wrapping on overflow).
     pub sum: u64,
 }
 
 impl HistogramSnapshot {
+    /// Count `v` in its bucket and in the sum.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets.resize(HIST_FINITE + 1, 0);
+        self.buckets[bucket_index(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Add another histogram's counts into this one.
+    fn merge(&mut self, other: &HistogramSnapshot) {
+        self.buckets.resize(self.buckets.len().max(other.buckets.len()), 0);
+        for (acc, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *acc += b;
+        }
+        self.sum = self.sum.wrapping_add(other.sum);
+    }
+
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -138,22 +102,83 @@ impl HistogramSnapshot {
     }
 }
 
-/// One processor's shard of the registry — what only an observer wants,
-/// beside the counter block every run has ([`crate::counters`]):
-/// single-writer histograms and the flight ring, written only by the
-/// owning simulated processor (whichever worker thread is currently
-/// running it — see [`bump`] for why migration is safe), read by
-/// snapshots and flight dumps. Cache-line aligned so neighbouring shards
-/// (separate allocations, but allocator-adjacent) never false-share.
+/// Events a flight ring retains.
+const FLIGHT_CAPACITY: usize = 256;
+
+/// The flight recorder: the newest [`FLIGHT_CAPACITY`] message, barrier
+/// and scope events of one processor — the same [`Event`] its log would
+/// keep — each beside the processor's latest clock read
+/// ([`crate::counters`]), never ahead of the event. Older events are
+/// overwritten, so recording is bounded however long the run is: not a
+/// full trace (the log does that) but a black box of the moments before
+/// a panic or a deadlock. Labels are not stored inline; an event carries
+/// its id in the processor's label table.
 #[derive(Default)]
-#[repr(align(64))]
-pub(crate) struct ProcShard {
+pub(crate) struct Flight {
+    /// `(wall stamp, event)` slots, filled in order, then overwritten
+    /// oldest first.
+    slots: Vec<(u64, Event)>,
+    /// Events ever pushed; once the ring is full, `pushed % FLIGHT_CAPACITY`
+    /// is the oldest slot.
+    pushed: u64,
+}
+
+impl Flight {
+    /// Append an event stamped `wall_ns` (host nanoseconds since the run
+    /// started), overwriting the oldest once the ring is full.
+    #[inline]
+    pub fn push(&mut self, wall_ns: u64, ev: Event) {
+        if self.slots.len() < FLIGHT_CAPACITY {
+            self.slots.push((wall_ns, ev));
+        } else {
+            self.slots[self.pushed as usize % FLIGHT_CAPACITY] = (wall_ns, ev);
+        }
+        self.pushed += 1;
+    }
+
+    /// The retained `(wall stamp, event)` pairs, oldest first.
+    fn retained(&self) -> impl Iterator<Item = &(u64, Event)> {
+        let oldest = if self.slots.len() < FLIGHT_CAPACITY { 0 } else { self.pushed as usize % FLIGHT_CAPACITY };
+        self.slots[oldest..].iter().chain(&self.slots[..oldest])
+    }
+}
+
+/// What an observed processor keeps for the registry besides its counter
+/// row, as plain fields of its context until it hands them over.
+#[derive(Default)]
+pub(crate) struct Observations {
     /// Sent message sizes in bytes.
-    pub msg_bytes_hist: Histogram,
+    pub msg_bytes: HistogramSnapshot,
     /// Wait durations of the receives that parked, in nanoseconds.
-    pub recv_wait_hist: Histogram,
-    /// The flight recorder ring for this processor.
-    pub flight: FlightRing,
+    pub recv_wait: HistogramSnapshot,
+    /// The processor's flight recorder.
+    pub flight: Flight,
+}
+
+/// One finished processor, as handed over to the registry.
+struct Finished {
+    totals: ProcTotals,
+    seen: Observations,
+    labels: Arc<Labels>,
+}
+
+impl Finished {
+    /// The flight ring as text, oldest first: a line per event with its
+    /// wall stamp.
+    fn flight_lines(&self) -> Vec<String> {
+        let line = |&(wall_ns, ev): &(u64, Event)| {
+            let (peer, tag, bytes) = (ev.peer, ev.tag, ev.bytes);
+            let what = match ev.kind {
+                EventKind::Send => format!("send  -> {peer} tag={tag:#x} {bytes} B"),
+                EventKind::Recv => format!("recv  <- {peer} tag={tag:#x} {bytes} B"),
+                EventKind::Enter => format!("enter {}", self.labels.get(ev.label).path()),
+                EventKind::Exit => format!("exit  {}", self.labels.get(ev.label).path()),
+                _ => "barrier".to_string(),
+            };
+            format!("  [{:10.3} ms] {what}\n", wall_ns as f64 / 1e6)
+        };
+        self.seen.flight.retained().map(line).collect()
+    }
 }
 
 /// Tuning knobs for a [`Telemetry`] handle.
@@ -186,18 +211,16 @@ pub struct ExemplarTrace {
     pub json: String,
 }
 
-/// Per-run registry state, swapped wholesale by [`Telemetry::begin_run`].
+/// Per-run registry state, reset by [`Telemetry::begin_run`].
+#[derive(Default)]
 struct Inner {
-    /// The current (or last) run's counter blocks: the allocations the
-    /// run's world owns, kept alive here past the run.
-    counters: Vec<Arc<Counters>>,
-    /// The current (or last) run's per-processor label tables, adopted
-    /// like the counter blocks.
-    labels: Vec<Arc<Labels>>,
-    shards: Vec<Arc<ProcShard>>,
-    /// The live world, for the mailbox gauges. Dangling after the run
-    /// finishes.
-    world: Weak<World>,
+    /// The current (or last) run's processors by rank, each `None` until
+    /// it hands over.
+    procs: Vec<Option<Finished>>,
+    /// Messages left queued in each processor's mailbox, and the chunk
+    /// bytes among them, handed over at the run's end (zero until then).
+    queue_depth: Vec<usize>,
+    chunk_bytes_in_flight: u64,
     /// What the serving layer published about the run
     /// ([`Telemetry::publish_serving`]): its tenant rows and its slowest
     /// requests' traces, slowest first.
@@ -205,8 +228,8 @@ struct Inner {
     exemplar_traces: Vec<ExemplarTrace>,
 }
 
-/// The live telemetry handle: metrics registry, flight recorders, and
-/// stall reports, with OpenMetrics/JSON exporters.
+/// The telemetry handle: metrics registry, flight recorders, and stall
+/// reports, with OpenMetrics/JSON exporters.
 ///
 /// Create one, wrap it in an `Arc`, and attach it to a machine:
 ///
@@ -224,10 +247,9 @@ struct Inner {
 /// assert!(text.ends_with("# EOF\n"));
 /// ```
 ///
-/// The handle outlives the run: render it live from another thread while
-/// the program executes, and read final counters, flight dumps, and
-/// stall reports after it finishes —
-/// even when the run ended in a panic and no report was produced.
+/// The handle outlives the run: read final counters, flight dumps, and
+/// stall reports after it finishes — even when the run ended in a panic
+/// and no report was produced.
 pub struct Telemetry {
     config: TelemetryConfig,
     inner: Mutex<Inner>,
@@ -245,7 +267,7 @@ impl std::fmt::Debug for Telemetry {
         let inner = self.inner.lock();
         f.debug_struct("Telemetry")
             .field("config", &self.config)
-            .field("nprocs", &inner.shards.len())
+            .field("nprocs", &inner.procs.len())
             .field("stall_reports", &self.stall_reports.lock().len())
             .finish()
     }
@@ -259,18 +281,7 @@ impl Telemetry {
 
     /// A telemetry handle with explicit configuration.
     pub fn with_config(config: TelemetryConfig) -> Self {
-        Telemetry {
-            config,
-            inner: Mutex::new(Inner {
-                counters: Vec::new(),
-                labels: Vec::new(),
-                shards: Vec::new(),
-                world: Weak::new(),
-                tenants: Vec::new(),
-                exemplar_traces: Vec::new(),
-            }),
-            stall_reports: Mutex::new(Vec::new()),
-        }
+        Telemetry { config, inner: Mutex::default(), stall_reports: Mutex::new(Vec::new()) }
     }
 
     /// The configuration this handle was built with.
@@ -278,23 +289,30 @@ impl Telemetry {
         &self.config
     }
 
-    /// Attach to a new run: adopt the world's counter blocks and label
-    /// tables and start fresh shards. Called by [`crate::run`]; a handle reused across runs
-    /// reports only the latest run.
-    pub(crate) fn begin_run(&self, world: &Arc<World>) {
-        let mut inner = self.inner.lock();
-        inner.counters = world.counters.clone();
-        inner.labels = world.labels.clone();
-        inner.shards = (0..world.nprocs).map(|_| Arc::default()).collect();
-        inner.world = Arc::downgrade(world);
-        inner.tenants.clear();
-        inner.exemplar_traces.clear();
-        drop(inner);
+    /// Attach to a new run of `nprocs` processors, forgetting the previous
+    /// one. Called by [`crate::run`]; a handle reused across runs reports
+    /// only the latest run.
+    pub(crate) fn begin_run(&self, nprocs: usize) {
+        *self.inner.lock() = Inner {
+            procs: (0..nprocs).map(|_| None).collect(),
+            queue_depth: vec![0; nprocs],
+            ..Inner::default()
+        };
         self.stall_reports.lock().clear();
     }
 
-    pub(crate) fn shard(&self, rank: usize) -> Arc<ProcShard> {
-        Arc::clone(&self.inner.lock().shards[rank])
+    /// Take over what processor `rank` observed, once it is done: its
+    /// counter row, its histograms and flight ring, and its label table.
+    pub(crate) fn hand_over(&self, rank: usize, totals: ProcTotals, seen: Observations, labels: Arc<Labels>) {
+        self.inner.lock().procs[rank] = Some(Finished { totals, seen, labels });
+    }
+
+    /// Take over the run's end state: what its mailboxes still hold.
+    pub(crate) fn end_run(&self, mailboxes: &[Mailbox]) {
+        let queues: Vec<_> = mailboxes.iter().map(Mailbox::depth_snapshot).collect();
+        let mut inner = self.inner.lock();
+        inner.queue_depth = queues.iter().map(|q| q.iter().map(|d| d.count).sum()).collect();
+        inner.chunk_bytes_in_flight = queues.iter().flatten().map(|d| d.chunk_bytes).sum();
     }
 
     /// Publish a finished serving run — the one way serving data enters
@@ -350,62 +368,31 @@ impl Telemetry {
 
     // ----- flight recorder ------------------------------------------------
 
-    /// The tail of one processor's events: what its flight ring retains,
-    /// oldest first — the newest sends, receives, barriers and scope
-    /// transitions, the same records (and the same label table) as the
-    /// processor's own log. Readable while the processor runs and after it
-    /// panicked.
+    /// The tail of one finished processor's events: what its flight ring
+    /// retains, oldest first — the newest sends, receives, barriers and
+    /// scope transitions, the same records (and the same label table) as
+    /// the processor's own log. Empty until the processor has finished;
+    /// readable after it panicked.
     pub fn flight_events(&self, proc: usize) -> Log {
-        let inner = self.inner.lock();
-        match (inner.shards.get(proc), inner.labels.get(proc)) {
-            (Some(shard), Some(labels)) => {
-                Log::new(shard.flight.snapshot().into_iter().map(|(_, ev)| ev).collect(), Arc::clone(labels))
-            }
+        match self.inner.lock().procs.get(proc) {
+            Some(Some(f)) => Log::new(f.seen.flight.retained().map(|&(_, ev)| ev).collect(), Arc::clone(&f.labels)),
             _ => Log::default(),
         }
     }
 
-    /// One processor's ring as text, oldest first: a line per event with
-    /// its wall stamp.
+    /// One finished processor's ring as text (see [`Finished::flight_lines`]).
     pub(crate) fn flight_lines(&self, proc: usize) -> Vec<String> {
-        let (shard, labels) = {
-            let inner = self.inner.lock();
-            (Arc::clone(&inner.shards[proc]), Arc::clone(&inner.labels[proc]))
-        };
-        let line = |(wall_ns, ev): (u64, Event)| {
-            let (peer, tag, bytes) = (ev.peer, ev.tag, ev.bytes);
-            let what = match ev.kind {
-                EventKind::Send => format!("send  -> {peer} tag={tag:#x} {bytes} B"),
-                EventKind::Recv => format!("recv  <- {peer} tag={tag:#x} {bytes} B"),
-                EventKind::Enter => format!("enter {}", labels.get(ev.label).path()),
-                EventKind::Exit => format!("exit  {}", labels.get(ev.label).path()),
-                _ => "barrier".to_string(),
-            };
-            format!("  [{:10.3} ms] {what}\n", wall_ns as f64 / 1e6)
-        };
-        shard.flight.snapshot().into_iter().map(line).collect()
+        self.inner.lock().procs[proc].as_ref().map_or_else(Vec::new, Finished::flight_lines)
     }
 
     /// Human-readable flight dump of every processor's ring (the black-box
-    /// readout printed on panic and attached to CI artifacts). While the
-    /// run executes, a processor waiting in a receive also shows the
-    /// `(src, tag)` its mailbox lane has registered.
+    /// readout printed on panic and attached to CI artifacts).
     pub fn flight_dump(&self) -> String {
-        let (shards, world) = {
-            let inner = self.inner.lock();
-            (inner.shards.clone(), inner.world.upgrade())
-        };
+        let inner = self.inner.lock();
         let mut out = String::new();
-        for (p, shard) in shards.iter().enumerate() {
-            let lines = self.flight_lines(p);
-            out.push_str(&format!(
-                "=== processor {p}: {} retained of {} recorded ===\n",
-                lines.len(),
-                shard.flight.pushed()
-            ));
-            if let Some((src, tag)) = world.as_ref().and_then(|w| w.mailboxes[p].waiting()) {
-                out.push_str(&format!("    (blocked in recv(src={src}, tag={tag:#x}))\n"));
-            }
+        for (p, f) in inner.procs.iter().enumerate() {
+            let (lines, pushed) = f.as_ref().map_or((Vec::new(), 0), |f| (f.flight_lines(), f.seen.flight.pushed));
+            out.push_str(&format!("=== processor {p}: {} retained of {pushed} recorded ===\n", lines.len()));
             out.extend(lines);
         }
         out
@@ -413,37 +400,30 @@ impl Telemetry {
 
     // ----- snapshots ------------------------------------------------------
 
-    /// A consistent-enough point-in-time copy of everything the exporters
-    /// print (relaxed reads; exact once the run has finished). Reads no
+    /// A point-in-time copy of everything the exporters print: every
+    /// finished processor's row (a default row for one still running),
+    /// merged histograms, region entries and the run's end state. Reads no
     /// host clock.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (counters, labels, shards, world, tenants) = {
-            let inner = self.inner.lock();
-            let world = inner.world.upgrade();
-            (inner.counters.clone(), inner.labels.clone(), inner.shards.clone(), world, inner.tenants.clone())
-        };
+        let inner = self.inner.lock();
         let mut regions: BTreeMap<String, u64> = BTreeMap::new();
-        for (label, n) in labels.iter().flat_map(|l| l.enters()) {
-            *regions.entry(label.path().to_string()).or_insert(0) += n;
+        let (mut msg_size_bytes, mut recv_wait_ns) = (HistogramSnapshot::default(), HistogramSnapshot::default());
+        for f in inner.procs.iter().flatten() {
+            for (label, n) in f.labels.enters() {
+                *regions.entry(label.path().to_string()).or_insert(0) += n;
+            }
+            msg_size_bytes.merge(&f.seen.msg_bytes);
+            recv_wait_ns.merge(&f.seen.recv_wait);
         }
-        let queues: Vec<DepthSnapshot> = match &world {
-            Some(w) => w.mailboxes.iter().map(|mb| mb.depth_snapshot()).collect(),
-            None => vec![Vec::new(); counters.len()],
-        };
-        let merged = |pick: fn(&ProcShard) -> &Histogram| {
-            let mut h = HistogramSnapshot::default();
-            shards.iter().for_each(|s| pick(s).accumulate(&mut h));
-            h
-        };
         TelemetrySnapshot {
-            per_proc: counters.iter().map(|c| c.row()).collect(),
+            per_proc: inner.procs.iter().map(|f| f.as_ref().map_or_else(ProcTotals::default, |f| f.totals.clone())).collect(),
             regions: regions.into_iter().collect(),
-            queue_depth: queues.iter().map(|q| q.iter().map(|d| d.count).sum()).collect(),
-            chunk_bytes_in_flight: queues.iter().flatten().map(|d| d.chunk_bytes).sum(),
-            msg_size_bytes: merged(|s| &s.msg_bytes_hist),
-            recv_wait_ns: merged(|s| &s.recv_wait_hist),
+            queue_depth: inner.queue_depth.clone(),
+            chunk_bytes_in_flight: inner.chunk_bytes_in_flight,
+            msg_size_bytes,
+            recv_wait_ns,
             stall_report_count: self.stall_reports.lock().len(),
-            tenants,
+            tenants: inner.tenants.clone(),
         }
     }
 
@@ -473,11 +453,11 @@ pub struct TelemetrySnapshot {
     /// Region-enter counts by subgroup path, aggregated across
     /// processors, sorted by path.
     pub regions: Vec<(String, u64)>,
-    /// Messages queued in each processor's mailbox (0 once the run's
-    /// world is gone).
+    /// Messages left queued in each processor's mailbox when the run
+    /// ended (0 while it runs).
     pub queue_depth: Vec<usize>,
-    /// Chunk payload bytes deposited but not yet received (0 after a
-    /// clean run).
+    /// Chunk payload bytes deposited but never received when the run
+    /// ended (0 after a clean run, and while it runs).
     pub chunk_bytes_in_flight: u64,
     /// Sent message sizes in bytes, all processors merged.
     pub msg_size_bytes: HistogramSnapshot,
@@ -690,16 +670,13 @@ impl TenantTotals {
         let mut row = TenantTotals {
             name: name.to_string(),
             completed: samples.len() as u64,
-            latency_ns: HistogramSnapshot { buckets: vec![0; HIST_FINITE + 1], sum: 0 },
             exemplars: vec![(0, 0); HIST_FINITE + 1],
             ..TenantTotals::default()
         };
         for &(latency_ns, trace_id) in samples {
-            let i = bucket_index(latency_ns);
-            row.latency_ns.buckets[i] += 1;
-            row.latency_ns.sum += latency_ns;
+            row.latency_ns.record(latency_ns);
             if trace_id != 0 {
-                row.exemplars[i] = (trace_id, latency_ns);
+                row.exemplars[bucket_index(latency_ns)] = (trace_id, latency_ns);
             }
         }
         row
@@ -718,19 +695,40 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_pow2() {
-        let h = Histogram::default();
+        let mut h = HistogramSnapshot::default();
         for v in [0u64, 1, 2, 3, 4, 1000, u64::MAX] {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
         let mut acc = HistogramSnapshot::default();
-        h.accumulate(&mut acc);
-        assert_eq!(acc, h.snapshot(), "accumulating into an empty copy is the copy");
+        acc.merge(&h);
+        assert_eq!(acc, h, "merging into an empty histogram is a copy");
         assert_eq!(acc.buckets[0], 2, "0 and 1 land in le=1");
         assert_eq!(acc.buckets[1], 1, "2 lands in le=2");
         assert_eq!(acc.buckets[2], 2, "3 and 4 land in le=4");
         assert_eq!(acc.buckets[10], 1, "1000 lands in le=1024");
         assert_eq!(acc.buckets[HIST_FINITE], 1, "u64::MAX overflows to +Inf");
+    }
+
+    #[test]
+    fn flight_ring_retains_the_newest_in_order() {
+        let mut ring = Flight::default();
+        let ev = |i: u64| Event { tag: i, ..crate::event::tests::ev(EventKind::Send, i as f64, i as f64 + 0.5) };
+        for i in 0..5 {
+            ring.push(i, ev(i));
+        }
+        assert_eq!(ring.retained().map(|&(w, e)| (w, e.tag)).collect::<Vec<_>>(), (0..5).map(|i| (i, i)).collect::<Vec<_>>());
+        let n = FLIGHT_CAPACITY as u64 + 100;
+        for i in 5..n {
+            ring.push(100 * i, ev(i));
+        }
+        let kept: Vec<(u64, Event)> = ring.retained().copied().collect();
+        assert_eq!(kept.len(), FLIGHT_CAPACITY, "exactly the newest capacity events");
+        for (k, slot) in kept.iter().enumerate() {
+            let i = 100 + k as u64;
+            assert_eq!(*slot, (100 * i, ev(i)), "slot {k}");
+        }
+        assert_eq!(ring.pushed, n);
     }
 
     fn row(name: &str, counters: [u64; 3], samples: &[(u64, u64)]) -> TenantTotals {

@@ -1,4 +1,4 @@
-//! Integration tests for the live telemetry layer: the in-flight gauge and
+//! Integration tests for the telemetry layer: the in-flight gauge and
 //! region-path counts, flight-recorder retention, exporter formats (every
 //! declared counter, exactly once), and the zero-cost-when-off guarantees.
 
@@ -41,7 +41,7 @@ fn mixed_workload(cx: &mut ProcCtx, rounds: usize, elems: usize) {
 }
 
 /// What only the registry knows about a finished run: the in-flight
-/// gauge, read from the mailboxes, is back at zero, region entries are
+/// gauge, the mailboxes' end state, is back at zero, region entries are
 /// counted under their path, and the snapshot's rows are the report's.
 #[test]
 fn gauge_drains_and_region_paths_are_counted() {
@@ -138,9 +138,10 @@ fn flight_tail_is_a_suffix_of_the_log() {
     }
 }
 
-/// The handle keeps the run's counter blocks and label tables alive: after
-/// a run that panicked — no report — it still reads what was counted, and
-/// the victim's flight tail still names the scope it died in.
+/// Every processor hands its row, ring and label table over as it returns
+/// or unwinds: after a run that panicked — no report — the handle still
+/// reads what was counted, and the victim's flight tail still names the
+/// scope it died in.
 #[test]
 fn handle_reads_final_counters_after_a_panicked_run() {
     let telemetry = Arc::new(Telemetry::with_config(TelemetryConfig { stall: false, ..TelemetryConfig::default() }));

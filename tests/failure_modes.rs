@@ -487,22 +487,90 @@ fn deadlock_dump_separates_tags_interleaved_on_one_lane() {
     );
     for executor in worker_counts() {
         let machine = Machine::simulated(3, MachineModel::paragon()).with_executor(executor);
+        let err = catch_unwind(AssertUnwindSafe(|| fx::runtime::run(&machine, interleaved_tags)))
+            .expect_err("deadlock must panic");
+        assert_eq!(panic_message(err), want, "{executor:?}");
+    }
+}
+
+/// Processor 0 queues tags 0xa, 0xb, 0xa and 1 for processor 2, which
+/// takes the last and then waits on processor 1, which has returned.
+fn interleaved_tags(cx: &mut ProcCtx) {
+    match cx.rank() {
+        0 => {
+            cx.send(2, 0xa, 1u64);
+            cx.send(2, 0xb, 2u64);
+            cx.send(2, 0xa, 3u64);
+            cx.send(2, 1, 0u8);
+        }
+        1 => {}
+        _ => {
+            let _: u8 = cx.recv(0, 1); // all three are queued behind us
+            let _: u64 = cx.recv(1, 42); // never sent
+        }
+    }
+}
+
+/// A deadlocked run's registry keeps what the run left queued: the run
+/// hands the mailboxes' end state over before it re-raises the
+/// diagnosis, so the three messages processor 2 never took are still
+/// counted when the handle is read after the panic.
+#[test]
+fn a_deadlocked_runs_registry_keeps_what_the_run_left_queued() {
+    use fx::runtime::Telemetry;
+    use std::sync::Arc;
+
+    for executor in worker_counts() {
+        let telemetry = Arc::new(Telemetry::new());
+        let machine =
+            Machine::simulated(3, MachineModel::paragon()).with_executor(executor).with_telemetry(Arc::clone(&telemetry));
+        catch_unwind(AssertUnwindSafe(|| fx::runtime::run(&machine, interleaved_tags))).expect_err("deadlock must panic");
+        assert_eq!(telemetry.snapshot().queue_depth, [0, 0, 3], "{executor:?}");
+        let om = telemetry.render_openmetrics();
+        assert!(om.contains("\nfx_queue_depth{proc=\"2\"} 3\n"), "{executor:?}:\n{om}");
+    }
+}
+
+/// A panic mid-collective (ROADMAP 3(c)): at P = 8 with a registry, every
+/// processor sends itself a message and takes it, passes a barrier, then
+/// all enter an `allreduce` that processor 3 panics before joining. The run re-raises
+/// processor 3's own message within a second on every worker count, and
+/// every processor's row reaches the registry — the seven released by the
+/// poison hand theirs over as they unwind.
+#[test]
+fn panic_mid_collective_hands_every_row_over() {
+    use fx::runtime::{Executor, Telemetry};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const P: usize = 8;
+    for workers in [1, 2, P] {
+        let telemetry = Arc::new(Telemetry::new());
+        let machine = Machine::simulated(P, MachineModel::paragon())
+            .with_executor(Executor::Pooled { workers })
+            .with_telemetry(Arc::clone(&telemetry));
+        let t0 = Instant::now();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            fx::runtime::run(&machine, |cx: &mut ProcCtx| match cx.rank() {
-                0 => {
-                    cx.send(2, 0xa, 1u64);
-                    cx.send(2, 0xb, 2u64);
-                    cx.send(2, 0xa, 3u64);
-                    cx.send(2, 1, 0u8);
+            spmd(&machine, |cx| {
+                let me = cx.id();
+                cx.send_v(me, 7, me as u64);
+                let mine: u64 = cx.recv_v(me, 7);
+                // Every processor has taken its message before 3 can panic.
+                cx.barrier();
+                if me == 3 {
+                    panic!("injected failure on processor 3 before its allreduce");
                 }
-                1 => {}
-                _ => {
-                    let _: u8 = cx.recv(0, 1); // all three are queued behind us
-                    let _: u64 = cx.recv(1, 42); // never sent
-                }
+                cx.allreduce(mine, |a, b| a + b)
             })
         }))
-        .expect_err("deadlock must panic");
-        assert_eq!(panic_message(err), want, "{executor:?}");
+        .expect_err("the panic must propagate");
+        let took = t0.elapsed();
+        assert_eq!(panic_message(err), "injected failure on processor 3 before its allreduce", "{workers} workers");
+        assert!(took < Duration::from_secs(1), "{workers} workers: the panic took {took:?} to propagate");
+        let rows = telemetry.snapshot().per_proc;
+        assert_eq!(rows.len(), P);
+        for (p, row) in rows.iter().enumerate() {
+            assert!(row.sends >= 1 && row.recvs >= 1, "{workers} workers: processor {p} handed over {row}");
+        }
     }
 }

@@ -406,6 +406,26 @@ fn one_clock_on_the_message_path() {
     );
 }
 
+/// A processor owns what it observes until it finishes: its counter row,
+/// its histograms and its flight ring are plain fields of its context,
+/// handed to the report and the registry once, as it returns or unwinds,
+/// and the run hands over its mailboxes' end state. A shared counter
+/// block, a registry shard, a seqlock ring or a registry that reaches back
+/// into a live world is the read-while-running design coming back.
+const OWNER_GONE: &[&str] = &["FlightRing", "ProcShard", "struct Counters", "pub struct Histogram {", "fn shard"];
+
+#[test]
+fn a_processor_owns_what_it_observes() {
+    assert_none(spelled(&walk(&["crates", "tests", "examples"]), OWNER_GONE, &[]), "a live per-processor store");
+    for path in ["crates/runtime/src/counters.rs", "crates/runtime/src/telemetry.rs"] {
+        let text = read(path);
+        for name in ["AtomicU64", "Weak<"] {
+            assert_eq!(lines_with(non_test(&text), name), 0, "{path}'s non-test part spells `{name}`");
+        }
+    }
+    assert!(!root().join("crates/runtime/src/flight.rs").exists(), "crates/runtime/src/flight.rs is back");
+}
+
 /// The FFT's twiddles come from its plan's table, each straight from
 /// `cis`: a running `w *= wlen` product is the recurrence it replaced
 /// (kept in `crates/kernels/tests/fft_plan.rs` as the ratio gate's
@@ -445,7 +465,7 @@ fn no_document_or_source_names_a_removed_api() {
         REMOVED.iter().chain(TAINT_GONE).chain(REAL_TIME_GONE).chain(COMPARATOR_GONE).copied().collect();
     assert_none(spelled(&walk(&TREE), &removed, &[]), "sources name removed APIs");
     let every_rule =
-        [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, THREAD_GONE, CLOCK_GONE];
+        [PROMOTION_GONE, EXECUTOR_GONE, ARRAY_GONE, EVENT_GONE, STREAM_GONE, SEARCH_GONE, VALUE_GONE, LEDGER_GONE, THREAD_GONE, CLOCK_GONE, OWNER_GONE];
     let names: Vec<&str> = removed.iter().chain(every_rule.iter().copied().flatten()).copied().collect();
     assert_none(spelled(&walk(&["DESIGN.md", "README.md"]), &names, &[]), "documents name removed APIs");
 }
